@@ -10,6 +10,14 @@ execution substrate differs — the processes backend is the one that can
 exceed a single core's throughput on multi-core hosts, because each
 rank steps its shared-memory sub-domain in its own interpreter.
 
+A second pair, ``dispersion_step_cluster_serial`` /
+``dispersion_step_cluster_processes`` (ratio
+``procpool_dispersion_speedup``), steps the bounded dispersion city on
+a default-config :class:`~repro.core.CPUClusterLBM`, so the number
+includes whatever kernel the coordinator *resolved* for that backend's
+schedule.  Every entry records its ``kernel`` next to the number: a
+throughput is only comparable to another one of the same kernel.
+
 Entry points:
 
 * ``python benchmarks/bench_procpool.py [--backend all|serial|threads|processes]``
@@ -42,11 +50,18 @@ ENTRY_NAMES = {
 }
 SUB_SHAPE = (16, 16, 16)
 ARRANGEMENT = (2, 2, 1)
+DISPERSION_ENTRY_NAMES = {
+    "serial": "dispersion_step_cluster_serial",
+    "processes": "dispersion_step_cluster_processes",
+}
+DISPERSION_SHAPE = (96, 80, 16)
+DISPERSION_RESOLUTION_M = 19.0
+DISPERSION_ARRANGEMENT = (2, 1, 1)
 
 
 def measure_backend(backend: str, sub_shape=SUB_SHAPE, arrangement=ARRANGEMENT,
                     steps: int = 2, repeats: int = 3,
-                    wire: str = "merged") -> float:
+                    wire: str = "merged") -> dict:
     """Best per-step Mcells/s of one backend on the GPU-cluster workload."""
     from repro.core import ClusterConfig, GPUClusterLBM
 
@@ -54,14 +69,43 @@ def measure_backend(backend: str, sub_shape=SUB_SHAPE, arrangement=ARRANGEMENT,
                         backend=backend, wire=wire,
                         max_workers=4 if backend == "threads" else 1)
     with GPUClusterLBM(cfg) as cluster:
-        cluster.step(1)  # warm up exchange buffers / worker pool
-        best = float("inf")
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            cluster.step(steps)
-            best = min(best, (time.perf_counter() - t0) / steps)
-        cells = cluster.cells_total()
-    return cells / best / 1e6
+        return _best_entry(cluster, steps, repeats)
+
+
+def measure_dispersion(backend: str, steps: int = 2, repeats: int = 3,
+                       wire: str = "merged") -> dict:
+    """Best per-step Mcells/s of the default-config CPU dispersion cluster.
+
+    No kernel is named: the entry records the one the coordinator
+    resolved for this backend's schedule.
+    """
+    from repro.core import ClusterConfig, CPUClusterLBM
+    from repro.urban import DispersionScenario
+
+    sc = DispersionScenario(DISPERSION_SHAPE,
+                            resolution_m=DISPERSION_RESOLUTION_M)
+    sub = tuple(s // a for s, a in zip(sc.shape, DISPERSION_ARRANGEMENT))
+    cfg = ClusterConfig(sub_shape=sub, arrangement=DISPERSION_ARRANGEMENT,
+                        tau=sc.tau, periodic=(False, False, False),
+                        solid=sc.solid, inlet=sc.inlet, outflow=sc.outflow,
+                        backend=backend, wire=wire)
+    with CPUClusterLBM(cfg) as cluster:
+        return _best_entry(cluster, steps + (steps & 1), repeats)
+
+
+def _best_entry(cluster, steps: int, repeats: int) -> dict:
+    cluster.step(2)  # warm up exchange buffers / worker pool / AA pair
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        cluster.step(steps)
+        best = min(best, (time.perf_counter() - t0) / steps)
+    *ranks, resolved = cluster.kernel_report(cluster=True)
+    kernel = resolved["kernel"]
+    if kernel == "auto":     # nothing resolved: report what the ranks ran
+        kernel = "+".join(sorted({row["kernel"] for row in ranks}))
+    return {"mcells_per_s": round(cluster.cells_total() / best / 1e6, 3),
+            "kernel": kernel}
 
 
 def run_backend_benchmarks(sub_shape=SUB_SHAPE, arrangement=ARRANGEMENT,
@@ -70,15 +114,21 @@ def run_backend_benchmarks(sub_shape=SUB_SHAPE, arrangement=ARRANGEMENT,
     """Measure the requested backends; returns bench-kernels entries."""
     results: dict[str, dict] = {}
     for backend in backends:
-        mc = measure_backend(backend, sub_shape=sub_shape,
-                             arrangement=arrangement, steps=steps,
-                             repeats=repeats, wire=wire)
-        results[ENTRY_NAMES[backend]] = {"mcells_per_s": round(mc, 3)}
+        results[ENTRY_NAMES[backend]] = measure_backend(
+            backend, sub_shape=sub_shape, arrangement=arrangement,
+            steps=steps, repeats=repeats, wire=wire)
+        if backend in DISPERSION_ENTRY_NAMES:
+            results[DISPERSION_ENTRY_NAMES[backend]] = measure_dispersion(
+                backend, steps=steps, repeats=repeats, wire=wire)
     if "serial" in backends and "processes" in backends:
-        results["procpool_speedup"] = {
-            "ratio": round(
-                results[ENTRY_NAMES["processes"]]["mcells_per_s"]
-                / results[ENTRY_NAMES["serial"]]["mcells_per_s"], 3)}
+        for ratio, names in (("procpool_speedup", ENTRY_NAMES),
+                             ("procpool_dispersion_speedup",
+                              DISPERSION_ENTRY_NAMES)):
+            procs, serial = results[names["processes"]], results[names["serial"]]
+            results[ratio] = {
+                "ratio": round(procs["mcells_per_s"]
+                               / serial["mcells_per_s"], 3),
+                "kernel": f"{procs['kernel']}/{serial['kernel']}"}
     return results
 
 
@@ -122,7 +172,7 @@ def main(argv=None) -> int:
                                      backends=backends, wire=args.wire)
     for name, entry in sorted(results.items()):
         val = entry.get("mcells_per_s", entry.get("ratio"))
-        print(f"  {name:36s} {val}")
+        print(f"  {name:36s} {val:<8} kernel {entry['kernel']}")
     print(comparison_line(results))
     out = Path(args.out)
     if args.wire != "merged":

@@ -111,13 +111,16 @@ def _cmd_cost(args) -> None:
 
 def _kernel_report_lines(cluster) -> list[str]:
     """Per-rank kernel choice / occupancy / reason rows for timing output."""
+    *rows, resolved = cluster.kernel_report(cluster=True)
     lines = []
-    for row in cluster.kernel_report():
+    for row in rows:
         line = (f"  rank {row['rank']:>3}: kernel {row['kernel']:<9} "
                 f"solid {row['solid_fraction']:.1%}")
         if row.get("reason"):
             line += f"  ({row['reason']})"
         lines.append(line)
+    lines.append(f"  cluster : kernel {resolved['kernel']:<9} "
+                 f"({resolved['reason']})")
     return lines
 
 
@@ -229,7 +232,8 @@ def _cmd_check_procs(args) -> int:
 
     run_equivalence_check(steps=args.steps)
     print("process backend OK: bit-identical to serial, "
-          "no leaked segments, no orphaned workers")
+          "no leaked segments, no orphaned workers; default-config "
+          "periodic small ranks on serial resolved 'split'")
     return 0
 
 
@@ -258,7 +262,8 @@ def _cmd_check_aa(args) -> int:
     reconstruction), runs on one distribution array (no back buffer) —
     on a fully periodic box AND a bounded inlet/outflow box — and the
     cluster drivers' forward/reverse halo protocol reproduces the
-    reference bits on the serial and processes backends."""
+    reference bits on the serial and processes backends; a final
+    default-config bounded case on process ranks must *resolve* AA."""
     from repro.lbm.aa import run_aa_equivalence_check
 
     report = run_aa_equivalence_check(steps=args.steps)
@@ -274,6 +279,10 @@ def _cmd_check_aa(args) -> int:
                       f"kernel {row['kernel']:<9} "
                       f"layout {row.get('layout', 'soa'):<4} "
                       f"solid {row['solid_fraction']:.1%}")
+    if "auto" in report:
+        print(f"  case auto (default config, bounded "
+              f"{report['auto']['shape']}, backend processes): "
+              f"{report['auto']['rows'][-1]['reason']}")
     return 0
 
 

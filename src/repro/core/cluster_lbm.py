@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.cpu_node import CPUNode
+from repro.core.cpu_node import CPUNode, rank_boundaries
 from repro.core.decomposition import (BlockDecomposition, arrange_nodes_2d,
                                       weighted_cuts)
 from repro.core.gpu_node import GPUNode
@@ -145,26 +145,42 @@ class ClusterConfig:
         the same arithmetic, and the exchange touches only border/ghost
         layers the inner pass never reads).
     kernel / sparse_threshold / autotune:
-        Per-rank hot-path selection, forwarded to every CPU rank's
-        :class:`~repro.lbm.LBMSolver`.  Under the default ``"auto"``
-        each rank picks its own kernel; with ``autotune="measured"``
-        (the cluster default) the choice comes from a short
-        micro-benchmark of every eligible candidate on the rank's
-        actual sub-domain (:mod:`repro.lbm.autotune`), while
-        ``autotune="heuristic"`` keeps the pure solid-fraction rule:
-        the sparse fluid-compacted kernel
-        (:class:`~repro.lbm.SparseStepKernel`) when the *local* solid
-        fraction reaches ``sparse_threshold``, the dense phase-split
-        path otherwise.  ``kernel="aa"`` forces the swap-free
-        AA-pattern kernel on every rank (CPU numeric ranks only; the
-        driver plays the role of the kernel's ghost closure: forward
-        halo exchange after even phases, reverse ghost scatter
-        exchange after odd phases, with true domain-boundary faces on
-        non-periodic axes folding locally through the zero-gradient
-        crossing-slot rule instead of wrapping — see
+        Hot-path selection for the CPU ranks.  Under the default
+        ``kernel="auto"`` + ``autotune="measured"`` the *coordinator*
+        resolves the kernel once per cluster, before any node is built
+        or worker spawned: every distinct rank signature (block shape,
+        solid-fraction bucket, boundary faces) is probed on a crop of
+        at most 48k cells, stepped through the phase calls the backend
+        will issue (one whole collide for process ranks and
+        ``overlap=False``; shell + core collide under the executed
+        overlap), with the in-place AA kernel
+        (:class:`~repro.lbm.aa.AAStepKernel`) beside ``sparse`` /
+        ``split``.  AA is chosen for *all* ranks iff every rank can run
+        it (CPU ranks, no body force) and the predicted slowest rank —
+        ``max_r cells_r / rate_r``, what sets a bulk-synchronous step —
+        is faster under all-AA than under each rank's own best non-AA
+        kernel (:func:`repro.lbm.autotune.decide_cluster`); otherwise
+        each rank runs its measured best of ``sparse`` / ``split``.
+        Ranks are handed the decision and never probe themselves;
+        probe rates are cached per process, so a second cluster of the
+        same shape costs nothing.  ``autotune="heuristic"`` keeps the
+        pure per-rank solid-fraction rule: the sparse fluid-compacted
+        kernel (:class:`~repro.lbm.SparseStepKernel`) when the *local*
+        solid fraction reaches ``sparse_threshold``, the dense
+        phase-split path otherwise.  Forcing a kernel is unchanged:
+        ``"split"`` / ``"sparse"`` / ``"fused"`` pin every rank's
+        path, and ``kernel="aa"`` forces the swap-free AA-pattern
+        kernel on every rank (CPU numeric ranks only).  Under AA,
+        forced or resolved, the driver plays the role of the kernel's
+        ghost closure: forward halo exchange after even phases,
+        reverse ghost scatter exchange after odd phases, with true
+        domain-boundary faces on non-periodic axes folding locally
+        through the zero-gradient crossing-slot rule instead of
+        wrapping — see
         :func:`repro.lbm.streaming.fold_face_zero_gradient`; per-rank
         inlet/outflow handlers run through the rotated closure,
-        :mod:`repro.lbm.esoteric`).  Every choice is bit-identical;
+        :mod:`repro.lbm.esoteric`.  Every choice is bit-identical at
+        every step count, loads and rebalances included;
         :meth:`kernel_report` and the ``kernel.*`` counters record
         what each rank ran and why.
     layout:
@@ -357,6 +373,18 @@ class _ClusterLBMBase:
         self.switch = config.switch if config.switch is not None else GigabitSwitch()
         solids = (self.decomp.scatter_field(config.solid)
                   if config.solid is not None else [None] * self.decomp.n_nodes)
+        self.counters = KernelCounters()
+        #: The coordinator's measured kernel decision for all ranks
+        #: (None when there is nothing to resolve: forced kernel,
+        #: heuristic autotune, timing-only or GPU nodes), taken before
+        #: any node is built or worker spawned.
+        self.kernel_choice = self._resolve_kernel(solids)
+        #: The kernel the cluster runs — the one attribute the halo
+        #: protocol (exchange mode, shared-memory adoption, odd-parity
+        #: gather) consults, through :attr:`aa_protocol`.
+        self.resolved_kernel = (self.kernel_choice.kernel
+                                if self.kernel_choice is not None
+                                else config.kernel)
         self._proc_backend: ProcessBackend | None = None
         if config.backend == "processes":
             self._proc_backend = ProcessBackend(
@@ -370,7 +398,6 @@ class _ClusterLBMBase:
                           for rank in range(self.decomp.n_nodes)]
         self.time_step = 0
         self.last_timing: StepTiming | None = None
-        self.counters = KernelCounters()
         self.tracer = NULL_TRACER
         self.telemetry: TelemetrySession | None = None
         self._halo_bytes = 0
@@ -406,6 +433,40 @@ class _ClusterLBMBase:
             return weighted_cuts(cost, config.arrangement, min_extent=2)
         return None
 
+    def _resolve_kernel(self, solids):
+        """Cluster-wide measured kernel resolution (CPU drivers only)."""
+        return None
+
+    @property
+    def aa_protocol(self) -> bool:
+        """Whether every rank runs the in-place AA kernel, so the
+        driver runs its halo protocol (forward exchange after even
+        phases, reverse scatter exchange after odd ones)."""
+        return self.resolved_kernel == "aa"
+
+    def _rank_schedule(self) -> str:
+        """The phase calls a rank sees per step (the probe schedule):
+        shell + core collide under the executed-overlap protocol, one
+        whole collide otherwise (process ranks never split)."""
+        cfg = self.config
+        return ("shell" if cfg.overlap and cfg.backend != "processes"
+                else "collide")
+
+    def _rank_kernel_args(self, rank: int) -> dict:
+        """Per-rank kernel kwargs of :class:`CPUNode`: the configured
+        values, or the coordinator's resolved choice for this rank."""
+        cfg = self.config
+        choice = (self.kernel_choice.choices[rank]
+                  if self.kernel_choice is not None else None)
+        return {
+            "kernel": cfg.kernel,
+            "sparse_threshold": cfg.sparse_threshold,
+            "autotune": cfg.autotune,
+            "layout": choice.layout if choice is not None else cfg.layout,
+            "kernel_choice": choice,
+            "aa_halo_managed": self.aa_protocol,
+        }
+
     def _worker_spec_args(self, rank: int, solid) -> dict:
         """The per-rank construction kwargs shipped to a worker process
         (everything :meth:`_make_node` would have used, minus the
@@ -413,6 +474,7 @@ class _ClusterLBMBase:
         cfg = self.config
         bc = self._node_boundary_config(rank)
         return {
+            **self._rank_kernel_args(rank),
             "sub_shape": self.decomp.block_shape(rank),
             "tau": cfg.tau,
             "periodic": cfg.periodic,
@@ -429,14 +491,10 @@ class _ClusterLBMBase:
             "cpu_spec": cfg.cpu_spec,
             "gpu_spec": cfg.gpu_spec,
             "bus": cfg.bus,
-            "kernel": cfg.kernel,
-            "sparse_threshold": cfg.sparse_threshold,
-            "autotune": cfg.autotune,
             "wire": cfg.wire,
-            "layout": cfg.layout,
         }
 
-    def kernel_report(self) -> list[dict]:
+    def kernel_report(self, cluster: bool = False) -> list[dict]:
         """Per-rank hot-path choice and local solid occupancy.
 
         One row per rank — ``{"rank", "kernel", "layout",
@@ -447,13 +505,20 @@ class _ClusterLBMBase:
         the concrete memory layout its distribution array currently
         has (``"soa"``/``"aos"`` — the autotuner's pick under
         ``layout="auto"``), the rank-local solid fraction, *why* the
-        kernel was selected (forced / heuristic threshold / measured
-        probe), for measured autotuning the probe's MLUPS per
+        kernel was selected (forced / heuristic threshold / the
+        coordinator's cluster-resolved probe), for measured autotuning the probe's MLUPS per
         (kernel, layout) candidate (None otherwise), and the rank's
         block shape and cell count (unequal under weighted cuts — the
         load balancer's output).
+
+        With ``cluster=True`` one cluster-level row follows the rank
+        rows: ``{"rank": "cluster", "kernel", "schedule", "aa_ms",
+        "best_ms", "reason", "cells"}`` — the resolved kernel, the
+        schedule the coordinator probed it in and the predicted
+        slowest-rank milliseconds under all-AA vs each rank's best
+        non-AA kernel (None where nothing was measured).
         """
-        return [{"rank": getattr(node, "rank", i),
+        rows = [{"rank": getattr(node, "rank", i),
                  "kernel": getattr(node, "kernel_used", "n/a"),
                  "layout": getattr(node, "kernel_layout", "soa"),
                  "solid_fraction": float(getattr(node, "solid_fraction", 0.0)),
@@ -462,6 +527,18 @@ class _ClusterLBMBase:
                  "block": self.decomp.block_shape(i),
                  "cells": self.decomp.blocks[i].cells}
                 for i, node in enumerate(self.nodes)]
+        if cluster:
+            choice = self.kernel_choice
+            rows.append({
+                "rank": "cluster", "kernel": self.resolved_kernel,
+                "schedule": choice.schedule if choice else None,
+                "aa_ms": choice.aa_ms if choice else None,
+                "best_ms": choice.best_ms if choice else None,
+                "reason": (choice.reason if choice else
+                           f"configured kernel={self.config.kernel!r}, "
+                           f"autotune={self.config.autotune!r}"),
+                "cells": self.cells_total()})
+        return rows
 
     def balance_report(self) -> dict:
         """Chosen cuts plus predicted vs measured per-rank cost.
@@ -540,8 +617,9 @@ class _ClusterLBMBase:
         shut this driver down.  Returns ``(driver, info)`` where
         ``driver`` is ``self`` when the cuts are already optimal.
         ``info`` records old/new cuts and the measured imbalance that
-        drove the decision.  Under ``kernel="aa"`` only even step
-        parities can rebalance (canonical layout requirement).
+        drove the decision.  Works at any step count: the gather
+        reconstructs a mid-pair AA state and the reload re-bases the
+        successor's AA phase.
         """
         from dataclasses import replace
 
@@ -550,10 +628,6 @@ class _ClusterLBMBase:
         if self.config.timing_only:
             raise RuntimeError("rebalance needs numeric state; "
                                "timing_only drivers have none")
-        if self.config.kernel == "aa" and (self.time_step & 1):
-            raise ValueError(
-                "cannot rebalance at odd AA parity; step to an even "
-                "step count first")
         _, summary = trace_imbalance_rows(self.tracer)
         new_cuts = self.rebalance_cuts(busy_s=busy_s)
         info = {
@@ -728,11 +802,14 @@ class _ClusterLBMBase:
         ``wire="perface"`` keeps the legacy full-plane protocol.
         """
         cfg = self.config
-        reverse = cfg.kernel == "aa" and (self.time_step & 1)
+        aa = self.aa_protocol
+        # The ranks' own AA cadence (re-based by every canonical load)
+        # says which half of the pair this step is.
+        reverse = aa and self.nodes[0].aa_odd
         if cfg.wire == "merged":
             if reverse:
                 mode = "aa_reverse"
-            elif cfg.kernel == "aa":
+            elif aa:
                 mode = "aa_forward"
             else:
                 mode = "pull"
@@ -1168,6 +1245,42 @@ class CPUClusterLBM(_ClusterLBMBase):
 
     node_kind = "cpu"
 
+    def _resolve_kernel(self, solids):
+        """Probe once per distinct rank signature, decide for all.
+
+        Only the default ``kernel="auto"`` + ``autotune="measured"``
+        has anything to resolve.  Each rank is *described* (block
+        shape, solid mask, boundary handlers, schedule) — no rank
+        solver exists yet — and :func:`repro.lbm.autotune.resolve_cluster`
+        measures every distinct description on a small crop.
+        """
+        cfg = self.config
+        if (cfg.kernel != "auto" or cfg.autotune != "measured"
+                or cfg.timing_only):
+            return None
+        from repro.lbm.autotune import ProbeSpec, resolve_cluster
+        # No gate covers the AA halo protocol with a body force, so a
+        # forced cluster keeps its ranks off it.
+        runnable = (("aa",) if cfg.force is None else ()) + (
+            ("sparse",) if cfg.layout != "aos" else ()) + ("split",)
+        schedule = self._rank_schedule()
+        specs = []
+        for rank, solid in enumerate(solids):
+            bc = self._node_boundary_config(rank)
+            specs.append(ProbeSpec(
+                shape=self.decomp.block_shape(rank), tau=cfg.tau,
+                dtype=np.dtype(np.float32), solid=solid,
+                solid_fraction=(float(solid.mean()) if solid is not None
+                                else 0.0),
+                boundaries=tuple(rank_boundaries(bc["inlet"],
+                                                 bc["outflow"])),
+                runnable=runnable, periodic=False, schedule=schedule,
+                halo_managed=True, sparse_threshold=cfg.sparse_threshold,
+                layout="soa" if cfg.layout == "auto" else cfg.layout,
+                layout_requested=cfg.layout))
+        return resolve_cluster(
+            specs, [b.cells for b in self.decomp.blocks], self.counters)
+
     def _make_node(self, rank: int, solid):
         bc = self._node_boundary_config(rank)
         return CPUNode(rank, self.decomp.block_shape(rank), self.config.tau,
@@ -1179,10 +1292,7 @@ class CPUClusterLBM(_ClusterLBMBase):
                        use_sse=self.config.use_sse,
                        inlet=bc["inlet"], outflow=bc["outflow"],
                        force=self.config.force,
-                       kernel=self.config.kernel,
-                       sparse_threshold=self.config.sparse_threshold,
-                       autotune=self.config.autotune,
-                       layout=self.config.layout)
+                       **self._rank_kernel_args(rank))
 
     def _node_distributions(self, node) -> np.ndarray:
         return node.solver.f.copy()
@@ -1190,19 +1300,14 @@ class CPUClusterLBM(_ClusterLBMBase):
     def load_global_distributions(self, f: np.ndarray) -> None:
         """Scatter a global distribution field to the nodes.
 
-        Under ``kernel="aa"`` the ranks hold the rotated mid-pair
-        layout at odd parity, so loading canonical distributions is
-        only defined on even step counts (same as the reference
-        solver's in-place layout after an even number of steps).
+        Valid at any step count, AA clusters included: a canonical
+        load re-bases every rank's AA phase, so the next step runs the
+        even phase (see :meth:`repro.lbm.LBMSolver.load_distributions`).
         """
-        if self.config.kernel == "aa" and (self.time_step & 1):
-            raise ValueError(
-                "cannot load distributions at odd AA parity; step to an "
-                "even step count first")
         parts = self.decomp.scatter_field(f)
         if self._proc_backend is not None:
             self._numeric_nodes()
             self._proc_backend.load_parts(parts)
             return
         for node, part in zip(self._numeric_nodes(), parts):
-            node.solver.f[...] = part.astype(node.solver.dtype)
+            node.solver.load_distributions(part)

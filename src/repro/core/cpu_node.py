@@ -22,10 +22,34 @@ from repro.gpu.specs import XEON_2_4, CPUSpec
 from repro.perf import calibration as cal
 
 
+def rank_boundaries(inlet, outflow) -> list:
+    """Boundary handlers of a rank owning the given global faces.
+
+    ``inlet`` is ``(axis, side, velocity, rho)`` and ``outflow``
+    ``(axis, side)`` (None where the rank does not touch that face).
+    Shared by the rank's solver and by the coordinator's description
+    of the rank for the kernel probe.
+    """
+    from repro.lbm.boundaries import EquilibriumVelocityInlet, OutflowBoundary
+    from repro.lbm.lattice import D3Q19
+    bcs = []
+    if inlet is not None:
+        bcs.append(EquilibriumVelocityInlet(D3Q19, *inlet))
+    if outflow is not None:
+        bcs.append(OutflowBoundary(D3Q19, *outflow))
+    return bcs
+
+
 class CPUNode:
     """One sub-domain computed in software on a host CPU.
 
     Parameters mirror :class:`~repro.core.gpu_node.GPUNode`; see there.
+    ``kernel_choice`` is a decision the cluster coordinator already
+    measured for this rank (the solver adopts it instead of probing);
+    ``aa_halo_managed`` says the driver runs the AA halo protocol
+    (forward exchange after even phases, reverse scatter exchange
+    after odd ones), which is what lets a rank stepped phase by phase
+    run the in-place AA kernel.
     """
 
     def __init__(self, rank: int, sub_shape, tau: float, solid=None,
@@ -33,7 +57,8 @@ class CPUNode:
                  cpu_spec: CPUSpec = XEON_2_4, inlet=None, outflow=None,
                  force=None, use_sse: bool = False, kernel: str = "auto",
                  sparse_threshold: float = 0.5,
-                 autotune: str = "heuristic", layout: str = "soa") -> None:
+                 autotune: str = "heuristic", layout: str = "soa",
+                 kernel_choice=None, aa_halo_managed: bool = False) -> None:
         self.rank = rank
         self.sub_shape = tuple(int(s) for s in sub_shape)
         self.tau = float(tau)
@@ -46,30 +71,22 @@ class CPUNode:
         if timing_only:
             self.solver = None
         else:
-            from repro.lbm.boundaries import EquilibriumVelocityInlet, OutflowBoundary
-            from repro.lbm.lattice import D3Q19
-            bcs = []
-            if inlet is not None:
-                axis, side, velocity, rho = inlet
-                bcs.append(EquilibriumVelocityInlet(D3Q19, axis, side, velocity, rho))
-            if outflow is not None:
-                bcs.append(OutflowBoundary(D3Q19, *outflow))
             self.solver = LBMSolver(self.sub_shape, tau, solid=solid,
-                                    boundaries=bcs, force=force, periodic=False,
+                                    boundaries=rank_boundaries(inlet, outflow),
+                                    force=force, periodic=False,
                                     kernel=kernel,
                                     sparse_threshold=sparse_threshold,
                                     autotune=autotune, layout=layout)
             # The cluster driver steps this solver phase by phase
-            # (collide / exchange / stream), which rules the
-            # whole-step-only kernels (fused, AA single-domain stepping)
-            # out of ``kernel="auto"`` selection.
+            # (collide / exchange / stream).
             self.solver.phase_driven = True
-            if kernel == "aa":
-                # Forced AA: the driver owns the halo (forward exchange
-                # on even steps, reverse scatter exchange on odd steps),
-                # so the kernel may run without a periodic domain.
+            self.solver.aa_halo_managed = bool(aa_halo_managed)
+            if kernel_choice is not None:
+                self.solver.adopt_kernel_choice(kernel_choice)
+            if aa_halo_managed:
+                # The driver's exchange is only correct if this rank
+                # really runs the AA phases: refuse a silent fallback.
                 from repro.lbm.aa import AAStepKernel
-                self.solver.aa_halo_managed = True
                 if not AAStepKernel.eligible(self.solver):
                     raise ValueError(
                         "kernel='aa' on a cluster rank requires a plain "
@@ -111,6 +128,12 @@ class CPUNode:
     def kernel_layout(self) -> str:
         """Concrete memory layout of this rank's distribution array."""
         return "soa" if self.solver is None else self.solver.layout
+
+    @property
+    def aa_odd(self) -> bool:
+        """Whether this rank's next AA phase is the odd one (so the
+        step's halo exchange is the reverse scatter)."""
+        return self.solver is not None and self.solver.aa_odd
 
     # -- geometry ---------------------------------------------------------
     @property

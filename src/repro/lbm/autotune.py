@@ -11,11 +11,28 @@ replaces guessing with a short micro-benchmark.
 ``choose_kernel(solver)`` probes every *eligible* candidate kernel
 (``aa``, ``fused``, ``sparse``, ``split``) for a few warm-up plus timed
 steps on (a crop of) the solver's actual domain — same dtype, same
-solid mask, same relaxation time — and picks the fastest.  Decisions
-are cached per ``(shape, dtype, solid-fraction bucket, candidate set,
-periodicity, phase-driven)`` so a cluster with many same-shaped ranks
-(or repeated runs in one process) probes once per distinct
-configuration, not once per rank.
+solid mask, same relaxation time — and picks the fastest.  Measured
+rates are cached per ``(shape, dtype, solid-fraction bucket, candidate
+set, periodicity, schedule, managed halo, boundary signature)`` so a
+cluster with many same-shaped ranks (or repeated runs in one process)
+probes once per distinct configuration, not once per rank.
+
+A probe is built from a :class:`ProbeSpec` — a *description* of the
+(sub-)domain, never its distribution arrays — and is stepped through
+the calls the real run will issue (its ``schedule``): whole ``step()``
+for a single-domain solver, ``collide()`` + stream for a cluster rank,
+``collide_boundary()`` + ``collide_inner()`` + stream for a rank under
+the executed-overlap protocol.  The schedule matters: the in-place AA
+kernel is ~2x the split kernel through a whole collide and ~0.5x of it
+through the shell-split phases (thin strided slabs), so a kernel has
+to be measured in the schedule it will run in.
+
+``resolve_cluster(specs, cells)`` is the cluster-wide form: one probe
+per distinct rank signature in the coordinator, then
+:func:`decide_cluster` picks the AA halo protocol for *every* rank iff
+every rank can run it and the predicted slowest rank — the quantity
+that sets a bulk-synchronous step — is faster under all-AA than under
+each rank's own best non-AA kernel.
 
 Determinism: micro-benchmarks jitter, so the raw argmax would flap on
 near ties.  The winner is instead the *first* kernel in a fixed
@@ -35,7 +52,7 @@ dense/sparse crossover while keeping the probe a few percent of a
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -106,11 +123,62 @@ class KernelChoice:
         return 1.0 / (float(rate) * 1e6)
 
 
-_CACHE: dict[tuple, KernelChoice] = {}
+@dataclass(frozen=True, eq=False)
+class ProbeSpec:
+    """Description of one (sub-)domain, enough to build its probes.
+
+    Holds no distribution array: ``solid`` is the block's mask (a view
+    is fine — only a crop of at most :data:`PROBE_MAX_CELLS` is
+    copied), so a coordinator can describe every rank without
+    allocating any of them.
+    """
+    shape: tuple[int, ...]
+    tau: float
+    dtype: np.dtype
+    solid: np.ndarray | None
+    solid_fraction: float
+    #: Face handlers (shape-independent instances are shared with the
+    #: probes; anything else only enters the cache signature).
+    boundaries: tuple = ()
+    #: Kernels this configuration can run in its schedule.
+    runnable: tuple[str, ...] = ("split",)
+    periodic: bool = True
+    #: How a probe is stepped — the calls the real run will issue:
+    #: ``"step"`` (whole ``step()``), ``"collide"`` (``collide()`` then
+    #: stream: a cluster rank) or ``"shell"`` (``collide_boundary()`` +
+    #: ``collide_inner()`` then stream: a rank under the
+    #: executed-overlap protocol).
+    schedule: str = "step"
+    #: A cluster driver closes the AA halo (forward exchange after even
+    #: phases, reverse fold after odd ones) — what makes ``aa``
+    #: runnable outside the whole-``step()`` schedule.
+    halo_managed: bool = False
+    sparse_threshold: float = 0.5
+    layout: str = "soa"
+    layout_requested: str = "soa"
+
+    @classmethod
+    def of_solver(cls, solver) -> "ProbeSpec":
+        """The description of a live solver's own domain."""
+        return cls(
+            shape=solver.shape, tau=solver.collision.tau, dtype=solver.dtype,
+            solid=solver.solid, solid_fraction=solver.solid_fraction,
+            boundaries=tuple(solver.boundaries),
+            runnable=tuple(k for k in PRIORITY if still_eligible(solver, k)),
+            periodic=solver.periodic,
+            schedule="collide" if solver.phase_driven else "step",
+            halo_managed=solver.aa_halo_managed,
+            sparse_threshold=solver.sparse_threshold,
+            layout=solver.layout,
+            layout_requested=solver.layout_requested)
+
+
+#: Measured MLUPS per (kernel, layout) pair, keyed by :func:`_cache_key`.
+_CACHE: dict[tuple, dict[str, float]] = {}
 
 
 def clear_autotune_cache() -> None:
-    """Drop all cached decisions (tests / benchmark isolation)."""
+    """Drop all cached probe rates (tests / benchmark isolation)."""
     _CACHE.clear()
 
 
@@ -118,7 +186,11 @@ def still_eligible(solver, kind: str) -> bool:
     """Whether a previously chosen kernel can still run on ``solver``.
 
     Re-checked every step because eligibility can drift after the probe
-    (e.g. a boundary handler appended post-construction).
+    (e.g. a boundary handler appended post-construction).  A solver
+    stepped phase by phase cannot run the whole-step fused sweep, and
+    can run the AA phases only when its driver closes the AA halo
+    (``aa_halo_managed``) — nobody else would fold the odd phase's
+    ghost scatter back.
     """
     from repro.lbm.aa import AAStepKernel
     from repro.lbm.fused import FusedStepKernel
@@ -131,27 +203,42 @@ def still_eligible(solver, kind: str) -> bool:
     if kind == "sparse":
         return SparseStepKernel.eligible(solver)
     if kind == "aa":
-        return (not solver.phase_driven and AAStepKernel.eligible(solver))
+        return ((solver.aa_halo_managed or not solver.phase_driven)
+                and AAStepKernel.eligible(solver))
     return False
+
+
+def _candidates(spec: ProbeSpec) -> tuple[str, ...]:
+    cands = [k for k in ("aa", "fused") if k in spec.runnable]
+    if ("sparse" in spec.runnable
+            and spec.solid_fraction >= SPARSE_PROBE_MIN_FRACTION):
+        cands.append("sparse")
+    cands.append("split")
+    return tuple(cands)
 
 
 def candidate_kernels(solver) -> tuple[str, ...]:
     """Eligible probe candidates for ``solver``, in priority order.
 
     ``split`` is always a candidate (it is every kernel's fallback).
-    Whole-step-only kernels (``fused``, ``aa``) are excluded when the
-    solver is phase-driven by a cluster driver, and ``fused=False``
+    ``fused`` needs whole-step stepping and ``aa`` either that or a
+    driver-managed halo (see :func:`still_eligible`); ``fused=False``
     keeps its historic meaning as an escape hatch to phase-split.
     ``sparse`` is considered only once the solid fraction could
     plausibly pay for compaction (:data:`SPARSE_PROBE_MIN_FRACTION`).
     """
-    from repro.lbm.sparse import SparseStepKernel
-    cands = [k for k in ("aa", "fused") if still_eligible(solver, k)]
-    if (SparseStepKernel.eligible(solver)
-            and solver.solid_fraction >= SPARSE_PROBE_MIN_FRACTION):
-        cands.append("sparse")
-    cands.append("split")
-    return tuple(cands)
+    return _candidates(ProbeSpec.of_solver(solver))
+
+
+def _pairs(spec: ProbeSpec) -> tuple[tuple[str, str], ...]:
+    probe_layouts = spec.layout_requested == "auto"
+    pairs: list[tuple[str, str]] = []
+    for k in _candidates(spec):
+        if probe_layouts and k in LAYOUT_KERNELS:
+            pairs.extend((k, layout) for layout in LAYOUTS)
+        else:
+            pairs.append((k, spec.layout))
+    return tuple(pairs)
 
 
 def candidate_pairs(solver) -> tuple[tuple[str, str], ...]:
@@ -162,21 +249,14 @@ def candidate_pairs(solver) -> tuple[tuple[str, str], ...]:
     kernels (:data:`LAYOUT_KERNELS`); every other candidate is paired
     with the solver's current concrete layout.
     """
-    probe_layouts = getattr(solver, "layout_requested", "soa") == "auto"
-    base = getattr(solver, "layout", "soa")
-    pairs: list[tuple[str, str]] = []
-    for k in candidate_kernels(solver):
-        if probe_layouts and k in LAYOUT_KERNELS:
-            pairs.extend((k, layout) for layout in LAYOUTS)
-        else:
-            pairs.append((k, base))
-    return tuple(pairs)
+    return _pairs(ProbeSpec.of_solver(solver))
 
 
-def _active_faces(solver) -> tuple[tuple[int, str], ...]:
-    """``(axis, side)`` of every face-resident boundary handler."""
+def _active_faces(domain) -> tuple[tuple[int, str], ...]:
+    """``(axis, side)`` of every face-resident boundary handler of a
+    solver or :class:`ProbeSpec`."""
     faces = []
-    for b in solver.boundaries:
+    for b in domain.boundaries:
         axis = getattr(b, "axis", None)
         side = getattr(b, "side", None)
         if axis is not None and side in ("low", "high"):
@@ -212,41 +292,63 @@ def _probe_shape(shape: tuple[int, ...],
     return tuple(dims)
 
 
-def _bc_signature(solver) -> tuple:
+def _bc_signature(domain) -> tuple:
     """Hashable summary of the boundary configuration (types + faces).
 
     Part of the cache key: a periodic box and a bounded inlet/outflow
-    domain of the same shape and occupancy must not share a cached
-    decision — their kernel costs differ.
+    domain of the same shape and occupancy must not share cached
+    rates — their kernel costs differ.
     """
     return tuple((type(b).__name__, getattr(b, "axis", None),
-                  getattr(b, "side", None)) for b in solver.boundaries)
+                  getattr(b, "side", None)) for b in domain.boundaries)
 
 
-def _cache_key(solver, cands: tuple) -> tuple:
-    bucket = int(round(solver.solid_fraction * 20))
-    return (solver.shape, str(solver.dtype), bucket, cands,
-            solver.periodic, solver.phase_driven, _bc_signature(solver),
-            getattr(solver, "layout_requested", "soa"))
+def _cache_key(spec: ProbeSpec, pairs: tuple) -> tuple:
+    bucket = int(round(spec.solid_fraction * 20))
+    return (spec.shape, str(spec.dtype), bucket, pairs, spec.periodic,
+            spec.schedule, spec.halo_managed, _bc_signature(spec),
+            spec.layout_requested)
 
 
-def _probe_rates(solver, cands: tuple[tuple[str, str], ...],
+def _run_schedule(probe, schedule: str, steps: int) -> None:
+    """Advance ``probe`` through the phase calls of ``schedule``."""
+    if schedule == "step":
+        probe.step(steps)
+        return
+    for _ in range(steps):
+        if schedule == "shell":
+            probe.collide_boundary()
+            probe.collide_inner()
+        else:
+            probe.collide()
+        for b in probe.boundaries:
+            b.pre_stream(probe.fg)
+        # The local ghost closure (fill after even AA / pull phases,
+        # fold after odd AA ones) stands in for the halo exchange: it
+        # touches the same planes and keeps the probe's state physical.
+        probe.fill_ghosts()
+        probe.stream()
+        probe.post_stream()
+        probe.time_step += 1
+
+
+def _probe_rates(spec: ProbeSpec, cands: tuple[tuple[str, str], ...],
                  ) -> dict[str, float]:
     """Measured MLUPS per candidate pair on a crop of the domain.
 
-    The probe replicates the solver's real configuration — same dtype,
-    solid crop, periodicity and (shape-independent) boundary handlers —
-    so the measured rate includes the boundary-closure cost the chosen
-    kernel will actually pay.  The crop is anchored so every active
-    boundary face survives (asserted).
+    The probe replicates the described configuration — same dtype,
+    solid crop, periodicity, (shape-independent) boundary handlers and
+    schedule — so the measured rate includes the boundary-closure and
+    phase-split cost the chosen kernel will actually pay.  The crop is
+    anchored so every active boundary face survives (asserted).
     """
     from repro.lbm.boundaries import EquilibriumVelocityInlet, OutflowBoundary
     from repro.lbm.solver import LBMSolver
-    faces = _active_faces(solver)
-    pshape = _probe_shape(solver.shape, faces)
+    faces = _active_faces(spec)
+    pshape = _probe_shape(spec.shape, faces)
     crop = []
     for a, n in enumerate(pshape):
-        full = solver.shape[a]
+        full = spec.shape[a]
         face_sides = {side for axis, side in faces if axis == a}
         if face_sides == {"high"}:
             crop.append(slice(full - n, full))
@@ -254,75 +356,91 @@ def _probe_rates(solver, cands: tuple[tuple[str, str], ...],
             crop.append(slice(0, n))
     crop = tuple(crop)
     for axis, side in faces:
-        face_idx = 0 if side == "low" else solver.shape[axis] - 1
+        face_idx = 0 if side == "low" else spec.shape[axis] - 1
         assert crop[axis].start <= face_idx < crop[axis].stop, (
             f"probe crop {crop} lost the active boundary face "
             f"(axis {axis}, {side})")
-    solid = np.ascontiguousarray(solver.solid[crop])
+    solid = (None if spec.solid is None
+             else np.ascontiguousarray(spec.solid[crop]))
     # Face handlers are shape-independent (they slice whatever array
-    # they are applied to), so the probe can share the solver's own
+    # they are applied to), so the probe can share the described
     # instances; anything else (e.g. Bouzidi link lists are
     # shape-bound) is omitted — those configurations fall back to the
     # split-only candidate set anyway.
-    boundaries = [b for b in solver.boundaries
+    boundaries = [b for b in spec.boundaries
                   if isinstance(b, (EquilibriumVelocityInlet,
                                     OutflowBoundary))]
     cells = float(np.prod(pshape))
     rates: dict[str, float] = {}
     for kern, layout in cands:
-        probe = LBMSolver(pshape, tau=solver.collision.tau, solid=solid,
-                          boundaries=boundaries, periodic=solver.periodic,
-                          dtype=solver.dtype, kernel=kern, layout=layout,
-                          sparse_threshold=solver.sparse_threshold,
+        probe = LBMSolver(pshape, tau=spec.tau, solid=solid,
+                          boundaries=boundaries, periodic=spec.periodic,
+                          dtype=spec.dtype, kernel=kern, layout=layout,
+                          sparse_threshold=spec.sparse_threshold,
                           autotune="heuristic")
+        probe.phase_driven = spec.schedule != "step"
+        probe.aa_halo_managed = spec.halo_managed
         probe.counters.enabled = False
-        probe.step(WARM_STEPS)
+        _run_schedule(probe, spec.schedule, WARM_STEPS)
         dt = float("inf")
         for _ in range(TIMING_REPS):
             t0 = time.perf_counter()
-            probe.step(TIMED_STEPS)
+            _run_schedule(probe, spec.schedule, TIMED_STEPS)
             dt = min(dt, time.perf_counter() - t0)
         rates[rate_key(kern, layout)] = cells * TIMED_STEPS / max(dt, 1e-9) / 1e6
     return rates
 
 
-def _resolve(solver, pairs: tuple[tuple[str, str], ...]) -> KernelChoice:
-    """Probe ``pairs`` (cached) and pick the margin/priority winner."""
-    rec = solver.counters
+def _measured_rates(spec: ProbeSpec, pairs: tuple[tuple[str, str], ...],
+                    rec=None, metrics=None) -> dict[str, float]:
+    """Probe ``pairs`` on ``spec`` — once per cache key per process."""
     live = rec is not None and rec.enabled
-    metrics = getattr(solver, "metrics", None)
     metered = metrics is not None and metrics.enabled
-    key = _cache_key(solver, pairs)
-    cached = _CACHE.get(key)
-    if cached is not None:
+    key = _cache_key(spec, pairs)
+    rates = _CACHE.get(key)
+    if rates is not None:
         if live:
             rec.add("autotune.cached", 0.0)
         if metered:
             metrics.counter("autotune.cache_hits").inc()
-        return cached
+        return rates
     if live:
         with rec.phase("autotune.probe"):
-            rates = _probe_rates(solver, pairs)
+            rates = _probe_rates(spec, pairs)
     else:
-        rates = _probe_rates(solver, pairs)
+        rates = _probe_rates(spec, pairs)
     if metered:
         metrics.counter("autotune.probes").inc()
         metrics.counter("autotune.candidates_probed").inc(len(rates))
         metrics.gauge("autotune.best_mlups").set(max(rates.values()))
+    _CACHE[key] = rates
+    return rates
+
+
+def _pick(rates: dict[str, float]) -> tuple[str, str]:
+    """The margin/priority winner ``(kernel, layout)`` among ``rates``."""
     best = max(rates.values())
-    winner_k, winner_l = next(
+    return next(
         (k, layout) for k in PRIORITY for layout in LAYOUTS
-        if rate_key(k, layout) in rates
-        and rates[rate_key(k, layout)] >= MARGIN * best)
-    label = rate_key(winner_k, winner_l)
-    detail = ", ".join(f"{k}={rates[k]:.1f}" for k in rates)
-    choice = KernelChoice(
-        winner_k,
-        f"measured: probe on {_probe_shape(solver.shape, _active_faces(solver))} "
-        f"picked {label!r} (MLUPS: {detail})",
-        rates=rates, probed=True, layout=winner_l)
-    _CACHE[key] = choice
-    return choice
+        if rates.get(rate_key(k, layout), 0.0) >= MARGIN * best)
+
+
+def _rates_detail(rates: dict[str, float]) -> str:
+    return ", ".join(f"{k}={v:.1f}" for k, v in rates.items())
+
+
+def _resolve(solver, spec: ProbeSpec,
+             pairs: tuple[tuple[str, str], ...]) -> KernelChoice:
+    """Probe ``pairs`` (cached) and pick the margin/priority winner."""
+    rates = _measured_rates(spec, pairs, solver.counters,
+                            getattr(solver, "metrics", None))
+    kernel, layout = _pick(rates)
+    return KernelChoice(
+        kernel,
+        f"measured: probe on {_probe_shape(spec.shape, _active_faces(spec))} "
+        f"picked {rate_key(kernel, layout)!r} "
+        f"(MLUPS: {_rates_detail(rates)})",
+        rates=rates, probed=True, layout=layout)
 
 
 def choose_kernel(solver) -> KernelChoice:
@@ -333,21 +451,115 @@ def choose_kernel(solver) -> KernelChoice:
     probe entirely — the autotuner never costs anything when there is
     no decision to make.
     """
-    pairs = candidate_pairs(solver)
+    spec = ProbeSpec.of_solver(solver)
+    pairs = _pairs(spec)
     if len(pairs) == 1:
         kern, layout = pairs[0]
         return KernelChoice(kern,
                             f"measured: only candidate is {kern!r}",
                             layout=layout)
-    return _resolve(solver, pairs)
+    return _resolve(solver, spec, pairs)
 
 
 def choose_layout(solver, kernel: str) -> KernelChoice:
     """Resolve the measured layout for a *forced* kernel (cached).
 
     Used when a solver pins ``kernel=`` but leaves ``layout="auto"``
-    (the cluster drivers' per-rank configuration): only the forced
-    kernel's layout variants are probed.
+    (a forced-kernel cluster's per-rank configuration): only the
+    forced kernel's layout variants are probed.
     """
     pairs = tuple((kernel, layout) for layout in LAYOUTS)
-    return _resolve(solver, pairs)
+    return _resolve(solver, ProbeSpec.of_solver(solver), pairs)
+
+
+# -- cluster-wide resolution ---------------------------------------------
+@dataclass(frozen=True)
+class ClusterChoice:
+    """One measured kernel decision for a whole cluster."""
+    #: ``"aa"`` when every rank runs the AA halo protocol, else the
+    #: ``+``-joined per-rank kernels (``"split"``, ``"sparse+split"``).
+    kernel: str
+    #: The schedule the probes were stepped through.
+    schedule: str
+    #: Per-rank decisions, handed to the ranks so none re-probes.
+    choices: tuple[KernelChoice, ...]
+    #: Predicted slowest-rank milliseconds per step under all-AA (None
+    #: when some rank cannot run AA) and under each rank's best non-AA
+    #: kernel (None when no rank needed a probe).
+    aa_ms: float | None
+    best_ms: float | None
+    reason: str
+
+
+def decide_cluster(cells, rates) -> tuple[bool, list, float | None, float]:
+    """The cluster rule, a pure function of per-rank cells and rates.
+
+    ``rates[r]`` holds rank ``r``'s measured MLUPS per candidate pair;
+    a rank with no ``aa`` entry cannot run the AA protocol and vetoes
+    it for the cluster (the halo protocol is all-or-nothing).  A
+    bulk-synchronous step lasts as long as its slowest rank, so the
+    two alternatives are compared by ``max_r cells_r / rate_r``: every
+    rank on AA versus every rank on its own best non-AA kernel.  AA is
+    first in :data:`PRIORITY`, so it wins ties inside :data:`MARGIN`.
+
+    Returns ``(aa_wins, picks, aa_ms, best_ms)`` with ``picks`` the
+    per-rank ``(kernel, layout)`` of the winning alternative.
+    """
+    aa_picks, other_picks = [], []
+    aa_s, other_s = [], []
+    for n, rank_rates in zip(cells, rates):
+        aa = {k: v for k, v in rank_rates.items()
+              if k.partition("/")[0] == "aa"}
+        other = {k: v for k, v in rank_rates.items() if k not in aa}
+        pick = _pick(other)
+        other_picks.append(pick)
+        other_s.append(n / (other[rate_key(*pick)] * 1e6))
+        if aa:
+            pick = _pick(aa)
+            aa_picks.append(pick)
+            aa_s.append(n / (aa[rate_key(*pick)] * 1e6))
+    best_ms = max(other_s) * 1e3
+    if len(aa_s) < len(other_s):
+        return False, other_picks, None, best_ms
+    aa_ms = max(aa_s) * 1e3
+    aa_wins = best_ms >= MARGIN * aa_ms
+    return aa_wins, (aa_picks if aa_wins else other_picks), aa_ms, best_ms
+
+
+def _ms(value: float | None) -> str:
+    return "n/a" if value is None else f"{value:.1f} ms"
+
+
+def resolve_cluster(specs, cells, rec=None) -> ClusterChoice:
+    """Measure once per distinct rank signature, decide for all ranks.
+
+    ``specs[r]`` describes rank ``r`` (same ``schedule`` on every rank)
+    and ``cells[r]`` is its block size.  When some rank cannot run AA
+    the others are not probed for it either (the protocol is
+    all-or-nothing), which leaves exactly the per-rank sparse/split
+    decision; a rank left with a single candidate is not probed at all.
+    """
+    schedule = specs[0].schedule
+    if not all("aa" in spec.runnable for spec in specs):
+        specs = [replace(spec, runnable=tuple(k for k in spec.runnable
+                                              if k != "aa"))
+                 for spec in specs]
+    all_pairs = [_pairs(spec) for spec in specs]
+    rates = [_measured_rates(spec, pairs, rec) if len(pairs) > 1 else {}
+             for spec, pairs in zip(specs, all_pairs)]
+    aa_ms = best_ms = None
+    if all(rates):
+        aa_wins, picks, aa_ms, best_ms = decide_cluster(cells, rates)
+    else:
+        aa_wins = False
+        picks = [_pick(r) if r else pairs[0]
+                 for r, pairs in zip(rates, all_pairs)]
+    kernel = "aa" if aa_wins else "+".join(sorted({k for k, _ in picks}))
+    reason = (f"cluster-resolved: {kernel!r} on the {schedule!r} schedule "
+              f"(predicted slowest rank: aa {_ms(aa_ms)}, "
+              f"best non-AA {_ms(best_ms)})")
+    choices = tuple(
+        KernelChoice(k, f"{reason}; rank MLUPS: {_rates_detail(r) or 'unprobed'}",
+                     rates=r, probed=bool(r), layout=layout)
+        for (k, layout), r in zip(picks, rates))
+    return ClusterChoice(kernel, schedule, choices, aa_ms, best_ms, reason)

@@ -178,14 +178,19 @@ class LBMSolver:
         self._reason_kind: str | None = None
         self._autotune_choice = None
         #: Set True by the cluster drivers: the solver is stepped
-        #: through its split phase entry points, which removes the
-        #: whole-step-only kernels (fused, aa) from the measured
-        #: autotune candidate set.
+        #: through its split phase entry points, which rules out the
+        #: whole-step fused sweep — and the AA phases too, unless the
+        #: driver closes their halo (next flag).
         self.phase_driven = False
         #: Set True by a cluster driver that takes over the AA halo
         #: protocol (forward exchange after even phases, reverse ghost
         #: fold-back after odd phases).
         self.aa_halo_managed = False
+        #: Parity of the ``time_step`` at which the array last held a
+        #: canonical state written from outside (initialize / load):
+        #: the AA phase cadence counts from there, so a load at an odd
+        #: step count is followed by an *even* phase.
+        self._aa_origin = 0
         #: Set by the sparse stream (bounce-back is folded into its
         #: gather table) so post_stream skips the dense swap.
         self._bounce_folded = False
@@ -222,9 +227,39 @@ class LBMSolver:
         (bit-identical to the reference solver's state, see
         :meth:`repro.lbm.aa.AAStepKernel.reconstruct`).
         """
-        if self._aa_kernel is not None and (self.time_step & 1):
+        if self._aa_kernel is not None and self.aa_odd:
             return self._aa_kernel.reconstruct()
         return self.fg[(slice(None),) + interior(self.lattice.D)]
+
+    @property
+    def aa_odd(self) -> bool:
+        """True while the AA cadence is mid-pair (next phase is odd).
+
+        Under the AA kernel that is exactly when the single array
+        holds the rotated layout; cluster drivers read it to pick the
+        forward or the reverse halo exchange.
+        """
+        return bool((self.time_step - self._aa_origin) & 1)
+
+    def load_distributions(self, f: np.ndarray) -> None:
+        """Overwrite the interior with canonical distributions ``f``.
+
+        Valid at any step count: a canonical load re-bases the AA
+        phase origin, so the next step runs the even phase whatever
+        the parity of ``time_step`` (ghost cells need no reset — the
+        even phase is pointwise and every later read of them follows
+        a fill or halo exchange).
+        """
+        self.mark_canonical()
+        self.f[...] = f
+
+    def mark_canonical(self) -> None:
+        """Declare the array canonical as of now (see
+        :meth:`load_distributions`; for callers that wrote the
+        interior in place, e.g. through shared memory)."""
+        self._aa_origin = self.time_step & 1
+        self._aa_rotated = False
+        self._bounce_folded = False
 
     def _alloc_fg(self, layout: str) -> np.ndarray:
         """Allocate a zeroed padded distribution array in ``layout``.
@@ -277,7 +312,7 @@ class LBMSolver:
         # parity ``self.f`` returns a read-only reconstruction, and a
         # reset solver starts canonical at step 0 by definition.
         self.time_step = 0
-        self._aa_rotated = False
+        self.mark_canonical()
         lat = self.lattice
         if np.isscalar(rho) and (u is None or np.asarray(u).ndim == 1):
             uvec = np.zeros(lat.D) if u is None else np.asarray(u, dtype=np.float64)
@@ -296,6 +331,17 @@ class LBMSolver:
             self._reason_kind = kind
             self.kernel_reason = "".join(reason_parts)
         return kind
+
+    def adopt_kernel_choice(self, choice) -> None:
+        """Install a measured :class:`~repro.lbm.autotune.KernelChoice`.
+
+        The solver's own first-step probe lands here; a cluster
+        coordinator that resolved the kernel for all its ranks calls
+        it up front, so ``kernel="auto"`` ranks never probe.
+        """
+        self._autotune_choice = choice
+        self.kernel_rates = choice.rates
+        self._set_layout(choice.layout)
 
     def _select_kernel(self) -> str:
         """Resolve which hot path this step should run.
@@ -327,9 +373,7 @@ class LBMSolver:
                         # kernel's layout variants and switch if AoS
                         # measured faster on this sub-domain.
                         choice = autotune.choose_layout(self, self.kernel)
-                        self._autotune_choice = choice
-                        self.kernel_rates = choice.rates
-                        self._set_layout(choice.layout)
+                        self.adopt_kernel_choice(choice)
                         return self._note_selection(
                             self.kernel, (choice.reason,))
                 return self._note_selection(
@@ -341,9 +385,8 @@ class LBMSolver:
             from repro.lbm import autotune
             choice = self._autotune_choice
             if choice is None:
-                choice = self._autotune_choice = autotune.choose_kernel(self)
-                self.kernel_rates = choice.rates
-                self._set_layout(choice.layout)
+                choice = autotune.choose_kernel(self)
+                self.adopt_kernel_choice(choice)
             if autotune.still_eligible(self, choice.kernel):
                 return self._note_selection(choice.kernel, (choice.reason,))
             # Configuration drifted since the probe (e.g. a boundary
@@ -394,7 +437,7 @@ class LBMSolver:
 
     def _aa_even(self) -> bool:
         """True when the step being computed runs the AA even phase."""
-        return (self.time_step & 1) == 0
+        return not self.aa_odd
 
     # -- step phases (reused by the distributed driver) ----------------
     def collide(self) -> None:

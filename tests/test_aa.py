@@ -193,17 +193,26 @@ class TestCluster:
             cluster.step(3)
             assert np.array_equal(cluster.gather_distributions(), ref.f)
 
-    def test_load_at_odd_parity_rejected(self):
-        cfg = ClusterConfig(sub_shape=(6, 6, 4), arrangement=(2, 1, 1),
-                            tau=0.7, kernel="aa")
-        with CPUClusterLBM(cfg) as cluster:
-            f0 = cluster.gather_distributions().copy()
-            cluster.load_global_distributions(f0)
-            cluster.step(1)
-            with pytest.raises(ValueError, match="odd AA parity"):
+    def test_load_at_odd_parity_rebases(self):
+        """A canonical load is an even phase whatever the step count:
+        load mid-pair, keep stepping, stay on the reference's bits."""
+        shape = (12, 6, 4)
+        ref = self._reference(shape, np.zeros(shape, bool), seed=3)
+        f0 = ref.f.copy()
+        for backend in ("serial", "processes"):
+            cfg = ClusterConfig(sub_shape=(6, 6, 4), arrangement=(2, 1, 1),
+                                tau=0.7, kernel="aa", backend=backend)
+            again = LBMSolver(shape, tau=0.7, kernel="split")
+            again.load_distributions(f0)
+            with CPUClusterLBM(cfg) as cluster:
                 cluster.load_global_distributions(f0)
-            cluster.step(1)              # even again: loading works
-            cluster.load_global_distributions(f0)
+                cluster.step(1)
+                cluster.load_global_distributions(f0)   # odd step count
+                for n in range(1, 4):
+                    cluster.step(1)
+                    again.step(1)
+                    assert np.array_equal(cluster.gather_distributions(),
+                                          again.f), (backend, n)
 
     def test_gpu_cluster_rejects_aa(self):
         cfg = ClusterConfig(sub_shape=(6, 6, 4), arrangement=(2, 1, 1),
