@@ -1,6 +1,6 @@
 """Kernel x schedule measurements behind the cluster kernel resolution.
 
-Prints the three tables EXPERIMENTS.md (E16) records; writes nothing.
+Prints the tables EXPERIMENTS.md (E16, E17) records; writes nothing.
 
 * ``--matrix probe`` — the coordinator's own probe
   (:func:`repro.lbm.autotune._probe_rates`) on the two rank blocks of
@@ -12,6 +12,9 @@ Prints the three tables EXPERIMENTS.md (E16) records; writes nothing.
   what the overlap *schedule itself* costs.
 * ``--matrix cold`` — first (cold-cache) and second construction of
   the 2-rank processes city cluster: the one-off probe cost.
+* ``--matrix shell`` — the split kernel's ``collide_boundary`` /
+  ``collide_inner`` / ``collide`` passes alone, per block size: what
+  the gathered shell pass costs against the core and a whole collide.
 """
 
 from __future__ import annotations
@@ -90,6 +93,37 @@ def overlap_matrix() -> None:
                       f"{cluster.cells_total() / best / 1e6:5.2f} Mcells/s")
 
 
+SHELL_BLOCKS = ((12, 12, 12), (32, 32, 32), (64, 64, 64), (96, 160, 32))
+
+
+def shell_matrix() -> None:
+    from repro.lbm import LBMSolver
+    print("split kernel, open periodic block; best of 5 batches, "
+          "microseconds per call")
+    print(f"{'block':14s} {'shell cells':>11s} {'boundary':>9s} "
+          f"{'inner':>9s} {'collide':>9s}  (boundary+inner)/collide")
+    for shape in SHELL_BLOCKS:
+        s = LBMSolver(shape, tau=0.6, kernel="split")
+        cells = int(np.prod(shape))
+        us = {}
+        for name in ("collide_boundary", "collide_inner", "collide"):
+            call = getattr(s, name)
+            call()
+            calls = max(2, 200_000 // cells)
+            best = float("inf")
+            for _ in range(5):
+                t0 = time.perf_counter()
+                for _ in range(calls):
+                    call()
+                best = min(best, (time.perf_counter() - t0) / calls)
+            us[name] = best * 1e6
+        shell = cells - int(np.prod([max(n - 2, 0) for n in shape]))
+        split = us["collide_boundary"] + us["collide_inner"]
+        print(f"{'x'.join(map(str, shape)):14s} {shell:11d} "
+              f"{us['collide_boundary']:9.0f} {us['collide_inner']:9.0f} "
+              f"{us['collide']:9.0f}  {split / us['collide']:.2f}")
+
+
 def cold_probe(seed: int) -> None:
     from repro.core import ClusterConfig, CPUClusterLBM
     from repro.lbm import clear_autotune_cache
@@ -114,7 +148,7 @@ def cold_probe(seed: int) -> None:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--matrix", default="all",
-                    choices=("all", "probe", "overlap", "cold"))
+                    choices=("all", "probe", "overlap", "cold", "shell"))
     ap.add_argument("--seed", type=int, default=11,
                     help="city seed (bench/run.py's --seed)")
     args = ap.parse_args(argv)
@@ -124,6 +158,8 @@ def main(argv=None) -> int:
         overlap_matrix()
     if args.matrix in ("all", "cold"):
         cold_probe(args.seed)
+    if args.matrix in ("all", "shell"):
+        shell_matrix()
     return 0
 
 

@@ -23,9 +23,10 @@ the calls the real run will issue (its ``schedule``): whole ``step()``
 for a single-domain solver, ``collide()`` + stream for a cluster rank,
 ``collide_boundary()`` + ``collide_inner()`` + stream for a rank under
 the executed-overlap protocol.  The schedule matters: the in-place AA
-kernel is ~2x the split kernel through a whole collide and ~0.5x of it
-through the shell-split phases (thin strided slabs), so a kernel has
-to be measured in the schedule it will run in.
+kernel is ~2x the split kernel through a whole collide and ~0.45x of
+it through the shell-split phases (AA sweeps the shell as thin strided
+slabs, the split kernel as one gathered batch), so a kernel has to be
+measured in the schedule it will run in.
 
 ``resolve_cluster(specs, cells)`` is the cluster-wide form: one probe
 per distinct rank signature in the coordinator, then

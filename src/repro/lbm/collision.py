@@ -98,8 +98,9 @@ class BGKCollision:
         """
         lat = self.lattice
         rho, u = macroscopic(lat, f)
-        # Keyed by shape so the split boundary/inner collide (several
-        # distinct slab shapes per step) stays allocation-free too.
+        # Keyed by shape so the split boundary/inner collide (the
+        # compact shell batch and the core view, each step) stays
+        # allocation-free too.
         key = (f.shape, f.dtype)
         buf = self._feq_bufs.get(key)
         if buf is None:

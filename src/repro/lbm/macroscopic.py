@@ -20,13 +20,17 @@ def sum_over_links(f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     than SoA and the low bits of the result differ.  This helper keeps
     numpy's reduction for SoA-ordered views (bit-identical to the
     historical ``f.sum(axis=0)``) and switches to an explicit
-    sequential slot-order accumulation — the order numpy's pairwise
-    reduction degenerates to on SoA for Q < its block size — exactly
-    when the link axis is the fastest-varying, so both layouts produce
-    identical bits.
+    sequential slot-order accumulation — the order numpy's reduction
+    has on SoA, where the link axis is the outer loop — exactly when
+    the link axis would be numpy's inner loop and get its unrolled
+    pairwise blocking: when it is the fastest-varying axis (AoS), or
+    the only axis with more than one entry (a single-cell view, e.g.
+    the core of a 3^3 block).  Every layout and every batch of cells
+    then produces identical bits per cell.
     """
-    if f.ndim > 1 and f.strides and abs(f.strides[0]) <= min(
-            abs(s) for s in f.strides[1:]):
+    if f.ndim > 1 and f.strides and (
+            f.size == f.shape[0]
+            or abs(f.strides[0]) <= min(abs(s) for s in f.strides[1:])):
         if out is None:
             out = f[0].copy()
         else:

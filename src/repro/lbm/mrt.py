@@ -119,6 +119,38 @@ def moment_equilibrium(lattice: Lattice, rho: np.ndarray, j: np.ndarray,
     return meq
 
 
+#: Cells per block of :func:`_transform` (keeps the two (19, block)
+#: operands of each accumulation pass cache-resident).
+_BLOCK = 4096
+
+
+def _transform(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``mat @ x`` for ``x`` of shape ``(19, N)``, accumulated column of
+    ``mat`` by column with elementwise ufuncs.
+
+    BLAS picks its kernel (gemv for ``N == 1``, a gemm tile otherwise)
+    and hence its accumulation order from the width and strides of
+    ``x``, so ``mat @ x`` may round one cell differently depending on
+    which other cells are collided with it.  Collision has to be
+    pointwise to the last bit — the split shell/core collide, the
+    cluster decomposition and both memory layouts hand the operator
+    different batches of the same cells — so every cell gets the same
+    fixed sequence of float multiplies and adds here.
+    """
+    out = np.empty(x.shape, dtype=x.dtype)
+    n = x.shape[1]
+    tmp = np.empty((mat.shape[0], min(n, _BLOCK)), dtype=x.dtype)
+    cols = [mat[:, k, None] for k in range(mat.shape[1])]
+    for lo in range(0, n, _BLOCK):
+        xb, ob = x[:, lo:lo + _BLOCK], out[:, lo:lo + _BLOCK]
+        tb = tmp[:, :xb.shape[1]]
+        np.multiply(cols[0], xb[0], out=ob)
+        for k in range(1, len(cols)):
+            np.multiply(cols[k], xb[k], out=tb)
+            ob += tb
+    return out
+
+
 class MRTCollision:
     """MRT collision operator for D3Q19.
 
@@ -174,9 +206,9 @@ class MRTCollision:
         j = momentum(lat, f).reshape(3, -1)
         meq = moment_equilibrium(lat, rho, j)
         # f <- f - M^-1 S (M f - meq)
-        m = self.M.astype(dtype) @ fw
-        dm = m - meq
-        delta = (self.Minv.astype(dtype) @ (self.s.astype(dtype)[:, None] * dm))
+        dm = _transform(self.M.astype(dtype), fw) - meq
+        delta = _transform(self.Minv.astype(dtype),
+                           self.s.astype(dtype)[:, None] * dm)
         if mask is None:
             fw -= delta
         else:
@@ -191,4 +223,8 @@ class MRTCollision:
             else:
                 flat = mask.reshape(-1)
                 fw[:, flat] += col * src[None, flat]
+        if not np.may_share_memory(fw, f):
+            # ``reshape`` had to copy (a strided view, e.g. the solver's
+            # padded interior): the update above went to the copy.
+            f[...] = fw.reshape(f.shape)
         return f

@@ -26,8 +26,8 @@ from repro.lbm.macroscopic import macroscopic
 from repro.lbm.mrt import MRTCollision
 from repro.lbm.streaming import (fill_ghosts_periodic,
                                  fill_ghosts_zero_gradient, interior,
-                                 pull_slice_table, shell_partition,
-                                 stream_pull)
+                                 pull_slice_table, shell_index,
+                                 shell_partition, stream_pull)
 from repro.perf.counters import KernelCounters
 from repro.perf.telemetry import NULL_REGISTRY
 from repro.perf.trace import NULL_TRACER
@@ -201,6 +201,12 @@ class LBMSolver:
         #: canonically.
         self._aa_rotated = False
         self._shell_parts: tuple[list, tuple] | None = None
+        #: Gathered shell pass (``_collide_shell``), built on first use:
+        #: (padded-flat shell index, compact fluid mask or None when
+        #: all fluid) — shape and solids only, so valid through every
+        #: ``fg`` re-binding — and the compact workspace.
+        self._shell_idx: tuple[np.ndarray, np.ndarray | None] | None = None
+        self._shell_ws: np.ndarray | None = None
         self.counters = KernelCounters()
         #: Span tracer (see :mod:`repro.perf.trace`); the shared
         #: disabled singleton until a driver or caller attaches a live
@@ -475,22 +481,60 @@ class LBMSolver:
         # streaming to fuse, a region collide is pure collision, and
         # one all-links equilibrium evaluation beats the fused kernel's
         # per-link loop (which only pays off when each f_i is streamed
-        # in the same sweep).  Collision is pointwise, so per-region
-        # operator calls are bit-identical to one full collide.
+        # in the same sweep).
         view = self.f[(slice(None),) + region]
         if view.size == 0:
             return
         self.collision(view, mask=self.fluid[region])
 
+    def _collide_shell(self) -> None:
+        """Gather the depth-1 shell, collide it once, scatter it back.
+
+        The operator pays its fixed small-array cost once instead of
+        once per strided slab.  The gather indexes the *physical*
+        array — cell-major rows under AoS, link-major under SoA — and
+        the workspace has the same orientation, so the operator sees
+        the memory order (and the layout-stable reductions of
+        :mod:`repro.lbm.macroscopic`) it sees in a whole collide.
+        """
+        if self._shell_idx is None:
+            shell, idx = shell_index(self.shape)
+            fluid = self.fluid[shell]
+            self._shell_idx = (idx, None if fluid.all() else fluid)
+        idx, fluid = self._shell_idx
+        fg, Q = self.fg, self.lattice.Q
+        if fg.flags.c_contiguous:
+            cells, axis, ws_shape = fg.reshape(Q, -1), 1, (Q, idx.size)
+        else:
+            base = np.moveaxis(fg, 0, -1)
+            if not base.flags.c_contiguous:
+                raise ValueError("distribution array is neither SoA- nor "
+                                 "AoS-contiguous")
+            cells, axis, ws_shape = base.reshape(-1, Q), 0, (idx.size, Q)
+        ws = self._shell_ws
+        if ws is None or ws.shape != ws_shape:
+            ws = self._shell_ws = np.empty(ws_shape, dtype=self.dtype)
+            self.counters.alloc("solver.shell_workspace")
+        # The index is in range by construction; the default
+        # ``mode="raise"`` would stage ``out`` through a temporary.
+        np.take(cells, idx, axis=axis, out=ws, mode="clip")
+        self.collision(ws if axis else ws.T, mask=fluid)
+        cells[(slice(None), idx) if axis else idx] = ws
+
     def collide_boundary(self) -> None:
         """Collide only the depth-1 boundary shell of the domain.
 
         Together with :meth:`collide_inner` this is bit-identical to
-        :meth:`collide` — collision is pointwise, so visiting the cells
-        as disjoint slabs preserves every per-site operation.  The
-        cluster drivers run this first so border layers are ready for
-        the halo exchange while the inner core is still colliding
-        (the paper's Sec-4.4 communication/computation overlap).
+        :meth:`collide` — collision is pointwise, so any disjoint
+        cover of the cells preserves every per-site operation.  The
+        dense path collides the shell as one gathered index list
+        (:meth:`_collide_shell`; the sparse kernel does the same over
+        its fluid-only shell index), the in-place AA kernel phase by
+        phase over the :func:`~repro.lbm.streaming.shell_partition`
+        slabs.  The cluster drivers run this first so border layers
+        are ready for the halo exchange while the inner core is still
+        colliding (the paper's Sec-4.4 communication/computation
+        overlap).
         """
         akern = self._aa_kernel_for_phase()
         if akern is not None:
@@ -517,8 +561,7 @@ class LBMSolver:
                 kern.collide_shell()
                 return
             self.kernel_used = "split"
-            for sl in self._split_parts()[0]:
-                self._collide_region(sl)
+            self._collide_shell()
 
     def collide_inner(self) -> None:
         """Collide the inner core (everything the shell excludes)."""

@@ -60,7 +60,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.lbm.lattice import Lattice
-from repro.lbm.streaming import shell_partition
+from repro.lbm.streaming import padded_flat_index, shell_index
 
 
 class SparseStepKernel:
@@ -105,8 +105,8 @@ class SparseStepKernel:
             strides[ax] = strides[ax + 1] * pshape[ax + 1]
         self._link_off = [int(np.dot(lat.c[i], strides))
                           for i in range(lat.Q)]
-        self._fl = self._flat_of_mask(solver.fluid, pshape)   # fluid interior
-        self._sd = self._flat_of_mask(solver.solid, pshape)   # solid interior
+        self._fl = padded_flat_index(solver.fluid)   # fluid interior
+        self._sd = padded_flat_index(solver.solid)   # solid interior
         self.n_fluid = int(self._fl.size)
         self.n_solid = int(self._sd.size)
         # Shell/core split for the overlap protocol, built on demand.
@@ -152,19 +152,6 @@ class SparseStepKernel:
             return False
         return FusedStepKernel.eligible(solver)
 
-    @staticmethod
-    def _flat_of_mask(mask: np.ndarray, pshape: tuple[int, ...]) -> np.ndarray:
-        """Padded-flat indices of the True cells of an unpadded mask.
-
-        ``np.nonzero`` yields C-order (ascending) coordinates, so the
-        gathers walk the padded array mostly monotonically.
-        """
-        coords = np.nonzero(mask)
-        if coords[0].size == 0:
-            return np.empty(0, dtype=np.intp)
-        padded = tuple(c + 1 for c in coords)
-        return np.ravel_multi_index(padded, pshape).astype(np.intp)
-
     def _shell_core_idx(self) -> tuple[np.ndarray, np.ndarray]:
         """Fluid flat-index subsets for the depth-1 shell and the core.
 
@@ -175,13 +162,9 @@ class SparseStepKernel:
         """
         if self._fl_shell is None:
             s = self.solver
-            pshape = s.fg.shape[1:]
-            slabs, _ = shell_partition(s.shape, depth=1)
-            shell = np.zeros(s.shape, dtype=bool)
-            for sl in slabs:
-                shell[sl] = True
-            self._fl_shell = self._flat_of_mask(s.fluid & shell, pshape)
-            self._fl_core = self._flat_of_mask(s.fluid & ~shell, pshape)
+            shell, idx = shell_index(s.shape)
+            self._fl_shell = idx[s.fluid[shell]]
+            self._fl_core = padded_flat_index(s.fluid & ~shell)
         return self._fl_shell, self._fl_core
 
     def _flat2(self, arr: np.ndarray) -> np.ndarray:

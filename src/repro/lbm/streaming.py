@@ -79,6 +79,39 @@ def shell_partition(shape: tuple[int, ...], depth: int = 1,
     return slabs, inner
 
 
+def shell_index(shape: tuple[int, ...], depth: int = 1,
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The depth-``depth`` boundary shell as a mask and a flat index.
+
+    Returns ``(mask, idx)``: the boolean mask (over the unpadded grid)
+    of the union of :func:`shell_partition`'s slabs, and the flat
+    indices of those cells in the *ghost-padded* grid (one ghost layer
+    per side), ascending — i.e. in the C order ``mask`` itself
+    enumerates them, so ``field[mask]`` and ``idx`` stay aligned.  A
+    pointwise kernel can then visit the whole shell in one gathered
+    pass instead of one strided sweep per slab; the index depends on
+    the shape only, never on a buffer.
+    """
+    mask = np.zeros(shape, dtype=bool)
+    for slab in shell_partition(shape, depth)[0]:
+        mask[slab] = True
+    return mask, padded_flat_index(mask)
+
+
+def padded_flat_index(mask: np.ndarray) -> np.ndarray:
+    """Ghost-padded flat indices of the True cells of an unpadded mask.
+
+    ``np.nonzero`` yields C-order (ascending) coordinates, so gathers
+    through the result walk the padded array monotonically.
+    """
+    coords = np.nonzero(mask)
+    if coords[0].size == 0:
+        return np.empty(0, dtype=np.intp)
+    pshape = tuple(n + 2 for n in mask.shape)
+    return np.ravel_multi_index(tuple(c + 1 for c in coords),
+                                pshape).astype(np.intp)
+
+
 def pull_slice_table(lattice: Lattice,
                      padded_shape: tuple[int, ...]) -> list[tuple[slice, ...]]:
     """Per-direction source slices for pull-streaming a padded array.

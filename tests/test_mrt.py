@@ -153,3 +153,106 @@ class TestMRTOperator:
         m_mrt = (M @ f.reshape(19, -1))[energy] - meq
         m_bgk = (M @ fb.reshape(19, -1))[energy] - meq
         assert np.abs(m_mrt).max() < np.abs(m_bgk).max()
+
+
+class TestMRTWidthIndependence:
+    def test_strided_view_is_updated_in_place(self):
+        """``reshape`` copies a strided view; the result must still
+        land in the caller's array (the solver passes its padded
+        interior)."""
+        rng = np.random.default_rng(5)
+        padded = (D3Q19.w.reshape(19, 1, 1, 1) * (
+            1 + 0.02 * rng.standard_normal((19, 6, 5, 4)))).astype(np.float32)
+        ghost = padded.copy()
+        dense = np.ascontiguousarray(padded[:, 1:-1, 1:-1, 1:-1])
+        MRTCollision(D3Q19, tau=0.7)(padded[:, 1:-1, 1:-1, 1:-1])
+        MRTCollision(D3Q19, tau=0.7)(dense)
+        assert np.array_equal(padded[:, 1:-1, 1:-1, 1:-1], dense)
+        assert not np.array_equal(dense, ghost[:, 1:-1, 1:-1, 1:-1])
+        ghost[:, 1:-1, 1:-1, 1:-1] = dense
+        assert np.array_equal(padded, ghost)       # ghost shell untouched
+
+    def test_cell_result_independent_of_batch(self):
+        """Pointwise to the last bit: a cell collided alone, in a
+        narrow batch or in the whole field gets identical bits (BLAS
+        would pick gemv/gemm kernels by batch width)."""
+        rng = np.random.default_rng(6)
+        f = (D3Q19.w.reshape(19, 1) * (
+            1 + 0.02 * rng.standard_normal((19, 300)))).astype(np.float32)
+        op = MRTCollision(D3Q19, tau=0.7)
+        whole = op(f.copy())
+        for lo, hi in [(0, 1), (7, 8), (3, 5), (10, 300), (0, 299)]:
+            assert np.array_equal(op(f[:, lo:hi].copy()), whole[:, lo:hi])
+        # ... and of the memory order of the batch.
+        aos = np.ascontiguousarray(f.T).T
+        assert np.array_equal(op(aos), whole)
+
+    def test_transform_matches_matmul(self):
+        from repro.lbm.mrt import _BLOCK, _transform
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((19, _BLOCK + 37))
+        M = mrt_matrix()
+        assert np.allclose(_transform(M, x), M @ x, rtol=1e-12, atol=1e-12)
+
+
+class TestMRTThroughSolver:
+    """The operator inside ``LBMSolver`` (it used to be a silent no-op
+    there: the update went to a reshape copy of the strided interior)."""
+
+    SHAPE = (6, 5, 4)
+
+    def _solver(self, collision="mrt", **kw):
+        from repro.lbm.solver import LBMSolver
+        s = LBMSolver(self.SHAPE, tau=0.8, collision=collision, **kw)
+        rng = np.random.default_rng(11)
+        rho = (1 + 0.03 * rng.standard_normal(self.SHAPE)).astype(np.float32)
+        u = (0.03 * rng.standard_normal((3,) + self.SHAPE)).astype(np.float32)
+        s.initialize(rho, u)
+        s.f[...] *= (1 + 0.02 * rng.standard_normal(s.f.shape)).astype(
+            np.float32)
+        return s
+
+    def test_collide_changes_a_nonequilibrium_state(self):
+        s = self._solver()
+        before = s.fg.copy()
+        s.collide()
+        assert not np.array_equal(s.fg, before)
+        rho0, j0 = density(before), momentum(D3Q19, before)
+        assert np.allclose(density(s.fg), rho0, rtol=1e-5)
+        assert np.allclose(momentum(D3Q19, s.fg), j0, atol=1e-6)
+
+    def test_uniform_rates_match_bgk_through_step(self):
+        rates = np.full(19, 1.0 / 0.8)
+        rates[list(CONSERVED)] = 0.0
+        mrt = self._solver(MRTCollision(D3Q19, 0.8, rates=rates))
+        bgk = self._solver("bgk", kernel="split")
+        mrt.step(5)
+        bgk.step(5)
+        assert np.allclose(mrt.f, bgk.f, atol=2e-6)
+
+    def test_mass_and_momentum_conserved_over_steps(self):
+        s = self._solver()
+        mass0 = s.total_mass()
+        j0 = momentum(D3Q19, s.f).sum(axis=(1, 2, 3), dtype=np.float64)
+        s.step(10)
+        assert s.total_mass() == pytest.approx(mass0, rel=1e-6)
+        j1 = momentum(D3Q19, s.f).sum(axis=(1, 2, 3), dtype=np.float64)
+        assert np.allclose(j1, j0, atol=1e-4)
+        # ... while the non-equilibrium part actually relaxed.
+        rho, u = s.macroscopic()
+        fneq = np.abs(s.f - equilibrium(D3Q19, rho, u)).max()
+        fresh = self._solver()
+        rho, u = fresh.macroscopic()
+        assert fneq < 0.5 * np.abs(fresh.f - equilibrium(D3Q19, rho, u)).max()
+
+    def test_energy_source_reaches_fg(self):
+        src_val = 1e-3
+        with_src = self._solver(MRTCollision(
+            D3Q19, 0.8, energy_source=lambda grid: np.full(grid, src_val)))
+        without = self._solver()
+        with_src.collide()
+        without.collide()
+        dm = mrt_matrix() @ (with_src.f.astype(np.float64)
+                             - without.f).reshape(19, -1)
+        assert np.allclose(dm[1], src_val, rtol=1e-3)
+        assert np.abs(np.delete(dm, 1, axis=0)).max() < 1e-6

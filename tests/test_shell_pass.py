@@ -1,0 +1,189 @@
+"""The gathered boundary-shell collide (one gather -> collide -> scatter).
+
+``LBMSolver.collide_boundary`` visits the depth-1 shell through a cached
+flat index instead of one strided sweep per ``shell_partition`` slab.
+Collision is pointwise, so shell pass + inner pass must equal the whole
+collide *bit for bit* — for every operator the solver accepts, in both
+memory layouts, with solids on the shell, on thin domains with an empty
+core — and the index must keep pointing at the live array through every
+``fg`` re-binding.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core import ClusterConfig, CPUClusterLBM
+from repro.lbm.lattice import D3Q19
+from repro.lbm.les import SmagorinskyBGK
+from repro.lbm.solver import LBMSolver
+from repro.lbm.streaming import shell_index, shell_partition
+
+shapes = st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 7))
+
+OPERATORS = {
+    "bgk": lambda: {},
+    "bgk_force": lambda: {"force": (1e-4, -2e-5, 3e-5)},
+    "les": lambda: {"collision": SmagorinskyBGK(D3Q19, 0.8, c_smago=0.16)},
+    "mrt": lambda: {"collision": "mrt"},
+}
+
+
+def _perturbed(shape, seed, **kw):
+    """A split-kernel solver in a random off-equilibrium state."""
+    s = LBMSolver(shape, tau=0.8, kernel="split", **kw)
+    rng = np.random.default_rng(seed)
+    rho = (1 + 0.05 * rng.standard_normal(shape)).astype(np.float32)
+    u = (0.04 * rng.standard_normal((3,) + tuple(shape))).astype(np.float32)
+    s.initialize(rho, u)
+    s.f[...] += (0.01 * rng.standard_normal(s.f.shape)).astype(np.float32)
+    return s
+
+
+class TestShellIndex:
+    @given(shape=shapes)
+    @settings(max_examples=60, deadline=None)
+    def test_index_is_union_of_slabs_once_each(self, shape):
+        mask, idx = shell_index(shape)
+        cover = np.zeros(shape, dtype=int)
+        for slab in shell_partition(shape)[0]:
+            cover[slab] += 1
+        assert np.array_equal(mask, cover == 1)
+        assert cover.max() <= 1
+        # Ascending (C-order) padded-flat indices of exactly those
+        # cells, aligned with ``field[mask]``.
+        padded = np.zeros(tuple(n + 2 for n in shape), dtype=bool)
+        padded[(slice(1, -1),) * 3] = mask
+        assert np.array_equal(idx, np.flatnonzero(padded))
+
+
+class TestShellPassEqualsCollide:
+    @given(shape=shapes, op=st.sampled_from(sorted(OPERATORS)),
+           layout=st.sampled_from(["soa", "aos"]),
+           solid_frac=st.sampled_from([0.0, 0.3, 1.0]),
+           seed=st.integers(0, 10 ** 6))
+    @settings(max_examples=120, deadline=None)
+    def test_boundary_then_inner_is_collide(self, shape, op, layout,
+                                            solid_frac, seed):
+        # Solids are drawn over the whole box, so they land *in* the
+        # shell (every cell is shell on a thin axis).
+        solid = np.random.default_rng(seed + 1).random(shape) < solid_frac
+        whole = _perturbed(shape, seed, solid=solid, layout=layout,
+                           **OPERATORS[op]())
+        split = _perturbed(shape, seed, solid=solid, layout=layout,
+                           **OPERATORS[op]())
+        before = whole.f.copy()
+        whole.collide()
+        split.collide_boundary()
+        split.collide_inner()
+        assert np.array_equal(whole.fg, split.fg)
+        if not solid.all():
+            assert not np.array_equal(split.f, before)
+        # Solid cells keep their pre-collision populations.
+        assert np.array_equal(split.f[:, solid], before[:, solid])
+
+    @pytest.mark.parametrize("layout", ["soa", "aos"])
+    def test_steps_through_split_phases_match_step(self, layout):
+        ref = _perturbed((7, 6, 5), 3, layout=layout, periodic=False)
+        ph = _perturbed((7, 6, 5), 3, layout=layout, periodic=False)
+        ref.step(4)
+        for _ in range(4):
+            ph.collide_boundary()
+            ph.collide_inner()
+            ph.fill_ghosts()
+            ph.stream()
+            ph.post_stream()
+        assert np.array_equal(ref.fg, ph.fg)
+
+
+class TestRebinding:
+    """The shell index is a function of the shape; no view of an old
+    ``fg`` may survive a re-binding."""
+
+    def _check(self, s):
+        ref = _perturbed(s.shape, 0)
+        ref.load_distributions(s.f)
+        ref.collide()
+        s.collide_boundary()
+        s.collide_inner()
+        assert np.array_equal(s.f, ref.f)
+
+    def test_layout_flips(self):
+        s = _perturbed((6, 5, 4), 1)
+        self._check(s)
+        for layout in ("aos", "soa", "aos"):
+            old = s.fg
+            s._set_layout(layout)
+            assert s.fg is not old
+            self._check(s)
+
+    def test_stream_swaps_the_double_buffer(self):
+        s = _perturbed((6, 5, 4), 2)
+        for _ in range(3):
+            self._check(s)
+            old = s.fg
+            s.fill_ghosts()
+            s.stream()
+            s.post_stream()
+            assert s.fg is not old
+
+    def test_load_distributions(self):
+        s = _perturbed((6, 5, 4), 3)
+        self._check(s)
+        s.load_distributions(_perturbed((6, 5, 4), 4).f.copy())
+        self._check(s)
+
+    def test_external_rebind_like_shared_memory_adoption(self):
+        # What procpool's _adopt_shared_fg does: copy into a foreign
+        # buffer and re-point ``fg`` at it.
+        s = _perturbed((6, 5, 4), 5)
+        self._check(s)
+        adopted = np.empty_like(s.fg)
+        adopted[...] = s.fg
+        stale = s.fg
+        s.fg = adopted
+        stale[...] = np.nan
+        self._check(s)
+        assert np.isfinite(s.fg).all()
+
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
+    def test_cluster_pair_after_reload(self, backend):
+        sub, arr = (6, 6, 5), (2, 1, 1)
+        shape = tuple(n * a for n, a in zip(sub, arr))
+        ref = _perturbed(shape, 6)
+        f0, f1 = ref.f.copy(), _perturbed(shape, 7).f.copy()
+        cfg = ClusterConfig(sub_shape=sub, arrangement=arr, tau=0.8,
+                            kernel="split", backend=backend)
+        with CPUClusterLBM(cfg) as cluster:
+            for f in (f0, f1):
+                ref.load_distributions(f)
+                cluster.load_global_distributions(f)
+                ref.step(3)
+                cluster.step(3)
+                assert np.array_equal(cluster.gather_distributions(), ref.f)
+            assert {row["kernel"] for row in cluster.kernel_report()} == {
+                "split"}
+
+
+class TestSteadyStateAllocations:
+    def test_shell_pass_allocates_once(self):
+        s = _perturbed((8, 7, 6), 8)
+        s.collide_boundary()
+        stats = s.counters.stats
+        assert stats["solver.shell_workspace"].allocs == 1
+        after_first = sum(v.allocs for v in stats.values())
+        idx, ws = s._shell_idx[0], s._shell_ws
+        for _ in range(5):
+            s.collide_boundary()
+            s.fill_ghosts()
+            s.stream()
+        assert sum(v.allocs for v in stats.values()) == after_first
+        assert s._shell_idx[0] is idx and s._shell_ws is ws
+
+    def test_one_equilibrium_buffer_per_pass(self):
+        # One operator call for the shell and one for the core: two
+        # buffers, where the slab loop kept one per slab shape.
+        s = _perturbed((8, 7, 6), 9)
+        s.collide_boundary()
+        s.collide_inner()
+        assert len(s.collision._feq_bufs) == 2
