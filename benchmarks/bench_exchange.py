@@ -1,25 +1,21 @@
-"""Merged vs per-face halo-wire benchmark.
+"""Halo-exchange benchmark.
 
-Measures the same numeric multi-node step under both wire protocols —
-``ClusterConfig.wire="merged"`` (one message per neighbor per exchange
-phase, five streaming links over the full padded cross-section in one
-contiguous buffer) and ``wire="perface"`` (the legacy full-face wire)
-— and records the throughput, the measured exchange-phase time, the
-per-step message counts, and the modeled network time the switch
-assigns to each envelope pattern.
+Measures the numeric multi-node step of the one halo protocol (one
+message per neighbor per exchange phase, five streaming links over the
+full padded cross-section in one contiguous buffer) and records the
+throughput, the measured exchange-phase time and the per-step message
+count, plus the modeled network time the switch assigns to the
+executed envelope pattern and to Sec 4.4's unaggregated what-if (the
+face and every piggybacked edge line in an envelope of its own).
 
 Entry points:
 
-* ``python benchmarks/bench_exchange.py`` — print the comparison and
+* ``python benchmarks/bench_exchange.py`` — print the numbers and
   merge the entries into the repo-root ``BENCH_kernels.json`` if it
   exists.
 * :func:`run_exchange_benchmarks` — called by
-  ``check_regression.py --suite exchange`` so the merged wire is
+  ``check_regression.py --suite exchange`` so the exchange is
   regression-guarded like any other kernel.
-
-Both wires are bit-identical (pinned by ``tests/test_exchange.py`` and
-``python -m repro check-exchange``); only the envelope count and the
-packing path differ.
 """
 
 from __future__ import annotations
@@ -35,21 +31,19 @@ try:  # allow `python benchmarks/bench_exchange.py` without PYTHONPATH=src
 except ImportError:  # pragma: no cover - path bootstrap
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-# Large enough that the 5-link merged pack vs the 19-link legacy ghost
-# copy moves real memory; small enough for the regression-guard budget.
+# Large enough that the 5-link pack moves real memory; small enough
+# for the regression-guard budget.
 SUB_SHAPE = (24, 24, 24)
 ARRANGEMENT = (2, 2, 1)
-WIRES = ("merged", "perface")
-ENTRY_NAMES = {"merged": "exchange_merged", "perface": "exchange_perface"}
 
 
-def measure_wire(wire: str, sub_shape=SUB_SHAPE, arrangement=ARRANGEMENT,
-                 steps: int = 2, repeats: int = 3) -> dict:
-    """Throughput + exchange-phase time of one wire protocol."""
+def measure_exchange(sub_shape=SUB_SHAPE, arrangement=ARRANGEMENT,
+                     steps: int = 2, repeats: int = 3) -> dict:
+    """Throughput + exchange-phase time of the serial cluster step."""
     from repro.core import ClusterConfig, CPUClusterLBM
 
     cfg = ClusterConfig(sub_shape=sub_shape, arrangement=arrangement,
-                        tau=0.7, backend="serial", wire=wire)
+                        tau=0.7, backend="serial")
     with CPUClusterLBM(cfg) as cluster:
         cluster.step(1)  # warm up wire buffers / plans
         cluster.counters.reset()
@@ -70,9 +64,10 @@ def measure_wire(wire: str, sub_shape=SUB_SHAPE, arrangement=ARRANGEMENT,
     }
 
 
-def modeled_net_ms(wire: str, sub_shape=SUB_SHAPE,
+def modeled_net_ms(aggregated: bool, sub_shape=SUB_SHAPE,
                    arrangement=ARRANGEMENT) -> float:
-    """Switch-modeled exchange-phase milliseconds for one wire."""
+    """Switch-modeled exchange-phase milliseconds, for the executed
+    one-message-per-neighbor pattern or the unaggregated what-if."""
     from repro.core.decomposition import BlockDecomposition
     from repro.core.halo import HaloPlan
     from repro.core.schedule import CommSchedule
@@ -81,39 +76,35 @@ def modeled_net_ms(wire: str, sub_shape=SUB_SHAPE,
     shape = tuple(s * a for s, a in zip(sub_shape, arrangement))
     decomp = BlockDecomposition(shape, arrangement,
                                 periodic=(True, True, True))
-    schedule = CommSchedule(decomp, HaloPlan(sub_shape), wire=wire)
+    schedule = CommSchedule(decomp, HaloPlan(sub_shape))
     sw = GigabitSwitch()
-    return sw.phase_time(schedule.round_bytes(), decomp.n_nodes,
-                         round_messages=schedule.round_messages()) * 1e3
+    return sw.phase_time(
+        schedule.round_bytes(), decomp.n_nodes,
+        round_messages=schedule.round_messages(aggregated)) * 1e3
 
 
 def run_exchange_benchmarks(sub_shape=SUB_SHAPE, arrangement=ARRANGEMENT,
                             steps: int = 2, repeats: int = 3) -> dict:
-    """Measure both wires; returns bench-kernels result entries."""
-    results: dict[str, dict] = {}
-    measured: dict[str, dict] = {}
-    for wire in WIRES:
-        m = measure_wire(wire, sub_shape=sub_shape, arrangement=arrangement,
+    """Measure the exchange; returns bench-kernels result entries.
+
+    ``exchange_merged_vs_perface`` keeps its historical name: it holds
+    the two modeled network times (executed pattern vs unaggregated).
+    """
+    m = measure_exchange(sub_shape=sub_shape, arrangement=arrangement,
                          steps=steps, repeats=repeats)
-        measured[wire] = m
-        entry = {"mcells_per_s": round(m["mcells_per_s"], 3),
-                 "exchange_ms_per_step": round(m["exchange_ms_per_step"], 4)}
-        if m["msgs_per_step"] is not None:
-            entry["msgs_per_step"] = round(m["msgs_per_step"], 1)
-        results[ENTRY_NAMES[wire]] = entry
-    merged_ms = measured["merged"]["exchange_ms_per_step"]
-    perface_ms = measured["perface"]["exchange_ms_per_step"]
-    results["exchange_merged_vs_perface"] = {
-        "exchange_speedup": round(perface_ms / merged_ms, 3)
-        if merged_ms > 0 else None,
-        "step_speedup": round(measured["merged"]["mcells_per_s"]
-                              / measured["perface"]["mcells_per_s"], 3),
-        "modeled_net_ms_merged": round(modeled_net_ms("merged", sub_shape,
-                                                      arrangement), 4),
-        "modeled_net_ms_perface": round(modeled_net_ms("perface", sub_shape,
-                                                       arrangement), 4),
+    entry = {"mcells_per_s": round(m["mcells_per_s"], 3),
+             "exchange_ms_per_step": round(m["exchange_ms_per_step"], 4)}
+    if m["msgs_per_step"] is not None:
+        entry["msgs_per_step"] = round(m["msgs_per_step"], 1)
+    return {
+        "exchange_merged": entry,
+        "exchange_merged_vs_perface": {
+            "modeled_net_ms_merged": round(
+                modeled_net_ms(True, sub_shape, arrangement), 4),
+            "modeled_net_ms_perface": round(
+                modeled_net_ms(False, sub_shape, arrangement), 4),
+        },
     }
-    return results
 
 
 def main(argv=None) -> int:
@@ -130,10 +121,9 @@ def main(argv=None) -> int:
     for name, entry in sorted(results.items()):
         print(f"  {name:36s} {json.dumps(entry)}")
     cmp_ = results["exchange_merged_vs_perface"]
-    print(f"exchange time merged vs per-face: "
-          f"{cmp_['exchange_speedup']}x faster "
-          f"(modeled net {cmp_['modeled_net_ms_merged']:.3f} vs "
-          f"{cmp_['modeled_net_ms_perface']:.3f} ms)")
+    print(f"modeled net per phase: {cmp_['modeled_net_ms_merged']:.3f} ms "
+          f"executed vs {cmp_['modeled_net_ms_perface']:.3f} ms "
+          f"unaggregated")
     out = Path(args.out)
     if out.exists():
         data = json.loads(out.read_text())

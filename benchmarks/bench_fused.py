@@ -105,9 +105,9 @@ def main(argv=None) -> int:
     ap.add_argument("--steps", type=int, default=8)
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--backend", default="all",
-                    choices=("all", "serial", "threads", "processes"),
+                    choices=("all", "serial", "processes"),
                     help="cluster execution backend(s) to benchmark "
-                         "(default: all three; note the committed baseline "
+                         "(default: both; note the committed baseline "
                          "expects all entries present)")
     args = ap.parse_args(argv)
     if args.steps < 1 or args.repeats < 1:
@@ -145,10 +145,10 @@ def test_fused_step_with_obstacle(benchmark):
     benchmark(lambda: solver.step(1))
 
 
-def test_cluster_threaded_step(benchmark):
+def test_cluster_serial_step(benchmark):
     from repro.core import ClusterConfig, GPUClusterLBM
     cfg = ClusterConfig(sub_shape=(16, 16, 16), arrangement=(2, 2, 1),
-                        tau=0.7, backend="threads", max_workers=4)
+                        tau=0.7)
     with GPUClusterLBM(cfg) as cluster:
         benchmark(lambda: cluster.step(1))
 

@@ -40,17 +40,16 @@ except ImportError:  # pragma: no cover - path bootstrap
 
 # 64^3 blocks: the inner-core collide dominates the surface terms.
 # Even so, with the kernel pinned the overlapped step does not win on
-# the 2-core reference host: ``overlap_speedup`` read 0.37-1.24 over
-# fifteen runs, median 0.85 (the committed entry is the run nearest the
-# median) — the exchange the overlap hides is a few ms of in-process
-# copies, less than what the shell schedule costs (a gathered shell
-# pass plus a strided core view instead of one whole collide) plus the
-# hand-off to the communication thread.  At toy sizes the overlapped
-# step is plainly slower.
+# the 2-core reference host: on the serial backend ``overlap_speedup``
+# read 0.93-1.17 over twelve runs, median 1.02 (the committed entry is
+# the run nearest the median) — the exchange the overlap hides is a
+# few ms of in-process copies, about what the shell schedule costs (a
+# gathered shell pass plus a strided core view instead of one whole
+# collide) plus the hand-off to the communication thread.  At toy
+# sizes the overlapped step is plainly slower.
 SUB_SHAPE = (64, 64, 64)
 ARRANGEMENT = (2, 1, 1)
-MAX_WORKERS = 2
-BACKENDS = ("serial", "threads", "processes")
+BACKENDS = ("serial", "processes")
 
 
 def _best_step_s(cluster, steps: int, repeats: int) -> tuple[float, float]:
@@ -68,17 +67,14 @@ def _best_step_s(cluster, steps: int, repeats: int) -> tuple[float, float]:
 
 def run_overlap_benchmarks(sub_shape=SUB_SHAPE, arrangement=ARRANGEMENT,
                            steps: int = 2, repeats: int = 3,
-                           backend: str = "threads",
-                           wire: str = "merged") -> dict:
+                           backend: str = "serial") -> dict:
     """Measure both protocols; returns bench-kernels result entries.
 
     ``backend`` picks the cluster execution backend.  The committed
-    baseline entries are measured with ``"threads"`` (the pre-backend
-    behaviour of ``max_workers=2``); under ``"processes"`` the executed
-    overlap is ignored — each rank steps sequentially in its own
-    process — so the pair mostly measures the process-backend floor.
-    ``wire`` picks the halo wire protocol (baseline entries use the
-    merged default; ``"perface"`` measures the legacy wire).
+    baseline entries are measured with ``"serial"``; under
+    ``"processes"`` the executed overlap is ignored — each rank steps
+    sequentially in its own process — so the pair mostly measures the
+    process-backend floor.
     """
     from repro.core import ClusterConfig, CPUClusterLBM
 
@@ -88,7 +84,6 @@ def run_overlap_benchmarks(sub_shape=SUB_SHAPE, arrangement=ARRANGEMENT,
                           ("cluster_step_overlapped", True)]:
         cfg = ClusterConfig(sub_shape=sub_shape, arrangement=arrangement,
                             tau=0.7, overlap=overlap, backend=backend,
-                            max_workers=MAX_WORKERS, wire=wire,
                             kernel="split")
         with CPUClusterLBM(cfg) as cluster:
             best, window = _best_step_s(cluster, steps, repeats)
@@ -114,19 +109,11 @@ def main(argv=None) -> int:
                     help="BENCH json to merge the entries into (if it exists)")
     ap.add_argument("--steps", type=int, default=2)
     ap.add_argument("--repeats", type=int, default=3)
-    ap.add_argument("--backend", default="threads",
+    ap.add_argument("--backend", default="serial",
                     choices=("all",) + BACKENDS,
                     help="cluster execution backend for the overlap pair; "
                          "'all' measures every backend and prints a one-line "
-                         "comparison (baseline entries use 'threads')")
-    wire_group = ap.add_mutually_exclusive_group()
-    wire_group.add_argument("--merged", dest="wire", action="store_const",
-                            const="merged", default="merged",
-                            help="merged halo wire (default; one message "
-                                 "per neighbor per phase)")
-    wire_group.add_argument("--per-face", dest="wire", action="store_const",
-                            const="perface",
-                            help="legacy per-face halo wire")
+                         "comparison (baseline entries use 'serial')")
     args = ap.parse_args(argv)
     if args.steps < 1 or args.repeats < 1:
         ap.error("--steps and --repeats must be >= 1")
@@ -134,25 +121,23 @@ def main(argv=None) -> int:
         per_backend = {
             backend: run_overlap_benchmarks(steps=args.steps,
                                             repeats=args.repeats,
-                                            backend=backend,
-                                            wire=args.wire)
+                                            backend=backend)
             for backend in BACKENDS}
-        results = per_backend["threads"]
+        results = per_backend["serial"]
         print("overlapped step, backends [Mcells/s]: " + " | ".join(
             f"{b} {per_backend[b]['cluster_step_overlapped']['mcells_per_s']:.3f}"
             for b in BACKENDS))
     else:
         results = run_overlap_benchmarks(steps=args.steps,
                                          repeats=args.repeats,
-                                         backend=args.backend,
-                                         wire=args.wire)
+                                         backend=args.backend)
     for name, entry in sorted(results.items()):
         val = entry.get("mcells_per_s", entry.get("ratio"))
         print(f"  {name:36s} {val}  [kernel={entry['kernel']}]")
     out = Path(args.out)
-    if args.backend not in ("threads", "all") or args.wire != "merged":
+    if args.backend not in ("serial", "all"):
         print(f"not merging into {out}: baseline entries are measured "
-              f"with backend='threads' on the merged wire")
+              f"with backend='serial'")
     elif out.exists():
         data = json.loads(out.read_text())
         data.setdefault("results", {}).update(results)

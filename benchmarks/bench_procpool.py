@@ -1,14 +1,14 @@
-"""Cluster execution-backend benchmark: serial vs threads vs processes.
+"""Cluster execution-backend benchmark: serial vs processes.
 
 Measures the same numeric multi-node step under every
 ``ClusterConfig.backend`` and records
-``cluster_numeric_step_serial`` / ``cluster_numeric_step_threaded`` /
-``cluster_numeric_step_processes`` (plus the processes-over-serial
-``procpool_speedup`` ratio) into ``BENCH_kernels.json``.  All backends
-are bit-identical (pinned by ``tests/test_cluster_procs.py``); only the
-execution substrate differs — the processes backend is the one that can
-exceed a single core's throughput on multi-core hosts, because each
-rank steps its shared-memory sub-domain in its own interpreter.
+``cluster_numeric_step_serial`` / ``cluster_numeric_step_processes``
+(plus the processes-over-serial ``procpool_speedup`` ratio) into
+``BENCH_kernels.json``.  Both backends are bit-identical (pinned by
+``tests/test_cluster_procs.py``); only the execution substrate differs
+— the processes backend is the one that can exceed a single core's
+throughput on multi-core hosts, because each rank steps its
+shared-memory sub-domain in its own interpreter.
 
 A second pair, ``dispersion_step_cluster_serial`` /
 ``dispersion_step_cluster_processes`` (ratio
@@ -20,12 +20,12 @@ throughput is only comparable to another one of the same kernel.
 
 Entry points:
 
-* ``python benchmarks/bench_procpool.py [--backend all|serial|threads|processes]``
+* ``python benchmarks/bench_procpool.py [--backend all|serial|processes]``
   — print the comparison and merge the entries into the repo-root
   ``BENCH_kernels.json`` if it exists.
 * :func:`run_backend_benchmarks` — called by ``bench_fused.run_benchmarks``
-  so ``check_regression.py`` tracks all three backends.
-* :func:`comparison_line` — the one-line serial/threads/processes table
+  so ``check_regression.py`` tracks both backends.
+* :func:`comparison_line` — the one-line serial/processes table
   shared with ``bench_fused``/``bench_overlap``.
 """
 
@@ -42,10 +42,9 @@ try:  # allow `python benchmarks/bench_procpool.py` without PYTHONPATH=src
 except ImportError:  # pragma: no cover - path bootstrap
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-BACKENDS = ("serial", "threads", "processes")
+BACKENDS = ("serial", "processes")
 ENTRY_NAMES = {
     "serial": "cluster_numeric_step_serial",
-    "threads": "cluster_numeric_step_threaded",
     "processes": "cluster_numeric_step_processes",
 }
 SUB_SHAPE = (16, 16, 16)
@@ -60,20 +59,18 @@ DISPERSION_ARRANGEMENT = (2, 1, 1)
 
 
 def measure_backend(backend: str, sub_shape=SUB_SHAPE, arrangement=ARRANGEMENT,
-                    steps: int = 2, repeats: int = 3,
-                    wire: str = "merged") -> dict:
+                    steps: int = 2, repeats: int = 3) -> dict:
     """Best per-step Mcells/s of one backend on the GPU-cluster workload."""
     from repro.core import ClusterConfig, GPUClusterLBM
 
     cfg = ClusterConfig(sub_shape=sub_shape, arrangement=arrangement, tau=0.7,
-                        backend=backend, wire=wire,
-                        max_workers=4 if backend == "threads" else 1)
+                        backend=backend)
     with GPUClusterLBM(cfg) as cluster:
         return _best_entry(cluster, steps, repeats)
 
 
-def measure_dispersion(backend: str, steps: int = 2, repeats: int = 3,
-                       wire: str = "merged") -> dict:
+def measure_dispersion(backend: str, steps: int = 2,
+                       repeats: int = 3) -> dict:
     """Best per-step Mcells/s of the default-config CPU dispersion cluster.
 
     No kernel is named: the entry records the one the coordinator
@@ -88,7 +85,7 @@ def measure_dispersion(backend: str, steps: int = 2, repeats: int = 3,
     cfg = ClusterConfig(sub_shape=sub, arrangement=DISPERSION_ARRANGEMENT,
                         tau=sc.tau, periodic=(False, False, False),
                         solid=sc.solid, inlet=sc.inlet, outflow=sc.outflow,
-                        backend=backend, wire=wire)
+                        backend=backend)
     with CPUClusterLBM(cfg) as cluster:
         return _best_entry(cluster, steps + (steps & 1), repeats)
 
@@ -110,16 +107,16 @@ def _best_entry(cluster, steps: int, repeats: int) -> dict:
 
 def run_backend_benchmarks(sub_shape=SUB_SHAPE, arrangement=ARRANGEMENT,
                            steps: int = 2, repeats: int = 3,
-                           backends=BACKENDS, wire: str = "merged") -> dict:
+                           backends=BACKENDS) -> dict:
     """Measure the requested backends; returns bench-kernels entries."""
     results: dict[str, dict] = {}
     for backend in backends:
         results[ENTRY_NAMES[backend]] = measure_backend(
             backend, sub_shape=sub_shape, arrangement=arrangement,
-            steps=steps, repeats=repeats, wire=wire)
+            steps=steps, repeats=repeats)
         if backend in DISPERSION_ENTRY_NAMES:
             results[DISPERSION_ENTRY_NAMES[backend]] = measure_dispersion(
-                backend, steps=steps, repeats=repeats, wire=wire)
+                backend, steps=steps, repeats=repeats)
     if "serial" in backends and "processes" in backends:
         for ratio, names in (("procpool_speedup", ENTRY_NAMES),
                              ("procpool_dispersion_speedup",
@@ -133,7 +130,7 @@ def run_backend_benchmarks(sub_shape=SUB_SHAPE, arrangement=ARRANGEMENT,
 
 
 def comparison_line(results: dict) -> str:
-    """One-line serial/threads/processes table from bench entries."""
+    """One-line serial/processes table from bench entries."""
     cols = []
     for backend in BACKENDS:
         entry = results.get(ENTRY_NAMES[backend])
@@ -156,29 +153,18 @@ def main(argv=None) -> int:
                     help="BENCH json to merge the entries into (if it exists)")
     ap.add_argument("--steps", type=int, default=2)
     ap.add_argument("--repeats", type=int, default=3)
-    wire_group = ap.add_mutually_exclusive_group()
-    wire_group.add_argument("--merged", dest="wire", action="store_const",
-                            const="merged", default="merged",
-                            help="merged halo wire (default; one message "
-                                 "per neighbor per phase)")
-    wire_group.add_argument("--per-face", dest="wire", action="store_const",
-                            const="perface",
-                            help="legacy per-face halo wire")
     args = ap.parse_args(argv)
     if args.steps < 1 or args.repeats < 1:
         ap.error("--steps and --repeats must be >= 1")
     backends = BACKENDS if args.backend == "all" else (args.backend,)
     results = run_backend_benchmarks(steps=args.steps, repeats=args.repeats,
-                                     backends=backends, wire=args.wire)
+                                     backends=backends)
     for name, entry in sorted(results.items()):
         val = entry.get("mcells_per_s", entry.get("ratio"))
         print(f"  {name:36s} {val:<8} kernel {entry['kernel']}")
     print(comparison_line(results))
     out = Path(args.out)
-    if args.wire != "merged":
-        print(f"not merging into {out}: baseline entries are measured "
-              f"on the merged wire")
-    elif out.exists():
+    if out.exists():
         data = json.loads(out.read_text())
         data.setdefault("results", {}).update(results)
         out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")

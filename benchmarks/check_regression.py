@@ -18,8 +18,8 @@ Options::
                       overhead sweep), ``trace`` (traced vs untraced
                       cluster stepping), ``balance`` (uniform vs
                       occupancy-weighted cuts on the mixed city
-                      domain), ``exchange`` (merged vs per-face halo
-                      wire), or ``all`` (default: kernels)
+                      domain), ``exchange`` (the halo exchange of the
+                      serial cluster step), or ``all`` (default: kernels)
     --update          merge the fresh numbers into the baseline and exit 0
 
 Baseline entries the selected suite did not measure are *skipped*, not

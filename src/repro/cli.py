@@ -15,7 +15,7 @@
     python -m repro check-aa          # AA-pattern kernel equivalence gate
     python -m repro check-trace       # trace schema + no-op overhead gate
     python -m repro check-balance     # weighted-decomposition load-balance gate
-    python -m repro check-exchange    # merged-wire message-count + equivalence gate
+    python -m repro check-exchange    # halo-exchange message-count + equivalence gate
     python -m repro check-telemetry   # live-telemetry bit-identity + watchdog gate
     python -m repro doctor            # shm leak audit + procpool smoke check
     python -m repro verify            # tier-1 tests + backend gates + regression guard
@@ -189,8 +189,7 @@ def _cmd_trace(args) -> None:
                           resolution_m=24.0, ground_layers=1)
     sub = tuple(s // a for s, a in zip(shape, arrangement))
     cfg = ClusterConfig(sub_shape=sub, arrangement=arrangement, tau=0.6,
-                        solid=solid, backend=args.backend,
-                        max_workers=(2 if args.backend == "threads" else 1))
+                        solid=solid, backend=args.backend)
     import numpy as np
 
     from repro.lbm.solver import LBMSolver
@@ -324,19 +323,20 @@ def _cmd_check_balance(args) -> int:
 
 
 def _cmd_check_exchange(args) -> int:
-    """Merged-wire gate: one message per neighbor per exchange phase
+    """Halo-exchange gate: one message per neighbor per exchange phase
     (asserted from executed per-message trace events), bit-identical to
-    the single-domain reference on every backend with compression on
-    and off, AA forward/reverse under merging, and compressed-channel
-    desync detection + resync recovery."""
+    the single-domain reference on both backends with compression on
+    and off, AA forward/reverse, and compressed-channel desync
+    detection + resync recovery."""
     from repro.core.wire import run_exchange_check
 
     report = run_exchange_check(steps=args.steps)
     m = report["messages"]
     c = report["compression"]
-    print(f"exchange OK: merged wire sends {m['merged_per_step']} "
-          f"messages/step (one per neighbor per phase) vs "
-          f"{m['perface_per_step']} per-face, bit-identical on:")
+    print(f"exchange OK: {m['executed_per_step']} messages/step executed "
+          f"(one per neighbor per phase); the schedule prices "
+          f"{m['modeled_aggregated']} envelopes per direction, "
+          f"{m['modeled_unaggregated']} if unaggregated; bit-identical on:")
     for label in report["variants"]:
         print(f"  {label}")
     print(f"  compression: {c['messages']} messages, wire/raw ratio "
@@ -438,7 +438,7 @@ def _cmd_verify(args) -> int:
          [sys.executable, "-m", "repro", "check-trace"]),
         ("load-balance gate",
          [sys.executable, "-m", "repro", "check-balance"]),
-        ("merged-exchange gate",
+        ("halo-exchange gate",
          [sys.executable, "-m", "repro", "check-exchange"]),
         ("telemetry gate",
          [sys.executable, "-m", "repro", "check-telemetry"]),
@@ -493,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "write Perfetto-loadable trace artifacts "
                              "and print the derived analytics")
     sp.add_argument("--backend", default="serial",
-                    choices=("serial", "threads", "processes"))
+                    choices=("serial", "processes"))
     sp.add_argument("--steps", type=int, default=3)
     sp.add_argument("--shape", type=_int_list, default=(24, 20, 8))
     sp.add_argument("--arrangement", type=_int_list, default=(2, 2, 1))
@@ -535,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="max/mean busy-time imbalance target "
                          "(default 1.1)")
     sp = sub.add_parser("check-exchange",
-                        help="merged-wire gate: one message per "
+                        help="halo-exchange gate: one message per "
                              "neighbor per phase, bit-identical with "
                              "compression on/off, AA fwd/rev, desync "
                              "recovery")

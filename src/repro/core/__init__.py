@@ -9,6 +9,10 @@
 * :mod:`repro.core.schedule` — the contention-aware pairwise
   communication schedule of Fig 7 (2 steps per axis, indirect two-hop
   routing of diagonal traffic) plus the naive direct baseline.
+* :mod:`repro.core.exchange` — the halo-exchange engine: the protocol
+  once (route table, post/complete, self-wrap, zero-gradient closure,
+  codec hook) over a three-call transport that the in-process,
+  shared-memory and SimMPI paths each bind.
 * :mod:`repro.core.gpu_node` / :mod:`repro.core.cpu_node` — one
   sub-domain on a simulated GPU (texture passes, gather-into-one-
   texture readback over AGP) or on a host CPU (reference numpy solver,
@@ -21,7 +25,8 @@
 * :mod:`repro.core.shm` / :mod:`repro.core.procpool` — the
   ``backend="processes"`` execution backend: persistent per-rank
   worker processes whose distribution arrays and halo mailboxes live
-  in shared memory (zero-copy exchange, barrier-synchronised steps).
+  in shared memory (zero-copy exchange, barrier-synchronised steps);
+  the only alternative to the default ``"serial"`` coordinator loop.
 """
 
 from repro.core.decomposition import BlockDecomposition, arrange_nodes_2d, arrange_nodes_3d

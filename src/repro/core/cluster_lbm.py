@@ -33,10 +33,12 @@ import numpy as np
 from repro.core.cpu_node import CPUNode, rank_boundaries
 from repro.core.decomposition import (BlockDecomposition, arrange_nodes_2d,
                                       weighted_cuts)
+from repro.core.exchange import exchange_all, local_engines
 from repro.core.gpu_node import GPUNode
 from repro.core.halo import HaloPlan
 from repro.core.procpool import ProcessBackend
 from repro.core.schedule import CommSchedule
+from repro.core.wire import AdaptiveCompressionController
 from repro.gpu.specs import AGP_8X, GEFORCE_FX_5800_ULTRA, XEON_2_4, BusSpec, CPUSpec, GPUSpec
 from repro.net.switch import GigabitSwitch
 from repro.perf.counters import KernelCounters
@@ -114,26 +116,16 @@ class ClusterConfig:
 
         * ``"serial"`` (default): the coordinator loop advances nodes
           one after another.
-        * ``"threads"``: a :class:`ThreadPoolExecutor` of width
-          ``max_workers`` steps the nodes concurrently.  Explicit
-          opt-in only — see the ``max_workers`` caveat.
         * ``"processes"``: one persistent worker process per rank with
           shared-memory sub-domains and zero-copy halo mailboxes
-          (:mod:`repro.core.procpool`) — the only backend whose ranks
-          genuinely run in parallel on multi-core hosts.  Numeric mode
-          only; ``overlap`` and ``max_workers`` are ignored (each rank
-          is its own process, like the paper's cluster nodes).
+          (:mod:`repro.core.procpool`) — ranks genuinely run in
+          parallel on multi-core hosts.  Numeric mode only;
+          ``overlap`` is ignored (each rank is its own process, like
+          the paper's cluster nodes).
 
-        All three backends produce bit-identical distributions.
-    max_workers:
-        Thread-pool width for ``backend="threads"``.  GIL caveat: the
-        NumPy collide/stream sweeps at per-node sizes hold the GIL for
-        most of their runtime, so threads usually deliver *no* speedup
-        over serial (the tracked benchmark measured 0.665 Mcells/s
-        threaded vs 0.696 serial); that is why threads are an explicit
-        opt-in spelling and ``max_workers`` is ignored under the
-        default ``backend="serial"``.  Use ``backend="processes"`` for
-        real multi-core scaling.
+        Both backends run the same halo engine
+        (:mod:`repro.core.exchange`) and produce bit-identical
+        distributions.
     overlap:
         When True (default), numeric multi-node steps *execute* the
         paper's Sec-4.4 overlap instead of merely modeling it: border
@@ -193,20 +185,13 @@ class ClusterConfig:
         per-rank choice.  GPU drivers require SoA, and non-SoA CPU
         ranks on the processes backend stage gathers/loads through a
         copy instead of adopting the shared buffers directly.
-    wire:
-        Halo wire protocol.  ``"merged"`` (default) gathers everything
-        bound for one neighbor — the five streaming links over the full
-        padded cross-section, rims included — into a single contiguous
-        buffer, so each exchange phase moves exactly one message per
-        neighbor (the paper's Sec-4.4 aggregation; the modeled switch
-        charges per-message overhead once per neighbor).  ``"perface"``
-        keeps the legacy full-plane protocol and models the
-        unaggregated message counts (face + piggybacked edge lines
-        charged separately), for comparison benchmarks.  Both are
-        bit-identical numerically.
     compression:
-        Adaptive lossless compression of the merged wire payloads
-        (Sec 4.3's open question; requires ``wire="merged"``).
+        Adaptive lossless compression of the halo messages (Sec 4.3's
+        open question).  Every exchange gathers everything bound for
+        one neighbor — the five streaming links over the full padded
+        cross-section, rims included — into a single contiguous
+        buffer (the paper's Sec-4.4 aggregation), and the codec works
+        on that buffer.
         ``"off"`` (default) ships raw float32.  ``"adaptive"`` runs the
         :class:`~repro.core.wire.AdaptiveCompressionController`: per
         channel it probes the measured delta+transpose+DEFLATE ratio
@@ -247,7 +232,6 @@ class ClusterConfig:
     cpu_spec: CPUSpec = XEON_2_4
     use_sse: bool = False
     switch: GigabitSwitch | None = None
-    max_workers: int = 1
     overlap: bool = True
     backend: str = "serial"
     backend_timeout_s: float = 60.0
@@ -257,21 +241,13 @@ class ClusterConfig:
     layout: str = "soa"
     decomposition: str = "uniform"
     cuts: tuple | None = None
-    wire: str = "merged"
     compression: str = "off"
 
     def __post_init__(self) -> None:
-        if self.wire not in ("merged", "perface"):
-            raise ValueError(
-                f"wire must be 'merged' or 'perface', got {self.wire!r}")
         if self.compression not in ("off", "adaptive", "always"):
             raise ValueError(
                 f"compression must be 'off', 'adaptive' or 'always', "
                 f"got {self.compression!r}")
-        if self.compression != "off" and self.wire != "merged":
-            raise ValueError(
-                "compression rides the merged wire protocol; set "
-                "wire='merged' (the default) to enable it")
         if self.decomposition not in ("uniform", "weighted"):
             raise ValueError(
                 f"decomposition must be 'uniform' or 'weighted', "
@@ -313,9 +289,9 @@ class ClusterConfig:
             raise ValueError(
                 f"sparse_threshold must be within [0, 1], "
                 f"got {self.sparse_threshold}")
-        if self.backend not in ("serial", "threads", "processes"):
+        if self.backend not in ("serial", "processes"):
             raise ValueError(
-                f"backend must be 'serial', 'threads' or 'processes', "
+                f"backend must be 'serial' or 'processes', "
                 f"got {self.backend!r}")
         if self.backend == "processes" and self.timing_only:
             raise ValueError(
@@ -324,8 +300,6 @@ class ClusterConfig:
         if self.backend_timeout_s <= 0:
             raise ValueError(
                 f"backend_timeout_s must be > 0, got {self.backend_timeout_s}")
-        if int(self.max_workers) < 1:
-            raise ValueError(f"max_workers must be >= 1, got {self.max_workers}")
         if len(self.sub_shape) != 3 or any(s < 2 for s in self.sub_shape):
             raise ValueError(f"sub_shape must be 3D with extents >= 2, "
                              f"got {self.sub_shape}")
@@ -368,8 +342,7 @@ class _ClusterLBMBase:
                                          periodic=config.periodic,
                                          cuts=self._resolve_cuts(config))
         self.plan = HaloPlan(self.decomp.max_block_shape())
-        self.schedule = CommSchedule(self.decomp, self.plan,
-                                     wire=config.wire)
+        self.schedule = CommSchedule(self.decomp, self.plan)
         self.switch = config.switch if config.switch is not None else GigabitSwitch()
         solids = (self.decomp.scatter_field(config.solid)
                   if config.solid is not None else [None] * self.decomp.n_nodes)
@@ -402,24 +375,20 @@ class _ClusterLBMBase:
         self.telemetry: TelemetrySession | None = None
         self._halo_bytes = 0
         self._halo_msgs = 0
-        self._executor: ThreadPoolExecutor | None = None
         self._comm_executor: ThreadPoolExecutor | None = None
-        self._border_bufs: list[dict[int, dict[int, np.ndarray]]] | None = None
-        # Merged-wire state (built lazily on the first exchange): the
-        # per-rank HaloPlans (weighted cuts give each rank its own
-        # shapes), the static per-axis routing table and the
-        # preallocated per-neighbor wire buffers.
-        self._rank_plans: list[HaloPlan] | None = None
-        self._wire_routing: list[list[dict]] | None = None
-        self._wire_bufs: list[dict] | None = None
-        self._compressor = None
-        if (config.compression != "off" and not config.timing_only
-                and config.backend != "processes"):
-            from repro.core.wire import AdaptiveCompressionController
-            self._compressor = AdaptiveCompressionController(
-                policy=config.compression,
-                bandwidth_bytes_per_s=self.switch.effective_bytes_per_s,
-                counters=self.counters)
+        #: One halo engine per in-process rank (the processes backend's
+        #: workers each own theirs; timing-only nodes exchange nothing).
+        self._halo = None
+        if self._proc_backend is None and not config.timing_only:
+            codec = None
+            if config.compression != "off":
+                codec = AdaptiveCompressionController(
+                    policy=config.compression,
+                    bandwidth_bytes_per_s=self.switch.effective_bytes_per_s,
+                    counters=self.counters)
+            self._halo = local_engines(self.decomp, self.nodes,
+                                       aa=self.aa_protocol, codec=codec,
+                                       counters=self.counters)
 
     @staticmethod
     def _resolve_cuts(config: ClusterConfig):
@@ -478,9 +447,7 @@ class _ClusterLBMBase:
             "sub_shape": self.decomp.block_shape(rank),
             "tau": cfg.tau,
             "periodic": cfg.periodic,
-            "neighbors": {(axis, direction):
-                          self.decomp.neighbor(rank, axis, direction)
-                          for axis in range(3) for direction in (-1, 1)},
+            "neighbors": self.decomp.neighbors(rank),
             "face_dirs": tuple(self.decomp.face_neighbors(rank)),
             "edge_dirs": tuple(self.decomp.edge_neighbors(rank)),
             "solid": solid,
@@ -491,7 +458,6 @@ class _ClusterLBMBase:
             "cpu_spec": cfg.cpu_spec,
             "gpu_spec": cfg.gpu_spec,
             "bus": cfg.bus,
-            "wire": cfg.wire,
         }
 
     def kernel_report(self, cluster: bool = False) -> list[dict]:
@@ -707,43 +673,17 @@ class _ClusterLBMBase:
                     solver.metrics = session.registry.for_rank(rank)
         return session
 
-    # -- threaded node stepping -------------------------------------------
-    def _run_on_nodes(self, method: str, span: str | None = None) -> None:
-        """Invoke ``method`` on every node, threaded when opted in.
-
-        Nodes only touch their own sub-domain state between exchanges,
-        so the per-node phases are embarrassingly parallel.  The pool
-        is used only under the explicit ``backend="threads"`` opt-in:
-        numpy's big sweeps mostly hold the GIL at these sizes, so the
-        threaded path exists for API parity and experimentation, not
-        speed (see the ``ClusterConfig.max_workers`` caveat).
-        """
-        tracer = self.tracer
-        if tracer.enabled and span is not None:
-            step = self.time_step
-
-            def call(rank: int, node) -> None:
-                with tracer.span(span, step=step, rank=rank):
-                    getattr(node, method)()
-        else:
-            def call(rank: int, node) -> None:
+    # -- node stepping ----------------------------------------------------
+    def _run_on_nodes(self, method: str, span: str) -> None:
+        """Invoke ``method`` on every node, one after another (nodes
+        only touch their own sub-domain state between exchanges), each
+        call under a per-rank ``span`` (a no-op while tracing is off)."""
+        for rank, node in enumerate(self.nodes):
+            with self.tracer.span(span, step=self.time_step, rank=rank):
                 getattr(node, method)()
-        if (self.config.backend == "threads"
-                and self.config.max_workers > 1 and len(self.nodes) > 1):
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=min(self.config.max_workers, len(self.nodes)),
-                    thread_name_prefix="lbm-node")
-            futures = [self._executor.submit(call, rank, node)
-                       for rank, node in enumerate(self.nodes)]
-            for fut in futures:
-                fut.result()
-        else:
-            for rank, node in enumerate(self.nodes):
-                call(rank, node)
 
     def shutdown(self) -> None:
-        """Release thread pools, worker processes and shared memory
+        """Release the comm thread, worker processes and shared memory
         (idempotent)."""
         if self.telemetry is not None:
             try:
@@ -751,9 +691,6 @@ class _ClusterLBMBase:
             except Exception:
                 pass
             self.telemetry = None
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
         if self._comm_executor is not None:
             self._comm_executor.shutdown(wait=True)
             self._comm_executor = None
@@ -788,231 +725,6 @@ class _ClusterLBMBase:
         raise NotImplementedError
 
     # -- the per-step protocol ----------------------------------------------
-    def _exchange(self) -> None:
-        """Numeric-mode halo exchange, axis phase by axis phase.
-
-        The sequential axis order implements the paper's indirect
-        two-hop diagonal routing: later-axis border layers include the
-        ghost rims already received from earlier axes, so edge/corner
-        data reaches second-nearest neighbours without direct diagonal
-        messages.
-
-        Under ``wire="merged"`` (the default) each rank moves one
-        packed 5-link message per distinct neighbor per axis phase;
-        ``wire="perface"`` keeps the legacy full-plane protocol.
-        """
-        cfg = self.config
-        aa = self.aa_protocol
-        # The ranks' own AA cadence (re-based by every canonical load)
-        # says which half of the pair this step is.
-        reverse = aa and self.nodes[0].aa_odd
-        if cfg.wire == "merged":
-            if reverse:
-                mode = "aa_reverse"
-            elif aa:
-                mode = "aa_forward"
-            else:
-                mode = "pull"
-            self._exchange_merged(mode)
-            return
-        self._ensure_border_bufs()
-        if reverse:
-            self._exchange_reverse()
-            return
-        for axis in range(3):
-            borders = {rank: node.read_borders(axis,
-                                               out=self._border_bufs[rank][axis])
-                       for rank, node in enumerate(self.nodes)}
-            for rank, node in enumerate(self.nodes):
-                for direction in (-1, 1):
-                    peer = self.decomp.neighbor(rank, axis, direction)
-                    if peer is None:
-                        if cfg.periodic[axis]:
-                            node.write_ghost(axis, direction,
-                                             borders[rank][-direction])
-                        else:
-                            node.fill_ghost_zero_gradient(axis, direction)
-                    else:
-                        node.write_ghost(axis, direction,
-                                         borders[peer][-direction])
-
-    def _ensure_wire_state(self) -> None:
-        """Build the merged-wire routing table and buffers (once).
-
-        The topology is static, so everything is precomputed: one
-        :class:`HaloPlan` per rank (weighted cuts give unequal blocks;
-        neighbouring cross-sections still match because the cut
-        positions are shared per axis), and per (axis, rank) the
-        outgoing sends — ``(peer, sides)`` with both sides merged into
-        one message when the low and high neighbor are the same rank —
-        plus the periodic self-wraps and zero-gradient fills.  Wire
-        buffers are preallocated per (rank, axis, sides), so the
-        steady-state exchange allocates nothing.
-        """
-        if self._wire_routing is not None:
-            return
-        cfg = self.config
-        self._rank_plans = [HaloPlan(self.decomp.block_shape(rank))
-                            for rank in range(len(self.nodes))]
-        self._wire_routing = []
-        self._wire_bufs = [dict() for _ in range(len(self.nodes))]
-        n_bufs = 0
-        for axis in range(3):
-            per_rank = []
-            for rank in range(len(self.nodes)):
-                peers: dict[int, list[int]] = {}
-                wraps: list[int] = []
-                zeros: list[int] = []
-                for direction in (-1, 1):
-                    peer = self.decomp.neighbor(rank, axis, direction)
-                    if peer is None:
-                        if cfg.periodic[axis]:
-                            wraps.append(direction)
-                        else:
-                            zeros.append(direction)
-                    else:
-                        peers.setdefault(peer, []).append(direction)
-                sends = tuple((peer, tuple(sorted(dirs)))
-                              for peer, dirs in sorted(peers.items()))
-                entry = {"sends": sends, "wraps": tuple(sorted(wraps)),
-                         "zeros": tuple(zeros)}
-                per_rank.append(entry)
-                side_groups = [sides for _, sides in sends]
-                if entry["wraps"]:
-                    side_groups.append(entry["wraps"])
-                for sides in side_groups:
-                    key = (axis, sides)
-                    if key not in self._wire_bufs[rank]:
-                        m = self._rank_plans[rank].neighbor_manifest(
-                            axis, sides)
-                        self._wire_bufs[rank][key] = np.empty(
-                            m.total_floats, dtype=np.float32)
-                        n_bufs += 1
-            self._wire_routing.append(per_rank)
-        if n_bufs:
-            self.counters.alloc("exchange.wire_bufs", n_bufs)
-
-    def _exchange_merged(self, mode: str) -> None:
-        """One packed message per neighbor per axis phase (Sec 4.4).
-
-        Every rank packs all its outgoing per-neighbor buffers for the
-        axis *first* (preserving the snapshot semantics of the legacy
-        path — no ghost write happens before every border read), then
-        every message is delivered and unpacked.  Segments span the
-        full padded cross-section, so the two-hop diagonal routing
-        rides inside the merged buffers.  ``mode`` selects the link
-        sets: ``"pull"`` for the double-buffered kernels,
-        ``"aa_forward"``/``"aa_reverse"`` for the AA even/odd steps.
-        """
-        self._ensure_wire_state()
-        comp = self._compressor
-        rec = self.counters
-        msgs = 0
-        wire_bytes = 0
-        for axis in range(3):
-            routing = self._wire_routing[axis]
-            packed: dict[tuple[int, int], tuple] = {}
-            for rank, node in enumerate(self.nodes):
-                entry = routing[rank]
-                for peer, sides in entry["sends"]:
-                    m = self._rank_plans[rank].neighbor_manifest(
-                        axis, sides, mode)
-                    buf = node.read_packed(
-                        m, self._wire_bufs[rank][(axis, sides)])
-                    packed[(rank, peer)] = (m, buf)
-                if entry["wraps"]:
-                    m = self._rank_plans[rank].neighbor_manifest(
-                        axis, entry["wraps"], mode)
-                    buf = node.read_packed(
-                        m, self._wire_bufs[rank][(axis, entry["wraps"])])
-                    packed[(rank, rank)] = (m, buf)
-            for rank, node in enumerate(self.nodes):
-                entry = routing[rank]
-                for peer, _sides in entry["sends"]:
-                    m, buf = packed[(peer, rank)]
-                    msgs += 1
-                    if comp is not None and peer != rank:
-                        payload = comp.encode((peer, rank, axis), buf)
-                        wire_bytes += payload.wire_bytes
-                        buf = comp.decode((peer, rank, axis), payload.data,
-                                          buf.shape)
-                    else:
-                        wire_bytes += buf.nbytes
-                    node.write_packed(m, buf)
-                if entry["wraps"]:
-                    m, buf = packed[(rank, rank)]
-                    node.write_packed(m, buf)
-                for direction in entry["zeros"]:
-                    if mode == "aa_reverse":
-                        # True domain edge on an odd AA step: the
-                        # outward-pushed crossing populations fold back
-                        # locally as the zero-gradient closure instead
-                        # of travelling to a neighbour.
-                        node.fold_border_zero_gradient(axis, direction)
-                    else:
-                        node.fill_ghost_zero_gradient(axis, direction)
-        if rec.enabled:
-            rec.metric("comm.msgs", msgs)
-            if comp is None:
-                # The controller records its own byte metrics.
-                rec.metric("comm.bytes_wire", wire_bytes, calls=msgs)
-
-    def _ensure_border_bufs(self) -> None:
-        """Preallocate the per-(rank, axis, direction) face buffers.
-
-        Each exchange refills them in place instead of rebuilding a
-        dict of fresh copies every axis phase.  The reverse (AA) path
-        reuses the same buffers for ghost planes — identical shapes.
-        Under non-uniform cuts the buffers are per-rank sized; the
-        shared per-axis cut positions guarantee a neighbour's opposite
-        face buffer always matches.
-        """
-        if self._border_bufs is not None:
-            return
-        self._border_bufs = []
-        for rank in range(len(self.nodes)):
-            sub = self.decomp.block_shape(rank)
-            per_axis = {}
-            for axis in range(3):
-                face = (19,) + tuple(s + 2 for a, s in enumerate(sub)
-                                     if a != axis)
-                per_axis[axis] = {-1: np.empty(face, dtype=np.float32),
-                                  1: np.empty(face, dtype=np.float32)}
-            self._border_bufs.append(per_axis)
-        self.counters.alloc("exchange.border_bufs", 6 * len(self.nodes))
-
-    def _exchange_reverse(self) -> None:
-        """Odd-step AA exchange: scatter ghost planes back to owners.
-
-        After an AA odd phase each rank's ghost shell holds the
-        post-collision populations its border cells pushed *outward*
-        (``a_i(x + c_i)`` landing outside the sub-domain).  Those
-        locations belong to the neighbouring rank, so the data flow is
-        the mirror image of :meth:`_exchange`: ghost planes are read,
-        and the face-*crossing* link slots are folded onto the
-        neighbour's border layer (the distributed analogue of
-        :func:`repro.lbm.streaming.fold_ghosts_periodic`).  Sequential
-        axis order relays edge/corner contributions through the rims
-        exactly like the forward path's two-hop diagonal routing.
-        """
-        for axis in range(3):
-            ghosts = {rank: node.read_ghost_planes(
-                          axis, out=self._border_bufs[rank][axis])
-                      for rank, node in enumerate(self.nodes)}
-            for rank, node in enumerate(self.nodes):
-                for direction in (-1, 1):
-                    peer = self.decomp.neighbor(rank, axis, direction)
-                    if peer is None and not self.config.periodic[axis]:
-                        # True domain edge: fold the outward-pushed
-                        # crossing populations back locally (the
-                        # zero-gradient closure of the bounded box).
-                        node.fold_border_zero_gradient(axis, direction)
-                        continue
-                    # peer None with a periodic axis is a self-wrap.
-                    source = rank if peer is None else peer
-                    node.write_border_crossing(axis, direction,
-                                               ghosts[source][-direction])
-
     def _overlap_capable(self) -> bool:
         """Whether this step may run the executed-overlap protocol."""
         return (self.config.overlap
@@ -1021,7 +733,8 @@ class _ClusterLBMBase:
                         for node in self.nodes))
 
     def _timed_exchange(self) -> tuple[float, float]:
-        """Run the halo exchange, returning its (start, end) wall times.
+        """Run the halo exchange — per axis every rank posts, then every
+        rank completes — returning its (start, end) wall times.
 
         Runs on the dedicated comm thread under the overlap protocol;
         the recorded span is what the overlap-efficiency analytics
@@ -1029,11 +742,11 @@ class _ClusterLBMBase:
         """
         t0 = time.perf_counter()
         with self.counters.phase("cluster.exchange"):
-            self._exchange()
+            exchange_all(self._halo, self.counters)
         t1 = time.perf_counter()
         self.tracer.add_span("cluster.exchange", t0, t1,
                              step=self.time_step, bytes=self._halo_bytes,
-                             wire=self.config.wire, msgs=self._halo_msgs)
+                             msgs=self._halo_msgs)
         return t0, t1
 
     def step(self, n: int = 1) -> StepTiming:
@@ -1080,14 +793,7 @@ class _ClusterLBMBase:
                     self._run_on_nodes("collide_phase",
                                        span="cluster.collide")
                 if not self.config.timing_only:
-                    ex_t0 = time.perf_counter()
-                    with rec.phase("cluster.exchange"):
-                        self._exchange()
-                    self.tracer.add_span("cluster.exchange", ex_t0,
-                                         time.perf_counter(),
-                                         bytes=self._halo_bytes,
-                                         wire=self.config.wire,
-                                         msgs=self._halo_msgs)
+                    self._timed_exchange()
             for node in self.nodes:
                 node.charge_transfers()
             net_total = (self.switch.phase_time(

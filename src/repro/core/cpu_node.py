@@ -17,6 +17,7 @@ import time
 
 import numpy as np
 
+from repro.core.exchange import SolverPort
 from repro.lbm.solver import LBMSolver
 from repro.gpu.specs import XEON_2_4, CPUSpec
 from repro.perf import calibration as cal
@@ -40,10 +41,12 @@ def rank_boundaries(inlet, outflow) -> list:
     return bcs
 
 
-class CPUNode:
+class CPUNode(SolverPort):
     """One sub-domain computed in software on a host CPU.
 
     Parameters mirror :class:`~repro.core.gpu_node.GPUNode`; see there.
+    The halo engine packs, unpacks and closes this rank's shell through
+    the inherited :class:`~repro.core.exchange.SolverPort` methods.
     ``kernel_choice`` is a decision the cluster coordinator already
     measured for this rank (the solver adopts it instead of probing);
     ``aa_halo_managed`` says the driver runs the AA halo protocol
@@ -60,38 +63,35 @@ class CPUNode:
                  autotune: str = "heuristic", layout: str = "soa",
                  kernel_choice=None, aa_halo_managed: bool = False) -> None:
         self.rank = rank
-        self.sub_shape = tuple(int(s) for s in sub_shape)
         self.tau = float(tau)
         self.face_dirs = list(face_dirs)
         self.edge_dirs = list(edge_dirs)
         self.timing_only = bool(timing_only)
         self.cpu_spec = cpu_spec
         self.use_sse = bool(use_sse)
-        self._boundaries = []
-        if timing_only:
-            self.solver = None
-        else:
-            self.solver = LBMSolver(self.sub_shape, tau, solid=solid,
-                                    boundaries=rank_boundaries(inlet, outflow),
-                                    force=force, periodic=False,
-                                    kernel=kernel,
-                                    sparse_threshold=sparse_threshold,
-                                    autotune=autotune, layout=layout)
+        solver = None
+        if not timing_only:
+            solver = LBMSolver(sub_shape, tau, solid=solid,
+                               boundaries=rank_boundaries(inlet, outflow),
+                               force=force, periodic=False, kernel=kernel,
+                               sparse_threshold=sparse_threshold,
+                               autotune=autotune, layout=layout)
             # The cluster driver steps this solver phase by phase
             # (collide / exchange / stream).
-            self.solver.phase_driven = True
-            self.solver.aa_halo_managed = bool(aa_halo_managed)
+            solver.phase_driven = True
+            solver.aa_halo_managed = bool(aa_halo_managed)
             if kernel_choice is not None:
-                self.solver.adopt_kernel_choice(kernel_choice)
+                solver.adopt_kernel_choice(kernel_choice)
             if aa_halo_managed:
                 # The driver's exchange is only correct if this rank
                 # really runs the AA phases: refuse a silent fallback.
                 from repro.lbm.aa import AAStepKernel
-                if not AAStepKernel.eligible(self.solver):
+                if not AAStepKernel.eligible(solver):
                     raise ValueError(
                         "kernel='aa' on a cluster rank requires a plain "
                         "BGK sub-domain whose boundary handlers the "
                         "rotated closure supports (inlet/outflow only)")
+        super().__init__(solver, sub_shape)
         self.compute_s = 0.0
         self.agp_s = 0.0           # always 0: no GPU on this path
         self.overlap_window_s = 0.0
@@ -128,12 +128,6 @@ class CPUNode:
     def kernel_layout(self) -> str:
         """Concrete memory layout of this rank's distribution array."""
         return "soa" if self.solver is None else self.solver.layout
-
-    @property
-    def aa_odd(self) -> bool:
-        """Whether this rank's next AA phase is the odd one (so the
-        step's halo exchange is the reverse scatter)."""
-        return self.solver is not None and self.solver.aa_odd
 
     # -- geometry ---------------------------------------------------------
     @property
@@ -206,134 +200,6 @@ class CPUNode:
             for b in self.solver.boundaries:
                 b.pre_stream(self.solver.fg)
             self.busy_s += time.perf_counter() - t0
-
-    # -- ghost-layer plumbing on the padded array ----------------------------
-    def _layer_index(self, axis: int, side: str, ghost: bool) -> int:
-        if side == "low":
-            return 0 if ghost else 1
-        return self.sub_shape[axis] + 1 if ghost else self.sub_shape[axis]
-
-    def read_borders(self, axis: int,
-                     out: dict[int, np.ndarray] | None = None) -> dict[int, np.ndarray]:
-        """Copy both border faces along ``axis``.
-
-        With ``out`` (a ``{-1: buf, 1: buf}`` pair of preallocated face
-        arrays) the layers are copied in place, so the per-step halo
-        exchange allocates nothing.
-        """
-        res: dict[int, np.ndarray] = {} if out is None else out
-        for direction in (-1, 1):
-            side = "low" if direction == -1 else "high"
-            idx = self._layer_index(axis, side, ghost=False)
-            sl = [slice(None)] * 4
-            sl[1 + axis] = idx
-            layer = self.solver.fg[tuple(sl)]
-            if out is None:
-                res[direction] = layer.copy()
-            else:
-                np.copyto(res[direction], layer)
-        return res
-
-    def read_packed(self, manifest, out: np.ndarray) -> np.ndarray:
-        """Pack this rank's merged per-neighbor payload into ``out``.
-
-        ``manifest`` is a :class:`~repro.core.halo.NeighborManifest`;
-        the source layer (border for the forward modes, ghost shell for
-        ``aa_reverse``) and link slots follow from it.  Allocation-free
-        given a preallocated ``out``.
-        """
-        from repro.core.wire import pack_halo
-        return pack_halo(self.solver.fg, self.sub_shape, manifest, out)
-
-    def write_packed(self, manifest, buf: np.ndarray) -> None:
-        """Unpack a neighbor's merged payload into this rank's shell.
-
-        The sender's side-``s`` segment lands on this rank's side
-        ``-s``: the ghost layer for the forward modes, the border layer
-        (crossing fold) for ``aa_reverse``.
-        """
-        from repro.core.wire import unpack_halo
-        unpack_halo(self.solver.fg, self.sub_shape, manifest, buf)
-
-    def write_ghost(self, axis: int, direction: int, data: np.ndarray) -> None:
-        side = "low" if direction == -1 else "high"
-        idx = self._layer_index(axis, side, ghost=True)
-        sl = [slice(None)] * 4
-        sl[1 + axis] = idx
-        self.solver.fg[tuple(sl)] = data
-
-    def read_ghost_planes(self, axis: int,
-                          out: dict[int, np.ndarray] | None = None,
-                          ) -> dict[int, np.ndarray]:
-        """Copy both ghost planes along ``axis`` (AA reverse exchange).
-
-        After an AA odd phase the ghost shell holds post-collision
-        populations scattered by border cells; they belong to the
-        neighbouring sub-domain and are shipped there instead of being
-        received (the mirror image of :meth:`read_borders`).
-        """
-        res: dict[int, np.ndarray] = {} if out is None else out
-        for direction in (-1, 1):
-            side = "low" if direction == -1 else "high"
-            idx = self._layer_index(axis, side, ghost=True)
-            sl = [slice(None)] * 4
-            sl[1 + axis] = idx
-            layer = self.solver.fg[tuple(sl)]
-            if out is None:
-                res[direction] = layer.copy()
-            else:
-                np.copyto(res[direction], layer)
-        return res
-
-    def write_border_crossing(self, axis: int, direction: int,
-                              data: np.ndarray) -> None:
-        """Fold a neighbour's ghost plane onto this rank's border layer.
-
-        Only the link slots that actually cross the shared face
-        (``c_i[axis] == -direction`` for the border at side
-        ``direction``) are written — the rest of the border layer holds
-        this rank's own just-scattered populations and must survive.
-        Mirrors :func:`repro.lbm.streaming.fold_ghosts_periodic`.
-        """
-        slots = self._crossing_slots(axis, direction)
-        side = "low" if direction == -1 else "high"
-        idx = self._layer_index(axis, side, ghost=False)
-        sl: list = [slice(None)] * 4
-        sl[0] = slots
-        sl[1 + axis] = idx
-        self.solver.fg[tuple(sl)] = data[slots]
-
-    def _crossing_slots(self, axis: int, direction: int) -> np.ndarray:
-        cache = getattr(self, "_crossing_slot_cache", None)
-        if cache is None:
-            cache = self._crossing_slot_cache = {}
-        key = (axis, direction)
-        if key not in cache:
-            c = self.solver.lattice.c
-            cache[key] = np.flatnonzero(c[:, axis] == -direction)
-        return cache[key]
-
-    def fold_border_zero_gradient(self, axis: int, direction: int) -> None:
-        """Zero-gradient closure of an AA odd scatter at a true edge.
-
-        On a non-periodic cluster boundary face there is no neighbour
-        to ship the outward-pushed crossing populations to; they fold
-        back onto the border layer locally, exactly as the
-        single-domain AA kernel's ghost fold does on a bounded box.
-        """
-        from repro.lbm.streaming import fold_face_zero_gradient
-        fold_face_zero_gradient(self.solver.lattice, self.solver.fg,
-                                axis, direction)
-
-    def fill_ghost_zero_gradient(self, axis: int, direction: int) -> None:
-        side = "low" if direction == -1 else "high"
-        src = self._layer_index(axis, side, ghost=False)
-        dst = self._layer_index(axis, side, ghost=True)
-        sl_s = [slice(None)] * 4
-        sl_d = [slice(None)] * 4
-        sl_s[1 + axis] = src
-        sl_d[1 + axis] = dst
-        self.solver.fg[tuple(sl_d)] = self.solver.fg[tuple(sl_s)]
 
     def charge_transfers(self) -> None:
         """No GPU bus on the CPU path; MPI buffers are packed on the

@@ -311,6 +311,12 @@ class BlockDecomposition:
             coords[axis] %= n
         return self.rank_of(tuple(coords))
 
+    def neighbors(self, rank: int) -> dict[tuple[int, int], int | None]:
+        """All six neighbour slots: (axis, direction) -> rank | None (the
+        halo route table's input)."""
+        return {(axis, direction): self.neighbor(rank, axis, direction)
+                for axis in range(3) for direction in (-1, 1)}
+
     def face_neighbors(self, rank: int) -> dict[tuple[int, int], int]:
         """All face neighbours: (axis, direction) -> rank."""
         out = {}

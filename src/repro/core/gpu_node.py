@@ -182,25 +182,7 @@ class GPUNode:
             self.solver.run_collide_passes(rect=rect, z_range=zr)
         self.overlap_window_s = self.device.clock_s - before
 
-    def read_borders(self, axis: int,
-                     out: dict[int, np.ndarray] | None = None) -> dict[int, np.ndarray]:
-        """Read both border faces along ``axis`` (numeric mode).
-
-        With ``out`` (``{-1: buf, 1: buf}`` preallocated face arrays)
-        the texture layers are gathered straight into the buffers.
-        """
-        res: dict[int, np.ndarray] = {} if out is None else out
-        for direction in (-1, 1):
-            side = "low" if direction == -1 else "high"
-            res[direction] = self.solver.get_border_layer(
-                axis, side, out=None if out is None else out[direction])
-        return res
-
-    def write_ghost(self, axis: int, direction: int, data: np.ndarray) -> None:
-        """Install a received ghost face (numeric mode)."""
-        side = "low" if direction == -1 else "high"
-        self.solver.set_ghost_layer(data, axis, side)
-
+    # -- the halo engine's port, over textures (see core.exchange) --------
     def read_packed(self, manifest, out: np.ndarray) -> np.ndarray:
         """Gather the merged per-neighbor payload from the textures.
 

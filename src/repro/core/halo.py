@@ -232,20 +232,6 @@ class HaloPlan:
         self._manifest_cache[key] = manifest
         return manifest
 
-    def wire_message_count(self, wire: str, piggyback_edges: int = 0) -> int:
-        """Messages one neighbor pair exchanges per axis phase.
-
-        ``"merged"`` pays per-message overhead once — the edge lines
-        ride inside the face buffer.  ``"perface"`` models the
-        unaggregated protocol: the face payload plus every piggybacked
-        edge line as its own message.
-        """
-        if wire == "merged":
-            return 1
-        if wire == "perface":
-            return 1 + int(piggyback_edges)
-        raise ValueError(f"wire must be 'merged' or 'perface', got {wire!r}")
-
     def face_cells(self, axis: int) -> int:
         """Interior cells of a face normal to ``axis``."""
         dims = [s for a, s in enumerate(self.sub_shape) if a != axis]

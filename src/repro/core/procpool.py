@@ -15,14 +15,14 @@ Protocol (see DESIGN.md §5c):
   :class:`~repro.core.gpu_node.GPUNode` from the spec — the
   coordinator holds only lightweight :class:`RankProxy` stand-ins.
 * **Zero-copy stepping.**  A step command is a tiny tuple on a pipe.
-  Inside the step, workers exchange halos through the shared
-  mailboxes: per axis, each rank packs its two border faces into its
-  own mailbox slot ``t % 2``, waits on the shared barrier, then
-  unpacks its neighbours' opposite faces into its ghost layers.  The
-  double-buffered slots make one barrier per axis sufficient: a rank
-  may already pack step ``t+1`` (parity ``t+1 & 1``) while a slower
-  neighbour still reads step ``t``'s slot.  Sequential axis order
-  preserves the two-hop diagonal routing bit-for-bit.
+  Inside the step, each worker runs the shared halo engine
+  (:mod:`repro.core.exchange`) over the shared mailboxes: per axis it
+  posts (packing into its own mailbox slot ``t % 2`` *is* the send),
+  waits on the shared barrier, then completes (a receive is a view of
+  the neighbour's mailbox).  The double-buffered slots make one
+  barrier per axis sufficient: a rank may already pack step ``t+1``
+  (parity ``t+1 & 1``) while a slower neighbour still reads step
+  ``t``'s slot.
 * **Aggregated observability.**  Each step reply carries the rank's
   modeled timing buckets (``compute_s``/``agp_s``/``overlap_window_s``)
   and a :class:`~repro.perf.counters.KernelCounters` summary delta;
@@ -48,6 +48,7 @@ from threading import BrokenBarrierError
 
 import numpy as np
 
+from repro.core.exchange import HaloExchange
 from repro.core.shm import RankSegments, segment_name, unique_token, unlink_segment_names
 from repro.gpu.specs import BusSpec, CPUSpec, GPUSpec
 from repro.perf.counters import KernelCounters
@@ -98,7 +99,6 @@ class WorkerSpec:
     kernel: str = "auto"                # per-rank hot-path selection
     sparse_threshold: float = 0.5
     autotune: str = "heuristic"         # "heuristic" | "measured"
-    wire: str = "merged"                # halo wire: "merged" | "perface"
     layout: str = "soa"                 # distribution layout: "soa" | "aos" | "auto"
     kernel_choice: object = None        # coordinator-resolved KernelChoice | None
     aa_halo_managed: bool = False       # the cluster runs the AA halo protocol
@@ -149,6 +149,29 @@ def _build_node(spec: WorkerSpec):
                    aa_halo_managed=spec.aa_halo_managed)
 
 
+class _MailboxTransport:
+    """Shared-memory binding of the halo engine's transport: packing
+    into this rank's own mailbox slot *is* the send, and a receive is a
+    view of the peer's mailbox — valid once the worker's barrier
+    between ``post`` and ``complete`` has passed.  ``slot`` is the step
+    parity addressing the double-buffered mailboxes.  No codec runs
+    over shared memory, so there is no ``compute`` to charge."""
+
+    def __init__(self, own: RankSegments, peers: dict) -> None:
+        self.own = own
+        self.peers = peers
+        self.slot = 0
+
+    def outbox(self, peer, axis, sides, floats) -> np.ndarray:
+        return self.own.mailbox(axis, self.slot, sides)
+
+    def send(self, peer, axis, sides, buf, meta=None) -> None:
+        pass
+
+    def recv(self, peer, axis, sender_sides) -> np.ndarray:
+        return self.peers[peer].mailbox(axis, self.slot, sender_sides)
+
+
 class _Worker:
     """The persistent per-rank loop executed inside the worker process."""
 
@@ -177,21 +200,18 @@ class _Worker:
         # Peer mailbox layouts follow the *peer's* block shape — equal
         # to ours only under uniform cuts.
         self.segs = RankSegments.attach(spec.seg_names, spec.sub_shape,
-                                        spec.q, spec.wire)
-        self.peer_mail: dict[int, RankSegments] = {spec.rank: self.segs}
+                                        spec.q)
+        self.peer_mail: dict[int, RankSegments] = {}
         for peer in sorted({p for p in spec.neighbors.values()
-                            if p is not None and p != spec.rank}):
+                            if p is not None}):
             self.peer_mail[peer] = RankSegments.attach(
                 {"fg": None, "mail": spec.mail_names[peer], "stage": None,
                  "health": None},
-                spec.peer_sub_shapes[peer], spec.q, spec.wire)
-        if spec.wire == "merged":
-            # Packing manifests: a neighbour's cross-section always
-            # matches ours under the tensor-product cuts, so this
-            # rank's own plan describes both outgoing and incoming
-            # merged payloads.
-            from repro.core.halo import HaloPlan
-            self.plan = HaloPlan(spec.sub_shape)
+                spec.peer_sub_shapes[peer], spec.q)
+        self.transport = _MailboxTransport(self.segs, self.peer_mail)
+        self.exchange = HaloExchange(
+            spec.rank, self.node, spec.neighbors, spec.periodic,
+            self.transport, aa=spec.aa_halo_managed, counters=self.counters)
         # A non-SoA (or autotuned, hence rebindable) layout cannot live
         # on the shared segment: gathers/loads stage copies instead.
         self._fg_adopted = (spec.node_kind == "cpu"
@@ -222,117 +242,17 @@ class _Worker:
 
     # -- halo exchange over shared mailboxes ----------------------------
     def _exchange(self) -> None:
-        if self.spec.wire == "merged":
-            self._exchange_merged()
-            return
-        if self.spec.aa_halo_managed and self.node.aa_odd:
-            self._exchange_reverse()
-            return
-        node, spec = self.node, self.spec
-        slot = self.step_count & 1
-        own_mail = self.segs.mail
+        """post; barrier; complete, axis by axis (the sequential order
+        relays the diagonal traffic through the rims)."""
+        ex = self.exchange
+        self.transport.slot = self.step_count & 1
+        mode = ex.mode
+        msgs = 0
         for axis in range(3):
-            node.read_borders(axis, out={-1: own_mail[axis][-1][slot],
-                                         1: own_mail[axis][1][slot]})
+            msgs += ex.post(axis, mode)
             self._barrier_wait()
-            for direction in (-1, 1):
-                peer = spec.neighbors[(axis, direction)]
-                if peer is None:
-                    if spec.periodic[axis]:
-                        node.write_ghost(axis, direction,
-                                         own_mail[axis][-direction][slot])
-                    else:
-                        node.fill_ghost_zero_gradient(axis, direction)
-                else:
-                    node.write_ghost(
-                        axis, direction,
-                        self.peer_mail[peer].mail[axis][-direction][slot])
-
-    def _exchange_merged(self) -> None:
-        """Merged-wire exchange: each mailbox *is* one neighbor message.
-
-        Per axis, each rank packs its two single-neighbor manifests
-        (five face links over the full padded cross-section — rims
-        included, so the two-hop diagonal routing still rides along)
-        into its own 5-link mailboxes, waits on the shared barrier,
-        then unpacks each neighbour's opposite mailbox through the
-        mirrored manifest.  The mode follows the kernel/parity exactly
-        like the coordinator backends: ``aa_reverse`` payloads are
-        ghost planes folded onto the receiver's border (crossing links
-        only — the manifest carries exactly those five), everything
-        else is borders into ghosts.  Same double-buffered slots and
-        one-barrier-per-axis cadence as the per-face wire.
-        """
-        node, spec = self.node, self.spec
-        if spec.aa_halo_managed:
-            # The solver's own AA cadence (re-based by canonical loads)
-            # picks the half of the pair; ``step_count`` parity below
-            # only addresses the double-buffered mailbox slots.
-            mode = "aa_reverse" if node.aa_odd else "aa_forward"
-        else:
-            mode = "pull"
-        slot = self.step_count & 1
-        own_mail = self.segs.mail
-        plan = self.plan
-        for axis in range(3):
-            for direction in (-1, 1):
-                node.read_packed(
-                    plan.neighbor_manifest(axis, (direction,), mode),
-                    own_mail[axis][direction][slot])
-            self._barrier_wait()
-            for direction in (-1, 1):
-                peer = spec.neighbors[(axis, direction)]
-                if peer is None and not spec.periodic[axis]:
-                    # True domain edge: zero-gradient fill on forward
-                    # modes, local crossing-slot fold after an AA odd
-                    # scatter (no neighbour to ship the pushes to).
-                    if mode == "aa_reverse":
-                        node.fold_border_zero_gradient(axis, direction)
-                    else:
-                        node.fill_ghost_zero_gradient(axis, direction)
-                    continue
-                # The peer at (axis, direction) packed its side
-                # -direction; a periodic self-wrap reads this rank's
-                # own opposite mailbox.
-                mail = (own_mail if peer is None
-                        else self.peer_mail[peer].mail)
-                node.write_packed(
-                    plan.neighbor_manifest(axis, (-direction,), mode),
-                    mail[axis][-direction][slot])
-
-    def _exchange_reverse(self) -> None:
-        """Odd-step AA exchange: ghost planes travel back to owners.
-
-        Mirror image of :meth:`_exchange` (see
-        ``_ClusterLBMBase._exchange_reverse``): each rank mails its two
-        ghost planes — holding the populations its border cells just
-        scattered outward — and after the barrier folds the neighbours'
-        (or, on a periodic self-wrap, its own) opposite ghost planes
-        onto its border layers, crossing link slots only.  The same
-        double-buffered slots and one-barrier-per-axis cadence apply.
-        """
-        node, spec = self.node, self.spec
-        slot = self.step_count & 1
-        own_mail = self.segs.mail
-        for axis in range(3):
-            node.read_ghost_planes(axis,
-                                   out={-1: own_mail[axis][-1][slot],
-                                        1: own_mail[axis][1][slot]})
-            self._barrier_wait()
-            for direction in (-1, 1):
-                peer = spec.neighbors[(axis, direction)]
-                if peer is None:
-                    if not spec.periodic[axis]:
-                        # True domain edge: fold the outward pushes
-                        # back locally (zero-gradient closure).
-                        node.fold_border_zero_gradient(axis, direction)
-                        continue
-                    node.write_border_crossing(
-                        axis, direction, own_mail[axis][-direction][slot])
-                else:
-                    node.write_border_crossing(
-                        axis, direction,
-                        self.peer_mail[peer].mail[axis][-direction][slot])
+            ex.complete(axis, mode)
+        self.counters.metric("comm.msgs", msgs)
 
     def _barrier_wait(self) -> None:
         if self.spec.n_ranks < 2:
@@ -535,8 +455,7 @@ class _Worker:
                     self.conn.send(("done", self.spec.rank, payload))
         finally:
             for segs in self.peer_mail.values():
-                if segs is not self.segs:
-                    segs.close(unlink=False)
+                segs.close(unlink=False)
             self.segs.close(unlink=False)
             try:
                 self.conn.close()
@@ -566,7 +485,7 @@ class ProcessBackend:
     """
 
     def __init__(self, specs_args: list[dict], node_kind: str,
-                 timeout_s: float = 60.0) -> None:
+                 timeout_s: float = 60.0, q: int = 19) -> None:
         self.node_kind = node_kind
         self.timeout_s = float(timeout_s)
         self.n_ranks = len(specs_args)
@@ -583,15 +502,13 @@ class ProcessBackend:
         # decomposition sizes each rank's segments independently.
         sub_shapes = tuple(tuple(int(s) for s in a["sub_shape"])
                            for a in specs_args)
-        q = specs_args[0].get("q", 19)
-        wire = specs_args[0].get("wire", "merged")
         mail_names = tuple(segment_name(self.token, "mail", r)
                            for r in range(self.n_ranks))
         try:
             for rank in range(self.n_ranks):
                 self.segments.append(RankSegments.create(
                     rank, sub_shapes[rank], q, self.token,
-                    with_fg=(node_kind == "cpu"), wire=wire))
+                    with_fg=(node_kind == "cpu")))
             all_names = [seg.names[k] for seg in self.segments
                          for k in ("fg", "mail", "stage", "health")]
             self._finalizer = weakref.finalize(

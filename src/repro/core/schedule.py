@@ -38,15 +38,14 @@ from repro.core.halo import HaloPlan
 @dataclass(frozen=True)
 class ExchangePair:
     """One bidirectional face exchange: ``lo`` owns the lower-coordinate
-    block; bytes are per direction (symmetric for uniform blocks).
-    ``messages`` counts the wire envelopes per direction: 1 on the
-    merged wire, 1 + piggybacked edge lines on the per-face wire."""
+    block; bytes are per direction (symmetric for uniform blocks) and
+    travel as one message (face, rims and piggybacked edge lines in one
+    contiguous buffer)."""
 
     axis: int
     lo: int
     hi: int
     nbytes: int
-    messages: int = 1
 
 
 @dataclass
@@ -104,23 +103,14 @@ class CommSchedule:
         If True (the paper's design), diagonal traffic is piggybacked on
         axial messages (two hops); if False the naive direct pattern is
         produced by :func:`naive_schedule` instead.
-    wire:
-        ``"merged"`` (one message per neighbor per phase — face, rim
-        and piggybacked edge lines ride one contiguous buffer) or
-        ``"perface"`` (the face message plus one envelope per
-        piggybacked edge line).  Total bytes are identical; only the
-        per-message envelope count the switch prices differs.
     """
 
     def __init__(self, decomp: BlockDecomposition, plan: HaloPlan,
-                 indirect_diagonal: bool = True, wire: str = "merged") -> None:
+                 indirect_diagonal: bool = True) -> None:
         if not indirect_diagonal:
             raise ValueError("use naive_schedule() for the direct pattern")
-        if wire not in ("merged", "perface"):
-            raise ValueError(f"wire must be 'merged' or 'perface', got {wire!r}")
         self.decomp = decomp
         self.plan = plan
-        self.wire = wire
         self._plans: dict[tuple[int, int, int], HaloPlan] = {
             plan.sub_shape: plan}
         self.steps: list[ScheduleStep] = []
@@ -162,7 +152,6 @@ class CommSchedule:
             if n == 1:
                 continue
             piggy = self._piggyback_count(axis)
-            messages = 1 if self.wire == "merged" else 1 + piggy
             # Uniform decompositions keep the caller-supplied plan (one
             # message size per axis); non-uniform cuts price each pair
             # from the lower block's shape — the face cross-section is
@@ -185,8 +174,7 @@ class CommSchedule:
                             nbytes = plan.face_message(
                                 axis, +1, piggyback_edges=piggy).nbytes
                         step.pairs.append(ExchangePair(
-                            axis=axis, lo=lo, hi=hi, nbytes=nbytes,
-                            messages=messages))
+                            axis=axis, lo=lo, hi=hi, nbytes=nbytes))
                 if step.pairs:
                     self.steps.append(step)
 
@@ -215,11 +203,15 @@ class CommSchedule:
         """Per-step list of per-pair message sizes, for the switch model."""
         return [[p.nbytes for p in s.pairs] for s in self.steps]
 
-    def round_messages(self) -> list[list[int]]:
+    def round_messages(self, aggregated: bool = True) -> list[list[int]]:
         """Per-step list of per-pair envelope counts (parallel to
         :meth:`round_bytes`); the switch charges per-message overhead
-        on these, which is where the merged wire's win shows up."""
-        return [[p.messages for p in s.pairs] for s in self.steps]
+        on these.  The executed protocol sends one message per pair and
+        direction.  ``aggregated=False`` answers Sec 4.4's what-if
+        instead: the same bytes with the face and every piggybacked
+        edge line in an envelope of its own."""
+        return [[1 if aggregated else 1 + self._piggyback_count(s.axis)
+                 for _ in s.pairs] for s in self.steps]
 
     def pairs_for_axis(self, axis: int) -> list[ExchangePair]:
         """All exchanges along one axis, in schedule order."""

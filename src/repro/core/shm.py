@@ -2,7 +2,7 @@
 
 The ``backend="processes"`` driver (``repro.core.procpool``) runs one
 persistent worker process per cluster rank.  Bulk lattice data never
-crosses a pipe: every rank's distribution arrays and per-face halo
+crosses a pipe: every rank's distribution arrays and per-neighbour halo
 mailboxes live in :mod:`multiprocessing.shared_memory` segments, and
 both sides work on zero-copy :class:`numpy.ndarray` views of the same
 pages.  Pipes carry only small control tuples (step commands, timing
@@ -19,18 +19,19 @@ Per-rank segments (all float32):
     skip this segment.
 
 ``mail``
-    The halo mailboxes: for each axis, ``(2 dirs, 2 slots, L, *face)``
+    The halo mailboxes: for each axis, ``(2 slots, 2 dirs, L, *face)``
     where ``face`` is the padded cross-section perpendicular to the
-    axis and ``L`` is the per-message link count — :data:`MAIL_LINKS`
-    (5) on the merged wire, where each mailbox *is* the neighbor's
-    single merged message (only the links streaming across the face
-    travel), or ``Q`` on the legacy per-face wire.  ``dirs`` indexes
-    the outgoing face (-1 -> 0, +1 -> 1) and ``slots`` is double
-    buffering by step parity: a rank may pack its step-``t`` borders
-    into slot ``t % 2`` while a slower neighbour is still unpacking
-    slot ``(t - 1) % 2``, which is what lets the exchange run with a
-    single barrier per axis (between pack and unpack) and none between
-    steps.
+    axis and ``L`` is :data:`MAIL_LINKS` (5): a mailbox *is* the
+    neighbor's single message, and only the links streaming across
+    the face travel.  ``dirs`` indexes the outgoing face (-1 -> 0,
+    +1 -> 1); a slot's two directions are adjacent, so a both-sides
+    message (periodic extent-2 axes) is the slot's whole contiguous
+    block and a single-side message is its half
+    (:meth:`RankSegments.mailbox`).  ``slots`` is double buffering by
+    step parity: a rank may pack its step-``t`` borders into slot
+    ``t % 2`` while a slower neighbour is still unpacking slot
+    ``(t - 1) % 2``, which is what lets the exchange run with a single
+    barrier per axis (between pack and unpack) and none between steps.
 
 ``stage``
     One unpadded block ``(Q, nx, ny, nz)`` used as a gather/load
@@ -68,9 +69,8 @@ SEGMENT_PREFIX = "reproshm"
 #: dtype of all shared lattice data (matches the solvers).
 SHM_DTYPE = np.dtype(np.float32)
 
-#: Links per merged-wire mailbox: only the five D3Q19 distributions
-#: streaming across a face cross the wire, so the merged mailboxes are
-#: 5/19ths the size of the per-face ones.
+#: Links per mailbox: only the five D3Q19 distributions streaming
+#: across a face travel.
 MAIL_LINKS = 5
 
 #: Scalar slots in the per-rank health segment (see module docstring):
@@ -154,30 +154,11 @@ def padded_shape(sub_shape, q: int) -> tuple[int, ...]:
     return (q,) + tuple(int(s) + 2 for s in sub_shape)
 
 
-def face_shape(sub_shape, axis: int, q: int,
-               links: int | None = None) -> tuple[int, ...]:
-    """One mailbox face: ``links`` link slots (default: all ``q``)
+def mail_shape(sub_shape, axis: int) -> tuple[int, ...]:
+    """One axis's mailboxes: ``(2 slots, 2 dirs, MAIL_LINKS, *face)``
     over the padded cross-section."""
-    return ((q if links is None else int(links),)
+    return ((2, 2, MAIL_LINKS)
             + tuple(int(s) + 2 for a, s in enumerate(sub_shape) if a != axis))
-
-
-def mail_links(wire: str, q: int) -> int:
-    """Link slots per mailbox for one wire protocol."""
-    if wire == "merged":
-        return MAIL_LINKS
-    if wire == "perface":
-        return int(q)
-    raise ValueError(f"wire must be 'merged' or 'perface', got {wire!r}")
-
-
-def mailbox_nbytes(sub_shape, q: int, wire: str = "merged") -> int:
-    """Total bytes of one rank's mailbox segment (3 axes x 2 dirs x 2 slots)."""
-    links = mail_links(wire, q)
-    total = 0
-    for axis in range(3):
-        total += 2 * 2 * int(np.prod(face_shape(sub_shape, axis, q, links)))
-    return total * SHM_DTYPE.itemsize
 
 
 class RankSegments:
@@ -190,7 +171,7 @@ class RankSegments:
     ``fg_bufs``
         ``(buf0, buf1)`` padded distribution buffers (CPU ranks only).
     ``mail``
-        ``{axis: {direction: array(2 slots, Q, *face)}}``.
+        ``[axis] -> array(2 slots, 2 dirs, MAIL_LINKS, *face)``.
     ``stage``
         ``(Q, nx, ny, nz)`` staging block.
     ``health``
@@ -198,11 +179,9 @@ class RankSegments:
     """
 
     def __init__(self, sub_shape, q: int, names: dict[str, str | None],
-                 owner: bool, wire: str = "merged") -> None:
+                 owner: bool) -> None:
         self.sub_shape = tuple(int(s) for s in sub_shape)
         self.q = int(q)
-        self.wire = wire
-        self.links = mail_links(wire, self.q)
         self.names = dict(names)
         self.owner = bool(owner)
         self._segs: dict[str, shared_memory.SharedMemory] = {}
@@ -233,7 +212,8 @@ class RankSegments:
             return 2 * int(np.prod(padded_shape(self.sub_shape, self.q))) \
                 * SHM_DTYPE.itemsize
         if kind == "mail":
-            return mailbox_nbytes(self.sub_shape, self.q, self.wire)
+            return sum(int(np.prod(mail_shape(self.sub_shape, axis)))
+                       for axis in range(3)) * SHM_DTYPE.itemsize
         if kind == "stage":
             return self.q * int(np.prod(self.sub_shape)) * SHM_DTYPE.itemsize
         if kind == "health":
@@ -248,20 +228,24 @@ class RankSegments:
                          dtype=SHM_DTYPE, buffer=seg.buf)
         return arr[0], arr[1]
 
-    def _mail_views(self) -> dict[int, dict[int, np.ndarray]]:
+    def _mail_views(self) -> list[np.ndarray]:
         seg = self._segs["mail"]
-        out: dict[int, dict[int, np.ndarray]] = {}
+        out = []
         offset = 0
         for axis in range(3):
-            face = face_shape(self.sub_shape, axis, self.q, self.links)
-            per_dir = {}
-            for direction in (-1, 1):
-                shape = (2,) + face    # (slot, Q, *face)
-                per_dir[direction] = np.ndarray(
-                    shape, dtype=SHM_DTYPE, buffer=seg.buf, offset=offset)
-                offset += int(np.prod(shape)) * SHM_DTYPE.itemsize
-            out[axis] = per_dir
+            shape = mail_shape(self.sub_shape, axis)
+            out.append(np.ndarray(shape, dtype=SHM_DTYPE, buffer=seg.buf,
+                                  offset=offset))
+            offset += int(np.prod(shape)) * SHM_DTYPE.itemsize
         return out
+
+    def mailbox(self, axis: int, slot: int, sides) -> np.ndarray:
+        """Flat view of one message's mailbox: the slot's whole block
+        for a both-sides message, one direction's half otherwise."""
+        box = self.mail[axis][slot]
+        if len(sides) == 1:
+            box = box[(sides[0] + 1) // 2]
+        return box.reshape(-1)
 
     def _stage_view(self) -> np.ndarray | None:
         seg = self._segs.get("stage")
@@ -291,7 +275,7 @@ class RankSegments:
         # Views hold exported buffers; releasing them first lets close()
         # succeed without BufferError.
         self.fg_bufs = None
-        self.mail = {}
+        self.mail = []
         self.stage = None
         self.health = None
         do_unlink = self.owner if unlink is None else unlink
@@ -311,19 +295,19 @@ class RankSegments:
 
     @classmethod
     def create(cls, rank: int, sub_shape, q: int, token: str,
-               with_fg: bool, wire: str = "merged") -> "RankSegments":
+               with_fg: bool) -> "RankSegments":
         names = {
             "fg": segment_name(token, "fg", rank) if with_fg else None,
             "mail": segment_name(token, "mail", rank),
             "stage": segment_name(token, "stage", rank),
             "health": segment_name(token, "health", rank),
         }
-        return cls(sub_shape, q, names, owner=True, wire=wire)
+        return cls(sub_shape, q, names, owner=True)
 
     @classmethod
     def attach(cls, names: dict[str, str | None], sub_shape,
-               q: int, wire: str = "merged") -> "RankSegments":
-        return cls(sub_shape, q, names, owner=False, wire=wire)
+               q: int) -> "RankSegments":
+        return cls(sub_shape, q, names, owner=False)
 
 
 def unlink_segment_names(names) -> None:

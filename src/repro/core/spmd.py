@@ -7,10 +7,12 @@ is deterministic and convenient for timing sweeps, but the real system
 point-to-point messages in the Fig-7 step order.  This module
 implements that faithfully on :class:`~repro.net.SimCluster` threads:
 
-* each rank owns one sub-domain (reference numpy solver);
-* per time step: collide, then for each axis the two directional
-  shift phases (even pairs, odd pairs — the schedule's matchings),
-  then stream + boundaries;
+* each rank owns one sub-domain (reference numpy solver) and one
+  :class:`~repro.core.exchange.HaloExchange` bound to SimMPI
+  (:class:`SimMPITransport`);
+* per time step: collide the boundary shell, post axis 0, collide the
+  inner core while those messages fly, complete axis 0, then post and
+  complete axes 1 and 2, then stream + boundaries;
 * the diagonal (second-nearest) traffic crosses in two hops exactly as
   Sec 4.3 describes, because each axis phase forwards the ghost rims
   received from the previous axis.
@@ -26,17 +28,50 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.decomposition import BlockDecomposition
+from repro.core.exchange import (HaloExchange, SolverPort, Transport,
+                                 mirrored)
+from repro.core.wire import AdaptiveCompressionController
 from repro.lbm.solver import LBMSolver
 from repro.net.simmpi import SimCluster
 
-#: Tag base per axis/direction so concurrent phases never cross-match.
-_TAG = {(0, -1): 100, (0, 1): 101, (1, -1): 110, (1, 1): 111,
-        (2, -1): 120, (2, 1): 121}
+def _tag(axis: int, sides) -> int:
+    """One tag per axis and message kind, so concurrent phases never
+    cross-match: 1x0 low face, 1x1 high face, 1x2 both faces in one
+    buffer (periodic extent-2 axes, where the low and high neighbour
+    are the same rank)."""
+    return 100 + 10 * axis + (2 if len(sides) == 2 else (sides[0] + 1) // 2)
 
-#: Tag of a both-sides merged message (periodic extent-2 axes, where
-#: the low and high neighbour are the same rank and the two faces ride
-#: one wire buffer).
-_MERGED_TAG = {0: 102, 1: 112, 2: 122}
+
+class SimMPITransport(Transport):
+    """SimMPI binding of the halo engine's transport.
+
+    A send is an ``Isend``.  On axis 0 the matching ``Irecv`` is posted
+    with it and completed by :meth:`recv` — which the rank program
+    calls only after its inner collide, so that compute hides the
+    transfer (Sec 4.4); later axes forward rims just received and use
+    blocking ``Recv``.  ``compute`` charges modelled codec CPU to the
+    rank's simulated clock.
+    """
+
+    def __init__(self, comm) -> None:
+        super().__init__()
+        self.comm = comm
+        self._pending: dict[tuple, object] = {}
+
+    def send(self, peer, axis, sides, buf, meta=None) -> None:
+        self.comm.Isend(buf, dest=peer, tag=_tag(axis, sides), meta=meta)
+        if axis == 0:
+            theirs = mirrored(sides)
+            self._pending[(peer, theirs)] = self.comm.Irecv(
+                source=peer, tag=_tag(axis, theirs))
+
+    def recv(self, peer, axis, sender_sides) -> np.ndarray:
+        if axis == 0:
+            return self._pending.pop((peer, sender_sides)).wait()
+        return self.comm.Recv(source=peer, tag=_tag(axis, sender_sides))
+
+    def compute(self, seconds: float) -> None:
+        self.comm.compute(seconds)
 
 
 class SPMDClusterLBM:
@@ -52,266 +87,93 @@ class SPMDClusterLBM:
         Optional global obstacle mask.
     f0:
         Optional global initial distributions.
-    wire:
-        ``"merged"`` (default) sends exactly one message per neighbor
-        per exchange phase — the five crossing links over the full
-        padded cross-section, rims included, in one contiguous buffer;
-        ``"perface"`` is the legacy full-face wire.
     compression:
         ``"off"`` (default), ``"adaptive"`` (probe the measured ratio
         against the switch bandwidth, engage only when it pays), or
-        ``"always"`` (force the codec).  Requires the merged wire;
-        compressed frames travel as uint8 and the per-rank simulated
-        clocks are charged the modeled codec CPU.
+        ``"always"`` (force the codec).  Compressed frames travel as
+        uint8 and the per-rank simulated clocks are charged the
+        modeled codec CPU.
     """
 
     def __init__(self, decomp: BlockDecomposition, tau: float,
                  solid: np.ndarray | None = None,
-                 f0: np.ndarray | None = None, wire: str = "merged",
+                 f0: np.ndarray | None = None,
                  compression: str = "off") -> None:
         if decomp.sub_shape is None:
             raise ValueError(
-                "SPMDClusterLBM requires uniform cuts (the rank program "
-                "indexes ghosts by a shared sub_shape); use the "
+                "SPMDClusterLBM requires uniform cuts; use the "
                 "coordinator drivers for weighted decompositions")
-        if wire not in ("merged", "perface"):
-            raise ValueError(f"wire must be 'merged' or 'perface', got {wire!r}")
         if compression not in ("off", "adaptive", "always"):
             raise ValueError("compression must be 'off', 'adaptive' or "
                              f"'always', got {compression!r}")
-        if compression != "off" and wire != "merged":
-            raise ValueError("compression requires the merged wire")
         self.decomp = decomp
         self.tau = float(tau)
-        self.wire = wire
         self.compression = compression
-        #: Per-rank compression summaries from the last merged run
-        #: (``None`` entries when compression is off).
+        #: Per-rank compression summaries from the last run (``None``
+        #: entries when compression is off).
         self.compression_summaries: list[dict | None] = []
         self.solids = (decomp.scatter_field(solid)
                        if solid is not None else [None] * decomp.n_nodes)
         self.f0_parts = decomp.scatter_field(f0) if f0 is not None else None
 
     # -- the per-rank program ------------------------------------------------
-    def _rank_main(self, comm, steps: int):
+    def _rank_main(self, comm, steps: int, bandwidth_bytes_per_s: float):
         decomp = self.decomp
         rank = comm.rank
         solver = LBMSolver(decomp.sub_shape, self.tau,
                            solid=self.solids[rank], periodic=False)
         if self.f0_parts is not None:
             solver.f[...] = self.f0_parts[rank].astype(solver.dtype)
-
-        def border(axis: int, direction: int) -> np.ndarray:
-            idx = 1 if direction == -1 else decomp.sub_shape[axis]
-            return np.ascontiguousarray(np.take(solver.fg, idx, axis=1 + axis))
-
-        def set_ghost(axis: int, direction: int, data: np.ndarray) -> None:
-            idx = 0 if direction == -1 else decomp.sub_shape[axis] + 1
-            sl = [slice(None)] * 4
-            sl[1 + axis] = idx
-            solver.fg[tuple(sl)] = data
-
+        codec = None
+        if self.compression != "off":
+            codec = AdaptiveCompressionController(
+                policy=self.compression,
+                bandwidth_bytes_per_s=bandwidth_bytes_per_s)
+        halo = HaloExchange(rank, SolverPort(solver), decomp.neighbors(rank),
+                            decomp.periodic, SimMPITransport(comm),
+                            codec=codec)
+        mode = halo.mode
         for _ in range(steps):
             # Executed overlap (Sec 4.4): collide the boundary shell so
-            # the axis-0 borders are ready, launch that axis's sends and
-            # nonblocking receives, collide the inner core while the
-            # messages are in flight, then complete the receives.  The
-            # split collide is bit-identical to the full one, and the
-            # inner pass touches neither borders nor ghosts.
+            # the axis-0 borders are ready, post that axis (one message
+            # per neighbour), collide the inner core while the messages
+            # are in flight, then complete the receives.  The split
+            # collide is bit-identical to the full one, and the inner
+            # pass touches neither borders nor ghosts.
             solver.collide_boundary()
-            pending = []
-            for direction in (1, -1):
-                peer_out = decomp.neighbor(rank, 0, direction)
-                peer_in = decomp.neighbor(rank, 0, -direction)
-                tag = _TAG[(0, direction)]
-                if peer_out is not None:
-                    comm.Isend(border(0, direction), dest=peer_out, tag=tag)
-                if peer_in is not None:
-                    pending.append((direction, comm.Irecv(source=peer_in,
-                                                          tag=tag)))
-                elif decomp.periodic[0]:
-                    # Single block along a periodic axis: self-wrap.
-                    set_ghost(0, -direction, border(0, direction))
-                else:
-                    set_ghost(0, -direction, border(0, -direction))
+            halo.post(0, mode)
             solver.collide_inner()
-            for direction, req in pending:
-                set_ghost(0, -direction, req.wait())
-            # Remaining axis phases in the Fig-7 order.  Within a phase,
-            # two directional shifts: send high border up / receive from
-            # below, then the mirror — non-blocking sends make the
-            # matchings deadlock-free for any arrangement.  Later-axis
-            # borders forward the rims just received, so these phases
-            # stay strictly after the axis-0 waits (two-hop routing).
+            halo.complete(0, mode)
+            # Later axes forward the rims just unpacked (two-hop
+            # diagonal routing), so they stay strictly after the
+            # axis-0 waits; non-blocking sends keep the matchings
+            # deadlock-free for any arrangement.
             for axis in (1, 2):
-                for direction in (1, -1):
-                    peer_out = decomp.neighbor(rank, axis, direction)
-                    peer_in = decomp.neighbor(rank, axis, -direction)
-                    tag = _TAG[(axis, direction)]
-                    if peer_out is not None:
-                        comm.Isend(border(axis, direction), dest=peer_out,
-                                   tag=tag)
-                    if peer_in is not None:
-                        data = comm.Recv(source=peer_in, tag=tag)
-                        set_ghost(axis, -direction, data)
-                    elif decomp.periodic[axis]:
-                        # Single block along a periodic axis: self-wrap.
-                        set_ghost(axis, -direction, border(axis, direction))
-                    else:
-                        set_ghost(axis, -direction,
-                                  border(axis, -direction))  # zero-gradient
-            solver.stream()
-            solver.post_stream()
-            solver.time_step += 1
-        return solver.f.copy(), comm.clock_s
-
-    # -- the per-rank program, merged wire ------------------------------------
-    def _build_routes(self, plan, rank: int) -> list[dict]:
-        """Per-axis wire routing for one rank, fixed for the run.
-
-        ``pairs`` are real neighbours: each carries the outgoing
-        manifest/tag (this rank's facing side) and the mirrored
-        incoming manifest/tag (the peer packed *its* facing side, which
-        is this rank's opposite — identical manifests under uniform
-        cuts).  A periodic extent-2 axis has one both-sides pair; a
-        periodic extent-1 axis self-wraps locally; a non-periodic edge
-        falls back to the zero-gradient ghost fill.
-        """
-        decomp = self.decomp
-        routes: list[dict] = []
-        for axis in range(3):
-            lo = decomp.neighbor(rank, axis, -1)
-            hi = decomp.neighbor(rank, axis, 1)
-            pairs: list[dict] = []
-            wrap = None
-            zeros: list[int] = []
-            if lo is not None and lo == hi:
-                m = plan.neighbor_manifest(axis, (-1, 1), "pull")
-                pairs.append({"peer": lo, "send_m": m, "recv_m": m,
-                              "send_tag": _MERGED_TAG[axis],
-                              "recv_tag": _MERGED_TAG[axis],
-                              "buf": np.empty(m.total_floats, np.float32)})
-            else:
-                for s, peer in ((-1, lo), (1, hi)):
-                    if peer is not None:
-                        sm = plan.neighbor_manifest(axis, (s,), "pull")
-                        rm = plan.neighbor_manifest(axis, (-s,), "pull")
-                        pairs.append({"peer": peer, "send_m": sm, "recv_m": rm,
-                                      "send_tag": _TAG[(axis, s)],
-                                      "recv_tag": _TAG[(axis, -s)],
-                                      "buf": np.empty(sm.total_floats,
-                                                      np.float32)})
-                    elif decomp.periodic[axis]:
-                        if wrap is None:
-                            m = plan.neighbor_manifest(axis, (-1, 1), "pull")
-                            wrap = {"m": m, "buf": np.empty(m.total_floats,
-                                                            np.float32)}
-                    else:
-                        zeros.append(s)
-            routes.append({"pairs": pairs, "wrap": wrap, "zeros": zeros})
-        return routes
-
-    def _rank_main_merged(self, comm, steps: int):
-        from repro.core.halo import HaloPlan
-        from repro.core.wire import (AdaptiveCompressionController,
-                                     pack_halo, unpack_halo)
-
-        decomp = self.decomp
-        rank = comm.rank
-        sub = decomp.sub_shape
-        solver = LBMSolver(sub, self.tau,
-                           solid=self.solids[rank], periodic=False)
-        if self.f0_parts is not None:
-            solver.f[...] = self.f0_parts[rank].astype(solver.dtype)
-        plan = HaloPlan(sub)
-        routes = self._build_routes(plan, rank)
-        comp = None
-        if self.compression != "off":
-            comp = AdaptiveCompressionController(
-                policy=self.compression,
-                bandwidth_bytes_per_s=comm._cluster.switch.effective_bytes_per_s)
-
-        def border(axis: int, direction: int) -> np.ndarray:
-            idx = 1 if direction == -1 else sub[axis]
-            return np.ascontiguousarray(np.take(solver.fg, idx, axis=1 + axis))
-
-        def set_ghost(axis: int, direction: int, data: np.ndarray) -> None:
-            idx = 0 if direction == -1 else sub[axis] + 1
-            sl = [slice(None)] * 4
-            sl[1 + axis] = idx
-            solver.fg[tuple(sl)] = data
-
-        def send_pair(axis: int, pair: dict) -> None:
-            pack_halo(solver.fg, sub, pair["send_m"], pair["buf"])
-            payload, meta = pair["buf"], None
-            if comp is not None:
-                wp = comp.encode((rank, pair["peer"], axis), pair["buf"])
-                if wp.compress_s:
-                    comm.compute(wp.compress_s)
-                payload = wp.data
-                if wp.compressed:
-                    meta = {"raw_bytes": wp.raw_bytes}
-            comm.Isend(payload, dest=pair["peer"], tag=pair["send_tag"],
-                       meta=meta)
-
-        def unpack_pair(axis: int, pair: dict, data: np.ndarray) -> None:
-            m = pair["recv_m"]
-            if comp is not None:
-                if data.dtype == np.uint8:
-                    comm.compute(comp.decompress_seconds(m.nbytes))
-                data = comp.decode((pair["peer"], rank, axis), data,
-                                   (m.total_floats,))
-            unpack_halo(solver.fg, sub, m, data)
-
-        def local_fills(axis: int) -> None:
-            r = routes[axis]
-            if r["wrap"] is not None:
-                pack_halo(solver.fg, sub, r["wrap"]["m"], r["wrap"]["buf"])
-                unpack_halo(solver.fg, sub, r["wrap"]["m"], r["wrap"]["buf"])
-            for s in r["zeros"]:
-                set_ghost(axis, s, border(axis, s))  # zero-gradient
-
-        for _ in range(steps):
-            # Same executed overlap as the per-face program: collide the
-            # boundary shell, fire axis 0 (one merged message per
-            # neighbor), collide the inner core while they fly, then
-            # complete the receives.  Later axes forward the rims just
-            # unpacked (two-hop diagonal routing) with blocking receives.
-            solver.collide_boundary()
-            pending = []
-            for pair in routes[0]["pairs"]:
-                send_pair(0, pair)
-                pending.append((pair, comm.Irecv(source=pair["peer"],
-                                                 tag=pair["recv_tag"])))
-            local_fills(0)
-            solver.collide_inner()
-            for pair, req in pending:
-                unpack_pair(0, pair, req.wait())
-            for axis in (1, 2):
-                for pair in routes[axis]["pairs"]:
-                    send_pair(axis, pair)
-                local_fills(axis)
-                for pair in routes[axis]["pairs"]:
-                    unpack_pair(axis, pair,
-                                comm.Recv(source=pair["peer"],
-                                          tag=pair["recv_tag"]))
+                halo.post(axis, mode)
+                halo.complete(axis, mode)
             solver.stream()
             solver.post_stream()
             solver.time_step += 1
         return (solver.f.copy(), comm.clock_s,
-                None if comp is None else comp.summary())
+                None if codec is None else codec.summary())
 
     # -- driver ---------------------------------------------------------------
     def run(self, steps: int, cluster: SimCluster | None = None
             ) -> tuple[np.ndarray, list[float]]:
-        """Execute ``steps`` on all ranks; returns (global f, clocks)."""
+        """Execute ``steps`` on all ranks; returns (global f, clocks).
+
+        The clocks are each rank's simulated time.  They are exact and
+        repeatable when no two senders share an ingress port at the
+        same simulated time (any 2-rank arrangement); otherwise
+        :meth:`GigabitSwitch.reserve` serialises the contenders in
+        host-thread arrival order, so per-rank clocks vary from run to
+        run by the contended transfers (the numerics, the message
+        count, and every message's tag and size do not).
+        """
         cl = cluster if cluster is not None else SimCluster(
             self.decomp.n_nodes)
-        main = (self._rank_main_merged if self.wire == "merged"
-                else self._rank_main)
-        results = cl.run(main, steps)
-        parts = [r[0] for r in results]
-        clocks = [r[1] for r in results]
-        self.compression_summaries = [r[2] if len(r) > 2 else None
-                                      for r in results]
-        return self.decomp.gather_field(parts), clocks
+        results = cl.run(self._rank_main, steps,
+                         cl.switch.effective_bytes_per_s)
+        self.compression_summaries = [r[2] for r in results]
+        return self.decomp.gather_field([r[0] for r in results]), \
+            [r[1] for r in results]

@@ -5,8 +5,9 @@ difference temperature, coupled through buoyancy and an energy term)
 precisely for the machine this repo simulates; this module runs it
 decomposed over cluster ranks:
 
-* the MRT flow exchanges its D3Q19 halo exactly like the BGK solver
-  (same 5-per-face link sets, same axis-phase order);
+* the MRT flow exchanges its D3Q19 halo through the same engine as the
+  BGK drivers (:mod:`repro.core.exchange`: same 5-per-face link sets,
+  same axis-phase order);
 * the temperature field exchanges a one-cell scalar halo — the 7-point
   Laplacian and central gradients need faces only, no diagonal hops,
   which is why the paper can claim the HTLBM costs "only two
@@ -22,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.decomposition import BlockDecomposition
+from repro.core.exchange import SolverPort, exchange_all, local_engines
 from repro.lbm.thermal import HybridThermalLBM
 
 
@@ -46,7 +48,7 @@ class DistributedThermalLBM:
                  solid: np.ndarray | None = None) -> None:
         if decomp.sub_shape is None:
             raise ValueError(
-                "ThermalClusterLBM requires uniform cuts; weighted "
+                "DistributedThermalLBM requires uniform cuts; weighted "
                 "decompositions are a flow-cluster feature")
         self.decomp = decomp
         solids = (decomp.scatter_field(solid)
@@ -57,6 +59,8 @@ class DistributedThermalLBM:
                              energy_coupling=energy_coupling,
                              solid=solids[r])
             for r in range(decomp.n_nodes)]
+        self._halo = local_engines(
+            decomp, [SolverPort(m.flow) for m in self.models])
         self.kappa = float(kappa)
         self.time_step = 0
 
@@ -78,30 +82,6 @@ class DistributedThermalLBM:
         return self.decomp.gather_field([m.flow.f.copy() for m in self.models])
 
     # -- halo plumbing ------------------------------------------------------
-    def _exchange_flow(self) -> None:
-        """Axis-phase D3Q19 halo exchange (same contract as the BGK
-        cluster driver)."""
-        decomp = self.decomp
-        for axis in range(3):
-            borders = {}
-            for rank, m in enumerate(self.models):
-                lo = np.take(m.flow.fg, 1, axis=1 + axis).copy()
-                hi = np.take(m.flow.fg, decomp.sub_shape[axis], axis=1 + axis).copy()
-                borders[rank] = {-1: lo, 1: hi}
-            for rank, m in enumerate(self.models):
-                for direction in (-1, 1):
-                    peer = decomp.neighbor(rank, axis, direction)
-                    idx = 0 if direction == -1 else decomp.sub_shape[axis] + 1
-                    sl = [slice(None)] * 4
-                    sl[1 + axis] = idx
-                    if peer is None:
-                        if decomp.periodic[axis]:
-                            m.flow.fg[tuple(sl)] = borders[rank][-direction]
-                        else:
-                            m.flow.fg[tuple(sl)] = borders[rank][direction]
-                    else:
-                        m.flow.fg[tuple(sl)] = borders[peer][-direction]
-
     def _padded_temperature(self, rank: int, mode: str) -> np.ndarray:
         """One rank's T with a one-cell scalar halo.
 
@@ -182,7 +162,7 @@ class DistributedThermalLBM:
             self._temperature_step()
             for m in self.models:
                 m.flow.collide()
-            self._exchange_flow()
+            exchange_all(self._halo)
             for m in self.models:
                 m.flow.stream()
                 m.flow.post_stream()

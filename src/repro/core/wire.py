@@ -42,8 +42,8 @@ __all__ = [
 ]
 
 
-def _layer_index(sub_shape, axis: int, side: int, ghost: bool) -> int:
-    """Padded-array index of one shell layer (mirrors CPUNode)."""
+def layer_index(sub_shape, axis: int, side: int, ghost: bool) -> int:
+    """Padded-array index of one shell layer."""
     if side == -1:
         return 0 if ghost else 1
     return sub_shape[axis] + 1 if ghost else sub_shape[axis]
@@ -63,7 +63,7 @@ def pack_halo(fg: np.ndarray, sub_shape, manifest: NeighborManifest,
     ghost = manifest.mode == "aa_reverse"
     axis = manifest.axis
     for seg in manifest.segments:
-        idx = _layer_index(sub_shape, axis, seg.side, ghost)
+        idx = layer_index(sub_shape, axis, seg.side, ghost)
         dst = buf[seg.offset:seg.offset + seg.floats].reshape(
             (len(seg.links),) + manifest.plane_shape)
         for j, q in enumerate(seg.links):
@@ -87,7 +87,7 @@ def unpack_halo(fg: np.ndarray, sub_shape, manifest: NeighborManifest,
     ghost = manifest.mode != "aa_reverse"
     axis = manifest.axis
     for seg in manifest.segments:
-        idx = _layer_index(sub_shape, axis, -seg.side, ghost)
+        idx = layer_index(sub_shape, axis, -seg.side, ghost)
         src = flat[seg.offset:seg.offset + seg.floats].reshape(
             (len(seg.links),) + manifest.plane_shape)
         for j, q in enumerate(seg.links):
@@ -296,44 +296,37 @@ class AdaptiveCompressionController:
 
 
 # -- the check-exchange gate ---------------------------------------------
-def _expected_wire_counts(decomp) -> tuple[int, int]:
-    """(merged, perface) messages per step the decomposition implies.
-
-    Merged: one message per distinct neighbor per axis phase (a
-    periodic extent-2 axis has one both-sides message, self-wraps and
-    zero-gradient edges are local).  Per-face: one message per face
-    direction that has a peer.
-    """
-    merged = perface = 0
-    for rank in range(decomp.n_nodes):
-        for axis in range(3):
-            lo = decomp.neighbor(rank, axis, -1)
-            hi = decomp.neighbor(rank, axis, 1)
-            if lo is not None and lo == hi:
-                merged += 1
-            else:
-                merged += sum(1 for p in (lo, hi) if p is not None)
-            perface += sum(1 for p in (lo, hi) if p is not None)
-    return merged, perface
+def _expected_wire_counts(decomp) -> int:
+    """Messages per step the decomposition's route tables imply: one
+    per distinct neighbor per axis phase (a periodic extent-2 axis has
+    one both-sides message; self-wraps and zero-gradient edges are
+    local)."""
+    from repro.core.exchange import build_routes
+    return sum(len(route.sends)
+               for rank in range(decomp.n_nodes)
+               for route in build_routes(decomp.neighbors(rank),
+                                         decomp.periodic))
 
 
 def run_exchange_check(sub_shape=(6, 6, 4), arrangement=(2, 2, 1),
                        steps: int = 4) -> dict:
-    """End-to-end merged-wire gate (``python -m repro check-exchange``).
+    """End-to-end halo-exchange gate (``python -m repro check-exchange``).
 
-    * **Equivalence sweep**: the merged wire is bit-identical to the
-      single-domain reference on the serial, threads and processes
-      backends, with compression off *and* forced on, and the legacy
-      per-face wire still matches too;
-    * **AA protocol**: the merged forward/reverse exchange of the
-      AA-pattern kernel reproduces the reference bits on the serial
-      and processes backends, on the periodic torus *and* on a bounded
-      box (true domain edges fill/fold locally instead of messaging);
+    * **Equivalence sweep**: the exchange is bit-identical to the
+      single-domain reference on the serial and processes backends,
+      with compression off *and* forced on;
+    * **AA protocol**: the forward/reverse exchange of the AA-pattern
+      kernel reproduces the reference bits on both backends, on the
+      periodic torus *and* on a bounded box (true domain edges
+      fill/fold locally instead of messaging);
     * **Message counts**: the executed SPMD/SimMPI program sends
-      exactly one message per neighbor per exchange phase — asserted
-      per ordered (src, dst, tag) channel from the per-message trace
-      events — and strictly fewer envelopes than the per-face wire at
-      identical numerics;
+      exactly the route table's one message per neighbor per exchange
+      phase — asserted per ordered (src, dst, tag) channel from the
+      per-message trace events; the report sets the schedule's
+      aggregated envelope count beside the modelled unaggregated one
+      (Sec 4.4's what-if);
+    * **Compression**: the compressed SPMD run is bit-identical and
+      every compressed trace event carries ``raw_bytes``;
     * **Desync recovery**: a dropped compressed message raises
       :class:`~repro.core.compression.DeltaDesyncError` instead of
       silently corrupting the field, and a both-ends ``resync()``
@@ -344,6 +337,8 @@ def run_exchange_check(sub_shape=(6, 6, 4), arrangement=(2, 2, 1),
     from repro.core.cluster_lbm import ClusterConfig, CPUClusterLBM
     from repro.core.compression import DeltaDesyncError
     from repro.core.decomposition import BlockDecomposition
+    from repro.core.halo import HaloPlan
+    from repro.core.schedule import CommSchedule
     from repro.core.spmd import SPMDClusterLBM
     from repro.lbm.solver import LBMSolver
     from repro.net.simmpi import SimCluster
@@ -359,118 +354,81 @@ def run_exchange_check(sub_shape=(6, 6, 4), arrangement=(2, 2, 1),
     f0 = ref.f.copy()
     ref.step(steps)
     ref_f = ref.f.copy()
+    ref_b = LBMSolver(shape, tau=0.7, periodic=False)
+    ref_b.initialize(rho=np.ones(shape, np.float32))
+    ref_b.f[...] = f0
+    ref_b.step(steps)
 
     report: dict = {"steps": steps, "variants": {}}
 
-    # 1. Equivalence sweep: every backend/wire/compression combination
-    #    must reproduce the single-domain bits exactly.
-    variants = (
-        ("serial", "merged", "off"),
-        ("serial", "perface", "off"),
-        ("serial", "merged", "always"),
-        ("threads", "merged", "off"),
-        ("processes", "merged", "off"),
-    )
-    for backend, wire, compression in variants:
+    # 1 + 2. Equivalence sweep (backend x compression) and the AA
+    #    forward/reverse exchange — on the periodic torus and on a
+    #    bounded box, where true domain edges take the local
+    #    zero-gradient fill/fold instead of a message.
+    cases = [(f"{backend}/{compression}",
+              dict(backend=backend, compression=compression), ref_f)
+             for backend in ("serial", "processes")
+             for compression in ("off", "always")]
+    cases += [(f"aa/{name}/{backend}",
+               dict(backend=backend, kernel="aa", periodic=periodic), want)
+              for name, periodic, want in (
+                  ("periodic", (True,) * 3, ref_f),
+                  ("bounded", (False,) * 3, ref_b.f))
+              for backend in ("serial", "processes")]
+    for label, options, want in cases:
         cfg = ClusterConfig(sub_shape=sub_shape, arrangement=arrangement,
-                            tau=0.7, backend=backend, wire=wire,
-                            compression=compression,
-                            max_workers=2 if backend == "threads" else 1)
+                            tau=0.7, **options)
         with CPUClusterLBM(cfg) as cluster:
             cluster.load_global_distributions(f0)
             cluster.step(steps)
             got = cluster.gather_distributions()
             stats = {k: v for k, v in cluster.counters.summary().items()
                      if k.startswith("comm.")}
-        label = f"{backend}/{wire}/{compression}"
-        if not np.array_equal(got, ref_f):
+        if not np.array_equal(got, want):
             raise AssertionError(
-                f"{label}: merged-wire exchange diverged from the "
-                f"single-domain reference")
-        report["variants"][label] = {"bit_identical": True,
-                                     "comm": stats}
-
-    # 2. AA-pattern forward/reverse exchange under merging — on the
-    #    periodic torus and on a bounded box, where true domain edges
-    #    take the local zero-gradient fill/fold instead of a message.
-    ref_b = LBMSolver(shape, tau=0.7, periodic=False)
-    ref_b.initialize(rho=np.ones(shape, np.float32))
-    ref_b.f[...] = f0
-    f0_b = ref_b.f.copy()
-    ref_b.step(steps)
-    ref_b_f = ref_b.f.copy()
-    aa_cases = {"periodic": ((True,) * 3, f0, ref_f),
-                "bounded": ((False,) * 3, f0_b, ref_b_f)}
-    for case, (periodic, start, want) in aa_cases.items():
-        for backend in ("serial", "processes"):
-            cfg = ClusterConfig(sub_shape=sub_shape,
-                                arrangement=arrangement,
-                                tau=0.7, backend=backend, kernel="aa",
-                                periodic=periodic)
-            with CPUClusterLBM(cfg) as cluster:
-                cluster.load_global_distributions(start)
-                cluster.step(steps)
-                got = cluster.gather_distributions()
-            if not np.array_equal(got, want):
-                raise AssertionError(
-                    f"aa/{case}/{backend}: merged forward/reverse "
-                    f"exchange diverged from the reference")
-            report["variants"][f"aa/{case}/{backend}/merged"] = {
-                "bit_identical": True}
+                f"{label}: halo exchange diverged from the single-domain "
+                f"reference")
+        report["variants"][label] = {"bit_identical": True, "comm": stats}
 
     # 3. Executed message counts on the SPMD/SimMPI path.
     decomp = BlockDecomposition(shape, arrangement,
                                 periodic=(True, True, True))
-    want_merged, want_perface = _expected_wire_counts(decomp)
-    counts: dict[str, int] = {}
-    for wire in ("merged", "perface"):
+
+    def spmd_messages(compression: str):
         tracer = Tracer(enabled=True)
-        sim = SimCluster(decomp.n_nodes, tracer=tracer)
-        spmd = SPMDClusterLBM(decomp, tau=0.7, f0=f0, wire=wire)
-        got, _ = spmd.run(steps, cluster=sim)
+        spmd = SPMDClusterLBM(decomp, tau=0.7, f0=f0,
+                              compression=compression)
+        got, _ = spmd.run(steps, cluster=SimCluster(decomp.n_nodes,
+                                                    tracer=tracer))
         if not np.array_equal(got, ref_f):
-            raise AssertionError(f"spmd/{wire}: diverged from the reference")
-        msgs = [e for e in tracer.events if e.name == "mpi.msg"]
-        counts[wire] = len(msgs)
-        if wire == "merged":
-            if len(msgs) != want_merged * steps:
-                raise AssertionError(
-                    f"spmd/merged: expected {want_merged} messages/step "
-                    f"(one per neighbor per phase), traced "
-                    f"{len(msgs) / steps:.1f}")
-            per_channel: dict[tuple, int] = {}
-            for e in msgs:
-                ch = (e.meta["src"], e.meta["dst"], e.meta["tag"])
-                per_channel[ch] = per_channel.get(ch, 0) + 1
-            bad = {ch: n for ch, n in per_channel.items() if n != steps}
-            if bad:
-                raise AssertionError(
-                    f"spmd/merged: channels not sending exactly one "
-                    f"message per step: {bad}")
-    if counts["merged"] >= counts["perface"]:
+            raise AssertionError(f"spmd/{compression}: diverged from the "
+                                 f"reference")
+        return spmd, [e for e in tracer.events if e.name == "mpi.msg"]
+
+    want_msgs = _expected_wire_counts(decomp)
+    per_channel: dict[tuple, int] = {}
+    for e in spmd_messages("off")[1]:
+        ch = (e.meta["src"], e.meta["dst"], e.meta["tag"])
+        per_channel[ch] = per_channel.get(ch, 0) + 1
+    if len(per_channel) != want_msgs or set(per_channel.values()) != {steps}:
         raise AssertionError(
-            f"merged wire sent {counts['merged']} messages, per-face "
-            f"{counts['perface']} — merging must strictly reduce envelopes")
-    report["messages"] = {"merged": counts["merged"],
-                          "perface": counts["perface"],
-                          "merged_per_step": counts["merged"] // steps,
-                          "perface_per_step": counts["perface"] // steps}
+            f"spmd: expected {want_msgs} channels sending exactly one "
+            f"message per step (one per neighbor per phase), traced "
+            f"{per_channel}")
+    sched = CommSchedule(decomp, HaloPlan(sub_shape))
+    envelopes = {agg: sum(sum(r) for r in sched.round_messages(agg))
+                 for agg in (True, False)}
+    report["messages"] = {"executed_per_step": want_msgs,
+                          "modeled_aggregated": envelopes[True],
+                          "modeled_unaggregated": envelopes[False]}
 
     # 4. Compressed SPMD run: bit-identical, and every compressed trace
     #    event carries raw_bytes so bytes-on-wire stays auditable.
-    tracer = Tracer(enabled=True)
-    sim = SimCluster(decomp.n_nodes, tracer=tracer)
-    spmd = SPMDClusterLBM(decomp, tau=0.7, f0=f0, wire="merged",
-                          compression="always")
-    got, _ = spmd.run(steps, cluster=sim)
-    if not np.array_equal(got, ref_f):
-        raise AssertionError("spmd/merged/always: compression perturbed "
-                             "the numerics")
-    comp_msgs = [e for e in tracer.events
-                 if e.name == "mpi.msg" and "raw_bytes" in e.meta]
+    spmd, msgs = spmd_messages("always")
+    comp_msgs = [e for e in msgs if "raw_bytes" in e.meta]
     if not comp_msgs:
-        raise AssertionError("spmd/merged/always: no compressed message "
-                             "events traced")
+        raise AssertionError("spmd/always: no compressed message events "
+                             "traced")
     wire_b = sum(e.meta["bytes"] for e in comp_msgs)
     raw_b = sum(e.meta["raw_bytes"] for e in comp_msgs)
     summaries = [s for s in spmd.compression_summaries if s]

@@ -88,10 +88,10 @@ class GigabitSwitch:
     def message_time(self, nbytes: int, messages: int = 1) -> float:
         """One pair transfer: per-envelope overhead + payload at the
         effective rate.  ``messages`` counts the wire envelopes the
-        bytes are split over (1 on the merged wire — the default keeps
-        the calibrated single-message expression bit-identical; the
-        per-face wire pays the envelope overhead once per face/edge
-        message)."""
+        bytes are split over (1 for the executed one-message-per-
+        neighbor exchange — the default keeps the calibrated
+        single-message expression bit-identical; the unaggregated
+        what-if pays the envelope overhead once per face/edge line)."""
         if messages == 1:
             return (self.message_overhead_scale * cal.NET_STEP_OVERHEAD_S
                     + nbytes / self.effective_bytes_per_s)

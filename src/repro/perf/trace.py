@@ -25,7 +25,7 @@ Design rules
   offset estimated at trace-enable time (:meth:`Tracer.extend`).
 * **Thread-safe by construction.**  Recording is a single
   ``list.append`` (atomic under the GIL), so the overlap comm thread
-  and the threads backend share one tracer without locks.
+  and the SimMPI rank threads share one tracer without locks.
 
 Exporters: :meth:`Tracer.write_chrome` emits Chrome trace-event JSON
 (open in Perfetto / ``chrome://tracing``; one track per rank, one

@@ -194,3 +194,49 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="backend_timeout_s"):
             ClusterConfig(sub_shape=(8, 8, 8), arrangement=(2, 1, 1),
                           backend="processes", backend_timeout_s=0.0)
+
+
+class TestMailboxLayout:
+    def test_both_sides_message_is_one_contiguous_block(self):
+        """A slot's two directions are adjacent: the both-sides message
+        of a periodic extent-2 axis is the slot's whole block, a
+        single-side message its half, and the two slots never alias."""
+        from repro.core.shm import MAIL_LINKS, RankSegments, unique_token
+        sub = (4, 3, 2)
+        seg = RankSegments.create(0, sub, 19, unique_token(), with_fg=False)
+        try:
+            for axis in range(3):
+                face = int(np.prod([s + 2 for a, s in enumerate(sub)
+                                    if a != axis]))
+                for slot in (0, 1):
+                    both = seg.mailbox(axis, slot, (-1, 1))
+                    assert both.size == 2 * MAIL_LINKS * face
+                    assert both.flags.c_contiguous
+                    both[:] = 10 * axis + slot
+                    lo = seg.mailbox(axis, slot, (-1,))
+                    hi = seg.mailbox(axis, slot, (1,))
+                    assert lo.size == hi.size == MAIL_LINKS * face
+                    assert np.shares_memory(lo, both[:lo.size])
+                    assert np.shares_memory(hi, both[lo.size:])
+                    hi[:] = -1.0
+                    assert (both[lo.size:] == -1.0).all()
+                    assert (both[:lo.size] == 10 * axis + slot).all()
+                assert not np.shares_memory(seg.mailbox(axis, 0, (-1, 1)),
+                                            seg.mailbox(axis, 1, (-1, 1)))
+            del both, lo, hi
+        finally:
+            seg.close()
+        assert leaked_segments() == []
+
+    def test_specs_and_segments_take_no_wire(self):
+        """The per-face mailbox sizing went with the wire option."""
+        import dataclasses
+
+        from repro.core.procpool import WorkerSpec
+        from repro.core.shm import RankSegments
+        assert "wire" not in {f.name for f in dataclasses.fields(WorkerSpec)}
+        with pytest.raises(TypeError, match="wire"):
+            RankSegments.create(0, (4, 4, 4), 19, "tok", with_fg=False,
+                                wire="merged")
+        with pytest.raises(TypeError, match="wire"):
+            RankSegments.attach({}, (4, 4, 4), 19, wire="merged")

@@ -1,11 +1,13 @@
-"""Threaded cluster stepping and allocation-free halo exchange.
+"""Coordinator bookkeeping around the halo exchange.
 
-The driver may advance its nodes from a thread pool (the explicit
-``ClusterConfig.backend="threads"`` opt-in with ``max_workers > 1``);
-since nodes only touch their own sub-domain between exchanges, the
-gathered result and the StepTiming decomposition must be identical to
-the serial driver, bit for bit.
+What survived the ``backend="threads"`` node pool (deleted with its
+``max_workers`` knob and the per-face wire): per-phase counters, an
+idempotent shutdown, a steady-state exchange that allocates nothing —
+asserted through the public counters — and the removed options now
+being rejected outright.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -17,100 +19,35 @@ SUB, ARR = (8, 6, 4), (2, 2, 1)
 SHAPE = tuple(s * a for s, a in zip(SUB, ARR))
 
 
-def _initial_state(rng, solid=None):
-    ref = LBMSolver(SHAPE, tau=0.7, solid=solid)
+def _initial_state(rng):
+    ref = LBMSolver(SHAPE, tau=0.7)
     u0 = (0.02 * rng.standard_normal((3,) + SHAPE)).astype(np.float32)
-    if solid is not None:
-        u0[:, solid] = 0
     ref.initialize(rho=np.ones(SHAPE, np.float32), u=u0)
     return ref.f.copy()
 
 
-def _run(cls, f0, steps=4, solid=None, **cfg_kw):
-    cfg = ClusterConfig(sub_shape=SUB, arrangement=ARR, tau=0.7,
-                        solid=solid, **cfg_kw)
-    cluster = cls(cfg)
-    cluster.load_global_distributions(f0)
-    timing = cluster.step(steps)
-    f = cluster.gather_distributions()
-    cluster.shutdown()
-    return f, timing
-
-
-@pytest.mark.parametrize("cls", [CPUClusterLBM, GPUClusterLBM])
-class TestThreadedEqualsSerial:
-    def test_gather_bit_identical(self, rng, cls):
-        solid = np.zeros(SHAPE, bool)
-        solid[3:6, 4:7, 1:3] = True
-        f0 = _initial_state(rng, solid=solid)
-        f_serial, t_serial = _run(cls, f0, solid=solid, max_workers=1)
-        f_thread, t_thread = _run(cls, f0, solid=solid,
-                                  backend="threads", max_workers=4)
-        assert np.array_equal(f_serial, f_thread)
-
-    def test_step_timing_decomposition_identical(self, rng, cls):
-        f0 = _initial_state(rng)
-        _, t_serial = _run(cls, f0, max_workers=1)
-        _, t_thread = _run(cls, f0, backend="threads", max_workers=4)
-        assert t_serial.nodes == t_thread.nodes
-        assert t_serial.compute_s == t_thread.compute_s
-        assert t_serial.agp_s == t_thread.agp_s
-        assert t_serial.net_total_s == t_thread.net_total_s
-        assert t_serial.overlap_window_s == t_thread.overlap_window_s
-        assert t_serial.ms() == t_thread.ms()
-
-
-class TestThreadedMatchesReference:
-    def test_threaded_cpu_cluster_matches_reference(self, rng):
-        ref = LBMSolver(SHAPE, tau=0.7)
-        u0 = (0.02 * rng.standard_normal((3,) + SHAPE)).astype(np.float32)
-        ref.initialize(rho=np.ones(SHAPE, np.float32), u=u0)
-        f0 = ref.f.copy()
-        ref.step(5)
-        f, _ = _run(CPUClusterLBM, f0, steps=5,
-                    backend="threads", max_workers=3)
-        assert np.array_equal(f, ref.f)
-
-
 class TestExchangeBuffers:
-    def test_border_buffers_allocated_once(self, rng):
-        f0 = _initial_state(rng)
-        cfg = ClusterConfig(sub_shape=SUB, arrangement=ARR, tau=0.7,
-                            wire="perface")
-        cluster = CPUClusterLBM(cfg)
-        cluster.load_global_distributions(f0)
-        cluster.step(1)
-        bufs = cluster._border_bufs
-        assert bufs is not None
-        buf_ids = {id(bufs[r][a][d]) for r in range(len(bufs))
-                   for a in range(3) for d in (-1, 1)}
-        cluster.step(3)
-        assert cluster._border_bufs is bufs
-        after = {id(bufs[r][a][d]) for r in range(len(bufs))
-                 for a in range(3) for d in (-1, 1)}
-        assert after == buf_ids
-        # alloc counter recorded the one-time buffer build
-        assert (cluster.counters.stats["exchange.border_bufs"].allocs
-                == 6 * len(cluster.nodes))
-        cluster.shutdown()
-
     def test_wire_buffers_allocated_once(self, rng):
-        """The merged wire preallocates per-neighbor buffers the same
-        way the per-face path preallocates face buffers."""
+        """One outbox per neighbour message plus one scratch buffer per
+        self-wrapping axis, allocated by the first exchange and never
+        again."""
         f0 = _initial_state(rng)
-        cfg = ClusterConfig(sub_shape=SUB, arrangement=ARR, tau=0.7)
-        cluster = CPUClusterLBM(cfg)
-        cluster.load_global_distributions(f0)
-        cluster.step(1)
-        bufs = cluster._wire_bufs
-        assert bufs is not None
-        buf_ids = {id(b) for per_rank in bufs for b in per_rank.values()}
-        cluster.step(3)
-        assert cluster._wire_bufs is bufs
-        after = {id(b) for per_rank in bufs for b in per_rank.values()}
-        assert after == buf_ids
-        assert cluster.counters.stats["exchange.wire_bufs"].allocs == len(buf_ids)
-        cluster.shutdown()
+        for periodic in ((True, True, True), (False, True, False)):
+            cfg = ClusterConfig(sub_shape=SUB, arrangement=ARR, tau=0.7,
+                                periodic=periodic, kernel="split")
+            with CPUClusterLBM(cfg) as cluster:
+                cluster.load_global_distributions(f0)
+                cluster.step(1)
+                counters = cluster.counters
+                bufs = counters.stats["exchange.wire_bufs"].allocs
+                total = counters.total_allocs()
+                # Per rank: one message per axis with neighbours (extent
+                # 2: both-sides when periodic, single-side when bounded),
+                # plus the z self-wrap scratch when z is periodic.
+                assert bufs == len(cluster.nodes) * (2 + int(periodic[2]))
+                cluster.step(3)
+                assert counters.stats["exchange.wire_bufs"].allocs == bufs
+                assert counters.total_allocs() == total
 
     def test_cluster_counters_record_phases(self, rng):
         f0 = _initial_state(rng)
@@ -138,10 +75,17 @@ class TestExchangeBuffers:
 
 
 class TestConfigValidation:
-    def test_max_workers_validated(self):
-        with pytest.raises(ValueError, match="max_workers"):
-            ClusterConfig(sub_shape=(8, 8, 8), arrangement=(1, 1, 1),
-                          max_workers=0)
+    def test_removed_options_rejected(self):
+        """``max_workers``, ``wire`` and ``backend="threads"`` selected
+        code that no longer exists; passing them must fail loudly."""
+        base = dict(sub_shape=(8, 8, 8), arrangement=(1, 1, 1))
+        for removed in ({"max_workers": 2}, {"wire": "merged"},
+                        {"wire": "perface"}):
+            with pytest.raises(TypeError, match=next(iter(removed))):
+                ClusterConfig(**base, **removed)
+        with pytest.raises(ValueError, match="backend"):
+            ClusterConfig(**base, backend="threads")
+        assert len(dataclasses.fields(ClusterConfig)) == 24
 
     def test_backend_must_be_known(self):
         with pytest.raises(ValueError, match="backend"):
@@ -149,12 +93,16 @@ class TestConfigValidation:
                           backend="mpi")
 
     def test_shutdown_idempotent(self):
-        cfg = ClusterConfig(sub_shape=(4, 4, 4), arrangement=(2, 1, 1),
-                            tau=0.7, backend="threads", max_workers=2)
-        cluster = CPUClusterLBM(cfg)
+        for backend in ("serial", "processes"):
+            cfg = ClusterConfig(sub_shape=(4, 4, 4), arrangement=(2, 1, 1),
+                                tau=0.7, backend=backend)
+            cluster = CPUClusterLBM(cfg)
+            cluster.step(1)
+            cluster.shutdown()
+            cluster.shutdown()
+        # a serial driver lazily rebuilds its comm thread
+        cluster = CPUClusterLBM(dataclasses.replace(cfg, backend="serial"))
         cluster.step(1)
         cluster.shutdown()
-        cluster.shutdown()
-        # stepping again lazily rebuilds the pool
         cluster.step(1)
         cluster.shutdown()

@@ -101,6 +101,19 @@ class TestNeighbors:
         d = BlockDecomposition((8, 8, 4), (4, 2, 1))
         assert d.neighbor(0, 2, 1) is None
 
+    def test_neighbors_is_the_six_slot_table(self):
+        """Every (axis, direction) slot, ``None`` included — the halo
+        route table's input."""
+        d = BlockDecomposition((8, 8, 4), (4, 2, 1),
+                               periodic=(True, False, True))
+        assert d.neighbors(0) == {(0, -1): 3, (0, 1): 1,
+                                  (1, -1): None, (1, 1): 4,
+                                  (2, -1): None, (2, 1): None}
+        for rank in range(d.n_nodes):
+            assert d.neighbors(rank) == {
+                (axis, direction): d.neighbor(rank, axis, direction)
+                for axis in range(3) for direction in (-1, 1)}
+
     def test_face_neighbor_counts_interior_vs_corner(self):
         d = BlockDecomposition((16, 12, 4), (4, 3, 1),
                                periodic=(False, False, False))

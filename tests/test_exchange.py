@@ -1,11 +1,12 @@
-"""Tests for the merged per-neighbor halo wire.
+"""Tests for the per-neighbor halo messages.
 
 Covers the packing manifests (:mod:`repro.core.halo`), the pack/unpack
 runtime and adaptive compression controller (:mod:`repro.core.wire`),
-the schedule/switch envelope accounting, merged-exchange bit-identity
-on weighted cuts across every backend, the AA forward/reverse protocol
-under merging, and the executed SPMD message counts.  The heavyweight
-end-to-end sweep lives in ``python -m repro check-exchange``.
+the schedule/switch envelope accounting, exchange bit-identity on
+weighted cuts on both backends, the AA forward/reverse protocol, and
+the executed SPMD message counts.  The engine itself (route table,
+call sequence, configuration matrix) is in ``test_exchange_engine.py``;
+the end-to-end sweep lives in ``python -m repro check-exchange``.
 """
 
 import numpy as np
@@ -15,8 +16,8 @@ from repro.core import ClusterConfig, CPUClusterLBM
 from repro.core.decomposition import BlockDecomposition, uniform_cuts
 from repro.core.halo import HaloPlan, PACK_MODES
 from repro.core.schedule import CommSchedule
-from repro.core.wire import (AdaptiveCompressionController, pack_halo,
-                             unpack_halo)
+from repro.core.wire import (AdaptiveCompressionController,
+                             _expected_wire_counts, pack_halo, unpack_halo)
 from repro.lbm.solver import LBMSolver
 from repro.net.switch import GigabitSwitch
 from repro.perf.counters import KernelCounters
@@ -89,12 +90,6 @@ class TestNeighborManifest:
         with pytest.raises(ValueError, match="sides"):
             self.plan.neighbor_manifest(0, (2,), "pull")
 
-    def test_wire_message_count(self):
-        assert self.plan.wire_message_count("merged", 4) == 1
-        assert self.plan.wire_message_count("perface", 4) == 5
-        with pytest.raises(ValueError, match="wire"):
-            self.plan.wire_message_count("bulk")
-
 
 class TestPackUnpack:
     def _fg(self, rng):
@@ -156,33 +151,30 @@ class TestPackUnpack:
 
 
 class TestMergedBitIdentity:
-    """The merged wire must reproduce the single-domain bits on every
+    """The exchange must reproduce the single-domain bits on every
     backend — including non-uniform (weighted) cuts and the AA
     forward/reverse protocol."""
 
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
     def test_weighted_cuts(self, rng, backend):
         solid = np.zeros(SHAPE, bool)
         solid[:SHAPE[0] // 3] = True      # x-low third all obstacle
         ref_f, f0 = _reference(SHAPE, 0.8, rng, solid=solid)
         cfg = ClusterConfig(sub_shape=SUB, arrangement=ARRANGEMENT, tau=0.8,
                             solid=solid, decomposition="weighted",
-                            backend=backend, autotune="heuristic",
-                            max_workers=4 if backend == "threads" else 1)
+                            backend=backend, autotune="heuristic")
         with CPUClusterLBM(cfg) as cluster:
-            assert cluster.config.wire == "merged"
             assert (cluster.decomp.cuts[0]
                     != uniform_cuts(SHAPE[0], ARRANGEMENT[0]))
             cluster.load_global_distributions(f0)
             cluster.step(4)
             assert np.array_equal(cluster.gather_distributions(), ref_f)
 
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
     def test_aa_forward_reverse(self, rng, backend):
         ref_f, f0 = _reference(SHAPE, 0.7, rng)
         cfg = ClusterConfig(sub_shape=SUB, arrangement=ARRANGEMENT, tau=0.7,
-                            kernel="aa", backend=backend,
-                            max_workers=4 if backend == "threads" else 1)
+                            kernel="aa", backend=backend)
         with CPUClusterLBM(cfg) as cluster:
             cluster.load_global_distributions(f0)
             cluster.step(4)
@@ -200,15 +192,14 @@ class TestMergedBitIdentity:
             assert saved.value > 0        # the codec really engaged
 
     def test_wire_validation(self):
-        with pytest.raises(ValueError, match="wire"):
-            ClusterConfig(sub_shape=SUB, arrangement=ARRANGEMENT, tau=0.7,
-                          wire="bulk")
+        """There is one wire: the option that selected it is gone."""
+        for wire in ("merged", "perface"):
+            with pytest.raises(TypeError, match="wire"):
+                ClusterConfig(sub_shape=SUB, arrangement=ARRANGEMENT,
+                              tau=0.7, wire=wire)
         with pytest.raises(ValueError, match="compression"):
             ClusterConfig(sub_shape=SUB, arrangement=ARRANGEMENT, tau=0.7,
                           compression="sometimes")
-        with pytest.raises(ValueError, match="merged"):
-            ClusterConfig(sub_shape=SUB, arrangement=ARRANGEMENT, tau=0.7,
-                          wire="perface", compression="always")
 
 
 class TestAdaptiveController:
@@ -291,24 +282,26 @@ class TestAdaptiveController:
 
 
 class TestScheduleEnvelopes:
-    def _schedule(self, wire):
+    def _schedule(self):
         decomp = BlockDecomposition(SHAPE, ARRANGEMENT,
                                     periodic=(True, True, True))
-        return CommSchedule(decomp, HaloPlan(SUB), wire=wire)
+        return CommSchedule(decomp, HaloPlan(SUB))
 
     def test_merged_is_one_envelope_per_pair(self):
-        sched = self._schedule("merged")
+        sched = self._schedule()
         assert all(m == 1 for rnd in sched.round_messages() for m in rnd)
 
-    def test_perface_counts_piggybacked_edges(self):
-        sched = self._schedule("perface")
+    def test_unaggregated_counts_piggybacked_edges(self):
+        sched = self._schedule()
         # 2D arrangement: each face message forwards 2 edge lines.
-        assert all(m == 3 for rnd in sched.round_messages() for m in rnd)
+        assert all(m == 3 for rnd in sched.round_messages(aggregated=False)
+                   for m in rnd)
 
     def test_round_messages_parallel_to_round_bytes(self):
-        sched = self._schedule("merged")
-        assert [len(r) for r in sched.round_messages()] \
-            == [len(r) for r in sched.round_bytes()]
+        sched = self._schedule()
+        for aggregated in (True, False):
+            assert [len(r) for r in sched.round_messages(aggregated)] \
+                == [len(r) for r in sched.round_bytes()]
 
     def test_switch_single_message_expression_unchanged(self):
         sw = GigabitSwitch()
@@ -316,25 +309,27 @@ class TestScheduleEnvelopes:
         assert sw.message_time(4096, messages=3) > sw.message_time(4096)
 
     def test_merged_phase_is_cheaper(self):
+        """Sec 4.4's what-if: the same bytes, unaggregated, cost more."""
         sw = GigabitSwitch()
-        merged = self._schedule("merged")
-        perface = self._schedule("perface")
-        assert merged.round_bytes() == perface.round_bytes()  # same volume
-        t_merged = sw.phase_time(merged.round_bytes(), 4,
-                                 round_messages=merged.round_messages())
-        t_perface = sw.phase_time(perface.round_bytes(), 4,
-                                  round_messages=perface.round_messages())
-        assert t_merged < t_perface
+        sched = self._schedule()
+        t_merged = sw.phase_time(sched.round_bytes(), 4,
+                                 round_messages=sched.round_messages())
+        t_unaggregated = sw.phase_time(
+            sched.round_bytes(), 4,
+            round_messages=sched.round_messages(aggregated=False))
+        assert t_merged < t_unaggregated
 
     def test_invalid_wire_rejected(self):
+        """The envelope model is a query, not a constructor option."""
         decomp = BlockDecomposition(SHAPE, ARRANGEMENT,
                                     periodic=(True, True, True))
-        with pytest.raises(ValueError, match="wire"):
-            CommSchedule(decomp, HaloPlan(SUB), wire="bulk")
+        for wire in ("merged", "perface"):
+            with pytest.raises(TypeError, match="wire"):
+                CommSchedule(decomp, HaloPlan(SUB), wire=wire)
 
 
 class TestSPMDWire:
-    def _run(self, rng, wire, compression="off", steps=2):
+    def _run(self, rng, compression="off", steps=2):
         from repro.core.spmd import SPMDClusterLBM
         from repro.net.simmpi import SimCluster
         from repro.perf.trace import Tracer
@@ -343,7 +338,7 @@ class TestSPMDWire:
                                     periodic=(True, True, True))
         ref_f, f0 = _reference(SHAPE, 0.7, rng, steps=steps)
         tracer = Tracer(enabled=True)
-        spmd = SPMDClusterLBM(decomp, tau=0.7, f0=f0, wire=wire,
+        spmd = SPMDClusterLBM(decomp, tau=0.7, f0=f0,
                               compression=compression)
         got, _ = spmd.run(steps, cluster=SimCluster(decomp.n_nodes,
                                                     tracer=tracer))
@@ -351,7 +346,7 @@ class TestSPMDWire:
         return [e for e in tracer.events if e.name == "mpi.msg"], spmd
 
     def test_merged_sends_one_message_per_neighbor(self, rng):
-        msgs, _ = self._run(rng, "merged")
+        msgs, _ = self._run(rng)
         # (2,2,1) periodic: 4 ranks x 2 active axes x 1 both-sides
         # message = 8 per step.
         assert len(msgs) == 8 * 2
@@ -361,14 +356,21 @@ class TestSPMDWire:
             per_channel[ch] = per_channel.get(ch, 0) + 1
         assert all(n == 2 for n in per_channel.values())
 
-    def test_merged_halves_perface_envelopes(self, rng):
-        merged, _ = self._run(rng, "merged")
-        perface, _ = self._run(rng, "perface")
-        assert len(merged) < len(perface)
-        assert len(perface) == 16 * 2
+    def test_merged_undercuts_unaggregated_envelopes(self, rng):
+        """Executed messages equal the route table's count and the
+        schedule's aggregated envelopes (one per pair and direction),
+        and undercut the modelled unaggregated count."""
+        steps = 2
+        msgs, spmd = self._run(rng, steps=steps)
+        sched = CommSchedule(spmd.decomp, HaloPlan(SUB))
+        envelopes = {agg: 2 * sum(sum(r) for r in sched.round_messages(agg))
+                     for agg in (True, False)}
+        assert len(msgs) == _expected_wire_counts(spmd.decomp) * steps
+        assert len(msgs) == envelopes[True] * steps
+        assert envelopes[True] < envelopes[False]
 
     def test_compressed_messages_carry_raw_bytes(self, rng):
-        msgs, spmd = self._run(rng, "merged", compression="always")
+        msgs, spmd = self._run(rng, compression="always")
         compressed = [e for e in msgs if "raw_bytes" in e.meta]
         assert compressed
         for e in compressed:
@@ -380,8 +382,7 @@ class TestSPMDWire:
         from repro.core.spmd import SPMDClusterLBM
         decomp = BlockDecomposition(SHAPE, ARRANGEMENT,
                                     periodic=(True, True, True))
-        with pytest.raises(ValueError, match="wire"):
-            SPMDClusterLBM(decomp, tau=0.7, wire="bulk")
-        with pytest.raises(ValueError, match="merged"):
-            SPMDClusterLBM(decomp, tau=0.7, wire="perface",
-                           compression="always")
+        with pytest.raises(TypeError, match="wire"):
+            SPMDClusterLBM(decomp, tau=0.7, wire="merged")
+        with pytest.raises(ValueError, match="compression"):
+            SPMDClusterLBM(decomp, tau=0.7, compression="sometimes")

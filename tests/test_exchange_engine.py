@@ -1,0 +1,330 @@
+"""The halo-exchange engine (:mod:`repro.core.exchange`).
+
+* the route table, case by case;
+* one rank's SimMPI call sequence, pinned with a recording fake comm
+  (per-rank simulated clocks cannot pin it on more than two ranks: the
+  switch serialises contending senders in host-thread arrival order);
+* one configuration matrix — arrangement x periodicity x cuts x kernel
+  x backend x compression x step count — bit-identical to the
+  single-domain solver, with ``comm.msgs`` equal to the route table's
+  count.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from repro.core import BlockDecomposition, ClusterConfig, CPUClusterLBM
+from repro.core.exchange import (AxisRoute, HaloExchange, LocalTransport,
+                                 SolverPort, build_routes, mirrored)
+from repro.core.spmd import SPMDClusterLBM
+from repro.core.wire import _expected_wire_counts
+from repro.lbm.solver import LBMSolver
+from repro.net.simmpi import SimCluster
+from repro.perf.trace import Tracer
+
+
+def _routes(arrangement, periodic, rank=0):
+    shape = tuple(4 * a for a in arrangement)
+    decomp = BlockDecomposition(shape, arrangement, periodic=periodic)
+    return build_routes(decomp.neighbors(rank), decomp.periodic)
+
+
+class TestRouteTable:
+    def test_periodic_extent_one_is_one_both_sides_self_wrap(self):
+        route = _routes((1, 1, 1), (True,) * 3)[0]
+        assert route == AxisRoute(sends=(), wraps=(-1, 1), zeros=())
+
+    def test_periodic_extent_two_is_one_both_sides_message(self):
+        route = _routes((2, 1, 1), (True,) * 3)[0]
+        assert route == AxisRoute(sends=((1, (-1, 1)),), wraps=(), zeros=())
+
+    def test_periodic_extent_three_is_two_messages(self):
+        route = _routes((3, 1, 1), (True,) * 3)[0]
+        # direction order: low neighbour (the wrap image) first
+        assert route == AxisRoute(sends=((2, (-1,)), (1, (1,))),
+                                  wraps=(), zeros=())
+
+    def test_bounded_edges_are_zeros(self):
+        lo, mid, hi = (_routes((3, 1, 1), (False,) * 3, rank=r)[0]
+                       for r in range(3))
+        assert lo == AxisRoute(sends=((1, (1,)),), wraps=(), zeros=(-1,))
+        assert mid == AxisRoute(sends=((0, (-1,)), (2, (1,))), wraps=(),
+                                zeros=())
+        assert hi == AxisRoute(sends=((1, (-1,)),), wraps=(), zeros=(1,))
+        assert _routes((1, 1, 1), (False,) * 3)[0] == AxisRoute(
+            sends=(), wraps=(), zeros=(-1, 1))
+
+    def test_mixed_periodicity_is_per_axis(self):
+        x, y, z = _routes((2, 2, 1), (True, False, True), rank=0)
+        assert x == AxisRoute(sends=((1, (-1, 1)),), wraps=(), zeros=())
+        assert y == AxisRoute(sends=((2, (1,)),), wraps=(), zeros=(-1,))
+        assert z == AxisRoute(sends=(), wraps=(-1, 1), zeros=())
+
+    def test_every_send_has_a_mirrored_send_at_the_peer(self):
+        arrangement, periodic = (3, 2, 2), (True, False, True)
+        decomp = BlockDecomposition((6, 4, 4), arrangement, periodic=periodic)
+        tables = [build_routes(decomp.neighbors(r), periodic)
+                  for r in range(decomp.n_nodes)]
+        for rank, routes in enumerate(tables):
+            for axis, route in enumerate(routes):
+                for peer, sides in route.sends:
+                    assert (rank, mirrored(sides)) in tables[peer][axis].sends
+        assert _expected_wire_counts(decomp) == sum(
+            len(route.sends) for routes in tables for route in routes)
+
+    def test_engine_against_a_fake_port(self):
+        """The engine needs nothing from a rank but the port methods,
+        looked up at every call."""
+        calls = []
+
+        class Port:
+            sub_shape = (2, 2, 2)
+            aa_odd = True
+
+            def __getattr__(self, name):
+                def method(*args):
+                    calls.append(name)
+                    return args[-1]
+                return method
+
+        ex = HaloExchange(0, Port(), {k: None for k in
+                                      [(a, d) for a in range(3)
+                                       for d in (-1, 1)]},
+                          (True, False, False), LocalTransport(0, {}),
+                          aa=True)
+        assert ex.mode == "aa_reverse"
+        assert [ex.post(axis, ex.mode) for axis in range(3)] == [0, 0, 0]
+        for axis in range(3):
+            ex.complete(axis, ex.mode)
+        assert calls == (["read_packed", "write_packed"]
+                         + ["fold_border_zero_gradient"] * 4)
+
+
+# -- the SimMPI binding's call sequence --------------------------------
+class RecordingComm:
+    """Stands in for one rank's ``SimComm``: logs every call and
+    answers a receive with zeros of the size this rank sent the same
+    peer on the same axis (blocks are uniform, so the sizes match)."""
+
+    def __init__(self, rank: int, log: list) -> None:
+        self.rank = rank
+        self.clock_s = 0.0
+        self.log = log
+        self._floats: dict[tuple, int] = {}
+
+    def compute(self, seconds):
+        self.log.append(("compute",))
+
+    def Isend(self, array, dest, tag=0, meta=None):
+        self.log.append(("Isend", dest, tag, array.dtype.name,
+                         array.nbytes if meta is None else meta["raw_bytes"]))
+        self._floats[(dest, tag // 10)] = (
+            array.nbytes if meta is None else meta["raw_bytes"]) // 4
+
+    def _payload(self, source, tag):
+        return np.zeros(self._floats[(source, tag // 10)], np.float32)
+
+    def Recv(self, source, tag=0):
+        self.log.append(("Recv", source, tag))
+        return self._payload(source, tag)
+
+    def Irecv(self, source, tag=0):
+        self.log.append(("Irecv", source, tag))
+        comm = self
+
+        class Req:
+            def wait(self):
+                comm.log.append(("wait", source, tag))
+                return comm._payload(source, tag)
+        return Req()
+
+
+class TestSimMPISequence:
+    SUB, ARRANGEMENT = (4, 3, 2), (3, 2, 1)
+
+    def _run_rank(self, monkeypatch, rank, compression="off", steps=2):
+        shape = tuple(s * a for s, a in zip(self.SUB, self.ARRANGEMENT))
+        decomp = BlockDecomposition(shape, self.ARRANGEMENT,
+                                    periodic=(True, True, True))
+        log: list = []
+        for phase in ("collide_boundary", "collide_inner", "stream"):
+            inner = getattr(LBMSolver, phase)
+
+            def logged(solver, _inner=inner, _phase=phase):
+                log.append((_phase,))
+                return _inner(solver)
+            monkeypatch.setattr(LBMSolver, phase, logged)
+        spmd = SPMDClusterLBM(decomp, tau=0.7, compression=compression)
+        spmd._rank_main(RecordingComm(rank, log), steps, 1e8)
+        return log
+
+    def test_rank_zero_call_sequence(self, monkeypatch):
+        nx, ny, nz = self.SUB
+        x_bytes = 5 * (ny + 2) * (nz + 2) * 4         # one side
+        y_bytes = 2 * 5 * (nx + 2) * (nz + 2) * 4     # both sides
+        # Rank 0 = coords (0, 0, 0): x-low wraps to rank 2, x-high is
+        # rank 1; both y neighbours are rank 3; z self-wraps locally.
+        step = [
+            ("collide_boundary",),
+            ("Isend", 2, 100, "float32", x_bytes), ("Irecv", 2, 101),
+            ("Isend", 1, 101, "float32", x_bytes), ("Irecv", 1, 100),
+            ("collide_inner",),
+            ("wait", 2, 101), ("wait", 1, 100),
+            ("Isend", 3, 112, "float32", y_bytes), ("Recv", 3, 112),
+            ("stream",),
+        ]
+        assert self._run_rank(monkeypatch, rank=0) == step * 2
+
+    def test_compressed_sends_charge_codec_cpu_first(self, monkeypatch):
+        log = self._run_rank(monkeypatch, rank=4, compression="always",
+                             steps=1)
+        sends = [i for i, call in enumerate(log) if call[0] == "Isend"]
+        assert len(sends) == 3
+        for i in sends:
+            assert log[i - 1] == ("compute",)
+            assert log[i][3] == "uint8"
+        # the fake answers raw float32, so no receive charges INFLATE
+        assert sum(call == ("compute",) for call in log) == 3
+
+    def test_channels_on_a_real_cluster(self, rng):
+        """Every (src, dst, tag) channel of a contended 12-rank run
+        carries exactly one message per step, of the manifest's size."""
+        sub, arrangement, steps = (3, 3, 2), (3, 2, 2), 2
+        shape = tuple(s * a for s, a in zip(sub, arrangement))
+        decomp = BlockDecomposition(shape, arrangement,
+                                    periodic=(True, True, True))
+        ref = LBMSolver(shape, tau=0.7)
+        ref.initialize(rho=np.ones(shape, np.float32), u=(
+            0.02 * rng.standard_normal((3,) + shape)).astype(np.float32))
+        tracer = Tracer(enabled=True)
+        spmd = SPMDClusterLBM(decomp, tau=0.7, f0=ref.f.copy())
+        got, _ = spmd.run(steps, SimCluster(decomp.n_nodes, tracer=tracer))
+        ref.step(steps)
+        assert np.array_equal(got, ref.f)
+        channels: dict = {}
+        for e in tracer.events:
+            if e.name == "mpi.msg":
+                key = (e.meta["src"], e.meta["dst"], e.meta["tag"])
+                channels.setdefault(key, []).append(e.meta["bytes"])
+        face = {axis: 5 * 4 * int(np.prod([s + 2 for a, s in enumerate(sub)
+                                           if a != axis]))
+                for axis in range(3)}
+        want = {}
+        for rank in range(decomp.n_nodes):
+            routes = build_routes(decomp.neighbors(rank), decomp.periodic)
+            for axis, route in enumerate(routes):
+                for peer, sides in route.sends:
+                    tag = (100 + 10 * axis
+                           + (2 if len(sides) == 2 else (sides[0] + 1) // 2))
+                    want[(rank, peer, tag)] = [len(sides) * face[axis]] * steps
+        assert channels == want
+        assert len(want) == _expected_wire_counts(decomp) == 12 * 4
+
+
+# -- the configuration matrix ------------------------------------------
+#: Per-axis block extents for an arrangement extent, all summing to
+#: 3 x extent (``sub_shape`` 3): the uniform one first.
+CUTS = {1: [(3,)], 2: [(3, 3), (2, 4), (4, 2)],
+        3: [(3, 3, 3), (2, 3, 4), (4, 3, 2), (2, 5, 2), (4, 2, 3)]}
+
+
+def _fill_ghosts(fg, periodic):
+    """Single-domain ghost closure with per-axis periodicity: wrap or
+    zero-gradient, axis by axis over the full padded extent (what
+    ``fill_ghosts_periodic`` / ``fill_ghosts_zero_gradient`` do when
+    all axes agree)."""
+    for ax, wrap in enumerate(periodic, start=1):
+        n = fg.shape[ax]
+        for ghost, source in ((0, n - 2 if wrap else 1),
+                              (n - 1, 1 if wrap else n - 2)):
+            dst = [slice(None)] * fg.ndim
+            src = [slice(None)] * fg.ndim
+            dst[ax], src[ax] = ghost, source
+            fg[tuple(dst)] = fg[tuple(src)]
+
+
+def _reference(shape, periodic, seed, steps):
+    """(f0, f after ``steps``) of the single-domain phase-split solver."""
+    rng = np.random.default_rng(seed)
+    ref = LBMSolver(shape, tau=0.7, periodic=False, kernel="split")
+    ref.initialize(rho=np.ones(shape, np.float32), u=(
+        0.02 * rng.standard_normal((3,) + shape)).astype(np.float32))
+    f0 = ref.f.copy()
+    for _ in range(steps):
+        ref.collide()
+        _fill_ghosts(ref.fg, periodic)
+        ref.stream()
+        ref.post_stream()
+        ref.time_step += 1
+    return f0, ref.f.copy()
+
+
+@pytest.mark.parametrize("periodic", [True, False])
+def test_matrix_reference_is_the_single_domain_solver(periodic):
+    shape = (5, 4, 3)
+    f0, want = _reference(shape, (periodic,) * 3, seed=3, steps=3)
+    ref = LBMSolver(shape, tau=0.7, periodic=periodic)
+    ref.f[...] = f0
+    ref.step(3)
+    assert np.array_equal(ref.f, want)
+
+
+@given(arrangement=st.tuples(*[st.integers(1, 3)] * 3),
+       periodic=st.tuples(*[st.booleans()] * 3),
+       cut_picks=st.tuples(*[st.integers(0, 4)] * 3),
+       kernel=st.sampled_from(["split", "aa"]),
+       backend=st.sampled_from(["serial", "processes"]),
+       compression=st.sampled_from(["off", "always"]),
+       steps=st.integers(1, 5), seed=st.integers(0, 10 ** 6))
+@settings(max_examples=40, deadline=None)
+def test_matrix_bit_identical_with_route_table_message_count(
+        arrangement, periodic, cut_picks, kernel, backend, compression,
+        steps, seed):
+    # Worker processes are real: keep them few.
+    assume(backend == "serial" or int(np.prod(arrangement)) <= 4)
+    cuts = tuple(CUTS[a][pick % len(CUTS[a])]
+                 for a, pick in zip(arrangement, cut_picks))
+    shape = tuple(3 * a for a in arrangement)
+    f0, want = _reference(shape, periodic, seed, steps)
+    cfg = ClusterConfig(sub_shape=(3, 3, 3), arrangement=arrangement,
+                        tau=0.7, periodic=periodic, cuts=cuts, kernel=kernel,
+                        backend=backend, compression=compression)
+    with CPUClusterLBM(cfg) as cluster:
+        cluster.load_global_distributions(f0)
+        cluster.step(steps)
+        got = cluster.gather_distributions().copy()
+        msgs = cluster.counters.stats["comm.msgs"]
+        per_exchange = _expected_wire_counts(cluster.decomp)
+    assert np.array_equal(got, want)
+    assert msgs.value == per_exchange * steps
+    if backend == "serial":
+        assert msgs.calls == steps        # one record per exchange
+
+
+def test_solver_port_binds_a_bare_solver(rng):
+    """Two bare solvers exchanged through the engine equal one periodic
+    solver of the joined domain (what SPMD ranks and thermal do)."""
+    sub, arrangement = (4, 3, 3), (2, 1, 1)
+    decomp = BlockDecomposition((8, 3, 3), arrangement)
+    ref = LBMSolver((8, 3, 3), tau=0.8, kernel="split")
+    ref.initialize(rho=np.ones((8, 3, 3), np.float32), u=(
+        0.02 * rng.standard_normal((3, 8, 3, 3))).astype(np.float32))
+    parts = decomp.scatter_field(ref.f)
+    solvers = [LBMSolver(sub, tau=0.8, periodic=False, kernel="split")
+               for _ in parts]
+    from repro.core.exchange import exchange_all, local_engines
+    engines = local_engines(decomp, [SolverPort(s) for s in solvers])
+    for solver, part in zip(solvers, parts):
+        solver.f[...] = part
+    for _ in range(3):
+        for solver in solvers:
+            solver.collide()
+        exchange_all(engines)
+        for solver in solvers:
+            solver.stream()
+            solver.post_stream()
+            solver.time_step += 1
+    ref.step(3)
+    assert np.array_equal(
+        decomp.gather_field([s.f.copy() for s in solvers]), ref.f)

@@ -57,13 +57,6 @@ class TestOverlappedEqualsSequential:
         f_ovl, _ = _run(cls, f0, steps=5, overlap=True)
         assert np.array_equal(f_ovl, ref.f)
 
-    def test_overlap_matches_reference_with_threads(self, rng, cls):
-        ref = _initial_state(rng)
-        f0 = ref.f.copy()
-        ref.step(4)
-        f_ovl, _ = _run(cls, f0, overlap=True, max_workers=4)
-        assert np.array_equal(f_ovl, ref.f)
-
     def test_measured_window_reported(self, rng, cls):
         f0 = _initial_state(rng).f.copy()
         _, timing = _run(cls, f0, overlap=True)
@@ -157,12 +150,9 @@ class TestContextManager:
     @pytest.mark.parametrize("cls", [CPUClusterLBM, GPUClusterLBM])
     def test_with_block_releases_pools(self, rng, cls):
         f0 = _initial_state(rng).f.copy()
-        cfg = ClusterConfig(sub_shape=SUB, arrangement=ARR, tau=0.7,
-                            backend="threads", max_workers=3)
+        cfg = ClusterConfig(sub_shape=SUB, arrangement=ARR, tau=0.7)
         with cls(cfg) as cluster:
             cluster.load_global_distributions(f0)
             cluster.step(2)
             assert cluster._comm_executor is not None
-            assert cluster._executor is not None
         assert cluster._comm_executor is None
-        assert cluster._executor is None

@@ -239,26 +239,24 @@ class TestChromeExport:
 
 
 class TestClusterTracing:
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
     def test_all_backends_emit_per_rank_spans(self, backend):
-        kw = {"max_workers": 2} if backend == "threads" else {}
-        tracer, _ = _traced_run(backend, **kw)
+        tracer, _ = _traced_run(backend)
         ranks = {e.rank for e in tracer.events if e.rank >= 0}
         assert ranks == {0, 1}
         assert {e.rank for e in tracer.events} >= {COORDINATOR_RANK}
         assert validate_chrome(tracer.to_chrome()) == len(tracer.events)
 
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
     def test_tracing_bit_identical(self, backend):
         f0 = _seed_field()
-        kw = {"max_workers": 2} if backend == "threads" else {}
         cfg = ClusterConfig(sub_shape=SUB, arrangement=ARR, tau=0.7,
-                            backend=backend, **kw)
+                            backend=backend)
         with CPUClusterLBM(cfg) as cluster:
             cluster.load_global_distributions(f0)
             cluster.step(2)
             plain = cluster.gather_distributions().copy()
-        _, traced = _traced_run(backend, f0=f0, **kw)
+        _, traced = _traced_run(backend, f0=f0)
         assert np.array_equal(plain, traced)
 
     def test_processes_spans_are_rebased(self):
