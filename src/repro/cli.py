@@ -261,8 +261,9 @@ def _cmd_check_aa(args) -> int:
     reconstruction), runs on one distribution array (no back buffer) —
     on a fully periodic box AND a bounded inlet/outflow box — and the
     cluster drivers' forward/reverse halo protocol reproduces the
-    reference bits on the serial and processes backends; a final
-    default-config bounded case on process ranks must *resolve* AA."""
+    reference bits on the serial and processes backends; under the
+    default configuration the single-domain dispersion solver and a
+    bounded case on process ranks must both *resolve* AA."""
     from repro.lbm.aa import run_aa_equivalence_check
 
     report = run_aa_equivalence_check(steps=args.steps)
@@ -278,6 +279,9 @@ def _cmd_check_aa(args) -> int:
                       f"kernel {row['kernel']:<9} "
                       f"layout {row.get('layout', 'soa'):<4} "
                       f"solid {row['solid_fraction']:.1%}")
+    default = report["default"]
+    print(f"  case default (make_single_solver(), no kernel named, "
+          f"{default['shape']}): aa — {default['reason']}")
     if "auto" in report:
         print(f"  case auto (default config, bounded "
               f"{report['auto']['shape']}, backend processes): "

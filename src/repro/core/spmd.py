@@ -122,6 +122,8 @@ class SPMDClusterLBM:
         rank = comm.rank
         solver = LBMSolver(decomp.sub_shape, self.tau,
                            solid=self.solids[rank], periodic=False)
+        # This program steps the solver phase by phase.
+        solver.phase_driven = True
         if self.f0_parts is not None:
             solver.f[...] = self.f0_parts[rank].astype(solver.dtype)
         codec = None

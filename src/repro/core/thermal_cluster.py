@@ -59,6 +59,9 @@ class DistributedThermalLBM:
                              energy_coupling=energy_coupling,
                              solid=solids[r])
             for r in range(decomp.n_nodes)]
+        for m in self.models:
+            # ``step`` below drives the flow solvers phase by phase.
+            m.flow.phase_driven = True
         self._halo = local_engines(
             decomp, [SolverPort(m.flow) for m in self.models])
         self.kappa = float(kappa)

@@ -455,21 +455,23 @@ class AAStepKernel:
 
         Valid at odd parity (after an even phase whose ghosts have been
         filled/exchanged): performs the pending gather plus the
-        bounce-back swap into a fresh array, bit-identical to what the
-        reference solver holds after the same number of steps.  The
-        result is returned read-only — the live state is the rotated
-        array, so writes here would be silently lost.
+        bounce-back swap into a fresh padded array in the solver's
+        layout (so the swap runs through the solver's own solid index
+        list) and returns its interior, bit-identical to what the
+        reference solver holds after the same number of steps.  A full
+        pass over the distributions per call.  The result is returned
+        read-only — the live state is the rotated array, so writes
+        here would be silently lost.
         """
         s = self.solver
         lat = self.lattice
         fg = s.fg
-        out = np.empty((lat.Q,) + s.shape, dtype=s.dtype)
+        padded = s._alloc_fg(s.layout)
+        out = padded[(slice(None),) + self._interior]
         for i in range(lat.Q):
             out[i] = fg[(int(lat.opp[i]),)
                         + self._shift(self._interior, -lat.c[i])]
-        if s.solid.any():
-            reversed_ = out[lat.opp][:, s.solid]
-            out[:, s.solid] = reversed_
+        s._bounce.apply(padded)
         out.setflags(write=False)
         return out
 
@@ -494,11 +496,13 @@ def run_aa_equivalence_check(shape=(24, 20, 4), steps: int = 4,
     allocated).  Cluster: a uniform-AA 2x2x1 decomposition must
     reproduce the single-domain reference bit for bit on every
     requested backend, at both an odd (reconstructed gather) and even
-    step count.  With the processes backend requested, a final
-    *auto-resolved* case (:func:`_auto_resolved_check`) runs the
-    bounded problem under the default configuration.  Raises
-    ``AssertionError`` on any violation; returns ``{"occupancy",
-    "cases": {case: {"backends": {backend: rows}}}, "auto": {...}}``.
+    step count.  Two cases then run under the *default* configuration,
+    no kernel named: the single-domain dispersion solver
+    (:func:`_default_resolved_check`) and, with the processes backend
+    requested, the bounded problem on process ranks
+    (:func:`_auto_resolved_check`).  Raises ``AssertionError`` on any
+    violation; returns ``{"occupancy", "cases": {case: {"backends":
+    {backend: rows}}}, "default": {...}, "auto": {...}}``.
     """
     from repro.lbm.boundaries import EquilibriumVelocityInlet, OutflowBoundary
     from repro.lbm.lattice import D3Q19
@@ -594,9 +598,37 @@ def run_aa_equivalence_check(shape=(24, 20, 4), steps: int = 4,
                 row["case"] = case
             case_report["backends"][backend] = rows
         report["cases"][case] = case_report
+    report["default"] = _default_resolved_check(steps)
     if "processes" in backends:
         report["auto"] = _auto_resolved_check(steps, seed)
     return report
+
+
+def _default_resolved_check(steps: int, shape=(48, 40, 16)) -> dict:
+    """``make_single_solver()`` with no kernel named resolves AA.
+
+    The solver every workload is verified against: stepped through
+    ``step()`` it must pick the in-place kernel by rule, keep one
+    distribution array, and match the phase-split reference bit for
+    bit after *every* step, odd parities included.
+    """
+    from repro.urban.dispersion import DispersionScenario
+
+    scenario = DispersionScenario(shape, resolution_m=24.0, tau=0.7)
+    default = scenario.make_single_solver()
+    ref = scenario.make_single_solver(kernel="split")
+    for t in range(1, steps + 2):
+        default.step(1)
+        ref.step(1)
+        assert default.kernel_used == "aa", (
+            f"default: single-domain solver ran {default.kernel_used!r} "
+            f"({default.kernel_reason})")
+        assert np.array_equal(default.f, ref.f), (
+            f"default: distributions diverged at step {t}")
+    assert default._fg_next_buf is None, (
+        "default: the default solver allocated a second buffer")
+    return {"shape": tuple(shape), "reason": default.kernel_reason,
+            "occupancy": default.solid_fraction}
 
 
 def _auto_resolved_check(steps: int, seed: int,

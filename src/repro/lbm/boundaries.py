@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.lbm.equilibrium import equilibrium_site
 from repro.lbm.lattice import Lattice
-from repro.lbm.streaming import interior
+from repro.lbm.streaming import padded_flat_index, physical_cells
 
 
 def box_walls(shape: tuple[int, ...], axes) -> np.ndarray:
@@ -60,18 +60,52 @@ class BounceBackNodes(Boundary):
     no-slip wall lies midway between the solid node and its fluid
     neighbour, preserving the second-order accuracy of the scheme for
     plane walls.
+
+    The solids are visited as an index list (Tomczak & Szafran,
+    arXiv:1611.02445): the swap gathers and scatters only the solid
+    cells through a cached flat index into the *physical* array, so a
+    step moves ``2 Q N_solid`` values and allocates nothing (a mask
+    expression such as ``view[opp][:, solid]`` copies the whole array
+    to reach them).  ``solid`` is read once, on the first
+    :meth:`apply`.
     """
 
     def __init__(self, lattice: Lattice, solid: np.ndarray) -> None:
         self.lattice = lattice
         self.solid = np.asarray(solid, dtype=bool)
+        self._idx: np.ndarray | None = None
+        #: Two gathered copies of the solid cells in the array's own
+        #: orientation: rows of ``N_solid`` for one opposite pair
+        #: (SoA), or whole ``(N_solid, Q)`` blocks (AoS).
+        self._scratch: np.ndarray | None = None
 
     def apply(self, fg: np.ndarray) -> None:
-        D = self.lattice.D
-        inner = (slice(None),) + interior(D)
-        view = fg[inner]
-        reversed_ = view[self.lattice.opp][:, self.solid]
-        view[:, self.solid] = reversed_
+        idx = self._idx
+        if idx is None:
+            idx = self._idx = padded_flat_index(self.solid)
+        if idx.size == 0:
+            return
+        cells, axis = physical_cells(fg)
+        shape = (2, idx.size) if axis else (2, idx.size, self.lattice.Q)
+        ws = self._scratch
+        if ws is None or ws.shape != shape or ws.dtype != fg.dtype:
+            ws = self._scratch = np.empty(shape, dtype=fg.dtype)
+        a, b = ws
+        # The index is in range by construction; the default
+        # ``mode="raise"`` would stage ``out`` through a temporary.
+        if axis:
+            for i, o in enumerate(self.lattice.opp):
+                if i >= o:
+                    continue        # rest link, or pair already swapped
+                fi, fo = cells[i], cells[o]
+                np.take(fi, idx, out=a, mode="clip")
+                np.take(fo, idx, out=b, mode="clip")
+                fi[idx] = b
+                fo[idx] = a
+        else:
+            np.take(cells, idx, axis=0, out=a, mode="clip")
+            np.take(a, self.lattice.opp, axis=1, out=b, mode="clip")
+            cells[idx] = b
 
 
 class EquilibriumVelocityInlet(Boundary):

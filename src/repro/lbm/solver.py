@@ -26,8 +26,8 @@ from repro.lbm.macroscopic import macroscopic
 from repro.lbm.mrt import MRTCollision
 from repro.lbm.streaming import (fill_ghosts_periodic,
                                  fill_ghosts_zero_gradient, interior,
-                                 pull_slice_table, shell_index,
-                                 shell_partition, stream_pull)
+                                 physical_cells, pull_slice_table,
+                                 shell_index, shell_partition, stream_pull)
 from repro.perf.counters import KernelCounters
 from repro.perf.telemetry import NULL_REGISTRY
 from repro.perf.trace import NULL_TRACER
@@ -63,24 +63,36 @@ class LBMSolver:
         ``numpy.float32`` by default, matching the GPU's single
         precision.
     fused:
-        If True (default) ``step`` runs the single-pass fused
-        collide–stream kernel (:class:`~repro.lbm.fused.FusedStepKernel`)
-        whenever the configuration is eligible (BGK collision, no
-        ``pre_stream`` boundary snapshots); ineligible configurations
-        and ``fused=False`` take the phase-split path.  Both paths are
-        bit-identical.
+        ``fused=False`` makes ``kernel="auto"`` run the phase-split
+        path (and keeps a forced ``kernel="fused"`` from fusing); True
+        (default) leaves the choice to ``kernel``.
     kernel:
-        Hot-path selection: ``"auto"`` (default) picks the sparse
-        fluid-compacted kernel (:class:`~repro.lbm.sparse.SparseStepKernel`)
-        when the solid fraction reaches ``sparse_threshold`` and the
-        fused dense kernel otherwise (phase-split when ``fused=False``
-        or the configuration is ineligible); ``"fused"``, ``"sparse"``,
-        ``"aa"`` (swap-free two-phase AA pattern,
-        :class:`~repro.lbm.aa.AAStepKernel`) and ``"split"`` force one
+        Hot-path selection.  ``"auto"`` (default) with
+        ``autotune="heuristic"`` is a rule; ``step()`` runs the first
+        line that applies:
+
+        1. ``fused=False``, a non-BGK operator (MRT, Smagorinsky) or a
+           handler with a ``pre_stream`` snapshot (Bouzidi): ``split``;
+        2. solid fraction >= ``sparse_threshold``: ``sparse``;
+        3. no handlers, or only inlet/outflow ones: ``aa`` — the
+           in-place sweep, one distribution array;
+        4. any other post-stream handler (e.g. Zou–He): ``fused``.
+
+        A solver driven through its phase entry points (``collide``,
+        ``collide_boundary``/``collide_inner``, ``fill_ghosts``,
+        ``stream``, ``post_stream`` — cluster ranks, SPMD rank
+        programs, ``phase_driven``) resolves the same list without
+        line 3 and runs ``fused`` as the split phases: the in-place
+        kernel needs someone to close its halo, which only ``step()``
+        or an AA-aware cluster driver (``aa_halo_managed``) does.
+        ``"fused"``, ``"sparse"``, ``"aa"``
+        (:class:`~repro.lbm.aa.AAStepKernel`) and ``"split"`` force one
         path (ineligible configurations still fall back to
         ``"split"``).  All paths are bit-identical (AA after every pair
-        of steps on the raw distributions, every step on macroscopic
-        fields and the reconstructed ``f`` view).
+        of steps on the raw array, every step on macroscopic fields and
+        ``f``).  Eligibility is re-checked every step; when it drifts
+        mid-run (a handler appended, ``fused`` flipped, a phase called
+        by hand) the array is handed over canonical — see ``f``.
     sparse_threshold:
         Solid fraction at or above which ``kernel="auto"`` selects the
         sparse kernel (default 0.5).
@@ -97,14 +109,14 @@ class LBMSolver:
         pattern, and hence throughput, differs (Calore et al.,
         arXiv:1703.00185).  The sparse kernel requires SoA.
     autotune:
-        How ``kernel="auto"`` decides: ``"heuristic"`` (default) keeps
-        the solid-fraction threshold rule above; ``"measured"``
-        micro-benchmarks the eligible candidate kernels on (a crop of)
-        this solver's actual domain at first step and picks the fastest
-        (see :mod:`repro.lbm.autotune`), caching the decision per
-        (shape, solid-fraction bucket, candidate set).  The selection
-        reason and measured rates are exposed as ``kernel_reason`` /
-        ``kernel_rates``.
+        How ``kernel="auto"`` decides: ``"heuristic"`` (default)
+        applies the rule above — no probe, nothing to cache;
+        ``"measured"`` micro-benchmarks the eligible candidate kernels
+        on (a crop of) this solver's actual domain at first step and
+        picks the fastest (see :mod:`repro.lbm.autotune`), caching the
+        decision per (shape, solid-fraction bucket, candidate set).
+        The selection reason and measured rates are exposed as
+        ``kernel_reason`` / ``kernel_rates``.
     """
 
     def __init__(self, shape, tau: float, lattice: Lattice = D3Q19,
@@ -164,8 +176,8 @@ class LBMSolver:
         self.autotune = autotune
         self.sparse_threshold = float(sparse_threshold)
         self.solid_fraction = float(self.solid.mean()) if self.solid.size else 0.0
-        #: Which hot path actually ran ("fused" | "sparse" | "split");
-        #: None until the first step.
+        #: Which hot path actually ran ("aa" | "fused" | "sparse" |
+        #: "split"); None until the first step.
         self.kernel_used: str | None = None
         self._fused_kernel: FusedStepKernel | None = None
         self._sparse_kernel = None
@@ -228,10 +240,15 @@ class LBMSolver:
         """Interior (unpadded) distributions in canonical layout.
 
         A live view of the padded array, except at odd parity under the
-        AA kernel, where the single array holds the rotated mid-pair
-        layout: there a read-only canonical reconstruction is returned
-        (bit-identical to the reference solver's state, see
-        :meth:`repro.lbm.aa.AAStepKernel.reconstruct`).
+        AA kernel (the default ``step()`` path), where the single array
+        holds the rotated mid-pair layout: there a read-only canonical
+        reconstruction is returned (bit-identical to the reference
+        solver's state, see
+        :meth:`repro.lbm.aa.AAStepKernel.reconstruct`).  That read is a
+        full gather into a fresh array — a pass over the distributions
+        per access, so a loop that reads ``f`` (or ``macroscopic()``)
+        after every step pays it every other step; write through
+        :meth:`load_distributions`, which is legal at any parity.
         """
         if self._aa_kernel is not None and self.aa_odd:
             return self._aa_kernel.reconstruct()
@@ -349,7 +366,7 @@ class LBMSolver:
         self.kernel_rates = choice.rates
         self._set_layout(choice.layout)
 
-    def _select_kernel(self) -> str:
+    def _select_kernel(self, whole_step: bool = False) -> str:
         """Resolve which hot path this step should run.
 
         Re-checked every step (boundary handlers may be appended after
@@ -357,8 +374,14 @@ class LBMSolver:
         — ``fused=False`` keeps the historic phase-split behaviour.
         With ``autotune="heuristic"`` it picks sparse exactly when the
         local solid fraction reaches ``sparse_threshold`` (the per-rank
-        selection rule the cluster drivers historically relied on);
-        with ``autotune="measured"`` it defers to the cached measured
+        selection rule the cluster drivers historically relied on) and
+        a dense kernel below it: the in-place AA sweep when :meth:`step`
+        asks (``whole_step``) and the configuration is eligible, the
+        fused sweep otherwise.  The phase entry points never pass
+        ``whole_step`` — nobody would close the AA halo for a solver
+        driven phase by phase — so there ``"fused"`` means what it
+        always meant: run the split phases.
+        With ``autotune="measured"`` it defers to the cached measured
         probe (:mod:`repro.lbm.autotune`), falling back to the
         heuristic if the configuration drifted since the probe.
         """
@@ -400,17 +423,20 @@ class LBMSolver:
         if not self.fused or not FusedStepKernel.eligible(self):
             return self._note_selection(
                 "split", ("heuristic: fused kernel disabled or ineligible",))
-        if self.solid_fraction >= self.sparse_threshold:
-            return self._note_selection(
-                "sparse", ("heuristic: solid_fraction ",
-                           format(self.solid_fraction, ".3f"),
-                           " >= sparse_threshold ",
-                           format(self.sparse_threshold, "g")))
+        sparse = self.solid_fraction >= self.sparse_threshold
+        if sparse:
+            kind = "sparse"
+        elif (whole_step and not self.phase_driven
+                and AAStepKernel.eligible(self)):
+            kind = "aa"
+        else:
+            kind = "fused"
         return self._note_selection(
-            "fused", ("heuristic: solid_fraction ",
-                      format(self.solid_fraction, ".3f"),
-                      " < sparse_threshold ",
-                      format(self.sparse_threshold, "g")))
+            kind, ("heuristic: solid_fraction ",
+                   format(self.solid_fraction, ".3f"),
+                   " >= " if sparse else " < ", "sparse_threshold ",
+                   format(self.sparse_threshold, "g"),
+                   ", whole-step schedule" if kind == "aa" else ""))
 
     def _sparse_kernel_for_phase(self):
         """The sparse kernel when selected, else None (dense phases run).
@@ -435,11 +461,42 @@ class LBMSolver:
         stream phase is a no-op (streaming happened in place).
         """
         if self._select_kernel() != "aa":
+            self._leave_aa()
             return None
-        if self._aa_kernel is None:
+        return self._enter_aa()
+
+    def _enter_aa(self):
+        """The bound AA kernel, built on entry.
+
+        ``_aa_kernel`` is set exactly while the in-place sweeps own the
+        array, so a kernel that has to be built means AA starts here,
+        at whatever step count the run has reached, from a canonical
+        array: the phase cadence counts from now.
+        """
+        akern = self._aa_kernel
+        if akern is None:
             from repro.lbm.aa import AAStepKernel
-            self._aa_kernel = AAStepKernel(self)
-        return self._aa_kernel
+            self.mark_canonical()
+            akern = self._aa_kernel = AAStepKernel(self)
+        return akern
+
+    def _leave_aa(self) -> None:
+        """Hand the array to a two-array path, canonical.
+
+        Called before any non-AA path runs (eligibility can drift
+        mid-run: a handler appended, ``fused`` flipped, a phase called
+        by hand).  Mid-pair the single array is in the rotated layout,
+        which every other path would read as garbage: the pending
+        gather and bounce are written out first.
+        """
+        akern = self._aa_kernel
+        if akern is None:
+            return
+        canonical = akern.reconstruct() if self.aa_odd else None
+        self._aa_kernel = None
+        self.mark_canonical()
+        if canonical is not None:
+            self.f[...] = canonical
 
     def _aa_even(self) -> bool:
         """True when the step being computed runs the AA even phase."""
@@ -502,15 +559,9 @@ class LBMSolver:
             fluid = self.fluid[shell]
             self._shell_idx = (idx, None if fluid.all() else fluid)
         idx, fluid = self._shell_idx
-        fg, Q = self.fg, self.lattice.Q
-        if fg.flags.c_contiguous:
-            cells, axis, ws_shape = fg.reshape(Q, -1), 1, (Q, idx.size)
-        else:
-            base = np.moveaxis(fg, 0, -1)
-            if not base.flags.c_contiguous:
-                raise ValueError("distribution array is neither SoA- nor "
-                                 "AoS-contiguous")
-            cells, axis, ws_shape = base.reshape(-1, Q), 0, (idx.size, Q)
+        cells, axis = physical_cells(self.fg)
+        Q = self.lattice.Q
+        ws_shape = (Q, idx.size) if axis else (idx.size, Q)
         ws = self._shell_ws
         if ws is None or ws.shape != ws_shape:
             ws = self._shell_ws = np.empty(ws_shape, dtype=self.dtype)
@@ -595,8 +646,9 @@ class LBMSolver:
             self._fill_ghosts()
 
     def _fill_ghosts(self) -> None:
-        if (self._aa_kernel is not None and not self._aa_even()
-                and self._select_kernel() == "aa"):
+        akern = (self._aa_kernel_for_phase()
+                 if self._aa_kernel is not None else None)
+        if akern is not None and self.aa_odd:
             # Odd AA phase: the scatter pushed border populations into
             # the ghost shell — fold them back onto the interior
             # (wrap image when periodic, zero-gradient crossing-slot
@@ -604,7 +656,7 @@ class LBMSolver:
             # fill only serves the even phase's gather).  Cluster
             # drivers with ``aa_halo_managed`` run their reverse
             # exchange instead.
-            self._aa_kernel.fold_ghosts()
+            akern.fold_ghosts()
             return
         if self.periodic:
             fill_ghosts_periodic(self.fg)
@@ -716,15 +768,16 @@ class LBMSolver:
         metrics = self.metrics
         step_t0 = time.perf_counter() if metrics.enabled else 0.0
         for _ in range(n):
-            selected = self._select_kernel()
+            selected = self._select_kernel(whole_step=True)
             if selected == "aa":
-                akern = self._aa_kernel_for_phase()
+                akern = self._enter_aa()
                 self.kernel_used = "aa"
                 with self.tracer.span("solver.step", step=self.time_step,
                                       kernel="aa"):
                     akern.step_once()
                 self.time_step += 1
                 continue
+            self._leave_aa()
             if selected == "fused":
                 kern = self._fused_kernel_for_step()
             else:

@@ -112,6 +112,27 @@ def padded_flat_index(mask: np.ndarray) -> np.ndarray:
                                 pshape).astype(np.intp)
 
 
+def physical_cells(fg: np.ndarray) -> tuple[np.ndarray, int]:
+    """Zero-copy 2-D view of a distribution array in its memory order.
+
+    Returns ``(cells, axis)``: link-major ``(Q, P)`` rows with the cell
+    axis 1 for an SoA array, cell-major ``(P, Q)`` rows with the cell
+    axis 0 for an AoS one (the transposed view :class:`LBMSolver`
+    exposes), so a flat cell index (:func:`padded_flat_index`) gathers
+    and scatters through ``cells`` along ``axis`` in either layout.
+    Anything else raises: ``reshape`` would silently hand back a copy
+    and every write through it would be lost.
+    """
+    Q = fg.shape[0]
+    if fg.flags.c_contiguous:
+        return fg.reshape(Q, -1), 1
+    base = np.moveaxis(fg, 0, -1)
+    if not base.flags.c_contiguous:
+        raise ValueError("distribution array is neither SoA- nor "
+                         "AoS-contiguous")
+    return base.reshape(-1, Q), 0
+
+
 def pull_slice_table(lattice: Lattice,
                      padded_shape: tuple[int, ...]) -> list[tuple[slice, ...]]:
     """Per-direction source slices for pull-streaming a padded array.

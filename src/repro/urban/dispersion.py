@@ -89,11 +89,13 @@ class DispersionScenario:
     def make_single_solver(self, **kwargs) -> LBMSolver:
         """Single-domain solver with the scenario's boundary conditions.
 
+        With no kernel named, ``step()`` runs the in-place AA sweep
+        (the inlet/outflow closure folds into it, DESIGN.md §5i).
         Extra keyword arguments reach :class:`~repro.lbm.LBMSolver`
-        unchanged — e.g. ``kernel="aa"`` for the in-place bounded
-        sweep (the inlet/outflow closure folds into it, DESIGN.md
-        §5i) or ``layout="auto"`` to let the measured autotuner pick
-        the distribution layout.
+        unchanged — e.g. ``kernel="split"`` for the readable
+        reference path, or ``layout="auto"`` with
+        ``autotune="measured"`` to let the autotuner pick the
+        distribution layout.
         """
         bcs = [EquilibriumVelocityInlet(D3Q19, *self.inlet),
                OutflowBoundary(D3Q19, *self.outflow)]

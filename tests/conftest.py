@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.lbm.boundaries import Boundary
+
 
 @pytest.fixture
 def rng() -> np.random.Generator:
@@ -24,6 +26,21 @@ def small_solid(small_shape) -> np.ndarray:
     solid = np.zeros(small_shape, dtype=bool)
     solid[3:5, 2:4, 1:3] = True
     return solid
+
+
+class PostStreamOnly(Boundary):
+    """A no-op handler of a type no kernel knows: outside the rotated
+    closure, so the in-place AA kernel is ineligible, but with no
+    ``pre_stream`` snapshot, so the fused sweep still is."""
+
+    def apply(self, fg):
+        pass
+
+
+@pytest.fixture
+def post_stream_only() -> type[Boundary]:
+    """The :class:`PostStreamOnly` handler type."""
+    return PostStreamOnly
 
 
 def random_state(rng: np.random.Generator, shape, lattice=None, amp: float = 0.03):

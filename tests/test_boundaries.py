@@ -2,14 +2,38 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.lbm.boundaries import (BounceBackNodes, BouzidiCurvedBoundary,
                                   EquilibriumVelocityInlet, OutflowBoundary,
                                   box_walls)
 from repro.lbm.equilibrium import equilibrium_site
-from repro.lbm.lattice import D3Q19
+from repro.lbm.lattice import D2Q9, D3Q19
 from repro.lbm.solver import LBMSolver
 from repro.lbm.streaming import interior, pad_with_ghosts
+
+
+def _mask(kind, shape, rng):
+    solid = np.zeros(shape, bool)
+    if kind == "all":
+        solid[...] = True
+    elif kind == "border":
+        solid = box_walls(shape, axes=range(len(shape)))
+    elif kind == "single":
+        solid[tuple(rng.integers(0, n) for n in shape)] = True
+    elif kind == "random":
+        solid = rng.random(shape) < 0.3
+    return solid
+
+
+def _padded_random(lattice, shape, layout, dtype, rng):
+    """Random ghost-padded distributions, physically SoA or AoS (the
+    transposed view ``LBMSolver`` exposes)."""
+    padded = tuple(n + 2 for n in shape)
+    if layout == "aos":
+        base = rng.random(padded + (lattice.Q,)).astype(dtype)
+        return np.moveaxis(base, -1, 0)
+    return rng.random((lattice.Q,) + padded).astype(dtype)
 
 
 class TestBoxWalls:
@@ -48,6 +72,56 @@ class TestBounceBack:
         inner = (slice(None),) + interior(3)
         fluid = ~solid
         assert np.array_equal(fg[inner][:, fluid], snapshot[inner][:, fluid])
+
+    @given(kind=st.sampled_from(["none", "all", "border", "single",
+                                 "random"]),
+           layout=st.sampled_from(["soa", "aos"]),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           lattice=st.sampled_from([D3Q19, D2Q9]),
+           seed=st.integers(0, 10 ** 6))
+    @settings(max_examples=40, deadline=None)
+    def test_index_swap_equals_mask_expression(self, kind, layout, dtype,
+                                               lattice, seed):
+        """The index-list swap against the whole-array mask expression
+        it replaced (kept here as the oracle), in both physical
+        layouts — on an AoS array a careless ``reshape`` returns a copy
+        and the swap is silently lost."""
+        rng = np.random.default_rng(seed)
+        shape = (5, 4, 3)[:lattice.D]
+        solid = _mask(kind, shape, rng)
+        fg = _padded_random(lattice, shape, layout, dtype, rng)
+        original = fg.copy()
+        expected = fg.copy()
+        view = expected[(slice(None),) + interior(lattice.D)]
+        view[:, solid] = view[lattice.opp][:, solid]
+
+        bounce = BounceBackNodes(lattice, solid)
+        bounce.apply(fg)
+        assert np.array_equal(fg, expected)
+        bounce.apply(fg)        # the cached index and scratch, reused
+        assert np.array_equal(fg, original)
+
+    @pytest.mark.parametrize("layout", ["soa", "aos"])
+    def test_steady_state_apply_allocates_nothing_like_fg(self, layout):
+        import tracemalloc
+        rng = np.random.default_rng(0)
+        shape = (64, 64, 64)
+        solid = rng.random(shape) < 0.1
+        fg = _padded_random(D3Q19, shape, layout, np.float32, rng)
+        bounce = BounceBackNodes(D3Q19, solid)
+        bounce.apply(fg)                # builds the index and scratch
+        tracemalloc.start()
+        bounce.apply(fg)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < fg.nbytes / 10
+
+    def test_rejects_an_array_it_could_only_copy(self):
+        solid = np.zeros((4, 4, 4), bool)
+        solid[1, 1, 1] = True
+        fg = np.zeros((19, 6, 6, 12), np.float32)[..., ::2]
+        with pytest.raises(ValueError, match="contiguous"):
+            BounceBackNodes(D3Q19, solid).apply(fg)
 
     def test_channel_no_slip_and_mass_conservation(self):
         """A driven channel with bounce-back walls conserves mass and

@@ -22,8 +22,8 @@ SHAPE = (12, 10, 8)
 
 def _pair(rng, steps=20, **kw):
     """Step a fused and an unfused solver from the same initial state."""
-    fused = LBMSolver(fused=True, **kw)
-    split = LBMSolver(fused=False, **kw)
+    fused = LBMSolver(kernel="fused", **kw)
+    split = LBMSolver(kernel="split", **kw)
     u0 = (0.03 * rng.standard_normal((fused.lattice.D,) + fused.shape)
           ).astype(np.float32)
     u0[:, fused.solid] = 0
@@ -110,7 +110,7 @@ class TestFusedMachinery:
         assert s._fused_kernel is None
 
     def test_boundary_added_after_construction_falls_back(self):
-        s = LBMSolver((8, 8, 8), tau=0.7)
+        s = LBMSolver((8, 8, 8), tau=0.7, kernel="fused")
         s.step(1)
         assert s._fused_kernel is not None
         s.boundaries.append(
@@ -118,7 +118,7 @@ class TestFusedMachinery:
         assert s._fused_kernel_for_step() is None
 
     def test_workspace_reused_across_steps(self):
-        s = LBMSolver(SHAPE, tau=0.7)
+        s = LBMSolver(SHAPE, tau=0.7, kernel="fused")
         s.step(1)
         kern = s._fused_kernel
         rho_buf, u_buf = kern.rho, kern.u
@@ -129,7 +129,7 @@ class TestFusedMachinery:
         assert s.counters.stats["fused.workspace"].allocs == 8
 
     def test_counters_record_phases(self):
-        s = LBMSolver(SHAPE, tau=0.7)
+        s = LBMSolver(SHAPE, tau=0.7, kernel="fused")
         s.step(4)
         stats = s.counters.stats
         assert stats["fused.relax_stream"].calls == 4
@@ -139,13 +139,13 @@ class TestFusedMachinery:
         assert "fused.relax_stream" in report
 
     def test_counters_disabled_short_circuits(self):
-        s = LBMSolver(SHAPE, tau=0.7)
+        s = LBMSolver(SHAPE, tau=0.7, kernel="fused")
         s.counters.enabled = False
         s.step(2)
         assert "fused.relax_stream" not in s.counters.stats
 
     def test_mass_conserved_fused(self, rng):
-        s = LBMSolver(SHAPE, tau=0.7)
+        s = LBMSolver(SHAPE, tau=0.7, kernel="fused")
         u0 = (0.03 * rng.standard_normal((3,) + SHAPE)).astype(np.float32)
         s.initialize(rho=np.ones(SHAPE, np.float32), u=u0)
         m0 = s.total_mass()
@@ -170,7 +170,8 @@ class TestMomentsSlowPath:
     def _zero_rho_solver(cls, u0, fused=True):
         solid = np.zeros(cls.SHAPE3, bool)
         solid[3:6, 2:5, 1:4] = True   # 3x3x3: one fully-interior core cell
-        s = LBMSolver(cls.SHAPE3, tau=0.7, solid=solid, fused=fused)
+        s = LBMSolver(cls.SHAPE3, tau=0.7, solid=solid,
+                      kernel="fused" if fused else "split")
         v = u0.copy()
         v[:, solid] = 0
         s.initialize(rho=np.ones(cls.SHAPE3, np.float32), u=v)
@@ -207,7 +208,8 @@ class TestMomentsSlowPath:
 
     def test_moments_slow_path_allocation_free(self, rng):
         slow = self._zero_rho_solver(self._u0(rng))
-        fast = LBMSolver(slow.shape, tau=0.7, solid=slow.solid.copy())
+        fast = LBMSolver(slow.shape, tau=0.7, solid=slow.solid.copy(),
+                         kernel="fused")
         for s in (slow, fast):
             s.step(2)
             s.counters.enabled = False
