@@ -38,8 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.halo import HaloPlan
-from repro.core.wire import layer_index, pack_halo, unpack_halo
-from repro.lbm.streaming import fold_face_zero_gradient
+from repro.core.wire import pack_halo, unpack_halo
+from repro.lbm.streaming import (fill_face_zero_gradient,
+                                 fold_face_zero_gradient)
 from repro.perf.counters import KernelCounters
 
 _NO_COUNTERS = KernelCounters(enabled=False)
@@ -121,13 +122,14 @@ class SolverPort:
 
     def fill_ghost_zero_gradient(self, axis: int, direction: int) -> None:
         """True domain edge, forward modes: copy the border layer
-        outward over the full padded cross-section."""
-        src: list = [slice(None)] * 4
-        dst: list = [slice(None)] * 4
-        src[1 + axis] = layer_index(self.sub_shape, axis, direction, False)
-        dst[1 + axis] = layer_index(self.sub_shape, axis, direction, True)
-        fg = self.solver.fg
-        fg[tuple(dst)] = fg[tuple(src)]
+        outward over the full padded cross-section.  The exchange
+        follows the collide, so a ghost plane is only ever streamed
+        out of: the ten slots with ``c[axis] != 0`` (either sign,
+        whichever layout the rank's kernel keeps) are all any reader
+        can reach, and an edge ghost is read only by slots that cross
+        both of its faces, so the later axes still relay it."""
+        slots = np.flatnonzero(self.solver.lattice.c[:, axis])
+        fill_face_zero_gradient(self.solver.fg, axis, direction, slots)
 
     def fold_border_zero_gradient(self, axis: int, direction: int) -> None:
         """True domain edge after an AA odd scatter: there is no

@@ -25,11 +25,10 @@ phase, location ``(i, y)`` is read **and** written only by the site
 decomposition (boundary shell / inner core, slabs) is hazard-free in
 any execution order — which is exactly what lets the cluster drivers
 keep the Sec-4.4 communication/computation overlap, and what lets this
-kernel cache-block: whole-domain phases sweep the grid in axis-0 slabs
-(:data:`SLAB_TARGET_CELLS`) so the ~10 scratch passes per link run on
-slabs that stay cache-resident instead of round-tripping to memory —
-the single-array layout means the hot set per slab is one distribution
-window plus the scratch planes, about half the fused kernel's.
+kernel cache-block: every phase, whole-domain or region, sweeps its box
+in axis-0 chunks (:data:`SLAB_TARGET_CELLS`), so the passes of a chunk
+— 18 per opposite-link pair, which share ``c.u`` and its square — run
+on one slab-sized scratch arena that stays cache-resident.
 
 Full-way bounce-back falls out of the layout: the even phase's reversed
 write at a solid site *is* the bounce of that step combined with the
@@ -44,15 +43,28 @@ After every **pair** of steps the array equals the reference solver's
 distributions bit for bit (the same ``np.array_equal`` contract the
 fused and sparse kernels pin); mid-pair, the macroscopic fields and the
 reconstructed distributions (:meth:`AAStepKernel.reconstruct`) are
-bit-identical every step.  All arithmetic replicates the fused kernel's
-op order (itself bit-equal to the phase-split reference): same
-``sum``/``einsum`` moment reductions, same equilibrium expression
-order, same guarded division, same relaxation spelling — and every one
-of those operations is per-site, so the slab sweep cannot perturb a
-bit.  The odd phase's manual momentum accumulation skips
-zero-coefficient links; this can only flip signed zeros in ``j``/``u``,
-which IEEE-754 guarantees cannot reach the equilibrium value (``u``
-enters via ``c_i . u`` and ``u . u`` only, and ``1 + (+/-0) == 1.0``).
+bit-identical every step.  Every site sees the reference's operations
+in the reference's order (slot-order moment sums, guarded division,
+``w rho * (((4.5 cu) cu + (3 cu + 1)) - 1.5 u.u)``, ``f + omega (feq -
+f)``), so chunking cannot perturb a bit; what is shared or skipped
+rests on exact IEEE-754 identities only.  Negation is exact and
+rounding symmetric: for opposite links ``c_o.u = -(c_i.u)``, so ``(4.5
+cu) cu`` is common, ``3 cu`` flips sign and ``1 - t`` is ``(-t) + 1``.
+One add commutes: ``c.u`` of a two-component link is ``u_a +/- u_b``
+in either order (no link has three), and ``q + (t + 1)``, ``wr * e``,
+``e + f`` may swap operands.  ``x + (+/-0) == x``: dropping the
+zero-coefficient terms of ``c.u`` and of the momentum sums can only
+flip signed zeros in ``j``/``u``, which cannot reach the equilibrium
+(``u`` enters via ``c_i.u`` and ``u.u`` only, ``(+/-0)^2 = +0`` and
+``1 + (+/-0) == 1``).
+
+Solid sites: the even phase relaxes them at rate 0, ``f + 0 * (feq -
+f)``, instead of restoring them by mask.  That is ``f`` for every
+finite ``f`` except ``-0.0``, which comes back ``+0.0`` (equal under
+``np.array_equal``; a zero population cannot make a non-zero difference
+downstream); a non-finite population or moment at a solid site turns
+its populations NaN, where the mask would have kept them.  The odd
+phase copies solid-owned locations bit for bit.
 
 Eligibility: plain BGK collision and boundary handlers limited to the
 types the rotated applicator supports
@@ -73,34 +85,37 @@ exchange with boundary faces folding locally instead of wrapping (see
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from repro.lbm.lattice import Lattice
-from repro.lbm.macroscopic import sum_over_links
-from repro.lbm.streaming import (fill_ghosts_periodic,
-                                 fill_ghosts_zero_gradient,
-                                 fold_ghosts_periodic,
-                                 fold_ghosts_zero_gradient)
+from repro.lbm.streaming import (fill_face_zero_gradient,
+                                 fill_ghosts_periodic, fold_ghosts_periodic,
+                                 fold_ghosts_zero_gradient, physical_cells)
 from repro.lbm.fused import build_solid_padded
 
-#: Whole-domain phases sweep axis-0 slabs of roughly this many cells so
-#: the per-link scratch passes reuse cache-resident slabs.  Slabs span
-#: the full extent of the trailing axes, keeping every scratch view
-#: contiguous (numpy then collapses the element loops).
+#: Every phase, whole-domain or region, visits its box in axis-0 chunks
+#: of about this many cells, so the passes of a link pair run on
+#: scratch that stays cache-resident.  Chunks span the full extent of
+#: the box's trailing axes, keeping every scratch view contiguous
+#: (numpy then collapses the element loops).  Targets from 10 k to 65 k
+#: cells timed alike on a 4 MB L2 (EXPERIMENTS.md E20): a constant.
 SLAB_TARGET_CELLS = 32768
 
 
 class AAStepKernel:
     """Swap-free AA-pattern kernel bound to one ``LBMSolver``.
 
-    The kernel owns per-solver scratch planes (moments plus expression
-    buffers).  Each buffer is allocated once at the padded shape and
-    additionally exposed as an interior-shaped *alias* of the same
-    memory (the even phase works in padded coordinates, the odd phase
-    in interior coordinates; they never run concurrently).  It never
-    touches the solver's spare distribution buffer —
-    ``solver._fg_next_buf`` stays ``None``, which tests assert as the
-    working-set contract.
+    The kernel owns one float arena and one bool plane of slab size
+    (:data:`SLAB_TARGET_CELLS` in whole padded planes, at least one):
+    one chunk is live at a time, so every chunk gets contiguous views
+    of the same memory and the workspace does not grow with the domain.
+    With solids it also keeps the per-site relaxation field ``_om``
+    (its one padded-shape array) and the index lists of the solid
+    sites of every box it has visited.  It never touches
+    the solver's spare distribution buffer — ``solver._fg_next_buf``
+    stays ``None``, which tests assert as the working-set contract.
     """
 
     def __init__(self, solver) -> None:
@@ -120,49 +135,60 @@ class AAStepKernel:
         self.solver = solver
         self.lattice = lat
         self.omega = dtype.type(solver.collision.omega)
-        self._c = lat.c.astype(dtype)
-        self._w = lat.w.astype(dtype)
         self._one = dtype.type(1.0)
         self._zero = dtype.type(0.0)
         self._inv_cs2 = dtype.type(1.0 / lat.cs2)
         self._half_inv_cs4 = dtype.type(0.5 / lat.cs2 ** 2)
         self._half_inv_cs2 = dtype.type(0.5 / lat.cs2)
-        #: Opposite-link pairs (i < opp(i)) and the rest links.
-        self._pairs = [(i, int(lat.opp[i])) for i in range(lat.Q)
-                       if i < int(lat.opp[i])]
+        #: One hoisted ``rho * w`` plane per distinct weight.
+        self._wvals, self._wclass = np.unique(lat.w.astype(dtype),
+                                              return_inverse=True)
+        #: Opposite-link pairs ``(p, m, terms)``: ``terms`` lists the
+        #: ``(axis, sign)`` of ``c_p``'s non-zero components, first +1.
+        self._pairs = []
+        for p in range(lat.Q):
+            terms = [(a, int(v)) for a, v in enumerate(lat.c[p]) if v]
+            if terms and terms[0][1] > 0:
+                self._pairs.append((p, int(lat.opp[p]), terms))
         self._rest = [i for i in range(lat.Q) if int(lat.opp[i]) == i]
-        isize = int(np.prod(ishape))
-
-        def dual(lead=()):
-            """One allocation, padded view + interior-shaped alias."""
-            pad = np.empty(tuple(lead) + pshape, dtype)
-            n = isize * (int(np.prod(lead)) if lead else 1)
-            return pad, pad.reshape(-1)[:n].reshape(tuple(lead) + ishape)
-
-        self.rho, self.rho_i = dual()
-        self.j, self.j_i = dual((lat.D,))
-        self.u, self.u_i = dual((lat.D,))
-        self.usq, self.usq_i = dual()
-        self._cu, self._cu_i = dual()
-        self._expr, self._expr_i = dual()
-        self._expr2, self._expr2_i = dual()
-        self._wr, self._wr_i = dual()
-        pb = np.empty(pshape, bool)
-        self._bool, self._bool_i = pb, pb.reshape(-1)[:isize].reshape(ishape)
+        #: Per axis, ``(slot, sign)`` of its momentum links, slot order.
+        self._jterms = [[(int(q), int(lat.c[q, a]))
+                         for q in np.flatnonzero(lat.c[:, a])]
+                        for a in range(lat.D)]
         # Concrete bounds (never negative stops) so ``_shift`` works.
         self._interior = tuple(slice(1, n - 1) for n in pshape)
         self._ifull = tuple(slice(0, n) for n in ishape)
         self._pfull = tuple(slice(0, n) for n in pshape)
-        trailing = int(np.prod(ishape[1:])) if len(ishape) > 1 else 1
-        self._slab = max(1, SLAB_TARGET_CELLS // trailing)
-        self.solid_padded = (build_solid_padded(solver, pshape)
-                             if solver.solid.any() else None)
+        #: Scratch capacity in cells: as many whole padded planes as
+        #: fit the target, at least one; any box's chunks are cut to it.
+        plane = int(np.prod(pshape[1:]))
+        self._cap = max(1, SLAB_TARGET_CELLS // plane) * plane
+        solids = bool(solver.solid.any())
+        # The last plane is the odd phase's solid-owned value row.
+        n_planes = 6 + lat.D + self._wvals.size + (1 if solids else 0)
+        self._arena = np.empty((n_planes, self._cap), dtype)
+        self._bool = np.empty(self._cap, bool)
+        #: Per-site relaxation rate: ``omega`` at fluid sites, 0 at
+        #: solid sites and their ghost images (even phase).
+        self._om = None
+        if solids:
+            self._om = np.where(build_solid_padded(solver, pshape),
+                                self._zero, self.omega)
+            # Odd phase, solid-owned locations: shifted-index scratch,
+            # flat offset of ``+c_slot`` on the padded grid, and per
+            # visited box its solid sites (:meth:`_solid_sites`).
+            self._ibuf = np.empty(self._cap, np.intp)
+            cell_strides = np.cumprod((1,) + pshape[:0:-1])[::-1]
+            self._flat_off = lat.c @ cell_strides
+            self._solid_idx: dict[tuple, tuple] = {}
+        #: Slots read across each bounded face in the rotated layout.
+        self._face_slots = {(ax, d): np.flatnonzero(lat.c[:, ax] == d)
+                            for ax in range(lat.D) for d in (-1, 1)}
         #: Rotated boundary applicator, built lazily on first use (only
         #: solvers with handlers ever need one).
         self._rotated_bc = None
         if solver.counters is not None:
-            n_bufs = 9 + (1 if self.solid_padded is not None else 0)
-            solver.counters.alloc("aa.workspace", n_bufs)
+            solver.counters.alloc("aa.workspace", 4 if solids else 2)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -193,198 +219,243 @@ class AAStepKernel:
         return tuple(slice(s.start + int(v), s.stop + int(v))
                      for s, v in zip(P, vec))
 
-    def _guarded_velocity(self, rho, j, u, wr, bl) -> None:
-        """``u = j / rho`` with the reference guarded-divide spelling.
+    def _chunks(self, box: tuple[slice, ...]):
+        """Cut ``box`` along axis 0 into pieces that fit the scratch."""
+        plane = int(np.prod([s.stop - s.start for s in box[1:]]))
+        if plane <= 0:
+            return
+        rows = max(1, self._cap // plane)
+        for a in range(box[0].start, box[0].stop, rows):
+            yield (slice(a, min(a + rows, box[0].stop)),) + tuple(box[1:])
 
-        The branch condition is evaluated per region, but both branches
+    def _scratch(self, shape) -> SimpleNamespace:
+        """Chunk-shaped contiguous views of the arena and bool plane."""
+        n = int(np.prod(shape))
+        D = self.lattice.D
+        planes = self._arena[:, :n].reshape((-1,) + tuple(shape))
+        rho, usq, cu, q, e1, e2 = planes[:6]
+        return SimpleNamespace(
+            rho=rho, usq=usq, cu=cu, q=q, e1=e1, e2=e2, u=planes[6:6 + D],
+            wr=planes[6 + D:6 + D + self._wvals.size],
+            bl=self._bool[:n].reshape(shape))
+
+    def _moments(self, ws, f) -> None:
+        """``rho`` and ``j`` (into ``ws.u``) of the populations ``f[q]``,
+        both accumulated in slot order like the reference's
+        ``sum(axis=0)`` (sequential for Q=19 terms) and momentum
+        ``einsum``, whose zero-coefficient terms are skipped."""
+        np.copyto(ws.rho, f[0])
+        for q in range(1, len(f)):
+            ws.rho += f[q]
+        for ja, ((q0, sign0), *more) in zip(ws.u, self._jterms):
+            if sign0 > 0:
+                np.copyto(ja, f[q0])
+            else:
+                np.negative(f[q0], out=ja)
+            for q, sign in more:
+                if sign > 0:
+                    ja += f[q]
+                else:
+                    ja -= f[q]
+
+    def _guarded_velocity(self, ws) -> None:
+        """``u = j / rho`` in place, the reference guarded spelling.
+
+        The branch condition is evaluated per chunk, but both branches
         are bit-identical per site wherever ``rho > 0`` (and force
         ``u = 0`` where it is not), so region splits cannot perturb it.
         """
+        rho, bl = ws.rho, ws.bl
         np.greater(rho, 0, out=bl)
-        if bl.all():
-            np.divide(j, rho, out=u)
-        else:
-            np.copyto(wr, rho)
+        safe = rho
+        if not bl.all():
+            safe = ws.e1
+            np.copyto(safe, rho)
             np.logical_not(bl, out=bl)
-            np.copyto(wr, self._one, where=bl)
-            np.divide(j, wr, out=u)
+            np.copyto(safe, self._one, where=bl)
+        for ua in ws.u:     # one plane at a time: each is contiguous
+            np.divide(ua, safe, out=ua)
+        if safe is not rho:
             np.less_equal(rho, 0, out=bl)
-            np.copyto(u, self._zero, where=bl)
+            np.copyto(ws.u, self._zero, where=bl)
 
-    def _relax_into(self, i: int, src, out, rho, u, usq, cu, wr, add):
-        """``h_i = src + omega * (feq_i - src)`` in the fused op order."""
-        np.einsum("a,a...->...", self._c[i], u, out=cu)
-        np.multiply(cu, self._half_inv_cs4, out=out)
-        out *= cu
-        cu *= self._inv_cs2
-        cu += self._one
-        out += cu
-        out -= usq
-        np.multiply(rho, self._w[i], out=wr)
-        np.multiply(wr, out, out=out)
-        np.subtract(out, src, out=out)
-        out *= self.omega
-        out += src
+    def _hoist(self, ws) -> None:
+        """What every link of a chunk shares: ``1.5 u.u`` and one
+        ``rho * w`` plane per weight class."""
+        np.einsum("a...,a...->...", ws.u, ws.u, out=ws.usq)
+        ws.usq *= self._half_inv_cs2
+        for wr, w in zip(ws.wr, self._wvals):
+            np.multiply(ws.rho, w, out=wr)
+
+    def _relax_pair(self, ws, pair, src_p, src_m, om, add, fluid=True):
+        """``src + om * (feq - src)`` of an opposite pair, sharing
+        ``c.u`` and its square (module docstring, bit-exactness)."""
+        p, m, terms = pair
+        cu = ws.u[terms[0][0]]
+        if len(terms) == 2:
+            b, sign = terms[1]
+            cu = (np.add if sign > 0 else np.subtract)(cu, ws.u[b], out=ws.cu)
+        q, ep, em = ws.q, ws.e1, ws.e2
+        np.multiply(cu, self._half_inv_cs4, out=q)
+        q *= cu
+        np.multiply(cu, self._inv_cs2, out=ep)
+        np.subtract(self._one, ep, out=em)
+        ep += self._one
+        wr = ws.wr[self._wclass[p]]
+        for e, src, i in ((ep, src_p, p), (em, src_m, m)):
+            e += q
+            e -= ws.usq
+            self._relax(e, wr, src, om, add, i, fluid)
+        return ep, em
+
+    def _relax_rest(self, ws, r: int, src, om, add, fluid=True):
+        """The rest link: ``c.u = 0``, so the bracket is ``1 - 1.5 u.u``."""
+        e = np.subtract(self._one, ws.usq, out=ws.e1)
+        return self._relax(e, ws.wr[self._wclass[r]], src, om, add, r, fluid)
+
+    @staticmethod
+    def _relax(e, wr, src, om, add, i: int, fluid):
+        """Equilibrium bracket ``e`` -> ``src + om (wr e - src)`` in
+        place, plus the body-force increment where ``fluid``."""
+        e *= wr
+        e -= src
+        e *= om
+        e += src
         if add is not None:
-            out += add[i]
-        return out
+            np.add(e, add[i], out=e, where=fluid)
+        return e
+
+    def _force_add(self):
+        collision = self.solver.collision
+        if collision.force is None:
+            return None
+        return collision._force_add(self.solver.fg.dtype)
 
     # -- the two phases --------------------------------------------------
     def even_phase(self, region=None) -> None:
         """In-place collide with reversed-direction writes.
 
-        ``region`` is an interior-coordinate slab (concrete bounds, as
+        ``region`` is an interior-coordinate box (concrete bounds, as
         produced by ``shell_partition``) or ``None`` for the whole
-        padded array, swept in cache-blocked axis-0 slabs — processing
-        the ghost shell too is harmless (its rotated contents are
-        overwritten by the subsequent fill or halo exchange) and keeps
-        slab views contiguous.
+        padded array — processing the ghost shell too is harmless (its
+        rotated contents are overwritten by the subsequent fill or halo
+        exchange) and keeps slab views contiguous.  Either is swept in
+        cache-blocked axis-0 chunks.
         """
-        if region is not None:
-            self._even_region(self._padded_region(region))
-            return
-        n0 = self.solver.fg.shape[1]
-        rest = self._pfull[1:]
-        for a in range(0, n0, self._slab):
-            self._even_region((slice(a, min(a + self._slab, n0)),) + rest)
+        box = (self._pfull if region is None
+               else self._padded_region(region))
+        for P in self._chunks(box):
+            self._even_chunk(P)
 
-    def _even_region(self, P: tuple[slice, ...]) -> None:
-        s = self.solver
-        fg = s.fg
-        rho = self.rho[P]
-        if rho.size == 0:
-            return
-        fgP = fg[(slice(None),) + P]
-        u = self.u[(slice(None),) + P]
-        usq, bl, wr = self.usq[P], self._bool[P], self._wr[P]
-        # Moments exactly as the fused kernel computes them (the
-        # layout-stable reduction keeps AoS bit-identical to SoA).
-        sum_over_links(fgP, out=rho)
-        np.einsum("qa,q...->a...", self._c, fgP,
-                  out=self.j[(slice(None),) + P])
-        self._guarded_velocity(rho, self.j[(slice(None),) + P], u, wr, bl)
-        np.einsum("a...,a...->...", u, u, out=usq)
-        usq *= self._half_inv_cs2
-        collision = s.collision
-        add = (collision._force_add(fg.dtype)
-               if collision.force is not None else None)
-        solid = (self.solid_padded[P] if self.solid_padded is not None
-                 else None)
-        cu, e1, e2 = self._cu[P], self._expr[P], self._expr2[P]
-        for i, o in self._pairs:
-            fgi = fg[(i,) + P]
-            fgo = fg[(o,) + P]
-            gi = self._relax_into(i, fgi, e1, rho, u, usq, cu, wr, add)
-            go = self._relax_into(o, fgo, e2, rho, u, usq, cu, wr, add)
-            if solid is not None:
-                # Solid sites (and ghost images) keep pre-collision
-                # values; the reversed write then performs this step's
-                # bounce combined with the next step's streaming.
-                np.copyto(gi, fgi, where=solid)
-                np.copyto(go, fgo, where=solid)
-            fgo[...] = gi          # a_opp(i)(y) <- g_i(y)
-            fgi[...] = go
+    def _even_chunk(self, P: tuple[slice, ...]) -> None:
+        fgP = self.solver.fg[(slice(None),) + P]
+        ws = self._scratch(fgP.shape[1:])
+        self._moments(ws, fgP)
+        self._guarded_velocity(ws)
+        self._hoist(ws)
+        add = self._force_add()
+        # Solid sites (and ghost images) relax at rate 0, i.e. keep
+        # their pre-collision values; the reversed write then performs
+        # this step's bounce combined with the next step's streaming.
+        om = self.omega if self._om is None else self._om[P]
+        # A body force is added after the relaxation: fluid sites only.
+        fluid = (True if add is None or self._om is None
+                 else np.not_equal(om, self._zero, out=ws.bl))
+        for pair in self._pairs:
+            fp, fm = fgP[pair[0]], fgP[pair[1]]
+            gp, gm = self._relax_pair(ws, pair, fp, fm, om, add, fluid)
+            fm[...] = gp           # a_opp(i)(y) <- g_i(y)
+            fp[...] = gm
         for r in self._rest:
-            fgr = fg[(r,) + P]
-            gr = self._relax_into(r, fgr, e1, rho, u, usq, cu, wr, add)
-            if solid is not None:
-                np.copyto(gr, fgr, where=solid)
-            fgr[...] = gr
+            fr = fgP[r]
+            fr[...] = self._relax_rest(ws, r, fr, om, add, fluid)
 
     def odd_phase(self, region=None) -> None:
         """Gather-collide-scatter; restores the canonical layout.
 
-        ``region`` is an interior-coordinate slab (concrete bounds) or
-        ``None`` for the whole interior, swept in cache-blocked axis-0
-        slabs.  Reads the rotated layout (ghosts must hold the
-        post-even-phase fill/exchange), scatters relaxed populations of
-        *fluid* sites forward; locations owned by solid sites are left
-        untouched (they already hold the bounced populations, see the
-        module docstring).  Region splits are hazard-free: a region
-        reads and writes exactly the locations its own sites own.
+        ``region`` is an interior-coordinate box (concrete bounds) or
+        ``None`` for the whole interior; either is swept in
+        cache-blocked axis-0 chunks.  Reads the rotated layout (ghosts
+        must hold the post-even-phase fill/exchange), scatters relaxed
+        populations forward; locations owned by solid sites are
+        rewritten with the bits they hold (they already are the bounced
+        populations, see the module docstring).  Region splits are
+        hazard-free: a region reads and writes exactly the locations
+        its own sites own.
         """
-        if region is not None:
-            self._odd_region(tuple(region))
-            return
-        n0 = self.solver.shape[0]
-        rest = self._ifull[1:]
-        for a in range(0, n0, self._slab):
-            self._odd_region((slice(a, min(a + self._slab, n0)),) + rest)
+        for R in self._chunks(self._ifull if region is None
+                              else tuple(region)):
+            self._odd_chunk(R)
 
-    def _odd_region(self, R: tuple[slice, ...]) -> None:
-        rho = self.rho_i[R]
-        if rho.size == 0:
-            return
-        s = self.solver
-        fg = s.fg
-        lat = self.lattice
-        opp, c = lat.opp, lat.c
+    def _solid_sites(self, R: tuple[slice, ...]):
+        """``(within-chunk, padded-grid)`` flat indices of ``R``'s
+        solid sites, cached per chunk; ``None`` if it has none."""
+        key = tuple((s.start, s.stop) for s in R)
+        if key not in self._solid_idx:
+            mask = self.solver.solid[R]
+            local = np.flatnonzero(mask)
+            padded = np.ravel_multi_index(
+                tuple(x + s.start + 1 for x, s
+                      in zip(np.unravel_index(local, mask.shape), R)),
+                self.solver.fg.shape[1:]).astype(np.intp)
+            self._solid_idx[key] = (local, padded) if local.size else None
+        return self._solid_idx[key]
+
+    def _scatter(self, h, slot: int, dst, sites) -> None:
+        """``a_slot(x + c_slot) <- h(x)``: a plain write of ``h`` to
+        ``dst``, after overwriting ``h`` at the chunk's solid sites with
+        what their locations hold, so those keep their bits."""
+        if sites is not None:
+            local, padded = sites
+            cells, axis = physical_cells(self.solver.fg)
+            idx = np.add(padded, self._flat_off[slot],
+                         out=self._ibuf[:local.size])
+            vals = self._arena[-1, :local.size]
+            # In range by construction; "raise" would stage ``out``.
+            np.take(cells[slot] if axis else cells[:, slot], idx, out=vals,
+                    mode="clip")
+            np.put(h, local, vals)
+        dst[...] = h
+
+    def _odd_chunk(self, R: tuple[slice, ...]) -> None:
+        fg, lat = self.solver.fg, self.lattice
         P = self._padded_region(R)
-        views = [fg[(int(opp[q]),) + self._shift(P, -c[q])]
+        views = [fg[(int(lat.opp[q]),) + self._shift(P, -lat.c[q])]
                  for q in range(lat.Q)]
-        u = self.u_i[(slice(None),) + R]
-        usq, bl, wr = self.usq_i[R], self._bool_i[R], self._wr_i[R]
-        # Density in slot order — identical accumulation to the
-        # reference's ``sum(axis=0)`` (pairwise summation degenerates
-        # to sequential for Q=19 terms).
-        np.copyto(rho, views[0])
-        for q in range(1, lat.Q):
-            rho += views[q]
-        # Momentum: the reference einsum accumulates c[q,a] * f_q in
-        # slot order; skipping the zero coefficients is bit-equal up to
-        # signed zeros that cannot reach the equilibrium.
-        for a in range(lat.D):
-            ja = self.j_i[(a,) + R]
-            first = True
-            for q in range(lat.Q):
-                coef = int(c[q][a])
-                if coef == 0:
-                    continue
-                if first:
-                    if coef > 0:
-                        np.copyto(ja, views[q])
-                    else:
-                        np.negative(views[q], out=ja)
-                    first = False
-                elif coef > 0:
-                    ja += views[q]
-                else:
-                    ja -= views[q]
-        self._guarded_velocity(rho, self.j_i[(slice(None),) + R], u, wr, bl)
-        np.einsum("a...,a...->...", u, u, out=usq)
-        usq *= self._half_inv_cs2
-        collision = s.collision
-        add = (collision._force_add(fg.dtype)
-               if collision.force is not None else None)
-        fluid = s.fluid[R] if self.solid_padded is not None else None
-        cu = self._cu_i[R]
-        e1, e2 = self._expr_i[R], self._expr2_i[R]
-        for i, o in self._pairs:
-            A = views[i]           # = fg[o][P - c_i]: phi_i, target of h_o
-            B = views[o]           # = fg[i][P + c_i]: phi_o, target of h_i
-            hi = self._relax_into(i, A, e1, rho, u, usq, cu, wr, add)
-            ho = self._relax_into(o, B, e2, rho, u, usq, cu, wr, add)
-            if fluid is not None:
-                np.copyto(B, hi, where=fluid)
-                np.copyto(A, ho, where=fluid)
-            else:
-                B[...] = hi        # a_i(x + c_i) <- h_i(x)
-                A[...] = ho
+        ws = self._scratch(views[0].shape)
+        self._moments(ws, views)
+        self._guarded_velocity(ws)
+        self._hoist(ws)
+        add = self._force_add()
+        sites = self._solid_sites(R) if self._om is not None else None
+        for pair in self._pairs:
+            # views[p] = fg[m][P - c_p] holds phi_p and receives h_m,
+            # views[m] = fg[p][P + c_p] holds phi_m and receives h_p.
+            p, m = pair[:2]
+            hp, hm = self._relax_pair(ws, pair, views[p], views[m],
+                                      self.omega, add)
+            self._scatter(hp, p, views[m], sites)
+            self._scatter(hm, m, views[p], sites)
         for r in self._rest:
-            Rv = views[r]
-            hr = self._relax_into(r, Rv, e1, rho, u, usq, cu, wr, add)
-            if fluid is not None:
-                np.copyto(Rv, hr, where=fluid)
-            else:
-                Rv[...] = hr
+            hr = self._relax_rest(ws, r, views[r], self.omega, add)
+            self._scatter(hr, r, views[r], sites)
 
     # -- ghost handling (single-domain) ----------------------------------
     def fill_ghosts(self) -> None:
-        """Post-even ghost fill: periodic wrap or zero-gradient copy."""
+        """Post-even ghost fill: periodic wrap or zero-gradient copy.
+
+        The rotated layout reads a bounded face's ghost plane only
+        through the five outward slots (the paper's Sec 4.3 "5N^2"), so
+        only those are copied; axes in order over the full cross-section
+        still relay edges and corners, because an edge ghost is read
+        only by slots that cross both of its faces.
+        """
+        fg = self.solver.fg
         if self.solver.periodic:
-            fill_ghosts_periodic(self.solver.fg)
-        else:
-            fill_ghosts_zero_gradient(self.solver.fg)
+            fill_ghosts_periodic(fg)
+            return
+        for (ax, direction), slots in self._face_slots.items():
+            fill_face_zero_gradient(fg, ax, direction, slots)
 
     def fold_ghosts(self) -> None:
         """Fold the odd-phase ghost scatter back onto the interior.

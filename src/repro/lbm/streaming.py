@@ -229,6 +229,25 @@ def fill_ghosts_zero_gradient(f: np.ndarray) -> None:
         f[tuple(lo)] = f[tuple(src)]
 
 
+def fill_face_zero_gradient(fg: np.ndarray, axis: int, direction: int,
+                            slots) -> None:
+    """One face of :func:`fill_ghosts_zero_gradient`, for ``slots`` only.
+
+    Copies the border layer of face ``(axis, direction)`` outward into
+    its ghost plane over the full padded cross-section, but only for
+    the link slots the caller knows are read across that face (for a
+    post-collision fill: those with ``c[axis] != 0``), one plane-sized
+    copy per slot instead of a stride through the whole array.
+    """
+    n = fg.shape[1 + axis]
+    dst: list = [slice(None)] * (fg.ndim - 1)
+    src: list = [slice(None)] * (fg.ndim - 1)
+    dst[axis], src[axis] = (0, 1) if direction == -1 else (n - 1, n - 2)
+    dst, src = tuple(dst), tuple(src)
+    for q in slots:
+        fg[q][dst] = fg[q][src]
+
+
 def fold_face_zero_gradient(lattice: Lattice, fg: np.ndarray,
                             axis: int, direction: int) -> None:
     """Bounded-face analogue of the periodic crossing-slot fold.

@@ -79,11 +79,12 @@ class TestSingleDomain:
         _, aa = _pair(solid=_city())
         aa.step(2)
         summary = aa.counters.summary()
-        assert summary["aa.workspace"]["allocs"] == 10  # 9 scratch + solid
+        # float arena + bool plane, + relaxation field and index scratch
+        assert summary["aa.workspace"]["allocs"] == 4
         _, aa_fluid = _pair()
         aa_fluid.step(2)
         summary = aa_fluid.counters.summary()
-        assert summary["aa.workspace"]["allocs"] == 9
+        assert summary["aa.workspace"]["allocs"] == 2
 
     def test_odd_parity_reconstruction_read_only(self):
         _, aa = _pair()
