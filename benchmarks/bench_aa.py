@@ -1,16 +1,13 @@
-"""AA-pattern kernel + measured-autotune overhead benchmark.
+"""AA-pattern kernel benchmark.
 
 The swap-free AA kernel (:mod:`repro.lbm.aa`) halves the streaming
-working set by keeping a single distribution array; its payoff shows
-on the dense reference case once the double-buffered fused sweep no
-longer fits in cache.  This suite records, on the 64^3 dense domain,
+working set by keeping a single distribution array and merges collide
+and stream into one sweep.  This suite records, on the 64^3 dense
+domain,
 
 * ``reference_full_step_aa`` — the AA kernel's Mcells/s,
-* ``aa_speedup`` — AA over the fused double-buffered kernel, measured
-  in the same run (the acceptance floor is 1.2x),
-* ``autotune_overhead`` — the measured autotuner's one-off probe cost
-  (:func:`repro.lbm.autotune.choose_kernel` on a cold cache) as a
-  fraction of a 100-step run at the chosen kernel (< 5%),
+* ``aa_speedup`` — AA over the double-buffered phase-split reference,
+  measured in the same run,
 * ``dispersion_step_split`` / ``dispersion_step_inplace`` — the
   bounded urban-dispersion case (voxelized city, equilibrium inlet,
   zero-gradient outflow) on the split reference pipeline vs the
@@ -19,7 +16,7 @@ longer fits in cache.  This suite records, on the 64^3 dense domain,
   ratio (acceptance floor 1.15x, single distribution array asserted),
 
 into ``BENCH_kernels.json`` so ``check_regression.py`` guards the AA
-throughput (periodic and bounded) and the probe staying cheap.
+throughput (periodic and bounded).
 
 Entry points:
 
@@ -44,12 +41,10 @@ try:  # allow `python benchmarks/bench_aa.py` without PYTHONPATH=src
 except ImportError:  # pragma: no cover - path bootstrap
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-#: Dense reference domain: large enough that the fused kernel's two
-#: full distribution arrays overrun the last-level cache while the AA
-#: kernel's single array still benefits from its slab blocking.
+#: Dense reference domain: large enough that two full distribution
+#: arrays overrun the last-level cache while the AA kernel's single
+#: array still benefits from its slab blocking.
 SHAPE = (64, 64, 64)
-#: Steps in the autotune-overhead denominator run.
-OVERHEAD_RUN_STEPS = 100
 
 
 def _dispersion_solver(kernel: str, shape):
@@ -83,18 +78,18 @@ def _throughput_mcells(solver, steps: int, repeats: int) -> float:
 
 def run_aa_benchmarks(steps: int = 8, repeats: int = 3,
                       shape=SHAPE) -> dict:
-    """Measure AA vs fused plus the autotune probe cost; bench entries."""
-    from repro.lbm import LBMSolver, clear_autotune_cache
-    from repro.lbm.autotune import choose_kernel
+    """Measure AA vs the split reference, periodic and bounded; bench
+    entries."""
+    from repro.lbm import LBMSolver
 
     steps += steps & 1  # AA pairs phases; keep batches on even counts
     results: dict[str, dict] = {}
     mc = {}
-    for kind in ("fused", "aa"):
+    for kind in ("split", "aa"):
         solver = LBMSolver(shape, tau=0.7, kernel=kind)
         mc[kind] = _throughput_mcells(solver, steps, repeats)
     results["reference_full_step_aa"] = {"mcells_per_s": round(mc["aa"], 3)}
-    results["aa_speedup"] = {"ratio": round(mc["aa"] / mc["fused"], 3)}
+    results["aa_speedup"] = {"ratio": round(mc["aa"] / mc["split"], 3)}
 
     # Bounded urban-dispersion case: the in-place AA kernel (rotated
     # boundary closure, single array) vs the split reference pipeline.
@@ -114,39 +109,18 @@ def run_aa_benchmarks(steps: int = 8, repeats: int = 3,
         "mcells_per_s": round(mc_d["aa"], 3)}
     results["inplace_bounded_speedup"] = {
         "ratio": round(mc_d["aa"] / mc_d["split"], 3)}
-
-    # Autotune overhead: cold-cache probe time vs a 100-step run at the
-    # kernel the probe selected.
-    clear_autotune_cache()
-    tuned = LBMSolver(shape, tau=0.7, kernel="auto", autotune="measured")
-    t0 = time.perf_counter()
-    choice = choose_kernel(tuned)
-    probe_s = time.perf_counter() - t0
-    tuned.step(2)  # warm the selected kernel's workspace
-    t0 = time.perf_counter()
-    tuned.step(OVERHEAD_RUN_STEPS)
-    run_s = time.perf_counter() - t0
-    results["autotune_overhead"] = {
-        "ratio": round(probe_s / run_s, 4),
-        "probe_ms": round(probe_s * 1e3, 2),
-        "run_steps": OVERHEAD_RUN_STEPS,
-        "chosen": choice.kernel,
-    }
     return results
 
 
 def comparison_lines(results: dict) -> str:
     aa = results["reference_full_step_aa"]["mcells_per_s"]
     ratio = results["aa_speedup"]["ratio"]
-    ov = results["autotune_overhead"]
     disp = results["dispersion_step_inplace"]["mcells_per_s"]
     bratio = results["inplace_bounded_speedup"]["ratio"]
     return "\n".join([
-        f"  aa {aa:7.3f} Mcells/s on {SHAPE} (aa/fused {ratio:.2f}x)",
+        f"  aa {aa:7.3f} Mcells/s on {SHAPE} (aa/split {ratio:.2f}x)",
         f"  bounded dispersion inplace {disp:7.3f} Mcells/s "
         f"(inplace/split {bratio:.2f}x)",
-        f"  autotune probe {ov['probe_ms']:.1f} ms = {ov['ratio']:.1%} of a "
-        f"{ov['run_steps']}-step run (picked {ov['chosen']!r})",
     ])
 
 
@@ -184,9 +158,9 @@ def test_reference_step_aa(benchmark):
     benchmark(lambda: solver.step(2))
 
 
-def test_reference_step_fused_64(benchmark):
+def test_reference_step_split_64(benchmark):
     from repro.lbm import LBMSolver
-    solver = LBMSolver(SHAPE, tau=0.7, kernel="fused")
+    solver = LBMSolver(SHAPE, tau=0.7, kernel="split")
     solver.step(2)
     benchmark(lambda: solver.step(2))
 

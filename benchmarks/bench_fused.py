@@ -1,18 +1,20 @@
-"""Fused vs phase-split hot-path benchmark, with a machine-readable log.
+"""Reference-step and cluster-step benchmark, with a machine-readable log.
 
 Two entry points:
 
 * ``pytest benchmarks/bench_fused.py --benchmark-only`` — the usual
-  pytest-benchmark run, printing fused/unfused Mcells/s side by side.
+  pytest-benchmark run.
 * ``python benchmarks/bench_fused.py [--out BENCH_kernels.json]`` — a
   self-contained timing run that writes ``BENCH_kernels.json`` so the
   kernel-throughput trajectory stays machine-readable across PRs
   (consumed by ``benchmarks/check_regression.py``).
 
 The headline metric mirrors ``bench_kernels.py::test_reference_full_step``:
-throughput of one full reference-solver step at 48^3 in Mcells/s, for
-both the fused single-pass pipeline (``kernel="fused"``) and the
-phase-split reference (``kernel="split"``).
+throughput of one full step of the phase-split reference
+(``kernel="split"``) at 48^3 in Mcells/s — the entry keeps its
+historical key ``reference_full_step_unfused``; the in-place kernel is
+recorded by ``bench_aa.py``.  The cluster-backend and overlap entries
+ride in the same sweep.
 """
 
 from __future__ import annotations
@@ -33,18 +35,12 @@ except ImportError:  # pragma: no cover - path bootstrap
 SHAPE = (48, 48, 48)
 
 
-def _make_solver(fused: bool, shape=SHAPE, solid: bool = False):
+def _make_solver(shape=SHAPE):
     from repro.lbm import LBMSolver
-    mask = None
-    if solid:
-        mask = np.zeros(shape, bool)
-        mask[shape[0] // 3:shape[0] // 3 + 4,
-             shape[1] // 3:shape[1] // 3 + 4, :] = True
     # Named, not defaulted: the default ``step()`` kernel is the
-    # in-place AA sweep, and these entries measure the fused sweep and
-    # the phase-split reference.
-    return LBMSolver(shape, tau=0.7, solid=mask,
-                     kernel="fused" if fused else "split")
+    # in-place AA sweep, and this entry measures the phase-split
+    # reference.
+    return LBMSolver(shape, tau=0.7, kernel="split")
 
 
 def _throughput_mcells(solver, steps: int, repeats: int) -> float:
@@ -61,20 +57,11 @@ def _throughput_mcells(solver, steps: int, repeats: int) -> float:
 
 def run_benchmarks(shape=SHAPE, steps: int = 8, repeats: int = 3,
                    cluster_backends=None) -> dict:
-    """Measure the fused and unfused step pipelines; returns a JSON dict."""
-    results: dict[str, dict] = {}
-    for name, fused, solid in [
-        ("reference_full_step_unfused", False, False),
-        ("reference_full_step_fused", True, False),
-        ("reference_full_step_fused_solid", True, True),
-    ]:
-        solver = _make_solver(fused, shape=shape, solid=solid)
-        mc = _throughput_mcells(solver, steps, repeats)
-        results[name] = {"mcells_per_s": round(mc, 3)}
-    results["fused_speedup"] = {
-        "ratio": round(results["reference_full_step_fused"]["mcells_per_s"]
-                       / results["reference_full_step_unfused"]["mcells_per_s"], 3)
-    }
+    """Measure the reference step and the cluster steps; returns a JSON
+    dict."""
+    mc = _throughput_mcells(_make_solver(shape), steps, repeats)
+    results: dict[str, dict] = {
+        "reference_full_step_unfused": {"mcells_per_s": round(mc, 3)}}
     # Cluster step (2x2x1 numeric mode) so the distributed hot path is
     # tracked too, under every execution backend (bench_procpool).
     from bench_procpool import BACKENDS, comparison_line, run_backend_benchmarks
@@ -131,22 +118,10 @@ def main(argv=None) -> int:
 
 
 def test_reference_full_step_unfused(benchmark):
-    solver = _make_solver(fused=False)
+    solver = _make_solver()
     benchmark(lambda: solver.step(1))
     benchmark.extra_info["Mcells/s"] = round(
         np.prod(SHAPE) / benchmark.stats["mean"] / 1e6, 1)
-
-
-def test_reference_full_step_fused(benchmark):
-    solver = _make_solver(fused=True)
-    benchmark(lambda: solver.step(1))
-    benchmark.extra_info["Mcells/s"] = round(
-        np.prod(SHAPE) / benchmark.stats["mean"] / 1e6, 1)
-
-
-def test_fused_step_with_obstacle(benchmark):
-    solver = _make_solver(fused=True, solid=True)
-    benchmark(lambda: solver.step(1))
 
 
 def test_cluster_serial_step(benchmark):

@@ -32,7 +32,7 @@ except ImportError:  # pragma: no cover - path bootstrap
 import numpy as np
 
 CITY_SHAPE, CITY_RESOLUTION_M, CITY_TAU = (192, 160, 32), 9.5, 0.55
-PAIRS = (("aa", "soa"), ("split", "soa"))
+CANDIDATES = ("aa", "split")
 
 
 def _city(seed: int):
@@ -66,7 +66,7 @@ def probe_matrix(seed: int) -> None:
                 boundaries=tuple(bcs), runnable=("aa", "split"),
                 periodic=False, schedule=schedule, halo_managed=True)
             t0 = time.perf_counter()
-            rates = _probe_rates(spec, PAIRS)
+            rates = _probe_rates(spec, CANDIDATES)
             dt = time.perf_counter() - t0
             crop = _probe_shape(spec.shape, _active_faces(spec))
             print(f"{name:24s} {str(crop):14s} {schedule:8s} "

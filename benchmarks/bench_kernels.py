@@ -46,7 +46,7 @@ def test_streaming_kernel(benchmark, f48):
 
 
 def test_reference_full_step(benchmark):
-    solver = LBMSolver(SHAPE, tau=0.7, kernel="fused")
+    solver = LBMSolver(SHAPE, tau=0.7, kernel="split")
     benchmark(lambda: solver.step(1))
     benchmark.extra_info["Mcells/s"] = round(
         np.prod(SHAPE) / benchmark.stats["mean"] / 1e6, 1)

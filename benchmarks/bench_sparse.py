@@ -5,16 +5,19 @@ the paper's Sec-5 city domain, where a large fraction of lattice sites
 is building/ground solid.  This suite voxelizes the procedural city at
 three occupancy levels and records, for each level,
 
-* ``urban_step_dense_<level>`` — the fused dense kernel's Mcells/s
-  (``kernel="fused"``: full-box sweep, solid sites restored),
+* ``urban_step_dense_<level>`` — the dense kernel's Mcells/s: the one
+  ``kernel="auto"`` resolves when it does not pick sparse
+  (``kernel="aa"``: in-place full-box sweep, solid sites relaxed at
+  rate 0),
 * ``urban_step_sparse_<level>`` — the sparse kernel's Mcells/s
   (``kernel="sparse"``: fluid-compacted arrays, folded bounce-back),
 * ``sparse_speedup_<level>`` — their ratio,
 
-into ``BENCH_kernels.json`` so ``check_regression.py`` guards the
-crossover: sparse should lose slightly at low occupancy (the gather
-indirection is pure overhead there) and win above the ~50% selection
-threshold.  Every entry also carries the measured solid fraction.
+into ``BENCH_kernels.json`` so ``check_regression.py`` guards both
+sides of the ``sparse_threshold`` decision — the ratio is the number
+that says whether ``sparse`` earns its place beside ``aa``
+(EXPERIMENTS.md E21).  Every entry also carries the measured solid
+fraction.
 
 Entry points:
 
@@ -78,7 +81,7 @@ def run_sparse_benchmarks(steps: int = 8, repeats: int = 3,
         solid = _city_mask(shape, resolution_m, ground_layers)
         occ = round(float(solid.mean()), 3)
         mc = {}
-        for kind, kernel in (("dense", "fused"), ("sparse", "sparse")):
+        for kind, kernel in (("dense", "aa"), ("sparse", "sparse")):
             solver = LBMSolver(shape, tau=0.7, solid=solid, kernel=kernel)
             mc[kind] = _throughput_mcells(solver, steps, repeats)
             results[f"urban_step_{kind}_{level}"] = {
@@ -136,7 +139,7 @@ def test_urban_step_dense_high(benchmark):
     from repro.lbm import LBMSolver
     level, shape, res, gl = OCCUPANCY_LEVELS[-1]
     solver = LBMSolver(shape, tau=0.7,
-                       solid=_city_mask(shape, res, gl), kernel="fused")
+                       solid=_city_mask(shape, res, gl), kernel="aa")
     solver.step(1)
     benchmark(lambda: solver.step(1))
 

@@ -12,10 +12,10 @@ Options::
     --baseline PATH   baseline JSON (default: repo-root BENCH_kernels.json)
     --threshold F     allowed fractional drop, e.g. 0.25 (default)
     --suite NAME      which recording suites to run: ``kernels`` (the
-                      bench_fused sweep: fused + cluster backends +
-                      overlap), ``sparse`` (the urban dense-vs-sparse
-                      sweep), ``aa`` (the AA-pattern kernel + autotune
-                      overhead sweep), ``trace`` (traced vs untraced
+                      bench_fused sweep: split reference + cluster
+                      backends + overlap), ``sparse`` (the urban
+                      dense-vs-sparse sweep), ``aa`` (the AA-pattern
+                      kernel sweep), ``trace`` (traced vs untraced
                       cluster stepping), ``balance`` (uniform vs
                       occupancy-weighted cuts on the mixed city
                       domain), ``exchange`` (the halo exchange of the

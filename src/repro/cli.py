@@ -277,7 +277,6 @@ def _cmd_check_aa(args) -> int:
             for row in rows:
                 print(f"    rank {row['rank']:>3}: "
                       f"kernel {row['kernel']:<9} "
-                      f"layout {row.get('layout', 'soa'):<4} "
                       f"solid {row['solid_fraction']:.1%}")
     default = report["default"]
     print(f"  case default (make_single_solver(), no kernel named, "

@@ -60,19 +60,9 @@ def occupancy_cost_field(global_shape, solid=None,
 
 
 def rate_for_row(row) -> float | None:
-    """Measured probe rate for a kernel-report row's chosen pick.
-
-    Autotune rates are keyed per (kernel, layout) pair — the bare
-    kernel name for the SoA layout and ``"<kernel>/aos"`` for AoS (see
-    :func:`repro.lbm.autotune.rate_key`) — so the lookup tries the
-    pair key for the row's reported layout first and falls back to the
-    bare kernel key, which also keeps pre-layout reports working.
-    """
-    rates = row.get("rates") or {}
-    kernel = row.get("kernel")
-    layout = row.get("layout", "soa")
-    rate = rates.get(f"{kernel}/{layout}") if layout != "soa" else None
-    return rate if rate else rates.get(kernel)
+    """Measured probe rate of a kernel-report row's kernel (None when
+    the row carries no probe rates)."""
+    return (row.get("rates") or {}).get(row.get("kernel"))
 
 
 def rates_cost_field(decomp: BlockDecomposition, report_rows) -> np.ndarray:

@@ -160,8 +160,8 @@ class ClusterConfig:
         kernel (:class:`~repro.lbm.SparseStepKernel`) when the *local*
         solid fraction reaches ``sparse_threshold``, the dense
         phase-split path otherwise.  Forcing a kernel is unchanged:
-        ``"split"`` / ``"sparse"`` / ``"fused"`` pin every rank's
-        path, and ``kernel="aa"`` forces the swap-free AA-pattern
+        ``"split"`` / ``"sparse"`` pin every rank's path, and
+        ``kernel="aa"`` forces the swap-free AA-pattern
         kernel on every rank (CPU numeric ranks only).  Under AA,
         forced or resolved, the driver plays the role of the kernel's
         ghost closure: forward halo exchange after even phases,
@@ -175,16 +175,6 @@ class ClusterConfig:
         every step count, loads and rebalances included;
         :meth:`kernel_report` and the ``kernel.*`` counters record
         what each rank ran and why.
-    layout:
-        Physical distribution-array layout on every CPU rank:
-        ``"soa"`` (default), ``"aos"`` or ``"auto"`` (each rank's
-        measured autotuner probes both layouts for the
-        layout-sensitive kernels and keeps the faster — see
-        :class:`repro.lbm.LBMSolver` and :mod:`repro.lbm.autotune`).
-        All layouts are bit-identical; :meth:`kernel_report` shows the
-        per-rank choice.  GPU drivers require SoA, and non-SoA CPU
-        ranks on the processes backend stage gathers/loads through a
-        copy instead of adopting the shared buffers directly.
     compression:
         Adaptive lossless compression of the halo messages (Sec 4.3's
         open question).  Every exchange gathers everything bound for
@@ -212,8 +202,8 @@ class ClusterConfig:
         smaller ones.  ``cuts`` pins explicit per-axis block extents
         (three sequences matching the arrangement and summing to the
         global extents) and overrides ``decomposition`` — this is how
-        :meth:`rebalance` re-cuts from measured busy time.  Any cut
-        layout is bit-identical to the single-domain reference (the
+        :meth:`rebalance` re-cuts from measured busy time.  Any set of
+        cuts is bit-identical to the single-domain reference (the
         cut positions are shared per axis, so neighbouring face shapes
         always match and the halo protocol is unchanged).
     """
@@ -238,7 +228,6 @@ class ClusterConfig:
     kernel: str = "auto"
     sparse_threshold: float = 0.5
     autotune: str = "measured"
-    layout: str = "soa"
     decomposition: str = "uniform"
     cuts: tuple | None = None
     compression: str = "off"
@@ -273,18 +262,14 @@ class ClusterConfig:
                         f"expected global extent {s}")
                 norm.append(c)
             self.cuts = tuple(norm)
-        if self.kernel not in ("auto", "fused", "sparse", "split", "aa"):
+        if self.kernel not in ("auto", "sparse", "split", "aa"):
             raise ValueError(
-                f"kernel must be 'auto', 'fused', 'sparse', 'split' or "
-                f"'aa', got {self.kernel!r}")
+                f"kernel must be 'auto', 'sparse', 'split' or 'aa', "
+                f"got {self.kernel!r}")
         if self.autotune not in ("heuristic", "measured"):
             raise ValueError(
                 f"autotune must be 'heuristic' or 'measured', "
                 f"got {self.autotune!r}")
-        if self.layout not in ("soa", "aos", "auto"):
-            raise ValueError(
-                f"layout must be 'soa', 'aos' or 'auto', "
-                f"got {self.layout!r}")
         if not 0.0 <= float(self.sparse_threshold) <= 1.0:
             raise ValueError(
                 f"sparse_threshold must be within [0, 1], "
@@ -430,8 +415,6 @@ class _ClusterLBMBase:
         return {
             "kernel": cfg.kernel,
             "sparse_threshold": cfg.sparse_threshold,
-            "autotune": cfg.autotune,
-            "layout": choice.layout if choice is not None else cfg.layout,
             "kernel_choice": choice,
             "aa_halo_managed": self.aa_protocol,
         }
@@ -463,19 +446,18 @@ class _ClusterLBMBase:
     def kernel_report(self, cluster: bool = False) -> list[dict]:
         """Per-rank hot-path choice and local solid occupancy.
 
-        One row per rank — ``{"rank", "kernel", "layout",
-        "solid_fraction", "reason", "rates", "block", "cells"}`` — for
-        the timing summary: which kernel the rank's last step ran
-        (``"aa"``, ``"sparse"``, ``"split"``, ``"fused"``, ``"gpu"``,
-        or ``"unstepped"``/``"model"`` before the first numeric step),
-        the concrete memory layout its distribution array currently
-        has (``"soa"``/``"aos"`` — the autotuner's pick under
-        ``layout="auto"``), the rank-local solid fraction, *why* the
-        kernel was selected (forced / heuristic threshold / the
-        coordinator's cluster-resolved probe), for measured autotuning the probe's MLUPS per
-        (kernel, layout) candidate (None otherwise), and the rank's
-        block shape and cell count (unequal under weighted cuts — the
-        load balancer's output).
+        One row per rank — ``{"rank", "kernel", "solid_fraction",
+        "reason", "rates", "block", "cells"}`` — for the timing
+        summary: which kernel the rank's last step ran (``"aa"``,
+        ``"sparse"``, ``"split"``, ``"gpu"``, or
+        ``"unstepped"``/``"model"`` before the first numeric step),
+        the rank-local solid fraction and *why* the kernel was
+        selected (forced / heuristic threshold / the coordinator's
+        cluster-resolved probe).  Under measured autotuning ``rates``
+        holds the probe's MLUPS per candidate kernel (None otherwise).
+        ``block`` and ``cells`` are the rank's block shape and cell
+        count (unequal under weighted cuts — the load balancer's
+        output).
 
         With ``cluster=True`` one cluster-level row follows the rank
         rows: ``{"rank": "cluster", "kernel", "schedule", "aa_ms",
@@ -486,7 +468,6 @@ class _ClusterLBMBase:
         """
         rows = [{"rank": getattr(node, "rank", i),
                  "kernel": getattr(node, "kernel_used", "n/a"),
-                 "layout": getattr(node, "kernel_layout", "soa"),
                  "solid_fraction": float(getattr(node, "solid_fraction", 0.0)),
                  "reason": getattr(node, "kernel_reason", None),
                  "rates": getattr(node, "kernel_rates", None),
@@ -904,11 +885,6 @@ class GPUClusterLBM(_ClusterLBMBase):
             raise ValueError(
                 "kernel='aa' is CPU-only: the simulated GPU pipeline "
                 "has no AA halo protocol (use CPUClusterLBM)")
-        if config.layout != "soa":
-            raise ValueError(
-                "layout overrides are CPU-only: the simulated GPU "
-                "pipeline packs distributions into texture stacks "
-                "(use CPUClusterLBM)")
         super().__init__(config)
 
     def _make_node(self, rank: int, solid):
@@ -968,7 +944,7 @@ class CPUClusterLBM(_ClusterLBMBase):
         # No gate covers the AA halo protocol with a body force, so a
         # forced cluster keeps its ranks off it.
         runnable = (("aa",) if cfg.force is None else ()) + (
-            ("sparse",) if cfg.layout != "aos" else ()) + ("split",)
+            "sparse", "split")
         schedule = self._rank_schedule()
         specs = []
         for rank, solid in enumerate(solids):
@@ -981,9 +957,7 @@ class CPUClusterLBM(_ClusterLBMBase):
                 boundaries=tuple(rank_boundaries(bc["inlet"],
                                                  bc["outflow"])),
                 runnable=runnable, periodic=False, schedule=schedule,
-                halo_managed=True, sparse_threshold=cfg.sparse_threshold,
-                layout="soa" if cfg.layout == "auto" else cfg.layout,
-                layout_requested=cfg.layout))
+                halo_managed=True, sparse_threshold=cfg.sparse_threshold))
         return resolve_cluster(
             specs, [b.cells for b in self.decomp.blocks], self.counters)
 

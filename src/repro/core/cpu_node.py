@@ -48,7 +48,7 @@ class CPUNode(SolverPort):
     The halo engine packs, unpacks and closes this rank's shell through
     the inherited :class:`~repro.core.exchange.SolverPort` methods.
     ``kernel_choice`` is a decision the cluster coordinator already
-    measured for this rank (the solver adopts it instead of probing);
+    measured for this rank (the solver follows it instead of its rule);
     ``aa_halo_managed`` says the driver runs the AA halo protocol
     (forward exchange after even phases, reverse scatter exchange
     after odd ones), which is what lets a rank stepped phase by phase
@@ -60,7 +60,6 @@ class CPUNode(SolverPort):
                  cpu_spec: CPUSpec = XEON_2_4, inlet=None, outflow=None,
                  force=None, use_sse: bool = False, kernel: str = "auto",
                  sparse_threshold: float = 0.5,
-                 autotune: str = "heuristic", layout: str = "soa",
                  kernel_choice=None, aa_halo_managed: bool = False) -> None:
         self.rank = rank
         self.tau = float(tau)
@@ -74,8 +73,7 @@ class CPUNode(SolverPort):
             solver = LBMSolver(sub_shape, tau, solid=solid,
                                boundaries=rank_boundaries(inlet, outflow),
                                force=force, periodic=False, kernel=kernel,
-                               sparse_threshold=sparse_threshold,
-                               autotune=autotune, layout=layout)
+                               sparse_threshold=sparse_threshold)
             # The cluster driver steps this solver phase by phase
             # (collide / exchange / stream).
             solver.phase_driven = True
@@ -89,8 +87,8 @@ class CPUNode(SolverPort):
                 if not AAStepKernel.eligible(solver):
                     raise ValueError(
                         "kernel='aa' on a cluster rank requires a plain "
-                        "BGK sub-domain whose boundary handlers the "
-                        "rotated closure supports (inlet/outflow only)")
+                        "BGK sub-domain with only face-resident boundary "
+                        "handlers")
         super().__init__(solver, sub_shape)
         self.compute_s = 0.0
         self.agp_s = 0.0           # always 0: no GPU on this path
@@ -116,18 +114,15 @@ class CPUNode(SolverPort):
 
     @property
     def kernel_reason(self) -> str | None:
-        """Why the hot path was selected (heuristic vs measured probe)."""
+        """Why the hot path was selected (forced, the solver's rule or
+        the coordinator's probe)."""
         return None if self.solver is None else self.solver.kernel_reason
 
     @property
     def kernel_rates(self) -> dict | None:
-        """Measured probe MLUPS per candidate (measured autotune only)."""
+        """The coordinator's probe MLUPS per candidate (None unless it
+        resolved this rank's kernel)."""
         return None if self.solver is None else self.solver.kernel_rates
-
-    @property
-    def kernel_layout(self) -> str:
-        """Concrete memory layout of this rank's distribution array."""
-        return "soa" if self.solver is None else self.solver.layout
 
     # -- geometry ---------------------------------------------------------
     @property
@@ -180,9 +175,9 @@ class CPUNode(SolverPort):
         """
         if self.timing_only:
             return True
-        from repro.lbm.boundaries import Boundary
-        return all(type(b).pre_stream is Boundary.pre_stream
-                   for b in self.solver.boundaries)
+        from repro.lbm.boundaries import snapshots_pre_stream
+        return not any(snapshots_pre_stream(b)
+                       for b in self.solver.boundaries)
 
     def collide_boundary_phase(self) -> None:
         """Collide the depth-1 shell so borders are exchange-ready."""

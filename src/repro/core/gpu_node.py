@@ -78,7 +78,7 @@ class GPUNode:
         self.overlap_window_s = 0.0
         # Kernel-report attributes: the GPU path has a single hot path
         # (the fragment-program passes), reported alongside the CPU
-        # ranks' fused/sparse selection.
+        # ranks' kernel selection.
         self.kernel_used = "gpu"
         self.solid_fraction = (float(np.asarray(solid, dtype=bool).mean())
                                if solid is not None else 0.0)

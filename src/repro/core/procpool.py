@@ -98,8 +98,6 @@ class WorkerSpec:
     q: int = 19
     kernel: str = "auto"                # per-rank hot-path selection
     sparse_threshold: float = 0.5
-    autotune: str = "heuristic"         # "heuristic" | "measured"
-    layout: str = "soa"                 # distribution layout: "soa" | "aos" | "auto"
     kernel_choice: object = None        # coordinator-resolved KernelChoice | None
     aa_halo_managed: bool = False       # the cluster runs the AA halo protocol
 
@@ -113,7 +111,7 @@ class RankProxy:
 
     __slots__ = ("rank", "compute_s", "agp_s", "overlap_window_s",
                  "kernel_used", "solid_fraction", "kernel_reason",
-                 "kernel_rates", "kernel_layout")
+                 "kernel_rates")
 
     def __init__(self, rank: int) -> None:
         self.rank = rank
@@ -124,7 +122,6 @@ class RankProxy:
         self.solid_fraction = 0.0
         self.kernel_reason: str | None = None
         self.kernel_rates: dict | None = None
-        self.kernel_layout = "soa"
 
 
 def _build_node(spec: WorkerSpec):
@@ -144,7 +141,6 @@ def _build_node(spec: WorkerSpec):
                    inlet=spec.inlet, outflow=spec.outflow, force=spec.force,
                    kernel=spec.kernel,
                    sparse_threshold=spec.sparse_threshold,
-                   autotune=spec.autotune, layout=spec.layout,
                    kernel_choice=spec.kernel_choice,
                    aa_halo_managed=spec.aa_halo_managed)
 
@@ -212,10 +208,9 @@ class _Worker:
         self.exchange = HaloExchange(
             spec.rank, self.node, spec.neighbors, spec.periodic,
             self.transport, aa=spec.aa_halo_managed, counters=self.counters)
-        # A non-SoA (or autotuned, hence rebindable) layout cannot live
-        # on the shared segment: gathers/loads stage copies instead.
-        self._fg_adopted = (spec.node_kind == "cpu"
-                            and spec.layout == "soa")
+        # A CPU rank's distributions live on the shared segment; a
+        # simulated-GPU rank's texture stacks stage through it.
+        self._fg_adopted = spec.node_kind == "cpu"
         if self._fg_adopted:
             self._adopt_shared_fg()
 
@@ -308,7 +303,6 @@ class _Worker:
             "solid_fraction": float(getattr(node, "solid_fraction", 0.0)),
             "kernel_reason": getattr(node, "kernel_reason", None),
             "kernel_rates": getattr(node, "kernel_rates", None),
-            "kernel_layout": getattr(node, "kernel_layout", "soa"),
             "counters": rec.summary(),
         }
         if tracer.enabled:
@@ -323,11 +317,10 @@ class _Worker:
         return reply
 
     def _live_buf(self) -> int:
-        """Index of the shared fg buffer the solver's array lives on
-        (adopted ranks) or stages through (everyone else).  The
-        double-buffered kernels swap every step; the single AA array
-        never leaves buffer 0."""
-        if self._fg_adopted and self.spec.aa_halo_managed:
+        """Index of the shared fg buffer a CPU rank's array lives on.
+        The double-buffered kernels swap every step; the single AA
+        array never leaves buffer 0."""
+        if self.spec.aa_halo_managed:
             return 0
         return self.step_count & 1
 
@@ -336,13 +329,8 @@ class _Worker:
         replies which one (``cur``) and which one a load must fill."""
         live = cur = self._live_buf()
         solver = self.node.solver
-        if self.spec.node_kind == "gpu":
+        if not self._fg_adopted:
             self.segs.stage[...] = solver.distributions()
-        elif not self._fg_adopted:
-            # Non-adopted layouts (AoS or autotuned): the solver's
-            # array never lives on the shared segment, so stage a
-            # canonical copy into the parity-matching shared buffer.
-            self.segs.interior(cur)[...] = solver.f
         elif solver.aa_odd and self.spec.aa_halo_managed:
             # Mid-pair AA: the single shared array holds the rotated
             # layout.  Stage the canonical read-only reconstruction
@@ -356,16 +344,12 @@ class _Worker:
     def _load(self) -> dict:
         """Take over the interior the coordinator just wrote."""
         solver = self.node.solver
-        if self.spec.node_kind == "gpu":
+        if not self._fg_adopted:
             solver.load_distributions(np.array(self.segs.stage))
-        elif self._fg_adopted:
+        else:
             # Written in place through shared memory: only the AA
             # phase origin needs re-basing onto the canonical state.
             solver.mark_canonical()
-        else:
-            # Mirror of the staged gather: copy the shared interior
-            # into the solver's own (differently laid out) array.
-            solver.load_distributions(self.segs.interior(self._live_buf()))
         return {}
 
     def _initialize(self, rho, u) -> dict:
@@ -637,7 +621,6 @@ class ProcessBackend:
             proxy.solid_fraction = payload.get("solid_fraction", 0.0)
             proxy.kernel_reason = payload.get("kernel_reason")
             proxy.kernel_rates = payload.get("kernel_rates")
-            proxy.kernel_layout = payload.get("kernel_layout", "soa")
         return payloads
 
     def gather_parts(self) -> list[np.ndarray]:
@@ -668,8 +651,8 @@ class ProcessBackend:
         else:
             for seg, part in zip(self.segments, parts):
                 seg.stage[...] = part
-        # Every rank takes the new state over: non-adopted ranks copy
-        # it into their own arrays, AA ranks re-base their phase.
+        # Every rank takes the new state over: GPU ranks upload the
+        # stage, AA ranks re-base their phase.
         self._command(("load",))
 
     def initialize(self, rho, u) -> None:

@@ -18,8 +18,7 @@ from repro.lbm.equilibrium import equilibrium
 from repro.lbm.macroscopic import macroscopic, density, momentum
 from repro.lbm.collision import BGKCollision, viscosity_to_tau, tau_to_viscosity
 from repro.lbm.aa import AAStepKernel
-from repro.lbm.autotune import KernelChoice, choose_kernel, clear_autotune_cache
-from repro.lbm.fused import FusedStepKernel
+from repro.lbm.autotune import KernelChoice, clear_autotune_cache
 from repro.lbm.sparse import SparseStepKernel
 from repro.lbm.mrt import MRTCollision, mrt_matrix
 from repro.lbm.streaming import pull_slice_table, stream_periodic, stream_pull
@@ -54,9 +53,7 @@ __all__ = [
     "pull_slice_table",
     "AAStepKernel",
     "KernelChoice",
-    "choose_kernel",
     "clear_autotune_cache",
-    "FusedStepKernel",
     "SparseStepKernel",
     "BounceBackNodes",
     "BouzidiCurvedBoundary",

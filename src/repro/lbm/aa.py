@@ -1,6 +1,6 @@
 """AA-pattern (swap-free, single-array) two-phase LBM step kernel.
 
-Every other kernel in this package (split, fused, sparse) keeps **two**
+The other kernels in this package (split, sparse) keep **two**
 full ``(Q, X, Y, Z)`` distribution arrays and copies one into the other
 on stream — doubling both the memory traffic and the resident working
 set of what the paper argues is a bandwidth-bound method.  The
@@ -41,7 +41,7 @@ Bit-exactness contract
 ----------------------
 After every **pair** of steps the array equals the reference solver's
 distributions bit for bit (the same ``np.array_equal`` contract the
-fused and sparse kernels pin); mid-pair, the macroscopic fields and the
+sparse kernel pins); mid-pair, the macroscopic fields and the
 reconstructed distributions (:meth:`AAStepKernel.reconstruct`) are
 bit-identical every step.  Every site sees the reference's operations
 in the reference's order (slot-order moment sums, guarded division,
@@ -66,13 +66,12 @@ downstream); a non-finite population or moment at a solid site turns
 its populations NaN, where the mask would have kept them.  The odd
 phase copies solid-owned locations bit for bit.
 
-Eligibility: plain BGK collision and boundary handlers limited to the
-types the rotated applicator supports
-(:data:`repro.lbm.esoteric.SUPPORTED_BOUNDARY_TYPES` — the dispersion
-scenario's inlet/outflow; anything else would read or write the rotated
-mid-pair layout incorrectly).  Ghost traffic is handled per domain
-kind: periodic single-domain by fill/fold, *bounded* single-domain by
-the zero-gradient fill and crossing-slot fold
+Eligibility: plain BGK collision and only face-resident boundary
+handlers (:func:`repro.lbm.boundaries.face_resident` — inlet, outflow,
+Zou–He, any custom handler keeping that contract; anything else would
+read or write the rotated mid-pair layout incorrectly).  Ghost traffic
+is handled per domain kind: periodic single-domain by fill/fold,
+*bounded* single-domain by the zero-gradient fill and crossing-slot fold
 (:func:`repro.lbm.streaming.fold_ghosts_zero_gradient`) with handlers
 imposed through the rotated write rule
 (:class:`repro.lbm.esoteric.RotatedBoundaryApplicator`), and clusters
@@ -89,11 +88,14 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from repro.lbm.boundaries import face_resident
+from repro.lbm.collision import plain_bgk_step
 from repro.lbm.lattice import Lattice
 from repro.lbm.streaming import (fill_face_zero_gradient,
-                                 fill_ghosts_periodic, fold_ghosts_periodic,
-                                 fold_ghosts_zero_gradient, physical_cells)
-from repro.lbm.fused import build_solid_padded
+                                 fill_ghosts_periodic,
+                                 fill_ghosts_zero_gradient, flat_cells,
+                                 fold_ghosts_periodic,
+                                 fold_ghosts_zero_gradient)
 
 #: Every phase, whole-domain or region, visits its box in axis-0 chunks
 #: of about this many cells, so the passes of a link pair run on
@@ -102,6 +104,22 @@ from repro.lbm.fused import build_solid_padded
 #: (numpy then collapses the element loops).  Targets from 10 k to 65 k
 #: cells timed alike on a 4 MB L2 (EXPERIMENTS.md E20): a constant.
 SLAB_TARGET_CELLS = 32768
+
+
+def build_solid_padded(solver, pshape) -> np.ndarray:
+    """Solid mask on the padded grid, ghost shell included.
+
+    Ghost cells are marked solid exactly when their source interior
+    cell is solid, mirroring the solver's ghost fill (periodic wrap
+    or zero-gradient edge copy, same axis order), so the even phase,
+    which relaxes the full padded field, keeps pre-collision values on
+    every solid *image* too.
+    """
+    sp = np.zeros(pshape, dtype=bool)
+    sp[tuple(slice(1, -1) for _ in pshape)] = solver.solid
+    fill = fill_ghosts_periodic if solver.periodic else fill_ghosts_zero_gradient
+    fill(sp[None])      # the fills skip a leading link axis
+    return sp
 
 
 class AAStepKernel:
@@ -119,15 +137,11 @@ class AAStepKernel:
     """
 
     def __init__(self, solver) -> None:
-        from repro.lbm.collision import BGKCollision
-        if type(solver.collision) is not BGKCollision:
-            raise TypeError("AAStepKernel requires a plain BGKCollision")
-        if solver.boundaries:
-            from repro.lbm.esoteric import boundaries_supported
-            if not boundaries_supported(solver.boundaries):
-                raise TypeError(
-                    "AAStepKernel supports only inlet/outflow boundary "
-                    "handlers (rotated closure, see repro.lbm.esoteric)")
+        if not self.eligible(solver):
+            raise TypeError(
+                "AAStepKernel requires a plain BGKCollision and only "
+                "face-resident boundary handlers (rotated closure, see "
+                "repro.lbm.esoteric)")
         lat: Lattice = solver.lattice
         dtype = solver.dtype
         pshape = solver.fg.shape[1:]
@@ -195,18 +209,15 @@ class AAStepKernel:
     def eligible(solver) -> bool:
         """True if ``solver`` can run the AA pipeline.
 
-        Requires plain BGK collision and only boundary handlers the
-        rotated closure supports (inlet/outflow; anything else would
-        observe the rotated mid-pair layout).  Both periodic and
-        bounded domains are eligible: ghost traffic is controlled by
-        this kernel (fill/fold, periodic or zero-gradient) or by a
-        cluster driver (``aa_halo_managed``).
+        Requires plain BGK collision and only face-resident boundary
+        handlers (the rotated closure shows them their two layers
+        canonically; anything else would observe the rotated mid-pair
+        layout).  Both periodic and bounded domains are eligible: ghost
+        traffic is controlled by this kernel (fill/fold, periodic or
+        zero-gradient) or by a cluster driver (``aa_halo_managed``).
         """
-        from repro.lbm.collision import BGKCollision
-        from repro.lbm.esoteric import boundaries_supported
-        if type(solver.collision) is not BGKCollision:
-            return False
-        return boundaries_supported(solver.boundaries)
+        return (plain_bgk_step(solver)
+                and all(face_resident(b) for b in solver.boundaries))
 
     # -- region plumbing -------------------------------------------------
     @staticmethod
@@ -407,12 +418,11 @@ class AAStepKernel:
         what their locations hold, so those keep their bits."""
         if sites is not None:
             local, padded = sites
-            cells, axis = physical_cells(self.solver.fg)
             idx = np.add(padded, self._flat_off[slot],
                          out=self._ibuf[:local.size])
             vals = self._arena[-1, :local.size]
             # In range by construction; "raise" would stage ``out``.
-            np.take(cells[slot] if axis else cells[:, slot], idx, out=vals,
+            np.take(flat_cells(self.solver.fg)[slot], idx, out=vals,
                     mode="clip")
             np.put(h, local, vals)
         dst[...] = h
@@ -526,9 +536,9 @@ class AAStepKernel:
 
         Valid at odd parity (after an even phase whose ghosts have been
         filled/exchanged): performs the pending gather plus the
-        bounce-back swap into a fresh padded array in the solver's
-        layout (so the swap runs through the solver's own solid index
-        list) and returns its interior, bit-identical to what the
+        bounce-back swap into a fresh padded array (so the swap runs
+        through the solver's own solid index list) and returns its
+        interior, bit-identical to what the
         reference solver holds after the same number of steps.  A full
         pass over the distributions per call.  The result is returned
         read-only — the live state is the rotated array, so writes
@@ -537,7 +547,7 @@ class AAStepKernel:
         s = self.solver
         lat = self.lattice
         fg = s.fg
-        padded = s._alloc_fg(s.layout)
+        padded = np.zeros_like(fg)
         out = padded[(slice(None),) + self._interior]
         for i in range(lat.Q):
             out[i] = fg[(int(lat.opp[i]),)

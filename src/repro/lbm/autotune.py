@@ -1,39 +1,32 @@
-"""Measured per-domain kernel autotuning for ``kernel="auto"``.
+"""The cluster coordinator's measured kernel probe.
 
-The solid-fraction heuristic the solver shipped with picks a *plausible*
-kernel, but the GPGPU tuning literature (Habich et al., arXiv:1112.0850;
-Calore et al., arXiv:1703.00185) is unambiguous that the best
-kernel/layout choice is machine- and sub-domain-dependent: the
-crossover between dense, sparse-compacted and AA-pattern streaming
-moves with obstacle geometry, grid shape and cache sizes.  This module
-replaces guessing with a short micro-benchmark.
+A single-domain solver resolves ``kernel="auto"`` by rule
+(:meth:`repro.lbm.solver.LBMSolver._select_kernel`).  A cluster cannot:
+which kernel its ranks should run depends on the schedule the backend
+steps them through — the in-place AA kernel is ~2x the split kernel
+through a whole collide and ~0.45x of it through the shell-split phases
+(AA sweeps the shell as thin strided slabs, the split kernel as one
+gathered batch) — and on the slowest rank, which sets a
+bulk-synchronous step.  So the coordinator measures, once, before any
+rank exists.
 
-``choose_kernel(solver)`` probes every *eligible* candidate kernel
-(``aa``, ``fused``, ``sparse``, ``split``) for a few warm-up plus timed
-steps on (a crop of) the solver's actual domain — same dtype, same
-solid mask, same relaxation time — and picks the fastest.  Measured
-rates are cached per ``(shape, dtype, solid-fraction bucket, candidate
-set, periodicity, schedule, managed halo, boundary signature)`` so a
-cluster with many same-shaped ranks (or repeated runs in one process)
-probes once per distinct configuration, not once per rank.
+A probe is built from a :class:`ProbeSpec` — a *description* of a
+rank's sub-domain, never its distribution arrays — and is stepped
+through the calls the real run will issue (its ``schedule``):
+``collide()`` + stream for a process rank or a rank with
+``overlap=False``, ``collide_boundary()`` + ``collide_inner()`` +
+stream under the executed-overlap protocol.  Measured rates are cached
+per ``(shape, dtype, solid-fraction bucket, candidate set, periodicity,
+schedule, managed halo, boundary signature)``, so a cluster with many
+same-shaped ranks (or repeated runs in one process) probes once per
+distinct configuration, not once per rank.
 
-A probe is built from a :class:`ProbeSpec` — a *description* of the
-(sub-)domain, never its distribution arrays — and is stepped through
-the calls the real run will issue (its ``schedule``): whole ``step()``
-for a single-domain solver, ``collide()`` + stream for a cluster rank,
-``collide_boundary()`` + ``collide_inner()`` + stream for a rank under
-the executed-overlap protocol.  The schedule matters: the in-place AA
-kernel is ~2x the split kernel through a whole collide and ~0.45x of
-it through the shell-split phases (AA sweeps the shell as thin strided
-slabs, the split kernel as one gathered batch), so a kernel has to be
-measured in the schedule it will run in.
-
-``resolve_cluster(specs, cells)`` is the cluster-wide form: one probe
-per distinct rank signature in the coordinator, then
-:func:`decide_cluster` picks the AA halo protocol for *every* rank iff
-every rank can run it and the predicted slowest rank — the quantity
-that sets a bulk-synchronous step — is faster under all-AA than under
-each rank's own best non-AA kernel.
+``resolve_cluster(specs, cells)`` probes every distinct rank signature
+and :func:`decide_cluster` picks the AA halo protocol for *every* rank
+iff every rank can run it and the predicted slowest rank is faster
+under all-AA than under each rank's own best non-AA kernel.  Ranks are
+handed the decision (:meth:`LBMSolver.adopt_kernel_choice`) and never
+probe themselves.
 
 Determinism: micro-benchmarks jitter, so the raw argmax would flap on
 near ties.  The winner is instead the *first* kernel in a fixed
@@ -43,11 +36,10 @@ measured rate is within :data:`MARGIN` of the best; only a decisive
 bit-identical, so a flapped choice can never change physics — only the
 wall clock.
 
-Probe cost is bounded by :data:`PROBE_MAX_CELLS`: over-size domains are
+Probe cost is bounded by :data:`PROBE_MAX_CELLS`: over-size blocks are
 probed on a corner crop (halving the longest axis until under the
 bound), which preserves the solid-geometry character that drives the
-dense/sparse crossover while keeping the probe a few percent of a
-100-step run (recorded as ``autotune_overhead`` in the benchmarks).
+dense/sparse crossover.
 """
 
 from __future__ import annotations
@@ -56,6 +48,8 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+
+from repro.lbm.boundaries import face_resident
 
 #: Probe crops the domain (halving the longest axis) until at or under
 #: this many cells.
@@ -73,27 +67,10 @@ TIMING_REPS = 3
 #: earlier-priority kernel.
 MARGIN = 0.92
 #: Tie-break order: prefer the smaller-working-set kernel.
-PRIORITY = ("aa", "fused", "sparse", "split")
+PRIORITY = ("aa", "sparse", "split")
 #: Sparse compaction only pays once a real fraction of sites is solid;
 #: below this the candidate is not even probed.
 SPARSE_PROBE_MIN_FRACTION = 0.25
-#: Distribution layouts the probe can compare (SoA first: it is the
-#: allocation default and wins priority ties within a kernel).
-LAYOUTS = ("soa", "aos")
-#: Kernels whose throughput is layout-sensitive enough to probe both
-#: layouts when the solver requests ``layout="auto"`` (the sparse
-#: kernel requires SoA; split gains nothing from AoS).
-LAYOUT_KERNELS = ("aa", "fused")
-
-
-def rate_key(kernel: str, layout: str) -> str:
-    """Rates-dict key for a (kernel, layout) pair.
-
-    SoA entries keep the bare kernel name (the historical key, so
-    reports and baselines stay comparable); AoS entries are suffixed
-    ``"kernel/aos"``.
-    """
-    return kernel if layout == "soa" else f"{kernel}/{layout}"
 
 
 @dataclass(frozen=True)
@@ -101,12 +78,10 @@ class KernelChoice:
     """A resolved autotune decision."""
     kernel: str
     reason: str
-    #: Measured MLUPS per candidate pair, keyed by :func:`rate_key`
-    #: (empty when no probe was needed).
+    #: Measured MLUPS per candidate kernel (empty when no probe was
+    #: needed).
     rates: dict[str, float] = field(default_factory=dict)
     probed: bool = False
-    #: Distribution layout the winning probe ran with.
-    layout: str = "soa"
 
     def cost_density(self) -> float | None:
         """Measured seconds-per-cell of the chosen kernel, or None.
@@ -117,8 +92,7 @@ class KernelChoice:
         1e6)`` seconds per lattice cell, so faster (sparse) ranks
         attract proportionally more cells when cuts are sized.
         """
-        rate = (self.rates.get(rate_key(self.kernel, self.layout))
-                or self.rates.get(self.kernel))
+        rate = self.rates.get(self.kernel)
         if not rate or rate <= 0.0:
             return None
         return 1.0 / (float(rate) * 1e6)
@@ -126,7 +100,7 @@ class KernelChoice:
 
 @dataclass(frozen=True, eq=False)
 class ProbeSpec:
-    """Description of one (sub-)domain, enough to build its probes.
+    """Description of one rank's sub-domain, enough to build its probes.
 
     Holds no distribution array: ``solid`` is the block's mask (a view
     is fine — only a crop of at most :data:`PROBE_MAX_CELLS` is
@@ -145,36 +119,18 @@ class ProbeSpec:
     runnable: tuple[str, ...] = ("split",)
     periodic: bool = True
     #: How a probe is stepped — the calls the real run will issue:
-    #: ``"step"`` (whole ``step()``), ``"collide"`` (``collide()`` then
-    #: stream: a cluster rank) or ``"shell"`` (``collide_boundary()`` +
-    #: ``collide_inner()`` then stream: a rank under the
-    #: executed-overlap protocol).
-    schedule: str = "step"
+    #: ``"collide"`` (``collide()`` then stream) or ``"shell"``
+    #: (``collide_boundary()`` + ``collide_inner()`` then stream: a
+    #: rank under the executed-overlap protocol).
+    schedule: str = "collide"
     #: A cluster driver closes the AA halo (forward exchange after even
     #: phases, reverse fold after odd ones) — what makes ``aa``
-    #: runnable outside the whole-``step()`` schedule.
+    #: runnable by a rank stepped phase by phase.
     halo_managed: bool = False
     sparse_threshold: float = 0.5
-    layout: str = "soa"
-    layout_requested: str = "soa"
-
-    @classmethod
-    def of_solver(cls, solver) -> "ProbeSpec":
-        """The description of a live solver's own domain."""
-        return cls(
-            shape=solver.shape, tau=solver.collision.tau, dtype=solver.dtype,
-            solid=solver.solid, solid_fraction=solver.solid_fraction,
-            boundaries=tuple(solver.boundaries),
-            runnable=tuple(k for k in PRIORITY if still_eligible(solver, k)),
-            periodic=solver.periodic,
-            schedule="collide" if solver.phase_driven else "step",
-            halo_managed=solver.aa_halo_managed,
-            sparse_threshold=solver.sparse_threshold,
-            layout=solver.layout,
-            layout_requested=solver.layout_requested)
 
 
-#: Measured MLUPS per (kernel, layout) pair, keyed by :func:`_cache_key`.
+#: Measured MLUPS per candidate kernel, keyed by :func:`_cache_key`.
 _CACHE: dict[tuple, dict[str, float]] = {}
 
 
@@ -183,34 +139,14 @@ def clear_autotune_cache() -> None:
     _CACHE.clear()
 
 
-def still_eligible(solver, kind: str) -> bool:
-    """Whether a previously chosen kernel can still run on ``solver``.
-
-    Re-checked every step because eligibility can drift after the probe
-    (e.g. a boundary handler appended post-construction).  A solver
-    stepped phase by phase cannot run the whole-step fused sweep, and
-    can run the AA phases only when its driver closes the AA halo
-    (``aa_halo_managed``) — nobody else would fold the odd phase's
-    ghost scatter back.
-    """
-    from repro.lbm.aa import AAStepKernel
-    from repro.lbm.fused import FusedStepKernel
-    from repro.lbm.sparse import SparseStepKernel
-    if kind == "split":
-        return True
-    if kind == "fused":
-        return (solver.fused and not solver.phase_driven
-                and FusedStepKernel.eligible(solver))
-    if kind == "sparse":
-        return SparseStepKernel.eligible(solver)
-    if kind == "aa":
-        return ((solver.aa_halo_managed or not solver.phase_driven)
-                and AAStepKernel.eligible(solver))
-    return False
-
-
 def _candidates(spec: ProbeSpec) -> tuple[str, ...]:
-    cands = [k for k in ("aa", "fused") if k in spec.runnable]
+    """Kernels worth probing for ``spec``, in priority order.
+
+    ``split`` is always a candidate (it is every kernel's fallback);
+    ``sparse`` only once the solid fraction could plausibly pay for
+    compaction (:data:`SPARSE_PROBE_MIN_FRACTION`).
+    """
+    cands = ["aa"] if "aa" in spec.runnable else []
     if ("sparse" in spec.runnable
             and spec.solid_fraction >= SPARSE_PROBE_MIN_FRACTION):
         cands.append("sparse")
@@ -218,51 +154,10 @@ def _candidates(spec: ProbeSpec) -> tuple[str, ...]:
     return tuple(cands)
 
 
-def candidate_kernels(solver) -> tuple[str, ...]:
-    """Eligible probe candidates for ``solver``, in priority order.
-
-    ``split`` is always a candidate (it is every kernel's fallback).
-    ``fused`` needs whole-step stepping and ``aa`` either that or a
-    driver-managed halo (see :func:`still_eligible`); ``fused=False``
-    keeps its historic meaning as an escape hatch to phase-split.
-    ``sparse`` is considered only once the solid fraction could
-    plausibly pay for compaction (:data:`SPARSE_PROBE_MIN_FRACTION`).
-    """
-    return _candidates(ProbeSpec.of_solver(solver))
-
-
-def _pairs(spec: ProbeSpec) -> tuple[tuple[str, str], ...]:
-    probe_layouts = spec.layout_requested == "auto"
-    pairs: list[tuple[str, str]] = []
-    for k in _candidates(spec):
-        if probe_layouts and k in LAYOUT_KERNELS:
-            pairs.extend((k, layout) for layout in LAYOUTS)
-        else:
-            pairs.append((k, spec.layout))
-    return tuple(pairs)
-
-
-def candidate_pairs(solver) -> tuple[tuple[str, str], ...]:
-    """Eligible (kernel, layout) probe pairs, in priority order.
-
-    Layout becomes a second autotune axis only when the solver asked
-    for it (``layout="auto"``) and only for the layout-sensitive
-    kernels (:data:`LAYOUT_KERNELS`); every other candidate is paired
-    with the solver's current concrete layout.
-    """
-    return _pairs(ProbeSpec.of_solver(solver))
-
-
-def _active_faces(domain) -> tuple[tuple[int, str], ...]:
-    """``(axis, side)`` of every face-resident boundary handler of a
-    solver or :class:`ProbeSpec`."""
-    faces = []
-    for b in domain.boundaries:
-        axis = getattr(b, "axis", None)
-        side = getattr(b, "side", None)
-        if axis is not None and side in ("low", "high"):
-            faces.append((int(axis), side))
-    return tuple(faces)
+def _active_faces(spec: ProbeSpec) -> tuple[tuple[int, str], ...]:
+    """``(axis, side)`` of every face-resident boundary handler."""
+    return tuple((int(b.axis), b.side) for b in spec.boundaries
+                 if face_resident(b))
 
 
 def _probe_shape(shape: tuple[int, ...],
@@ -293,7 +188,7 @@ def _probe_shape(shape: tuple[int, ...],
     return tuple(dims)
 
 
-def _bc_signature(domain) -> tuple:
+def _bc_signature(spec: ProbeSpec) -> tuple:
     """Hashable summary of the boundary configuration (types + faces).
 
     Part of the cache key: a periodic box and a bounded inlet/outflow
@@ -301,21 +196,17 @@ def _bc_signature(domain) -> tuple:
     rates — their kernel costs differ.
     """
     return tuple((type(b).__name__, getattr(b, "axis", None),
-                  getattr(b, "side", None)) for b in domain.boundaries)
+                  getattr(b, "side", None)) for b in spec.boundaries)
 
 
-def _cache_key(spec: ProbeSpec, pairs: tuple) -> tuple:
+def _cache_key(spec: ProbeSpec, cands: tuple[str, ...]) -> tuple:
     bucket = int(round(spec.solid_fraction * 20))
-    return (spec.shape, str(spec.dtype), bucket, pairs, spec.periodic,
-            spec.schedule, spec.halo_managed, _bc_signature(spec),
-            spec.layout_requested)
+    return (spec.shape, str(spec.dtype), bucket, cands, spec.periodic,
+            spec.schedule, spec.halo_managed, _bc_signature(spec))
 
 
 def _run_schedule(probe, schedule: str, steps: int) -> None:
     """Advance ``probe`` through the phase calls of ``schedule``."""
-    if schedule == "step":
-        probe.step(steps)
-        return
     for _ in range(steps):
         if schedule == "shell":
             probe.collide_boundary()
@@ -333,9 +224,8 @@ def _run_schedule(probe, schedule: str, steps: int) -> None:
         probe.time_step += 1
 
 
-def _probe_rates(spec: ProbeSpec, cands: tuple[tuple[str, str], ...],
-                 ) -> dict[str, float]:
-    """Measured MLUPS per candidate pair on a crop of the domain.
+def _probe_rates(spec: ProbeSpec, cands: tuple[str, ...]) -> dict[str, float]:
+    """Measured MLUPS per candidate kernel on a crop of the domain.
 
     The probe replicates the described configuration — same dtype,
     solid crop, periodicity, (shape-independent) boundary handlers and
@@ -343,7 +233,6 @@ def _probe_rates(spec: ProbeSpec, cands: tuple[tuple[str, str], ...],
     phase-split cost the chosen kernel will actually pay.  The crop is
     anchored so every active boundary face survives (asserted).
     """
-    from repro.lbm.boundaries import EquilibriumVelocityInlet, OutflowBoundary
     from repro.lbm.solver import LBMSolver
     faces = _active_faces(spec)
     pshape = _probe_shape(spec.shape, faces)
@@ -363,23 +252,20 @@ def _probe_rates(spec: ProbeSpec, cands: tuple[tuple[str, str], ...],
             f"(axis {axis}, {side})")
     solid = (None if spec.solid is None
              else np.ascontiguousarray(spec.solid[crop]))
-    # Face handlers are shape-independent (they slice whatever array
-    # they are applied to), so the probe can share the described
-    # instances; anything else (e.g. Bouzidi link lists are
-    # shape-bound) is omitted — those configurations fall back to the
-    # split-only candidate set anyway.
-    boundaries = [b for b in spec.boundaries
-                  if isinstance(b, (EquilibriumVelocityInlet,
-                                    OutflowBoundary))]
+    # Face-resident handlers find their layer from the array they are
+    # applied to, so the probe can share the described instances;
+    # anything else (e.g. Bouzidi link lists are shape-bound) is
+    # omitted — those configurations fall back to the split-only
+    # candidate set anyway.
+    boundaries = [b for b in spec.boundaries if face_resident(b)]
     cells = float(np.prod(pshape))
     rates: dict[str, float] = {}
-    for kern, layout in cands:
+    for kern in cands:
         probe = LBMSolver(pshape, tau=spec.tau, solid=solid,
                           boundaries=boundaries, periodic=spec.periodic,
-                          dtype=spec.dtype, kernel=kern, layout=layout,
-                          sparse_threshold=spec.sparse_threshold,
-                          autotune="heuristic")
-        probe.phase_driven = spec.schedule != "step"
+                          dtype=spec.dtype, kernel=kern,
+                          sparse_threshold=spec.sparse_threshold)
+        probe.phase_driven = True
         probe.aa_halo_managed = spec.halo_managed
         probe.counters.enabled = False
         _run_schedule(probe, spec.schedule, WARM_STEPS)
@@ -388,89 +274,37 @@ def _probe_rates(spec: ProbeSpec, cands: tuple[tuple[str, str], ...],
             t0 = time.perf_counter()
             _run_schedule(probe, spec.schedule, TIMED_STEPS)
             dt = min(dt, time.perf_counter() - t0)
-        rates[rate_key(kern, layout)] = cells * TIMED_STEPS / max(dt, 1e-9) / 1e6
+        rates[kern] = cells * TIMED_STEPS / max(dt, 1e-9) / 1e6
     return rates
 
 
-def _measured_rates(spec: ProbeSpec, pairs: tuple[tuple[str, str], ...],
-                    rec=None, metrics=None) -> dict[str, float]:
-    """Probe ``pairs`` on ``spec`` — once per cache key per process."""
+def _measured_rates(spec: ProbeSpec, cands: tuple[str, ...],
+                    rec=None) -> dict[str, float]:
+    """Probe ``cands`` on ``spec`` — once per cache key per process."""
     live = rec is not None and rec.enabled
-    metered = metrics is not None and metrics.enabled
-    key = _cache_key(spec, pairs)
+    key = _cache_key(spec, cands)
     rates = _CACHE.get(key)
     if rates is not None:
         if live:
             rec.add("autotune.cached", 0.0)
-        if metered:
-            metrics.counter("autotune.cache_hits").inc()
         return rates
     if live:
         with rec.phase("autotune.probe"):
-            rates = _probe_rates(spec, pairs)
+            rates = _probe_rates(spec, cands)
     else:
-        rates = _probe_rates(spec, pairs)
-    if metered:
-        metrics.counter("autotune.probes").inc()
-        metrics.counter("autotune.candidates_probed").inc(len(rates))
-        metrics.gauge("autotune.best_mlups").set(max(rates.values()))
+        rates = _probe_rates(spec, cands)
     _CACHE[key] = rates
     return rates
 
 
-def _pick(rates: dict[str, float]) -> tuple[str, str]:
-    """The margin/priority winner ``(kernel, layout)`` among ``rates``."""
+def _pick(rates: dict[str, float]) -> str:
+    """The margin/priority winner among ``rates``."""
     best = max(rates.values())
-    return next(
-        (k, layout) for k in PRIORITY for layout in LAYOUTS
-        if rates.get(rate_key(k, layout), 0.0) >= MARGIN * best)
+    return next(k for k in PRIORITY if rates.get(k, 0.0) >= MARGIN * best)
 
 
 def _rates_detail(rates: dict[str, float]) -> str:
     return ", ".join(f"{k}={v:.1f}" for k, v in rates.items())
-
-
-def _resolve(solver, spec: ProbeSpec,
-             pairs: tuple[tuple[str, str], ...]) -> KernelChoice:
-    """Probe ``pairs`` (cached) and pick the margin/priority winner."""
-    rates = _measured_rates(spec, pairs, solver.counters,
-                            getattr(solver, "metrics", None))
-    kernel, layout = _pick(rates)
-    return KernelChoice(
-        kernel,
-        f"measured: probe on {_probe_shape(spec.shape, _active_faces(spec))} "
-        f"picked {rate_key(kernel, layout)!r} "
-        f"(MLUPS: {_rates_detail(rates)})",
-        rates=rates, probed=True, layout=layout)
-
-
-def choose_kernel(solver) -> KernelChoice:
-    """Resolve the measured (kernel, layout) choice for ``solver`` (cached).
-
-    Single-candidate configurations (e.g. non-BGK collision, or a
-    phase-driven rank whose solid fraction rules sparse out) skip the
-    probe entirely — the autotuner never costs anything when there is
-    no decision to make.
-    """
-    spec = ProbeSpec.of_solver(solver)
-    pairs = _pairs(spec)
-    if len(pairs) == 1:
-        kern, layout = pairs[0]
-        return KernelChoice(kern,
-                            f"measured: only candidate is {kern!r}",
-                            layout=layout)
-    return _resolve(solver, spec, pairs)
-
-
-def choose_layout(solver, kernel: str) -> KernelChoice:
-    """Resolve the measured layout for a *forced* kernel (cached).
-
-    Used when a solver pins ``kernel=`` but leaves ``layout="auto"``
-    (a forced-kernel cluster's per-rank configuration): only the
-    forced kernel's layout variants are probed.
-    """
-    pairs = tuple((kernel, layout) for layout in LAYOUTS)
-    return _resolve(solver, ProbeSpec.of_solver(solver), pairs)
 
 
 # -- cluster-wide resolution ---------------------------------------------
@@ -495,8 +329,8 @@ class ClusterChoice:
 def decide_cluster(cells, rates) -> tuple[bool, list, float | None, float]:
     """The cluster rule, a pure function of per-rank cells and rates.
 
-    ``rates[r]`` holds rank ``r``'s measured MLUPS per candidate pair;
-    a rank with no ``aa`` entry cannot run the AA protocol and vetoes
+    ``rates[r]`` holds rank ``r``'s measured MLUPS per candidate
+    kernel; a rank with no ``aa`` entry cannot run the AA protocol and vetoes
     it for the cluster (the halo protocol is all-or-nothing).  A
     bulk-synchronous step lasts as long as its slowest rank, so the
     two alternatives are compared by ``max_r cells_r / rate_r``: every
@@ -504,27 +338,23 @@ def decide_cluster(cells, rates) -> tuple[bool, list, float | None, float]:
     first in :data:`PRIORITY`, so it wins ties inside :data:`MARGIN`.
 
     Returns ``(aa_wins, picks, aa_ms, best_ms)`` with ``picks`` the
-    per-rank ``(kernel, layout)`` of the winning alternative.
+    per-rank kernel of the winning alternative.
     """
-    aa_picks, other_picks = [], []
-    aa_s, other_s = [], []
+    other_picks, aa_s, other_s = [], [], []
     for n, rank_rates in zip(cells, rates):
-        aa = {k: v for k, v in rank_rates.items()
-              if k.partition("/")[0] == "aa"}
-        other = {k: v for k, v in rank_rates.items() if k not in aa}
+        other = {k: v for k, v in rank_rates.items() if k != "aa"}
         pick = _pick(other)
         other_picks.append(pick)
-        other_s.append(n / (other[rate_key(*pick)] * 1e6))
-        if aa:
-            pick = _pick(aa)
-            aa_picks.append(pick)
-            aa_s.append(n / (aa[rate_key(*pick)] * 1e6))
+        other_s.append(n / (other[pick] * 1e6))
+        if "aa" in rank_rates:
+            aa_s.append(n / (rank_rates["aa"] * 1e6))
     best_ms = max(other_s) * 1e3
     if len(aa_s) < len(other_s):
         return False, other_picks, None, best_ms
     aa_ms = max(aa_s) * 1e3
     aa_wins = best_ms >= MARGIN * aa_ms
-    return aa_wins, (aa_picks if aa_wins else other_picks), aa_ms, best_ms
+    return (aa_wins, ["aa"] * len(aa_s) if aa_wins else other_picks,
+            aa_ms, best_ms)
 
 
 def _ms(value: float | None) -> str:
@@ -545,22 +375,22 @@ def resolve_cluster(specs, cells, rec=None) -> ClusterChoice:
         specs = [replace(spec, runnable=tuple(k for k in spec.runnable
                                               if k != "aa"))
                  for spec in specs]
-    all_pairs = [_pairs(spec) for spec in specs]
-    rates = [_measured_rates(spec, pairs, rec) if len(pairs) > 1 else {}
-             for spec, pairs in zip(specs, all_pairs)]
+    all_cands = [_candidates(spec) for spec in specs]
+    rates = [_measured_rates(spec, cands, rec) if len(cands) > 1 else {}
+             for spec, cands in zip(specs, all_cands)]
     aa_ms = best_ms = None
     if all(rates):
         aa_wins, picks, aa_ms, best_ms = decide_cluster(cells, rates)
     else:
         aa_wins = False
-        picks = [_pick(r) if r else pairs[0]
-                 for r, pairs in zip(rates, all_pairs)]
-    kernel = "aa" if aa_wins else "+".join(sorted({k for k, _ in picks}))
+        picks = [_pick(r) if r else cands[0]
+                 for r, cands in zip(rates, all_cands)]
+    kernel = "aa" if aa_wins else "+".join(sorted(set(picks)))
     reason = (f"cluster-resolved: {kernel!r} on the {schedule!r} schedule "
               f"(predicted slowest rank: aa {_ms(aa_ms)}, "
               f"best non-AA {_ms(best_ms)})")
     choices = tuple(
         KernelChoice(k, f"{reason}; rank MLUPS: {_rates_detail(r) or 'unprobed'}",
-                     rates=r, probed=bool(r), layout=layout)
-        for (k, layout), r in zip(picks, rates))
+                     rates=r, probed=bool(r))
+        for k, r in zip(picks, rates))
     return ClusterChoice(kernel, schedule, choices, aa_ms, best_ms, reason)

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.lbm.equilibrium import equilibrium_site
 from repro.lbm.lattice import Lattice
-from repro.lbm.streaming import padded_flat_index, physical_cells
+from repro.lbm.streaming import flat_cells, padded_flat_index
 
 
 def box_walls(shape: tuple[int, ...], axes) -> np.ndarray:
@@ -42,7 +42,19 @@ def box_walls(shape: tuple[int, ...], axes) -> np.ndarray:
 
 
 class Boundary:
-    """Interface for post-stream boundary handlers."""
+    """Interface for post-stream boundary handlers.
+
+    Face-resident contract: a handler that exposes ``axis`` and
+    ``side`` (``"low"``/``"high"``) and leaves :meth:`pre_stream`
+    alone promises that :meth:`apply` finds its face layer from the
+    shape of whatever ghost-padded array it is handed (index 1 or
+    ``n - 2`` along ``axis``, ``slice(1, -1)`` across), writes only
+    that layer and reads only it and the layer one step inside the
+    domain.  That is all the in-place kernel needs to run the handler
+    on its rotated mid-pair storage
+    (:class:`repro.lbm.esoteric.RotatedBoundaryApplicator`); any other
+    handler resolves the phase-split kernel.
+    """
 
     def pre_stream(self, fg: np.ndarray) -> None:
         """Snapshot anything needed from post-collision distributions."""
@@ -50,6 +62,20 @@ class Boundary:
     def apply(self, fg: np.ndarray) -> None:
         """Fix up post-stream distributions (ghost-padded array)."""
         raise NotImplementedError
+
+
+def snapshots_pre_stream(handler) -> bool:
+    """Whether ``handler`` overrides :meth:`Boundary.pre_stream` — it
+    then needs the post-collision field a merged sweep never holds."""
+    return type(handler).pre_stream is not Boundary.pre_stream
+
+
+def face_resident(handler) -> bool:
+    """Whether ``handler`` declares the face-resident contract stated
+    on :class:`Boundary`."""
+    return (getattr(handler, "axis", None) is not None
+            and getattr(handler, "side", None) in ("low", "high")
+            and not snapshots_pre_stream(handler))
 
 
 class BounceBackNodes(Boundary):
@@ -63,20 +89,19 @@ class BounceBackNodes(Boundary):
 
     The solids are visited as an index list (Tomczak & Szafran,
     arXiv:1611.02445): the swap gathers and scatters only the solid
-    cells through a cached flat index into the *physical* array, so a
-    step moves ``2 Q N_solid`` values and allocates nothing (a mask
-    expression such as ``view[opp][:, solid]`` copies the whole array
-    to reach them).  ``solid`` is read once, on the first
-    :meth:`apply`.
+    cells through a cached flat index into the ``(Q, cells)`` view of
+    the array, so a step moves ``2 Q N_solid`` values and allocates
+    nothing (a mask expression such as ``view[opp][:, solid]`` copies
+    the whole array to reach them).  ``solid`` is read once, on the
+    first :meth:`apply`.
     """
 
     def __init__(self, lattice: Lattice, solid: np.ndarray) -> None:
         self.lattice = lattice
         self.solid = np.asarray(solid, dtype=bool)
         self._idx: np.ndarray | None = None
-        #: Two gathered copies of the solid cells in the array's own
-        #: orientation: rows of ``N_solid`` for one opposite pair
-        #: (SoA), or whole ``(N_solid, Q)`` blocks (AoS).
+        #: The solid cells of one opposite pair, gathered: two rows of
+        #: ``N_solid``.
         self._scratch: np.ndarray | None = None
 
     def apply(self, fg: np.ndarray) -> None:
@@ -85,27 +110,21 @@ class BounceBackNodes(Boundary):
             idx = self._idx = padded_flat_index(self.solid)
         if idx.size == 0:
             return
-        cells, axis = physical_cells(fg)
-        shape = (2, idx.size) if axis else (2, idx.size, self.lattice.Q)
+        cells = flat_cells(fg)
         ws = self._scratch
-        if ws is None or ws.shape != shape or ws.dtype != fg.dtype:
-            ws = self._scratch = np.empty(shape, dtype=fg.dtype)
+        if ws is None or ws.dtype != fg.dtype:
+            ws = self._scratch = np.empty((2, idx.size), dtype=fg.dtype)
         a, b = ws
         # The index is in range by construction; the default
         # ``mode="raise"`` would stage ``out`` through a temporary.
-        if axis:
-            for i, o in enumerate(self.lattice.opp):
-                if i >= o:
-                    continue        # rest link, or pair already swapped
-                fi, fo = cells[i], cells[o]
-                np.take(fi, idx, out=a, mode="clip")
-                np.take(fo, idx, out=b, mode="clip")
-                fi[idx] = b
-                fo[idx] = a
-        else:
-            np.take(cells, idx, axis=0, out=a, mode="clip")
-            np.take(a, self.lattice.opp, axis=1, out=b, mode="clip")
-            cells[idx] = b
+        for i, o in enumerate(self.lattice.opp):
+            if i >= o:
+                continue        # rest link, or pair already swapped
+            fi, fo = cells[i], cells[o]
+            np.take(fi, idx, out=a, mode="clip")
+            np.take(fo, idx, out=b, mode="clip")
+            fi[idx] = b
+            fo[idx] = a
 
 
 class EquilibriumVelocityInlet(Boundary):
@@ -160,7 +179,6 @@ class OutflowBoundary(Boundary):
         if self.side == "low":
             dst[ax], src[ax] = 1, 2
         else:
-            n = None  # placeholder for clarity
             dst[ax], src[ax] = -2, -3
         fg[tuple(dst)] = fg[tuple(src)]
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.lbm.boundaries import snapshots_pre_stream
 from repro.lbm.equilibrium import equilibrium
 from repro.lbm.lattice import Lattice
 from repro.lbm.macroscopic import macroscopic
@@ -66,8 +67,8 @@ class BGKCollision:
 
         The vector only depends on the (fixed) force and the dtype, so
         it is computed once instead of rebuilding three temporaries per
-        step.  The fused kernel reuses the same cached values, keeping
-        both paths bit-identical.
+        step.  The ``aa`` and ``sparse`` kernels reuse the same cached
+        values, keeping every path bit-identical.
         """
         cached = self._force_add_cache
         if cached is not None and cached[0] == dtype:
@@ -126,3 +127,12 @@ class BGKCollision:
             else:
                 f[:, mask] += np.broadcast_to(add, f.shape)[:, mask]
         return f
+
+
+def plain_bgk_step(solver) -> bool:
+    """Whether the merged kernels (``aa``, ``sparse``) can replay
+    ``solver``'s step: a plain :class:`BGKCollision`, whose op order
+    they spell out themselves, and no handler with a ``pre_stream``
+    snapshot, which reads a post-collision field they never hold."""
+    return (type(solver.collision) is BGKCollision
+            and not any(snapshots_pre_stream(b) for b in solver.boundaries))

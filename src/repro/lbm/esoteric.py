@@ -29,31 +29,23 @@ the boundary-image slots the reverse exchange ships (solid sites'
 slots survive the next odd scatter, fluid sites' are overwritten by
 it — both by construction hold what the neighbour needs).
 
-Supported handlers are the dispersion scenario's open boundaries:
-:class:`~repro.lbm.boundaries.EquilibriumVelocityInlet` (imposes the
-face equilibrium — a scatter-only write) and
-:class:`~repro.lbm.boundaries.OutflowBoundary` (zero-gradient copy —
-gather the source layer canonically, scatter it into the face layer).
-Full-way bounce-back was already folded into the even phase's reversed
-writes; the bounded-face zero-gradient closure of faces *without* a
-handler is the crossing-slot fold in
-:func:`repro.lbm.streaming.fold_ghosts_zero_gradient`.
+Handlers are not taught the rotated storage; the storage is shown to
+them canonically.  A face-resident handler (the contract stated on
+:class:`repro.lbm.boundaries.Boundary`) writes its face layer and reads
+at most that layer and the one inside it, so the applicator gathers
+those two layers canonically into a three-layer ghost-padded stub —
+ghost, face, inner, exactly where the handler's own slicing looks for
+them — calls the handler's ``apply`` on the stub and scatters the face
+layer back through the write rule.  Inlet, outflow, Zou–He and custom
+face handlers all take these same few lines.  Full-way bounce-back was
+already folded into the even phase's reversed writes; the bounded-face
+zero-gradient closure of faces *without* a handler is the crossing-slot
+fold in :func:`repro.lbm.streaming.fold_ghosts_zero_gradient`.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.lbm.boundaries import EquilibriumVelocityInlet, OutflowBoundary
-
-#: Boundary handler types the rotated applicator can fold into the
-#: in-place AA sweeps.  Anything else makes the AA kernel ineligible.
-SUPPORTED_BOUNDARY_TYPES = (EquilibriumVelocityInlet, OutflowBoundary)
-
-
-def boundaries_supported(boundaries) -> bool:
-    """Whether every handler can run through the rotated applicator."""
-    return all(isinstance(b, SUPPORTED_BOUNDARY_TYPES) for b in boundaries)
 
 
 class _LayerPlan:
@@ -85,6 +77,38 @@ class _LayerPlan:
             self.lfluid = None
 
 
+class _FacePlan:
+    """One handler's face: the two layers it may touch and its stub.
+
+    The stub is a ghost-padded array three layers thick along the
+    handler's axis, so the handler's own indexing (face at 1 or
+    ``n - 2``) lands on layer 1 and the layer inside the domain on
+    layer 2 (low side) or 0 (high side); the remaining layer and the
+    cross-section rim stand in for ghosts the handler never reads.
+    """
+
+    __slots__ = ("handler", "face", "inner", "stub", "stub_face",
+                 "stub_inner")
+
+    def __init__(self, solver, handler) -> None:
+        axis = handler.axis
+        low = handler.side == "low"
+        pshape = solver.fg.shape[1:]
+        face = 1 if low else pshape[axis] - 2
+        self.handler = handler
+        self.face = _LayerPlan(solver, axis, face)
+        self.inner = _LayerPlan(solver, axis, face + (1 if low else -1))
+        stub_shape = list(pshape)
+        stub_shape[axis] = 3
+        self.stub = np.zeros((solver.lattice.Q,) + tuple(stub_shape),
+                             dtype=solver.fg.dtype)
+        layer: list = [slice(None)] + [slice(1, -1)] * len(pshape)
+        layer[1 + axis] = 1
+        self.stub_face = self.stub[tuple(layer)]
+        layer[1 + axis] = 2 if low else 0
+        self.stub_inner = self.stub[tuple(layer)]
+
+
 class RotatedBoundaryApplicator:
     """Applies a solver's boundary handlers on the rotated AA layout.
 
@@ -94,31 +118,12 @@ class RotatedBoundaryApplicator:
 
     def __init__(self, kernel) -> None:
         solver = kernel.solver
-        if not boundaries_supported(solver.boundaries):
-            unsupported = [type(b).__name__ for b in solver.boundaries
-                           if not isinstance(b, SUPPORTED_BOUNDARY_TYPES)]
-            raise TypeError(
-                f"rotated AA boundary closure supports "
-                f"{[t.__name__ for t in SUPPORTED_BOUNDARY_TYPES]}, "
-                f"got {unsupported}")
         self.solver = solver
         lat = solver.lattice
         self.Q = lat.Q
         self.c = lat.c
         self.opp = [int(o) for o in lat.opp]
-        self._plans = [self._build(b) for b in solver.boundaries]
-
-    # -- geometry ------------------------------------------------------
-    def _build(self, handler):
-        axis = handler.axis
-        n = self.solver.fg.shape[1 + axis]
-        face = 1 if handler.side == "low" else n - 2
-        if isinstance(handler, EquilibriumVelocityInlet):
-            return ("inlet", handler, _LayerPlan(self.solver, axis, face), None)
-        src = face + (1 if handler.side == "low" else -1)
-        return ("outflow", handler,
-                _LayerPlan(self.solver, axis, face),
-                _LayerPlan(self.solver, axis, src))
+        self._plans = [_FacePlan(solver, b) for b in solver.boundaries]
 
     def _shifted(self, region, q: int) -> tuple:
         """``region`` translated by ``-c_q`` (padded coords stay valid)."""
@@ -132,7 +137,7 @@ class RotatedBoundaryApplicator:
         return tuple(out)
 
     # -- primitives ----------------------------------------------------
-    def _gather(self, plan: _LayerPlan) -> np.ndarray:
+    def _gather(self, plan: _LayerPlan, out: np.ndarray) -> None:
         """Canonical post-stream values of a layer, read rotated.
 
         ``v_i(x) = storage(opp(i), x - c_i)`` for fluid ``x``; at solid
@@ -140,21 +145,17 @@ class RotatedBoundaryApplicator:
         swap restores the raw canonical values there too.
         """
         fg = self.solver.fg
-        first = fg[(self.opp[0],) + self._shifted(plan.region, 0)]
-        out = np.empty((self.Q,) + first.shape, dtype=fg.dtype)
-        out[0] = first
-        for q in range(1, self.Q):
+        for q in range(self.Q):
             out[q] = fg[(self.opp[q],) + self._shifted(plan.region, q)]
         if plan.lsolid is not None:
             out[:, plan.lsolid] = out[self.opp][:, plan.lsolid]
-        return out
 
     def _scatter(self, plan: _LayerPlan, values) -> None:
         """Impose canonical values ``values[i]`` on a layer, writing rotated.
 
-        ``values`` indexes per slot (array rows or scalars).  The write
-        rule (module docstring) sends ``T_i`` to ``(opp(i), x - c_i)``
-        at fluid sites and ``T_opp(i)`` there at solid sites.
+        The write rule (module docstring) sends ``T_i`` to
+        ``(opp(i), x - c_i)`` at fluid sites and ``T_opp(i)`` there at
+        solid sites.
         """
         fg = self.solver.fg
         for q in range(self.Q):
@@ -167,10 +168,10 @@ class RotatedBoundaryApplicator:
 
     # -- application ---------------------------------------------------
     def apply(self) -> None:
-        """Run every handler, in declaration order, on the rotated storage."""
-        dtype = self.solver.fg.dtype
-        for kind, handler, dst_plan, src_plan in self._plans:
-            if kind == "inlet":
-                self._scatter(dst_plan, handler._feq.astype(dtype))
-            else:
-                self._scatter(dst_plan, self._gather(src_plan))
+        """Run every handler, in declaration order, on the rotated
+        storage: each sees what the handlers before it wrote."""
+        for plan in self._plans:
+            self._gather(plan.inner, plan.stub_inner)
+            self._gather(plan.face, plan.stub_face)
+            plan.handler.apply(plan.stub)
+            self._scatter(plan.face, plan.stub_face)

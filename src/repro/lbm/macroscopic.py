@@ -13,20 +13,17 @@ from repro.lbm.lattice import Lattice
 
 
 def sum_over_links(f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Reduction over the leading (link) axis, memory-layout-stable.
+    """Reduction over the leading (link) axis, the same bits per cell
+    for every view and every batch of cells.
 
-    ``np.sum`` picks its reduction blocking from the memory layout, so
-    an AoS (link-fastest) distribution array sums in a different order
-    than SoA and the low bits of the result differ.  This helper keeps
-    numpy's reduction for SoA-ordered views (bit-identical to the
-    historical ``f.sum(axis=0)``) and switches to an explicit
-    sequential slot-order accumulation — the order numpy's reduction
-    has on SoA, where the link axis is the outer loop — exactly when
-    the link axis would be numpy's inner loop and get its unrolled
-    pairwise blocking: when it is the fastest-varying axis (AoS), or
-    the only axis with more than one entry (a single-cell view, e.g.
-    the core of a 3^3 block).  Every layout and every batch of cells
-    then produces identical bits per cell.
+    ``np.sum`` picks its reduction blocking from the strides: with the
+    link axis outermost it accumulates slot by slot, but where the link
+    axis would be its inner loop it unrolls pairwise and the low bits
+    differ.  That happens when the link axis is the fastest-varying one
+    or the only axis with more than one entry (a single-cell view, e.g.
+    the core of a 3^3 block); exactly there this helper spells the
+    slot-order accumulation out, and keeps numpy's reduction (the
+    historical ``f.sum(axis=0)``) everywhere else.
     """
     if f.ndim > 1 and f.strides and (
             f.size == f.shape[0]

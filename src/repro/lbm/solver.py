@@ -18,16 +18,15 @@ import time
 import numpy as np
 
 from repro.lbm.boundaries import Boundary, BounceBackNodes
-from repro.lbm.collision import BGKCollision
+from repro.lbm.collision import BGKCollision, plain_bgk_step
 from repro.lbm.equilibrium import equilibrium, equilibrium_site
-from repro.lbm.fused import FusedStepKernel
 from repro.lbm.lattice import D3Q19, Lattice
 from repro.lbm.macroscopic import macroscopic
 from repro.lbm.mrt import MRTCollision
 from repro.lbm.streaming import (fill_ghosts_periodic,
-                                 fill_ghosts_zero_gradient, interior,
-                                 physical_cells, pull_slice_table,
-                                 shell_index, shell_partition, stream_pull)
+                                 fill_ghosts_zero_gradient, flat_cells,
+                                 interior, pull_slice_table, shell_index,
+                                 shell_partition, stream_pull)
 from repro.perf.counters import KernelCounters
 from repro.perf.telemetry import NULL_REGISTRY
 from repro.perf.trace import NULL_TRACER
@@ -62,69 +61,49 @@ class LBMSolver:
     dtype:
         ``numpy.float32`` by default, matching the GPU's single
         precision.
-    fused:
-        ``fused=False`` makes ``kernel="auto"`` run the phase-split
-        path (and keeps a forced ``kernel="fused"`` from fusing); True
-        (default) leaves the choice to ``kernel``.
     kernel:
-        Hot-path selection.  ``"auto"`` (default) with
-        ``autotune="heuristic"`` is a rule; ``step()`` runs the first
-        line that applies:
+        Hot-path selection, one of three kernels with one job each:
+        ``"split"``, the readable collide / ghosts / stream /
+        post-stream reference every gate compares against; ``"aa"``
+        (:class:`~repro.lbm.aa.AAStepKernel`), the in-place sweep over
+        a single distribution array; ``"sparse"``
+        (:class:`~repro.lbm.sparse.SparseStepKernel`), fluid-compacted
+        indirect addressing.  ``"auto"`` (default) is a rule;
+        ``step()`` runs the first line that applies:
 
-        1. ``fused=False``, a non-BGK operator (MRT, Smagorinsky) or a
-           handler with a ``pre_stream`` snapshot (Bouzidi): ``split``;
+        1. a non-BGK operator (MRT, Smagorinsky) or a handler with a
+           ``pre_stream`` snapshot (Bouzidi): ``split``;
         2. solid fraction >= ``sparse_threshold``: ``sparse``;
-        3. no handlers, or only inlet/outflow ones: ``aa`` — the
-           in-place sweep, one distribution array;
-        4. any other post-stream handler (e.g. Zou–He): ``fused``.
+        3. no handlers, or only face-resident ones (inlet, outflow,
+           Zou–He, a custom handler keeping the contract stated on
+           :class:`~repro.lbm.boundaries.Boundary`): ``aa``;
+        4. any other post-stream handler: ``split``.
 
         A solver driven through its phase entry points (``collide``,
         ``collide_boundary``/``collide_inner``, ``fill_ghosts``,
         ``stream``, ``post_stream`` — cluster ranks, SPMD rank
         programs, ``phase_driven``) resolves the same list without
-        line 3 and runs ``fused`` as the split phases: the in-place
-        kernel needs someone to close its halo, which only ``step()``
-        or an AA-aware cluster driver (``aa_halo_managed``) does.
-        ``"fused"``, ``"sparse"``, ``"aa"``
-        (:class:`~repro.lbm.aa.AAStepKernel`) and ``"split"`` force one
-        path (ineligible configurations still fall back to
-        ``"split"``).  All paths are bit-identical (AA after every pair
-        of steps on the raw array, every step on macroscopic fields and
-        ``f``).  Eligibility is re-checked every step; when it drifts
-        mid-run (a handler appended, ``fused`` flipped, a phase called
-        by hand) the array is handed over canonical — see ``f``.
+        line 3: the in-place kernel needs someone to close its halo,
+        which only ``step()`` or an AA-aware cluster driver
+        (``aa_halo_managed``) does.  A cluster coordinator that
+        measured the kernel for its ranks hands it over through
+        :meth:`adopt_kernel_choice`.  Naming a kernel forces it (an
+        ineligible configuration still falls back to ``"split"``).
+        All paths are bit-identical (AA after every pair of steps on
+        the raw array, every step on macroscopic fields and ``f``).
+        Eligibility is re-checked every step; when it drifts mid-run
+        (a handler appended, a phase called by hand) the array is
+        handed over canonical — see ``f``.  ``kernel_used`` /
+        ``kernel_reason`` report what ran and why.
     sparse_threshold:
         Solid fraction at or above which ``kernel="auto"`` selects the
         sparse kernel (default 0.5).
-    layout:
-        Physical memory layout of the distribution array: ``"soa"``
-        (default, structure-of-arrays — the Q axis slowest, each
-        population plane contiguous), ``"aos"`` (array-of-structures —
-        the Q axis fastest-varying in memory, exposed through a
-        transposed view so all indexing is unchanged), or ``"auto"``
-        (start SoA and let the measured autotuner probe both layouts
-        for the layout-sensitive kernels — see
-        :mod:`repro.lbm.autotune`; with ``autotune="heuristic"`` it
-        stays SoA).  All layouts are bit-identical; only the stride
-        pattern, and hence throughput, differs (Calore et al.,
-        arXiv:1703.00185).  The sparse kernel requires SoA.
-    autotune:
-        How ``kernel="auto"`` decides: ``"heuristic"`` (default)
-        applies the rule above — no probe, nothing to cache;
-        ``"measured"`` micro-benchmarks the eligible candidate kernels
-        on (a crop of) this solver's actual domain at first step and
-        picks the fastest (see :mod:`repro.lbm.autotune`), caching the
-        decision per (shape, solid-fraction bucket, candidate set).
-        The selection reason and measured rates are exposed as
-        ``kernel_reason`` / ``kernel_rates``.
     """
 
     def __init__(self, shape, tau: float, lattice: Lattice = D3Q19,
                  collision: str | object = "bgk", solid=None, boundaries=(),
                  force=None, periodic: bool = True, dtype=np.float32,
-                 fused: bool = True, kernel: str = "auto",
-                 sparse_threshold: float = 0.5,
-                 autotune: str = "heuristic", layout: str = "soa") -> None:
+                 kernel: str = "auto", sparse_threshold: float = 0.5) -> None:
         self.lattice = lattice
         self.shape = tuple(int(s) for s in shape)
         if len(self.shape) != lattice.D:
@@ -150,49 +129,36 @@ class LBMSolver:
         self.boundaries = list(boundaries)
         self._bounce = BounceBackNodes(lattice, self.solid)
 
-        if layout not in ("soa", "aos", "auto"):
-            raise ValueError(f"layout must be 'soa', 'aos' or 'auto', "
-                             f"got {layout!r}")
-        #: The configured layout request ("auto" defers to the
-        #: measured autotuner); ``self.layout`` below is always the
-        #: concrete layout the array currently has.
-        self.layout_requested = layout
-        self.layout = "soa" if layout == "auto" else layout
         padded = (lattice.Q,) + tuple(s + 2 for s in self.shape)
-        self.fg = self._alloc_fg(self.layout)
+        #: Ghost-padded distributions, link-major: each population
+        #: plane contiguous.
+        self.fg = np.zeros(padded, dtype=self.dtype)
         #: Spare streaming buffer, allocated on first use (see the
         #: ``_fg_next`` property) so the swap-free AA kernel keeps a
         #: single-array distribution working set.
         self._fg_next_buf: np.ndarray | None = None
         self._pull_slices = pull_slice_table(lattice, padded[1:])
-        self.fused = bool(fused)
-        if kernel not in ("auto", "fused", "sparse", "split", "aa"):
-            raise ValueError(f"kernel must be 'auto', 'fused', 'sparse', "
-                             f"'split' or 'aa', got {kernel!r}")
+        if kernel not in ("auto", "sparse", "split", "aa"):
+            raise ValueError(f"kernel must be 'auto', 'sparse', 'split' or "
+                             f"'aa', got {kernel!r}")
         self.kernel = kernel
-        if autotune not in ("heuristic", "measured"):
-            raise ValueError(f"autotune must be 'heuristic' or 'measured', "
-                             f"got {autotune!r}")
-        self.autotune = autotune
         self.sparse_threshold = float(sparse_threshold)
         self.solid_fraction = float(self.solid.mean()) if self.solid.size else 0.0
-        #: Which hot path actually ran ("aa" | "fused" | "sparse" |
-        #: "split"); None until the first step.
+        #: Which hot path actually ran ("aa" | "sparse" | "split");
+        #: None until the first step.
         self.kernel_used: str | None = None
-        self._fused_kernel: FusedStepKernel | None = None
         self._sparse_kernel = None
         self._aa_kernel = None
         #: Why the current kernel was selected — "forced ...",
-        #: "heuristic: ..." or "measured: ..." — and, for measured
-        #: autotuning, the probe's MLUPS per candidate kernel.
+        #: "heuristic: ..." or "cluster-resolved: ..." — and, for an
+        #: adopted coordinator choice, the probe's MLUPS per candidate.
         self.kernel_reason: str | None = None
         self.kernel_rates: dict[str, float] | None = None
         self._reason_kind: str | None = None
         self._autotune_choice = None
         #: Set True by the cluster drivers: the solver is stepped
         #: through its split phase entry points, which rules out the
-        #: whole-step fused sweep — and the AA phases too, unless the
-        #: driver closes their halo (next flag).
+        #: AA phases unless the driver closes their halo (next flag).
         self.phase_driven = False
         #: Set True by a cluster driver that takes over the AA halo
         #: protocol (forward exchange after even phases, reverse ghost
@@ -226,8 +192,7 @@ class LBMSolver:
         self.tracer = NULL_TRACER
         #: Live metrics registry (see :mod:`repro.perf.telemetry`);
         #: the shared disabled singleton by default — drivers attach a
-        #: per-rank view when telemetry is enabled, and the autotuner
-        #: records its probe decisions here.
+        #: per-rank view when telemetry is enabled.
         self.metrics = NULL_REGISTRY
         if isinstance(self.collision, BGKCollision):
             self.collision.counters = self.counters
@@ -284,39 +249,6 @@ class LBMSolver:
         self._aa_rotated = False
         self._bounce_folded = False
 
-    def _alloc_fg(self, layout: str) -> np.ndarray:
-        """Allocate a zeroed padded distribution array in ``layout``.
-
-        Both layouts expose the identical logical ``(Q,) + padded``
-        indexing; AoS allocates with the Q axis physically
-        fastest-varying and returns a transposed view, so every kernel
-        and exchange path runs unchanged on either.
-        """
-        lat = self.lattice
-        padded = tuple(s + 2 for s in self.shape)
-        if layout == "aos":
-            base = np.zeros(padded + (lat.Q,), dtype=self.dtype)
-            return np.moveaxis(base, -1, 0)
-        return np.zeros((lat.Q,) + padded, dtype=self.dtype)
-
-    def _set_layout(self, layout: str) -> None:
-        """Switch the distribution array's physical layout in place.
-
-        Contents are preserved bit for bit; the spare buffer and the
-        kernel instances are dropped so nothing holds views or stride
-        assumptions of the old array.
-        """
-        if layout == self.layout:
-            return
-        old = self.fg
-        self.fg = self._alloc_fg(layout)
-        self.fg[...] = old
-        self.layout = layout
-        self._fg_next_buf = None
-        self._fused_kernel = None
-        self._sparse_kernel = None
-        self._aa_kernel = None
-
     @property
     def _fg_next(self) -> np.ndarray:
         """Spare streaming buffer, allocated lazily on first access."""
@@ -356,87 +288,62 @@ class LBMSolver:
         return kind
 
     def adopt_kernel_choice(self, choice) -> None:
-        """Install a measured :class:`~repro.lbm.autotune.KernelChoice`.
-
-        The solver's own first-step probe lands here; a cluster
-        coordinator that resolved the kernel for all its ranks calls
-        it up front, so ``kernel="auto"`` ranks never probe.
-        """
+        """Install a coordinator-measured
+        :class:`~repro.lbm.autotune.KernelChoice`: a cluster that
+        resolved the kernel for all its ranks hands each rank its own,
+        so ``kernel="auto"`` ranks never probe."""
         self._autotune_choice = choice
         self.kernel_rates = choice.rates
-        self._set_layout(choice.layout)
 
     def _select_kernel(self, whole_step: bool = False) -> str:
         """Resolve which hot path this step should run.
 
         Re-checked every step (boundary handlers may be appended after
-        construction).  ``"auto"`` honours the legacy ``fused`` switch
-        — ``fused=False`` keeps the historic phase-split behaviour.
-        With ``autotune="heuristic"`` it picks sparse exactly when the
-        local solid fraction reaches ``sparse_threshold`` (the per-rank
-        selection rule the cluster drivers historically relied on) and
-        a dense kernel below it: the in-place AA sweep when :meth:`step`
-        asks (``whole_step``) and the configuration is eligible, the
-        fused sweep otherwise.  The phase entry points never pass
-        ``whole_step`` — nobody would close the AA halo for a solver
-        driven phase by phase — so there ``"fused"`` means what it
-        always meant: run the split phases.
-        With ``autotune="measured"`` it defers to the cached measured
-        probe (:mod:`repro.lbm.autotune`), falling back to the
-        heuristic if the configuration drifted since the probe.
+        construction).  A named kernel is forced, an adopted
+        coordinator choice is followed, each as long as the kernel's
+        own ``eligible`` still holds; otherwise the rule of the class
+        docstring applies.  Only :meth:`step` passes ``whole_step``:
+        nobody would close the AA halo for a solver driven phase by
+        phase, so there the dense choice is ``split``.
         """
         from repro.lbm.aa import AAStepKernel
         from repro.lbm.sparse import SparseStepKernel
+        kernels = {"sparse": SparseStepKernel, "aa": AAStepKernel}
         if self.kernel == "split":
             return self._note_selection("split", ("forced kernel='split'",))
-        if self.kernel in ("sparse", "fused", "aa"):
-            kern_cls = {"sparse": SparseStepKernel, "fused": FusedStepKernel,
-                        "aa": AAStepKernel}[self.kernel]
-            if kern_cls.eligible(self):
-                if (self.layout_requested == "auto"
-                        and self.autotune == "measured"):
-                    from repro.lbm import autotune
-                    if (self.kernel in autotune.LAYOUT_KERNELS
-                            and self._autotune_choice is None):
-                        # Forced kernel, free layout: probe just this
-                        # kernel's layout variants and switch if AoS
-                        # measured faster on this sub-domain.
-                        choice = autotune.choose_layout(self, self.kernel)
-                        self.adopt_kernel_choice(choice)
-                        return self._note_selection(
-                            self.kernel, (choice.reason,))
+        if self.kernel != "auto":
+            if kernels[self.kernel].eligible(self):
                 return self._note_selection(
                     self.kernel, ("forced kernel=", repr(self.kernel)))
             return self._note_selection(
                 "split", ("forced kernel=", repr(self.kernel),
                           " ineligible; fell back to split"))
-        if self.autotune == "measured":
-            from repro.lbm import autotune
-            choice = self._autotune_choice
-            if choice is None:
-                choice = autotune.choose_kernel(self)
-                self.adopt_kernel_choice(choice)
-            if autotune.still_eligible(self, choice.kernel):
-                return self._note_selection(choice.kernel, (choice.reason,))
-            # Configuration drifted since the probe (e.g. a boundary
-            # handler was appended): fall through to the heuristic.
-        if not self.fused or not FusedStepKernel.eligible(self):
+        choice = self._autotune_choice
+        if choice is not None and (
+                choice.kernel == "split"
+                or kernels[choice.kernel].eligible(self)):
+            return self._note_selection(choice.kernel, (choice.reason,))
+        if not plain_bgk_step(self):
             return self._note_selection(
-                "split", ("heuristic: fused kernel disabled or ineligible",))
-        sparse = self.solid_fraction >= self.sparse_threshold
-        if sparse:
-            kind = "sparse"
-        elif (whole_step and not self.phase_driven
-                and AAStepKernel.eligible(self)):
-            kind = "aa"
-        else:
-            kind = "fused"
+                "split", ("heuristic: non-BGK collision or a pre_stream "
+                          "handler",))
+        if self.solid_fraction >= self.sparse_threshold:
+            return self._note_selection(
+                "sparse", ("heuristic: solid_fraction ",
+                           format(self.solid_fraction, ".3f"),
+                           " >= sparse_threshold ",
+                           format(self.sparse_threshold, "g")))
+        below = ("heuristic: solid_fraction ",
+                 format(self.solid_fraction, ".3f"), " < sparse_threshold ",
+                 format(self.sparse_threshold, "g"))
+        if not AAStepKernel.eligible(self):
+            return self._note_selection(
+                "split", below + (", a handler that is not face-resident",))
+        if whole_step and not self.phase_driven:
+            return self._note_selection(
+                "aa", below + (", whole-step schedule",))
         return self._note_selection(
-            kind, ("heuristic: solid_fraction ",
-                   format(self.solid_fraction, ".3f"),
-                   " >= " if sparse else " < ", "sparse_threshold ",
-                   format(self.sparse_threshold, "g"),
-                   ", whole-step schedule" if kind == "aa" else ""))
+            "split", below + (", driven phase by phase",))
 
     def _sparse_kernel_for_phase(self):
         """The sparse kernel when selected, else None (dense phases run).
@@ -484,10 +391,10 @@ class LBMSolver:
         """Hand the array to a two-array path, canonical.
 
         Called before any non-AA path runs (eligibility can drift
-        mid-run: a handler appended, ``fused`` flipped, a phase called
-        by hand).  Mid-pair the single array is in the rotated layout,
-        which every other path would read as garbage: the pending
-        gather and bounce are written out first.
+        mid-run: a handler appended, a phase called by hand).  Mid-pair
+        the single array is in the rotated layout, which every other
+        path would read as garbage: the pending gather and bounce are
+        written out first.
         """
         akern = self._aa_kernel
         if akern is None:
@@ -534,11 +441,6 @@ class LBMSolver:
         return self._shell_parts
 
     def _collide_region(self, region: tuple[slice, ...]) -> None:
-        # The vectorized operator is the fast path here: with no
-        # streaming to fuse, a region collide is pure collision, and
-        # one all-links equilibrium evaluation beats the fused kernel's
-        # per-link loop (which only pays off when each f_i is streamed
-        # in the same sweep).
         view = self.f[(slice(None),) + region]
         if view.size == 0:
             return
@@ -548,29 +450,27 @@ class LBMSolver:
         """Gather the depth-1 shell, collide it once, scatter it back.
 
         The operator pays its fixed small-array cost once instead of
-        once per strided slab.  The gather indexes the *physical*
-        array — cell-major rows under AoS, link-major under SoA — and
-        the workspace has the same orientation, so the operator sees
-        the memory order (and the layout-stable reductions of
-        :mod:`repro.lbm.macroscopic`) it sees in a whole collide.
+        once per strided slab.  The workspace is link-major like the
+        array, so the operator sees the memory order (and the
+        slot-order reductions of :mod:`repro.lbm.macroscopic`) it sees
+        in a whole collide.
         """
         if self._shell_idx is None:
             shell, idx = shell_index(self.shape)
             fluid = self.fluid[shell]
             self._shell_idx = (idx, None if fluid.all() else fluid)
         idx, fluid = self._shell_idx
-        cells, axis = physical_cells(self.fg)
-        Q = self.lattice.Q
-        ws_shape = (Q, idx.size) if axis else (idx.size, Q)
+        cells = flat_cells(self.fg)
         ws = self._shell_ws
-        if ws is None or ws.shape != ws_shape:
-            ws = self._shell_ws = np.empty(ws_shape, dtype=self.dtype)
+        if ws is None:
+            ws = self._shell_ws = np.empty((self.lattice.Q, idx.size),
+                                           dtype=self.dtype)
             self.counters.alloc("solver.shell_workspace")
         # The index is in range by construction; the default
         # ``mode="raise"`` would stage ``out`` through a temporary.
-        np.take(cells, idx, axis=axis, out=ws, mode="clip")
-        self.collision(ws if axis else ws.T, mask=fluid)
-        cells[(slice(None), idx) if axis else idx] = ws
+        np.take(cells, idx, axis=1, out=ws, mode="clip")
+        self.collision(ws, mask=fluid)
+        cells[:, idx] = ws
 
     def collide_boundary(self) -> None:
         """Collide only the depth-1 boundary shell of the domain.
@@ -728,19 +628,6 @@ class LBMSolver:
                 b.apply(self.fg)
 
     # ------------------------------------------------------------------
-    def _fused_kernel_for_step(self) -> FusedStepKernel | None:
-        """The fused kernel, or None if the phase-split path must run.
-
-        Eligibility is re-checked every step because boundary handlers
-        may be appended after construction; the kernel itself is built
-        once and reused (its workspace is the whole point).
-        """
-        if not self.fused or not FusedStepKernel.eligible(self):
-            return None
-        if self._fused_kernel is None:
-            self._fused_kernel = FusedStepKernel(self)
-        return self._fused_kernel
-
     def _step_phase_split(self) -> None:
         """One step through the classic collide/ghosts/stream phases."""
         rec = self.counters
@@ -778,17 +665,7 @@ class LBMSolver:
                 self.time_step += 1
                 continue
             self._leave_aa()
-            if selected == "fused":
-                kern = self._fused_kernel_for_step()
-            else:
-                kern = None
-            if kern is not None:
-                self.kernel_used = "fused"
-                with self.tracer.span("solver.step", step=self.time_step,
-                                      kernel="fused"):
-                    kern.step_once()
-            else:
-                self._step_phase_split()
+            self._step_phase_split()
             self.time_step += 1
         if metrics.enabled:
             dt = time.perf_counter() - step_t0

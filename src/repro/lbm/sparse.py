@@ -3,8 +3,8 @@
 The paper's headline demonstration (Sec 5) runs over a voxelized city
 where a large fraction of lattice sites is building/ground solid, yet
 the dense kernels sweep the full box and then *discard* the work on
-solid sites (the masked collide, the ``where=solid`` restore in the
-fused kernel).  Following Tomczak & Szafran's sparse-geometry GPU
+solid sites (the masked collide, the in-place kernel's rate-0
+relaxation).  Following Tomczak & Szafran's sparse-geometry GPU
 scheme, :class:`SparseStepKernel` compacts the fluid sites into 1-D
 arrays at construction and precomputes per-direction pull-stream
 gather indices, so the per-step arithmetic and indexed memory traffic
@@ -45,20 +45,21 @@ Bit-exactness contract
 Both phases are **bit-identical** to the dense phase-split reference:
 every floating-point operation is per-site and replicates the
 reference op sequence (only commuted where IEEE-754 guarantees
-identical rounding — see :mod:`repro.lbm.fused` for the precedent),
+identical rounding — see :mod:`repro.lbm.aa` for the identities),
 and the streaming fold is a pure re-indexing of exact copies.  The
 cluster equality tests compare all three execution backends against
 ``LBMSolver.step()`` with ``np.array_equal``; mixed per-rank
-fused/sparse selection must not move a single bit.
+split/sparse selection must not move a single bit.
 
-Eligibility matches the fused kernel: plain BGK collision and no
-boundary handler overriding ``pre_stream``.
+Eligibility: plain BGK collision and no boundary handler overriding
+``pre_stream`` (:func:`repro.lbm.collision.plain_bgk_step`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.lbm.collision import plain_bgk_step
 from repro.lbm.lattice import Lattice
 from repro.lbm.streaming import padded_flat_index, shell_index
 
@@ -136,21 +137,11 @@ class SparseStepKernel:
     # ------------------------------------------------------------------
     @staticmethod
     def eligible(solver) -> bool:
-        """True if ``solver`` can run the sparse pipeline.
-
-        Same contract as the fused kernel: plain BGK collision and no
-        boundary handler overriding ``pre_stream`` (the fold never
-        materialises the intermediate post-collision full field a
-        Bouzidi snapshot would need... it does, in ``fg`` — but the
-        split-phase ordering guarantees are shared with the fused
-        path, so the two kernels advertise one eligibility rule).
-        """
-        from repro.lbm.fused import FusedStepKernel
-        if getattr(solver, "layout", "soa") != "soa":
-            # The compact gather tables flatten ``fg`` zero-copy as
-            # ``(Q, P)`` with C-order strides; an AoS array cannot.
-            return False
-        return FusedStepKernel.eligible(solver)
+        """True if ``solver`` can run the sparse pipeline: plain BGK
+        collision and no boundary handler overriding ``pre_stream``
+        (the collide replays the BGK op order on compact arrays, and
+        the phase ordering around a snapshot is the split path's)."""
+        return plain_bgk_step(solver)
 
     def _shell_core_idx(self) -> tuple[np.ndarray, np.ndarray]:
         """Fluid flat-index subsets for the depth-1 shell and the core.
@@ -303,7 +294,7 @@ def run_sparse_equivalence_check(shape=(24, 20, 4), steps: int = 3,
 
     * the dense phase-split reference and a ``kernel="sparse"`` solver
       (periodic, and non-periodic with inlet/outflow and a body force),
-    * the reference and a 2x2x1 cluster whose ranks *mix* fused-dense
+    * the reference and a 2x2x1 cluster whose ranks *mix* dense split
       and sparse kernels (threshold sits between the per-rank solid
       fractions), under each requested execution backend.
 
@@ -371,9 +362,8 @@ def run_sparse_equivalence_check(shape=(24, 20, 4), steps: int = 3,
                 f"mixed-kernel cluster (backend={backend}) diverged from "
                 f"the reference")
         kinds = {row["kernel"] for row in reports[backend]}
-        # The cluster's dense hot path is the phase-split collide (the
-        # fused single-pass kernel cannot interleave the halo
-        # exchange), so a mix means sparse + split ranks.
+        # Off the AA protocol a rank's dense hot path is the
+        # phase-split collide, so a mix means sparse + split ranks.
         if not {"sparse", "split"} <= kinds:
             raise AssertionError(
                 f"expected mixed per-rank kernels under backend={backend}, "

@@ -112,25 +112,17 @@ def padded_flat_index(mask: np.ndarray) -> np.ndarray:
                                 pshape).astype(np.intp)
 
 
-def physical_cells(fg: np.ndarray) -> tuple[np.ndarray, int]:
-    """Zero-copy 2-D view of a distribution array in its memory order.
+def flat_cells(fg: np.ndarray) -> np.ndarray:
+    """Zero-copy ``(Q, P)`` view of a padded distribution array, one
+    row of cells per link, so a flat cell index
+    (:func:`padded_flat_index`) gathers and scatters through it.
 
-    Returns ``(cells, axis)``: link-major ``(Q, P)`` rows with the cell
-    axis 1 for an SoA array, cell-major ``(P, Q)`` rows with the cell
-    axis 0 for an AoS one (the transposed view :class:`LBMSolver`
-    exposes), so a flat cell index (:func:`padded_flat_index`) gathers
-    and scatters through ``cells`` along ``axis`` in either layout.
-    Anything else raises: ``reshape`` would silently hand back a copy
-    and every write through it would be lost.
+    A non-contiguous array raises: ``reshape`` would silently hand
+    back a copy and every write through it would be lost.
     """
-    Q = fg.shape[0]
-    if fg.flags.c_contiguous:
-        return fg.reshape(Q, -1), 1
-    base = np.moveaxis(fg, 0, -1)
-    if not base.flags.c_contiguous:
-        raise ValueError("distribution array is neither SoA- nor "
-                         "AoS-contiguous")
-    return base.reshape(-1, Q), 0
+    if not fg.flags.c_contiguous:
+        raise ValueError("distribution array is not C-contiguous")
+    return fg.reshape(fg.shape[0], -1)
 
 
 def pull_slice_table(lattice: Lattice,
@@ -141,8 +133,7 @@ def pull_slice_table(lattice: Lattice,
     ``padded_shape``, no leading Q axis) that stream along link ``i``
     into the interior: ``out[i][interior] = f[i][table[i]]``.  Building
     this once per solver removes the per-step tuple construction from
-    the hot loop (used by :func:`stream_pull` callers and the fused
-    kernel in :mod:`repro.lbm.fused`).
+    the hot loop.
     """
     return [tuple(slice(1 - int(ci), n - 1 - int(ci))
                   for n, ci in zip(padded_shape, lattice.c[i]))

@@ -5,7 +5,7 @@ The paper's evaluation lives and dies by per-step time decompositions
 same observability: every solver phase (collision, streaming, halo
 exchange, ...) is timed with :func:`time.perf_counter`, and kernels
 report the temporary-array allocations they knowingly perform, so the
-fused/preallocated paths can prove they are allocation-free after
+preallocated paths can prove they are allocation-free after
 warm-up.
 
 The counters are deliberately cheap: one ``perf_counter`` pair per

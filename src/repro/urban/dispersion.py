@@ -93,9 +93,7 @@ class DispersionScenario:
         (the inlet/outflow closure folds into it, DESIGN.md §5i).
         Extra keyword arguments reach :class:`~repro.lbm.LBMSolver`
         unchanged — e.g. ``kernel="split"`` for the readable
-        reference path, or ``layout="auto"`` with
-        ``autotune="measured"`` to let the autotuner pick the
-        distribution layout.
+        reference path.
         """
         bcs = [EquilibriumVelocityInlet(D3Q19, *self.inlet),
                OutflowBoundary(D3Q19, *self.outflow)]

@@ -29,9 +29,9 @@ def small_solid(small_shape) -> np.ndarray:
 
 
 class PostStreamOnly(Boundary):
-    """A no-op handler of a type no kernel knows: outside the rotated
-    closure, so the in-place AA kernel is ineligible, but with no
-    ``pre_stream`` snapshot, so the fused sweep still is."""
+    """A no-op handler with no face (no ``axis``/``side``): outside
+    the rotated closure, so the in-place AA kernel is ineligible and
+    the rule resolves ``split``."""
 
     def apply(self, fg):
         pass

@@ -159,10 +159,9 @@ class TestRegionCalls:
 class TestFiveSlotGhostFill:
     SHAPE = (10, 7, 6)
 
-    @pytest.mark.parametrize("layout", ["soa", "aos"])
-    def test_bounded_box_matches_split_every_step(self, layout):
+    def test_bounded_box_matches_split_every_step(self):
         ref = _bounded_box(self.SHAPE, "split")
-        aa = _bounded_box(self.SHAPE, "aa", layout=layout)
+        aa = _bounded_box(self.SHAPE, "aa")
         for step in range(1, 9):
             ref.step(1)
             aa.step(1)

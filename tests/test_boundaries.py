@@ -26,13 +26,9 @@ def _mask(kind, shape, rng):
     return solid
 
 
-def _padded_random(lattice, shape, layout, dtype, rng):
-    """Random ghost-padded distributions, physically SoA or AoS (the
-    transposed view ``LBMSolver`` exposes)."""
+def _padded_random(lattice, shape, dtype, rng):
+    """Random ghost-padded distributions."""
     padded = tuple(n + 2 for n in shape)
-    if layout == "aos":
-        base = rng.random(padded + (lattice.Q,)).astype(dtype)
-        return np.moveaxis(base, -1, 0)
     return rng.random((lattice.Q,) + padded).astype(dtype)
 
 
@@ -75,21 +71,18 @@ class TestBounceBack:
 
     @given(kind=st.sampled_from(["none", "all", "border", "single",
                                  "random"]),
-           layout=st.sampled_from(["soa", "aos"]),
            dtype=st.sampled_from([np.float32, np.float64]),
            lattice=st.sampled_from([D3Q19, D2Q9]),
            seed=st.integers(0, 10 ** 6))
     @settings(max_examples=40, deadline=None)
-    def test_index_swap_equals_mask_expression(self, kind, layout, dtype,
-                                               lattice, seed):
+    def test_index_swap_equals_mask_expression(self, kind, dtype, lattice,
+                                               seed):
         """The index-list swap against the whole-array mask expression
-        it replaced (kept here as the oracle), in both physical
-        layouts — on an AoS array a careless ``reshape`` returns a copy
-        and the swap is silently lost."""
+        it replaced (kept here as the oracle)."""
         rng = np.random.default_rng(seed)
         shape = (5, 4, 3)[:lattice.D]
         solid = _mask(kind, shape, rng)
-        fg = _padded_random(lattice, shape, layout, dtype, rng)
+        fg = _padded_random(lattice, shape, dtype, rng)
         original = fg.copy()
         expected = fg.copy()
         view = expected[(slice(None),) + interior(lattice.D)]
@@ -101,13 +94,12 @@ class TestBounceBack:
         bounce.apply(fg)        # the cached index and scratch, reused
         assert np.array_equal(fg, original)
 
-    @pytest.mark.parametrize("layout", ["soa", "aos"])
-    def test_steady_state_apply_allocates_nothing_like_fg(self, layout):
+    def test_steady_state_apply_allocates_nothing_like_fg(self):
         import tracemalloc
         rng = np.random.default_rng(0)
         shape = (64, 64, 64)
         solid = rng.random(shape) < 0.1
-        fg = _padded_random(D3Q19, shape, layout, np.float32, rng)
+        fg = _padded_random(D3Q19, shape, np.float32, rng)
         bounce = BounceBackNodes(D3Q19, solid)
         bounce.apply(fg)                # builds the index and scratch
         tracemalloc.start()

@@ -260,8 +260,7 @@ class TestSolidHeavyCity:
             kinds = {row["kernel"] for row in cluster.kernel_report()}
         assert np.array_equal(got, ref.f)
         # Ranks above the threshold ran sparse; the rest ran the dense
-        # phase-split path (the fused single-pass kernel cannot
-        # interleave the halo exchange).
+        # phase-split path.
         assert {"sparse", "split"} <= kinds
 
     def test_all_sparse_ranks_match_reference(self, rng):

@@ -19,7 +19,7 @@ import pytest
 from repro.core import ClusterConfig, CPUClusterLBM, GPUClusterLBM
 from repro.lbm import LBMSolver, autotune, clear_autotune_cache
 from repro.lbm.autotune import (MARGIN, PROBE_MAX_CELLS, ProbeSpec,
-                                decide_cluster, rate_key, resolve_cluster)
+                                decide_cluster, resolve_cluster)
 from repro.lbm.boundaries import EquilibriumVelocityInlet, OutflowBoundary
 from repro.lbm.lattice import D3Q19
 from repro.urban.city import times_square_like
@@ -40,8 +40,7 @@ def _inject(monkeypatch, **mlups):
     """Make every probe report ``mlups[kernel]`` (default 1.0)."""
     monkeypatch.setattr(
         autotune, "_probe_rates",
-        lambda spec, cands: {rate_key(k, layout): mlups.get(k, 1.0)
-                             for k, layout in cands})
+        lambda spec, cands: {k: mlups.get(k, 1.0) for k in cands})
 
 
 # -- (a) the decision rule, pure ----------------------------------------
@@ -49,7 +48,7 @@ class TestDecisionRule:
     def test_aa_wins_when_faster_on_every_rank(self):
         wins, picks, aa_ms, best_ms = decide_cluster(
             [100_000, 100_000], [{"aa": 8.0, "split": 4.0}] * 2)
-        assert wins and picks == [("aa", "soa")] * 2
+        assert wins and picks == ["aa"] * 2
         assert aa_ms == pytest.approx(12.5) and best_ms == pytest.approx(25.0)
 
     def test_aa_loses_on_the_slowest_rank(self):
@@ -58,7 +57,7 @@ class TestDecisionRule:
         wins, picks, aa_ms, best_ms = decide_cluster(
             [200_000, 100_000],
             [{"aa": 2.0, "split": 4.0}, {"aa": 10.0, "split": 3.0}])
-        assert not wins and picks == [("split", "soa")] * 2
+        assert not wins and picks == ["split"] * 2
         assert aa_ms == pytest.approx(100.0)
         assert best_ms == pytest.approx(50.0)
 
@@ -66,7 +65,7 @@ class TestDecisionRule:
         wins, picks, aa_ms, best_ms = decide_cluster(
             [200_000, 10_000],
             [{"aa": 8.0, "split": 4.0}, {"aa": 1.0, "split": 2.0}])
-        assert wins and {k for k, _ in picks} == {"aa"}
+        assert wins and set(picks) == {"aa"}
         assert aa_ms == pytest.approx(25.0) and best_ms == pytest.approx(50.0)
 
     def test_one_ineligible_rank_vetoes(self):
@@ -76,7 +75,7 @@ class TestDecisionRule:
             [100_000, 100_000],
             [{"aa": 50.0, "split": 1.0}, {"sparse": 6.0, "split": 2.0}])
         assert not wins and aa_ms is None
-        assert picks == [("split", "soa"), ("sparse", "soa")]
+        assert picks == ["split", "sparse"]
         assert best_ms == pytest.approx(100.0)
 
     def test_ties_inside_margin_keep_priority_order(self):
@@ -88,13 +87,7 @@ class TestDecisionRule:
         # Per rank too: sparse precedes split inside the margin.
         _, picks, _, _ = decide_cluster(
             cells, [{"sparse": 9.5, "split": 10.0}])
-        assert picks == [("sparse", "soa")]
-
-    def test_layout_pairs_are_picked_per_rank(self):
-        wins, picks, _, _ = decide_cluster(
-            [1000, 1000], [{"aa": 5.0, "aa/aos": 9.0, "split": 1.0},
-                           {"aa": 9.0, "aa/aos": 5.0, "split": 1.0}])
-        assert wins and picks == [("aa", "aos"), ("aa", "soa")]
+        assert picks == ["sparse"]
 
 
 def _spec(**kwargs):
@@ -112,14 +105,14 @@ class TestResolveCluster:
 
         def fake(spec, cands):
             probed.append(cands)
-            return {rate_key(k, layout): 1.0 for k, layout in cands}
+            return {k: 1.0 for k in cands}
         monkeypatch.setattr(autotune, "_probe_rates", fake)
         specs = [_spec(solid_fraction=0.6),
                  _spec(runnable=("sparse", "split"))]
         choice = resolve_cluster(specs, [512, 512])
         # AA is all-or-nothing: nobody is probed for it, and the rank
         # left with one candidate is not probed at all.
-        assert probed == [(("sparse", "soa"), ("split", "soa"))]
+        assert probed == [("sparse", "split")]
         assert choice.kernel == "sparse" + "+split"
         assert choice.aa_ms is None and choice.best_ms is None
         assert [c.kernel for c in choice.choices] == ["sparse", "split"]
@@ -130,39 +123,35 @@ class TestResolveCluster:
         monkeypatch.setattr(
             autotune, "_probe_rates",
             lambda spec, cands: calls.append(1) or
-            {rate_key(k, layout): 2.0 for k, layout in cands})
+            {k: 2.0 for k in cands})
         choice = resolve_cluster([_spec()] * 6, [512] * 6)
         assert len(calls) == 1
         assert choice.kernel == "aa" and len(choice.choices) == 6
 
     def test_cache_key_separates_schedule_and_halo(self):
         spec = _spec()
-        pairs = autotune._pairs(spec)
-        key = autotune._cache_key(spec, pairs)
+        cands = autotune._candidates(spec)
+        key = autotune._cache_key(spec, cands)
         assert key != autotune._cache_key(replace(spec, schedule="shell"),
-                                          pairs)
+                                          cands)
         assert key != autotune._cache_key(replace(spec, halo_managed=False),
-                                          pairs)
+                                          cands)
 
     def test_probe_runs_the_named_schedule(self, monkeypatch):
         calls = []
-        for name in ("collide", "collide_boundary", "collide_inner", "step"):
+        for name in ("collide", "collide_boundary", "collide_inner"):
             orig = getattr(LBMSolver, name)
 
             def spy(self, *a, _orig=orig, _name=name, **kw):
                 calls.append(_name)
                 return _orig(self, *a, **kw)
             monkeypatch.setattr(LBMSolver, name, spy)
-        pairs = (("aa", "soa"), ("split", "soa"))
-        autotune._probe_rates(_spec(schedule="shell"), pairs)
+        cands = ("aa", "split")
+        autotune._probe_rates(_spec(schedule="shell"), cands)
         assert set(calls) == {"collide_boundary", "collide_inner"}
         calls.clear()
-        autotune._probe_rates(_spec(schedule="collide"), pairs)
+        autotune._probe_rates(_spec(schedule="collide"), cands)
         assert set(calls) == {"collide"}
-        calls.clear()
-        autotune._probe_rates(_spec(schedule="step", halo_managed=False),
-                              pairs)
-        assert "step" in calls and "collide_boundary" not in calls
 
 
 # -- cluster wiring --------------------------------------------------------

@@ -76,16 +76,24 @@ class TestExchangeBuffers:
 
 class TestConfigValidation:
     def test_removed_options_rejected(self):
-        """``max_workers``, ``wire`` and ``backend="threads"`` selected
-        code that no longer exists; passing them must fail loudly."""
+        """``max_workers``, ``wire``, ``layout``, ``backend="threads"``
+        and ``kernel="fused"`` selected code that no longer exists;
+        passing them must fail loudly."""
         base = dict(sub_shape=(8, 8, 8), arrangement=(1, 1, 1))
         for removed in ({"max_workers": 2}, {"wire": "merged"},
-                        {"wire": "perface"}):
+                        {"wire": "perface"}, {"layout": "soa"}):
             with pytest.raises(TypeError, match=next(iter(removed))):
                 ClusterConfig(**base, **removed)
         with pytest.raises(ValueError, match="backend"):
             ClusterConfig(**base, backend="threads")
-        assert len(dataclasses.fields(ClusterConfig)) == 24
+        with pytest.raises(ValueError, match="'split'.*'aa'"):
+            ClusterConfig(**base, kernel="fused")
+        assert [f.name for f in dataclasses.fields(ClusterConfig)] == [
+            "sub_shape", "arrangement", "tau", "periodic", "timing_only",
+            "solid", "inlet", "outflow", "force", "gpu_spec", "bus",
+            "cpu_spec", "use_sse", "switch", "overlap", "backend",
+            "backend_timeout_s", "kernel", "sparse_threshold", "autotune",
+            "decomposition", "cuts", "compression"]
 
     def test_backend_must_be_known(self):
         with pytest.raises(ValueError, match="backend"):

@@ -15,13 +15,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.lbm
 from repro.lbm import LBMSolver
-from repro.lbm.boundaries import (BouzidiCurvedBoundary,
+from repro.lbm.boundaries import (Boundary, BouzidiCurvedBoundary,
                                   EquilibriumVelocityInlet, OutflowBoundary)
 from repro.lbm.collision import BGKCollision
 from repro.lbm.lattice import D2Q9, D3Q19
 from repro.lbm.les import SmagorinskyBGK
-from repro.lbm.zou_he import ZouHeVelocity2D
+from repro.lbm.zou_he import ZouHePressure2D, ZouHeVelocity2D
 
 SHAPE = (12, 10, 6)
 
@@ -41,6 +42,59 @@ def _inlet_outflow(lattice=D3Q19):
     velocity = (0.04,) + (0.0,) * (lattice.D - 1)
     return [EquilibriumVelocityInlet(lattice, 0, "low", velocity, 1.0),
             OutflowBoundary(lattice, 0, "high")]
+
+
+CAVITY = (17, 17)
+
+
+def _cavity_walls():
+    """The walled box of ``examples/lid_driven_cavity.py``: solid on
+    three sides, the fourth (y-high) is the lid's face."""
+    solid = np.zeros(CAVITY, bool)
+    solid[0, :] = solid[-1, :] = True
+    solid[:, 0] = True
+    return solid
+
+
+def _cavity_lid():
+    return [ZouHeVelocity2D(1, "high", (0.05, 0.0),
+                            exclude=_cavity_walls()[:, -1])]
+
+
+def _pressure_channel():
+    return [ZouHeVelocity2D(0, "low", (0.04, 0.0)),
+            ZouHePressure2D(0, "high", 1.0)]
+
+
+class InnerLayerRelax(Boundary):
+    """A custom 3D face handler that reads the layer inside its face:
+    the face becomes the mean of itself and that layer, the five
+    inbound links excepted."""
+
+    def __init__(self, axis, side):
+        self.axis, self.side = axis, side
+        self.keep = np.flatnonzero(
+            D3Q19.c[:, axis] != (1 if side == "low" else -1))
+
+    def apply(self, fg):
+        face: list = [slice(None)] + [slice(1, -1)] * 3
+        inner = list(face)
+        low = self.side == "low"
+        face[1 + self.axis] = 1 if low else fg.shape[1 + self.axis] - 2
+        inner[1 + self.axis] = 2 if low else fg.shape[1 + self.axis] - 3
+        face[0] = inner[0] = self.keep
+        half = fg.dtype.type(0.5)
+        fg[tuple(face)] = half * (fg[tuple(face)] + fg[tuple(inner)])
+
+
+def _solids_on_faces():
+    """Solids on both handler face layers, the inner layers and an
+    edge shared with a handler-free face."""
+    solid = _city_like(SHAPE)
+    solid[0, 2:5, 1:3] = True
+    solid[-1, :3, :] = True
+    solid[1, 4, 2] = solid[-2, 5, 3] = True
+    return solid
 
 
 def _seed(solvers, seed=0):
@@ -88,6 +142,28 @@ CONFIGS = {
     "d2q9": {"shape": (16, 12), "lattice": D2Q9, "periodic": False,
              "boundaries": lambda: _inlet_outflow(D2Q9),
              "solid": lambda: _city_like((16, 12))},
+    # The generic face closure: any face-resident handler runs under
+    # ``aa`` on a canonical stub of its two layers.
+    "zou_he_cavity": {"shape": CAVITY, "lattice": D2Q9, "periodic": False,
+                      "dtype": np.float64, "solid": _cavity_walls,
+                      "boundaries": _cavity_lid},
+    "zou_he_pressure_outlet": {"shape": (16, 12), "lattice": D2Q9,
+                               "periodic": False,
+                               "boundaries": _pressure_channel},
+    "custom_face_reads_inner": {
+        "periodic": False,
+        "boundaries": lambda: [InnerLayerRelax(2, "low"),
+                               InnerLayerRelax(0, "high")]},
+    "two_handlers_one_face": {
+        "periodic": False,
+        "boundaries": lambda: [
+            EquilibriumVelocityInlet(D3Q19, 0, "low", (0.04, 0.0, 0.0), 1.0),
+            InnerLayerRelax(0, "low"), OutflowBoundary(D3Q19, 0, "high"),
+            InnerLayerRelax(0, "high")]},
+    "solids_on_face_layers": {
+        "periodic": False, "solid": _solids_on_faces,
+        "boundaries": lambda: _inlet_outflow() + [InnerLayerRelax(0, "high"),
+                                                  InnerLayerRelax(1, "low")]},
 }
 
 
@@ -95,7 +171,7 @@ class TestDefaultResolvesAA:
     @pytest.mark.parametrize("name", CONFIGS)
     def test_step_picks_aa_and_matches_split_every_step(self, name):
         default, split = _twins(**CONFIGS[name])
-        for t in range(1, 6):
+        for t in range(1, 7):
             default.step(1)
             split.step(1)
             assert default.kernel_used == "aa"
@@ -109,12 +185,52 @@ class TestDefaultResolvesAA:
         split.step(5)
         _assert_same_state(default, split, "after step(5)")
 
+    def test_handler_order_on_one_face_matters(self):
+        """The ``two_handlers_one_face`` case can tell the orders
+        apart: swapping the two x-low handlers changes the state."""
+        cfg = CONFIGS["two_handlers_one_face"]
+        default, _ = _twins(**cfg)
+        swapped, _ = _twins(**{**cfg, "boundaries": lambda: [
+            cfg["boundaries"]()[i] for i in (1, 0, 2, 3)]})
+        default.step(3)
+        swapped.step(3)
+        assert not np.array_equal(default.f, swapped.f)
+
     def test_no_new_constructor_argument(self):
         import inspect
         assert list(inspect.signature(LBMSolver.__init__).parameters) == [
             "self", "shape", "tau", "lattice", "collision", "solid",
-            "boundaries", "force", "periodic", "dtype", "fused", "kernel",
-            "sparse_threshold", "autotune", "layout"]
+            "boundaries", "force", "periodic", "dtype", "kernel",
+            "sparse_threshold"]
+
+    def test_public_names(self):
+        assert sorted(repro.lbm.__all__) == sorted([
+            "Lattice", "D2Q9", "D3Q19", "equilibrium", "macroscopic",
+            "density", "momentum", "BGKCollision", "MRTCollision",
+            "mrt_matrix", "viscosity_to_tau", "tau_to_viscosity",
+            "stream_periodic", "stream_pull", "pull_slice_table",
+            "AAStepKernel", "KernelChoice", "clear_autotune_cache",
+            "SparseStepKernel", "BounceBackNodes", "BouzidiCurvedBoundary",
+            "EquilibriumVelocityInlet", "OutflowBoundary", "box_walls",
+            "LBMSolver", "HybridThermalLBM", "TracerCloud",
+            "ZouHeVelocity2D", "ZouHePressure2D", "SmagorinskyBGK"])
+
+    @pytest.mark.parametrize("kwargs", [{"layout": "soa"},
+                                        {"autotune": "heuristic"},
+                                        {"fused": True}])
+    def test_removed_arguments_rejected(self, kwargs):
+        """(``ClusterConfig``'s removed names are pinned in
+        tests/test_cluster_threaded.py.)"""
+        from repro.urban.dispersion import DispersionScenario
+        with pytest.raises(TypeError, match=next(iter(kwargs))):
+            LBMSolver(SHAPE, tau=0.7, **kwargs)
+        scenario = DispersionScenario((16, 12, 6), resolution_m=24.0, tau=0.7)
+        with pytest.raises(TypeError, match=next(iter(kwargs))):
+            scenario.make_single_solver(**kwargs)
+
+    def test_removed_kernel_value_rejected(self):
+        with pytest.raises(ValueError, match="'split'.*'aa'"):
+            LBMSolver(SHAPE, tau=0.7, kernel="fused")
 
 
 class TestFallbacks:
@@ -144,41 +260,43 @@ class TestFallbacks:
         bb = BouzidiCurvedBoundary(D3Q19, [((2, 2, 2), 1, 0.5)], (8, 8, 8))
         assert self._used(boundaries=[bb]) == "split"
 
-    def test_zou_he_runs_fused(self):
-        lid = ZouHeVelocity2D(1, "high", (0.05, 0.0))
-        assert self._used(shape=(12, 12), lattice=D2Q9, periodic=False,
-                          boundaries=[lid]) == "fused"
-
-    def test_unknown_post_stream_handler_runs_fused(self, post_stream_only):
-        assert self._used(boundaries=[post_stream_only()]) == "fused"
+    def test_handler_without_a_face_runs_split(self, post_stream_only):
+        s = LBMSolver((8, 8, 8), tau=0.7, boundaries=[post_stream_only()])
+        s.step(2)
+        assert s.kernel_used == "split" and s._aa_kernel is None
+        assert "not face-resident" in s.kernel_reason
 
     def test_half_solid_runs_sparse(self):
         solid = np.zeros((8, 8, 8), bool)
         solid[:4] = True
         assert self._used(solid=solid) == "sparse"
 
-    def test_fused_false_runs_split(self):
-        assert self._used(fused=False) == "split"
-
     def test_phase_driven_never_aa(self):
         s = LBMSolver((8, 8, 8), tau=0.7)
         s.phase_driven = True
-        assert s._select_kernel(whole_step=True) == "fused"
-        assert s._select_kernel() == "fused"
+        assert s._select_kernel(whole_step=True) == "split"
+        assert s._select_kernel() == "split"
+        assert s.kernel_reason.endswith("driven phase by phase")
 
-    def test_forced_and_measured_paths_untouched(self, monkeypatch):
-        assert self._used(kernel="fused") == "fused"
+    def test_forced_and_measured_paths_untouched(self):
+        """A named kernel is forced; a coordinator-measured choice is
+        followed while the kernel's own ``eligible`` holds."""
+        from repro.lbm import KernelChoice
         assert self._used(kernel="split") == "split"
-        from repro.lbm import autotune, clear_autotune_cache
-        monkeypatch.setattr(
-            autotune, "_probe_rates",
-            lambda spec, cands: {autotune.rate_key(k, lay): (
-                9.0 if k == "fused" else 1.0) for k, lay in cands})
-        clear_autotune_cache()
-        try:
-            assert self._used(autotune="measured") == "fused"
-        finally:
-            clear_autotune_cache()
+        s = LBMSolver((8, 8, 8), tau=0.7)
+        s.adopt_kernel_choice(KernelChoice("sparse", "cluster-resolved: x",
+                                           rates={"sparse": 9.0}))
+        s.step(2)
+        assert s.kernel_used == "sparse"
+        assert s.kernel_reason == "cluster-resolved: x"
+        assert s.kernel_rates == {"sparse": 9.0}
+        # An adopted choice is re-checked with the kernel's own
+        # ``eligible``: a snapshot handler sends it back to the rule.
+        s.boundaries.append(BouzidiCurvedBoundary(
+            D3Q19, [((2, 2, 2), 1, 0.5)], (8, 8, 8)))
+        s.step(1)
+        assert s.kernel_used == "split"
+        assert s.kernel_reason.startswith("heuristic:")
 
 
 class TestHandDrivenPhases:
@@ -216,12 +334,10 @@ class TestHandDrivenPhases:
     def test_spmd_and_thermal_solvers_are_marked_phase_driven(self):
         from repro.core.decomposition import BlockDecomposition
         from repro.core.thermal_cluster import DistributedThermalLBM
-        from repro.lbm.autotune import ProbeSpec
         decomp = BlockDecomposition((8, 4, 4), (2, 1, 1))
         thermal = DistributedThermalLBM(decomp, tau=0.7)
         for m in thermal.models:
             assert m.flow.phase_driven
-            assert ProbeSpec.of_solver(m.flow).schedule == "collide"
 
 
 class TestEnterAndLeaveMidRun:
@@ -230,7 +346,7 @@ class TestEnterAndLeaveMidRun:
 
     @pytest.mark.parametrize("aa_steps", [1, 2, 3],
                              ids=["odd", "even", "odd_again"])
-    @pytest.mark.parametrize("how", ["handler", "fused_flag", "hand_phase"])
+    @pytest.mark.parametrize("how", ["handler", "load", "hand_phase"])
     def test_leaving_aa(self, aa_steps, how, post_stream_only):
         default, split = _twins(solid=lambda: _city_like(SHAPE))
         for _ in range(aa_steps):
@@ -239,8 +355,11 @@ class TestEnterAndLeaveMidRun:
         assert default.kernel_used == "aa"
         if how == "handler":
             default.boundaries.append(post_stream_only())
-        elif how == "fused_flag":
-            default.fused = False
+        elif how == "load":
+            # A canonical load is legal at either parity; the handler
+            # appended with it then runs on a canonical array.
+            default.load_distributions(split.f)
+            default.boundaries.append(post_stream_only())
         for t in range(4):
             if how == "hand_phase":
                 default.collide()
@@ -251,8 +370,7 @@ class TestEnterAndLeaveMidRun:
             else:
                 default.step(1)
             split.step(1)
-            assert default.kernel_used == ("fused" if how == "handler"
-                                           else "split")
+            assert default.kernel_used == "split"
             assert default._aa_kernel is None
             _assert_same_state(default, split,
                                f"{t + 1} steps after leaving AA at "
@@ -269,7 +387,7 @@ class TestEnterAndLeaveMidRun:
         for _ in range(other_steps):
             default.step(1)
             split.step(1)
-        assert default.kernel_used == "fused"
+        assert default.kernel_used == "split"
         default.boundaries.remove(blocker)
         for t in range(4):
             default.step(1)
@@ -279,12 +397,16 @@ class TestEnterAndLeaveMidRun:
                                f"{t + 1} steps after entering AA at "
                                f"step {other_steps}")
 
-    def test_there_and_back_again(self):
+    def test_there_and_back_again(self, post_stream_only):
         default, split = _twins(solid=lambda: _city_like(SHAPE),
                                 periodic=False, boundaries=_inlet_outflow)
         used = []
+        blocker = post_stream_only()
         for t in range(9):
-            default.fused = t % 3 != 1      # out at t = 1, 4, 7
+            if t % 3 == 1:                  # out at t = 1, 4, 7
+                default.boundaries.append(blocker)
+            elif blocker in default.boundaries:
+                default.boundaries.remove(blocker)
             default.step(1)
             split.step(1)
             used.append(default.kernel_used)

@@ -1,17 +1,20 @@
-"""Fused vs phase-split step equivalence.
+"""Merged-sweep vs phase-split step equivalence.
 
-The fused collide-stream kernel must be *bit-identical* to the
-phase-split pipeline: the distributed cluster drivers step their nodes
-through the split phases with the halo exchange in between, and the
-cluster equality tests compare them against ``LBMSolver.step()`` with
-``np.array_equal``.  These tests pin that contract directly, across
-solids, body forces, inlet/outflow boundaries and both lattices.
+The kernel a default solver's ``step()`` resolves (the merged in-place
+sweep) must be *bit-identical* to the phase-split pipeline: the
+distributed cluster drivers step their nodes through the split phases
+with the halo exchange in between, and the cluster equality tests
+compare them against ``LBMSolver.step()`` with ``np.array_equal``.
+These tests pin that contract directly, across solids, body forces,
+inlet/outflow boundaries and both lattices.  (The cases were written
+against the ``fused`` kernel the in-place one replaced; the class and
+test names keep that history.)
 """
 
 import numpy as np
 import pytest
 
-from repro.lbm import FusedStepKernel, LBMSolver
+from repro.lbm import AAStepKernel, LBMSolver
 from repro.lbm.boundaries import (BouzidiCurvedBoundary,
                                   EquilibriumVelocityInlet, OutflowBoundary,
                                   box_walls)
@@ -21,8 +24,9 @@ SHAPE = (12, 10, 8)
 
 
 def _pair(rng, steps=20, **kw):
-    """Step a fused and an unfused solver from the same initial state."""
-    fused = LBMSolver(kernel="fused", **kw)
+    """Step a default (merged-sweep) and a phase-split solver from the
+    same initial state."""
+    fused = LBMSolver(**kw)
     split = LBMSolver(kernel="split", **kw)
     u0 = (0.03 * rng.standard_normal((fused.lattice.D,) + fused.shape)
           ).astype(np.float32)
@@ -37,8 +41,8 @@ def _pair(rng, steps=20, **kw):
 class TestFusedEquivalence:
     def test_periodic_plain(self, rng):
         fused, split = _pair(rng, shape=SHAPE, tau=0.7)
-        assert fused._fused_kernel is not None
-        assert split._fused_kernel is None
+        assert fused.kernel_used == "aa"
+        assert split.kernel_used == "split"
         assert np.array_equal(fused.f, split.f)
 
     def test_periodic_with_solid(self, rng, small_solid):
@@ -60,7 +64,7 @@ class TestFusedEquivalence:
                     OutflowBoundary(D3Q19, 0, "high")]
         fused, split = _pair(rng, shape=SHAPE, tau=0.7, periodic=False,
                              boundaries=bcs())
-        assert fused._fused_kernel is not None
+        assert fused.kernel_used == "aa"
         assert np.array_equal(fused.f, split.f)
 
     def test_inlet_outflow_with_obstacle(self, rng):
@@ -90,62 +94,56 @@ class TestFusedEquivalence:
 
 
 class TestFusedMachinery:
-    def test_escape_hatch_disables_kernel(self, rng):
-        s = LBMSolver(SHAPE, tau=0.7, fused=False)
-        s.step(3)
-        assert s._fused_kernel is None
-
     def test_mrt_falls_back_to_phase_split(self):
         s = LBMSolver((8, 8, 8), tau=0.7, collision="mrt")
         s.step(2)
-        assert s._fused_kernel is None
+        assert s.kernel_used == "split"
 
     def test_pre_stream_boundary_falls_back(self):
-        """Bouzidi snapshots post-collision state, which fusion never
-        materialises -- the solver must detect this and fall back."""
+        """Bouzidi snapshots post-collision state, which a merged sweep
+        never materialises -- the solver must detect this and fall back."""
         bb = BouzidiCurvedBoundary(D3Q19, [((2, 2, 2), 1, 0.5)], (8, 8, 8))
         s = LBMSolver((8, 8, 8), tau=0.7, boundaries=[bb])
-        assert s.fused
         s.step(2)
-        assert s._fused_kernel is None
+        assert s.kernel_used == "split"
 
     def test_boundary_added_after_construction_falls_back(self):
-        s = LBMSolver((8, 8, 8), tau=0.7, kernel="fused")
+        s = LBMSolver((8, 8, 8), tau=0.7)
         s.step(1)
-        assert s._fused_kernel is not None
+        assert s.kernel_used == "aa"
         s.boundaries.append(
             BouzidiCurvedBoundary(D3Q19, [((2, 2, 2), 1, 0.5)], (8, 8, 8)))
-        assert s._fused_kernel_for_step() is None
+        s.step(1)
+        assert s.kernel_used == "split"
 
     def test_workspace_reused_across_steps(self):
-        s = LBMSolver(SHAPE, tau=0.7, kernel="fused")
+        s = LBMSolver(SHAPE, tau=0.7)
         s.step(1)
-        kern = s._fused_kernel
-        rho_buf, u_buf = kern.rho, kern.u
+        kern = s._aa_kernel
+        arena = kern._arena
         s.step(5)
-        assert s._fused_kernel is kern
-        assert kern.rho is rho_buf and kern.u is u_buf
+        assert s._aa_kernel is kern and kern._arena is arena
         # allocation counters: workspace allocated exactly once
-        assert s.counters.stats["fused.workspace"].allocs == 8
+        assert s.counters.stats["aa.workspace"].allocs == 2
 
     def test_counters_record_phases(self):
-        s = LBMSolver(SHAPE, tau=0.7, kernel="fused")
+        s = LBMSolver(SHAPE, tau=0.7)
         s.step(4)
         stats = s.counters.stats
-        assert stats["fused.relax_stream"].calls == 4
-        assert stats["fused.ghosts"].calls == 4
+        assert stats["aa.even"].calls == 2 and stats["aa.odd"].calls == 2
+        assert stats["aa.ghosts"].calls == 2
         assert s.counters.total_seconds() > 0
         report = s.counters.report()
-        assert "fused.relax_stream" in report
+        assert "aa.even" in report
 
     def test_counters_disabled_short_circuits(self):
-        s = LBMSolver(SHAPE, tau=0.7, kernel="fused")
+        s = LBMSolver(SHAPE, tau=0.7)
         s.counters.enabled = False
         s.step(2)
-        assert "fused.relax_stream" not in s.counters.stats
+        assert "aa.even" not in s.counters.stats
 
     def test_mass_conserved_fused(self, rng):
-        s = LBMSolver(SHAPE, tau=0.7, kernel="fused")
+        s = LBMSolver(SHAPE, tau=0.7)
         u0 = (0.03 * rng.standard_normal((3,) + SHAPE)).astype(np.float32)
         s.initialize(rho=np.ones(SHAPE, np.float32), u=u0)
         m0 = s.total_mass()
@@ -155,14 +153,12 @@ class TestFusedMachinery:
     def test_kernel_rejects_non_bgk(self):
         s = LBMSolver((8, 8, 8), tau=0.7, collision="mrt")
         with pytest.raises(TypeError):
-            FusedStepKernel(s)
+            AAStepKernel(s)
 
 
 class TestMomentsSlowPath:
-    """The guarded-division slow path of ``_moments`` (any rho <= 0
-    site) must stay bit-identical to the unfused ``macroscopic()`` and
-    allocate nothing per call: the masked writes use preallocated
-    ``np.copyto(..., where=)`` buffers, not boolean fancy indexing."""
+    """The guarded-division slow path of the merged sweep (any
+    rho <= 0 site) must stay bit-identical to ``macroscopic()``."""
 
     SHAPE3 = (12, 10, 8)
 
@@ -171,7 +167,7 @@ class TestMomentsSlowPath:
         solid = np.zeros(cls.SHAPE3, bool)
         solid[3:6, 2:5, 1:4] = True   # 3x3x3: one fully-interior core cell
         s = LBMSolver(cls.SHAPE3, tau=0.7, solid=solid,
-                      kernel="fused" if fused else "split")
+                      kernel="auto" if fused else "split")
         v = u0.copy()
         v[:, solid] = 0
         s.initialize(rho=np.ones(cls.SHAPE3, np.float32), u=v)
@@ -186,43 +182,15 @@ class TestMomentsSlowPath:
         return (0.03 * rng.standard_normal((3,) + cls.SHAPE3)
                 ).astype(np.float32)
 
-    @staticmethod
-    def _moments_peak(kern) -> int:
-        import tracemalloc
-        kern._moments()                 # page everything in first
-        tracemalloc.start()
-        kern._moments()
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        return peak
-
     def test_zero_rho_sites_bit_equal(self, rng):
         u0 = self._u0(rng)
         fused = self._zero_rho_solver(u0, fused=True)
         split = self._zero_rho_solver(u0, fused=False)
         fused.step(6)
         split.step(6)
-        assert fused._fused_kernel is not None
+        assert fused.kernel_used == "aa"
         assert fused.f[:, 4, 3, 2].sum() == 0.0   # slow path stayed live
         assert np.array_equal(fused.f, split.f)
-
-    def test_moments_slow_path_allocation_free(self, rng):
-        slow = self._zero_rho_solver(self._u0(rng))
-        fast = LBMSolver(slow.shape, tau=0.7, solid=slow.solid.copy(),
-                         kernel="fused")
-        for s in (slow, fast):
-            s.step(2)
-            s.counters.enabled = False
-        kern_slow, kern_fast = slow._fused_kernel, fast._fused_kernel
-        kern_slow._moments()
-        assert not np.greater(kern_slow.rho, 0).all()   # slow path taken
-        kern_fast._moments()
-        assert np.greater(kern_fast.rho, 0).all()       # fast path taken
-        # Identical transient footprint: the guarded division adds no
-        # allocation over the unguarded divide (the old wr[bl] = 1 /
-        # u[:, bl] = 0 spellings allocated index lists scaling with the
-        # solid count on every call).
-        assert self._moments_peak(kern_slow) <= self._moments_peak(kern_fast)
 
 
 class TestCollisionSatellites:

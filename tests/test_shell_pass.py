@@ -3,9 +3,8 @@
 ``LBMSolver.collide_boundary`` visits the depth-1 shell through a cached
 flat index instead of one strided sweep per ``shell_partition`` slab.
 Collision is pointwise, so shell pass + inner pass must equal the whole
-collide *bit for bit* — for every operator the solver accepts, in both
-memory layouts, with solids on the shell, on thin domains with an empty
-core — and the index must keep pointing at the live array through every
+collide *bit for bit* — for every operator the solver accepts, with
+solids on the shell, on thin domains with an empty core — and the index must keep pointing at the live array through every
 ``fg`` re-binding.
 """
 
@@ -59,19 +58,16 @@ class TestShellIndex:
 
 class TestShellPassEqualsCollide:
     @given(shape=shapes, op=st.sampled_from(sorted(OPERATORS)),
-           layout=st.sampled_from(["soa", "aos"]),
            solid_frac=st.sampled_from([0.0, 0.3, 1.0]),
            seed=st.integers(0, 10 ** 6))
     @settings(max_examples=120, deadline=None)
-    def test_boundary_then_inner_is_collide(self, shape, op, layout,
-                                            solid_frac, seed):
+    def test_boundary_then_inner_is_collide(self, shape, op, solid_frac,
+                                            seed):
         # Solids are drawn over the whole box, so they land *in* the
         # shell (every cell is shell on a thin axis).
         solid = np.random.default_rng(seed + 1).random(shape) < solid_frac
-        whole = _perturbed(shape, seed, solid=solid, layout=layout,
-                           **OPERATORS[op]())
-        split = _perturbed(shape, seed, solid=solid, layout=layout,
-                           **OPERATORS[op]())
+        whole = _perturbed(shape, seed, solid=solid, **OPERATORS[op]())
+        split = _perturbed(shape, seed, solid=solid, **OPERATORS[op]())
         before = whole.f.copy()
         whole.collide()
         split.collide_boundary()
@@ -82,10 +78,9 @@ class TestShellPassEqualsCollide:
         # Solid cells keep their pre-collision populations.
         assert np.array_equal(split.f[:, solid], before[:, solid])
 
-    @pytest.mark.parametrize("layout", ["soa", "aos"])
-    def test_steps_through_split_phases_match_step(self, layout):
-        ref = _perturbed((7, 6, 5), 3, layout=layout, periodic=False)
-        ph = _perturbed((7, 6, 5), 3, layout=layout, periodic=False)
+    def test_steps_through_split_phases_match_step(self):
+        ref = _perturbed((7, 6, 5), 3, periodic=False)
+        ph = _perturbed((7, 6, 5), 3, periodic=False)
         ref.step(4)
         for _ in range(4):
             ph.collide_boundary()
@@ -107,15 +102,6 @@ class TestRebinding:
         s.collide_boundary()
         s.collide_inner()
         assert np.array_equal(s.f, ref.f)
-
-    def test_layout_flips(self):
-        s = _perturbed((6, 5, 4), 1)
-        self._check(s)
-        for layout in ("aos", "soa", "aos"):
-            old = s.fg
-            s._set_layout(layout)
-            assert s.fg is not old
-            self._check(s)
 
     def test_stream_swaps_the_double_buffer(self):
         s = _perturbed((6, 5, 4), 2)

@@ -1,7 +1,7 @@
 """Sparse fluid-compacted kernel: equivalence, selection, machinery.
 
 The sparse kernel (:mod:`repro.lbm.sparse`) must be *bit-identical* to
-the dense phase-split pipeline — the same contract the fused kernel
+the dense phase-split pipeline — the same contract the in-place kernel
 pins in ``tests/test_fused.py`` — because the cluster drivers mix
 per-rank sparse/dense selection and the equality tests compare them
 with ``np.array_equal``.  These tests pin that contract on the real
@@ -71,12 +71,12 @@ class TestSparseEquivalence:
                               force=(1e-5, 0, 0))
         assert np.array_equal(sparse.f, split.f)
 
-    def test_city_matches_fused(self, rng):
-        """Sparse == fused directly (both already == split)."""
-        sparse, fused = _pair(rng, ref_kernel="fused", shape=CITY_SHAPE,
-                              tau=0.7, solid=_city_solid())
-        assert fused.kernel_used == "fused"
-        assert np.array_equal(sparse.f, fused.f)
+    def test_city_matches_aa(self, rng):
+        """Sparse == aa directly (both already == split)."""
+        sparse, aa = _pair(rng, ref_kernel="aa", shape=CITY_SHAPE,
+                           tau=0.7, solid=_city_solid())
+        assert aa.kernel_used == "aa"
+        assert np.array_equal(sparse.f, aa.f)
 
     def test_no_solid_degenerates_to_pure_streaming(self, rng):
         """kernel="sparse" with an empty mask: every site is fluid,
@@ -123,28 +123,22 @@ class TestKernelSelection:
         s.step(1)
         assert s.kernel_used == "sparse"
 
-    def test_auto_picks_fused_below_threshold(self, small_solid,
+    def test_auto_picks_split_below_threshold(self, small_solid,
                                               post_stream_only):
         # Below the threshold the dense choice is the in-place kernel
-        # where it can run (tests/test_default_kernel.py) and the fused
-        # sweep where a handler rules it out, as here.
+        # where it can run (tests/test_default_kernel.py) and the
+        # split reference where a handler rules it out, as here.
         s = LBMSolver((10, 8, 6), tau=0.7, solid=small_solid,
                       boundaries=[post_stream_only()])
         assert s.solid_fraction < s.sparse_threshold
         s.step(1)
-        assert s.kernel_used == "fused"
+        assert s.kernel_used == "split"
 
     def test_auto_threshold_is_tunable(self, small_solid):
         s = LBMSolver((10, 8, 6), tau=0.7, solid=small_solid,
                       sparse_threshold=0.0)
         s.step(1)
         assert s.kernel_used == "sparse"
-
-    def test_auto_honours_fused_escape_hatch(self):
-        s = LBMSolver(CITY_SHAPE, tau=0.7, solid=_city_solid(), fused=False)
-        s.step(1)
-        assert s.kernel_used == "split"
-        assert s._sparse_kernel is None
 
     def test_mrt_falls_back_to_split(self):
         s = LBMSolver((8, 8, 8), tau=0.7, collision="mrt", kernel="sparse")
@@ -187,7 +181,7 @@ class TestSparseMachinery:
                       kernel="sparse")
         s.step(4)
         assert s.counters.stats["kernel.sparse"].calls == 4
-        assert "kernel.fused" not in s.counters.stats
+        assert "kernel.split" not in s.counters.stats
 
     def test_compact_site_counts(self):
         solid = _city_solid()

@@ -3,9 +3,9 @@
 The executed-overlap protocol (Sec 4.4) relies on colliding the depth-1
 boundary shell first so the halo exchange can run while the inner core
 collides.  Collision is pointwise, so visiting the cells as disjoint
-slabs must be *bit-identical* to the single full pass — in the
-reference operator path, the fused BGK region kernel, and the GPU
-texture pipeline alike.
+slabs must be *bit-identical* to the single full pass — on the
+default solver driven by hand, on a forced ``kernel="split"`` one, and
+in the GPU texture pipeline alike.
 """
 
 import numpy as np
@@ -54,49 +54,57 @@ def _randomized(solver, rng):
     return solver
 
 
-@pytest.mark.parametrize("fused", [True, False])
+def _kernel(forced: bool) -> str:
+    return "split" if forced else "auto"
+
+
+@pytest.mark.parametrize("forced", [True, False])
 class TestSplitEqualsFull:
+    """``forced`` names ``kernel="split"``; otherwise the default
+    solver resolves its phase entry points by rule."""
+
     SHAPE = (7, 6, 5)
 
-    def _pair(self, rng, fused, **kw):
-        a = _randomized(LBMSolver(self.SHAPE, tau=0.8, fused=fused, **kw),
+    def _pair(self, rng, forced, **kw):
+        kw["kernel"] = _kernel(forced)
+        a = _randomized(LBMSolver(self.SHAPE, tau=0.8, **kw),
                         np.random.default_rng(7))
-        b = _randomized(LBMSolver(self.SHAPE, tau=0.8, fused=fused, **kw),
+        b = _randomized(LBMSolver(self.SHAPE, tau=0.8, **kw),
                         np.random.default_rng(7))
         return a, b
 
-    def test_bgk(self, rng, fused):
-        a, b = self._pair(rng, fused)
+    def test_bgk(self, rng, forced):
+        a, b = self._pair(rng, forced)
         a.collide()
         b.collide_split()
         assert np.array_equal(a.fg, b.fg)
 
-    def test_bgk_with_force(self, rng, fused):
-        a, b = self._pair(rng, fused, force=(1e-4, -2e-5, 0.0))
+    def test_bgk_with_force(self, rng, forced):
+        a, b = self._pair(rng, forced, force=(1e-4, -2e-5, 0.0))
         a.collide()
         b.collide_split()
         assert np.array_equal(a.fg, b.fg)
 
-    def test_bgk_with_solids(self, rng, fused):
+    def test_bgk_with_solids(self, rng, forced):
         solid = np.zeros(self.SHAPE, bool)
         solid[1:3, 2:4, 0:2] = True
         solid[0, 0, 0] = True  # solid on the shell itself
-        a, b = self._pair(rng, fused, solid=solid)
+        a, b = self._pair(rng, forced, solid=solid)
         a.collide()
         b.collide_split()
         assert np.array_equal(a.fg, b.fg)
 
-    def test_mrt(self, rng, fused):
-        a, b = self._pair(rng, fused, collision="mrt")
+    def test_mrt(self, rng, forced):
+        a, b = self._pair(rng, forced, collision="mrt")
         a.collide()
         b.collide_split()
         assert np.array_equal(a.fg, b.fg)
 
-    def test_full_steps_after_split_collide(self, rng, fused):
+    def test_full_steps_after_split_collide(self, rng, forced):
         # Interleave: one solver steps normally, the other replaces each
         # step's collide with the split pair, sharing the rest of the
         # phase pipeline.
-        a, b = self._pair(rng, fused)
+        a, b = self._pair(rng, forced)
         for _ in range(3):
             a.collide()
             a.fill_ghosts()
@@ -109,10 +117,10 @@ class TestSplitEqualsFull:
             b.post_stream()
         assert np.array_equal(a.fg, b.fg)
 
-    def test_thin_domain(self, rng, fused):
-        a = _randomized(LBMSolver((2, 6, 5), tau=0.8, fused=fused),
+    def test_thin_domain(self, rng, forced):
+        a = _randomized(LBMSolver((2, 6, 5), tau=0.8, kernel=_kernel(forced)),
                         np.random.default_rng(3))
-        b = _randomized(LBMSolver((2, 6, 5), tau=0.8, fused=fused),
+        b = _randomized(LBMSolver((2, 6, 5), tau=0.8, kernel=_kernel(forced)),
                         np.random.default_rng(3))
         a.collide()
         b.collide_split()
