@@ -15,10 +15,10 @@ cuts, and records, into ``BENCH_kernels.json``,
 
 so ``check_regression.py --suite balance`` guards both throughput
 entries like any other kernel number and the imbalance/speedup entries
-document the load-balance trajectory PR over PR.  The *closed-loop*
-(trace-driven rebalance) variant is exercised by the hard gate
-``python -m repro check-balance`` rather than benchmarked here: its
-iteration count depends on measured timings.
+document the load-balance trajectory PR over PR.  The *closed loop*
+(re-cut, rebuild, reload) is exercised by the hard gate
+``python -m repro check-balance`` on injected per-rank costs rather
+than benchmarked here.
 
 Entry points:
 

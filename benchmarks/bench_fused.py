@@ -13,8 +13,8 @@ The headline metric mirrors ``bench_kernels.py::test_reference_full_step``:
 throughput of one full step of the phase-split reference
 (``kernel="split"``) at 48^3 in Mcells/s — the entry keeps its
 historical key ``reference_full_step_unfused``; the in-place kernel is
-recorded by ``bench_aa.py``.  The cluster-backend and overlap entries
-ride in the same sweep.
+recorded by ``bench_aa.py``.  The cluster-backend entries ride in the
+same sweep.
 """
 
 from __future__ import annotations
@@ -69,10 +69,6 @@ def run_benchmarks(shape=SHAPE, steps: int = 8, repeats: int = 3,
         repeats=repeats, backends=cluster_backends or BACKENDS)
     results.update(backend_results)
     print(comparison_line(backend_results))
-    # Sequential vs executed-overlap protocol (bench_overlap) rides in
-    # the same json so check_regression guards it too.
-    from bench_overlap import run_overlap_benchmarks
-    results.update(run_overlap_benchmarks(repeats=repeats))
     return {
         "schema": "bench-kernels/1",
         "shape": list(shape),

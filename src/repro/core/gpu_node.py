@@ -154,10 +154,8 @@ class GPUNode:
         self.overlap_window_s = collide_s * inner_frac
 
     # -- split collide (executed overlap protocol) ------------------------
-    #: The split phases below are bit-identical to :meth:`collide_phase`,
-    #: so the driver may overlap the exchange with the inner pass.
-    overlap_safe = True
-
+    # The split phases below are bit-identical to :meth:`collide_phase`,
+    # so the driver may overlap the exchange with the inner pass.
     def collide_boundary_phase(self) -> None:
         """Macro + collide over the depth-1 shell only ("multiple small
         rectangles", Sec 4.3).  After this the border layers hold their

@@ -799,7 +799,6 @@ def run_equivalence_check(sub_shape=(6, 6, 4), arrangement=(2, 1, 1),
     if not np.array_equal(results["serial"], results["processes"]):
         raise AssertionError(
             "process backend diverged from the serial backend")
-    _many_small_ranks_check(steps, seed)
     leaks = leaked_segments()
     if leaks:
         raise RuntimeError(f"leaked shared-memory segments: {leaks}")
@@ -812,35 +811,3 @@ def run_equivalence_check(sub_shape=(6, 6, 4), arrangement=(2, 1, 1),
             continue
         raise RuntimeError(f"orphaned worker process survived: pid {pid}")
 
-
-def _many_small_ranks_check(steps: int, seed: int, sub_shape=(8, 8, 8),
-                            arrangement=(2, 2, 2)) -> None:
-    """Default-config periodic small ranks on ``serial`` stay ``split``.
-
-    The other side of the coordinator's schedule-aware kernel probe:
-    under the serial backend's executed-overlap (shell + core) schedule
-    the AA phases crawl on thin slabs (~0.5x split — far outside probe
-    jitter), so the resolution must keep the per-rank ``split`` kernel,
-    and the run must match the single-domain reference bit for bit.
-    """
-    from repro.core.cluster_lbm import ClusterConfig, CPUClusterLBM
-    from repro.lbm.solver import LBMSolver
-
-    shape = tuple(s * a for s, a in zip(sub_shape, arrangement))
-    rng = np.random.default_rng(seed)
-    ref = LBMSolver(shape, tau=0.7)
-    ref.initialize(rho=np.ones(shape, np.float32),
-                   u=(0.02 * rng.standard_normal((3,) + shape)).astype(np.float32))
-    cfg = ClusterConfig(sub_shape=sub_shape, arrangement=arrangement,
-                        tau=0.7)
-    with CPUClusterLBM(cfg) as cluster:
-        if cluster.resolved_kernel != "split":
-            raise AssertionError(
-                "auto-resolved periodic small-rank serial cluster left "
-                f"split: {cluster.kernel_choice.reason}")
-        cluster.load_global_distributions(ref.f)
-        ref.step(steps)
-        cluster.step(steps)
-        if not np.array_equal(cluster.gather_distributions(), ref.f):
-            raise AssertionError(
-                "auto-resolved serial cluster diverged from the reference")

@@ -716,10 +716,9 @@ def _auto_resolved_check(steps: int, seed: int,
                          shape=(48, 40, 16)) -> dict:
     """Default-config bounded dispersion on process ranks resolves AA.
 
-    No kernel is named: the coordinator's schedule-aware probe has to
-    pick ``aa`` for the whole-collide schedule of process ranks (a ~2x
-    margin at this block size and ~10 % occupancy — the dispersion
-    city's — far outside probe jitter).  The run
+    No kernel is named: the coordinator's probe has to pick ``aa`` for
+    the process ranks (a ~2x margin at this block size and ~10 %
+    occupancy — the dispersion city's — far outside probe jitter).  The run
     must match the single-domain reference bit for bit after *every*
     step, and the ranks' second shared buffer — which only an
     odd-parity gather stages into — must stay untouched while the

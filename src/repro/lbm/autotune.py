@@ -2,24 +2,20 @@
 
 A single-domain solver resolves ``kernel="auto"`` by rule
 (:meth:`repro.lbm.solver.LBMSolver._select_kernel`).  A cluster cannot:
-which kernel its ranks should run depends on the schedule the backend
-steps them through — the in-place AA kernel is ~2x the split kernel
-through a whole collide and ~0.45x of it through the shell-split phases
-(AA sweeps the shell as thin strided slabs, the split kernel as one
-gathered batch) — and on the slowest rank, which sets a
-bulk-synchronous step.  So the coordinator measures, once, before any
-rank exists.
+which kernel its ranks should run depends on the rank's block — small
+blocks pay the in-place AA kernel's per-phase fixed costs on few
+cells, solid-heavy ones may favour the sparse kernel — and on the
+slowest rank, which sets a bulk-synchronous step.  So the coordinator
+measures, once, before any rank exists.
 
 A probe is built from a :class:`ProbeSpec` — a *description* of a
 rank's sub-domain, never its distribution arrays — and is stepped
-through the calls the real run will issue (its ``schedule``):
-``collide()`` + stream for a process rank or a rank with
-``overlap=False``, ``collide_boundary()`` + ``collide_inner()`` +
-stream under the executed-overlap protocol.  Measured rates are cached
-per ``(shape, dtype, solid-fraction bucket, candidate set, periodicity,
-schedule, managed halo, boundary signature)``, so a cluster with many
-same-shaped ranks (or repeated runs in one process) probes once per
-distinct configuration, not once per rank.
+through the calls a cluster rank issues: ``collide()``, the ghost
+closure, stream.  Measured rates are cached per ``(shape, dtype,
+solid-fraction bucket, candidate set, periodicity, managed halo,
+boundary signature)``, so a cluster with many same-shaped ranks (or
+repeated runs in one process) probes once per distinct configuration,
+not once per rank.
 
 ``resolve_cluster(specs, cells)`` probes every distinct rank signature
 and :func:`decide_cluster` picks the AA halo protocol for *every* rank
@@ -61,7 +57,9 @@ TIMED_STEPS = 2
 #: Timing repetitions per candidate; the best (minimum) time is kept,
 #: so a scheduler preemption during one repetition cannot make a fast
 #: kernel look slow (micro-benchmarks must be robust to noise, not
-#: averaged into it).
+#: averaged into it).  Repetitions interleave the candidates, so a
+#: burst of host noise longer than one repetition hits every candidate
+#: instead of all repetitions of one.
 TIMING_REPS = 3
 #: A candidate must beat the best rate times this to displace an
 #: earlier-priority kernel.
@@ -115,14 +113,9 @@ class ProbeSpec:
     #: Face handlers (shape-independent instances are shared with the
     #: probes; anything else only enters the cache signature).
     boundaries: tuple = ()
-    #: Kernels this configuration can run in its schedule.
+    #: Kernels this configuration can run.
     runnable: tuple[str, ...] = ("split",)
     periodic: bool = True
-    #: How a probe is stepped — the calls the real run will issue:
-    #: ``"collide"`` (``collide()`` then stream) or ``"shell"``
-    #: (``collide_boundary()`` + ``collide_inner()`` then stream: a
-    #: rank under the executed-overlap protocol).
-    schedule: str = "collide"
     #: A cluster driver closes the AA halo (forward exchange after even
     #: phases, reverse fold after odd ones) — what makes ``aa``
     #: runnable by a rank stepped phase by phase.
@@ -202,17 +195,13 @@ def _bc_signature(spec: ProbeSpec) -> tuple:
 def _cache_key(spec: ProbeSpec, cands: tuple[str, ...]) -> tuple:
     bucket = int(round(spec.solid_fraction * 20))
     return (spec.shape, str(spec.dtype), bucket, cands, spec.periodic,
-            spec.schedule, spec.halo_managed, _bc_signature(spec))
+            spec.halo_managed, _bc_signature(spec))
 
 
-def _run_schedule(probe, schedule: str, steps: int) -> None:
-    """Advance ``probe`` through the phase calls of ``schedule``."""
+def _run_steps(probe, steps: int) -> None:
+    """Advance ``probe`` through a cluster rank's phase calls."""
     for _ in range(steps):
-        if schedule == "shell":
-            probe.collide_boundary()
-            probe.collide_inner()
-        else:
-            probe.collide()
+        probe.collide()
         for b in probe.boundaries:
             b.pre_stream(probe.fg)
         # The local ghost closure (fill after even AA / pull phases,
@@ -228,10 +217,10 @@ def _probe_rates(spec: ProbeSpec, cands: tuple[str, ...]) -> dict[str, float]:
     """Measured MLUPS per candidate kernel on a crop of the domain.
 
     The probe replicates the described configuration — same dtype,
-    solid crop, periodicity, (shape-independent) boundary handlers and
-    schedule — so the measured rate includes the boundary-closure and
-    phase-split cost the chosen kernel will actually pay.  The crop is
-    anchored so every active boundary face survives (asserted).
+    solid crop, periodicity and (shape-independent) boundary handlers —
+    so the measured rate includes the boundary-closure cost the chosen
+    kernel will actually pay.  The crop is anchored so every active
+    boundary face survives (asserted).
     """
     from repro.lbm.solver import LBMSolver
     faces = _active_faces(spec)
@@ -259,7 +248,7 @@ def _probe_rates(spec: ProbeSpec, cands: tuple[str, ...]) -> dict[str, float]:
     # candidate set anyway.
     boundaries = [b for b in spec.boundaries if face_resident(b)]
     cells = float(np.prod(pshape))
-    rates: dict[str, float] = {}
+    probes = {}
     for kern in cands:
         probe = LBMSolver(pshape, tau=spec.tau, solid=solid,
                           boundaries=boundaries, periodic=spec.periodic,
@@ -268,14 +257,16 @@ def _probe_rates(spec: ProbeSpec, cands: tuple[str, ...]) -> dict[str, float]:
         probe.phase_driven = True
         probe.aa_halo_managed = spec.halo_managed
         probe.counters.enabled = False
-        _run_schedule(probe, spec.schedule, WARM_STEPS)
-        dt = float("inf")
-        for _ in range(TIMING_REPS):
+        _run_steps(probe, WARM_STEPS)
+        probes[kern] = probe
+    best = dict.fromkeys(cands, float("inf"))
+    for _ in range(TIMING_REPS):
+        for kern, probe in probes.items():
             t0 = time.perf_counter()
-            _run_schedule(probe, spec.schedule, TIMED_STEPS)
-            dt = min(dt, time.perf_counter() - t0)
-        rates[kern] = cells * TIMED_STEPS / max(dt, 1e-9) / 1e6
-    return rates
+            _run_steps(probe, TIMED_STEPS)
+            best[kern] = min(best[kern], time.perf_counter() - t0)
+    return {kern: cells * TIMED_STEPS / max(dt, 1e-9) / 1e6
+            for kern, dt in best.items()}
 
 
 def _measured_rates(spec: ProbeSpec, cands: tuple[str, ...],
@@ -314,8 +305,6 @@ class ClusterChoice:
     #: ``"aa"`` when every rank runs the AA halo protocol, else the
     #: ``+``-joined per-rank kernels (``"split"``, ``"sparse+split"``).
     kernel: str
-    #: The schedule the probes were stepped through.
-    schedule: str
     #: Per-rank decisions, handed to the ranks so none re-probes.
     choices: tuple[KernelChoice, ...]
     #: Predicted slowest-rank milliseconds per step under all-AA (None
@@ -364,13 +353,12 @@ def _ms(value: float | None) -> str:
 def resolve_cluster(specs, cells, rec=None) -> ClusterChoice:
     """Measure once per distinct rank signature, decide for all ranks.
 
-    ``specs[r]`` describes rank ``r`` (same ``schedule`` on every rank)
-    and ``cells[r]`` is its block size.  When some rank cannot run AA
-    the others are not probed for it either (the protocol is
-    all-or-nothing), which leaves exactly the per-rank sparse/split
-    decision; a rank left with a single candidate is not probed at all.
+    ``specs[r]`` describes rank ``r`` and ``cells[r]`` is its block
+    size.  When some rank cannot run AA the others are not probed for
+    it either (the protocol is all-or-nothing), which leaves exactly
+    the per-rank sparse/split decision; a rank left with a single
+    candidate is not probed at all.
     """
-    schedule = specs[0].schedule
     if not all("aa" in spec.runnable for spec in specs):
         specs = [replace(spec, runnable=tuple(k for k in spec.runnable
                                               if k != "aa"))
@@ -386,11 +374,11 @@ def resolve_cluster(specs, cells, rec=None) -> ClusterChoice:
         picks = [_pick(r) if r else cands[0]
                  for r, cands in zip(rates, all_cands)]
     kernel = "aa" if aa_wins else "+".join(sorted(set(picks)))
-    reason = (f"cluster-resolved: {kernel!r} on the {schedule!r} schedule "
+    reason = (f"cluster-resolved: {kernel!r} "
               f"(predicted slowest rank: aa {_ms(aa_ms)}, "
               f"best non-AA {_ms(best_ms)})")
     choices = tuple(
         KernelChoice(k, f"{reason}; rank MLUPS: {_rates_detail(r) or 'unprobed'}",
                      rates=r, probed=bool(r))
         for k, r in zip(picks, rates))
-    return ClusterChoice(kernel, schedule, choices, aa_ms, best_ms, reason)
+    return ClusterChoice(kernel, choices, aa_ms, best_ms, reason)

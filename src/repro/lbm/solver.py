@@ -178,7 +178,8 @@ class LBMSolver:
         #: (:mod:`repro.lbm.esoteric`) instead of applying them
         #: canonically.
         self._aa_rotated = False
-        self._shell_parts: tuple[list, tuple] | None = None
+        #: Inner core box of the shell/core split, built on first use.
+        self._core: tuple[slice, ...] | None = None
         #: Gathered shell pass (``_collide_shell``), built on first use:
         #: (padded-flat shell index, compact fluid mask or None when
         #: all fluid) — shape and solids only, so valid through every
@@ -435,16 +436,29 @@ class LBMSolver:
             self.collision(fi, mask=self.fluid)
 
     # -- split collide (boundary shell first, then inner core) ---------
-    def _split_parts(self) -> tuple[list, tuple]:
-        if self._shell_parts is None:
-            self._shell_parts = shell_partition(self.shape, depth=1)
-        return self._shell_parts
+    def _shell_core_kernel(self):
+        """The sparse kernel, or None for the dense pass, of the
+        shell/core entry points.
 
-    def _collide_region(self, region: tuple[slice, ...]) -> None:
-        view = self.f[(slice(None),) + region]
+        They serve the two-array kernels only: the in-place AA kernel
+        collides whole (:meth:`collide`), so a solver that selects it
+        is refused here.
+        """
+        if self._select_kernel() == "aa":
+            raise RuntimeError(
+                "collide_boundary()/collide_inner() run the split and "
+                "sparse kernels only; the in-place AA kernel collides "
+                "whole through collide()")
+        self._leave_aa()
+        return self._sparse_kernel_for_phase()
+
+    def _collide_core(self) -> None:
+        if self._core is None:
+            self._core = shell_partition(self.shape, depth=1)[1]
+        view = self.f[(slice(None),) + self._core]
         if view.size == 0:
             return
-        self.collision(view, mask=self.fluid[region])
+        self.collision(view, mask=self.fluid[self._core])
 
     def _collide_shell(self) -> None:
         """Gather the depth-1 shell, collide it once, scatter it back.
@@ -480,30 +494,12 @@ class LBMSolver:
         cover of the cells preserves every per-site operation.  The
         dense path collides the shell as one gathered index list
         (:meth:`_collide_shell`; the sparse kernel does the same over
-        its fluid-only shell index), the in-place AA kernel phase by
-        phase over the :func:`~repro.lbm.streaming.shell_partition`
-        slabs.  The cluster drivers run this first so border layers
-        are ready for the halo exchange while the inner core is still
-        colliding (the paper's Sec-4.4 communication/computation
-        overlap).
+        its fluid-only shell index).  The SPMD rank programs run this
+        first so border layers are ready for the nonblocking halo
+        exchange while the inner core is still colliding (the paper's
+        Sec-4.4 communication/computation overlap on the SimMPI clock).
         """
-        akern = self._aa_kernel_for_phase()
-        if akern is not None:
-            # AA phases are location-owned (a region reads and writes
-            # exactly the slots its own sites own), so the shell/core
-            # split stays hazard-free in either parity and the comm
-            # overlap works unchanged.
-            self.kernel_used = "aa"
-            even = self._aa_even()
-            with self.tracer.span("solver.collide_boundary",
-                                  step=self.time_step, kernel="aa"):
-                for sl in self._split_parts()[0]:
-                    if even:
-                        akern.even_phase(sl)
-                    else:
-                        akern.odd_phase(sl)
-            return
-        kern = self._sparse_kernel_for_phase()
+        kern = self._shell_core_kernel()
         kind = "sparse" if kern is not None else "split"
         with self.tracer.span("solver.collide_boundary",
                               step=self.time_step, kernel=kind):
@@ -516,24 +512,14 @@ class LBMSolver:
 
     def collide_inner(self) -> None:
         """Collide the inner core (everything the shell excludes)."""
-        akern = self._aa_kernel_for_phase()
-        if akern is not None:
-            even = self._aa_even()
-            with self.tracer.span("solver.collide_inner",
-                                  step=self.time_step, kernel="aa"):
-                if even:
-                    akern.even_phase(self._split_parts()[1])
-                else:
-                    akern.odd_phase(self._split_parts()[1])
-            return
-        kern = self._sparse_kernel_for_phase()
+        kern = self._shell_core_kernel()
         kind = "sparse" if kern is not None else "split"
         with self.tracer.span("solver.collide_inner",
                               step=self.time_step, kernel=kind):
             if kern is not None:
                 kern.collide_core()
                 return
-            self._collide_region(self._split_parts()[1])
+            self._collide_core()
 
     def collide_split(self) -> None:
         """Boundary-shell pass then inner-core pass; ≡ :meth:`collide`."""

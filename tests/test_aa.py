@@ -187,7 +187,7 @@ class TestCluster:
         f0 = ref.f.copy()
         ref.step(3)
         cfg = ClusterConfig(sub_shape=(8, 6, 6), arrangement=(2, 2, 1),
-                            tau=0.7, solid=solid, overlap=False, kernel="aa")
+                            tau=0.7, solid=solid, kernel="aa")
         with CPUClusterLBM(cfg) as cluster:
             cluster.load_global_distributions(f0)
             cluster.step(3)

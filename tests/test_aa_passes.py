@@ -137,9 +137,8 @@ class TestRegionCalls:
 
     @pytest.mark.parametrize("backend", ["serial", "processes"])
     def test_cluster_ranks_chunk_their_regions(self, backend, monkeypatch):
-        """Ranks whose shell slabs and core are wider than one chunk
-        (serial: shell schedule; processes: whole collide) stay on the
-        reference's bits at both parities."""
+        """Ranks wider than one chunk, collided whole on either
+        backend, stay on the reference's bits at both parities."""
         monkeypatch.setattr(aa_mod, "SLAB_TARGET_CELLS", 48)
         shape = (16, 12, 6)
         ref = _bounded_box(shape, "split", handlers=False)

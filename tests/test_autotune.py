@@ -49,7 +49,7 @@ def _spec(n_solid: int = 0, shape=SHAPE, **kwargs):
     base = dict(shape=shape, tau=0.7, dtype=np.dtype(np.float32),
                 solid=solid, solid_fraction=float(solid.mean()),
                 runnable=("aa", "sparse", "split"), periodic=False,
-                schedule="collide", halo_managed=True)
+                halo_managed=True)
     base.update(kwargs)
     return ProbeSpec(**base)
 

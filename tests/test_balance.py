@@ -4,17 +4,18 @@ Covers the cut solvers (:mod:`repro.core.decomposition`), the cost
 models (:mod:`repro.core.balance`) and the cluster-level guarantee the
 whole feature rests on: *any* shared-per-axis cut layout is bit-exact
 against the single-domain reference, so rebalancing is purely a
-performance decision.  The heavyweight measured-imbalance gate lives in
+performance decision.  The heavyweight rebalance-loop gate lives in
 ``python -m repro check-balance``; these tests stay model-driven and
-deterministic.
+deterministic, as does the gate.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import ClusterConfig, GPUClusterLBM
-from repro.core.balance import (IMBALANCE_TARGET, imbalance,
+from repro.core import ClusterConfig, CPUClusterLBM, GPUClusterLBM
+from repro.core.balance import (DEFAULT_SOLID_COST_WEIGHT, IMBALANCE_TARGET,
+                                imbalance, injected_busy_s,
                                 measured_cost_field, occupancy_cost_field,
                                 predicted_imbalance, predicted_rank_costs)
 from repro.core.decomposition import (BlockDecomposition, partition_axis,
@@ -154,7 +155,7 @@ class TestCostModels:
     def test_weighted_cuts_beat_uniform_on_model(self):
         """The modeled rebalance-improves property: re-cutting by the
         occupancy field lowers the predicted imbalance on a skewed
-        domain (the measured version is the check-balance gate)."""
+        domain (the closed loop is the check-balance gate)."""
         shape, arrangement = (48, 8, 4), (4, 1, 1)
         solid = np.zeros(shape, bool)
         solid[:24] = True                  # half the domain nearly free
@@ -165,6 +166,22 @@ class TestCostModels:
         assert predicted_imbalance(wei, cost) < predicted_imbalance(uni, cost)
         assert predicted_imbalance(wei, cost) <= IMBALANCE_TARGET
         assert len(predicted_rank_costs(wei, cost)) == 4
+
+    def test_injected_busy_prices_cells_by_kernel(self):
+        """The gate's rank costs: a sparse rank pays the occupancy
+        weight per solid cell, a dense one sweeps solids like fluid."""
+        solid = np.zeros((12, 6, 4), bool)
+        solid[:6] = True                   # rank 0 all solid -> sparse
+        solid[6:, :, 0] = True             # rank 1 a quarter solid
+        cfg = ClusterConfig(sub_shape=(6, 6, 4), arrangement=(2, 1, 1),
+                            tau=0.7, solid=solid, autotune="heuristic")
+        with CPUClusterLBM(cfg) as cluster:
+            cluster.step(1)
+            kernels = [r["kernel"] for r in cluster.kernel_report()]
+            costs = injected_busy_s(cluster, solid)
+        assert kernels == ["sparse", "split"]
+        assert costs[0] == pytest.approx(144 * DEFAULT_SOLID_COST_WEIGHT)
+        assert costs[1] == pytest.approx(144.0)
 
 
 def _reference(shape, tau, rng, solid=None, steps=4):
@@ -287,6 +304,21 @@ class TestRebalanceLoop:
         successor, info = cluster.rebalance(busy_s={r: 1.0 for r in range(4)})
         assert same == cluster.decomp.cuts
         assert successor is cluster and not info["changed"]
+
+    def test_rebalance_cuts_reads_the_trace(self, rng):
+        """With no ``busy_s`` the re-cut is fed the traced per-rank busy
+        time (the check-balance gate injects costs instead)."""
+        from repro.perf.report import trace_imbalance_rows
+        cfg = ClusterConfig(sub_shape=(8, 6, 4), arrangement=(2, 2, 1),
+                            tau=0.7, autotune="heuristic")
+        with CPUClusterLBM(cfg) as cluster:
+            cluster.enable_tracing()
+            cluster.step(2)
+            rows, _ = trace_imbalance_rows(cluster.tracer)
+            busy = {r["rank"]: r["busy_ms"] / 1e3 for r in rows}
+            assert len(busy) == 4
+            assert cluster.rebalance_cuts() == cluster.rebalance_cuts(
+                busy_s=busy)
 
     def test_rebalance_cuts_without_trace_raises(self):
         cfg = ClusterConfig(sub_shape=(8, 6, 4), arrangement=(2, 2, 1),

@@ -278,15 +278,14 @@ class TestSolidHeavyCity:
         assert kinds == {"sparse"}
 
     def test_no_overlap_protocol_identical(self, rng):
-        """overlap=False takes the single collide pass; sparse ranks
-        must land on the same bits either way."""
+        """CPU ranks take the single collide pass; mixed sparse/dense
+        ranks must land on the reference's bits at an odd step count."""
         solid = self._city()
         ref, f0 = _reference(self.SHAPE, 0.7, rng, solid=solid, steps=3,
                              kernel="split")
         threshold = self._mixing_threshold(solid)
         cfg = ClusterConfig(sub_shape=self.SUB, arrangement=self.ARR,
-                            tau=0.7, solid=solid, overlap=False,
-                            autotune="heuristic",
+                            tau=0.7, solid=solid, autotune="heuristic",
                             sparse_threshold=threshold)
         with CPUClusterLBM(cfg) as cluster:
             cluster.load_global_distributions(f0)

@@ -74,9 +74,7 @@ class TestProcessesEqualsSerial:
 
     def test_step_timing_decomposition_identical(self, rng, cls):
         f0 = _initial_state(rng)
-        # overlap=False so the serial driver runs the same sequential
-        # per-rank protocol the workers execute.
-        _, t_serial = _run(cls, f0, backend="serial", overlap=False)
+        _, t_serial = _run(cls, f0, backend="serial")
         _, t_procs = _run(cls, f0, backend="processes")
         assert t_serial.nodes == t_procs.nodes
         assert t_serial.compute_s == t_procs.compute_s

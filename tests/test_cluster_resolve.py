@@ -6,7 +6,8 @@ no timing in any assertion.  Cluster tests that need a particular
 outcome inject the probe's rates too (``_probe_rates`` is patched in
 the coordinator; forked workers never probe), so they are
 deterministic; the few that run the real probe use configurations
-whose margin is an order of magnitude, not a timing race.
+whose margin is an order of magnitude, or assert only what holds
+whichever kernel it picks — never a timing race.
 """
 
 from __future__ import annotations
@@ -90,11 +91,25 @@ class TestDecisionRule:
         assert picks == ["sparse"]
 
 
+def _spy_collides(monkeypatch) -> list:
+    """Record every ``collide`` / ``collide_boundary`` / ``collide_inner``
+    call on any :class:`LBMSolver`, by name."""
+    calls = []
+    for name in ("collide", "collide_boundary", "collide_inner"):
+        orig = getattr(LBMSolver, name)
+
+        def spy(self, *a, _orig=orig, _name=name, **kw):
+            calls.append(_name)
+            return _orig(self, *a, **kw)
+        monkeypatch.setattr(LBMSolver, name, spy)
+    return calls
+
+
 def _spec(**kwargs):
     base = dict(shape=(8, 8, 8), tau=0.7, dtype=np.dtype(np.float32),
                 solid=None, solid_fraction=0.0,
                 runnable=("aa", "sparse", "split"), periodic=False,
-                schedule="collide", halo_managed=True)
+                halo_managed=True)
     base.update(kwargs)
     return ProbeSpec(**base)
 
@@ -128,29 +143,18 @@ class TestResolveCluster:
         assert len(calls) == 1
         assert choice.kernel == "aa" and len(choice.choices) == 6
 
-    def test_cache_key_separates_schedule_and_halo(self):
+    def test_cache_key_separates_halo(self):
         spec = _spec()
         cands = autotune._candidates(spec)
         key = autotune._cache_key(spec, cands)
-        assert key != autotune._cache_key(replace(spec, schedule="shell"),
-                                          cands)
         assert key != autotune._cache_key(replace(spec, halo_managed=False),
                                           cands)
 
-    def test_probe_runs_the_named_schedule(self, monkeypatch):
-        calls = []
-        for name in ("collide", "collide_boundary", "collide_inner"):
-            orig = getattr(LBMSolver, name)
-
-            def spy(self, *a, _orig=orig, _name=name, **kw):
-                calls.append(_name)
-                return _orig(self, *a, **kw)
-            monkeypatch.setattr(LBMSolver, name, spy)
-        cands = ("aa", "split")
-        autotune._probe_rates(_spec(schedule="shell"), cands)
-        assert set(calls) == {"collide_boundary", "collide_inner"}
-        calls.clear()
-        autotune._probe_rates(_spec(schedule="collide"), cands)
+    def test_probe_runs_whole_collide(self, monkeypatch):
+        """A probe steps the calls a cluster rank issues: one whole
+        collide per step, never the shell/core split."""
+        calls = _spy_collides(monkeypatch)
+        autotune._probe_rates(_spec(), ("aa", "split"))
         assert set(calls) == {"collide"}
 
 
@@ -258,19 +262,68 @@ class TestAutoResolvedBitIdentity:
             cluster.shutdown()
 
 
-class TestResolutionScope:
-    def test_schedule_follows_the_backend(self):
-        base = dict(sub_shape=(6, 6, 4), arrangement=(2, 1, 1), tau=0.7)
-        with CPUClusterLBM(ClusterConfig(**base)) as cluster:
-            assert cluster.kernel_choice.schedule == "shell"
-            assert cluster._overlap_capable()
-        with CPUClusterLBM(ClusterConfig(overlap=False, **base)) as cluster:
-            assert cluster.kernel_choice.schedule == "collide"
-            assert not cluster._overlap_capable()
-        with CPUClusterLBM(ClusterConfig(backend="processes",
-                                         **base)) as cluster:
-            assert cluster.kernel_choice.schedule == "collide"
+class TestSerialRanksCollideWhole:
+    @pytest.mark.parametrize("kwargs", [{}, {"overlap": True}],
+                             ids=["default", "overlap"])
+    def test_no_shell_phase_no_comm_thread(self, monkeypatch, kwargs):
+        """Serial CPU ranks step collide -> exchange -> finish like
+        process ranks: ``overlap`` is the GPU driver's switch."""
+        calls = _spy_collides(monkeypatch)
+        cfg = ClusterConfig(sub_shape=(6, 6, 4), arrangement=(2, 1, 1),
+                            tau=0.7, **kwargs)
+        with CPUClusterLBM(cfg) as cluster:
+            calls.clear()                  # the coordinator's probes
+            timing = cluster.step(3)
+            assert cluster._comm_executor is None
+        assert calls == ["collide"] * 6    # 2 ranks x 3 steps
+        assert timing.measured_window_s == 0.0
 
+    @pytest.mark.parametrize("probe", ["injected", "real"])
+    def test_strong_serial_shape_matches_reference(self, monkeypatch,
+                                                   probe):
+        """The fixed-size problem's shape, (4,4,2) periodic ranks of
+        4^3: with AA the faster kernel in the probe it resolves ``aa``.
+        Under the real probe 4^3 ranks sit on the margin, so the pick
+        is not asserted; whichever kernel runs, every step matches the
+        reference, across an odd-parity load and a mid-pair
+        rebalance."""
+        if probe == "injected":
+            _inject(monkeypatch, aa=10.0)
+        sub, arr = (4, 4, 4), (4, 4, 2)
+        shape = tuple(s * a for s, a in zip(sub, arr))
+        rng = np.random.default_rng(3)
+        ref = LBMSolver(shape, tau=0.6, kernel="split")
+        ref.initialize(1.0, (0.02 * rng.standard_normal((3,) + shape))
+                       .astype(np.float32))
+        cluster = CPUClusterLBM(ClusterConfig(sub_shape=sub,
+                                              arrangement=arr, tau=0.6))
+        try:
+            assert cluster.resolved_kernel in ("aa", "split")
+            if probe == "injected":
+                assert cluster.resolved_kernel == "aa"
+            cluster.load_global_distributions(ref.f.copy())
+            for step in range(1, 6):
+                ref.step(1)
+                cluster.step(1)
+                assert np.array_equal(cluster.gather_distributions(),
+                                      ref.f), step
+            cluster.load_global_distributions(ref.f.copy())   # odd parity
+            ref.step(1)
+            cluster.step(1)                                   # mid-pair
+            heavy = {r: 2.0 if cluster.decomp.coords_of(r)[0] == 0 else 1.0
+                     for r in range(cluster.decomp.n_nodes)}
+            cluster, info = cluster.rebalance(busy_s=heavy)
+            assert info["changed"]
+            for step in range(7, 10):
+                ref.step(1)
+                cluster.step(1)
+                assert np.array_equal(cluster.gather_distributions(),
+                                      ref.f), step
+        finally:
+            cluster.shutdown()
+
+
+class TestResolutionScope:
     @pytest.mark.parametrize("kwargs", [
         {"kernel": "split"}, {"kernel": "aa"}, {"kernel": "sparse"},
         {"autotune": "heuristic"}, {"timing_only": True}])
@@ -282,7 +335,7 @@ class TestResolutionScope:
             assert cluster.kernel_choice is None
             assert cluster.resolved_kernel == cfg.kernel
             row = cluster.kernel_report(cluster=True)[-1]
-            assert row["rank"] == "cluster" and row["schedule"] is None
+            assert row["rank"] == "cluster" and row["aa_ms"] is None
 
     def test_gpu_cluster_never_resolves(self, monkeypatch):
         monkeypatch.setattr(autotune, "_probe_rates", None)
@@ -306,11 +359,11 @@ class TestResolutionScope:
     def test_cluster_row_reports_the_prediction(self, monkeypatch):
         _inject(monkeypatch, aa=4.0, split=2.0)
         cfg = ClusterConfig(sub_shape=(10, 10, 10), arrangement=(2, 1, 1),
-                            tau=0.7, overlap=False)
+                            tau=0.7)
         with CPUClusterLBM(cfg) as cluster:
             *ranks, row = cluster.kernel_report(cluster=True)
         assert len(ranks) == 2
-        assert row["kernel"] == "aa" and row["schedule"] == "collide"
+        assert row["kernel"] == "aa"
         assert row["aa_ms"] == pytest.approx(0.25)
         assert row["best_ms"] == pytest.approx(0.5)
         assert row["cells"] == 2000
@@ -318,20 +371,22 @@ class TestResolutionScope:
 
 class TestMixedCluster:
     def test_solid_rank_sparse_fluid_rank_split(self):
-        """(c) real probes, decisive margins: an all-solid rank (sparse
-        wins ~10x) next to an open one on the shell schedule (split
-        wins ~2x over AA) resolves non-AA with today's per-rank
-        sparse/split report."""
+        """(c) real probes, decisive margins: a body force keeps the
+        cluster off AA, so an all-solid rank (sparse wins ~10x) next to
+        an open one (split, the only candidate below 25 % solid)
+        resolves today's per-rank sparse/split report."""
         shape = (32, 32, 8)
+        force = (1e-5, 0.0, 0.0)
         solid = np.zeros(shape, bool)
         solid[:16] = True
         rng = np.random.default_rng(1)
         u0 = (0.02 * rng.standard_normal((3,) + shape)).astype(np.float32)
         u0[:, solid] = 0
-        ref = LBMSolver(shape, tau=0.7, solid=solid, kernel="split")
+        ref = LBMSolver(shape, tau=0.7, solid=solid, kernel="split",
+                        force=force)
         ref.initialize(rho=np.ones(shape, np.float32), u=u0)
         cfg = ClusterConfig(sub_shape=(16, 32, 8), arrangement=(2, 1, 1),
-                            tau=0.7, solid=solid)
+                            tau=0.7, solid=solid, force=force)
         with CPUClusterLBM(cfg) as cluster:
             assert cluster.resolved_kernel == "sparse+split"
             cluster.load_global_distributions(ref.f)

@@ -62,16 +62,20 @@ class TestExchangeBuffers:
             assert stats["cluster.finish"].calls == 2
 
     def test_sequential_protocol_records_legacy_phases(self, rng):
+        """CPU ranks always step collide -> exchange -> finish; the GPU
+        driver does with ``overlap=False``."""
         f0 = _initial_state(rng)
-        cfg = ClusterConfig(sub_shape=SUB, arrangement=ARR, tau=0.7,
-                            overlap=False)
-        with GPUClusterLBM(cfg) as cluster:
-            cluster.load_global_distributions(f0)
-            cluster.step(2)
-            stats = cluster.counters.stats
-            assert stats["cluster.collide"].calls == 2
-            assert stats["cluster.exchange"].calls == 2
-            assert "cluster.collide_boundary" not in stats
+        for cls, kwargs in ((CPUClusterLBM, {}),
+                            (GPUClusterLBM, {"overlap": False})):
+            cfg = ClusterConfig(sub_shape=SUB, arrangement=ARR, tau=0.7,
+                                **kwargs)
+            with cls(cfg) as cluster:
+                cluster.load_global_distributions(f0)
+                cluster.step(2)
+                stats = cluster.counters.stats
+                assert stats["cluster.collide"].calls == 2
+                assert stats["cluster.exchange"].calls == 2
+                assert "cluster.collide_boundary" not in stats
 
 
 class TestConfigValidation:

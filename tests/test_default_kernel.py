@@ -331,6 +331,12 @@ class TestHandDrivenPhases:
             assert hand.kernel_used == "split"
             assert np.array_equal(hand.f, split.f)
 
+    def test_shell_split_phases_refuse_the_in_place_kernel(self):
+        forced = LBMSolver(SHAPE, tau=0.7, kernel="aa")
+        for phase in (forced.collide_boundary, forced.collide_inner):
+            with pytest.raises(RuntimeError, match="collides whole"):
+                phase()
+
     def test_spmd_and_thermal_solvers_are_marked_phase_driven(self):
         from repro.core.decomposition import BlockDecomposition
         from repro.core.thermal_cluster import DistributedThermalLBM
