@@ -13,19 +13,18 @@ Options::
     --threshold F     allowed fractional drop, e.g. 0.25 (default)
     --suite NAME      which recording suites to run: ``kernels`` (the
                       bench_fused sweep: split reference + cluster
-                      backends), ``sparse`` (the urban
-                      dense-vs-sparse sweep), ``aa`` (the AA-pattern
-                      kernel sweep), ``trace`` (traced vs untraced
-                      cluster stepping), ``balance`` (uniform vs
-                      occupancy-weighted cuts on the mixed city
-                      domain), ``exchange`` (the halo exchange of the
-                      serial cluster step), or ``all`` (default: kernels)
+                      backends), ``aa`` (the AA-pattern kernel sweep),
+                      ``trace`` (traced vs untraced cluster stepping),
+                      ``exchange`` (the halo exchange of the serial
+                      cluster step), ``telemetry`` (monitored vs
+                      unmonitored stepping), or ``all`` (default:
+                      kernels)
     --update          merge the fresh numbers into the baseline and exit 0
 
 Baseline entries the selected suite did not measure are *skipped*, not
 failed: the baseline accumulates entries from several recording suites
-(``bench_fused``/``bench_procpool``/``bench_sparse``/``bench_aa``/
-``bench_trace``/``bench_balance``/``bench_exchange``),
+(``bench_fused``/``bench_procpool``/``bench_aa``/``bench_trace``/
+``bench_exchange``/``bench_telemetry``),
 and a partial run must only guard what it actually re-measured.  Use
 ``--suite all`` to opt into the full sweep that covers every entry.
 ``--update`` likewise merges into the existing baseline instead of
@@ -57,8 +56,7 @@ try:  # allow `python benchmarks/check_regression.py` without PYTHONPATH=src
 except ImportError:  # pragma: no cover - path bootstrap
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-SUITES = ("kernels", "sparse", "aa", "trace", "balance", "exchange",
-          "telemetry", "all")
+SUITES = ("kernels", "aa", "trace", "exchange", "telemetry", "all")
 
 
 def run_suites(suite: str, steps: int, repeats: int) -> dict:
@@ -71,18 +69,12 @@ def run_suites(suite: str, steps: int, repeats: int) -> dict:
         data = run_benchmarks(steps=steps, repeats=repeats)
         results.update(data["results"])
         meta.update({k: v for k, v in data.items() if k != "results"})
-    if suite in ("sparse", "all"):
-        from bench_sparse import run_sparse_benchmarks
-        results.update(run_sparse_benchmarks(steps=steps, repeats=repeats))
     if suite in ("aa", "all"):
         from bench_aa import run_aa_benchmarks
         results.update(run_aa_benchmarks(steps=steps, repeats=repeats))
     if suite in ("trace", "all"):
         from bench_trace import run_trace_benchmarks
         results.update(run_trace_benchmarks(steps=steps, repeats=repeats))
-    if suite in ("balance", "all"):
-        from bench_balance import run_balance_benchmarks
-        results.update(run_balance_benchmarks(steps=steps, repeats=repeats))
     if suite in ("exchange", "all"):
         from bench_exchange import run_exchange_benchmarks
         results.update(run_exchange_benchmarks(steps=steps, repeats=repeats))

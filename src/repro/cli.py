@@ -11,10 +11,8 @@
     python -m repro dispersion        # Sec 5 headline (0.31 s/step)
     python -m repro trace             # traced cluster step -> Perfetto JSON + analytics
     python -m repro check-procs       # process-backend equivalence + leak gate
-    python -m repro check-sparse      # sparse-kernel equivalence gate
     python -m repro check-aa          # AA-pattern kernel equivalence gate
     python -m repro check-trace       # trace schema + no-op overhead gate
-    python -m repro check-balance     # weighted-decomposition load-balance gate
     python -m repro check-exchange    # halo-exchange message-count + equivalence gate
     python -m repro check-telemetry   # live-telemetry bit-identity + watchdog gate
     python -m repro doctor            # shm leak audit + procpool smoke check
@@ -166,8 +164,8 @@ def _cmd_dispersion(args) -> None:
 def _cmd_trace(args) -> None:
     """Run one traced cluster/dispersion segment and export the spans.
 
-    Steps a small voxelized-city cluster (mixed dense/sparse ranks) on
-    the chosen backend with tracing on, then replays the same
+    Steps a small voxelized-city cluster on the chosen backend with
+    tracing on, then replays the same
     decomposition as an SPMD SimMPI program so the network track also
     carries executed per-message events (src/dst/tag/bytes on the
     simulated clock).  Writes Chrome-trace JSON + JSONL and prints the
@@ -235,24 +233,6 @@ def _cmd_check_procs(args) -> int:
     return 0
 
 
-def _cmd_check_sparse(args) -> int:
-    """Sparse-kernel gate: bit equivalence against the dense phase-split
-    reference on a voxelized-city mask, single-domain and across
-    cluster backends with mixed per-rank kernel selection."""
-    from repro.lbm.sparse import run_sparse_equivalence_check
-
-    report = run_sparse_equivalence_check(steps=args.steps)
-    print(f"sparse kernel OK: bit-identical to the dense reference on a "
-          f"{report['occupancy']:.0%}-solid city mask "
-          f"(threshold {report['threshold']:.0%})")
-    for backend, rows in report["backends"].items():
-        print(f"  backend {backend}:")
-        for row in rows:
-            print(f"    rank {row['rank']:>3}: kernel {row['kernel']:<9} "
-                  f"solid {row['solid_fraction']:.1%}")
-    return 0
-
-
 def _cmd_check_aa(args) -> int:
     """AA-kernel gate: the swap-free two-phase kernel is bit-identical
     to the reference on a voxelized-city mask after every step
@@ -300,28 +280,6 @@ def _cmd_check_trace(args) -> int:
     print(f"trace OK: bit-identical numerics traced vs untraced, "
           f"disabled-span overhead "
           f"{report['disabled_overhead_ns']:.0f} ns/call")
-    return 0
-
-
-def _cmd_check_balance(args) -> int:
-    """Load-balance gate: the occupancy-weighted cuts (and the
-    rebalance loop closing it, fed injected per-rank costs) must beat
-    uniform cuts and land under the imbalance target on a
-    voxelized-city run, while staying bit-identical to the
-    single-domain reference."""
-    from repro.core.balance import run_balance_check
-
-    report = run_balance_check(steps=args.steps, threshold=args.threshold)
-    print(f"balance OK: {report['shape']} on {report['arrangement']} ranks, "
-          f"target max/mean <= {report['threshold']:.2f}")
-    for backend, info in report["backends"].items():
-        path = " -> ".join(f"{h:.2f}" for h in info["imbalance_history"])
-        print(f"  backend {backend}: imbalance uniform "
-              f"{info['imbalance_uniform']:.2f}, weighted+rebalance "
-              f"{path} ({info['rebalances']} rebalance(s), "
-              f"bit-identical fields)")
-        print(f"    weighted x-cuts {info['weighted_cuts'][0]}  "
-              f"rebalanced x-cuts {info['rebalanced_cuts'][0]}")
     return 0
 
 
@@ -418,8 +376,9 @@ def _cmd_doctor(args) -> int:
 
 def _cmd_verify(args) -> int:
     """The repo's single verification gate: tier-1 pytest, the
-    process-backend equivalence/leak gate, then the kernel-throughput
-    regression guard (skippable for quick loops)."""
+    process-backend, AA-kernel, trace, halo-exchange and telemetry
+    gates, then the kernel-throughput regression guard (skippable for
+    quick loops)."""
     import os
     import subprocess
     from pathlib import Path
@@ -433,14 +392,10 @@ def _cmd_verify(args) -> int:
         ("tier-1 tests", [sys.executable, "-m", "pytest", "-x", "-q"]),
         ("process-backend equivalence",
          [sys.executable, "-m", "repro", "check-procs"]),
-        ("sparse-kernel equivalence",
-         [sys.executable, "-m", "repro", "check-sparse"]),
         ("aa-kernel equivalence",
          [sys.executable, "-m", "repro", "check-aa"]),
         ("trace gate",
          [sys.executable, "-m", "repro", "check-trace"]),
-        ("load-balance gate",
-         [sys.executable, "-m", "repro", "check-balance"]),
         ("halo-exchange gate",
          [sys.executable, "-m", "repro", "check-exchange"]),
         ("telemetry gate",
@@ -515,29 +470,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="trace-subsystem gate: schema-valid Chrome "
                         "output, per-rank tracks, bit-identical "
                         "numerics, ~zero disabled overhead")
-    sp = sub.add_parser("check-sparse",
-                        help="sparse-kernel equivalence gate on a "
-                             "voxelized-city mask (single-domain + "
-                             "mixed-kernel cluster backends)")
-    sp.add_argument("--steps", type=int, default=3,
-                    help="steps to compare (default 3)")
     sp = sub.add_parser("check-aa",
                         help="AA-pattern kernel equivalence gate on a "
                              "voxelized-city mask (single-domain + "
                              "cluster forward/reverse halo protocol)")
     sp.add_argument("--steps", type=int, default=4,
                     help="steps to compare (default 4, must be even)")
-    sp = sub.add_parser("check-balance",
-                        help="weighted-decomposition gate: occupancy "
-                             "cuts + a rebalance loop on injected rank "
-                             "costs beat uniform cuts under the "
-                             "imbalance target, bit-identical to the "
-                             "reference")
-    sp.add_argument("--steps", type=int, default=8,
-                    help="steps per segment (default 8)")
-    sp.add_argument("--threshold", type=float, default=1.1,
-                    help="max/mean rank-cost imbalance target "
-                         "(default 1.1)")
     sp = sub.add_parser("check-exchange",
                         help="halo-exchange gate: one message per "
                              "neighbor per phase, bit-identical with "
@@ -558,9 +496,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "test procpool spawn/step/teardown; exits "
                         "nonzero on leaks")
     sp = sub.add_parser("verify",
-                        help="run the tier-1 tests, the process-backend "
-                             "and sparse-kernel gates and the kernel "
-                             "regression guard as one gate")
+                        help="run the tier-1 tests, the process-backend, "
+                             "aa-kernel, trace, halo-exchange and "
+                             "telemetry gates and the kernel regression "
+                             "guard as one gate")
     sp.add_argument("--skip-bench", action="store_true",
                     help="run only the test suite")
     sp.add_argument("--threshold", type=float, default=0.25,
@@ -589,14 +528,10 @@ def main(argv=None) -> int:
         _cmd_trace(args)
     elif cmd == "check-procs":
         return _cmd_check_procs(args)
-    elif cmd == "check-sparse":
-        return _cmd_check_sparse(args)
     elif cmd == "check-aa":
         return _cmd_check_aa(args)
     elif cmd == "check-trace":
         return _cmd_check_trace(args)
-    elif cmd == "check-balance":
-        return _cmd_check_balance(args)
     elif cmd == "check-exchange":
         return _cmd_check_exchange(args)
     elif cmd == "check-telemetry":

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.cpu_node import CPUNode, rank_boundaries
+from repro.core.cpu_node import CPUNode
 from repro.core.decomposition import (BlockDecomposition, arrange_nodes_2d,
                                       weighted_cuts)
 from repro.core.exchange import exchange_all, local_engines
@@ -142,43 +142,26 @@ class ClusterConfig:
         whole, then exchange — in-process there is no concurrency for
         the exchange to hide behind, and the CPU window is modeled as
         the whole compute time either way.
-    kernel / sparse_threshold / autotune:
-        Hot-path selection for the CPU ranks.  Under the default
-        ``kernel="auto"`` + ``autotune="measured"`` the *coordinator*
-        resolves the kernel once per cluster, before any node is built
-        or worker spawned: every distinct rank signature (block shape,
-        solid-fraction bucket, boundary faces) is probed on a crop of
-        at most 48k cells, stepped through the phase calls a rank
-        issues (one whole collide, then stream), with the in-place AA
-        kernel (:class:`~repro.lbm.aa.AAStepKernel`) beside ``sparse``
-        / ``split``.  AA is chosen for *all* ranks iff every rank can run
-        it (CPU ranks, no body force) and the predicted slowest rank —
-        ``max_r cells_r / rate_r``, what sets a bulk-synchronous step —
-        is faster under all-AA than under each rank's own best non-AA
-        kernel (:func:`repro.lbm.autotune.decide_cluster`); otherwise
-        each rank runs its measured best of ``sparse`` / ``split``.
-        Ranks are handed the decision and never probe themselves;
-        probe rates are cached per process, so a second cluster of the
-        same shape costs nothing.  ``autotune="heuristic"`` keeps the
-        pure per-rank solid-fraction rule: the sparse fluid-compacted
-        kernel (:class:`~repro.lbm.SparseStepKernel`) when the *local*
-        solid fraction reaches ``sparse_threshold``, the dense
-        phase-split path otherwise.  Forcing a kernel is unchanged:
-        ``"split"`` / ``"sparse"`` pin every rank's path, and
-        ``kernel="aa"`` forces the swap-free AA-pattern
-        kernel on every rank (CPU numeric ranks only).  Under AA,
-        forced or resolved, the driver plays the role of the kernel's
-        ghost closure: forward halo exchange after even phases,
-        reverse ghost scatter exchange after odd phases, with true
-        domain-boundary faces on non-periodic axes folding locally
-        through the zero-gradient crossing-slot rule instead of
-        wrapping — see
-        :func:`repro.lbm.streaming.fold_face_zero_gradient`; per-rank
-        inlet/outflow handlers run through the rotated closure,
-        :mod:`repro.lbm.esoteric`.  Every choice is bit-identical at
-        every step count, loads and rebalances included;
-        :meth:`kernel_report` and the ``kernel.*`` counters record
-        what each rank ran and why.
+    kernel:
+        Hot-path selection for the CPU ranks, resolved by one rule
+        before any node is built or worker spawned: under ``"auto"``
+        (default) or ``"aa"`` the cluster runs the swap-free AA-pattern
+        kernel (:class:`~repro.lbm.aa.AAStepKernel`) on every rank
+        unless there is a body force (no gate covers the AA halo
+        protocol with one) or the run is timing-only; otherwise every
+        rank runs ``"split"``.  Each rank is built with
+        ``aa_halo_managed`` set accordingly and resolves the same kernel
+        again by the solver's own rule.  Under AA the driver plays the
+        role of the kernel's ghost closure: forward halo exchange after
+        even phases, reverse ghost scatter exchange after odd phases,
+        with true domain-boundary faces on non-periodic axes folding
+        locally through the zero-gradient crossing-slot rule instead of
+        wrapping — see :func:`repro.lbm.streaming.fold_face_zero_gradient`;
+        per-rank inlet/outflow handlers run through the rotated
+        closure, :mod:`repro.lbm.esoteric`.  Both kernels are
+        bit-identical at every step count, loads and rebalances
+        included; :meth:`kernel_report` and the ``kernel.*`` counters
+        record what each rank ran and why.
     compression:
         Adaptive lossless compression of the halo messages (Sec 4.3's
         open question).  Every exchange gathers everything bound for
@@ -197,18 +180,13 @@ class ClusterConfig:
         setting is bit-identical; decisions surface as ``comm.*``
         counters.  The processes backend exchanges through shared
         memory (no wire), so its controller never engages.
-    decomposition / cuts:
-        How the global lattice is cut into per-rank blocks.
-        ``decomposition="uniform"`` (default) keeps the paper's equal
-        boxes.  ``"weighted"`` sizes the per-axis cuts by the
-        occupancy cost model (:mod:`repro.core.balance`), so
-        mostly-solid sparse ranks get bigger blocks and dense ranks
-        smaller ones.  ``cuts`` pins explicit per-axis block extents
-        (three sequences matching the arrangement and summing to the
-        global extents) and overrides ``decomposition`` — this is how
-        :meth:`rebalance` re-cuts from measured busy time.  Any set of
-        cuts is bit-identical to the single-domain reference (the
-        cut positions are shared per axis, so neighbouring face shapes
+    cuts:
+        Explicit per-axis block extents (three sequences matching the
+        arrangement and summing to the global extents); None (default)
+        keeps the paper's equal boxes.  This is how :meth:`rebalance`
+        re-cuts from measured busy time.  Any set of cuts is
+        bit-identical to the single-domain reference (the cut
+        positions are shared per axis, so neighbouring face shapes
         always match and the halo protocol is unchanged).
     """
 
@@ -230,9 +208,6 @@ class ClusterConfig:
     backend: str = "serial"
     backend_timeout_s: float = 60.0
     kernel: str = "auto"
-    sparse_threshold: float = 0.5
-    autotune: str = "measured"
-    decomposition: str = "uniform"
     cuts: tuple | None = None
     compression: str = "off"
 
@@ -241,10 +216,6 @@ class ClusterConfig:
             raise ValueError(
                 f"compression must be 'off', 'adaptive' or 'always', "
                 f"got {self.compression!r}")
-        if self.decomposition not in ("uniform", "weighted"):
-            raise ValueError(
-                f"decomposition must be 'uniform' or 'weighted', "
-                f"got {self.decomposition!r}")
         if self.cuts is not None:
             if len(self.cuts) != 3:
                 raise ValueError("cuts must have one sequence per axis")
@@ -266,18 +237,10 @@ class ClusterConfig:
                         f"expected global extent {s}")
                 norm.append(c)
             self.cuts = tuple(norm)
-        if self.kernel not in ("auto", "sparse", "split", "aa"):
+        if self.kernel not in ("auto", "split", "aa"):
             raise ValueError(
-                f"kernel must be 'auto', 'sparse', 'split' or 'aa', "
+                f"kernel must be 'auto', 'split' or 'aa', "
                 f"got {self.kernel!r}")
-        if self.autotune not in ("heuristic", "measured"):
-            raise ValueError(
-                f"autotune must be 'heuristic' or 'measured', "
-                f"got {self.autotune!r}")
-        if not 0.0 <= float(self.sparse_threshold) <= 1.0:
-            raise ValueError(
-                f"sparse_threshold must be within [0, 1], "
-                f"got {self.sparse_threshold}")
         if self.backend not in ("serial", "processes"):
             raise ValueError(
                 f"backend must be 'serial' or 'processes', "
@@ -329,24 +292,18 @@ class _ClusterLBMBase:
         self.config = config
         self.decomp = BlockDecomposition(config.global_shape, config.arrangement,
                                          periodic=config.periodic,
-                                         cuts=self._resolve_cuts(config))
+                                         cuts=config.cuts)
         self.plan = HaloPlan(self.decomp.max_block_shape())
         self.schedule = CommSchedule(self.decomp, self.plan)
         self.switch = config.switch if config.switch is not None else GigabitSwitch()
         solids = (self.decomp.scatter_field(config.solid)
                   if config.solid is not None else [None] * self.decomp.n_nodes)
         self.counters = KernelCounters()
-        #: The coordinator's measured kernel decision for all ranks
-        #: (None when there is nothing to resolve: forced kernel,
-        #: heuristic autotune, timing-only or GPU nodes), taken before
-        #: any node is built or worker spawned.
-        self.kernel_choice = self._resolve_kernel(solids)
-        #: The kernel the cluster runs — the one attribute the halo
+        #: The kernel the cluster runs and why, resolved before any
+        #: node is built or worker spawned — the one attribute the halo
         #: protocol (exchange mode, shared-memory adoption, odd-parity
         #: gather) consults, through :attr:`aa_protocol`.
-        self.resolved_kernel = (self.kernel_choice.kernel
-                                if self.kernel_choice is not None
-                                else config.kernel)
+        self.resolved_kernel, self.kernel_reason = self._resolve_kernel()
         self._proc_backend: ProcessBackend | None = None
         if config.backend == "processes":
             self._proc_backend = ProcessBackend(
@@ -379,21 +336,9 @@ class _ClusterLBMBase:
                                        aa=self.aa_protocol, codec=codec,
                                        counters=self.counters)
 
-    @staticmethod
-    def _resolve_cuts(config: ClusterConfig):
-        """Explicit cuts win; otherwise the occupancy-weighted model
-        (when opted in) sizes the per-axis cuts; otherwise uniform."""
-        if config.cuts is not None:
-            return config.cuts
-        if config.decomposition == "weighted":
-            from repro.core.balance import occupancy_cost_field
-            cost = occupancy_cost_field(config.global_shape, config.solid)
-            return weighted_cuts(cost, config.arrangement, min_extent=2)
-        return None
-
-    def _resolve_kernel(self, solids):
-        """Cluster-wide measured kernel resolution (CPU drivers only)."""
-        return None
+    def _resolve_kernel(self) -> tuple[str, str]:
+        """The cluster's kernel and its reason (GPU nodes: as configured)."""
+        return self.config.kernel, f"configured kernel={self.config.kernel!r}"
 
     @property
     def aa_protocol(self) -> bool:
@@ -404,16 +349,14 @@ class _ClusterLBMBase:
 
     def _rank_kernel_args(self, rank: int) -> dict:
         """Per-rank kernel kwargs of :class:`CPUNode`: the configured
-        values, or the coordinator's resolved choice for this rank."""
-        cfg = self.config
-        choice = (self.kernel_choice.choices[rank]
-                  if self.kernel_choice is not None else None)
-        return {
-            "kernel": cfg.kernel,
-            "sparse_threshold": cfg.sparse_threshold,
-            "kernel_choice": choice,
-            "aa_halo_managed": self.aa_protocol,
-        }
+        kernel, which each rank resolves by the solver's rule once told
+        whether the driver closes the AA halo.  A forced ``"aa"`` the
+        cluster cannot run falls back to ``"split"``, as it does on a
+        single solver."""
+        kernel = self.config.kernel
+        if kernel == "aa" and not self.aa_protocol:
+            kernel = "split"
+        return {"kernel": kernel, "aa_halo_managed": self.aa_protocol}
 
     def _worker_spec_args(self, rank: int, solid) -> dict:
         """The per-rank construction kwargs shipped to a worker process
@@ -443,69 +386,42 @@ class _ClusterLBMBase:
         """Per-rank hot-path choice and local solid occupancy.
 
         One row per rank — ``{"rank", "kernel", "solid_fraction",
-        "reason", "rates", "block", "cells"}`` — for the timing
-        summary: which kernel the rank's last step ran (``"aa"``,
-        ``"sparse"``, ``"split"``, ``"gpu"``, or
-        ``"unstepped"``/``"model"`` before the first numeric step),
-        the rank-local solid fraction and *why* the kernel was
-        selected (forced / heuristic threshold / the coordinator's
-        cluster-resolved probe).  Under measured autotuning ``rates``
-        holds the probe's MLUPS per candidate kernel (None otherwise).
-        ``block`` and ``cells`` are the rank's block shape and cell
-        count (unequal under weighted cuts — the load balancer's
-        output).
+        "reason", "block", "cells"}`` — for the timing summary: which
+        kernel the rank's last step ran (``"aa"``, ``"split"``,
+        ``"gpu"``, or ``"unstepped"``/``"model"`` before the first
+        numeric step), the rank-local solid fraction and *why* the
+        kernel was selected (forced or the solver's rule).  ``block``
+        and ``cells`` are the rank's block shape and cell count
+        (unequal under non-uniform cuts — the load balancer's output).
 
         With ``cluster=True`` one cluster-level row follows the rank
-        rows: ``{"rank": "cluster", "kernel", "aa_ms", "best_ms",
-        "reason", "cells"}`` — the resolved kernel and the predicted
-        slowest-rank milliseconds under all-AA vs each rank's best
-        non-AA kernel (None where nothing was measured).
+        rows: ``{"rank": "cluster", "kernel", "reason", "cells"}`` —
+        the resolved kernel and the rule line that chose it.
         """
         rows = [{"rank": getattr(node, "rank", i),
                  "kernel": getattr(node, "kernel_used", "n/a"),
                  "solid_fraction": float(getattr(node, "solid_fraction", 0.0)),
                  "reason": getattr(node, "kernel_reason", None),
-                 "rates": getattr(node, "kernel_rates", None),
                  "block": self.decomp.block_shape(i),
                  "cells": self.decomp.blocks[i].cells}
                 for i, node in enumerate(self.nodes)]
         if cluster:
-            choice = self.kernel_choice
-            rows.append({
-                "rank": "cluster", "kernel": self.resolved_kernel,
-                "aa_ms": choice.aa_ms if choice else None,
-                "best_ms": choice.best_ms if choice else None,
-                "reason": (choice.reason if choice else
-                           f"configured kernel={self.config.kernel!r}, "
-                           f"autotune={self.config.autotune!r}"),
-                "cells": self.cells_total()})
+            rows.append({"rank": "cluster", "kernel": self.resolved_kernel,
+                         "reason": self.kernel_reason,
+                         "cells": self.cells_total()})
         return rows
 
     def balance_report(self) -> dict:
-        """Chosen cuts plus predicted vs measured per-rank cost.
+        """Chosen cuts plus measured per-rank cost.
 
-        Returns ``{"cuts", "uniform", "rows", "predicted_imbalance",
-        "measured_imbalance"}``: per-rank block/cells/kernel with the
-        occupancy-model predicted cost share (refined by the
-        autotuner's measured kernel rates when a rank probed), and —
-        when tracing is on and steps have run — the measured busy-time
-        imbalance from :func:`repro.perf.report.trace_imbalance_rows`.
+        Returns ``{"cuts", "uniform", "rows", "measured_imbalance"}``:
+        per-rank block/cells/kernel and — when tracing is on and steps
+        have run — the measured busy time and its imbalance from
+        :func:`repro.perf.report.trace_imbalance_rows`.
         """
-        from repro.core.balance import (imbalance, occupancy_cost_field,
-                                        predicted_rank_costs, rate_for_row)
         from repro.perf.report import trace_imbalance_rows
 
-        cost = occupancy_cost_field(self.config.global_shape,
-                                    self.config.solid)
-        predicted = predicted_rank_costs(self.decomp, cost)
         rows = self.kernel_report()
-        for row, pred in zip(rows, predicted):
-            rate = rate_for_row(row)
-            if rate:
-                # The probe measured this rank's kernel throughput:
-                # cells / MLUPS predicts its step seconds directly.
-                pred = row["cells"] / (float(rate) * 1e6)
-            row["predicted_cost"] = float(pred)
         measured_rows, summary = trace_imbalance_rows(self.tracer)
         busy = {r["rank"]: r["busy_ms"] for r in measured_rows}
         for row in rows:
@@ -514,8 +430,6 @@ class _ClusterLBMBase:
             "cuts": self.decomp.cuts,
             "uniform": self.decomp.uniform,
             "rows": rows,
-            "predicted_imbalance": imbalance(
-                [r["predicted_cost"] for r in rows]),
             "measured_imbalance": (summary["max_over_mean"]
                                    if measured_rows else None),
         }
@@ -528,8 +442,7 @@ class _ClusterLBMBase:
         (:func:`~repro.perf.report.trace_imbalance_rows`), which
         requires :meth:`enable_tracing` before stepping.
         """
-        from repro.core.balance import (measured_cost_field,
-                                        occupancy_cost_field)
+        from repro.core.balance import measured_cost_field
         from repro.perf.report import trace_imbalance_rows
 
         if busy_s is None:
@@ -539,12 +452,7 @@ class _ClusterLBMBase:
                 raise ValueError(
                     "no measured busy time for every rank: call "
                     "enable_tracing() and step() first, or pass busy_s")
-        # Occupancy gives the intra-block cost shape; the measured busy
-        # time sets each block's total, so the re-cut extrapolates
-        # sensibly when a boundary moves into denser/emptier terrain.
-        base = occupancy_cost_field(self.config.global_shape,
-                                    self.config.solid)
-        cost = measured_cost_field(self.decomp, busy_s, base=base)
+        cost = measured_cost_field(self.decomp, busy_s)
         return weighted_cuts(cost, self.decomp.arrangement, min_extent=2)
 
     def rebalance(self, busy_s=None):
@@ -924,38 +832,17 @@ class CPUClusterLBM(_ClusterLBMBase):
 
     node_kind = "cpu"
 
-    def _resolve_kernel(self, solids):
-        """Probe once per distinct rank signature, decide for all.
-
-        Only the default ``kernel="auto"`` + ``autotune="measured"``
-        has anything to resolve.  Each rank is *described* (block
-        shape, solid mask, boundary handlers) — no rank solver exists
-        yet — and :func:`repro.lbm.autotune.resolve_cluster` measures
-        every distinct description on a small crop.
-        """
+    def _resolve_kernel(self) -> tuple[str, str]:
+        """AA on every rank unless a body force or timing-only mode
+        rules it out; nothing is measured."""
         cfg = self.config
-        if (cfg.kernel != "auto" or cfg.autotune != "measured"
-                or cfg.timing_only):
-            return None
-        from repro.lbm.autotune import ProbeSpec, resolve_cluster
-        # No gate covers the AA halo protocol with a body force, so a
-        # forced cluster keeps its ranks off it.
-        runnable = (("aa",) if cfg.force is None else ()) + (
-            "sparse", "split")
-        specs = []
-        for rank, solid in enumerate(solids):
-            bc = self._node_boundary_config(rank)
-            specs.append(ProbeSpec(
-                shape=self.decomp.block_shape(rank), tau=cfg.tau,
-                dtype=np.dtype(np.float32), solid=solid,
-                solid_fraction=(float(solid.mean()) if solid is not None
-                                else 0.0),
-                boundaries=tuple(rank_boundaries(bc["inlet"],
-                                                 bc["outflow"])),
-                runnable=runnable, periodic=False, halo_managed=True,
-                sparse_threshold=cfg.sparse_threshold))
-        return resolve_cluster(
-            specs, [b.cells for b in self.decomp.blocks], self.counters)
+        if cfg.kernel == "split":
+            return "split", "configured kernel='split'"
+        if cfg.force is not None:
+            return "split", "rule: body force (no AA halo protocol gate)"
+        if cfg.timing_only:
+            return "split", "rule: timing-only (no numeric ranks)"
+        return "aa", f"rule: kernel={cfg.kernel!r}, CPU ranks, no body force"
 
     def _make_node(self, rank: int, solid):
         bc = self._node_boundary_config(rank)

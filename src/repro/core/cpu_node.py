@@ -30,8 +30,6 @@ def rank_boundaries(inlet, outflow) -> list:
 
     ``inlet`` is ``(axis, side, velocity, rho)`` and ``outflow``
     ``(axis, side)`` (None where the rank does not touch that face).
-    Shared by the rank's solver and by the coordinator's description
-    of the rank for the kernel probe.
     """
     from repro.lbm.boundaries import EquilibriumVelocityInlet, OutflowBoundary
     from repro.lbm.lattice import D3Q19
@@ -49,8 +47,6 @@ class CPUNode(SolverPort):
     Parameters mirror :class:`~repro.core.gpu_node.GPUNode`; see there.
     The halo engine packs, unpacks and closes this rank's shell through
     the inherited :class:`~repro.core.exchange.SolverPort` methods.
-    ``kernel_choice`` is a decision the cluster coordinator already
-    measured for this rank (the solver follows it instead of its rule);
     ``aa_halo_managed`` says the driver runs the AA halo protocol
     (forward exchange after even phases, reverse scatter exchange
     after odd ones), which is what lets a rank stepped phase by phase
@@ -61,8 +57,7 @@ class CPUNode(SolverPort):
                  face_dirs=(), edge_dirs=(), timing_only: bool = False,
                  cpu_spec: CPUSpec = XEON_2_4, inlet=None, outflow=None,
                  force=None, use_sse: bool = False, kernel: str = "auto",
-                 sparse_threshold: float = 0.5,
-                 kernel_choice=None, aa_halo_managed: bool = False) -> None:
+                 aa_halo_managed: bool = False) -> None:
         self.rank = rank
         self.tau = float(tau)
         self.face_dirs = list(face_dirs)
@@ -74,14 +69,11 @@ class CPUNode(SolverPort):
         if not timing_only:
             solver = LBMSolver(sub_shape, tau, solid=solid,
                                boundaries=rank_boundaries(inlet, outflow),
-                               force=force, periodic=False, kernel=kernel,
-                               sparse_threshold=sparse_threshold)
+                               force=force, periodic=False, kernel=kernel)
             # The cluster driver steps this solver phase by phase
             # (collide / exchange / stream).
             solver.phase_driven = True
             solver.aa_halo_managed = bool(aa_halo_managed)
-            if kernel_choice is not None:
-                solver.adopt_kernel_choice(kernel_choice)
             if aa_halo_managed:
                 # The driver's exchange is only correct if this rank
                 # really runs the AA phases: refuse a silent fallback.
@@ -116,15 +108,8 @@ class CPUNode(SolverPort):
 
     @property
     def kernel_reason(self) -> str | None:
-        """Why the hot path was selected (forced, the solver's rule or
-        the coordinator's probe)."""
+        """Why the hot path was selected (forced or the solver's rule)."""
         return None if self.solver is None else self.solver.kernel_reason
-
-    @property
-    def kernel_rates(self) -> dict | None:
-        """The coordinator's probe MLUPS per candidate (None unless it
-        resolved this rank's kernel)."""
-        return None if self.solver is None else self.solver.kernel_rates
 
     # -- geometry ---------------------------------------------------------
     @property

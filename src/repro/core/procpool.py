@@ -97,8 +97,6 @@ class WorkerSpec:
     barrier_timeout_s: float
     q: int = 19
     kernel: str = "auto"                # per-rank hot-path selection
-    sparse_threshold: float = 0.5
-    kernel_choice: object = None        # coordinator-resolved KernelChoice | None
     aa_halo_managed: bool = False       # the cluster runs the AA halo protocol
 
 
@@ -110,8 +108,7 @@ class RankProxy:
     """
 
     __slots__ = ("rank", "compute_s", "agp_s", "overlap_window_s",
-                 "kernel_used", "solid_fraction", "kernel_reason",
-                 "kernel_rates")
+                 "kernel_used", "solid_fraction", "kernel_reason")
 
     def __init__(self, rank: int) -> None:
         self.rank = rank
@@ -121,7 +118,6 @@ class RankProxy:
         self.kernel_used = "unstepped"
         self.solid_fraction = 0.0
         self.kernel_reason: str | None = None
-        self.kernel_rates: dict | None = None
 
 
 def _build_node(spec: WorkerSpec):
@@ -139,10 +135,7 @@ def _build_node(spec: WorkerSpec):
                    edge_dirs=list(spec.edge_dirs), timing_only=False,
                    cpu_spec=spec.cpu_spec, use_sse=spec.use_sse,
                    inlet=spec.inlet, outflow=spec.outflow, force=spec.force,
-                   kernel=spec.kernel,
-                   sparse_threshold=spec.sparse_threshold,
-                   kernel_choice=spec.kernel_choice,
-                   aa_halo_managed=spec.aa_halo_managed)
+                   kernel=spec.kernel, aa_halo_managed=spec.aa_halo_managed)
 
 
 class _MailboxTransport:
@@ -302,7 +295,6 @@ class _Worker:
             "kernel_used": getattr(node, "kernel_used", "n/a"),
             "solid_fraction": float(getattr(node, "solid_fraction", 0.0)),
             "kernel_reason": getattr(node, "kernel_reason", None),
-            "kernel_rates": getattr(node, "kernel_rates", None),
             "counters": rec.summary(),
         }
         if tracer.enabled:
@@ -482,8 +474,8 @@ class ProcessBackend:
         self.procs: list[mp.Process] = []
         self.conns = []
         self.proxies = [RankProxy(r) for r in range(self.n_ranks)]
-        # Per-rank block shapes: equal boxes historically, but weighted
-        # decomposition sizes each rank's segments independently.
+        # Per-rank block shapes: equal boxes by default, but non-uniform
+        # cuts size each rank's segments independently.
         sub_shapes = tuple(tuple(int(s) for s in a["sub_shape"])
                            for a in specs_args)
         mail_names = tuple(segment_name(self.token, "mail", r)
@@ -620,7 +612,6 @@ class ProcessBackend:
             proxy.kernel_used = payload.get("kernel_used", "n/a")
             proxy.solid_fraction = payload.get("solid_fraction", 0.0)
             proxy.kernel_reason = payload.get("kernel_reason")
-            proxy.kernel_rates = payload.get("kernel_rates")
         return payloads
 
     def gather_parts(self) -> list[np.ndarray]:

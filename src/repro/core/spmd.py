@@ -102,7 +102,7 @@ class SPMDClusterLBM:
         if decomp.sub_shape is None:
             raise ValueError(
                 "SPMDClusterLBM requires uniform cuts; use the "
-                "coordinator drivers for weighted decompositions")
+                "coordinator drivers for non-uniform cuts")
         if compression not in ("off", "adaptive", "always"):
             raise ValueError("compression must be 'off', 'adaptive' or "
                              f"'always', got {compression!r}")

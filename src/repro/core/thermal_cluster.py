@@ -48,8 +48,8 @@ class DistributedThermalLBM:
                  solid: np.ndarray | None = None) -> None:
         if decomp.sub_shape is None:
             raise ValueError(
-                "DistributedThermalLBM requires uniform cuts; weighted "
-                "decompositions are a flow-cluster feature")
+                "DistributedThermalLBM requires uniform cuts; non-uniform "
+                "cuts are a flow-cluster feature")
         self.decomp = decomp
         solids = (decomp.scatter_field(solid)
                   if solid is not None else [None] * decomp.n_nodes)

@@ -18,8 +18,6 @@ from repro.lbm.equilibrium import equilibrium
 from repro.lbm.macroscopic import macroscopic, density, momentum
 from repro.lbm.collision import BGKCollision, viscosity_to_tau, tau_to_viscosity
 from repro.lbm.aa import AAStepKernel
-from repro.lbm.autotune import KernelChoice, clear_autotune_cache
-from repro.lbm.sparse import SparseStepKernel
 from repro.lbm.mrt import MRTCollision, mrt_matrix
 from repro.lbm.streaming import pull_slice_table, stream_periodic, stream_pull
 from repro.lbm.boundaries import (
@@ -52,9 +50,6 @@ __all__ = [
     "stream_pull",
     "pull_slice_table",
     "AAStepKernel",
-    "KernelChoice",
-    "clear_autotune_cache",
-    "SparseStepKernel",
     "BounceBackNodes",
     "BouzidiCurvedBoundary",
     "EquilibriumVelocityInlet",

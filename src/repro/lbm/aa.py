@@ -1,6 +1,6 @@
 """AA-pattern (swap-free, single-array) two-phase LBM step kernel.
 
-The other kernels in this package (split, sparse) keep **two**
+The package's other kernel, the split reference, keeps **two**
 full ``(Q, X, Y, Z)`` distribution arrays and copies one into the other
 on stream — doubling both the memory traffic and the resident working
 set of what the paper argues is a bandwidth-bound method.  The
@@ -40,8 +40,8 @@ after the odd phase finishes the pair.
 Bit-exactness contract
 ----------------------
 After every **pair** of steps the array equals the reference solver's
-distributions bit for bit (the same ``np.array_equal`` contract the
-sparse kernel pins); mid-pair, the macroscopic fields and the
+distributions bit for bit (the ``np.array_equal`` contract every
+gate pins); mid-pair, the macroscopic fields and the
 reconstructed distributions (:meth:`AAStepKernel.reconstruct`) are
 bit-identical every step.  Every site sees the reference's operations
 in the reference's order (slot-order moment sums, guarded division,
@@ -716,9 +716,10 @@ def _auto_resolved_check(steps: int, seed: int,
                          shape=(48, 40, 16)) -> dict:
     """Default-config bounded dispersion on process ranks resolves AA.
 
-    No kernel is named: the coordinator's probe has to pick ``aa`` for
-    the process ranks (a ~2x margin at this block size and ~10 %
-    occupancy — the dispersion city's — far outside probe jitter).  The run
+    No kernel is named: the coordinator's rule has to resolve ``aa``
+    for the process ranks (CPU ranks, face-resident handlers, no body
+    force), and each rank has to resolve it again by the solver's rule
+    once the driver closes its halo.  The run
     must match the single-domain reference bit for bit after *every*
     step, and the ranks' second shared buffer — which only an
     odd-parity gather stages into — must stay untouched while the
@@ -750,7 +751,7 @@ def _auto_resolved_check(steps: int, seed: int,
     with CPUClusterLBM(cfg) as cluster:
         assert cluster.resolved_kernel == "aa", (
             "auto-resolved bounded processes cluster did not pick AA: "
-            f"{cluster.kernel_choice.reason}")
+            f"{cluster.kernel_report(cluster=True)[-1]['reason']}")
         cluster.load_global_distributions(ref.f)
         spare = None
         for t in range(1, steps + 2):
@@ -766,5 +767,5 @@ def _auto_resolved_check(steps: int, seed: int,
             spare = [seg.fg_bufs[1].copy() for seg in segments]
         rows = cluster.kernel_report(cluster=True)
     assert {r["kernel"] for r in rows} == {"aa"}
-    assert all(r["reason"].startswith("cluster-resolved") for r in rows)
+    assert all(r["reason"].startswith("rule:") for r in rows)
     return {"rows": rows, "shape": tuple(shape)}

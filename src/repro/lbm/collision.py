@@ -67,8 +67,8 @@ class BGKCollision:
 
         The vector only depends on the (fixed) force and the dtype, so
         it is computed once instead of rebuilding three temporaries per
-        step.  The ``aa`` and ``sparse`` kernels reuse the same cached
-        values, keeping every path bit-identical.
+        step.  The ``aa`` kernel reuses the same cached values, keeping
+        both paths bit-identical.
         """
         cached = self._force_add_cache
         if cached is not None and cached[0] == dtype:
@@ -130,9 +130,9 @@ class BGKCollision:
 
 
 def plain_bgk_step(solver) -> bool:
-    """Whether the merged kernels (``aa``, ``sparse``) can replay
-    ``solver``'s step: a plain :class:`BGKCollision`, whose op order
-    they spell out themselves, and no handler with a ``pre_stream``
-    snapshot, which reads a post-collision field they never hold."""
+    """Whether the merged ``aa`` kernel can replay ``solver``'s step: a
+    plain :class:`BGKCollision`, whose op order it spells out itself,
+    and no handler with a ``pre_stream`` snapshot, which reads a
+    post-collision field it never holds."""
     return (type(solver.collision) is BGKCollision
             and not any(snapshots_pre_stream(b) for b in solver.boundaries))

@@ -62,48 +62,43 @@ class LBMSolver:
         ``numpy.float32`` by default, matching the GPU's single
         precision.
     kernel:
-        Hot-path selection, one of three kernels with one job each:
+        Hot-path selection, one of two kernels with one job each:
         ``"split"``, the readable collide / ghosts / stream /
-        post-stream reference every gate compares against; ``"aa"``
-        (:class:`~repro.lbm.aa.AAStepKernel`), the in-place sweep over
-        a single distribution array; ``"sparse"``
-        (:class:`~repro.lbm.sparse.SparseStepKernel`), fluid-compacted
-        indirect addressing.  ``"auto"`` (default) is a rule;
-        ``step()`` runs the first line that applies:
+        post-stream reference every gate compares against, and
+        ``"aa"`` (:class:`~repro.lbm.aa.AAStepKernel`), the in-place
+        sweep over a single distribution array.  ``"auto"`` (default)
+        is a rule; the first line that applies wins:
 
         1. a non-BGK operator (MRT, Smagorinsky) or a handler with a
            ``pre_stream`` snapshot (Bouzidi): ``split``;
-        2. solid fraction >= ``sparse_threshold``: ``sparse``;
-        3. no handlers, or only face-resident ones (inlet, outflow,
+        2. no handlers, or only face-resident ones (inlet, outflow,
            Zou–He, a custom handler keeping the contract stated on
-           :class:`~repro.lbm.boundaries.Boundary`): ``aa``;
-        4. any other post-stream handler: ``split``.
+           :class:`~repro.lbm.boundaries.Boundary`), and either
+           ``step()`` on a solver that is not ``phase_driven`` or a
+           cluster driver that closes the AA halo
+           (``aa_halo_managed``): ``aa``;
+        3. anything else: ``split``.
 
         A solver driven through its phase entry points (``collide``,
         ``collide_boundary``/``collide_inner``, ``fill_ghosts``,
-        ``stream``, ``post_stream`` — cluster ranks, SPMD rank
-        programs, ``phase_driven``) resolves the same list without
-        line 3: the in-place kernel needs someone to close its halo,
-        which only ``step()`` or an AA-aware cluster driver
-        (``aa_halo_managed``) does.  A cluster coordinator that
-        measured the kernel for its ranks hands it over through
-        :meth:`adopt_kernel_choice`.  Naming a kernel forces it (an
-        ineligible configuration still falls back to ``"split"``).
-        All paths are bit-identical (AA after every pair of steps on
-        the raw array, every step on macroscopic fields and ``f``).
-        Eligibility is re-checked every step; when it drifts mid-run
-        (a handler appended, a phase called by hand) the array is
-        handed over canonical — see ``f``.  ``kernel_used`` /
-        ``kernel_reason`` report what ran and why.
-    sparse_threshold:
-        Solid fraction at or above which ``kernel="auto"`` selects the
-        sparse kernel (default 0.5).
+        ``stream``, ``post_stream`` — SPMD rank programs,
+        ``phase_driven``) therefore runs ``split`` unless its driver
+        closes the halo: the in-place kernel needs someone to, and
+        only ``step()`` or an AA-aware cluster driver does.  Naming a
+        kernel forces it (an ineligible configuration still falls back
+        to ``"split"``).  Both kernels are bit-identical (AA after
+        every pair of steps on the raw array, every step on
+        macroscopic fields and ``f``).  Eligibility is re-checked
+        every step; when it drifts mid-run (a handler appended, a
+        phase called by hand) the array is handed over canonical — see
+        ``f``.  ``kernel_used`` / ``kernel_reason`` report what ran and
+        why.
     """
 
     def __init__(self, shape, tau: float, lattice: Lattice = D3Q19,
                  collision: str | object = "bgk", solid=None, boundaries=(),
                  force=None, periodic: bool = True, dtype=np.float32,
-                 kernel: str = "auto", sparse_threshold: float = 0.5) -> None:
+                 kernel: str = "auto") -> None:
         self.lattice = lattice
         self.shape = tuple(int(s) for s in shape)
         if len(self.shape) != lattice.D:
@@ -138,24 +133,19 @@ class LBMSolver:
         #: single-array distribution working set.
         self._fg_next_buf: np.ndarray | None = None
         self._pull_slices = pull_slice_table(lattice, padded[1:])
-        if kernel not in ("auto", "sparse", "split", "aa"):
-            raise ValueError(f"kernel must be 'auto', 'sparse', 'split' or "
-                             f"'aa', got {kernel!r}")
+        if kernel not in ("auto", "split", "aa"):
+            raise ValueError(f"kernel must be 'auto', 'split' or 'aa', "
+                             f"got {kernel!r}")
         self.kernel = kernel
-        self.sparse_threshold = float(sparse_threshold)
         self.solid_fraction = float(self.solid.mean()) if self.solid.size else 0.0
-        #: Which hot path actually ran ("aa" | "sparse" | "split");
-        #: None until the first step.
+        #: Which hot path actually ran ("aa" | "split"); None until the
+        #: first step.
         self.kernel_used: str | None = None
-        self._sparse_kernel = None
         self._aa_kernel = None
-        #: Why the current kernel was selected — "forced ...",
-        #: "heuristic: ..." or "cluster-resolved: ..." — and, for an
-        #: adopted coordinator choice, the probe's MLUPS per candidate.
+        #: Why the current kernel was selected: "forced ..." or
+        #: "rule: ...".
         self.kernel_reason: str | None = None
-        self.kernel_rates: dict[str, float] | None = None
         self._reason_kind: str | None = None
-        self._autotune_choice = None
         #: Set True by the cluster drivers: the solver is stepped
         #: through its split phase entry points, which rules out the
         #: AA phases unless the driver closes their halo (next flag).
@@ -169,8 +159,8 @@ class LBMSolver:
         #: the AA phase cadence counts from there, so a load at an odd
         #: step count is followed by an *even* phase.
         self._aa_origin = 0
-        #: Set by the sparse stream (bounce-back is folded into its
-        #: gather table) so post_stream skips the dense swap.
+        #: Set by an even AA phase (its reversed write *is* the
+        #: bounce-back) so post_stream skips the solid swap.
         self._bounce_folded = False
         #: True while the single AA array sits in the rotated mid-pair
         #: layout (after an even phase): ``post_stream`` then imposes
@@ -281,92 +271,52 @@ class LBMSolver:
             self.f[...] = equilibrium(lat, rho_arr, u_arr)
 
     # -- kernel selection ----------------------------------------------
-    def _note_selection(self, kind: str, reason_parts) -> str:
+    def _note_selection(self, kind: str, reason: str) -> str:
         """Record ``kernel_reason`` once per selection change."""
         if kind != self._reason_kind:
             self._reason_kind = kind
-            self.kernel_reason = "".join(reason_parts)
+            self.kernel_reason = reason
         return kind
-
-    def adopt_kernel_choice(self, choice) -> None:
-        """Install a coordinator-measured
-        :class:`~repro.lbm.autotune.KernelChoice`: a cluster that
-        resolved the kernel for all its ranks hands each rank its own,
-        so ``kernel="auto"`` ranks never probe."""
-        self._autotune_choice = choice
-        self.kernel_rates = choice.rates
 
     def _select_kernel(self, whole_step: bool = False) -> str:
         """Resolve which hot path this step should run.
 
         Re-checked every step (boundary handlers may be appended after
-        construction).  A named kernel is forced, an adopted
-        coordinator choice is followed, each as long as the kernel's
-        own ``eligible`` still holds; otherwise the rule of the class
-        docstring applies.  Only :meth:`step` passes ``whole_step``:
-        nobody would close the AA halo for a solver driven phase by
-        phase, so there the dense choice is ``split``.
+        construction).  A named kernel is forced as long as the
+        kernel's own ``eligible`` still holds; otherwise the rule of
+        the class docstring applies.  Only :meth:`step` passes
+        ``whole_step``: nobody but a cluster driver with
+        ``aa_halo_managed`` closes the AA halo for a solver driven
+        phase by phase, so there the rule's answer is ``split``.
         """
         from repro.lbm.aa import AAStepKernel
-        from repro.lbm.sparse import SparseStepKernel
-        kernels = {"sparse": SparseStepKernel, "aa": AAStepKernel}
         if self.kernel == "split":
-            return self._note_selection("split", ("forced kernel='split'",))
-        if self.kernel != "auto":
-            if kernels[self.kernel].eligible(self):
-                return self._note_selection(
-                    self.kernel, ("forced kernel=", repr(self.kernel)))
+            return self._note_selection("split", "forced kernel='split'")
+        if self.kernel == "aa":
+            if AAStepKernel.eligible(self):
+                return self._note_selection("aa", "forced kernel='aa'")
             return self._note_selection(
-                "split", ("forced kernel=", repr(self.kernel),
-                          " ineligible; fell back to split"))
-        choice = self._autotune_choice
-        if choice is not None and (
-                choice.kernel == "split"
-                or kernels[choice.kernel].eligible(self)):
-            return self._note_selection(choice.kernel, (choice.reason,))
+                "split", "forced kernel='aa' ineligible; fell back to split")
         if not plain_bgk_step(self):
             return self._note_selection(
-                "split", ("heuristic: non-BGK collision or a pre_stream "
-                          "handler",))
-        if self.solid_fraction >= self.sparse_threshold:
-            return self._note_selection(
-                "sparse", ("heuristic: solid_fraction ",
-                           format(self.solid_fraction, ".3f"),
-                           " >= sparse_threshold ",
-                           format(self.sparse_threshold, "g")))
-        below = ("heuristic: solid_fraction ",
-                 format(self.solid_fraction, ".3f"), " < sparse_threshold ",
-                 format(self.sparse_threshold, "g"))
+                "split", "rule: non-BGK collision or a pre_stream handler")
         if not AAStepKernel.eligible(self):
             return self._note_selection(
-                "split", below + (", a handler that is not face-resident",))
-        if whole_step and not self.phase_driven:
+                "split", "rule: a handler that is not face-resident")
+        if self.aa_halo_managed:
             return self._note_selection(
-                "aa", below + (", whole-step schedule",))
-        return self._note_selection(
-            "split", below + (", driven phase by phase",))
-
-    def _sparse_kernel_for_phase(self):
-        """The sparse kernel when selected, else None (dense phases run).
-
-        Used by the per-phase entry points so the cluster drivers get
-        per-rank sparse selection without any protocol change: the
-        exchange still sees the same padded ``fg``.
-        """
-        if self._select_kernel() != "sparse":
-            return None
-        if self._sparse_kernel is None:
-            from repro.lbm.sparse import SparseStepKernel
-            self._sparse_kernel = SparseStepKernel(self)
-        return self._sparse_kernel
+                "aa", "rule: AA halo closed by the cluster driver")
+        if whole_step and not self.phase_driven:
+            return self._note_selection("aa", "rule: whole-step schedule")
+        return self._note_selection("split", "rule: driven phase by phase")
 
     def _aa_kernel_for_phase(self):
         """The AA kernel when selected, else None (classic phases run).
 
-        Like the sparse hook, this lets the cluster drivers keep their
-        collide/exchange/finish phase protocol: under AA the collide
-        phases run the parity-appropriate in-place AA phase and the
-        stream phase is a no-op (streaming happened in place).
+        This lets the cluster drivers keep their collide/exchange/finish
+        phase protocol: under AA the collide phases run the
+        parity-appropriate in-place AA phase and the stream phase is a
+        no-op (streaming happened in place).
         """
         if self._select_kernel() != "aa":
             self._leave_aa()
@@ -423,34 +373,23 @@ class LBMSolver:
                 else:
                     akern.odd_phase(None)
             return
-        kern = self._sparse_kernel_for_phase()
-        kind = "sparse" if kern is not None else "split"
         with self.tracer.span("solver.collide", step=self.time_step,
-                              kernel=kind):
-            if kern is not None:
-                self.kernel_used = "sparse"
-                kern.collide()
-                return
+                              kernel="split"):
             self.kernel_used = "split"
-            fi = self.f
-            self.collision(fi, mask=self.fluid)
+            self.collision(self.f, mask=self.fluid)
 
     # -- split collide (boundary shell first, then inner core) ---------
-    def _shell_core_kernel(self):
-        """The sparse kernel, or None for the dense pass, of the
-        shell/core entry points.
-
-        They serve the two-array kernels only: the in-place AA kernel
-        collides whole (:meth:`collide`), so a solver that selects it
-        is refused here.
-        """
+    def _leave_aa_for_shell_core(self) -> None:
+        """Hand the array to the split pass of the shell/core entry
+        points, which serve the two-array kernel only: the in-place AA
+        kernel collides whole (:meth:`collide`), so a solver that
+        selects it is refused here."""
         if self._select_kernel() == "aa":
             raise RuntimeError(
-                "collide_boundary()/collide_inner() run the split and "
-                "sparse kernels only; the in-place AA kernel collides "
-                "whole through collide()")
+                "collide_boundary()/collide_inner() run the split kernel "
+                "only; the in-place AA kernel collides whole through "
+                "collide()")
         self._leave_aa()
-        return self._sparse_kernel_for_phase()
 
     def _collide_core(self) -> None:
         if self._core is None:
@@ -492,33 +431,23 @@ class LBMSolver:
         Together with :meth:`collide_inner` this is bit-identical to
         :meth:`collide` — collision is pointwise, so any disjoint
         cover of the cells preserves every per-site operation.  The
-        dense path collides the shell as one gathered index list
-        (:meth:`_collide_shell`; the sparse kernel does the same over
-        its fluid-only shell index).  The SPMD rank programs run this
+        shell is collided as one gathered index list
+        (:meth:`_collide_shell`).  The SPMD rank programs run this
         first so border layers are ready for the nonblocking halo
         exchange while the inner core is still colliding (the paper's
         Sec-4.4 communication/computation overlap on the SimMPI clock).
         """
-        kern = self._shell_core_kernel()
-        kind = "sparse" if kern is not None else "split"
+        self._leave_aa_for_shell_core()
         with self.tracer.span("solver.collide_boundary",
-                              step=self.time_step, kernel=kind):
-            if kern is not None:
-                self.kernel_used = "sparse"
-                kern.collide_shell()
-                return
+                              step=self.time_step, kernel="split"):
             self.kernel_used = "split"
             self._collide_shell()
 
     def collide_inner(self) -> None:
         """Collide the inner core (everything the shell excludes)."""
-        kern = self._shell_core_kernel()
-        kind = "sparse" if kern is not None else "split"
+        self._leave_aa_for_shell_core()
         with self.tracer.span("solver.collide_inner",
-                              step=self.time_step, kernel=kind):
-            if kern is not None:
-                kern.collide_core()
-                return
+                              step=self.time_step, kernel="split"):
             self._collide_core()
 
     def collide_split(self) -> None:
@@ -552,12 +481,7 @@ class LBMSolver:
             fill_ghosts_zero_gradient(self.fg)
 
     def stream(self) -> None:
-        """Pull-stream into the double buffer and swap.
-
-        On the sparse path the stream visits fluid cells through the
-        compact gather tables with bounce-back folded into the solid
-        destinations, and flags ``post_stream`` to skip the dense swap.
-        """
+        """Pull-stream into the double buffer and swap."""
         rec = self.counters
         akern = self._aa_kernel_for_phase()
         if akern is not None:
@@ -574,19 +498,12 @@ class LBMSolver:
             if rec is not None and rec.enabled:
                 rec.add("kernel.aa", 0.0)
             return
-        kern = self._sparse_kernel_for_phase()
-        kind = "sparse" if kern is not None else "split"
         with self.tracer.span("solver.stream", step=self.time_step,
-                              kernel=kind):
-            if kern is not None:
-                self.kernel_used = "sparse"
-                kern.stream_bounce()
-                self._bounce_folded = True
-            else:
-                self.kernel_used = "split"
-                stream_pull(self.lattice, self.fg, out=self._fg_next,
-                            slices=self._pull_slices)
-                self.fg, self._fg_next = self._fg_next, self.fg
+                              kernel="split"):
+            self.kernel_used = "split"
+            stream_pull(self.lattice, self.fg, out=self._fg_next,
+                        slices=self._pull_slices)
+            self.fg, self._fg_next = self._fg_next, self.fg
         if rec is not None and rec.enabled:
             # One marker per step recording which hot path ran, so
             # cluster counter summaries show the per-rank selection.

@@ -7,8 +7,8 @@ document can always be checked against the code that produced it.
 This module also derives the trace analytics (``python -m repro
 trace``): given the spans recorded by :mod:`repro.perf.trace`, it
 computes the paper's three observables — the per-step phase
-decomposition (Table 1's shape), per-rank load imbalance (meaningful
-now that ranks pick dense or sparse kernels independently), and the
+decomposition (Table 1's shape), per-rank load imbalance (what a slow
+host core or non-uniform cuts cost the bulk-synchronous step), and the
 per-step overlap efficiency, i.e. the fraction of the halo exchange
 hidden behind concurrent collision (the Fig 9 quantity).
 """
@@ -172,10 +172,9 @@ def trace_imbalance_rows(trace) -> tuple[list[dict], dict]:
     the tracer) and falling back to the wall-clock union: wall
     durations on an oversubscribed host include time slices the
     scheduler gave to *other* ranks, which would make the imbalance
-    read like scheduling noise instead of work.  With mixed
-    sparse/dense ranks the imbalance factor is the headline: 1.0 is
-    perfect balance, the max/mean ratio grows as one rank's kernel
-    choice leaves the others waiting.
+    read like scheduling noise instead of work.  The imbalance factor
+    is the headline: 1.0 is perfect balance, the max/mean ratio grows
+    as one slow rank leaves the others waiting.
 
     Kernel attribution is per step, not last-write-wins: a rank that
     switched kernels mid-trace (e.g. across a rebalance) reports

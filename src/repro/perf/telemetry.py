@@ -380,7 +380,7 @@ def sync_counters(registry, counters) -> None:
     """Mirror :class:`KernelCounters` aggregates into registry counters.
 
     The per-phase timings, halo byte/message metrics (``comm.*``) and
-    autotune decision markers (``autotune.*`` / ``kernel.*``) are
+    kernel markers (``kernel.*``) are
     already accumulated by the existing counters on every backend, so
     the live layer re-exports them instead of double-instrumenting the
     hot paths: phases become ``phase.<name>.seconds`` / ``.calls``

@@ -107,11 +107,8 @@ class DispersionScenario:
         The lattice must divide evenly over ``arrangement`` (the paper
         uses 30 nodes of 80^3 each for the 480x400x80 run — note
         480x400x80 / 80^3 = 6 x 5 x 1).  Extra keyword arguments reach
-        :class:`~repro.core.cluster_lbm.ClusterConfig` unchanged, so
-        ``decomposition="weighted"`` (or explicit ``cuts=``) sizes the
-        per-rank blocks by the city's occupancy cost instead of equal
-        boxes — the mixed dense/sparse rank population of a voxelized
-        city is exactly the case the weighted cuts exist for.
+        :class:`~repro.core.cluster_lbm.ClusterConfig` unchanged (e.g.
+        explicit ``cuts=`` instead of the paper's equal boxes).
         """
         for s, a in zip(self.shape, arrangement):
             if s % a:

@@ -72,16 +72,14 @@ class TestCLI:
         monkeypatch.setattr(subprocess, "call",
                             lambda cmd, **kw: calls.append(cmd) or 0)
         assert main(["verify"]) == 0
-        assert len(calls) == 9
+        assert len(calls) == 7
         assert calls[0][-2:] == ["-x", "-q"]
         assert calls[1][-2:] == ["repro", "check-procs"]
-        assert calls[2][-2:] == ["repro", "check-sparse"]
-        assert calls[3][-2:] == ["repro", "check-aa"]
-        assert calls[4][-2:] == ["repro", "check-trace"]
-        assert calls[5][-2:] == ["repro", "check-balance"]
-        assert calls[6][-2:] == ["repro", "check-exchange"]
-        assert calls[7][-2:] == ["repro", "check-telemetry"]
-        assert any("check_regression" in part for part in calls[8])
+        assert calls[2][-2:] == ["repro", "check-aa"]
+        assert calls[3][-2:] == ["repro", "check-trace"]
+        assert calls[4][-2:] == ["repro", "check-exchange"]
+        assert calls[5][-2:] == ["repro", "check-telemetry"]
+        assert any("check_regression" in part for part in calls[6])
         assert "verify OK" in capsys.readouterr().out
 
     def test_verify_stops_on_failure(self, monkeypatch, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core import ClusterConfig, CPUClusterLBM, GPUClusterLBM
+from repro.core.decomposition import weighted_cuts
 from repro.lbm.boundaries import EquilibriumVelocityInlet, OutflowBoundary
 from repro.lbm.lattice import D3Q19
 from repro.lbm.solver import LBMSolver
@@ -186,15 +187,17 @@ class TestBoundedDomain:
             assert {r["kernel"] for r in rows} == {"aa"}
 
     def test_bounded_aa_weighted_cuts_match_reference(self, rng):
-        """Bounded AA under occupancy-weighted (unequal) cuts: the
-        reverse folds and exchanges follow the shifted cut positions."""
-        # Dense city downstream, open terrain upstream: the occupancy
-        # skew pushes the x cut off centre, so ranks get unequal blocks.
+        """Bounded AA under weighted (unequal) cuts: the reverse folds
+        and exchanges follow the shifted cut positions."""
+        # Dense city downstream, open terrain upstream: a cost field
+        # that prices solids low pushes the x cut off centre, so ranks
+        # get unequal blocks.
         shape = (16, 12, 6)
         solid, ref, f0 = _bounded_city(rng, shape=shape, half=True)
+        cuts = weighted_cuts(np.where(solid, 0.1, 1.0), (2, 2, 1),
+                             min_extent=2)
         cfg = ClusterConfig(sub_shape=(8, 6, 6), arrangement=(2, 2, 1),
-                            tau=0.7, solid=solid, kernel="aa",
-                            decomposition="weighted",
+                            tau=0.7, solid=solid, kernel="aa", cuts=cuts,
                             periodic=(False, False, False),
                             inlet=_BOUNDED_INLET, outflow=_BOUNDED_OUTFLOW)
         with CPUClusterLBM(cfg) as cluster:
@@ -220,10 +223,9 @@ class TestBoundedDomain:
 
 
 class TestSolidHeavyCity:
-    """A voxelized-city global domain whose ranks *mix* sparse and
-    dense kernels: local solid fractions straddle the threshold, each
-    rank selects independently, and the result must still equal the
-    single-domain dense reference bit for bit."""
+    """A voxelized-city global domain whose rank blocks differ in local
+    solid fraction: every rank runs the one kernel the cluster resolves,
+    and the result must equal the single-domain reference bit for bit."""
 
     SHAPE = (24, 20, 4)
     SUB, ARR = (12, 10, 4), (2, 2, 1)
@@ -235,59 +237,30 @@ class TestSolidHeavyCity:
         return voxelize_city(times_square_like(seed=7), cls.SHAPE,
                              resolution_m=24.0, ground_layers=2)
 
-    @classmethod
-    def _mixing_threshold(cls, solid) -> float:
-        fracs = sorted(
-            float(solid[i * cls.SUB[0]:(i + 1) * cls.SUB[0],
-                        j * cls.SUB[1]:(j + 1) * cls.SUB[1]].mean())
-            for i in range(2) for j in range(2))
-        assert fracs[0] < fracs[-1]
-        return (fracs[0] + fracs[-1]) / 2.0
-
-    @pytest.mark.parametrize("backend", ["serial", "processes"])
-    def test_mixed_kernels_match_reference(self, rng, backend):
+    def test_forced_split_ranks_match_reference(self, rng):
         solid = self._city()
         ref, f0 = _reference(self.SHAPE, 0.7, rng, solid=solid, steps=4,
                              kernel="split")
         cfg = ClusterConfig(sub_shape=self.SUB, arrangement=self.ARR,
-                            tau=0.7, solid=solid, backend=backend,
-                            autotune="heuristic",
-                            sparse_threshold=self._mixing_threshold(solid))
+                            tau=0.7, solid=solid, kernel="split")
         with CPUClusterLBM(cfg) as cluster:
             cluster.load_global_distributions(f0)
             cluster.step(4)
             got = cluster.gather_distributions()
             kinds = {row["kernel"] for row in cluster.kernel_report()}
         assert np.array_equal(got, ref.f)
-        # Ranks above the threshold ran sparse; the rest ran the dense
-        # phase-split path.
-        assert {"sparse", "split"} <= kinds
-
-    def test_all_sparse_ranks_match_reference(self, rng):
-        solid = self._city()
-        ref, f0 = _reference(self.SHAPE, 0.7, rng, solid=solid, steps=4,
-                             kernel="split")
-        cfg = ClusterConfig(sub_shape=self.SUB, arrangement=self.ARR,
-                            tau=0.7, solid=solid, kernel="sparse")
-        with CPUClusterLBM(cfg) as cluster:
-            cluster.load_global_distributions(f0)
-            cluster.step(4)
-            got = cluster.gather_distributions()
-            kinds = {row["kernel"] for row in cluster.kernel_report()}
-        assert np.array_equal(got, ref.f)
-        assert kinds == {"sparse"}
+        assert kinds == {"split"}
 
     def test_no_overlap_protocol_identical(self, rng):
-        """CPU ranks take the single collide pass; mixed sparse/dense
+        """CPU ranks take the single collide pass; the default (AA)
         ranks must land on the reference's bits at an odd step count."""
         solid = self._city()
         ref, f0 = _reference(self.SHAPE, 0.7, rng, solid=solid, steps=3,
                              kernel="split")
-        threshold = self._mixing_threshold(solid)
         cfg = ClusterConfig(sub_shape=self.SUB, arrangement=self.ARR,
-                            tau=0.7, solid=solid, autotune="heuristic",
-                            sparse_threshold=threshold)
+                            tau=0.7, solid=solid)
         with CPUClusterLBM(cfg) as cluster:
+            assert cluster.resolved_kernel == "aa"
             cluster.load_global_distributions(f0)
             cluster.step(3)
             assert np.array_equal(cluster.gather_distributions(), ref.f)

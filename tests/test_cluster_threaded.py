@@ -80,24 +80,28 @@ class TestExchangeBuffers:
 
 class TestConfigValidation:
     def test_removed_options_rejected(self):
-        """``max_workers``, ``wire``, ``layout``, ``backend="threads"``
-        and ``kernel="fused"`` selected code that no longer exists;
-        passing them must fail loudly."""
+        """``max_workers``, ``wire``, ``layout``, ``sparse_threshold``,
+        ``autotune``, ``decomposition``, ``backend="threads"`` and
+        ``kernel="fused"`` / ``"sparse"`` selected code that no longer
+        exists; passing them must fail loudly."""
         base = dict(sub_shape=(8, 8, 8), arrangement=(1, 1, 1))
         for removed in ({"max_workers": 2}, {"wire": "merged"},
-                        {"wire": "perface"}, {"layout": "soa"}):
+                        {"wire": "perface"}, {"layout": "soa"},
+                        {"sparse_threshold": 0.5},
+                        {"autotune": "measured"},
+                        {"decomposition": "weighted"}):
             with pytest.raises(TypeError, match=next(iter(removed))):
                 ClusterConfig(**base, **removed)
         with pytest.raises(ValueError, match="backend"):
             ClusterConfig(**base, backend="threads")
-        with pytest.raises(ValueError, match="'split'.*'aa'"):
-            ClusterConfig(**base, kernel="fused")
+        for kernel in ("fused", "sparse"):
+            with pytest.raises(ValueError, match="'auto', 'split' or 'aa'"):
+                ClusterConfig(**base, kernel=kernel)
         assert [f.name for f in dataclasses.fields(ClusterConfig)] == [
             "sub_shape", "arrangement", "tau", "periodic", "timing_only",
             "solid", "inlet", "outflow", "force", "gpu_spec", "bus",
             "cpu_spec", "use_sse", "switch", "overlap", "backend",
-            "backend_timeout_s", "kernel", "sparse_threshold", "autotune",
-            "decomposition", "cuts", "compression"]
+            "backend_timeout_s", "kernel", "cuts", "compression"]
 
     def test_backend_must_be_known(self):
         with pytest.raises(ValueError, match="backend"):

@@ -177,7 +177,7 @@ class TestDefaultResolvesAA:
             assert default.kernel_used == "aa"
             _assert_same_state(default, split, f"at step {t} ({name})")
         assert default._fg_next_buf is None
-        assert default.kernel_reason.startswith("heuristic:")
+        assert default.kernel_reason.startswith("rule:")
 
     def test_multi_step_call_matches_single_steps(self):
         default, split = _twins(solid=lambda: _city_like(SHAPE))
@@ -200,8 +200,7 @@ class TestDefaultResolvesAA:
         import inspect
         assert list(inspect.signature(LBMSolver.__init__).parameters) == [
             "self", "shape", "tau", "lattice", "collision", "solid",
-            "boundaries", "force", "periodic", "dtype", "kernel",
-            "sparse_threshold"]
+            "boundaries", "force", "periodic", "dtype", "kernel"]
 
     def test_public_names(self):
         assert sorted(repro.lbm.__all__) == sorted([
@@ -209,15 +208,15 @@ class TestDefaultResolvesAA:
             "density", "momentum", "BGKCollision", "MRTCollision",
             "mrt_matrix", "viscosity_to_tau", "tau_to_viscosity",
             "stream_periodic", "stream_pull", "pull_slice_table",
-            "AAStepKernel", "KernelChoice", "clear_autotune_cache",
-            "SparseStepKernel", "BounceBackNodes", "BouzidiCurvedBoundary",
+            "AAStepKernel", "BounceBackNodes", "BouzidiCurvedBoundary",
             "EquilibriumVelocityInlet", "OutflowBoundary", "box_walls",
             "LBMSolver", "HybridThermalLBM", "TracerCloud",
             "ZouHeVelocity2D", "ZouHePressure2D", "SmagorinskyBGK"])
 
     @pytest.mark.parametrize("kwargs", [{"layout": "soa"},
                                         {"autotune": "heuristic"},
-                                        {"fused": True}])
+                                        {"fused": True},
+                                        {"sparse_threshold": 0.5}])
     def test_removed_arguments_rejected(self, kwargs):
         """(``ClusterConfig``'s removed names are pinned in
         tests/test_cluster_threaded.py.)"""
@@ -229,8 +228,9 @@ class TestDefaultResolvesAA:
             scenario.make_single_solver(**kwargs)
 
     def test_removed_kernel_value_rejected(self):
-        with pytest.raises(ValueError, match="'split'.*'aa'"):
-            LBMSolver(SHAPE, tau=0.7, kernel="fused")
+        for kernel in ("fused", "sparse"):
+            with pytest.raises(ValueError, match="'auto', 'split' or 'aa'"):
+                LBMSolver(SHAPE, tau=0.7, kernel=kernel)
 
 
 class TestFallbacks:
@@ -266,10 +266,15 @@ class TestFallbacks:
         assert s.kernel_used == "split" and s._aa_kernel is None
         assert "not face-resident" in s.kernel_reason
 
-    def test_half_solid_runs_sparse(self):
-        solid = np.zeros((8, 8, 8), bool)
-        solid[:4] = True
-        assert self._used(solid=solid) == "sparse"
+    def test_half_solid_runs_aa(self):
+        """Occupancy plays no part in the rule: a solid site costs
+        either kernel what a fluid one does."""
+        for n in (4, 8):
+            solid = np.zeros((8, 8, 8), bool)
+            solid[:n] = True
+            s = LBMSolver((8, 8, 8), tau=0.7, solid=solid)
+            s.step(2)
+            assert s.kernel_used == "aa"
 
     def test_phase_driven_never_aa(self):
         s = LBMSolver((8, 8, 8), tau=0.7)
@@ -278,25 +283,51 @@ class TestFallbacks:
         assert s._select_kernel() == "split"
         assert s.kernel_reason.endswith("driven phase by phase")
 
-    def test_forced_and_measured_paths_untouched(self):
-        """A named kernel is forced; a coordinator-measured choice is
-        followed while the kernel's own ``eligible`` holds."""
-        from repro.lbm import KernelChoice
+    def test_forced_paths_untouched(self):
+        """A named kernel is forced while the kernel's own ``eligible``
+        holds; a snapshot handler sends a forced ``aa`` to ``split``."""
         assert self._used(kernel="split") == "split"
-        s = LBMSolver((8, 8, 8), tau=0.7)
-        s.adopt_kernel_choice(KernelChoice("sparse", "cluster-resolved: x",
-                                           rates={"sparse": 9.0}))
-        s.step(2)
-        assert s.kernel_used == "sparse"
-        assert s.kernel_reason == "cluster-resolved: x"
-        assert s.kernel_rates == {"sparse": 9.0}
-        # An adopted choice is re-checked with the kernel's own
-        # ``eligible``: a snapshot handler sends it back to the rule.
+        s = LBMSolver((8, 8, 8), tau=0.7, kernel="aa")
+        s.phase_driven = True
+        assert s._select_kernel() == "aa"
+        assert s.kernel_reason == "forced kernel='aa'"
         s.boundaries.append(BouzidiCurvedBoundary(
             D3Q19, [((2, 2, 2), 1, 0.5)], (8, 8, 8)))
-        s.step(1)
-        assert s.kernel_used == "split"
-        assert s.kernel_reason.startswith("heuristic:")
+        assert s._select_kernel() == "split"
+        assert "ineligible" in s.kernel_reason
+
+    def test_halo_managed_phase_driven_runs_aa(self):
+        """The rule's AA line for a rank whose driver closes the halo."""
+        s = LBMSolver((8, 8, 8), tau=0.7, periodic=False)
+        s.phase_driven = s.aa_halo_managed = True
+        assert s._select_kernel() == "aa"
+        assert s.kernel_reason == "rule: AA halo closed by the cluster driver"
+        s.boundaries.append(BouzidiCurvedBoundary(
+            D3Q19, [((2, 2, 2), 1, 0.5)], (8, 8, 8)))
+        assert s._select_kernel() == "split"
+
+    def test_auto_cluster_bit_identical_to_split(self):
+        """A default city cluster resolves ``aa`` by rule and matches a
+        ``kernel="split"`` reference."""
+        from repro.core.cluster_lbm import ClusterConfig, CPUClusterLBM
+        from repro.urban.city import times_square_like
+        from repro.urban.voxelize import voxelize_city
+        shape = (16, 12, 6)
+        solid = voxelize_city(times_square_like(seed=7), shape,
+                              resolution_m=24.0, ground_layers=2)
+        rng = np.random.default_rng(3)
+        u0 = (0.02 * rng.standard_normal((3,) + shape)).astype(np.float32)
+        u0[:, solid] = 0
+        ref = LBMSolver(shape, tau=0.7, solid=solid, kernel="split")
+        ref.initialize(rho=np.ones(shape, np.float32), u=u0)
+        cfg = ClusterConfig(sub_shape=(8, 12, 6), arrangement=(2, 1, 1),
+                            tau=0.7, solid=solid)
+        with CPUClusterLBM(cfg) as auto:
+            assert auto.resolved_kernel == "aa"
+            auto.load_global_distributions(ref.f)
+            ref.step(6)
+            auto.step(6)
+            assert np.array_equal(auto.gather_distributions(), ref.f)
 
 
 class TestHandDrivenPhases:

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from repro.core import ClusterConfig, CPUClusterLBM
-from repro.core.decomposition import BlockDecomposition, uniform_cuts
+from repro.core.decomposition import (BlockDecomposition, uniform_cuts,
+                                      weighted_cuts)
 from repro.core.halo import HaloPlan, PACK_MODES
 from repro.core.schedule import CommSchedule
 from repro.core.wire import (AdaptiveCompressionController,
@@ -160,9 +161,10 @@ class TestMergedBitIdentity:
         solid = np.zeros(SHAPE, bool)
         solid[:SHAPE[0] // 3] = True      # x-low third all obstacle
         ref_f, f0 = _reference(SHAPE, 0.8, rng, solid=solid)
+        cuts = weighted_cuts(np.where(solid, 0.1, 1.0), ARRANGEMENT,
+                             min_extent=2)
         cfg = ClusterConfig(sub_shape=SUB, arrangement=ARRANGEMENT, tau=0.8,
-                            solid=solid, decomposition="weighted",
-                            backend=backend, autotune="heuristic")
+                            solid=solid, cuts=cuts, backend=backend)
         with CPUClusterLBM(cfg) as cluster:
             assert (cluster.decomp.cuts[0]
                     != uniform_cuts(SHAPE[0], ARRANGEMENT[0]))

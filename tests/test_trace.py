@@ -351,23 +351,24 @@ class TestAnalytics:
 
 
     def test_kernel_attribution_tracks_changes(self):
-        """A rank that flips kernels mid-trace (e.g. after a rebalance
-        moved a cut across the sparse threshold) must not be labelled by
-        its last step alone: the row carries first/last and a marker."""
+        """A rank that flips kernels mid-trace (e.g. a solver whose
+        eligibility drifted when a handler was appended) must not be
+        labelled by its last step alone: the row carries first/last and
+        a marker."""
         tr = Tracer()
-        for step, kern in enumerate(["dense", "dense", "sparse"]):
+        for step, kern in enumerate(["aa", "aa", "split"]):
             tr.begin_step(step)
             tr.add_span("cluster.collide", 0.0, 0.001, rank=0, kernel=kern)
             tr.add_span("cluster.collide", 0.0, 0.001, rank=1,
-                        kernel="sparse")
+                        kernel="split")
         rows, _ = trace_imbalance_rows(tr)
         flipped = next(r for r in rows if r["rank"] == 0)
         steady = next(r for r in rows if r["rank"] == 1)
-        assert flipped["kernel"] == "dense->sparse"
-        assert flipped["kernel_first"] == "dense"
-        assert flipped["kernel_last"] == "sparse"
+        assert flipped["kernel"] == "aa->split"
+        assert flipped["kernel_first"] == "aa"
+        assert flipped["kernel_last"] == "split"
         assert flipped["kernel_changed"] is True
-        assert steady["kernel"] == "sparse"
+        assert steady["kernel"] == "split"
         assert steady["kernel_changed"] is False
 
     def test_busy_prefers_thread_cpu_over_wall(self):
