@@ -25,8 +25,7 @@ real; gather/compare against the single-domain reference solver) and
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,15 +49,8 @@ from repro.perf.trace import NULL_TRACER, Tracer
 class StepTiming:
     """Per-step time decomposition, Table-1 shaped (seconds).
 
-    The first five fields are *modeled* quantities (simulated clocks and
-    the calibrated network model).  ``measured_window_s`` and
-    ``measured_exchange_s`` are *wall-clock* observations of the
-    executed overlap: how long the numeric halo exchange actually ran,
-    and how much of it was hidden behind the concurrent inner-cell
-    collide.  Only the GPU driver executes the overlap; they are zero
-    on CPU ranks, in timing-only mode, with ``overlap=False``, or on a
-    single node, and are deliberately excluded from :meth:`ms` so the
-    Table-1 view stays deterministic.
+    Every field is a *modeled* quantity (simulated clocks and the
+    calibrated network model), so the decomposition is deterministic.
     """
 
     nodes: int
@@ -66,8 +58,6 @@ class StepTiming:
     agp_s: float
     net_total_s: float
     overlap_window_s: float
-    measured_window_s: float = 0.0
-    measured_exchange_s: float = 0.0
 
     @property
     def net_nonoverlap_s(self) -> float:
@@ -128,20 +118,17 @@ class ClusterConfig:
         (:mod:`repro.core.exchange`) and produce bit-identical
         distributions.
     overlap:
-        The GPU driver's executed overlap.  When True (default),
-        numeric multi-node :class:`GPUClusterLBM` steps *execute* the
-        paper's Sec-4.4 overlap instead of merely modeling it: border
-        rectangles collide first, the halo exchange runs on a dedicated
-        communication thread while the inner rectangle collides (its
-        device clock is the modeled window), and the measured
-        concurrency window is reported in :class:`StepTiming`.  Results
-        are bit-identical to ``overlap=False`` (the split collide
-        visits the same cells with the same arithmetic, and the
-        exchange touches only border/ghost layers the inner pass never
-        reads).  CPU ranks ignore it on both backends: they collide
-        whole, then exchange — in-process there is no concurrency for
-        the exchange to hide behind, and the CPU window is modeled as
-        the whole compute time either way.
+        Model the Sec-4.4 window with the inner-rectangle pass.  When
+        True (default), numeric :class:`GPUClusterLBM` steps collide
+        the border rectangles, run the halo exchange, then collide the
+        inner rectangle, all on the calling thread; the inner pass's
+        device clock is the modeled window.  Results are bit-identical
+        to ``overlap=False`` (the split collide visits the same cells
+        with the same arithmetic, and the exchange touches only
+        border/ghost layers the inner pass never reads).  CPU ranks
+        ignore it on both backends: they collide whole, then exchange,
+        and the CPU window is modeled as the whole compute time either
+        way.
     kernel:
         Hot-path selection for the CPU ranks, resolved by one rule
         before any node is built or worker spawned: under ``"auto"``
@@ -321,7 +308,6 @@ class _ClusterLBMBase:
         self.telemetry: TelemetrySession | None = None
         self._halo_bytes = 0
         self._halo_msgs = 0
-        self._comm_executor: ThreadPoolExecutor | None = None
         #: One halo engine per in-process rank (the processes backend's
         #: workers each own theirs; timing-only nodes exchange nothing).
         self._halo = None
@@ -566,17 +552,13 @@ class _ClusterLBMBase:
                 getattr(node, method)()
 
     def shutdown(self) -> None:
-        """Release the comm thread, worker processes and shared memory
-        (idempotent)."""
+        """Release the worker processes and shared memory (idempotent)."""
         if self.telemetry is not None:
             try:
                 self.telemetry.close()
             except Exception:
                 pass
             self.telemetry = None
-        if self._comm_executor is not None:
-            self._comm_executor.shutdown(wait=True)
-            self._comm_executor = None
         if self._proc_backend is not None:
             self._proc_backend.shutdown()
 
@@ -608,75 +590,57 @@ class _ClusterLBMBase:
         raise NotImplementedError
 
     # -- the per-step protocol ----------------------------------------------
-    def _overlap_capable(self) -> bool:
-        """Whether this step runs the executed-overlap protocol: GPU
-        nodes only (CPU ranks collide whole, then exchange)."""
+    def _split_collide(self) -> bool:
+        """Whether this step collides border and inner rectangles
+        apart, to model the Sec-4.4 window: GPU nodes only (CPU ranks
+        collide whole, then exchange)."""
         return (self.config.overlap and not self.config.timing_only
                 and self.node_kind == "gpu")
 
-    def _timed_exchange(self) -> tuple[float, float]:
+    def _exchange(self) -> None:
         """Run the halo exchange — per axis every rank posts, then every
-        rank completes — returning its (start, end) wall times.
-
-        Runs on the dedicated comm thread under the overlap protocol;
-        the recorded span is what the overlap-efficiency analytics
-        intersect with the concurrent inner-collide spans.
-        """
+        rank completes — under a ``cluster.exchange`` span."""
         t0 = time.perf_counter()
         with self.counters.phase("cluster.exchange"):
             exchange_all(self._halo, self.counters)
-        t1 = time.perf_counter()
-        self.tracer.add_span("cluster.exchange", t0, t1,
+        self.tracer.add_span("cluster.exchange", t0, time.perf_counter(),
                              step=self.time_step, bytes=self._halo_bytes,
                              msgs=self._halo_msgs)
-        return t0, t1
 
     def step(self, n: int = 1) -> StepTiming:
         """Advance ``n`` time steps; returns the last step's timing.
 
-        Numeric GPU steps with ``config.overlap`` follow the executed
-        Sec-4.4 protocol: collide the boundary shell, launch the halo
-        exchange on the communication thread, collide the inner core
-        concurrently, then wait for the exchange before streaming.  The
-        wall-clock intersection of the exchange and the inner pass is
-        reported as ``measured_window_s``.  Every other numeric step —
-        CPU ranks always — collides whole, exchanges, then streams.
+        Numeric GPU steps with ``config.overlap`` collide the boundary
+        shell, exchange, collide the inner core (whose device clock is
+        the modeled window), then stream, all on the calling thread.
+        Every other numeric step — CPU ranks always — collides whole,
+        exchanges, then streams.
         """
         if self._proc_backend is not None:
             return self._step_processes(n)
         timing = self.last_timing
         rec = self.counters
-        overlapped = self._overlap_capable()
+        split = self._split_collide()
         tel = self.telemetry
         for _ in range(n):
             tel_t0 = time.perf_counter() if tel is not None else 0.0
             self.tracer.begin_step(self.time_step)
             for node in self.nodes:
                 node.begin_step()
-            measured_window = measured_exchange = 0.0
-            if overlapped:
+            if split:
                 with rec.phase("cluster.collide_boundary"):
                     self._run_on_nodes("collide_boundary_phase",
                                        span="cluster.collide_boundary")
-                if self._comm_executor is None:
-                    self._comm_executor = ThreadPoolExecutor(
-                        max_workers=1, thread_name_prefix="lbm-comm")
-                inner_t0 = time.perf_counter()
-                fut = self._comm_executor.submit(self._timed_exchange)
+                self._exchange()
                 with rec.phase("cluster.collide_inner"):
                     self._run_on_nodes("collide_inner_phase",
                                        span="cluster.collide_inner")
-                inner_t1 = time.perf_counter()
-                ex_t0, ex_t1 = fut.result()
-                measured_exchange = ex_t1 - ex_t0
-                measured_window = max(0.0, (min(inner_t1, ex_t1)
-                                            - max(inner_t0, ex_t0)))
             else:
                 with rec.phase("cluster.collide"):
                     self._run_on_nodes("collide_phase",
                                        span="cluster.collide")
                 if not self.config.timing_only:
-                    self._timed_exchange()
+                    self._exchange()
             for node in self.nodes:
                 node.charge_transfers()
             net_total = (self.switch.phase_time(
@@ -692,8 +656,6 @@ class _ClusterLBMBase:
                 agp_s=max(nd.agp_s for nd in self.nodes),
                 net_total_s=net_total,
                 overlap_window_s=max(nd.overlap_window_s for nd in self.nodes),
-                measured_window_s=measured_window,
-                measured_exchange_s=measured_exchange,
             )
             self.time_step += 1
             if tel is not None:

@@ -24,6 +24,7 @@ import numpy as np
 from repro.gpu.device import SimulatedGPU
 from repro.gpu.fragment import FragmentProgram
 from repro.gpu.lbm_gpu import GPULBMSolver
+from repro.gpu.packing import stack_links
 from repro.gpu.specs import AGP_8X, GEFORCE_FX_5800_ULTRA, BusSpec, GPUSpec
 from repro.perf import calibration as cal
 
@@ -214,10 +215,16 @@ class GPUNode:
                                         links=seg.links)
 
     def fill_ghost_zero_gradient(self, axis: int, direction: int) -> None:
-        """Global non-periodic boundary: copy own border outward."""
-        side = "low" if direction == -1 else "high"
-        border = self.solver.get_border_layer(axis, side)
-        self.solver.set_ghost_layer(border, axis, side)
+        """Global non-periodic boundary: copy own border outward — the
+        full padded border plane onto the ghost plane, one slice
+        assignment per distribution stack over its link channels."""
+        n = self.sub_shape[axis]
+        ghost, border = (0, 1) if direction == -1 else (n + 1, n)
+        for s, stack in enumerate(self.solver.f_stacks):
+            dst = [slice(None)] * 3 + [slice(0, len(stack_links(s)))]
+            src = list(dst)
+            dst[2 - axis], src[2 - axis] = ghost, border    # data[z, y, x]
+            stack.data[tuple(dst)] = stack.data[tuple(src)]
 
     def charge_transfers(self) -> None:
         """Charge the step's AGP cost (gather passes + single readback +

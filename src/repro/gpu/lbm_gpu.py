@@ -31,6 +31,8 @@ Two layouts are supported:
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from repro.gpu.device import SimulatedGPU
@@ -41,6 +43,60 @@ from repro.lbm.lattice import D3Q19
 from repro.lbm.equilibrium import equilibrium_site
 
 F32 = np.float32
+
+#: Float scratch planes a pass may hold at once.  Collide needs the
+#: most: ``1.5 u.u``, the rate field, ``c.u``, ``(4.5 c.u) c.u``, the
+#: two brackets of an opposite pair and one ``rho * w`` plane.
+_N_PLANES = 7
+
+_SCRATCH = threading.local()
+
+
+def _scratch_planes(shape, floats: bool = True):
+    """``_N_PLANES`` float32 planes (``None`` unless ``floats``) and
+    one bool plane, each ``shape``.
+
+    Views of the calling thread's two arenas, which every fragment
+    program of every solver shares: a plane lives only inside one
+    kernel call, and each arena grows to the largest render that asked
+    for it and is reused after that, so steady-state passes allocate
+    nothing.
+    """
+    n = int(np.prod(shape))
+    arenas = _SCRATCH.__dict__
+    if len(arenas.get("bools", ())) < n:
+        arenas["bools"] = np.empty(n, bool)
+    bl = arenas["bools"][:n].reshape(shape)
+    if not floats:
+        return None, bl
+    if "floats" not in arenas or arenas["floats"].shape[1] < n:
+        arenas["floats"] = np.empty((_N_PLANES, n), F32)
+    return arenas["floats"][:, :n].reshape((_N_PLANES,) + tuple(shape)), bl
+
+
+def _collide_groups(lat, links) -> list:
+    """A stack's links as the collide program visits them.
+
+    Each group is ``(members, terms)``.  ``members`` lists ``(channel,
+    link, sign)`` with ``c_link . u = sign * x``: one link, or an
+    opposite pair (the ``+`` member first) sharing ``x``.  ``terms``
+    are the ``(axis, sign)`` of ``x = u_a +/- u_b``, first sign ``+``;
+    empty for the rest link.
+    """
+    groups, seen = [], set()
+    for link in links:
+        if link in seen:
+            continue
+        comps = [(a, int(v)) for a, v in enumerate(lat.c[link]) if v]
+        sign = comps[0][1] if comps else 1
+        members = [(link_location(link)[1], link, sign)]
+        opp = int(lat.opp[link])
+        if comps and opp in links:
+            members.append((link_location(opp)[1], opp, -sign))
+            members.sort(key=lambda m: -m[2])
+            seen.add(opp)
+        groups.append((members, [(a, v * sign) for a, v in comps]))
+    return groups
 
 
 class GPULBMSolver:
@@ -151,7 +207,26 @@ class GPULBMSolver:
                                                offset=(self.pad,) * 3)
 
     # -- fragment programs ----------------------------------------------
+    def _pixel_buffer(self, ctx) -> np.ndarray:
+        """The ``pbuffer`` texels of this render: ``(d, h, w, 4)`` for a
+        batched z range, ``(h, w, 4)`` for one slice.  Distinct slices
+        of a slice-by-slice pass land in distinct texels, so outputs
+        still pending commit never alias one another."""
+        z, r = ctx.z, ctx.rect
+        zs = slice(z.start, z.stop) if isinstance(z, range) else z
+        return self.pbuffer.data[zs, r.y0:r.y1, r.x0:r.x1]
+
     def _build_programs(self) -> dict:
+        """The pass suite (DESIGN.md §5k has the host-side spelling).
+
+        ``macro``, ``collide`` and ``stream`` render into
+        :attr:`pbuffer`, which :meth:`SimulatedGPU.run_pass` then copies
+        into the target texture; ``bounce`` runs as a pass group (all
+        five read one snapshot), so each of its passes renders into a
+        copy of its own.  Every program reads only its fetches and
+        keeps only its own uniforms; scratch comes from
+        :func:`_scratch_planes` and dies with the kernel call.
+        """
         lat = self.lattice
         c = lat.c.astype(F32)
         w = lat.w.astype(F32)
@@ -160,24 +235,42 @@ class GPULBMSolver:
         force_term = None
         if self.force is not None:
             force_term = ((c @ self.force.astype(F32)) * (F32(3.0) * w)).astype(F32)
+        pixel_buffer = self._pixel_buffer
+        locations = [link_location(i) for i in range(19)]
+        #: Per axis, ``(link, sign)`` of its momentum links, slot order.
+        jterms = [[(int(q), int(lat.c[q, a])) for q in np.flatnonzero(lat.c[:, a])]
+                  for a in range(3)]
 
         def macro_kernel(ctx):
-            rho = None
-            mom = [None, None, None]
-            for s in range(n_stacks):
-                tex = ctx.fetch(f"f{s}")
-                for ch, link in enumerate(stack_links(s)):
-                    v = tex[..., ch]
-                    rho = v.copy() if rho is None else rho + v
-                    for a in range(3):
-                        if c[link, a] != 0:
-                            t = c[link, a] * v
-                            mom[a] = t if mom[a] is None else mom[a] + t
-            out = np.empty(rho.shape + (4,), dtype=F32)
-            safe = np.where(rho > 0, rho, F32(1.0))
-            out[..., 0] = rho
+            out = pixel_buffer(ctx)
+            fl, bl = _scratch_planes(out.shape[:-1])
+            rho, safe, j = fl[0], fl[1], fl[2:5]
+            texs = [ctx.fetch(f"f{s}") for s in range(n_stacks)]
+            col = [texs[s][..., ch] for s, ch in locations]
+            # Slot-order accumulation: c * v is v or -v (exact), and
+            # m + (-v) is m - v.
+            np.copyto(rho, col[0])
+            for v in col[1:]:
+                rho += v
+            for ja, ((q0, sign0), *more) in zip(j, jterms):
+                if sign0 > 0:
+                    np.copyto(ja, col[q0])
+                else:
+                    np.negative(col[q0], out=ja)
+                for q, sign in more:
+                    (np.add if sign > 0 else np.subtract)(ja, col[q], out=ja)
+            # u = j / safe, safe = rho where rho > 0 else 1.
+            np.greater(rho, 0, out=bl)
+            if not bl.all():
+                np.copyto(safe, rho)
+                np.logical_not(bl, out=bl)
+                np.copyto(safe, F32(1.0), where=bl)
+                rho_or_one = safe
+            else:
+                rho_or_one = rho
+            np.copyto(out[..., 0], rho)
             for a in range(3):
-                out[..., 1 + a] = (mom[a] / safe) if mom[a] is not None else 0.0
+                np.divide(j[a], rho_or_one, out=out[..., 1 + a])
             return out
 
         programs = {"macro": FragmentProgram("macro", macro_kernel, alu_ops=40,
@@ -187,25 +280,68 @@ class GPULBMSolver:
 
         def make_collide(s):
             links = stack_links(s)
+            groups = _collide_groups(lat, links)
+            forced = [force_term is not None and force_term[i] != 0.0
+                      for i in links]
 
             def collide_kernel(ctx):
                 f = ctx.fetch(f"f{s}")
                 mac = ctx.fetch("macro")
-                fluid = (ctx.fetch("flags", channels=0) == 0.0
-                         if has_solid else True)
+                out = pixel_buffer(ctx)
+                fl, bl = _scratch_planes(out.shape[:-1])
+                usq, om, cu, q, e1, e2, wr = fl
                 rho = mac[..., 0]
-                u = mac[..., 1:4]
-                usq = (u * u).sum(axis=-1)
-                out = f.copy()
-                for ch, link in enumerate(links):
-                    cu = (u @ c[link])
-                    feq = (w[link] * rho
-                           * (F32(1.0) + F32(3.0) * cu + F32(4.5) * cu * cu
-                              - F32(1.5) * usq))
-                    new = f[..., ch] + omega * (feq - f[..., ch])
-                    if force_term is not None and force_term[link] != 0.0:
-                        new = new + force_term[link]
-                    out[..., ch] = np.where(fluid, new, f[..., ch])
+                u = [mac[..., 1 + a] for a in range(3)]
+                # 1.5 u.u, summed in numpy's (u * u).sum(-1) order.
+                np.multiply(u[0], u[0], out=usq)
+                np.multiply(u[1], u[1], out=cu)
+                usq += cu
+                np.multiply(u[2], u[2], out=cu)
+                usq += cu
+                usq *= F32(1.5)
+                # Rate field: omega at fluid sites, 0 at solid ones,
+                # where the relaxation then hands f back (DESIGN.md §5k).
+                fluid, rate = True, omega
+                if has_solid:
+                    fluid = np.equal(ctx.fetch("flags", channels=0), 0.0, out=bl)
+                    rate = np.multiply(fluid, omega, out=om, dtype=F32)
+                wr_w = None                 # the weight wr holds rho * w of
+                for members, terms in groups:
+                    if terms:
+                        # x = +/-c.u: a velocity component or one signed add.
+                        (a, _), *second = terms
+                        x = u[a]
+                        for b, sign in second:
+                            x = (np.add if sign > 0 else np.subtract)(x, u[b], out=cu)
+                        np.multiply(x, F32(4.5), out=q)   # (4.5 c.u) c.u is
+                        q *= x                            # even in c.u
+                        np.multiply(x, F32(3.0), out=e1)
+                        if len(members) == 2:             # c_p.u = x = -c_m.u
+                            np.subtract(F32(1.0), e1, out=e2)
+                            e1 += F32(1.0)
+                        elif members[0][2] > 0:
+                            e1 += F32(1.0)
+                        else:
+                            np.subtract(F32(1.0), e1, out=e1)
+                        for e in (e1, e2)[:len(members)]:
+                            e += q
+                            e -= usq
+                    else:                                 # rest link: c.u = 0
+                        np.subtract(F32(1.0), usq, out=e1)
+                    # out = f + rate * (w rho bracket - f) (+ force).
+                    for (ch, link, _), e in zip(members, (e1, e2)):
+                        fch = f[..., ch]
+                        if w[link] != wr_w:     # links of a class are adjacent
+                            wr_w = w[link]
+                            np.multiply(rho, wr_w, out=wr)
+                        e *= wr
+                        e -= fch
+                        e *= rate
+                        dst = np.add(fch, e, out=out[..., ch])
+                        if forced[ch]:
+                            np.add(dst, force_term[link], out=dst, where=fluid)
+                for ch in range(len(links), 4):
+                    np.copyto(out[..., ch], f[..., ch])
                 return out
 
             return FragmentProgram(f"collide{s}", collide_kernel, alu_ops=50,
@@ -214,35 +350,33 @@ class GPULBMSolver:
 
         def make_stream(s):
             links = stack_links(s)
+            offsets = [tuple(-int(v) for v in lat.c[link]) for link in links]
 
             def stream_kernel(ctx):
-                cols = []
-                for link in links:
-                    cx, cy, cz = (int(v) for v in lat.c[link])
-                    cols.append(ctx.fetch(f"f{s}", dx=-cx, dy=-cy, dz=-cz,
-                                          channels=link_location(link)[1]))
-                while len(cols) < 4:
-                    cols.append(np.zeros_like(cols[0]))
-                return np.stack(cols, axis=-1)
+                out = pixel_buffer(ctx)
+                for ch, (dx, dy, dz) in enumerate(offsets):
+                    np.copyto(out[..., ch],
+                              ctx.fetch(f"f{s}", dx=dx, dy=dy, dz=dz, channels=ch))
+                out[..., len(links):] = 0.0
+                return out
 
             return FragmentProgram(f"stream{s}", stream_kernel, alu_ops=4,
                                    tex_fetches=len(links), batchable=True)
 
         def make_bounce(s):
-            links = stack_links(s)
+            opp = [locations[int(lat.opp[link])] for link in stack_links(s)]
 
             def bounce_kernel(ctx):
-                f = ctx.fetch(f"f{s}")
-                solid = ctx.fetch("flags", channels=0) != 0.0
-                out = f.copy()
-                for ch, link in enumerate(links):
-                    os_, och = link_location(int(lat.opp[link]))
-                    opp_val = ctx.fetch(f"f{os_}", channels=och)
-                    out[..., ch] = np.where(solid, opp_val, f[..., ch])
+                out = ctx.fetch(f"f{s}").copy()
+                _, solid = _scratch_planes(out.shape[:-1], floats=False)
+                np.not_equal(ctx.fetch("flags", channels=0), 0.0, out=solid)
+                for ch, (os_, och) in enumerate(opp):
+                    np.copyto(out[..., ch], ctx.fetch(f"f{os_}", channels=och),
+                              where=solid)
                 return out
 
             return FragmentProgram(f"bounce{s}", bounce_kernel, alu_ops=8,
-                                   tex_fetches=2 + len(links), batchable=True)
+                                   tex_fetches=2 + len(opp), batchable=True)
 
         for s in range(n_stacks):
             programs[f"collide{s}"] = make_collide(s)

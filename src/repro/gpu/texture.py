@@ -35,7 +35,8 @@ class TextureMemory:
     def __init__(self, capacity_bytes: int) -> None:
         self.capacity_bytes = int(capacity_bytes)
         self.allocated_bytes = 0
-        self._live: set[int] = set()
+        self._sizes: dict[int, int] = {}
+        self._next_handle = 0
 
     @property
     def free_bytes(self) -> int:
@@ -51,20 +52,15 @@ class TextureMemory:
                 f"cannot allocate {nbytes} B for {what}: "
                 f"{self.allocated_bytes}/{self.capacity_bytes} B in use")
         self.allocated_bytes += nbytes
-        handle = id(object())
-        token = (handle, nbytes)
-        self._live.add(token[0])
-        self._sizes = getattr(self, "_sizes", {})
-        self._sizes[handle] = nbytes
-        return handle
+        self._next_handle += 1
+        self._sizes[self._next_handle] = nbytes
+        return self._next_handle
 
     def free(self, handle: int) -> None:
         """Release an allocation."""
-        sizes = getattr(self, "_sizes", {})
-        if handle not in sizes:
+        if handle not in self._sizes:
             raise KeyError("unknown or already-freed texture handle")
-        self.allocated_bytes -= sizes.pop(handle)
-        self._live.discard(handle)
+        self.allocated_bytes -= self._sizes.pop(handle)
 
 
 class Texture2D:

@@ -24,8 +24,8 @@ Design rules
   coordinator re-bases them onto its own clock via the per-worker
   offset estimated at trace-enable time (:meth:`Tracer.extend`).
 * **Thread-safe by construction.**  Recording is a single
-  ``list.append`` (atomic under the GIL), so the overlap comm thread
-  and the SimMPI rank threads share one tracer without locks.
+  ``list.append`` (atomic under the GIL), so the SimMPI rank threads
+  share one tracer without locks.
 
 Exporters: :meth:`Tracer.write_chrome` emits Chrome trace-event JSON
 (open in Perfetto / ``chrome://tracing``; one track per rank, one

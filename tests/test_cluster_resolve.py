@@ -160,10 +160,8 @@ class TestSerialRanksCollideWhole:
         cfg = ClusterConfig(sub_shape=(6, 6, 4), arrangement=(2, 1, 1),
                             tau=0.7, **kwargs)
         with CPUClusterLBM(cfg) as cluster:
-            timing = cluster.step(3)
-            assert cluster._comm_executor is None
+            cluster.step(3)
         assert calls == ["collide"] * 6    # 2 ranks x 3 steps
-        assert timing.measured_window_s == 0.0
 
     def test_strong_serial_toy_resolves_aa_without_a_clock(self,
                                                          monkeypatch):

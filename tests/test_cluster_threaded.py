@@ -116,7 +116,7 @@ class TestConfigValidation:
             cluster.step(1)
             cluster.shutdown()
             cluster.shutdown()
-        # a serial driver lazily rebuilds its comm thread
+        # a serial driver keeps stepping after shutdown
         cluster = CPUClusterLBM(dataclasses.replace(cfg, backend="serial"))
         cluster.step(1)
         cluster.shutdown()

@@ -1,0 +1,436 @@
+"""The simulated GPU's fragment programs, each pinned against the
+per-link spelling it replaced.
+
+The oracle is that spelling, kept here: ``macro`` builds a fresh array
+per link, ``collide`` takes ``u @ c[link]`` and a fresh equilibrium
+per link and restores solid sites by ``np.where`` over ``f.copy()``,
+``stream`` stacks its columns with ``np.zeros_like`` padding, ``bounce``
+selects by ``np.where``.  Every rewritten program must reproduce its
+texels bit for bit (``view(np.uint32)``, so signed zeros count), with
+one documented exception: the rate-0 relaxation hands a ``-0.0``
+population at a solid site back as ``+0.0`` (DESIGN.md §5k).  The
+declared per-fragment costs, and with them the device clock, the
+per-pass seconds and the pass counts, are unchanged.
+"""
+
+from __future__ import annotations
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import repro.gpu.lbm_gpu as lbm_gpu
+from repro.core import ClusterConfig, GPUClusterLBM
+from repro.gpu import GPULBMSolver
+from repro.gpu.fragment import FragmentProgram, RenderContext
+from repro.gpu.packing import N_DISTRIBUTION_STACKS, link_location, stack_links
+
+F32 = np.float32
+NEG_ZERO = np.array(-0.0, F32).view(np.uint32)
+PROGRAMS = (["macro"] + [f"{kind}{s}" for kind in ("collide", "stream", "bounce")
+                         for s in range(N_DISTRIBUTION_STACKS)])
+
+
+def _oracle_programs(solver) -> dict:
+    """The per-link fragment programs the rewrite replaced, verbatim."""
+    lat = solver.lattice
+    c = lat.c.astype(F32)
+    w = lat.w.astype(F32)
+    omega = solver.omega
+    n_stacks = N_DISTRIBUTION_STACKS
+    force_term = None
+    if solver.force is not None:
+        force_term = ((c @ solver.force.astype(F32)) * (F32(3.0) * w)).astype(F32)
+
+    def macro_kernel(ctx):
+        rho = None
+        mom = [None, None, None]
+        for s in range(n_stacks):
+            tex = ctx.fetch(f"f{s}")
+            for ch, link in enumerate(stack_links(s)):
+                v = tex[..., ch]
+                rho = v.copy() if rho is None else rho + v
+                for a in range(3):
+                    if c[link, a] != 0:
+                        t = c[link, a] * v
+                        mom[a] = t if mom[a] is None else mom[a] + t
+        out = np.empty(rho.shape + (4,), dtype=F32)
+        safe = np.where(rho > 0, rho, F32(1.0))
+        out[..., 0] = rho
+        for a in range(3):
+            out[..., 1 + a] = (mom[a] / safe) if mom[a] is not None else 0.0
+        return out
+
+    programs = {"macro": FragmentProgram("macro", macro_kernel, alu_ops=40,
+                                         tex_fetches=5, batchable=True)}
+    has_solid = solver.has_solid
+
+    def make_collide(s):
+        links = stack_links(s)
+
+        def collide_kernel(ctx):
+            f = ctx.fetch(f"f{s}")
+            mac = ctx.fetch("macro")
+            fluid = (ctx.fetch("flags", channels=0) == 0.0
+                     if has_solid else True)
+            rho = mac[..., 0]
+            u = mac[..., 1:4]
+            usq = (u * u).sum(axis=-1)
+            out = f.copy()
+            for ch, link in enumerate(links):
+                cu = (u @ c[link])
+                feq = (w[link] * rho
+                       * (F32(1.0) + F32(3.0) * cu + F32(4.5) * cu * cu
+                          - F32(1.5) * usq))
+                new = f[..., ch] + omega * (feq - f[..., ch])
+                if force_term is not None and force_term[link] != 0.0:
+                    new = new + force_term[link]
+                out[..., ch] = np.where(fluid, new, f[..., ch])
+            return out
+
+        return FragmentProgram(f"collide{s}", collide_kernel, alu_ops=50,
+                               tex_fetches=3 if has_solid else 2,
+                               batchable=True)
+
+    def make_stream(s):
+        links = stack_links(s)
+
+        def stream_kernel(ctx):
+            cols = []
+            for link in links:
+                cx, cy, cz = (int(v) for v in lat.c[link])
+                cols.append(ctx.fetch(f"f{s}", dx=-cx, dy=-cy, dz=-cz,
+                                      channels=link_location(link)[1]))
+            while len(cols) < 4:
+                cols.append(np.zeros_like(cols[0]))
+            return np.stack(cols, axis=-1)
+
+        return FragmentProgram(f"stream{s}", stream_kernel, alu_ops=4,
+                               tex_fetches=len(links), batchable=True)
+
+    def make_bounce(s):
+        links = stack_links(s)
+
+        def bounce_kernel(ctx):
+            f = ctx.fetch(f"f{s}")
+            solid = ctx.fetch("flags", channels=0) != 0.0
+            out = f.copy()
+            for ch, link in enumerate(links):
+                os_, och = link_location(int(lat.opp[link]))
+                opp_val = ctx.fetch(f"f{os_}", channels=och)
+                out[..., ch] = np.where(solid, opp_val, f[..., ch])
+            return out
+
+        return FragmentProgram(f"bounce{s}", bounce_kernel, alu_ops=8,
+                               tex_fetches=2 + len(links), batchable=True)
+
+    for s in range(n_stacks):
+        programs[f"collide{s}"] = make_collide(s)
+        programs[f"stream{s}"] = make_stream(s)
+        programs[f"bounce{s}"] = make_bounce(s)
+    return programs
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint32)
+
+
+def _assert_texels(name, new, old, f=None, flags=None):
+    """Bitwise equality; for ``collide`` a solid site's ``-0.0``
+    population may come back ``+0.0`` (the rate-field edge)."""
+    assert new.shape == old.shape, name
+    same = _bits(new) == _bits(old)
+    if name.startswith("collide") and flags is not None:
+        edge = (flags[..., None] != 0) & (_bits(f) == NEG_ZERO)
+        assert (new[edge] == 0.0).all(), name
+        same |= edge
+    assert same.all(), (name, np.argwhere(~same)[:4])
+
+
+def _fill(solver, rng, zero_site=False):
+    """Random texels everywhere (ghosts and the unused channel too),
+    salted with signed zeros, non-positive densities and solid flags
+    on faces and ghosts."""
+    def salted(shape, lo, hi):
+        a = rng.uniform(lo, hi, shape).astype(F32)
+        a[rng.random(shape) < 0.1] = 0.0
+        a[rng.random(shape) < 0.1] = -0.0
+        return a
+
+    for stack in solver.f_stacks:
+        stack.data[...] = salted(stack.data.shape, -0.25, 0.5)
+    if zero_site:           # rho == -0.0 there: the macro guard's branch
+        for stack in solver.f_stacks:
+            stack.data[1, 1, 1] = -0.0
+    mac = solver.macro_stack.data
+    mac[..., 0] = salted(mac.shape[:-1], -0.5, 2.0)
+    mac[..., 1:] = salted(mac.shape[:-1] + (3,), -0.25, 0.25)
+    if solver.flags_stack is not None:
+        flags = solver.flags_stack.data
+        flags[..., 0] = (rng.random(flags.shape[:-1]) < 0.3).astype(F32)
+
+
+def _render(program, solver, rect, z_range):
+    ctx = RenderContext(solver.bindings(), z_range, rect, wrap=solver._wrap)
+    return np.array(program.kernel(ctx), dtype=F32)     # detach the pbuffer
+
+
+def _flags_at(solver, rect, z_range):
+    if solver.flags_stack is None:
+        return None
+    zs = slice(z_range.start, z_range.stop)
+    return solver.flags_stack.data[zs, rect.y0:rect.y1, rect.x0:rect.x1, 0]
+
+
+def _f_at(solver, s, rect, z_range):
+    zs = slice(z_range.start, z_range.stop)
+    return solver.f_stacks[s].data[zs, rect.y0:rect.y1, rect.x0:rect.x1]
+
+
+def _pieces(solver):
+    yield solver._rect, solver._z_range
+    if solver.mode == "padded":
+        shell, inner = solver.split_pieces()
+        yield from shell + inner
+
+
+class TestProgramsBitwise:
+    @given(shape=st.tuples(*[st.integers(2, 5)] * 3),
+           mode=st.sampled_from(["wrap", "padded"]),
+           solid=st.booleans(),
+           force=st.sampled_from([None, (1e-4, -2e-5, 3e-5), (0.0, 0.0, 5e-5)]),
+           zero_site=st.booleans(),
+           seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=40, deadline=None)
+    def test_every_program_matches_the_per_link_spelling(
+            self, shape, mode, solid, force, zero_site, seed):
+        rng = np.random.default_rng(seed)
+        mask = rng.random(shape) < 0.3
+        mask[0, 0, 0] = mask[-1, -1, -1] = solid
+        solver = GPULBMSolver(shape, 0.7, mode=mode, force=force,
+                              solid=mask if solid else None)
+        oracle = _oracle_programs(solver)
+        _fill(solver, rng, zero_site)
+        for rect, zr in _pieces(solver):
+            flags = _flags_at(solver, rect, zr)
+            for name in PROGRAMS:
+                if name.startswith("bounce") and not solver.has_solid:
+                    continue
+                new = _render(solver._programs[name], solver, rect, zr)
+                old = _render(oracle[name], solver, rect, zr)
+                f = (_f_at(solver, int(name[-1]), rect, zr)
+                     if name.startswith("collide") else None)
+                _assert_texels(name, new, old, f, flags)
+
+    def test_negative_zero_at_a_solid_site_comes_back_positive(self):
+        """The one spelling difference, pinned: rate 0 turns ``-0.0``
+        into ``+0.0`` (equal values) where the oracle's mask kept it."""
+        solid = np.zeros((3, 3, 3), bool)
+        solid[1, 1, 1] = True
+        solver = GPULBMSolver((3, 3, 3), 0.7, mode="padded", solid=solid)
+        solver.f_stacks[0].data[2, 2, 2, 1] = -0.0
+        rect, zr = solver._rect, solver._z_range
+        new = _render(solver._programs["collide0"], solver, rect, zr)
+        old = _render(_oracle_programs(solver)["collide0"], solver, rect, zr)
+        assert _bits(old[1, 1, 1, 1]) == NEG_ZERO
+        assert _bits(new[1, 1, 1, 1]) == 0
+        new[1, 1, 1, 1] = old[1, 1, 1, 1]
+        assert np.array_equal(_bits(new), _bits(old))
+
+    @pytest.mark.parametrize("has_solid", [False, True])
+    def test_declared_costs_unchanged(self, has_solid):
+        solid = np.zeros((4, 4, 4), bool)
+        solid[1, 2, 3] = has_solid
+        solver = GPULBMSolver((4, 4, 4), 0.7, solid=solid)
+        oracle = _oracle_programs(solver)
+        assert set(solver._programs) == set(oracle) == set(PROGRAMS)
+        for name, prog in solver._programs.items():
+            ref = oracle[name]
+            assert (prog.name, prog.alu_ops, prog.tex_fetches, prog.batchable) == (
+                ref.name, ref.alu_ops, ref.tex_fetches, ref.batchable), name
+
+
+class TestSliceBySlicePasses:
+    """A length-1, strided or listed ``z_range`` takes ``run_pass``'s
+    slice-by-slice path: every slice renders before any commits.  (The
+    contiguous range is the batched control.)"""
+
+    Z_RANGES = [range(3, 4), range(1, 6, 2), [4, 2, 3], range(1, 6)]
+
+    @staticmethod
+    def _pair(rng, **kw):
+        solid = rng.random((5, 4, 5)) < 0.25
+        a = GPULBMSolver((5, 4, 5), 0.7, mode="padded", solid=solid, **kw)
+        b = GPULBMSolver((5, 4, 5), 0.7, mode="padded", solid=solid, **kw)
+        b._programs = _oracle_programs(b)
+        _fill(a, rng)
+        for sa, sb in zip(a.bindings().values(), b.bindings().values()):
+            sb.data[...] = sa.data
+        return a, b
+
+    @staticmethod
+    def _textures(s):
+        return [t.data for t in s.bindings().values()]
+
+    @pytest.mark.parametrize("z_range", Z_RANGES, ids=str)
+    def test_matches_the_oracle(self, rng, z_range):
+        a, b = self._pair(rng, force=(1e-4, 0.0, -2e-5))
+        for name in PROGRAMS:
+            if name.startswith("bounce"):
+                continue                  # run as a group, below
+            for solver in (a, b):
+                target = (solver.macro_stack if name == "macro"
+                          else solver.f_stacks[int(name[-1])])
+                solver.device.run_pass(solver._programs[name], target,
+                                       solver.bindings(), solver._rect,
+                                       z_range)
+            for ta, tb in zip(self._textures(a), self._textures(b)):
+                same = _bits(ta) == _bits(tb)
+                edge = (_bits(tb) == NEG_ZERO) & (ta == 0)  # collide, solid
+                assert (same | edge).all(), (name, z_range)
+                tb[...] = ta              # realign past any edge texel
+        for solver in (a, b):
+            solver.run_bounce_passes()
+        for ta, tb in zip(self._textures(a), self._textures(b)):
+            assert np.array_equal(_bits(ta), _bits(tb))
+        assert a.device.pass_counts == b.device.pass_counts
+        assert a.device.pass_seconds == b.device.pass_seconds
+
+    def test_a_shared_output_buffer_would_alias(self, rng, monkeypatch):
+        """The mutation this path guards against: render every slice
+        into the same pbuffer texels and the pending outputs alias."""
+        def one_slice(self, ctx):
+            r = ctx.rect
+            return self.pbuffer.data[1, r.y0:r.y1, r.x0:r.x1]
+
+        monkeypatch.setattr(GPULBMSolver, "_pixel_buffer", one_slice)
+        a, b = self._pair(rng)
+        for solver in (a, b):
+            solver.device.run_pass(solver._programs["stream0"],
+                                   solver.f_stacks[0], solver.bindings(),
+                                   solver._rect, [4, 2, 3])
+        assert not np.array_equal(a.f_stacks[0].data, b.f_stacks[0].data)
+
+
+def _twins(**kw):
+    a, b = GPULBMSolver(**kw), GPULBMSolver(**kw)
+    b._programs = _oracle_programs(b)
+    return a, b
+
+
+class TestSteps:
+    @pytest.mark.parametrize("mode", ["wrap", "padded"])
+    @pytest.mark.parametrize("bc", ["none", "solid", "solid+force", "inlet"])
+    def test_step_by_step_texels_and_clock(self, rng, mode, bc):
+        shape = (8, 6, 5)
+        kw = dict(shape=shape, tau=0.7, mode=mode)
+        if bc != "none":
+            kw["solid"] = rng.random(shape) < 0.2
+        if bc == "solid+force":
+            kw["force"] = (2e-5, -1e-5, 0.0)
+        if bc == "inlet":
+            kw.update(inlet=(0, "low", (0.04, 0.0, 0.0), 1.0),
+                      outflow=(0, "high"))
+        a, b = _twins(**kw)
+        f = a.distributions()
+        f += (0.01 * rng.standard_normal(f.shape)).astype(F32)
+        for s in (a, b):
+            s.load_distributions(f)
+        for step in range(1, 7):
+            a.step(1)
+            b.step(1)
+            for ta, tb in zip(a.bindings().values(), b.bindings().values()):
+                assert np.array_equal(_bits(ta.data), _bits(tb.data)), step
+            assert a.device.clock_s == b.device.clock_s
+            assert a.device.pass_seconds == b.device.pass_seconds
+            assert a.device.pass_counts == b.device.pass_counts
+
+    @pytest.mark.parametrize("overlap", [True, False])
+    def test_cluster_ranks(self, rng, overlap):
+        """Split (shell + inner) and whole collides, true domain edges
+        and solids: every rank's textures and clocks, every step."""
+        shape = (16, 12, 5)
+        cfg = ClusterConfig(sub_shape=(8, 6, 5), arrangement=(2, 2, 1),
+                            tau=0.7, periodic=(False, True, False),
+                            solid=rng.random(shape) < 0.15,
+                            outflow=(0, "high"), overlap=overlap)
+        with GPUClusterLBM(cfg) as a, GPUClusterLBM(cfg) as b:
+            for node in b.nodes:
+                node.solver._programs = _oracle_programs(node.solver)
+            for step in range(1, 5):
+                ta, tb = a.step(1), b.step(1)
+                assert ta == tb, step
+                for na, nb in zip(a.nodes, b.nodes):
+                    for xa, xb in zip(na.solver.bindings().values(),
+                                      nb.solver.bindings().values()):
+                        assert np.array_equal(_bits(xa.data), _bits(xb.data))
+                    assert na.device.pass_counts == nb.device.pass_counts
+                    assert na.device.pass_seconds == nb.device.pass_seconds
+
+
+class TestGhostFill:
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("direction", [-1, 1])
+    def test_in_place_copy_matches_the_face_round_trip(self, rng, axis,
+                                                       direction):
+        """``GPUNode.fill_ghost_zero_gradient`` against the gather +
+        scatter spelling it replaced, every texel of every stack."""
+        cfg = ClusterConfig(sub_shape=(5, 4, 3), arrangement=(1, 1, 1),
+                            tau=0.7, periodic=(False, False, False))
+        with GPUClusterLBM(cfg) as a, GPUClusterLBM(cfg) as b:
+            new, old = a.nodes[0], b.nodes[0].solver
+            _fill(new.solver, rng)
+            before = [t.data.copy() for t in new.solver.f_stacks]
+            for ta, tb in zip(new.solver.f_stacks, old.f_stacks):
+                tb.data[...] = ta.data
+            new.fill_ghost_zero_gradient(axis, direction)
+            side = "low" if direction == -1 else "high"
+            old.set_ghost_layer(old.get_border_layer(axis, side), axis, side)
+            for ta, tb, t0 in zip(new.solver.f_stacks, old.f_stacks, before):
+                assert np.array_equal(_bits(ta.data), _bits(tb.data))
+                assert not np.array_equal(_bits(ta.data), _bits(t0))
+
+
+class TestScratch:
+    @pytest.fixture(autouse=True)
+    def _fresh_arena(self):
+        """Start from no arena: earlier renders in this thread may have
+        grown it past what these tests size."""
+        lbm_gpu._SCRATCH.__dict__.clear()
+
+    def test_steady_state_step_allocates_no_scratch(self):
+        """Past the first step the arena is reused as is.  A step then
+        allocates only numpy's per-call iterator buffers (strided
+        operands; at most ``getbufsize()`` elements each) plus, with
+        solids, the bounce group's five copies (its snapshot rule needs
+        one buffer per pass) — never a scratch plane."""
+        shape = (40, 32, 30)
+        solid = np.zeros(shape, bool)
+        solid[8:12, 6:10, :3] = True
+        for has_solid in (False, True):
+            solver = GPULBMSolver(shape, 0.7, mode="padded",
+                                  solid=solid if has_solid else None)
+            solver.step(2)
+            arenas = dict(vars(lbm_gpu._SCRATCH))
+            cells = solver._rect.fragments * len(solver._z_range)
+            assert arenas["floats"].shape == (lbm_gpu._N_PLANES, cells)
+            buffers = 4 * np.getbufsize() * 4
+            assert cells * 4 > buffers       # a plane would show
+            tracemalloc.start()
+            solver.step(2)
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            assert all(vars(lbm_gpu._SCRATCH)[k] is v for k, v in arenas.items())
+            copies = 5 * cells * 16 if has_solid else 0
+            assert peak < copies + buffers, has_solid
+
+    def test_arena_grows_to_the_largest_render_only(self):
+        small = GPULBMSolver((4, 4, 4), 0.7, mode="padded")
+        small.step(1)
+        assert lbm_gpu._SCRATCH.floats.shape == (lbm_gpu._N_PLANES, 64)
+        big = GPULBMSolver((6, 5, 4), 0.7, mode="padded")
+        big.step(1)
+        small.step(1)
+        assert lbm_gpu._SCRATCH.floats.shape == (lbm_gpu._N_PLANES, 120)

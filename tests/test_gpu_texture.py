@@ -32,6 +32,22 @@ class TestTextureMemory:
         with pytest.raises(KeyError):
             mem.free(h)
 
+    def test_live_allocations_have_distinct_handles(self):
+        """Handles stay distinct however allocations interleave (an
+        ``id()``-based handle repeated on consecutive calls), so
+        releasing every stack returns to 0 B, and a second release of
+        any of them raises."""
+        mem = TextureMemory(1 << 24)
+        stacks = [TextureStack(mem, 8, 8, 8) for _ in range(16)]
+        handles = [s._handle for s in stacks]
+        assert len(set(handles)) == len(handles)
+        assert mem.allocated_bytes == sum(s.nbytes for s in stacks)
+        for s, h in zip(stacks, handles):
+            s.release()
+            with pytest.raises(KeyError):
+                mem.free(h)
+        assert mem.allocated_bytes == 0
+
     def test_negative_allocation_rejected(self):
         with pytest.raises(ValueError):
             TextureMemory(100).allocate(-1)
