@@ -3,8 +3,9 @@
 :class:`GPUClusterLBM` orchestrates one :class:`~repro.core.gpu_node.GPUNode`
 per cluster node through the paper's per-step protocol:
 
-1. collision passes on every GPU (recording the inner-cell overlap
-   window, ~120 ms at 80^3);
+1. collision passes on every GPU, rendered once over the interior and
+   charged per Sec-4.3 rectangle (the inner rectangle's charge is the
+   overlap window, ~120 ms at 80^3);
 2. border gather + a single AGP readback per node, then the scheduled
    pairwise network exchange (Fig 7) with indirect two-hop routing of
    the diagonal traffic, then ghost uploads;
@@ -118,17 +119,17 @@ class ClusterConfig:
         (:mod:`repro.core.exchange`) and produce bit-identical
         distributions.
     overlap:
-        Model the Sec-4.4 window with the inner-rectangle pass.  When
-        True (default), numeric :class:`GPUClusterLBM` steps collide
-        the border rectangles, run the halo exchange, then collide the
-        inner rectangle, all on the calling thread; the inner pass's
-        device clock is the modeled window.  Results are bit-identical
-        to ``overlap=False`` (the split collide visits the same cells
-        with the same arithmetic, and the exchange touches only
-        border/ghost layers the inner pass never reads).  CPU ranks
-        ignore it on both backends: they collide whole, then exchange,
-        and the CPU window is modeled as the whole compute time either
-        way.
+        Model the Sec-4.4 window per render rectangle.  When True
+        (default), each serial-backend :class:`GPUClusterLBM` rank
+        renders its macro + collide passes once over the whole
+        interior and charges its device the border rectangles first,
+        then the inner rectangle, whose charge is the modeled window
+        (:meth:`GPUNode.collide_phase`); with False it charges the
+        interior at once and the window is its inner-cell share.  Only
+        simulated values differ between the two: texels are identical,
+        and every step collides, exchanges, then streams on the calling
+        thread.  CPU ranks ignore it on both backends, and the CPU
+        window is modeled as the whole compute time either way.
     kernel:
         Hot-path selection for the CPU ranks, resolved by one rule
         before any node is built or worker spawned: under ``"auto"``
@@ -590,13 +591,6 @@ class _ClusterLBMBase:
         raise NotImplementedError
 
     # -- the per-step protocol ----------------------------------------------
-    def _split_collide(self) -> bool:
-        """Whether this step collides border and inner rectangles
-        apart, to model the Sec-4.4 window: GPU nodes only (CPU ranks
-        collide whole, then exchange)."""
-        return (self.config.overlap and not self.config.timing_only
-                and self.node_kind == "gpu")
-
     def _exchange(self) -> None:
         """Run the halo exchange — per axis every rank posts, then every
         rank completes — under a ``cluster.exchange`` span."""
@@ -610,37 +604,24 @@ class _ClusterLBMBase:
     def step(self, n: int = 1) -> StepTiming:
         """Advance ``n`` time steps; returns the last step's timing.
 
-        Numeric GPU steps with ``config.overlap`` collide the boundary
-        shell, exchange, collide the inner core (whose device clock is
-        the modeled window), then stream, all on the calling thread.
-        Every other numeric step — CPU ranks always — collides whole,
-        exchanges, then streams.
+        Every step collides, exchanges (numeric runs), then streams, on
+        the calling thread.  A GPU node models the Sec-4.4 window in its
+        collide's device charges (:meth:`GPUNode.collide_phase`).
         """
         if self._proc_backend is not None:
             return self._step_processes(n)
         timing = self.last_timing
         rec = self.counters
-        split = self._split_collide()
         tel = self.telemetry
         for _ in range(n):
             tel_t0 = time.perf_counter() if tel is not None else 0.0
             self.tracer.begin_step(self.time_step)
             for node in self.nodes:
                 node.begin_step()
-            if split:
-                with rec.phase("cluster.collide_boundary"):
-                    self._run_on_nodes("collide_boundary_phase",
-                                       span="cluster.collide_boundary")
+            with rec.phase("cluster.collide"):
+                self._run_on_nodes("collide_phase", span="cluster.collide")
+            if not self.config.timing_only:
                 self._exchange()
-                with rec.phase("cluster.collide_inner"):
-                    self._run_on_nodes("collide_inner_phase",
-                                       span="cluster.collide_inner")
-            else:
-                with rec.phase("cluster.collide"):
-                    self._run_on_nodes("collide_phase",
-                                       span="cluster.collide")
-                if not self.config.timing_only:
-                    self._exchange()
             for node in self.nodes:
                 node.charge_transfers()
             net_total = (self.switch.phase_time(
@@ -760,7 +741,7 @@ class GPUClusterLBM(_ClusterLBMBase):
                        timing_only=self.config.timing_only,
                        gpu_spec=self.config.gpu_spec, bus=self.config.bus,
                        inlet=bc["inlet"], outflow=bc["outflow"],
-                       force=self.config.force)
+                       force=self.config.force, overlap=self.config.overlap)
 
     def _node_distributions(self, node) -> np.ndarray:
         return node.solver.distributions()

@@ -4,8 +4,9 @@ A :class:`GPUNode` wraps a padded-mode :class:`~repro.gpu.GPULBMSolver`
 on its own :class:`~repro.gpu.SimulatedGPU` and implements the node's
 side of the cluster protocol:
 
-* collide passes (with the inner/outer timing split that creates the
-  ~120 ms overlap window of Sec 4.4);
+* one macro + collide render over the whole interior, charged to the
+  device per Sec-4.3 rectangle (shell pieces, then the inner core,
+  whose device time is the ~120 ms overlap window of Sec 4.4);
 * gather of all outgoing border distributions followed by a *single*
   readback over AGP ("we minimize the overhead of initializing the
   read operations", Sec 4.3);
@@ -52,14 +53,21 @@ class GPUNode:
         Active diagonal-edge directions (for AGP edge overhead).
     timing_only:
         Skip numerics, model timing only.
+    overlap:
+        Model the Sec-4.4 window per rectangle: charge the collide
+        passes shell piece by shell piece, then the inner core, whose
+        charge is the window (``ClusterConfig.overlap`` on the serial
+        backend).  Otherwise the whole interior is charged at once and
+        the window is its inner-cell share.
     """
 
     def __init__(self, rank: int, sub_shape, tau: float, solid=None,
                  face_dirs=(), edge_dirs=(), timing_only: bool = False,
                  gpu_spec: GPUSpec = GEFORCE_FX_5800_ULTRA,
                  bus: BusSpec = AGP_8X, inlet=None, outflow=None,
-                 force=None) -> None:
+                 force=None, overlap: bool = False) -> None:
         self.rank = rank
+        self.overlap = bool(overlap)
         self.sub_shape = tuple(int(s) for s in sub_shape)
         self.tau = float(tau)
         self.face_dirs = list(face_dirs)
@@ -143,43 +151,36 @@ class GPUNode:
             self.device.reset_clock()
 
     def collide_phase(self) -> None:
-        """Macro + collision passes; records the overlap window."""
+        """Macro + collision passes; records the overlap window.
+
+        The passes render once over the whole interior, uncharged, and
+        the device is then charged what rendering the Sec-4.3
+        rectangles would have charged, in their order: with
+        :attr:`overlap` each shell piece of
+        :meth:`~repro.gpu.GPULBMSolver.split_pieces` (the border layers
+        the exchange reads), then the inner pieces, whose charge is the
+        window; without it the whole interior, with the inner cells'
+        share of it as the window.
+        """
         if self.timing_only:
             self.overlap_window_s = self._model_window_s()
             return
-        before = self.device.clock_s
-        self.solver.run_macro_pass()
-        self.solver.run_collide_passes()
-        collide_s = self.device.clock_s - before
-        inner_frac = self.inner_cells() / self.cells
-        self.overlap_window_s = collide_s * inner_frac
-
-    # -- split collide (executed overlap protocol) ------------------------
-    # The split phases below are bit-identical to :meth:`collide_phase`,
-    # so the driver may overlap the exchange with the inner pass.
-    def collide_boundary_phase(self) -> None:
-        """Macro + collide over the depth-1 shell only ("multiple small
-        rectangles", Sec 4.3).  After this the border layers hold their
-        post-collision values, so the halo exchange can start while
-        :meth:`collide_inner_phase` renders the core."""
-        if self.timing_only:
-            return
-        for rect, zr in self.solver.split_pieces()[0]:
-            self.solver.run_macro_pass(rect=rect, z_range=zr)
-            self.solver.run_collide_passes(rect=rect, z_range=zr)
-
-    def collide_inner_phase(self) -> None:
-        """Macro + collide over the inner core; its device time *is* the
-        modeled overlap window (macro + 5 collide passes over the inner
-        cells — the same anchor as :meth:`_model_window_s`)."""
-        if self.timing_only:
-            self.overlap_window_s = self._model_window_s()
-            return
-        before = self.device.clock_s
-        for rect, zr in self.solver.split_pieces()[1]:
-            self.solver.run_macro_pass(rect=rect, z_range=zr)
-            self.solver.run_collide_passes(rect=rect, z_range=zr)
-        self.overlap_window_s = self.device.clock_s - before
+        solver, device = self.solver, self.device
+        solver.run_macro_pass(charge=False)
+        solver.run_collide_passes(charge=False)
+        if self.overlap:
+            shell, inner = solver.split_pieces()
+            for rect, zr in shell:
+                solver.charge_collide_passes(rect, zr)
+            before = device.clock_s
+            for rect, zr in inner:
+                solver.charge_collide_passes(rect, zr)
+            self.overlap_window_s = device.clock_s - before
+        else:
+            before = device.clock_s
+            solver.charge_collide_passes()
+            collide_s = device.clock_s - before
+            self.overlap_window_s = collide_s * (self.inner_cells() / self.cells)
 
     # -- the halo engine's port, over textures (see core.exchange) --------
     def read_packed(self, manifest, out: np.ndarray) -> np.ndarray:

@@ -74,6 +74,12 @@ class SimulatedGPU:
         self.clock_s += seconds
         self.pass_seconds[name] += seconds
 
+    def account(self, program: FragmentProgram, fragments: int) -> None:
+        """Book one pass of ``program`` over ``fragments`` fragments:
+        charge its modeled time and count it in :attr:`pass_counts`."""
+        self.charge(program.name, self.pass_time_s(program, fragments))
+        self.pass_counts[program.name] += 1
+
     # -- render ---------------------------------------------------------
     @staticmethod
     def _batch_range(program: FragmentProgram, z_range):
@@ -99,7 +105,8 @@ class SimulatedGPU:
         far less simulator overhead.
 
         ``target`` may also appear in ``bindings`` *as input*: kernels
-        read the pre-pass contents.
+        read the pre-pass contents.  With ``charge=False`` the pass
+        renders but is neither charged nor counted (see :meth:`account`).
         """
         if z_range is None:
             z_range = range(target.depth)
@@ -128,8 +135,7 @@ class SimulatedGPU:
                 target.data[z, rect.y0:rect.y1, rect.x0:rect.x1] = out
             n = len(pending) * rect.fragments
         if charge:
-            self.charge(program.name, self.pass_time_s(program, n))
-        self.pass_counts[program.name] += 1
+            self.account(program, n)
 
     def run_pass_group(self, passes, rect: Rect, z_range=None, wrap: bool = False,
                        consts=None) -> None:
@@ -177,8 +183,7 @@ class SimulatedGPU:
             for z, out in outs:
                 zi = slice(z.start, z.stop) if isinstance(z, range) else z
                 target.data[zi, rect.y0:rect.y1, rect.x0:rect.x1] = out
-            self.charge(program.name, self.pass_time_s(program, n))
-            self.pass_counts[program.name] += 1
+            self.account(program, n)
 
     # -- host transfers ---------------------------------------------------
     def readback(self, array: np.ndarray, label: str = "readback") -> float:

@@ -367,7 +367,7 @@ class GPULBMSolver:
             opp = [locations[int(lat.opp[link])] for link in stack_links(s)]
 
             def bounce_kernel(ctx):
-                out = ctx.fetch(f"f{s}").copy()
+                out = ctx.fetch(f"f{s}").copy(order="K")    # stays planar
                 _, solid = _scratch_planes(out.shape[:-1], floats=False)
                 np.not_equal(ctx.fetch("flags", channels=0), 0.0, out=solid)
                 for ch, (os_, och) in enumerate(opp):
@@ -502,11 +502,11 @@ class GPULBMSolver:
             b["flags"] = self.flags_stack
         return b
 
-    def run_macro_pass(self, rect=None, z_range=None) -> None:
+    def run_macro_pass(self, rect=None, z_range=None, charge: bool = True) -> None:
         self.device.run_pass(self._programs["macro"], self.macro_stack,
                              self.bindings(), rect or self._rect,
                              z_range if z_range is not None else self._z_range,
-                             wrap=self._wrap)
+                             wrap=self._wrap, charge=charge)
 
     # -- boundary/inner split (padded mode) -------------------------------
     def split_pieces(self) -> tuple[list, list]:
@@ -514,11 +514,11 @@ class GPULBMSolver:
 
         Returns ``(shell, inner)``, each a list of ``(rect, z_range)``
         covering the sub-domain interior; together they tile it exactly.
-        The cluster driver renders macro+collide over the shell pieces
-        first — the "multiple small rectangles" of the paper — so the
-        border layers can be read back while the inner core is still
-        colliding.  Empty pieces (thin domains) are dropped, so either
-        list may be empty.
+        They are the Sec-4.3 render rectangles the device is charged
+        for — the shell's "multiple small rectangles" first, then the
+        inner core, whose device time is the overlap window (see
+        :meth:`charge_collide_passes`).  Empty pieces (thin domains) are
+        dropped, so either list may be empty.
         """
         self._check_padded()
         if self._split_pieces is None:
@@ -539,13 +539,26 @@ class GPULBMSolver:
         return self._split_pieces
 
     def run_collide_passes(self, z_range=None, rect=None, charge: bool = True) -> None:
-        """Collision passes; sub-rectangles support the inner/outer split
-        the cluster driver uses for communication overlap."""
+        """The five collision passes over ``rect`` x ``z_range`` (the
+        interior by default)."""
         for s in range(N_DISTRIBUTION_STACKS):
             self.device.run_pass(self._programs[f"collide{s}"], self.f_stacks[s],
                                  self.bindings(), rect or self._rect,
                                  z_range if z_range is not None else self._z_range,
                                  wrap=self._wrap, charge=charge)
+
+    def charge_collide_passes(self, rect=None, z_range=None) -> None:
+        """Charge the device for macro + collide0..4 over ``rect`` x
+        ``z_range`` without rendering: exactly what rendering those
+        passes there charges and counts.  The passes are elementwise,
+        so one uncharged render over the interior followed by one
+        charge per piece leaves the texels and the clock of rendering
+        piece by piece."""
+        rect = rect or self._rect
+        n = len(z_range if z_range is not None else self._z_range) * rect.fragments
+        self.device.account(self._programs["macro"], n)
+        for s in range(N_DISTRIBUTION_STACKS):
+            self.device.account(self._programs[f"collide{s}"], n)
 
     def run_stream_passes(self) -> None:
         for s in range(N_DISTRIBUTION_STACKS):

@@ -63,11 +63,20 @@ class TextureMemory:
         self.allocated_bytes -= self._sizes.pop(handle)
 
 
+def _planar(*shape) -> np.ndarray:
+    """Zeroed RGBA float32 texels, indexed ``[..., channel]`` but stored
+    channel-planar: a ``(4,) + shape`` array seen through its transpose,
+    so each channel is its own plane with unit stride along x."""
+    planes = np.zeros((CHANNELS,) + shape, dtype=np.float32)
+    return np.moveaxis(planes, 0, -1)
+
+
 class Texture2D:
     """A single RGBA float32 2D texture.
 
-    Data layout is ``(height, width, 4)`` C-contiguous — texels are
-    adjacent in x, matching the fragment pipeline's access pattern.
+    ``data`` is indexed ``[y, x, channel]`` and stored channel-planar
+    (see :func:`_planar`): the fragment programs work one channel at a
+    time, so a channel of a render rectangle has unit x-stride.
     """
 
     def __init__(self, memory: TextureMemory, width: int, height: int,
@@ -78,7 +87,7 @@ class Texture2D:
         self.nbytes = self.width * self.height * CHANNELS * BYTES_PER_CHANNEL
         self._memory = memory
         self._handle = memory.allocate(self.nbytes, what=name)
-        self.data = np.zeros((self.height, self.width, CHANNELS), dtype=np.float32)
+        self.data = _planar(self.height, self.width)
 
     def release(self) -> None:
         """Free the texture's memory."""
@@ -93,8 +102,9 @@ class Texture2D:
 class TextureStack:
     """A stack of 2D textures representing up to four packed volumes.
 
-    Shape convention: ``data[z, y, x, channel]``.  Depth is the number
-    of Z slices of the (possibly ghost-padded) lattice.
+    Shape convention: ``data[z, y, x, channel]``, stored channel-planar
+    like :class:`Texture2D`.  Depth is the number of Z slices of the
+    (possibly ghost-padded) lattice.
     """
 
     def __init__(self, memory: TextureMemory, width: int, height: int,
@@ -106,8 +116,7 @@ class TextureStack:
         self.nbytes = self.width * self.height * self.depth * CHANNELS * BYTES_PER_CHANNEL
         self._memory = memory
         self._handle = memory.allocate(self.nbytes, what=name)
-        self.data = np.zeros((self.depth, self.height, self.width, CHANNELS),
-                             dtype=np.float32)
+        self.data = _planar(self.depth, self.height, self.width)
 
     def release(self) -> None:
         """Free the stack's memory."""

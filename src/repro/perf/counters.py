@@ -168,7 +168,7 @@ class KernelCounters:
 
         The phase column widens to the longest recorded name so the
         numeric columns stay aligned (dotted span names such as
-        ``cluster.collide_boundary`` exceed the old fixed width).  The
+        ``exchange.wire_bufs`` exceed the old fixed width).  The
         ``value``/``mean value`` columns (bytes, message counts —
         whatever :meth:`metric` accumulated) appear only when at least
         one phase recorded a value, so time-only tables stay compact.

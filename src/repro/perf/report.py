@@ -125,9 +125,7 @@ def _intersection_s(a: list[tuple[float, float]],
 
 #: Wall-clock span names that count as computation when measuring how
 #: much of the exchange is hidden (the driver's per-rank phases).
-_COMPUTE_PHASES = frozenset((
-    "cluster.collide", "cluster.collide_boundary",
-    "cluster.collide_inner", "cluster.finish"))
+_COMPUTE_PHASES = frozenset(("cluster.collide", "cluster.finish"))
 
 
 def trace_overlap_rows(trace) -> list[dict]:
@@ -135,8 +133,8 @@ def trace_overlap_rows(trace) -> list[dict]:
 
     For each step: the wall-clock union of ``cluster.exchange`` spans,
     the part of it that ran concurrently with per-rank compute phases
-    (the inner collide under the overlap protocol; any rank's collide
-    on the processes backend), and their ratio.
+    (another rank's collide or finish on the processes backend; an
+    in-process step runs them one after another), and their ratio.
     """
     from repro.perf.trace import WALL_CLOCK
     by_step: dict[int, dict[str, list]] = {}

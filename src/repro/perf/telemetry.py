@@ -2,10 +2,11 @@
 
 :mod:`repro.perf.counters` aggregates per-phase cost and
 :mod:`repro.perf.trace` replays a finished run as a timeline — both are
-*post-hoc*.  This module is the *live* layer: what is the cluster doing
-**right now**, is any rank stalled, and how fast is the run going —
-the observability substrate the dispersion job-queue service (ROADMAP
-item 1) and intra-run patch migration (item 2) both consume.
+*post-hoc*.  This module is the *live* layer of a cluster run: what is
+the cluster doing **right now**, is any rank stalled, and how fast is
+the run going.  A cluster driver's ``enable_telemetry()`` attaches
+it; the ``--live`` status line, the JSONL/Prometheus exposition and
+the processes backend's stall watchdog read it.
 
 Three cooperating pieces:
 

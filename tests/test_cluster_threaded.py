@@ -56,17 +56,18 @@ class TestExchangeBuffers:
             cluster.load_global_distributions(f0)
             cluster.step(2)
             stats = cluster.counters.stats
-            assert stats["cluster.collide_boundary"].calls == 2
-            assert stats["cluster.collide_inner"].calls == 2
+            assert stats["cluster.collide"].calls == 2
             assert stats["cluster.exchange"].calls == 2
             assert stats["cluster.finish"].calls == 2
 
     def test_sequential_protocol_records_legacy_phases(self, rng):
-        """CPU ranks always step collide -> exchange -> finish; the GPU
-        driver does with ``overlap=False``."""
+        """Every driver steps collide -> exchange -> finish: CPU ranks,
+        and GPU ranks with ``overlap`` on (which only changes how the
+        collide is charged) or off."""
         f0 = _initial_state(rng)
         for cls, kwargs in ((CPUClusterLBM, {}),
-                            (GPUClusterLBM, {"overlap": False})):
+                            (GPUClusterLBM, {"overlap": False}),
+                            (GPUClusterLBM, {"overlap": True})):
             cfg = ClusterConfig(sub_shape=SUB, arrangement=ARR, tau=0.7,
                                 **kwargs)
             with cls(cfg) as cluster:
@@ -76,6 +77,7 @@ class TestExchangeBuffers:
                 assert stats["cluster.collide"].calls == 2
                 assert stats["cluster.exchange"].calls == 2
                 assert "cluster.collide_boundary" not in stats
+                assert "cluster.collide_inner" not in stats
 
 
 class TestConfigValidation:

@@ -124,6 +124,10 @@ class TestRunPass:
                                alu_ops=5, tex_fetches=0)
         device.run_pass(prog, s, {}, Rect(0, 4, 0, 4), charge=False)
         assert device.clock_s == 0.0
+        assert not device.pass_counts and not device.pass_seconds
+        device.account(prog, 16)
+        assert device.pass_counts == {"free": 1}
+        assert device.clock_s == device.pass_time_s(prog, 16) > 0.0
 
 
 class TestBatchedRendering:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.gpu import GPULBMSolver, SimulatedGPU
 from repro.gpu.packing import (D3Q19Packing, PACKED_BYTES_PER_CELL,
                                link_location, max_cubic_lattice, stack_links)
 from repro.gpu.specs import GEFORCE_FX_5800_ULTRA, GEFORCE_FX_5900_ULTRA
@@ -73,6 +74,71 @@ class TestTextures:
         s = TextureStack(mem, 4, 4, 3)
         s.slice(1)[2, 2, 0] = 5.0
         assert s.data[1, 2, 2, 0] == 5.0
+
+
+class TestChannelPlanarStorage:
+    """Texels are indexed ``data[z, y, x, channel]`` but stored one
+    plane per channel, so a channel fetch has unit x-stride."""
+
+    @staticmethod
+    def _solver_stacks():
+        solid = np.zeros((6, 5, 4), bool)
+        solid[2, 2, 1] = True
+        solver = GPULBMSolver((6, 5, 4), 0.7, mode="padded", solid=solid)
+        return solver, (solver.f_stacks + [solver.macro_stack,
+                                           solver.flags_stack, solver.pbuffer])
+
+    def test_every_stack_is_channel_planar(self):
+        _, stacks = self._solver_stacks()
+        for stack in stacks:
+            d, h, w = stack.depth, stack.height, stack.width
+            assert stack.data.shape == (d, h, w, 4), stack.name
+            assert stack.data.dtype == np.float32
+            for c in range(4):
+                plane = stack.data[..., c]
+                assert plane.strides[-1] == 4, stack.name
+                assert plane.flags.c_contiguous, stack.name
+        t = Texture2D(TextureMemory(1 << 20), 16, 8)
+        assert t.data.shape == (8, 16, 4)
+        assert all(t.data[..., c].flags.c_contiguous for c in range(4))
+
+    def test_bytes_accounted_as_before(self):
+        """Storage order changes no byte count: nbytes is still
+        w x h x d x 4 channels x 4 B, and the memory holds their sum."""
+        solver, stacks = self._solver_stacks()
+        for stack in stacks:
+            assert stack.nbytes == stack.data.nbytes == (
+                stack.width * stack.height * stack.depth * 16)
+        assert solver.device.memory.allocated_bytes == sum(
+            s.nbytes for s in stacks) == 8 * 7 * 6 * 16 * 8
+
+    def test_92_cubed_still_the_ceiling(self):
+        """The Sec-2 ceiling holds with planar storage: the seven 92^3
+        stacks of the packed layout fit the FX 5800 Ultra's usable
+        memory with no room for more, and a 93^3 solver does not fit."""
+        assert max_cubic_lattice(
+            GEFORCE_FX_5800_ULTRA.usable_lattice_bytes) == 92
+        mem = TextureMemory(GEFORCE_FX_5800_ULTRA.usable_lattice_bytes)
+        stacks = [TextureStack(mem, 92, 92, 92) for _ in range(7)]
+        assert mem.allocated_bytes == 92 ** 3 * PACKED_BYTES_PER_CELL
+        with pytest.raises(OutOfTextureMemory):
+            TextureStack(mem, 92, 92, 10)
+        for s in stacks:
+            s.release()
+        with pytest.raises(OutOfTextureMemory):
+            GPULBMSolver((93, 93, 93), 0.7, device=SimulatedGPU())
+
+    def test_pack_unpack_round_trip_is_bit_exact(self, rng):
+        mem = TextureMemory(1 << 26)
+        shape = (6, 5, 4)
+        stacks = [TextureStack(mem, 8, 7, 6) for _ in range(5)]
+        f = rng.standard_normal((19,) + shape).astype(np.float32)
+        f[0, 0, 0, 0] = -0.0
+        f[3, 1, 2, 3] = np.float32(np.nan)
+        p = D3Q19Packing()
+        p.pack_distributions(f, stacks, offset=(1, 1, 1))
+        out = p.unpack_distributions(stacks, shape, offset=(1, 1, 1))
+        assert np.array_equal(out.view(np.uint32), f.view(np.uint32))
 
 
 class TestPackedLayout:

@@ -1,13 +1,15 @@
 """The modeled communication/computation overlap in the cluster drivers.
 
-``ClusterConfig.overlap`` (the default) makes numeric GPU-cluster steps
-collide the boundary shell, run the halo exchange, then collide the
-inner core — all on the calling thread — so the inner pass's device
-clock is the Sec-4.4 window.  These tests pin the contract: results
-stay bit-identical to the sequential protocol and to the single-domain
-reference, and the modeled timing does not depend on it.  CPU ranks
-always collide whole, then exchange: for them ``overlap`` changes
-nothing.
+Every numeric step collides, exchanges, then streams on the calling
+thread.  A GPU rank renders its macro + collide passes once over the
+whole interior and, with ``ClusterConfig.overlap`` (the default),
+charges its device the border rectangles, then the inner rectangle,
+whose charge is the Sec-4.4 window.  These tests pin the contract:
+results stay bit-identical to ``overlap=False`` and to the
+single-domain reference, and every texel and simulated value equals
+what the per-rectangle render loop it replaced produced (kept below as
+the oracle).  CPU ranks always collide whole, then exchange: for them
+``overlap`` changes nothing.
 """
 
 import dataclasses
@@ -86,8 +88,8 @@ class TestModeledWindow:
         assert t.overlap_window_s == cluster.nodes[0]._model_window_s() > 0.0
 
     def test_numeric_window_is_the_inner_pass_device_clock(self, rng):
-        """With the split collide, each node's window is what its
-        inner-rectangle passes charged, whatever the host thread did."""
+        """Each node's window is what its inner-rectangle passes charge
+        the device; charging them renders nothing."""
         f0 = _initial_state(rng).f.copy()
         cfg = ClusterConfig(sub_shape=SUB, arrangement=ARR, tau=0.7)
         with GPUClusterLBM(cfg) as cluster:
@@ -96,10 +98,111 @@ class TestModeledWindow:
             windows = [nd.overlap_window_s for nd in cluster.nodes]
             assert t.overlap_window_s == max(windows)
             node = cluster.nodes[0]
+            texels = [x.data.copy() for x in node.solver.bindings().values()]
             node.begin_step()
-            node.collide_inner_phase()
-            assert node.overlap_window_s == node.device.clock_s > 0.0
-            assert node.overlap_window_s == pytest.approx(windows[0], rel=1e-12)
+            for rect, zr in node.solver.split_pieces()[1]:
+                node.solver.charge_collide_passes(rect, zr)
+            assert node.device.clock_s > 0.0
+            assert node.device.clock_s == pytest.approx(windows[0], rel=1e-12)
+            assert node.device.pass_counts == dict.fromkeys(
+                ["macro"] + [f"collide{s}" for s in range(5)], 1)
+            for x, x0 in zip(node.solver.bindings().values(), texels):
+                assert np.array_equal(x.data, x0)
+
+
+def _render_pieces(node, pieces):
+    """The per-rectangle render loop the one-render collide replaced:
+    macro + collide0..4 rendered, and charged, piece by piece."""
+    for rect, zr in pieces:
+        node.solver.run_macro_pass(rect=rect, z_range=zr)
+        node.solver.run_collide_passes(rect=rect, z_range=zr)
+
+
+def _oracle_step(cluster) -> StepTiming:
+    """One step of the split protocol, as the driver ran it before every
+    rank collided in one render: shell pieces -> exchange -> inner
+    pieces (window = their device clock) with ``overlap``; otherwise
+    one whole render, exchange, and the inner-cell share as window."""
+    nodes = cluster.nodes
+    for node in nodes:
+        node.begin_step()
+    if cluster.config.overlap:
+        for node in nodes:
+            _render_pieces(node, node.solver.split_pieces()[0])
+        cluster._exchange()
+        for node in nodes:
+            before = node.device.clock_s
+            _render_pieces(node, node.solver.split_pieces()[1])
+            node.overlap_window_s = node.device.clock_s - before
+    else:
+        for node in nodes:
+            before = node.device.clock_s
+            node.solver.run_macro_pass()
+            node.solver.run_collide_passes()
+            collide_s = node.device.clock_s - before
+            node.overlap_window_s = collide_s * (node.inner_cells() / node.cells)
+        cluster._exchange()
+    for node in nodes:
+        node.charge_transfers()
+    net_total = cluster.switch.phase_time(
+        cluster.schedule.round_bytes(), cluster.decomp.n_nodes,
+        round_messages=cluster.schedule.round_messages())
+    for node in nodes:
+        node.finish_step()
+    cluster.time_step += 1
+    return StepTiming(nodes=len(nodes),
+                      compute_s=max(nd.compute_s for nd in nodes),
+                      agp_s=max(nd.agp_s for nd in nodes),
+                      net_total_s=net_total,
+                      overlap_window_s=max(nd.overlap_window_s for nd in nodes))
+
+
+class TestChargeOracle:
+    """One render per rank, the rectangles charged instead of rendered:
+    every texel and every simulated value equals the per-rectangle
+    render loop's, every step."""
+
+    CASES = {
+        # Solids, an inlet and an outflow on bounded x.
+        "solid-inlet-outflow": dict(sub_shape=(8, 6, 4), periodic=(False, True, True),
+                                    inlet=(0, "low", (0.04, 0.0, 0.0), 1.0),
+                                    outflow=(0, "high")),
+        # Two cells thick along z: no inner piece, window 0.
+        "thin": dict(sub_shape=(8, 6, 2), periodic=(True, True, True)),
+    }
+
+    @pytest.mark.parametrize("overlap", [True, False])
+    @pytest.mark.parametrize("case", CASES)
+    def test_identical_to_the_per_rectangle_renders(self, rng, case, overlap):
+        kw = self.CASES[case]
+        shape = tuple(s * a for s, a in zip(kw["sub_shape"], ARR))
+        solid = rng.random(shape) < 0.15
+        cfg = ClusterConfig(arrangement=ARR, tau=0.7, solid=solid,
+                            overlap=overlap, **kw)
+        ref = LBMSolver(shape, tau=0.7, solid=solid)
+        u0 = (0.02 * rng.standard_normal((3,) + shape)).astype(np.float32)
+        u0[:, solid] = 0
+        ref.initialize(rho=np.ones(shape, np.float32), u=u0)
+        with GPUClusterLBM(cfg) as new, GPUClusterLBM(cfg) as old:
+            for cluster in (new, old):
+                cluster.load_global_distributions(ref.f)
+            for step in range(1, 6):
+                t_new, t_old = new.step(1), _oracle_step(old)
+                assert t_new == t_old, step
+                for nn, no in zip(new.nodes, old.nodes):
+                    for xn, xo in zip(nn.solver.bindings().values(),
+                                      no.solver.bindings().values()):
+                        assert np.array_equal(xn.data.view(np.uint32),
+                                              xo.data.view(np.uint32)), step
+                    assert nn.device.clock_s == no.device.clock_s
+                    assert nn.device.pass_seconds == no.device.pass_seconds
+                    assert nn.device.pass_counts == no.device.pass_counts
+                    assert nn.overlap_window_s == no.overlap_window_s
+                    if case == "thin":
+                        assert not nn.solver.split_pieces()[1]
+                        assert nn.overlap_window_s == 0.0
+                    else:
+                        assert nn.overlap_window_s > 0.0
 
 
 class TestSPMDOverlap:
@@ -144,6 +247,6 @@ class TestContextManager:
         with cls(cfg) as cluster:
             cluster.load_global_distributions(f0)
             cluster.step(2)
-            # Serial steps, the GPU driver's split collide included,
-            # run on the calling thread.
+            # Serial steps, GPU and CPU ranks alike, run on the
+            # calling thread.
             assert threading.active_count() == threads

@@ -345,7 +345,7 @@ class TestAnalytics:
         tr.begin_step(0)
         # 10 ms exchange, compute covering 6 ms of it => 60%.
         tr.add_span("cluster.exchange", 0.000, 0.010, rank=COORDINATOR_RANK)
-        tr.add_span("cluster.collide_inner", 0.002, 0.008, rank=0)
+        tr.add_span("cluster.collide", 0.002, 0.008, rank=0)
         (row,) = trace_overlap_rows(tr)
         assert row["efficiency"] == pytest.approx(0.6, abs=1e-6)
 
