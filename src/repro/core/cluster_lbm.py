@@ -17,6 +17,10 @@ per cluster node through the paper's per-step protocol:
 :class:`CPUClusterLBM` is the paper's baseline: the same decomposition
 and schedule with software nodes whose second thread overlaps the whole
 compute time (modeled; executed ranks collide whole, then exchange).
+On the serial backend its AA ranks are not stepped one by one: their
+arrays are slots of stacked arenas, and each step runs one AA phase
+per arena and the halo exchange along the rank axis
+(:mod:`repro.core.stack`).
 
 Both drivers run in two modes: *numeric* (every value computed for
 real; gather/compare against the single-domain reference solver) and
@@ -38,6 +42,7 @@ from repro.core.gpu_node import GPUNode
 from repro.core.halo import HaloPlan
 from repro.core.procpool import ProcessBackend
 from repro.core.schedule import CommSchedule
+from repro.core.stack import RankStack
 from repro.core.wire import AdaptiveCompressionController
 from repro.gpu.specs import AGP_8X, GEFORCE_FX_5800_ULTRA, XEON_2_4, BusSpec, CPUSpec, GPUSpec
 from repro.net.switch import GigabitSwitch
@@ -106,8 +111,15 @@ class ClusterConfig:
     backend:
         Execution backend for the per-node phases:
 
-        * ``"serial"`` (default): the coordinator loop advances nodes
-          one after another.
+        * ``"serial"`` (default): every rank in the coordinator's
+          process, on the calling thread.  When every rank runs the AA
+          kernel (the rule's default for CPU clusters) the ranks are
+          one stacked lattice: their padded arrays are slots of one
+          arena per block shape, each step sweeps each arena with one
+          AA phase and exchanges halos along the rank axis
+          (:mod:`repro.core.stack`, :attr:`CPUClusterLBM.stacked`).
+          Simulated-GPU ranks, ``split`` ranks and timing-only ranks
+          are advanced one after another.
         * ``"processes"``: one persistent worker process per rank with
           shared-memory sub-domains and zero-copy halo mailboxes
           (:mod:`repro.core.procpool`) — ranks genuinely run in
@@ -293,6 +305,8 @@ class _ClusterLBMBase:
         #: gather) consults, through :attr:`aa_protocol`.
         self.resolved_kernel, self.kernel_reason = self._resolve_kernel()
         self._proc_backend: ProcessBackend | None = None
+        #: The serial ranks' stacked arena, or None (see :attr:`stacked`).
+        self._stack: RankStack | None = None
         if config.backend == "processes":
             self._proc_backend = ProcessBackend(
                 [self._worker_spec_args(rank, solids[rank])
@@ -301,8 +315,16 @@ class _ClusterLBMBase:
                 timeout_s=config.backend_timeout_s)
             self.nodes = self._proc_backend.proxies
         else:
-            self.nodes = [self._make_node(rank, solids[rank])
-                          for rank in range(self.decomp.n_nodes)]
+            if self._stacks():
+                self._stack = RankStack(self.decomp)
+            self.nodes = []
+            for rank in range(self.decomp.n_nodes):
+                node = self._make_node(rank, solids[rank])
+                if self._stack is not None:
+                    self._stack.adopt(rank, node.solver)
+                self.nodes.append(node)
+            if self._stack is not None:
+                self._stack.bind(self.nodes, self.counters)
         self.time_step = 0
         self.last_timing: StepTiming | None = None
         self.tracer = NULL_TRACER
@@ -310,9 +332,12 @@ class _ClusterLBMBase:
         self._halo_bytes = 0
         self._halo_msgs = 0
         #: One halo engine per in-process rank (the processes backend's
-        #: workers each own theirs; timing-only nodes exchange nothing).
+        #: workers each own theirs; timing-only nodes exchange nothing;
+        #: stacked ranks exchange along the rank axis unless a codec,
+        #: which works per message, is on).
         self._halo = None
-        if self._proc_backend is None and not config.timing_only:
+        if (self._proc_backend is None and not config.timing_only
+                and (self._stack is None or config.compression != "off")):
             codec = None
             if config.compression != "off":
                 codec = AdaptiveCompressionController(
@@ -326,6 +351,18 @@ class _ClusterLBMBase:
     def _resolve_kernel(self) -> tuple[str, str]:
         """The cluster's kernel and its reason (GPU nodes: as configured)."""
         return self.config.kernel, f"configured kernel={self.config.kernel!r}"
+
+    def _stacks(self) -> bool:
+        """Whether the serial ranks are swept as one stacked lattice
+        (:mod:`repro.core.stack`); only CPU clusters stack."""
+        return False
+
+    @property
+    def stacked(self) -> bool:
+        """True when the ranks' arrays are slots of stacked arenas and
+        every step runs one AA phase per arena and the rank-axis halo
+        exchange instead of the per-rank loop."""
+        return self._stack is not None
 
     @property
     def aa_protocol(self) -> bool:
@@ -596,7 +633,10 @@ class _ClusterLBMBase:
         rank completes — under a ``cluster.exchange`` span."""
         t0 = time.perf_counter()
         with self.counters.phase("cluster.exchange"):
-            exchange_all(self._halo, self.counters)
+            if self._halo is None:
+                self._stack.exchange()
+            else:
+                exchange_all(self._halo, self.counters)
         self.tracer.add_span("cluster.exchange", t0, time.perf_counter(),
                              step=self.time_step, bytes=self._halo_bytes,
                              msgs=self._halo_msgs)
@@ -605,32 +645,43 @@ class _ClusterLBMBase:
         """Advance ``n`` time steps; returns the last step's timing.
 
         Every step collides, exchanges (numeric runs), then streams, on
-        the calling thread.  A GPU node models the Sec-4.4 window in its
-        collide's device charges (:meth:`GPUNode.collide_phase`).
+        the calling thread: node by node, or — :attr:`stacked` — one
+        AA phase per arena and the rank-axis exchange.  A GPU node
+        models the Sec-4.4 window in its collide's device charges
+        (:meth:`GPUNode.collide_phase`).
         """
         if self._proc_backend is not None:
             return self._step_processes(n)
         timing = self.last_timing
         rec = self.counters
         tel = self.telemetry
+        stack = self._stack
         for _ in range(n):
             tel_t0 = time.perf_counter() if tel is not None else 0.0
             self.tracer.begin_step(self.time_step)
-            for node in self.nodes:
-                node.begin_step()
+            if stack is None:
+                for node in self.nodes:
+                    node.begin_step()
             with rec.phase("cluster.collide"):
-                self._run_on_nodes("collide_phase", span="cluster.collide")
+                if stack is None:
+                    self._run_on_nodes("collide_phase", span="cluster.collide")
+                else:
+                    stack.collide(self.tracer, self.time_step)
             if not self.config.timing_only:
                 self._exchange()
-            for node in self.nodes:
-                node.charge_transfers()
+            if stack is None:
+                for node in self.nodes:
+                    node.charge_transfers()
             net_total = (self.switch.phase_time(
                              self.schedule.round_bytes(),
                              self.decomp.n_nodes,
                              round_messages=self.schedule.round_messages())
                          if self.decomp.n_nodes > 1 else 0.0)
             with rec.phase("cluster.finish"):
-                self._run_on_nodes("finish_step", span="cluster.finish")
+                if stack is None:
+                    self._run_on_nodes("finish_step", span="cluster.finish")
+                else:
+                    stack.finish(self.tracer, self.time_step)
             timing = StepTiming(
                 nodes=self.decomp.n_nodes,
                 compute_s=max(nd.compute_s for nd in self.nodes),
@@ -771,6 +822,9 @@ class CPUClusterLBM(_ClusterLBMBase):
 
     The second-thread overlap is modeled (window = whole compute time);
     executed ranks collide whole, then exchange, on both backends.
+    Serial-backend AA ranks are swept as one stacked lattice
+    (:mod:`repro.core.stack`): same distributions, same
+    :class:`StepTiming`, no per-rank dispatch.
     """
 
     node_kind = "cpu"
@@ -786,6 +840,10 @@ class CPUClusterLBM(_ClusterLBMBase):
         if cfg.timing_only:
             return "split", "rule: timing-only (no numeric ranks)"
         return "aa", f"rule: kernel={cfg.kernel!r}, CPU ranks, no body force"
+
+    def _stacks(self) -> bool:
+        """Serial AA ranks stack (timing-only ranks never resolve AA)."""
+        return self.config.backend == "serial" and self.aa_protocol
 
     def _make_node(self, rank: int, solid):
         bc = self._node_boundary_config(rank)

@@ -11,6 +11,13 @@ second thread's worth of concurrency to hide the exchange behind).
 The numerics reuse the reference :class:`~repro.lbm.LBMSolver` (same
 ghost-padded layout), so the CPU and GPU cluster paths are checked
 against each other and against the single-domain solver.
+
+:meth:`CPUNode.collide_phase` / :meth:`CPUNode.finish_step` step one
+rank: a process worker's, a ``split`` rank's, a timing-only rank's.
+A serial cluster's AA ranks are stepped together instead — their
+``solver.fg`` are slots of a stacked arena (:mod:`repro.core.stack`) —
+and the node then only carries the rank's solver, its cached
+:attr:`CPUNode.model_compute_s` and its per-step timing fields.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ import time
 import numpy as np
 
 from repro.core.exchange import SolverPort
+from repro.lbm.aa import AAStepKernel
 from repro.lbm.solver import LBMSolver
 from repro.gpu.specs import XEON_2_4, CPUSpec
 from repro.perf import calibration as cal
@@ -77,13 +85,15 @@ class CPUNode(SolverPort):
             if aa_halo_managed:
                 # The driver's exchange is only correct if this rank
                 # really runs the AA phases: refuse a silent fallback.
-                from repro.lbm.aa import AAStepKernel
                 if not AAStepKernel.eligible(solver):
                     raise ValueError(
                         "kernel='aa' on a cluster rank requires a plain "
                         "BGK sub-domain with only face-resident boundary "
                         "handlers")
         super().__init__(solver, sub_shape)
+        #: The modeled per-step compute: a function of the block shape,
+        #: its face/edge neighbours, ``cpu_spec`` and ``use_sse`` only.
+        self.model_compute_s = self._model_compute_s()
         self.compute_s = 0.0
         self.agp_s = 0.0           # always 0: no GPU on this path
         self.overlap_window_s = 0.0
@@ -164,5 +174,5 @@ class CPUNode(SolverPort):
             self.solver.post_stream()
             self.solver.time_step += 1
             self.busy_s += time.perf_counter() - t0
-        self.compute_s = self._model_compute_s()
+        self.compute_s = self.model_compute_s
         self.overlap_window_s = self.compute_s

@@ -28,7 +28,11 @@ and MPI paths are bindings of one pack -> transport -> unpack concept:
 * :class:`SolverPort` — the four array operations the engine needs
   from a rank: inherited by :class:`~repro.core.cpu_node.CPUNode`,
   bound to a bare solver by SPMD ranks and the thermal models, and
-  implemented over textures by :class:`~repro.core.gpu_node.GPUNode`.
+  implemented over textures by :class:`~repro.core.gpu_node.GPUNode`;
+* :class:`RankAxisExchange` — the same route table and manifests
+  executed for ranks whose arrays are slots of stacked arenas
+  (:mod:`repro.core.stack`): no messages, one fancy-index copy per
+  route kind along the rank axis, and :func:`exchange_all`'s order.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.halo import HaloPlan
-from repro.core.wire import pack_halo, unpack_halo
+from repro.core.wire import layer_index, pack_halo, unpack_halo
 from repro.lbm.streaming import (fill_face_zero_gradient,
                                  fold_face_zero_gradient)
 from repro.perf.counters import KernelCounters
@@ -297,3 +301,139 @@ def exchange_all(engines: list[HaloExchange],
         for ex in engines:
             ex.complete(axis, mode)
     counters.metric("comm.msgs", msgs)
+
+
+def _layer_index(axis: int, links, ranks, layer: int) -> tuple:
+    """``arena[links, ranks]`` at padded ``layer`` of ``axis``, over the
+    full padded cross-section (rims included).  Both ends of a copy
+    index alike, so their broadcast ``(links, ranks)`` axes line up
+    wherever numpy places them."""
+    idx: list = [np.asarray(links, np.intp)[:, None],
+                 np.asarray(ranks, np.intp)[None, :],
+                 slice(None), slice(None), slice(None)]
+    idx[2 + axis] = int(layer)
+    return tuple(idx)
+
+
+class RankAxisExchange:
+    """:func:`exchange_all` for ranks stacked in arenas, run along the
+    rank axis.
+
+    ``slots`` maps every rank to ``(arena, index)``: its padded array is
+    ``arena[:, index]`` of a ``(Q, R) + padded`` arena (one per block
+    shape, :func:`repro.core.stack.carve_arenas`).  The route table
+    (:func:`build_routes`), the manifests
+    (:meth:`HaloPlan.neighbor_manifest`) and the layers
+    (:func:`~repro.core.wire.layer_index`) are the engine's own; only
+    their execution differs.  Per axis, in the order
+    :meth:`HaloExchange.complete` closes a rank:
+
+    1. every neighbour manifest segment — the sender's layer of the
+       carried slots lands on the receiver's opposite layer (pack, then
+       unpack);
+    2. self-wraps, the same with sender and receiver one rank;
+    3. true domain edges: the zero-gradient ghost fill (forward modes)
+       or border fold (``aa_reverse``), the slots and layers of
+       :meth:`SolverPort.fill_ghost_zero_gradient` /
+       ``fold_border_zero_gradient``.
+
+    Each step is one fancy-index copy over all ranks that share a route
+    kind (the arenas, the side, hence the slots and layers).  Within an
+    axis the copies read layers no earlier copy of that axis wrote —
+    border to ghost forward, ghost to border in reverse — except the
+    fold, which reads the interior layer next to the border (on a
+    block two cells thick, the border a peer wrote) after every
+    neighbour copy, as the engine's ``complete`` does; so running the
+    kinds in turn keeps the engine's post-everything-then-complete
+    snapshot.  A copy's gather
+    is halo-sized; no arena-sized temporary is made.  ``comm.msgs`` and
+    ``comm.bytes_wire`` are recorded as the engine records them.
+    """
+
+    def __init__(self, decomp, slots: dict,
+                 counters: KernelCounters = _NO_COUNTERS) -> None:
+        self.slots = slots
+        self.counters = counters
+        self.routes = [build_routes(decomp.neighbors(rank), decomp.periodic)
+                       for rank in range(decomp.n_nodes)]
+        self._plans: dict[tuple, HaloPlan] = {}
+        self._programs: dict[str, list] = {}
+        #: Neighbour messages per exchange, and their float32 bytes.
+        self.msgs = sum(len(route.sends) for routes in self.routes
+                        for route in routes)
+        self.bytes = sum(
+            self._plan(rank).neighbor_manifest(axis, sides).nbytes
+            for rank, routes in enumerate(self.routes)
+            for axis, route in enumerate(routes)
+            for _, sides in route.sends)
+
+    def _plan(self, rank: int) -> HaloPlan:
+        arena = self.slots[rank][0]
+        shape = tuple(n - 2 for n in arena.shape[2:])
+        plan = self._plans.get(shape)
+        if plan is None:
+            plan = self._plans[shape] = HaloPlan(shape)
+        return plan
+
+    def _copies(self, rank: int, axis: int, mode: str):
+        """``rank``'s part of one axis of the exchange, as ``(stage, src
+        rank, src layer, dst rank, dst layer, slots)``: stage 0 the
+        segments it sends, 1 its self-wraps, 2 its true domain edges."""
+        reverse = mode == "aa_reverse"
+        route, plan = self.routes[rank][axis], self._plan(rank)
+        sub = plan.sub_shape
+        for peer, sides in route.sends:
+            peer_sub = self._plan(peer).sub_shape
+            for seg in plan.neighbor_manifest(axis, sides, mode).segments:
+                yield (0, rank, layer_index(sub, axis, seg.side, reverse),
+                       peer, layer_index(peer_sub, axis, -seg.side,
+                                         not reverse), seg.links)
+        if route.wraps:
+            for seg in plan.neighbor_manifest(axis, route.wraps,
+                                              mode).segments:
+                yield (1, rank, layer_index(sub, axis, seg.side, reverse),
+                       rank, layer_index(sub, axis, -seg.side, not reverse),
+                       seg.links)
+        c = plan.lattice.c
+        for d in route.zeros:
+            border = layer_index(sub, axis, d, False)
+            if reverse:     # fold: the inward slots, from one layer in
+                yield (2, rank, border - d, rank, border,
+                       tuple(np.flatnonzero(c[:, axis] == -d)))
+            else:           # fill: every slot crossing the face, outward
+                yield (2, rank, border, rank, layer_index(sub, axis, d, True),
+                       tuple(np.flatnonzero(c[:, axis])))
+
+    def _compile(self, mode: str) -> list:
+        """The ``(dst, dst_index, src, src_index)`` copies of one
+        exchange, in execution order: per axis, by stage, one copy per
+        route kind (the arenas, layers and slots) over its ranks."""
+        program = []
+        for axis in range(3):
+            kinds: dict[tuple, tuple] = {}
+            for rank in range(len(self.routes)):
+                for stage, s, s_layer, d, d_layer, links in self._copies(
+                        rank, axis, mode):
+                    (src, i), (dst, j) = self.slots[s], self.slots[d]
+                    key = (stage, id(src), id(dst), s_layer, d_layer, links)
+                    kind = kinds.setdefault(key, (src, dst, [], []))
+                    kind[2].append(i)
+                    kind[3].append(j)
+            for key in sorted(kinds, key=lambda k: k[0]):   # stable
+                _, _, _, s_layer, d_layer, links = key
+                src, dst, si, di = kinds[key]
+                program.append((dst, _layer_index(axis, links, di, d_layer),
+                                src, _layer_index(axis, links, si, s_layer)))
+        return program
+
+    def run(self, mode: str) -> None:
+        """One whole exchange of every stacked rank in manifest ``mode``."""
+        program = self._programs.get(mode)
+        if program is None:
+            program = self._programs[mode] = self._compile(mode)
+        for dst, dst_index, src, src_index in program:
+            dst[dst_index] = src[src_index]
+        if self.msgs:
+            self.counters.metric("comm.bytes_wire", self.bytes,
+                                 calls=self.msgs)
+        self.counters.metric("comm.msgs", self.msgs)

@@ -1,0 +1,168 @@
+"""A serial cluster's CPU ranks swept as one stacked lattice.
+
+The serial backend advances every rank on the calling thread.  Where
+ranks are small — Sec 4.4's fixed problem size, 32 ranks of 12^3 — most
+of a step is per-rank Python dispatch, not lattice work: ~240 numpy
+calls per rank per AA phase, 80 halo messages packed and unpacked one
+by one, and per-rank bookkeeping.  When every rank runs the in-place AA
+kernel, :class:`RankStack` replaces the per-rank loop:
+
+* **arena** — ranks are grouped by block shape, and each group's padded
+  arrays are the slots of one slot-major arena ``(Q, R, nx+2, ny+2,
+  nz+2)``; all arenas are carved from one flat buffer
+  (:func:`carve_arenas`).  Each rank adopts its slot right after it is
+  built (``solver.fg = arena[:, r]``, the way process workers adopt
+  their shared segments), so a full second copy is never resident.
+  Uniform cuts give one group; unequal ``cuts`` give several, on the
+  same path.
+* **collide** — one AA phase per group per step: an
+  :class:`~repro.lbm.aa.AAStepKernel` over the arena, whose chunks are
+  whole ranks.
+* **exchange** — :class:`~repro.core.exchange.RankAxisExchange`: the
+  engine's routes and manifests run as one fancy-index copy per route
+  kind (the driver keeps the per-message engine when a codec is on).
+* **finish** — O(1) Python per rank: ``time_step``, the parity flags
+  and ``post_stream`` only on ranks with solids or handlers, and the
+  node's cached modelled compute.
+
+Each rank keeps its own kernel, which is never swept but reconstructs
+the rank's canonical distributions over its slot at odd parity, so
+gather, load and rebalance work unchanged.  Observability is per rank
+by apportioning: a traced step records one ``cluster.collide`` and one
+``cluster.finish`` span per rank, consecutive slices of the batch's
+interval (and thread CPU time) in proportion to the rank's cells, and
+``busy_s`` — which telemetry reads as ``rank.busy_seconds`` — is the
+batch time split by the same cell share.  Each group's AA phase itself
+is one ``solver.collide`` span on the coordinator's track.
+"""
+
+from __future__ import annotations
+
+import time
+
+import numpy as np
+
+from repro.core.exchange import RankAxisExchange
+from repro.lbm.aa import AAStepKernel
+from repro.perf.trace import COORDINATOR_RANK
+
+
+def carve_arenas(decomp, q: int, dtype) -> dict[int, tuple[np.ndarray, int]]:
+    """Map every rank to ``(arena, slot)``: one ``(q, R) + padded``
+    arena per block shape (ranks in rank order), all views of one flat
+    uninitialised buffer."""
+    groups: dict[tuple, list[int]] = {}
+    for rank in range(decomp.n_nodes):
+        groups.setdefault(decomp.block_shape(rank), []).append(rank)
+    shapes = {shape: (q, len(ranks)) + tuple(n + 2 for n in shape)
+              for shape, ranks in groups.items()}
+    flat = np.empty(sum(int(np.prod(s)) for s in shapes.values()), dtype)
+    slots, offset = {}, 0
+    for shape, ranks in groups.items():
+        size = int(np.prod(shapes[shape]))
+        arena = flat[offset:offset + size].reshape(shapes[shape])
+        offset += size
+        for slot, rank in enumerate(ranks):
+            slots[rank] = (arena, slot)
+    return slots
+
+
+class RankStack:
+    """The stacked ranks of one serial CPU cluster (module docstring).
+
+    Build it before the nodes, :meth:`adopt` each rank's solver as soon
+    as it exists, then :meth:`bind` the finished node list.
+    """
+
+    def __init__(self, decomp) -> None:
+        self.decomp = decomp
+        #: rank -> (arena, slot), carved for the first adopted solver's
+        #: link count and dtype (:func:`carve_arenas`).
+        self.slots: dict | None = None
+
+    def adopt(self, rank: int, solver) -> None:
+        """Move ``solver``'s padded array into its arena slot."""
+        if self.slots is None:
+            self.slots = carve_arenas(self.decomp, solver.fg.shape[0],
+                                      solver.fg.dtype)
+        arena, slot = self.slots[rank]
+        view = arena[:, slot]
+        view[...] = solver.fg
+        solver.fg = view
+
+    def bind(self, nodes, counters) -> None:
+        """Build the batch kernels and the rank-axis exchange."""
+        self.nodes = list(nodes)
+        self.solvers = [node.solver for node in self.nodes]
+        for solver in self.solvers:
+            if solver._select_kernel() != "aa":
+                raise ValueError(
+                    f"stacked rank resolved {solver.kernel_reason!r}; "
+                    "only AA ranks stack")
+            solver._enter_aa()
+        members: dict[int, tuple[np.ndarray, list]] = {}
+        for rank, solver in enumerate(self.solvers):
+            arena, _ = self.slots[rank]
+            members.setdefault(id(arena), (arena, []))[1].append(solver)
+        self.kernels = []
+        for arena, group in members.values():
+            kernel = AAStepKernel(group[0], arena=arena, members=group)
+            kernel.counters = counters
+            self.kernels.append(kernel)
+        self.halo = RankAxisExchange(self.decomp, self.slots, counters)
+        self._post = [s for s in self.solvers
+                      if s.boundaries or s.solid.any()]
+        cells = np.array([b.cells for b in self.decomp.blocks], float)
+        self._share = cells / cells.sum()
+        self._edges = np.concatenate(([0.0], np.cumsum(self._share)))
+        self._odd = False
+        self._busy_s = 0.0
+
+    # -- the per-step protocol -------------------------------------------
+    def collide(self, tracer, step: int) -> None:
+        """One AA phase of every rank, by group."""
+        t0, cpu0 = time.perf_counter(), time.thread_time()
+        self._odd = self.solvers[0].aa_odd
+        for kernel in self.kernels:
+            with tracer.span("solver.collide", step=step,
+                             rank=COORDINATOR_RANK, kernel="aa",
+                             ranks=len(kernel.members)):
+                if self._odd:
+                    kernel.odd_phase(None)
+                else:
+                    kernel.even_phase(None)
+        self._busy_s = self._spans(tracer, "cluster.collide", step, t0, cpu0)
+
+    def exchange(self) -> None:
+        """The halo exchange the phase just run asks for."""
+        self.halo.run("aa_reverse" if self._odd else "aa_forward")
+
+    def finish(self, tracer, step: int) -> None:
+        """Close the step on every rank; charge the nodes."""
+        t0, cpu0 = time.perf_counter(), time.thread_time()
+        rotated = not self._odd
+        for solver in self._post:
+            solver._bounce_folded = solver._aa_rotated = rotated
+            solver.post_stream()
+        for solver in self.solvers:
+            solver.kernel_used = "aa"
+            solver.time_step += 1
+        busy_s = self._busy_s + self._spans(tracer, "cluster.finish", step,
+                                            t0, cpu0)
+        for node, share in zip(self.nodes, self._share):
+            node.compute_s = node.overlap_window_s = node.model_compute_s
+            node.agp_s = 0.0
+            node.busy_s = busy_s * share
+
+    def _spans(self, tracer, name: str, step: int, t0: float,
+               cpu0: float) -> float:
+        """Record ``name`` per rank as cell-share slices of the batch
+        interval that began at ``t0``; returns its wall seconds."""
+        t1 = time.perf_counter()
+        if tracer.enabled:
+            cpu = time.thread_time() - cpu0
+            at = t0 + (t1 - t0) * self._edges
+            for rank, share in enumerate(self._share):
+                tracer.add_span(name, at[rank], at[rank + 1], step=step,
+                                rank=rank, cpu_s=cpu * share, kernel="aa")
+        return t1 - t0

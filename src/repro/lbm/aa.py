@@ -26,9 +26,15 @@ decomposition (boundary shell / inner core, slabs) is hazard-free in
 any execution order — which is exactly what lets the cluster drivers
 keep the Sec-4.4 communication/computation overlap, and what lets this
 kernel cache-block: every phase, whole-domain or region, sweeps its box
-in axis-0 chunks (:data:`SLAB_TARGET_CELLS`), so the passes of a chunk
-— 18 per opposite-link pair, which share ``c.u`` and its square — run
-on one slab-sized scratch arena that stays cache-resident.
+in chunks of about :data:`SLAB_TARGET_CELLS` cells, so the passes of a
+chunk — 18 per opposite-link pair, which share ``c.u`` and its square —
+run on one chunk-sized scratch arena that stays cache-resident.
+
+The box carries a leading *rank axis*: no ghost offset, zero link
+component.  A single solver is a batch of one and is chunked in axis-0
+slabs as before; a serial cluster's equal-shape ranks, stacked in one
+arena (:mod:`repro.core.stack`), are one batch whose chunks are whole
+ranks, so one phase call sweeps them all.
 
 Full-way bounce-back falls out of the layout: the even phase's reversed
 write at a solid site *is* the bounce of that step combined with the
@@ -106,8 +112,9 @@ from repro.lbm.streaming import (fill_face_zero_gradient,
 SLAB_TARGET_CELLS = 32768
 
 
-def build_solid_padded(solver, pshape) -> np.ndarray:
-    """Solid mask on the padded grid, ghost shell included.
+def build_solid_padded(solver, out: np.ndarray) -> np.ndarray:
+    """Solid mask on the padded grid, ghost shell included, written
+    into ``out`` (a padded-shape bool array).
 
     Ghost cells are marked solid exactly when their source interior
     cell is solid, mirroring the solver's ghost fill (periodic wrap
@@ -115,29 +122,47 @@ def build_solid_padded(solver, pshape) -> np.ndarray:
     which relaxes the full padded field, keeps pre-collision values on
     every solid *image* too.
     """
-    sp = np.zeros(pshape, dtype=bool)
-    sp[tuple(slice(1, -1) for _ in pshape)] = solver.solid
+    out[tuple(slice(1, -1) for _ in out.shape)] = solver.solid
     fill = fill_ghosts_periodic if solver.periodic else fill_ghosts_zero_gradient
-    fill(sp[None])      # the fills skip a leading link axis
-    return sp
+    fill(out[None])     # the fills skip a leading link axis
+    return out
 
 
 class AAStepKernel:
-    """Swap-free AA-pattern kernel bound to one ``LBMSolver``.
+    """Swap-free AA-pattern kernel bound to one ``LBMSolver``, or to a
+    batch of equal-shape solvers stacked in one arena.
 
-    The kernel owns one float arena and one bool plane of slab size
-    (:data:`SLAB_TARGET_CELLS` in whole padded planes, at least one):
-    one chunk is live at a time, so every chunk gets contiguous views
-    of the same memory and the workspace does not grow with the domain.
-    With solids it also keeps the per-site relaxation field ``_om``
-    (its one padded-shape array) and the index lists of the solid
-    sites of every box it has visited.  It never touches
-    the solver's spare distribution buffer — ``solver._fg_next_buf``
-    stays ``None``, which tests assert as the working-set contract.
+    Every phase sweeps a *batch box* ``(Q, R, X, Y, Z)``: a leading rank
+    axis, which has no ghost offset and a zero link component, ahead of
+    the padded lattice.  A single solver is a batch of one (its
+    ``fg[:, None]``, looked up at every call, so a driver may rebind
+    ``fg``).  With ``arena`` the kernel sweeps ``R = len(members)``
+    solvers at once: ``arena`` is ``(Q, R) + padded shape`` and its slot
+    ``r`` is ``members[r].fg`` (see :mod:`repro.core.stack`); ``solver``
+    is ``members[0]``, whose constants every member shares.  Chunks are
+    whole ranks while a rank's padded box fits the slab target (11 ranks
+    of 14^3 per chunk), axis-0 slabs of one rank otherwise — which for a
+    batch of one is exactly the single solver's slab chunking.  The
+    ghost closures, the rotated boundary closure, :meth:`step_once` and
+    :meth:`reconstruct` serve the bound ``solver`` alone.
+
+    The kernel owns one float arena and one bool plane of chunk size
+    (:attr:`_cap` cells, never more than the batch box): one chunk is
+    live at a time, so every chunk gets contiguous views of the same
+    memory and the workspace does not grow with the domain.  With
+    solids it also keeps the per-site relaxation field ``_om`` (one
+    batch-box-shaped array) and the index lists of the solid sites of
+    every box it has visited.  The workspace is allocated by the first
+    sweep, so a kernel kept only for :meth:`reconstruct` costs nothing.
+    It never touches the solver's spare distribution buffer —
+    ``solver._fg_next_buf`` stays ``None``, which tests assert as the
+    working-set contract.
     """
 
-    def __init__(self, solver) -> None:
-        if not self.eligible(solver):
+    def __init__(self, solver, arena: np.ndarray | None = None,
+                 members=()) -> None:
+        members = list(members) or [solver]
+        if not all(self.eligible(s) for s in members):
             raise TypeError(
                 "AAStepKernel requires a plain BGKCollision and only "
                 "face-resident boundary handlers (rotated closure, see "
@@ -146,8 +171,18 @@ class AAStepKernel:
         dtype = solver.dtype
         pshape = solver.fg.shape[1:]
         ishape = solver.shape
+        if arena is not None and arena.shape != (lat.Q, len(members)) + pshape:
+            raise ValueError(f"arena shape {arena.shape} does not stack "
+                             f"{len(members)} solvers of padded shape {pshape}")
         self.solver = solver
         self.lattice = lat
+        #: Receives the workspace allocations (a stacking driver points
+        #: it at its own counters).
+        self.counters = solver.counters
+        self._stack = arena
+        #: The solvers the phases sweep, in slot order (``[solver]`` alone
+        #: unless stacked).
+        self.members = members
         self.omega = dtype.type(solver.collision.omega)
         self._one = dtype.type(1.0)
         self._zero = dtype.type(0.0)
@@ -169,40 +204,58 @@ class AAStepKernel:
         self._jterms = [[(int(q), int(lat.c[q, a]))
                          for q in np.flatnonzero(lat.c[:, a])]
                         for a in range(lat.D)]
+        #: Link offsets on the batch box: zero along the rank axis.
+        self._c = np.hstack([np.zeros((lat.Q, 1), lat.c.dtype), lat.c])
+        nr = len(members)
+        self._bshape = (nr,) + tuple(pshape)
         # Concrete bounds (never negative stops) so ``_shift`` works.
         self._interior = tuple(slice(1, n - 1) for n in pshape)
-        self._ifull = tuple(slice(0, n) for n in ishape)
-        self._pfull = tuple(slice(0, n) for n in pshape)
-        #: Scratch capacity in cells: as many whole padded planes as
-        #: fit the target, at least one; any box's chunks are cut to it.
-        plane = int(np.prod(pshape[1:]))
-        self._cap = max(1, SLAB_TARGET_CELLS // plane) * plane
-        solids = bool(solver.solid.any())
-        # The last plane is the odd phase's solid-owned value row.
-        n_planes = 6 + lat.D + self._wvals.size + (1 if solids else 0)
-        self._arena = np.empty((n_planes, self._cap), dtype)
-        self._bool = np.empty(self._cap, bool)
+        self._ifull = (slice(0, nr),) + tuple(slice(0, n) for n in ishape)
+        self._pfull = (slice(0, nr),) + tuple(slice(0, n) for n in pshape)
+        #: Scratch capacity in cells: as many whole padded ranks as fit
+        #: the target, else as many whole padded planes of one rank (at
+        #: least one); never more than the batch box.
+        rank_cells = int(np.prod(pshape))
+        if rank_cells <= SLAB_TARGET_CELLS:
+            self._cap = min(nr, SLAB_TARGET_CELLS // rank_cells) * rank_cells
+        else:
+            plane = int(np.prod(pshape[1:]))
+            self._cap = max(1, SLAB_TARGET_CELLS // plane) * plane
+        self._solids = any(bool(m.solid.any()) for m in members)
+        self._arena = None
         #: Per-site relaxation rate: ``omega`` at fluid sites, 0 at
         #: solid sites and their ghost images (even phase).
         self._om = None
-        if solids:
-            self._om = np.where(build_solid_padded(solver, pshape),
-                                self._zero, self.omega)
-            # Odd phase, solid-owned locations: shifted-index scratch,
-            # flat offset of ``+c_slot`` on the padded grid, and per
-            # visited box its solid sites (:meth:`_solid_sites`).
-            self._ibuf = np.empty(self._cap, np.intp)
-            cell_strides = np.cumprod((1,) + pshape[:0:-1])[::-1]
-            self._flat_off = lat.c @ cell_strides
-            self._solid_idx: dict[tuple, tuple] = {}
         #: Slots read across each bounded face in the rotated layout.
         self._face_slots = {(ax, d): np.flatnonzero(lat.c[:, ax] == d)
                             for ax in range(lat.D) for d in (-1, 1)}
         #: Rotated boundary applicator, built lazily on first use (only
         #: solvers with handlers ever need one).
         self._rotated_bc = None
-        if solver.counters is not None:
-            solver.counters.alloc("aa.workspace", 4 if solids else 2)
+
+    def _allocate(self) -> None:
+        """The workspace, on the first sweep (see the class docstring)."""
+        lat = self.lattice
+        dtype = self.solver.dtype
+        # The last plane is the odd phase's solid-owned value row.
+        n_planes = (6 + lat.D + self._wvals.size
+                    + (1 if self._solids else 0))
+        self._arena = np.empty((n_planes, self._cap), dtype)
+        self._bool = np.empty(self._cap, bool)
+        if self._solids:
+            solid = np.empty(self._bshape, bool)
+            for member, out in zip(self.members, solid):
+                build_solid_padded(member, out)
+            self._om = np.where(solid, self._zero, self.omega)
+            # Odd phase, solid-owned locations: shifted-index scratch,
+            # flat offset of ``+c_slot`` on the batch box, and per
+            # visited box its solid sites (:meth:`_solid_sites`).
+            self._ibuf = np.empty(self._cap, np.intp)
+            cell_strides = np.cumprod((1,) + self._bshape[:0:-1])[::-1]
+            self._flat_off = self._c @ cell_strides
+            self._solid_idx: dict[tuple, tuple] = {}
+        if self.counters is not None:
+            self.counters.alloc("aa.workspace", 4 if self._solids else 2)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -220,10 +273,21 @@ class AAStepKernel:
                 and all(face_resident(b) for b in solver.boundaries))
 
     # -- region plumbing -------------------------------------------------
+    def _box(self) -> np.ndarray:
+        """The ``(Q, R) + padded`` batch array every phase sweeps."""
+        return self._stack if self._stack is not None else self.solver.fg[:, None]
+
+    def _batch_region(self, region) -> tuple[slice, ...]:
+        """A 3-D interior box widened to every rank of the batch."""
+        region = tuple(region)
+        return region if len(region) == 4 else self._ifull[:1] + region
+
     @staticmethod
     def _padded_region(region) -> tuple[slice, ...]:
-        """Interior-coordinate slab -> padded-array slices (+1 shift)."""
-        return tuple(slice(s.start + 1, s.stop + 1) for s in region)
+        """Interior-coordinate batch box -> padded-array slices (+1
+        shift on the lattice axes, none on the rank axis)."""
+        return region[:1] + tuple(slice(s.start + 1, s.stop + 1)
+                                  for s in region[1:])
 
     @staticmethod
     def _shift(P: tuple[slice, ...], vec) -> tuple[slice, ...]:
@@ -231,16 +295,30 @@ class AAStepKernel:
                      for s, v in zip(P, vec))
 
     def _chunks(self, box: tuple[slice, ...]):
-        """Cut ``box`` along axis 0 into pieces that fit the scratch."""
-        plane = int(np.prod([s.stop - s.start for s in box[1:]]))
-        if plane <= 0:
+        """Cut batch ``box`` into pieces that fit the scratch: runs of
+        whole ranks, or axis-0 slabs of one rank when a rank does not
+        fit."""
+        ext = [s.stop - s.start for s in box]
+        plane = int(np.prod(ext[2:]))
+        if plane <= 0 or ext[1] <= 0:
+            return
+        ranks, rest = box[0], tuple(box[1:])
+        if ext[1] * plane <= self._cap:
+            k = self._cap // (ext[1] * plane)
+            for r in range(ranks.start, ranks.stop, k):
+                yield (slice(r, min(r + k, ranks.stop)),) + rest
             return
         rows = max(1, self._cap // plane)
-        for a in range(box[0].start, box[0].stop, rows):
-            yield (slice(a, min(a + rows, box[0].stop)),) + tuple(box[1:])
+        x = box[1]
+        for r in range(ranks.start, ranks.stop):
+            for a in range(x.start, x.stop, rows):
+                yield ((slice(r, r + 1), slice(a, min(a + rows, x.stop)))
+                       + tuple(box[2:]))
 
     def _scratch(self, shape) -> SimpleNamespace:
         """Chunk-shaped contiguous views of the arena and bool plane."""
+        if self._arena is None:
+            self._allocate()
         n = int(np.prod(shape))
         D = self.lattice.D
         planes = self._arena[:, :n].reshape((-1,) + tuple(shape))
@@ -347,19 +425,20 @@ class AAStepKernel:
         """In-place collide with reversed-direction writes.
 
         ``region`` is an interior-coordinate box (concrete bounds, as
-        produced by ``shell_partition``) or ``None`` for the whole
-        padded array — processing the ghost shell too is harmless (its
-        rotated contents are overwritten by the subsequent fill or halo
-        exchange) and keeps slab views contiguous.  Either is swept in
-        cache-blocked axis-0 chunks.
+        produced by ``shell_partition``; a 3-D box covers every rank of
+        the batch) or ``None`` for the whole padded batch — processing
+        the ghost shell too is harmless (its rotated contents are
+        overwritten by the subsequent fill or halo exchange) and keeps
+        slab views contiguous.  Either is swept in cache-blocked chunks.
         """
         box = (self._pfull if region is None
-               else self._padded_region(region))
+               else self._padded_region(self._batch_region(region)))
+        fg = self._box()
         for P in self._chunks(box):
-            self._even_chunk(P)
+            self._even_chunk(fg, P)
 
-    def _even_chunk(self, P: tuple[slice, ...]) -> None:
-        fgP = self.solver.fg[(slice(None),) + P]
+    def _even_chunk(self, fg, P: tuple[slice, ...]) -> None:
+        fgP = fg[(slice(None),) + P]
         ws = self._scratch(fgP.shape[1:])
         self._moments(ws, fgP)
         self._guarded_velocity(ws)
@@ -384,53 +463,56 @@ class AAStepKernel:
     def odd_phase(self, region=None) -> None:
         """Gather-collide-scatter; restores the canonical layout.
 
-        ``region`` is an interior-coordinate box (concrete bounds) or
-        ``None`` for the whole interior; either is swept in
-        cache-blocked axis-0 chunks.  Reads the rotated layout (ghosts
-        must hold the post-even-phase fill/exchange), scatters relaxed
-        populations forward; locations owned by solid sites are
-        rewritten with the bits they hold (they already are the bounced
-        populations, see the module docstring).  Region splits are
-        hazard-free: a region reads and writes exactly the locations
-        its own sites own.
+        ``region`` is an interior-coordinate box (concrete bounds; a
+        3-D box covers every rank of the batch) or ``None`` for the
+        whole interior of every rank; either is swept in cache-blocked
+        chunks.  Reads the rotated layout (ghosts must hold the
+        post-even-phase fill/exchange), scatters relaxed populations
+        forward; locations owned by solid sites are rewritten with the
+        bits they hold (they already are the bounced populations, see
+        the module docstring).  Region splits are hazard-free: a region
+        reads and writes exactly the locations its own sites own.
         """
+        fg = self._box()
         for R in self._chunks(self._ifull if region is None
-                              else tuple(region)):
-            self._odd_chunk(R)
+                              else self._batch_region(region)):
+            self._odd_chunk(fg, R)
 
     def _solid_sites(self, R: tuple[slice, ...]):
-        """``(within-chunk, padded-grid)`` flat indices of ``R``'s
-        solid sites, cached per chunk; ``None`` if it has none."""
+        """``(within-chunk, batch-box)`` flat indices of ``R``'s solid
+        sites, cached per chunk; ``None`` if it has none."""
         key = tuple((s.start, s.stop) for s in R)
         if key not in self._solid_idx:
-            mask = self.solver.solid[R]
+            ranks = self.members[R[0]]
+            mask = np.stack([m.solid[R[1:]] for m in ranks])
             local = np.flatnonzero(mask)
-            padded = np.ravel_multi_index(
-                tuple(x + s.start + 1 for x, s
-                      in zip(np.unravel_index(local, mask.shape), R)),
-                self.solver.fg.shape[1:]).astype(np.intp)
+            coords = np.unravel_index(local, mask.shape)
+            for x, s in zip(coords, self._padded_region(R)):
+                x += s.start
+            padded = np.ravel_multi_index(coords, self._bshape).astype(
+                np.intp, copy=False)
             self._solid_idx[key] = (local, padded) if local.size else None
         return self._solid_idx[key]
 
-    def _scatter(self, h, slot: int, dst, sites) -> None:
+    def _scatter(self, cells, h, slot: int, dst, sites) -> None:
         """``a_slot(x + c_slot) <- h(x)``: a plain write of ``h`` to
         ``dst``, after overwriting ``h`` at the chunk's solid sites with
-        what their locations hold, so those keep their bits."""
+        what their locations hold (read through ``cells``, the batch's
+        flat view), so those keep their bits."""
         if sites is not None:
             local, padded = sites
             idx = np.add(padded, self._flat_off[slot],
                          out=self._ibuf[:local.size])
             vals = self._arena[-1, :local.size]
             # In range by construction; "raise" would stage ``out``.
-            np.take(flat_cells(self.solver.fg)[slot], idx, out=vals,
-                    mode="clip")
+            np.take(cells[slot], idx, out=vals, mode="clip")
             np.put(h, local, vals)
         dst[...] = h
 
-    def _odd_chunk(self, R: tuple[slice, ...]) -> None:
-        fg, lat = self.solver.fg, self.lattice
+    def _odd_chunk(self, fg, R: tuple[slice, ...]) -> None:
+        lat = self.lattice
         P = self._padded_region(R)
-        views = [fg[(int(lat.opp[q]),) + self._shift(P, -lat.c[q])]
+        views = [fg[(int(lat.opp[q]),) + self._shift(P, -self._c[q])]
                  for q in range(lat.Q)]
         ws = self._scratch(views[0].shape)
         self._moments(ws, views)
@@ -438,17 +520,18 @@ class AAStepKernel:
         self._hoist(ws)
         add = self._force_add()
         sites = self._solid_sites(R) if self._om is not None else None
+        cells = flat_cells(fg) if sites is not None else None
         for pair in self._pairs:
             # views[p] = fg[m][P - c_p] holds phi_p and receives h_m,
             # views[m] = fg[p][P + c_p] holds phi_m and receives h_p.
             p, m = pair[:2]
             hp, hm = self._relax_pair(ws, pair, views[p], views[m],
                                       self.omega, add)
-            self._scatter(hp, p, views[m], sites)
-            self._scatter(hm, m, views[p], sites)
+            self._scatter(cells, hp, p, views[m], sites)
+            self._scatter(cells, hm, m, views[p], sites)
         for r in self._rest:
             hr = self._relax_rest(ws, r, views[r], self.omega, add)
-            self._scatter(hr, r, views[r], sites)
+            self._scatter(cells, hr, r, views[r], sites)
 
     # -- ghost handling (single-domain) ----------------------------------
     def fill_ghosts(self) -> None:
@@ -577,7 +660,8 @@ def run_aa_equivalence_check(shape=(24, 20, 4), steps: int = 4,
     allocated).  Cluster: a uniform-AA 2x2x1 decomposition must
     reproduce the single-domain reference bit for bit on every
     requested backend, at both an odd (reconstructed gather) and even
-    step count.  Two cases then run under the *default* configuration,
+    step count; the serial backend must run it as one stacked lattice
+    (:mod:`repro.core.stack`).  Two cases then run under the *default* configuration,
     no kernel named: the single-domain dispersion solver
     (:func:`_default_resolved_check`) and, with the processes backend
     requested, the bounded problem on process ranks
@@ -661,6 +745,8 @@ def run_aa_equivalence_check(shape=(24, 20, 4), steps: int = 4,
                                 tau=0.7, solid=solid, backend=backend,
                                 kernel="aa", **spec["cluster"])
             with CPUClusterLBM(cfg) as cluster:
+                assert cluster.stacked == (backend == "serial"), (
+                    f"{case}/{backend}: stacked={cluster.stacked}")
                 cluster.load_global_distributions(f0)
                 cluster.step(odd_steps)
                 got_odd = cluster.gather_distributions().copy()

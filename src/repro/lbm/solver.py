@@ -17,6 +17,7 @@ import time
 
 import numpy as np
 
+from repro.lbm.aa import AAStepKernel
 from repro.lbm.boundaries import Boundary, BounceBackNodes
 from repro.lbm.collision import BGKCollision, plain_bgk_step
 from repro.lbm.equilibrium import equilibrium, equilibrium_site
@@ -289,7 +290,6 @@ class LBMSolver:
         ``aa_halo_managed`` closes the AA halo for a solver driven
         phase by phase, so there the rule's answer is ``split``.
         """
-        from repro.lbm.aa import AAStepKernel
         if self.kernel == "split":
             return self._note_selection("split", "forced kernel='split'")
         if self.kernel == "aa":
@@ -333,7 +333,6 @@ class LBMSolver:
         """
         akern = self._aa_kernel
         if akern is None:
-            from repro.lbm.aa import AAStepKernel
             self.mark_canonical()
             akern = self._aa_kernel = AAStepKernel(self)
         return akern

@@ -117,11 +117,13 @@ def flat_cells(fg: np.ndarray) -> np.ndarray:
     row of cells per link, so a flat cell index
     (:func:`padded_flat_index`) gathers and scatters through it.
 
-    A non-contiguous array raises: ``reshape`` would silently hand
-    back a copy and every write through it would be lost.
+    The links may sit at any stride (a rank's slot of a stacked arena,
+    :mod:`repro.core.stack`), but each link's cells must be one
+    C-contiguous block: otherwise ``reshape`` would silently hand back
+    a copy and every write through it would be lost, so that raises.
     """
-    if not fg.flags.c_contiguous:
-        raise ValueError("distribution array is not C-contiguous")
+    if not fg[0].flags.c_contiguous:
+        raise ValueError("distribution array is not C-contiguous per link")
     return fg.reshape(fg.shape[0], -1)
 
 

@@ -222,14 +222,20 @@ class TestWorkspace:
         return k._arena.nbytes + k._bool.nbytes + k._ibuf.nbytes
 
     def test_scratch_is_slab_sized_whatever_the_domain(self):
+        """Scratch holds one chunk: the whole padded box while it fits
+        the slab target, whole padded planes under the target beyond
+        that — so it stops growing with the domain."""
         sizes = []
-        for shape in ((24, 40, 16), (96, 40, 16)):
+        for shape in ((24, 40, 16), (96, 40, 16), (192, 40, 16)):
             s = _bounded_box(shape, "aa")
             s.step(2)
             k = s._aa_kernel
             plane = int(np.prod(s.fg.shape[2:]))
+            box = int(np.prod(s.fg.shape[1:]))
             planes = k._arena.shape[0]
             assert planes == 6 + 3 + 3 + 1
+            cap = min(box, aa_mod.SLAB_TARGET_CELLS // plane * plane)
+            assert k._arena.shape[1] == cap
             budget = (planes + 3) * (aa_mod.SLAB_TARGET_CELLS + plane) * 4
             assert self._scratch_bytes(k) <= budget
             sizes.append(self._scratch_bytes(k))
@@ -238,7 +244,7 @@ class TestWorkspace:
             for name in vars(ws):
                 owner = k._bool if name == "bl" else k._arena
                 assert np.shares_memory(getattr(ws, name), owner), name
-        assert sizes[0] == sizes[1]
+        assert sizes[0] < sizes[1] == sizes[2]
 
     def test_steady_state_step_allocates_nothing(self):
         s = _bounded_box((24, 40, 16), "aa", handlers=False)

@@ -10,6 +10,7 @@ depends on timing.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import numpy as np
@@ -18,7 +19,7 @@ import pytest
 from repro.core import ClusterConfig, CPUClusterLBM, GPUClusterLBM
 from repro.core.balance import measured_cost_field
 from repro.core.decomposition import BlockDecomposition, weighted_cuts
-from repro.lbm import LBMSolver
+from repro.lbm import AAStepKernel, LBMSolver
 from repro.lbm.boundaries import EquilibriumVelocityInlet, OutflowBoundary
 from repro.lbm.lattice import D3Q19
 from repro.urban.city import times_square_like
@@ -155,11 +156,28 @@ class TestSerialRanksCollideWhole:
                              ids=["default", "overlap"])
     def test_no_shell_phase_no_comm_thread(self, monkeypatch, kwargs):
         """Serial CPU ranks step collide -> exchange -> finish like
-        process ranks: ``overlap`` is the GPU driver's switch."""
+        process ranks, never through a shell phase: ``overlap`` is the
+        GPU driver's switch.  AA ranks collide as one stacked lattice,
+        one whole phase per step; split ranks one after another."""
         calls = _spy_collides(monkeypatch)
+        phases = []
+        for name in ("even_phase", "odd_phase"):
+            orig = getattr(AAStepKernel, name)
+
+            def spy(self, region=None, _orig=orig, _name=name):
+                phases.append((_name, region, len(self.members)))
+                return _orig(self, region)
+            monkeypatch.setattr(AAStepKernel, name, spy)
         cfg = ClusterConfig(sub_shape=(6, 6, 4), arrangement=(2, 1, 1),
                             tau=0.7, **kwargs)
         with CPUClusterLBM(cfg) as cluster:
+            assert cluster.stacked
+            cluster.step(3)
+        assert calls == []
+        assert phases == [("even_phase", None, 2), ("odd_phase", None, 2),
+                          ("even_phase", None, 2)]     # 3 steps, 2 ranks
+        with CPUClusterLBM(dataclasses.replace(cfg, kernel="split")) as cluster:
+            assert not cluster.stacked
             cluster.step(3)
         assert calls == ["collide"] * 6    # 2 ranks x 3 steps
 
