@@ -81,6 +81,9 @@ class GPUNode:
             self.solver = GPULBMSolver(self.sub_shape, tau, device=self.device,
                                        mode="padded", solid=solid, inlet=inlet,
                                        outflow=outflow, force=force)
+        # The modeled border and AGP terms are constant per node.
+        self._border_s = self._border_compute_s()
+        self._agp_s = self._model_agp_s()
         # Per-step timing buckets (seconds).
         self.compute_s = 0.0
         self.agp_s = 0.0
@@ -120,7 +123,7 @@ class GPUNode:
     def _model_compute_s(self) -> float:
         base = self.cells * cal.lbm_step_compute_ns_per_cell() * 1e-9
         base /= self.device.spec.lbm_throughput_scale
-        return base + self._border_compute_s()
+        return base + self._border_s
 
     def _model_window_s(self) -> float:
         per_cell = (290 * cal.GPU_NS_PER_ALU + 20 * cal.GPU_NS_PER_FETCH) * 1e-9
@@ -230,7 +233,7 @@ class GPUNode:
     def charge_transfers(self) -> None:
         """Charge the step's AGP cost (gather passes + single readback +
         per-direction uploads), identically in both modes."""
-        self.agp_s = self._model_agp_s()
+        self.agp_s = self._agp_s
 
     def finish_step(self) -> None:
         """Stream + boundary passes; close out compute accounting."""
@@ -246,4 +249,4 @@ class GPUNode:
             self.solver._apply_outflow()
         # Everything charged on the device this step is compute; the AGP
         # bucket is modeled separately by charge_transfers().
-        self.compute_s = self.device.clock_s + self._border_compute_s()
+        self.compute_s = self.device.clock_s + self._border_s

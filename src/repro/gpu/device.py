@@ -13,7 +13,8 @@ from collections import defaultdict
 
 import numpy as np
 
-from repro.gpu.fragment import FragmentProgram, Rect, RenderContext
+from repro.gpu.fragment import (FragmentProgram, Rect, RenderContext, span_interior,
+                                span_of)
 from repro.gpu.specs import AGP_8X, GEFORCE_FX_5800_ULTRA, BusSpec, GPUSpec
 from repro.gpu.texture import TextureMemory, TextureStack
 
@@ -91,9 +92,59 @@ class SimulatedGPU:
             return z_range
         return None
 
+    def _render(self, program: FragmentProgram, target: TextureStack, bindings,
+                rect: Rect, z_range, wrap: bool, consts):
+        """Render ``program`` over ``rect`` x ``z_range`` of ``target``.
+        Returns ``(outs, fragments)``; ``outs`` lists ``(index,
+        texels)`` for :meth:`_copy_in`, one per slice or one for a
+        batched render (a span unless ``wrap``)."""
+        ys, xs = slice(rect.y0, rect.y1), slice(rect.x0, rect.x1)
+        zb = self._batch_range(program, z_range)
+        if zb is None:
+            outs = [((z, ys, xs), self._kernel(
+                        program, RenderContext(bindings, z, rect, wrap, consts),
+                        (rect.height, rect.width, 4))) for z in z_range]
+            return outs, len(outs) * rect.fragments
+        sp = span_of(rect, zb, target.height, target.width)
+        ctx = RenderContext(bindings, zb, rect, wrap, consts, span=not wrap)
+        out = self._kernel(program, ctx, (len(zb), rect.height, rect.width, 4)
+                           if wrap else (sp.stop - sp.start, 4))
+        return [((slice(zb.start, zb.stop), ys, xs), out)], len(zb) * rect.fragments
+
+    @staticmethod
+    def _copy_in(target: TextureStack, index, texels: np.ndarray) -> None:
+        """Copy a render's ``texels`` into ``target`` at box ``index``;
+        a span's ``(n, 4)`` render is first cut back to the box."""
+        if texels.ndim == 2:
+            texels = span_interior(texels, index, target.height, target.width)
+        target.data[index] = texels
+
+    @staticmethod
+    def _kernel(program: FragmentProgram, ctx: RenderContext, expected) -> np.ndarray:
+        out = np.asarray(program.kernel(ctx), dtype=np.float32)
+        if out.shape != expected:
+            raise ValueError(
+                f"pass {program.name!r} produced {out.shape}, expected {expected}")
+        return out
+
+    @staticmethod
+    def _swap_in(target: TextureStack, pbuffer: TextureStack, index) -> None:
+        """Commit a render that filled ``pbuffer`` at ``index`` by
+        swapping: restore the rest of the stack (six slabs around the
+        ``(z, y, x)`` box) from the old target, then exchange the two
+        stacks' texels, so ``pbuffer`` holds the previous target."""
+        new, old = pbuffer.data, target.data
+        zs, ys, xs = index
+        for region in ((slice(None, zs.start),), (slice(zs.stop, None),),
+                       (zs, slice(None, ys.start)), (zs, slice(ys.stop, None)),
+                       (zs, ys, slice(None, xs.start)), (zs, ys, slice(xs.stop, None))):
+            new[region] = old[region]
+        target.data, pbuffer.data = new, old
+
     def run_pass(self, program: FragmentProgram, target: TextureStack,
                  bindings, rect: Rect, z_range=None, wrap: bool = False,
-                 consts=None, charge: bool = True) -> None:
+                 consts=None, charge: bool = True,
+                 pbuffer: TextureStack | None = None) -> None:
         """Execute one render pass.
 
         For every slice in ``z_range`` the kernel renders ``rect`` into
@@ -101,39 +152,27 @@ class SimulatedGPU:
         only after the whole pass, enforcing the no-read-own-target
         pipeline rule even across slices (required by Z streaming).
         ``batchable`` programs render a contiguous ``z_range`` in a
-        single kernel invocation — same texels, same modeled time,
-        far less simulator overhead.
+        single kernel invocation — over a padded stack, its span (see
+        :mod:`repro.gpu.fragment`) — with the same texels committed and
+        the same modeled time, far less simulator overhead.
 
-        ``target`` may also appear in ``bindings`` *as input*: kernels
-        read the pre-pass contents.  With ``charge=False`` the pass
-        renders but is neither charged nor counted (see :meth:`account`).
+        A batched render that the kernel wrote into ``pbuffer`` (a
+        stack shaped like ``target``) is committed by swap
+        (:meth:`_swap_in`); any other output is copied into ``target``
+        at ``rect`` x ``z_range``.  ``target`` may also appear in
+        ``bindings`` *as input*: kernels read the pre-pass contents.
+        With ``charge=False`` the pass renders but is neither charged
+        nor counted (see :meth:`account`).
         """
         if z_range is None:
             z_range = range(target.depth)
-        zb = self._batch_range(program, z_range)
-        if zb is not None:
-            ctx = RenderContext(bindings, zb, rect, wrap=wrap, consts=consts)
-            out = np.asarray(program.kernel(ctx), dtype=np.float32)
-            expected = (len(zb), rect.height, rect.width, 4)
-            if out.shape != expected:
-                raise ValueError(
-                    f"pass {program.name!r} produced {out.shape}, expected {expected}")
-            target.data[zb.start:zb.stop, rect.y0:rect.y1, rect.x0:rect.x1] = out
-            n = len(zb) * rect.fragments
+        outs, n = self._render(program, target, bindings, rect, z_range, wrap, consts)
+        if (pbuffer is not None and self._batch_range(program, z_range) is not None
+                and np.may_share_memory(outs[0][1], pbuffer.data)):
+            self._swap_in(target, pbuffer, outs[0][0])
         else:
-            pending: list[tuple[int, np.ndarray]] = []
-            for z in z_range:
-                ctx = RenderContext(bindings, z, rect, wrap=wrap, consts=consts)
-                out = program.kernel(ctx)
-                out = np.asarray(out, dtype=np.float32)
-                expected = (rect.height, rect.width, 4)
-                if out.shape != expected:
-                    raise ValueError(
-                        f"pass {program.name!r} produced {out.shape}, expected {expected}")
-                pending.append((z, out))
-            for z, out in pending:
-                target.data[z, rect.y0:rect.y1, rect.x0:rect.x1] = out
-            n = len(pending) * rect.fragments
+            for index, texels in outs:
+                self._copy_in(target, index, texels)
         if charge:
             self.account(program, n)
 
@@ -143,10 +182,12 @@ class SimulatedGPU:
 
         ``passes`` is a list of ``(program, target, bindings)``.  All
         kernels read pre-group texture contents; outputs are committed
-        only after every pass has run.  Models rendering each pass to
-        its own pixel buffer before any copy-back — required when
-        passes exchange data between stacks (e.g. bounce-back swaps
-        opposite distributions living in different stacks).
+        by copy at ``rect`` x ``z_range`` only after every pass has
+        run, so each kernel must render into a buffer of its own.
+        Models rendering each pass to its own pixel buffer before any
+        copy-back — required when passes exchange data between stacks
+        (as the bounce-back shader, :class:`~repro.gpu.GPULBMSolver`'s
+        ``bounce`` programs, does).
         """
         if not passes:
             return
@@ -155,34 +196,12 @@ class SimulatedGPU:
             z_range = range(first_target.depth)
         elif not isinstance(z_range, range):
             z_range = list(z_range)  # re-iterable across the pass list
-        pending = []
-        for program, target, bindings in passes:
-            zb = self._batch_range(program, z_range)
-            if zb is not None:
-                ctx = RenderContext(bindings, zb, rect, wrap=wrap, consts=consts)
-                out = np.asarray(program.kernel(ctx), dtype=np.float32)
-                expected = (len(zb), rect.height, rect.width, 4)
-                if out.shape != expected:
-                    raise ValueError(
-                        f"pass {program.name!r} produced {out.shape}, expected {expected}")
-                outs = [(zb, out)]
-                n = len(zb) * rect.fragments
-            else:
-                outs = []
-                for z in z_range:
-                    ctx = RenderContext(bindings, z, rect, wrap=wrap, consts=consts)
-                    out = np.asarray(program.kernel(ctx), dtype=np.float32)
-                    expected = (rect.height, rect.width, 4)
-                    if out.shape != expected:
-                        raise ValueError(
-                            f"pass {program.name!r} produced {out.shape}, expected {expected}")
-                    outs.append((z, out))
-                n = len(outs) * rect.fragments
-            pending.append((program, target, outs, n))
-        for program, target, outs, n in pending:
-            for z, out in outs:
-                zi = slice(z.start, z.stop) if isinstance(z, range) else z
-                target.data[zi, rect.y0:rect.y1, rect.x0:rect.x1] = out
+        pending = [(program, target,
+                    self._render(program, target, bindings, rect, z_range, wrap, consts))
+                   for program, target, bindings in passes]
+        for program, target, (outs, n) in pending:
+            for index, texels in outs:
+                self._copy_in(target, index, texels)
             self.account(program, n)
 
     # -- host transfers ---------------------------------------------------

@@ -18,6 +18,14 @@ The engine enforces the pipeline discipline (Sec 2): a pass may not
 read its own render target; results land in a pixel buffer and are
 copied (or swapped) into a texture after the full pass, which is what
 makes same-stack dependencies (streaming!) hazard-free.
+
+A batched pass over a ghost-padded stack renders one *span*: the flat
+texel run from the first texel of ``rect`` x ``z_range`` to its last
+(:func:`span_of`).  Each channel of a span is one unit-stride run, a
+fetch at ``(dx, dy, dz)`` is the span shifted by ``dz*h*w + dy*w +
+dx`` texels, and the rim texels the span crosses between rows and
+slices are computed and thrown away: only ``rect`` x ``z_range`` is
+committed, and only its fragments are charged.
 """
 
 from __future__ import annotations
@@ -26,8 +34,9 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
-from repro.gpu.texture import TextureStack
+from repro.gpu.texture import TextureStack, flat_planes
 
 
 @dataclass(frozen=True)
@@ -50,10 +59,11 @@ class FragmentProgram:
         The kernel is elementwise over the leading array axes (no
         per-slice logic beyond fetch offsets), so the engine may render
         a contiguous block of Z slices in one invocation: ``fetch``
-        returns ``(d, h, w, ...)`` arrays and the kernel must produce
-        ``(d, h, w, 4)``.  Purely a simulator-speed optimisation — the
-        committed texels and the modeled time are identical to the
-        slice-by-slice loop.
+        returns ``(d, h, w, ...)`` arrays (``(n, ...)`` over a padded
+        stack's span) and the kernel must produce the same leading
+        shape with 4 channels.  Purely a simulator-speed optimisation
+        — the committed texels and the modeled time are identical to
+        the slice-by-slice loop.
     """
 
     name: str
@@ -94,6 +104,25 @@ class Rect:
         return f"Rect(y=[{self.y0},{self.y1}), x=[{self.x0},{self.x1}))"
 
 
+def span_of(rect: Rect, z_range: range, height: int, width: int) -> slice:
+    """Flat texel indices, in a ``height`` x ``width`` stack, from the
+    first texel of ``rect`` x ``z_range`` to its last."""
+    start = (z_range.start * height + rect.y0) * width + rect.x0
+    stop = ((z_range.stop - 1) * height + rect.y1 - 1) * width + rect.x1
+    return slice(start, stop)
+
+
+def span_interior(texels: np.ndarray, index, height: int,
+                  width: int) -> np.ndarray:
+    """The texels of box ``index`` (``(z, y, x)`` slices) in a render
+    of its span, ``(n, 4)``, as a read-only ``(d, h, w, 4)`` view (the
+    rims skipped)."""
+    s0, s1 = texels.strides
+    shape = tuple(sl.stop - sl.start for sl in index) + (4,)
+    return as_strided(texels, shape, (height * width * s0, width * s0, s0, s1),
+                      writeable=False)
+
+
 class RenderContext:
     """Per-slice execution context handed to fragment kernels.
 
@@ -114,15 +143,21 @@ class RenderContext:
         structure must guarantee validity, as a real shader must).
     consts:
         Uniform constants visible to the kernel.
+    span:
+        Render the :func:`span_of` ``rect`` x ``z`` (a contiguous
+        range; padded layout): fetches return ``(n, 4)`` (or ``(n,)``
+        / ``(n, k)``) runs of the span's ``n`` texels.
     """
 
     def __init__(self, bindings: Mapping[str, TextureStack], z: int, rect: Rect,
-                 wrap: bool, consts: Mapping | None = None) -> None:
+                 wrap: bool, consts: Mapping | None = None,
+                 span: bool = False) -> None:
         self._bindings = bindings
         self.z = z if isinstance(z, range) else int(z)
         self.rect = rect
         self.wrap = bool(wrap)
         self.consts = dict(consts or {})
+        self.span = span
         self.fetch_count = 0
 
     def fetch(self, name: str, dx: int = 0, dy: int = 0, dz: int = 0,
@@ -131,14 +166,24 @@ class RenderContext:
 
         Returns shape ``(h, w, 4)`` (or ``(h, w)`` / ``(h, w, k)`` when
         ``channels`` selects specific components).  With a batched
-        ``z`` range, a leading depth axis is prepended.  Counted for
-        the timing model via ``fetch_count``.
+        ``z`` range, a leading depth axis is prepended; a span render
+        returns ``(n, 4)`` instead.  Counted for the timing model via
+        ``fetch_count``.
         """
         stack = self._bindings[name]
         self.fetch_count += 1
         r = self.rect
         batched = isinstance(self.z, range)
-        if self.wrap:
+        if self.span:
+            h, w = stack.height, stack.width
+            sp = span_of(r, self.z, h, w)
+            shift = (dz * h + dy) * w + dx
+            planes = flat_planes(stack.data)
+            if sp.start + shift < 0 or sp.stop + shift > planes.shape[1]:
+                raise IndexError(f"fetch offset ({dx},{dy},{dz}) moves the "
+                                 f"span outside texture {name}")
+            out = planes[:, sp.start + shift:sp.stop + shift].T
+        elif self.wrap:
             if batched:
                 idx = (np.arange(self.z.start, self.z.stop) + dz) % stack.depth
                 sl = stack.data[idx]

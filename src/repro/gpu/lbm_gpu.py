@@ -36,9 +36,9 @@ import threading
 import numpy as np
 
 from repro.gpu.device import SimulatedGPU
-from repro.gpu.fragment import FragmentProgram, Rect
+from repro.gpu.fragment import FragmentProgram, Rect, span_of
 from repro.gpu.packing import D3Q19Packing, N_DISTRIBUTION_STACKS, link_location, stack_links
-from repro.gpu.texture import TextureStack
+from repro.gpu.texture import flat_planes
 from repro.lbm.lattice import D3Q19
 from repro.lbm.equilibrium import equilibrium_site
 
@@ -176,6 +176,18 @@ class GPULBMSolver:
         self._wrap = mode == "wrap"
         self._split_pieces: tuple[list, list] | None = None
         self._programs = self._build_programs()
+        if self.has_solid:
+            # Flat texel indices of the solid sites (the flags texels
+            # rendered passes read, fixed after construction).
+            self._solid_texels = np.flatnonzero(np.pad(self.solid.transpose(2, 1, 0), p))
+        # Per-step constants of the boundary-layer passes.
+        if inlet is not None:
+            self._inlet_feq = equilibrium_site(self.lattice, inlet[3],
+                                               inlet[2]).astype(F32)
+            self._inlet_s = self._layer_pass_s("inlet", inlet[0], tex_fetches=0)
+        if outflow is not None:
+            self._outflow_s = self._layer_pass_s("outflow", outflow[0],
+                                                 tex_fetches=1)
         self.time_step = 0
         self.initialize()
 
@@ -208,11 +220,17 @@ class GPULBMSolver:
 
     # -- fragment programs ----------------------------------------------
     def _pixel_buffer(self, ctx) -> np.ndarray:
-        """The ``pbuffer`` texels of this render: ``(d, h, w, 4)`` for a
-        batched z range, ``(h, w, 4)`` for one slice.  Distinct slices
-        of a slice-by-slice pass land in distinct texels, so outputs
-        still pending commit never alias one another."""
+        """The ``pbuffer`` texels of this render: ``(n, 4)`` for a span,
+        ``(d, h, w, 4)`` for a batched z range, ``(h, w, 4)`` for one
+        slice.  Distinct slices of a slice-by-slice pass land in
+        distinct texels, so outputs still pending commit never alias
+        one another.  Between renders the ``pbuffer`` holds the texels
+        of the last target a render was swapped into, not that render
+        (:meth:`SimulatedGPU.run_pass`)."""
         z, r = ctx.z, ctx.rect
+        if ctx.span:
+            pb = self.pbuffer
+            return flat_planes(pb.data)[:, span_of(r, z, pb.height, pb.width)].T
         zs = slice(z.start, z.stop) if isinstance(z, range) else z
         return self.pbuffer.data[zs, r.y0:r.y1, r.x0:r.x1]
 
@@ -220,12 +238,14 @@ class GPULBMSolver:
         """The pass suite (DESIGN.md §5k has the host-side spelling).
 
         ``macro``, ``collide`` and ``stream`` render into
-        :attr:`pbuffer`, which :meth:`SimulatedGPU.run_pass` then copies
-        into the target texture; ``bounce`` runs as a pass group (all
-        five read one snapshot), so each of its passes renders into a
-        copy of its own.  Every program reads only its fetches and
-        keeps only its own uniforms; scratch comes from
-        :func:`_scratch_planes` and dies with the kernel call.
+        :attr:`pbuffer`, which :meth:`SimulatedGPU.run_pass` then swaps
+        with the target texture (or copies, slice by slice).  ``bounce``
+        is the shader of a pass group (all five read one snapshot, so
+        each renders into a copy of its own); :meth:`run_bounce_passes`
+        executes it as an index-list swap and charges these programs.
+        Every program reads only its fetches and keeps only its own
+        uniforms; scratch comes from :func:`_scratch_planes` and dies
+        with the kernel call.
         """
         lat = self.lattice
         c = lat.c.astype(F32)
@@ -455,12 +475,16 @@ class GPULBMSolver:
         return out
 
     # -- boundary-layer passes --------------------------------------------
-    def _apply_inlet(self) -> None:
-        axis, side, velocity, rho = self.inlet
-        feq = equilibrium_site(self.lattice, rho, velocity).astype(F32)
-        self._write_layer_constant(axis, side, feq)
+    def _layer_pass_s(self, name: str, axis: int, tex_fetches: int) -> float:
+        """Modeled cost of a boundary-layer pass on an ``axis`` face:
+        one small pass per stack."""
+        nx, ny, nz = self.shape
+        face = {0: ny * nz, 1: nx * nz, 2: nx * ny}[axis]
+        prog = FragmentProgram(name, None, alu_ops=2, tex_fetches=tex_fetches)
+        return 5 * self.device.pass_time_s(prog, face)
 
-    def _write_layer_constant(self, axis: int, side: str, feq: np.ndarray) -> None:
+    def _apply_inlet(self) -> None:
+        axis, side, _, _ = self.inlet
         p = self.pad
         nx, ny, nz = self.shape
         idx_along = p if side == "low" else (self.shape[axis] - 1 + p)
@@ -469,11 +493,8 @@ class GPULBMSolver:
             data = self.f_stacks[s].data
             sl = [slice(p, nz + p), slice(p, ny + p), slice(p, nx + p), ch]
             sl[2 - axis] = idx_along
-            data[tuple(sl)] = feq[i]
-        # Modeled cost: one small constant-fill pass per stack.
-        face = {0: ny * nz, 1: nx * nz, 2: nx * ny}[axis]
-        prog = FragmentProgram("inlet", lambda ctx: None, alu_ops=2, tex_fetches=0)
-        self.device.charge("inlet", 5 * self.device.pass_time_s(prog, face))
+            data[tuple(sl)] = self._inlet_feq[i]
+        self.device.charge("inlet", self._inlet_s)
 
     def _apply_outflow(self) -> None:
         axis, side = self.outflow
@@ -490,9 +511,7 @@ class GPULBMSolver:
             sl_d[2 - axis] = dst
             sl_s[2 - axis] = src
             data[tuple(sl_d)] = data[tuple(sl_s)]
-        face = {0: ny * nz, 1: nx * nz, 2: nx * ny}[axis]
-        prog = FragmentProgram("outflow", lambda ctx: None, alu_ops=2, tex_fetches=1)
-        self.device.charge("outflow", 5 * self.device.pass_time_s(prog, face))
+        self.device.charge("outflow", self._outflow_s)
 
     # -- the step -----------------------------------------------------------
     def bindings(self) -> dict:
@@ -506,7 +525,7 @@ class GPULBMSolver:
         self.device.run_pass(self._programs["macro"], self.macro_stack,
                              self.bindings(), rect or self._rect,
                              z_range if z_range is not None else self._z_range,
-                             wrap=self._wrap, charge=charge)
+                             wrap=self._wrap, charge=charge, pbuffer=self.pbuffer)
 
     # -- boundary/inner split (padded mode) -------------------------------
     def split_pieces(self) -> tuple[list, list]:
@@ -545,7 +564,7 @@ class GPULBMSolver:
             self.device.run_pass(self._programs[f"collide{s}"], self.f_stacks[s],
                                  self.bindings(), rect or self._rect,
                                  z_range if z_range is not None else self._z_range,
-                                 wrap=self._wrap, charge=charge)
+                                 wrap=self._wrap, charge=charge, pbuffer=self.pbuffer)
 
     def charge_collide_passes(self, rect=None, z_range=None) -> None:
         """Charge the device for macro + collide0..4 over ``rect`` x
@@ -564,16 +583,23 @@ class GPULBMSolver:
         for s in range(N_DISTRIBUTION_STACKS):
             self.device.run_pass(self._programs[f"stream{s}"], self.f_stacks[s],
                                  self.bindings(), self._rect, self._z_range,
-                                 wrap=self._wrap)
+                                 wrap=self._wrap, pbuffer=self.pbuffer)
 
     def run_bounce_passes(self) -> None:
-        # Bounce-back swaps opposite distributions across stacks, so all
-        # five passes must read a consistent pre-swap snapshot.
-        b = self.bindings()
-        self.device.run_pass_group(
-            [(self._programs[f"bounce{s}"], self.f_stacks[s], b)
-             for s in range(N_DISTRIBUTION_STACKS)],
-            self._rect, self._z_range, wrap=self._wrap)
+        """The ``bounce`` pass group: every link at a solid texel takes
+        its opposite's pre-group value.  A fluid texel's output is its
+        input, so only the solid texels are touched — a snapshot of the
+        19 links there, then one scatter per link — and the five
+        programs are charged over the whole render."""
+        planes = [flat_planes(stack.data) for stack in self.f_stacks]
+        idx = self._solid_texels
+        locations = [link_location(i) for i in range(19)]
+        held = [planes[s][ch][idx] for s, ch in locations]
+        for (s, ch), opp in zip(locations, self.lattice.opp):
+            planes[s][ch][idx] = held[opp]
+        n = len(self._z_range) * self._rect.fragments
+        for s in range(N_DISTRIBUTION_STACKS):
+            self.device.account(self._programs[f"bounce{s}"], n)
 
     def fill_ghosts_periodic(self) -> None:
         """Padded-mode periodic wrap (used when no cluster is attached)."""

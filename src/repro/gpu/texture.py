@@ -71,6 +71,13 @@ def _planar(*shape) -> np.ndarray:
     return np.moveaxis(planes, 0, -1)
 
 
+def flat_planes(data: np.ndarray) -> np.ndarray:
+    """The ``(4, n)`` view of a stack's channel-planar texels ``data``:
+    each channel one unit-stride run over every texel in ``[z, y, x]``
+    order (never a copy: writes through it land in ``data``)."""
+    return data.transpose(3, 0, 1, 2).reshape(CHANNELS, -1, copy=False)
+
+
 class Texture2D:
     """A single RGBA float32 2D texture.
 

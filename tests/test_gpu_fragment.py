@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.gpu.device import SimulatedGPU
-from repro.gpu.fragment import FragmentProgram, Rect, RenderContext
-from repro.gpu.texture import TextureMemory, TextureStack
+from repro.gpu.fragment import FragmentProgram, Rect, RenderContext, span_of
+from repro.gpu.texture import TextureMemory, TextureStack, flat_planes
 
 
 @pytest.fixture
@@ -58,6 +58,31 @@ class TestFetch:
         with pytest.raises(IndexError):
             ctx.fetch("s", dz=-1)
 
+    def test_span_is_a_flat_shift(self, device):
+        """A span fetch is the flat texel run shifted by ``dz*h*w +
+        dy*w + dx``; a shift past a row's end reads the next row's
+        texels (a padded rim keeps real passes off them)."""
+        s = _stack(device)                          # w, h, d = 6, 5, 4
+        ctx = RenderContext({"s": s}, z=range(1, 3), rect=Rect(1, 4, 1, 5),
+                            wrap=False, span=True)
+        assert span_of(ctx.rect, ctx.z, 5, 6) == slice(37, 83)
+        flat = flat_planes(s.data)
+        assert np.array_equal(ctx.fetch("s"), flat[:, 37:83].T)
+        assert np.array_equal(ctx.fetch("s", dx=2), flat[:, 39:85].T)
+        assert np.array_equal(ctx.fetch("s", dx=-1, dy=1, dz=-1, channels=2),
+                              flat[2, 37 - 30 + 6 - 1:83 - 30 + 6 - 1])
+
+    def test_span_shift_leaving_the_stack_raises(self, device):
+        s = _stack(device)
+        ctx = RenderContext({"s": s}, z=range(1, 3), rect=Rect(1, 4, 1, 5),
+                            wrap=False, span=True)
+        assert ctx.fetch("s", dx=-1, dy=-1, dz=-1).shape == (46, 4)  # texel 0
+        assert ctx.fetch("s", dx=1, dy=1, dz=1).shape == (46, 4)     # the last
+        for shift in [dict(dx=-2, dy=-1, dz=-1), dict(dx=2, dy=1, dz=1),
+                      dict(dz=-2), dict(dz=2)]:
+            with pytest.raises(IndexError):
+                ctx.fetch("s", **shift)
+
     def test_channel_selection(self, device):
         s = _stack(device)
         ctx = RenderContext({"s": s}, z=1, rect=Rect(0, 5, 0, 6), wrap=True)
@@ -104,6 +129,29 @@ class TestRunPass:
         device.run_pass(prog, s, {"t": s}, Rect(0, 2, 0, 2), wrap=True)
         # Every slice read the OLD value (1.0) of its lower neighbour.
         assert (s.data == 2.0).all()
+
+    def test_render_into_the_pbuffer_commits_by_swap(self, device):
+        """The target takes the pbuffer's texels with the rim restored
+        from its own; the pbuffer keeps the previous target."""
+        src, t = _stack(device, name="s"), _stack(device, name="t")
+        pb = device.new_stack(6, 5, 4, "pb")
+        before, t_texels, pb_texels = t.data.copy(order="K"), t.data, pb.data
+
+        def kernel(ctx):
+            out = flat_planes(pb.data)[:, span_of(ctx.rect, ctx.z, 5, 6)].T
+            return np.multiply(ctx.fetch("s", dz=1), 2.0, out=out)
+
+        prog = FragmentProgram("double", kernel, alu_ops=1, tex_fetches=1,
+                               batchable=True)
+        device.run_pass(prog, t, {"s": src}, Rect(1, 4, 1, 5), range(1, 3),
+                        pbuffer=pb)
+        assert t.data is pb_texels and pb.data is t_texels
+        expect = before.copy()
+        expect[1:3, 1:4, 1:5] = 2.0 * src.data[2:4, 1:4, 1:5]
+        assert np.array_equal(t.data, expect)
+        assert np.array_equal(pb.data, before)
+        assert device.pass_counts == {"double": 1}
+        assert device.clock_s == device.pass_time_s(prog, 2 * 3 * 4)
 
     def test_timing_charged(self, device):
         s = device.new_stack(8, 8, 4, "t")

@@ -11,6 +11,12 @@ one documented exception: the rate-0 relaxation hands a ``-0.0``
 population at a solid site back as ``+0.0`` (DESIGN.md §5k).  The
 declared per-fragment costs, and with them the device clock, the
 per-pass seconds and the pass counts, are unchanged.
+
+The engine has an oracle too, the one the span engine replaced: renders
+over the strided rectangle, committed by copy at ``rect`` x
+``z_range``, and bounce-back rendered as a pass group
+(:func:`_rect_engine`).  Twins driven by it pin the span render, the
+swap commit and the index-list bounce.
 """
 
 from __future__ import annotations
@@ -24,7 +30,8 @@ from hypothesis import given, settings, strategies as st
 import repro.gpu.lbm_gpu as lbm_gpu
 from repro.core import ClusterConfig, GPUClusterLBM
 from repro.gpu import GPULBMSolver
-from repro.gpu.fragment import FragmentProgram, RenderContext
+from repro.gpu.fragment import (FragmentProgram, RenderContext, span_interior,
+                                span_of)
 from repro.gpu.packing import N_DISTRIBUTION_STACKS, link_location, stack_links
 
 F32 = np.float32
@@ -133,6 +140,41 @@ def _oracle_programs(solver) -> dict:
     return programs
 
 
+def _rect_engine(solver):
+    """Drive ``solver`` through the rectangle engine: every
+    ``run_pass`` renders over the strided rectangle (slice by slice
+    where the program or the z iteration asks) and copies its output
+    into the target at ``rect`` x ``z_range``; bounce-back renders the
+    ``bounce`` programs as a pass group."""
+    device = solver.device
+
+    def run_pass(program, target, bindings, rect, z_range=None, wrap=False,
+                 consts=None, charge=True, pbuffer=None):
+        if z_range is None:
+            z_range = range(target.depth)
+        zb = device._batch_range(program, z_range)
+        outs = [(z, program.kernel(RenderContext(bindings, z, rect, wrap=wrap,
+                                                 consts=consts)))
+                for z in ([zb] if zb is not None else z_range)]
+        for z, out in outs:
+            zs = slice(z.start, z.stop) if isinstance(z, range) else z
+            target.data[zs, rect.y0:rect.y1, rect.x0:rect.x1] = out
+        if charge:
+            n = len(zb) if zb is not None else len(outs)
+            device.account(program, n * rect.fragments)
+
+    def run_bounce_passes():
+        b = solver.bindings()
+        device.run_pass_group(
+            [(solver._programs[f"bounce{s}"], solver.f_stacks[s], b)
+             for s in range(N_DISTRIBUTION_STACKS)],
+            solver._rect, solver._z_range, wrap=solver._wrap)
+
+    device.run_pass = run_pass
+    solver.run_bounce_passes = run_bounce_passes
+    return solver
+
+
 def _bits(a):
     return np.ascontiguousarray(a).view(np.uint32)
 
@@ -172,9 +214,25 @@ def _fill(solver, rng, zero_site=False):
         flags[..., 0] = (rng.random(flags.shape[:-1]) < 0.3).astype(F32)
 
 
-def _render(program, solver, rect, z_range):
-    ctx = RenderContext(solver.bindings(), z_range, rect, wrap=solver._wrap)
-    return np.array(program.kernel(ctx), dtype=F32)     # detach the pbuffer
+def _reflag(solver):
+    """Rendered flags back to the solid mask: flags are constant after
+    construction, and bounce-back relies on it."""
+    p, (d, h, w) = solver.pad, solver.flags_stack.data.shape[:3]
+    solver.flags_stack.data[p:d - p, p:h - p, p:w - p, 0] = (
+        solver.solid.transpose(2, 1, 0))
+
+
+def _render(program, solver, rect, z_range, span=False):
+    """One batched render; with ``span`` over the padded stack's span,
+    cut back to ``rect`` x ``z_range``."""
+    ctx = RenderContext(solver.bindings(), z_range, rect, wrap=solver._wrap,
+                        span=span)
+    out = np.asarray(program.kernel(ctx), dtype=F32)
+    if span:
+        box = (slice(z_range.start, z_range.stop), slice(rect.y0, rect.y1),
+               slice(rect.x0, rect.x1))
+        out = span_interior(out, box, solver.pbuffer.height, solver.pbuffer.width)
+    return np.array(out)                                # detach the pbuffer
 
 
 def _flags_at(solver, rect, z_range):
@@ -218,11 +276,35 @@ class TestProgramsBitwise:
             for name in PROGRAMS:
                 if name.startswith("bounce") and not solver.has_solid:
                     continue
-                new = _render(solver._programs[name], solver, rect, zr)
+                new = _render(solver._programs[name], solver, rect, zr,
+                              span=mode == "padded")
                 old = _render(oracle[name], solver, rect, zr)
                 f = (_f_at(solver, int(name[-1]), rect, zr)
                      if name.startswith("collide") else None)
                 _assert_texels(name, new, old, f, flags)
+
+    @given(shape=st.tuples(*[st.integers(1, 5)] * 3),
+           mode=st.sampled_from(["wrap", "padded"]),
+           seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=25, deadline=None)
+    def test_bounce_index_swap_matches_the_pass_group(self, shape, mode, seed):
+        """Every texel, signed zeros and rims included, and the charges."""
+        rng = np.random.default_rng(seed)
+        mask = rng.random(shape) < 0.3
+        mask[0, 0, 0] = True
+        a = GPULBMSolver(shape, 0.7, mode=mode, solid=mask)
+        b = _rect_engine(GPULBMSolver(shape, 0.7, mode=mode, solid=mask))
+        b._programs = _oracle_programs(b)
+        _fill(a, rng)
+        _reflag(a)
+        for ta, tb in zip(a.bindings().values(), b.bindings().values()):
+            tb.data[...] = ta.data
+        a.run_bounce_passes()
+        b.run_bounce_passes()
+        for ta, tb in zip(a.bindings().values(), b.bindings().values()):
+            assert np.array_equal(_bits(ta.data), _bits(tb.data))
+        assert a.device.pass_seconds == b.device.pass_seconds
+        assert a.device.pass_counts == b.device.pass_counts
 
     def test_negative_zero_at_a_solid_site_comes_back_positive(self):
         """The one spelling difference, pinned: rate 0 turns ``-0.0``
@@ -263,9 +345,11 @@ class TestSliceBySlicePasses:
     def _pair(rng, **kw):
         solid = rng.random((5, 4, 5)) < 0.25
         a = GPULBMSolver((5, 4, 5), 0.7, mode="padded", solid=solid, **kw)
-        b = GPULBMSolver((5, 4, 5), 0.7, mode="padded", solid=solid, **kw)
+        b = _rect_engine(GPULBMSolver((5, 4, 5), 0.7, mode="padded",
+                                        solid=solid, **kw))
         b._programs = _oracle_programs(b)
         _fill(a, rng)
+        _reflag(a)
         for sa, sb in zip(a.bindings().values(), b.bindings().values()):
             sb.data[...] = sa.data
         return a, b
@@ -315,7 +399,7 @@ class TestSliceBySlicePasses:
 
 
 def _twins(**kw):
-    a, b = GPULBMSolver(**kw), GPULBMSolver(**kw)
+    a, b = GPULBMSolver(**kw), _rect_engine(GPULBMSolver(**kw))
     b._programs = _oracle_programs(b)
     return a, b
 
@@ -358,7 +442,8 @@ class TestSteps:
                             outflow=(0, "high"), overlap=overlap)
         with GPUClusterLBM(cfg) as a, GPUClusterLBM(cfg) as b:
             for node in b.nodes:
-                node.solver._programs = _oracle_programs(node.solver)
+                _rect_engine(node.solver)._programs = _oracle_programs(
+                    node.solver)
             for step in range(1, 5):
                 ta, tb = a.step(1), b.step(1)
                 assert ta == tb, step
@@ -368,6 +453,128 @@ class TestSteps:
                         assert np.array_equal(_bits(xa.data), _bits(xb.data))
                     assert na.device.pass_counts == nb.device.pass_counts
                     assert na.device.pass_seconds == nb.device.pass_seconds
+
+
+def _assert_same_textures(a, b, where):
+    """Every texel of every bound stack (rims included), bit for bit."""
+    for (name, ta), tb in zip(a.bindings().items(), b.bindings().values()):
+        assert np.array_equal(_bits(ta.data), _bits(tb.data)), (where, name)
+
+
+def _assert_same_device(a, b, where):
+    assert a.clock_s == b.clock_s, where
+    assert a.pass_seconds == b.pass_seconds, where
+    assert a.pass_counts == b.pass_counts, where
+
+
+def _perturbed(f, rng):
+    return f + (0.01 * rng.random(f.shape)).astype(F32)
+
+
+class TestSpanAndSwap:
+    """The engine against the rectangle engine (:func:`_rect_engine`),
+    both running the same programs: span renders committed by swap and
+    bounce-back by index-list swap leave every texel, the clock, the
+    per-pass seconds and counts and the step timing of rectangle
+    renders committed by copy and bounce-back rendered as a group —
+    step by step, with every floating-point exception raised."""
+
+    STEPS = 4
+
+    @staticmethod
+    def _rect_cluster(**kw):
+        cluster = GPUClusterLBM(ClusterConfig(tau=0.7, **kw))
+        for node in cluster.nodes:
+            _rect_engine(node.solver)
+        return cluster
+
+    def _cluster_twins(self, rng, **kw):
+        a, b = GPUClusterLBM(ClusterConfig(tau=0.7, **kw)), self._rect_cluster(**kw)
+        f = _perturbed(a.gather_distributions(), rng)
+        for cluster in (a, b):
+            cluster.load_global_distributions(f)
+        return a, b
+
+    def _step_clusters(self, a, b):
+        with a, b:
+            for step in range(1, self.STEPS + 1):
+                with np.errstate(all="raise"):
+                    ta, tb = a.step(1), b.step(1)
+                assert ta == tb, step
+                for na, nb in zip(a.nodes, b.nodes):
+                    _assert_same_textures(na.solver, nb.solver, (step, na.rank))
+                    _assert_same_device(na.device, nb.device, (step, na.rank))
+
+    @pytest.mark.parametrize("overlap", [True, False])
+    def test_bounded_cluster_with_solids_inlet_and_outflow(self, rng, overlap):
+        shape = (16, 12, 6)
+        solid = rng.random(shape) < 0.15
+        solid[:, :, 0] = True
+        a, b = self._cluster_twins(
+            rng, sub_shape=(8, 6, 6), arrangement=(2, 2, 1),
+            periodic=(False, True, False), solid=solid,
+            inlet=(0, "low", (0.03, 0.0, 0.0), 1.0), outflow=(0, "high"),
+            overlap=overlap)
+        assert all(node.solver.has_solid for node in a.nodes)
+        self._step_clusters(a, b)
+
+    def test_solid_free_ranks(self, rng):
+        solid = np.zeros((12, 10, 5), bool)
+        solid[2:4, 3:5, :2] = True                     # rank 0's block only
+        a, b = self._cluster_twins(
+            rng, sub_shape=(6, 5, 5), arrangement=(2, 2, 1),
+            periodic=(True, True, False), solid=solid)
+        assert [node.solver.has_solid for node in a.nodes] == [
+            True, False, False, False]
+        self._step_clusters(a, b)
+
+    @pytest.mark.parametrize("sub_shape", [(2, 5, 4), (4, 2, 3), (3, 4, 2),
+                                           (2, 2, 2)], ids=str)
+    def test_thin_blocks(self, rng, sub_shape):
+        """Extent 2 (a rank's least) along one axis or all three."""
+        shape = tuple(2 * s for s in sub_shape[:2]) + (sub_shape[2],)
+        solid = rng.random(shape) < 0.2
+        a, b = self._cluster_twins(
+            rng, sub_shape=sub_shape, arrangement=(2, 2, 1),
+            periodic=(True, False, True), solid=solid, outflow=(1, "high"))
+        self._step_clusters(a, b)
+
+    @pytest.mark.parametrize("mode", ["wrap", "padded"])
+    @pytest.mark.parametrize("shape", [(6, 5, 4), (1, 3, 4), (3, 1, 2),
+                                       (4, 3, 1)], ids=str)
+    def test_standalone_solver(self, rng, mode, shape):
+        """Wrap mode commits its whole-stack renders by swap with an
+        empty rim; padded mode wraps its own ghosts.  Extent 1: a span
+        of one texel per row or one row per slice; one slice renders
+        slice by slice."""
+        kw = dict(shape=shape, tau=0.7, mode=mode, force=(1e-5, 0.0, -1e-5),
+                  solid=rng.random(shape) < 0.25)
+        a, b = GPULBMSolver(**kw), _rect_engine(GPULBMSolver(**kw))
+        f = _perturbed(a.distributions(), rng)
+        for solver in (a, b):
+            solver.load_distributions(f)
+        for step in range(1, self.STEPS + 1):
+            with np.errstate(all="raise"):
+                a.step(1)
+                b.step(1)
+            _assert_same_textures(a, b, step)
+            _assert_same_device(a.device, b.device, step)
+
+    def test_processes_backend_workers(self, rng):
+        shape = (12, 10, 5)
+        kw = dict(sub_shape=(6, 5, 5), arrangement=(2, 2, 1),
+                  periodic=(False, True, True), solid=rng.random(shape) < 0.2,
+                  inlet=(0, "low", (0.02, 0.0, 0.0), 1.0), outflow=(0, "high"),
+                  overlap=False)          # a worker charges the whole interior
+        b = self._rect_cluster(**kw)
+        procs = GPUClusterLBM(ClusterConfig(tau=0.7, backend="processes", **kw))
+        with procs, b:
+            b.load_global_distributions(_perturbed(b.gather_distributions(), rng))
+            procs.load_global_distributions(b.gather_distributions())
+            for step in range(1, self.STEPS + 1):
+                assert procs.step(1) == b.step(1), step
+                assert np.array_equal(_bits(procs.gather_distributions()),
+                                      _bits(b.gather_distributions())), step
 
 
 class TestGhostFill:
@@ -393,6 +600,12 @@ class TestGhostFill:
                 assert not np.array_equal(_bits(ta.data), _bits(t0))
 
 
+def _span_texels(solver):
+    sp = span_of(solver._rect, solver._z_range, solver.pbuffer.height,
+                 solver.pbuffer.width)
+    return sp.stop - sp.start
+
+
 class TestScratch:
     @pytest.fixture(autouse=True)
     def _fresh_arena(self):
@@ -404,8 +617,8 @@ class TestScratch:
         """Past the first step the arena is reused as is.  A step then
         allocates only numpy's per-call iterator buffers (strided
         operands; at most ``getbufsize()`` elements each) plus, with
-        solids, the bounce group's five copies (its snapshot rule needs
-        one buffer per pass) — never a scratch plane."""
+        solids, bounce-back's snapshot of the 19 links at the solid
+        texels — never a scratch plane, never a stack-sized copy."""
         shape = (40, 32, 30)
         solid = np.zeros(shape, bool)
         solid[8:12, 6:10, :3] = True
@@ -414,7 +627,7 @@ class TestScratch:
                                   solid=solid if has_solid else None)
             solver.step(2)
             arenas = dict(vars(lbm_gpu._SCRATCH))
-            cells = solver._rect.fragments * len(solver._z_range)
+            cells = _span_texels(solver)
             assert arenas["floats"].shape == (lbm_gpu._N_PLANES, cells)
             buffers = 4 * np.getbufsize() * 4
             assert cells * 4 > buffers       # a plane would show
@@ -423,14 +636,17 @@ class TestScratch:
             _, peak = tracemalloc.get_traced_memory()
             tracemalloc.stop()
             assert all(vars(lbm_gpu._SCRATCH)[k] is v for k, v in arenas.items())
-            copies = 5 * cells * 16 if has_solid else 0
-            assert peak < copies + buffers, has_solid
+            snapshot = 19 * 4 * len(solver._solid_texels) if has_solid else 0
+            assert peak < snapshot + buffers, has_solid
 
     def test_arena_grows_to_the_largest_render_only(self):
+        """Renders are spans: 130 texels for a 4^3 block's 64 cells,
+        206 for 6x5x4's 120."""
         small = GPULBMSolver((4, 4, 4), 0.7, mode="padded")
         small.step(1)
-        assert lbm_gpu._SCRATCH.floats.shape == (lbm_gpu._N_PLANES, 64)
+        assert lbm_gpu._SCRATCH.floats.shape == (lbm_gpu._N_PLANES, 130)
         big = GPULBMSolver((6, 5, 4), 0.7, mode="padded")
         big.step(1)
         small.step(1)
-        assert lbm_gpu._SCRATCH.floats.shape == (lbm_gpu._N_PLANES, 120)
+        assert lbm_gpu._SCRATCH.floats.shape == (lbm_gpu._N_PLANES, 206)
+        assert _span_texels(small) == 130 and _span_texels(big) == 206
