@@ -123,25 +123,18 @@ class ClusterConfig:
         * ``"processes"``: one persistent worker process per rank with
           shared-memory sub-domains and zero-copy halo mailboxes
           (:mod:`repro.core.procpool`) — ranks genuinely run in
-          parallel on multi-core hosts.  Numeric mode only;
-          ``overlap`` is ignored (each rank is its own process, like
-          the paper's cluster nodes).
+          parallel on multi-core hosts.  Numeric mode only.  A
+          worker steps its rank as an SPMD rank does
+          (:func:`repro.core.exchange.step_rank`).
 
         Both backends run the same halo engine
         (:mod:`repro.core.exchange`) and produce bit-identical
-        distributions.
-    overlap:
-        Model the Sec-4.4 window per render rectangle.  When True
-        (default), each serial-backend :class:`GPUClusterLBM` rank
-        renders its macro + collide passes once over the whole
-        interior and charges its device the border rectangles first,
-        then the inner rectangle, whose charge is the modeled window
-        (:meth:`GPUNode.collide_phase`); with False it charges the
-        interior at once and the window is its inner-cell share.  Only
-        simulated values differ between the two: texels are identical,
-        and every step collides, exchanges, then streams on the calling
-        thread.  CPU ranks ignore it on both backends, and the CPU
-        window is modeled as the whole compute time either way.
+        distributions and the same :class:`StepTiming`.  Every rank
+        collides whole, then exchanges, then streams; the Sec-4.4
+        overlap is modeled, never executed: a CPU rank's window is its
+        whole compute time, a :class:`GPUClusterLBM` rank's is the
+        device charge of its inner render rectangle, charged after the
+        border rectangles (:meth:`GPUNode.collide_phase`).
     kernel:
         Hot-path selection for the CPU ranks, resolved by one rule
         before any node is built or worker spawned: under ``"auto"``
@@ -204,7 +197,6 @@ class ClusterConfig:
     cpu_spec: CPUSpec = XEON_2_4
     use_sse: bool = False
     switch: GigabitSwitch | None = None
-    overlap: bool = True
     backend: str = "serial"
     backend_timeout_s: float = 60.0
     kernel: str = "auto"
@@ -792,7 +784,7 @@ class GPUClusterLBM(_ClusterLBMBase):
                        timing_only=self.config.timing_only,
                        gpu_spec=self.config.gpu_spec, bus=self.config.bus,
                        inlet=bc["inlet"], outflow=bc["outflow"],
-                       force=self.config.force, overlap=self.config.overlap)
+                       force=self.config.force)
 
     def _node_distributions(self, node) -> np.ndarray:
         return node.solver.distributions()

@@ -13,7 +13,8 @@ ghost-padded layout), so the CPU and GPU cluster paths are checked
 against each other and against the single-domain solver.
 
 :meth:`CPUNode.collide_phase` / :meth:`CPUNode.finish_step` step one
-rank: a process worker's, a ``split`` rank's, a timing-only rank's.
+rank: a process worker's, an SPMD rank's, a serial ``split`` rank's,
+a timing-only rank's.
 A serial cluster's AA ranks are stepped together instead — their
 ``solver.fg`` are slots of a stacked arena (:mod:`repro.core.stack`) —
 and the node then only carries the rank's solver, its cached
@@ -154,7 +155,7 @@ class CPUNode(SolverPort):
         """Collision (software), one whole pass; the driver exchanges
         halos after it.  The paper's second thread overlaps the network
         with the *entire* computation, so the modeled window is set at
-        finish — no executed shell/core split is needed to model it."""
+        finish."""
         if not self.timing_only:
             t0 = time.perf_counter()
             self.solver.collide()

@@ -5,7 +5,10 @@ bound for one neighbour is gathered into one message (the five
 streaming links over the full padded cross-section, rims included);
 diagonal traffic is relayed in two hops because each later axis
 forwards the rims the earlier ones received; and the first axis is
-overlapped with the inner-cell collide.  This module holds that
+overlapped with the inner-cell collide — a modelled overlap: every
+executed rank collides whole, then exchanges, and the nodes charge the
+window (:class:`~repro.core.cpu_node.CPUNode`,
+:class:`~repro.core.gpu_node.GPUNode`).  This module holds that
 protocol and nothing about *how* a message travels — following
 Feichtinger et al. (arXiv:1007.1388), the process-local, shared-memory
 and MPI paths are bindings of one pack -> transport -> unpack concept:
@@ -17,8 +20,12 @@ and MPI paths are bindings of one pack -> transport -> unpack concept:
   decode, unpack, close the axis locally).  What a caller does
   *between* the two is all that differs between drivers: coordinator
   and thermal let every rank post before any completes
-  (:func:`exchange_all`), a worker process waits on its barrier, the
-  SPMD rank collides its inner cells;
+  (:func:`exchange_all`); a rank that owns its process or thread runs
+  :meth:`~HaloExchange.run` — a worker process waits on its barrier
+  there, an SPMD rank on its receives;
+* :func:`step_rank` — such a rank's whole time step around the
+  exchange (begin, collide, exchange, charge, finish), shared by the
+  worker processes and the SPMD ranks;
 * a **transport** of three calls — ``outbox(peer, axis, sides, floats)
   -> buffer to pack into``, ``send(peer, axis, sides, buf, meta)``,
   ``recv(peer, axis, sender_sides) -> buffer`` — plus
@@ -27,7 +34,7 @@ and MPI paths are bindings of one pack -> transport -> unpack concept:
   bind the same calls in :mod:`repro.core.procpool` / ``spmd``;
 * :class:`SolverPort` — the four array operations the engine needs
   from a rank: inherited by :class:`~repro.core.cpu_node.CPUNode`,
-  bound to a bare solver by SPMD ranks and the thermal models, and
+  bound to a bare solver by the thermal models, and
   implemented over textures by :class:`~repro.core.gpu_node.GPUNode`;
 * :class:`RankAxisExchange` — the same route table and manifests
   executed for ranks whose arrays are slots of stacked arenas
@@ -46,6 +53,7 @@ from repro.core.wire import layer_index, pack_halo, unpack_halo
 from repro.lbm.streaming import (fill_face_zero_gradient,
                                  fold_face_zero_gradient)
 from repro.perf.counters import KernelCounters
+from repro.perf.trace import NULL_TRACER
 
 _NO_COUNTERS = KernelCounters(enabled=False)
 
@@ -270,6 +278,41 @@ class HaloExchange:
                 port.fold_border_zero_gradient(axis, direction)
             else:
                 port.fill_ghost_zero_gradient(axis, direction)
+
+    def run(self, sync=None) -> None:
+        """One whole exchange of this rank: per axis post, ``sync()``,
+        complete (the sequential axis order relays the diagonal
+        traffic through the rims).  ``sync`` makes every peer's post of
+        the axis visible before this rank completes it (a worker
+        process's barrier); without it the transport's receive waits
+        for the message (SimMPI).  Records ``comm.msgs``."""
+        mode = self.mode
+        msgs = 0
+        for axis in range(3):
+            msgs += self.post(axis, mode)
+            if sync is not None:
+                sync()
+            self.complete(axis, mode)
+        self.counters.metric("comm.msgs", msgs)
+
+
+def step_rank(node, halo: HaloExchange,
+              counters: KernelCounters = _NO_COUNTERS, tracer=NULL_TRACER,
+              sync=None) -> None:
+    """One time step of a rank that owns its process or thread (a
+    worker process's, an SPMD rank's): begin, collide, the halo
+    exchange (:meth:`HaloExchange.run` with ``sync``), charge the
+    transfers, finish — under the ``cluster.*`` phase counters and
+    spans.  The collide is whole: the Sec-4.4 overlap is modelled by
+    the node's charges, never executed."""
+    node.begin_step()
+    with counters.phase("cluster.collide"), tracer.span("cluster.collide"):
+        node.collide_phase()
+    with counters.phase("cluster.exchange"), tracer.span("cluster.exchange"):
+        halo.run(sync)
+    node.charge_transfers()
+    with counters.phase("cluster.finish"), tracer.span("cluster.finish"):
+        node.finish_step()
 
 
 def local_engines(decomp, ports, aa: bool = False, codec=None,

@@ -53,21 +53,19 @@ class GPUNode:
         Active diagonal-edge directions (for AGP edge overhead).
     timing_only:
         Skip numerics, model timing only.
-    overlap:
-        Model the Sec-4.4 window per rectangle: charge the collide
-        passes shell piece by shell piece, then the inner core, whose
-        charge is the window (``ClusterConfig.overlap`` on the serial
-        backend).  Otherwise the whole interior is charged at once and
-        the window is its inner-cell share.
+
+    A numeric rank renders its collide once and charges its device per
+    Sec-4.3 rectangle, the shell pieces and then the inner core, whose
+    charge is the Sec-4.4 window (:meth:`collide_phase`) — on either
+    cluster backend.
     """
 
     def __init__(self, rank: int, sub_shape, tau: float, solid=None,
                  face_dirs=(), edge_dirs=(), timing_only: bool = False,
                  gpu_spec: GPUSpec = GEFORCE_FX_5800_ULTRA,
                  bus: BusSpec = AGP_8X, inlet=None, outflow=None,
-                 force=None, overlap: bool = False) -> None:
+                 force=None) -> None:
         self.rank = rank
-        self.overlap = bool(overlap)
         self.sub_shape = tuple(int(s) for s in sub_shape)
         self.tau = float(tau)
         self.face_dirs = list(face_dirs)
@@ -158,12 +156,10 @@ class GPUNode:
 
         The passes render once over the whole interior, uncharged, and
         the device is then charged what rendering the Sec-4.3
-        rectangles would have charged, in their order: with
-        :attr:`overlap` each shell piece of
-        :meth:`~repro.gpu.GPULBMSolver.split_pieces` (the border layers
-        the exchange reads), then the inner pieces, whose charge is the
-        window; without it the whole interior, with the inner cells'
-        share of it as the window.
+        rectangles would have charged, in their order: each shell piece
+        of :meth:`~repro.gpu.GPULBMSolver.split_pieces` (the border
+        layers the exchange reads), then the inner pieces, whose charge
+        is the window.
         """
         if self.timing_only:
             self.overlap_window_s = self._model_window_s()
@@ -171,19 +167,13 @@ class GPUNode:
         solver, device = self.solver, self.device
         solver.run_macro_pass(charge=False)
         solver.run_collide_passes(charge=False)
-        if self.overlap:
-            shell, inner = solver.split_pieces()
-            for rect, zr in shell:
-                solver.charge_collide_passes(rect, zr)
-            before = device.clock_s
-            for rect, zr in inner:
-                solver.charge_collide_passes(rect, zr)
-            self.overlap_window_s = device.clock_s - before
-        else:
-            before = device.clock_s
-            solver.charge_collide_passes()
-            collide_s = device.clock_s - before
-            self.overlap_window_s = collide_s * (self.inner_cells() / self.cells)
+        shell, inner = solver.split_pieces()
+        for rect, zr in shell:
+            solver.charge_collide_passes(rect, zr)
+        before = device.clock_s
+        for rect, zr in inner:
+            solver.charge_collide_passes(rect, zr)
+        self.overlap_window_s = device.clock_s - before
 
     # -- the halo engine's port, over textures (see core.exchange) --------
     def read_packed(self, manifest, out: np.ndarray) -> np.ndarray:

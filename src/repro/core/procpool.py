@@ -15,14 +15,14 @@ Protocol (see DESIGN.md §5c):
   :class:`~repro.core.gpu_node.GPUNode` from the spec — the
   coordinator holds only lightweight :class:`RankProxy` stand-ins.
 * **Zero-copy stepping.**  A step command is a tiny tuple on a pipe.
-  Inside the step, each worker runs the shared halo engine
-  (:mod:`repro.core.exchange`) over the shared mailboxes: per axis it
-  posts (packing into its own mailbox slot ``t % 2`` *is* the send),
-  waits on the shared barrier, then completes (a receive is a view of
-  the neighbour's mailbox).  The double-buffered slots make one
-  barrier per axis sufficient: a rank may already pack step ``t+1``
-  (parity ``t+1 & 1``) while a slower neighbour still reads step
-  ``t``'s slot.
+  Inside the step, each worker runs the rank step it shares with the
+  SPMD ranks (:func:`repro.core.exchange.step_rank`) over the shared
+  mailboxes: per axis it posts (packing into its own mailbox slot
+  ``t % 2`` *is* the send), waits on the shared barrier, then
+  completes (a receive is a view of the neighbour's mailbox).  The
+  double-buffered slots make one barrier per axis sufficient: a rank
+  may already pack step ``t+1`` (parity ``t+1 & 1``) while a slower
+  neighbour still reads step ``t``'s slot.
 * **Aggregated observability.**  Each step reply carries the rank's
   modeled timing buckets (``compute_s``/``agp_s``/``overlap_window_s``)
   and a :class:`~repro.perf.counters.KernelCounters` summary delta;
@@ -48,7 +48,7 @@ from threading import BrokenBarrierError
 
 import numpy as np
 
-from repro.core.exchange import HaloExchange
+from repro.core.exchange import HaloExchange, step_rank
 from repro.core.shm import RankSegments, segment_name, unique_token, unlink_segment_names
 from repro.gpu.specs import BusSpec, CPUSpec, GPUSpec
 from repro.perf.counters import KernelCounters
@@ -228,20 +228,6 @@ class _Worker:
         fg1[...] = buf if buf is not None else 0.0
         solver._fg_next = fg1
 
-    # -- halo exchange over shared mailboxes ----------------------------
-    def _exchange(self) -> None:
-        """post; barrier; complete, axis by axis (the sequential order
-        relays the diagonal traffic through the rims)."""
-        ex = self.exchange
-        self.transport.slot = self.step_count & 1
-        mode = ex.mode
-        msgs = 0
-        for axis in range(3):
-            msgs += ex.post(axis, mode)
-            self._barrier_wait()
-            ex.complete(axis, mode)
-        self.counters.metric("comm.msgs", msgs)
-
     def _barrier_wait(self) -> None:
         if self.spec.n_ranks < 2:
             return
@@ -267,17 +253,10 @@ class _Worker:
         for _ in range(int(n)):
             t_it = time.perf_counter() if tel else 0.0
             tracer.begin_step(self.step_count)
-            node.begin_step()
-            with rec.phase("cluster.collide"), \
-                    tracer.span("cluster.collide"):
-                node.collide_phase()
-            with rec.phase("cluster.exchange"), \
-                    tracer.span("cluster.exchange"):
-                self._exchange()
-            node.charge_transfers()
-            with rec.phase("cluster.finish"), \
-                    tracer.span("cluster.finish"):
-                node.finish_step()
+            # The step parity addresses the double-buffered mailboxes.
+            self.transport.slot = self.step_count & 1
+            step_rank(node, self.exchange, rec, tracer,
+                      sync=self._barrier_wait)
             self.step_count += 1
             if tel:
                 now = time.perf_counter()

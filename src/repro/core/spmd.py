@@ -7,12 +7,13 @@ is deterministic and convenient for timing sweeps, but the real system
 point-to-point messages in the Fig-7 step order.  This module
 implements that faithfully on :class:`~repro.net.SimCluster` threads:
 
-* each rank owns one sub-domain (reference numpy solver) and one
+* each rank owns one sub-domain (a :class:`~repro.core.cpu_node.CPUNode`
+  whose solver runs ``split``, driven phase by phase) and one
   :class:`~repro.core.exchange.HaloExchange` bound to SimMPI
   (:class:`SimMPITransport`);
-* per time step: collide the boundary shell, post axis 0, collide the
-  inner core while those messages fly, complete axis 0, then post and
-  complete axes 1 and 2, then stream + boundaries;
+* per time step it runs the rank step the process workers run
+  (:func:`~repro.core.exchange.step_rank`): collide, post and complete
+  axes 0, 1 and 2, then stream + boundaries;
 * the diagonal (second-nearest) traffic crosses in two hops exactly as
   Sec 4.3 describes, because each axis phase forwards the ghost rims
   received from the previous axis.
@@ -27,11 +28,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.cpu_node import CPUNode
 from repro.core.decomposition import BlockDecomposition
-from repro.core.exchange import (HaloExchange, SolverPort, Transport,
-                                 mirrored)
+from repro.core.exchange import HaloExchange, Transport, mirrored, step_rank
 from repro.core.wire import AdaptiveCompressionController
-from repro.lbm.solver import LBMSolver
 from repro.net.simmpi import SimCluster
 
 def _tag(axis: int, sides) -> int:
@@ -46,9 +46,9 @@ class SimMPITransport(Transport):
     """SimMPI binding of the halo engine's transport.
 
     A send is an ``Isend``.  On axis 0 the matching ``Irecv`` is posted
-    with it and completed by :meth:`recv` — which the rank program
-    calls only after its inner collide, so that compute hides the
-    transfer (Sec 4.4); later axes forward rims just received and use
+    with it and completed by :meth:`recv` (the Sec-4.3 message pattern
+    of a nonblocking first axis, which the rank's simulated clock is
+    charged for); later axes forward rims just received and use
     blocking ``Recv``.  ``compute`` charges modelled codec CPU to the
     rank's simulated clock.
     """
@@ -120,43 +120,23 @@ class SPMDClusterLBM:
     def _rank_main(self, comm, steps: int, bandwidth_bytes_per_s: float):
         decomp = self.decomp
         rank = comm.rank
-        solver = LBMSolver(decomp.sub_shape, self.tau,
-                           solid=self.solids[rank], periodic=False)
-        # This program steps the solver phase by phase.
-        solver.phase_driven = True
+        # Driven phase by phase, with no driver closing an AA halo: the
+        # solver's rule runs ``split``.
+        node = CPUNode(rank, decomp.sub_shape, self.tau,
+                       solid=self.solids[rank])
         if self.f0_parts is not None:
-            solver.f[...] = self.f0_parts[rank].astype(solver.dtype)
+            node.solver.f[...] = self.f0_parts[rank].astype(node.solver.dtype)
         codec = None
         if self.compression != "off":
             codec = AdaptiveCompressionController(
                 policy=self.compression,
                 bandwidth_bytes_per_s=bandwidth_bytes_per_s)
-        halo = HaloExchange(rank, SolverPort(solver), decomp.neighbors(rank),
+        halo = HaloExchange(rank, node, decomp.neighbors(rank),
                             decomp.periodic, SimMPITransport(comm),
                             codec=codec)
-        mode = halo.mode
         for _ in range(steps):
-            # Executed overlap (Sec 4.4): collide the boundary shell so
-            # the axis-0 borders are ready, post that axis (one message
-            # per neighbour), collide the inner core while the messages
-            # are in flight, then complete the receives.  The split
-            # collide is bit-identical to the full one, and the inner
-            # pass touches neither borders nor ghosts.
-            solver.collide_boundary()
-            halo.post(0, mode)
-            solver.collide_inner()
-            halo.complete(0, mode)
-            # Later axes forward the rims just unpacked (two-hop
-            # diagonal routing), so they stay strictly after the
-            # axis-0 waits; non-blocking sends keep the matchings
-            # deadlock-free for any arrangement.
-            for axis in (1, 2):
-                halo.post(axis, mode)
-                halo.complete(axis, mode)
-            solver.stream()
-            solver.post_stream()
-            solver.time_step += 1
-        return (solver.f.copy(), comm.clock_s,
+            step_rank(node, halo)
+        return (node.solver.f.copy(), comm.clock_s,
                 None if codec is None else codec.summary())
 
     # -- driver ---------------------------------------------------------------

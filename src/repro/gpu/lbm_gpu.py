@@ -566,15 +566,14 @@ class GPULBMSolver:
                                  z_range if z_range is not None else self._z_range,
                                  wrap=self._wrap, charge=charge, pbuffer=self.pbuffer)
 
-    def charge_collide_passes(self, rect=None, z_range=None) -> None:
+    def charge_collide_passes(self, rect, z_range) -> None:
         """Charge the device for macro + collide0..4 over ``rect`` x
         ``z_range`` without rendering: exactly what rendering those
         passes there charges and counts.  The passes are elementwise,
         so one uncharged render over the interior followed by one
         charge per piece leaves the texels and the clock of rendering
         piece by piece."""
-        rect = rect or self._rect
-        n = len(z_range if z_range is not None else self._z_range) * rect.fragments
+        n = len(z_range) * rect.fragments
         self.device.account(self._programs["macro"], n)
         for s in range(N_DISTRIBUTION_STACKS):
             self.device.account(self._programs[f"collide{s}"], n)

@@ -23,9 +23,8 @@ Correctness hinges on a *location-ownership* property: in the odd
 phase, location ``(i, y)`` is read **and** written only by the site
 ``y - c_i``.  A site's read set equals its write set, so any region
 decomposition (boundary shell / inner core, slabs) is hazard-free in
-any execution order — which is exactly what lets the cluster drivers
-keep the Sec-4.4 communication/computation overlap, and what lets this
-kernel cache-block: every phase, whole-domain or region, sweeps its box
+any execution order — which is what lets this kernel cache-block:
+every phase, whole-domain or region, sweeps its box
 in chunks of about :data:`SLAB_TARGET_CELLS` cells, so the passes of a
 chunk — 18 per opposite-link pair, which share ``c.u`` and its square —
 run on one chunk-sized scratch arena that stays cache-resident.

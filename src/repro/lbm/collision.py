@@ -99,9 +99,9 @@ class BGKCollision:
         """
         lat = self.lattice
         rho, u = macroscopic(lat, f)
-        # Keyed by shape so the split boundary/inner collide (the
-        # compact shell batch and the core view, each step) stays
-        # allocation-free too.
+        # One buffer per array shape: the solver's whole collide
+        # allocates once, and a caller colliding a grid box by box
+        # gets one per box shape.
         key = (f.shape, f.dtype)
         buf = self._feq_bufs.get(key)
         if buf is None:

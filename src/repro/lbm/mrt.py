@@ -132,9 +132,9 @@ def _transform(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
     and hence its accumulation order from the width and strides of
     ``x``, so ``mat @ x`` may round one cell differently depending on
     which other cells are collided with it.  Collision has to be
-    pointwise to the last bit — the split shell/core collide and the
-    cluster decomposition hand the operator different batches of the
-    same cells — so every cell gets the same
+    pointwise to the last bit — the cluster decomposition hands the
+    operator different batches of the same cells — so every cell gets
+    the same
     fixed sequence of float multiplies and adds here.
     """
     out = np.empty(x.shape, dtype=x.dtype)

@@ -25,9 +25,8 @@ from repro.lbm.lattice import D3Q19, Lattice
 from repro.lbm.macroscopic import macroscopic
 from repro.lbm.mrt import MRTCollision
 from repro.lbm.streaming import (fill_ghosts_periodic,
-                                 fill_ghosts_zero_gradient, flat_cells,
-                                 interior, pull_slice_table, shell_index,
-                                 shell_partition, stream_pull)
+                                 fill_ghosts_zero_gradient, interior,
+                                 pull_slice_table, stream_pull)
 from repro.perf.counters import KernelCounters
 from repro.perf.telemetry import NULL_REGISTRY
 from repro.perf.trace import NULL_TRACER
@@ -81,9 +80,8 @@ class LBMSolver:
         3. anything else: ``split``.
 
         A solver driven through its phase entry points (``collide``,
-        ``collide_boundary``/``collide_inner``, ``fill_ghosts``,
-        ``stream``, ``post_stream`` — SPMD rank programs,
-        ``phase_driven``) therefore runs ``split`` unless its driver
+        ``fill_ghosts``, ``stream``, ``post_stream`` — cluster and SPMD
+        ranks, ``phase_driven``) therefore runs ``split`` unless its driver
         closes the halo: the in-place kernel needs someone to, and
         only ``step()`` or an AA-aware cluster driver does.  Naming a
         kernel forces it (an ineligible configuration still falls back
@@ -169,14 +167,6 @@ class LBMSolver:
         #: (:mod:`repro.lbm.esoteric`) instead of applying them
         #: canonically.
         self._aa_rotated = False
-        #: Inner core box of the shell/core split, built on first use.
-        self._core: tuple[slice, ...] | None = None
-        #: Gathered shell pass (``_collide_shell``), built on first use:
-        #: (padded-flat shell index, compact fluid mask or None when
-        #: all fluid) — shape and solids only, so valid through every
-        #: ``fg`` re-binding — and the compact workspace.
-        self._shell_idx: tuple[np.ndarray, np.ndarray | None] | None = None
-        self._shell_ws: np.ndarray | None = None
         self.counters = KernelCounters()
         #: Span tracer (see :mod:`repro.perf.trace`); the shared
         #: disabled singleton until a driver or caller attaches a live
@@ -376,83 +366,6 @@ class LBMSolver:
                               kernel="split"):
             self.kernel_used = "split"
             self.collision(self.f, mask=self.fluid)
-
-    # -- split collide (boundary shell first, then inner core) ---------
-    def _leave_aa_for_shell_core(self) -> None:
-        """Hand the array to the split pass of the shell/core entry
-        points, which serve the two-array kernel only: the in-place AA
-        kernel collides whole (:meth:`collide`), so a solver that
-        selects it is refused here."""
-        if self._select_kernel() == "aa":
-            raise RuntimeError(
-                "collide_boundary()/collide_inner() run the split kernel "
-                "only; the in-place AA kernel collides whole through "
-                "collide()")
-        self._leave_aa()
-
-    def _collide_core(self) -> None:
-        if self._core is None:
-            self._core = shell_partition(self.shape, depth=1)[1]
-        view = self.f[(slice(None),) + self._core]
-        if view.size == 0:
-            return
-        self.collision(view, mask=self.fluid[self._core])
-
-    def _collide_shell(self) -> None:
-        """Gather the depth-1 shell, collide it once, scatter it back.
-
-        The operator pays its fixed small-array cost once instead of
-        once per strided slab.  The workspace is link-major like the
-        array, so the operator sees the memory order (and the
-        slot-order reductions of :mod:`repro.lbm.macroscopic`) it sees
-        in a whole collide.
-        """
-        if self._shell_idx is None:
-            shell, idx = shell_index(self.shape)
-            fluid = self.fluid[shell]
-            self._shell_idx = (idx, None if fluid.all() else fluid)
-        idx, fluid = self._shell_idx
-        cells = flat_cells(self.fg)
-        ws = self._shell_ws
-        if ws is None:
-            ws = self._shell_ws = np.empty((self.lattice.Q, idx.size),
-                                           dtype=self.dtype)
-            self.counters.alloc("solver.shell_workspace")
-        # The index is in range by construction; the default
-        # ``mode="raise"`` would stage ``out`` through a temporary.
-        np.take(cells, idx, axis=1, out=ws, mode="clip")
-        self.collision(ws, mask=fluid)
-        cells[:, idx] = ws
-
-    def collide_boundary(self) -> None:
-        """Collide only the depth-1 boundary shell of the domain.
-
-        Together with :meth:`collide_inner` this is bit-identical to
-        :meth:`collide` — collision is pointwise, so any disjoint
-        cover of the cells preserves every per-site operation.  The
-        shell is collided as one gathered index list
-        (:meth:`_collide_shell`).  The SPMD rank programs run this
-        first so border layers are ready for the nonblocking halo
-        exchange while the inner core is still colliding (the paper's
-        Sec-4.4 communication/computation overlap on the SimMPI clock).
-        """
-        self._leave_aa_for_shell_core()
-        with self.tracer.span("solver.collide_boundary",
-                              step=self.time_step, kernel="split"):
-            self.kernel_used = "split"
-            self._collide_shell()
-
-    def collide_inner(self) -> None:
-        """Collide the inner core (everything the shell excludes)."""
-        self._leave_aa_for_shell_core()
-        with self.tracer.span("solver.collide_inner",
-                              step=self.time_step, kernel="split"):
-            self._collide_core()
-
-    def collide_split(self) -> None:
-        """Boundary-shell pass then inner-core pass; ≡ :meth:`collide`."""
-        self.collide_boundary()
-        self.collide_inner()
 
     def fill_ghosts(self) -> None:
         """Populate the ghost shell (periodic wrap or zero-gradient)."""

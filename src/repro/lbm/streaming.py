@@ -52,9 +52,10 @@ def shell_partition(shape: tuple[int, ...], depth: int = 1,
     ``depth`` of any grid face, plus the inner-core slice covering
     everything else.  Together the slabs and the core tile ``shape``
     exactly, so a pointwise kernel applied slab-by-slab visits every
-    cell exactly once — the split the cluster drivers use to collide
-    border cells first and overlap the halo exchange with the inner
-    core (Sec 4.4).
+    cell exactly once — the Sec-4.3 render rectangles a simulated-GPU
+    rank is charged for, the shell's first and the inner core's, whose
+    charge is the Sec-4.4 overlap window
+    (:meth:`repro.gpu.GPULBMSolver.split_pieces`).
 
     Extents smaller than ``2 * depth`` are handled by clamping: the
     core is empty along that axis and the two slabs do not overlap.
@@ -77,25 +78,6 @@ def shell_partition(shape: tuple[int, ...], depth: int = 1,
             slabs.append(tuple(peeled + [slice(hi, shape[ax])] + rest))
     inner = tuple(slice(lo, hi) for lo, hi in bounds)
     return slabs, inner
-
-
-def shell_index(shape: tuple[int, ...], depth: int = 1,
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """The depth-``depth`` boundary shell as a mask and a flat index.
-
-    Returns ``(mask, idx)``: the boolean mask (over the unpadded grid)
-    of the union of :func:`shell_partition`'s slabs, and the flat
-    indices of those cells in the *ghost-padded* grid (one ghost layer
-    per side), ascending — i.e. in the C order ``mask`` itself
-    enumerates them, so ``field[mask]`` and ``idx`` stay aligned.  A
-    pointwise kernel can then visit the whole shell in one gathered
-    pass instead of one strided sweep per slab; the index depends on
-    the shape only, never on a buffer.
-    """
-    mask = np.zeros(shape, dtype=bool)
-    for slab in shell_partition(shape, depth)[0]:
-        mask[slab] = True
-    return mask, padded_flat_index(mask)
 
 
 def padded_flat_index(mask: np.ndarray) -> np.ndarray:

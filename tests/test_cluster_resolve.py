@@ -31,16 +31,14 @@ FORCE = (1e-5, 0.0, 0.0)
 
 
 def _spy_collides(monkeypatch) -> list:
-    """Record every ``collide`` / ``collide_boundary`` / ``collide_inner``
-    call on any :class:`LBMSolver`, by name."""
+    """Record every ``collide`` call on any :class:`LBMSolver`."""
     calls = []
-    for name in ("collide", "collide_boundary", "collide_inner"):
-        orig = getattr(LBMSolver, name)
+    orig = LBMSolver.collide
 
-        def spy(self, *a, _orig=orig, _name=name, **kw):
-            calls.append(_name)
-            return _orig(self, *a, **kw)
-        monkeypatch.setattr(LBMSolver, name, spy)
+    def spy(self, *a, **kw):
+        calls.append("collide")
+        return orig(self, *a, **kw)
+    monkeypatch.setattr(LBMSolver, "collide", spy)
     return calls
 
 
@@ -152,13 +150,11 @@ class TestAutoResolvedBitIdentity:
 
 
 class TestSerialRanksCollideWhole:
-    @pytest.mark.parametrize("kwargs", [{}, {"overlap": True}],
-                             ids=["default", "overlap"])
-    def test_no_shell_phase_no_comm_thread(self, monkeypatch, kwargs):
+    def test_no_shell_phase_no_comm_thread(self, monkeypatch):
         """Serial CPU ranks step collide -> exchange -> finish like
-        process ranks, never through a shell phase: ``overlap`` is the
-        GPU driver's switch.  AA ranks collide as one stacked lattice,
-        one whole phase per step; split ranks one after another."""
+        process ranks, one whole collide per rank and step.  AA ranks
+        collide as one stacked lattice, one whole phase per step; split
+        ranks one after another."""
         calls = _spy_collides(monkeypatch)
         phases = []
         for name in ("even_phase", "odd_phase"):
@@ -169,7 +165,7 @@ class TestSerialRanksCollideWhole:
                 return _orig(self, region)
             monkeypatch.setattr(AAStepKernel, name, spy)
         cfg = ClusterConfig(sub_shape=(6, 6, 4), arrangement=(2, 1, 1),
-                            tau=0.7, **kwargs)
+                            tau=0.7)
         with CPUClusterLBM(cfg) as cluster:
             assert cluster.stacked
             cluster.step(3)

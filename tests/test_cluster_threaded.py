@@ -61,37 +61,34 @@ class TestExchangeBuffers:
             assert stats["cluster.finish"].calls == 2
 
     def test_sequential_protocol_records_legacy_phases(self, rng):
-        """Every driver steps collide -> exchange -> finish: CPU ranks,
-        and GPU ranks with ``overlap`` on (which only changes how the
-        collide is charged) or off."""
+        """Every driver steps collide -> exchange -> finish, on CPU and
+        GPU ranks alike, and records no other ``cluster.*`` phase."""
         f0 = _initial_state(rng)
-        for cls, kwargs in ((CPUClusterLBM, {}),
-                            (GPUClusterLBM, {"overlap": False}),
-                            (GPUClusterLBM, {"overlap": True})):
-            cfg = ClusterConfig(sub_shape=SUB, arrangement=ARR, tau=0.7,
-                                **kwargs)
+        for cls in (CPUClusterLBM, GPUClusterLBM):
+            cfg = ClusterConfig(sub_shape=SUB, arrangement=ARR, tau=0.7)
             with cls(cfg) as cluster:
                 cluster.load_global_distributions(f0)
                 cluster.step(2)
                 stats = cluster.counters.stats
                 assert stats["cluster.collide"].calls == 2
                 assert stats["cluster.exchange"].calls == 2
-                assert "cluster.collide_boundary" not in stats
-                assert "cluster.collide_inner" not in stats
+                assert {k for k in stats if k.startswith("cluster.")} == {
+                    "cluster.collide", "cluster.exchange", "cluster.finish"}
 
 
 class TestConfigValidation:
     def test_removed_options_rejected(self):
         """``max_workers``, ``wire``, ``layout``, ``sparse_threshold``,
-        ``autotune``, ``decomposition``, ``backend="threads"`` and
-        ``kernel="fused"`` / ``"sparse"`` selected code that no longer
-        exists; passing them must fail loudly."""
+        ``autotune``, ``decomposition``, ``overlap``,
+        ``backend="threads"`` and ``kernel="fused"`` / ``"sparse"``
+        selected code that no longer exists; passing them must fail
+        loudly."""
         base = dict(sub_shape=(8, 8, 8), arrangement=(1, 1, 1))
         for removed in ({"max_workers": 2}, {"wire": "merged"},
                         {"wire": "perface"}, {"layout": "soa"},
                         {"sparse_threshold": 0.5},
                         {"autotune": "measured"},
-                        {"decomposition": "weighted"}):
+                        {"decomposition": "weighted"}, {"overlap": True}):
             with pytest.raises(TypeError, match=next(iter(removed))):
                 ClusterConfig(**base, **removed)
         with pytest.raises(ValueError, match="backend"):
@@ -102,7 +99,7 @@ class TestConfigValidation:
         assert [f.name for f in dataclasses.fields(ClusterConfig)] == [
             "sub_shape", "arrangement", "tau", "periodic", "timing_only",
             "solid", "inlet", "outflow", "force", "gpu_spec", "bus",
-            "cpu_spec", "use_sse", "switch", "overlap", "backend",
+            "cpu_spec", "use_sse", "switch", "backend",
             "backend_timeout_s", "kernel", "cuts", "compression"]
 
     def test_backend_must_be_known(self):

@@ -350,31 +350,30 @@ class TestHandDrivenPhases:
             assert hand._aa_kernel is None
             assert np.array_equal(hand.f, split.f), f"step {t}"
 
-    def test_shell_split_phases_run_split(self):
-        hand, split = _twins()
-        for _ in range(3):
-            hand.collide_boundary()
-            hand.collide_inner()
-            hand.fill_ghosts()
-            hand.stream()
-            hand.post_stream()
-            split.step(1)
-            assert hand.kernel_used == "split"
-            assert np.array_equal(hand.f, split.f)
-
-    def test_shell_split_phases_refuse_the_in_place_kernel(self):
-        forced = LBMSolver(SHAPE, tau=0.7, kernel="aa")
-        for phase in (forced.collide_boundary, forced.collide_inner):
-            with pytest.raises(RuntimeError, match="collides whole"):
-                phase()
-
-    def test_spmd_and_thermal_solvers_are_marked_phase_driven(self):
+    def test_spmd_and_thermal_solvers_are_marked_phase_driven(self,
+                                                              monkeypatch):
+        from repro.core import cpu_node
         from repro.core.decomposition import BlockDecomposition
+        from repro.core.spmd import SPMDClusterLBM
         from repro.core.thermal_cluster import DistributedThermalLBM
         decomp = BlockDecomposition((8, 4, 4), (2, 1, 1))
         thermal = DistributedThermalLBM(decomp, tau=0.7)
         for m in thermal.models:
             assert m.flow.phase_driven
+        nodes = []
+        build = cpu_node.CPUNode.__init__
+
+        def spy(node, *args, **kwargs):
+            build(node, *args, **kwargs)
+            nodes.append(node)
+        monkeypatch.setattr(cpu_node.CPUNode, "__init__", spy)
+        SPMDClusterLBM(decomp, tau=0.7).run(2)
+        assert len(nodes) == decomp.n_nodes
+        for node in nodes:
+            assert node.solver.phase_driven
+            assert not node.solver.aa_halo_managed
+            assert node.kernel_used == "split"
+            assert node.kernel_reason == "rule: driven phase by phase"
 
 
 class TestEnterAndLeaveMidRun:

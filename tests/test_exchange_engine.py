@@ -140,6 +140,28 @@ class RecordingComm:
         return Req()
 
 
+def _periodic_problem(sub, arrangement, rng):
+    """A periodic decomposition and a reference solver at a random
+    state on its global lattice."""
+    shape = tuple(s * a for s, a in zip(sub, arrangement))
+    decomp = BlockDecomposition(shape, arrangement,
+                                periodic=(True, True, True))
+    ref = LBMSolver(shape, tau=0.7)
+    ref.initialize(rho=np.ones(shape, np.float32), u=(
+        0.02 * rng.standard_normal((3,) + shape)).astype(np.float32))
+    return decomp, ref
+
+
+def _channels(tracer) -> dict:
+    """``(src, dst, tag) -> [bytes, ...]`` of the traced messages."""
+    channels: dict = {}
+    for e in tracer.events:
+        if e.name == "mpi.msg":
+            key = (e.meta["src"], e.meta["dst"], e.meta["tag"])
+            channels.setdefault(key, []).append(e.meta["bytes"])
+    return channels
+
+
 class TestSimMPISequence:
     SUB, ARRANGEMENT = (4, 3, 2), (3, 2, 1)
 
@@ -148,7 +170,7 @@ class TestSimMPISequence:
         decomp = BlockDecomposition(shape, self.ARRANGEMENT,
                                     periodic=(True, True, True))
         log: list = []
-        for phase in ("collide_boundary", "collide_inner", "stream"):
+        for phase in ("collide", "stream"):
             inner = getattr(LBMSolver, phase)
 
             def logged(solver, _inner=inner, _phase=phase):
@@ -166,10 +188,9 @@ class TestSimMPISequence:
         # Rank 0 = coords (0, 0, 0): x-low wraps to rank 2, x-high is
         # rank 1; both y neighbours are rank 3; z self-wraps locally.
         step = [
-            ("collide_boundary",),
+            ("collide",),
             ("Isend", 2, 100, "float32", x_bytes), ("Irecv", 2, 101),
             ("Isend", 1, 101, "float32", x_bytes), ("Irecv", 1, 100),
-            ("collide_inner",),
             ("wait", 2, 101), ("wait", 1, 100),
             ("Isend", 3, 112, "float32", y_bytes), ("Recv", 3, 112),
             ("stream",),
@@ -187,26 +208,56 @@ class TestSimMPISequence:
         # the fake answers raw float32, so no receive charges INFLATE
         assert sum(call == ("compute",) for call in log) == 3
 
+    @pytest.mark.parametrize("compression,clocks", [
+        ("off", [0.01146, 0.01146]),
+        ("always", [0.011510625000000002, 0.011510312500000001]),
+    ])
+    def test_two_rank_clocks_are_exact(self, compression, clocks):
+        """Two ranks never share a switch port, so every simulated clock
+        repeats to the last bit; the rank program charges its clock no
+        collide time, so the values follow from the messages (and the
+        codec, when on) alone."""
+        decomp, ref = _periodic_problem((6, 6, 4), (2, 1, 1),
+                                        np.random.default_rng(11))
+        spmd = SPMDClusterLBM(decomp, tau=0.7, f0=ref.f.copy(),
+                              compression=compression)
+        got, clocks_s = spmd.run(3)
+        ref.step(3)
+        assert np.array_equal(got, ref.f)
+        assert clocks_s == clocks
+
+    @pytest.mark.parametrize("compression", ["off", "always"])
+    def test_three_ranks_repeat_numerics_and_messages(self, rng,
+                                                      compression):
+        """From three ranks on, senders can contend for a port and the
+        clocks vary from run to run, so they are not asserted; the
+        numerics and every channel's messages, in order, repeat."""
+        decomp, ref = _periodic_problem((4, 4, 3), (3, 1, 1), rng)
+        f0 = ref.f.copy()
+        ref.step(2)
+        runs = []
+        for _ in range(2):
+            tracer = Tracer(enabled=True)
+            spmd = SPMDClusterLBM(decomp, tau=0.7, f0=f0,
+                                  compression=compression)
+            got, _ = spmd.run(2, SimCluster(decomp.n_nodes, tracer=tracer))
+            assert np.array_equal(got, ref.f)
+            runs.append(_channels(tracer))
+        assert runs[0] == runs[1]
+        assert all(len(sizes) == 2 for sizes in runs[0].values())
+        assert len(runs[0]) == _expected_wire_counts(decomp) == 3 * 2
+
     def test_channels_on_a_real_cluster(self, rng):
         """Every (src, dst, tag) channel of a contended 12-rank run
         carries exactly one message per step, of the manifest's size."""
         sub, arrangement, steps = (3, 3, 2), (3, 2, 2), 2
-        shape = tuple(s * a for s, a in zip(sub, arrangement))
-        decomp = BlockDecomposition(shape, arrangement,
-                                    periodic=(True, True, True))
-        ref = LBMSolver(shape, tau=0.7)
-        ref.initialize(rho=np.ones(shape, np.float32), u=(
-            0.02 * rng.standard_normal((3,) + shape)).astype(np.float32))
+        decomp, ref = _periodic_problem(sub, arrangement, rng)
         tracer = Tracer(enabled=True)
         spmd = SPMDClusterLBM(decomp, tau=0.7, f0=ref.f.copy())
         got, _ = spmd.run(steps, SimCluster(decomp.n_nodes, tracer=tracer))
         ref.step(steps)
         assert np.array_equal(got, ref.f)
-        channels: dict = {}
-        for e in tracer.events:
-            if e.name == "mpi.msg":
-                key = (e.meta["src"], e.meta["dst"], e.meta["tag"])
-                channels.setdefault(key, []).append(e.meta["bytes"])
+        channels = _channels(tracer)
         face = {axis: 5 * 4 * int(np.prod([s + 2 for a, s in enumerate(sub)
                                            if a != axis]))
                 for axis in range(3)}

@@ -431,15 +431,15 @@ class TestSteps:
             assert a.device.pass_seconds == b.device.pass_seconds
             assert a.device.pass_counts == b.device.pass_counts
 
-    @pytest.mark.parametrize("overlap", [True, False])
-    def test_cluster_ranks(self, rng, overlap):
-        """Split (shell + inner) and whole collides, true domain edges
-        and solids: every rank's textures and clocks, every step."""
+    def test_cluster_ranks(self, rng):
+        """One collide render charged per Sec-4.3 rectangle, true domain
+        edges and solids: every rank's textures and clocks, every
+        step."""
         shape = (16, 12, 5)
         cfg = ClusterConfig(sub_shape=(8, 6, 5), arrangement=(2, 2, 1),
                             tau=0.7, periodic=(False, True, False),
                             solid=rng.random(shape) < 0.15,
-                            outflow=(0, "high"), overlap=overlap)
+                            outflow=(0, "high"))
         with GPUClusterLBM(cfg) as a, GPUClusterLBM(cfg) as b:
             for node in b.nodes:
                 _rect_engine(node.solver)._programs = _oracle_programs(
@@ -505,16 +505,14 @@ class TestSpanAndSwap:
                     _assert_same_textures(na.solver, nb.solver, (step, na.rank))
                     _assert_same_device(na.device, nb.device, (step, na.rank))
 
-    @pytest.mark.parametrize("overlap", [True, False])
-    def test_bounded_cluster_with_solids_inlet_and_outflow(self, rng, overlap):
+    def test_bounded_cluster_with_solids_inlet_and_outflow(self, rng):
         shape = (16, 12, 6)
         solid = rng.random(shape) < 0.15
         solid[:, :, 0] = True
         a, b = self._cluster_twins(
             rng, sub_shape=(8, 6, 6), arrangement=(2, 2, 1),
             periodic=(False, True, False), solid=solid,
-            inlet=(0, "low", (0.03, 0.0, 0.0), 1.0), outflow=(0, "high"),
-            overlap=overlap)
+            inlet=(0, "low", (0.03, 0.0, 0.0), 1.0), outflow=(0, "high"))
         assert all(node.solver.has_solid for node in a.nodes)
         self._step_clusters(a, b)
 
@@ -564,8 +562,7 @@ class TestSpanAndSwap:
         shape = (12, 10, 5)
         kw = dict(sub_shape=(6, 5, 5), arrangement=(2, 2, 1),
                   periodic=(False, True, True), solid=rng.random(shape) < 0.2,
-                  inlet=(0, "low", (0.02, 0.0, 0.0), 1.0), outflow=(0, "high"),
-                  overlap=False)          # a worker charges the whole interior
+                  inlet=(0, "low", (0.02, 0.0, 0.0), 1.0), outflow=(0, "high"))
         b = self._rect_cluster(**kw)
         procs = GPUClusterLBM(ClusterConfig(tau=0.7, backend="processes", **kw))
         with procs, b:

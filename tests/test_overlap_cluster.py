@@ -1,15 +1,15 @@
 """The modeled communication/computation overlap in the cluster drivers.
 
-Every numeric step collides, exchanges, then streams on the calling
-thread.  A GPU rank renders its macro + collide passes once over the
-whole interior and, with ``ClusterConfig.overlap`` (the default),
-charges its device the border rectangles, then the inner rectangle,
-whose charge is the Sec-4.4 window.  These tests pin the contract:
-results stay bit-identical to ``overlap=False`` and to the
-single-domain reference, and every texel and simulated value equals
-what the per-rectangle render loop it replaced produced (kept below as
-the oracle).  CPU ranks always collide whole, then exchange: for them
-``overlap`` changes nothing.
+Every numeric step collides whole, exchanges, then streams on the
+calling thread, on both backends.  A GPU rank renders its macro +
+collide passes once over the whole interior and charges its device the
+border rectangles, then the inner rectangle, whose charge is the
+Sec-4.4 window.  These tests pin the contract: results stay
+bit-identical to the single-domain reference, every texel and
+simulated value equals what the per-rectangle render loop it replaced
+produced (kept below as the oracle), and the serial and processes
+backends report the same :class:`StepTiming` every step.  A CPU rank's
+window is its whole compute time.
 """
 
 import dataclasses
@@ -50,33 +50,48 @@ def _run(cls, f0, steps=4, solid=None, **cfg_kw):
 @pytest.mark.parametrize("cls", [CPUClusterLBM, GPUClusterLBM])
 class TestOverlappedEqualsSequential:
     def test_overlap_matches_no_overlap(self, rng, cls):
+        """With solids: the decomposed step, whose overlap is modelled,
+        equals the single domain's, which exchanges nothing."""
         solid = np.zeros(SHAPE, bool)
         solid[3:6, 4:7, 1:3] = True
-        f0 = _initial_state(rng, solid=solid).f.copy()
-        f_seq, _ = _run(cls, f0, solid=solid, overlap=False)
-        f_ovl, _ = _run(cls, f0, solid=solid, overlap=True)
-        assert np.array_equal(f_seq, f_ovl)
+        ref = _initial_state(rng, solid=solid)
+        f0 = ref.f.copy()
+        ref.step(4)
+        f_ovl, _ = _run(cls, f0, solid=solid)
+        assert np.array_equal(f_ovl, ref.f)
 
     def test_overlap_matches_reference_solver(self, rng, cls):
         ref = _initial_state(rng)
         f0 = ref.f.copy()
         ref.step(5)
-        f_ovl, _ = _run(cls, f0, steps=5, overlap=True)
+        f_ovl, _ = _run(cls, f0, steps=5)
         assert np.array_equal(f_ovl, ref.f)
 
     def test_modeled_timing_unchanged_by_overlap(self, rng, cls):
-        f0 = _initial_state(rng).f.copy()
-        _, t_ovl = _run(cls, f0, overlap=True)
-        _, t_seq = _run(cls, f0, overlap=False)
-        assert t_ovl.nodes == t_seq.nodes
-        assert t_ovl.net_total_s == t_seq.net_total_s
-        assert t_ovl.agp_s == t_seq.agp_s
+        """The overlap is a charge, not a schedule: with solids, an inlet
+        and an outflow, a worker process charges what a serial rank
+        charges, and computes the same distributions, every step."""
+        solid = rng.random(SHAPE) < 0.15
+        kw = dict(sub_shape=SUB, arrangement=ARR, tau=0.7, solid=solid,
+                  periodic=(False, True, True),
+                  inlet=(0, "low", (0.03, 0.0, 0.0), 1.0),
+                  outflow=(0, "high"))
+        f0 = _initial_state(rng, solid=solid).f.copy()
+        with cls(ClusterConfig(**kw)) as ser, cls(
+                ClusterConfig(backend="processes", **kw)) as prc:
+            for cluster in (ser, prc):
+                cluster.load_global_distributions(f0)
+            for step in range(1, 5):
+                t = ser.step(1)
+                assert t == prc.step(1), step
+                assert np.array_equal(ser.gather_distributions(),
+                                      prc.gather_distributions()), step
         # Every StepTiming field is modeled: the Table-1 view is
         # deterministic.
         assert [f.name for f in dataclasses.fields(StepTiming)] == [
             "nodes", "compute_s", "agp_s", "net_total_s", "overlap_window_s"]
-        assert set(t_ovl.ms()) == {"compute", "agp", "net_total",
-                                   "net_nonoverlap", "total"}
+        assert set(t.ms()) == {"compute", "agp", "net_total",
+                               "net_nonoverlap", "total"}
 
 
 class TestModeledWindow:
@@ -121,27 +136,17 @@ def _render_pieces(node, pieces):
 def _oracle_step(cluster) -> StepTiming:
     """One step of the split protocol, as the driver ran it before every
     rank collided in one render: shell pieces -> exchange -> inner
-    pieces (window = their device clock) with ``overlap``; otherwise
-    one whole render, exchange, and the inner-cell share as window."""
+    pieces, whose device clock is the window."""
     nodes = cluster.nodes
     for node in nodes:
         node.begin_step()
-    if cluster.config.overlap:
-        for node in nodes:
-            _render_pieces(node, node.solver.split_pieces()[0])
-        cluster._exchange()
-        for node in nodes:
-            before = node.device.clock_s
-            _render_pieces(node, node.solver.split_pieces()[1])
-            node.overlap_window_s = node.device.clock_s - before
-    else:
-        for node in nodes:
-            before = node.device.clock_s
-            node.solver.run_macro_pass()
-            node.solver.run_collide_passes()
-            collide_s = node.device.clock_s - before
-            node.overlap_window_s = collide_s * (node.inner_cells() / node.cells)
-        cluster._exchange()
+    for node in nodes:
+        _render_pieces(node, node.solver.split_pieces()[0])
+    cluster._exchange()
+    for node in nodes:
+        before = node.device.clock_s
+        _render_pieces(node, node.solver.split_pieces()[1])
+        node.overlap_window_s = node.device.clock_s - before
     for node in nodes:
         node.charge_transfers()
     net_total = cluster.switch.phase_time(
@@ -171,14 +176,12 @@ class TestChargeOracle:
         "thin": dict(sub_shape=(8, 6, 2), periodic=(True, True, True)),
     }
 
-    @pytest.mark.parametrize("overlap", [True, False])
     @pytest.mark.parametrize("case", CASES)
-    def test_identical_to_the_per_rectangle_renders(self, rng, case, overlap):
+    def test_identical_to_the_per_rectangle_renders(self, rng, case):
         kw = self.CASES[case]
         shape = tuple(s * a for s, a in zip(kw["sub_shape"], ARR))
         solid = rng.random(shape) < 0.15
-        cfg = ClusterConfig(arrangement=ARR, tau=0.7, solid=solid,
-                            overlap=overlap, **kw)
+        cfg = ClusterConfig(arrangement=ARR, tau=0.7, solid=solid, **kw)
         ref = LBMSolver(shape, tau=0.7, solid=solid)
         u0 = (0.02 * rng.standard_normal((3,) + shape)).astype(np.float32)
         u0[:, solid] = 0

@@ -1,11 +1,13 @@
-"""The gathered boundary-shell collide (one gather -> collide -> scatter).
+"""The depth-1 shell pass through every collision operator, and the
+whole collide through every re-binding of the distribution array.
 
-``LBMSolver.collide_boundary`` visits the depth-1 shell through a cached
-flat index instead of one strided sweep per ``shell_partition`` slab.
-Collision is pointwise, so shell pass + inner pass must equal the whole
-collide *bit for bit* — for every operator the solver accepts, with
-solids on the shell, on thin domains with an empty core — and the index must keep pointing at the live array through every
-``fg`` re-binding.
+Colliding ``shell_partition``'s slabs, then its core, through the
+solver's own operator must equal the whole collide *bit for bit* — for
+every operator the solver accepts, with solids on the shell, on thin
+domains with an empty core: the Sec-4.3 rectangles a simulated-GPU
+rank is charged for describe the same per-cell work as its one render.
+The whole collide every executed rank runs must follow every ``fg``
+re-binding and keep one equilibrium buffer.
 """
 
 import numpy as np
@@ -16,7 +18,7 @@ from repro.core import ClusterConfig, CPUClusterLBM
 from repro.lbm.lattice import D3Q19
 from repro.lbm.les import SmagorinskyBGK
 from repro.lbm.solver import LBMSolver
-from repro.lbm.streaming import shell_index, shell_partition
+from tests.test_split_collide import _collide_by_pieces
 
 shapes = st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 7))
 
@@ -39,23 +41,6 @@ def _perturbed(shape, seed, **kw):
     return s
 
 
-class TestShellIndex:
-    @given(shape=shapes)
-    @settings(max_examples=60, deadline=None)
-    def test_index_is_union_of_slabs_once_each(self, shape):
-        mask, idx = shell_index(shape)
-        cover = np.zeros(shape, dtype=int)
-        for slab in shell_partition(shape)[0]:
-            cover[slab] += 1
-        assert np.array_equal(mask, cover == 1)
-        assert cover.max() <= 1
-        # Ascending (C-order) padded-flat indices of exactly those
-        # cells, aligned with ``field[mask]``.
-        padded = np.zeros(tuple(n + 2 for n in shape), dtype=bool)
-        padded[(slice(1, -1),) * 3] = mask
-        assert np.array_equal(idx, np.flatnonzero(padded))
-
-
 class TestShellPassEqualsCollide:
     @given(shape=shapes, op=st.sampled_from(sorted(OPERATORS)),
            solid_frac=st.sampled_from([0.0, 0.3, 1.0]),
@@ -70,8 +55,7 @@ class TestShellPassEqualsCollide:
         split = _perturbed(shape, seed, solid=solid, **OPERATORS[op]())
         before = whole.f.copy()
         whole.collide()
-        split.collide_boundary()
-        split.collide_inner()
+        _collide_by_pieces(split)
         assert np.array_equal(whole.fg, split.fg)
         if not solid.all():
             assert not np.array_equal(split.f, before)
@@ -83,8 +67,7 @@ class TestShellPassEqualsCollide:
         ph = _perturbed((7, 6, 5), 3, periodic=False)
         ref.step(4)
         for _ in range(4):
-            ph.collide_boundary()
-            ph.collide_inner()
+            _collide_by_pieces(ph)
             ph.fill_ghosts()
             ph.stream()
             ph.post_stream()
@@ -92,15 +75,14 @@ class TestShellPassEqualsCollide:
 
 
 class TestRebinding:
-    """The shell index is a function of the shape; no view of an old
-    ``fg`` may survive a re-binding."""
+    """No view of an old ``fg`` may survive a re-binding: the collide
+    after it works on the live array."""
 
     def _check(self, s):
         ref = _perturbed(s.shape, 0)
         ref.load_distributions(s.f)
         ref.collide()
-        s.collide_boundary()
-        s.collide_inner()
+        s.collide()
         assert np.array_equal(s.f, ref.f)
 
     def test_stream_swaps_the_double_buffer(self):
@@ -152,24 +134,11 @@ class TestRebinding:
 
 
 class TestSteadyStateAllocations:
-    def test_shell_pass_allocates_once(self):
-        s = _perturbed((8, 7, 6), 8)
-        s.collide_boundary()
-        stats = s.counters.stats
-        assert stats["solver.shell_workspace"].allocs == 1
-        after_first = sum(v.allocs for v in stats.values())
-        idx, ws = s._shell_idx[0], s._shell_ws
-        for _ in range(5):
-            s.collide_boundary()
+    def test_one_equilibrium_buffer_per_pass(self):
+        # One operator call per whole collide: one buffer, reused.
+        s = _perturbed((8, 7, 6), 9)
+        for _ in range(3):
+            s.collide()
             s.fill_ghosts()
             s.stream()
-        assert sum(v.allocs for v in stats.values()) == after_first
-        assert s._shell_idx[0] is idx and s._shell_ws is ws
-
-    def test_one_equilibrium_buffer_per_pass(self):
-        # One operator call for the shell and one for the core: two
-        # buffers, where the slab loop kept one per slab shape.
-        s = _perturbed((8, 7, 6), 9)
-        s.collide_boundary()
-        s.collide_inner()
-        assert len(s.collision._feq_bufs) == 2
+        assert len(s.collision._feq_bufs) == 1

@@ -1,11 +1,13 @@
-"""Boundary-shell / inner-core split collide must equal the full pass.
+"""The depth-1 shell partition must collide like the full pass.
 
-The executed-overlap protocol (Sec 4.4) relies on colliding the depth-1
-boundary shell first so the halo exchange can run while the inner core
-collides.  Collision is pointwise, so visiting the cells as disjoint
-slabs must be *bit-identical* to the single full pass — on the
-default solver driven by hand, on a forced ``kernel="split"`` one, and
-in the GPU texture pipeline alike.
+``shell_partition`` tiles a block into its boundary slabs and inner
+core: the Sec-4.3 rectangles a simulated-GPU rank renders its collide
+once over and is charged for piece by piece, the inner core's charge
+being the Sec-4.4 window.  Collision is pointwise, so visiting the
+cells as those disjoint boxes must be *bit-identical* to the single
+full pass — for the CPU operators, colliding the boxes one by one
+through the solver's own operator (default and forced
+``kernel="split"`` solvers), and in the GPU texture pipeline alike.
 """
 
 import numpy as np
@@ -58,6 +60,16 @@ def _kernel(forced: bool) -> str:
     return "split" if forced else "auto"
 
 
+def _collide_by_pieces(solver):
+    """The solver's operator over ``shell_partition``'s slabs, then its
+    core, one box at a time (empty boxes of thin blocks skipped)."""
+    slabs, core = shell_partition(solver.shape)
+    for region in slabs + [core]:
+        view = solver.f[(slice(None),) + region]
+        if view.size:
+            solver.collision(view, mask=solver.fluid[region])
+
+
 @pytest.mark.parametrize("forced", [True, False])
 class TestSplitEqualsFull:
     """``forced`` names ``kernel="split"``; otherwise the default
@@ -76,13 +88,13 @@ class TestSplitEqualsFull:
     def test_bgk(self, rng, forced):
         a, b = self._pair(rng, forced)
         a.collide()
-        b.collide_split()
+        _collide_by_pieces(b)
         assert np.array_equal(a.fg, b.fg)
 
     def test_bgk_with_force(self, rng, forced):
         a, b = self._pair(rng, forced, force=(1e-4, -2e-5, 0.0))
         a.collide()
-        b.collide_split()
+        _collide_by_pieces(b)
         assert np.array_equal(a.fg, b.fg)
 
     def test_bgk_with_solids(self, rng, forced):
@@ -91,27 +103,26 @@ class TestSplitEqualsFull:
         solid[0, 0, 0] = True  # solid on the shell itself
         a, b = self._pair(rng, forced, solid=solid)
         a.collide()
-        b.collide_split()
+        _collide_by_pieces(b)
         assert np.array_equal(a.fg, b.fg)
 
     def test_mrt(self, rng, forced):
         a, b = self._pair(rng, forced, collision="mrt")
         a.collide()
-        b.collide_split()
+        _collide_by_pieces(b)
         assert np.array_equal(a.fg, b.fg)
 
     def test_full_steps_after_split_collide(self, rng, forced):
         # Interleave: one solver steps normally, the other replaces each
-        # step's collide with the split pair, sharing the rest of the
-        # phase pipeline.
+        # step's collide with the box-by-box pass, sharing the rest of
+        # the phase pipeline.
         a, b = self._pair(rng, forced)
         for _ in range(3):
             a.collide()
             a.fill_ghosts()
             a.stream()
             a.post_stream()
-            b.collide_boundary()
-            b.collide_inner()
+            _collide_by_pieces(b)
             b.fill_ghosts()
             b.stream()
             b.post_stream()
@@ -123,7 +134,7 @@ class TestSplitEqualsFull:
         b = _randomized(LBMSolver((2, 6, 5), tau=0.8, kernel=_kernel(forced)),
                         np.random.default_rng(3))
         a.collide()
-        b.collide_split()
+        _collide_by_pieces(b)
         assert np.array_equal(a.fg, b.fg)
 
 

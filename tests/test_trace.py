@@ -401,7 +401,7 @@ class TestKernelCountersSatellites:
     def test_report_aligns_long_phase_names(self):
         c = KernelCounters()
         c.add("collide", 1e-3)
-        c.add("cluster.collide_boundary.very_long_phase_name", 2e-3)
+        c.add("cluster.collide.a_very_long_phase_name", 2e-3)
         header, *rows = c.report().splitlines()
         # Numeric columns must start at the same offset on every line.
         anchor = header.index(" calls")
