@@ -286,22 +286,18 @@ def _cmd_check_trace(args) -> int:
 def _cmd_check_exchange(args) -> int:
     """Halo-exchange gate: one message per neighbor per exchange phase
     (asserted from executed per-message trace events), bit-identical to
-    the single-domain reference on both backends with compression on
-    and off, AA forward/reverse, and compressed-channel desync
-    detection + resync recovery."""
+    the single-domain reference on both backends, and the AA
+    forward/reverse protocol on a periodic and a bounded box."""
     from repro.core.wire import run_exchange_check
 
     report = run_exchange_check(steps=args.steps)
     m = report["messages"]
-    c = report["compression"]
     print(f"exchange OK: {m['executed_per_step']} messages/step executed "
           f"(one per neighbor per phase); the schedule prices "
           f"{m['modeled_aggregated']} envelopes per direction, "
           f"{m['modeled_unaggregated']} if unaggregated; bit-identical on:")
     for label in report["variants"]:
         print(f"  {label}")
-    print(f"  compression: {c['messages']} messages, wire/raw ratio "
-          f"{c['ratio']:.3f}, desync recovery OK")
     return 0
 
 
@@ -478,9 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="steps to compare (default 4, must be even)")
     sp = sub.add_parser("check-exchange",
                         help="halo-exchange gate: one message per "
-                             "neighbor per phase, bit-identical with "
-                             "compression on/off, AA fwd/rev, desync "
-                             "recovery")
+                             "neighbor per phase, bit-identical on "
+                             "both backends, AA fwd/rev")
     sp.add_argument("--steps", type=int, default=4,
                     help="steps to compare (default 4, rounded even)")
     sp = sub.add_parser("check-telemetry",

@@ -10,9 +10,12 @@
   communication schedule of Fig 7 (2 steps per axis, indirect two-hop
   routing of diagonal traffic) plus the naive direct baseline.
 * :mod:`repro.core.exchange` — the halo-exchange engine: the protocol
-  once (route table, post/complete, self-wrap, zero-gradient closure,
-  codec hook) over a three-call transport that the in-process,
-  shared-memory and SimMPI paths each bind.
+  once (route table, post/complete, self-wrap, zero-gradient closure)
+  over a three-call transport that the in-process, shared-memory and
+  SimMPI paths each bind; every message is raw packed float32.
+* :mod:`repro.core.compression` — Sec 4.3's open idea, lossless halo
+  compression, studied in the step model with a measured codec ratio
+  (never executed on the wire).
 * :mod:`repro.core.gpu_node` / :mod:`repro.core.cpu_node` — one
   sub-domain on a simulated GPU (texture passes, gather-into-one-
   texture readback over AGP) or on a host CPU (reference numpy solver,

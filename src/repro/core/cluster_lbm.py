@@ -43,7 +43,6 @@ from repro.core.halo import HaloPlan
 from repro.core.procpool import ProcessBackend
 from repro.core.schedule import CommSchedule
 from repro.core.stack import RankStack
-from repro.core.wire import AdaptiveCompressionController
 from repro.gpu.specs import AGP_8X, GEFORCE_FX_5800_ULTRA, XEON_2_4, BusSpec, CPUSpec, GPUSpec
 from repro.net.switch import GigabitSwitch
 from repro.perf.counters import KernelCounters
@@ -155,24 +154,6 @@ class ClusterConfig:
         bit-identical at every step count, loads and rebalances
         included; :meth:`kernel_report` and the ``kernel.*`` counters
         record what each rank ran and why.
-    compression:
-        Adaptive lossless compression of the halo messages (Sec 4.3's
-        open question).  Every exchange gathers everything bound for
-        one neighbor — the five streaming links over the full padded
-        cross-section, rims included — into a single contiguous
-        buffer (the paper's Sec-4.4 aggregation), and the codec works
-        on that buffer.
-        ``"off"`` (default) ships raw float32.  ``"adaptive"`` runs the
-        :class:`~repro.core.wire.AdaptiveCompressionController`: per
-        channel it probes the measured delta+transpose+DEFLATE ratio
-        against the modeled link bandwidth and engages the codec only
-        while ``compress + send + decompress < send`` (on the
-        calibrated gigabit link the 2004 DEFLATE loses, so it bypasses
-        — that *is* the adaptive answer).  ``"always"`` forces the
-        codec on every message.  Compression is lossless, so every
-        setting is bit-identical; decisions surface as ``comm.*``
-        counters.  The processes backend exchanges through shared
-        memory (no wire), so its controller never engages.
     cuts:
         Explicit per-axis block extents (three sequences matching the
         arrangement and summing to the global extents); None (default)
@@ -195,19 +176,13 @@ class ClusterConfig:
     gpu_spec: GPUSpec = GEFORCE_FX_5800_ULTRA
     bus: BusSpec = AGP_8X
     cpu_spec: CPUSpec = XEON_2_4
-    use_sse: bool = False
     switch: GigabitSwitch | None = None
     backend: str = "serial"
     backend_timeout_s: float = 60.0
     kernel: str = "auto"
     cuts: tuple | None = None
-    compression: str = "off"
 
     def __post_init__(self) -> None:
-        if self.compression not in ("off", "adaptive", "always"):
-            raise ValueError(
-                f"compression must be 'off', 'adaptive' or 'always', "
-                f"got {self.compression!r}")
         if self.cuts is not None:
             if len(self.cuts) != 3:
                 raise ValueError("cuts must have one sequence per axis")
@@ -325,19 +300,12 @@ class _ClusterLBMBase:
         self._halo_msgs = 0
         #: One halo engine per in-process rank (the processes backend's
         #: workers each own theirs; timing-only nodes exchange nothing;
-        #: stacked ranks exchange along the rank axis unless a codec,
-        #: which works per message, is on).
+        #: stacked ranks exchange along the rank axis).
         self._halo = None
         if (self._proc_backend is None and not config.timing_only
-                and (self._stack is None or config.compression != "off")):
-            codec = None
-            if config.compression != "off":
-                codec = AdaptiveCompressionController(
-                    policy=config.compression,
-                    bandwidth_bytes_per_s=self.switch.effective_bytes_per_s,
-                    counters=self.counters)
+                and self._stack is None):
             self._halo = local_engines(self.decomp, self.nodes,
-                                       aa=self.aa_protocol, codec=codec,
+                                       aa=self.aa_protocol,
                                        counters=self.counters)
 
     def _resolve_kernel(self) -> tuple[str, str]:
@@ -392,7 +360,6 @@ class _ClusterLBMBase:
             "inlet": bc["inlet"],
             "outflow": bc["outflow"],
             "force": cfg.force,
-            "use_sse": cfg.use_sse,
             "cpu_spec": cfg.cpu_spec,
             "gpu_spec": cfg.gpu_spec,
             "bus": cfg.bus,
@@ -625,7 +592,7 @@ class _ClusterLBMBase:
         rank completes — under a ``cluster.exchange`` span."""
         t0 = time.perf_counter()
         with self.counters.phase("cluster.exchange"):
-            if self._halo is None:
+            if self._stack is not None:
                 self._stack.exchange()
             else:
                 exchange_all(self._halo, self.counters)
@@ -712,7 +679,7 @@ class _ClusterLBMBase:
             spans = payload.get("spans")
             if spans:
                 self.tracer.extend(
-                    spans, offset_s=self._proc_backend.trace_offset(rank))
+                    spans, offset_s=self._proc_backend.clock_offset(rank))
             if tel is not None and "metrics" in payload:
                 tel.registry.merge(payload["metrics"])
         net_total = (self.switch.phase_time(
@@ -845,7 +812,6 @@ class CPUClusterLBM(_ClusterLBMBase):
                        edge_dirs=list(self.decomp.edge_neighbors(rank)),
                        timing_only=self.config.timing_only,
                        cpu_spec=self.config.cpu_spec,
-                       use_sse=self.config.use_sse,
                        inlet=bc["inlet"], outflow=bc["outflow"],
                        force=self.config.force,
                        **self._rank_kernel_args(rank))

@@ -30,7 +30,7 @@ that 2004-era DEFLATE throughput can eat the bandwidth it saves.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -186,53 +186,12 @@ class HaloCompressor:
         self._tx_seq.pop(key, None)
         self._rx_seq.pop(key, None)
 
-    def probe_ratio(self, key, array: np.ndarray) -> float:
-        """Measured compressed/raw ratio for this message *without*
-        committing channel state.
-
-        Adaptive controllers probe disengaged channels periodically; a
-        probe must not advance the delta history or sequence numbers,
-        or the next genuinely compressed message would desync the
-        receiver (which never saw the probe).
-        """
-        saved_prev = self._previous.get(key)
-        saved_has_prev = key in self._previous
-        saved_seq = self._tx_seq.get(key, 0)
-        saved_has_seq = key in self._tx_seq
-        saved_stats = (self.stats.raw_bytes, self.stats.compressed_bytes,
-                       self.stats.messages)
-        raw_nbytes = int(np.ascontiguousarray(array, np.float32).nbytes)
-        payload = self.compress(key, array)
-        if saved_has_prev:
-            self._previous[key] = saved_prev
-        else:
-            self._previous.pop(key, None)
-        if saved_has_seq:
-            self._tx_seq[key] = saved_seq
-        else:
-            self._tx_seq.pop(key, None)
-        (self.stats.raw_bytes, self.stats.compressed_bytes,
-         self.stats.messages) = saved_stats
-        return len(payload) / raw_nbytes if raw_nbytes else 1.0
-
     def cpu_seconds(self, nbytes_raw: int) -> float:
         """Modeled compress+decompress CPU cost for one message."""
         if self.mode == "none":
             return 0.0
         return (nbytes_raw / COMPRESS_BYTES_PER_S
                 + nbytes_raw / DECOMPRESS_BYTES_PER_S)
-
-    def compress_seconds(self, nbytes_raw: int) -> float:
-        """Modeled sender-side DEFLATE CPU cost for one message."""
-        if self.mode == "none":
-            return 0.0
-        return nbytes_raw / COMPRESS_BYTES_PER_S
-
-    def decompress_seconds(self, nbytes_raw: int) -> float:
-        """Modeled receiver-side INFLATE CPU cost for one message."""
-        if self.mode == "none":
-            return 0.0
-        return nbytes_raw / DECOMPRESS_BYTES_PER_S
 
 
 def measure_flow_halo_ratio(steps: int = 8, sub=(12, 12, 8),

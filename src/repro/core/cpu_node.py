@@ -65,7 +65,7 @@ class CPUNode(SolverPort):
     def __init__(self, rank: int, sub_shape, tau: float, solid=None,
                  face_dirs=(), edge_dirs=(), timing_only: bool = False,
                  cpu_spec: CPUSpec = XEON_2_4, inlet=None, outflow=None,
-                 force=None, use_sse: bool = False, kernel: str = "auto",
+                 force=None, kernel: str = "auto",
                  aa_halo_managed: bool = False) -> None:
         self.rank = rank
         self.tau = float(tau)
@@ -73,7 +73,6 @@ class CPUNode(SolverPort):
         self.edge_dirs = list(edge_dirs)
         self.timing_only = bool(timing_only)
         self.cpu_spec = cpu_spec
-        self.use_sse = bool(use_sse)
         solver = None
         if not timing_only:
             solver = LBMSolver(sub_shape, tau, solid=solid,
@@ -93,7 +92,8 @@ class CPUNode(SolverPort):
                         "handlers")
         super().__init__(solver, sub_shape)
         #: The modeled per-step compute: a function of the block shape,
-        #: its face/edge neighbours, ``cpu_spec`` and ``use_sse`` only.
+        #: its face/edge neighbours and ``cpu_spec`` only (the SSE build
+        #: is a spec of its own, :data:`~repro.gpu.specs.XEON_2_4_SSE`).
         self.model_compute_s = self._model_compute_s()
         self.compute_s = 0.0
         self.agp_s = 0.0           # always 0: no GPU on this path
@@ -133,8 +133,6 @@ class CPUNode(SolverPort):
     # -- timing model -------------------------------------------------------
     def _model_compute_s(self) -> float:
         ns = self.cpu_spec.lbm_ns_per_cell
-        if self.use_sse:
-            ns /= self.cpu_spec.sse_speedup
         t = self.cells * ns * 1e-9
         for (axis, _) in self.face_dirs:
             t += (cal.CPU_BORDER_COMPUTE_S_PER_DIR

@@ -15,9 +15,9 @@ and MPI paths are bindings of one pack -> transport -> unpack concept:
 
 * :func:`build_routes` — the route table, from a rank's six
   ``(axis, direction) -> rank | None`` slots and the periodicity;
-* :class:`HaloExchange` — one rank's :meth:`~HaloExchange.post` (pack,
-  encode, send one axis) and :meth:`~HaloExchange.complete` (receive,
-  decode, unpack, close the axis locally).  What a caller does
+* :class:`HaloExchange` — one rank's :meth:`~HaloExchange.post` (pack
+  and send one axis) and :meth:`~HaloExchange.complete` (receive,
+  unpack, close the axis locally).  What a caller does
   *between* the two is all that differs between drivers: coordinator
   and thermal let every rank post before any completes
   (:func:`exchange_all`); a rank that owns its process or thread runs
@@ -27,11 +27,11 @@ and MPI paths are bindings of one pack -> transport -> unpack concept:
   exchange (begin, collide, exchange, charge, finish), shared by the
   worker processes and the SPMD ranks;
 * a **transport** of three calls — ``outbox(peer, axis, sides, floats)
-  -> buffer to pack into``, ``send(peer, axis, sides, buf, meta)``,
-  ``recv(peer, axis, sender_sides) -> buffer`` — plus
-  ``compute(seconds)``, a no-op except on SimMPI (modelled codec CPU).
-  :class:`LocalTransport` lives here; the shm mailboxes and SimMPI
-  bind the same calls in :mod:`repro.core.procpool` / ``spmd``;
+  -> buffer to pack into``, ``send(peer, axis, sides, buf)``,
+  ``recv(peer, axis, sender_sides) -> buffer``; every message is the
+  packed float32 buffer itself.  :class:`LocalTransport` lives here;
+  the shm mailboxes and SimMPI bind the same calls in
+  :mod:`repro.core.procpool` / ``spmd``;
 * :class:`SolverPort` — the four array operations the engine needs
   from a rank: inherited by :class:`~repro.core.cpu_node.CPUNode`,
   bound to a bare solver by the thermal models, and
@@ -169,9 +169,6 @@ class Transport:
             self._counters.alloc("exchange.wire_bufs")
         return buf
 
-    def compute(self, seconds: float) -> None:
-        pass
-
 
 class LocalTransport(Transport):
     """In-process binding: ranks of one process hand each other their
@@ -185,7 +182,7 @@ class LocalTransport(Transport):
         self.rank = rank
         self.mail = mail
 
-    def send(self, peer, axis, sides, buf, meta=None) -> None:
+    def send(self, peer, axis, sides, buf) -> None:
         self.mail[(self.rank, peer, axis, sides)] = buf
 
     def recv(self, peer, axis, sender_sides) -> np.ndarray:
@@ -199,15 +196,12 @@ class HaloExchange:
     same methods); they are looked up at every call, so spans wrapped
     over a node after construction still fire.  ``aa`` says the rank
     runs the in-place AA kernel: forward exchange after even phases,
-    reverse ghost-scatter exchange after odd ones.  ``codec`` is an
-    optional :class:`~repro.core.wire.AdaptiveCompressionController`
-    for neighbour messages (never local self-wraps).  ``counters``
-    receives ``comm.bytes_wire`` per raw message (the codec records its
-    own byte metrics).
+    reverse ghost-scatter exchange after odd ones.  ``counters``
+    receives ``comm.bytes_wire`` per neighbour message.
     """
 
     def __init__(self, rank: int, port, neighbors: dict, periodic,
-                 transport, aa: bool = False, codec=None,
+                 transport, aa: bool = False,
                  counters: KernelCounters = _NO_COUNTERS) -> None:
         self.rank = rank
         self.port = port
@@ -215,7 +209,6 @@ class HaloExchange:
         self.routes = build_routes(neighbors, periodic)
         self.transport = transport
         self.aa = bool(aa)
-        self.codec = codec
         self.counters = counters
 
     @property
@@ -230,23 +223,14 @@ class HaloExchange:
     def post(self, axis: int, mode: str) -> int:
         """Pack and send this axis's neighbour messages; returns how
         many were sent.  Touches only this rank's own arrays."""
-        transport, codec = self.transport, self.codec
+        transport = self.transport
         sends = self.routes[axis].sends
         for peer, sides in sends:
             m = self.plan.neighbor_manifest(axis, sides, mode)
             buf = self.port.read_packed(
                 m, transport.outbox(peer, axis, sides, m.total_floats))
-            meta = None
-            if codec is None:
-                self.counters.metric("comm.bytes_wire", buf.nbytes)
-            else:
-                payload = codec.encode((self.rank, peer, axis), buf)
-                if payload.compress_s:
-                    transport.compute(payload.compress_s)
-                buf = payload.data
-                if payload.compressed:
-                    meta = {"raw_bytes": payload.raw_bytes}
-            transport.send(peer, axis, sides, buf, meta)
+            self.counters.metric("comm.bytes_wire", buf.nbytes)
+            transport.send(peer, axis, sides, buf)
         return len(sends)
 
     def complete(self, axis: int, mode: str) -> None:
@@ -254,18 +238,12 @@ class HaloExchange:
         sides that have no neighbour: periodic self-wrap, or the
         zero-gradient ghost fill (border fold after an AA odd scatter)
         at a true domain edge."""
-        transport, codec, port = self.transport, self.codec, self.port
+        transport, port = self.transport, self.port
         route = self.routes[axis]
         for peer, sides in route.sends:
             theirs = mirrored(sides)
             m = self.plan.neighbor_manifest(axis, theirs, mode)
-            buf = transport.recv(peer, axis, theirs)
-            if codec is not None:
-                if buf.dtype == np.uint8:
-                    transport.compute(codec.decompress_seconds(m.nbytes))
-                buf = codec.decode((peer, self.rank, axis), buf,
-                                   (m.total_floats,))
-            port.write_packed(m, buf)
+            port.write_packed(m, transport.recv(peer, axis, theirs))
         if route.wraps:
             # A message to itself: packed into its own outbox (free on
             # this axis — a wrapping axis has no sends), never sent.
@@ -315,14 +293,14 @@ def step_rank(node, halo: HaloExchange,
         node.finish_step()
 
 
-def local_engines(decomp, ports, aa: bool = False, codec=None,
+def local_engines(decomp, ports, aa: bool = False,
                   counters: KernelCounters = _NO_COUNTERS,
                   ) -> list[HaloExchange]:
     """One engine per in-process rank over a shared :class:`LocalTransport`."""
     mail: dict = {}
     return [HaloExchange(rank, port, decomp.neighbors(rank), decomp.periodic,
                          LocalTransport(rank, mail, counters), aa=aa,
-                         codec=codec, counters=counters)
+                         counters=counters)
             for rank, port in enumerate(ports)]
 
 

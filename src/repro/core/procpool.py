@@ -87,7 +87,6 @@ class WorkerSpec:
     inlet: tuple | None
     outflow: tuple | None
     force: tuple | None
-    use_sse: bool
     cpu_spec: CPUSpec
     gpu_spec: GPUSpec
     bus: BusSpec
@@ -133,7 +132,7 @@ def _build_node(spec: WorkerSpec):
     return CPUNode(spec.rank, spec.sub_shape, spec.tau, solid=spec.solid,
                    face_dirs=list(spec.face_dirs),
                    edge_dirs=list(spec.edge_dirs), timing_only=False,
-                   cpu_spec=spec.cpu_spec, use_sse=spec.use_sse,
+                   cpu_spec=spec.cpu_spec,
                    inlet=spec.inlet, outflow=spec.outflow, force=spec.force,
                    kernel=spec.kernel, aa_halo_managed=spec.aa_halo_managed)
 
@@ -143,8 +142,7 @@ class _MailboxTransport:
     into this rank's own mailbox slot *is* the send, and a receive is a
     view of the peer's mailbox — valid once the worker's barrier
     between ``post`` and ``complete`` has passed.  ``slot`` is the step
-    parity addressing the double-buffered mailboxes.  No codec runs
-    over shared memory, so there is no ``compute`` to charge."""
+    parity addressing the double-buffered mailboxes."""
 
     def __init__(self, own: RankSegments, peers: dict) -> None:
         self.own = own
@@ -154,7 +152,7 @@ class _MailboxTransport:
     def outbox(self, peer, axis, sides, floats) -> np.ndarray:
         return self.own.mailbox(axis, self.slot, sides)
 
-    def send(self, peer, axis, sides, buf, meta=None) -> None:
+    def send(self, peer, axis, sides, buf) -> None:
         pass
 
     def recv(self, peer, axis, sender_sides) -> np.ndarray:
@@ -331,9 +329,10 @@ class _Worker:
         """Toggle span recording; replies with this process's clock.
 
         The coordinator timestamps the command round-trip and uses the
-        returned ``perf_counter`` reading to estimate this worker's
-        clock offset (midpoint method), so merged spans land on the
-        coordinator timeline.  On Linux ``perf_counter`` is the shared
+        returned ``perf_counter`` reading to estimate this worker's one
+        clock offset (midpoint method, ``ProcessBackend.clock_offset``),
+        so merged spans and heartbeats land on the coordinator
+        timeline.  On Linux ``perf_counter`` is the shared
         ``CLOCK_MONOTONIC``, making the offset ~0; the handshake keeps
         the re-basing correct where it is not.
         """
@@ -345,11 +344,9 @@ class _Worker:
     def _telemetry(self, enabled: bool) -> dict:
         """Toggle live metrics; replies with this process's clock.
 
-        Same midpoint clock handshake as :meth:`_trace` — the
-        coordinator re-bases shared-memory heartbeat timestamps onto
-        its own timeline with the estimated offset.  Enabling also
-        writes an immediate baseline heartbeat so the watchdog never
-        sees an all-zero strip.
+        Same clock reply as :meth:`_trace`, refreshing the same
+        offset.  Enabling also writes an immediate baseline heartbeat
+        so the watchdog never sees an all-zero strip.
         """
         self.metrics.enabled = bool(enabled)
         if not enabled:
@@ -453,6 +450,7 @@ class ProcessBackend:
         self.procs: list[mp.Process] = []
         self.conns = []
         self.proxies = [RankProxy(r) for r in range(self.n_ranks)]
+        self._clock_offsets = [0.0] * self.n_ranks
         # Per-rank block shapes: equal boxes by default, but non-uniform
         # cuts size each rank's segments independently.
         sub_shapes = tuple(tuple(int(s) for s in a["sub_shape"])
@@ -628,44 +626,34 @@ class ProcessBackend:
     def initialize(self, rho, u) -> None:
         self._command(("initialize", rho, u))
 
-    def set_tracing(self, enabled: bool) -> None:
-        """Toggle span recording on every worker and sync their clocks.
+    def _toggle(self, msg: tuple) -> None:
+        """Send a trace/telemetry toggle and sync the worker clocks.
 
         Each worker replies with its own ``perf_counter`` reading; the
-        midpoint of the command round-trip estimates the per-worker
-        clock offset used to re-base drained spans onto the
-        coordinator timeline (error bounded by half the round-trip).
+        midpoint of the command round-trip estimates its clock offset
+        (error bounded by half the round-trip).  Every toggle refreshes
+        the one per-worker offset that :meth:`clock_offset` serves.
         """
         t_send = time.perf_counter()
-        payloads = self._command(("trace", bool(enabled)))
+        payloads = self._command(msg)
         t_recv = time.perf_counter()
-        self._trace_offsets = [estimate_clock_offset(t_send, t_recv, p["now"])
+        self._clock_offsets = [estimate_clock_offset(t_send, t_recv, p["now"])
                                for p in payloads]
 
-    def trace_offset(self, rank: int) -> float:
-        """Coordinator-clock offset for ``rank``'s drained spans."""
-        offsets = getattr(self, "_trace_offsets", None)
-        return offsets[rank] if offsets else 0.0
+    def set_tracing(self, enabled: bool) -> None:
+        """Toggle span recording on every worker and sync their clocks."""
+        self._toggle(("trace", bool(enabled)))
 
     def set_telemetry(self, enabled: bool) -> None:
-        """Toggle live metrics on every worker and sync their clocks.
+        """Toggle live metrics on every worker and sync their clocks."""
+        self._toggle(("telemetry", bool(enabled)))
 
-        The same midpoint handshake as :meth:`set_tracing`; the
-        per-worker offsets re-base shared-memory heartbeat timestamps
-        (:meth:`read_health`) onto the coordinator timeline so watchdog
-        ages are comparable across processes.
-        """
-        t_send = time.perf_counter()
-        payloads = self._command(("telemetry", bool(enabled)))
-        t_recv = time.perf_counter()
-        self._telemetry_offsets = [
-            estimate_clock_offset(t_send, t_recv, p["now"])
-            for p in payloads]
-
-    def telemetry_offset(self, rank: int) -> float:
-        """Coordinator-clock offset for ``rank``'s heartbeats."""
-        offsets = getattr(self, "_telemetry_offsets", None)
-        return offsets[rank] if offsets else 0.0
+    def clock_offset(self, rank: int) -> float:
+        """Coordinator-clock offset of ``rank``'s worker: re-bases its
+        drained spans and its shared-memory heartbeat timestamps
+        (:meth:`read_health`) onto the coordinator timeline, so spans
+        and watchdog ages are comparable across processes."""
+        return self._clock_offsets[rank]
 
     def read_health(self) -> list[dict]:
         """Live per-rank heartbeat rows, re-based to the coordinator clock.
@@ -682,7 +670,7 @@ class ProcessBackend:
                 continue
             rows.append({
                 "rank": rank,
-                "hb_time": float(strip[0]) + self.telemetry_offset(rank),
+                "hb_time": float(strip[0]) + self.clock_offset(rank),
                 "step": int(strip[1]),
                 "busy": bool(strip[2]),
                 "step_seconds": float(strip[3]),

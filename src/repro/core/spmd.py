@@ -19,9 +19,11 @@ implements that faithfully on :class:`~repro.net.SimCluster` threads:
   received from the previous axis.
 
 The result is asserted identical to the single-domain reference (and
-hence to the coordinator path).  The per-rank simulated clocks expose
-the communication costs the switch model assigns to the real message
-pattern — including contention if the schedule is violated.
+hence to the coordinator path).  Every message is the rank's packed
+float32 halo buffer, raw, so the per-rank simulated clocks expose the
+communication costs the switch model assigns to the real message
+pattern and its real bytes — including contention if the schedule is
+violated.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import numpy as np
 from repro.core.cpu_node import CPUNode
 from repro.core.decomposition import BlockDecomposition
 from repro.core.exchange import HaloExchange, Transport, mirrored, step_rank
-from repro.core.wire import AdaptiveCompressionController
 from repro.net.simmpi import SimCluster
 
 def _tag(axis: int, sides) -> int:
@@ -49,8 +50,7 @@ class SimMPITransport(Transport):
     with it and completed by :meth:`recv` (the Sec-4.3 message pattern
     of a nonblocking first axis, which the rank's simulated clock is
     charged for); later axes forward rims just received and use
-    blocking ``Recv``.  ``compute`` charges modelled codec CPU to the
-    rank's simulated clock.
+    blocking ``Recv``.
     """
 
     def __init__(self, comm) -> None:
@@ -58,8 +58,8 @@ class SimMPITransport(Transport):
         self.comm = comm
         self._pending: dict[tuple, object] = {}
 
-    def send(self, peer, axis, sides, buf, meta=None) -> None:
-        self.comm.Isend(buf, dest=peer, tag=_tag(axis, sides), meta=meta)
+    def send(self, peer, axis, sides, buf) -> None:
+        self.comm.Isend(buf, dest=peer, tag=_tag(axis, sides))
         if axis == 0:
             theirs = mirrored(sides)
             self._pending[(peer, theirs)] = self.comm.Irecv(
@@ -69,9 +69,6 @@ class SimMPITransport(Transport):
         if axis == 0:
             return self._pending.pop((peer, sender_sides)).wait()
         return self.comm.Recv(source=peer, tag=_tag(axis, sender_sides))
-
-    def compute(self, seconds: float) -> None:
-        self.comm.compute(seconds)
 
 
 class SPMDClusterLBM:
@@ -87,37 +84,23 @@ class SPMDClusterLBM:
         Optional global obstacle mask.
     f0:
         Optional global initial distributions.
-    compression:
-        ``"off"`` (default), ``"adaptive"`` (probe the measured ratio
-        against the switch bandwidth, engage only when it pays), or
-        ``"always"`` (force the codec).  Compressed frames travel as
-        uint8 and the per-rank simulated clocks are charged the
-        modeled codec CPU.
     """
 
     def __init__(self, decomp: BlockDecomposition, tau: float,
                  solid: np.ndarray | None = None,
-                 f0: np.ndarray | None = None,
-                 compression: str = "off") -> None:
+                 f0: np.ndarray | None = None) -> None:
         if decomp.sub_shape is None:
             raise ValueError(
                 "SPMDClusterLBM requires uniform cuts; use the "
                 "coordinator drivers for non-uniform cuts")
-        if compression not in ("off", "adaptive", "always"):
-            raise ValueError("compression must be 'off', 'adaptive' or "
-                             f"'always', got {compression!r}")
         self.decomp = decomp
         self.tau = float(tau)
-        self.compression = compression
-        #: Per-rank compression summaries from the last run (``None``
-        #: entries when compression is off).
-        self.compression_summaries: list[dict | None] = []
         self.solids = (decomp.scatter_field(solid)
                        if solid is not None else [None] * decomp.n_nodes)
         self.f0_parts = decomp.scatter_field(f0) if f0 is not None else None
 
     # -- the per-rank program ------------------------------------------------
-    def _rank_main(self, comm, steps: int, bandwidth_bytes_per_s: float):
+    def _rank_main(self, comm, steps: int):
         decomp = self.decomp
         rank = comm.rank
         # Driven phase by phase, with no driver closing an AA halo: the
@@ -126,18 +109,11 @@ class SPMDClusterLBM:
                        solid=self.solids[rank])
         if self.f0_parts is not None:
             node.solver.f[...] = self.f0_parts[rank].astype(node.solver.dtype)
-        codec = None
-        if self.compression != "off":
-            codec = AdaptiveCompressionController(
-                policy=self.compression,
-                bandwidth_bytes_per_s=bandwidth_bytes_per_s)
         halo = HaloExchange(rank, node, decomp.neighbors(rank),
-                            decomp.periodic, SimMPITransport(comm),
-                            codec=codec)
+                            decomp.periodic, SimMPITransport(comm))
         for _ in range(steps):
             step_rank(node, halo)
-        return (node.solver.f.copy(), comm.clock_s,
-                None if codec is None else codec.summary())
+        return node.solver.f.copy(), comm.clock_s
 
     # -- driver ---------------------------------------------------------------
     def run(self, steps: int, cluster: SimCluster | None = None
@@ -154,8 +130,6 @@ class SPMDClusterLBM:
         """
         cl = cluster if cluster is not None else SimCluster(
             self.decomp.n_nodes)
-        results = cl.run(self._rank_main, steps,
-                         cl.switch.effective_bytes_per_s)
-        self.compression_summaries = [r[2] for r in results]
+        results = cl.run(self._rank_main, steps)
         return self.decomp.gather_field([r[0] for r in results]), \
             [r[1] for r in results]

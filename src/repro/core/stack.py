@@ -20,7 +20,7 @@ kernel, :class:`RankStack` replaces the per-rank loop:
   whole ranks.
 * **exchange** — :class:`~repro.core.exchange.RankAxisExchange`: the
   engine's routes and manifests run as one fancy-index copy per route
-  kind (the driver keeps the per-message engine when a codec is on).
+  kind.
 * **finish** — O(1) Python per rank: ``time_step``, the parity flags
   and ``post_stream`` only on ranks with solids or handlers, and the
   node's cached modelled compute.

@@ -37,6 +37,7 @@ from repro.gpu.specs import (
     PCIE_X16,
     PENTIUM4_2_53,
     XEON_2_4,
+    XEON_2_4_SSE,
     BusSpec,
     CPUSpec,
     GPUSpec,
@@ -51,7 +52,7 @@ from repro.gpu.lbm_gpu import GPULBMSolver
 __all__ = [
     "GPUSpec", "CPUSpec", "BusSpec",
     "GEFORCE_FX_5800_ULTRA", "GEFORCE_FX_5900_ULTRA", "GEFORCE_6800_ULTRA",
-    "PENTIUM4_2_53", "XEON_2_4", "AGP_8X", "PCIE_X16",
+    "PENTIUM4_2_53", "XEON_2_4", "XEON_2_4_SSE", "AGP_8X", "PCIE_X16",
     "TextureMemory", "Texture2D", "TextureStack",
     "FragmentProgram", "RenderContext",
     "SimulatedGPU", "D3Q19Packing",

@@ -9,7 +9,7 @@ place.  Derived throughputs (e.g. ns/cell for an 80^3 LBM step) live in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 MB = 1_000_000          # decimal MB, as GPU marketing (and the paper) use
 MiB = 1 << 20
@@ -162,6 +162,11 @@ XEON_2_4 = CPUSpec(
                                     # 10 Gflops" -> 5 per processor
     lbm_ns_per_cell=1420e6 / (80 ** 3),
 )
+
+#: The same Xeon running the SSE build of the software LBM (Sec 4.4:
+#: "about 2 to 3 times faster"): only the per-cell cost changes.
+XEON_2_4_SSE = replace(XEON_2_4, lbm_ns_per_cell=XEON_2_4.lbm_ns_per_cell
+                       / XEON_2_4.sse_speedup)
 
 #: Sec 4.2 baseline: "Pentium IV 2.53GHz without using SSE instructions".
 #: Calibrated so FX 5900 Ultra / P4 = 8x.

@@ -147,18 +147,13 @@ class SimComm:
         self.clock_s += seconds
 
     # -- point to point -----------------------------------------------------
-    def Send(self, array: np.ndarray, dest: int, tag: int = 0,
-             meta: dict | None = None) -> None:
-        """Blocking buffer send; advances the sender past the transfer.
-
-        ``meta`` (e.g. ``{"raw_bytes": n}`` for compressed halo frames)
-        is merged into the traced message event.
-        """
+    def Send(self, array: np.ndarray, dest: int, tag: int = 0) -> None:
+        """Blocking buffer send; advances the sender past the transfer."""
         arr = np.ascontiguousarray(array)
         start, end = self._cluster.switch.reserve(dest, self.clock_s, arr.nbytes)
         self.clock_s = end
         self._cluster.tracer.message(self.rank, dest, tag, arr.nbytes,
-                                     start, end, **(meta or {}))
+                                     start, end)
         self._cluster.mail.put(self.rank, dest, tag,
                                _Envelope(arr.copy(), arrival_s=end))
 
@@ -169,15 +164,14 @@ class SimComm:
         self.clock_s = max(self.clock_s, env.arrival_s)
         return env.payload
 
-    def Isend(self, array: np.ndarray, dest: int, tag: int = 0,
-              meta: dict | None = None) -> Request:
+    def Isend(self, array: np.ndarray, dest: int, tag: int = 0) -> Request:
         """Non-blocking send: the payload leaves now, the sender only
         pays the envelope overhead (the NIC DMAs in the background)."""
         arr = np.ascontiguousarray(array)
         start, end = self._cluster.switch.reserve(dest, self.clock_s, arr.nbytes)
         self.clock_s += cal.NET_STEP_OVERHEAD_S
         self._cluster.tracer.message(self.rank, dest, tag, arr.nbytes,
-                                     start, end, **(meta or {}))
+                                     start, end)
         self._cluster.mail.put(self.rank, dest, tag,
                                _Envelope(arr.copy(), arrival_s=end))
         return Request(self)
@@ -193,7 +187,7 @@ class SimComm:
         return [req.wait() for req in requests]
 
     def sendrecv(self, array: np.ndarray, dest: int, source: int | None = None,
-                 tag: int = 0, meta: dict | None = None) -> np.ndarray:
+                 tag: int = 0) -> np.ndarray:
         """Simultaneous exchange (the Fig-7 pairwise primitive).
 
         Full duplex: the send and the receive overlap, so the cost is a
@@ -204,7 +198,7 @@ class SimComm:
         arr = np.ascontiguousarray(array)
         start, end = self._cluster.switch.reserve(dest, self.clock_s, arr.nbytes)
         self._cluster.tracer.message(self.rank, dest, tag, arr.nbytes,
-                                     start, end, **(meta or {}))
+                                     start, end)
         self._cluster.mail.put(self.rank, dest, tag, _Envelope(arr.copy(), end))
         env = self._cluster.mail.get(source, self.rank, tag,
                                      timeout=self._cluster.timeout_s)

@@ -25,7 +25,7 @@ class PhaseStat:
     """Accumulated statistics for one named phase.
 
     ``value`` is a free numeric accumulator for non-time metrics
-    (payload bytes, message counts, compression ratios); phases that
+    (payload bytes, message counts); phases that
     only time calls leave it at 0.
     """
 

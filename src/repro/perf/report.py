@@ -248,43 +248,30 @@ def trace_step_breakdown(trace) -> list[dict]:
 def trace_network_summary(trace) -> dict:
     """Simulated-network roll-up: messages, bytes, scheduled rounds.
 
-    ``bytes`` is bytes-on-wire (what the switch priced).  Messages that
-    went through the adaptive wire compressor carry ``raw_bytes`` in
-    their metadata; the roll-up accumulates those separately so the
-    measured compression ratio (`wire / raw`) is visible per trace.
+    ``bytes`` is bytes-on-wire (what the switch priced).
     """
     from repro.perf.trace import SIM_CLOCK
-    n_msgs = n_rounds = n_compressed = 0
-    total_bytes = raw_bytes = 0
+    n_msgs = n_rounds = 0
+    total_bytes = 0
     busy_s = 0.0
     for e in _events_of(trace):
         if e.clock != SIM_CLOCK:
             continue
         if "src" in e.meta:
             n_msgs += 1
-            wire = e.meta.get("bytes", 0)
-            total_bytes += wire
-            raw = e.meta.get("raw_bytes")
-            if raw is not None:
-                n_compressed += 1
-                raw_bytes += raw
-            else:
-                raw_bytes += wire
+            total_bytes += e.meta.get("bytes", 0)
             busy_s += e.duration_s
         elif e.name == "net.round":
             n_rounds += 1
     return {"messages": n_msgs, "bytes": total_bytes,
-            "raw_bytes": raw_bytes, "compressed_messages": n_compressed,
-            "wire_ratio": (total_bytes / raw_bytes) if raw_bytes else 1.0,
             "rounds": n_rounds, "busy_ms": busy_s * 1e3}
 
 
 def counters_comm_rows(counters) -> list[dict]:
     """The ``comm.*`` wire metrics from a driver's counters, as rows.
 
-    The cluster drivers record per-exchange message counts, merged
-    payload bytes and (when compression is on) bytes-on-wire plus the
-    controller's engage/bypass/probe decisions via
+    The cluster drivers record per-exchange message counts
+    (``comm.msgs``) and merged payload bytes (``comm.bytes_wire``) via
     :meth:`KernelCounters.metric`.  This formats them into report rows;
     drivers without wire metrics yield no rows (old traces/counters
     stay readable).
@@ -301,28 +288,19 @@ def counters_comm_rows(counters) -> list[dict]:
 
 
 def format_comm_summary(counters) -> str:
-    """Human-readable wire summary (``comm.*`` metrics), one string.
-
-    Includes the derived compression ratio when both the raw and wire
-    byte totals were recorded; empty string when no wire metrics exist.
-    """
+    """Human-readable wire summary (``comm.*`` metrics), one string;
+    empty when no wire metrics exist."""
     rows = counters_comm_rows(counters)
     if not rows:
         return ""
     out = io.StringIO()
     w = out.write
-    w("wire / compression (comm.* metrics):\n")
+    w("wire (comm.* metrics):\n")
     width = max(len(r["metric"]) for r in rows)
     w(f"  {'metric':<{width}} {'events':>8} {'total':>14} {'per event':>12}\n")
     for r in rows:
         w(f"  {r['metric']:<{width}} {r['events']:>8d} "
           f"{r['total']:>14.0f} {r['per_event']:>12.1f}\n")
-    by_name = {r["metric"]: r for r in rows}
-    raw = by_name.get("comm.bytes_raw")
-    wire = by_name.get("comm.bytes_wire")
-    if raw and wire and raw["total"] > 0:
-        w(f"  compression ratio (wire/raw): "
-          f"{wire['total'] / raw['total']:.3f}\n")
     return out.getvalue()
 
 
@@ -424,8 +402,4 @@ def format_trace_analytics(trace) -> str:
         w(f"\nsimulated network: {net['messages']} messages, "
           f"{net['bytes']:,} bytes on wire, {net['rounds']} scheduled "
           f"rounds, {net['busy_ms']:.3f} ms simulated port time\n")
-        if net["compressed_messages"]:
-            w(f"  compressed: {net['compressed_messages']} messages, "
-              f"{net['raw_bytes']:,} raw bytes, wire/raw ratio "
-              f"{net['wire_ratio']:.3f}\n")
     return out.getvalue()

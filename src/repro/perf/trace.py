@@ -187,20 +187,16 @@ class Tracer:
 
     def message(self, src: int, dst: int, tag: int, nbytes: int,
                 start_s: float, end_s: float, step: int | None = None,
-                name: str = "mpi.msg", **meta) -> None:
-        """Record one simulated-network message (simulated-clock span).
-
-        ``nbytes`` is what actually crossed the wire; extra keyword
-        arguments extend the metadata (compressed sends attach
-        ``raw_bytes`` so bytes-on-wire vs payload stays auditable).
-        """
+                name: str = "mpi.msg") -> None:
+        """Record one simulated-network message (simulated-clock span);
+        ``nbytes`` is what actually crossed the wire."""
         if not self.enabled:
             return
         self.events.append(SpanEvent(
             name, NETWORK_RANK, self.step if step is None else step,
             float(start_s), float(end_s), SIM_CLOCK,
             {"src": int(src), "dst": int(dst), "tag": int(tag),
-             "bytes": int(nbytes), **meta}))
+             "bytes": int(nbytes)}))
 
     def for_rank(self, rank: int) -> "Tracer":
         """A view with a different default rank, sharing this event list.
@@ -229,7 +225,7 @@ class Tracer:
 
         ``offset_s`` is the estimated difference between this tracer's
         :func:`time.perf_counter` epoch and the producer's (see
-        ``ProcessBackend.set_tracing``); it is applied to wall-clock
+        ``ProcessBackend.clock_offset``); it is applied to wall-clock
         spans only — simulated-clock events share the one simulated
         timeline already.
         """
@@ -325,8 +321,8 @@ def estimate_clock_offset(t_send: float, t_recv: float,
     round trip).  The sign is unconstrained: a remote clock ahead of the
     local one yields a negative offset, and clocks that drift between
     handshakes are tracked by re-estimating per handshake.  Used by
-    ``ProcessBackend.set_tracing`` (span re-basing) and
-    ``ProcessBackend.set_telemetry`` (heartbeat re-basing).
+    ``ProcessBackend.clock_offset``, which re-bases a worker's spans and
+    heartbeats alike.
     """
     return 0.5 * (float(t_send) + float(t_recv)) - float(remote_now)
 

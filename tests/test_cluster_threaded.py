@@ -88,7 +88,8 @@ class TestConfigValidation:
                         {"wire": "perface"}, {"layout": "soa"},
                         {"sparse_threshold": 0.5},
                         {"autotune": "measured"},
-                        {"decomposition": "weighted"}, {"overlap": True}):
+                        {"decomposition": "weighted"}, {"overlap": True},
+                        {"compression": "off"}, {"use_sse": True}):
             with pytest.raises(TypeError, match=next(iter(removed))):
                 ClusterConfig(**base, **removed)
         with pytest.raises(ValueError, match="backend"):
@@ -99,8 +100,8 @@ class TestConfigValidation:
         assert [f.name for f in dataclasses.fields(ClusterConfig)] == [
             "sub_shape", "arrangement", "tau", "periodic", "timing_only",
             "solid", "inlet", "outflow", "force", "gpu_spec", "bus",
-            "cpu_spec", "use_sse", "switch", "backend",
-            "backend_timeout_s", "kernel", "cuts", "compression"]
+            "cpu_spec", "switch", "backend", "backend_timeout_s", "kernel",
+            "cuts"]
 
     def test_backend_must_be_known(self):
         with pytest.raises(ValueError, match="backend"):

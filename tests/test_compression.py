@@ -209,40 +209,6 @@ class TestResyncRecovery:
         assert np.array_equal(rx.decompress("k", payload, a.shape), a)
 
 
-class TestProbeRatio:
-    """Probes must measure without committing channel state — a probed
-    channel's next real message may not desync the receiver."""
-
-    def test_probe_matches_committed_ratio(self, rng):
-        codec = HaloCompressor(mode="delta")
-        a = rng.random((19, 8, 8)).astype(np.float32)
-        probed = codec.probe_ratio("k", a)
-        committed = len(codec.compress("k", a)) / a.nbytes
-        assert probed == committed
-
-    def test_probe_does_not_advance_state(self, rng):
-        tx = HaloCompressor(mode="delta")
-        rx = HaloCompressor(mode="delta")
-        a = rng.random((5, 6)).astype(np.float32)
-        out = rx.decompress("k", tx.compress("k", a), a.shape)
-        assert np.array_equal(out, a)
-        for _ in range(3):                    # rx never sees the probes
-            tx.probe_ratio("k", a + 1)
-        b = a + np.float32(0.01)
-        assert np.array_equal(
-            rx.decompress("k", tx.compress("k", b), b.shape), b)
-
-    def test_probe_does_not_touch_stats(self, rng):
-        codec = HaloCompressor(mode="delta")
-        a = rng.random((5, 6)).astype(np.float32)
-        codec.compress("k", a)
-        before = (codec.stats.raw_bytes, codec.stats.compressed_bytes,
-                  codec.stats.messages)
-        codec.probe_ratio("k", a)
-        assert (codec.stats.raw_bytes, codec.stats.compressed_bytes,
-                codec.stats.messages) == before
-
-
 class TestBitSpaceDelta:
     """The delta stage differences uint32 bit patterns, so the round
     trip is exact for *any* floats — including values where float

@@ -1,7 +1,7 @@
 """Tests for the per-neighbor halo messages.
 
 Covers the packing manifests (:mod:`repro.core.halo`), the pack/unpack
-runtime and adaptive compression controller (:mod:`repro.core.wire`),
+runtime (:mod:`repro.core.wire`),
 the schedule/switch envelope accounting, exchange bit-identity on
 weighted cuts on both backends, the AA forward/reverse protocol, and
 the executed SPMD message counts.  The engine itself (route table,
@@ -17,11 +17,9 @@ from repro.core.decomposition import (BlockDecomposition, uniform_cuts,
                                       weighted_cuts)
 from repro.core.halo import HaloPlan, PACK_MODES
 from repro.core.schedule import CommSchedule
-from repro.core.wire import (AdaptiveCompressionController,
-                             _expected_wire_counts, pack_halo, unpack_halo)
+from repro.core.wire import _expected_wire_counts, pack_halo, unpack_halo
 from repro.lbm.solver import LBMSolver
 from repro.net.switch import GigabitSwitch
-from repro.perf.counters import KernelCounters
 
 SUB = (6, 6, 4)
 ARRANGEMENT = (2, 2, 1)
@@ -182,105 +180,17 @@ class TestMergedBitIdentity:
             cluster.step(4)
             assert np.array_equal(cluster.gather_distributions(), ref_f)
 
-    def test_compression_always_is_bit_identical(self, rng):
-        ref_f, f0 = _reference(SHAPE, 0.7, rng)
-        cfg = ClusterConfig(sub_shape=SUB, arrangement=ARRANGEMENT, tau=0.7,
-                            compression="always")
-        with CPUClusterLBM(cfg) as cluster:
-            cluster.load_global_distributions(f0)
-            cluster.step(4)
-            assert np.array_equal(cluster.gather_distributions(), ref_f)
-            saved = cluster.counters.stats["comm.compress.saved_bytes"]
-            assert saved.value > 0        # the codec really engaged
-
     def test_wire_validation(self):
-        """There is one wire: the option that selected it is gone."""
+        """There is one wire, raw float32: the options that selected
+        another wire or a codec are gone."""
         for wire in ("merged", "perface"):
             with pytest.raises(TypeError, match="wire"):
                 ClusterConfig(sub_shape=SUB, arrangement=ARRANGEMENT,
                               tau=0.7, wire=wire)
-        with pytest.raises(ValueError, match="compression"):
-            ClusterConfig(sub_shape=SUB, arrangement=ARRANGEMENT, tau=0.7,
-                          compression="sometimes")
-
-
-class TestAdaptiveController:
-    def _halo(self, rng):
-        # Smooth, near-uniform data: compresses far below break-even.
-        return (np.full((5, 8, 6), 1 / 19, np.float32)
-                + (1e-4 * rng.standard_normal((5, 8, 6))).astype(np.float32))
-
-    def test_always_engages(self, rng):
-        ctl = AdaptiveCompressionController(policy="always")
-        wp = ctl.encode("k", self._halo(rng))
-        assert wp.compressed and wp.data.dtype == np.uint8
-        assert wp.wire_bytes < wp.raw_bytes
-
-    def test_off_passes_through(self, rng):
-        ctl = AdaptiveCompressionController(policy="off")
-        arr = self._halo(rng)
-        wp = ctl.encode("k", arr)
-        assert not wp.compressed and wp.data.dtype == np.float32
-        assert np.array_equal(ctl.decode("k", wp.data, arr.shape), arr)
-
-    def test_adaptive_engages_on_slow_link(self, rng):
-        ctl = AdaptiveCompressionController(policy="adaptive",
-                                            bandwidth_bytes_per_s=1e4)
-        wp = ctl.encode("k", self._halo(rng))
-        st = ctl.channels["k"]
-        assert st.probes == 1 and st.engaged and wp.compressed
-
-    def test_adaptive_bypasses_on_fast_link(self, rng):
-        # Fast interconnect: the codec can't keep up with the wire, so
-        # even a perfect ratio loses once encode+decode time is charged.
-        ctl = AdaptiveCompressionController(policy="adaptive",
-                                            bandwidth_bytes_per_s=1e9)
-        assert not ctl.worth_it(0.0)      # even a free lunch loses
-        wp = ctl.encode("k", self._halo(rng))
-        assert not wp.compressed
-        assert ctl.channels["k"].probes == 1
-
-    def test_bypassed_channel_reprobes_periodically(self, rng):
-        ctl = AdaptiveCompressionController(policy="adaptive",
-                                            bandwidth_bytes_per_s=1e12,
-                                            probe_interval=4)
-        arr = self._halo(rng)
-        for _ in range(9):
-            ctl.encode("k", arr)
-        assert ctl.channels["k"].probes == 3    # msg 1, 5, 9
-
-    def test_probes_do_not_desync_receiver(self, rng):
-        tx = AdaptiveCompressionController(policy="adaptive",
-                                           bandwidth_bytes_per_s=1e4)
-        rx = AdaptiveCompressionController(policy="adaptive",
-                                           bandwidth_bytes_per_s=1e4)
-        arr = self._halo(rng)
-        for step in range(4):
-            a = arr + np.float32(1e-3 * step)
-            out = rx.decode("k", tx.encode("k", a).data, a.shape)
-            assert np.array_equal(out, a), step
-
-    def test_counters_record_decisions(self, rng):
-        counters = KernelCounters()
-        ctl = AdaptiveCompressionController(policy="always",
-                                            counters=counters)
-        ctl.encode("k", self._halo(rng))
-        assert counters.stats["comm.compress.engaged"].value == 1
-        assert counters.stats["comm.bytes_wire"].value \
-            < counters.stats["comm.bytes_raw"].value
-
-    def test_summary_aggregates_channels(self, rng):
-        ctl = AdaptiveCompressionController(policy="always")
-        for key in ("a", "b"):
-            ctl.encode(key, self._halo(rng))
-        s = ctl.summary()
-        assert s["channels"] == 2 and s["messages"] == 2
-        assert s["engaged_channels"] == 2
-        assert 0.0 < s["ratio"] < 1.0
-
-    def test_invalid_policy_rejected(self):
-        with pytest.raises(ValueError, match="policy"):
-            AdaptiveCompressionController(policy="maybe")
+        for compression in ("off", "adaptive", "always"):
+            with pytest.raises(TypeError, match="compression"):
+                ClusterConfig(sub_shape=SUB, arrangement=ARRANGEMENT,
+                              tau=0.7, compression=compression)
 
 
 class TestScheduleEnvelopes:
@@ -331,7 +241,7 @@ class TestScheduleEnvelopes:
 
 
 class TestSPMDWire:
-    def _run(self, rng, compression="off", steps=2):
+    def _run(self, rng, steps=2):
         from repro.core.spmd import SPMDClusterLBM
         from repro.net.simmpi import SimCluster
         from repro.perf.trace import Tracer
@@ -340,8 +250,7 @@ class TestSPMDWire:
                                     periodic=(True, True, True))
         ref_f, f0 = _reference(SHAPE, 0.7, rng, steps=steps)
         tracer = Tracer(enabled=True)
-        spmd = SPMDClusterLBM(decomp, tau=0.7, f0=f0,
-                              compression=compression)
+        spmd = SPMDClusterLBM(decomp, tau=0.7, f0=f0)
         got, _ = spmd.run(steps, cluster=SimCluster(decomp.n_nodes,
                                                     tracer=tracer))
         assert np.array_equal(got, ref_f)
@@ -371,20 +280,12 @@ class TestSPMDWire:
         assert len(msgs) == envelopes[True] * steps
         assert envelopes[True] < envelopes[False]
 
-    def test_compressed_messages_carry_raw_bytes(self, rng):
-        msgs, spmd = self._run(rng, compression="always")
-        compressed = [e for e in msgs if "raw_bytes" in e.meta]
-        assert compressed
-        for e in compressed:
-            assert e.meta["bytes"] < e.meta["raw_bytes"]
-        assert all(s and s["engaged_channels"] > 0
-                   for s in spmd.compression_summaries)
-
     def test_spmd_validation(self):
         from repro.core.spmd import SPMDClusterLBM
         decomp = BlockDecomposition(SHAPE, ARRANGEMENT,
                                     periodic=(True, True, True))
         with pytest.raises(TypeError, match="wire"):
             SPMDClusterLBM(decomp, tau=0.7, wire="merged")
-        with pytest.raises(ValueError, match="compression"):
-            SPMDClusterLBM(decomp, tau=0.7, compression="sometimes")
+        for compression in ("off", "adaptive", "always"):
+            with pytest.raises(TypeError, match="compression"):
+                SPMDClusterLBM(decomp, tau=0.7, compression=compression)

@@ -5,7 +5,7 @@
   (per-rank simulated clocks cannot pin it on more than two ranks: the
   switch serialises contending senders in host-thread arrival order);
 * one configuration matrix — arrangement x periodicity x cuts x kernel
-  x backend x compression x step count — bit-identical to the
+  x backend x step count — bit-identical to the
   single-domain solver, with ``comm.msgs`` equal to the route table's
   count.
 """
@@ -113,14 +113,9 @@ class RecordingComm:
         self.log = log
         self._floats: dict[tuple, int] = {}
 
-    def compute(self, seconds):
-        self.log.append(("compute",))
-
-    def Isend(self, array, dest, tag=0, meta=None):
-        self.log.append(("Isend", dest, tag, array.dtype.name,
-                         array.nbytes if meta is None else meta["raw_bytes"]))
-        self._floats[(dest, tag // 10)] = (
-            array.nbytes if meta is None else meta["raw_bytes"]) // 4
+    def Isend(self, array, dest, tag=0):
+        self.log.append(("Isend", dest, tag, array.dtype.name, array.nbytes))
+        self._floats[(dest, tag // 10)] = array.nbytes // 4
 
     def _payload(self, source, tag):
         return np.zeros(self._floats[(source, tag // 10)], np.float32)
@@ -165,7 +160,7 @@ def _channels(tracer) -> dict:
 class TestSimMPISequence:
     SUB, ARRANGEMENT = (4, 3, 2), (3, 2, 1)
 
-    def _run_rank(self, monkeypatch, rank, compression="off", steps=2):
+    def _run_rank(self, monkeypatch, rank, steps=2):
         shape = tuple(s * a for s, a in zip(self.SUB, self.ARRANGEMENT))
         decomp = BlockDecomposition(shape, self.ARRANGEMENT,
                                     periodic=(True, True, True))
@@ -177,8 +172,8 @@ class TestSimMPISequence:
                 log.append((_phase,))
                 return _inner(solver)
             monkeypatch.setattr(LBMSolver, phase, logged)
-        spmd = SPMDClusterLBM(decomp, tau=0.7, compression=compression)
-        spmd._rank_main(RecordingComm(rank, log), steps, 1e8)
+        spmd = SPMDClusterLBM(decomp, tau=0.7)
+        spmd._rank_main(RecordingComm(rank, log), steps)
         return log
 
     def test_rank_zero_call_sequence(self, monkeypatch):
@@ -197,38 +192,19 @@ class TestSimMPISequence:
         ]
         assert self._run_rank(monkeypatch, rank=0) == step * 2
 
-    def test_compressed_sends_charge_codec_cpu_first(self, monkeypatch):
-        log = self._run_rank(monkeypatch, rank=4, compression="always",
-                             steps=1)
-        sends = [i for i, call in enumerate(log) if call[0] == "Isend"]
-        assert len(sends) == 3
-        for i in sends:
-            assert log[i - 1] == ("compute",)
-            assert log[i][3] == "uint8"
-        # the fake answers raw float32, so no receive charges INFLATE
-        assert sum(call == ("compute",) for call in log) == 3
-
-    @pytest.mark.parametrize("compression,clocks", [
-        ("off", [0.01146, 0.01146]),
-        ("always", [0.011510625000000002, 0.011510312500000001]),
-    ])
-    def test_two_rank_clocks_are_exact(self, compression, clocks):
+    def test_two_rank_clocks_are_exact(self):
         """Two ranks never share a switch port, so every simulated clock
         repeats to the last bit; the rank program charges its clock no
-        collide time, so the values follow from the messages (and the
-        codec, when on) alone."""
+        collide time, so the values follow from the messages alone."""
         decomp, ref = _periodic_problem((6, 6, 4), (2, 1, 1),
                                         np.random.default_rng(11))
-        spmd = SPMDClusterLBM(decomp, tau=0.7, f0=ref.f.copy(),
-                              compression=compression)
+        spmd = SPMDClusterLBM(decomp, tau=0.7, f0=ref.f.copy())
         got, clocks_s = spmd.run(3)
         ref.step(3)
         assert np.array_equal(got, ref.f)
-        assert clocks_s == clocks
+        assert clocks_s == [0.01146, 0.01146]
 
-    @pytest.mark.parametrize("compression", ["off", "always"])
-    def test_three_ranks_repeat_numerics_and_messages(self, rng,
-                                                      compression):
+    def test_three_ranks_repeat_numerics_and_messages(self, rng):
         """From three ranks on, senders can contend for a port and the
         clocks vary from run to run, so they are not asserted; the
         numerics and every channel's messages, in order, repeat."""
@@ -238,8 +214,7 @@ class TestSimMPISequence:
         runs = []
         for _ in range(2):
             tracer = Tracer(enabled=True)
-            spmd = SPMDClusterLBM(decomp, tau=0.7, f0=f0,
-                                  compression=compression)
+            spmd = SPMDClusterLBM(decomp, tau=0.7, f0=f0)
             got, _ = spmd.run(2, SimCluster(decomp.n_nodes, tracer=tracer))
             assert np.array_equal(got, ref.f)
             runs.append(_channels(tracer))
@@ -326,12 +301,10 @@ def test_matrix_reference_is_the_single_domain_solver(periodic):
        cut_picks=st.tuples(*[st.integers(0, 4)] * 3),
        kernel=st.sampled_from(["split", "aa"]),
        backend=st.sampled_from(["serial", "processes"]),
-       compression=st.sampled_from(["off", "always"]),
        steps=st.integers(1, 5), seed=st.integers(0, 10 ** 6))
 @settings(max_examples=40, deadline=None)
 def test_matrix_bit_identical_with_route_table_message_count(
-        arrangement, periodic, cut_picks, kernel, backend, compression,
-        steps, seed):
+        arrangement, periodic, cut_picks, kernel, backend, steps, seed):
     # Worker processes are real: keep them few.
     assume(backend == "serial" or int(np.prod(arrangement)) <= 4)
     cuts = tuple(CUTS[a][pick % len(CUTS[a])]
@@ -340,7 +313,7 @@ def test_matrix_bit_identical_with_route_table_message_count(
     f0, want = _reference(shape, periodic, seed, steps)
     cfg = ClusterConfig(sub_shape=(3, 3, 3), arrangement=arrangement,
                         tau=0.7, periodic=periodic, cuts=cuts, kernel=kernel,
-                        backend=backend, compression=compression)
+                        backend=backend)
     with CPUClusterLBM(cfg) as cluster:
         cluster.load_global_distributions(f0)
         cluster.step(steps)

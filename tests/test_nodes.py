@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.cpu_node import CPUNode
 from repro.core.gpu_node import GPUNode
-from repro.gpu.specs import GEFORCE_6800_ULTRA, PCIE_X16
+from repro.gpu.specs import GEFORCE_6800_ULTRA, PCIE_X16, XEON_2_4_SSE
 from repro.perf import calibration as cal
 
 
@@ -101,7 +101,7 @@ class TestCPUNodeTimingModel:
         faster'."""
         plain = CPUNode(0, (80, 80, 80), tau=0.6, timing_only=True)
         sse = CPUNode(0, (80, 80, 80), tau=0.6, timing_only=True,
-                      use_sse=True)
+                      cpu_spec=XEON_2_4_SSE)
         for n in (plain, sse):
             n.begin_step()
             n.finish_step()
@@ -128,7 +128,8 @@ class TestSSEWhatIf:
                             timing_only=True, periodic=(False, False, False))
         cfg_sse = ClusterConfig(sub_shape=(80, 80, 80), arrangement=(4, 4, 1),
                                 timing_only=True,
-                                periodic=(False, False, False), use_sse=True)
+                                periodic=(False, False, False),
+                                cpu_spec=XEON_2_4_SSE)
         gpu = GPUClusterLBM(cfg).step()
         cpu = CPUClusterLBM(cfg).step()
         cpu_sse = CPUClusterLBM(cfg_sse).step()

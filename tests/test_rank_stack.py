@@ -161,17 +161,6 @@ class TestStackedCluster:
         finally:
             cluster.shutdown()
 
-    def test_codec_keeps_the_per_message_engine(self, rng):
-        ref, kw = _bounded(self.SHAPE, rng)
-        cfg = ClusterConfig(sub_shape=(8, 6, 6), arrangement=(2, 2, 1),
-                            compression="always", **kw)
-        with CPUClusterLBM(cfg) as cluster:
-            assert cluster.stacked and cluster._halo is not None
-            cluster.load_global_distributions(ref.f)
-            ref.step(3)
-            cluster.step(3)
-            assert np.array_equal(cluster.gather_distributions(), ref.f)
-
     def test_ranks_adopt_their_arena_slots(self):
         cfg = ClusterConfig(sub_shape=(4, 4, 4), arrangement=(4, 4, 2),
                             tau=0.6)

@@ -271,6 +271,40 @@ class TestClusterTracing:
         assert worker
         assert all(t0 <= e.t0 <= e.t1 <= t1 for e in worker)
 
+    def test_spans_and_heartbeats_share_one_clock_offset(self, monkeypatch):
+        """One offset per worker: every toggle's handshake refreshes it,
+        and a worker's drained spans and its heartbeat are both
+        re-based by it (a fake estimate makes the shift visible)."""
+        import time
+
+        from repro.core import procpool
+
+        # Per rank, the tracing handshake's estimate, then telemetry's.
+        fakes = iter([100.0, 101.0, 200.0, 201.0])
+        monkeypatch.setattr(procpool, "estimate_clock_offset",
+                            lambda *_: next(fakes))
+        cfg = ClusterConfig(sub_shape=SUB, arrangement=ARR, tau=0.7,
+                            backend="processes")
+        with CPUClusterLBM(cfg) as cluster:
+            tracer = cluster.enable_tracing()
+            cluster.enable_telemetry()
+            backend = cluster._proc_backend
+            assert [backend.clock_offset(r) for r in (0, 1)] == [200.0,
+                                                                 201.0]
+            t0 = time.perf_counter()
+            cluster.step(1)
+            t1 = time.perf_counter()
+            health = {row["rank"]: row["hb_time"]
+                      for row in backend.read_health()}
+        for rank in (0, 1):
+            offset = 200.0 + rank
+            spans = [e for e in tracer.events
+                     if e.rank == rank and e.clock == WALL_CLOCK]
+            assert spans
+            assert all(t0 + offset <= e.t0 <= e.t1 <= t1 + offset
+                       for e in spans)
+            assert t0 + offset <= health[rank] <= t1 + offset
+
     def test_network_rounds_traced_on_sim_clock(self):
         tracer, _ = _traced_run("serial")
         net = [e for e in tracer.events if e.rank == NETWORK_RANK]
