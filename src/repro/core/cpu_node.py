@@ -14,7 +14,11 @@ against each other and against the single-domain solver.
 
 :meth:`CPUNode.collide_phase` / :meth:`CPUNode.finish_step` step one
 rank: a process worker's, an SPMD rank's, a serial ``split`` rank's,
-a timing-only rank's.
+a timing-only rank's.  Where the cluster rule says ``aa`` (always, for
+an SPMD rank) the numeric rank is built with ``aa_halo_managed`` and
+runs the in-place AA kernel; its solver owns that kernel, which refers
+back to it only weakly, so a dropped node frees its distributions by
+refcount.
 A serial cluster's AA ranks are stepped together instead — their
 ``solver.fg`` are slots of a stacked arena (:mod:`repro.core.stack`) —
 and the node then only carries the rank's solver, its cached

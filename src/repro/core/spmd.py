@@ -8,12 +8,15 @@ point-to-point messages in the Fig-7 step order.  This module
 implements that faithfully on :class:`~repro.net.SimCluster` threads:
 
 * each rank owns one sub-domain (a :class:`~repro.core.cpu_node.CPUNode`
-  whose solver runs ``split``, driven phase by phase) and one
-  :class:`~repro.core.exchange.HaloExchange` bound to SimMPI
-  (:class:`SimMPITransport`);
+  whose solver runs the in-place AA kernel, like every executed CPU
+  rank) and one :class:`~repro.core.exchange.HaloExchange` bound to
+  SimMPI (:class:`SimMPITransport`) that runs the AA halo protocol:
+  the forward exchange after even phases, the reverse one after odd
+  phases;
 * per time step it runs the rank step the process workers run
   (:func:`~repro.core.exchange.step_rank`): collide, post and complete
-  axes 0, 1 and 2, then stream + boundaries;
+  axes 0, 1 and 2, then finish (boundaries; streaming happened in
+  place);
 * the diagonal (second-nearest) traffic crosses in two hops exactly as
   Sec 4.3 describes, because each axis phase forwards the ghost rims
   received from the previous axis.
@@ -23,7 +26,9 @@ hence to the coordinator path).  Every message is the rank's packed
 float32 halo buffer, raw, so the per-rank simulated clocks expose the
 communication costs the switch model assigns to the real message
 pattern and its real bytes — including contention if the schedule is
-violated.
+violated.  Every manifest mode (pull, AA forward, AA reverse) carries
+five links per face over the padded cross-section, so the messages'
+sizes, tags and order — and the clocks — do not depend on the kernel.
 """
 
 from __future__ import annotations
@@ -101,16 +106,24 @@ class SPMDClusterLBM:
 
     # -- the per-rank program ------------------------------------------------
     def _rank_main(self, comm, steps: int):
+        """The program every rank runs: build its AA node and halo
+        engine, take ``steps`` rank steps, and return its canonical
+        distributions and its simulated clock.
+
+        The node is built with the arguments a process worker gets
+        under the default configuration (``aa_halo_managed``, kernel
+        ``"auto"``): an SPMD rank has no body force and is never
+        timing-only, so the cluster rule always says ``aa``.  The node
+        and its solver are freed by refcount when the rank returns.
+        """
         decomp = self.decomp
         rank = comm.rank
-        # Driven phase by phase, with no driver closing an AA halo: the
-        # solver's rule runs ``split``.
         node = CPUNode(rank, decomp.sub_shape, self.tau,
-                       solid=self.solids[rank])
+                       solid=self.solids[rank], aa_halo_managed=True)
         if self.f0_parts is not None:
             node.solver.f[...] = self.f0_parts[rank].astype(node.solver.dtype)
         halo = HaloExchange(rank, node, decomp.neighbors(rank),
-                            decomp.periodic, SimMPITransport(comm))
+                            decomp.periodic, SimMPITransport(comm), aa=True)
         for _ in range(steps):
             step_rank(node, halo)
         return node.solver.f.copy(), comm.clock_s

@@ -89,6 +89,7 @@ exchange with boundary faces folding locally instead of wrapping (see
 
 from __future__ import annotations
 
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -145,6 +146,14 @@ class AAStepKernel:
     ghost closures, the rotated boundary closure, :meth:`step_once` and
     :meth:`reconstruct` serve the bound ``solver`` alone.
 
+    A bound kernel is owned by its solver (``solver._aa_kernel``) and
+    reaches it back only through a weak reference, so the pair holds
+    no reference cycle and a dropped solver is freed by refcount, its
+    distributions and this workspace with it, without waiting for the
+    cyclic garbage collector.  A stacked kernel is owned by its
+    :class:`~repro.core.stack.RankStack`, not by a solver, and keeps
+    its ``members`` list.
+
     The kernel owns one float arena and one bool plane of chunk size
     (:attr:`_cap` cells, never more than the batch box): one chunk is
     live at a time, so every chunk gets contiguous views of the same
@@ -173,15 +182,15 @@ class AAStepKernel:
         if arena is not None and arena.shape != (lat.Q, len(members)) + pshape:
             raise ValueError(f"arena shape {arena.shape} does not stack "
                              f"{len(members)} solvers of padded shape {pshape}")
-        self.solver = solver
+        self._solver = weakref.ref(solver)
         self.lattice = lat
         #: Receives the workspace allocations (a stacking driver points
         #: it at its own counters).
         self.counters = solver.counters
         self._stack = arena
-        #: The solvers the phases sweep, in slot order (``[solver]`` alone
-        #: unless stacked).
-        self.members = members
+        #: The stacked solvers in slot order; None for a bound kernel,
+        #: which must not hold its solver (see :attr:`members`).
+        self._members = members if arena is not None else None
         self.omega = dtype.type(solver.collision.omega)
         self._one = dtype.type(1.0)
         self._zero = dtype.type(0.0)
@@ -231,6 +240,17 @@ class AAStepKernel:
         #: Rotated boundary applicator, built lazily on first use (only
         #: solvers with handlers ever need one).
         self._rotated_bc = None
+
+    @property
+    def solver(self):
+        """The bound solver (``members[0]`` when stacked)."""
+        return self._solver()
+
+    @property
+    def members(self) -> list:
+        """The solvers the phases sweep, in slot order (``[solver]``
+        alone unless stacked)."""
+        return self._members if self._members is not None else [self.solver]
 
     def _allocate(self) -> None:
         """The workspace, on the first sweep (see the class docstring)."""
@@ -572,8 +592,8 @@ class AAStepKernel:
         """
         if self._rotated_bc is None:
             from repro.lbm.esoteric import RotatedBoundaryApplicator
-            self._rotated_bc = RotatedBoundaryApplicator(self)
-        self._rotated_bc.apply()
+            self._rotated_bc = RotatedBoundaryApplicator(self.solver)
+        self._rotated_bc.apply(self.solver.fg)
 
     # -- whole-step driver ------------------------------------------------
     def step_once(self) -> None:

@@ -114,11 +114,11 @@ class RotatedBoundaryApplicator:
 
     Built lazily by :class:`repro.lbm.aa.AAStepKernel` the first time a
     bounded-domain even phase completes; reused every pair of steps.
+    It keeps the plans of ``solver``'s handlers, not the solver: the
+    kernel passes the solver's current array to every :meth:`apply`.
     """
 
-    def __init__(self, kernel) -> None:
-        solver = kernel.solver
-        self.solver = solver
+    def __init__(self, solver) -> None:
         lat = solver.lattice
         self.Q = lat.Q
         self.c = lat.c
@@ -137,27 +137,25 @@ class RotatedBoundaryApplicator:
         return tuple(out)
 
     # -- primitives ----------------------------------------------------
-    def _gather(self, plan: _LayerPlan, out: np.ndarray) -> None:
+    def _gather(self, fg, plan: _LayerPlan, out: np.ndarray) -> None:
         """Canonical post-stream values of a layer, read rotated.
 
         ``v_i(x) = storage(opp(i), x - c_i)`` for fluid ``x``; at solid
         sites the canonical slot sits mirrored, so a final opposite-slot
         swap restores the raw canonical values there too.
         """
-        fg = self.solver.fg
         for q in range(self.Q):
             out[q] = fg[(self.opp[q],) + self._shifted(plan.region, q)]
         if plan.lsolid is not None:
             out[:, plan.lsolid] = out[self.opp][:, plan.lsolid]
 
-    def _scatter(self, plan: _LayerPlan, values) -> None:
+    def _scatter(self, fg, plan: _LayerPlan, values) -> None:
         """Impose canonical values ``values[i]`` on a layer, writing rotated.
 
         The write rule (module docstring) sends ``T_i`` to
         ``(opp(i), x - c_i)`` at fluid sites and ``T_opp(i)`` there at
         solid sites.
         """
-        fg = self.solver.fg
         for q in range(self.Q):
             dst = fg[(self.opp[q],) + self._shifted(plan.region, q)]
             if plan.lsolid is None:
@@ -167,11 +165,11 @@ class RotatedBoundaryApplicator:
                 np.copyto(dst, values[self.opp[q]], where=plan.lsolid)
 
     # -- application ---------------------------------------------------
-    def apply(self) -> None:
+    def apply(self, fg: np.ndarray) -> None:
         """Run every handler, in declaration order, on the rotated
-        storage: each sees what the handlers before it wrote."""
+        storage ``fg``: each sees what the handlers before it wrote."""
         for plan in self._plans:
-            self._gather(plan.inner, plan.stub_inner)
-            self._gather(plan.face, plan.stub_face)
+            self._gather(fg, plan.inner, plan.stub_inner)
+            self._gather(fg, plan.face, plan.stub_face)
             plan.handler.apply(plan.stub)
-            self._scatter(plan.face, plan.stub_face)
+            self._scatter(fg, plan.face, plan.stub_face)

@@ -16,13 +16,20 @@ contracts the rest of the repo relies on:
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.core.cluster_lbm import ClusterConfig, CPUClusterLBM, GPUClusterLBM
+from repro.core.cpu_node import CPUNode
+from repro.core.decomposition import BlockDecomposition
+from repro.core.exchange import local_engines, step_rank
 from repro.lbm import AAStepKernel, LBMSolver
 from repro.lbm.lattice import D3Q19
-from repro.lbm.boundaries import Boundary, OutflowBoundary
+from repro.lbm.boundaries import (Boundary, EquilibriumVelocityInlet,
+                                  OutflowBoundary)
 
 SHAPE = (16, 12, 6)
 
@@ -227,6 +234,65 @@ class TestCluster:
                             tau=0.7, kernel="aa",
                             periodic=(True, True, False))
         assert cfg.kernel == "aa"
+
+
+def _stepped_bounded_solver():
+    """A bounded AA solver with solids and handlers (so its kernel
+    builds the rotated boundary closure), left mid-pair."""
+    solver = LBMSolver(SHAPE, tau=0.7, solid=_city(), periodic=False,
+                       boundaries=[
+                           EquilibriumVelocityInlet(D3Q19, 0, "low",
+                                                    (0.05, 0.0, 0.0), 1.0),
+                           OutflowBoundary(D3Q19, 0, "high")])
+    solver.step(3)
+    assert solver.kernel_used == "aa"
+    assert solver.f.shape[1:] == SHAPE      # the odd-parity reconstruction
+    return solver, solver
+
+
+def _stepped_rank_node():
+    """An AA rank node stepped twice through the rank step."""
+    decomp = BlockDecomposition(SHAPE, (1, 1, 1))
+    node = CPUNode(0, decomp.sub_shape, 0.7, solid=_city(),
+                   aa_halo_managed=True)
+    halo, = local_engines(decomp, [node], aa=True)
+    for _ in range(2):
+        step_rank(node, halo)
+    assert node.kernel_used == "aa"
+    return (node, halo), node.solver
+
+
+def _stepped_stacked_cluster():
+    cfg = ClusterConfig(sub_shape=(8, 6, 6), arrangement=(2, 2, 1),
+                        tau=0.7, solid=_city())
+    cluster = CPUClusterLBM(cfg)
+    cluster.step(3)
+    assert cluster.stacked
+    return cluster, cluster.nodes[-1].solver
+
+
+@pytest.fixture
+def gc_disabled():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("build", [_stepped_bounded_solver,
+                                   _stepped_rank_node,
+                                   _stepped_stacked_cluster],
+                         ids=["solver", "rank_node", "stacked_cluster"])
+def test_dropped_aa_solver_is_freed_by_refcount(build, gc_disabled):
+    """No reference cycle runs through an AA solver and its kernel: once
+    its owner is dropped the solver is gone, with no cyclic collection."""
+    owner, solver = build()
+    alive = weakref.ref(solver)
+    del owner, solver
+    assert alive() is None
 
 
 def test_gate_runs():

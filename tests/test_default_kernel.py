@@ -332,7 +332,8 @@ class TestFallbacks:
 
 class TestHandDrivenPhases:
     """The rule is reachable from ``step()`` only: a bare solver driven
-    phase by phase (the SPMD rank-program pattern) runs split."""
+    phase by phase runs split unless its driver closes the AA halo
+    (the SPMD rank program does)."""
 
     @pytest.mark.parametrize("advance", [True, False],
                              ids=["time_step_advanced", "time_step_frozen"])
@@ -358,8 +359,10 @@ class TestHandDrivenPhases:
         from repro.core.thermal_cluster import DistributedThermalLBM
         decomp = BlockDecomposition((8, 4, 4), (2, 1, 1))
         thermal = DistributedThermalLBM(decomp, tau=0.7)
+        thermal.step(2)
         for m in thermal.models:
             assert m.flow.phase_driven
+            assert m.flow.kernel_used == "split"
         nodes = []
         build = cpu_node.CPUNode.__init__
 
@@ -371,9 +374,10 @@ class TestHandDrivenPhases:
         assert len(nodes) == decomp.n_nodes
         for node in nodes:
             assert node.solver.phase_driven
-            assert not node.solver.aa_halo_managed
-            assert node.kernel_used == "split"
-            assert node.kernel_reason == "rule: driven phase by phase"
+            assert node.solver.aa_halo_managed
+            assert node.kernel_used == "aa"
+            assert node.kernel_reason == (
+                "rule: AA halo closed by the cluster driver")
 
 
 class TestEnterAndLeaveMidRun:

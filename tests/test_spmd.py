@@ -1,5 +1,7 @@
 """Tests for the SPMD-over-SimMPI cluster LBM (the paper's MPI shape)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -90,3 +92,60 @@ def test_spmd_single_rank_degenerates_to_reference(rng):
     decomp = BlockDecomposition(shape, (1, 1, 1))
     out, _ = SPMDClusterLBM(decomp, tau=0.9, f0=f0).run(6)
     assert np.array_equal(out, ref.f)
+
+
+@pytest.mark.parametrize("periodic", [True, False],
+                         ids=["periodic", "bounded"])
+@pytest.mark.parametrize("arrangement,sub", [
+    ((2, 2, 1), (6, 4, 4)),
+    ((3, 1, 1), (4, 8, 4)),
+])
+@pytest.mark.parametrize("steps", [1, 2, 3])
+def test_aa_ranks_match_reference_at_every_parity(rng, steps, arrangement,
+                                                  sub, periodic):
+    """The ranks run the in-place AA kernel; an odd step count ends on
+    the reverse exchange and a reconstructed gather."""
+    shape = tuple(s * a for s, a in zip(sub, arrangement))
+    solid = np.zeros(shape, bool)
+    solid[1:3, 2:5, 1:3] = True
+    f0 = _initial(rng, shape, solid)
+    ref = LBMSolver(shape, tau=0.8, solid=solid, periodic=periodic,
+                    kernel="split")
+    ref.f[...] = f0
+    ref.step(steps)
+    decomp = BlockDecomposition(shape, arrangement, periodic=(periodic,) * 3)
+    out, _ = SPMDClusterLBM(decomp, tau=0.8, solid=solid, f0=f0).run(steps)
+    assert np.array_equal(out, ref.f)
+
+
+def test_repeated_runs_are_identical(rng):
+    shape = (12, 8, 4)
+    solid = np.zeros(shape, bool)
+    solid[4:7, 2:4, 1:3] = True
+    f0 = _initial(rng, shape, solid)
+    spmd = SPMDClusterLBM(BlockDecomposition(shape, (2, 1, 1)), tau=0.8,
+                          solid=solid, f0=f0)
+    out1, clocks1 = spmd.run(3)
+    out2, clocks2 = spmd.run(3)
+    assert np.array_equal(out1, out2)
+    assert clocks1 == clocks2
+
+
+def test_repeated_runs_hold_no_memory(rng):
+    """A run's ranks are freed by refcount when it returns, so traced
+    memory stays flat from the second run on."""
+    shape = (48, 16, 16)
+    solid = np.zeros(shape, bool)
+    solid[10:14, 4:8, 4:8] = True
+    spmd = SPMDClusterLBM(BlockDecomposition(shape, (2, 1, 1)), tau=0.8,
+                          solid=solid, f0=_initial(rng, shape, solid))
+    sizes = []
+    tracemalloc.start()
+    try:
+        for _ in range(6):
+            out, _ = spmd.run(3)
+            del out
+            sizes.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert abs(sizes[-1] - sizes[1]) <= 1 << 20, sizes
