@@ -90,7 +90,7 @@ class WorkerSpec:
     cpu_spec: CPUSpec
     gpu_spec: GPUSpec
     bus: BusSpec
-    seg_names: dict                     # own {"fg","mail","stage"} names
+    seg_names: dict                     # own segment names by kind
     mail_names: tuple                   # every rank's mailbox segment name
     peer_sub_shapes: tuple              # every rank's block shape (may differ)
     barrier_timeout_s: float
@@ -206,25 +206,28 @@ class _Worker:
             self._adopt_shared_fg()
 
     def _adopt_shared_fg(self) -> None:
-        """Rebind the solver's double buffer onto the shared segment.
+        """Rebind the solver's distributions onto the shared segment.
 
         After this the interior of the current buffer *is* the shared
         page set, so coordinator-side gather/load are plain memory
-        reads/writes with no worker round-trip.
+        reads/writes with no worker round-trip.  The private array is
+        dropped *before* the first shared write and the constructor's
+        default state is rebuilt in place, so private and shared
+        copies never coexist: the worker's high-water mark is its
+        steady state.  The fresh segment's zero pages are the ghosts.
         """
         fg0, fg1 = self.segs.fg_bufs
         solver = self.node.solver
-        fg0[...] = solver.fg
         solver.fg = fg0
-        if self.spec.aa_halo_managed:
-            # The AA kernel is single-array: leave the lazy back
-            # buffer unallocated (its absence is asserted by the
-            # check-aa gate); the second shared buffer serves only as
-            # the staging area for odd-parity gathers.
-            return
-        buf = solver._fg_next_buf
-        fg1[...] = buf if buf is not None else 0.0
-        solver._fg_next = fg1
+        solver.initialize()
+        if not self.spec.aa_halo_managed:
+            # The split kernel streams into the second buffer; a
+            # just-built solver has no back buffer to carry over, and
+            # the zero pages are what a lazy one would start as.  The
+            # AA kernel is single-array: its lazy back buffer stays
+            # unallocated (asserted by the check-aa gate) and buffer 1
+            # only stages odd-parity gathers.
+            solver._fg_next = fg1
 
     def _barrier_wait(self) -> None:
         if self.spec.n_ranks < 2:
@@ -460,8 +463,7 @@ class ProcessBackend:
         try:
             for rank in range(self.n_ranks):
                 self.segments.append(RankSegments.create(
-                    rank, sub_shapes[rank], q, self.token,
-                    with_fg=(node_kind == "cpu")))
+                    rank, sub_shapes[rank], q, self.token, node_kind))
             all_names = [seg.names[k] for seg in self.segments
                          for k in ("fg", "mail", "stage", "health")]
             self._finalizer = weakref.finalize(

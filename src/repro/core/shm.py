@@ -8,17 +8,20 @@ both sides work on zero-copy :class:`numpy.ndarray` views of the same
 pages.  Pipes carry only small control tuples (step commands, timing
 scalars, counter summaries).
 
-Per-rank segments (all float32):
+Per-rank segments follow the node kind, so every page a rank owns is
+one its worker writes: a CPU rank gets ``fg``, ``mail`` and
+``health``; a simulated-GPU rank gets ``stage``, ``mail`` and
+``health`` (:meth:`RankSegments.create`).
 
-``fg``
+``fg`` (CPU ranks; float32)
     Two ghost-padded distribution buffers, shape
     ``(2, Q, nx+2, ny+2, nz+2)`` — the CPU worker rebinds its solver's
-    double-buffered ``fg``/``_fg_next`` onto views of this segment, so
-    the coordinator can gather the interior without any worker
-    round-trip.  GPU workers keep their state in simulated textures and
-    skip this segment.
+    distributions onto views of this segment, so the coordinator can
+    gather the interior without any worker round-trip.  Buffer 0 holds
+    the live array; buffer 1 is the ``split`` kernel's streaming
+    target, or the AA kernel's odd-parity gather stage.
 
-``mail``
+``mail`` (float32)
     The halo mailboxes: for each axis, ``(2 slots, 2 dirs, L, *face)``
     where ``face`` is the padded cross-section perpendicular to the
     axis and ``L`` is :data:`MAIL_LINKS` (5): a mailbox *is* the
@@ -33,7 +36,7 @@ Per-rank segments (all float32):
     ``(t - 1) % 2``, which is what lets the exchange run with a single
     barrier per axis (between pack and unpack) and none between steps.
 
-``stage``
+``stage`` (GPU ranks; float32)
     One unpadded block ``(Q, nx, ny, nz)`` used as a gather/load
     staging area by GPU workers (whose distributions live in simulated
     texture memory and need one explicit copy to become shareable).
@@ -47,6 +50,13 @@ Per-rank segments (all float32):
     possible over a synchronous pipe protocol.  Single writer, aligned
     8-byte scalar slots: a torn read is at worst one transiently stale
     value, never corruption.
+
+A new segment reads all-zero without being written: POSIX shared
+memory is sized by ``ftruncate``, which zero-fills (and the Windows
+pagefile mapping is zero-initialised too).  The ghosts of a fresh
+``fg`` buffer and the mailboxes rely on that, so the coordinator
+writes nothing at creation and faults in none of these pages; each
+page becomes resident only when its owner first writes it.
 
 Segment names carry the creating process id
 (``reproshm-<pid>-<token>-<kind><rank>``) so tests and the
@@ -173,7 +183,7 @@ class RankSegments:
     ``mail``
         ``[axis] -> array(2 slots, 2 dirs, MAIL_LINKS, *face)``.
     ``stage``
-        ``(Q, nx, ny, nz)`` staging block.
+        ``(Q, nx, ny, nz)`` staging block (GPU ranks only).
     ``health``
         ``(HEALTH_SLOTS,)`` float64 heartbeat strip.
     """
@@ -191,11 +201,10 @@ class RankSegments:
                 if name is None:
                     continue
                 if owner:
+                    # Zero-filled by the OS (module docstring): no
+                    # write here, so no page is faulted in.
                     self._segs[kind] = shared_memory.SharedMemory(
                         name=name, create=True, size=self._nbytes(kind))
-                    # Fresh pages are zero-filled by the OS, but be
-                    # explicit: ghosts/mailboxes must start at 0.0.
-                    np.frombuffer(self._segs[kind].buf, SHM_DTYPE)[:] = 0.0
                 else:
                     self._segs[kind] = attach_segment(name)
         except Exception:
@@ -295,13 +304,14 @@ class RankSegments:
 
     @classmethod
     def create(cls, rank: int, sub_shape, q: int, token: str,
-               with_fg: bool) -> "RankSegments":
-        names = {
-            "fg": segment_name(token, "fg", rank) if with_fg else None,
-            "mail": segment_name(token, "mail", rank),
-            "stage": segment_name(token, "stage", rank),
-            "health": segment_name(token, "health", rank),
-        }
+               node_kind: str) -> "RankSegments":
+        """A rank's segments for its node kind (``"cpu"`` | ``"gpu"``):
+        a CPU rank's distributions live on ``fg``, a GPU rank stages
+        through ``stage``; neither gets the other's."""
+        names: dict[str, str | None] = {"fg": None, "stage": None}
+        for kind in ("fg" if node_kind == "cpu" else "stage", "mail",
+                     "health"):
+            names[kind] = segment_name(token, kind, rank)
         return cls(sub_shape, q, names, owner=True)
 
     @classmethod

@@ -21,17 +21,22 @@ implements that faithfully on :class:`~repro.net.SimCluster` threads:
   Sec 4.3 describes, because each axis phase forwards the ghost rims
   received from the previous axis.
 
-The result is asserted identical to the single-domain reference (and
-hence to the coordinator path).  Every message is the rank's packed
-float32 halo buffer, raw, so the per-rank simulated clocks expose the
-communication costs the switch model assigns to the real message
-pattern and its real bytes — including contention if the schedule is
-violated.  Every manifest mode (pull, AA forward, AA reverse) carries
-five links per face over the padded cross-section, so the messages'
-sizes, tags and order — and the clocks — do not depend on the kernel.
+Every rank writes its canonical block straight into its own slices of
+the run's one global output array, so a run holds each rank's lattice
+once plus that array.  The result is asserted identical to the
+single-domain reference (and hence to the coordinator path).  Every
+message is the rank's packed float32 halo buffer, raw, so the per-rank
+simulated clocks expose the communication costs the switch model
+assigns to the real message pattern and its real bytes — including
+contention if the schedule is violated.  Every manifest mode (pull,
+AA forward, AA reverse) carries five links per face over the padded
+cross-section, so the messages' sizes, tags and order — and the
+clocks — do not depend on the kernel.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -103,12 +108,19 @@ class SPMDClusterLBM:
         self.solids = (decomp.scatter_field(solid)
                        if solid is not None else [None] * decomp.n_nodes)
         self.f0_parts = decomp.scatter_field(f0) if f0 is not None else None
+        self._out_lock = threading.Lock()
 
     # -- the per-rank program ------------------------------------------------
-    def _rank_main(self, comm, steps: int):
+    def _rank_main(self, comm, steps: int, out: list):
         """The program every rank runs: build its AA node and halo
-        engine, take ``steps`` rank steps, and return its canonical
-        distributions and its simulated clock.
+        engine, take ``steps`` rank steps, write its canonical
+        distributions into its own block of the run's global array and
+        return its simulated clock.
+
+        ``out`` holds that global array: the first rank to finish
+        allocates it, shaped ``(Q,) + global_shape`` from its solver's
+        Q and dtype (``np.empty``; each page faults in when its owner
+        writes it).  No rank copies its block anywhere else.
 
         The node is built with the arguments a process worker gets
         under the default configuration (``aa_halo_managed``, kernel
@@ -121,12 +133,18 @@ class SPMDClusterLBM:
         node = CPUNode(rank, decomp.sub_shape, self.tau,
                        solid=self.solids[rank], aa_halo_managed=True)
         if self.f0_parts is not None:
-            node.solver.f[...] = self.f0_parts[rank].astype(node.solver.dtype)
+            node.solver.f[...] = self.f0_parts[rank]
         halo = HaloExchange(rank, node, decomp.neighbors(rank),
                             decomp.periodic, SimMPITransport(comm), aa=True)
         for _ in range(steps):
             step_rank(node, halo)
-        return node.solver.f.copy(), comm.clock_s
+        f = node.solver.f
+        with self._out_lock:
+            if not out:
+                out.append(np.empty(f.shape[:1] + decomp.global_shape,
+                                    dtype=f.dtype))
+        out[0][(slice(None),) + decomp.blocks[rank].slices] = f
+        return comm.clock_s
 
     # -- driver ---------------------------------------------------------------
     def run(self, steps: int, cluster: SimCluster | None = None
@@ -143,6 +161,6 @@ class SPMDClusterLBM:
         """
         cl = cluster if cluster is not None else SimCluster(
             self.decomp.n_nodes)
-        results = cl.run(self._rank_main, steps)
-        return self.decomp.gather_field([r[0] for r in results]), \
-            [r[1] for r in results]
+        out: list = []
+        clocks = cl.run(self._rank_main, steps, out)
+        return out[0], clocks

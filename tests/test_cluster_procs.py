@@ -10,8 +10,10 @@ segments or worker processes left behind.
 """
 
 import os
+import re
 import signal
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,7 +203,7 @@ class TestMailboxLayout:
         single-side message its half, and the two slots never alias."""
         from repro.core.shm import MAIL_LINKS, RankSegments, unique_token
         sub = (4, 3, 2)
-        seg = RankSegments.create(0, sub, 19, unique_token(), with_fg=False)
+        seg = RankSegments.create(0, sub, 19, unique_token(), "gpu")
         try:
             for axis in range(3):
                 face = int(np.prod([s + 2 for a, s in enumerate(sub)
@@ -234,7 +236,105 @@ class TestMailboxLayout:
         from repro.core.shm import RankSegments
         assert "wire" not in {f.name for f in dataclasses.fields(WorkerSpec)}
         with pytest.raises(TypeError, match="wire"):
-            RankSegments.create(0, (4, 4, 4), 19, "tok", with_fg=False,
+            RankSegments.create(0, (4, 4, 4), 19, "tok", "gpu",
                                 wire="merged")
         with pytest.raises(TypeError, match="wire"):
             RankSegments.attach({}, (4, 4, 4), 19, wire="merged")
+
+
+def _bounded_city(shape):
+    """A voxelized city with an inlet and an outflow face."""
+    from repro.urban import DispersionScenario, times_square_like
+    return DispersionScenario(shape, resolution_m=38.0, tau=0.55,
+                              city=times_square_like(seed=3))
+
+
+def _bounded_city_config(sc, **kw):
+    return ClusterConfig(
+        sub_shape=(sc.shape[0] // 2,) + sc.shape[1:], arrangement=(2, 1, 1),
+        tau=sc.tau, periodic=(False, False, False), solid=sc.solid,
+        inlet=sc.inlet, outflow=sc.outflow, backend="processes", **kw)
+
+
+class TestSegmentsFollowNodeKind:
+    @pytest.mark.parametrize("node_kind", ["cpu", "gpu"])
+    def test_fresh_segments_read_zero_without_a_fill(self, node_kind):
+        """Ghosts and mailboxes rely on a new segment's zero pages;
+        nothing on the coordinator writes them."""
+        from repro.core.shm import RankSegments, unique_token
+        seg = RankSegments.create(0, (5, 4, 3), 19, unique_token(),
+                                  node_kind)
+        try:
+            views = list(seg.mail) + [seg.health]
+            views += list(seg.fg_bufs) if node_kind == "cpu" else [seg.stage]
+            for view in views:
+                assert view.size and not view.any()
+            del views, view
+        finally:
+            seg.close()
+        assert leaked_segments() == []
+
+    def test_cpu_rank_has_no_stage_and_gpu_rank_no_fg(self):
+        from repro.core.shm import RankSegments, unique_token
+        token = unique_token()
+        cpu = RankSegments.create(0, (4, 4, 4), 19, token, "cpu")
+        gpu = RankSegments.create(1, (4, 4, 4), 19, token, "gpu")
+        try:
+            assert cpu.names["stage"] is None and cpu.stage is None
+            assert cpu.names["fg"] is not None and cpu.fg_bufs is not None
+            assert gpu.names["fg"] is None and gpu.fg_bufs is None
+            assert gpu.names["stage"] is not None and gpu.stage is not None
+            for seg in (cpu, gpu):
+                assert seg.names["mail"] and seg.names["health"]
+        finally:
+            cpu.close()
+            gpu.close()
+        assert leaked_segments() == []
+
+
+def _proc_status_kb(pid) -> dict:
+    text = Path(f"/proc/{pid}/status").read_text()
+    return {k: int(v) for k, v in re.findall(r"^(\w+):\s+(\d+) kB", text,
+                                             re.M)}
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                    reason="needs Linux /proc accounting")
+class TestResidentPages:
+    def test_each_rank_lattice_is_resident_once(self):
+        """The coordinator faults in no lattice page, and a worker's
+        private build copy never coexists with its shared one."""
+        sc = _bounded_city((64, 48, 24))
+        cfg = _bounded_city_config(sc)
+        with CPUClusterLBM(cfg) as cluster:
+            backend = cluster._proc_backend
+            pids = backend.worker_pids()
+            # The fg segment holds two buffers.
+            one_fg_kb = backend.segments[0]._nbytes("fg") / 2 / 1024
+            small_kb = sum(seg._nbytes("mail") + seg._nbytes("health")
+                           for seg in backend.segments) / 1024
+            for when in ("built", "stepped"):
+                if when == "stepped":
+                    cluster.step(2)
+                coord = _proc_status_kb("self")
+                assert coord["RssShmem"] < small_kb + 4096, when
+                for pid in pids:
+                    st = _proc_status_kb(pid)
+                    assert st["VmHWM"] - st["VmRSS"] < one_fg_kb / 2, \
+                        (when, st)
+
+
+class TestForcedSplitRanks:
+    def test_split_ranks_match_reference_from_the_built_state(self):
+        """A forced ``split`` rank streams into the second shared buffer
+        after adopting it; step from the constructor's state (no load),
+        through both buffer parities."""
+        sc = _bounded_city((16, 12, 8))
+        ref = sc.make_single_solver(kernel="split")
+        with CPUClusterLBM(_bounded_city_config(sc, kernel="split")) as cl:
+            for step in range(1, 5):
+                ref.step(1)
+                cl.step(1)
+                assert np.array_equal(cl.gather_distributions(), ref.f), step
+            rows = cl.kernel_report()
+        assert {r["kernel"] for r in rows} == {"split"}

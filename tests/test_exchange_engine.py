@@ -173,7 +173,7 @@ class TestSimMPISequence:
                 return _inner(solver)
             monkeypatch.setattr(LBMSolver, phase, logged)
         spmd = SPMDClusterLBM(decomp, tau=0.7)
-        spmd._rank_main(RecordingComm(rank, log), steps)
+        spmd._rank_main(RecordingComm(rank, log), steps, [])
         return log
 
     def test_rank_zero_call_sequence(self, monkeypatch):
