@@ -43,6 +43,8 @@ from repro.core.halo import HaloPlan
 from repro.core.procpool import ProcessBackend
 from repro.core.schedule import CommSchedule
 from repro.core.stack import RankStack
+from repro.lbm.aa import unavailable
+from repro.lbm.lattice import D3Q19
 from repro.gpu.specs import AGP_8X, GEFORCE_FX_5800_ULTRA, XEON_2_4, BusSpec, CPUSpec, GPUSpec
 from repro.net.switch import GigabitSwitch
 from repro.perf.counters import KernelCounters
@@ -140,8 +142,10 @@ class ClusterConfig:
         (default) or ``"aa"`` the cluster runs the swap-free AA-pattern
         kernel (:class:`~repro.lbm.aa.AAStepKernel`) on every rank
         unless there is a body force (no gate covers the AA halo
-        protocol with one) or the run is timing-only; otherwise every
-        rank runs ``"split"``.  Each rank is built with
+        protocol with one), the run is timing-only or the compiled
+        sweep does not load (no working C compiler, named in
+        ``kernel_reason``); otherwise every rank runs ``"split"``.
+        Each rank is built with
         ``aa_halo_managed`` set accordingly and resolves the same kernel
         again by the solver's own rule.  Under AA the driver plays the
         role of the kernel's ghost closure: forward halo exchange after
@@ -798,6 +802,9 @@ class CPUClusterLBM(_ClusterLBMBase):
             return "split", "rule: body force (no AA halo protocol gate)"
         if cfg.timing_only:
             return "split", "rule: timing-only (no numeric ranks)"
+        missing = unavailable(D3Q19, np.dtype(np.float32))
+        if missing:
+            return "split", f"rule: {missing}"
         return "aa", f"rule: kernel={cfg.kernel!r}, CPU ranks, no body force"
 
     def _stacks(self) -> bool:

@@ -32,7 +32,7 @@ import time
 import numpy as np
 
 from repro.core.exchange import SolverPort
-from repro.lbm.aa import AAStepKernel
+from repro.lbm.aa import AAStepKernel, unavailable
 from repro.lbm.solver import LBMSolver
 from repro.gpu.specs import XEON_2_4, CPUSpec
 from repro.perf import calibration as cal
@@ -94,6 +94,9 @@ class CPUNode(SolverPort):
                         "kernel='aa' on a cluster rank requires a plain "
                         "BGK sub-domain with only face-resident boundary "
                         "handlers")
+                missing = unavailable(solver.lattice, solver.dtype)
+                if missing:
+                    raise ValueError(f"kernel='aa' on a cluster rank: {missing}")
         super().__init__(solver, sub_shape)
         #: The modeled per-step compute: a function of the block shape,
         #: its face/edge neighbours and ``cpu_spec`` only (the SSE build

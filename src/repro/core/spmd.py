@@ -43,6 +43,8 @@ import numpy as np
 from repro.core.cpu_node import CPUNode
 from repro.core.decomposition import BlockDecomposition
 from repro.core.exchange import HaloExchange, Transport, mirrored, step_rank
+from repro.lbm.aa import unavailable
+from repro.lbm.lattice import D3Q19
 from repro.net.simmpi import SimCluster
 
 def _tag(axis: int, sides) -> int:
@@ -125,17 +127,19 @@ class SPMDClusterLBM:
         The node is built with the arguments a process worker gets
         under the default configuration (``aa_halo_managed``, kernel
         ``"auto"``): an SPMD rank has no body force and is never
-        timing-only, so the cluster rule always says ``aa``.  The node
+        timing-only, so the cluster rule says ``aa`` unless the compiled
+        sweep does not load (then ``split``, as on a cluster).  The node
         and its solver are freed by refcount when the rank returns.
         """
         decomp = self.decomp
         rank = comm.rank
+        aa = unavailable(D3Q19, np.dtype(np.float32)) is None
         node = CPUNode(rank, decomp.sub_shape, self.tau,
-                       solid=self.solids[rank], aa_halo_managed=True)
+                       solid=self.solids[rank], aa_halo_managed=aa)
         if self.f0_parts is not None:
             node.solver.f[...] = self.f0_parts[rank]
         halo = HaloExchange(rank, node, decomp.neighbors(rank),
-                            decomp.periodic, SimMPITransport(comm), aa=True)
+                            decomp.periodic, SimMPITransport(comm), aa=aa)
         for _ in range(steps):
             step_rank(node, halo)
         f = node.solver.f

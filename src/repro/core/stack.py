@@ -16,8 +16,7 @@ kernel, :class:`RankStack` replaces the per-rank loop:
   Uniform cuts give one group; unequal ``cuts`` give several, on the
   same path.
 * **collide** — one AA phase per group per step: an
-  :class:`~repro.lbm.aa.AAStepKernel` over the arena, whose chunks are
-  whole ranks.
+  :class:`~repro.lbm.aa.AAStepKernel` call over the whole arena.
 * **exchange** — :class:`~repro.core.exchange.RankAxisExchange`: the
   engine's routes and manifests run as one fancy-index copy per route
   kind.
@@ -106,9 +105,8 @@ class RankStack:
             members.setdefault(id(arena), (arena, []))[1].append(solver)
         self.kernels = []
         for arena, group in members.values():
-            kernel = AAStepKernel(group[0], arena=arena, members=group)
-            kernel.counters = counters
-            self.kernels.append(kernel)
+            self.kernels.append(AAStepKernel(group[0], arena=arena,
+                                             members=group))
         self.halo = RankAxisExchange(self.decomp, self.slots, counters)
         self._post = [s for s in self.solvers
                       if s.boundaries or s.solid.any()]
@@ -128,9 +126,9 @@ class RankStack:
                              rank=COORDINATOR_RANK, kernel="aa",
                              ranks=len(kernel.members)):
                 if self._odd:
-                    kernel.odd_phase(None)
+                    kernel.odd_phase()
                 else:
-                    kernel.even_phase(None)
+                    kernel.even_phase()
         self._busy_s = self._spans(tracer, "cluster.collide", step, t0, cpu0)
 
     def exchange(self) -> None:

@@ -12,7 +12,7 @@ a single array:
   for every site ``y`` the post-collision value ``g_i(y)`` is stored in
   the slot of the opposite link, ``a_opp(i)(y) <- g_i(y)`` (solid sites
   store plain reversed copies).  No data moves between sites, so the
-  phase is pointwise and trivially parallel over any region split.
+  phase is pointwise and trivially parallel over sites.
 * **odd phase** — gather, collide, scatter: each site reads its
   streamed-in populations from the rotated layout
   (``phi_i(x) = a_opp(i)(x - c_i)``), relaxes them, and scatters the
@@ -21,26 +21,21 @@ a single array:
 
 Correctness hinges on a *location-ownership* property: in the odd
 phase, location ``(i, y)`` is read **and** written only by the site
-``y - c_i``.  A site's read set equals its write set, so any region
-decomposition (boundary shell / inner core, slabs) is hazard-free in
-any execution order — which is what lets this kernel cache-block:
-every phase, whole-domain or region, sweeps its box
-in chunks of about :data:`SLAB_TARGET_CELLS` cells, so the passes of a
-chunk — 18 per opposite-link pair, which share ``c.u`` and its square —
-run on one chunk-sized scratch arena that stays cache-resident.
-
-The box carries a leading *rank axis*: no ghost offset, zero link
-component.  A single solver is a batch of one and is chunked in axis-0
-slabs as before; a serial cluster's equal-shape ranks, stacked in one
-arena (:mod:`repro.core.stack`), are one batch whose chunks are whole
-ranks, so one phase call sweeps them all.
+``y - c_i``.  A site's read set equals its write set, so the sites of
+a phase may run in any order, or side by side in vector lanes, without
+a hazard.  Both phases run as one call each into C generated from the
+lattice tables (:mod:`repro.lbm.native`), over a *batch box* with a
+leading rank axis: a single solver is a batch of one, a serial
+cluster's equal-shape ranks stacked in one arena
+(:mod:`repro.core.stack`) are one batch, so one call sweeps them all.
 
 Full-way bounce-back falls out of the layout: the even phase's reversed
 write at a solid site *is* the bounce of that step combined with the
 next step's streaming, so the locations owned by solid sites already
 hold the right populations when the odd phase completes, and the
 ordinary :class:`~repro.lbm.boundaries.BounceBackNodes` swap applied
-after the odd phase finishes the pair.
+after the odd phase finishes the pair (as a compiled swap over the same
+cached index list, :meth:`AAStepKernel.bounce`).
 
 Bit-exactness contract
 ----------------------
@@ -51,7 +46,8 @@ reconstructed distributions (:meth:`AAStepKernel.reconstruct`) are
 bit-identical every step.  Every site sees the reference's operations
 in the reference's order (slot-order moment sums, guarded division,
 ``w rho * (((4.5 cu) cu + (3 cu + 1)) - 1.5 u.u)``, ``f + omega (feq -
-f)``), so chunking cannot perturb a bit; what is shared or skipped
+f)``, spelled out in the generated C), so vectorising across sites
+cannot perturb a bit; what is shared or skipped
 rests on exact IEEE-754 identities only.  Negation is exact and
 rounding symmetric: for opposite links ``c_o.u = -(c_i.u)``, so ``(4.5
 cu) cu`` is common, ``3 cu`` flips sign and ``1 - t`` is ``(-t) + 1``.
@@ -84,87 +80,58 @@ by a driver that has claimed the halo protocol
 (``solver.aa_halo_managed``): even steps reuse the forward
 border->ghost exchange, odd steps run the reverse ghost->border
 exchange with boundary faces folding locally instead of wrapping (see
-``repro.core.cluster_lbm``).
+``repro.core.cluster_lbm``).  The compiled sweep must also load
+(:func:`repro.lbm.native.load`, :func:`unavailable`): where no compiler
+works, the solver and cluster rules resolve ``split`` and say why.
 """
 
 from __future__ import annotations
 
 import weakref
-from types import SimpleNamespace
+from contextlib import nullcontext
 
 import numpy as np
 
+from repro.lbm import native
 from repro.lbm.boundaries import face_resident
 from repro.lbm.collision import plain_bgk_step
 from repro.lbm.lattice import Lattice
 from repro.lbm.streaming import (fill_face_zero_gradient,
                                  fill_ghosts_periodic,
-                                 fill_ghosts_zero_gradient, flat_cells,
+                                 fill_ghosts_zero_gradient,
                                  fold_ghosts_periodic,
-                                 fold_ghosts_zero_gradient)
-
-#: Every phase, whole-domain or region, visits its box in axis-0 chunks
-#: of about this many cells, so the passes of a link pair run on
-#: scratch that stays cache-resident.  Chunks span the full extent of
-#: the box's trailing axes, keeping every scratch view contiguous
-#: (numpy then collapses the element loops).  Targets from 10 k to 65 k
-#: cells timed alike on a 4 MB L2 (EXPERIMENTS.md E20): a constant.
-SLAB_TARGET_CELLS = 32768
+                                 fold_ghosts_zero_gradient, interior,
+                                 padded_flat_index)
 
 
-def build_solid_padded(solver, out: np.ndarray) -> np.ndarray:
-    """Solid mask on the padded grid, ghost shell included, written
-    into ``out`` (a padded-shape bool array).
-
-    Ghost cells are marked solid exactly when their source interior
-    cell is solid, mirroring the solver's ghost fill (periodic wrap
-    or zero-gradient edge copy, same axis order), so the even phase,
-    which relaxes the full padded field, keeps pre-collision values on
-    every solid *image* too.
-    """
-    out[tuple(slice(1, -1) for _ in out.shape)] = solver.solid
-    fill = fill_ghosts_periodic if solver.periodic else fill_ghosts_zero_gradient
-    fill(out[None])     # the fills skip a leading link axis
-    return out
+def unavailable(lattice: Lattice, dtype) -> str | None:
+    """Why no compiled sweep serves ``(lattice, dtype)``; None when one
+    loads (built on first use, cached per process and on disk)."""
+    return native.load(lattice, dtype)[1]
 
 
 class AAStepKernel:
     """Swap-free AA-pattern kernel bound to one ``LBMSolver``, or to a
     batch of equal-shape solvers stacked in one arena.
 
-    Every phase sweeps a *batch box* ``(Q, R, X, Y, Z)``: a leading rank
-    axis, which has no ghost offset and a zero link component, ahead of
-    the padded lattice.  A single solver is a batch of one (its
-    ``fg[:, None]``, looked up at every call, so a driver may rebind
-    ``fg``).  With ``arena`` the kernel sweeps ``R = len(members)``
-    solvers at once: ``arena`` is ``(Q, R) + padded shape`` and its slot
-    ``r`` is ``members[r].fg`` (see :mod:`repro.core.stack`); ``solver``
-    is ``members[0]``, whose constants every member shares.  Chunks are
-    whole ranks while a rank's padded box fits the slab target (11 ranks
-    of 14^3 per chunk), axis-0 slabs of one rank otherwise — which for a
-    batch of one is exactly the single solver's slab chunking.  The
-    ghost closures, the rotated boundary closure, :meth:`step_once` and
-    :meth:`reconstruct` serve the bound ``solver`` alone.
+    Each phase is one compiled call over a *batch box* ``(Q, R) +
+    padded shape``, each rank's box C-contiguous.  A single solver is a
+    batch of one (its ``fg[:, None]``, looked up at every call, so a
+    driver may rebind ``fg``); with ``arena`` — ``(Q, R) + padded
+    shape``, slot ``r`` being ``members[r].fg`` (:mod:`repro.core.stack`)
+    — the kernel sweeps ``R = len(members)`` solvers at once, and
+    ``solver`` is ``members[0]``, whose constants every member shares.
+    The ghost closures, the rotated boundary closure, :meth:`bounce`,
+    :meth:`step_once` and :meth:`reconstruct` serve ``solver`` alone.
 
     A bound kernel is owned by its solver (``solver._aa_kernel``) and
-    reaches it back only through a weak reference, so the pair holds
-    no reference cycle and a dropped solver is freed by refcount, its
-    distributions and this workspace with it, without waiting for the
-    cyclic garbage collector.  A stacked kernel is owned by its
-    :class:`~repro.core.stack.RankStack`, not by a solver, and keeps
-    its ``members`` list.
-
-    The kernel owns one float arena and one bool plane of chunk size
-    (:attr:`_cap` cells, never more than the batch box): one chunk is
-    live at a time, so every chunk gets contiguous views of the same
-    memory and the workspace does not grow with the domain.  With
-    solids it also keeps the per-site relaxation field ``_om`` (one
-    batch-box-shaped array) and the index lists of the solid sites of
-    every box it has visited.  The workspace is allocated by the first
-    sweep, so a kernel kept only for :meth:`reconstruct` costs nothing.
-    It never touches the solver's spare distribution buffer —
-    ``solver._fg_next_buf`` stays ``None``, which tests assert as the
-    working-set contract.
+    reaches it only through a weak reference, so a dropped solver is
+    freed by refcount, without the cyclic garbage collector.  A stacked
+    kernel is owned by its :class:`~repro.core.stack.RankStack` and
+    keeps its ``members`` list.  Its one workspace is the batch box's
+    solid mask (built by the first sweep); it never touches the
+    solver's spare buffer — ``solver._fg_next_buf`` stays ``None``,
+    which tests assert as the working-set contract.
     """
 
     def __init__(self, solver, arena: np.ndarray | None = None,
@@ -177,63 +144,31 @@ class AAStepKernel:
                 "repro.lbm.esoteric)")
         lat: Lattice = solver.lattice
         dtype = solver.dtype
+        self._lib, missing = native.load(lat, dtype)
+        if missing:
+            raise RuntimeError(f"AAStepKernel: {missing}")
         pshape = solver.fg.shape[1:]
-        ishape = solver.shape
         if arena is not None and arena.shape != (lat.Q, len(members)) + pshape:
             raise ValueError(f"arena shape {arena.shape} does not stack "
                              f"{len(members)} solvers of padded shape {pshape}")
         self._solver = weakref.ref(solver)
         self.lattice = lat
-        #: Receives the workspace allocations (a stacking driver points
-        #: it at its own counters).
-        self.counters = solver.counters
         self._stack = arena
         #: The stacked solvers in slot order; None for a bound kernel,
         #: which must not hold its solver (see :attr:`members`).
         self._members = members if arena is not None else None
         self.omega = dtype.type(solver.collision.omega)
-        self._one = dtype.type(1.0)
-        self._zero = dtype.type(0.0)
-        self._inv_cs2 = dtype.type(1.0 / lat.cs2)
-        self._half_inv_cs4 = dtype.type(0.5 / lat.cs2 ** 2)
-        self._half_inv_cs2 = dtype.type(0.5 / lat.cs2)
-        #: One hoisted ``rho * w`` plane per distinct weight.
-        self._wvals, self._wclass = np.unique(lat.w.astype(dtype),
-                                              return_inverse=True)
-        #: Opposite-link pairs ``(p, m, terms)``: ``terms`` lists the
-        #: ``(axis, sign)`` of ``c_p``'s non-zero components, first +1.
-        self._pairs = []
-        for p in range(lat.Q):
-            terms = [(a, int(v)) for a, v in enumerate(lat.c[p]) if v]
-            if terms and terms[0][1] > 0:
-                self._pairs.append((p, int(lat.opp[p]), terms))
-        self._rest = [i for i in range(lat.Q) if int(lat.opp[i]) == i]
-        #: Per axis, ``(slot, sign)`` of its momentum links, slot order.
-        self._jterms = [[(int(q), int(lat.c[q, a]))
-                         for q in np.flatnonzero(lat.c[:, a])]
-                        for a in range(lat.D)]
-        #: Link offsets on the batch box: zero along the rank axis.
-        self._c = np.hstack([np.zeros((lat.Q, 1), lat.c.dtype), lat.c])
-        nr = len(members)
-        self._bshape = (nr,) + tuple(pshape)
-        # Concrete bounds (never negative stops) so ``_shift`` works.
-        self._interior = tuple(slice(1, n - 1) for n in pshape)
-        self._ifull = (slice(0, nr),) + tuple(slice(0, n) for n in ishape)
-        self._pfull = (slice(0, nr),) + tuple(slice(0, n) for n in pshape)
-        #: Scratch capacity in cells: as many whole padded ranks as fit
-        #: the target, else as many whole padded planes of one rank (at
-        #: least one); never more than the batch box.
-        rank_cells = int(np.prod(pshape))
-        if rank_cells <= SLAB_TARGET_CELLS:
-            self._cap = min(nr, SLAB_TARGET_CELLS // rank_cells) * rank_cells
-        else:
-            plane = int(np.prod(pshape[1:]))
-            self._cap = max(1, SLAB_TARGET_CELLS // plane) * plane
-        self._solids = any(bool(m.solid.any()) for m in members)
-        self._arena = None
-        #: Per-site relaxation rate: ``omega`` at fluid sites, 0 at
-        #: solid sites and their ghost images (even phase).
-        self._om = None
+        self._bshape = (len(members),) + tuple(pshape)
+        #: The box layout the generated C assumes: extents and axis
+        #: strides in elements (C-contiguous, the last is 1).
+        self._n = np.array(pshape, np.int_)
+        self._s = np.cumprod((1,) + pshape[:0:-1])[::-1].astype(np.int_)
+        self._cells = int(np.prod(pshape))
+        self._dtype = dtype
+        self._strides = tuple(int(v) * dtype.itemsize for v in self._s)
+        #: Batch-box solid mask, solid ghost images included (first sweep).
+        self._solid = None
+        self._bounce_idx = None
         #: Slots read across each bounded face in the rotated layout.
         self._face_slots = {(ax, d): np.flatnonzero(lat.c[:, ax] == d)
                             for ax in range(lat.D) for d in (-1, 1)}
@@ -252,34 +187,10 @@ class AAStepKernel:
         alone unless stacked)."""
         return self._members if self._members is not None else [self.solver]
 
-    def _allocate(self) -> None:
-        """The workspace, on the first sweep (see the class docstring)."""
-        lat = self.lattice
-        dtype = self.solver.dtype
-        # The last plane is the odd phase's solid-owned value row.
-        n_planes = (6 + lat.D + self._wvals.size
-                    + (1 if self._solids else 0))
-        self._arena = np.empty((n_planes, self._cap), dtype)
-        self._bool = np.empty(self._cap, bool)
-        if self._solids:
-            solid = np.empty(self._bshape, bool)
-            for member, out in zip(self.members, solid):
-                build_solid_padded(member, out)
-            self._om = np.where(solid, self._zero, self.omega)
-            # Odd phase, solid-owned locations: shifted-index scratch,
-            # flat offset of ``+c_slot`` on the batch box, and per
-            # visited box its solid sites (:meth:`_solid_sites`).
-            self._ibuf = np.empty(self._cap, np.intp)
-            cell_strides = np.cumprod((1,) + self._bshape[:0:-1])[::-1]
-            self._flat_off = self._c @ cell_strides
-            self._solid_idx: dict[tuple, tuple] = {}
-        if self.counters is not None:
-            self.counters.alloc("aa.workspace", 4 if self._solids else 2)
-
     # ------------------------------------------------------------------
     @staticmethod
     def eligible(solver) -> bool:
-        """True if ``solver`` can run the AA pipeline.
+        """True if ``solver``'s configuration can run the AA pipeline.
 
         Requires plain BGK collision and only face-resident boundary
         handlers (the rotated closure shows them their two layers
@@ -287,270 +198,76 @@ class AAStepKernel:
         layout).  Both periodic and bounded domains are eligible: ghost
         traffic is controlled by this kernel (fill/fold, periodic or
         zero-gradient) or by a cluster driver (``aa_halo_managed``).
+        Whether the compiled sweep loads is :func:`unavailable`'s
+        question.
         """
         return (plain_bgk_step(solver)
                 and all(face_resident(b) for b in solver.boundaries))
 
-    # -- region plumbing -------------------------------------------------
-    def _box(self) -> np.ndarray:
-        """The ``(Q, R) + padded`` batch array every phase sweeps."""
-        return self._stack if self._stack is not None else self.solver.fg[:, None]
-
-    def _batch_region(self, region) -> tuple[slice, ...]:
-        """A 3-D interior box widened to every rank of the batch."""
-        region = tuple(region)
-        return region if len(region) == 4 else self._ifull[:1] + region
-
-    @staticmethod
-    def _padded_region(region) -> tuple[slice, ...]:
-        """Interior-coordinate batch box -> padded-array slices (+1
-        shift on the lattice axes, none on the rank axis)."""
-        return region[:1] + tuple(slice(s.start + 1, s.stop + 1)
-                                  for s in region[1:])
-
-    @staticmethod
-    def _shift(P: tuple[slice, ...], vec) -> tuple[slice, ...]:
-        return tuple(slice(s.start + int(v), s.stop + int(v))
-                     for s, v in zip(P, vec))
-
-    def _chunks(self, box: tuple[slice, ...]):
-        """Cut batch ``box`` into pieces that fit the scratch: runs of
-        whole ranks, or axis-0 slabs of one rank when a rank does not
-        fit."""
-        ext = [s.stop - s.start for s in box]
-        plane = int(np.prod(ext[2:]))
-        if plane <= 0 or ext[1] <= 0:
-            return
-        ranks, rest = box[0], tuple(box[1:])
-        if ext[1] * plane <= self._cap:
-            k = self._cap // (ext[1] * plane)
-            for r in range(ranks.start, ranks.stop, k):
-                yield (slice(r, min(r + k, ranks.stop)),) + rest
-            return
-        rows = max(1, self._cap // plane)
-        x = box[1]
-        for r in range(ranks.start, ranks.stop):
-            for a in range(x.start, x.stop, rows):
-                yield ((slice(r, r + 1), slice(a, min(a + rows, x.stop)))
-                       + tuple(box[2:]))
-
-    def _scratch(self, shape) -> SimpleNamespace:
-        """Chunk-shaped contiguous views of the arena and bool plane."""
-        if self._arena is None:
-            self._allocate()
-        n = int(np.prod(shape))
-        D = self.lattice.D
-        planes = self._arena[:, :n].reshape((-1,) + tuple(shape))
-        rho, usq, cu, q, e1, e2 = planes[:6]
-        return SimpleNamespace(
-            rho=rho, usq=usq, cu=cu, q=q, e1=e1, e2=e2, u=planes[6:6 + D],
-            wr=planes[6 + D:6 + D + self._wvals.size],
-            bl=self._bool[:n].reshape(shape))
-
-    def _moments(self, ws, f) -> None:
-        """``rho`` and ``j`` (into ``ws.u``) of the populations ``f[q]``,
-        both accumulated in slot order like the reference's
-        ``sum(axis=0)`` (sequential for Q=19 terms) and momentum
-        ``einsum``, whose zero-coefficient terms are skipped."""
-        np.copyto(ws.rho, f[0])
-        for q in range(1, len(f)):
-            ws.rho += f[q]
-        for ja, ((q0, sign0), *more) in zip(ws.u, self._jterms):
-            if sign0 > 0:
-                np.copyto(ja, f[q0])
-            else:
-                np.negative(f[q0], out=ja)
-            for q, sign in more:
-                if sign > 0:
-                    ja += f[q]
-                else:
-                    ja -= f[q]
-
-    def _guarded_velocity(self, ws) -> None:
-        """``u = j / rho`` in place, the reference guarded spelling.
-
-        The branch condition is evaluated per chunk, but both branches
-        are bit-identical per site wherever ``rho > 0`` (and force
-        ``u = 0`` where it is not), so region splits cannot perturb it.
-        """
-        rho, bl = ws.rho, ws.bl
-        np.greater(rho, 0, out=bl)
-        safe = rho
-        if not bl.all():
-            safe = ws.e1
-            np.copyto(safe, rho)
-            np.logical_not(bl, out=bl)
-            np.copyto(safe, self._one, where=bl)
-        for ua in ws.u:     # one plane at a time: each is contiguous
-            np.divide(ua, safe, out=ua)
-        if safe is not rho:
-            np.less_equal(rho, 0, out=bl)
-            np.copyto(ws.u, self._zero, where=bl)
-
-    def _hoist(self, ws) -> None:
-        """What every link of a chunk shares: ``1.5 u.u`` and one
-        ``rho * w`` plane per weight class."""
-        np.einsum("a...,a...->...", ws.u, ws.u, out=ws.usq)
-        ws.usq *= self._half_inv_cs2
-        for wr, w in zip(ws.wr, self._wvals):
-            np.multiply(ws.rho, w, out=wr)
-
-    def _relax_pair(self, ws, pair, src_p, src_m, om, add, fluid=True):
-        """``src + om * (feq - src)`` of an opposite pair, sharing
-        ``c.u`` and its square (module docstring, bit-exactness)."""
-        p, m, terms = pair
-        cu = ws.u[terms[0][0]]
-        if len(terms) == 2:
-            b, sign = terms[1]
-            cu = (np.add if sign > 0 else np.subtract)(cu, ws.u[b], out=ws.cu)
-        q, ep, em = ws.q, ws.e1, ws.e2
-        np.multiply(cu, self._half_inv_cs4, out=q)
-        q *= cu
-        np.multiply(cu, self._inv_cs2, out=ep)
-        np.subtract(self._one, ep, out=em)
-        ep += self._one
-        wr = ws.wr[self._wclass[p]]
-        for e, src, i in ((ep, src_p, p), (em, src_m, m)):
-            e += q
-            e -= ws.usq
-            self._relax(e, wr, src, om, add, i, fluid)
-        return ep, em
-
-    def _relax_rest(self, ws, r: int, src, om, add, fluid=True):
-        """The rest link: ``c.u = 0``, so the bracket is ``1 - 1.5 u.u``."""
-        e = np.subtract(self._one, ws.usq, out=ws.e1)
-        return self._relax(e, ws.wr[self._wclass[r]], src, om, add, r, fluid)
-
-    @staticmethod
-    def _relax(e, wr, src, om, add, i: int, fluid):
-        """Equilibrium bracket ``e`` -> ``src + om (wr e - src)`` in
-        place, plus the body-force increment where ``fluid``."""
-        e *= wr
-        e -= src
-        e *= om
-        e += src
-        if add is not None:
-            np.add(e, add[i], out=e, where=fluid)
-        return e
-
-    def _force_add(self):
-        collision = self.solver.collision
-        if collision.force is None:
-            return None
-        return collision._force_add(self.solver.fg.dtype)
+    def _check(self, fg: np.ndarray, shape: tuple) -> None:
+        """Raise unless ``fg`` has ``shape``, the kernel's dtype and the
+        box layout the compiled calls assume (links and ranks may sit at
+        any stride)."""
+        if (fg.shape != shape or fg.dtype != self._dtype
+                or fg.strides[-len(self._strides):] != self._strides):
+            raise ValueError(f"{fg.shape} {fg.dtype} array with strides "
+                             f"{fg.strides} is not the layout of {shape}")
 
     # -- the two phases --------------------------------------------------
-    def even_phase(self, region=None) -> None:
-        """In-place collide with reversed-direction writes.
+    def _sweep(self, phase) -> None:
+        """One call of the compiled ``phase`` over the whole batch box."""
+        fg = self._stack if self._stack is not None else self.solver.fg[:, None]
+        self._check(fg, (self.lattice.Q,) + self._bshape)
+        if self._solid is None:
+            # A ghost cell is solid exactly when its source is (the
+            # solver's own fill, same axis order), so the even phase
+            # keeps every solid *image* at rate 0 too.
+            self._solid = np.empty(self._bshape, bool)
+            for member, out in zip(self.members, self._solid):
+                out[(slice(1, -1),) * out.ndim] = member.solid
+                (fill_ghosts_periodic if member.periodic
+                 else fill_ghosts_zero_gradient)(out[None])
+        collision = self.solver.collision
+        add = (None if collision.force is None
+               else collision._force_add(self._dtype))
+        item = fg.itemsize
+        phase(fg.ctypes.data, fg.strides[0] // item, fg.shape[1],
+              fg.strides[1] // item, self._cells, self._n.ctypes.data,
+              self._s.ctypes.data, self._solid.ctypes.data, self.omega,
+              None if add is None else add.ctypes.data)
 
-        ``region`` is an interior-coordinate box (concrete bounds, as
-        produced by ``shell_partition``; a 3-D box covers every rank of
-        the batch) or ``None`` for the whole padded batch — processing
-        the ghost shell too is harmless (its rotated contents are
-        overwritten by the subsequent fill or halo exchange) and keeps
-        slab views contiguous.  Either is swept in cache-blocked chunks.
+    def even_phase(self) -> None:
+        """In-place collide with reversed-direction writes over the
+        whole padded batch box — the ghost shell too, which is harmless
+        (its rotated contents are overwritten by the subsequent fill or
+        halo exchange).  Solid sites and their ghost images relax at
+        rate 0, i.e. keep their pre-collision values; the reversed
+        write then performs this step's bounce combined with the next
+        step's streaming."""
+        self._sweep(self._lib.aa_even)
+
+    def odd_phase(self) -> None:
+        """Gather-collide-scatter over the interior of every rank;
+        restores the canonical layout.
+
+        Reads the rotated layout (ghosts must hold the post-even-phase
+        fill/exchange), scatters relaxed populations forward; locations
+        owned by solid sites keep their bits (they already are the
+        bounced populations, see the module docstring).
         """
-        box = (self._pfull if region is None
-               else self._padded_region(self._batch_region(region)))
-        fg = self._box()
-        for P in self._chunks(box):
-            self._even_chunk(fg, P)
+        self._sweep(self._lib.aa_odd)
 
-    def _even_chunk(self, fg, P: tuple[slice, ...]) -> None:
-        fgP = fg[(slice(None),) + P]
-        ws = self._scratch(fgP.shape[1:])
-        self._moments(ws, fgP)
-        self._guarded_velocity(ws)
-        self._hoist(ws)
-        add = self._force_add()
-        # Solid sites (and ghost images) relax at rate 0, i.e. keep
-        # their pre-collision values; the reversed write then performs
-        # this step's bounce combined with the next step's streaming.
-        om = self.omega if self._om is None else self._om[P]
-        # A body force is added after the relaxation: fluid sites only.
-        fluid = (True if add is None or self._om is None
-                 else np.not_equal(om, self._zero, out=ws.bl))
-        for pair in self._pairs:
-            fp, fm = fgP[pair[0]], fgP[pair[1]]
-            gp, gm = self._relax_pair(ws, pair, fp, fm, om, add, fluid)
-            fm[...] = gp           # a_opp(i)(y) <- g_i(y)
-            fp[...] = gm
-        for r in self._rest:
-            fr = fgP[r]
-            fr[...] = self._relax_rest(ws, r, fr, om, add, fluid)
-
-    def odd_phase(self, region=None) -> None:
-        """Gather-collide-scatter; restores the canonical layout.
-
-        ``region`` is an interior-coordinate box (concrete bounds; a
-        3-D box covers every rank of the batch) or ``None`` for the
-        whole interior of every rank; either is swept in cache-blocked
-        chunks.  Reads the rotated layout (ghosts must hold the
-        post-even-phase fill/exchange), scatters relaxed populations
-        forward; locations owned by solid sites are rewritten with the
-        bits they hold (they already are the bounced populations, see
-        the module docstring).  Region splits are hazard-free: a region
-        reads and writes exactly the locations its own sites own.
-        """
-        fg = self._box()
-        for R in self._chunks(self._ifull if region is None
-                              else self._batch_region(region)):
-            self._odd_chunk(fg, R)
-
-    def _solid_sites(self, R: tuple[slice, ...]):
-        """``(within-chunk, batch-box)`` flat indices of ``R``'s solid
-        sites, cached per chunk; ``None`` if it has none."""
-        key = tuple((s.start, s.stop) for s in R)
-        if key not in self._solid_idx:
-            ranks = self.members[R[0]]
-            mask = np.stack([m.solid[R[1:]] for m in ranks])
-            local = np.flatnonzero(mask)
-            coords = np.unravel_index(local, mask.shape)
-            for x, s in zip(coords, self._padded_region(R)):
-                x += s.start
-            padded = np.ravel_multi_index(coords, self._bshape).astype(
-                np.intp, copy=False)
-            self._solid_idx[key] = (local, padded) if local.size else None
-        return self._solid_idx[key]
-
-    def _scatter(self, cells, h, slot: int, dst, sites) -> None:
-        """``a_slot(x + c_slot) <- h(x)``: a plain write of ``h`` to
-        ``dst``, after overwriting ``h`` at the chunk's solid sites with
-        what their locations hold (read through ``cells``, the batch's
-        flat view), so those keep their bits."""
-        if sites is not None:
-            local, padded = sites
-            idx = np.add(padded, self._flat_off[slot],
-                         out=self._ibuf[:local.size])
-            vals = self._arena[-1, :local.size]
-            # In range by construction; "raise" would stage ``out``.
-            np.take(cells[slot], idx, out=vals, mode="clip")
-            np.put(h, local, vals)
-        dst[...] = h
-
-    def _odd_chunk(self, fg, R: tuple[slice, ...]) -> None:
-        lat = self.lattice
-        P = self._padded_region(R)
-        views = [fg[(int(lat.opp[q]),) + self._shift(P, -self._c[q])]
-                 for q in range(lat.Q)]
-        ws = self._scratch(views[0].shape)
-        self._moments(ws, views)
-        self._guarded_velocity(ws)
-        self._hoist(ws)
-        add = self._force_add()
-        sites = self._solid_sites(R) if self._om is not None else None
-        cells = flat_cells(fg) if sites is not None else None
-        for pair in self._pairs:
-            # views[p] = fg[m][P - c_p] holds phi_p and receives h_m,
-            # views[m] = fg[p][P + c_p] holds phi_m and receives h_p.
-            p, m = pair[:2]
-            hp, hm = self._relax_pair(ws, pair, views[p], views[m],
-                                      self.omega, add)
-            self._scatter(cells, hp, p, views[m], sites)
-            self._scatter(cells, hm, m, views[p], sites)
-        for r in self._rest:
-            hr = self._relax_rest(ws, r, views[r], self.omega, add)
-            self._scatter(cells, hr, r, views[r], sites)
+    def bounce(self, fg: np.ndarray) -> None:
+        """The solid swap of opposite slots on the bound solver's padded
+        ``fg`` (links at any stride, each link's box C-contiguous), over
+        the cached solid index list — bit for bit what
+        :class:`~repro.lbm.boundaries.BounceBackNodes` does."""
+        self._check(fg, (self.lattice.Q,) + self._bshape[1:])
+        idx = self._bounce_idx
+        if idx is None:
+            idx = self._bounce_idx = padded_flat_index(self.solver.solid)
+        self._lib.aa_bounce(fg.ctypes.data, fg.strides[0] // fg.itemsize,
+                            idx.ctypes.data, idx.size)
 
     # -- ghost handling (single-domain) ----------------------------------
     def fill_ghosts(self) -> None:
@@ -600,36 +317,19 @@ class AAStepKernel:
         """Advance the bound single-domain solver one time step."""
         s = self.solver
         rec = s.counters
-        even = not s.aa_odd
         live = rec is not None and rec.enabled
+        phase = rec.phase if live else (lambda name: nullcontext())
         if live:
             rec.add("kernel.aa", 0.0)
-        if even:
-            if live:
-                with rec.phase("aa.even"):
-                    self.even_phase(None)
-                with rec.phase("aa.ghosts"):
-                    self.fill_ghosts()
-            else:
-                self.even_phase(None)
-                self.fill_ghosts()
-            s._bounce_folded = True
-            s._aa_rotated = True
-        else:
-            if live:
-                with rec.phase("aa.odd"):
-                    self.odd_phase(None)
-                with rec.phase("aa.fold"):
-                    self.fold_ghosts()
-            else:
-                self.odd_phase(None)
-                self.fold_ghosts()
-            s._bounce_folded = False
-            s._aa_rotated = False
-        if live:
-            with rec.phase("aa.post_stream"):
-                s.post_stream()
-        else:
+        even = not s.aa_odd
+        sweep, ghosts = ((self.even_phase, self.fill_ghosts) if even
+                         else (self.odd_phase, self.fold_ghosts))
+        with phase("aa.even" if even else "aa.odd"):
+            sweep()
+        with phase("aa.ghosts" if even else "aa.fold"):
+            ghosts()
+        s._bounce_folded = s._aa_rotated = even
+        with phase("aa.post_stream"):
             s.post_stream()
 
     # -- observables mid-pair ---------------------------------------------
@@ -650,10 +350,9 @@ class AAStepKernel:
         lat = self.lattice
         fg = s.fg
         padded = np.zeros_like(fg)
-        out = padded[(slice(None),) + self._interior]
-        for i in range(lat.Q):
-            out[i] = fg[(int(lat.opp[i]),)
-                        + self._shift(self._interior, -lat.c[i])]
+        out = padded[(slice(None),) + interior(lat.D)]
+        for i, pull in enumerate(s._pull_slices):
+            out[i] = fg[(int(lat.opp[i]),) + pull]
         s._bounce.apply(padded)
         out.setflags(write=False)
         return out

@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from repro.lbm.aa import AAStepKernel
+from repro.lbm.aa import AAStepKernel, unavailable
 from repro.lbm.boundaries import Boundary, BounceBackNodes
 from repro.lbm.collision import BGKCollision, plain_bgk_step
 from repro.lbm.equilibrium import equilibrium, equilibrium_site
@@ -78,6 +78,10 @@ class LBMSolver:
            cluster driver that closes the AA halo
            (``aa_halo_managed``): ``aa``;
         3. anything else: ``split``.
+
+        The in-place kernel is compiled (:mod:`repro.lbm.native`): where
+        no compiler works every rule line that says ``aa`` says
+        ``split``, and ``kernel_reason`` names why.
 
         A solver driven through its phase entry points (``collide``,
         ``fill_ghosts``, ``stream``, ``post_stream`` — cluster and SPMD
@@ -283,10 +287,14 @@ class LBMSolver:
         if self.kernel == "split":
             return self._note_selection("split", "forced kernel='split'")
         if self.kernel == "aa":
-            if AAStepKernel.eligible(self):
-                return self._note_selection("aa", "forced kernel='aa'")
-            return self._note_selection(
-                "split", "forced kernel='aa' ineligible; fell back to split")
+            if not AAStepKernel.eligible(self):
+                return self._note_selection(
+                    "split", "forced kernel='aa' ineligible; fell back to split")
+            missing = unavailable(self.lattice, self.dtype)
+            if missing:
+                return self._note_selection(
+                    "split", f"forced kernel='aa': {missing}; fell back to split")
+            return self._note_selection("aa", "forced kernel='aa'")
         if not plain_bgk_step(self):
             return self._note_selection(
                 "split", "rule: non-BGK collision or a pre_stream handler")
@@ -294,11 +302,16 @@ class LBMSolver:
             return self._note_selection(
                 "split", "rule: a handler that is not face-resident")
         if self.aa_halo_managed:
-            return self._note_selection(
-                "aa", "rule: AA halo closed by the cluster driver")
-        if whole_step and not self.phase_driven:
-            return self._note_selection("aa", "rule: whole-step schedule")
-        return self._note_selection("split", "rule: driven phase by phase")
+            reason = "rule: AA halo closed by the cluster driver"
+        elif whole_step and not self.phase_driven:
+            reason = "rule: whole-step schedule"
+        else:
+            return self._note_selection("split", "rule: driven phase by phase")
+        # Only an answer of ``aa`` needs the compiled sweep (and builds it).
+        missing = unavailable(self.lattice, self.dtype)
+        if missing:
+            return self._note_selection("split", f"rule: {missing}")
+        return self._note_selection("aa", reason)
 
     def _aa_kernel_for_phase(self):
         """The AA kernel when selected, else None (classic phases run).
@@ -358,9 +371,9 @@ class LBMSolver:
             with self.tracer.span("solver.collide", step=self.time_step,
                                   kernel="aa"):
                 if self._aa_even():
-                    akern.even_phase(None)
+                    akern.even_phase()
                 else:
-                    akern.odd_phase(None)
+                    akern.odd_phase()
             return
         with self.tracer.span("solver.collide", step=self.time_step,
                               kernel="split"):
@@ -433,7 +446,10 @@ class LBMSolver:
             if self._bounce_folded:
                 self._bounce_folded = False
             elif self.solid.any():
-                self._bounce.apply(self.fg)
+                if self._aa_kernel is not None:
+                    self._aa_kernel.bounce(self.fg)     # compiled swap
+                else:
+                    self._bounce.apply(self.fg)
             if self._aa_rotated:
                 if self.boundaries:
                     self._aa_kernel.apply_boundaries_rotated()

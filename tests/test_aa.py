@@ -82,17 +82,6 @@ class TestSingleDomain:
         assert aa._fg_next_buf is None
         assert aa._aa_kernel is not None
 
-    def test_workspace_allocs_counted(self):
-        _, aa = _pair(solid=_city())
-        aa.step(2)
-        summary = aa.counters.summary()
-        # float arena + bool plane, + relaxation field and index scratch
-        assert summary["aa.workspace"]["allocs"] == 4
-        _, aa_fluid = _pair()
-        aa_fluid.step(2)
-        summary = aa_fluid.counters.summary()
-        assert summary["aa.workspace"]["allocs"] == 2
-
     def test_odd_parity_reconstruction_read_only(self):
         _, aa = _pair()
         aa.step(1)

@@ -1,30 +1,29 @@
-"""The in-place AA sweep's pass cuts, each pinned against what it replaced.
+"""The compiled in-place AA sweep, pinned against what it replaced.
 
-* the pair-shared relaxation against a per-link ``equilibrium()`` plus
-  BGK relax, bit for bit (unsigned views, so signed zeros count);
-* chunked region calls against the whole sweep and the split reference;
+* the even phase's relaxation against ``BGKCollision`` link by link,
+  bit for bit (unsigned views, so signed zeros count);
+* zero density, negative density and ``-0.0`` populations at fluid
+  sites, stepped through the solver against ``split`` bit for bit;
+* cluster ranks stepped whole against the split reference;
 * the five-slot zero-gradient ghost fill against the split reference,
   with a mutation check that every slot it keeps is needed;
-* the slab-sized scratch: O(slab), reused, and a steady-state step
-  allocates nothing.
+* a steady-state step allocates nothing.
 """
 
 from __future__ import annotations
 
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-import repro.lbm.aa as aa_mod
 from repro.core.cluster_lbm import ClusterConfig, CPUClusterLBM
-from repro.lbm import AAStepKernel, LBMSolver
+from repro.lbm import BGKCollision, LBMSolver
 from repro.lbm.boundaries import EquilibriumVelocityInlet, OutflowBoundary
-from repro.lbm.equilibrium import equilibrium
 from repro.lbm.lattice import D3Q19
+from repro.lbm.streaming import interior
 
 GRID = (3, 4, 2)
 _ZEROS = st.sampled_from([0.0, -0.0])
@@ -43,37 +42,52 @@ def _field(lo, hi, lead=()):
 class TestPairSharedRelax:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("force", [None, (1e-4, -2e-5, 3e-5)])
-    @given(rho=_field(-0.5, 2.0), u=_field(-0.25, 0.25, (3,)),
-           f=_field(-0.125, 0.625, (19,)))
+    @given(f=_field(-0.125, 0.625, (19,)))
     @settings(max_examples=40, deadline=None)
-    def test_bit_identical_to_per_link_equilibrium(self, dtype, force,
-                                                   rho, u, f):
-        rho, u, f = (x.astype(dtype) for x in (rho, u, f))
+    def test_bit_identical_to_per_link_equilibrium(self, dtype, force, f):
+        """The even phase stores ``g_i`` in slot ``opp(i)``: every
+        ``g_i`` must carry the bits ``BGKCollision`` computes (densities
+        here reach zero and below, so the guarded divide is covered)."""
+        f = f.astype(dtype)
         solver = LBMSolver(GRID, tau=0.7, dtype=dtype, force=force,
                            kernel="aa")
-        k = AAStepKernel(solver)
-        omega = dtype(solver.collision.omega)
-        # What BGKCollision.__call__ does, link by link.
-        expect = f + omega * (equilibrium(D3Q19, rho, u) - f)
-        add = k._force_add()
-        if force is not None:
-            expect += add.reshape((19, 1, 1, 1))
-        ws = k._scratch(GRID)
-        ws.rho[...] = rho
-        ws.u[...] = u
-        k._hoist(ws)
-        seen = []
-        for pair in k._pairs:
-            p, m, _ = pair
-            gp, gm = k._relax_pair(ws, pair, f[p], f[m], k.omega, add)
-            assert np.array_equal(_bits(gp), _bits(expect[p])), p
-            assert np.array_equal(_bits(gm), _bits(expect[m])), m
-            seen += [p, m]
-        for r in k._rest:
-            gr = k._relax_rest(ws, r, f[r], k.omega, add)
-            assert np.array_equal(_bits(gr), _bits(expect[r])), r
-            seen.append(r)
-        assert sorted(seen) == list(range(19))
+        expect = f.copy()
+        BGKCollision(D3Q19, 0.7, force=force)(expect)
+        solver.load_distributions(f)
+        with np.errstate(all="ignore"):
+            solver._enter_aa().even_phase()
+        got = solver.fg[(D3Q19.opp,) + interior(3)]
+        assert np.array_equal(_bits(got), _bits(expect))
+
+
+class TestEdgeValues:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_zero_negative_density_and_negative_zero(self, dtype):
+        """Fluid sites with all-zero populations (``rho = 0``), negative
+        populations (``rho < 0``) and ``-0.0`` populations, stepped
+        through the solver: the compiled kernel keeps ``split``'s bits
+        at every fluid site after every step, both parities."""
+        shape = (8, 6, 5)
+        solid = np.zeros(shape, bool)
+        solid[4, 2:4, 1:3] = True
+        twins = []
+        for kernel in ("split", "aa"):
+            s = LBMSolver(shape, tau=0.7, solid=solid, dtype=dtype,
+                          kernel=kernel)
+            f = s.f.copy()
+            f[:, 1, 1, 1] = 0.0                  # rho = 0
+            f[:, 6, 4, 3] = -0.01                # rho < 0
+            f[3:9, 2, 5, 0] = -0.0
+            f[:, 0, 0, 4] = -0.0                 # rho = -0.0
+            s.load_distributions(f)
+            twins.append(s)
+        ref, aa = twins
+        for step in range(1, 7):
+            ref.step(1)
+            aa.step(1)
+            assert aa.kernel_used == "aa"
+            assert np.array_equal(_bits(aa.f[:, ~solid]),
+                                  _bits(ref.f[:, ~solid])), step
 
 
 def _bounded_box(shape, kernel, seed=0, handlers=True, **kwargs):
@@ -95,51 +109,13 @@ def _bounded_box(shape, kernel, seed=0, handlers=True, **kwargs):
     return s
 
 
-def _cover(shape, cuts):
-    """The boxes of the grid cut at ``cuts[axis]`` (interior coords)."""
-    edges = [sorted({0, n, *(c % (n + 1) for c in cs)})
-             for n, cs in zip(shape, cuts)]
-    boxes = [()]
-    for e in edges:
-        boxes = [b + (slice(lo, hi),) for b in boxes
-                 for lo, hi in zip(e[:-1], e[1:])]
-    return boxes
-
-
 class TestRegionCalls:
     SHAPE = (9, 8, 6)
 
-    @given(cuts=st.tuples(*[st.lists(st.integers(0, 9), max_size=2)] * 3),
-           slab=st.sampled_from([16, 100, 32768]))
-    @settings(max_examples=25, deadline=None)
-    def test_any_cover_equals_whole_sweep_equals_split(self, cuts, slab):
-        """Both phases, called box by box over an arbitrary cover (thin
-        slabs, boxes wider than one chunk), leave the interior exactly
-        as the whole sweep does — and both match ``split``."""
-        with mock.patch.object(aa_mod, "SLAB_TARGET_CELLS", slab):
-            whole = _bounded_box(self.SHAPE, "aa")
-            boxed = _bounded_box(self.SHAPE, "aa")
-            ref = _bounded_box(self.SHAPE, "split")
-            boxes = _cover(self.SHAPE, cuts)
-            for step in range(1, 5):
-                ref.step(1)
-                whole.step(1)
-                k = boxed._enter_aa()
-                phase = k.odd_phase if boxed.aa_odd else k.even_phase
-                for box in boxes:
-                    phase(box)
-                boxed.fill_ghosts()
-                boxed.stream()
-                boxed.post_stream()
-                boxed.time_step += 1
-                assert np.array_equal(boxed.f, whole.f), step
-                assert np.array_equal(whole.f, ref.f), step
-
     @pytest.mark.parametrize("backend", ["serial", "processes"])
-    def test_cluster_ranks_chunk_their_regions(self, backend, monkeypatch):
-        """Ranks wider than one chunk, collided whole on either
-        backend, stay on the reference's bits at both parities."""
-        monkeypatch.setattr(aa_mod, "SLAB_TARGET_CELLS", 48)
+    def test_cluster_ranks_chunk_their_regions(self, backend):
+        """Ranks collided whole on either backend stay on the
+        reference's bits at both parities."""
         shape = (16, 12, 6)
         ref = _bounded_box(shape, "split", handlers=False)
         f0 = ref.f.copy()
@@ -211,41 +187,12 @@ class TestSolidSitesInTheEvenPhase:
         f[5, 4, 1, 2] = np.inf
         aa.load_distributions(f)
         with np.errstate(invalid="ignore"):
-            aa._enter_aa().even_phase(None)
+            aa._enter_aa().even_phase()
         assert np.isnan(aa.fg[:, 5, 2, 3]).all()         # padded coords
         assert np.isfinite(aa.f[:, ~solid]).all()
 
 
 class TestWorkspace:
-    @staticmethod
-    def _scratch_bytes(k):
-        return k._arena.nbytes + k._bool.nbytes + k._ibuf.nbytes
-
-    def test_scratch_is_slab_sized_whatever_the_domain(self):
-        """Scratch holds one chunk: the whole padded box while it fits
-        the slab target, whole padded planes under the target beyond
-        that — so it stops growing with the domain."""
-        sizes = []
-        for shape in ((24, 40, 16), (96, 40, 16), (192, 40, 16)):
-            s = _bounded_box(shape, "aa")
-            s.step(2)
-            k = s._aa_kernel
-            plane = int(np.prod(s.fg.shape[2:]))
-            box = int(np.prod(s.fg.shape[1:]))
-            planes = k._arena.shape[0]
-            assert planes == 6 + 3 + 3 + 1
-            cap = min(box, aa_mod.SLAB_TARGET_CELLS // plane * plane)
-            assert k._arena.shape[1] == cap
-            budget = (planes + 3) * (aa_mod.SLAB_TARGET_CELLS + plane) * 4
-            assert self._scratch_bytes(k) <= budget
-            sizes.append(self._scratch_bytes(k))
-            # Chunk views alias the arena: nothing else holds scratch.
-            ws = k._scratch((2,) + s.fg.shape[2:])
-            for name in vars(ws):
-                owner = k._bool if name == "bl" else k._arena
-                assert np.shares_memory(getattr(ws, name), owner), name
-        assert sizes[0] < sizes[1] == sizes[2]
-
     def test_steady_state_step_allocates_nothing(self):
         s = _bounded_box((24, 40, 16), "aa", handlers=False)
         s.step(4)                   # kernel, index lists, bounce scratch
@@ -254,3 +201,26 @@ class TestWorkspace:
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert peak < s.fg[0].nbytes      # less than one population plane
+
+    def test_compiled_phases_allocate_nothing(self):
+        """Each compiled call — even, odd, solid swap, and a stacked
+        cluster's batch phase — allocates no array: what tracemalloc
+        sees is the call's few argument objects, far below the
+        smallest population plane here (78 KB)."""
+        s = _bounded_box((24, 40, 16), "aa", handlers=False)
+        s.step(4)
+        k = s._aa_kernel
+        cfg = ClusterConfig(sub_shape=(6, 6, 4), arrangement=(2, 2, 1),
+                            tau=0.7)
+        with CPUClusterLBM(cfg) as cluster:
+            cluster.step(2)
+            (batch,) = cluster._stack.kernels
+            for call in (k.even_phase, k.odd_phase, lambda: k.bounce(s.fg),
+                         batch.even_phase, batch.odd_phase):
+                call()
+                tracemalloc.start()
+                call()
+                _, peak = tracemalloc.get_traced_memory()
+                tracemalloc.stop()
+                assert peak < 4096, call
+

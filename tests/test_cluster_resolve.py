@@ -160,9 +160,9 @@ class TestSerialRanksCollideWhole:
         for name in ("even_phase", "odd_phase"):
             orig = getattr(AAStepKernel, name)
 
-            def spy(self, region=None, _orig=orig, _name=name):
-                phases.append((_name, region, len(self.members)))
-                return _orig(self, region)
+            def spy(self, _orig=orig, _name=name):
+                phases.append((_name, len(self.members)))
+                return _orig(self)
             monkeypatch.setattr(AAStepKernel, name, spy)
         cfg = ClusterConfig(sub_shape=(6, 6, 4), arrangement=(2, 1, 1),
                             tau=0.7)
@@ -170,8 +170,8 @@ class TestSerialRanksCollideWhole:
             assert cluster.stacked
             cluster.step(3)
         assert calls == []
-        assert phases == [("even_phase", None, 2), ("odd_phase", None, 2),
-                          ("even_phase", None, 2)]     # 3 steps, 2 ranks
+        assert phases == [("even_phase", 2), ("odd_phase", 2),
+                          ("even_phase", 2)]     # 3 steps, 2 ranks
         with CPUClusterLBM(dataclasses.replace(cfg, kernel="split")) as cluster:
             assert not cluster.stacked
             cluster.step(3)

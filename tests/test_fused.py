@@ -120,11 +120,11 @@ class TestFusedMachinery:
         s = LBMSolver(SHAPE, tau=0.7)
         s.step(1)
         kern = s._aa_kernel
-        arena = kern._arena
+        mask = kern._solid
         s.step(5)
-        assert s._aa_kernel is kern and kern._arena is arena
-        # allocation counters: workspace allocated exactly once
-        assert s.counters.stats["aa.workspace"].allocs == 2
+        # one kernel, one batch-box solid mask, built by the first sweep
+        assert s._aa_kernel is kern and kern._solid is mask
+        assert mask.shape == (1,) + s.fg.shape[1:]
 
     def test_counters_record_phases(self):
         s = LBMSolver(SHAPE, tau=0.7)

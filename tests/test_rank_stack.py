@@ -9,7 +9,7 @@
 * stacked clusters against the single-domain reference at every step:
   solids plus inlet/outflow, an odd-parity load, unequal cuts, a
   ``rebalance()`` successor, a codec on;
-* the arena itself (adoption, batch chunking, scratch width) and what
+* the arena itself (adoption, the batch solid mask) and what
   observability sees of a batch (per-rank spans, ``rank.busy_seconds``).
 """
 
@@ -21,7 +21,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-import repro.lbm.aa as aa_mod
 from repro.core import BlockDecomposition, ClusterConfig, CPUClusterLBM
 from repro.core.exchange import (RankAxisExchange, SolverPort, exchange_all,
                                  local_engines)
@@ -192,24 +191,17 @@ class TestStackedCluster:
         assert peak < 1.6 * kernel._stack.nbytes
 
     def test_batch_scratch_is_one_chunk_of_whole_ranks(self):
-        """Satellite of the AA scratch rule: 11 padded 14^3 ranks per
-        32 k-cell chunk, a single rank's box when one rank is all."""
-        rank_cells = 14 ** 3
-        per_chunk = aa_mod.SLAB_TARGET_CELLS // rank_cells
-        assert per_chunk == 11
+        """The batch kernel's only workspace, the solid mask, is one
+        batch box of whole padded ranks (32 of 14^3, or the single
+        rank's box); the ranks' own kernels are never swept."""
         for arrangement, ranks in (((4, 4, 2), 32), ((1, 1, 1), 1)):
             cfg = ClusterConfig(sub_shape=(12, 12, 12),
                                 arrangement=arrangement, tau=0.6)
             with CPUClusterLBM(cfg) as cluster:
                 cluster.step(2)
                 (kernel,) = cluster._stack.kernels
-                width = min(ranks, per_chunk) * rank_cells
-                assert kernel._arena.shape[1] == width
-                chunks = list(kernel._chunks(kernel._pfull))
-                assert [c[0].stop - c[0].start for c in chunks] == (
-                    [11, 11, 10] if ranks == 32 else [1])
-                # The ranks' own kernels were never swept: no scratch.
-                assert all(node.solver._aa_kernel._arena is None
+                assert kernel._solid.shape == (ranks, 14, 14, 14)
+                assert all(node.solver._aa_kernel._solid is None
                            for node in cluster.nodes)
 
     def test_traced_ranks_tile_the_batch(self):
