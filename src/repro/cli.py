@@ -15,7 +15,7 @@
     python -m repro check-trace       # trace schema + no-op overhead gate
     python -m repro check-exchange    # halo-exchange message-count + equivalence gate
     python -m repro check-telemetry   # live-telemetry bit-identity + watchdog gate
-    python -m repro doctor            # shm leak audit + procpool smoke + compiled sweep
+    python -m repro doctor            # shm leak audit + procpool smoke + compiled units
     python -m repro verify            # tier-1 tests + backend gates + regression guard
 
 All output comes from the same row generators the benchmark harness
@@ -327,8 +327,9 @@ def _cmd_check_telemetry(args) -> int:
 def _cmd_doctor(args) -> int:
     """Environment health audit: leaked shared-memory segments from any
     previous run, a procpool spawn/step/teardown smoke check, and the
-    compiled AA sweep (cache, key, flags, loaded or why not).  Exits
-    nonzero on leaks or a failed smoke check."""
+    compiled AA sweep and GPU fragment programs (cache, key, flags,
+    loaded or why not).  Exits nonzero on leaks or a failed smoke
+    check."""
     import os
     from pathlib import Path
 
@@ -364,18 +365,22 @@ def _cmd_doctor(args) -> int:
     else:
         print("procpool smoke: spawn/step/teardown OK, bit-identical to "
               "serial, no leaks, no orphans")
-    # The compiled sweep is an accelerator, not a requirement: without
-    # it every kernel rule resolves split, so it is reported, not failed.
+    # The compiled units are accelerators, not requirements: without
+    # them the numpy bodies run, so they are reported, not failed.
     import numpy as np
 
+    from repro.gpu.lbm_gpu import UNIT
     from repro.lbm import D3Q19, native
-    lib, missing = native.load(D3Q19, np.float32)
-    info = native.describe(D3Q19, np.float32)
-    print(f"compiled AA sweep (D3Q19 float32): cache {info['cache']}")
-    print(f"  compiler {info['compiler']}  flags {info['flags']}")
-    print(f"  key {info['key']}  object {info['path']}")
-    print("  loaded" if lib is not None else
-          f"  not loaded: {missing}; the kernel rules resolve split")
+    for unit, what, fallback in (
+            (native.AA, "AA sweep", "the kernel rules resolve split"),
+            (UNIT, "GPU fragment programs", "macro/collide run numpy")):
+        lib, missing = native.load(D3Q19, np.float32, unit)
+        info = native.describe(D3Q19, np.float32, unit)
+        print(f"compiled {what} (D3Q19 float32): cache {info['cache']}")
+        print(f"  compiler {info['compiler']}  flags {info['flags']}")
+        print(f"  key {info['key']}  object {info['path']}")
+        print("  loaded" if lib is not None else
+              f"  not loaded: {missing}; {fallback}")
     if failures:
         print(f"doctor: {failures} problem(s) found")
         return 1
@@ -502,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("doctor",
                    help="audit /dev/shm for stale segments, smoke-"
                         "test procpool spawn/step/teardown and report "
-                        "the compiled AA sweep; exits nonzero on leaks")
+                        "the compiled units; exits nonzero on leaks")
     sp = sub.add_parser("verify",
                         help="run the tier-1 tests, the process-backend, "
                              "aa-kernel, trace, halo-exchange and "

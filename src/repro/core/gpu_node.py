@@ -88,8 +88,11 @@ class GPUNode:
         self.overlap_window_s = 0.0
         # Kernel-report attributes: the GPU path has a single hot path
         # (the fragment-program passes), reported alongside the CPU
-        # ranks' kernel selection.
+        # ranks' kernel selection; the reason says why ``macro`` and
+        # ``collide`` run their numpy bodies (None: compiled, or no
+        # numerics at all).
         self.kernel_used = "gpu"
+        self.kernel_reason = None if timing_only else self.solver.kernel_reason
         self.solid_fraction = (float(np.asarray(solid, dtype=bool).mean())
                                if solid is not None else 0.0)
 

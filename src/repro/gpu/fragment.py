@@ -184,7 +184,9 @@ class RenderContext:
                                  f"span outside texture {name}")
             out = planes[:, sp.start + shift:sp.stop + shift].T
         elif self.wrap:
-            if batched:
+            if batched and 0 <= self.z.start + dz and self.z.stop + dz <= stack.depth:
+                sl = stack.data[self.z.start + dz:self.z.stop + dz]  # a view
+            elif batched:
                 idx = (np.arange(self.z.start, self.z.stop) + dz) % stack.depth
                 sl = stack.data[idx]
             else:

@@ -31,7 +31,7 @@ Two layouts are supported:
 
 from __future__ import annotations
 
-import threading
+import ctypes
 
 import numpy as np
 
@@ -39,64 +39,104 @@ from repro.gpu.device import SimulatedGPU
 from repro.gpu.fragment import FragmentProgram, Rect, span_of
 from repro.gpu.packing import D3Q19Packing, N_DISTRIBUTION_STACKS, link_location, stack_links
 from repro.gpu.texture import flat_planes
+from repro.lbm import native
 from repro.lbm.lattice import D3Q19
 from repro.lbm.equilibrium import equilibrium_site
 
 F32 = np.float32
 
-#: Float scratch planes a pass may hold at once.  Collide needs the
-#: most: ``1.5 u.u``, the rate field, ``c.u``, ``(4.5 c.u) c.u``, the
-#: two brackets of an opposite pair and one ``rho * w`` plane.
-_N_PLANES = 7
 
-_SCRATCH = threading.local()
+def _source(lat, dtype) -> str:
+    """The ``macro`` and ``collide{s}`` fragment programs as C, in the
+    op order of their numpy bodies (DESIGN §5k).
 
-
-def _scratch_planes(shape, floats: bool = True):
-    """``_N_PLANES`` float32 planes (``None`` unless ``floats``) and
-    one bool plane, each ``shape``.
-
-    Views of the calling thread's two arenas, which every fragment
-    program of every solver shares: a plane lives only inside one
-    kernel call, and each arena grows to the largest render that asked
-    for it and is reused after that, so steady-state passes allocate
-    nothing.
+    A render is ``n0`` x ``n1`` rows of ``len`` texels, rows ``s1`` and
+    planes ``s0`` apart, channels ``ps`` apart (in floats); the output
+    and every fetched texture share that layout (:func:`_box`).
+    ``gpu_collide{s}`` takes ``flags`` and the per-channel force
+    increments ``add`` as NULL when the solver has none, and has one
+    loop per (flags?, force?) variant, so each vectorises.
     """
-    n = int(np.prod(shape))
-    arenas = _SCRATCH.__dict__
-    if len(arenas.get("bools", ())) < n:
-        arenas["bools"] = np.empty(n, bool)
-    bl = arenas["bools"][:n].reshape(shape)
-    if not floats:
-        return None, bl
-    if "floats" not in arenas or arenas["floats"].shape[1] < n:
-        arenas["floats"] = np.empty((_N_PLANES, n), F32)
-    return arenas["floats"][:, :n].reshape((_N_PLANES,) + tuple(shape)), bl
+    box = "long n0, long s0, long n1, long s1, long len, long ps"
+    rows = ("for (long z = 0; z < n0; z++)\nfor (long y = 0; y < n1; y++) {\n"
+            "const long b = z * s0 + y * s1;\n")
+    loop = "#pragma GCC ivdep\nfor (long i = 0; i < len; i++) {{\n{}\n}}\n"
+    outs = "".join(f"T *O{k} = out + b + {k} * ps;\n" for k in range(4))
+    macro = (f"void gpu_macro(const T *f0, const T *f1, const T *f2, "
+             f"const T *f3, const T *f4, T *out, {box}) {{\n" + rows + outs
+             + "".join(f"const T *L{q} = f{s} + b + {ch} * ps;\n"
+                       for q, (s, ch) in enumerate(map(link_location, range(lat.Q))))
+             + loop.format("\n".join(
+                 [f"T v{q} = L{q}[i];" for q in range(lat.Q)]
+                 + native.moment_lines(lat)
+                 + ["T safe = rho > 0 ? rho : ((T)1);", "O0[i] = rho;"]
+                 + [f"O{1 + a}[i] = j{a} / safe;" for a in range(3)]))
+             + "}\n}\n")
+
+    def collide(s):
+        links = stack_links(s)
+        groups = native.collide_groups(lat, links)
+        ks = range(len(links))
+
+        def body(flags, force):
+            fluid = "(G[i] == 0)" if flags else "1"
+            return loop.format("\n".join(
+                [f"T v{k} = F{k}[i];" for k in ks]
+                + ["T rho = M0[i];"] + [f"T u{a} = M{1 + a}[i];" for a in range(3)]
+                + [f"T rate = {fluid} ? omega : ((T)0);"]
+                + native.relax_lines(lat, dtype, groups, "rate")
+                + [f"h{k} = (k{k} & {fluid}) ? h{k} + a{k} : h{k};"
+                   for k in ks if force]
+                + [f"O{k}[i] = h{k};" for k in ks]
+                + [f"O{k}[i] = F{k}[i];" for k in range(len(links), 4)]))
+
+        return (f"void gpu_collide{s}(const T *f, const T *mac, const T *flags, "
+                f"T *out, {box}, T omega, const T *add) {{\n"
+                + "".join(f"const T a{k} = add ? add[{k}] : 0; "
+                          f"const int k{k} = a{k} != 0;\n" for k in ks)
+                + rows + outs
+                + "".join(f"const T *F{k} = f + b + {k} * ps; "
+                          f"const T *M{k} = mac + b + {k} * ps;\n" for k in range(4))
+                + "const T *G = flags ? flags + b : 0;\n"
+                + "if (G && add) {\n" + body(True, True)
+                + "} else if (G) {\n" + body(True, False)
+                + "} else if (add) {\n" + body(False, True)
+                + "} else {\n" + body(False, False) + "}\n}\n}\n")
+
+    return "typedef float T;\n" + macro + "".join(
+        collide(s) for s in range(N_DISTRIBUTION_STACKS))
 
 
-def _collide_groups(lat, links) -> list:
-    """A stack's links as the collide program visits them.
+def _entries(t) -> dict:
+    P, L = ctypes.c_void_p, ctypes.c_long
+    box = [L] * 6
+    return {"gpu_macro": [P] * 6 + box,
+            **{f"gpu_collide{s}": [P] * 4 + box + [t, P]
+               for s in range(N_DISTRIBUTION_STACKS)}}
 
-    Each group is ``(members, terms)``.  ``members`` lists ``(channel,
-    link, sign)`` with ``c_link . u = sign * x``: one link, or an
-    opposite pair (the ``+`` member first) sharing ``x``.  ``terms``
-    are the ``(axis, sign)`` of ``x = u_a +/- u_b``, first sign ``+``;
-    empty for the rest link.
-    """
-    groups, seen = [], set()
-    for link in links:
-        if link in seen:
-            continue
-        comps = [(a, int(v)) for a, v in enumerate(lat.c[link]) if v]
-        sign = comps[0][1] if comps else 1
-        members = [(link_location(link)[1], link, sign)]
-        opp = int(lat.opp[link])
-        if comps and opp in links:
-            members.append((link_location(opp)[1], opp, -sign))
-            members.sort(key=lambda m: -m[2])
-            seen.add(opp)
-        groups.append((members, [(a, v * sign) for a, v in comps]))
-    return groups
+
+#: The compiled fragment programs, built and cached like the AA sweep.
+UNIT = native.Unit("gpu", _source, _entries)
+
+
+def _box(out: np.ndarray, fetched) -> tuple | None:
+    """``(n0, s0, n1, s1, len, ps)`` of a render (:func:`_source`): the
+    texels of ``out`` as at most two levels of rows of unit-stride runs,
+    when every ``fetched`` texture shares its layout; None otherwise."""
+    lead = out.ndim - 1
+    if any(a.dtype != F32 or a.shape != out.shape[:a.ndim]
+           or a.strides[:lead] != out.strides[:lead]
+           or (a.ndim > lead and a.strides[-1] != out.strides[-1])
+           for a in fetched):
+        return None
+    n = list(out.shape[:-1])
+    *s, ps = (v // out.itemsize for v in out.strides)
+    while len(n) > 1 and s[-2] == n[-1] * s[-1]:        # merge runs
+        n[-2:], s[-2:] = [n[-2] * n[-1]], [s[-1]]
+    if s[-1] != 1 or len(n) > 3:
+        return None
+    n, s = [1] * (3 - len(n)) + n, [0] * (3 - len(s)) + s
+    return n[0], s[0], n[1], s[1], n[2], ps
 
 
 class GPULBMSolver:
@@ -175,6 +215,8 @@ class GPULBMSolver:
         self._z_range = range(td) if mode == "wrap" else range(1, td - 1)
         self._wrap = mode == "wrap"
         self._split_pieces: tuple[list, list] | None = None
+        #: The compiled ``macro``/``collide`` programs, or None and why.
+        self._lib, self.kernel_reason = native.load(self.lattice, F32, UNIT)
         self._programs = self._build_programs()
         if self.has_solid:
             # Flat texel indices of the solid sites (the flags texels
@@ -244,8 +286,11 @@ class GPULBMSolver:
         each renders into a copy of its own); :meth:`run_bounce_passes`
         executes it as an index-list swap and charges these programs.
         Every program reads only its fetches and keeps only its own
-        uniforms; scratch comes from :func:`_scratch_planes` and dies
-        with the kernel call.
+        uniforms.  ``macro`` and ``collide`` run as one call into
+        :data:`UNIT` when it loaded and the render's texels are rows of
+        unit-stride runs (:func:`_box`, every render the solver makes);
+        their numpy bodies, the same ops in the same order, are the
+        fallback without a C compiler.
         """
         lat = self.lattice
         c = lat.c.astype(F32)
@@ -256,6 +301,7 @@ class GPULBMSolver:
         if self.force is not None:
             force_term = ((c @ self.force.astype(F32)) * (F32(3.0) * w)).astype(F32)
         pixel_buffer = self._pixel_buffer
+        lib = self._lib
         locations = [link_location(i) for i in range(19)]
         #: Per axis, ``(link, sign)`` of its momentum links, slot order.
         jterms = [[(int(q), int(lat.c[q, a])) for q in np.flatnonzero(lat.c[:, a])]
@@ -263,34 +309,24 @@ class GPULBMSolver:
 
         def macro_kernel(ctx):
             out = pixel_buffer(ctx)
-            fl, bl = _scratch_planes(out.shape[:-1])
-            rho, safe, j = fl[0], fl[1], fl[2:5]
             texs = [ctx.fetch(f"f{s}") for s in range(n_stacks)]
-            col = [texs[s][..., ch] for s, ch in locations]
+            box = lib and _box(out, texs)
+            if box:
+                lib.gpu_macro(*(t.ctypes.data for t in texs), out.ctypes.data, *box)
+                return out
             # Slot-order accumulation: c * v is v or -v (exact), and
             # m + (-v) is m - v.
-            np.copyto(rho, col[0])
+            col = [texs[s][..., ch] for s, ch in locations]
+            rho = col[0]
             for v in col[1:]:
-                rho += v
-            for ja, ((q0, sign0), *more) in zip(j, jterms):
-                if sign0 > 0:
-                    np.copyto(ja, col[q0])
-                else:
-                    np.negative(col[q0], out=ja)
+                rho = rho + v
+            out[..., 0] = rho
+            safe = np.where(rho > 0, rho, F32(1.0))     # 1 where rho <= 0 or NaN
+            for a, ((q0, sign0), *more) in enumerate(jterms):
+                ja = col[q0] if sign0 > 0 else -col[q0]
                 for q, sign in more:
-                    (np.add if sign > 0 else np.subtract)(ja, col[q], out=ja)
-            # u = j / safe, safe = rho where rho > 0 else 1.
-            np.greater(rho, 0, out=bl)
-            if not bl.all():
-                np.copyto(safe, rho)
-                np.logical_not(bl, out=bl)
-                np.copyto(safe, F32(1.0), where=bl)
-                rho_or_one = safe
-            else:
-                rho_or_one = rho
-            np.copyto(out[..., 0], rho)
-            for a in range(3):
-                np.divide(j[a], rho_or_one, out=out[..., 1 + a])
+                    ja = ja + col[q] if sign > 0 else ja - col[q]
+                out[..., 1 + a] = ja / safe
             return out
 
         programs = {"macro": FragmentProgram("macro", macro_kernel, alu_ops=40,
@@ -300,68 +336,51 @@ class GPULBMSolver:
 
         def make_collide(s):
             links = stack_links(s)
-            groups = _collide_groups(lat, links)
-            forced = [force_term is not None and force_term[i] != 0.0
-                      for i in links]
+            groups = native.collide_groups(lat, links)
+            add = None if force_term is None else force_term[links]
+            program = getattr(lib, f"gpu_collide{s}", None)
 
             def collide_kernel(ctx):
                 f = ctx.fetch(f"f{s}")
                 mac = ctx.fetch("macro")
+                flags = ctx.fetch("flags", channels=0) if has_solid else None
                 out = pixel_buffer(ctx)
-                fl, bl = _scratch_planes(out.shape[:-1])
-                usq, om, cu, q, e1, e2, wr = fl
+                box = program and _box(out, [f, mac] if flags is None
+                                       else [f, mac, flags])
+                if box:
+                    program(f.ctypes.data, mac.ctypes.data,
+                            None if flags is None else flags.ctypes.data,
+                            out.ctypes.data, *box, omega,
+                            None if add is None else add.ctypes.data)
+                    return out
                 rho = mac[..., 0]
                 u = [mac[..., 1 + a] for a in range(3)]
-                # 1.5 u.u, summed in numpy's (u * u).sum(-1) order.
-                np.multiply(u[0], u[0], out=usq)
-                np.multiply(u[1], u[1], out=cu)
-                usq += cu
-                np.multiply(u[2], u[2], out=cu)
-                usq += cu
-                usq *= F32(1.5)
+                usq = (u[0] * u[0] + u[1] * u[1] + u[2] * u[2]) * F32(1.5)
                 # Rate field: omega at fluid sites, 0 at solid ones,
                 # where the relaxation then hands f back (DESIGN.md §5k).
-                fluid, rate = True, omega
-                if has_solid:
-                    fluid = np.equal(ctx.fetch("flags", channels=0), 0.0, out=bl)
-                    rate = np.multiply(fluid, omega, out=om, dtype=F32)
-                wr_w = None                 # the weight wr holds rho * w of
+                fluid = True if flags is None else flags == 0.0
+                rate = omega if flags is None else np.where(fluid, omega, F32(0.0))
                 for members, terms in groups:
                     if terms:
                         # x = +/-c.u: a velocity component or one signed add.
                         (a, _), *second = terms
                         x = u[a]
                         for b, sign in second:
-                            x = (np.add if sign > 0 else np.subtract)(x, u[b], out=cu)
-                        np.multiply(x, F32(4.5), out=q)   # (4.5 c.u) c.u is
-                        q *= x                            # even in c.u
-                        np.multiply(x, F32(3.0), out=e1)
-                        if len(members) == 2:             # c_p.u = x = -c_m.u
-                            np.subtract(F32(1.0), e1, out=e2)
-                            e1 += F32(1.0)
-                        elif members[0][2] > 0:
-                            e1 += F32(1.0)
-                        else:
-                            np.subtract(F32(1.0), e1, out=e1)
-                        for e in (e1, e2)[:len(members)]:
-                            e += q
-                            e -= usq
-                    else:                                 # rest link: c.u = 0
-                        np.subtract(F32(1.0), usq, out=e1)
-                    # out = f + rate * (w rho bracket - f) (+ force).
-                    for (ch, link, _), e in zip(members, (e1, e2)):
+                            x = x + u[b] if sign > 0 else x - u[b]
+                        q = (x * F32(4.5)) * x        # even in c.u
+                        t = x * F32(3.0)
+                    for ch, link, sign in members:
+                        if not terms:                 # rest link: c.u = 0
+                            e = F32(1.0) - usq
+                        else:                         # c.u = sign * x
+                            e = ((t + F32(1.0) if sign > 0 else F32(1.0) - t)
+                                 + q) - usq
                         fch = f[..., ch]
-                        if w[link] != wr_w:     # links of a class are adjacent
-                            wr_w = w[link]
-                            np.multiply(rho, wr_w, out=wr)
-                        e *= wr
-                        e -= fch
-                        e *= rate
-                        dst = np.add(fch, e, out=out[..., ch])
-                        if forced[ch]:
-                            np.add(dst, force_term[link], out=dst, where=fluid)
-                for ch in range(len(links), 4):
-                    np.copyto(out[..., ch], f[..., ch])
+                        h = (e * (rho * w[link]) - fch) * rate + fch
+                        if add is not None and add[ch] != 0.0:
+                            h = np.where(fluid, h + add[ch], h)
+                        out[..., ch] = h
+                out[..., len(links):] = f[..., len(links):]
                 return out
 
             return FragmentProgram(f"collide{s}", collide_kernel, alu_ops=50,
@@ -388,8 +407,7 @@ class GPULBMSolver:
 
             def bounce_kernel(ctx):
                 out = ctx.fetch(f"f{s}").copy(order="K")    # stays planar
-                _, solid = _scratch_planes(out.shape[:-1], floats=False)
-                np.not_equal(ctx.fetch("flags", channels=0), 0.0, out=solid)
+                solid = ctx.fetch("flags", channels=0) != 0.0
                 for ch, (os_, och) in enumerate(opp):
                     np.copyto(out[..., ch], ctx.fetch(f"f{os_}", channels=och),
                               where=solid)

@@ -1,4 +1,5 @@
-"""The in-place AA sweep as C, generated from the ``Lattice`` tables.
+"""Compiled C units generated from the ``Lattice`` tables: the in-place
+AA sweep, and the build path every unit shares.
 
 :func:`source` writes one translation unit per ``(lattice, dtype)`` with
 the entry points :class:`~repro.lbm.aa.AAStepKernel` calls: ``aa_even``
@@ -11,8 +12,11 @@ index list).  Each site's arithmetic is the reference's, op for op and
 in order (DESIGN §5a; the identities it rests on are in
 :mod:`repro.lbm.aa`); the compiler vectorises across the sites of a
 row and, under :data:`FLAGS`, never reorders or fuses an operation.
+:func:`collide_groups`, :func:`moment_lines` and :func:`relax_lines` are
+the pieces of that spelling the simulated GPU's fragment programs share
+(:mod:`repro.gpu.lbm_gpu`, DESIGN §5k).
 
-:func:`load` builds the unit with the system ``cc`` and loads it with
+:func:`load` builds a :class:`Unit` with the system ``cc`` and loads it with
 :mod:`ctypes` (which releases the GIL for the call).  Objects are cached
 on disk under :data:`CACHE_DIR`, keyed by the source, the flags, the
 compiler and the host CPU, so a ``-march=native`` object never loads on
@@ -32,6 +36,7 @@ import subprocess
 import tempfile
 import threading
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -50,7 +55,7 @@ CACHE_DIR = Path(os.path.expanduser("~/.cache/repro"))
 
 _CTYPES = {np.dtype(np.float32): ("float", ctypes.c_float),
            np.dtype(np.float64): ("double", ctypes.c_double)}
-#: (lattice tables, dtype) -> (library or None, reason it is None).
+#: (unit, lattice tables, dtype) -> (library or None, why it is None).
 _LOADED: dict[tuple, tuple[ctypes.CDLL | None, str | None]] = {}
 _LOCK = threading.Lock()       # rank threads may ask at once
 
@@ -67,48 +72,79 @@ def _signed_sum(terms) -> str:
                     for sign, expr in terms).removeprefix("+ ")
 
 
+def collide_groups(lat: Lattice, links) -> list:
+    """``links`` as a collision visits them: one group per link or per
+    opposite pair (``+`` member first) sharing ``x``.
+
+    Each group is ``(members, terms)``.  ``members`` lists ``(pos, link,
+    sign)``, ``pos`` the link's place in ``links`` and ``c_link . u =
+    sign * x``; ``terms`` are the ``(axis, sign)`` of ``x = u_a +/- u_b``,
+    first sign ``+``, and empty for the rest link.
+    """
+    links = list(links)
+    groups, seen = [], set()
+    for link in links:
+        if link in seen:
+            continue
+        comps = [(a, int(v)) for a, v in enumerate(lat.c[link]) if v]
+        sign = comps[0][1] if comps else 1
+        members = [(links.index(link), link, sign)]
+        opp = int(lat.opp[link])
+        if comps and opp in links:
+            members.append((links.index(opp), opp, -sign))
+            members.sort(key=lambda m: -m[2])
+            seen.add(opp)
+        groups.append((members, [(a, v * sign) for a, v in comps]))
+    return groups
+
+
+def moment_lines(lat: Lattice) -> list[str]:
+    """C for ``rho`` and ``j{a}`` from the populations ``v{q}``, summed
+    in slot order by signed adds (``c * v`` is ``v`` or ``-v``, exact)."""
+    return (["T rho = " + " + ".join(f"v{q}" for q in range(lat.Q)) + ";"]
+            + [f"T j{a} = " + _signed_sum([(int(lat.c[q, a]), f"v{q}")
+                                          for q in range(lat.Q) if lat.c[q, a]])
+               + ";" for a in range(lat.D)])
+
+
+def relax_lines(lat: Lattice, dtype, groups, rate: str) -> list[str]:
+    """C for one site's BGK relaxation of ``groups`` (:func:`collide_groups`)
+    from ``rho``, ``u{a}`` and the populations ``v{pos}``, at ``rate``:
+    ``T h{pos} = f + ω(feq − f)`` with ``feq = wρ·(((1 ± 3x) + (4.5x)x)
+    − 1.5u·u)``, one C expression per reference operation (DESIGN §5a)."""
+    one = "((T)1)"
+    usq = " + ".join(f"u{a} * u{a}" for a in range(lat.D))
+    lines = [f"T usq = ({usq}) * {_lit(0.5 / lat.cs2, dtype)};"]
+    for members, terms in groups:
+        p = members[0][0]
+        if terms:
+            # c_m.u = -(c_p.u) exactly: 1 - 3cu is the sign-flipped bracket.
+            lines += [f"T cu{p} = {_signed_sum([(v, f'u{a}') for a, v in terms])};",
+                      f"T qq{p} = (cu{p} * {_lit(0.5 / lat.cs2 ** 2, dtype)}) * cu{p};",
+                      f"T t{p} = cu{p} * {_lit(1.0 / lat.cs2, dtype)};"]
+        for pos, link, sign in members:
+            head = f"t{p} + {one}" if sign > 0 else f"{one} - t{p}"
+            e = f"(({head}) + qq{p}) - usq" if terms else f"{one} - usq"
+            rw = f"(rho * {_lit(lat.w[link], dtype)})"   # common: the compiler CSEs it
+            lines.append(f"T h{pos} = (({e}) * {rw} - v{pos}) * {rate} + v{pos};")
+    return lines
+
+
 def _site(lat: Lattice, dtype, load, store, om: str, fluid: str) -> list[str]:
     """One site's collision: ``load(q)`` reads population ``q``,
     ``store(q, h)`` writes its post-collision value ``h``."""
     Q, D = lat.Q, lat.D
-    one = "((T)1)"
-    lines = [f"T v{q} = {load(q)};" for q in range(Q)]
-    lines.append("T rho = " + " + ".join(f"v{q}" for q in range(Q)) + ";")
-    for a in range(D):
-        lines.append(f"T j{a} = " + _signed_sum(
-            [(int(lat.c[q, a]), f"v{q}") for q in range(Q) if lat.c[q, a]]) + ";")
+    lines = [f"T v{q} = {load(q)};" for q in range(Q)] + moment_lines(lat)
     # The reference's spelling: divide by ``rho`` where positive, by 1
     # elsewhere, then zero where ``rho <= 0`` (a NaN ``rho`` keeps ``j``).
-    lines.append(f"T safe = rho > 0 ? rho : {one};")
-    for a in range(D):
-        lines.append(f"T u{a} = rho <= 0 ? ((T)0) : j{a} / safe;")
-    usq = " + ".join(f"u{a} * u{a}" for a in range(D))
-    lines.append(f"T usq = ({usq}) * {_lit(0.5 / lat.cs2, dtype)};")
-
-    def relax(q, e):
-        rw = f"(rho * {_lit(lat.w[q], dtype)})"     # common: the compiler CSEs it
-        lines.append(f"T h{q} = (({e}) * {rw} - v{q}) * {om} + v{q};")
-        if fluid == "1":
-            lines.append(f"h{q} = h{q} + a{q};")
-        elif fluid is not None:
-            lines.append(f"h{q} = {fluid} ? h{q} + a{q} : h{q};")
-
-    for p in range(Q):
-        terms = [(int(v), f"u{a}") for a, v in enumerate(lat.c[p]) if v]
-        if not terms or terms[0][0] < 0:
-            continue            # rest link, or the negative half of a pair
-        m = int(lat.opp[p])
-        # c_m.u = -(c_p.u) exactly: 1 - 3cu is the sign-flipped bracket.
-        lines += [f"T cu{p} = {_signed_sum(terms)};",
-                  f"T qq{p} = (cu{p} * {_lit(0.5 / lat.cs2 ** 2, dtype)}) * cu{p};",
-                  f"T t{p} = cu{p} * {_lit(1.0 / lat.cs2, dtype)};"]
-        relax(p, f"((t{p} + {one}) + qq{p}) - usq")
-        relax(m, f"(({one} - t{p}) + qq{p}) - usq")
-    for r in range(Q):
-        if int(lat.opp[r]) == r:
-            relax(r, f"{one} - usq")
-    lines += [store(q, f"h{q}") for q in range(Q)]
-    return lines
+    lines.append("T safe = rho > 0 ? rho : ((T)1);")
+    lines += [f"T u{a} = rho <= 0 ? ((T)0) : j{a} / safe;" for a in range(D)]
+    lines += relax_lines(lat, dtype, collide_groups(lat, range(Q)), om)
+    if fluid == "1":
+        lines += [f"h{q} = h{q} + a{q};" for q in range(Q)]
+    elif fluid is not None:
+        lines += [f"h{q} = {fluid} ? h{q} + a{q} : h{q};" for q in range(Q)]
+    return lines + [store(q, f"h{q}") for q in range(Q)]
 
 
 def source(lat: Lattice, dtype) -> str:
@@ -190,9 +226,30 @@ def _cache_dir() -> Path:
         return fallback
 
 
-def describe(lat: Lattice, dtype) -> dict:
-    """Where the object for ``(lat, dtype)`` lives and what keys it:
-    ``{"cache", "compiler", "flags", "key", "path"}`` (``key``/``path``
+class Unit(NamedTuple):
+    """A generated translation unit: its object-name prefix, its
+    ``source(lat, dtype)`` and its entry points ``entries(T)`` ->
+    ``{name: argtypes}`` (``T`` the ctypes scalar; every entry returns
+    void).  :data:`AA` is the in-place sweep; the simulated GPU's
+    fragment programs are another (:mod:`repro.gpu.lbm_gpu`)."""
+
+    name: str
+    source: Callable
+    entries: Callable
+
+
+def _aa_entries(t) -> dict:
+    P, L = ctypes.c_void_p, ctypes.c_long
+    phase = [P, L, L, L, L, P, P, P, t, P]
+    return {"aa_even": phase, "aa_odd": phase, "aa_bounce": [P, L, P, L]}
+
+
+AA = Unit("aa", source, _aa_entries)
+
+
+def describe(lat: Lattice, dtype, unit: Unit = AA) -> dict:
+    """Where ``unit``'s object for ``(lat, dtype)`` lives and what keys
+    it: ``{"cache", "compiler", "flags", "key", "path"}`` (``key``/``path``
     None without a compiler).  Runs no subprocess."""
     dtype = np.dtype(dtype)
     cc = shutil.which(COMPILER)
@@ -201,46 +258,42 @@ def describe(lat: Lattice, dtype) -> dict:
     if cc is None or dtype not in _CTYPES:
         return info
     digest = hashlib.sha256("\0".join([
-        source(lat, dtype), info["flags"], os.path.realpath(cc),
+        unit.source(lat, dtype), info["flags"], os.path.realpath(cc),
         str(os.stat(cc).st_mtime_ns), platform.machine(), _cpu_flags(),
     ]).encode()).hexdigest()[:16]
     info["key"] = digest
-    info["path"] = str(Path(info["cache"]) / f"aa-{lat.name}-{dtype.name}-{digest}.so")
+    info["path"] = str(Path(info["cache"])
+                       / f"{unit.name}-{lat.name}-{dtype.name}-{digest}.so")
     return info
 
 
-def _open(path: Path, dtype) -> ctypes.CDLL | None:
-    """The object at ``path`` with its entry points typed, or None if
-    it is missing or does not load (a truncated write, say)."""
+def _open(path: Path, unit: Unit, dtype) -> ctypes.CDLL | None:
+    """The object at ``path`` with ``unit``'s entry points typed, or
+    None if it is missing or does not load (a truncated write, say)."""
     try:
         lib = ctypes.CDLL(str(path))
-        phases = (lib.aa_even, lib.aa_odd)
-        bounce = lib.aa_bounce
+        for name, argtypes in unit.entries(_CTYPES[dtype][1]).items():
+            fn = getattr(lib, name)
+            fn.argtypes, fn.restype = argtypes, None
     except (OSError, AttributeError):
         return None
-    P, L = ctypes.c_void_p, ctypes.c_long
-    for fn in phases:
-        fn.argtypes = [P, L, L, L, L, P, P, P, _CTYPES[dtype][1], P]
-        fn.restype = None
-    bounce.argtypes = [P, L, P, L]
-    bounce.restype = None
     return lib
 
 
-def _build(lat: Lattice, dtype, info: dict) -> ctypes.CDLL:
+def _build(lat: Lattice, dtype, unit: Unit, info: dict) -> ctypes.CDLL:
     """Compile into the cache under its lock; returns the loaded object.
     Raises ``RuntimeError`` naming what failed."""
     path = Path(info["path"])
     lock = os.open(path.parent, os.O_RDONLY)    # the cache directory
     try:
         fcntl.flock(lock, fcntl.LOCK_EX)        # released by the close
-        lib = _open(path, dtype)                # built while we waited?
+        lib = _open(path, unit, dtype)          # built while we waited?
         if lib is not None:
             return lib
         with tempfile.TemporaryDirectory(dir=path.parent) as tmp:
-            c_file = Path(tmp) / "aa.c"
-            c_file.write_text(source(lat, dtype))
-            so = Path(tmp) / "aa.so"
+            c_file = Path(tmp) / f"{unit.name}.c"
+            c_file.write_text(unit.source(lat, dtype))
+            so = Path(tmp) / f"{unit.name}.so"
             done = subprocess.run([info["compiler"], *FLAGS, str(c_file),
                                    "-o", str(so)], capture_output=True,
                                   text=True, timeout=300)
@@ -248,7 +301,7 @@ def _build(lat: Lattice, dtype, info: dict) -> ctypes.CDLL:
                 raise RuntimeError(f"{COMPILER} failed: "
                                    f"{done.stderr.strip()[-300:]}")
             os.replace(so, path)
-        lib = _open(path, dtype)
+        lib = _open(path, unit, dtype)
         if lib is None:
             raise RuntimeError(f"built {path} but it does not load")
         return lib
@@ -256,27 +309,28 @@ def _build(lat: Lattice, dtype, info: dict) -> ctypes.CDLL:
         os.close(lock)
 
 
-def load(lat: Lattice, dtype) -> tuple[ctypes.CDLL | None, str | None]:
-    """``(library, None)``, or ``(None, reason)`` when no compiled sweep
-    can serve ``(lat, dtype)``.  Cached per process; a warm object on
-    disk loads without a subprocess, a missing or unloadable one is
+def load(lat: Lattice, dtype, unit: Unit = AA
+         ) -> tuple[ctypes.CDLL | None, str | None]:
+    """``(library, None)``, or ``(None, reason)`` when ``unit`` cannot
+    serve ``(lat, dtype)``.  Cached per process; a warm object on disk
+    loads without a subprocess, a missing or unloadable one is
     (re)built."""
     dtype = np.dtype(dtype)
-    memo = (lat.c.tobytes(), lat.w.tobytes(), lat.cs2, dtype.str)
+    memo = (unit.name, lat.c.tobytes(), lat.w.tobytes(), lat.cs2, dtype.str)
     with _LOCK:
         if memo in _LOADED:
             return _LOADED[memo]
-        lib, missing = None, f"no compiled sweep for dtype {dtype.name}"
+        lib, missing = None, f"no compiled {unit.name} unit for dtype {dtype.name}"
         if dtype in _CTYPES:
             try:
-                info = describe(lat, dtype)
+                info = describe(lat, dtype, unit)
                 if info["compiler"] is None:
                     missing = f"no C compiler ({COMPILER!r} not on PATH)"
                 else:
-                    lib = (_open(Path(info["path"]), dtype)
-                           or _build(lat, dtype, info))
+                    lib = (_open(Path(info["path"]), unit, dtype)
+                           or _build(lat, dtype, unit, info))
                     missing = None
             except (OSError, RuntimeError, subprocess.SubprocessError) as exc:
-                missing = f"compiled sweep unavailable: {exc}"
+                missing = f"compiled {unit.name} unit unavailable: {exc}"
         _LOADED[memo] = lib, missing
         return lib, missing

@@ -611,8 +611,9 @@ class HealthMonitor:
     n_ranks:
         Cluster width; ranks never observed report ``"unknown"``.
     stall_timeout_s:
-        Heartbeat age beyond which a commanded-but-idle rank is
-        ``"stalled"`` and a mid-step rank is ``"blocked"``.
+        Command age beyond which an idle rank that has not reached the
+        commanded step is ``"stalled"``, and heartbeat age beyond which
+        a mid-step rank is ``"blocked"``.
     slow_factor:
         A rank whose last step took more than this multiple of the
         median per-step time is ``"slow"``.
@@ -625,6 +626,8 @@ class HealthMonitor:
         self.slow_factor = float(slow_factor)
         self._obs: dict[int, dict] = {}
         self._command_t: float | None = None
+        #: Per rank, the step count the outstanding command must reach.
+        self._target: dict[int, int] = {}
 
     def observe(self, rank: int, hb_time: float, step: int, busy: bool,
                 step_seconds: float, rss: int) -> None:
@@ -633,9 +636,17 @@ class HealthMonitor:
             "hb_time": float(hb_time), "step": int(step), "busy": bool(busy),
             "step_seconds": float(step_seconds), "rss": int(rss)}
 
-    def note_command(self, now: float | None = None) -> None:
-        """Mark a step command as outstanding (watchdog arming point)."""
+    def note_command(self, now: float | None = None,
+                     steps: int | None = None) -> None:
+        """Mark a step command as outstanding (watchdog arming point).
+
+        With ``steps``, a rank counts as started once its step counter
+        passes its last observed one by ``steps``: no clock of another
+        process is compared with this one's.  Without, once it
+        heartbeats after ``now`` (one clock, in-process callers)."""
         self._command_t = time.perf_counter() if now is None else float(now)
+        self._target = ({} if steps is None else
+                        {r: o["step"] + int(steps) for r, o in self._obs.items()})
 
     def note_done(self) -> None:
         """Mark the outstanding command as completed."""
@@ -657,10 +668,12 @@ class HealthMonitor:
             age = now - o["hb_time"]
             status = "ok"
             cmd = self._command_t
+            target = self._target.get(rank)
             if o["busy"] and age > self.stall_timeout_s:
                 status = "blocked"
             elif (not o["busy"] and cmd is not None
-                  and o["hb_time"] < cmd
+                  and (o["hb_time"] < cmd if target is None
+                       else o["step"] < target)
                   and now - cmd > self.stall_timeout_s):
                 status = "stalled"
             elif (median > 0.0
@@ -792,8 +805,11 @@ class TelemetrySession:
 
     # -- recording: processes backend -----------------------------------
     def note_step_command(self, n: int) -> None:
-        """Arm the watchdog: a step command is about to be broadcast."""
-        self.health.note_command()
+        """Arm the watchdog: a step command of ``n`` steps is about to be
+        broadcast (the heartbeats are read first, so each rank's
+        starting step is current)."""
+        self.poll_health(observe_only=True)
+        self.health.note_command(steps=n)
 
     def record_proc_batch(self, n: int, batch_dt_s: float) -> None:
         """Fold one completed n-step worker batch into the session."""

@@ -17,10 +17,16 @@ over the strided rectangle, committed by copy at ``rect`` x
 ``z_range``, and bounce-back rendered as a pass group
 (:func:`_rect_engine`).  Twins driven by it pin the span render, the
 swap commit and the index-list bounce.
+
+``macro`` and ``collide`` run as compiled C when a compiler is present
+(:data:`repro.gpu.lbm_gpu.UNIT`) and as their numpy bodies when not:
+the program-vs-oracle and step-by-step classes run a second time with
+the compiler hidden (the ``...WithoutACompiler`` classes).
 """
 
 from __future__ import annotations
 
+import subprocess
 import tracemalloc
 
 import numpy as np
@@ -33,6 +39,7 @@ from repro.gpu import GPULBMSolver
 from repro.gpu.fragment import (FragmentProgram, RenderContext, span_interior,
                                 span_of)
 from repro.gpu.packing import N_DISTRIBUTION_STACKS, link_location, stack_links
+from repro.lbm import D3Q19, native
 
 F32 = np.float32
 NEG_ZERO = np.array(-0.0, F32).view(np.uint32)
@@ -254,34 +261,43 @@ def _pieces(solver):
         yield from shell + inner
 
 
+#: The program-vs-oracle cases, drawn by hypothesis.
+PROGRAM_CASES = dict(
+    shape=st.tuples(*[st.integers(2, 5)] * 3),
+    mode=st.sampled_from(["wrap", "padded"]),
+    solid=st.booleans(),
+    force=st.sampled_from([None, (1e-4, -2e-5, 3e-5), (0.0, 0.0, 5e-5)]),
+    zero_site=st.booleans(),
+    seed=st.integers(0, 2 ** 16))
+
+
+def _programs_match_the_oracle(shape, mode, solid, force, zero_site, seed):
+    rng = np.random.default_rng(seed)
+    mask = rng.random(shape) < 0.3
+    mask[0, 0, 0] = mask[-1, -1, -1] = solid
+    solver = GPULBMSolver(shape, 0.7, mode=mode, force=force,
+                          solid=mask if solid else None)
+    oracle = _oracle_programs(solver)
+    _fill(solver, rng, zero_site)
+    for rect, zr in _pieces(solver):
+        flags = _flags_at(solver, rect, zr)
+        for name in PROGRAMS:
+            if name.startswith("bounce") and not solver.has_solid:
+                continue
+            new = _render(solver._programs[name], solver, rect, zr,
+                          span=mode == "padded")
+            old = _render(oracle[name], solver, rect, zr)
+            f = (_f_at(solver, int(name[-1]), rect, zr)
+                 if name.startswith("collide") else None)
+            _assert_texels(name, new, old, f, flags)
+
+
 class TestProgramsBitwise:
-    @given(shape=st.tuples(*[st.integers(2, 5)] * 3),
-           mode=st.sampled_from(["wrap", "padded"]),
-           solid=st.booleans(),
-           force=st.sampled_from([None, (1e-4, -2e-5, 3e-5), (0.0, 0.0, 5e-5)]),
-           zero_site=st.booleans(),
-           seed=st.integers(0, 2 ** 16))
+    @given(**PROGRAM_CASES)
     @settings(max_examples=40, deadline=None)
     def test_every_program_matches_the_per_link_spelling(
             self, shape, mode, solid, force, zero_site, seed):
-        rng = np.random.default_rng(seed)
-        mask = rng.random(shape) < 0.3
-        mask[0, 0, 0] = mask[-1, -1, -1] = solid
-        solver = GPULBMSolver(shape, 0.7, mode=mode, force=force,
-                              solid=mask if solid else None)
-        oracle = _oracle_programs(solver)
-        _fill(solver, rng, zero_site)
-        for rect, zr in _pieces(solver):
-            flags = _flags_at(solver, rect, zr)
-            for name in PROGRAMS:
-                if name.startswith("bounce") and not solver.has_solid:
-                    continue
-                new = _render(solver._programs[name], solver, rect, zr,
-                              span=mode == "padded")
-                old = _render(oracle[name], solver, rect, zr)
-                f = (_f_at(solver, int(name[-1]), rect, zr)
-                     if name.startswith("collide") else None)
-                _assert_texels(name, new, old, f, flags)
+        _programs_match_the_oracle(shape, mode, solid, force, zero_site, seed)
 
     @given(shape=st.tuples(*[st.integers(1, 5)] * 3),
            mode=st.sampled_from(["wrap", "padded"]),
@@ -305,6 +321,27 @@ class TestProgramsBitwise:
             assert np.array_equal(_bits(ta.data), _bits(tb.data))
         assert a.device.pass_seconds == b.device.pass_seconds
         assert a.device.pass_counts == b.device.pass_counts
+
+    @pytest.mark.parametrize("mode", ["wrap", "padded"])
+    @pytest.mark.parametrize("force", [None, (1e-4, -2e-5, 0.0)])
+    def test_nan_density_and_body_force(self, rng, mode, force):
+        """A NaN density (a NaN rest population for ``macro``, whose
+        guard then divides by 1; a NaN ``rho`` texel for ``collide``)
+        and a body force with a zero component, every texel bit for
+        bit.  No solids: at a solid site a NaN ``feq - f`` is the
+        documented rate-field edge."""
+        solver = GPULBMSolver((5, 4, 3), 0.7, mode=mode, force=force)
+        oracle = _oracle_programs(solver)
+        _fill(solver, rng)
+        solver.f_stacks[0].data[1, 2, ::2, 0] = np.nan
+        solver.macro_stack.data[2, 1:3, 1, 0] = np.nan
+        rect, zr = next(_pieces(solver))
+        for name in PROGRAMS[:1 + N_DISTRIBUTION_STACKS]:
+            new = _render(solver._programs[name], solver, rect, zr,
+                          span=mode == "padded")
+            old = _render(oracle[name], solver, rect, zr)
+            assert np.isnan(new).any(), name
+            _assert_texels(name, new, old)
 
     def test_negative_zero_at_a_solid_site_comes_back_positive(self):
         """The one spelling difference, pinned: rate 0 turns ``-0.0``
@@ -406,13 +443,14 @@ def _twins(**kw):
 
 class TestSteps:
     @pytest.mark.parametrize("mode", ["wrap", "padded"])
-    @pytest.mark.parametrize("bc", ["none", "solid", "solid+force", "inlet"])
+    @pytest.mark.parametrize("bc", ["none", "solid", "solid+force", "inlet",
+                                    "force"])
     def test_step_by_step_texels_and_clock(self, rng, mode, bc):
         shape = (8, 6, 5)
         kw = dict(shape=shape, tau=0.7, mode=mode)
-        if bc != "none":
+        if bc not in ("none", "force"):
             kw["solid"] = rng.random(shape) < 0.2
-        if bc == "solid+force":
+        if bc.endswith("force"):
             kw["force"] = (2e-5, -1e-5, 0.0)
         if bc == "inlet":
             kw.update(inlet=(0, "low", (0.04, 0.0, 0.0), 1.0),
@@ -597,53 +635,114 @@ class TestGhostFill:
                 assert not np.array_equal(_bits(ta.data), _bits(t0))
 
 
-def _span_texels(solver):
-    sp = span_of(solver._rect, solver._z_range, solver.pbuffer.height,
-                 solver.pbuffer.width)
-    return sp.stop - sp.start
+@pytest.fixture(scope="class")
+def no_compiler(tmp_path_factory):
+    """No C compiler on ``PATH`` and an empty object cache: solvers built
+    meanwhile run the numpy bodies."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PATH", "")
+        mp.setattr(native, "CACHE_DIR", tmp_path_factory.mktemp("cache"))
+        mp.setattr(native, "_LOADED", {})
+        yield
 
 
-class TestScratch:
-    @pytest.fixture(autouse=True)
-    def _fresh_arena(self):
-        """Start from no arena: earlier renders in this thread may have
-        grown it past what these tests size."""
-        lbm_gpu._SCRATCH.__dict__.clear()
+@pytest.mark.usefixtures("no_compiler")
+class TestProgramsBitwiseWithoutACompiler:
+    @given(**PROGRAM_CASES)
+    @settings(max_examples=40, deadline=None)
+    def test_every_program_matches_the_per_link_spelling(
+            self, shape, mode, solid, force, zero_site, seed):
+        _programs_match_the_oracle(shape, mode, solid, force, zero_site, seed)
 
-    def test_steady_state_step_allocates_no_scratch(self):
-        """Past the first step the arena is reused as is.  A step then
-        allocates only numpy's per-call iterator buffers (strided
-        operands; at most ``getbufsize()`` elements each) plus, with
-        solids, bounce-back's snapshot of the 19 links at the solid
-        texels — never a scratch plane, never a stack-sized copy."""
+    test_nan_density_and_body_force = (
+        TestProgramsBitwise.test_nan_density_and_body_force)
+    test_negative_zero_at_a_solid_site_comes_back_positive = (
+        TestProgramsBitwise.test_negative_zero_at_a_solid_site_comes_back_positive)
+
+    def test_the_numpy_bodies_run_and_say_why(self):
+        solver = GPULBMSolver((4, 3, 3), 0.7, mode="padded")
+        assert solver._lib is None
+        assert "no C compiler" in solver.kernel_reason
+        cfg = ClusterConfig(sub_shape=(4, 3, 3), arrangement=(2, 1, 1),
+                            tau=0.7)
+        with GPUClusterLBM(cfg) as cluster:
+            rows = cluster.kernel_report()
+            assert [r["kernel"] for r in rows] == ["gpu", "gpu"]
+            assert all("no C compiler" in r["reason"] for r in rows)
+
+
+@pytest.mark.usefixtures("no_compiler")
+class TestSliceBySlicePassesWithoutACompiler(TestSliceBySlicePasses):
+    pass
+
+
+@pytest.mark.usefixtures("no_compiler")
+class TestStepsWithoutACompiler(TestSteps):
+    pass
+
+
+class TestCompiled:
+    def test_loaded_and_reported(self):
+        solver = GPULBMSolver((4, 3, 3), 0.7, mode="padded")
+        assert solver._lib is not None and solver.kernel_reason is None
+        cfg = ClusterConfig(sub_shape=(4, 3, 3), arrangement=(2, 1, 1),
+                            tau=0.7)
+        with GPUClusterLBM(cfg) as cluster:
+            assert [(r["kernel"], r["reason"]) for r in cluster.kernel_report()
+                    ] == [("gpu", None)] * 2
+
+    @pytest.mark.parametrize("mode", ["wrap", "padded"])
+    def test_every_render_of_a_step_calls_the_compiled_body(
+            self, rng, monkeypatch, mode):
+        """Wrap mode too: its whole-stack fetches are slice views."""
+        lib = native.load(D3Q19, F32, lbm_gpu.UNIT)[0]
+        calls = {}
+        for name in ["gpu_macro"] + [f"gpu_collide{s}"
+                                     for s in range(N_DISTRIBUTION_STACKS)]:
+            def counted(*args, _fn=getattr(lib, name), _name=name):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args)
+            monkeypatch.setattr(lib, name, counted)
+        shape = (6, 5, 4)
+        solver = GPULBMSolver(shape, 0.7, mode=mode, force=(1e-5, 0.0, 0.0),
+                              solid=rng.random(shape) < 0.2)
+        solver.step(3)
+        assert calls == {name: 3 for name in calls} and len(calls) == 6
+
+    def test_warm_load_runs_no_subprocess(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(native, "CACHE_DIR", tmp_path)
+        monkeypatch.setattr(native, "_LOADED", {})
+        assert native.load(D3Q19, F32, lbm_gpu.UNIT)[0] is not None  # builds
+        monkeypatch.setattr(native, "_LOADED", {})
+
+        def no_subprocess(*args, **kwargs):
+            raise AssertionError("a warm load ran a subprocess")
+        monkeypatch.setattr(subprocess, "run", no_subprocess)
+        monkeypatch.setattr(subprocess, "Popen", no_subprocess)
+        lib, missing = native.load(D3Q19, F32, lbm_gpu.UNIT)
+        assert lib is not None and missing is None
+        assert [p.name.split("-")[0] for p in tmp_path.iterdir()] == ["gpu"]
+
+    def test_steady_state_step_allocates_only_the_bounce_snapshot(self):
+        """Past the first step a compiled step allocates no plane: only
+        bounce-back's snapshot of the 19 links at the solid texels and
+        a few KiB of views, render contexts and call arguments (one
+        span plane would be ~180 KiB)."""
         shape = (40, 32, 30)
         solid = np.zeros(shape, bool)
         solid[8:12, 6:10, :3] = True
+        allowance = 32 * 1024
         for has_solid in (False, True):
             solver = GPULBMSolver(shape, 0.7, mode="padded",
+                                  force=(1e-5, 0.0, 0.0),
                                   solid=solid if has_solid else None)
             solver.step(2)
-            arenas = dict(vars(lbm_gpu._SCRATCH))
-            cells = _span_texels(solver)
-            assert arenas["floats"].shape == (lbm_gpu._N_PLANES, cells)
-            buffers = 4 * np.getbufsize() * 4
-            assert cells * 4 > buffers       # a plane would show
+            sp = span_of(solver._rect, solver._z_range, solver.pbuffer.height,
+                         solver.pbuffer.width)
+            assert 4 * (sp.stop - sp.start) > 4 * allowance  # a plane would show
             tracemalloc.start()
             solver.step(2)
             _, peak = tracemalloc.get_traced_memory()
             tracemalloc.stop()
-            assert all(vars(lbm_gpu._SCRATCH)[k] is v for k, v in arenas.items())
             snapshot = 19 * 4 * len(solver._solid_texels) if has_solid else 0
-            assert peak < snapshot + buffers, has_solid
-
-    def test_arena_grows_to_the_largest_render_only(self):
-        """Renders are spans: 130 texels for a 4^3 block's 64 cells,
-        206 for 6x5x4's 120."""
-        small = GPULBMSolver((4, 4, 4), 0.7, mode="padded")
-        small.step(1)
-        assert lbm_gpu._SCRATCH.floats.shape == (lbm_gpu._N_PLANES, 130)
-        big = GPULBMSolver((6, 5, 4), 0.7, mode="padded")
-        big.step(1)
-        small.step(1)
-        assert lbm_gpu._SCRATCH.floats.shape == (lbm_gpu._N_PLANES, 206)
-        assert _span_texels(small) == 130 and _span_texels(big) == 206
+            assert peak < snapshot + allowance, has_solid

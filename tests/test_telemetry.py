@@ -261,6 +261,22 @@ class TestHealthMonitor:
         mon.note_done()
         assert mon.check(now=20.0).rows[0].status == "ok"
 
+    def test_stalled_by_step_count_despite_a_skewed_heartbeat(self):
+        """A worker's re-based heartbeat may read later than the command
+        (clock-offset error): with a step count, that does not clear it."""
+        mon = HealthMonitor(n_ranks=2, stall_timeout_s=1.0)
+        self._obs(mon, 0, hb=5.0, step=3)
+        self._obs(mon, 1, hb=5.0, step=3)
+        mon.note_command(now=6.0, steps=2)
+        self._obs(mon, 0, hb=6.0005, step=3)            # skewed, idle, behind
+        self._obs(mon, 1, hb=6.5, step=5)               # done
+        report = mon.check(now=9.0)
+        assert [r.status for r in report.rows] == ["stalled", "ok"]
+        self._obs(mon, 0, hb=9.5, step=4, busy=True)    # started
+        assert mon.check(now=9.6).rows[0].status == "ok"
+        self._obs(mon, 0, hb=9.7, step=5)
+        assert mon.check(now=12.0).rows[0].status == "ok"
+
     def test_slow_rank_vs_median(self):
         mon = HealthMonitor(n_ranks=3, slow_factor=3.0)
         self._obs(mon, 0, hb=10.0, step_s=0.1)
