@@ -98,7 +98,6 @@ from repro.lbm.collision import plain_bgk_step
 from repro.lbm.lattice import Lattice
 from repro.lbm.streaming import (fill_face_zero_gradient,
                                  fill_ghosts_periodic,
-                                 fill_ghosts_zero_gradient,
                                  fold_ghosts_periodic,
                                  fold_ghosts_zero_gradient, interior,
                                  padded_flat_index)
@@ -129,7 +128,7 @@ class AAStepKernel:
     freed by refcount, without the cyclic garbage collector.  A stacked
     kernel is owned by its :class:`~repro.core.stack.RankStack` and
     keeps its ``members`` list.  Its one workspace is the batch box's
-    solid mask (built by the first sweep); it never touches the
+    keep mask (built by the first sweep); it never touches the
     solver's spare buffer — ``solver._fg_next_buf`` stays ``None``,
     which tests assert as the working-set contract.
     """
@@ -166,7 +165,7 @@ class AAStepKernel:
         self._cells = int(np.prod(pshape))
         self._dtype = dtype
         self._strides = tuple(int(v) * dtype.itemsize for v in self._s)
-        #: Batch-box solid mask, solid ghost images included (first sweep).
+        #: Batch-box keep mask: solids and the ghost shell (first sweep).
         self._solid = None
         self._bounce_idx = None
         #: Slots read across each bounded face in the rotated layout.
@@ -219,14 +218,10 @@ class AAStepKernel:
         fg = self._stack if self._stack is not None else self.solver.fg[:, None]
         self._check(fg, (self.lattice.Q,) + self._bshape)
         if self._solid is None:
-            # A ghost cell is solid exactly when its source is (the
-            # solver's own fill, same axis order), so the even phase
-            # keeps every solid *image* at rate 0 too.
-            self._solid = np.empty(self._bshape, bool)
+            # The whole ghost shell keeps its bits, like a solid site.
+            self._solid = np.ones(self._bshape, bool)
             for member, out in zip(self.members, self._solid):
-                out[(slice(1, -1),) * out.ndim] = member.solid
-                (fill_ghosts_periodic if member.periodic
-                 else fill_ghosts_zero_gradient)(out[None])
+                out[interior(out.ndim)] = member.solid
         collision = self.solver.collision
         add = (None if collision.force is None
                else collision._force_add(self._dtype))
@@ -238,12 +233,11 @@ class AAStepKernel:
 
     def even_phase(self) -> None:
         """In-place collide with reversed-direction writes over the
-        whole padded batch box — the ghost shell too, which is harmless
-        (its rotated contents are overwritten by the subsequent fill or
-        halo exchange).  Solid sites and their ghost images relax at
-        rate 0, i.e. keep their pre-collision values; the reversed
-        write then performs this step's bounce combined with the next
-        step's streaming."""
+        whole padded batch box.  Solid sites relax at rate 0, i.e. keep
+        their pre-collision values; the reversed write then performs
+        this step's bounce combined with the next step's streaming.
+        So does the ghost shell, harmlessly: the fill or halo exchange
+        overwrites every ghost slot that is later read."""
         self._sweep(self._lib.aa_even)
 
     def odd_phase(self) -> None:
@@ -253,7 +247,8 @@ class AAStepKernel:
         Reads the rotated layout (ghosts must hold the post-even-phase
         fill/exchange), scatters relaxed populations forward; locations
         owned by solid sites keep their bits (they already are the
-        bounced populations, see the module docstring).
+        bounced populations, see the module docstring), and so do the
+        ghost sites a span crosses (:mod:`repro.lbm.native`).
         """
         self._sweep(self._lib.aa_odd)
 

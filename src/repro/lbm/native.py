@@ -3,15 +3,18 @@ AA sweep, and the build path every unit shares.
 
 :func:`source` writes one translation unit per ``(lattice, dtype)`` with
 the entry points :class:`~repro.lbm.aa.AAStepKernel` calls: ``aa_even``
-(collide every site of a batch box, reversed-direction writes; solid
-sites and their ghost images relax at rate 0), ``aa_odd`` (gather at
-``n - c_q`` from slot ``opp(q)``, collide, scatter to ``n + c_q`` in
-slot ``q``; solid-owned locations keep their bits) and ``aa_bounce``
-(the :class:`~repro.lbm.boundaries.BounceBackNodes` swap over a flat
-index list).  Each site's arithmetic is the reference's, op for op and
-in order (DESIGN §5a; the identities it rests on are in
-:mod:`repro.lbm.aa`); the compiler vectorises across the sites of a
-row and, under :data:`FLAGS`, never reorders or fuses an operation.
+(collide every site of a batch box, reversed-direction writes; masked
+sites relax at rate 0), ``aa_odd`` (gather at ``n - c_q`` from slot
+``opp(q)``, collide, scatter to ``n + c_q`` in slot ``q``; one flat span
+per interior plane of the last two axes) and ``aa_bounce`` (the
+:class:`~repro.lbm.boundaries.BounceBackNodes` swap over a flat index
+list).  Masked sites — solids and the ghost shell — keep the bits of
+the locations they own, so a span may cross the ghosts between rows: a
+site reads and writes only what it owns, inside its rank's padded box.
+Each site's arithmetic is the reference's, op for op and in order
+(DESIGN §5a; the identities it rests on are in :mod:`repro.lbm.aa`);
+the compiler vectorises across the sites of a span and, under
+:data:`FLAGS`, never reorders or fuses an operation.
 :func:`collide_groups`, :func:`moment_lines` and :func:`relax_lines` are
 the pieces of that spelling the simulated GPU's fragment programs share
 (:mod:`repro.gpu.lbm_gpu`, DESIGN §5k).
@@ -153,8 +156,8 @@ def source(lat: Lattice, dtype) -> str:
     Populations are ``T`` at link stride ``sq``; the batch box is ``nr``
     padded boxes at rank stride ``sr``, each C-contiguous with ``cells``
     cells, extents ``n[]`` and axis strides ``s[]``; ``solid`` is the
-    batch-box mask, one byte per cell; ``add`` the force increment or
-    NULL.
+    batch-box keep mask (solids and the ghost shell), one byte per cell;
+    ``add`` the force increment or NULL.
     """
     dtype = np.dtype(dtype)
     Q, D = lat.Q, lat.D
@@ -182,18 +185,20 @@ def source(lat: Lattice, dtype) -> str:
         "for (long i = 0; i < cells; i++)",
         "const int s = m[i]; const T om = s ? ((T)0) : omega;",
         lambda q: f"F{q}[i]", lambda q, h: f"F{opp[q]}[i] = {h};", "om", "!s")
-    # Odd phase: row by row over the interior of every box.
+    # Odd phase: one span per interior plane of the last two axes, flat
+    # from its first interior site (1, 1) to its last.
     strides = [f"s[{a}]" for a in range(D - 1)] + ["1"]
     odd = ("".join(f"for (long x{a} = 1; x{a} < n[{a}] - 1; x{a}++)\n"
-                   for a in range(D - 1))
-           + "{\nconst long b = "
-           + " + ".join(f"x{a} * s[{a}]" for a in range(D - 1)) + ";\n"
+                   for a in range(D - 2))
+           + "{\nconst long b = " + " + ".join(
+               [f"x{a} * s[{a}]" for a in range(D - 2)] + [f"s[{D - 2}] + 1"])
+           + f";\nconst long span = (n[{D - 2}] - 2) * s[{D - 2}] - 2;\n"
            + "".join(f"T *L{q} = g + {q} * sq + b + " + " + ".join(
                f"({int(v)}) * {st}" for v, st in zip(lat.c[q], strides))
                      + ";\n" for q in range(Q))
-           + loops(f"for (long z = 1; z < n[{D - 1}] - 1; z++)",
-                   "const int s = m[b + z];", lambda q: f"L{opp[q]}[z]",
-                   lambda q, h: f"L{q}[z] = s ? v{opp[q]} : {h};", "omega",
+           + loops("for (long i = 0; i < span; i++)",
+                   "const int s = m[b + i];", lambda q: f"L{opp[q]}[i]",
+                   lambda q, h: f"L{q}[i] = s ? v{opp[q]} : {h};", "omega",
                    "1") + "}")
     swaps = "".join(
         f"{{ T t = f[{q} * sq + c]; f[{q} * sq + c] = f[{o} * sq + c]; "

@@ -7,6 +7,9 @@
 * cluster ranks stepped whole against the split reference;
 * the five-slot zero-gradient ghost fill against the split reference,
   with a mutation check that every slot it keeps is needed;
+* the odd phase's flat spans: ghost sites inside a span keep the bits
+  of every location they own, and row tails of every length, one-row
+  spans and arenas of two shapes stay on ``split``'s bits;
 * a steady-state step allocates nothing.
 """
 
@@ -21,6 +24,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.core.cluster_lbm import ClusterConfig, CPUClusterLBM
 from repro.lbm import BGKCollision, LBMSolver
+from repro.lbm.aa import AAStepKernel
 from repro.lbm.boundaries import EquilibriumVelocityInlet, OutflowBoundary
 from repro.lbm.lattice import D3Q19
 from repro.lbm.streaming import interior
@@ -159,6 +163,187 @@ class TestFiveSlotGhostFill:
             ref.step(6)
             aa.step(6)
             assert not np.array_equal(aa.f, ref.f), (face, drop)
+
+
+def _span_ghost_locations(lat, pshape):
+    """``(slots, cells)`` of every location owned by a ghost site that
+    an odd-phase span crosses, ``cells`` flat in the padded box.
+
+    A span runs flat over one interior plane of the last two axes, from
+    its first interior site to its last; site ``n`` owns ``(p, n +
+    c_p)`` for every slot ``p``."""
+    coords = np.indices(pshape).reshape(len(pshape), -1)
+    inner = (coords >= 1) & (coords <= np.array(pshape)[:, None] - 2)
+    ny, nz = pshape[-2:]
+    flat = coords[-2] * nz + coords[-1]
+    spanned = (inner[:-2].all(axis=0) & (flat >= nz + 1)
+               & (flat <= (ny - 1) * nz - 2))
+    sites = np.flatnonzero(spanned & ~inner.all(axis=0))
+    offsets = lat.c @ np.cumprod((1,) + tuple(pshape)[:0:-1])[::-1]
+    return (np.repeat(np.arange(lat.Q), sites.size),
+            (offsets[:, None] + sites).ravel())
+
+
+def _poison(rng, size, dtype):
+    """Random bit patterns, every other one a NaN with a random
+    payload (quiet or signalling)."""
+    bits = _bits(np.empty(0, dtype)).dtype
+    raw = rng.integers(0, np.iinfo(bits).max, size, dtype=bits,
+                       endpoint=True)
+    mantissa = np.finfo(dtype).nmant
+    exponent = bits.type(((1 << (8 * bits.itemsize - 1)) - 1)
+                         ^ ((1 << mantissa) - 1))
+    raw[::2] |= exponent | bits.type(1)
+    return raw.view(dtype)
+
+
+def _poisoning_odd_phase(kernel, rng):
+    """Wrap ``kernel``'s odd phase: poison what the span's ghost sites
+    own in every rank, sweep, and assert it came back bit for bit."""
+    sweep = kernel.odd_phase
+    pshape = kernel._bshape[1:]
+    slots, cells = _span_ghost_locations(kernel.lattice, pshape)
+    assert slots.size
+    where = np.unravel_index(cells, pshape)
+
+    def odd_phase():
+        fg = (kernel._stack if kernel._stack is not None
+              else kernel.solver.fg[:, None])
+        poison = [_poison(rng, slots.size, fg.dtype) for _ in fg[0]]
+        for r, values in enumerate(poison):
+            fg[(slots, r) + where] = values
+        with np.errstate(all="ignore"):
+            sweep()
+        for r, values in enumerate(poison):
+            assert np.array_equal(_bits(fg[(slots, r) + where]),
+                                  _bits(values)), r
+    kernel.odd_phase = odd_phase
+
+
+def _flow(shape, kernel, seed, periodic=True, dtype=np.float32):
+    """A small random flow with a few solid sites."""
+    rng = np.random.default_rng(seed)
+    solid = rng.random(shape) < 0.15
+    s = LBMSolver(shape, tau=0.7, solid=solid, periodic=periodic,
+                  dtype=dtype, kernel=kernel)
+    u = 0.03 * rng.standard_normal((len(shape),) + shape)
+    u[:, solid] = 0
+    s.initialize(rho=np.ones(shape, dtype), u=u.astype(dtype))
+    return s
+
+
+def _stacked(solvers):
+    """Independent AA solvers stacked in one arena, the first one's
+    phase sweeping the whole batch (as :mod:`repro.core.stack` does for
+    a cluster's ranks); each solver still closes its own ghosts."""
+    kernels = [s._enter_aa() for s in solvers]
+    arena = np.empty((solvers[0].lattice.Q, len(solvers))
+                     + solvers[0].fg.shape[1:], solvers[0].dtype)
+    for r, s in enumerate(solvers):
+        arena[:, r] = s.fg
+        s.fg = arena[:, r]
+    batch = AAStepKernel(solvers[0], arena=arena, members=solvers)
+    kernels[0].even_phase = batch.even_phase
+    kernels[0].odd_phase = batch.odd_phase
+    for k in kernels[1:]:
+        k.even_phase = k.odd_phase = lambda: None
+    return batch
+
+
+class TestGhostSitesInTheSpan:
+    """A ghost site inside a span relaxes, then keeps its bits like a
+    solid site: by location ownership it reads and writes only what it
+    owns, so whatever those locations hold — NaN payloads, any bits —
+    comes back unchanged, and the interior stays on ``split``."""
+
+    SHAPE = (5, 6, 7)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_single_solver(self, dtype, periodic):
+        ref = _flow(self.SHAPE, "split", 1, periodic, dtype)
+        aa = _flow(self.SHAPE, "aa", 1, periodic, dtype)
+        _poisoning_odd_phase(aa._enter_aa(), np.random.default_rng(2))
+        for step in range(1, 7):
+            ref.step(1)
+            aa.step(1)
+            assert aa.kernel_used == "aa"
+            assert np.array_equal(aa.f, ref.f), step
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_stacked_arena(self, dtype):
+        refs = [_flow(self.SHAPE, "split", seed, dtype=dtype)
+                for seed in range(3)]
+        members = [_flow(self.SHAPE, "aa", seed, dtype=dtype)
+                   for seed in range(3)]
+        _poisoning_odd_phase(_stacked(members), np.random.default_rng(3))
+        for step in range(1, 7):
+            for ref, aa in zip(refs, members):
+                ref.step(1)
+                aa.step(1)
+                assert np.array_equal(aa.f, ref.f), step
+
+
+class TestSpanTails:
+    """A span is ``(n_y - 2) n_z - 2`` sites: vector lanes and scalar
+    tails fall anywhere, across the ghost sites too.  Every last-axis
+    extent, a one-row span (``n_y`` interior 1) and two arenas of
+    different shapes keep ``split``'s bits at both parities."""
+
+    EXTENTS = (1, 2, 3, 5, 7, 12, 13, 17)
+    SHAPES = [(4, 3, nz) for nz in EXTENTS] + [(4, 1, 7), (3, 1, 13)]
+
+    @pytest.mark.parametrize("periodic", [True, False])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_single_domain(self, shape, periodic):
+        ref = _flow(shape, "split", 4, periodic)
+        aa = _flow(shape, "aa", 4, periodic)
+        for step in range(1, 5):
+            ref.step(1)
+            aa.step(1)
+            assert aa.kernel_used == "aa"
+            assert np.array_equal(aa.f, ref.f), step
+
+    @pytest.mark.parametrize("periodic", [True, False])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_stacked_arena(self, shape, periodic):
+        refs = [_flow(shape, "split", seed, periodic) for seed in (4, 5)]
+        members = [_flow(shape, "aa", seed, periodic) for seed in (4, 5)]
+        _stacked(members)
+        for step in range(1, 5):
+            for ref, aa in zip(refs, members):
+                ref.step(1)
+                aa.step(1)
+                assert np.array_equal(aa.f, ref.f), step
+
+    # Cluster blocks are at least 2 sites on every axis.
+    @pytest.mark.parametrize("periodic", [True, False])
+    @pytest.mark.parametrize("nz", [nz for nz in EXTENTS if nz > 1])
+    def test_stacked_cluster(self, nz, periodic):
+        ref = _flow((8, 6, nz), "split", 5, periodic)
+        cfg = ClusterConfig(sub_shape=(4, 3, nz), arrangement=(2, 2, 1),
+                            tau=0.7, solid=ref.solid,
+                            periodic=(periodic,) * 3, kernel="aa")
+        self._against(cfg, ref)
+
+    def test_uneven_cuts_sweep_two_arenas(self):
+        ref = _flow((8, 6, 19), "split", 6)
+        cfg = ClusterConfig(sub_shape=(4, 6, 19), arrangement=(2, 1, 1),
+                            tau=0.7, solid=ref.solid, kernel="aa",
+                            cuts=((3, 5), (6,), (19,)))
+        assert len(self._against(cfg, ref)) == 2
+
+    @staticmethod
+    def _against(cfg, ref):
+        with CPUClusterLBM(cfg) as cluster:
+            assert cluster.stacked
+            cluster.load_global_distributions(ref.f)
+            for step in range(1, 5):
+                ref.step(1)
+                cluster.step(1)
+                assert np.array_equal(cluster.gather_distributions(),
+                                      ref.f), step
+            return cluster._stack.kernels
 
 
 class TestSolidSitesInTheEvenPhase:

@@ -8,13 +8,15 @@ the per-process memo, so nothing here reads or writes the user cache:
 * a truncated cached object is rebuilt, not crashed on;
 * with no compiler on ``PATH`` the solver, a serial cluster and an SPMD
   run resolve ``split``, say why, and still match the reference;
-* a warm load runs no subprocess.
+* a warm load runs no subprocess;
+* under GCC, every sweep loop of ``aa_even``/``aa_odd`` vectorises.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -133,3 +135,28 @@ def test_warm_load_runs_no_subprocess(cache, monkeypatch):
     monkeypatch.setattr(subprocess, "Popen", no_subprocess)
     lib, missing = native.load(D2Q9, np.float64)
     assert lib is not None and missing is None
+
+
+def test_every_sweep_loop_vectorizes(tmp_path):
+    """The phases' site loops (``for (long i ...``: the even phase's
+    whole box, the odd phase's spans; with and without a force) are
+    reported vectorised.  Built into ``tmp_path``, not the cache."""
+    cc = shutil.which(native.COMPILER)
+    if cc is None or "Free Software Foundation" not in subprocess.run(
+            [cc, "--version"], capture_output=True, text=True).stdout:
+        pytest.skip("the vectoriser report read here is GCC's")
+    src = native.source(D2Q9, np.float64)
+    c_file = tmp_path / "aa.c"
+    c_file.write_text(src)
+    done = subprocess.run([native.COMPILER, *native.FLAGS,
+                           "-fopt-info-vec-optimized", str(c_file),
+                           "-o", str(tmp_path / "aa.so")],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    lines = src.splitlines()
+    loops = {n + 1 for n, line in enumerate(lines)
+             if line.startswith("for (long i = 0; ")}
+    assert len(loops) == 4
+    vectorized = {int(line.split(":")[1]) for line in done.stderr.splitlines()
+                  if line.startswith(str(c_file)) and "loop vectorized" in line}
+    assert loops <= vectorized, sorted(loops - vectorized)
