@@ -34,8 +34,8 @@ write at a solid site *is* the bounce of that step combined with the
 next step's streaming, so the locations owned by solid sites already
 hold the right populations when the odd phase completes, and the
 ordinary :class:`~repro.lbm.boundaries.BounceBackNodes` swap applied
-after the odd phase finishes the pair (as a compiled swap over the same
-cached index list, :meth:`AAStepKernel.bounce`).
+after the odd phase finishes the pair (compiled, over the same cached
+index list; :meth:`AAStepKernel.bounce` on a cluster rank).
 
 Bit-exactness contract
 ----------------------
@@ -71,18 +71,22 @@ Eligibility: plain BGK collision and only face-resident boundary
 handlers (:func:`repro.lbm.boundaries.face_resident` — inlet, outflow,
 Zou–He, any custom handler keeping that contract; anything else would
 read or write the rotated mid-pair layout incorrectly).  Ghost traffic
-is handled per domain kind: periodic single-domain by fill/fold,
-*bounded* single-domain by the zero-gradient fill and crossing-slot fold
-(:func:`repro.lbm.streaming.fold_ghosts_zero_gradient`) with handlers
+is handled per domain kind.  A single domain's phase call closes its
+ghost shell one plane behind the sweep (:mod:`repro.lbm.native`): fill
+after even (wrap, or zero gradient when bounded), fold and solid swap
+after odd.  Fills are clamp copies along different axes, so they
+commute, and so do folds; what must stay ordered is fold before swap,
+and each x fold before the swap of the plane it reads.  Handlers are
 imposed through the rotated write rule
-(:class:`repro.lbm.esoteric.RotatedBoundaryApplicator`), and clusters
-by a driver that has claimed the halo protocol
-(``solver.aa_halo_managed``): even steps reuse the forward
-border->ghost exchange, odd steps run the reverse ghost->border
+(:class:`repro.lbm.esoteric.RotatedBoundaryApplicator`).  Clusters run
+the same calls with no closure, under a driver that has claimed the
+halo protocol (``solver.aa_halo_managed``): even steps reuse the
+forward border->ghost exchange, odd steps run the reverse ghost->border
 exchange with boundary faces folding locally instead of wrapping (see
-``repro.core.cluster_lbm``).  The compiled sweep must also load
-(:func:`repro.lbm.native.load`, :func:`unavailable`): where no compiler
-works, the solver and cluster rules resolve ``split`` and say why.
+``repro.core.cluster_lbm``), and ``post_stream`` swaps.  The compiled
+sweep must also load (:func:`repro.lbm.native.load`,
+:func:`unavailable`): where no compiler works, the solver and cluster
+rules resolve ``split`` and say why.
 """
 
 from __future__ import annotations
@@ -96,11 +100,7 @@ from repro.lbm import native
 from repro.lbm.boundaries import face_resident
 from repro.lbm.collision import plain_bgk_step
 from repro.lbm.lattice import Lattice
-from repro.lbm.streaming import (fill_face_zero_gradient,
-                                 fill_ghosts_periodic,
-                                 fold_ghosts_periodic,
-                                 fold_ghosts_zero_gradient, interior,
-                                 padded_flat_index)
+from repro.lbm.streaming import interior, padded_flat_index
 
 
 def unavailable(lattice: Lattice, dtype) -> str | None:
@@ -120,7 +120,8 @@ class AAStepKernel:
     shape``, slot ``r`` being ``members[r].fg`` (:mod:`repro.core.stack`)
     — the kernel sweeps ``R = len(members)`` solvers at once, and
     ``solver`` is ``members[0]``, whose constants every member shares.
-    The ghost closures, the rotated boundary closure, :meth:`bounce`,
+    A member that is not ``aa_halo_managed`` closes its own ghost shell
+    in the phase call.  The rotated boundary closure, :meth:`bounce`,
     :meth:`step_once` and :meth:`reconstruct` serve ``solver`` alone.
 
     A bound kernel is owned by its solver (``solver._aa_kernel``) and
@@ -167,10 +168,13 @@ class AAStepKernel:
         self._strides = tuple(int(v) * dtype.itemsize for v in self._s)
         #: Batch-box keep mask: solids and the ghost shell (first sweep).
         self._solid = None
-        self._bounce_idx = None
-        #: Slots read across each bounded face in the rotated layout.
+        #: Per member: solid sites (padded flat) and per-plane offsets.
+        self._swaps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        #: Slots read across each face in the rotated layout; packed
+        #: at every closing call, the one table the closure reads.
         self._face_slots = {(ax, d): np.flatnonzero(lat.c[:, ax] == d)
                             for ax in range(lat.D) for d in (-1, 1)}
+        self._face_table = np.zeros((2 * lat.D, lat.Q + 1), np.int_)
         #: Rotated boundary applicator, built lazily on first use (only
         #: solvers with handlers ever need one).
         self._rotated_bc = None
@@ -194,9 +198,9 @@ class AAStepKernel:
         Requires plain BGK collision and only face-resident boundary
         handlers (the rotated closure shows them their two layers
         canonically; anything else would observe the rotated mid-pair
-        layout).  Both periodic and bounded domains are eligible: ghost
-        traffic is controlled by this kernel (fill/fold, periodic or
-        zero-gradient) or by a cluster driver (``aa_halo_managed``).
+        layout).  Both periodic and bounded domains are eligible: the
+        phases close the ghost shell (fill/fold, periodic or
+        zero-gradient), or a cluster driver does (``aa_halo_managed``).
         Whether the compiled sweep loads is :func:`unavailable`'s
         question.
         """
@@ -213,23 +217,57 @@ class AAStepKernel:
                              f"{fg.strides} is not the layout of {shape}")
 
     # -- the two phases --------------------------------------------------
-    def _sweep(self, phase) -> None:
-        """One call of the compiled ``phase`` over the whole batch box."""
+    def _sweep(self, phase, swaps: bool = False) -> None:
+        """The compiled ``phase`` over the whole batch box: one call,
+        or, when a member closes its own ghost shell (it is not
+        ``aa_halo_managed``), one call per member with its closure."""
         fg = self._stack if self._stack is not None else self.solver.fg[:, None]
         self._check(fg, (self.lattice.Q,) + self._bshape)
+        members = self.members
         if self._solid is None:
             # The whole ghost shell keeps its bits, like a solid site.
             self._solid = np.ones(self._bshape, bool)
-            for member, out in zip(self.members, self._solid):
+            for member, out in zip(members, self._solid):
                 out[interior(out.ndim)] = member.solid
         collision = self.solver.collision
         add = (None if collision.force is None
                else collision._force_add(self._dtype))
+        add = None if add is None else add.ctypes.data
         item = fg.itemsize
-        phase(fg.ctypes.data, fg.strides[0] // item, fg.shape[1],
-              fg.strides[1] // item, self._cells, self._n.ctypes.data,
-              self._s.ctypes.data, self._solid.ctypes.data, self.omega,
-              None if add is None else add.ctypes.data)
+        f, sq, sr = fg.ctypes.data, fg.strides[0] // item, fg.strides[1] // item
+        n, s = self._n.ctypes.data, self._s.ctypes.data
+        solid = self._solid.ctypes.data
+        if all(m.aa_halo_managed for m in members):
+            phase(f, sq, len(members), sr, self._cells, n, s, solid,
+                  self.omega, add, None, 0, None, None)
+            return
+        faces = self._faces()
+        for r, member in enumerate(members):
+            lists = self._swap_lists(r) if swaps else (None, None)
+            closure = ((None, 0, None, None) if member.aa_halo_managed else
+                       (faces, int(member.periodic))
+                       + tuple(a if a is None else a.ctypes.data
+                               for a in lists))
+            phase(f + r * sr * item, sq, 1, sr, self._cells, n, s,
+                  solid + r * self._cells, self.omega, add, *closure)
+
+    def _faces(self) -> int:
+        """``_face_slots`` packed for the compiled closure: per face a
+        count, then its slots."""
+        for (ax, d), slots in self._face_slots.items():
+            self._face_table[2 * ax + (d > 0), :len(slots) + 1] = (
+                len(slots), *slots)
+        return self._face_table.ctypes.data
+
+    def _swap_lists(self, r: int) -> tuple[np.ndarray, np.ndarray]:
+        """Member ``r``'s solid sites and per-plane offsets (cached)."""
+        lists = self._swaps.get(r)
+        if lists is None:
+            idx = padded_flat_index(self.members[r].solid)
+            planes = np.arange(self._n[0] + 1) * self._s[0]
+            lists = self._swaps[r] = (idx, np.searchsorted(idx, planes)
+                                      .astype(np.int_))
+        return lists
 
     def even_phase(self) -> None:
         """In-place collide with reversed-direction writes over the
@@ -237,7 +275,9 @@ class AAStepKernel:
         their pre-collision values; the reversed write then performs
         this step's bounce combined with the next step's streaming.
         So does the ghost shell, harmlessly: the fill or halo exchange
-        overwrites every ghost slot that is later read."""
+        overwrites every ghost slot that is later read: a member that
+        closes its own shell copies each plane's outward face slots (the
+        paper's Sec 4.3 "5N^2") into its ghost rows right behind it."""
         self._sweep(self._lib.aa_even)
 
     def odd_phase(self) -> None:
@@ -248,9 +288,11 @@ class AAStepKernel:
         fill/exchange), scatters relaxed populations forward; locations
         owned by solid sites keep their bits (they already are the
         bounced populations, see the module docstring), and so do the
-        ghost sites a span crosses (:mod:`repro.lbm.native`).
+        ghost sites a span crosses (:mod:`repro.lbm.native`).  A member
+        that closes its own shell folds the crossing slots back onto its
+        border and swaps its solid sites behind the sweep.
         """
-        self._sweep(self._lib.aa_odd)
+        self._sweep(self._lib.aa_odd, swaps=True)
 
     def bounce(self, fg: np.ndarray) -> None:
         """The solid swap of opposite slots on the bound solver's padded
@@ -258,41 +300,9 @@ class AAStepKernel:
         the cached solid index list — bit for bit what
         :class:`~repro.lbm.boundaries.BounceBackNodes` does."""
         self._check(fg, (self.lattice.Q,) + self._bshape[1:])
-        idx = self._bounce_idx
-        if idx is None:
-            idx = self._bounce_idx = padded_flat_index(self.solver.solid)
+        idx = self._swap_lists(0)[0]
         self._lib.aa_bounce(fg.ctypes.data, fg.strides[0] // fg.itemsize,
                             idx.ctypes.data, idx.size)
-
-    # -- ghost handling (single-domain) ----------------------------------
-    def fill_ghosts(self) -> None:
-        """Post-even ghost fill: periodic wrap or zero-gradient copy.
-
-        The rotated layout reads a bounded face's ghost plane only
-        through the five outward slots (the paper's Sec 4.3 "5N^2"), so
-        only those are copied; axes in order over the full cross-section
-        still relay edges and corners, because an edge ghost is read
-        only by slots that cross both of its faces.
-        """
-        fg = self.solver.fg
-        if self.solver.periodic:
-            fill_ghosts_periodic(fg)
-            return
-        for (ax, direction), slots in self._face_slots.items():
-            fill_face_zero_gradient(fg, ax, direction, slots)
-
-    def fold_ghosts(self) -> None:
-        """Fold the odd-phase ghost scatter back onto the interior.
-
-        Periodic domains fold onto the wrap image; bounded domains run
-        the zero-gradient crossing-slot fold (each face's border layer
-        re-reads its inward neighbours, emulating the reference
-        solver's ghost-fill-then-pull closure).
-        """
-        if self.solver.periodic:
-            fold_ghosts_periodic(self.lattice, self.solver.fg)
-        else:
-            fold_ghosts_zero_gradient(self.lattice, self.solver.fg)
 
     # -- rotated boundary closure ----------------------------------------
     def apply_boundaries_rotated(self) -> None:
@@ -317,13 +327,12 @@ class AAStepKernel:
         if live:
             rec.add("kernel.aa", 0.0)
         even = not s.aa_odd
-        sweep, ghosts = ((self.even_phase, self.fill_ghosts) if even
-                         else (self.odd_phase, self.fold_ghosts))
         with phase("aa.even" if even else "aa.odd"):
-            sweep()
-        with phase("aa.ghosts" if even else "aa.fold"):
-            ghosts()
-        s._bounce_folded = s._aa_rotated = even
+            (self.even_phase if even else self.odd_phase)()
+        # The even phase's reversed write is the bounce; the odd phase
+        # swapped behind its sweep unless a driver closes the halo.
+        s._bounce_folded = not (s.aa_odd and s.aa_halo_managed)
+        s._aa_rotated = even
         with phase("aa.post_stream"):
             s.post_stream()
 

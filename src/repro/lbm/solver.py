@@ -14,6 +14,7 @@ network by the cluster driver).
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -162,8 +163,9 @@ class LBMSolver:
         #: the AA phase cadence counts from there, so a load at an odd
         #: step count is followed by an *even* phase.
         self._aa_origin = 0
-        #: Set by an even AA phase (its reversed write *is* the
-        #: bounce-back) so post_stream skips the solid swap.
+        #: Set after an AA phase that already did the bounce-back (an
+        #: even phase's reversed write *is* it; a single-domain odd
+        #: phase swaps behind its sweep) so post_stream skips the swap.
         self._bounce_folded = False
         #: True while the single AA array sits in the rotated mid-pair
         #: layout (after an even phase): ``post_stream`` then imposes
@@ -358,10 +360,6 @@ class LBMSolver:
         if canonical is not None:
             self.f[...] = canonical
 
-    def _aa_even(self) -> bool:
-        """True when the step being computed runs the AA even phase."""
-        return not self.aa_odd
-
     # -- step phases (reused by the distributed driver) ----------------
     def collide(self) -> None:
         """Collision on interior fluid cells (in place)."""
@@ -370,10 +368,7 @@ class LBMSolver:
             self.kernel_used = "aa"
             with self.tracer.span("solver.collide", step=self.time_step,
                                   kernel="aa"):
-                if self._aa_even():
-                    akern.even_phase()
-                else:
-                    akern.odd_phase()
+                (akern.odd_phase if self.aa_odd else akern.even_phase)()
             return
         with self.tracer.span("solver.collide", step=self.time_step,
                               kernel="split"):
@@ -381,29 +376,19 @@ class LBMSolver:
             self.collision(self.f, mask=self.fluid)
 
     def fill_ghosts(self) -> None:
-        """Populate the ghost shell (periodic wrap or zero-gradient)."""
+        """Populate the ghost shell (periodic wrap or zero-gradient); a
+        no-op while the AA kernel owns the array (its phases close the
+        shell, or the cluster driver's exchange does)."""
         with self.tracer.span("solver.ghosts", step=self.time_step):
-            self._fill_ghosts()
-
-    def _fill_ghosts(self) -> None:
-        akern = (self._aa_kernel_for_phase()
-                 if self._aa_kernel is not None else None)
-        if akern is not None and self.aa_odd:
-            # Odd AA phase: the scatter pushed border populations into
-            # the ghost shell — fold them back onto the interior
-            # (wrap image when periodic, zero-gradient crossing-slot
-            # fold on bounded faces) instead of filling (the forward
-            # fill only serves the even phase's gather).  Cluster
-            # drivers with ``aa_halo_managed`` run their reverse
-            # exchange instead.
-            akern.fold_ghosts()
-            return
-        if self.periodic:
-            fill_ghosts_periodic(self.fg)
-        else:
-            # Zero-gradient: copy the edge layer outward so nothing
-            # spurious streams in; inlets/outlets overwrite afterwards.
-            fill_ghosts_zero_gradient(self.fg)
+            if (self._aa_kernel is not None
+                    and self._aa_kernel_for_phase() is not None):
+                return
+            if self.periodic:
+                fill_ghosts_periodic(self.fg)
+            else:
+                # Zero-gradient: copy the edge layer outward so nothing
+                # spurious streams in; inlets/outlets overwrite afterwards.
+                fill_ghosts_zero_gradient(self.fg)
 
     def stream(self) -> None:
         """Pull-stream into the double buffer and swap."""
@@ -414,12 +399,12 @@ class LBMSolver:
             # even phases, forward scatter on odd ones); the stream
             # phase only settles the bounce-back bookkeeping: after an
             # even phase the reversed write *is* the bounce, after an
-            # odd phase post_stream applies the usual solid swap.
+            # odd one the sweep swapped (post_stream does on a rank).
             with self.tracer.span("solver.stream", step=self.time_step,
                                   kernel="aa"):
                 self.kernel_used = "aa"
-                self._bounce_folded = self._aa_even()
-                self._aa_rotated = self._aa_even()
+                self._bounce_folded = not (self.aa_odd and self.aa_halo_managed)
+                self._aa_rotated = not self.aa_odd
             if rec is not None and rec.enabled:
                 rec.add("kernel.aa", 0.0)
             return
@@ -462,23 +447,17 @@ class LBMSolver:
     def _step_phase_split(self) -> None:
         """One step through the classic collide/ghosts/stream phases."""
         rec = self.counters
-        if rec is not None and rec.enabled:
-            with rec.phase("collide"):
-                self.collide()
-                for b in self.boundaries:
-                    b.pre_stream(self.fg)
-            with rec.phase("ghosts"):
-                self.fill_ghosts()
-            with rec.phase("stream"):
-                self.stream()
-            with rec.phase("post_stream"):
-                self.post_stream()
-        else:
+        live = rec is not None and rec.enabled
+        phase = rec.phase if live else (lambda name: nullcontext())
+        with phase("collide"):
             self.collide()
             for b in self.boundaries:
                 b.pre_stream(self.fg)
+        with phase("ghosts"):
             self.fill_ghosts()
+        with phase("stream"):
             self.stream()
+        with phase("post_stream"):
             self.post_stream()
 
     def step(self, n: int = 1) -> None:

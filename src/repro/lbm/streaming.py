@@ -171,16 +171,7 @@ def fill_ghosts_periodic(f: np.ndarray) -> None:
     Handles faces, edges and corners by wrapping one axis at a time
     (after all axes are processed the diagonals are consistent).
     """
-    for ax in range(1, f.ndim):
-        n = f.shape[ax]
-        lo = [slice(None)] * f.ndim
-        hi = [slice(None)] * f.ndim
-        lo[ax] = 0
-        hi[ax] = n - 2
-        f[tuple(lo)] = f[tuple(hi)]
-        lo[ax] = n - 1
-        hi[ax] = 1
-        f[tuple(lo)] = f[tuple(hi)]
+    _fill_ghosts(f, wrap=True)
 
 
 def fill_ghosts_zero_gradient(f: np.ndarray) -> None:
@@ -194,14 +185,14 @@ def fill_ghosts_zero_gradient(f: np.ndarray) -> None:
     component-wise clamp of the nearest interior cell — exactly the
     closure the bounded reference solver applies.
     """
+    _fill_ghosts(f, wrap=False)
+
+
+def _fill_ghosts(f: np.ndarray, wrap: bool) -> None:
     for ax in range(1, f.ndim):
-        n = f.shape[ax]
-        lo = [slice(None)] * f.ndim
-        src = [slice(None)] * f.ndim
-        lo[ax], src[ax] = 0, 1
-        f[tuple(lo)] = f[tuple(src)]
-        lo[ax], src[ax] = n - 1, n - 2
-        f[tuple(lo)] = f[tuple(src)]
+        n, lead = f.shape[ax], (slice(None),) * ax
+        f[lead + (0,)] = f[lead + (n - 2 if wrap else 1,)]
+        f[lead + (n - 1,)] = f[lead + (1 if wrap else n - 2,)]
 
 
 def fill_face_zero_gradient(fg: np.ndarray, axis: int, direction: int,
@@ -214,13 +205,10 @@ def fill_face_zero_gradient(fg: np.ndarray, axis: int, direction: int,
     post-collision fill: those with ``c[axis] != 0``), one plane-sized
     copy per slot instead of a stride through the whole array.
     """
-    n = fg.shape[1 + axis]
-    dst: list = [slice(None)] * (fg.ndim - 1)
-    src: list = [slice(None)] * (fg.ndim - 1)
-    dst[axis], src[axis] = (0, 1) if direction == -1 else (n - 1, n - 2)
-    dst, src = tuple(dst), tuple(src)
+    n, lead = fg.shape[1 + axis], (slice(None),) * axis
+    ghost, src = (0, 1) if direction == -1 else (n - 1, n - 2)
     for q in slots:
-        fg[q][dst] = fg[q][src]
+        fg[q][lead + (ghost,)] = fg[q][lead + (src,)]
 
 
 def fold_face_zero_gradient(lattice: Lattice, fg: np.ndarray,
@@ -241,60 +229,7 @@ def fold_face_zero_gradient(lattice: Lattice, fg: np.ndarray,
     axes (rims included, so later-axis folds and the cluster's reverse
     exchange relay corner contributions exactly like the fill does).
     """
-    n = fg.shape[1 + axis]
-    slots = np.flatnonzero(lattice.c[:, axis] == -direction)
-    border = 1 if direction == -1 else n - 2
-    inner = border + (1 if direction == -1 else -1)
-    dst: list = [slice(None)] * fg.ndim
-    src: list = [slice(None)] * fg.ndim
-    dst[0] = slots
-    src[0] = slots
-    dst[1 + axis] = border
-    src[1 + axis] = inner
-    fg[tuple(dst)] = fg[tuple(src)]
-
-
-def fold_ghosts_zero_gradient(lattice: Lattice, fg: np.ndarray) -> None:
-    """Apply :func:`fold_face_zero_gradient` to every face, axis by axis.
-
-    Sequential axis order with full-extent copies resolves the
-    double-inward corner slots by chaining (the later axis reads the
-    already-folded neighbour), reproducing the component-wise clamp of
-    the reference solver's sequential zero-gradient ghost fill.
-    """
-    for ax in range(fg.ndim - 1):
-        for direction in (-1, 1):
-            fold_face_zero_gradient(lattice, fg, ax, direction)
-
-
-def fold_ghosts_periodic(lattice: Lattice, fg: np.ndarray) -> None:
-    """Fold ghost-plane *crossing* populations onto their wrap image.
-
-    The inverse of :func:`fill_ghosts_periodic`, used by the AA-pattern
-    kernel (:mod:`repro.lbm.aa`): its odd-phase scatter pushes
-    post-collision populations of border cells into the ghost shell
-    (``a_i(x + c_i)`` with ``x + c_i`` outside the interior).  On a
-    periodic domain those locations are images of interior cells on the
-    opposite side, so per axis the two ghost planes are copied back onto
-    the adjacent far-side interior layers — but only for the link slots
-    that actually cross that face (``c_i[ax] == +1`` for the high ghost,
-    ``-1`` for the low ghost); the remaining slots of a ghost plane hold
-    stale fill data that must not leak inward.
-
-    Axes are processed sequentially over the full plane extent, so
-    edge/corner contributions relay through the rims exactly like the
-    fill handles diagonals (and like the cluster's two-hop routing).
-    """
-    for ax in range(fg.ndim - 1):
-        n = fg.shape[1 + ax]
-        lo_slots = np.flatnonzero(lattice.c[:, ax] == -1)
-        hi_slots = np.flatnonzero(lattice.c[:, ax] == 1)
-        for slots, ghost, image in ((hi_slots, n - 1, 1),
-                                    (lo_slots, 0, n - 2)):
-            src: list = [slice(None)] * fg.ndim
-            dst: list = [slice(None)] * fg.ndim
-            src[0] = slots
-            dst[0] = slots
-            src[1 + ax] = ghost
-            dst[1 + ax] = image
-            fg[tuple(dst)] = fg[tuple(src)]
+    border = 1 if direction == -1 else fg.shape[1 + axis] - 2
+    at = ((np.flatnonzero(lattice.c[:, axis] == -direction),)
+          + (slice(None),) * axis)
+    fg[at + (border,)] = fg[at + (border - direction,)]

@@ -10,7 +10,13 @@
 * the odd phase's flat spans: ghost sites inside a span keep the bits
   of every location they own, and row tails of every length, one-row
   spans and arenas of two shapes stay on ``split``'s bits;
-* a steady-state step allocates nothing.
+* a steady-state step allocates nothing;
+* the ghost closure each single-domain phase runs behind its sweep
+  (fill after even, fold and solid swap after odd, one plane behind):
+  both lattices and dtypes, periodic and bounded, handlers, solids on
+  the border layers and on the first and last two planes, first-axis
+  interior extents 1 to 4, by hand and by ``step()``, with no second
+  swap and no allocation.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from repro.core.cluster_lbm import ClusterConfig, CPUClusterLBM
 from repro.lbm import BGKCollision, LBMSolver
 from repro.lbm.aa import AAStepKernel
 from repro.lbm.boundaries import EquilibriumVelocityInlet, OutflowBoundary
-from repro.lbm.lattice import D3Q19
+from repro.lbm.lattice import D2Q9, D3Q19
 from repro.lbm.streaming import interior
 
 GRID = (3, 4, 2)
@@ -197,14 +203,35 @@ def _poison(rng, size, dtype):
     return raw.view(dtype)
 
 
+def _closure_writes(lat, pshape, solid):
+    """Locations a closing odd phase writes after its sweep: each
+    face's inward slots on its border layer (the first axis's over the
+    whole plane, the others' on the interior planes of the first axis)
+    and every slot of a solid site (the swap)."""
+    out = np.zeros((lat.Q,) + pshape, bool)
+    for a in range(lat.D):
+        for sign, layer in ((1, 1), (-1, pshape[a] - 2)):
+            where = [slice(1, -1)] + [slice(None)] * (lat.D - 1)
+            where[a] = layer
+            out[(lat.c[:, a] == sign,) + tuple(where)] = True
+    out[(slice(None),) + interior(lat.D)][:, solid] = True
+    return out
+
+
 def _poisoning_odd_phase(kernel, rng):
     """Wrap ``kernel``'s odd phase: poison what the span's ghost sites
-    own in every rank, sweep, and assert it came back bit for bit."""
+    own in every rank, sweep, and assert it came back bit for bit —
+    where a rank that closes its own ghost shell does not overwrite it
+    by design (its folds and swap run inside the same call)."""
     sweep = kernel.odd_phase
     pshape = kernel._bshape[1:]
     slots, cells = _span_ghost_locations(kernel.lattice, pshape)
     assert slots.size
     where = np.unravel_index(cells, pshape)
+    kept = [np.ones(slots.size, bool) if m.aa_halo_managed else
+            ~_closure_writes(kernel.lattice, pshape, m.solid)[(slots,) + where]
+            for m in kernel.members]
+    assert all(k.sum() > slots.size // 4 for k in kept)
 
     def odd_phase():
         fg = (kernel._stack if kernel._stack is not None
@@ -215,8 +242,8 @@ def _poisoning_odd_phase(kernel, rng):
         with np.errstate(all="ignore"):
             sweep()
         for r, values in enumerate(poison):
-            assert np.array_equal(_bits(fg[(slots, r) + where]),
-                                  _bits(values)), r
+            assert np.array_equal(_bits(fg[(slots, r) + where][kept[r]]),
+                                  _bits(values[kept[r]])), r
     kernel.odd_phase = odd_phase
 
 
@@ -409,3 +436,138 @@ class TestWorkspace:
                 tracemalloc.stop()
                 assert peak < 4096, call
 
+
+def _closure_case(shape, kernel, lattice=D3Q19, dtype=np.float32,
+                  periodic=False, handlers=False, seed=0):
+    """A random flow whose solids sit on the first and last two planes
+    of the first axis and, bounded, on the whole ground layer (the last
+    axis's low border) — where the folds and the swap meet."""
+    rng = np.random.default_rng(seed)
+    solid = rng.random(shape) < 0.1
+    n = shape[0]
+    for plane in {0, min(1, n - 1), max(n - 2, 0), n - 1}:
+        solid[plane] |= rng.random(shape[1:]) < 0.4
+    if not periodic:
+        solid[..., 0] = True
+    velocity = (0.04,) + (0.0,) * (lattice.D - 1)
+    bcs = ([EquilibriumVelocityInlet(lattice, 0, "low", velocity),
+            OutflowBoundary(lattice, 0, "high")] if handlers else [])
+    s = LBMSolver(shape, tau=0.7, lattice=lattice, solid=solid,
+                  periodic=periodic, dtype=dtype, boundaries=bcs,
+                  kernel=kernel)
+    u = 0.03 * rng.standard_normal((lattice.D,) + shape)
+    u[:, solid] = 0
+    s.initialize(rho=np.ones(shape, dtype), u=u.astype(dtype))
+    return s
+
+
+def _hand_step(s):
+    s.collide()
+    s.fill_ghosts()
+    s.stream()
+    s.post_stream()
+    s.time_step += 1
+
+
+def _assert_on_split(aa, ref, steps, advance=None):
+    """Step both; ``macroscopic()`` and the canonical state equal every
+    step — the raw interior after every pair, the reconstruction
+    mid-pair."""
+    for t in range(1, steps + 1):
+        ref.step(1)
+        advance(aa) if advance else aa.step(1)
+        assert aa.kernel_used == "aa"
+        for got, want in zip(aa.macroscopic(), ref.macroscopic()):
+            assert np.array_equal(got, want), t
+        state = (aa._aa_kernel.reconstruct() if t % 2
+                 else aa.fg[(slice(None),) + interior(aa.lattice.D)])
+        assert np.array_equal(state, ref.f), t
+
+
+def _rest(lattice):
+    return (5, 4) if lattice.D == 3 else (7,)
+
+
+class TestSweepClosure:
+    """Single-domain phases close their own ghost shell one plane
+    behind the sweep; the result stays on ``split``'s bits."""
+
+    @pytest.mark.parametrize("nx", [1, 2, 3, 4])
+    @pytest.mark.parametrize("periodic", [True, False],
+                             ids=["periodic", "bounded"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lattice", [D3Q19, D2Q9], ids=["D3Q19", "D2Q9"])
+    def test_first_axis_extents(self, lattice, dtype, periodic, nx):
+        shape = (nx,) + _rest(lattice)
+        _assert_on_split(
+            _closure_case(shape, "aa", lattice, dtype, periodic),
+            _closure_case(shape, "split", lattice, dtype, periodic), 8)
+
+    @pytest.mark.parametrize("nx", [2, 3, 4, 9])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lattice", [D3Q19, D2Q9], ids=["D3Q19", "D2Q9"])
+    def test_inlet_outflow_handlers(self, lattice, dtype, nx):
+        shape = (nx,) + _rest(lattice)
+        _assert_on_split(
+            _closure_case(shape, "aa", lattice, dtype, handlers=True),
+            _closure_case(shape, "split", lattice, dtype, handlers=True), 8)
+
+    @pytest.mark.parametrize("periodic", [True, False],
+                             ids=["periodic", "bounded"])
+    @pytest.mark.parametrize("lattice", [D3Q19, D2Q9], ids=["D3Q19", "D2Q9"])
+    def test_hand_driven_phases(self, lattice, periodic):
+        """``collide -> fill_ghosts -> stream -> post_stream`` on a
+        forced-AA solver: ``fill_ghosts`` is a no-op, ``post_stream``
+        skips the swap the odd sweep did, the bits are ``split``'s."""
+        shape = (6,) + _rest(lattice)
+        kw = dict(lattice=lattice, periodic=periodic,
+                  handlers=not periodic)
+        _assert_on_split(_closure_case(shape, "aa", **kw),
+                         _closure_case(shape, "split", **kw), 8,
+                         advance=_hand_step)
+
+    @pytest.mark.parametrize("drive", ["step", "hand"])
+    def test_no_second_swap(self, drive):
+        """``post_stream`` swaps no solid site of a single-domain AA
+        solver's array (the odd sweep did; a reconstruction swaps its
+        own copy), but does on a managed rank."""
+        s = _closure_case((6, 5, 4), "aa", handlers=True)
+        ref = _closure_case((6, 5, 4), "split", handlers=True)
+        calls = []
+        k = s._enter_aa()
+        for owner, name in ((k, "bounce"), (s._bounce, "apply")):
+            method = getattr(owner, name)
+            setattr(owner, name, lambda fg, m=method: (
+                calls.append(fg is s.fg), m(fg)))
+        _assert_on_split(s, ref, 6,
+                         advance=_hand_step if drive == "hand" else None)
+        assert calls and not any(calls)
+        calls.clear()
+        cfg = ClusterConfig(sub_shape=(3, 5, 4), arrangement=(2, 1, 1),
+                            tau=0.7, solid=ref.solid, kernel="aa")
+        with CPUClusterLBM(cfg) as cluster:
+            cluster.step(1)
+            for rank in cluster._stack.solvers:
+                rank._aa_kernel.bounce = lambda fg, m=rank._aa_kernel.bounce: (
+                    calls.append(1), m(fg))
+            cluster.step(4)
+        assert len(calls) == 2 * 2      # two odd steps, two ranks
+
+    @pytest.mark.parametrize("periodic", [True, False],
+                             ids=["periodic", "bounded"])
+    def test_each_fused_call_allocates_under_4kb(self, periodic):
+        """A closing phase call, single and stacked rank by rank,
+        allocates no array: tracemalloc sees only argument objects."""
+        s = _closure_case((12, 10, 8), "aa", periodic=periodic)
+        s.step(2)
+        members = [_closure_case((6, 5, 4), "aa", seed=seed)
+                   for seed in (1, 2)]
+        batch = _stacked(members)
+        for call in (s._aa_kernel.even_phase, s._aa_kernel.odd_phase,
+                     batch.even_phase, batch.odd_phase):
+            call()
+            tracemalloc.start()
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            assert peak < 4096, call
