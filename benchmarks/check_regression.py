@@ -14,17 +14,13 @@ Options::
     --suite NAME      which recording suites to run: ``kernels`` (the
                       bench_fused sweep: split reference + cluster
                       backends), ``aa`` (the AA-pattern kernel sweep),
-                      ``trace`` (traced vs untraced cluster stepping),
                       ``exchange`` (the halo exchange of the serial
-                      cluster step), ``telemetry`` (monitored vs
-                      unmonitored stepping), or ``all`` (default:
-                      kernels)
+                      cluster step), or ``all`` (default: kernels)
     --update          merge the fresh numbers into the baseline and exit 0
 
 Baseline entries the selected suite did not measure are *skipped*, not
 failed: the baseline accumulates entries from several recording suites
-(``bench_fused``/``bench_procpool``/``bench_aa``/``bench_trace``/
-``bench_exchange``/``bench_telemetry``),
+(``bench_fused``/``bench_procpool``/``bench_aa``/``bench_exchange``),
 and a partial run must only guard what it actually re-measured.  Use
 ``--suite all`` to opt into the full sweep that covers every entry.
 ``--update`` likewise merges into the existing baseline instead of
@@ -56,7 +52,7 @@ try:  # allow `python benchmarks/check_regression.py` without PYTHONPATH=src
 except ImportError:  # pragma: no cover - path bootstrap
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-SUITES = ("kernels", "aa", "trace", "exchange", "telemetry", "all")
+SUITES = ("kernels", "aa", "exchange", "all")
 
 
 def run_suites(suite: str, steps: int, repeats: int) -> dict:
@@ -72,15 +68,9 @@ def run_suites(suite: str, steps: int, repeats: int) -> dict:
     if suite in ("aa", "all"):
         from bench_aa import run_aa_benchmarks
         results.update(run_aa_benchmarks(steps=steps, repeats=repeats))
-    if suite in ("trace", "all"):
-        from bench_trace import run_trace_benchmarks
-        results.update(run_trace_benchmarks(steps=steps, repeats=repeats))
     if suite in ("exchange", "all"):
         from bench_exchange import run_exchange_benchmarks
         results.update(run_exchange_benchmarks(steps=steps, repeats=repeats))
-    if suite in ("telemetry", "all"):
-        from bench_telemetry import run_telemetry_benchmarks
-        results.update(run_telemetry_benchmarks(steps=steps, repeats=repeats))
     meta["results"] = results
     return meta
 

@@ -150,8 +150,8 @@ def _cmd_dispersion(args) -> None:
     for line in _kernel_report_lines(cluster):
         print(line)
     if session is not None:
-        from repro.perf.report import format_telemetry_summary
-        print(format_telemetry_summary(session.snapshot()), end="")
+        print(cluster.recorder.report())
+        print(session.check_health().summary())
         if args.telemetry_jsonl:
             session.close()
             print(f"wrote telemetry snapshots to {args.telemetry_jsonl}")
@@ -206,7 +206,7 @@ def _cmd_trace(args) -> None:
     # schedule; this records the Fig-7 message pattern for real).
     decomp = BlockDecomposition(shape, arrangement,
                                 periodic=(True, True, True))
-    sim = SimCluster(decomp.n_nodes, tracer=tracer)
+    sim = SimCluster(decomp.n_nodes, recorder=tracer)
     SPMDClusterLBM(decomp, tau=0.6, solid=solid).run(1, cluster=sim)
 
     os.makedirs(args.out, exist_ok=True)
@@ -270,15 +270,16 @@ def _cmd_check_aa(args) -> int:
 def _cmd_check_trace(args) -> int:
     """Trace gate: traced runs bit-identical to untraced on the serial
     and processes backends, one span track per rank, schema-valid
-    Chrome-trace output, and ~zero disabled-tracer overhead."""
-    from repro.perf.trace import run_trace_check
+    Chrome-trace output, and ~zero cost of a disabled recorder's
+    region entry points."""
+    from repro.perf.telemetry import run_trace_check
 
     report = run_trace_check()
     for backend, info in report["backends"].items():
         print(f"  backend {backend}: {info['spans']} spans, "
               f"ranks {info['ranks']}, chrome schema OK")
     print(f"trace OK: bit-identical numerics traced vs untraced, "
-          f"disabled-span overhead "
+          f"disabled phase() overhead "
           f"{report['disabled_overhead_ns']:.0f} ns/call")
     return 0
 
@@ -304,8 +305,9 @@ def _cmd_check_exchange(args) -> int:
 def _cmd_check_telemetry(args) -> int:
     """Telemetry gate: monitored runs bit-identical to unmonitored on
     the serial and processes backends, schema-valid Prometheus/JSONL
-    exports, disabled-registry overhead within the microsecond budget,
-    and the step watchdog flags (and survives) a SIGSTOPped worker."""
+    exports, a disabled recorder's metric/alloc within the microsecond
+    budget, and the step watchdog flags (and survives) a SIGSTOPped
+    worker."""
     from repro.perf.telemetry import run_telemetry_check
 
     report = run_telemetry_check(overhead_budget_us=args.budget_us)
@@ -317,7 +319,8 @@ def _cmd_check_telemetry(args) -> int:
     wd = report["watchdog"]
     print(f"  watchdog: SIGSTOPped rank {wd['stalled_rank']} flagged "
           f"({', '.join(wd['statuses'])}), run recovered bit-clean")
-    worst = max(report["disabled_overhead_ns"].values())
+    worst = max(report["disabled_overhead_ns"][k] for k in ("metric",
+                                                             "alloc"))
     print(f"telemetry OK: bit-identical monitored vs unmonitored, "
           f"disabled-record overhead {worst:.0f} ns/call "
           f"(budget {args.budget_us * 1e3:.0f} ns)")

@@ -29,7 +29,6 @@ real; gather/compare against the single-domain reference solver) and
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +36,7 @@ import numpy as np
 from repro.core.cpu_node import CPUNode
 from repro.core.decomposition import (BlockDecomposition, arrange_nodes_2d,
                                       weighted_cuts)
-from repro.core.exchange import exchange_all, local_engines
+from repro.core.exchange import attach_recorder, exchange_all, local_engines
 from repro.core.gpu_node import GPUNode
 from repro.core.halo import HaloPlan
 from repro.core.procpool import ProcessBackend
@@ -47,9 +46,8 @@ from repro.lbm.aa import unavailable
 from repro.lbm.lattice import D3Q19
 from repro.gpu.specs import AGP_8X, GEFORCE_FX_5800_ULTRA, XEON_2_4, BusSpec, CPUSpec, GPUSpec
 from repro.net.switch import GigabitSwitch
-from repro.perf.counters import KernelCounters
+from repro.perf.recorder import Recorder
 from repro.perf.telemetry import TelemetrySession
-from repro.perf.trace import NULL_TRACER, Tracer
 
 
 @dataclass(frozen=True)
@@ -156,8 +154,8 @@ class ClusterConfig:
         per-rank inlet/outflow handlers run through the rotated
         closure, :mod:`repro.lbm.esoteric`.  Both kernels are
         bit-identical at every step count, loads and rebalances
-        included; :meth:`kernel_report` and the ``kernel.*`` counters
-        record what each rank ran and why.
+        included; :meth:`kernel_report` and the recorder's ``kernel.*``
+        markers record what each rank ran and why.
     cuts:
         Explicit per-axis block extents (three sequences matching the
         arrangement and summing to the global extents); None (default)
@@ -269,7 +267,10 @@ class _ClusterLBMBase:
         self.switch = config.switch if config.switch is not None else GigabitSwitch()
         solids = (self.decomp.scatter_field(config.solid)
                   if config.solid is not None else [None] * self.decomp.n_nodes)
-        self.counters = KernelCounters()
+        #: The driver's one recorder: coordinator regions on its own
+        #: rank, each in-process node and solver on a per-rank view,
+        #: worker processes' drains absorbed under their rank.
+        self.recorder = Recorder()
         #: The kernel the cluster runs and why, resolved before any
         #: node is built or worker spawned — the one attribute the halo
         #: protocol (exchange mode, shared-memory adoption, odd-parity
@@ -291,17 +292,18 @@ class _ClusterLBMBase:
             self.nodes = []
             for rank in range(self.decomp.n_nodes):
                 node = self._make_node(rank, solids[rank])
+                attach_recorder(node, self.recorder.for_rank(rank))
                 if self._stack is not None:
                     self._stack.adopt(rank, node.solver)
                 self.nodes.append(node)
             if self._stack is not None:
-                self._stack.bind(self.nodes, self.counters)
+                self._stack.bind(self.nodes, self.recorder)
         self.time_step = 0
         self.last_timing: StepTiming | None = None
-        self.tracer = NULL_TRACER
         self.telemetry: TelemetrySession | None = None
-        self._halo_bytes = 0
-        self._halo_msgs = 0
+        self._halo_meta = {
+            "bytes": sum(sum(rnd) for rnd in self.schedule.round_bytes()),
+            "msgs": sum(sum(rnd) for rnd in self.schedule.round_messages())}
         #: One halo engine per in-process rank (the processes backend's
         #: workers each own theirs; timing-only nodes exchange nothing;
         #: stacked ranks exchange along the rank axis).
@@ -310,7 +312,12 @@ class _ClusterLBMBase:
                 and self._stack is None):
             self._halo = local_engines(self.decomp, self.nodes,
                                        aa=self.aa_protocol,
-                                       counters=self.counters)
+                                       recorder=self.recorder)
+
+    @property
+    def counters(self) -> Recorder:
+        """The recorder, under the name its per-phase report had."""
+        return self.recorder
 
     def _resolve_kernel(self) -> tuple[str, str]:
         """The cluster's kernel and its reason (GPU nodes: as configured)."""
@@ -409,7 +416,7 @@ class _ClusterLBMBase:
         from repro.perf.report import trace_imbalance_rows
 
         rows = self.kernel_report()
-        measured_rows, summary = trace_imbalance_rows(self.tracer)
+        measured_rows, summary = trace_imbalance_rows(self.recorder)
         busy = {r["rank"]: r["busy_ms"] for r in measured_rows}
         for row in rows:
             row["busy_ms"] = busy.get(row["rank"])
@@ -433,7 +440,7 @@ class _ClusterLBMBase:
         from repro.perf.report import trace_imbalance_rows
 
         if busy_s is None:
-            rows, _ = trace_imbalance_rows(self.tracer)
+            rows, _ = trace_imbalance_rows(self.recorder)
             busy_s = {r["rank"]: r["busy_ms"] / 1e3 for r in rows}
             if len(busy_s) < self.decomp.n_nodes:
                 raise ValueError(
@@ -446,7 +453,7 @@ class _ClusterLBMBase:
         """Re-cut the decomposition from measured cost and carry on.
 
         The feedback half of the load-balance loop: take the measured
-        per-rank busy time (from the attached tracer by default), build
+        per-rank busy time (from the recorder's timeline by default), build
         the cost-density field, compute new per-axis cuts, and — when
         they differ from the current ones — gather the distributions,
         build a fresh driver with ``cuts`` pinned, reload the state and
@@ -464,7 +471,7 @@ class _ClusterLBMBase:
         if self.config.timing_only:
             raise RuntimeError("rebalance needs numeric state; "
                                "timing_only drivers have none")
-        _, summary = trace_imbalance_rows(self.tracer)
+        _, summary = trace_imbalance_rows(self.recorder)
         new_cuts = self.rebalance_cuts(busy_s=busy_s)
         info = {
             "old_cuts": self.decomp.cuts,
@@ -476,81 +483,56 @@ class _ClusterLBMBase:
             return self, info
         f = self.gather_distributions()
         time_step = self.time_step
-        traced = self.tracer.enabled
+        traced = self.recorder.tracing
         successor = type(self)(replace(self.config, cuts=new_cuts))
         self.shutdown()
         successor.load_global_distributions(f)
         successor.time_step = time_step
         if traced:
-            # Fresh tracer: post-rebalance measurements start clean.
+            # A fresh timeline: post-rebalance measurements start clean.
             successor.enable_tracing()
         return successor, info
 
-    # -- tracing ----------------------------------------------------------
-    def enable_tracing(self, tracer: Tracer | None = None) -> Tracer:
-        """Attach a live span tracer to every layer of this driver.
-
-        Coordinator phases, per-rank node phases, the per-rank solver
-        kernel phases and the switch's scheduled exchange rounds all
-        record into the one returned tracer (see
-        :mod:`repro.perf.trace`).  On the processes backend the workers
-        are switched into tracing mode over the command pipe and their
-        spans are re-based onto the coordinator clock at each step
-        reply.  Tracing is observational only: traced runs stay
-        bit-identical to untraced ones (the check-trace gate enforces
-        this).
+    # -- observability -----------------------------------------------------
+    def enable_tracing(self, tracer: Recorder | None = None) -> Recorder:
+        """Start a fresh timeline: the recorder (returned) keeps one
+        event per region of every layer — coordinator phases, per-rank
+        node and solver phases, the switch's scheduled rounds — and
+        folds the earlier events into its aggregates.  ``tracer`` sets
+        the recorder's flags instead, e.g. ``Tracer(enabled=False)``
+        turns tracing off.  Worker processes follow the flag through one
+        pipe command, which also syncs their clocks; their events are
+        re-based onto the coordinator's at every step reply.  Tracing
+        observes only: traced runs stay bit-identical to untraced ones
+        (the check-trace gate enforces this).
         """
-        self.tracer = tracer if tracer is not None else Tracer()
-        self.switch.tracer = self.tracer
-        self._halo_bytes = sum(sum(rnd) for rnd in self.schedule.round_bytes())
-        self._halo_msgs = sum(sum(rnd)
-                              for rnd in self.schedule.round_messages())
-        if self._proc_backend is not None:
-            self._proc_backend.set_tracing(True)
+        rec = self.recorder
+        if tracer is None:
+            rec.trace()
         else:
-            for rank, node in enumerate(self.nodes):
-                solver = getattr(node, "solver", None)
-                if solver is not None and hasattr(solver, "tracer"):
-                    solver.tracer = self.tracer.for_rank(rank)
-        return self.tracer
+            rec.enabled, rec.tracing = tracer.enabled, tracer.tracing
+        self.switch.recorder = rec
+        if self._proc_backend is not None:
+            self._proc_backend.set_tracing(rec.enabled and rec.tracing)
+        return rec
 
-    # -- live telemetry ----------------------------------------------------
     def enable_telemetry(self, **kwargs) -> TelemetrySession:
-        """Attach live metrics and the health watchdog to this driver.
+        """Attach the live view and the health watchdog to this driver.
 
-        Mirrors :meth:`enable_tracing`, but for the *live* layer (see
-        :mod:`repro.perf.telemetry`): the step loop records step rate /
-        MLUPS / per-rank imbalance into the session's
-        :class:`~repro.perf.telemetry.MetricsRegistry`, per-rank solver
-        instruments point at per-rank views of it, and on the processes
-        backend the workers switch their own registries on over the
-        command pipe (snapshot deltas merge at every step reply) and
-        start heartbeating through the shared health segments, which is
-        what the step watchdog reads.  Keyword arguments reach
-        :class:`~repro.perf.telemetry.TelemetrySession` (e.g.
-        ``jsonl_path=``, ``stall_timeout_s=``).  Telemetry is
-        observational only: monitored runs stay bit-identical to
-        unmonitored ones (the check-telemetry gate enforces this).
+        The step loop hands the session every step count; it derives
+        step rate, MLUPS, per-rank busy time and imbalance from the
+        recorder and feeds the watchdog from the workers' shared-memory
+        heartbeats (processes backend; the clocks are synced first).
+        Keyword arguments reach
+        :class:`~repro.perf.telemetry.TelemetrySession` (``jsonl_path=``,
+        ``stall_timeout_s=``, ``slow_factor=``).  Telemetry observes
+        only: monitored runs stay bit-identical (check-telemetry).
         """
-        session = TelemetrySession(self, **kwargs)
-        self.telemetry = session
+        self.telemetry = TelemetrySession(self, **kwargs)
         if self._proc_backend is not None:
-            self._proc_backend.set_telemetry(True)
-        else:
-            for rank, node in enumerate(self.nodes):
-                solver = getattr(node, "solver", None)
-                if solver is not None and hasattr(solver, "metrics"):
-                    solver.metrics = session.registry.for_rank(rank)
-        return session
-
-    # -- node stepping ----------------------------------------------------
-    def _run_on_nodes(self, method: str, span: str) -> None:
-        """Invoke ``method`` on every node, one after another (nodes
-        only touch their own sub-domain state between exchanges), each
-        call under a per-rank ``span`` (a no-op while tracing is off)."""
-        for rank, node in enumerate(self.nodes):
-            with self.tracer.span(span, step=self.time_step, rank=rank):
-                getattr(node, method)()
+            # The flag unchanged, for the command's clock handshake.
+            self._proc_backend.set_tracing(self._proc_backend.tracing)
+        return self.telemetry
 
     def shutdown(self) -> None:
         """Release the worker processes and shared memory (idempotent)."""
@@ -593,16 +575,12 @@ class _ClusterLBMBase:
     # -- the per-step protocol ----------------------------------------------
     def _exchange(self) -> None:
         """Run the halo exchange — per axis every rank posts, then every
-        rank completes — under a ``cluster.exchange`` span."""
-        t0 = time.perf_counter()
-        with self.counters.phase("cluster.exchange"):
+        rank completes — as the ``cluster.exchange`` region."""
+        with self.recorder.phase("cluster.exchange", **self._halo_meta):
             if self._stack is not None:
                 self._stack.exchange()
             else:
-                exchange_all(self._halo, self.counters)
-        self.tracer.add_span("cluster.exchange", t0, time.perf_counter(),
-                             step=self.time_step, bytes=self._halo_bytes,
-                             msgs=self._halo_msgs)
+                exchange_all(self._halo, self.recorder)
 
     def step(self, n: int = 1) -> StepTiming:
         """Advance ``n`` time steps; returns the last step's timing.
@@ -611,53 +589,57 @@ class _ClusterLBMBase:
         the calling thread: node by node, or — :attr:`stacked` — one
         AA phase per arena and the rank-axis exchange.  A GPU node
         models the Sec-4.4 window in its collide's device charges
-        (:meth:`GPUNode.collide_phase`).
+        (:meth:`GPUNode.collide_phase`).  Each step is one
+        ``cluster.step`` region.
         """
         if self._proc_backend is not None:
             return self._step_processes(n)
         timing = self.last_timing
-        rec = self.counters
-        tel = self.telemetry
-        stack = self._stack
+        rec, stack = self.recorder, self._stack
         for _ in range(n):
-            tel_t0 = time.perf_counter() if tel is not None else 0.0
-            self.tracer.begin_step(self.time_step)
-            if stack is None:
-                for node in self.nodes:
-                    node.begin_step()
-            with rec.phase("cluster.collide"):
+            rec.begin_step(self.time_step)
+            with rec.phase("cluster.step"):
                 if stack is None:
-                    self._run_on_nodes("collide_phase", span="cluster.collide")
+                    for node in self.nodes:
+                        node.begin_step()
+                    for node in self.nodes:
+                        node.collide_phase()
                 else:
-                    stack.collide(self.tracer, self.time_step)
-            if not self.config.timing_only:
-                self._exchange()
-            if stack is None:
-                for node in self.nodes:
-                    node.charge_transfers()
-            net_total = (self.switch.phase_time(
-                             self.schedule.round_bytes(),
-                             self.decomp.n_nodes,
-                             round_messages=self.schedule.round_messages())
-                         if self.decomp.n_nodes > 1 else 0.0)
-            with rec.phase("cluster.finish"):
+                    stack.collide()
+                if not self.config.timing_only:
+                    self._exchange()
                 if stack is None:
-                    self._run_on_nodes("finish_step", span="cluster.finish")
+                    for node in self.nodes:
+                        node.charge_transfers()
+                net_total = self._net_total()
+                if stack is None:
+                    for node in self.nodes:
+                        node.finish_step()
                 else:
-                    stack.finish(self.tracer, self.time_step)
-            timing = StepTiming(
-                nodes=self.decomp.n_nodes,
-                compute_s=max(nd.compute_s for nd in self.nodes),
-                agp_s=max(nd.agp_s for nd in self.nodes),
-                net_total_s=net_total,
-                overlap_window_s=max(nd.overlap_window_s for nd in self.nodes),
-            )
+                    stack.finish()
+                timing = self._timing(net_total)
             self.time_step += 1
-            if tel is not None:
-                now = time.perf_counter()
-                tel.record_step(now - tel_t0, now=now)
+            if self.telemetry is not None:
+                self.telemetry.record_steps(1)
         self.last_timing = timing
         return timing
+
+    def _net_total(self) -> float:
+        """The scheduled exchange phase's modelled network time."""
+        if self.decomp.n_nodes == 1:
+            return 0.0
+        return self.switch.phase_time(
+            self.schedule.round_bytes(), self.decomp.n_nodes,
+            round_messages=self.schedule.round_messages())
+
+    def _timing(self, net_total: float) -> StepTiming:
+        return StepTiming(
+            nodes=self.decomp.n_nodes,
+            compute_s=max(nd.compute_s for nd in self.nodes),
+            agp_s=max(nd.agp_s for nd in self.nodes),
+            net_total_s=net_total,
+            overlap_window_s=max(nd.overlap_window_s for nd in self.nodes),
+        )
 
     def _step_processes(self, n: int) -> StepTiming:
         """Advance ``n`` steps on the persistent worker processes.
@@ -665,43 +647,26 @@ class _ClusterLBMBase:
         One command round-trip per call: the workers run all ``n``
         steps (exchanging halos among themselves through the shared
         mailboxes), then reply with the last step's timing buckets and
-        their per-phase counter deltas, which are merged into this
-        driver's :class:`KernelCounters` (seconds are summed across
-        ranks, so multi-rank phases read like CPU time).
+        their recorder drains, absorbed into this driver's recorder
+        under each rank.  The batch is one ``cluster.proc_step`` region;
+        the workers' tracing follows the recorder's flag.
         """
-        tel = self.telemetry
-        self.tracer.begin_step(self.time_step)
+        rec, backend, tel = self.recorder, self._proc_backend, self.telemetry
+        tracing = rec.enabled and rec.tracing
+        if backend.tracing != tracing:
+            backend.set_tracing(tracing)
+        rec.begin_step(self.time_step)
         if tel is not None:
             tel.note_step_command(n)
-        t0 = time.perf_counter()
-        with self.counters.phase("cluster.proc_step"):
-            payloads = self._proc_backend.step(n)
-        t1 = time.perf_counter()
-        self.tracer.add_span("cluster.proc_step", t0, t1, steps=n)
+        with rec.phase("cluster.proc_step", steps=n):
+            payloads = backend.step(n)
         for rank, payload in enumerate(payloads):
-            self.counters.merge(payload["counters"])
-            spans = payload.get("spans")
-            if spans:
-                self.tracer.extend(
-                    spans, offset_s=self._proc_backend.clock_offset(rank))
-            if tel is not None and "metrics" in payload:
-                tel.registry.merge(payload["metrics"])
-        net_total = (self.switch.phase_time(
-                         self.schedule.round_bytes(),
-                         self.decomp.n_nodes,
-                         round_messages=self.schedule.round_messages())
-                     if self.decomp.n_nodes > 1 else 0.0)
-        timing = StepTiming(
-            nodes=self.decomp.n_nodes,
-            compute_s=max(nd.compute_s for nd in self.nodes),
-            agp_s=max(nd.agp_s for nd in self.nodes),
-            net_total_s=net_total,
-            overlap_window_s=max(nd.overlap_window_s for nd in self.nodes),
-        )
+            rec.absorb(payload["recorder"], rank, backend.clock_offset(rank))
+        timing = self._timing(self._net_total())
         self.time_step += n
         self.last_timing = timing
         if tel is not None:
-            tel.record_proc_batch(n, t1 - t0)
+            tel.record_steps(n)
         return timing
 
     # -- observables -----------------------------------------------------------

@@ -27,8 +27,6 @@ and the node then only carries the rank's solver, its cached
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.core.exchange import SolverPort
@@ -36,6 +34,7 @@ from repro.lbm.aa import AAStepKernel, unavailable
 from repro.lbm.solver import LBMSolver
 from repro.gpu.specs import XEON_2_4, CPUSpec
 from repro.perf import calibration as cal
+from repro.perf.recorder import NULL_RECORDER
 
 
 def rank_boundaries(inlet, outflow) -> list:
@@ -63,8 +62,13 @@ class CPUNode(SolverPort):
     ``aa_halo_managed`` says the driver runs the AA halo protocol
     (forward exchange after even phases, reverse scatter exchange
     after odd ones), which is what lets a rank stepped phase by phase
-    run the in-place AA kernel.
+    run the in-place AA kernel.  ``recorder`` is the rank's handle
+    (:func:`~repro.core.exchange.attach_recorder`): a numeric rank's
+    collide and finish are its ``cluster.collide`` / ``cluster.finish``
+    regions.
     """
+
+    recorder = NULL_RECORDER
 
     def __init__(self, rank: int, sub_shape, tau: float, solid=None,
                  face_dirs=(), edge_dirs=(), timing_only: bool = False,
@@ -105,11 +109,6 @@ class CPUNode(SolverPort):
         self.compute_s = 0.0
         self.agp_s = 0.0           # always 0: no GPU on this path
         self.overlap_window_s = 0.0
-        #: *Measured* wall seconds this rank spent computing during the
-        #: last step (vs the modeled ``compute_s``).  Telemetry's
-        #: per-rank imbalance gauge reads this; two perf_counter calls
-        #: per phase keep it far below kernel cost.
-        self.busy_s = 0.0
 
     # -- kernel report ----------------------------------------------------
     @property
@@ -154,7 +153,6 @@ class CPUNode(SolverPort):
         self.compute_s = 0.0
         self.agp_s = 0.0
         self.overlap_window_s = 0.0
-        self.busy_s = 0.0
 
     def collide_phase(self) -> None:
         """Collision (software), one whole pass; the driver exchanges
@@ -162,11 +160,10 @@ class CPUNode(SolverPort):
         with the *entire* computation, so the modeled window is set at
         finish."""
         if not self.timing_only:
-            t0 = time.perf_counter()
-            self.solver.collide()
-            for b in self.solver.boundaries:
-                b.pre_stream(self.solver.fg)
-            self.busy_s += time.perf_counter() - t0
+            with self.recorder.phase("cluster.collide"):
+                self.solver.collide()
+                for b in self.solver.boundaries:
+                    b.pre_stream(self.solver.fg)
 
     def charge_transfers(self) -> None:
         """No GPU bus on the CPU path; MPI buffers are packed on the
@@ -175,10 +172,9 @@ class CPUNode(SolverPort):
 
     def finish_step(self) -> None:
         if not self.timing_only:
-            t0 = time.perf_counter()
-            self.solver.stream()
-            self.solver.post_stream()
-            self.solver.time_step += 1
-            self.busy_s += time.perf_counter() - t0
+            with self.recorder.phase("cluster.finish"):
+                self.solver.stream()
+                self.solver.post_stream()
+                self.solver.time_step += 1
         self.compute_s = self.model_compute_s
         self.overlap_window_s = self.compute_s

@@ -52,10 +52,7 @@ from repro.core.halo import HaloPlan
 from repro.core.wire import layer_index, pack_halo, unpack_halo
 from repro.lbm.streaming import (fill_face_zero_gradient,
                                  fold_face_zero_gradient)
-from repro.perf.counters import KernelCounters
-from repro.perf.trace import NULL_TRACER
-
-_NO_COUNTERS = KernelCounters(enabled=False)
+from repro.perf.recorder import NULL_RECORDER, Recorder
 
 
 @dataclass(frozen=True)
@@ -157,16 +154,16 @@ class Transport:
     preallocated float32 outbox per ``(peer, axis, sides)``, so the
     steady-state exchange allocates nothing, and no modelled clock."""
 
-    def __init__(self, counters: KernelCounters = _NO_COUNTERS) -> None:
+    def __init__(self, recorder: Recorder = NULL_RECORDER) -> None:
         self._outboxes: dict[tuple, np.ndarray] = {}
-        self._counters = counters
+        self._recorder = recorder
 
     def outbox(self, peer: int, axis: int, sides, floats: int) -> np.ndarray:
         key = (peer, axis, sides)
         buf = self._outboxes.get(key)
         if buf is None:
             buf = self._outboxes[key] = np.empty(floats, dtype=np.float32)
-            self._counters.alloc("exchange.wire_bufs")
+            self._recorder.alloc("exchange.wire_bufs")
         return buf
 
 
@@ -177,8 +174,8 @@ class LocalTransport(Transport):
     which :func:`exchange_all` guarantees."""
 
     def __init__(self, rank: int, mail: dict,
-                 counters: KernelCounters = _NO_COUNTERS) -> None:
-        super().__init__(counters)
+                 recorder: Recorder = NULL_RECORDER) -> None:
+        super().__init__(recorder)
         self.rank = rank
         self.mail = mail
 
@@ -196,20 +193,20 @@ class HaloExchange:
     same methods); they are looked up at every call, so spans wrapped
     over a node after construction still fire.  ``aa`` says the rank
     runs the in-place AA kernel: forward exchange after even phases,
-    reverse ghost-scatter exchange after odd ones.  ``counters``
+    reverse ghost-scatter exchange after odd ones.  ``recorder``
     receives ``comm.bytes_wire`` per neighbour message.
     """
 
     def __init__(self, rank: int, port, neighbors: dict, periodic,
                  transport, aa: bool = False,
-                 counters: KernelCounters = _NO_COUNTERS) -> None:
+                 recorder: Recorder = NULL_RECORDER) -> None:
         self.rank = rank
         self.port = port
         self.plan = HaloPlan(port.sub_shape)
         self.routes = build_routes(neighbors, periodic)
         self.transport = transport
         self.aa = bool(aa)
-        self.counters = counters
+        self.recorder = recorder
 
     @property
     def mode(self) -> str:
@@ -229,7 +226,7 @@ class HaloExchange:
             m = self.plan.neighbor_manifest(axis, sides, mode)
             buf = self.port.read_packed(
                 m, transport.outbox(peer, axis, sides, m.total_floats))
-            self.counters.metric("comm.bytes_wire", buf.nbytes)
+            self.recorder.metric("comm.bytes_wire", buf.nbytes)
             transport.send(peer, axis, sides, buf)
         return len(sends)
 
@@ -271,41 +268,44 @@ class HaloExchange:
             if sync is not None:
                 sync()
             self.complete(axis, mode)
-        self.counters.metric("comm.msgs", msgs)
+        self.recorder.metric("comm.msgs", msgs)
 
 
-def step_rank(node, halo: HaloExchange,
-              counters: KernelCounters = _NO_COUNTERS, tracer=NULL_TRACER,
-              sync=None) -> None:
+def attach_recorder(node, recorder: Recorder) -> None:
+    """Give a rank's node, and its solver, the rank's recorder handle."""
+    node.recorder = recorder
+    solver = getattr(node, "solver", None)
+    if solver is not None and hasattr(solver, "recorder"):
+        solver.recorder = recorder
+
+
+def step_rank(node, halo: HaloExchange, sync=None) -> None:
     """One time step of a rank that owns its process or thread (a
     worker process's, an SPMD rank's): begin, collide, the halo
-    exchange (:meth:`HaloExchange.run` with ``sync``), charge the
-    transfers, finish — under the ``cluster.*`` phase counters and
-    spans.  The collide is whole: the Sec-4.4 overlap is modelled by
-    the node's charges, never executed."""
+    exchange (:meth:`HaloExchange.run` with ``sync``, recorded as
+    ``cluster.exchange``), charge the transfers, finish.  The node
+    records its collide and finish.  The collide is whole: the Sec-4.4
+    overlap is modelled by the node's charges, never executed."""
     node.begin_step()
-    with counters.phase("cluster.collide"), tracer.span("cluster.collide"):
-        node.collide_phase()
-    with counters.phase("cluster.exchange"), tracer.span("cluster.exchange"):
+    node.collide_phase()
+    with node.recorder.phase("cluster.exchange"):
         halo.run(sync)
     node.charge_transfers()
-    with counters.phase("cluster.finish"), tracer.span("cluster.finish"):
-        node.finish_step()
+    node.finish_step()
 
 
 def local_engines(decomp, ports, aa: bool = False,
-                  counters: KernelCounters = _NO_COUNTERS,
-                  ) -> list[HaloExchange]:
+                  recorder: Recorder = NULL_RECORDER) -> list[HaloExchange]:
     """One engine per in-process rank over a shared :class:`LocalTransport`."""
     mail: dict = {}
     return [HaloExchange(rank, port, decomp.neighbors(rank), decomp.periodic,
-                         LocalTransport(rank, mail, counters), aa=aa,
-                         counters=counters)
+                         LocalTransport(rank, mail, recorder), aa=aa,
+                         recorder=recorder)
             for rank, port in enumerate(ports)]
 
 
 def exchange_all(engines: list[HaloExchange],
-                 counters: KernelCounters = _NO_COUNTERS) -> None:
+                 recorder: Recorder = NULL_RECORDER) -> None:
     """One whole exchange of in-process ranks.
 
     Per axis every rank posts before any rank completes, so no ghost is
@@ -321,7 +321,7 @@ def exchange_all(engines: list[HaloExchange],
             msgs += ex.post(axis, mode)
         for ex in engines:
             ex.complete(axis, mode)
-    counters.metric("comm.msgs", msgs)
+    recorder.metric("comm.msgs", msgs)
 
 
 def _layer_index(axis: int, links, ranks, layer: int) -> tuple:
@@ -372,9 +372,9 @@ class RankAxisExchange:
     """
 
     def __init__(self, decomp, slots: dict,
-                 counters: KernelCounters = _NO_COUNTERS) -> None:
+                 recorder: Recorder = NULL_RECORDER) -> None:
         self.slots = slots
-        self.counters = counters
+        self.recorder = recorder
         self.routes = [build_routes(decomp.neighbors(rank), decomp.periodic)
                        for rank in range(decomp.n_nodes)]
         self._plans: dict[tuple, HaloPlan] = {}
@@ -455,6 +455,6 @@ class RankAxisExchange:
         for dst, dst_index, src, src_index in program:
             dst[dst_index] = src[src_index]
         if self.msgs:
-            self.counters.metric("comm.bytes_wire", self.bytes,
+            self.recorder.metric("comm.bytes_wire", self.bytes,
                                  calls=self.msgs)
-        self.counters.metric("comm.msgs", self.msgs)
+        self.recorder.metric("comm.msgs", self.msgs)

@@ -28,6 +28,7 @@ from repro.gpu.lbm_gpu import GPULBMSolver
 from repro.gpu.packing import stack_links
 from repro.gpu.specs import AGP_8X, GEFORCE_FX_5800_ULTRA, BusSpec, GPUSpec
 from repro.perf import calibration as cal
+from repro.perf.recorder import NULL_RECORDER
 
 #: Declared per-fragment cost of the border gather/scatter passes that
 #: pack outgoing distributions into the transfer texture (Sec 4.3).
@@ -57,8 +58,12 @@ class GPUNode:
     A numeric rank renders its collide once and charges its device per
     Sec-4.3 rectangle, the shell pieces and then the inner core, whose
     charge is the Sec-4.4 window (:meth:`collide_phase`) — on either
-    cluster backend.
+    cluster backend.  ``recorder`` is the rank's handle: a numeric rank's
+    collide and finish are its ``cluster.collide`` / ``cluster.finish``
+    regions.
     """
+
+    recorder = NULL_RECORDER
 
     def __init__(self, rank: int, sub_shape, tau: float, solid=None,
                  face_dirs=(), edge_dirs=(), timing_only: bool = False,
@@ -167,16 +172,17 @@ class GPUNode:
         if self.timing_only:
             self.overlap_window_s = self._model_window_s()
             return
-        solver, device = self.solver, self.device
-        solver.run_macro_pass(charge=False)
-        solver.run_collide_passes(charge=False)
-        shell, inner = solver.split_pieces()
-        for rect, zr in shell:
-            solver.charge_collide_passes(rect, zr)
-        before = device.clock_s
-        for rect, zr in inner:
-            solver.charge_collide_passes(rect, zr)
-        self.overlap_window_s = device.clock_s - before
+        with self.recorder.phase("cluster.collide"):
+            solver, device = self.solver, self.device
+            solver.run_macro_pass(charge=False)
+            solver.run_collide_passes(charge=False)
+            shell, inner = solver.split_pieces()
+            for rect, zr in shell:
+                solver.charge_collide_passes(rect, zr)
+            before = device.clock_s
+            for rect, zr in inner:
+                solver.charge_collide_passes(rect, zr)
+            self.overlap_window_s = device.clock_s - before
 
     # -- the halo engine's port, over textures (see core.exchange) --------
     def read_packed(self, manifest, out: np.ndarray) -> np.ndarray:
@@ -233,13 +239,14 @@ class GPUNode:
         if self.timing_only:
             self.compute_s = self._model_compute_s()
             return
-        self.solver.run_stream_passes()
-        if self.solver.has_solid:
-            self.solver.run_bounce_passes()
-        if self.solver.inlet is not None:
-            self.solver._apply_inlet()
-        if self.solver.outflow is not None:
-            self.solver._apply_outflow()
+        with self.recorder.phase("cluster.finish"):
+            self.solver.run_stream_passes()
+            if self.solver.has_solid:
+                self.solver.run_bounce_passes()
+            if self.solver.inlet is not None:
+                self.solver._apply_inlet()
+            if self.solver.outflow is not None:
+                self.solver._apply_outflow()
         # Everything charged on the device this step is compute; the AGP
         # bucket is modeled separately by charge_transfers().
         self.compute_s = self.device.clock_s + self._border_s

@@ -25,9 +25,11 @@ Protocol (see DESIGN.md §5c):
   neighbour still reads step ``t``'s slot.
 * **Aggregated observability.**  Each step reply carries the rank's
   modeled timing buckets (``compute_s``/``agp_s``/``overlap_window_s``)
-  and a :class:`~repro.perf.counters.KernelCounters` summary delta;
-  the driver merges them so ``StepTiming`` and the perf counters look
-  the same as under the serial backend.
+  and its :class:`~repro.perf.recorder.Recorder` drain (aggregates,
+  and events while tracing); the driver absorbs them under the rank so
+  ``StepTiming`` and the recorder look the same as under the serial
+  backend.  Workers heartbeat into their shared ``health`` strip at
+  every step boundary, which is what the telemetry watchdog reads.
 * **Fail loudly, clean up always.**  A killed or hung worker breaks
   the shared barrier; the coordinator aborts it, drains the surviving
   ranks' error replies, and raises one aggregated ``RuntimeError``
@@ -48,12 +50,11 @@ from threading import BrokenBarrierError
 
 import numpy as np
 
-from repro.core.exchange import HaloExchange, step_rank
+from repro.core.exchange import HaloExchange, attach_recorder, step_rank
 from repro.core.shm import RankSegments, segment_name, unique_token, unlink_segment_names
 from repro.gpu.specs import BusSpec, CPUSpec, GPUSpec
-from repro.perf.counters import KernelCounters
-from repro.perf.telemetry import MetricsRegistry, rss_bytes
-from repro.perf.trace import Tracer, estimate_clock_offset
+from repro.perf.recorder import Recorder, estimate_clock_offset
+from repro.perf.telemetry import rss_bytes
 
 #: Fallback start method order: fork is cheap and keeps tests fast on
 #: Linux; spawn is the portable fallback.
@@ -166,23 +167,13 @@ class _Worker:
         self.spec = spec
         self.conn = conn
         self.barrier = barrier
-        self.counters = KernelCounters()
-        #: Per-rank span recorder; off until the coordinator sends a
-        #: ("trace", True) command.  Spans are drained into every step
-        #: reply and re-based onto the coordinator clock on merge.
-        self.tracer = Tracer(enabled=False, rank=spec.rank)
-        #: Per-rank live metrics; off until a ("telemetry", True)
-        #: command.  Snapshot deltas ride every step reply and merge
-        #: into the coordinator registry keyed by this rank.
-        self.metrics = MetricsRegistry(enabled=False, rank=spec.rank)
+        #: The rank's recorder; tracing follows the coordinator's
+        #: ("trace", flag) command.  Drained into every step reply.
+        self.recorder = Recorder(rank=spec.rank)
         self.broken: str | None = None
         self.step_count = 0
         self.node = _build_node(spec)
-        solver = getattr(self.node, "solver", None)
-        if solver is not None and hasattr(solver, "tracer"):
-            solver.tracer = self.tracer
-        if solver is not None and hasattr(solver, "metrics"):
-            solver.metrics = self.metrics
+        attach_recorder(self.node, self.recorder)
         # Attach own segments, then every peer's mailbox for unpacking.
         # Peer mailbox layouts follow the *peer's* block shape — equal
         # to ours only under uniform cuts.
@@ -198,7 +189,7 @@ class _Worker:
         self.transport = _MailboxTransport(self.segs, self.peer_mail)
         self.exchange = HaloExchange(
             spec.rank, self.node, spec.neighbors, spec.periodic,
-            self.transport, aa=spec.aa_halo_managed, counters=self.counters)
+            self.transport, aa=spec.aa_halo_managed, recorder=self.recorder)
         # A CPU rank's distributions live on the shared segment; a
         # simulated-GPU rank's texture stacks stage through it.
         self._fg_adopted = spec.node_kind == "cpu"
@@ -239,35 +230,31 @@ class _Worker:
                            f"after {self.spec.barrier_timeout_s:g}s)")
             raise
 
+    def _heartbeat(self, busy: bool, stepped: bool = False) -> None:
+        """Write the shared health strip (see shm.HEALTH_SLOTS), which
+        the coordinator's watchdog reads live, mid-step included; a
+        step's seconds are the time since the previous heartbeat."""
+        health, now = self.segs.health, time.perf_counter()
+        health[1] = float(self.step_count)
+        health[2] = float(busy)
+        if stepped:
+            health[3] = now - health[0]
+        if not busy:
+            health[4] = float(rss_bytes())
+        health[0] = now
+
     def _step(self, n: int) -> dict:
-        node, rec, tracer = self.node, self.counters, self.tracer
-        tel = self.metrics.enabled
-        health = self.segs.health if tel else None
-        step_hist = self.metrics.histogram("step.seconds") if tel else None
-        batch_busy = 0.0
-        if health is not None:
-            # Heartbeat slots (see shm.HEALTH_SLOTS): the coordinator
-            # watchdog reads these live, so mark busy *before* work
-            # starts and refresh hb_time at every step boundary.
-            health[2] = 1.0
-            health[0] = time.perf_counter()
+        node, rec = self.node, self.recorder
+        # Mark busy *before* work starts; refresh at every step boundary.
+        self._heartbeat(True)
         for _ in range(int(n)):
-            t_it = time.perf_counter() if tel else 0.0
-            tracer.begin_step(self.step_count)
+            rec.begin_step(self.step_count)
             # The step parity addresses the double-buffered mailboxes.
             self.transport.slot = self.step_count & 1
-            step_rank(node, self.exchange, rec, tracer,
-                      sync=self._barrier_wait)
+            step_rank(node, self.exchange, sync=self._barrier_wait)
             self.step_count += 1
-            if tel:
-                now = time.perf_counter()
-                dt = now - t_it
-                batch_busy += float(getattr(node, "busy_s", 0.0))
-                step_hist.observe(dt)
-                self.metrics.counter("worker.steps").inc()
-                health[3] = dt
-                health[1] = float(self.step_count)
-                health[0] = now
+            self._heartbeat(True, stepped=True)
+        self._heartbeat(False)
         reply = {
             "compute_s": node.compute_s,
             "agp_s": node.agp_s,
@@ -275,17 +262,8 @@ class _Worker:
             "kernel_used": getattr(node, "kernel_used", "n/a"),
             "solid_fraction": float(getattr(node, "solid_fraction", 0.0)),
             "kernel_reason": getattr(node, "kernel_reason", None),
-            "counters": rec.summary(),
+            "recorder": rec.drain(),
         }
-        if tracer.enabled:
-            reply["spans"] = tracer.drain()
-        if tel:
-            reply["metrics"] = self.metrics.snapshot(reset=True)
-            health[4] = batch_busy
-            health[5] = float(rss_bytes())
-            health[2] = 0.0
-            health[0] = time.perf_counter()
-        rec.reset()
         return reply
 
     def _live_buf(self) -> int:
@@ -329,38 +307,20 @@ class _Worker:
         return {}
 
     def _trace(self, enabled: bool) -> dict:
-        """Toggle span recording; replies with this process's clock.
+        """Set the recorder's tracing flag; replies with this process's
+        clock.
 
         The coordinator timestamps the command round-trip and uses the
         returned ``perf_counter`` reading to estimate this worker's one
         clock offset (midpoint method, ``ProcessBackend.clock_offset``),
-        so merged spans and heartbeats land on the coordinator
+        so absorbed events and heartbeats land on the coordinator
         timeline.  On Linux ``perf_counter`` is the shared
         ``CLOCK_MONOTONIC``, making the offset ~0; the handshake keeps
-        the re-basing correct where it is not.
+        the re-basing correct where it is not.  A baseline heartbeat
+        goes out too, so the watchdog never sees an all-zero strip.
         """
-        self.tracer.enabled = bool(enabled)
-        if not enabled:
-            self.tracer.clear()
-        return {"now": time.perf_counter()}
-
-    def _telemetry(self, enabled: bool) -> dict:
-        """Toggle live metrics; replies with this process's clock.
-
-        Same clock reply as :meth:`_trace`, refreshing the same
-        offset.  Enabling also writes an immediate baseline heartbeat
-        so the watchdog never sees an all-zero strip.
-        """
-        self.metrics.enabled = bool(enabled)
-        if not enabled:
-            self.metrics.reset()
-        else:
-            health = self.segs.health
-            if health is not None:
-                health[1] = float(self.step_count)
-                health[5] = float(rss_bytes())
-                health[2] = 0.0
-                health[0] = time.perf_counter()
+        self.recorder.tracing = bool(enabled)
+        self._heartbeat(False)
         return {"now": time.perf_counter()}
 
     def run(self) -> None:
@@ -397,8 +357,6 @@ class _Worker:
                         payload = self._initialize(msg[1], msg[2])
                     elif cmd == "trace":
                         payload = self._trace(msg[1])
-                    elif cmd == "telemetry":
-                        payload = self._telemetry(msg[1])
                     else:
                         raise ValueError(f"unknown command {cmd!r}")
                 except BrokenBarrierError:
@@ -454,6 +412,8 @@ class ProcessBackend:
         self.conns = []
         self.proxies = [RankProxy(r) for r in range(self.n_ranks)]
         self._clock_offsets = [0.0] * self.n_ranks
+        #: The tracing flag last sent to the workers.
+        self.tracing = False
         # Per-rank block shapes: equal boxes by default, but non-uniform
         # cuts size each rank's segments independently.
         sub_shapes = tuple(tuple(int(s) for s in a["sub_shape"])
@@ -628,31 +588,24 @@ class ProcessBackend:
     def initialize(self, rho, u) -> None:
         self._command(("initialize", rho, u))
 
-    def _toggle(self, msg: tuple) -> None:
-        """Send a trace/telemetry toggle and sync the worker clocks.
+    def set_tracing(self, enabled: bool) -> None:
+        """Set every worker recorder's tracing flag and sync the clocks.
 
         Each worker replies with its own ``perf_counter`` reading; the
         midpoint of the command round-trip estimates its clock offset
-        (error bounded by half the round-trip).  Every toggle refreshes
+        (error bounded by half the round-trip).  Every call refreshes
         the one per-worker offset that :meth:`clock_offset` serves.
         """
         t_send = time.perf_counter()
-        payloads = self._command(msg)
+        payloads = self._command(("trace", bool(enabled)))
         t_recv = time.perf_counter()
         self._clock_offsets = [estimate_clock_offset(t_send, t_recv, p["now"])
                                for p in payloads]
-
-    def set_tracing(self, enabled: bool) -> None:
-        """Toggle span recording on every worker and sync their clocks."""
-        self._toggle(("trace", bool(enabled)))
-
-    def set_telemetry(self, enabled: bool) -> None:
-        """Toggle live metrics on every worker and sync their clocks."""
-        self._toggle(("telemetry", bool(enabled)))
+        self.tracing = bool(enabled)
 
     def clock_offset(self, rank: int) -> float:
         """Coordinator-clock offset of ``rank``'s worker: re-bases its
-        drained spans and its shared-memory heartbeat timestamps
+        drained events and its shared-memory heartbeat timestamps
         (:meth:`read_health`) onto the coordinator timeline, so spans
         and watchdog ages are comparable across processes."""
         return self._clock_offsets[rank]
@@ -676,8 +629,7 @@ class ProcessBackend:
                 "step": int(strip[1]),
                 "busy": bool(strip[2]),
                 "step_seconds": float(strip[3]),
-                "busy_seconds": float(strip[4]),
-                "rss_bytes": int(strip[5]),
+                "rss_bytes": int(strip[4]),
             })
         return rows
 

@@ -43,8 +43,8 @@ one its worker writes: a CPU rank gets ``fg``, ``mail`` and
 
 ``health``
     A tiny float64 heartbeat strip of :data:`HEALTH_SLOTS` scalars
-    (``hb_time, step, busy, step_seconds, busy_seconds, rss_bytes``)
-    the worker updates at step boundaries and the coordinator's
+    (``hb_time, step, busy, step_seconds, rss_bytes``) the worker
+    updates at step boundaries and the coordinator's
     telemetry watchdog reads *at any time* — including while a step
     command is outstanding, which is what makes live stall detection
     possible over a synchronous pipe protocol.  Single writer, aligned
@@ -84,8 +84,8 @@ SHM_DTYPE = np.dtype(np.float32)
 MAIL_LINKS = 5
 
 #: Scalar slots in the per-rank health segment (see module docstring):
-#: ``hb_time, step, busy, step_seconds, busy_seconds, rss_bytes``.
-HEALTH_SLOTS = 6
+#: ``hb_time, step, busy, step_seconds, rss_bytes``.
+HEALTH_SLOTS = 5
 
 #: dtype of the health heartbeat strip — float64 so perf_counter
 #: timestamps keep full precision and each slot is one aligned 8-byte

@@ -42,10 +42,12 @@ import numpy as np
 
 from repro.core.cpu_node import CPUNode
 from repro.core.decomposition import BlockDecomposition
-from repro.core.exchange import HaloExchange, Transport, mirrored, step_rank
+from repro.core.exchange import (HaloExchange, Transport, attach_recorder,
+                                 mirrored, step_rank)
 from repro.lbm.aa import unavailable
 from repro.lbm.lattice import D3Q19
 from repro.net.simmpi import SimCluster
+from repro.perf.recorder import NULL_RECORDER, Recorder
 
 def _tag(axis: int, sides) -> int:
     """One tag per axis and message kind, so concurrent phases never
@@ -113,9 +115,11 @@ class SPMDClusterLBM:
         self._out_lock = threading.Lock()
 
     # -- the per-rank program ------------------------------------------------
-    def _rank_main(self, comm, steps: int, out: list):
+    def _rank_main(self, comm, steps: int, out: list,
+                   recorder: Recorder = NULL_RECORDER):
         """The program every rank runs: build its AA node and halo
-        engine, take ``steps`` rank steps, write its canonical
+        engine on the rank's view of the run's ``recorder``, take
+        ``steps`` rank steps, write its canonical
         distributions into its own block of the run's global array and
         return its simulated clock.
 
@@ -138,8 +142,11 @@ class SPMDClusterLBM:
                        solid=self.solids[rank], aa_halo_managed=aa)
         if self.f0_parts is not None:
             node.solver.f[...] = self.f0_parts[rank]
+        view = recorder.for_rank(rank)
+        attach_recorder(node, view)
         halo = HaloExchange(rank, node, decomp.neighbors(rank),
-                            decomp.periodic, SimMPITransport(comm), aa=aa)
+                            decomp.periodic, SimMPITransport(comm), aa=aa,
+                            recorder=view)
         for _ in range(steps):
             step_rank(node, halo)
         f = node.solver.f
@@ -166,5 +173,5 @@ class SPMDClusterLBM:
         cl = cluster if cluster is not None else SimCluster(
             self.decomp.n_nodes)
         out: list = []
-        clocks = cl.run(self._rank_main, steps, out)
+        clocks = cl.run(self._rank_main, steps, out, cl.recorder)
         return out[0], clocks

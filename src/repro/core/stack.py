@@ -27,23 +27,21 @@ kernel, :class:`RankStack` replaces the per-rank loop:
 Each rank keeps its own kernel, which is never swept but reconstructs
 the rank's canonical distributions over its slot at odd parity, so
 gather, load and rebalance work unchanged.  Observability is per rank
-by apportioning: a traced step records one ``cluster.collide`` and one
-``cluster.finish`` span per rank, consecutive slices of the batch's
-interval (and thread CPU time) in proportion to the rank's cells, and
-``busy_s`` — which telemetry reads as ``rank.busy_seconds`` — is the
-batch time split by the same cell share.  Each group's AA phase itself
-is one ``solver.collide`` span on the coordinator's track.
+by apportioning: the batch collide and the batch finish are each
+recorded as one ``cluster.collide`` / ``cluster.finish`` region per
+rank, consecutive slices of the batch's interval in proportion to the
+rank's cells (:meth:`~repro.perf.recorder.Recorder.slices`), so
+telemetry's per-rank busy time is the batch time split by cell share.
 """
 
 from __future__ import annotations
 
-import time
+from time import perf_counter
 
 import numpy as np
 
 from repro.core.exchange import RankAxisExchange
 from repro.lbm.aa import AAStepKernel
-from repro.perf.trace import COORDINATOR_RANK
 
 
 def carve_arenas(decomp, q: int, dtype) -> dict[int, tuple[np.ndarray, int]]:
@@ -89,7 +87,7 @@ class RankStack:
         view[...] = solver.fg
         solver.fg = view
 
-    def bind(self, nodes, counters) -> None:
+    def bind(self, nodes, recorder) -> None:
         """Build the batch kernels and the rank-axis exchange."""
         self.nodes = list(nodes)
         self.solvers = [node.solver for node in self.nodes]
@@ -107,37 +105,35 @@ class RankStack:
         for arena, group in members.values():
             self.kernels.append(AAStepKernel(group[0], arena=arena,
                                              members=group))
-        self.halo = RankAxisExchange(self.decomp, self.slots, counters)
+        self.halo = RankAxisExchange(self.decomp, self.slots, recorder)
+        self.recorder = recorder
         self._post = [s for s in self.solvers
                       if s.boundaries or s.solid.any()]
         cells = np.array([b.cells for b in self.decomp.blocks], float)
-        self._share = cells / cells.sum()
-        self._edges = np.concatenate(([0.0], np.cumsum(self._share)))
+        self._edges = np.concatenate(([0.0], np.cumsum(cells / cells.sum()))
+                                     ).tolist()
         self._odd = False
-        self._busy_s = 0.0
 
     # -- the per-step protocol -------------------------------------------
-    def collide(self, tracer, step: int) -> None:
+    def collide(self) -> None:
         """One AA phase of every rank, by group."""
-        t0, cpu0 = time.perf_counter(), time.thread_time()
+        t0 = perf_counter()
         self._odd = self.solvers[0].aa_odd
         for kernel in self.kernels:
-            with tracer.span("solver.collide", step=step,
-                             rank=COORDINATOR_RANK, kernel="aa",
-                             ranks=len(kernel.members)):
-                if self._odd:
-                    kernel.odd_phase()
-                else:
-                    kernel.even_phase()
-        self._busy_s = self._spans(tracer, "cluster.collide", step, t0, cpu0)
+            if self._odd:
+                kernel.odd_phase()
+            else:
+                kernel.even_phase()
+        self.recorder.slices("cluster.collide", t0, perf_counter(),
+                             self._edges, kernel="aa")
 
     def exchange(self) -> None:
         """The halo exchange the phase just run asks for."""
         self.halo.run("aa_reverse" if self._odd else "aa_forward")
 
-    def finish(self, tracer, step: int) -> None:
+    def finish(self) -> None:
         """Close the step on every rank; charge the nodes."""
-        t0, cpu0 = time.perf_counter(), time.thread_time()
+        t0 = perf_counter()
         rotated = not self._odd
         for solver in self._post:
             solver._bounce_folded = solver._aa_rotated = rotated
@@ -145,22 +141,8 @@ class RankStack:
         for solver in self.solvers:
             solver.kernel_used = "aa"
             solver.time_step += 1
-        busy_s = self._busy_s + self._spans(tracer, "cluster.finish", step,
-                                            t0, cpu0)
-        for node, share in zip(self.nodes, self._share):
+        for node in self.nodes:
             node.compute_s = node.overlap_window_s = node.model_compute_s
             node.agp_s = 0.0
-            node.busy_s = busy_s * share
-
-    def _spans(self, tracer, name: str, step: int, t0: float,
-               cpu0: float) -> float:
-        """Record ``name`` per rank as cell-share slices of the batch
-        interval that began at ``t0``; returns its wall seconds."""
-        t1 = time.perf_counter()
-        if tracer.enabled:
-            cpu = time.thread_time() - cpu0
-            at = t0 + (t1 - t0) * self._edges
-            for rank, share in enumerate(self._share):
-                tracer.add_span(name, at[rank], at[rank + 1], step=step,
-                                rank=rank, cpu_s=cpu * share, kernel="aa")
-        return t1 - t0
+        self.recorder.slices("cluster.finish", t0, perf_counter(),
+                             self._edges, kernel="aa")

@@ -120,7 +120,7 @@ def run_exchange_check(sub_shape=(6, 6, 4), arrangement=(2, 2, 1),
     from repro.core.spmd import SPMDClusterLBM
     from repro.lbm.solver import LBMSolver
     from repro.net.simmpi import SimCluster
-    from repro.perf.trace import Tracer
+    from repro.perf.recorder import Tracer
 
     steps += steps % 2  # the AA pair cadence needs an even count
     shape = tuple(s * a for s, a in zip(sub_shape, arrangement))
@@ -171,7 +171,7 @@ def run_exchange_check(sub_shape=(6, 6, 4), arrangement=(2, 2, 1),
                                 periodic=(True, True, True))
     tracer = Tracer(enabled=True)
     got, _ = SPMDClusterLBM(decomp, tau=0.7, f0=f0).run(
-        steps, cluster=SimCluster(decomp.n_nodes, tracer=tracer))
+        steps, cluster=SimCluster(decomp.n_nodes, recorder=tracer))
     if not np.array_equal(got, ref_f):
         raise AssertionError("spmd: diverged from the reference")
     want_msgs = _expected_wire_counts(decomp)

@@ -92,7 +92,6 @@ rules resolve ``split`` and say why.
 from __future__ import annotations
 
 import weakref
-from contextlib import nullcontext
 
 import numpy as np
 
@@ -321,20 +320,15 @@ class AAStepKernel:
     def step_once(self) -> None:
         """Advance the bound single-domain solver one time step."""
         s = self.solver
-        rec = s.counters
-        live = rec is not None and rec.enabled
-        phase = rec.phase if live else (lambda name: nullcontext())
-        if live:
-            rec.add("kernel.aa", 0.0)
+        s.recorder.metric("kernel.aa", 0)
         even = not s.aa_odd
-        with phase("aa.even" if even else "aa.odd"):
+        with s.recorder.phase("aa.even" if even else "aa.odd"):
             (self.even_phase if even else self.odd_phase)()
         # The even phase's reversed write is the bounce; the odd phase
         # swapped behind its sweep unless a driver closes the halo.
         s._bounce_folded = not (s.aa_odd and s.aa_halo_managed)
         s._aa_rotated = even
-        with phase("aa.post_stream"):
-            s.post_stream()
+        s.post_stream()
 
     # -- observables mid-pair ---------------------------------------------
     def reconstruct(self) -> np.ndarray:

@@ -60,7 +60,6 @@ class BGKCollision:
             raise ValueError(f"force must have shape ({lattice.D},)")
         self._feq_bufs: dict[tuple, np.ndarray] = {}
         self._force_add_cache: tuple[np.dtype, np.ndarray] | None = None
-        self.counters = None  # optional KernelCounters, set by the owning solver
 
     def _force_add(self, dtype: np.dtype) -> np.ndarray:
         """Per-direction forcing increment ``w_i * 3 (c_i . F)``, cached.
@@ -106,8 +105,6 @@ class BGKCollision:
         buf = self._feq_bufs.get(key)
         if buf is None:
             buf = self._feq_bufs[key] = np.empty_like(f)
-            if self.counters is not None:
-                self.counters.alloc("collision.feq_buf")
         feq = equilibrium(lat, rho, u, out=buf)
         omega = f.dtype.type(self.omega)
         if mask is not None and mask.all():
@@ -117,8 +114,6 @@ class BGKCollision:
         if mask is None:
             f += omega * (feq - f)
         else:
-            if self.counters is not None:
-                self.counters.alloc("collision.masked_gather", 3)
             f[:, mask] += omega * (feq[:, mask] - f[:, mask])
         if self.force is not None:
             add = self._force_add(f.dtype).reshape((lat.Q,) + (1,) * (f.ndim - 1))

@@ -13,9 +13,6 @@ network by the cluster driver).
 
 from __future__ import annotations
 
-import time
-from contextlib import nullcontext
-
 import numpy as np
 
 from repro.lbm.aa import AAStepKernel, unavailable
@@ -28,9 +25,7 @@ from repro.lbm.mrt import MRTCollision
 from repro.lbm.streaming import (fill_ghosts_periodic,
                                  fill_ghosts_zero_gradient, interior,
                                  pull_slice_table, stream_pull)
-from repro.perf.counters import KernelCounters
-from repro.perf.telemetry import NULL_REGISTRY
-from repro.perf.trace import NULL_TRACER
+from repro.perf.recorder import Recorder
 
 
 class LBMSolver:
@@ -173,17 +168,10 @@ class LBMSolver:
         #: (:mod:`repro.lbm.esoteric`) instead of applying them
         #: canonically.
         self._aa_rotated = False
-        self.counters = KernelCounters()
-        #: Span tracer (see :mod:`repro.perf.trace`); the shared
-        #: disabled singleton until a driver or caller attaches a live
-        #: one, so un-traced steps pay only the no-op span calls.
-        self.tracer = NULL_TRACER
-        #: Live metrics registry (see :mod:`repro.perf.telemetry`);
-        #: the shared disabled singleton by default — drivers attach a
-        #: per-rank view when telemetry is enabled.
-        self.metrics = NULL_REGISTRY
-        if isinstance(self.collision, BGKCollision):
-            self.collision.counters = self.counters
+        #: The solver's one instrumentation handle
+        #: (:mod:`repro.perf.recorder`): its own recorder until a
+        #: cluster driver attaches the rank's view.
+        self.recorder = Recorder()
         self.time_step = 0
         self.initialize()
 
@@ -366,12 +354,10 @@ class LBMSolver:
         akern = self._aa_kernel_for_phase()
         if akern is not None:
             self.kernel_used = "aa"
-            with self.tracer.span("solver.collide", step=self.time_step,
-                                  kernel="aa"):
+            with self.recorder.phase("solver.collide", kernel="aa"):
                 (akern.odd_phase if self.aa_odd else akern.even_phase)()
             return
-        with self.tracer.span("solver.collide", step=self.time_step,
-                              kernel="split"):
+        with self.recorder.phase("solver.collide", kernel="split"):
             self.kernel_used = "split"
             self.collision(self.f, mask=self.fluid)
 
@@ -379,7 +365,7 @@ class LBMSolver:
         """Populate the ghost shell (periodic wrap or zero-gradient); a
         no-op while the AA kernel owns the array (its phases close the
         shell, or the cluster driver's exchange does)."""
-        with self.tracer.span("solver.ghosts", step=self.time_step):
+        with self.recorder.phase("solver.ghosts"):
             if (self._aa_kernel is not None
                     and self._aa_kernel_for_phase() is not None):
                 return
@@ -391,8 +377,9 @@ class LBMSolver:
                 fill_ghosts_zero_gradient(self.fg)
 
     def stream(self) -> None:
-        """Pull-stream into the double buffer and swap."""
-        rec = self.counters
+        """Pull-stream into the double buffer and swap; marks which
+        kernel ran (``kernel.<name>``, one per step)."""
+        rec = self.recorder
         akern = self._aa_kernel_for_phase()
         if akern is not None:
             # Streaming already happened in place (reversed writes on
@@ -400,24 +387,18 @@ class LBMSolver:
             # phase only settles the bounce-back bookkeeping: after an
             # even phase the reversed write *is* the bounce, after an
             # odd one the sweep swapped (post_stream does on a rank).
-            with self.tracer.span("solver.stream", step=self.time_step,
-                                  kernel="aa"):
+            with rec.phase("solver.stream", kernel="aa"):
                 self.kernel_used = "aa"
                 self._bounce_folded = not (self.aa_odd and self.aa_halo_managed)
                 self._aa_rotated = not self.aa_odd
-            if rec is not None and rec.enabled:
-                rec.add("kernel.aa", 0.0)
+            rec.metric("kernel.aa", 0)
             return
-        with self.tracer.span("solver.stream", step=self.time_step,
-                              kernel="split"):
+        with rec.phase("solver.stream", kernel="split"):
             self.kernel_used = "split"
             stream_pull(self.lattice, self.fg, out=self._fg_next,
                         slices=self._pull_slices)
             self.fg, self._fg_next = self._fg_next, self.fg
-        if rec is not None and rec.enabled:
-            # One marker per step recording which hot path ran, so
-            # cluster counter summaries show the per-rank selection.
-            rec.add(f"kernel.{self.kernel_used}", 0.0)
+        rec.metric("kernel.split", 0)
 
     def post_stream(self) -> None:
         """Bounce-back on solids, then user boundary handlers.
@@ -427,7 +408,7 @@ class LBMSolver:
         write rule instead — canonical application would corrupt the
         layout.  Both paths are bit-identical on the canonical state.
         """
-        with self.tracer.span("solver.post_stream", step=self.time_step):
+        with self.recorder.phase("solver.post_stream"):
             if self._bounce_folded:
                 self._bounce_folded = False
             elif self.solid.any():
@@ -444,43 +425,24 @@ class LBMSolver:
                 b.apply(self.fg)
 
     # ------------------------------------------------------------------
-    def _step_phase_split(self) -> None:
-        """One step through the classic collide/ghosts/stream phases."""
-        rec = self.counters
-        live = rec is not None and rec.enabled
-        phase = rec.phase if live else (lambda name: nullcontext())
-        with phase("collide"):
-            self.collide()
-            for b in self.boundaries:
-                b.pre_stream(self.fg)
-        with phase("ghosts"):
-            self.fill_ghosts()
-        with phase("stream"):
-            self.stream()
-        with phase("post_stream"):
-            self.post_stream()
-
     def step(self, n: int = 1) -> None:
-        """Advance ``n`` LBM time steps."""
-        metrics = self.metrics
-        step_t0 = time.perf_counter() if metrics.enabled else 0.0
+        """Advance ``n`` LBM time steps, each through the AA kernel's
+        step or the classic collide/ghosts/stream phases."""
         for _ in range(n):
-            selected = self._select_kernel(whole_step=True)
-            if selected == "aa":
+            self.recorder.begin_step(self.time_step)
+            if self._select_kernel(whole_step=True) == "aa":
                 akern = self._enter_aa()
                 self.kernel_used = "aa"
-                with self.tracer.span("solver.step", step=self.time_step,
-                                      kernel="aa"):
-                    akern.step_once()
-                self.time_step += 1
-                continue
-            self._leave_aa()
-            self._step_phase_split()
+                akern.step_once()
+            else:
+                self._leave_aa()
+                self.collide()
+                for b in self.boundaries:
+                    b.pre_stream(self.fg)
+                self.fill_ghosts()
+                self.stream()
+                self.post_stream()
             self.time_step += 1
-        if metrics.enabled:
-            dt = time.perf_counter() - step_t0
-            metrics.counter("solver.steps").inc(n)
-            metrics.histogram("solver.step.seconds").observe(dt / max(1, n))
 
     # -- observables ----------------------------------------------------
     def macroscopic(self) -> tuple[np.ndarray, np.ndarray]:

@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.net.switch import GigabitSwitch
 from repro.perf import calibration as cal
-from repro.perf.trace import NULL_TRACER, Tracer
+from repro.perf.recorder import NULL_RECORDER, Recorder
 
 #: Per-rank cost of one barrier (flat-tree MPI over TCP), multiplied by
 #: log2(size); small against the calibrated message costs.
@@ -152,7 +152,7 @@ class SimComm:
         arr = np.ascontiguousarray(array)
         start, end = self._cluster.switch.reserve(dest, self.clock_s, arr.nbytes)
         self.clock_s = end
-        self._cluster.tracer.message(self.rank, dest, tag, arr.nbytes,
+        self._cluster.recorder.message(self.rank, dest, tag, arr.nbytes,
                                      start, end)
         self._cluster.mail.put(self.rank, dest, tag,
                                _Envelope(arr.copy(), arrival_s=end))
@@ -170,7 +170,7 @@ class SimComm:
         arr = np.ascontiguousarray(array)
         start, end = self._cluster.switch.reserve(dest, self.clock_s, arr.nbytes)
         self.clock_s += cal.NET_STEP_OVERHEAD_S
-        self._cluster.tracer.message(self.rank, dest, tag, arr.nbytes,
+        self._cluster.recorder.message(self.rank, dest, tag, arr.nbytes,
                                      start, end)
         self._cluster.mail.put(self.rank, dest, tag,
                                _Envelope(arr.copy(), arrival_s=end))
@@ -197,7 +197,7 @@ class SimComm:
             source = dest
         arr = np.ascontiguousarray(array)
         start, end = self._cluster.switch.reserve(dest, self.clock_s, arr.nbytes)
-        self._cluster.tracer.message(self.rank, dest, tag, arr.nbytes,
+        self._cluster.recorder.message(self.rank, dest, tag, arr.nbytes,
                                      start, end)
         self._cluster.mail.put(self.rank, dest, tag, _Envelope(arr.copy(), end))
         env = self._cluster.mail.get(source, self.rank, tag,
@@ -273,15 +273,16 @@ class SimCluster:
 
     def __init__(self, size: int, switch: GigabitSwitch | None = None,
                  timeout_s: float = 60.0,
-                 tracer: Tracer | None = None) -> None:
+                 recorder: Recorder | None = None) -> None:
         if size < 1:
             raise ValueError("size must be >= 1")
         self.size = size
         self.switch = switch if switch is not None else GigabitSwitch()
-        #: Span tracer: every Send/Isend/sendrecv records a
-        #: simulated-clock message event (src, dst, tag, bytes,
-        #: switch-priced start/end) when enabled.
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        #: Recorder of the run: while it traces, every Send/Isend/
+        #: sendrecv records a simulated-clock message event (src, dst,
+        #: tag, bytes, switch-priced start/end); SPMD rank programs
+        #: record their regions on per-rank views of it.
+        self.recorder = recorder if recorder is not None else NULL_RECORDER
         self.mail = _Mailboxes()
         self.timeout_s = timeout_s
         self._barrier = threading.Barrier(size)

@@ -35,7 +35,7 @@ import threading
 from dataclasses import dataclass, field
 
 from repro.perf import calibration as cal
-from repro.perf.trace import NETWORK_RANK, NULL_TRACER, SIM_CLOCK
+from repro.perf.recorder import NETWORK_RANK, NULL_RECORDER
 
 
 @dataclass(frozen=True)
@@ -77,11 +77,11 @@ class GigabitSwitch:
         self._lock = threading.Lock()
         self._port_free_at: dict[int, float] = {}
         self.contention_events = 0
-        #: Span tracer (:mod:`repro.perf.trace`).  When enabled,
+        #: Recorder (:mod:`repro.perf.recorder`).  While it traces,
         #: :meth:`phase_time` records each scheduled exchange round as
-        #: a simulated-clock span, making the Fig-7 communication
+        #: a simulated-clock event, making the Fig-7 communication
         #: schedule visible per step on the network track.
-        self.tracer = NULL_TRACER
+        self.recorder = NULL_RECORDER
         self._trace_clock_s = 0.0
 
     # -- scheduled (round-based) path -----------------------------------
@@ -133,22 +133,21 @@ class GigabitSwitch:
             paired = [(r, m) for r, m in zip(rounds, round_messages) if r]
         if not paired:
             return 0.0
-        tr = self.tracer
+        tr = self.recorder
         t = self.phase_overhead_scale * cal.NET_PHASE_OVERHEAD_S
         sim_t = self._trace_clock_s + t
         for r, m in paired:
             rt = self.round_time(r, m)
             t += rt.seconds
-            if tr.enabled:
+            if tr.tracing:
                 tr.add_span("net.round", sim_t, sim_t + rt.seconds,
-                            rank=NETWORK_RANK, clock=SIM_CLOCK,
-                            pairs=rt.n_pairs, max_bytes=rt.max_bytes)
+                            rank=NETWORK_RANK, pairs=rt.n_pairs,
+                            max_bytes=rt.max_bytes)
                 sim_t += rt.seconds
         t += self.drift_scale * cal.drift_penalty_s(nodes)
-        if tr.enabled:
+        if tr.tracing:
             tr.add_span("net.phase", self._trace_clock_s,
-                        self._trace_clock_s + t,
-                        rank=NETWORK_RANK, clock=SIM_CLOCK,
+                        self._trace_clock_s + t, rank=NETWORK_RANK,
                         rounds=len(paired), nodes=nodes)
             self._trace_clock_s += t
         return t

@@ -16,20 +16,22 @@ of *time decompositions* measured on 2004 hardware.  This package holds
 * :mod:`repro.perf.whatif` — the Sec 4.4 "three enhancements"
   (Myrinet, PCI-Express, 256 MB GPUs) and the barrier-synchronisation
   trade-off;
-* :mod:`repro.perf.counters` — per-phase wall-time and allocation
-  counters for this reproduction's own numeric hot paths (wired into
-  the reference solver and both cluster drivers);
-* :mod:`repro.perf.trace` — span-based step tracing across ranks,
-  backends and the simulated network (Chrome trace-event / JSONL
-  export, overlap-efficiency and load-imbalance analytics in
-  :mod:`repro.perf.report`).
+* :mod:`repro.perf.recorder` — the one instrumentation spine of this
+  reproduction's own hot paths: a per-rank :class:`Recorder` that every
+  instrumented region times into once, aggregating per-phase calls and
+  seconds always and keeping one event per region while tracing
+  (Chrome / JSONL export);
+* :mod:`repro.perf.report` — the reproduction report and the trace
+  analytics (phase breakdown, load imbalance, overlap efficiency);
+* :mod:`repro.perf.telemetry` — the live views of a recorder (step
+  histogram, Prometheus / JSONL snapshots, the ``--live`` line), the
+  heartbeat watchdog, and the check-trace / check-telemetry gates.
 """
 
 from repro.perf import calibration
-from repro.perf.counters import KernelCounters, PhaseStat
 from repro.perf.metrics import cells_per_second, efficiency, speedup
-from repro.perf.trace import NULL_TRACER, SpanEvent, Tracer
+from repro.perf.recorder import (NULL_RECORDER, PhaseStat, Recorder, SpanEvent,
+                                 Tracer)
 
 __all__ = ["calibration", "cells_per_second", "efficiency", "speedup",
-           "KernelCounters", "PhaseStat",
-           "NULL_TRACER", "SpanEvent", "Tracer"]
+           "NULL_RECORDER", "PhaseStat", "Recorder", "SpanEvent", "Tracer"]

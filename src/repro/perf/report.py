@@ -5,8 +5,8 @@ EXPERIMENTS.md-style comparison from the live models, so the committed
 document can always be checked against the code that produced it.
 
 This module also derives the trace analytics (``python -m repro
-trace``): given the spans recorded by :mod:`repro.perf.trace`, it
-computes the paper's three observables — the per-step phase
+trace``): from a :class:`~repro.perf.recorder.Recorder`'s timeline and
+aggregates it computes the paper's three observables — the per-step phase
 decomposition (Table 1's shape), per-rank load imbalance (what a slow
 host core or non-uniform cuts cost the bulk-synchronous step), and the
 per-step overlap efficiency, i.e. the fraction of the halo exchange
@@ -21,6 +21,7 @@ from repro.perf.comparisons import GPU_CLUSTER_HEADLINE, SUPERCOMPUTER_RESULTS
 from repro.perf.cost import paper_cluster_cost
 from repro.perf.model import (PAPER_TABLE1, PAPER_TABLE2, strong_scaling_rows,
                               table1_rows, table2_rows)
+from repro.perf.recorder import NETWORK_RANK
 from repro.perf.whatif import (barrier_crossover, enhancement_speedups,
                                multi_gpu_per_node)
 
@@ -86,11 +87,10 @@ def generate_report() -> str:
 
 
 # ---------------------------------------------------------------------------
-# Trace analytics (spans recorded by repro.perf.trace)
+# Trace analytics (a Recorder's events, or a plain list of SpanEvents)
 # ---------------------------------------------------------------------------
 
 def _events_of(trace) -> list:
-    """Accept a Tracer or a plain list of SpanEvents."""
     return getattr(trace, "events", trace)
 
 
@@ -136,10 +136,9 @@ def trace_overlap_rows(trace) -> list[dict]:
     (another rank's collide or finish on the processes backend; an
     in-process step runs them one after another), and their ratio.
     """
-    from repro.perf.trace import WALL_CLOCK
     by_step: dict[int, dict[str, list]] = {}
     for e in _events_of(trace):
-        if e.clock != WALL_CLOCK:
+        if e.rank == NETWORK_RANK:
             continue
         if e.name == "cluster.exchange":
             by_step.setdefault(e.step, {"ex": [], "cmp": []})["ex"].append(
@@ -164,15 +163,11 @@ def trace_overlap_rows(trace) -> list[dict]:
 def trace_imbalance_rows(trace) -> tuple[list[dict], dict]:
     """Per-rank busy time and the max/mean load-imbalance factor.
 
-    Busy time covers a rank's driver-level phase spans (nested solver
-    spans are deliberately excluded so nothing is counted twice),
-    preferring the spans' thread-CPU metadata (``cpu_s``, recorded by
-    the tracer) and falling back to the wall-clock union: wall
-    durations on an oversubscribed host include time slices the
-    scheduler gave to *other* ranks, which would make the imbalance
-    read like scheduling noise instead of work.  The imbalance factor
-    is the headline: 1.0 is perfect balance, the max/mean ratio grows
-    as one slow rank leaves the others waiting.
+    Busy time is the wall-clock union of a rank's driver-level phase
+    events (nested solver events are excluded so nothing counts
+    twice).  The imbalance factor is the headline: 1.0 is perfect
+    balance, the max/mean ratio grows as one slow rank leaves the
+    others waiting.
 
     Kernel attribution is per step, not last-write-wins: a rank that
     switched kernels mid-trace (e.g. across a rebalance) reports
@@ -180,27 +175,19 @@ def trace_imbalance_rows(trace) -> tuple[list[dict], dict]:
     ``"first->last"`` display label, instead of silently attributing
     the whole busy time to the final choice.
     """
-    from repro.perf.trace import WALL_CLOCK
     per_rank: dict[int, list[tuple[float, float]]] = {}
-    cpu_rank: dict[int, list[float | None]] = {}
     kernels: dict[int, dict[int, str]] = {}
     for e in _events_of(trace):
-        if e.clock != WALL_CLOCK or e.rank < 0:
+        if e.rank < 0:
             continue
         if e.name in _COMPUTE_PHASES:
             per_rank.setdefault(e.rank, []).append((e.t0, e.t1))
-            cpu_rank.setdefault(e.rank, []).append(e.meta.get("cpu_s"))
         kern = e.meta.get("kernel")
         if kern:
             kernels.setdefault(e.rank, {})[e.step] = kern
     rows = []
     for rank in sorted(per_rank):
-        cpu = cpu_rank.get(rank, [])
-        if cpu and all(c is not None for c in cpu):
-            busy = sum(cpu)
-        else:
-            busy = sum(t1 - t0
-                       for t0, t1 in _merge_intervals(per_rank[rank]))
+        busy = sum(t1 - t0 for t0, t1 in _merge_intervals(per_rank[rank]))
         by_step = kernels.get(rank, {})
         if by_step:
             ordered = [by_step[s] for s in sorted(by_step)]
@@ -223,26 +210,15 @@ def trace_imbalance_rows(trace) -> tuple[list[dict], dict]:
 
 
 def trace_step_breakdown(trace) -> list[dict]:
-    """Table-1-style per-step phase decomposition from the spans.
-
-    One row per wall-clock phase name: spans per step and mean
-    milliseconds per step (summed across ranks, so concurrent phases
-    read like CPU time — same convention as ``KernelCounters.merge``).
-    """
-    from repro.perf.trace import WALL_CLOCK
-    totals: dict[str, float] = {}
-    calls: dict[str, int] = {}
-    steps: set[int] = set()
-    for e in _events_of(trace):
-        if e.clock != WALL_CLOCK:
-            continue
-        totals[e.name] = totals.get(e.name, 0.0) + e.duration_s
-        calls[e.name] = calls.get(e.name, 0) + 1
-        steps.add(e.step)
-    n_steps = max(1, len(steps))
-    return [{"phase": name, "calls_per_step": calls[name] / n_steps,
-             "ms_per_step": totals[name] * 1e3 / n_steps}
-            for name in sorted(totals, key=totals.get, reverse=True)]
+    """Table-1-style per-step phase decomposition: the recorder's
+    per-phase aggregates (summed across ranks, so concurrent phases
+    read like CPU time) over the steps its timeline spans."""
+    n_steps = max(1, len({e.step for e in trace.events
+                          if e.rank != NETWORK_RANK}))
+    timed = [(name, st) for name, st in trace.stats.items() if st.seconds]
+    return [{"phase": name, "calls_per_step": st.calls / n_steps,
+             "ms_per_step": st.seconds * 1e3 / n_steps}
+            for name, st in sorted(timed, key=lambda kv: -kv[1].seconds)]
 
 
 def trace_network_summary(trace) -> dict:
@@ -250,12 +226,11 @@ def trace_network_summary(trace) -> dict:
 
     ``bytes`` is bytes-on-wire (what the switch priced).
     """
-    from repro.perf.trace import SIM_CLOCK
     n_msgs = n_rounds = 0
     total_bytes = 0
     busy_s = 0.0
     for e in _events_of(trace):
-        if e.clock != SIM_CLOCK:
+        if e.rank != NETWORK_RANK:
             continue
         if "src" in e.meta:
             n_msgs += 1
@@ -265,99 +240,6 @@ def trace_network_summary(trace) -> dict:
             n_rounds += 1
     return {"messages": n_msgs, "bytes": total_bytes,
             "rounds": n_rounds, "busy_ms": busy_s * 1e3}
-
-
-def counters_comm_rows(counters) -> list[dict]:
-    """The ``comm.*`` wire metrics from a driver's counters, as rows.
-
-    The cluster drivers record per-exchange message counts
-    (``comm.msgs``) and merged payload bytes (``comm.bytes_wire``) via
-    :meth:`KernelCounters.metric`.  This formats them into report rows;
-    drivers without wire metrics yield no rows (old traces/counters
-    stay readable).
-    """
-    stats = getattr(counters, "stats", counters)
-    rows = []
-    for name in sorted(stats):
-        if not name.startswith("comm."):
-            continue
-        st = stats[name]
-        rows.append({"metric": name, "events": st.calls,
-                     "total": st.value, "per_event": st.mean_value})
-    return rows
-
-
-def format_comm_summary(counters) -> str:
-    """Human-readable wire summary (``comm.*`` metrics), one string;
-    empty when no wire metrics exist."""
-    rows = counters_comm_rows(counters)
-    if not rows:
-        return ""
-    out = io.StringIO()
-    w = out.write
-    w("wire (comm.* metrics):\n")
-    width = max(len(r["metric"]) for r in rows)
-    w(f"  {'metric':<{width}} {'events':>8} {'total':>14} {'per event':>12}\n")
-    for r in rows:
-        w(f"  {r['metric']:<{width}} {r['events']:>8d} "
-          f"{r['total']:>14.0f} {r['per_event']:>12.1f}\n")
-    return out.getvalue()
-
-
-def telemetry_summary_rows(snapshot: dict) -> list[dict]:
-    """Roll a telemetry snapshot's metrics into report rows.
-
-    One row per instrument name: the kind, the number of ranks that
-    reported it, and an aggregate (counters/histogram sums add across
-    ranks; gauges report their max — the binding rank).  Accepts the
-    ``metrics`` object of a :meth:`TelemetrySession.snapshot` (or a
-    JSONL line's, where rank keys are strings).
-    """
-    metrics = snapshot.get("metrics", snapshot)
-    rows = []
-    for name, per_rank in sorted(metrics.get("counters", {}).items()):
-        rows.append({"name": name, "kind": "counter",
-                     "ranks": len(per_rank),
-                     "value": sum(float(v) for v in per_rank.values())})
-    for name, per_rank in sorted(metrics.get("gauges", {}).items()):
-        rows.append({"name": name, "kind": "gauge",
-                     "ranks": len(per_rank),
-                     "value": max(float(v) for v in per_rank.values())})
-    for name, per_rank in sorted(metrics.get("histograms", {}).items()):
-        rows.append({"name": name, "kind": "histogram",
-                     "ranks": len(per_rank),
-                     "value": sum(float(e["sum"]) for e in per_rank.values()),
-                     "count": sum(int(e["count"])
-                                  for e in per_rank.values())})
-    return rows
-
-
-def format_telemetry_summary(snapshot: dict) -> str:
-    """Human-readable telemetry roll-up: metrics table plus health rows."""
-    rows = telemetry_summary_rows(snapshot)
-    out = io.StringIO()
-    w = out.write
-    w(f"telemetry at step {snapshot.get('step', '?')}:\n")
-    if rows:
-        width = max(len("metric"), max(len(r["name"]) for r in rows))
-        w(f"  {'metric':<{width}} {'kind':>9} {'ranks':>6} "
-          f"{'aggregate':>14} {'obs':>8}\n")
-        for r in rows:
-            obs = str(r.get("count", "")) if "count" in r else ""
-            w(f"  {r['name']:<{width}} {r['kind']:>9} {r['ranks']:>6d} "
-              f"{r['value']:>14.4g} {obs:>8}\n")
-    else:
-        w("  (no instruments recorded)\n")
-    health = snapshot.get("health")
-    if health:
-        w("per-rank health:\n")
-        for row in health:
-            age = row.get("age_s", float("inf"))
-            age_txt = f"{age * 1e3:8.1f} ms" if age != float("inf") else "   never"
-            w(f"  rank {row['rank']:>3}: {row['status']:<8} "
-              f"step {row.get('step', -1):>6}  hb {age_txt} ago  "
-              f"rss {row.get('rss_bytes', 0) / 1e6:7.1f} MB\n")
-    return out.getvalue()
 
 
 def format_trace_analytics(trace) -> str:

@@ -1,52 +1,22 @@
-"""Live cluster telemetry: metrics registry, health monitoring, exposition.
+"""Live views of a cluster's recorder, and the heartbeat watchdog.
 
-:mod:`repro.perf.counters` aggregates per-phase cost and
-:mod:`repro.perf.trace` replays a finished run as a timeline — both are
-*post-hoc*.  This module is the *live* layer of a cluster run: what is
-the cluster doing **right now**, is any rank stalled, and how fast is
-the run going.  A cluster driver's ``enable_telemetry()`` attaches
-it; the ``--live`` status line, the JSONL/Prometheus exposition and
-the processes backend's stall watchdog read it.
+:mod:`repro.perf.recorder` holds everything a run measures; this is its
+*live* side — what is the cluster doing right now, is a rank stalled,
+how fast is it going.  ``cluster.enable_telemetry()`` attaches a
+:class:`TelemetrySession`, which times nothing itself: after every step
+(a worker batch on the processes backend) it reads the step phase off
+the recorder into a fixed log-bucket histogram and the MLUPS rate, and
+derives per-rank busy time, imbalance and every exported counter from
+the same tables.  :class:`HealthMonitor` flags ranks *stalled*
+(commanded but not started), *blocked* (mid-step, stale heartbeat) or
+*slow* from the heartbeats workers write into a shared-memory strip,
+re-based by the same clock offset as their events.  Snapshots go out as
+JSONL lines or Prometheus text, both schema-checked
+(:func:`validate_snapshot`, :func:`validate_prometheus`);
+:class:`StatusLine` drives ``repro dispersion --live``.
 
-Three cooperating pieces:
-
-``MetricsRegistry``
-    Typed Counter / Gauge / Histogram instruments.  Histograms use
-    *fixed log-scale buckets* chosen at creation, so observing is one
-    bisect into a static bounds tuple.  Registries are lock-free by
-    construction (every record is a scalar upsert, atomic under the
-    GIL) and per-rank: each worker process owns its own registry and
-    ships plain-dict snapshot deltas over the existing result pipes;
-    the coordinator :meth:`~MetricsRegistry.merge`\\ s them keyed by
-    ``(name, rank)``.  A single ``enabled`` flag short-circuits every
-    record call, exactly like :class:`~repro.perf.counters.KernelCounters`
-    — the ``check-telemetry`` gate asserts the disabled path stays
-    under a microsecond per record.
-
-``HealthMonitor``
-    Per-rank heartbeats and a step watchdog.  Worker heartbeats ride
-    the existing procpool shared-memory channel (a tiny per-rank
-    ``health`` segment, single writer, read by the coordinator at any
-    time — even mid-step, which is what makes a real watchdog
-    possible) and are re-based onto the coordinator clock with the
-    same midpoint handshake the tracer uses
-    (:func:`repro.perf.trace.estimate_clock_offset`).  The watchdog
-    flags ranks as *stalled* (commanded but never started within the
-    threshold), *blocked* (mid-step with a stale heartbeat — stuck in
-    compute or waiting on a stalled peer) or *slow* (step time beyond
-    ``slow_factor`` × the median), and aggregates everything into a
-    :class:`HealthReport`.
-
-Exposition
-    :meth:`TelemetrySession.export_jsonl` streams periodic JSON
-    snapshots (one object per line), :meth:`MetricsRegistry.to_prometheus`
-    renders the Prometheus text format, and :class:`StatusLine` drives
-    the live TTY line behind ``repro dispersion --live``.  Both export
-    formats have schema checks (:func:`validate_prometheus`,
-    :func:`validate_snapshot`) enforced by ``repro check-telemetry``.
-
-Telemetry is observational only: enabled runs are bit-identical to
-disabled ones on every backend (gate-enforced, like tracing).
+The ``check-trace`` and ``check-telemetry`` gates share one harness
+here (:func:`run_trace_check`, :func:`run_telemetry_check`).
 """
 
 from __future__ import annotations
@@ -57,21 +27,10 @@ import os
 import sys
 import time
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-from repro.perf.trace import COORDINATOR_RANK
-
-__all__ = [
-    "MetricsRegistry", "NULL_REGISTRY", "Counter", "Gauge", "Histogram",
-    "log_bounds", "DEFAULT_TIME_BOUNDS", "HealthMonitor", "HealthReport",
-    "RankHealth", "TelemetrySession", "StatusLine", "rss_bytes",
-    "sync_counters", "validate_prometheus", "validate_snapshot",
-    "disabled_record_overhead_ns", "run_telemetry_check",
-]
-
-
-# ---------------------------------------------------------------------------
-# instruments
+from repro.perf.recorder import (COORDINATOR_RANK, disabled_overhead_ns,
+                                 validate_chrome)
 
 
 def log_bounds(lo: float, hi: float, per_decade: int = 3) -> tuple[float, ...]:
@@ -86,288 +45,48 @@ def log_bounds(lo: float, hi: float, per_decade: int = 3) -> tuple[float, ...]:
     return tuple(lo * 10 ** (i / per_decade) for i in range(n + 1))
 
 
-#: Default step/phase-time buckets: 10 µs .. 10 s, 3 per decade.
+#: Step-time buckets: 10 µs .. 10 s, 3 per decade.
 DEFAULT_TIME_BOUNDS = log_bounds(1e-5, 10.0, per_decade=3)
 
 
-class Counter:
-    """Monotone accumulator (events, bytes, steps)."""
-
-    __slots__ = ("_reg", "value")
-
-    def __init__(self, reg: "MetricsRegistry") -> None:
-        self._reg = reg
-        self.value = 0.0
-
-    def inc(self, v: float = 1.0) -> None:
-        if not self._reg.enabled:
-            return
-        self.value += v
-
-    def reset_to(self, v: float) -> None:
-        """Set the absolute total (sync path for already-aggregated
-        sources such as :func:`sync_counters`; not for hot-path use)."""
-        if not self._reg.enabled:
-            return
-        self.value = float(v)
+def bucket(bounds: tuple[float, ...], value: float) -> int:
+    """Index of ``value``'s bucket: one per ``le`` bound, then overflow."""
+    return bisect_left(bounds, value)
 
 
-class Gauge:
-    """Last-value instrument (MLUPS, imbalance, RSS)."""
+def prometheus_text(metrics: dict) -> str:
+    """Prometheus text exposition of a snapshot's ``metrics`` object.
 
-    __slots__ = ("_reg", "value")
-
-    def __init__(self, reg: "MetricsRegistry") -> None:
-        self._reg = reg
-        self.value = 0.0
-
-    def set(self, v: float) -> None:
-        if not self._reg.enabled:
-            return
-        self.value = v
-
-
-class Histogram:
-    """Fixed log-scale-bucket distribution (step/phase seconds).
-
-    ``counts`` has ``len(bounds) + 1`` slots: one per ``le`` bound plus
-    the overflow bucket.  Observing is one bisect into the static
-    bounds tuple plus three scalar upserts — lock-free under the GIL.
+    Names are sanitized (dots become underscores, ``repro_`` prefix);
+    ranks become a ``rank`` label; histogram buckets are cumulative
+    with the mandatory ``+Inf`` bound.
     """
-
-    __slots__ = ("_reg", "bounds", "counts", "sum", "count")
-
-    def __init__(self, reg: "MetricsRegistry",
-                 bounds: tuple[float, ...]) -> None:
-        self._reg = reg
-        self.bounds = bounds
-        self.counts = [0] * (len(bounds) + 1)
-        self.sum = 0.0
-        self.count = 0
-
-    def observe(self, v: float) -> None:
-        if not self._reg.enabled:
-            return
-        self.counts[bisect_left(self.bounds, v)] += 1
-        self.sum += v
-        self.count += 1
-
-
-# ---------------------------------------------------------------------------
-# registry
-
-
-class MetricsRegistry:
-    """Typed instruments keyed by ``(name, rank)``, one flag to rule them.
-
-    Parameters
-    ----------
-    enabled:
-        When False every record call on every owned instrument is a
-        no-op (the single-flag short-circuit of
-        :class:`~repro.perf.counters.KernelCounters`); toggling the
-        flag flips all existing instruments at once, because they hold
-        a reference to this registry rather than a copied flag.
-    rank:
-        Default rank stamped on instruments created without an explicit
-        one.  Worker processes run one registry at their own rank;
-        the coordinator registry accumulates all ranks after
-        :meth:`merge`.
-    """
-
-    __slots__ = ("enabled", "rank", "_counters", "_gauges", "_hists",
-                 "_hist_bounds")
-
-    def __init__(self, enabled: bool = True,
-                 rank: int = COORDINATOR_RANK) -> None:
-        self.enabled = bool(enabled)
-        self.rank = int(rank)
-        self._counters: dict[tuple[str, int], Counter] = {}
-        self._gauges: dict[tuple[str, int], Gauge] = {}
-        self._hists: dict[tuple[str, int], Histogram] = {}
-        #: Per-name bucket bounds: fixed by the first creation so every
-        #: rank's histogram of one name is merge-compatible.
-        self._hist_bounds: dict[str, tuple[float, ...]] = {}
-
-    # -- instrument creation (get-or-create, cheap enough per step) ----
-    def counter(self, name: str, rank: int | None = None) -> Counter:
-        key = (name, self.rank if rank is None else int(rank))
-        inst = self._counters.get(key)
-        if inst is None:
-            inst = self._counters[key] = Counter(self)
-        return inst
-
-    def gauge(self, name: str, rank: int | None = None) -> Gauge:
-        key = (name, self.rank if rank is None else int(rank))
-        inst = self._gauges.get(key)
-        if inst is None:
-            inst = self._gauges[key] = Gauge(self)
-        return inst
-
-    def histogram(self, name: str, bounds: tuple[float, ...] | None = None,
-                  rank: int | None = None) -> Histogram:
-        key = (name, self.rank if rank is None else int(rank))
-        inst = self._hists.get(key)
-        if inst is None:
-            fixed = self._hist_bounds.get(name)
-            if fixed is None:
-                fixed = self._hist_bounds[name] = tuple(
-                    DEFAULT_TIME_BOUNDS if bounds is None else bounds)
-            inst = self._hists[key] = Histogram(self, fixed)
-        return inst
-
-    def for_rank(self, rank: int) -> "_RankView":
-        """A view defaulting instruments to ``rank``.
-
-        Shares this registry's instrument tables *and* its ``enabled``
-        flag (views delegate, they do not copy), so one coordinator
-        registry serves a whole in-process cluster the way
-        :meth:`repro.perf.trace.Tracer.for_rank` serves its solvers.
-        """
-        return _RankView(self, rank)
-
-    # -- serialization ---------------------------------------------------
-    def snapshot(self, reset: bool = False) -> dict:
-        """Plain-dict (pipe/JSON-friendly) view of every instrument.
-
-        Layout: ``{"counters": {name: {rank: value}}, "gauges": {...},
-        "histograms": {name: {rank: {"bounds", "counts", "sum",
-        "count"}}}}``.  With ``reset=True`` counters and histograms are
-        zeroed after the snapshot (delta shipping — what the worker
-        step replies use); gauges keep their last value.
-        """
-        counters: dict[str, dict[int, float]] = {}
-        for (name, rank), inst in self._counters.items():
-            counters.setdefault(name, {})[rank] = inst.value
-            if reset:
-                inst.value = 0.0
-        gauges: dict[str, dict[int, float]] = {}
-        for (name, rank), inst in self._gauges.items():
-            gauges.setdefault(name, {})[rank] = inst.value
-        hists: dict[str, dict[int, dict]] = {}
-        for (name, rank), inst in self._hists.items():
-            hists.setdefault(name, {})[rank] = {
-                "bounds": list(inst.bounds),
-                "counts": list(inst.counts),
-                "sum": inst.sum,
-                "count": inst.count,
-            }
-            if reset:
-                inst.counts = [0] * len(inst.counts)
-                inst.sum = 0.0
-                inst.count = 0
-        return {"counters": counters, "gauges": gauges, "histograms": hists}
-
-    def merge(self, snap: dict) -> None:
-        """Fold a snapshot (typically a worker delta) into this registry.
-
-        Counters and histograms add; gauges overwrite (last write
-        wins).  Like :meth:`KernelCounters.merge`, a disabled
-        coordinator registry drops the snapshot — the coordinator flag
-        is the single aggregate switch.
-        """
-        if not self.enabled:
-            return
-        for name, per_rank in snap.get("counters", {}).items():
-            for rank, value in per_rank.items():
-                self.counter(name, rank=int(rank)).value += float(value)
-        for name, per_rank in snap.get("gauges", {}).items():
-            for rank, value in per_rank.items():
-                self.gauge(name, rank=int(rank)).value = float(value)
-        for name, per_rank in snap.get("histograms", {}).items():
-            for rank, entry in per_rank.items():
-                bounds = tuple(entry["bounds"])
-                inst = self.histogram(name, bounds=bounds, rank=int(rank))
-                if inst.bounds != bounds:
-                    raise ValueError(
-                        f"histogram {name!r}: merge with mismatched "
-                        f"bucket bounds")
-                for i, c in enumerate(entry["counts"]):
-                    inst.counts[i] += int(c)
-                inst.sum += float(entry["sum"])
-                inst.count += int(entry["count"])
-
-    def reset(self) -> None:
-        self._counters.clear()
-        self._gauges.clear()
-        self._hists.clear()
-
-    # -- exposition ------------------------------------------------------
-    def to_prometheus(self) -> str:
-        """Prometheus text exposition of every instrument.
-
-        Metric names are sanitized (dots become underscores, ``repro_``
-        prefix); ranks become a ``rank`` label; histogram buckets are
-        cumulative with the mandatory ``+Inf`` bound.
-        """
-        lines: list[str] = []
-        for kind, table in (("counter", self._counters),
-                            ("gauge", self._gauges)):
-            seen: set[str] = set()
-            for (name, rank), inst in sorted(table.items()):
-                pname = _prom_name(name)
-                if pname not in seen:
-                    seen.add(pname)
-                    lines.append(f"# TYPE {pname} {kind}")
-                lines.append(f'{pname}{{rank="{rank}"}} {_prom_num(inst.value)}')
-        seen = set()
-        for (name, rank), inst in sorted(self._hists.items()):
+    lines: list[str] = []
+    for kind in ("counters", "gauges"):
+        for name, per_rank in sorted(metrics[kind].items()):
             pname = _prom_name(name)
-            if pname not in seen:
-                seen.add(pname)
-                lines.append(f"# TYPE {pname} histogram")
+            lines.append(f"# TYPE {pname} {kind[:-1]}")
+            for rank, v in sorted(per_rank.items()):
+                lines.append(f'{pname}{{rank="{rank}"}} {_prom_num(v)}')
+    for name, per_rank in sorted(metrics["histograms"].items()):
+        pname = _prom_name(name)
+        lines.append(f"# TYPE {pname} histogram")
+        for rank, h in sorted(per_rank.items()):
             cum = 0
-            for bound, c in zip(inst.bounds, inst.counts):
+            for bound, c in zip(h["bounds"], h["counts"]):
                 cum += c
                 lines.append(f'{pname}_bucket{{rank="{rank}",'
                              f'le="{_prom_num(bound)}"}} {cum}')
             lines.append(f'{pname}_bucket{{rank="{rank}",le="+Inf"}} '
-                         f'{inst.count}')
-            lines.append(f'{pname}_sum{{rank="{rank}"}} {_prom_num(inst.sum)}')
-            lines.append(f'{pname}_count{{rank="{rank}"}} {inst.count}')
-        return "\n".join(lines) + ("\n" if lines else "")
-
-
-class _RankView:
-    """Per-rank facade over a shared :class:`MetricsRegistry`.
-
-    Unlike a tracer view this holds no copied state at all — the
-    ``enabled`` flag and every instrument table belong to the parent,
-    so toggling the parent toggles recording through every view.
-    """
-
-    __slots__ = ("_reg", "rank")
-
-    def __init__(self, reg: MetricsRegistry, rank: int) -> None:
-        self._reg = reg
-        self.rank = int(rank)
-
-    @property
-    def enabled(self) -> bool:
-        return self._reg.enabled
-
-    def counter(self, name: str, rank: int | None = None) -> Counter:
-        return self._reg.counter(name, self.rank if rank is None else rank)
-
-    def gauge(self, name: str, rank: int | None = None) -> Gauge:
-        return self._reg.gauge(name, self.rank if rank is None else rank)
-
-    def histogram(self, name: str, bounds=None,
-                  rank: int | None = None) -> Histogram:
-        return self._reg.histogram(name, bounds=bounds,
-                                   rank=self.rank if rank is None else rank)
-
-
-#: Shared disabled registry — the default target of instrumented layers
-#: (e.g. ``LBMSolver.metrics``), so un-monitored runs never allocate.
-NULL_REGISTRY = MetricsRegistry(enabled=False)
+                         f'{h["count"]}')
+            lines.append(f'{pname}_sum{{rank="{rank}"}} {_prom_num(h["sum"])}')
+            lines.append(f'{pname}_count{{rank="{rank}"}} {h["count"]}')
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def _prom_name(name: str) -> str:
-    out = ["repro_"]
-    for ch in name:
-        out.append(ch if (ch.isalnum() or ch == "_") else "_")
-    return "".join(out)
+    return "repro_" + "".join(ch if (ch.isalnum() or ch == "_") else "_"
+                              for ch in name)
 
 
 def _prom_num(v: float) -> str:
@@ -375,31 +94,6 @@ def _prom_num(v: float) -> str:
     if f == int(f) and abs(f) < 1e15:
         return str(int(f))
     return repr(f)
-
-
-def sync_counters(registry, counters) -> None:
-    """Mirror :class:`KernelCounters` aggregates into registry counters.
-
-    The per-phase timings, halo byte/message metrics (``comm.*``) and
-    kernel markers (``kernel.*``) are
-    already accumulated by the existing counters on every backend, so
-    the live layer re-exports them instead of double-instrumenting the
-    hot paths: phases become ``phase.<name>.seconds`` / ``.calls``
-    counters, value metrics become ``<name>.total``, and pure markers
-    (calls with no time or value) become ``<name>.calls``.  Values are
-    absolute (``reset_to``), so re-syncing at every snapshot is
-    idempotent.
-    """
-    if not registry.enabled:
-        return
-    for name, st in counters.stats.items():
-        if st.seconds:
-            registry.counter(f"phase.{name}.seconds").reset_to(st.seconds)
-            registry.counter(f"phase.{name}.calls").reset_to(st.calls)
-        if st.value:
-            registry.counter(f"{name}.total").reset_to(st.value)
-        if not st.seconds and not st.value and st.calls:
-            registry.counter(f"{name}.calls").reset_to(st.calls)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +112,6 @@ def validate_prometheus(text: str) -> int:
     declared: dict[str, str] = {}
     series = 0
     hist_state: dict[str, tuple[float, int]] = {}  # series key -> (prev cum)
-    counts: dict[str, int] = {}
     inf_buckets: dict[str, int] = {}
     for i, line in enumerate(text.splitlines()):
         if not line.strip():
@@ -456,8 +149,6 @@ def validate_prometheus(text: str) -> int:
                     raise ValueError(
                         f"line {i}: non-cumulative histogram bucket")
                 hist_state[key] = (0.0, int(val))
-        if declared[base] == "histogram" and name.endswith("_count"):
-            counts[base + labels] = int(val)
         series += 1
     for key, inf_v in inf_buckets.items():
         prev = hist_state.get(key, (0.0, 0))[1]
@@ -472,8 +163,8 @@ def validate_snapshot(obj: dict) -> int:
     """Schema-check one JSONL telemetry snapshot; returns instrument count.
 
     A snapshot is ``{"t": wall seconds, "step": int, "metrics":
-    <registry snapshot>}`` with optional ``"health"`` rows and
-    ``"phases"`` (the raw :meth:`KernelCounters.summary`).  Raises
+    {"counters", "gauges", "histograms"}}`` with optional ``"health"``
+    rows and ``"phases"`` (the recorder's :meth:`summary`).  Raises
     ``ValueError`` on any malformed entry.  JSON round-trips turn int
     rank keys into strings; both spellings validate.
     """
@@ -559,12 +250,6 @@ class RankHealth:
     step_seconds: float    # last per-step wall time
     rss_bytes: int
 
-    def as_dict(self) -> dict:
-        return {"rank": self.rank, "status": self.status,
-                "age_s": self.age_s, "step": self.step, "busy": self.busy,
-                "step_seconds": self.step_seconds,
-                "rss_bytes": self.rss_bytes}
-
 
 @dataclass
 class HealthReport:
@@ -585,8 +270,7 @@ class HealthReport:
         return [r for r in self.rows if r.status not in ("ok", "unknown")]
 
     def summary(self) -> str:
-        """One formatted line per rank (see also
-        :func:`repro.perf.report.format_health_summary`)."""
+        """One formatted line per rank."""
         lines = [f"cluster health: {self.worst}"]
         for r in self.rows:
             lines.append(
@@ -729,162 +413,133 @@ class StatusLine:
 
 
 class TelemetrySession:
-    """Live telemetry attached to one cluster driver.
+    """The live view of one cluster driver (``enable_telemetry()``).
 
-    Created by ``cluster.enable_telemetry()``; the driver calls
-    :meth:`record_step` (in-process backends) or
-    :meth:`note_step_command` / :meth:`record_proc_batch` (processes
-    backend) from its step loop.  Everything here observes; nothing
-    writes solver state, so monitored runs stay bit-identical.
-
-    Parameters
-    ----------
-    cluster:
-        The driver (``_ClusterLBMBase`` subclass) being observed.
-    registry:
-        Optional externally-owned :class:`MetricsRegistry`.
-    jsonl_path:
-        When set, a snapshot line is appended every
-        ``jsonl_every_steps`` steps (and once at :meth:`close`).
-    stall_timeout_s / slow_factor:
-        Watchdog thresholds (see :class:`HealthMonitor`).
+    The driver calls :meth:`record_steps` after every step or worker
+    batch and, on the processes backend, :meth:`note_step_command`
+    before one.  ``jsonl_path`` appends a snapshot line per recorded
+    step (and at :meth:`close`); ``stall_timeout_s`` / ``slow_factor``
+    are the :class:`HealthMonitor` thresholds.
     """
 
-    def __init__(self, cluster, registry: MetricsRegistry | None = None,
-                 jsonl_path=None, jsonl_every_steps: int = 1,
-                 stall_timeout_s: float = 2.0,
+    def __init__(self, cluster, jsonl_path=None, stall_timeout_s: float = 2.0,
                  slow_factor: float = 3.0) -> None:
         self.cluster = cluster
-        self.registry = (MetricsRegistry(enabled=True)
-                         if registry is None else registry)
-        n_ranks = len(cluster.nodes)
-        self.health = HealthMonitor(n_ranks, stall_timeout_s=stall_timeout_s,
-                                    slow_factor=slow_factor)
+        self.health = HealthMonitor(len(cluster.nodes), stall_timeout_s,
+                                    slow_factor)
         self.jsonl_path = jsonl_path
-        self.jsonl_every_steps = max(1, int(jsonl_every_steps))
         self._jsonl_fh = None
         self._last_export_step = -1
         self._t0 = time.perf_counter()
-        self._steps_recorded = 0
-        self._last_rate = 0.0
-        # Pre-create the hot instruments so the step loop never pays
-        # the get-or-create dict probe for the common ones.
-        self._steps_total = self.registry.counter("steps.total")
-        self._step_hist = self.registry.histogram("step.seconds")
-        self._mlups = self.registry.gauge("mlups")
-        self._imbalance = self.registry.gauge("imbalance.max_over_mean")
+        self._step0 = cluster.time_step
+        #: The step phase's (calls, seconds) already observed.
+        self._seen = (0, 0.0)
+        self._counts = [0] * (len(DEFAULT_TIME_BOUNDS) + 1)
+        self._sum = 0.0
+        self.mlups = 0.0
 
-    # -- recording: in-process backends ---------------------------------
-    def record_step(self, dt_s: float, now: float | None = None) -> None:
-        """Fold one completed coordinator-driven step into the session."""
-        cluster = self.cluster
-        now = time.perf_counter() if now is None else now
-        self._steps_total.inc()
-        self._step_hist.observe(dt_s)
-        self._steps_recorded += 1
-        cells = cluster.cells_total()
-        if dt_s > 0:
-            self._mlups.set(cells / dt_s / 1e6)
-        busies = []
-        step = cluster.time_step
-        rss = rss_bytes()
-        for rank, node in enumerate(cluster.nodes):
-            busy_s = getattr(node, "busy_s", 0.0) or getattr(
-                node, "compute_s", 0.0)
-            busies.append(busy_s)
-            self.registry.counter("rank.busy_seconds", rank=rank).inc(busy_s)
-            # All in-process ranks share the coordinator's address space.
-            self.registry.gauge("rank.rss_bytes", rank=rank).set(rss)
-            self.health.observe(rank, now, step, busy=False,
-                                step_seconds=dt_s, rss=rss)
-        if busies:
-            mean = sum(busies) / len(busies)
-            if mean > 0:
-                self._imbalance.set(max(busies) / mean)
-        self.maybe_export()
-
-    # -- recording: processes backend -----------------------------------
+    # -- recording ---------------------------------------------------------
     def note_step_command(self, n: int) -> None:
-        """Arm the watchdog: a step command of ``n`` steps is about to be
-        broadcast (the heartbeats are read first, so each rank's
-        starting step is current)."""
-        self.poll_health(observe_only=True)
+        """Arm the watchdog for an ``n``-step worker command (heartbeats
+        are read first, so each rank's starting step is current)."""
+        self.poll_health()
         self.health.note_command(steps=n)
 
-    def record_proc_batch(self, n: int, batch_dt_s: float) -> None:
-        """Fold one completed n-step worker batch into the session."""
-        self.health.note_done()
-        self._steps_total.inc(n)
-        per_step = batch_dt_s / max(1, n)
-        for _ in range(min(n, 1)):
-            self._step_hist.observe(per_step)
-        self._steps_recorded += n
-        cells = self.cluster.cells_total()
-        if batch_dt_s > 0:
-            self._mlups.set(cells * n / batch_dt_s / 1e6)
-        rows = self.poll_health(observe_only=True)
-        busies = [r["busy_seconds"] for r in rows if r["busy_seconds"] > 0]
-        if busies and len(busies) == len(rows):
-            mean = sum(busies) / len(busies)
-            if mean > 0:
-                self._imbalance.set(max(busies) / mean)
-        for r in rows:
-            self.registry.counter("rank.busy_seconds",
-                                  rank=r["rank"]).inc(r["busy_seconds"])
-            self.registry.gauge("rank.rss_bytes",
-                                rank=r["rank"]).set(r["rss_bytes"])
-        self.maybe_export()
+    def record_steps(self, n: int) -> None:
+        """Fold the last ``n`` steps in: one histogram observation of
+        their mean step time, read off the newest ``cluster.step`` (a
+        worker batch's ``cluster.proc_step``) aggregate."""
+        procs = self.cluster._proc_backend
+        st = self.cluster.recorder.stat("cluster.step" if procs is None
+                                        else "cluster.proc_step")
+        calls, seconds = self._seen if st.calls >= self._seen[0] else (0, 0.0)
+        self._seen = (st.calls, st.seconds)
+        per_step = (st.seconds - seconds) / max(1, n)
+        if st.calls > calls and per_step > 0:
+            self._counts[bucket(DEFAULT_TIME_BOUNDS, per_step)] += 1
+            self._sum += per_step
+            self.mlups = self.cluster.cells_total() / per_step / 1e6
+        if procs is not None:
+            self.health.note_done()
+            self.poll_health()
+        else:   # in-process ranks share this process's clock and memory
+            now, rss = time.perf_counter(), rss_bytes()
+            for rank in range(len(self.cluster.nodes)):
+                self.health.observe(rank, now, self.cluster.time_step,
+                                    False, per_step, rss)
+        if self.jsonl_path is not None:
+            self.export_jsonl()
 
-    def poll_health(self, observe_only: bool = False):
-        """Read the live shared-memory heartbeats (processes backend).
-
-        Safe to call from any thread at any time — the health segments
-        are single-writer scalar slots, so a mid-write read is at worst
-        one transiently torn float, never a crash.  Returns the raw
-        rows; unless ``observe_only``-only callers want them, the
-        observations also land in the :class:`HealthMonitor`.
-        """
-        backend = self.cluster._proc_backend
-        if backend is None:
-            return []
-        rows = backend.read_health()
-        for r in rows:
+    def poll_health(self) -> None:
+        """Feed the workers' live heartbeats to the watchdog; safe from
+        any thread at any time (single-writer scalar slots)."""
+        procs = self.cluster._proc_backend
+        for r in procs.read_health() if procs is not None else ():
             self.health.observe(r["rank"], r["hb_time"], r["step"],
-                                busy=r["busy"],
-                                step_seconds=r["step_seconds"],
-                                rss=r["rss_bytes"])
-        return rows
+                                r["busy"], r["step_seconds"], r["rss_bytes"])
 
     def check_health(self) -> HealthReport:
         """Refresh heartbeats (processes backend) and run the watchdog."""
         self.poll_health()
         return self.health.check()
 
-    # -- exposition ------------------------------------------------------
-    def snapshot(self) -> dict:
-        """One JSON-ready snapshot of metrics + health + phase roll-up."""
-        sync_counters(self.registry, self.cluster.counters)
-        report = self.health.check()
-        return {
-            "t": time.time(),
-            "step": self.cluster.time_step,
-            "metrics": self.registry.snapshot(),
-            "health": [r.as_dict() for r in report.rows],
-            "phases": self.cluster.counters.summary(),
-        }
+    # -- views of the recorder ----------------------------------------------
+    def busy_seconds(self) -> dict[int, float]:
+        """Per-rank collide + finish seconds so far."""
+        rec = self.cluster.recorder
+        return {r: rec.stat("cluster.collide", r).seconds
+                + rec.stat("cluster.finish", r).seconds
+                for r in range(len(self.cluster.nodes))}
 
-    def maybe_export(self) -> None:
-        if self.jsonl_path is None:
-            return
-        step = self.cluster.time_step
-        if step - self._last_export_step < self.jsonl_every_steps:
-            return
-        self.export_jsonl()
+    @staticmethod
+    def imbalance(busy: dict) -> float:
+        """Max over mean of per-rank busy time (0 before any)."""
+        mean = sum(busy.values()) / len(busy) if busy else 0.0
+        return max(busy.values()) / mean if mean > 0 else 0.0
+
+    def metrics(self) -> dict:
+        """The snapshot's ``metrics``: per-rank ``phase.<name>.seconds``
+        / ``.calls`` counters, metric totals (``<name>.total``), markers
+        (``<name>.calls``), the step count, busy time; MLUPS, imbalance
+        and RSS gauges; the ``step.seconds`` histogram."""
+        counters: dict[str, dict] = {}
+
+        def put(key, rank, value):
+            counters.setdefault(key, {})[rank] = value
+
+        for rank, rows in self.cluster.recorder.summary(by_rank=True).items():
+            for name, row in rows.items():
+                if row["seconds"]:
+                    put(f"phase.{name}.seconds", rank, row["seconds"])
+                    put(f"phase.{name}.calls", rank, row["calls"])
+                if row["value"]:
+                    put(f"{name}.total", rank, row["value"])
+                elif not row["seconds"] and row["calls"]:
+                    put(f"{name}.calls", rank, row["calls"])
+        busy = self.busy_seconds()
+        counters["steps.total"] = {
+            COORDINATOR_RANK: self.cluster.time_step - self._step0}
+        counters["rank.busy_seconds"] = busy
+        gauges = {"mlups": {COORDINATOR_RANK: self.mlups},
+                  "rank.rss_bytes": {r: o["rss"] for r, o
+                                     in sorted(self.health._obs.items())}}
+        if self.imbalance(busy):
+            gauges["imbalance.max_over_mean"] = {
+                COORDINATOR_RANK: self.imbalance(busy)}
+        hist = {"bounds": list(DEFAULT_TIME_BOUNDS), "counts": list(self._counts),
+                "sum": self._sum, "count": sum(self._counts)}
+        return {"counters": counters, "gauges": gauges,
+                "histograms": {"step.seconds": {COORDINATOR_RANK: hist}}}
+
+    def snapshot(self) -> dict:
+        """One JSON-ready snapshot: metrics, health rows, phase rows."""
+        return {"t": time.time(), "step": self.cluster.time_step,
+                "metrics": self.metrics(),
+                "health": [asdict(r) for r in self.health.check().rows],
+                "phases": self.cluster.recorder.summary()}
 
     def export_jsonl(self) -> None:
         """Append one snapshot line to ``jsonl_path``."""
-        if self.jsonl_path is None:
-            return
         if self._jsonl_fh is None:
             self._jsonl_fh = open(self.jsonl_path, "a")
         self._jsonl_fh.write(json.dumps(self.snapshot()) + "\n")
@@ -892,41 +547,38 @@ class TelemetrySession:
         self._last_export_step = self.cluster.time_step
 
     def to_prometheus(self) -> str:
-        """Prometheus text exposition (phases synced first)."""
-        sync_counters(self.registry, self.cluster.counters)
-        return self.registry.to_prometheus()
+        return prometheus_text(self.metrics())
 
     def status_text(self) -> str:
         """The live TTY status line: rate, MLUPS, imbalance, comm share."""
         elapsed = time.perf_counter() - self._t0
-        rate = self._steps_recorded / elapsed if elapsed > 0 else 0.0
-        text = (f"step {self.cluster.time_step:>6} | {rate:6.2f} steps/s "
-                f"| {self._mlups.value:8.2f} MLUPS")
-        if self._imbalance.value:
-            text += f" | imb {self._imbalance.value:4.2f}"
+        steps = self.cluster.time_step - self._step0
+        text = (f"step {self.cluster.time_step:>6} | "
+                f"{steps / elapsed if elapsed > 0 else 0.0:6.2f} steps/s "
+                f"| {self.mlups:8.2f} MLUPS")
+        imbalance = self.imbalance(self.busy_seconds())
+        if imbalance:
+            text += f" | imb {imbalance:4.2f}"
         comm = self.comm_fraction()
         if comm is not None:
             text += f" | comm {comm:4.0%}"
-        flagged = [r for r in self.health.check().rows
-                   if r.status not in ("ok", "unknown")]
+        flagged = self.health.check().flagged()
         if flagged:
             text += " | " + ",".join(f"rank{r.rank}:{r.status}"
                                      for r in flagged)
         return text
 
     def comm_fraction(self) -> float | None:
-        """Share of step time spent in the halo exchange.
-
-        Measured (counter seconds) when the run is numeric; modeled
-        (``net_nonoverlap / total``) in timing-only mode; None before
-        any step.
-        """
-        stats = self.cluster.counters.stats
+        """Exchange share of collide + exchange + finish time, measured;
+        modelled (``net_nonoverlap / total``) in timing-only mode; None
+        before any step."""
+        stats = self.cluster.recorder.stats
         ex = stats.get("cluster.exchange")
         if ex is not None and ex.seconds:
-            total = sum(st.seconds for name, st in stats.items()
-                        if name.startswith("cluster."))
-            return ex.seconds / total if total > 0 else None
+            return ex.seconds / sum(
+                stats[n].seconds for n in ("cluster.collide",
+                                           "cluster.exchange",
+                                           "cluster.finish") if n in stats)
         timing = self.cluster.last_timing
         if timing is not None and timing.total_s > 0:
             return timing.net_nonoverlap_s / timing.total_s
@@ -934,39 +586,138 @@ class TelemetrySession:
 
     def close(self) -> None:
         """Flush a final snapshot and release the JSONL stream."""
-        if self.jsonl_path is not None and self.registry.enabled:
-            if self.cluster.time_step != self._last_export_step:
-                self.export_jsonl()
+        if (self.jsonl_path is not None
+                and self.cluster.time_step != self._last_export_step):
+            self.export_jsonl()
         if self._jsonl_fh is not None:
             self._jsonl_fh.close()
             self._jsonl_fh = None
 
 
 # ---------------------------------------------------------------------------
-# overhead measurement + the check-telemetry gate
+# the check-trace / check-telemetry harness
 
 
-def disabled_record_overhead_ns(calls: int = 20000) -> dict[str, float]:
-    """Measured per-call cost (ns) of records on a *disabled* registry.
+def _observed_runs(observe, sub_shape, arrangement, steps: int,
+                   seed: int) -> dict:
+    """Step a small cluster plain and observed on both backends and
+    require bit-identical distributions.  ``observe(cluster)`` attaches
+    the instrumentation and returns ``check(cluster)``, run after the
+    steps, whose result is the backend's report entry."""
+    import numpy as np
 
-    Returns ``{"counter": ns, "gauge": ns, "histogram": ns}``; the
-    check-telemetry gate asserts each stays under the microsecond
-    budget (instrumentation is left in place permanently, like the
-    disabled tracer spans).
-    """
-    reg = MetricsRegistry(enabled=False)
-    c, g, h = reg.counter("noop"), reg.gauge("noop"), reg.histogram("noop")
-    out = {}
-    for label, record in (("counter", lambda: c.inc()),
-                          ("gauge", lambda: g.set(1.0)),
-                          ("histogram", lambda: h.observe(1.0))):
-        t0 = time.perf_counter()
-        for _ in range(calls):
-            record()
-        out[label] = (time.perf_counter() - t0) / calls * 1e9
-    if c.value or g.value or h.count:
-        raise AssertionError("disabled registry recorded values")
-    return out
+    from repro.core.cluster_lbm import ClusterConfig, CPUClusterLBM
+    from repro.lbm.solver import LBMSolver
+
+    shape = tuple(s * a for s, a in zip(sub_shape, arrangement))
+    rng = np.random.default_rng(seed)
+    ref = LBMSolver(shape, tau=0.7)
+    ref.initialize(rho=np.ones(shape, np.float32),
+                   u=(0.02 * rng.standard_normal((3,) + shape)
+                      ).astype(np.float32))
+    report = {}
+    for backend in ("serial", "processes"):
+        results = []
+        for observed in (False, True):
+            cfg = ClusterConfig(sub_shape=sub_shape, arrangement=arrangement,
+                                tau=0.7, backend=backend)
+            with CPUClusterLBM(cfg) as cluster:
+                cluster.load_global_distributions(ref.f)
+                check = observe(cluster) if observed else None
+                cluster.step(steps)
+                results.append(cluster.gather_distributions().copy())
+                if check is not None:
+                    report[backend] = check(cluster)
+        if not np.array_equal(*results):
+            raise AssertionError(f"{backend}: observing perturbed the numerics")
+    return report
+
+
+def _assert_overhead(budget_us: float, entry_points) -> dict:
+    overhead = disabled_overhead_ns()
+    for name in entry_points:
+        if overhead[name] > budget_us * 1e3:
+            raise AssertionError(
+                f"disabled recorder {name}() costs {overhead[name]:.0f} "
+                f"ns/call, over the {budget_us * 1e3:.0f} ns budget")
+    return overhead
+
+
+def run_trace_check(sub_shape=(6, 6, 4), arrangement=(2, 1, 1),
+                    steps: int = 2, overhead_budget_us: float = 25.0) -> dict:
+    """``python -m repro check-trace``: traced runs bit-identical to
+    untraced ones on both backends, one track per rank, a valid Chrome
+    export, and the disabled recorder's region entry points (``phase``,
+    ``add_span``) within ``overhead_budget_us`` per call."""
+    ranks = set(range(math.prod(arrangement)))
+
+    def observe(cluster):
+        tracer = cluster.enable_tracing()
+
+        def check(_):
+            seen = {e.rank for e in tracer.events if e.rank >= 0}
+            if seen != ranks:
+                raise AssertionError(f"expected spans for ranks "
+                                     f"{sorted(ranks)}, got {sorted(seen)}")
+            return {"spans": validate_chrome(tracer.to_chrome()),
+                    "ranks": sorted(seen)}
+        return check
+
+    report = {"backends": _observed_runs(observe, sub_shape, arrangement,
+                                         steps, seed=3)}
+    report["disabled_overhead_ns"] = _assert_overhead(
+        overhead_budget_us, ("phase", "add_span"))["phase"]
+    return report
+
+
+def run_telemetry_check(sub_shape=(6, 6, 4), arrangement=(2, 1, 1),
+                        steps: int = 4, overhead_budget_us: float = 1.0,
+                        stall_timeout_s: float = 0.4,
+                        detect_timeout_s: float = 20.0) -> dict:
+    """``python -m repro check-telemetry``: monitored runs bit-identical
+    to unmonitored ones on both backends with the step count right,
+    every rank heartbeating and valid Prometheus and JSONL exports;
+    the disabled recorder's record entry points (``metric``,
+    ``alloc``) within ``overhead_budget_us`` per call;
+    the watchdog flags a SIGSTOPped worker as stalled, then recovers."""
+    import tempfile
+
+    ranks = set(range(math.prod(arrangement)))
+    with tempfile.TemporaryDirectory() as tmp:
+        def observe(cluster):
+            jsonl = os.path.join(tmp, f"{id(cluster)}.jsonl")
+            session = cluster.enable_telemetry(jsonl_path=jsonl)
+
+            def check(_):
+                snap = session.snapshot()
+                total = sum(snap["metrics"]["counters"]["steps.total"].values())
+                if int(total) != steps:
+                    raise AssertionError(f"steps.total {total} != {steps}")
+                seen = {r.rank for r in session.check_health().rows
+                        if r.status != "unknown"}
+                if seen != ranks:
+                    raise AssertionError(f"heartbeats for ranks {sorted(seen)}"
+                                         f", expected {sorted(ranks)}")
+                n_series = validate_prometheus(session.to_prometheus())
+                session.close()
+                with open(jsonl) as fh:
+                    lines = [json.loads(line) for line in fh if line.strip()]
+                if not lines:
+                    raise AssertionError("no JSONL snapshots")
+                return {"prometheus_series": n_series,
+                        "jsonl_snapshots": len(lines),
+                        "instruments": [validate_snapshot(o) for o in lines][-1],
+                        "ranks": sorted(seen)}
+            return check
+
+        report = {"backends": _observed_runs(observe, sub_shape, arrangement,
+                                             steps, seed=5)}
+    report["disabled_overhead_ns"] = _assert_overhead(
+        overhead_budget_us, ("metric", "alloc"))
+    report["watchdog"] = _stalled_worker_check(
+        sub_shape, arrangement, stall_timeout_s=stall_timeout_s,
+        detect_timeout_s=detect_timeout_s)
+    return report
 
 
 def _stalled_worker_check(sub_shape, arrangement, stall_timeout_s: float,
@@ -1031,109 +782,3 @@ def _stalled_worker_check(sub_shape, arrangement, stall_timeout_s: float,
                 [r.status for r in detected.rows]}
 
 
-def run_telemetry_check(sub_shape=(6, 6, 4), arrangement=(2, 1, 1),
-                        steps: int = 4, overhead_budget_us: float = 1.0,
-                        stall_timeout_s: float = 0.4,
-                        detect_timeout_s: float = 20.0) -> dict:
-    """End-to-end telemetry gate used by ``python -m repro check-telemetry``.
-
-    * steps a small cluster twice — monitored and unmonitored — on the
-      serial *and* processes backends and requires bit-identical
-      gathered distributions (telemetry observes, never perturbs);
-    * requires live coverage on the monitored run: the step counter
-      matches, every rank reported a heartbeat, and both the
-      Prometheus and JSONL expositions pass their schema checks;
-    * measures the disabled-registry record overhead and fails beyond
-      ``overhead_budget_us`` per record;
-    * SIGSTOPs a worker mid-command and requires the step watchdog to
-      flag it as stalled, then a clean recovery.
-
-    Returns a small report dict; raises ``AssertionError`` on any
-    violation.
-    """
-    import io
-    import tempfile
-
-    import numpy as np
-
-    from repro.core.cluster_lbm import ClusterConfig, CPUClusterLBM
-    from repro.lbm.solver import LBMSolver
-
-    shape = tuple(s * a for s, a in zip(sub_shape, arrangement))
-    rng = np.random.default_rng(5)
-    ref = LBMSolver(shape, tau=0.7)
-    ref.initialize(rho=np.ones(shape, np.float32),
-                   u=(0.02 * rng.standard_normal((3,) + shape)
-                      ).astype(np.float32))
-    f0 = ref.f.copy()
-    n_ranks = int(np.prod(arrangement))
-
-    report: dict = {"backends": {}}
-    for backend in ("serial", "processes"):
-        results = {}
-        for monitored in (False, True):
-            cfg = ClusterConfig(sub_shape=sub_shape, arrangement=arrangement,
-                                tau=0.7, backend=backend)
-            with tempfile.TemporaryDirectory() as tmp:
-                jsonl = os.path.join(tmp, "telemetry.jsonl")
-                with CPUClusterLBM(cfg) as cluster:
-                    cluster.load_global_distributions(f0)
-                    session = (cluster.enable_telemetry(jsonl_path=jsonl)
-                               if monitored else None)
-                    cluster.step(steps)
-                    results[monitored] = cluster.gather_distributions().copy()
-                    if session is None:
-                        continue
-                    snap = session.snapshot()
-                    total = sum(
-                        snap["metrics"]["counters"]["steps.total"].values())
-                    if int(total) != steps:
-                        raise AssertionError(
-                            f"{backend}: steps.total {total} != {steps}")
-                    health = session.check_health()
-                    seen = {r.rank for r in health.rows
-                            if r.status != "unknown"}
-                    if seen != set(range(n_ranks)):
-                        raise AssertionError(
-                            f"{backend}: heartbeats for ranks {sorted(seen)}, "
-                            f"expected {sorted(range(n_ranks))}")
-                    prom = session.to_prometheus()
-                    n_series = validate_prometheus(prom)
-                    session.close()
-                    with open(jsonl) as fh:
-                        lines = [json.loads(line) for line in fh
-                                 if line.strip()]
-                    if not lines:
-                        raise AssertionError(f"{backend}: no JSONL snapshots")
-                    n_inst = 0
-                    for obj in lines:
-                        n_inst = validate_snapshot(obj)
-                    report["backends"][backend] = {
-                        "prometheus_series": n_series,
-                        "jsonl_snapshots": len(lines),
-                        "instruments": n_inst,
-                        "ranks": sorted(seen),
-                    }
-        if not np.array_equal(results[False], results[True]):
-            raise AssertionError(f"{backend}: telemetry perturbed the numerics")
-
-    overhead = disabled_record_overhead_ns()
-    report["disabled_overhead_ns"] = overhead
-    worst = max(overhead.values())
-    if worst > overhead_budget_us * 1e3:
-        raise AssertionError(
-            f"disabled-registry record overhead {worst:.0f} ns/call exceeds "
-            f"the {overhead_budget_us * 1e3:.0f} ns budget "
-            f"({overhead})")
-
-    report["watchdog"] = _stalled_worker_check(
-        sub_shape, arrangement, stall_timeout_s=stall_timeout_s,
-        detect_timeout_s=detect_timeout_s)
-
-    # A disabled StatusLine-style smoke: the status text renders without
-    # a live session having stepped (defensive; cheap).
-    buf = io.StringIO()
-    line = StatusLine(stream=buf, min_interval_s=0.0)
-    line.update("telemetry gate")
-    line.close()
-    return report

@@ -143,7 +143,7 @@ class TestSingleDomain:
     def test_counters_mark_aa_kernel(self):
         _, aa = _pair()
         aa.step(2)
-        summary = aa.counters.summary()
+        summary = aa.recorder.summary()
         assert "kernel.aa" in summary
         assert "aa.even" in summary and "aa.odd" in summary
 

@@ -254,7 +254,7 @@ class TestRebalanceLoop:
         with CPUClusterLBM(cfg) as cluster:
             cluster.enable_tracing()
             cluster.step(2)
-            rows, _ = trace_imbalance_rows(cluster.tracer)
+            rows, _ = trace_imbalance_rows(cluster.recorder)
             busy = {r["rank"]: r["busy_ms"] / 1e3 for r in rows}
             assert len(busy) == 4
             assert cluster.rebalance_cuts() == cluster.rebalance_cuts(

@@ -56,9 +56,12 @@ class TestExchangeBuffers:
             cluster.load_global_distributions(f0)
             cluster.step(2)
             stats = cluster.counters.stats
-            assert stats["cluster.collide"].calls == 2
+            # Collide and finish once per rank per step, the exchange
+            # once per step.
+            ranks = len(cluster.nodes)
+            assert stats["cluster.collide"].calls == 2 * ranks
             assert stats["cluster.exchange"].calls == 2
-            assert stats["cluster.finish"].calls == 2
+            assert stats["cluster.finish"].calls == 2 * ranks
 
     def test_sequential_protocol_records_legacy_phases(self, rng):
         """Every driver steps collide -> exchange -> finish, on CPU and
@@ -70,10 +73,12 @@ class TestExchangeBuffers:
                 cluster.load_global_distributions(f0)
                 cluster.step(2)
                 stats = cluster.counters.stats
-                assert stats["cluster.collide"].calls == 2
+                assert stats["cluster.collide"].calls == 2 * len(cluster.nodes)
                 assert stats["cluster.exchange"].calls == 2
+                assert stats["cluster.step"].calls == 2
                 assert {k for k in stats if k.startswith("cluster.")} == {
-                    "cluster.collide", "cluster.exchange", "cluster.finish"}
+                    "cluster.collide", "cluster.exchange", "cluster.finish",
+                    "cluster.step"}
 
 
 class TestConfigValidation:

@@ -244,7 +244,7 @@ class TestSPMDWire:
     def _run(self, rng, steps=2):
         from repro.core.spmd import SPMDClusterLBM
         from repro.net.simmpi import SimCluster
-        from repro.perf.trace import Tracer
+        from repro.perf.recorder import Tracer
 
         decomp = BlockDecomposition(SHAPE, ARRANGEMENT,
                                     periodic=(True, True, True))
@@ -252,7 +252,7 @@ class TestSPMDWire:
         tracer = Tracer(enabled=True)
         spmd = SPMDClusterLBM(decomp, tau=0.7, f0=f0)
         got, _ = spmd.run(steps, cluster=SimCluster(decomp.n_nodes,
-                                                    tracer=tracer))
+                                                    recorder=tracer))
         assert np.array_equal(got, ref_f)
         return [e for e in tracer.events if e.name == "mpi.msg"], spmd
 

@@ -21,7 +21,7 @@ from repro.core.spmd import SPMDClusterLBM
 from repro.core.wire import _expected_wire_counts
 from repro.lbm.solver import LBMSolver
 from repro.net.simmpi import SimCluster
-from repro.perf.trace import Tracer
+from repro.perf.recorder import Tracer
 
 
 def _routes(arrangement, periodic, rank=0):
@@ -215,7 +215,7 @@ class TestSimMPISequence:
         for _ in range(2):
             tracer = Tracer(enabled=True)
             spmd = SPMDClusterLBM(decomp, tau=0.7, f0=f0)
-            got, _ = spmd.run(2, SimCluster(decomp.n_nodes, tracer=tracer))
+            got, _ = spmd.run(2, SimCluster(decomp.n_nodes, recorder=tracer))
             assert np.array_equal(got, ref.f)
             runs.append(_channels(tracer))
         assert runs[0] == runs[1]
@@ -229,7 +229,7 @@ class TestSimMPISequence:
         decomp, ref = _periodic_problem(sub, arrangement, rng)
         tracer = Tracer(enabled=True)
         spmd = SPMDClusterLBM(decomp, tau=0.7, f0=ref.f.copy())
-        got, _ = spmd.run(steps, SimCluster(decomp.n_nodes, tracer=tracer))
+        got, _ = spmd.run(steps, SimCluster(decomp.n_nodes, recorder=tracer))
         ref.step(steps)
         assert np.array_equal(got, ref.f)
         channels = _channels(tracer)

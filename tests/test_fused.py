@@ -129,20 +129,20 @@ class TestFusedMachinery:
     def test_counters_record_phases(self):
         s = LBMSolver(SHAPE, tau=0.7)
         s.step(4)
-        stats = s.counters.stats
+        stats = s.recorder.stats
         assert stats["aa.even"].calls == 2 and stats["aa.odd"].calls == 2
         # The phases close their own ghost shell: no separate pass.
         assert "aa.ghosts" not in stats and "aa.fold" not in stats
-        assert stats["aa.post_stream"].calls == 4
-        assert s.counters.total_seconds() > 0
-        report = s.counters.report()
+        assert stats["solver.post_stream"].calls == 4
+        assert s.recorder.total_seconds() > 0
+        report = s.recorder.report()
         assert "aa.even" in report
 
     def test_counters_disabled_short_circuits(self):
         s = LBMSolver(SHAPE, tau=0.7)
-        s.counters.enabled = False
+        s.recorder.enabled = False
         s.step(2)
-        assert "aa.even" not in s.counters.stats
+        assert "aa.even" not in s.recorder.stats
 
     def test_mass_conserved_fused(self, rng):
         s = LBMSolver(SHAPE, tau=0.7)

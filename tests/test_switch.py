@@ -154,29 +154,29 @@ class TestMyrinetSwitch:
             assert name not in vars(MyrinetSwitch)
 
     def test_traced_phase_emits_rounds_and_advances_clock(self):
-        from repro.perf.trace import SIM_CLOCK, Tracer
+        from repro.perf.recorder import SIM_CLOCK, Tracer
         sw = self._myrinet()
-        sw.tracer = Tracer()
+        sw.recorder = Tracer()
         rounds = [[FACE, FACE], [FACE]]
         t = sw.phase_time(rounds, nodes=4)
         assert t > 0.0
-        names = [e.name for e in sw.tracer.events]
+        names = [e.name for e in sw.recorder.events]
         assert names.count("net.round") == 2
         assert names.count("net.phase") == 1
-        assert all(e.clock == SIM_CLOCK for e in sw.tracer.events)
+        assert all(e.clock == SIM_CLOCK for e in sw.recorder.events)
         assert sw._trace_clock_s == pytest.approx(t)
-        phase = [e for e in sw.tracer.events if e.name == "net.phase"][0]
+        phase = [e for e in sw.recorder.events if e.name == "net.phase"][0]
         assert phase.t1 - phase.t0 == pytest.approx(t)
         # A second phase starts where the first ended.
         sw.phase_time(rounds, nodes=4)
         assert sw._trace_clock_s == pytest.approx(2 * t)
 
     def test_untraced_time_unchanged_by_tracing(self):
-        from repro.perf.trace import Tracer
+        from repro.perf.recorder import Tracer
         rounds = [[FACE, 2 * FACE], [FACE]]
         quiet = self._myrinet().phase_time(rounds, nodes=8)
         traced_sw = self._myrinet()
-        traced_sw.tracer = Tracer()
+        traced_sw.recorder = Tracer()
         assert traced_sw.phase_time(rounds, nodes=8) == quiet
 
     def test_gbe_scales_default_to_unity(self):

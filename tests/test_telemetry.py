@@ -1,136 +1,159 @@
-"""Tests for the live-telemetry subsystem (repro.perf.telemetry).
+"""Tests for the live-telemetry views (repro.perf.telemetry).
 
-Covers the metrics registry (typed instruments, enable short-circuit,
-per-rank views, snapshot/merge/reset semantics), the histogram bucket
-scheme, the Prometheus/JSONL exposition validators, the health monitor
-state machine with synthetic heartbeats, the overhead microbenchmark,
-and a small serial end-to-end run through ``enable_telemetry``.
+Covers the recorder's per-rank tables and shared flags that every view
+reads, the step histogram's bucket scheme, the metrics a session
+derives from the recorder, the Prometheus/JSONL exposition and their
+validators, the health monitor state machine with synthetic
+heartbeats, the disabled-recorder overhead, and a small serial
+end-to-end run through ``enable_telemetry``.
 """
 
 from __future__ import annotations
 
 import json
-import math
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core.cluster_lbm import ClusterConfig, CPUClusterLBM
-from repro.perf.counters import KernelCounters
-from repro.perf.report import format_telemetry_summary, telemetry_summary_rows
+from repro.perf.recorder import (COORDINATOR_RANK, NULL_RECORDER, Recorder,
+                                 disabled_overhead_ns)
 from repro.perf.telemetry import (
     DEFAULT_TIME_BOUNDS,
-    NULL_REGISTRY,
     HealthMonitor,
-    MetricsRegistry,
     StatusLine,
-    disabled_record_overhead_ns,
+    TelemetrySession,
+    bucket,
     log_bounds,
+    prometheus_text,
     rss_bytes,
-    sync_counters,
     validate_prometheus,
     validate_snapshot,
 )
 
 
+def _session(rec: Recorder, n_ranks: int = 2, cells: int = 1000):
+    """A session over a stand-in driver holding ``rec``."""
+    cluster = SimpleNamespace(recorder=rec, nodes=[None] * n_ranks,
+                              time_step=0, _proc_backend=None,
+                              last_timing=None, cells_total=lambda: cells)
+    return cluster, TelemetrySession(cluster)
+
+
+def _step(cluster, session, seconds: float) -> None:
+    cluster.recorder.add_span("cluster.step", 0.0, seconds)
+    cluster.time_step += 1
+    session.record_steps(1)
+
+
+def _metrics(hist_bounds=(0.1, 1.0), counts=(1, 1, 1)):
+    return {"counters": {"steps.total": {-1: 3}},
+            "gauges": {"rank.rss_bytes": {0: 1024.0}},
+            "histograms": {"step.seconds": {0: {
+                "bounds": list(hist_bounds), "counts": list(counts),
+                "sum": 0.02, "count": sum(counts)}}}}
+
+
 class TestRegistry:
+    """The recorder tables and flags the telemetry views read."""
+
     def test_counter_gauge_histogram_basic(self):
-        reg = MetricsRegistry()
-        reg.counter("steps").inc()
-        reg.counter("steps").inc(4)
-        reg.gauge("imb").set(1.5)
-        reg.gauge("imb").set(1.25)
-        reg.histogram("dt").observe(0.01)
-        assert reg.counter("steps").value == 5
-        assert reg.gauge("imb").value == 1.25
-        assert reg.histogram("dt").count == 1
-        assert reg.histogram("dt").sum == pytest.approx(0.01)
-
-    def test_disabled_registry_records_nothing(self):
-        reg = MetricsRegistry(enabled=False)
-        c, g, h = reg.counter("c"), reg.gauge("g"), reg.histogram("h")
-        c.inc(10)
-        g.set(3.0)
-        h.observe(1.0)
-        assert c.value == 0 and g.value == 0.0 and h.count == 0
-        snap = reg.snapshot()
-        assert snap["counters"]["c"][reg.rank] == 0
-        assert snap["histograms"]["h"][reg.rank]["count"] == 0
-
-    def test_enable_flag_is_live_on_existing_instruments(self):
-        # Instruments consult the registry flag at record time, so
-        # toggling after creation takes effect without re-fetching.
-        reg = MetricsRegistry(enabled=False)
-        c = reg.counter("c")
-        c.inc()
-        assert c.value == 0
-        reg.enabled = True
-        c.inc(2)
-        assert c.value == 2
-        reg.enabled = False
-        c.inc(5)
-        assert c.value == 2
-
-    def test_null_registry_is_shared_and_disabled(self):
-        assert NULL_REGISTRY.enabled is False
-        NULL_REGISTRY.counter("x").inc()
-        assert NULL_REGISTRY.counter("x").value == 0
-
-    def test_for_rank_view_delegates_and_tracks_enable(self):
-        reg = MetricsRegistry(rank=-1)
-        v0, v1 = reg.for_rank(0), reg.for_rank(1)
-        v0.counter("w").inc(2)
-        v1.counter("w").inc(3)
-        snap = reg.snapshot()
-        assert snap["counters"]["w"] == {0: 2, 1: 3}
-        reg.enabled = False
-        v0.counter("w").inc(100)  # no-op: views share the parent flag
-        assert reg.snapshot()["counters"]["w"] == {0: 2, 1: 3}
-
-    def test_snapshot_reset_is_delta_shipping(self):
-        reg = MetricsRegistry()
-        reg.counter("c").inc(7)
-        reg.gauge("g").set(2.0)
-        reg.histogram("h").observe(0.5)
-        first = reg.snapshot(reset=True)
-        assert first["counters"]["c"][reg.rank] == 7
-        second = reg.snapshot()
-        # Counters and histograms zeroed; gauges keep their last value.
-        assert second["counters"].get("c", {}).get(reg.rank, 0) == 0
-        assert second["gauges"]["g"][reg.rank] == 2.0
-        assert second["histograms"]["h"][reg.rank]["count"] == 0
-
-    def test_merge_adds_counters_overwrites_gauges(self):
-        a, b = MetricsRegistry(rank=-1), MetricsRegistry(rank=0)
-        a.counter("c").inc(1)
-        a.gauge("g").set(1.0)
-        b.counter("c").inc(2)
-        b.gauge("g").set(9.0)
-        b.histogram("h").observe(0.2)
-        a.merge(b.snapshot())
-        snap = a.snapshot()
-        assert snap["counters"]["c"] == {-1: 1, 0: 2}
-        assert snap["gauges"]["g"][0] == 9.0
-        assert snap["histograms"]["h"][0]["count"] == 1
-        # Merging the same delta twice adds again (deltas, not states).
-        a.merge(b.snapshot(reset=True))
-        assert a.snapshot()["counters"]["c"][0] == 4
-
-    def test_merge_into_disabled_registry_drops(self):
-        a = MetricsRegistry(enabled=False)
-        b = MetricsRegistry(rank=0)
-        b.counter("c").inc(5)
-        a.merge(b.snapshot())
-        a.enabled = True
-        assert a.snapshot()["counters"] == {}
+        cluster, session = _session(Recorder())
+        _step(cluster, session, 0.01)
+        _step(cluster, session, 0.02)
+        m = session.metrics()
+        assert m["counters"]["steps.total"][COORDINATOR_RANK] == 2
+        assert m["counters"]["phase.cluster.step.calls"][-1] == 2
+        assert m["counters"]["phase.cluster.step.seconds"][-1] == \
+            pytest.approx(0.03)
+        # The gauge holds the last step's rate: 1000 cells in 20 ms.
+        assert m["gauges"]["mlups"][-1] == pytest.approx(1000 / 0.02 / 1e6)
+        hist = m["histograms"]["step.seconds"][-1]
+        assert hist["count"] == 2 and hist["sum"] == pytest.approx(0.03)
 
     def test_counter_reset_to_is_idempotent(self):
-        reg = MetricsRegistry()
-        c = reg.counter("c")
-        c.reset_to(10)
-        c.reset_to(10)
-        assert c.value == 10
-        c.reset_to(12)
-        assert c.value == 12
+        cluster, session = _session(Recorder())
+        _step(cluster, session, 0.01)
+        cluster.recorder.metric("comm.msgs", 4)
+        # Deriving twice reads the same absolute totals, never += twice.
+        assert session.metrics() == session.metrics()
+        assert session.metrics()["counters"]["comm.msgs.total"][-1] == 4
+
+    def test_disabled_registry_records_nothing(self):
+        rec = Recorder(enabled=False, tracing=True)
+        with rec.phase("p"):
+            pass
+        rec.add_span("s", 0.0, 1.0)
+        rec.metric("m", 3.0)
+        rec.alloc("a")
+        rec.message(0, 1, 7, 64, 0.0, 1.0)
+        assert rec.summary() == {} and rec.events == []
+
+    def test_enable_flag_is_live_on_existing_instruments(self):
+        # Views consult the owner's flags at record time, so toggling
+        # after a view was taken takes effect through it.
+        rec = Recorder(enabled=False)
+        view = rec.for_rank(0)
+        view.metric("c", 1)
+        assert rec.summary() == {}
+        rec.enabled = True
+        view.metric("c", 2)
+        rec.enabled = False
+        view.metric("c", 5)
+        assert rec.summary()["c"]["value"] == 2
+
+    def test_null_registry_is_shared_and_disabled(self):
+        assert NULL_RECORDER.enabled is False
+        NULL_RECORDER.for_rank(3).metric("x", 1)
+        with NULL_RECORDER.phase("y"):
+            pass
+        assert NULL_RECORDER.summary() == {}
+
+    def test_for_rank_view_delegates_and_tracks_enable(self):
+        rec = Recorder()
+        v0, v1 = rec.for_rank(0), rec.for_rank(1)
+        v0.metric("w", 2)
+        v1.metric("w", 3)
+        by_rank = rec.summary(by_rank=True)
+        assert {r: rows["w"]["value"] for r, rows in by_rank.items()} == \
+            {0: 2, 1: 3}
+        rec.tracing = True          # views trace with their owner
+        with v1.phase("p"):
+            pass
+        assert [(e.name, e.rank) for e in rec.events] == [("p", 1)]
+        rec.enabled = False
+        v0.metric("w", 100)         # no-op: views share the owner's flag
+        assert rec.summary(by_rank=True)[0]["w"]["value"] == 2
+
+    def test_snapshot_reset_is_delta_shipping(self):
+        worker = Recorder(rank=0, tracing=True)
+        worker.metric("c", 7)
+        worker.add_span("p", 0.0, 0.5)
+        first = worker.drain()
+        assert first["stats"]["c"]["value"] == 7
+        assert [e.name for e in first["events"]] == ["p"]
+        second = worker.drain()
+        assert second == {"stats": {}, "events": []}
+
+    def test_merge_adds_counters_overwrites_gauges(self):
+        coord = Recorder()
+        worker = Recorder(rank=0)
+        worker.add_span("p", 0.0, 0.25)
+        worker.metric("c", 2)
+        payload = worker.drain()
+        coord.absorb(payload, rank=0)
+        coord.absorb(payload, rank=0)   # deltas, not states: adds again
+        rows = coord.summary(by_rank=True)[0]
+        assert rows["p"]["calls"] == 2 and rows["c"]["value"] == 4
+
+    def test_merge_into_disabled_registry_drops(self):
+        coord = Recorder(enabled=False, tracing=True)
+        worker = Recorder(rank=0, tracing=True)
+        worker.metric("c", 5)
+        worker.add_span("p", 0.0, 1.0)
+        coord.absorb(worker.drain(), rank=0)
+        coord.enabled = True
+        assert coord.summary() == {} and coord.events == []
 
 
 class TestHistogramBuckets:
@@ -143,15 +166,11 @@ class TestHistogramBuckets:
         assert all(r == pytest.approx(10 ** (1 / 3)) for r in ratios)
 
     def test_observe_places_values_in_log_buckets(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("dt", bounds=(0.001, 0.01, 0.1))
-        for v in (0.0005, 0.005, 0.05, 0.5):
-            h.observe(v)
-        # counts has len(bounds)+1 cells: (-inf,1ms], .., (100ms, inf)
-        assert list(h.counts) == [1, 1, 1, 1]
-        h.observe(0.01)  # boundary value lands in its own bucket
-        assert list(h.counts) == [1, 2, 1, 1]
-        assert h.count == 5
+        bounds = (0.001, 0.01, 0.1)
+        # len(bounds)+1 cells: (-inf,1ms], .., (100ms, inf)
+        assert [bucket(bounds, v) for v in (0.0005, 0.005, 0.05, 0.5)] == \
+            [0, 1, 2, 3]
+        assert bucket(bounds, 0.01) == 1  # a boundary value: its own bucket
 
     def test_default_time_bounds_cover_step_range(self):
         assert DEFAULT_TIME_BOUNDS[0] <= 1e-5
@@ -160,22 +179,21 @@ class TestHistogramBuckets:
                    zip(DEFAULT_TIME_BOUNDS, DEFAULT_TIME_BOUNDS[1:]))
 
     def test_bounds_fixed_per_name_for_mergeability(self):
-        reg = MetricsRegistry()
-        h1 = reg.for_rank(0).histogram("dt", bounds=(1.0, 2.0))
-        h2 = reg.for_rank(1).histogram("dt", bounds=(5.0, 6.0))  # ignored
-        assert tuple(h2.bounds) == tuple(h1.bounds)
+        # Every session's step histogram uses the one bucket scheme, so
+        # snapshots of different runs merge bucket by bucket.
+        hists = []
+        for seconds in (1e-4, 3.0):
+            cluster, session = _session(Recorder())
+            _step(cluster, session, seconds)
+            hists.append(session.metrics()["histograms"]["step.seconds"][-1])
+        assert hists[0]["bounds"] == hists[1]["bounds"] == \
+            list(DEFAULT_TIME_BOUNDS)
+        assert hists[0]["counts"] != hists[1]["counts"]
 
 
 class TestExposition:
-    def _populated(self):
-        reg = MetricsRegistry(rank=-1)
-        reg.counter("steps.total").inc(3)
-        reg.for_rank(0).gauge("rank.rss_bytes").set(1024.0)
-        reg.for_rank(0).histogram("step.seconds").observe(0.02)
-        return reg
-
     def test_prometheus_text_schema(self):
-        text = self._populated().to_prometheus()
+        text = prometheus_text(_metrics())
         assert validate_prometheus(text) >= 3
         assert "# TYPE repro_steps_total counter" in text
         assert 'repro_steps_total{rank="-1"} 3' in text
@@ -186,11 +204,7 @@ class TestExposition:
         assert "repro_step_seconds_sum" in text
 
     def test_prometheus_histogram_buckets_cumulative(self):
-        reg = MetricsRegistry(rank=0)
-        h = reg.histogram("h", bounds=(0.1, 1.0))
-        for v in (0.05, 0.5, 5.0):
-            h.observe(v)
-        text = reg.to_prometheus()
+        text = prometheus_text(_metrics(counts=(1, 1, 1)))
         rows = [ln for ln in text.splitlines() if "_bucket" in ln]
         counts = [float(ln.rsplit(" ", 1)[1]) for ln in rows]
         assert counts == [1.0, 2.0, 3.0]  # monotone cumulative
@@ -202,10 +216,8 @@ class TestExposition:
             validate_prometheus("no_prefix_metric 1")
 
     def test_validate_snapshot_roundtrips_jsonl(self):
-        reg = self._populated()
-        obj = {"t": 1.0, "step": 3, "metrics": reg.snapshot()}
-        line = json.dumps(obj)
-        back = json.loads(line)  # rank keys become strings
+        obj = {"t": 1.0, "step": 3, "metrics": _metrics()}
+        back = json.loads(json.dumps(obj))  # rank keys become strings
         assert validate_snapshot(back) == 3
 
     def test_validate_snapshot_rejects_malformed(self):
@@ -302,32 +314,33 @@ class TestHealthMonitor:
 
 class TestCountersBridge:
     def test_sync_counters_maps_and_is_idempotent(self):
-        kc = KernelCounters()
-        kc.add("cluster.exchange", 0.25)
-        kc.add("cluster.exchange", 0.25)
-        kc.metric("halo.wire_bytes", 4096.0, calls=2)
-        reg = MetricsRegistry(rank=-1)
-        sync_counters(reg, kc)
-        sync_counters(reg, kc)  # absolute reset_to, not += twice
-        snap = reg.snapshot()
-        assert snap["counters"]["phase.cluster.exchange.seconds"][-1] \
-            == pytest.approx(0.5)
-        assert snap["counters"]["phase.cluster.exchange.calls"][-1] == 2
-        assert snap["counters"]["halo.wire_bytes.total"][-1] == 4096
+        rec = Recorder()
+        rec.add_span("cluster.exchange", 0.0, 0.25)
+        rec.add_span("cluster.exchange", 0.0, 0.25)
+        rec.metric("halo.wire_bytes", 4096.0, calls=2)
+        rec.metric("kernel.aa", 0)
+        _, session = _session(rec)
+        first = session.metrics()["counters"]
+        assert first == session.metrics()["counters"]
+        assert first["phase.cluster.exchange.seconds"][-1] == \
+            pytest.approx(0.5)
+        assert first["phase.cluster.exchange.calls"][-1] == 2
+        assert first["halo.wire_bytes.total"][-1] == 4096
+        assert first["kernel.aa.calls"][-1] == 1
 
     def test_report_shows_value_columns_only_when_present(self):
-        kc = KernelCounters()
-        kc.add("collide", 0.1)
-        assert "mean value" not in kc.report()
-        kc.metric("halo.bytes", 2048.0)
-        rep = kc.report()
+        rec = Recorder()
+        rec.add_span("collide", 0.0, 0.1)
+        assert "mean value" not in rec.report()
+        rec.metric("halo.bytes", 2048.0)
+        rep = rec.report()
         assert "mean value" in rep and "2048.0" in rep
 
 
 class TestOverheadAndRss:
     def test_disabled_record_overhead_under_budget(self):
-        ns = disabled_record_overhead_ns(calls=5000)
-        assert set(ns) == {"counter", "gauge", "histogram"}
+        ns = disabled_overhead_ns(calls=5000)
+        assert set(ns) == {"phase", "add_span", "metric", "alloc"}
         # The check-telemetry gate budget is 1 us; be generous here to
         # keep CI machines with noisy clocks green.
         assert all(v < 5000.0 for v in ns.values())
@@ -369,10 +382,8 @@ class TestSerialIntegration:
             assert validate_prometheus(session.to_prometheus()) > 0
             txt = session.status_text()
             assert "steps/s" in txt and "MLUPS" in txt
-            rows = telemetry_summary_rows(metrics)
-            assert any(r["name"] == "steps.total" for r in rows)
-            summary = format_telemetry_summary(snap)
-            assert "steps.total" in summary
+            assert "cluster.step" in snap["phases"]
+            assert "cluster health: ok" in session.check_health().summary()
             assert {r["rank"] for r in snap["health"]} == {0, 1}
             assert all(r["status"] == "ok" for r in snap["health"])
 

@@ -1,11 +1,12 @@
-"""Tests for the span tracing subsystem (repro.perf.trace).
+"""Tests for the recorder's timeline (repro.perf.recorder).
 
-Covers the ISSUE acceptance criteria: strict no-op behaviour when
-disabled, span nesting, cross-process/cross-backend span aggregation,
-bit-identical numerics with tracing on, SimMPI message events, export
-schema validity, and the derived analytics.  Also covers the
-KernelCounters satellite fixes (adaptive report width, documented
-merge short-circuit).
+Covers strict no-op behaviour when disabled, span nesting,
+cross-process/cross-backend event aggregation, bit-identical numerics
+with tracing on, that switching a driver's recorder off stops every
+rank's events, that the aggregates are a view of the events on every
+driver, SimMPI message events, export schema validity, the derived
+analytics, and the per-phase report (adaptive width, merge
+short-circuit).
 """
 
 import json
@@ -18,22 +19,22 @@ from repro.core.decomposition import BlockDecomposition
 from repro.core.spmd import SPMDClusterLBM
 from repro.lbm.solver import LBMSolver
 from repro.net.simmpi import SimCluster
-from repro.perf.counters import KernelCounters
 from repro.perf.report import (
     trace_imbalance_rows,
     trace_network_summary,
     trace_overlap_rows,
     trace_step_breakdown,
 )
-from repro.perf.trace import (
+from repro.perf.recorder import (
     COORDINATOR_RANK,
     NETWORK_RANK,
-    NULL_TRACER,
+    NULL_RECORDER,
     SIM_CLOCK,
     WALL_CLOCK,
+    Recorder,
     SpanEvent,
     Tracer,
-    _NULL_SPAN,
+    _NULL_PHASE,
     disabled_overhead_ns,
     estimate_clock_offset,
     validate_chrome,
@@ -67,38 +68,46 @@ def _traced_run(backend, steps=2, f0=None, **cfg_kw):
 
 class TestDisabledTracer:
     def test_disabled_span_is_shared_noop(self):
-        tr = Tracer(enabled=False)
-        s1 = tr.span("a")
-        s2 = tr.span("b", step=3, bytes=10)
-        assert s1 is s2 is _NULL_SPAN
+        tr = Recorder(enabled=False, tracing=True)
+        s1 = tr.phase("a")
+        s2 = tr.phase("b", bytes=10)
+        assert s1 is s2 is _NULL_PHASE
         with s1:
             pass
-        assert tr.events == []
+        assert tr.events == [] and tr.summary() == {}
 
     def test_disabled_records_nothing(self):
+        # Tracing off: no event, only the aggregate.
         tr = Tracer(enabled=False)
         tr.begin_step(7)
         tr.add_span("x", 0.0, 1.0)
-        tr.instant("y")
         tr.message(0, 1, 42, 128, 0.0, 0.1)
         assert tr.events == []
-        assert tr.drain() == []
+        assert tr.drain() == {"stats": {"x": {
+            "calls": 1, "seconds": 1.0, "mean_ms": 1e3, "allocs": 0,
+            "value": 0.0}}, "events": []}
+        # Recorder off: nothing at all.
+        off = Recorder(enabled=False)
+        off.add_span("x", 0.0, 1.0)
+        off.message(0, 1, 42, 128, 0.0, 0.1)
+        assert off.drain() == {"stats": {}, "events": []}
 
     def test_null_tracer_singleton_disabled(self):
-        assert NULL_TRACER.enabled is False
+        assert NULL_RECORDER.enabled is False
 
     def test_disabled_overhead_under_budget(self):
         # The check-trace gate budget is 25 us/call; the real figure is
         # a few hundred ns.  Use a loose bound to stay CI-safe.
-        assert disabled_overhead_ns(calls=5000) < 25_000
+        assert all(ns < 25_000
+                   for ns in disabled_overhead_ns(calls=5000).values())
 
 
 class TestSpanRecording:
     def test_span_nesting_containment(self):
         tr = Tracer()
         tr.begin_step(0)
-        with tr.span("outer"):
-            with tr.span("inner"):
+        with tr.phase("outer"):
+            with tr.phase("inner"):
                 pass
         # Exit order: inner closes first.
         inner, outer = tr.events
@@ -108,24 +117,20 @@ class TestSpanRecording:
     def test_span_metadata_and_step(self):
         tr = Tracer(rank=3)
         tr.begin_step(11)
-        with tr.span("k", bytes=64, kernel="fused"):
+        with tr.phase("k", bytes=64, kernel="fused"):
             pass
         (e,) = tr.events
         assert e.rank == 3 and e.step == 11
-        assert e.meta["bytes"] == 64 and e.meta["kernel"] == "fused"
-        # Live spans also record the thread-CPU delta for the
-        # contention-immune busy-time analytics.
-        assert e.meta["cpu_s"] >= 0.0
-        assert set(e.meta) == {"bytes", "kernel", "cpu_s"}
+        assert e.meta == {"bytes": 64, "kernel": "fused"}
         assert e.clock == WALL_CLOCK
 
     def test_for_rank_views_share_events(self):
         tr = Tracer()
         tr.begin_step(2)
         v0, v1 = tr.for_rank(0), tr.for_rank(1)
-        with v0.span("a"):
+        with v0.phase("a"):
             pass
-        with v1.span("b"):
+        with v1.phase("b"):
             pass
         assert [e.rank for e in tr.events] == [0, 1]
         assert all(e.step == 2 for e in tr.events)
@@ -134,7 +139,7 @@ class TestSpanRecording:
         src = Tracer(rank=1)
         src.begin_step(0)
         src.add_span("w", 10.0, 11.0)
-        raw = src.drain()
+        raw = src.drain()["events"]
         assert src.events == []
         dst = Tracer()
         dst.extend(raw, offset_s=2.5)
@@ -144,9 +149,9 @@ class TestSpanRecording:
     def test_extend_does_not_rebase_sim_clock(self):
         src = Tracer()
         src.begin_step(0)
-        src.add_span("net", 1.0, 2.0, rank=NETWORK_RANK, clock=SIM_CLOCK)
+        src.add_span("net", 1.0, 2.0, rank=NETWORK_RANK)
         dst = Tracer()
-        dst.extend(src.drain(), offset_s=100.0)
+        dst.extend(src.drain()["events"], offset_s=100.0)
         (e,) = dst.events
         assert (e.t0, e.t1) == (1.0, 2.0)
 
@@ -159,7 +164,7 @@ class TestSpanRecording:
         src.add_span("collide", 100.0, 100.25)
         src.add_span("stream", 100.25, 100.4)
         dst = Tracer()
-        dst.extend(src.drain(), offset_s=-97.5)
+        dst.extend(src.drain()["events"], offset_s=-97.5)
         a, b = dst.events
         assert (a.t0, a.t1) == pytest.approx((2.5, 2.75))
         assert (b.t0, b.t1) == pytest.approx((2.75, 2.9))
@@ -193,7 +198,7 @@ class TestSpanRecording:
             t_send, t_recv = local_t0 - 0.2, local_t0 + 0.2
             off = estimate_clock_offset(t_send, t_recv, local_t0 + drift)
             assert off == pytest.approx(-drift)
-            dst.extend(src.drain(), offset_s=off)
+            dst.extend(src.drain()["events"], offset_s=off)
         assert [e.t0 for e in dst.events] == pytest.approx(
             [1.0, 11.0, 21.0])
         assert all(e.t1 - e.t0 == pytest.approx(0.5) for e in dst.events)
@@ -305,6 +310,28 @@ class TestClusterTracing:
                        for e in spans)
             assert t0 + offset <= health[rank] <= t1 + offset
 
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
+    def test_disabling_the_recorder_stops_every_rank(self, backend):
+        """Switching the returned recorder off stops the per-rank solver
+        and worker events too (views share its flags, and absorbed
+        worker events obey it); with tracing off it still aggregates."""
+        cfg = ClusterConfig(sub_shape=SUB, arrangement=ARR, tau=0.7,
+                            kernel="split", backend=backend)
+        with CPUClusterLBM(cfg) as cluster:
+            tracer = cluster.enable_tracing()
+            cluster.step(1)
+            n_events = len(tracer.events)
+            assert {e.rank for e in tracer.events} >= {0, 1}
+            tracer.enabled = False
+            cluster.step(2)
+            assert len(tracer.events) == n_events
+            calls = cluster.counters.summary()["cluster.collide"]["calls"]
+            tracer.enabled, tracer.tracing = True, False
+            cluster.step(2)
+            assert len(tracer.events) == n_events
+            assert cluster.counters.summary()["cluster.collide"]["calls"] \
+                == calls + 2 * len(cluster.nodes)
+
     def test_network_rounds_traced_on_sim_clock(self):
         tracer, _ = _traced_run("serial")
         net = [e for e in tracer.events if e.rank == NETWORK_RANK]
@@ -323,7 +350,7 @@ class TestSimMPIMessages:
         decomp = BlockDecomposition(SHAPE, ARR, periodic=(True, True, True))
         tracer = Tracer()
         tracer.begin_step(0)
-        sim = SimCluster(decomp.n_nodes, tracer=tracer)
+        sim = SimCluster(decomp.n_nodes, recorder=tracer)
         SPMDClusterLBM(decomp, tau=0.7).run(1, cluster=sim)
         msgs = [e for e in tracer.events if e.name == "mpi.msg"]
         assert msgs
@@ -356,7 +383,8 @@ class TestAnalytics:
         assert summary["max_ms"] >= summary["mean_ms"]
 
     def test_step_breakdown_and_network(self):
-        tr = self._tracer()
+        # Per-rank solver phases: stacked AA ranks have none of their own.
+        tr, _ = _traced_run("serial", steps=3, kernel="split")
         phases = {r["phase"] for r in trace_step_breakdown(tr)}
         assert "cluster.exchange" in phases
         assert any(p.startswith("solver.") for p in phases)
@@ -405,23 +433,9 @@ class TestAnalytics:
         assert steady["kernel"] == "split"
         assert steady["kernel_changed"] is False
 
-    def test_busy_prefers_thread_cpu_over_wall(self):
-        """When compute spans carry ``cpu_s`` the busy column must sum
-        it (contention-immune) instead of unioning wall intervals."""
-        tr = Tracer()
-        tr.begin_step(0)
-        # Wall says 10 ms, but the thread only computed for 2 ms.
-        tr.add_span("cluster.collide", 0.0, 0.010, rank=0, cpu_s=0.002)
-        tr.add_span("cluster.collide", 0.0, 0.010, rank=1, cpu_s=0.004)
-        rows, summary = trace_imbalance_rows(tr)
-        busy = {r["rank"]: r["busy_ms"] for r in rows}
-        assert busy[0] == pytest.approx(2.0)
-        assert busy[1] == pytest.approx(4.0)
-        assert summary["max_over_mean"] == pytest.approx(4.0 / 3.0)
-
     def test_busy_falls_back_to_wall_union(self):
-        """Spans without cpu_s (old traces, replayed JSON) keep the
-        wall-clock union semantics."""
+        """Busy time is the wall-clock union of a rank's driver-phase
+        events."""
         tr = Tracer()
         tr.begin_step(0)
         tr.add_span("cluster.collide", 0.000, 0.004, rank=0)
@@ -433,9 +447,9 @@ class TestAnalytics:
 
 class TestKernelCountersSatellites:
     def test_report_aligns_long_phase_names(self):
-        c = KernelCounters()
-        c.add("collide", 1e-3)
-        c.add("cluster.collide.a_very_long_phase_name", 2e-3)
+        c = Recorder()
+        c.add_span("collide", 0.0, 1e-3)
+        c.add_span("cluster.collide.a_very_long_phase_name", 0.0, 2e-3)
         header, *rows = c.report().splitlines()
         # Numeric columns must start at the same offset on every line.
         anchor = header.index(" calls")
@@ -445,9 +459,10 @@ class TestKernelCountersSatellites:
         assert all(len(r) == len(header) for r in rows)
 
     def test_merge_disabled_short_circuit(self):
-        worker = KernelCounters()
-        worker.add("phase", 1.0, allocs=2)
-        coord = KernelCounters(enabled=False)
+        worker = Recorder()
+        worker.add_span("phase", 0.0, 1.0)
+        worker.alloc("phase", 2)
+        coord = Recorder(enabled=False)
         coord.merge(worker.summary())
         assert coord.stats == {}
         coord.enabled = True
@@ -456,10 +471,10 @@ class TestKernelCountersSatellites:
         assert coord.stats["phase"].allocs == 2
 
     def test_merge_accumulates_across_ranks(self):
-        coord = KernelCounters()
+        coord = Recorder()
         for _ in range(3):
-            w = KernelCounters()
-            w.add("x", 0.5)
+            w = Recorder()
+            w.add_span("x", 0.0, 0.5)
             coord.merge(w.summary())
         assert coord.stats["x"].calls == 3
         assert coord.stats["x"].seconds == pytest.approx(1.5)
@@ -467,8 +482,61 @@ class TestKernelCountersSatellites:
 
 class TestSpanEvent:
     def test_tuple_roundtrip(self):
-        e = SpanEvent("n", 4, 9, 1.0, 2.0, SIM_CLOCK, {"k": 1})
+        e = SpanEvent("n", NETWORK_RANK, 9, 1.0, 2.0, {"k": 1})
         tr = Tracer()
-        tr.extend([e.as_tuple()])
+        tr.extend([tuple(e)])
         assert tr.events[0] == e
+        assert e.clock == SIM_CLOCK
         assert e.duration_s == pytest.approx(1.0)
+
+
+def _assert_aggregates_view_events(rec: Recorder) -> None:
+    """Every wall-clock event is one call of its (rank, phase) row, and
+    the row's seconds are its events' durations summed in recorded
+    order, exactly; a phase's row sums its rank rows in rank order."""
+    groups: dict[tuple, list] = {}
+    for e in rec.events:
+        if e.rank != NETWORK_RANK:
+            groups.setdefault((e.rank, e.name), []).append(e.duration_s)
+    assert groups
+    by_rank = rec.summary(by_rank=True)
+    for (rank, name), durations in groups.items():
+        assert by_rank[rank][name]["calls"] == len(durations)
+        assert by_rank[rank][name]["seconds"] == sum(durations)
+    timed = {(rank, name) for rank, rows in by_rank.items()
+             for name, row in rows.items() if row["seconds"]}
+    assert timed == set(groups)
+    summary = rec.summary()
+    for name in {name for _, name in groups}:
+        ranks = sorted(r for r, n in groups if n == name)
+        assert summary[name]["calls"] == sum(len(groups[r, name])
+                                             for r in ranks)
+        assert summary[name]["seconds"] == sum(
+            by_rank[r][name]["seconds"] for r in ranks)
+
+
+class TestAggregatesAreAViewOfEvents:
+    @pytest.mark.parametrize("driver", ["stacked", "split", "processes",
+                                        "spmd"])
+    def test_counters_match_the_events(self, driver):
+        if driver == "spmd":
+            decomp = BlockDecomposition(SHAPE, ARR,
+                                        periodic=(True, True, True))
+            rec = Tracer()
+            SPMDClusterLBM(decomp, tau=0.7).run(
+                3, cluster=SimCluster(decomp.n_nodes, recorder=rec))
+            assert {e.name for e in rec.events} >= {
+                "cluster.collide", "cluster.exchange", "mpi.msg"}
+            _assert_aggregates_view_events(rec)
+            return
+        cfg = ClusterConfig(sub_shape=SUB, arrangement=ARR, tau=0.7,
+                            kernel="split" if driver == "split" else "auto",
+                            backend="processes" if driver == "processes"
+                            else "serial")
+        with CPUClusterLBM(cfg) as cluster:
+            assert cluster.stacked == (driver == "stacked")
+            rec = cluster.enable_tracing()
+            cluster.step(3)
+            cluster.step(1)
+            _assert_aggregates_view_events(cluster.counters)
+            assert rec.summary()["cluster.collide"]["calls"] == 4 * 2
