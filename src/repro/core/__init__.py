@@ -10,9 +10,11 @@
   communication schedule of Fig 7 (2 steps per axis, indirect two-hop
   routing of diagonal traffic) plus the naive direct baseline.
 * :mod:`repro.core.exchange` — the halo-exchange engine: the protocol
-  once (route table, post/complete, self-wrap, zero-gradient closure)
-  over a three-call transport that the in-process, shared-memory and
-  SimMPI paths each bind; every message is raw packed float32.
+  once (route table, post/complete, and for pull-mode ranks the
+  self-wrap and zero-gradient closure; an AA rank's sweep closes those
+  by its face row) over a three-call transport that the in-process,
+  shared-memory and SimMPI paths each bind; every message is raw
+  packed float32.
 * :mod:`repro.core.compression` — Sec 4.3's open idea, lossless halo
   compression, studied in the step model with a measured codec ratio
   (never executed on the wire).

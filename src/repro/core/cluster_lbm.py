@@ -36,7 +36,8 @@ import numpy as np
 from repro.core.cpu_node import CPUNode
 from repro.core.decomposition import (BlockDecomposition, arrange_nodes_2d,
                                       weighted_cuts)
-from repro.core.exchange import attach_recorder, exchange_all, local_engines
+from repro.core.exchange import (attach_recorder, exchange_all, halo_faces,
+                                 local_engines)
 from repro.core.gpu_node import GPUNode
 from repro.core.halo import HaloPlan
 from repro.core.procpool import ProcessBackend
@@ -143,15 +144,12 @@ class ClusterConfig:
         protocol with one), the run is timing-only or the compiled
         sweep does not load (no working C compiler, named in
         ``kernel_reason``); otherwise every rank runs ``"split"``.
-        Each rank is built with
-        ``aa_halo_managed`` set accordingly and resolves the same kernel
-        again by the solver's own rule.  Under AA the driver plays the
-        role of the kernel's ghost closure: forward halo exchange after
-        even phases, reverse ghost scatter exchange after odd phases,
-        with true domain-boundary faces on non-periodic axes folding
-        locally through the zero-gradient crossing-slot rule instead of
-        wrapping — see :func:`repro.lbm.streaming.fold_face_zero_gradient`;
-        per-rank inlet/outflow handlers run through the rotated
+        Each rank is built with its ``halo_faces`` accordingly and
+        resolves the same kernel again by the solver's own rule.  Under
+        AA the driver ships only the neighbour messages (forward after
+        even phases, reverse after odd ones); each rank's sweep closes
+        its true domain edges and periodic self-wraps itself
+        (:mod:`repro.lbm.native`); per-rank inlet/outflow handlers run through the rotated
         closure, :mod:`repro.lbm.esoteric`.  Both kernels are
         bit-identical at every step count, loads and rebalances
         included; :meth:`kernel_report` and the recorder's ``kernel.*``
@@ -345,13 +343,16 @@ class _ClusterLBMBase:
     def _rank_kernel_args(self, rank: int) -> dict:
         """Per-rank kernel kwargs of :class:`CPUNode`: the configured
         kernel, which each rank resolves by the solver's rule once told
-        whether the driver closes the AA halo.  A forced ``"aa"`` the
-        cluster cannot run falls back to ``"split"``, as it does on a
-        single solver."""
+        whether the driver ships its AA halo messages, and which faces
+        those are (``halo_faces``).  A forced ``"aa"`` the cluster
+        cannot run falls back to ``"split"``, as it does on a single
+        solver."""
         kernel = self.config.kernel
         if kernel == "aa" and not self.aa_protocol:
             kernel = "split"
-        return {"kernel": kernel, "aa_halo_managed": self.aa_protocol}
+        faces = (halo_faces(self.decomp.neighbors(rank), self.decomp.periodic)
+                 if self.aa_protocol else None)
+        return {"kernel": kernel, "halo_faces": faces}
 
     def _worker_spec_args(self, rank: int, solid) -> dict:
         """The per-rank construction kwargs shipped to a worker process

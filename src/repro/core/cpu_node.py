@@ -15,7 +15,7 @@ against each other and against the single-domain solver.
 :meth:`CPUNode.collide_phase` / :meth:`CPUNode.finish_step` step one
 rank: a process worker's, an SPMD rank's, a serial ``split`` rank's,
 a timing-only rank's.  Where the cluster rule says ``aa`` (always, for
-an SPMD rank) the numeric rank is built with ``aa_halo_managed`` and
+an SPMD rank) the numeric rank is built with its ``halo_faces`` and
 runs the in-place AA kernel; its solver owns that kernel, which refers
 back to it only weakly, so a dropped node frees its distributions by
 refcount.
@@ -59,10 +59,11 @@ class CPUNode(SolverPort):
     Parameters mirror :class:`~repro.core.gpu_node.GPUNode`; see there.
     The halo engine packs, unpacks and closes this rank's shell through
     the inherited :class:`~repro.core.exchange.SolverPort` methods.
-    ``aa_halo_managed`` says the driver runs the AA halo protocol
-    (forward exchange after even phases, reverse scatter exchange
-    after odd ones), which is what lets a rank stepped phase by phase
-    run the in-place AA kernel.  ``recorder`` is the rank's handle
+    ``halo_faces`` (:func:`~repro.core.exchange.halo_faces`) says the
+    driver ships the rank's AA halo messages (forward exchange after
+    even phases, reverse after odd ones) and which faces they are,
+    which lets a rank stepped phase by phase run the in-place AA
+    kernel.  ``recorder`` is the rank's handle
     (:func:`~repro.core.exchange.attach_recorder`): a numeric rank's
     collide and finish are its ``cluster.collide`` / ``cluster.finish``
     regions.
@@ -74,7 +75,7 @@ class CPUNode(SolverPort):
                  face_dirs=(), edge_dirs=(), timing_only: bool = False,
                  cpu_spec: CPUSpec = XEON_2_4, inlet=None, outflow=None,
                  force=None, kernel: str = "auto",
-                 aa_halo_managed: bool = False) -> None:
+                 halo_faces: tuple | None = None) -> None:
         self.rank = rank
         self.tau = float(tau)
         self.face_dirs = list(face_dirs)
@@ -89,8 +90,8 @@ class CPUNode(SolverPort):
             # The cluster driver steps this solver phase by phase
             # (collide / exchange / stream).
             solver.phase_driven = True
-            solver.aa_halo_managed = bool(aa_halo_managed)
-            if aa_halo_managed:
+            solver.halo_faces = halo_faces
+            if halo_faces is not None:
                 # The driver's exchange is only correct if this rank
                 # really runs the AA phases: refuse a silent fallback.
                 if not AAStepKernel.eligible(solver):

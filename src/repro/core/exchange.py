@@ -14,10 +14,12 @@ Feichtinger et al. (arXiv:1007.1388), the process-local, shared-memory
 and MPI paths are bindings of one pack -> transport -> unpack concept:
 
 * :func:`build_routes` — the route table, from a rank's six
-  ``(axis, direction) -> rank | None`` slots and the periodicity;
+  ``(axis, direction) -> rank | None`` slots and the periodicity, and
+  :func:`halo_faces`, the face row an AA rank's sweep closes by;
 * :class:`HaloExchange` — one rank's :meth:`~HaloExchange.post` (pack
-  and send one axis) and :meth:`~HaloExchange.complete` (receive,
-  unpack, close the axis locally).  What a caller does
+  and send one axis) and :meth:`~HaloExchange.complete` (receive and
+  unpack; a pull-mode rank's self-wraps and domain edges are closed
+  there too, an AA rank's in its sweep).  What a caller does
   *between* the two is all that differs between drivers: coordinator
   and thermal let every rank post before any completes
   (:func:`exchange_all`); a rank that owns its process or thread runs
@@ -32,7 +34,7 @@ and MPI paths are bindings of one pack -> transport -> unpack concept:
   packed float32 buffer itself.  :class:`LocalTransport` lives here;
   the shm mailboxes and SimMPI bind the same calls in
   :mod:`repro.core.procpool` / ``spmd``;
-* :class:`SolverPort` — the four array operations the engine needs
+* :class:`SolverPort` — the array operations the engine needs
   from a rank: inherited by :class:`~repro.core.cpu_node.CPUNode`,
   bound to a bare solver by the thermal models, and
   implemented over textures by :class:`~repro.core.gpu_node.GPUNode`;
@@ -50,8 +52,7 @@ import numpy as np
 
 from repro.core.halo import HaloPlan
 from repro.core.wire import layer_index, pack_halo, unpack_halo
-from repro.lbm.streaming import (fill_face_zero_gradient,
-                                 fold_face_zero_gradient)
+from repro.lbm.streaming import fill_face_zero_gradient
 from repro.perf.recorder import NULL_RECORDER, Recorder
 
 
@@ -97,6 +98,18 @@ def build_routes(neighbors: dict, periodic) -> tuple[AxisRoute, ...]:
     return tuple(routes)
 
 
+def halo_faces(neighbors: dict, periodic) -> tuple[str, ...]:
+    """An AA rank's face row (:func:`repro.lbm.aa.face_kinds`): per face
+    ``(0, -1), (0, +1), ...`` of its route table, ``"message"`` (a
+    send), ``"wrap"`` or ``"zero"``."""
+    kinds = []
+    for route in build_routes(neighbors, periodic):
+        sent = {side for _, sides in route.sends for side in sides}
+        kinds += ["message" if d in sent else "wrap" if d in route.wraps
+                  else "zero" for d in (-1, 1)]
+    return tuple(kinds)
+
+
 def mirrored(sides: tuple[int, ...]) -> tuple[int, ...]:
     """The sides the *peer* packed for a message this rank sends as
     ``sides`` (its facing sides are this rank's opposite ones)."""
@@ -130,7 +143,7 @@ class SolverPort:
         unpack_halo(self.solver.fg, self.sub_shape, manifest, buf)
 
     def fill_ghost_zero_gradient(self, axis: int, direction: int) -> None:
-        """True domain edge, forward modes: copy the border layer
+        """True domain edge of a pull-mode rank: copy the border layer
         outward over the full padded cross-section.  The exchange
         follows the collide, so a ghost plane is only ever streamed
         out of: the ten slots with ``c[axis] != 0`` (either sign,
@@ -139,14 +152,6 @@ class SolverPort:
         both of its faces, so the later axes still relay it."""
         slots = np.flatnonzero(self.solver.lattice.c[:, axis])
         fill_face_zero_gradient(self.solver.fg, axis, direction, slots)
-
-    def fold_border_zero_gradient(self, axis: int, direction: int) -> None:
-        """True domain edge after an AA odd scatter: there is no
-        neighbour to ship the outward-pushed crossing populations to,
-        so they fold back onto the border layer locally, exactly as
-        the single-domain AA kernel's ghost fold does."""
-        fold_face_zero_gradient(self.solver.lattice, self.solver.fg,
-                                axis, direction)
 
 
 class Transport:
@@ -231,16 +236,18 @@ class HaloExchange:
         return len(sends)
 
     def complete(self, axis: int, mode: str) -> None:
-        """Receive and unpack this axis's messages, then close the
-        sides that have no neighbour: periodic self-wrap, or the
-        zero-gradient ghost fill (border fold after an AA odd scatter)
-        at a true domain edge."""
+        """Receive and unpack this axis's messages; a pull-mode rank
+        then closes the sides that have no neighbour: periodic
+        self-wrap, or the zero-gradient ghost fill at a true domain
+        edge.  An AA rank's sweep closes those itself."""
         transport, port = self.transport, self.port
         route = self.routes[axis]
         for peer, sides in route.sends:
             theirs = mirrored(sides)
             m = self.plan.neighbor_manifest(axis, theirs, mode)
             port.write_packed(m, transport.recv(peer, axis, theirs))
+        if mode != "pull":
+            return
         if route.wraps:
             # A message to itself: packed into its own outbox (free on
             # this axis — a wrapping axis has no sends), never sent.
@@ -249,10 +256,7 @@ class HaloExchange:
                                    m.total_floats)
             port.write_packed(m, port.read_packed(m, buf))
         for direction in route.zeros:
-            if mode == "aa_reverse":
-                port.fold_border_zero_gradient(axis, direction)
-            else:
-                port.fill_ghost_zero_gradient(axis, direction)
+            port.fill_ghost_zero_gradient(axis, direction)
 
     def run(self, sync=None) -> None:
         """One whole exchange of this rank: per axis post, ``sync()``,
@@ -346,29 +350,20 @@ class RankAxisExchange:
     (:func:`build_routes`), the manifests
     (:meth:`HaloPlan.neighbor_manifest`) and the layers
     (:func:`~repro.core.wire.layer_index`) are the engine's own; only
-    their execution differs.  Per axis, in the order
-    :meth:`HaloExchange.complete` closes a rank:
+    their execution differs.  Only AA ranks stack, and an AA rank's
+    sweep closes its wraps and domain edges itself, so per axis there
+    is one stage: every neighbour manifest segment — the sender's layer
+    of the carried slots lands on the receiver's opposite layer (pack,
+    then unpack).
 
-    1. every neighbour manifest segment — the sender's layer of the
-       carried slots lands on the receiver's opposite layer (pack, then
-       unpack);
-    2. self-wraps, the same with sender and receiver one rank;
-    3. true domain edges: the zero-gradient ghost fill (forward modes)
-       or border fold (``aa_reverse``), the slots and layers of
-       :meth:`SolverPort.fill_ghost_zero_gradient` /
-       ``fold_border_zero_gradient``.
-
-    Each step is one fancy-index copy over all ranks that share a route
-    kind (the arenas, the side, hence the slots and layers).  Within an
-    axis the copies read layers no earlier copy of that axis wrote —
-    border to ghost forward, ghost to border in reverse — except the
-    fold, which reads the interior layer next to the border (on a
-    block two cells thick, the border a peer wrote) after every
-    neighbour copy, as the engine's ``complete`` does; so running the
-    kinds in turn keeps the engine's post-everything-then-complete
-    snapshot.  A copy's gather
-    is halo-sized; no arena-sized temporary is made.  ``comm.msgs`` and
-    ``comm.bytes_wire`` are recorded as the engine records them.
+    It runs as one fancy-index copy per route kind (the arenas, the
+    side, hence the slots and layers) over all ranks of that kind.
+    Within an axis the copies read layers no copy of that axis writes —
+    border to ghost forward, ghost to border in reverse — so running
+    the kinds in turn keeps the engine's post-everything-then-complete
+    snapshot.  A copy's gather is halo-sized; no arena-sized temporary
+    is made.  ``comm.msgs`` and ``comm.bytes_wire`` are recorded as the
+    engine records them.
     """
 
     def __init__(self, decomp, slots: dict,
@@ -396,59 +391,40 @@ class RankAxisExchange:
             plan = self._plans[shape] = HaloPlan(shape)
         return plan
 
-    def _copies(self, rank: int, axis: int, mode: str):
-        """``rank``'s part of one axis of the exchange, as ``(stage, src
-        rank, src layer, dst rank, dst layer, slots)``: stage 0 the
-        segments it sends, 1 its self-wraps, 2 its true domain edges."""
-        reverse = mode == "aa_reverse"
-        route, plan = self.routes[rank][axis], self._plan(rank)
-        sub = plan.sub_shape
-        for peer, sides in route.sends:
-            peer_sub = self._plan(peer).sub_shape
-            for seg in plan.neighbor_manifest(axis, sides, mode).segments:
-                yield (0, rank, layer_index(sub, axis, seg.side, reverse),
-                       peer, layer_index(peer_sub, axis, -seg.side,
-                                         not reverse), seg.links)
-        if route.wraps:
-            for seg in plan.neighbor_manifest(axis, route.wraps,
-                                              mode).segments:
-                yield (1, rank, layer_index(sub, axis, seg.side, reverse),
-                       rank, layer_index(sub, axis, -seg.side, not reverse),
-                       seg.links)
-        c = plan.lattice.c
-        for d in route.zeros:
-            border = layer_index(sub, axis, d, False)
-            if reverse:     # fold: the inward slots, from one layer in
-                yield (2, rank, border - d, rank, border,
-                       tuple(np.flatnonzero(c[:, axis] == -d)))
-            else:           # fill: every slot crossing the face, outward
-                yield (2, rank, border, rank, layer_index(sub, axis, d, True),
-                       tuple(np.flatnonzero(c[:, axis])))
-
     def _compile(self, mode: str) -> list:
         """The ``(dst, dst_index, src, src_index)`` copies of one
-        exchange, in execution order: per axis, by stage, one copy per
-        route kind (the arenas, layers and slots) over its ranks."""
+        exchange, in execution order: per axis, one copy per route kind
+        (the arenas, layers and slots) over its ranks."""
+        if mode not in ("aa_forward", "aa_reverse"):
+            raise ValueError(f"only AA ranks stack; no {mode!r} exchange")
+        reverse = mode == "aa_reverse"
         program = []
         for axis in range(3):
             kinds: dict[tuple, tuple] = {}
-            for rank in range(len(self.routes)):
-                for stage, s, s_layer, d, d_layer, links in self._copies(
-                        rank, axis, mode):
-                    (src, i), (dst, j) = self.slots[s], self.slots[d]
-                    key = (stage, id(src), id(dst), s_layer, d_layer, links)
-                    kind = kinds.setdefault(key, (src, dst, [], []))
-                    kind[2].append(i)
-                    kind[3].append(j)
-            for key in sorted(kinds, key=lambda k: k[0]):   # stable
-                _, _, _, s_layer, d_layer, links = key
-                src, dst, si, di = kinds[key]
+            for rank, routes in enumerate(self.routes):
+                plan, (src, i) = self._plan(rank), self.slots[rank]
+                for peer, sides in routes[axis].sends:
+                    peer_sub = self._plan(peer).sub_shape
+                    dst, j = self.slots[peer]
+                    for seg in plan.neighbor_manifest(axis, sides,
+                                                      mode).segments:
+                        key = (id(src), id(dst), seg.links,
+                               layer_index(plan.sub_shape, axis, seg.side,
+                                           reverse),
+                               layer_index(peer_sub, axis, -seg.side,
+                                           not reverse))
+                        kind = kinds.setdefault(key, (src, dst, [], []))
+                        kind[2].append(i)
+                        kind[3].append(j)
+            for (_, _, links, s_layer, d_layer), (src, dst, si, di) in (
+                    kinds.items()):
                 program.append((dst, _layer_index(axis, links, di, d_layer),
                                 src, _layer_index(axis, links, si, s_layer)))
         return program
 
     def run(self, mode: str) -> None:
-        """One whole exchange of every stacked rank in manifest ``mode``."""
+        """One whole exchange of every stacked rank in manifest ``mode``
+        (``aa_forward`` or ``aa_reverse``)."""
         program = self._programs.get(mode)
         if program is None:
             program = self._programs[mode] = self._compile(mode)

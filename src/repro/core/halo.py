@@ -39,10 +39,8 @@ Three manifest modes cover every exchange the cluster performs:
 
 A manifest always describes a *neighbor* message.  Faces on a
 non-periodic cluster edge have no neighbor and never enter a manifest:
-the drivers close them locally instead — zero-gradient ghost fill on
-the forward modes, zero-gradient border fold
-(:func:`repro.lbm.streaming.fold_face_zero_gradient`) after an AA odd
-scatter.
+a pull-mode rank's engine fills them zero-gradient, an AA rank's sweep
+fills and folds them (:mod:`repro.lbm.native`).
 """
 
 from __future__ import annotations

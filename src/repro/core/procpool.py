@@ -97,7 +97,7 @@ class WorkerSpec:
     barrier_timeout_s: float
     q: int = 19
     kernel: str = "auto"                # per-rank hot-path selection
-    aa_halo_managed: bool = False       # the cluster runs the AA halo protocol
+    halo_faces: tuple | None = None     # AA face rows (None: split ranks)
 
 
 class RankProxy:
@@ -135,7 +135,7 @@ def _build_node(spec: WorkerSpec):
                    edge_dirs=list(spec.edge_dirs), timing_only=False,
                    cpu_spec=spec.cpu_spec,
                    inlet=spec.inlet, outflow=spec.outflow, force=spec.force,
-                   kernel=spec.kernel, aa_halo_managed=spec.aa_halo_managed)
+                   kernel=spec.kernel, halo_faces=spec.halo_faces)
 
 
 class _MailboxTransport:
@@ -187,9 +187,10 @@ class _Worker:
                  "health": None},
                 spec.peer_sub_shapes[peer], spec.q)
         self.transport = _MailboxTransport(self.segs, self.peer_mail)
+        self.aa = spec.halo_faces is not None     # the AA halo protocol
         self.exchange = HaloExchange(
             spec.rank, self.node, spec.neighbors, spec.periodic,
-            self.transport, aa=spec.aa_halo_managed, recorder=self.recorder)
+            self.transport, aa=self.aa, recorder=self.recorder)
         # A CPU rank's distributions live on the shared segment; a
         # simulated-GPU rank's texture stacks stage through it.
         self._fg_adopted = spec.node_kind == "cpu"
@@ -211,7 +212,7 @@ class _Worker:
         solver = self.node.solver
         solver.fg = fg0
         solver.initialize()
-        if not self.spec.aa_halo_managed:
+        if not self.aa:
             # The split kernel streams into the second buffer; a
             # just-built solver has no back buffer to carry over, and
             # the zero pages are what a lazy one would start as.  The
@@ -270,7 +271,7 @@ class _Worker:
         """Index of the shared fg buffer a CPU rank's array lives on.
         The double-buffered kernels swap every step; the single AA
         array never leaves buffer 0."""
-        if self.spec.aa_halo_managed:
+        if self.aa:
             return 0
         return self.step_count & 1
 
@@ -281,7 +282,7 @@ class _Worker:
         solver = self.node.solver
         if not self._fg_adopted:
             self.segs.stage[...] = solver.distributions()
-        elif solver.aa_odd and self.spec.aa_halo_managed:
+        elif solver.aa_odd and self.aa:
             # Mid-pair AA: the single shared array holds the rotated
             # layout.  Stage the canonical read-only reconstruction
             # into the (otherwise unused) spare buffer so the

@@ -43,7 +43,7 @@ import numpy as np
 from repro.core.cpu_node import CPUNode
 from repro.core.decomposition import BlockDecomposition
 from repro.core.exchange import (HaloExchange, Transport, attach_recorder,
-                                 mirrored, step_rank)
+                                 halo_faces, mirrored, step_rank)
 from repro.lbm.aa import unavailable
 from repro.lbm.lattice import D3Q19
 from repro.net.simmpi import SimCluster
@@ -129,7 +129,7 @@ class SPMDClusterLBM:
         writes it).  No rank copies its block anywhere else.
 
         The node is built with the arguments a process worker gets
-        under the default configuration (``aa_halo_managed``, kernel
+        under the default configuration (its ``halo_faces``, kernel
         ``"auto"``): an SPMD rank has no body force and is never
         timing-only, so the cluster rule says ``aa`` unless the compiled
         sweep does not load (then ``split``, as on a cluster).  The node
@@ -138,8 +138,10 @@ class SPMDClusterLBM:
         decomp = self.decomp
         rank = comm.rank
         aa = unavailable(D3Q19, np.dtype(np.float32)) is None
+        faces = (halo_faces(decomp.neighbors(rank), decomp.periodic)
+                 if aa else None)
         node = CPUNode(rank, decomp.sub_shape, self.tau,
-                       solid=self.solids[rank], aa_halo_managed=aa)
+                       solid=self.solids[rank], halo_faces=faces)
         if self.f0_parts is not None:
             node.solver.f[...] = self.f0_parts[rank]
         view = recorder.for_rank(rank)

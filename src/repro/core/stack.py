@@ -136,7 +136,7 @@ class RankStack:
         t0 = perf_counter()
         rotated = not self._odd
         for solver in self._post:
-            solver._bounce_folded = solver._aa_rotated = rotated
+            solver._aa_rotated = rotated
             solver.post_stream()
         for solver in self.solvers:
             solver.kernel_used = "aa"

@@ -70,21 +70,17 @@ phase copies solid-owned locations bit for bit.
 Eligibility: plain BGK collision and only face-resident boundary
 handlers (:func:`repro.lbm.boundaries.face_resident` — inlet, outflow,
 Zou–He, any custom handler keeping that contract; anything else would
-read or write the rotated mid-pair layout incorrectly).  Ghost traffic
-is handled per domain kind.  A single domain's phase call closes its
-ghost shell one plane behind the sweep (:mod:`repro.lbm.native`): fill
-after even (wrap, or zero gradient when bounded), fold and solid swap
-after odd.  Fills are clamp copies along different axes, so they
-commute, and so do folds; what must stay ordered is fold before swap,
-and each x fold before the swap of the plane it reads.  Handlers are
-imposed through the rotated write rule
-(:class:`repro.lbm.esoteric.RotatedBoundaryApplicator`).  Clusters run
-the same calls with no closure, under a driver that has claimed the
-halo protocol (``solver.aa_halo_managed``): even steps reuse the
-forward border->ghost exchange, odd steps run the reverse ghost->border
-exchange with boundary faces folding locally instead of wrapping (see
-``repro.core.cluster_lbm``), and ``post_stream`` swaps.  The compiled
-sweep must also load (:func:`repro.lbm.native.load`,
+read or write the rotated mid-pair layout incorrectly).  Every phase
+call closes each box's ghost shell one plane behind the sweep
+(:mod:`repro.lbm.native`) by its face row (:func:`face_kinds`): a
+zero-gradient edge is filled after even and folded after odd, a
+periodic extent-1 axis wraps, a message face is left to the cluster
+driver's exchange (forward after even, reverse after odd).  A box
+with no message face swaps its solid sites behind the odd sweep too; a
+rank with one swaps in ``post_stream``, once the reverse exchange has
+written its border.  Handlers are imposed through the rotated write
+rule (:class:`repro.lbm.esoteric.RotatedBoundaryApplicator`).  The
+compiled sweep must also load (:func:`repro.lbm.native.load`,
 :func:`unavailable`): where no compiler works, the solver and cluster
 rules resolve ``split`` and say why.
 """
@@ -100,6 +96,15 @@ from repro.lbm.boundaries import face_resident
 from repro.lbm.collision import plain_bgk_step
 from repro.lbm.lattice import Lattice
 from repro.lbm.streaming import interior, padded_flat_index
+
+
+def face_kinds(solver) -> tuple[str, ...]:
+    """``solver``'s face row (:data:`~repro.lbm.native.FACE_KINDS`): its
+    driver's ``halo_faces``, or on a single domain every face
+    ``"wrap"`` (periodic) or ``"zero"``."""
+    if solver.halo_faces is not None:
+        return solver.halo_faces
+    return ("wrap" if solver.periodic else "zero",) * (2 * solver.lattice.D)
 
 
 def unavailable(lattice: Lattice, dtype) -> str | None:
@@ -119,8 +124,7 @@ class AAStepKernel:
     shape``, slot ``r`` being ``members[r].fg`` (:mod:`repro.core.stack`)
     — the kernel sweeps ``R = len(members)`` solvers at once, and
     ``solver`` is ``members[0]``, whose constants every member shares.
-    A member that is not ``aa_halo_managed`` closes its own ghost shell
-    in the phase call.  The rotated boundary closure, :meth:`bounce`,
+    The rotated boundary closure, :meth:`bounce`,
     :meth:`step_once` and :meth:`reconstruct` serve ``solver`` alone.
 
     A bound kernel is owned by its solver (``solver._aa_kernel``) and
@@ -167,10 +171,13 @@ class AAStepKernel:
         self._strides = tuple(int(v) * dtype.itemsize for v in self._s)
         #: Batch-box keep mask: solids and the ghost shell (first sweep).
         self._solid = None
-        #: Per member: solid sites (padded flat) and per-plane offsets.
-        self._swaps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        #: Each member's face row as :data:`~repro.lbm.native.FACE_KINDS`
+        #: (first sweep), the odd sweep's :meth:`_swap_table` and the
+        #: bound solver's solid sites (:meth:`bounce`).
+        self._kinds = self._swaps = self._sites = None
         #: Slots read across each face in the rotated layout; packed
-        #: at every closing call, the one table the closure reads.
+        #: by the first sweep (per face a count, then its slots), the
+        #: one table the closure reads.
         self._face_slots = {(ax, d): np.flatnonzero(lat.c[:, ax] == d)
                             for ax in range(lat.D) for d in (-1, 1)}
         self._face_table = np.zeros((2 * lat.D, lat.Q + 1), np.int_)
@@ -197,11 +204,9 @@ class AAStepKernel:
         Requires plain BGK collision and only face-resident boundary
         handlers (the rotated closure shows them their two layers
         canonically; anything else would observe the rotated mid-pair
-        layout).  Both periodic and bounded domains are eligible: the
-        phases close the ghost shell (fill/fold, periodic or
-        zero-gradient), or a cluster driver does (``aa_halo_managed``).
-        Whether the compiled sweep loads is :func:`unavailable`'s
-        question.
+        layout).  Every face row is eligible: the phases close what the
+        exchange does not.  Whether the compiled sweep loads is
+        :func:`unavailable`'s question.
         """
         return (plain_bgk_step(solver)
                 and all(face_resident(b) for b in solver.boundaries))
@@ -217,56 +222,50 @@ class AAStepKernel:
 
     # -- the two phases --------------------------------------------------
     def _sweep(self, phase, swaps: bool = False) -> None:
-        """The compiled ``phase`` over the whole batch box: one call,
-        or, when a member closes its own ghost shell (it is not
-        ``aa_halo_managed``), one call per member with its closure."""
+        """The compiled ``phase`` over the whole batch box, one call;
+        each member closes the faces its :func:`face_kinds` row does."""
         fg = self._stack if self._stack is not None else self.solver.fg[:, None]
         self._check(fg, (self.lattice.Q,) + self._bshape)
-        members = self.members
         if self._solid is None:
             # The whole ghost shell keeps its bits, like a solid site.
             self._solid = np.ones(self._bshape, bool)
-            for member, out in zip(members, self._solid):
+            for member, out in zip(self.members, self._solid):
                 out[interior(out.ndim)] = member.solid
+            self._kinds = np.array([[native.FACE_KINDS[k]
+                                     for k in face_kinds(m)]
+                                    for m in self.members], np.int_)
+            for (ax, d), slots in self._face_slots.items():
+                self._face_table[2 * ax + (d > 0), :len(slots) + 1] = (
+                    len(slots), *slots)
         collision = self.solver.collision
         add = (None if collision.force is None
                else collision._force_add(self._dtype))
         add = None if add is None else add.ctypes.data
+        bidx = boff = None
+        if swaps:
+            bidx, boff = (a.ctypes.data for a in self._swap_table())
         item = fg.itemsize
-        f, sq, sr = fg.ctypes.data, fg.strides[0] // item, fg.strides[1] // item
-        n, s = self._n.ctypes.data, self._s.ctypes.data
-        solid = self._solid.ctypes.data
-        if all(m.aa_halo_managed for m in members):
-            phase(f, sq, len(members), sr, self._cells, n, s, solid,
-                  self.omega, add, None, 0, None, None)
-            return
-        faces = self._faces()
-        for r, member in enumerate(members):
-            lists = self._swap_lists(r) if swaps else (None, None)
-            closure = ((None, 0, None, None) if member.aa_halo_managed else
-                       (faces, int(member.periodic))
-                       + tuple(a if a is None else a.ctypes.data
-                               for a in lists))
-            phase(f + r * sr * item, sq, 1, sr, self._cells, n, s,
-                  solid + r * self._cells, self.omega, add, *closure)
+        phase(fg.ctypes.data, fg.strides[0] // item, len(self._kinds),
+              fg.strides[1] // item, self._cells, self._n.ctypes.data,
+              self._s.ctypes.data, self._solid.ctypes.data, self.omega, add,
+              self._face_table.ctypes.data, self._kinds.ctypes.data, bidx,
+              boff)
 
-    def _faces(self) -> int:
-        """``_face_slots`` packed for the compiled closure: per face a
-        count, then its slots."""
-        for (ax, d), slots in self._face_slots.items():
-            self._face_table[2 * ax + (d > 0), :len(slots) + 1] = (
-                len(slots), *slots)
-        return self._face_table.ctypes.data
-
-    def _swap_lists(self, r: int) -> tuple[np.ndarray, np.ndarray]:
-        """Member ``r``'s solid sites and per-plane offsets (cached)."""
-        lists = self._swaps.get(r)
-        if lists is None:
-            idx = padded_flat_index(self.members[r].solid)
+    def _swap_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The solid sites the odd sweep swaps behind itself, member
+        after member, and per member per plane the first of them.  A
+        member with a message face lists none: a reverse message
+        writes border locations of its solid sites, so it swaps after
+        the exchange (``post_stream``)."""
+        if self._swaps is None:
             planes = np.arange(self._n[0] + 1) * self._s[0]
-            lists = self._swaps[r] = (idx, np.searchsorted(idx, planes)
-                                      .astype(np.int_))
-        return lists
+            idx = [np.empty(0, np.intp) if "message" in face_kinds(m)
+                   else padded_flat_index(m.solid) for m in self.members]
+            base = np.cumsum([0] + [i.size for i in idx])
+            self._swaps = tuple(np.concatenate(a).astype(np.int_) for a in (
+                idx, [b + np.searchsorted(i, planes)
+                      for b, i in zip(base, idx)]))
+        return self._swaps
 
     def even_phase(self) -> None:
         """In-place collide with reversed-direction writes over the
@@ -274,9 +273,9 @@ class AAStepKernel:
         their pre-collision values; the reversed write then performs
         this step's bounce combined with the next step's streaming.
         So does the ghost shell, harmlessly: the fill or halo exchange
-        overwrites every ghost slot that is later read: a member that
-        closes its own shell copies each plane's outward face slots (the
-        paper's Sec 4.3 "5N^2") into its ghost rows right behind it."""
+        overwrites every ghost slot that is later read; a closed face's
+        fill copies each plane's outward face slots (the paper's Sec
+        4.3 "5N^2") into its ghost rows right behind the sweep."""
         self._sweep(self._lib.aa_even)
 
     def odd_phase(self) -> None:
@@ -287,9 +286,9 @@ class AAStepKernel:
         fill/exchange), scatters relaxed populations forward; locations
         owned by solid sites keep their bits (they already are the
         bounced populations, see the module docstring), and so do the
-        ghost sites a span crosses (:mod:`repro.lbm.native`).  A member
-        that closes its own shell folds the crossing slots back onto its
-        border and swaps its solid sites behind the sweep.
+        ghost sites a span crosses (:mod:`repro.lbm.native`).  Closed
+        faces fold their crossing slots back onto the border behind the
+        sweep (:meth:`_swap_table` says who swaps there too).
         """
         self._sweep(self._lib.aa_odd, swaps=True)
 
@@ -299,7 +298,9 @@ class AAStepKernel:
         the cached solid index list — bit for bit what
         :class:`~repro.lbm.boundaries.BounceBackNodes` does."""
         self._check(fg, (self.lattice.Q,) + self._bshape[1:])
-        idx = self._swap_lists(0)[0]
+        if self._sites is None:
+            self._sites = padded_flat_index(self.solver.solid)
+        idx = self._sites
         self._lib.aa_bounce(fg.ctypes.data, fg.strides[0] // fg.itemsize,
                             idx.ctypes.data, idx.size)
 
@@ -324,9 +325,6 @@ class AAStepKernel:
         even = not s.aa_odd
         with s.recorder.phase("aa.even" if even else "aa.odd"):
             (self.even_phase if even else self.odd_phase)()
-        # The even phase's reversed write is the bounce; the odd phase
-        # swapped behind its sweep unless a driver closes the halo.
-        s._bounce_folded = not (s.aa_odd and s.aa_halo_managed)
         s._aa_rotated = even
         s.post_stream()
 
@@ -361,13 +359,18 @@ def run_aa_equivalence_check(shape=(24, 20, 4), steps: int = 4,
                              seed: int = 0) -> dict:
     """The ``check-aa`` gate: AA vs reference on the voxelized city.
 
-    Two cases share the city mask:
+    Three cases share the city mask:
 
     * ``periodic`` — the original fully periodic box;
     * ``bounded`` — a non-periodic box driven by an equilibrium-
       velocity inlet at x-low and a zero-gradient outflow at x-high,
       both folded into the in-place sweeps by the rotated closure
-      (:mod:`repro.lbm.esoteric`).
+      (:mod:`repro.lbm.esoteric`);
+    * ``mixed`` — x and z periodic, y bounded with the inlet/outflow
+      pair on y: on 2x2x1 every rank's sweep wraps z onto itself and
+      closes one bounded y edge, and the exchange ships its x and other
+      y faces (cluster only: a single solver has one periodic flag, so
+      the reference is one ``split`` rank).
 
     Per case, single-domain: the AA kernel must match the phase-split
     reference bit for bit after every even number of steps, match its
@@ -401,18 +404,26 @@ def run_aa_equivalence_check(shape=(24, 20, 4), steps: int = 4,
 
     inlet = (0, "low", (0.04, 0.0, 0.0), 1.0)
     outflow = (0, "high")
+    inlet_y = (1, "low", (0.0, 0.04, 0.0), 1.0)
+    outflow_y = (1, "high")
+    mixed = (True, False, True)
 
-    def bounded_bcs():
-        return [EquilibriumVelocityInlet(D3Q19, *inlet),
-                OutflowBoundary(D3Q19, *outflow)]
+    def pair(inflow, out):
+        return lambda: [EquilibriumVelocityInlet(D3Q19, *inflow),
+                        OutflowBoundary(D3Q19, *out)]
 
     cases = {
         "periodic": {"solver": {"periodic": True},
                      "cluster": {}},
         "bounded": {"solver": {"periodic": False,
-                               "boundaries": bounded_bcs},
+                               "boundaries": pair(inlet, outflow)},
                     "cluster": {"periodic": (False, False, False),
                                 "inlet": inlet, "outflow": outflow}},
+        "mixed": {"solver": {"periodic": False,
+                             "boundaries": pair(inlet_y, outflow_y)},
+                  "cluster": {"periodic": mixed, "inlet": inlet_y,
+                              "outflow": outflow_y},
+                  "cluster_only": True},
     }
 
     def make(kernel, kwargs):
@@ -427,33 +438,41 @@ def run_aa_equivalence_check(shape=(24, 20, 4), steps: int = 4,
 
     report: dict = {"occupancy": float(solid.mean()), "cases": {}}
     for case, spec in cases.items():
-        aa = make("aa", spec["solver"])
-        ref = make("split", spec["solver"])
-        for t in range(steps):
-            aa.step(1)
-            ref.step(1)
-            rho_a, u_a = aa.macroscopic()
-            rho_r, u_r = ref.macroscopic()
-            assert np.array_equal(rho_a, rho_r), (
-                f"{case}: rho diverged at step {t + 1}")
-            assert np.array_equal(u_a, u_r), (
-                f"{case}: u diverged at step {t + 1}")
-            assert np.array_equal(aa.f, ref.f), (
-                f"{case}: distributions diverged at step {t + 1}")
-        assert aa.kernel_used == "aa"
-        # Working-set contract: one distribution array, no spare
-        # buffer — on the bounded case too (the rotated closure folds
-        # the handlers without materialising a canonical copy).
-        assert aa._fg_next_buf is None, (
-            f"{case}: AA kernel allocated a second buffer")
+        if not spec.get("cluster_only"):
+            aa = make("aa", spec["solver"])
+            ref = make("split", spec["solver"])
+            for t in range(steps):
+                aa.step(1)
+                ref.step(1)
+                rho_a, u_a = aa.macroscopic()
+                rho_r, u_r = ref.macroscopic()
+                assert np.array_equal(rho_a, rho_r), (
+                    f"{case}: rho diverged at step {t + 1}")
+                assert np.array_equal(u_a, u_r), (
+                    f"{case}: u diverged at step {t + 1}")
+                assert np.array_equal(aa.f, ref.f), (
+                    f"{case}: distributions diverged at step {t + 1}")
+            assert aa.kernel_used == "aa"
+            # Working-set contract: one distribution array, no spare
+            # buffer — on the bounded case too (the rotated closure
+            # folds the handlers without materialising a canonical copy).
+            assert aa._fg_next_buf is None, (
+                f"{case}: AA kernel allocated a second buffer")
 
         ref2 = make("split", spec["solver"])
         f0 = ref2.f.copy()
+        if spec.get("cluster_only"):
+            # One split rank: its engine wraps or clamps axis by axis.
+            ref2 = CPUClusterLBM(ClusterConfig(
+                sub_shape=shape, arrangement=(1, 1, 1), tau=0.7,
+                solid=solid, kernel="split", **spec["cluster"]))
+            ref2.load_global_distributions(f0)
+        state = getattr(ref2, "gather_distributions", lambda: ref2.f)
         odd_steps = steps - 1
         ref2.step(odd_steps)
-        f_odd = ref2.f.copy()
+        f_odd = state().copy()
         ref2.step(1)
-        f_even = ref2.f.copy()
+        f_even = state().copy()
         sub = (shape[0] // 2, shape[1] // 2, shape[2])
         case_report: dict = {"backends": {}}
         for backend in backends:

@@ -40,8 +40,8 @@ layer back through the write rule.  Inlet, outflow, Zou–He and custom
 face handlers all take these same few lines.  Full-way bounce-back was
 already folded into the even phase's reversed writes; the bounded-face
 zero-gradient closure of faces *without* a handler is the crossing-slot
-fold the compiled odd phase runs behind its sweep (:mod:`repro.lbm.native`;
-a cluster rank's edge faces: :func:`repro.lbm.streaming.fold_face_zero_gradient`).
+fold the compiled odd phase runs behind its sweep, a cluster rank's
+edge faces included (:mod:`repro.lbm.native`).
 """
 
 from __future__ import annotations

@@ -20,24 +20,25 @@ the compiler vectorises across the sites of a span and, under
 the pieces of that spelling the simulated GPU's fragment programs share
 (:mod:`repro.gpu.lbm_gpu`, DESIGN §5k).
 
-**The ghost closure.**  Given the face-slot table (then ``nr`` is 1),
-each phase closes the box's ghost shell one plane of the first axis
-behind its sweep, while the plane is in cache: ``aa_even`` copies each
-swept plane's outward face slots into its ghost rows (zero gradient, or
-the wrap); ``aa_odd`` folds the inward crossing slots back onto the
-border, then swaps the solid sites, row by row.  Without the table
-(stacked arenas, cluster ranks) the even phase is one flat loop.  The
-result is the unfused order's, bit for bit.  Fills are clamp (or wrap)
-copies along different axes and commute, and so do folds; a location
-of plane ``p`` is owned by a site of plane ``p - 1``, ``p`` or ``p + 1``,
-so plane ``p`` is final once plane ``p + 1`` is swept (the lag).  What
-must stay ordered is each fold before the swap of a cell it reads or
-writes: plane 1's x fold reads plane 2 and runs when plane 1 closes,
-plane ``n - 2``'s reads plane ``n - 3`` and runs when that one closes.
-The x folds also precede the y/z folds of the planes they write, as
-the ghost planes of the first axis are never folded: a periodic first
-axis (whose folds read the ghost planes the last sweep writes) closes
-planes 1 and ``n - 2`` at the end, as does D2Q9 (one odd span).
+**The ghost closure.**  Each box closes its ghost shell by its face row
+(:data:`FACE_KINDS`) one plane of the first axis behind its sweep,
+while the plane is in cache: ``aa_even`` copies each swept plane's
+outward face slots into its ghost rows (zero gradient, or the wrap);
+``aa_odd`` folds the inward crossing slots back onto the border, then
+swaps the solid sites it is given, row by row.  A message face is the
+exchange's, but the closed faces of a first-axis message face's ghost
+plane are folded too, as the reverse exchange ships it rims and all; a
+box with only message faces sweeps its even phase as one flat loop.  The
+result is the unfused order's, bit for bit (DESIGN §5i).  Fills are
+clamp (or wrap) copies along different axes and commute, and so do
+folds; a location of plane ``p`` is owned by a site of plane ``p - 1``,
+``p`` or ``p + 1``, so plane ``p`` is final once plane ``p + 1`` is
+swept (the lag).  What must stay ordered is each fold before the swap
+of a cell it reads or writes: plane 1's x fold reads plane 2 and runs
+when plane 1 closes, plane ``n - 2``'s reads plane ``n - 3`` and runs
+when that one closes.  A wrapping first axis (whose folds read the
+ghost planes the last sweep writes) closes planes 1 and ``n - 2`` at
+the end, after its x wraps, as does D2Q9 (one odd span).
 
 :func:`load` builds a :class:`Unit` with the system ``cc`` and loads it with
 :mod:`ctypes` (which releases the GIL for the call).  Objects are cached
@@ -75,6 +76,10 @@ COMPILER = "cc"
 #: Shared on-disk object cache (the XDG default location); the system
 #: temp directory when it cannot be created.
 CACHE_DIR = Path(os.path.expanduser("~/.cache/repro"))
+
+#: A face row's kinds as the closure numbers them: the exchange ships a
+#: message face, the sweep closes a zero-gradient one or a self-wrap.
+FACE_KINDS = {"message": 0, "zero": 1, "wrap": 2}
 
 _CTYPES = {np.dtype(np.float32): ("float", ctypes.c_float),
            np.dtype(np.float64): ("double", ctypes.c_double)}
@@ -171,19 +176,22 @@ def _site(lat: Lattice, dtype, load, store, om: str, fluid: str) -> list[str]:
 
 
 def _closure(lat: Lattice) -> str:
-    """C for the single-domain ghost closure (module docstring).
+    """C for the ghost closure (module docstring).
 
     ``faces`` has a row of ``Q + 1`` per face ``(a, -1), (a, +1)``: a
-    count, then the slots pointing out of it.  ``aa_face`` fills a ghost
-    layer with the outward slots from the border (or the far border), or
+    count, then the slots pointing out of it; ``kind`` the box's
+    :data:`FACE_KINDS` in that order.  ``aa_face`` fills a ghost layer
+    with the outward slots from the border (or the far border), or
     folds the inward ones back, along axis ``a < D - 1`` of the slab at
-    ``b``; ``aa_plane`` does the last axis row by row."""
+    ``b`` (not a message face); ``aa_plane`` does the last axis row by
+    row."""
     return (
         "static void aa_face(T *g, long sq, const long *n, const long *s,\n"
-        "    const long *faces, long periodic, long b, long a, int hi,\n"
+        "    const long *faces, const long *kind, long b, long a, int hi,\n"
         "    int fold) {\n"
+        "const long k = kind[2 * a + hi];\nif (!k) return;\n"
         "const long d = hi ? n[a] - 1 - fold : fold;\n"
-        "const long e = d + (hi ? -1 : 1) * (periodic ? n[a] - 2 : 1);\n"
+        "const long e = d + (hi ? -1 : 1) * (k == 2 ? n[a] - 2 : 1);\n"
         f"const long *sl = faces + (2 * a + (hi != fold)) * {lat.Q + 1};\n"
         "for (long j = 1; j <= sl[0]; j++) {\nT *F = g + sl[j] * sq + b;\n"
         "memcpy(F + d * s[a], F + e * s[a], s[a] * sizeof(T));\n}}\n"
@@ -197,32 +205,39 @@ def _closure(lat: Lattice) -> str:
         # Plane p's own faces (fill or fold), the last axis row by row,
         # each row's solid sites swapped right after its folds.
         "static void aa_plane(T *g, long sq, const long *n, const long *s,\n"
-        "    const long *faces, long periodic, long p, int fold,\n"
+        "    const long *faces, const long *kind, long p, int fold,\n"
         "    const long *bidx, const long *boff) {\n"
-        "const long b = p * s[0], l = n[D - 1], w = periodic ? l - 2 : 1;\n"
+        "const long b = p * s[0], l = n[D - 1];\n"
+        "const long kl = kind[2 * D - 2], ku = kind[2 * D - 1];\n"
+        "const long wl = kl == 2 ? l - 2 : 1, wu = ku == 2 ? l - 2 : 1;\n"
         f"const long *lo = faces + (2 * D - 2 + fold) * {lat.Q + 1}, "
-        f"*up = lo + (1 - 2 * fold) * {lat.Q + 1};\nlong k = bidx ? boff[p] : 0;\n"
+        f"*up = lo + (1 - 2 * fold) * {lat.Q + 1};\n"
+        "long k = bidx ? boff[p] : 0;\n"
         "for (long a = 1; a < D - 1; a++) for (int hi = 0; hi < 2; hi++)\n"
-        "  aa_face(g, sq, n, s, faces, periodic, b, a, hi, fold);\n"
+        "  aa_face(g, sq, n, s, faces, kind, b, a, hi, fold);\n"
         # The last axis's two faces of each row: aa_face, hoisted.
         "for (long row = b; row < b + s[0]; row += l) {\n"
         "T *r = g + row + fold, *t = g + row + l - 1 - fold;\n"
-        "for (long j = 1; j <= lo[0]; j++) r[lo[j] * sq] = r[lo[j] * sq + w];\n"
-        "for (long j = 1; j <= up[0]; j++) t[up[j] * sq] = t[up[j] * sq - w];\n"
+        "for (long j = 1; kl && j <= lo[0]; j++) r[lo[j] * sq] = r[lo[j] * sq + wl];\n"
+        "for (long j = 1; ku && j <= up[0]; j++) t[up[j] * sq] = t[up[j] * sq - wu];\n"
         "const long k0 = k;\n"
         "while (bidx && k < boff[p + 1] && bidx[k] < row + l) k++;\n"
         "aa_swap(g, sq, bidx, k0, k);\n}}\n"
-        # Close plane p after the odd sweep: first the x folds that read
-        # or write it (bounded; plane 1's reads plane 2, plane N's plane
-        # N - 1), then its own.
+        # Close plane p after the odd sweep: first the bounded x folds
+        # that read or write it (plane 1's reads plane 2, plane N's
+        # plane N - 1), then its own; a message face's ghost plane next
+        # to it is folded too, as the exchange ships it rims and all.
         "static void aa_close(T *g, long sq, const long *n, const long *s,\n"
-        "    const long *faces, long periodic, const long *bidx,\n"
+        "    const long *faces, const long *kind, const long *bidx,\n"
         "    const long *boff, long p) {\n"
         "const long N = n[0] - 2;\n"
-        "if (!periodic && p == 1) aa_face(g, sq, n, s, faces, 0, 0, 0, 0, 1);\n"
-        "if (!periodic && p == (N > 1 ? N - 1 : 1))\n"
-        "  aa_face(g, sq, n, s, faces, 0, 0, 0, 1, 1);\n"
-        "aa_plane(g, sq, n, s, faces, periodic, p, 1, bidx, boff);\n}\n")
+        "if (kind[0] == 1 && p == 1)\n"
+        "  aa_face(g, sq, n, s, faces, kind, 0, 0, 0, 1);\n"
+        "if (kind[1] == 1 && p == (N > 1 ? N - 1 : 1))\n"
+        "  aa_face(g, sq, n, s, faces, kind, 0, 0, 1, 1);\n"
+        "aa_plane(g, sq, n, s, faces, kind, p, 1, bidx, boff);\n"
+        "for (int hi = 0; hi < 2; hi++) if (!kind[hi] && p == (hi ? N : 1))\n"
+        "  aa_plane(g, sq, n, s, faces, kind, hi ? N + 1 : 0, 1, NULL, NULL);\n}\n")
 
 
 def source(lat: Lattice, dtype) -> str:
@@ -232,9 +247,11 @@ def source(lat: Lattice, dtype) -> str:
     padded boxes at rank stride ``sr``, each C-contiguous with ``cells``
     cells, extents ``n[]`` and axis strides ``s[]``; ``solid`` is the
     batch-box keep mask (solids and the ghost shell), one byte per cell;
-    ``add`` the force increment or NULL; ``faces`` the closure's table
-    or NULL, ``bidx`` the box's solid sites (flat, ascending) and
-    ``boff[p]`` the first of them in plane ``p`` of the first axis.
+    ``add`` the force increment or NULL; ``faces`` the closure's slot
+    table, ``kinds`` each box's :data:`FACE_KINDS` row; ``bidx`` the
+    solid sites each box swaps behind its odd sweep (flat in the box,
+    ascending, box after box) or NULL, and ``boff[r * (n[0] + 1) + p]``
+    the first of box ``r``'s in plane ``p`` of the first axis.
     """
     dtype = np.dtype(dtype)
     Q, D = lat.Q, lat.D
@@ -252,18 +269,22 @@ def source(lat: Lattice, dtype) -> str:
     head = ("void aa_{}(T *f, long sq, long nr, long sr, long cells, "
             "const long *n, const long *s,\n"
             "  const unsigned char *solid, T omega, const T *add,\n"
-            "  const long *faces, long periodic, const long *bidx, "
+            "  const long *faces, const long *kinds, const long *bidx, "
             "const long *boff) {{\n"
             "const long N = n[0] - 2;\n"
             "for (long r = 0; r < nr; r++) {{\n"
             "T *g = f + r * sr;\n"
             "const unsigned char *m = solid + r * cells;\n"
+            "const long *kind = kinds + r * 2 * D;\n"
+            "const long *bo = bidx ? boff + r * (N + 3) : NULL;\n"
+            "int closes = 0;\nfor (long j = 0; j < 2 * D; j++) closes |= kind[j];\n"
+            "const int xw = kind[0] == 2;\n"
             + "".join(f"const T a{q} = add ? add[{q}] : 0;\n"
                       for q in range(Q)))
     # Even phase: pointwise, reversed-direction writes; one chunk, the
-    # whole box, or with a closure one plane of the first axis at a
-    # time, each plane's ghost rows filled while it is in cache.
-    even = ("const long chunk = faces ? s[0] : cells;\n"
+    # whole box, or on a box that closes a face one plane of the first
+    # axis at a time, each plane's ghost rows filled while it is in cache.
+    even = ("const long chunk = closes ? s[0] : cells;\n"
             "for (long p = 0; p < cells / chunk; p++) {\n"
             "const unsigned char *mp = m + p * chunk;\n"
             + "".join(f"T *F{q} = g + {q} * sq + p * chunk;\n" for q in range(Q))
@@ -271,17 +292,17 @@ def source(lat: Lattice, dtype) -> str:
                     "const int s = mp[i]; const T om = s ? ((T)0) : omega;",
                     lambda q: f"F{q}[i]", lambda q, h: f"F{opp[q]}[i] = {h};",
                     "om", "!s")
-            + "if (faces && p > 0 && p <= N)\n"
-            "  aa_plane(g, sq, n, s, faces, periodic, p, 0, NULL, NULL);\n}\n"
-            "for (int hi = 0; faces && hi < 2; hi++)\n"
-            "  aa_face(g, sq, n, s, faces, periodic, 0, 0, hi, 0);\n")
+            + "if (closes && p > 0 && p <= N)\n"
+            "  aa_plane(g, sq, n, s, faces, kind, p, 0, NULL, NULL);\n}\n"
+            "for (int hi = 0; closes && hi < 2; hi++)\n"
+            "  aa_face(g, sq, n, s, faces, kind, 0, 0, hi, 0);\n")
     # Odd phase: one span per interior plane of the last two axes, flat
     # from its first interior site (1, 1) to its last.  The keep-select
     # is a bit blend (a masked site stores back what it loaded), which
     # vectorises without masked stores.
     strides = [f"s[{a}]" for a in range(D - 1)] + ["1"]
-    lag = ("if (faces && x0 >= 2 && (!periodic || x0 >= 3))\n"
-           "  aa_close(g, sq, n, s, faces, periodic, bidx, boff, x0 - 1);\n"
+    lag = ("if (closes && x0 >= 2 && (!xw || x0 >= 3))\n"
+           "  aa_close(g, sq, n, s, faces, kind, bidx, bo, x0 - 1);\n"
            if D >= 3 else "")
     odd = ("".join(f"for (long x{a} = 1; x{a} < n[{a}] - 1; x{a}++)\n"
                    for a in range(D - 2))
@@ -301,13 +322,13 @@ def source(lat: Lattice, dtype) -> str:
                    "omega", "1")
            + lag + "}\n"
            # What the lag left open: the last plane, and with a
-           # periodic first axis its first plane, after the x folds.
-           "if (faces) {\n"
-           "for (int hi = 0; periodic && hi < 2; hi++)\n"
-           "  aa_face(g, sq, n, s, faces, 1, 0, 0, hi, 1);\n"
+           # wrapping first axis its first plane, after the x wraps.
+           "if (closes) {\n"
+           "for (int hi = 0; xw && hi < 2; hi++)\n"
+           "  aa_face(g, sq, n, s, faces, kind, 0, 0, hi, 1);\n"
            "for (long p = 1; p <= N; p++)\n"
-           + ("if (p == N || (periodic && p == 1))\n" if D >= 3 else "")
-           + "aa_close(g, sq, n, s, faces, periodic, bidx, boff, p);\n}\n")
+           + ("if (p == N || (xw && p == 1))\n" if D >= 3 else "")
+           + "aa_close(g, sq, n, s, faces, kind, bidx, bo, p);\n}\n")
     bits = {4: "uint32_t", 8: "uint64_t"}[dtype.itemsize]
     return ("#include <stdint.h>\n#include <string.h>\n"
             f"typedef {_CTYPES[dtype][0]} T;\ntypedef {bits} U;\n"
@@ -353,7 +374,7 @@ class Unit(NamedTuple):
 
 def _aa_entries(t) -> dict:
     P, L = ctypes.c_void_p, ctypes.c_long
-    phase = [P, L, L, L, L, P, P, P, t, P, P, L, P, P]
+    phase = [P, L, L, L, L, P, P, P, t, P, P, P, P, P]
     return {"aa_even": phase, "aa_odd": phase, "aa_bounce": [P, L, P, L]}
 
 

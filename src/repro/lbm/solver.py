@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.lbm.aa import AAStepKernel, unavailable
+from repro.lbm.aa import AAStepKernel, face_kinds, unavailable
 from repro.lbm.boundaries import Boundary, BounceBackNodes
 from repro.lbm.collision import BGKCollision, plain_bgk_step
 from repro.lbm.equilibrium import equilibrium, equilibrium_site
@@ -71,8 +71,8 @@ class LBMSolver:
            Zou–He, a custom handler keeping the contract stated on
            :class:`~repro.lbm.boundaries.Boundary`), and either
            ``step()`` on a solver that is not ``phase_driven`` or a
-           cluster driver that closes the AA halo
-           (``aa_halo_managed``): ``aa``;
+           cluster driver that ships the AA halo messages
+           (``halo_faces``): ``aa``;
         3. anything else: ``split``.
 
         The in-place kernel is compiled (:mod:`repro.lbm.native`): where
@@ -149,19 +149,16 @@ class LBMSolver:
         #: through its split phase entry points, which rules out the
         #: AA phases unless the driver closes their halo (next flag).
         self.phase_driven = False
-        #: Set True by a cluster driver that takes over the AA halo
-        #: protocol (forward exchange after even phases, reverse ghost
-        #: fold-back after odd phases).
-        self.aa_halo_managed = False
+        #: Set by a cluster driver that ships this rank's AA halo
+        #: messages: per face ``(0, -1), (0, +1), ...`` ``"message"``,
+        #: ``"wrap"`` or ``"zero"``, the row the AA phases close the
+        #: ghost shell by (:func:`repro.lbm.aa.face_kinds`).
+        self.halo_faces: tuple[str, ...] | None = None
         #: Parity of the ``time_step`` at which the array last held a
         #: canonical state written from outside (initialize / load):
         #: the AA phase cadence counts from there, so a load at an odd
         #: step count is followed by an *even* phase.
         self._aa_origin = 0
-        #: Set after an AA phase that already did the bounce-back (an
-        #: even phase's reversed write *is* it; a single-domain odd
-        #: phase swaps behind its sweep) so post_stream skips the swap.
-        self._bounce_folded = False
         #: True while the single AA array sits in the rotated mid-pair
         #: layout (after an even phase): ``post_stream`` then imposes
         #: boundary handlers through the rotated write rule
@@ -223,7 +220,6 @@ class LBMSolver:
         interior in place, e.g. through shared memory)."""
         self._aa_origin = self.time_step & 1
         self._aa_rotated = False
-        self._bounce_folded = False
 
     @property
     def _fg_next(self) -> np.ndarray:
@@ -270,9 +266,9 @@ class LBMSolver:
         construction).  A named kernel is forced as long as the
         kernel's own ``eligible`` still holds; otherwise the rule of
         the class docstring applies.  Only :meth:`step` passes
-        ``whole_step``: nobody but a cluster driver with
-        ``aa_halo_managed`` closes the AA halo for a solver driven
-        phase by phase, so there the rule's answer is ``split``.
+        ``whole_step``: nobody but a cluster driver that sets
+        ``halo_faces`` exchanges the AA halo for a solver driven phase
+        by phase, so there the rule's answer is ``split``.
         """
         if self.kernel == "split":
             return self._note_selection("split", "forced kernel='split'")
@@ -291,7 +287,7 @@ class LBMSolver:
         if not AAStepKernel.eligible(self):
             return self._note_selection(
                 "split", "rule: a handler that is not face-resident")
-        if self.aa_halo_managed:
+        if self.halo_faces is not None:
             reason = "rule: AA halo closed by the cluster driver"
         elif whole_step and not self.phase_driven:
             reason = "rule: whole-step schedule"
@@ -384,12 +380,9 @@ class LBMSolver:
         if akern is not None:
             # Streaming already happened in place (reversed writes on
             # even phases, forward scatter on odd ones); the stream
-            # phase only settles the bounce-back bookkeeping: after an
-            # even phase the reversed write *is* the bounce, after an
-            # odd one the sweep swapped (post_stream does on a rank).
+            # phase only records the layout the phase left.
             with rec.phase("solver.stream", kernel="aa"):
                 self.kernel_used = "aa"
-                self._bounce_folded = not (self.aa_odd and self.aa_halo_managed)
                 self._aa_rotated = not self.aa_odd
             rec.metric("kernel.aa", 0)
             return
@@ -403,22 +396,26 @@ class LBMSolver:
     def post_stream(self) -> None:
         """Bounce-back on solids, then user boundary handlers.
 
-        While the AA array sits in its rotated mid-pair layout (after
-        an even phase) the handlers are imposed through the rotated
-        write rule instead — canonical application would corrupt the
-        layout.  Both paths are bit-identical on the canonical state.
+        Under AA the even phase's reversed write *is* the bounce and
+        the odd sweep swaps behind itself, except on a rank with a
+        message face, which swaps here once the reverse exchange has
+        written its border (:meth:`repro.lbm.aa.AAStepKernel._swap_table`).
+        While the array sits in its rotated mid-pair layout (after an
+        even phase) the handlers are imposed through the rotated write
+        rule instead — canonical application would corrupt the layout.
+        Both paths are bit-identical on the canonical state.
         """
         with self.recorder.phase("solver.post_stream"):
-            if self._bounce_folded:
-                self._bounce_folded = False
-            elif self.solid.any():
-                if self._aa_kernel is not None:
-                    self._aa_kernel.bounce(self.fg)     # compiled swap
-                else:
+            akern = self._aa_kernel
+            if akern is None:
+                if self.solid.any():
                     self._bounce.apply(self.fg)
+            elif (not self._aa_rotated and "message" in face_kinds(self)
+                  and self.solid.any()):
+                akern.bounce(self.fg)
             if self._aa_rotated:
                 if self.boundaries:
-                    self._aa_kernel.apply_boundaries_rotated()
+                    akern.apply_boundaries_rotated()
                 self._aa_rotated = False
                 return
             for b in self.boundaries:

@@ -14,6 +14,9 @@ steps (Sec 4.1).  Two variants are provided:
     populations, or — in the distributed solver — the neighbour
     sub-domain's border populations received over the (simulated)
     network.  This is exactly the decomposition contract of Sec 4.3.
+
+The ghost fills here serve pull streaming; the in-place AA phases close
+their shell inside the compiled sweep (:mod:`repro.lbm.native`).
 """
 
 from __future__ import annotations
@@ -210,26 +213,3 @@ def fill_face_zero_gradient(fg: np.ndarray, axis: int, direction: int,
     for q in slots:
         fg[q][lead + (ghost,)] = fg[q][lead + (src,)]
 
-
-def fold_face_zero_gradient(lattice: Lattice, fg: np.ndarray,
-                            axis: int, direction: int) -> None:
-    """Bounded-face analogue of the periodic crossing-slot fold.
-
-    After the AA odd-phase scatter, a border cell ``x`` on a bounded
-    face is still missing the inbound populations whose pull source
-    ``x - c_i`` would be a ghost cell; the reference solver fills those
-    ghosts zero-gradient before streaming, so the streamed-in value is
-    ``h_i`` of the clamped (one row inside) source.  Because the scatter
-    pushed ``h_i(y)`` to location ``(i, y + c_i)``, that exact value
-    already sits one row inside the face for every crossing slot —
-    including solid rows, where the mid-pair layout stores the same
-    population.  The fold therefore copies, for the inward-pointing
-    slots (``c_i[axis] == -direction``), the border layer from the
-    adjacent interior layer over the *full* padded extent of the other
-    axes (rims included, so later-axis folds and the cluster's reverse
-    exchange relay corner contributions exactly like the fill does).
-    """
-    border = 1 if direction == -1 else fg.shape[1 + axis] - 2
-    at = ((np.flatnonzero(lattice.c[:, axis] == -direction),)
-          + (slice(None),) * axis)
-    fg[at + (border,)] = fg[at + (border - direction,)]

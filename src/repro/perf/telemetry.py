@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import sys
 import time
 from bisect import bisect_left
@@ -111,8 +112,9 @@ def validate_prometheus(text: str) -> int:
     """
     declared: dict[str, str] = {}
     series = 0
-    hist_state: dict[str, tuple[float, int]] = {}  # series key -> (prev cum)
+    hist_state: dict[str, int] = {}     # series key -> previous bucket
     inf_buckets: dict[str, int] = {}
+    counts: dict[str, int] = {}
     for i, line in enumerate(text.splitlines()):
         if not line.strip():
             continue
@@ -139,21 +141,27 @@ def validate_prometheus(text: str) -> int:
                 break
         if base not in declared:
             raise ValueError(f"line {i}: series {name!r} has no TYPE")
-        if declared[base] == "histogram" and name.endswith("_bucket"):
-            key = base + labels.split(',le=')[0]
-            if 'le="+Inf"' in labels:
+        if declared[base] == "histogram":
+            # One histogram series: its labels without the bucket bound.
+            key = base + re.sub(r',?le="[^"]*"', "", labels)
+            if name.endswith("_count"):
+                counts[key] = int(val)
+            elif 'le="+Inf"' in labels:
                 inf_buckets[key] = int(val)
-            else:
-                prev = hist_state.get(key, (-1.0, -1))[1]
-                if int(val) < prev:
+            elif name.endswith("_bucket"):
+                if int(val) < hist_state.get(key, -1):
                     raise ValueError(
                         f"line {i}: non-cumulative histogram bucket")
-                hist_state[key] = (0.0, int(val))
+                hist_state[key] = int(val)
         series += 1
-    for key, inf_v in inf_buckets.items():
-        prev = hist_state.get(key, (0.0, 0))[1]
-        if inf_v < prev:
+    for key in hist_state.keys() | inf_buckets.keys() | counts.keys():
+        if key not in inf_buckets or key not in counts:
+            raise ValueError(f"histogram {key}: no +Inf bucket or no _count")
+        if inf_buckets[key] < hist_state.get(key, 0):
             raise ValueError(f"histogram {key}: +Inf bucket below a bound")
+        if inf_buckets[key] != counts[key]:
+            raise ValueError(f"histogram {key}: +Inf bucket "
+                             f"{inf_buckets[key]} != _count {counts[key]}")
     if series == 0:
         raise ValueError("no series in exposition")
     return series

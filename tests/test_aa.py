@@ -25,7 +25,7 @@ import pytest
 from repro.core.cluster_lbm import ClusterConfig, CPUClusterLBM, GPUClusterLBM
 from repro.core.cpu_node import CPUNode
 from repro.core.decomposition import BlockDecomposition
-from repro.core.exchange import local_engines, step_rank
+from repro.core.exchange import halo_faces, local_engines, step_rank
 from repro.lbm import AAStepKernel, LBMSolver
 from repro.lbm.lattice import D3Q19
 from repro.lbm.boundaries import (Boundary, EquilibriumVelocityInlet,
@@ -243,7 +243,8 @@ def _stepped_rank_node():
     """An AA rank node stepped twice through the rank step."""
     decomp = BlockDecomposition(SHAPE, (1, 1, 1))
     node = CPUNode(0, decomp.sub_shape, 0.7, solid=_city(),
-                   aa_halo_managed=True)
+                   halo_faces=halo_faces(decomp.neighbors(0),
+                                         decomp.periodic))
     halo, = local_engines(decomp, [node], aa=True)
     for _ in range(2):
         step_rank(node, halo)
@@ -290,7 +291,7 @@ def test_gate_runs():
     from repro.lbm.aa import run_aa_equivalence_check
     report = run_aa_equivalence_check(steps=2, backends=("serial",))
     assert report["occupancy"] > 0
-    assert set(report["cases"]) == {"periodic", "bounded"}
+    assert set(report["cases"]) == {"periodic", "bounded", "mixed"}
     for case, info in report["cases"].items():
         assert set(info["backends"]) == {"serial"}
         for row in info["backends"]["serial"]:

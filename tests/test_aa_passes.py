@@ -30,7 +30,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.core.cluster_lbm import ClusterConfig, CPUClusterLBM
 from repro.lbm import BGKCollision, LBMSolver
-from repro.lbm.aa import AAStepKernel
+from repro.lbm.aa import AAStepKernel, face_kinds
 from repro.lbm.boundaries import EquilibriumVelocityInlet, OutflowBoundary
 from repro.lbm.lattice import D2Q9, D3Q19
 from repro.lbm.streaming import interior
@@ -203,18 +203,27 @@ def _poison(rng, size, dtype):
     return raw.view(dtype)
 
 
-def _closure_writes(lat, pshape, solid):
+def _closure_writes(lat, pshape, solid, kinds):
     """Locations a closing odd phase writes after its sweep: each
-    face's inward slots on its border layer (the first axis's over the
-    whole plane, the others' on the interior planes of the first axis)
-    and every slot of a solid site (the swap)."""
+    closed face's inward slots on its border layer (the first axis's
+    over the whole plane, the others' on the interior planes of the
+    first axis and on the ghost plane of a first-axis message face)
+    and, with no message face, every slot of a solid site (the swap)."""
     out = np.zeros((lat.Q,) + pshape, bool)
+    planes = np.arange(pshape[0])
+    planes = planes[(planes > 0) & (planes < pshape[0] - 1)
+                    | (planes == 0) & (kinds[0] == "message")
+                    | (planes == pshape[0] - 1) & (kinds[1] == "message")]
     for a in range(lat.D):
-        for sign, layer in ((1, 1), (-1, pshape[a] - 2)):
-            where = [slice(1, -1)] + [slice(None)] * (lat.D - 1)
+        for hi, (sign, layer) in enumerate(((1, 1), (-1, pshape[a] - 2))):
+            if kinds[2 * a + hi] == "message":
+                continue
+            where = [planes] + [slice(None)] * (lat.D - 1)
             where[a] = layer
-            out[(lat.c[:, a] == sign,) + tuple(where)] = True
-    out[(slice(None),) + interior(lat.D)][:, solid] = True
+            for q in np.flatnonzero(lat.c[:, a] == sign):
+                out[q][tuple(where)] = True
+    if "message" not in kinds:
+        out[(slice(None),) + interior(lat.D)][:, solid] = True
     return out
 
 
@@ -228,8 +237,8 @@ def _poisoning_odd_phase(kernel, rng):
     slots, cells = _span_ghost_locations(kernel.lattice, pshape)
     assert slots.size
     where = np.unravel_index(cells, pshape)
-    kept = [np.ones(slots.size, bool) if m.aa_halo_managed else
-            ~_closure_writes(kernel.lattice, pshape, m.solid)[(slots,) + where]
+    kept = [~_closure_writes(kernel.lattice, pshape, m.solid,
+                             face_kinds(m))[(slots,) + where]
             for m in kernel.members]
     assert all(k.sum() > slots.size // 4 for k in kept)
 
@@ -309,6 +318,72 @@ class TestGhostSitesInTheSpan:
                 ref.step(1)
                 aa.step(1)
                 assert np.array_equal(aa.f, ref.f), step
+
+
+def _owned_by_interior(lat, pshape):
+    """Per location of a padded box, whether an interior site owns it
+    in the odd phase (site ``n`` owns ``(p, n + c_p)``)."""
+    own = np.zeros((lat.Q,) + pshape, bool)
+    for q in range(lat.Q):
+        own[(q,) + tuple(slice(1 + c, n - 1 + c)
+                         for c, n in zip(lat.c[q], pshape))] = True
+    return own
+
+
+class TestAllMessageRanks:
+    """A rank whose every face is a message (``strong_serial``'s ranks)
+    gets no closure work: the even phase leaves its ghost shell as the
+    rate-0 relaxation of its ghost sites, and the odd phase leaves
+    every location no interior site owns — the ghost shell past the
+    sweep's reach and each face's inward slots on its border layer,
+    which the reverse messages then write — bit for bit."""
+
+    def test_phases_write_only_what_the_sweep_owns(self):
+        ref = _flow((8, 8, 8), "split", 7)
+        cfg = ClusterConfig(sub_shape=(4, 4, 4), arrangement=(2, 2, 2),
+                            tau=0.7, solid=ref.solid, kernel="aa")
+        rng = np.random.default_rng(8)
+        with CPUClusterLBM(cfg) as cluster:
+            (kernel,) = cluster._stack.kernels
+            assert all(set(face_kinds(m)) == {"message"}
+                       for m in kernel.members)
+            lat, pshape = kernel.lattice, kernel._bshape[1:]
+            ghost = np.ones(pshape, bool)
+            ghost[interior(lat.D)] = False
+            unowned = ~_owned_by_interior(lat, pshape)
+            even, odd = kernel.even_phase, kernel.odd_phase
+            ranks = range(len(kernel.members))
+
+            def poisoned_even():
+                # Finite positive populations: a rate-0 relaxation
+                # stores each back, reversed, bit for bit.
+                poison = [rng.uniform(0.5, 1.5, (lat.Q, ghost.sum()))
+                          .astype(np.float32) for _ in ranks]
+                for r in ranks:
+                    kernel._stack[:, r][:, ghost] = poison[r]
+                even()
+                for r in ranks:
+                    got = kernel._stack[:, r][:, ghost][lat.opp]
+                    assert np.array_equal(_bits(got), _bits(poison[r])), r
+
+            def poisoned_odd():
+                poison = [_poison(rng, unowned.sum(), np.float32)
+                          for _ in ranks]
+                for r in ranks:
+                    kernel._stack[:, r][unowned] = poison[r]
+                with np.errstate(all="ignore"):
+                    odd()
+                for r in ranks:
+                    got = kernel._stack[:, r][unowned]
+                    assert np.array_equal(_bits(got), _bits(poison[r])), r
+
+            kernel.even_phase, kernel.odd_phase = poisoned_even, poisoned_odd
+            cluster.load_global_distributions(ref.f)
+            for step in range(1, 7):
+                ref.step(1)
+                cluster.step(1)
+                assert np.array_equal(cluster.gather_distributions(),
+                                      ref.f), step
 
 
 class TestSpanTails:

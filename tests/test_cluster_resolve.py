@@ -3,8 +3,8 @@
 The coordinator resolves ``aa`` for every CPU rank iff the configured
 kernel is ``"auto"`` or ``"aa"``, there is no body force and the run is
 numeric; otherwise every rank runs ``split``.  Each rank is built with
-``aa_halo_managed`` set accordingly and resolves the same kernel again
-by the solver's rule.  Nothing is measured, so no assertion here
+its ``halo_faces`` (or None) accordingly and resolves the same kernel
+again by the solver's rule.  Nothing is measured, so no assertion here
 depends on timing.
 """
 

@@ -299,7 +299,8 @@ class TestFallbacks:
     def test_halo_managed_phase_driven_runs_aa(self):
         """The rule's AA line for a rank whose driver closes the halo."""
         s = LBMSolver((8, 8, 8), tau=0.7, periodic=False)
-        s.phase_driven = s.aa_halo_managed = True
+        s.phase_driven = True
+        s.halo_faces = ("zero",) * 6
         assert s._select_kernel() == "aa"
         assert s.kernel_reason == "rule: AA halo closed by the cluster driver"
         s.boundaries.append(BouzidiCurvedBoundary(
@@ -374,7 +375,7 @@ class TestHandDrivenPhases:
         assert len(nodes) == decomp.n_nodes
         for node in nodes:
             assert node.solver.phase_driven
-            assert node.solver.aa_halo_managed
+            assert node.solver.halo_faces is not None
             assert node.kernel_used == "aa"
             assert node.kernel_reason == (
                 "rule: AA halo closed by the cluster driver")

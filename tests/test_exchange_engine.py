@@ -7,7 +7,11 @@
 * one configuration matrix — arrangement x periodicity x cuts x kernel
   x backend x step count — bit-identical to the
   single-domain solver, with ``comm.msgs`` equal to the route table's
-  count.
+  count;
+* ranks that close a self-wrap and a bounded edge in their own sweep
+  and message their other faces, with an inlet/outflow pair and a
+  solid block across the cuts: every driver on the single-domain
+  solver's bits after every step.
 """
 
 import numpy as np
@@ -19,6 +23,8 @@ from repro.core.exchange import (AxisRoute, HaloExchange, LocalTransport,
                                  SolverPort, build_routes, mirrored)
 from repro.core.spmd import SPMDClusterLBM
 from repro.core.wire import _expected_wire_counts
+from repro.lbm.boundaries import EquilibriumVelocityInlet, OutflowBoundary
+from repro.lbm.lattice import D3Q19
 from repro.lbm.solver import LBMSolver
 from repro.net.simmpi import SimCluster
 from repro.perf.recorder import Tracer
@@ -97,8 +103,13 @@ class TestRouteTable:
         assert [ex.post(axis, ex.mode) for axis in range(3)] == [0, 0, 0]
         for axis in range(3):
             ex.complete(axis, ex.mode)
+        # An AA rank's sweep closes its wrap and edges itself; a pull
+        # rank's engine closes them.
+        assert calls == []
+        for axis in range(3):
+            ex.complete(axis, "pull")
         assert calls == (["read_packed", "write_packed"]
-                         + ["fold_border_zero_gradient"] * 4)
+                         + ["fill_ghost_zero_gradient"] * 4)
 
 
 # -- the SimMPI binding's call sequence --------------------------------
@@ -324,6 +335,73 @@ def test_matrix_bit_identical_with_route_table_message_count(
     assert msgs.value == per_exchange * steps
     if backend == "serial":
         assert msgs.calls == steps        # one record per exchange
+
+
+#: x and z periodic, y bounded: on (2, 2, 1) a rank's x faces are both
+#: messages to one peer, one y face a message and one a bounded edge,
+#: and z wraps onto itself; on (1, 2, 2) the first axis wraps.
+MIXED = (True, False, True)
+INLET_Y = (1, "low", (0.01, 0.04, 0.0), 1.0)
+OUTFLOW_Y = (1, "high")
+
+
+def _mixed_reference(shape, handlers, seed=5):
+    """A phase-split single domain with :data:`MIXED` ghosts, a solid
+    block across the middle of every axis (so across every cut) and,
+    with ``handlers``, the inlet/outflow pair on y."""
+    rng = np.random.default_rng(seed)
+    solid = np.zeros(shape, bool)
+    solid[tuple(slice(n // 2 - 1, n // 2 + 1) for n in shape)] = True
+    bcs = ([EquilibriumVelocityInlet(D3Q19, *INLET_Y),
+            OutflowBoundary(D3Q19, *OUTFLOW_Y)] if handlers else [])
+    ref = LBMSolver(shape, tau=0.7, solid=solid, periodic=False,
+                    boundaries=bcs, kernel="split")
+    u0 = (0.02 * rng.standard_normal((3,) + shape)).astype(np.float32)
+    u0[:, solid] = 0
+    ref.initialize(rho=np.ones(shape, np.float32), u=u0)
+    return ref
+
+
+def _mixed_step(ref):
+    ref.collide()
+    for b in ref.boundaries:
+        b.pre_stream(ref.fg)
+    _fill_ghosts(ref.fg, MIXED)
+    ref.stream()
+    ref.post_stream()
+    ref.time_step += 1
+
+
+@pytest.mark.parametrize("driver", ["serial", "processes", "spmd"])
+@pytest.mark.parametrize("arrangement", [(2, 2, 1), (1, 2, 2)])
+def test_mixed_faces_every_step(arrangement, driver):
+    """Every driver's AA ranks close their wraps and edges inside the
+    sweep and ship only messages: the single domain's bits after every
+    step (a reconstructed gather at odd parity).  The SPMD rank
+    program takes no handlers, so it runs the case without the pair."""
+    shape = tuple(6 * a for a in arrangement)
+    ref = _mixed_reference(shape, handlers=driver != "spmd")
+    f0 = ref.f.copy()
+    if driver == "spmd":
+        decomp = BlockDecomposition(shape, arrangement, periodic=MIXED)
+        for step in range(1, 5):
+            _mixed_step(ref)
+            got, _ = SPMDClusterLBM(decomp, tau=0.7, solid=ref.solid,
+                                    f0=f0).run(step)
+            assert np.array_equal(got, ref.f), step
+        return
+    cfg = ClusterConfig(sub_shape=(6, 6, 6), arrangement=arrangement,
+                        tau=0.7, periodic=MIXED, solid=ref.solid,
+                        inlet=INLET_Y, outflow=OUTFLOW_Y, backend=driver)
+    with CPUClusterLBM(cfg) as cluster:
+        assert cluster.resolved_kernel == "aa"
+        assert cluster.stacked == (driver == "serial")
+        cluster.load_global_distributions(f0)
+        for step in range(1, 7):
+            _mixed_step(ref)
+            cluster.step(1)
+            assert np.array_equal(cluster.gather_distributions(),
+                                  ref.f), step
 
 
 def test_solver_port_binds_a_bare_solver(rng):

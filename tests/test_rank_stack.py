@@ -2,10 +2,11 @@
 
 * the rank-axis exchange against the per-message engine
   (:func:`~repro.core.exchange.exchange_all` over per-rank
-  :class:`~repro.core.exchange.SolverPort`\\ s) on random arenas: every
-  manifest mode, periodic / bounded / mixed domains with axis extents
-  1, 2 and 3, uniform and unequal cuts — identical arrays, identical
-  ``comm.*`` counters, no arena-sized temporary;
+  :class:`~repro.core.exchange.SolverPort`\\ s) on random arenas: both
+  AA manifest modes (a pull exchange is refused: only AA ranks stack),
+  periodic / bounded / mixed domains with axis extents 1, 2 and 3,
+  uniform and unequal cuts — identical arrays, identical ``comm.*``
+  counters, no arena-sized temporary;
 * stacked clusters against the single-domain reference at every step:
   solids plus inlet/outflow, an odd-parity load, unequal cuts, a
   ``rebalance()`` successor, a codec on;
@@ -64,6 +65,12 @@ def test_rank_axis_exchange_matches_the_engine(mode, periodic, cuts, rng):
     engine_slots, stacked_slots, flat = _slot_arrays(decomp, rng)
     groups = {id(arena) for arena, _ in stacked_slots.values()}
     assert len(groups) == (4 if cuts else 1)
+    if mode == "pull":
+        # Only AA ranks stack; a pull rank's wraps and edges close in
+        # the engine.
+        with pytest.raises(ValueError, match="only AA ranks stack"):
+            RankAxisExchange(decomp, stacked_slots).run(mode)
+        return
     odd = mode == "aa_reverse"
     ports = [SolverPort(SimpleNamespace(fg=arena[:, slot], lattice=D3Q19,
                                         aa_odd=odd),

@@ -215,6 +215,16 @@ class TestExposition:
         with pytest.raises(ValueError):
             validate_prometheus("no_prefix_metric 1")
 
+    def test_validate_prometheus_pins_inf_bucket_to_count(self):
+        """A histogram's ``+Inf`` bucket must equal its ``_count``."""
+        text = prometheus_text(_metrics(counts=(1, 1, 1)))
+        count = next(ln for ln in text.splitlines()
+                     if ln.startswith("repro_step_seconds_count"))
+        bad = text.replace(count, count.rsplit(" ", 1)[0] + " 4")
+        assert validate_prometheus(text) > 0
+        with pytest.raises(ValueError, match="_count"):
+            validate_prometheus(bad)
+
     def test_validate_snapshot_roundtrips_jsonl(self):
         obj = {"t": 1.0, "step": 3, "metrics": _metrics()}
         back = json.loads(json.dumps(obj))  # rank keys become strings
