@@ -10,13 +10,9 @@
     python -m repro cost              # Sec 3 accounting
     python -m repro dispersion        # Sec 5 headline (0.31 s/step)
     python -m repro trace             # traced cluster step -> Perfetto JSON + analytics
-    python -m repro check-procs       # process-backend equivalence + leak gate
-    python -m repro check-aa          # AA-pattern kernel equivalence gate
-    python -m repro check-trace       # trace schema + no-op overhead gate
-    python -m repro check-exchange    # halo-exchange message-count + equivalence gate
-    python -m repro check-telemetry   # live-telemetry bit-identity + watchdog gate
+    python -m repro check [SLICE ...] # equivalence gate: every driver vs the reference
     python -m repro doctor            # shm leak audit + procpool smoke + compiled units
-    python -m repro verify            # tier-1 tests + backend gates + regression guard
+    python -m repro verify            # tier-1 tests + check + regression guard
 
 All output comes from the same row generators the benchmark harness
 uses (`repro.perf.model`), so the CLI and `pytest benchmarks/` always
@@ -222,108 +218,18 @@ def _cmd_trace(args) -> None:
     print(format_trace_analytics(tracer))
 
 
-def _cmd_check_procs(args) -> int:
-    """Process-backend gate: serial-vs-processes bit equivalence, no
-    leaked shared-memory segments, no orphaned worker processes."""
-    from repro.core.procpool import run_equivalence_check
+def _cmd_check(args) -> int:
+    """The equivalence gate: every row of :data:`repro.check.ROWS` in
+    the named slices (all rows when none is named) against the
+    single-domain reference, after every step."""
+    from repro import check
 
-    run_equivalence_check(steps=args.steps)
-    print("process backend OK: bit-identical to serial, "
-          "no leaked segments, no orphaned workers")
-    return 0
-
-
-def _cmd_check_aa(args) -> int:
-    """AA-kernel gate: the swap-free two-phase kernel is bit-identical
-    to the reference on a voxelized-city mask after every step
-    (macroscopic fields always, distributions via the odd-parity
-    reconstruction), runs on one distribution array (no back buffer) —
-    on a fully periodic box AND a bounded inlet/outflow box — and the
-    cluster drivers' forward/reverse halo protocol reproduces the
-    reference bits on the serial and processes backends; under the
-    default configuration the single-domain dispersion solver and a
-    bounded case on process ranks must both *resolve* AA."""
-    from repro.lbm.aa import run_aa_equivalence_check
-
-    report = run_aa_equivalence_check(steps=args.steps)
-    print(f"aa kernel OK: bit-identical to the reference on a "
-          f"{report['occupancy']:.0%}-solid city mask over "
-          f"{args.steps} steps, single distribution array "
-          f"(cases: {', '.join(report['cases'])})")
-    for case, info in report["cases"].items():
-        for backend, rows in info["backends"].items():
-            print(f"  case {case}, backend {backend}:")
-            for row in rows:
-                print(f"    rank {row['rank']:>3}: "
-                      f"kernel {row['kernel']:<9} "
-                      f"solid {row['solid_fraction']:.1%}")
-    default = report["default"]
-    print(f"  case default (make_single_solver(), no kernel named, "
-          f"{default['shape']}): aa — {default['reason']}")
-    if "auto" in report:
-        print(f"  case auto (default config, bounded "
-              f"{report['auto']['shape']}, backend processes): "
-              f"{report['auto']['rows'][-1]['reason']}")
-    return 0
-
-
-def _cmd_check_trace(args) -> int:
-    """Trace gate: traced runs bit-identical to untraced on the serial
-    and processes backends, one span track per rank, schema-valid
-    Chrome-trace output, and ~zero cost of a disabled recorder's
-    region entry points."""
-    from repro.perf.telemetry import run_trace_check
-
-    report = run_trace_check()
-    for backend, info in report["backends"].items():
-        print(f"  backend {backend}: {info['spans']} spans, "
-              f"ranks {info['ranks']}, chrome schema OK")
-    print(f"trace OK: bit-identical numerics traced vs untraced, "
-          f"disabled phase() overhead "
-          f"{report['disabled_overhead_ns']:.0f} ns/call")
-    return 0
-
-
-def _cmd_check_exchange(args) -> int:
-    """Halo-exchange gate: one message per neighbor per exchange phase
-    (asserted from executed per-message trace events), bit-identical to
-    the single-domain reference on both backends, and the AA
-    forward/reverse protocol on a periodic and a bounded box."""
-    from repro.core.wire import run_exchange_check
-
-    report = run_exchange_check(steps=args.steps)
-    m = report["messages"]
-    print(f"exchange OK: {m['executed_per_step']} messages/step executed "
-          f"(one per neighbor per phase); the schedule prices "
-          f"{m['modeled_aggregated']} envelopes per direction, "
-          f"{m['modeled_unaggregated']} if unaggregated; bit-identical on:")
-    for label in report["variants"]:
-        print(f"  {label}")
-    return 0
-
-
-def _cmd_check_telemetry(args) -> int:
-    """Telemetry gate: monitored runs bit-identical to unmonitored on
-    the serial and processes backends, schema-valid Prometheus/JSONL
-    exports, a disabled recorder's metric/alloc within the microsecond
-    budget, and the step watchdog flags (and survives) a SIGSTOPped
-    worker."""
-    from repro.perf.telemetry import run_telemetry_check
-
-    report = run_telemetry_check(overhead_budget_us=args.budget_us)
-    for backend, info in report["backends"].items():
-        print(f"  backend {backend}: {info['prometheus_series']} prometheus "
-              f"series, {info['jsonl_snapshots']} JSONL snapshots "
-              f"({info['instruments']} instruments), heartbeats from "
-              f"ranks {info['ranks']}")
-    wd = report["watchdog"]
-    print(f"  watchdog: SIGSTOPped rank {wd['stalled_rank']} flagged "
-          f"({', '.join(wd['statuses'])}), run recovered bit-clean")
-    worst = max(report["disabled_overhead_ns"][k] for k in ("metric",
-                                                             "alloc"))
-    print(f"telemetry OK: bit-identical monitored vs unmonitored, "
-          f"disabled-record overhead {worst:.0f} ns/call "
-          f"(budget {args.budget_us * 1e3:.0f} ns)")
+    try:
+        rows = check.run(args.slices)
+    except ValueError as exc:      # an unknown slice
+        print(exc)
+        return 2
+    print(f"check OK: {len(rows)} row(s)")
     return 0
 
 
@@ -358,16 +264,16 @@ def _cmd_doctor(args) -> int:
     else:
         print("shm audit: no stale segments")
 
-    print("procpool smoke: spawning a 2-rank processes cluster ...")
+    print("procpool smoke: the check table's city_procs row ...")
     try:
-        from repro.core.procpool import run_equivalence_check
-        run_equivalence_check(steps=1)
+        from repro import check
+        check.run(["city_procs"])
     except Exception as exc:  # noqa: BLE001 - reported, not re-raised
         print(f"procpool smoke FAILED: {type(exc).__name__}: {exc}")
         failures += 1
     else:
         print("procpool smoke: spawn/step/teardown OK, bit-identical to "
-              "serial, no leaks, no orphans")
+              "the reference, no leaks, no orphans")
     # The compiled units are accelerators, not requirements: without
     # them the numpy bodies run, so they are reported, not failed.
     import numpy as np
@@ -393,9 +299,8 @@ def _cmd_doctor(args) -> int:
 
 def _cmd_verify(args) -> int:
     """The repo's single verification gate: tier-1 pytest, the
-    process-backend, AA-kernel, trace, halo-exchange and telemetry
-    gates, then the kernel-throughput regression guard (skippable for
-    quick loops)."""
+    equivalence gate (``check``), then the kernel-throughput regression
+    guard (skippable for quick loops)."""
     import os
     import subprocess
     from pathlib import Path
@@ -407,16 +312,7 @@ def _cmd_verify(args) -> int:
         else str(root / "src")
     stages: list[tuple[str, list[str]]] = [
         ("tier-1 tests", [sys.executable, "-m", "pytest", "-x", "-q"]),
-        ("process-backend equivalence",
-         [sys.executable, "-m", "repro", "check-procs"]),
-        ("aa-kernel equivalence",
-         [sys.executable, "-m", "repro", "check-aa"]),
-        ("trace gate",
-         [sys.executable, "-m", "repro", "check-trace"]),
-        ("halo-exchange gate",
-         [sys.executable, "-m", "repro", "check-exchange"]),
-        ("telemetry gate",
-         [sys.executable, "-m", "repro", "check-telemetry"]),
+        ("equivalence gate", [sys.executable, "-m", "repro", "check"]),
     ]
     if not args.skip_bench:
         stages.append(
@@ -478,44 +374,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("report")
     sp.add_argument("--out", default=None,
                     help="write markdown to a file instead of stdout")
-    sp = sub.add_parser("check-procs",
-                        help="process-backend equivalence and "
-                             "shared-memory leak gate")
-    sp.add_argument("--steps", type=int, default=2,
-                    help="steps to compare (default 2)")
-    sub.add_parser("check-trace",
-                   help="trace-subsystem gate: schema-valid Chrome "
-                        "output, per-rank tracks, bit-identical "
-                        "numerics, ~zero disabled overhead")
-    sp = sub.add_parser("check-aa",
-                        help="AA-pattern kernel equivalence gate on a "
-                             "voxelized-city mask (single-domain + "
-                             "cluster forward/reverse halo protocol)")
-    sp.add_argument("--steps", type=int, default=4,
-                    help="steps to compare (default 4, must be even)")
-    sp = sub.add_parser("check-exchange",
-                        help="halo-exchange gate: one message per "
-                             "neighbor per phase, bit-identical on "
-                             "both backends, AA fwd/rev")
-    sp.add_argument("--steps", type=int, default=4,
-                    help="steps to compare (default 4, rounded even)")
-    sp = sub.add_parser("check-telemetry",
-                        help="live-telemetry gate: monitored runs "
-                             "bit-identical, schema-valid exports, "
-                             "disabled overhead in budget, watchdog "
-                             "catches a stalled worker")
-    sp.add_argument("--budget-us", type=float, default=1.0,
-                    help="disabled-record overhead budget in "
-                         "microseconds per call (default 1.0)")
+    sp = sub.add_parser("check",
+                        help="equivalence gate: every driver, node, "
+                             "faces, cuts and observer row against the "
+                             "single-domain reference after every step")
+    sp.add_argument("slices", nargs="*", metavar="SLICE",
+                    help="run only the rows in these slices (a driver, "
+                         "node, faces, cuts, observer or workload name)")
     sub.add_parser("doctor",
                    help="audit /dev/shm for stale segments, smoke-"
                         "test procpool spawn/step/teardown and report "
                         "the compiled units; exits nonzero on leaks")
     sp = sub.add_parser("verify",
-                        help="run the tier-1 tests, the process-backend, "
-                             "aa-kernel, trace, halo-exchange and "
-                             "telemetry gates and the kernel regression "
-                             "guard as one gate")
+                        help="run the tier-1 tests, the equivalence "
+                             "gate and the kernel regression guard as "
+                             "one gate")
     sp.add_argument("--skip-bench", action="store_true",
                     help="run only the test suite")
     sp.add_argument("--threshold", type=float, default=0.25,
@@ -542,16 +415,8 @@ def main(argv=None) -> int:
         _cmd_dispersion(args)
     elif cmd == "trace":
         _cmd_trace(args)
-    elif cmd == "check-procs":
-        return _cmd_check_procs(args)
-    elif cmd == "check-aa":
-        return _cmd_check_aa(args)
-    elif cmd == "check-trace":
-        return _cmd_check_trace(args)
-    elif cmd == "check-exchange":
-        return _cmd_check_exchange(args)
-    elif cmd == "check-telemetry":
-        return _cmd_check_telemetry(args)
+    elif cmd == "check":
+        return _cmd_check(args)
     elif cmd == "doctor":
         return _cmd_doctor(args)
     elif cmd == "verify":

@@ -39,7 +39,7 @@ from repro.core.halo import HaloPlan
 from repro.core.schedule import CommSchedule, naive_schedule
 from repro.core.cluster_lbm import ClusterConfig, CPUClusterLBM, GPUClusterLBM, StepTiming
 from repro.core.compression import HaloCompressor
-from repro.core.procpool import ProcessBackend, run_equivalence_check
+from repro.core.procpool import ProcessBackend
 from repro.core.shm import leaked_segments
 from repro.core.spmd import SPMDClusterLBM
 from repro.core.thermal_cluster import DistributedThermalLBM
@@ -49,5 +49,5 @@ __all__ = [
     "HaloPlan", "CommSchedule", "naive_schedule",
     "ClusterConfig", "GPUClusterLBM", "CPUClusterLBM", "StepTiming",
     "HaloCompressor", "SPMDClusterLBM", "DistributedThermalLBM",
-    "ProcessBackend", "run_equivalence_check", "leaked_segments",
+    "ProcessBackend", "leaked_segments",
 ]

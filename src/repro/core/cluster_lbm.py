@@ -359,7 +359,6 @@ class _ClusterLBMBase:
         (everything :meth:`_make_node` would have used, minus the
         segment bookkeeping the backend adds itself)."""
         cfg = self.config
-        bc = self._node_boundary_config(rank)
         return {
             **self._rank_kernel_args(rank),
             "sub_shape": self.decomp.block_shape(rank),
@@ -369,8 +368,7 @@ class _ClusterLBMBase:
             "face_dirs": tuple(self.decomp.face_neighbors(rank)),
             "edge_dirs": tuple(self.decomp.edge_neighbors(rank)),
             "solid": solid,
-            "inlet": bc["inlet"],
-            "outflow": bc["outflow"],
+            **self.decomp.owned_boundaries(rank, cfg.inlet, cfg.outflow),
             "force": cfg.force,
             "cpu_spec": cfg.cpu_spec,
             "gpu_spec": cfg.gpu_spec,
@@ -504,8 +502,8 @@ class _ClusterLBMBase:
         turns tracing off.  Worker processes follow the flag through one
         pipe command, which also syncs their clocks; their events are
         re-based onto the coordinator's at every step reply.  Tracing
-        observes only: traced runs stay bit-identical to untraced ones
-        (the check-trace gate enforces this).
+        observes only: traced runs stay bit-identical to the reference
+        (``python -m repro check`` enforces this).
         """
         rec = self.recorder
         if tracer is None:
@@ -527,7 +525,7 @@ class _ClusterLBMBase:
         Keyword arguments reach
         :class:`~repro.perf.telemetry.TelemetrySession` (``jsonl_path=``,
         ``stall_timeout_s=``, ``slow_factor=``).  Telemetry observes
-        only: monitored runs stay bit-identical (check-telemetry).
+        only: monitored runs stay bit-identical (``repro check``).
         """
         self.telemetry = TelemetrySession(self, **kwargs)
         if self._proc_backend is not None:
@@ -553,23 +551,6 @@ class _ClusterLBMBase:
         self.shutdown()
 
     # -- node construction -------------------------------------------------
-    def _node_boundary_config(self, rank: int) -> dict:
-        """Which global BCs land on this node, in local terms."""
-        cfg = self.config
-        coords = self.decomp.coords_of(rank)
-        out = {"inlet": None, "outflow": None}
-        if cfg.inlet is not None:
-            axis, side, velocity, rho = cfg.inlet
-            edge = 0 if side == "low" else self.decomp.arrangement[axis] - 1
-            if coords[axis] == edge:
-                out["inlet"] = cfg.inlet
-        if cfg.outflow is not None:
-            axis, side = cfg.outflow
-            edge = 0 if side == "low" else self.decomp.arrangement[axis] - 1
-            if coords[axis] == edge:
-                out["outflow"] = cfg.outflow
-        return out
-
     def _make_node(self, rank: int, solid):  # pragma: no cover - abstract
         raise NotImplementedError
 
@@ -713,15 +694,15 @@ class GPUClusterLBM(_ClusterLBMBase):
         super().__init__(config)
 
     def _make_node(self, rank: int, solid):
-        bc = self._node_boundary_config(rank)
         return GPUNode(rank, self.decomp.block_shape(rank), self.config.tau,
                        solid=solid,
                        face_dirs=list(self.decomp.face_neighbors(rank)),
                        edge_dirs=list(self.decomp.edge_neighbors(rank)),
                        timing_only=self.config.timing_only,
                        gpu_spec=self.config.gpu_spec, bus=self.config.bus,
-                       inlet=bc["inlet"], outflow=bc["outflow"],
-                       force=self.config.force)
+                       force=self.config.force,
+                       **self.decomp.owned_boundaries(
+                           rank, self.config.inlet, self.config.outflow))
 
     def _node_distributions(self, node) -> np.ndarray:
         return node.solver.distributions()
@@ -778,15 +759,15 @@ class CPUClusterLBM(_ClusterLBMBase):
         return self.config.backend == "serial" and self.aa_protocol
 
     def _make_node(self, rank: int, solid):
-        bc = self._node_boundary_config(rank)
         return CPUNode(rank, self.decomp.block_shape(rank), self.config.tau,
                        solid=solid,
                        face_dirs=list(self.decomp.face_neighbors(rank)),
                        edge_dirs=list(self.decomp.edge_neighbors(rank)),
                        timing_only=self.config.timing_only,
                        cpu_spec=self.config.cpu_spec,
-                       inlet=bc["inlet"], outflow=bc["outflow"],
                        force=self.config.force,
+                       **self.decomp.owned_boundaries(
+                           rank, self.config.inlet, self.config.outflow),
                        **self._rank_kernel_args(rank))
 
     def _node_distributions(self, node) -> np.ndarray:

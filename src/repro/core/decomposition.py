@@ -317,6 +317,20 @@ class BlockDecomposition:
         return {(axis, direction): self.neighbor(rank, axis, direction)
                 for axis in range(3) for direction in (-1, 1)}
 
+    def owned_boundaries(self, rank: int, inlet=None, outflow=None) -> dict:
+        """Which of the global ``inlet`` ``(axis, side, velocity, rho)``
+        and ``outflow`` ``(axis, side)`` land on this rank's block:
+        ``{"inlet", "outflow"}``, each the global spec or None."""
+        coords = self.coords_of(rank)
+
+        def owned(spec):
+            if spec is None:
+                return None
+            axis, side = spec[0], spec[1]
+            edge = 0 if side == "low" else self.arrangement[axis] - 1
+            return spec if coords[axis] == edge else None
+        return {"inlet": owned(inlet), "outflow": owned(outflow)}
+
     def face_neighbors(self, rank: int) -> dict[tuple[int, int], int]:
         """All face neighbours: (axis, direction) -> rank."""
         out = {}

@@ -52,7 +52,8 @@ import numpy as np
 
 from repro.core.exchange import HaloExchange, attach_recorder, step_rank
 from repro.core.shm import RankSegments, segment_name, unique_token, unlink_segment_names
-from repro.gpu.specs import BusSpec, CPUSpec, GPUSpec
+from repro.gpu.specs import (AGP_8X, GEFORCE_FX_5800_ULTRA, XEON_2_4, BusSpec,
+                             CPUSpec, GPUSpec)
 from repro.perf.recorder import Recorder, estimate_clock_offset
 from repro.perf.telemetry import rss_bytes
 
@@ -70,9 +71,11 @@ def _mp_context():
 
 @dataclass(frozen=True)
 class WorkerSpec:
-    """Everything one worker needs to rebuild its rank's node.
+    """Everything one rank needs to rebuild its node and halo engine.
 
     Pickled exactly once, at spawn; per-step traffic is scalars only.
+    An SPMD rank builds its node from one too (:func:`build_node`), so
+    the segment fields default to "none".
     """
 
     rank: int
@@ -87,14 +90,14 @@ class WorkerSpec:
     solid: np.ndarray | None
     inlet: tuple | None
     outflow: tuple | None
-    force: tuple | None
-    cpu_spec: CPUSpec
-    gpu_spec: GPUSpec
-    bus: BusSpec
-    seg_names: dict                     # own segment names by kind
-    mail_names: tuple                   # every rank's mailbox segment name
-    peer_sub_shapes: tuple              # every rank's block shape (may differ)
-    barrier_timeout_s: float
+    force: tuple | None = None
+    cpu_spec: CPUSpec = XEON_2_4
+    gpu_spec: GPUSpec = GEFORCE_FX_5800_ULTRA
+    bus: BusSpec = AGP_8X
+    seg_names: dict | None = None       # own segment names by kind
+    mail_names: tuple = ()              # every rank's mailbox segment name
+    peer_sub_shapes: tuple = ()         # every rank's block shape (may differ)
+    barrier_timeout_s: float = 60.0
     q: int = 19
     kernel: str = "auto"                # per-rank hot-path selection
     halo_faces: tuple | None = None     # AA face rows (None: split ranks)
@@ -120,7 +123,9 @@ class RankProxy:
         self.kernel_reason: str | None = None
 
 
-def _build_node(spec: WorkerSpec):
+def build_node(spec: WorkerSpec):
+    """The rank's numeric node, as a worker process or an SPMD rank
+    builds it."""
     if spec.node_kind == "gpu":
         from repro.core.gpu_node import GPUNode
         return GPUNode(spec.rank, spec.sub_shape, spec.tau, solid=spec.solid,
@@ -172,7 +177,7 @@ class _Worker:
         self.recorder = Recorder(rank=spec.rank)
         self.broken: str | None = None
         self.step_count = 0
-        self.node = _build_node(spec)
+        self.node = build_node(spec)
         attach_recorder(self.node, self.recorder)
         # Attach own segments, then every peer's mailbox for unpacking.
         # Peer mailbox layouts follow the *peer's* block shape — equal
@@ -217,7 +222,7 @@ class _Worker:
             # just-built solver has no back buffer to carry over, and
             # the zero pages are what a lazy one would start as.  The
             # AA kernel is single-array: its lazy back buffer stays
-            # unallocated (asserted by the check-aa gate) and buffer 1
+            # unallocated (asserted by ``python -m repro check``) and buffer 1
             # only stages odd-parity gathers.
             solver._fg_next = fg1
 
@@ -675,52 +680,3 @@ def _crash_cleanup(procs, segment_names) -> None:
         except Exception:
             pass
     unlink_segment_names(segment_names)
-
-
-def run_equivalence_check(sub_shape=(6, 6, 4), arrangement=(2, 1, 1),
-                          steps: int = 2, seed: int = 0) -> None:
-    """Tiny serial-vs-processes gate used by ``python -m repro verify``.
-
-    Steps the same random initial state under ``backend="serial"`` and
-    ``backend="processes"``, requires bit-identical gathered
-    distributions, and fails on any leaked shared-memory segment or
-    surviving worker process.  Raises ``AssertionError``/``RuntimeError``
-    on any violation.
-    """
-    from repro.core.cluster_lbm import ClusterConfig, CPUClusterLBM
-    from repro.core.shm import leaked_segments
-    from repro.lbm.solver import LBMSolver
-
-    shape = tuple(s * a for s, a in zip(sub_shape, arrangement))
-    rng = np.random.default_rng(seed)
-    ref = LBMSolver(shape, tau=0.7)
-    ref.initialize(rho=np.ones(shape, np.float32),
-                   u=(0.02 * rng.standard_normal((3,) + shape)).astype(np.float32))
-    f0 = ref.f.copy()
-
-    results = {}
-    pids: list[int | None] = []
-    for backend in ("serial", "processes"):
-        cfg = ClusterConfig(sub_shape=sub_shape, arrangement=arrangement,
-                            tau=0.7, backend=backend)
-        with CPUClusterLBM(cfg) as cluster:
-            cluster.load_global_distributions(f0)
-            cluster.step(steps)
-            results[backend] = cluster.gather_distributions().copy()
-            if backend == "processes":
-                pids = cluster._proc_backend.worker_pids()
-    if not np.array_equal(results["serial"], results["processes"]):
-        raise AssertionError(
-            "process backend diverged from the serial backend")
-    leaks = leaked_segments()
-    if leaks:
-        raise RuntimeError(f"leaked shared-memory segments: {leaks}")
-    for pid in pids:
-        if pid is None:
-            continue
-        try:
-            os.kill(pid, 0)
-        except (ProcessLookupError, PermissionError):
-            continue
-        raise RuntimeError(f"orphaned worker process survived: pid {pid}")
-

@@ -60,7 +60,7 @@ page becomes resident only when its owner first writes it.
 
 Segment names carry the creating process id
 (``reproshm-<pid>-<token>-<kind><rank>``) so tests and the
-``python -m repro check-procs`` gate can assert that a driver's
+``python -m repro check`` gate can assert that a driver's
 shutdown left nothing behind in ``/dev/shm`` (:func:`leaked_segments`).
 """
 

@@ -40,10 +40,10 @@ import threading
 
 import numpy as np
 
-from repro.core.cpu_node import CPUNode
 from repro.core.decomposition import BlockDecomposition
 from repro.core.exchange import (HaloExchange, Transport, attach_recorder,
                                  halo_faces, mirrored, step_rank)
+from repro.core.procpool import WorkerSpec, build_node
 from repro.lbm.aa import unavailable
 from repro.lbm.lattice import D3Q19
 from repro.net.simmpi import SimCluster
@@ -98,11 +98,17 @@ class SPMDClusterLBM:
         Optional global obstacle mask.
     f0:
         Optional global initial distributions.
+    inlet / outflow:
+        Optional global boundary conditions, as
+        :class:`~repro.core.cluster_lbm.ClusterConfig` takes them; each
+        lands on the ranks that own that global face.
     """
 
     def __init__(self, decomp: BlockDecomposition, tau: float,
                  solid: np.ndarray | None = None,
-                 f0: np.ndarray | None = None) -> None:
+                 f0: np.ndarray | None = None,
+                 inlet: tuple | None = None,
+                 outflow: tuple | None = None) -> None:
         if decomp.sub_shape is None:
             raise ValueError(
                 "SPMDClusterLBM requires uniform cuts; use the "
@@ -112,6 +118,10 @@ class SPMDClusterLBM:
         self.solids = (decomp.scatter_field(solid)
                        if solid is not None else [None] * decomp.n_nodes)
         self.f0_parts = decomp.scatter_field(f0) if f0 is not None else None
+        for bc in (inlet, outflow):
+            if bc is not None and decomp.periodic[bc[0]]:
+                raise ValueError(f"{bc} lies on a periodic axis")
+        self.inlet, self.outflow = inlet, outflow
         self._out_lock = threading.Lock()
 
     # -- the per-rank program ------------------------------------------------
@@ -128,27 +138,35 @@ class SPMDClusterLBM:
         Q and dtype (``np.empty``; each page faults in when its owner
         writes it).  No rank copies its block anywhere else.
 
-        The node is built with the arguments a process worker gets
-        under the default configuration (its ``halo_faces``, kernel
-        ``"auto"``): an SPMD rank has no body force and is never
-        timing-only, so the cluster rule says ``aa`` unless the compiled
-        sweep does not load (then ``split``, as on a cluster).  The node
-        and its solver are freed by refcount when the rank returns.
+        The node is built by the process worker's builder
+        (:func:`~repro.core.procpool.build_node`) from the spec a worker
+        gets under the default configuration (its ``halo_faces``, its
+        share of the inlet/outflow, kernel ``"auto"``): an SPMD rank has
+        no body force and is never timing-only, so the cluster rule says
+        ``aa`` unless the compiled sweep does not load (then ``split``,
+        as on a cluster).  The node and its solver are freed by refcount
+        when the rank returns.
         """
         decomp = self.decomp
         rank = comm.rank
         aa = unavailable(D3Q19, np.dtype(np.float32)) is None
-        faces = (halo_faces(decomp.neighbors(rank), decomp.periodic)
-                 if aa else None)
-        node = CPUNode(rank, decomp.sub_shape, self.tau,
-                       solid=self.solids[rank], halo_faces=faces)
+        neighbors = decomp.neighbors(rank)
+        node = build_node(WorkerSpec(
+            rank=rank, n_ranks=decomp.n_nodes, node_kind="cpu",
+            sub_shape=decomp.sub_shape, tau=self.tau,
+            periodic=decomp.periodic, neighbors=neighbors,
+            face_dirs=tuple(decomp.face_neighbors(rank)),
+            edge_dirs=tuple(decomp.edge_neighbors(rank)),
+            solid=self.solids[rank],
+            halo_faces=(halo_faces(neighbors, decomp.periodic)
+                        if aa else None),
+            **decomp.owned_boundaries(rank, self.inlet, self.outflow)))
         if self.f0_parts is not None:
             node.solver.f[...] = self.f0_parts[rank]
         view = recorder.for_rank(rank)
         attach_recorder(node, view)
-        halo = HaloExchange(rank, node, decomp.neighbors(rank),
-                            decomp.periodic, SimMPITransport(comm), aa=aa,
-                            recorder=view)
+        halo = HaloExchange(rank, node, neighbors, decomp.periodic,
+                            SimMPITransport(comm), aa=aa, recorder=view)
         for _ in range(steps):
             step_rank(node, halo)
         f = node.solver.f

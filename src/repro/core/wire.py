@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.core.halo import NeighborManifest
 
-__all__ = ["pack_halo", "unpack_halo", "run_exchange_check"]
+__all__ = ["pack_halo", "unpack_halo"]
 
 
 def layer_index(sub_shape, axis: int, side: int, ghost: bool) -> int:
@@ -79,116 +79,3 @@ def unpack_halo(fg: np.ndarray, sub_shape, manifest: NeighborManifest,
             sl: list = [q, slice(None), slice(None), slice(None)]
             sl[1 + axis] = idx
             fg[tuple(sl)] = src[j]
-
-
-# -- the check-exchange gate ---------------------------------------------
-def _expected_wire_counts(decomp) -> int:
-    """Messages per step the decomposition's route tables imply: one
-    per distinct neighbor per axis phase (a periodic extent-2 axis has
-    one both-sides message; self-wraps and zero-gradient edges are
-    local)."""
-    from repro.core.exchange import build_routes
-    return sum(len(route.sends)
-               for rank in range(decomp.n_nodes)
-               for route in build_routes(decomp.neighbors(rank),
-                                         decomp.periodic))
-
-
-def run_exchange_check(sub_shape=(6, 6, 4), arrangement=(2, 2, 1),
-                       steps: int = 4) -> dict:
-    """End-to-end halo-exchange gate (``python -m repro check-exchange``).
-
-    * **Equivalence sweep**: the exchange is bit-identical to the
-      single-domain reference on the serial and processes backends;
-    * **AA protocol**: the forward/reverse exchange of the AA-pattern
-      kernel reproduces the reference bits on both backends, on the
-      periodic torus *and* on a bounded box (true domain edges
-      fill/fold locally instead of messaging);
-    * **Message counts**: the executed SPMD/SimMPI program sends
-      exactly the route table's one message per neighbor per exchange
-      phase — asserted per ordered (src, dst, tag) channel from the
-      per-message trace events; the report sets the schedule's
-      aggregated envelope count beside the modelled unaggregated one
-      (Sec 4.4's what-if).
-
-    Returns a report dict; raises ``AssertionError`` on any violation.
-    """
-    from repro.core.cluster_lbm import ClusterConfig, CPUClusterLBM
-    from repro.core.decomposition import BlockDecomposition
-    from repro.core.halo import HaloPlan
-    from repro.core.schedule import CommSchedule
-    from repro.core.spmd import SPMDClusterLBM
-    from repro.lbm.solver import LBMSolver
-    from repro.net.simmpi import SimCluster
-    from repro.perf.recorder import Tracer
-
-    steps += steps % 2  # the AA pair cadence needs an even count
-    shape = tuple(s * a for s, a in zip(sub_shape, arrangement))
-    rng = np.random.default_rng(17)
-    ref = LBMSolver(shape, tau=0.7)
-    ref.initialize(rho=np.ones(shape, np.float32),
-                   u=(0.02 * rng.standard_normal((3,) + shape)
-                      ).astype(np.float32))
-    f0 = ref.f.copy()
-    ref.step(steps)
-    ref_f = ref.f.copy()
-    ref_b = LBMSolver(shape, tau=0.7, periodic=False)
-    ref_b.initialize(rho=np.ones(shape, np.float32))
-    ref_b.f[...] = f0
-    ref_b.step(steps)
-
-    report: dict = {"steps": steps, "variants": {}}
-
-    # 1 + 2. Equivalence sweep over the backends and the AA
-    #    forward/reverse exchange — on the periodic torus and on a
-    #    bounded box, where true domain edges take the local
-    #    zero-gradient fill/fold instead of a message.
-    cases = [(backend, dict(backend=backend), ref_f)
-             for backend in ("serial", "processes")]
-    cases += [(f"aa/{name}/{backend}",
-               dict(backend=backend, kernel="aa", periodic=periodic), want)
-              for name, periodic, want in (
-                  ("periodic", (True,) * 3, ref_f),
-                  ("bounded", (False,) * 3, ref_b.f))
-              for backend in ("serial", "processes")]
-    for label, options, want in cases:
-        cfg = ClusterConfig(sub_shape=sub_shape, arrangement=arrangement,
-                            tau=0.7, **options)
-        with CPUClusterLBM(cfg) as cluster:
-            cluster.load_global_distributions(f0)
-            cluster.step(steps)
-            got = cluster.gather_distributions()
-            stats = {k: v for k, v in cluster.counters.summary().items()
-                     if k.startswith("comm.")}
-        if not np.array_equal(got, want):
-            raise AssertionError(
-                f"{label}: halo exchange diverged from the single-domain "
-                f"reference")
-        report["variants"][label] = {"bit_identical": True, "comm": stats}
-
-    # 3. Executed message counts on the SPMD/SimMPI path.
-    decomp = BlockDecomposition(shape, arrangement,
-                                periodic=(True, True, True))
-    tracer = Tracer(enabled=True)
-    got, _ = SPMDClusterLBM(decomp, tau=0.7, f0=f0).run(
-        steps, cluster=SimCluster(decomp.n_nodes, recorder=tracer))
-    if not np.array_equal(got, ref_f):
-        raise AssertionError("spmd: diverged from the reference")
-    want_msgs = _expected_wire_counts(decomp)
-    per_channel: dict[tuple, int] = {}
-    for e in tracer.events:
-        if e.name == "mpi.msg":
-            ch = (e.meta["src"], e.meta["dst"], e.meta["tag"])
-            per_channel[ch] = per_channel.get(ch, 0) + 1
-    if len(per_channel) != want_msgs or set(per_channel.values()) != {steps}:
-        raise AssertionError(
-            f"spmd: expected {want_msgs} channels sending exactly one "
-            f"message per step (one per neighbor per phase), traced "
-            f"{per_channel}")
-    sched = CommSchedule(decomp, HaloPlan(sub_shape))
-    envelopes = {agg: sum(sum(r) for r in sched.round_messages(agg))
-                 for agg in (True, False)}
-    report["messages"] = {"executed_per_step": want_msgs,
-                          "modeled_aggregated": envelopes[True],
-                          "modeled_unaggregated": envelopes[False]}
-    return report

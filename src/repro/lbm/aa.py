@@ -352,241 +352,3 @@ class AAStepKernel:
         s._bounce.apply(padded)
         out.setflags(write=False)
         return out
-
-
-def run_aa_equivalence_check(shape=(24, 20, 4), steps: int = 4,
-                             backends=("serial", "processes"),
-                             seed: int = 0) -> dict:
-    """The ``check-aa`` gate: AA vs reference on the voxelized city.
-
-    Three cases share the city mask:
-
-    * ``periodic`` — the original fully periodic box;
-    * ``bounded`` — a non-periodic box driven by an equilibrium-
-      velocity inlet at x-low and a zero-gradient outflow at x-high,
-      both folded into the in-place sweeps by the rotated closure
-      (:mod:`repro.lbm.esoteric`);
-    * ``mixed`` — x and z periodic, y bounded with the inlet/outflow
-      pair on y: on 2x2x1 every rank's sweep wraps z onto itself and
-      closes one bounded y edge, and the exchange ships its x and other
-      y faces (cluster only: a single solver has one periodic flag, so
-      the reference is one ``split`` rank).
-
-    Per case, single-domain: the AA kernel must match the phase-split
-    reference bit for bit after every even number of steps, match its
-    macroscopic fields (via reconstruction) after *every* step, and
-    keep exactly one full distribution array (``_fg_next_buf`` never
-    allocated).  Cluster: a uniform-AA 2x2x1 decomposition must
-    reproduce the single-domain reference bit for bit on every
-    requested backend, at both an odd (reconstructed gather) and even
-    step count; the serial backend must run it as one stacked lattice
-    (:mod:`repro.core.stack`).  Two cases then run under the *default* configuration,
-    no kernel named: the single-domain dispersion solver
-    (:func:`_default_resolved_check`) and, with the processes backend
-    requested, the bounded problem on process ranks
-    (:func:`_auto_resolved_check`).  Raises ``AssertionError`` on any
-    violation; returns ``{"occupancy", "cases": {case: {"backends":
-    {backend: rows}}}, "default": {...}, "auto": {...}}``.
-    """
-    from repro.lbm.boundaries import EquilibriumVelocityInlet, OutflowBoundary
-    from repro.lbm.lattice import D3Q19
-    from repro.lbm.solver import LBMSolver
-    from repro.urban.city import times_square_like
-    from repro.urban.voxelize import voxelize_city
-
-    solid = voxelize_city(times_square_like(seed=7), shape,
-                          resolution_m=24.0, ground_layers=2)
-    rng = np.random.default_rng(seed)
-    u0 = (0.03 * rng.standard_normal((3,) + tuple(shape))).astype(np.float32)
-    u0[:, solid] = 0
-    if steps % 2:
-        raise ValueError("steps must be even (AA pairs steps)")
-
-    inlet = (0, "low", (0.04, 0.0, 0.0), 1.0)
-    outflow = (0, "high")
-    inlet_y = (1, "low", (0.0, 0.04, 0.0), 1.0)
-    outflow_y = (1, "high")
-    mixed = (True, False, True)
-
-    def pair(inflow, out):
-        return lambda: [EquilibriumVelocityInlet(D3Q19, *inflow),
-                        OutflowBoundary(D3Q19, *out)]
-
-    cases = {
-        "periodic": {"solver": {"periodic": True},
-                     "cluster": {}},
-        "bounded": {"solver": {"periodic": False,
-                               "boundaries": pair(inlet, outflow)},
-                    "cluster": {"periodic": (False, False, False),
-                                "inlet": inlet, "outflow": outflow}},
-        "mixed": {"solver": {"periodic": False,
-                             "boundaries": pair(inlet_y, outflow_y)},
-                  "cluster": {"periodic": mixed, "inlet": inlet_y,
-                              "outflow": outflow_y},
-                  "cluster_only": True},
-    }
-
-    def make(kernel, kwargs):
-        kw = dict(kwargs)
-        bcs = kw.pop("boundaries", None)
-        s = LBMSolver(shape, tau=0.7, solid=solid, kernel=kernel,
-                      boundaries=bcs() if bcs else (), **kw)
-        s.initialize(rho=np.ones(shape, np.float32), u=u0.copy())
-        return s
-
-    from repro.core.cluster_lbm import ClusterConfig, CPUClusterLBM
-
-    report: dict = {"occupancy": float(solid.mean()), "cases": {}}
-    for case, spec in cases.items():
-        if not spec.get("cluster_only"):
-            aa = make("aa", spec["solver"])
-            ref = make("split", spec["solver"])
-            for t in range(steps):
-                aa.step(1)
-                ref.step(1)
-                rho_a, u_a = aa.macroscopic()
-                rho_r, u_r = ref.macroscopic()
-                assert np.array_equal(rho_a, rho_r), (
-                    f"{case}: rho diverged at step {t + 1}")
-                assert np.array_equal(u_a, u_r), (
-                    f"{case}: u diverged at step {t + 1}")
-                assert np.array_equal(aa.f, ref.f), (
-                    f"{case}: distributions diverged at step {t + 1}")
-            assert aa.kernel_used == "aa"
-            # Working-set contract: one distribution array, no spare
-            # buffer — on the bounded case too (the rotated closure
-            # folds the handlers without materialising a canonical copy).
-            assert aa._fg_next_buf is None, (
-                f"{case}: AA kernel allocated a second buffer")
-
-        ref2 = make("split", spec["solver"])
-        f0 = ref2.f.copy()
-        if spec.get("cluster_only"):
-            # One split rank: its engine wraps or clamps axis by axis.
-            ref2 = CPUClusterLBM(ClusterConfig(
-                sub_shape=shape, arrangement=(1, 1, 1), tau=0.7,
-                solid=solid, kernel="split", **spec["cluster"]))
-            ref2.load_global_distributions(f0)
-        state = getattr(ref2, "gather_distributions", lambda: ref2.f)
-        odd_steps = steps - 1
-        ref2.step(odd_steps)
-        f_odd = state().copy()
-        ref2.step(1)
-        f_even = state().copy()
-        sub = (shape[0] // 2, shape[1] // 2, shape[2])
-        case_report: dict = {"backends": {}}
-        for backend in backends:
-            cfg = ClusterConfig(sub_shape=sub, arrangement=(2, 2, 1),
-                                tau=0.7, solid=solid, backend=backend,
-                                kernel="aa", **spec["cluster"])
-            with CPUClusterLBM(cfg) as cluster:
-                assert cluster.stacked == (backend == "serial"), (
-                    f"{case}/{backend}: stacked={cluster.stacked}")
-                cluster.load_global_distributions(f0)
-                cluster.step(odd_steps)
-                got_odd = cluster.gather_distributions().copy()
-                cluster.step(1)
-                got_even = cluster.gather_distributions().copy()
-                rows = cluster.kernel_report()
-            assert np.array_equal(got_odd, f_odd), (
-                f"{case}/{backend}: AA cluster diverged at odd step "
-                f"{odd_steps}")
-            assert np.array_equal(got_even, f_even), (
-                f"{case}/{backend}: AA cluster diverged at step {steps}")
-            kinds = {r["kernel"] for r in rows}
-            assert kinds == {"aa"}, (
-                f"{case}/{backend}: expected uniform AA, got {kinds}")
-            for row in rows:
-                row["case"] = case
-            case_report["backends"][backend] = rows
-        report["cases"][case] = case_report
-    report["default"] = _default_resolved_check(steps)
-    if "processes" in backends:
-        report["auto"] = _auto_resolved_check(steps, seed)
-    return report
-
-
-def _default_resolved_check(steps: int, shape=(48, 40, 16)) -> dict:
-    """``make_single_solver()`` with no kernel named resolves AA.
-
-    The solver every workload is verified against: stepped through
-    ``step()`` it must pick the in-place kernel by rule, keep one
-    distribution array, and match the phase-split reference bit for
-    bit after *every* step, odd parities included.
-    """
-    from repro.urban.dispersion import DispersionScenario
-
-    scenario = DispersionScenario(shape, resolution_m=24.0, tau=0.7)
-    default = scenario.make_single_solver()
-    ref = scenario.make_single_solver(kernel="split")
-    for t in range(1, steps + 2):
-        default.step(1)
-        ref.step(1)
-        assert default.kernel_used == "aa", (
-            f"default: single-domain solver ran {default.kernel_used!r} "
-            f"({default.kernel_reason})")
-        assert np.array_equal(default.f, ref.f), (
-            f"default: distributions diverged at step {t}")
-    assert default._fg_next_buf is None, (
-        "default: the default solver allocated a second buffer")
-    return {"shape": tuple(shape), "reason": default.kernel_reason,
-            "occupancy": default.solid_fraction}
-
-
-def _auto_resolved_check(steps: int, seed: int,
-                         shape=(48, 40, 16)) -> dict:
-    """Default-config bounded dispersion on process ranks resolves AA.
-
-    No kernel is named: the coordinator's rule has to resolve ``aa``
-    for the process ranks (CPU ranks, face-resident handlers, no body
-    force), and each rank has to resolve it again by the solver's rule
-    once the driver closes its halo.  The run
-    must match the single-domain reference bit for bit after *every*
-    step, and the ranks' second shared buffer — which only an
-    odd-parity gather stages into — must stay untouched while the
-    cluster steps between gathers (the single-array working set).
-    """
-    from repro.core.cluster_lbm import ClusterConfig, CPUClusterLBM
-    from repro.lbm.boundaries import EquilibriumVelocityInlet, OutflowBoundary
-    from repro.lbm.lattice import D3Q19
-    from repro.lbm.solver import LBMSolver
-    from repro.urban.city import times_square_like
-    from repro.urban.voxelize import voxelize_city
-
-    solid = voxelize_city(times_square_like(seed=7), shape,
-                          resolution_m=24.0, ground_layers=1)
-    inlet = (0, "low", (0.04, 0.0, 0.0), 1.0)
-    outflow = (0, "high")
-    rng = np.random.default_rng(seed)
-    u0 = (0.03 * rng.standard_normal((3,) + tuple(shape))).astype(np.float32)
-    u0[:, solid] = 0
-    ref = LBMSolver(shape, tau=0.7, solid=solid, kernel="split",
-                    periodic=False,
-                    boundaries=[EquilibriumVelocityInlet(D3Q19, *inlet),
-                                OutflowBoundary(D3Q19, *outflow)])
-    ref.initialize(rho=np.ones(shape, np.float32), u=u0)
-    cfg = ClusterConfig(sub_shape=(shape[0] // 2, shape[1], shape[2]),
-                        arrangement=(2, 1, 1), tau=0.7, solid=solid,
-                        periodic=(False, False, False), inlet=inlet,
-                        outflow=outflow, backend="processes")
-    with CPUClusterLBM(cfg) as cluster:
-        assert cluster.resolved_kernel == "aa", (
-            "auto-resolved bounded processes cluster did not pick AA: "
-            f"{cluster.kernel_report(cluster=True)[-1]['reason']}")
-        cluster.load_global_distributions(ref.f)
-        spare = None
-        for t in range(1, steps + 2):
-            ref.step(1)
-            cluster.step(1)
-            segments = cluster._proc_backend.segments
-            if spare is not None:
-                assert all(np.array_equal(seg.fg_bufs[1], snap)
-                           for seg, snap in zip(segments, spare)), (
-                    f"auto: second shared buffer written during step {t}")
-            assert np.array_equal(cluster.gather_distributions(), ref.f), (
-                f"auto: resolved-AA cluster diverged at step {t}")
-            spare = [seg.fg_bufs[1].copy() for seg in segments]
-        rows = cluster.kernel_report(cluster=True)
-    assert {r["kernel"] for r in rows} == {"aa"}
-    assert all(r["reason"].startswith("rule:") for r in rows)
-    return {"rows": rows, "shape": tuple(shape)}

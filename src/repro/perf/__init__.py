@@ -25,7 +25,7 @@ of *time decompositions* measured on 2004 hardware.  This package holds
   analytics (phase breakdown, load imbalance, overlap efficiency);
 * :mod:`repro.perf.telemetry` — the live views of a recorder (step
   histogram, Prometheus / JSONL snapshots, the ``--live`` line), the
-  heartbeat watchdog, and the check-trace / check-telemetry gates.
+  and the heartbeat watchdog.
 """
 
 from repro.perf import calibration

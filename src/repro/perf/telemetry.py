@@ -14,9 +14,6 @@ re-based by the same clock offset as their events.  Snapshots go out as
 JSONL lines or Prometheus text, both schema-checked
 (:func:`validate_snapshot`, :func:`validate_prometheus`);
 :class:`StatusLine` drives ``repro dispersion --live``.
-
-The ``check-trace`` and ``check-telemetry`` gates share one harness
-here (:func:`run_trace_check`, :func:`run_telemetry_check`).
 """
 
 from __future__ import annotations
@@ -30,8 +27,7 @@ import time
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
 
-from repro.perf.recorder import (COORDINATOR_RANK, disabled_overhead_ns,
-                                 validate_chrome)
+from repro.perf.recorder import COORDINATOR_RANK
 
 
 def log_bounds(lo: float, hi: float, per_decade: int = 3) -> tuple[float, ...]:
@@ -600,193 +596,3 @@ class TelemetrySession:
         if self._jsonl_fh is not None:
             self._jsonl_fh.close()
             self._jsonl_fh = None
-
-
-# ---------------------------------------------------------------------------
-# the check-trace / check-telemetry harness
-
-
-def _observed_runs(observe, sub_shape, arrangement, steps: int,
-                   seed: int) -> dict:
-    """Step a small cluster plain and observed on both backends and
-    require bit-identical distributions.  ``observe(cluster)`` attaches
-    the instrumentation and returns ``check(cluster)``, run after the
-    steps, whose result is the backend's report entry."""
-    import numpy as np
-
-    from repro.core.cluster_lbm import ClusterConfig, CPUClusterLBM
-    from repro.lbm.solver import LBMSolver
-
-    shape = tuple(s * a for s, a in zip(sub_shape, arrangement))
-    rng = np.random.default_rng(seed)
-    ref = LBMSolver(shape, tau=0.7)
-    ref.initialize(rho=np.ones(shape, np.float32),
-                   u=(0.02 * rng.standard_normal((3,) + shape)
-                      ).astype(np.float32))
-    report = {}
-    for backend in ("serial", "processes"):
-        results = []
-        for observed in (False, True):
-            cfg = ClusterConfig(sub_shape=sub_shape, arrangement=arrangement,
-                                tau=0.7, backend=backend)
-            with CPUClusterLBM(cfg) as cluster:
-                cluster.load_global_distributions(ref.f)
-                check = observe(cluster) if observed else None
-                cluster.step(steps)
-                results.append(cluster.gather_distributions().copy())
-                if check is not None:
-                    report[backend] = check(cluster)
-        if not np.array_equal(*results):
-            raise AssertionError(f"{backend}: observing perturbed the numerics")
-    return report
-
-
-def _assert_overhead(budget_us: float, entry_points) -> dict:
-    overhead = disabled_overhead_ns()
-    for name in entry_points:
-        if overhead[name] > budget_us * 1e3:
-            raise AssertionError(
-                f"disabled recorder {name}() costs {overhead[name]:.0f} "
-                f"ns/call, over the {budget_us * 1e3:.0f} ns budget")
-    return overhead
-
-
-def run_trace_check(sub_shape=(6, 6, 4), arrangement=(2, 1, 1),
-                    steps: int = 2, overhead_budget_us: float = 25.0) -> dict:
-    """``python -m repro check-trace``: traced runs bit-identical to
-    untraced ones on both backends, one track per rank, a valid Chrome
-    export, and the disabled recorder's region entry points (``phase``,
-    ``add_span``) within ``overhead_budget_us`` per call."""
-    ranks = set(range(math.prod(arrangement)))
-
-    def observe(cluster):
-        tracer = cluster.enable_tracing()
-
-        def check(_):
-            seen = {e.rank for e in tracer.events if e.rank >= 0}
-            if seen != ranks:
-                raise AssertionError(f"expected spans for ranks "
-                                     f"{sorted(ranks)}, got {sorted(seen)}")
-            return {"spans": validate_chrome(tracer.to_chrome()),
-                    "ranks": sorted(seen)}
-        return check
-
-    report = {"backends": _observed_runs(observe, sub_shape, arrangement,
-                                         steps, seed=3)}
-    report["disabled_overhead_ns"] = _assert_overhead(
-        overhead_budget_us, ("phase", "add_span"))["phase"]
-    return report
-
-
-def run_telemetry_check(sub_shape=(6, 6, 4), arrangement=(2, 1, 1),
-                        steps: int = 4, overhead_budget_us: float = 1.0,
-                        stall_timeout_s: float = 0.4,
-                        detect_timeout_s: float = 20.0) -> dict:
-    """``python -m repro check-telemetry``: monitored runs bit-identical
-    to unmonitored ones on both backends with the step count right,
-    every rank heartbeating and valid Prometheus and JSONL exports;
-    the disabled recorder's record entry points (``metric``,
-    ``alloc``) within ``overhead_budget_us`` per call;
-    the watchdog flags a SIGSTOPped worker as stalled, then recovers."""
-    import tempfile
-
-    ranks = set(range(math.prod(arrangement)))
-    with tempfile.TemporaryDirectory() as tmp:
-        def observe(cluster):
-            jsonl = os.path.join(tmp, f"{id(cluster)}.jsonl")
-            session = cluster.enable_telemetry(jsonl_path=jsonl)
-
-            def check(_):
-                snap = session.snapshot()
-                total = sum(snap["metrics"]["counters"]["steps.total"].values())
-                if int(total) != steps:
-                    raise AssertionError(f"steps.total {total} != {steps}")
-                seen = {r.rank for r in session.check_health().rows
-                        if r.status != "unknown"}
-                if seen != ranks:
-                    raise AssertionError(f"heartbeats for ranks {sorted(seen)}"
-                                         f", expected {sorted(ranks)}")
-                n_series = validate_prometheus(session.to_prometheus())
-                session.close()
-                with open(jsonl) as fh:
-                    lines = [json.loads(line) for line in fh if line.strip()]
-                if not lines:
-                    raise AssertionError("no JSONL snapshots")
-                return {"prometheus_series": n_series,
-                        "jsonl_snapshots": len(lines),
-                        "instruments": [validate_snapshot(o) for o in lines][-1],
-                        "ranks": sorted(seen)}
-            return check
-
-        report = {"backends": _observed_runs(observe, sub_shape, arrangement,
-                                             steps, seed=5)}
-    report["disabled_overhead_ns"] = _assert_overhead(
-        overhead_budget_us, ("metric", "alloc"))
-    report["watchdog"] = _stalled_worker_check(
-        sub_shape, arrangement, stall_timeout_s=stall_timeout_s,
-        detect_timeout_s=detect_timeout_s)
-    return report
-
-
-def _stalled_worker_check(sub_shape, arrangement, stall_timeout_s: float,
-                          detect_timeout_s: float) -> dict:
-    """Watchdog sub-gate: SIGSTOP one worker mid-command, expect a flag.
-
-    Runs a 2-rank processes cluster with telemetry on, stops rank 0's
-    OS process, issues a step from a helper thread (which blocks — the
-    stalled rank never reaches the shared barrier), and polls the
-    watchdog from this thread until rank 0 reports ``"stalled"``.  The
-    worker is then resumed, the step completes, and the run must still
-    finish healthy — detection must not perturb execution.
-    """
-    import signal
-    import threading
-
-    import numpy as np
-
-    from repro.core.cluster_lbm import ClusterConfig, CPUClusterLBM
-
-    cfg = ClusterConfig(sub_shape=sub_shape, arrangement=arrangement,
-                        tau=0.7, backend="processes")
-    with CPUClusterLBM(cfg) as cluster:
-        session = cluster.enable_telemetry(stall_timeout_s=stall_timeout_s)
-        cluster.step(1)  # warm heartbeats
-        victim = cluster._proc_backend.worker_pids()[0]
-        stepped = threading.Event()
-
-        def drive() -> None:
-            cluster.step(1)
-            stepped.set()
-
-        os.kill(victim, signal.SIGSTOP)
-        detected = None
-        thread = threading.Thread(target=drive, daemon=True)
-        try:
-            thread.start()
-            deadline = time.perf_counter() + detect_timeout_s
-            while time.perf_counter() < deadline:
-                report = session.check_health()
-                row = report.rows[0]
-                if row.status == "stalled":
-                    detected = report
-                    break
-                time.sleep(0.05)
-        finally:
-            os.kill(victim, signal.SIGCONT)
-        thread.join(timeout=30.0)
-        if detected is None:
-            raise AssertionError(
-                "watchdog never flagged the SIGSTOPped worker as stalled")
-        if not stepped.is_set():
-            raise AssertionError("stalled step never completed after SIGCONT")
-        final = session.check_health()
-        if final.worst != "ok":
-            raise AssertionError(
-                f"cluster unhealthy after stall recovery: {final.summary()}")
-        f = cluster.gather_distributions()
-        if not np.all(np.isfinite(f)):
-            raise AssertionError("non-finite state after stall recovery")
-        return {"stalled_rank": 0, "statuses":
-                [r.status for r in detected.rows]}
-
-

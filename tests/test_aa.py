@@ -284,16 +284,3 @@ def test_dropped_aa_solver_is_freed_by_refcount(build, gc_disabled):
     del owner, solver
     assert alive() is None
 
-
-def test_gate_runs():
-    """The check-aa gate itself (serial backend; processes is covered
-    by the CLI gate to keep the tier-1 suite fast)."""
-    from repro.lbm.aa import run_aa_equivalence_check
-    report = run_aa_equivalence_check(steps=2, backends=("serial",))
-    assert report["occupancy"] > 0
-    assert set(report["cases"]) == {"periodic", "bounded", "mixed"}
-    for case, info in report["cases"].items():
-        assert set(info["backends"]) == {"serial"}
-        for row in info["backends"]["serial"]:
-            assert row["case"] == case
-            assert row["kernel"] == "aa"

@@ -66,20 +66,33 @@ class TestCLI:
         assert args.skip_bench is True
         assert args.threshold == 0.5
 
+    def test_check_parser_takes_slices(self):
+        args = build_parser().parse_args(["check", "serial", "gpu"])
+        assert args.command == "check"
+        assert args.slices == ["serial", "gpu"]
+        assert build_parser().parse_args(["check"]).slices == []
+
+    @pytest.mark.parametrize("retired", ["check-aa", "check-exchange",
+                                         "check-procs", "check-trace",
+                                         "check-telemetry"])
+    def test_retired_gate_commands_rejected(self, retired):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([retired])
+
+    def test_check_rejects_unknown_slice(self, capsys):
+        assert main(["check", "nonsense"]) == 2
+        assert "unknown slice" in capsys.readouterr().out
+
     def test_verify_invokes_stages(self, monkeypatch, capsys):
         import subprocess
         calls = []
         monkeypatch.setattr(subprocess, "call",
                             lambda cmd, **kw: calls.append(cmd) or 0)
         assert main(["verify"]) == 0
-        assert len(calls) == 7
+        assert len(calls) == 3
         assert calls[0][-2:] == ["-x", "-q"]
-        assert calls[1][-2:] == ["repro", "check-procs"]
-        assert calls[2][-2:] == ["repro", "check-aa"]
-        assert calls[3][-2:] == ["repro", "check-trace"]
-        assert calls[4][-2:] == ["repro", "check-exchange"]
-        assert calls[5][-2:] == ["repro", "check-telemetry"]
-        assert any("check_regression" in part for part in calls[6])
+        assert calls[1][-2:] == ["repro", "check"]
+        assert any("check_regression" in part for part in calls[2])
         assert "verify OK" in capsys.readouterr().out
 
     def test_verify_stops_on_failure(self, monkeypatch, capsys):

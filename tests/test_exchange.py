@@ -6,7 +6,7 @@ the schedule/switch envelope accounting, exchange bit-identity on
 weighted cuts on both backends, the AA forward/reverse protocol, and
 the executed SPMD message counts.  The engine itself (route table,
 call sequence, configuration matrix) is in ``test_exchange_engine.py``;
-the end-to-end sweep lives in ``python -m repro check-exchange``.
+the end-to-end sweep is ``python -m repro check``.
 """
 
 import numpy as np
@@ -17,7 +17,8 @@ from repro.core.decomposition import (BlockDecomposition, uniform_cuts,
                                       weighted_cuts)
 from repro.core.halo import HaloPlan, PACK_MODES
 from repro.core.schedule import CommSchedule
-from repro.core.wire import _expected_wire_counts, pack_halo, unpack_halo
+from repro.check import route_messages
+from repro.core.wire import pack_halo, unpack_halo
 from repro.lbm.solver import LBMSolver
 from repro.net.switch import GigabitSwitch
 
@@ -276,7 +277,7 @@ class TestSPMDWire:
         sched = CommSchedule(spmd.decomp, HaloPlan(SUB))
         envelopes = {agg: 2 * sum(sum(r) for r in sched.round_messages(agg))
                      for agg in (True, False)}
-        assert len(msgs) == _expected_wire_counts(spmd.decomp) * steps
+        assert len(msgs) == route_messages(spmd.decomp) * steps
         assert len(msgs) == envelopes[True] * steps
         assert envelopes[True] < envelopes[False]
 

@@ -22,7 +22,7 @@ from repro.core import BlockDecomposition, ClusterConfig, CPUClusterLBM
 from repro.core.exchange import (AxisRoute, HaloExchange, LocalTransport,
                                  SolverPort, build_routes, mirrored)
 from repro.core.spmd import SPMDClusterLBM
-from repro.core.wire import _expected_wire_counts
+from repro.check import route_messages
 from repro.lbm.boundaries import EquilibriumVelocityInlet, OutflowBoundary
 from repro.lbm.lattice import D3Q19
 from repro.lbm.solver import LBMSolver
@@ -76,7 +76,7 @@ class TestRouteTable:
             for axis, route in enumerate(routes):
                 for peer, sides in route.sends:
                     assert (rank, mirrored(sides)) in tables[peer][axis].sends
-        assert _expected_wire_counts(decomp) == sum(
+        assert route_messages(decomp) == sum(
             len(route.sends) for routes in tables for route in routes)
 
     def test_engine_against_a_fake_port(self):
@@ -231,7 +231,7 @@ class TestSimMPISequence:
             runs.append(_channels(tracer))
         assert runs[0] == runs[1]
         assert all(len(sizes) == 2 for sizes in runs[0].values())
-        assert len(runs[0]) == _expected_wire_counts(decomp) == 3 * 2
+        assert len(runs[0]) == route_messages(decomp) == 3 * 2
 
     def test_channels_on_a_real_cluster(self, rng):
         """Every (src, dst, tag) channel of a contended 12-rank run
@@ -256,7 +256,7 @@ class TestSimMPISequence:
                            + (2 if len(sides) == 2 else (sides[0] + 1) // 2))
                     want[(rank, peer, tag)] = [len(sides) * face[axis]] * steps
         assert channels == want
-        assert len(want) == _expected_wire_counts(decomp) == 12 * 4
+        assert len(want) == route_messages(decomp) == 12 * 4
 
 
 # -- the configuration matrix ------------------------------------------
@@ -330,7 +330,7 @@ def test_matrix_bit_identical_with_route_table_message_count(
         cluster.step(steps)
         got = cluster.gather_distributions().copy()
         msgs = cluster.counters.stats["comm.msgs"]
-        per_exchange = _expected_wire_counts(cluster.decomp)
+        per_exchange = route_messages(cluster.decomp)
     assert np.array_equal(got, want)
     assert msgs.value == per_exchange * steps
     if backend == "serial":
@@ -345,15 +345,15 @@ INLET_Y = (1, "low", (0.01, 0.04, 0.0), 1.0)
 OUTFLOW_Y = (1, "high")
 
 
-def _mixed_reference(shape, handlers, seed=5):
+def _mixed_reference(shape, seed=5):
     """A phase-split single domain with :data:`MIXED` ghosts, a solid
-    block across the middle of every axis (so across every cut) and,
-    with ``handlers``, the inlet/outflow pair on y."""
+    block across the middle of every axis (so across every cut) and
+    the inlet/outflow pair on y."""
     rng = np.random.default_rng(seed)
     solid = np.zeros(shape, bool)
     solid[tuple(slice(n // 2 - 1, n // 2 + 1) for n in shape)] = True
-    bcs = ([EquilibriumVelocityInlet(D3Q19, *INLET_Y),
-            OutflowBoundary(D3Q19, *OUTFLOW_Y)] if handlers else [])
+    bcs = [EquilibriumVelocityInlet(D3Q19, *INLET_Y),
+           OutflowBoundary(D3Q19, *OUTFLOW_Y)]
     ref = LBMSolver(shape, tau=0.7, solid=solid, periodic=False,
                     boundaries=bcs, kernel="split")
     u0 = (0.02 * rng.standard_normal((3,) + shape)).astype(np.float32)
@@ -376,18 +376,19 @@ def _mixed_step(ref):
 @pytest.mark.parametrize("arrangement", [(2, 2, 1), (1, 2, 2)])
 def test_mixed_faces_every_step(arrangement, driver):
     """Every driver's AA ranks close their wraps and edges inside the
-    sweep and ship only messages: the single domain's bits after every
-    step (a reconstructed gather at odd parity).  The SPMD rank
-    program takes no handlers, so it runs the case without the pair."""
+    sweep, apply their share of the inlet/outflow pair and ship only
+    messages: the single domain's bits after every step (a
+    reconstructed gather at odd parity)."""
     shape = tuple(6 * a for a in arrangement)
-    ref = _mixed_reference(shape, handlers=driver != "spmd")
+    ref = _mixed_reference(shape)
     f0 = ref.f.copy()
     if driver == "spmd":
         decomp = BlockDecomposition(shape, arrangement, periodic=MIXED)
+        spmd = SPMDClusterLBM(decomp, tau=0.7, solid=ref.solid, f0=f0,
+                              inlet=INLET_Y, outflow=OUTFLOW_Y)
         for step in range(1, 5):
             _mixed_step(ref)
-            got, _ = SPMDClusterLBM(decomp, tau=0.7, solid=ref.solid,
-                                    f0=f0).run(step)
+            got, _ = spmd.run(step)
             assert np.array_equal(got, ref.f), step
         return
     cfg = ClusterConfig(sub_shape=(6, 6, 6), arrangement=arrangement,

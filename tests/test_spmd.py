@@ -56,6 +56,13 @@ def test_spmd_matches_reference_bounded(rng):
     assert np.array_equal(out, ref.f)
 
 
+def test_spmd_refuses_a_boundary_on_a_periodic_axis():
+    decomp = BlockDecomposition((8, 4, 4), (2, 1, 1),
+                                periodic=(True, False, False))
+    with pytest.raises(ValueError, match="periodic axis"):
+        SPMDClusterLBM(decomp, tau=0.7, outflow=(0, "high"))
+
+
 def test_spmd_matches_coordinator_path(rng):
     """The two parallel architectures (coordinator vs SPMD) agree."""
     sub, arrangement = (6, 6, 4), (2, 2, 1)

@@ -351,7 +351,7 @@ class TestOverheadAndRss:
     def test_disabled_record_overhead_under_budget(self):
         ns = disabled_overhead_ns(calls=5000)
         assert set(ns) == {"phase", "add_span", "metric", "alloc"}
-        # The check-telemetry gate budget is 1 us; be generous here to
+        # The check gate budgets metric() at 1 us; be generous here to
         # keep CI machines with noisy clocks green.
         assert all(v < 5000.0 for v in ns.values())
 

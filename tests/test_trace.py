@@ -96,7 +96,7 @@ class TestDisabledTracer:
         assert NULL_RECORDER.enabled is False
 
     def test_disabled_overhead_under_budget(self):
-        # The check-trace gate budget is 25 us/call; the real figure is
+        # The check gate budgets phase() at 25 us/call; the real figure is
         # a few hundred ns.  Use a loose bound to stay CI-safe.
         assert all(ns < 25_000
                    for ns in disabled_overhead_ns(calls=5000).values())
