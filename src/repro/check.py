@@ -4,11 +4,11 @@ The paper's claim is that the decomposed cluster computes what one
 node computes.  :data:`ROWS` checks it as one case table.  A row is a
 driver (the single solver, a serial or process-backed cluster, the
 SPMD rank program), a node (CPU under the default kernel rule, CPU
-``split``, simulated GPU), a problem (shape and faces: periodic,
-bounded with the inlet/outflow pair, or mixed), an arrangement and
-cuts, and an observer (none, tracing, telemetry, the watchdog).  The
-configurations are the benchmark workloads at toy scale, on the
-voxelized city mask.
+``split``, simulated GPU), a problem (shape, faces: periodic, bounded
+with the inlet/outflow pair, or mixed, and any body force), an
+arrangement and cuts, and an observer (none, tracing, telemetry, the
+watchdog).  The configurations are the benchmark workloads at toy
+scale, on the voxelized city mask.
 
 Every row starts from one seeded state of its problem and must equal
 the reference after *every* step, a reconstructed gather at odd
@@ -69,11 +69,13 @@ class Problem:
     """One global problem on the city mask: ``faces`` is
     ``"periodic"``, ``"bounded"`` (every face closed, the dispersion
     scenario's inlet/outflow pair on x) or ``"mixed"`` (x and z
-    periodic, y bounded with an inlet/outflow pair on y)."""
+    periodic, y bounded with an inlet/outflow pair on y), with an
+    optional constant body ``force``."""
 
     shape: tuple
     tau: float
     faces: str
+    force: tuple | None = None
 
     @property
     def solid(self) -> np.ndarray:
@@ -100,13 +102,15 @@ class Problem:
         from repro.lbm.solver import LBMSolver
         return LBMSolver(self.shape, self.tau, solid=self.solid,
                          boundaries=rank_boundaries(**self.pair),
-                         periodic=self.faces == "periodic", **kwargs)
+                         periodic=self.faces == "periodic",
+                         force=self.force, **kwargs)
 
 
 CITY = Problem((24, 20, 8), 0.55, "bounded")
 TORUS = Problem((16, 16, 8), 0.6, "periodic")
 PAIR = Problem((16, 8, 8), 0.6, "periodic")
 MIXED_CITY = Problem((24, 20, 8), 0.55, "mixed")
+FORCED_CITY = Problem((24, 20, 8), 0.55, "bounded", (2e-5, 0.0, 0.0))
 UNEVEN = ((10, 14), (8, 12), (8,))
 
 
@@ -157,6 +161,8 @@ ROWS = (
     Row("mixed", "processes", MIXED_CITY, arrangement=(2, 2, 1),
         observer="trace"),
     Row("mixed", "spmd", MIXED_CITY, arrangement=(2, 2, 1)),
+    Row("forced", "serial", FORCED_CITY, arrangement=(2, 2, 1)),
+    Row("forced", "processes", FORCED_CITY, arrangement=(2, 1, 1)),
     Row("watchdog", "processes", TORUS, arrangement=(2, 1, 1),
         observer="watchdog"),
     Row("budget", "budget"),
@@ -320,7 +326,8 @@ def _cluster(row: Row) -> str:
     cfg = ClusterConfig(
         sub_shape=tuple(s // a for s, a in zip(prob.shape, row.arrangement)),
         arrangement=row.arrangement, tau=prob.tau, periodic=prob.periodic,
-        solid=prob.solid, cuts=row.cuts, backend=row.driver,
+        solid=prob.solid, force=prob.force, cuts=row.cuts,
+        backend=row.driver,
         kernel="split" if row.node == "split" else "auto", **prob.pair)
     procs = row.driver == "processes"
     aa = row.node == "cpu"

@@ -12,7 +12,7 @@
     python -m repro trace             # traced cluster step -> Perfetto JSON + analytics
     python -m repro check [SLICE ...] # equivalence gate: every driver vs the reference
     python -m repro doctor            # shm leak audit + procpool smoke + compiled units
-    python -m repro verify            # tier-1 tests + check + regression guard
+    python -m repro verify            # tier-1 tests, then check
 
 All output comes from the same row generators the benchmark harness
 uses (`repro.perf.model`), so the CLI and `pytest benchmarks/` always
@@ -298,9 +298,9 @@ def _cmd_doctor(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    """The repo's single verification gate: tier-1 pytest, the
-    equivalence gate (``check``), then the kernel-throughput regression
-    guard (skippable for quick loops)."""
+    """The repo's single verification gate: tier-1 pytest, then the
+    equivalence gate (``check``).  Performance is measured by
+    ``bench/run.py``'s paired runs, not here."""
     import os
     import subprocess
     from pathlib import Path
@@ -310,15 +310,10 @@ def _cmd_verify(args) -> int:
     env["PYTHONPATH"] = (str(root / "src") + os.pathsep
                          + env["PYTHONPATH"]) if env.get("PYTHONPATH") \
         else str(root / "src")
-    stages: list[tuple[str, list[str]]] = [
+    stages = (
         ("tier-1 tests", [sys.executable, "-m", "pytest", "-x", "-q"]),
         ("equivalence gate", [sys.executable, "-m", "repro", "check"]),
-    ]
-    if not args.skip_bench:
-        stages.append(
-            ("kernel regression guard",
-             [sys.executable, str(root / "benchmarks" / "check_regression.py"),
-              "--threshold", str(args.threshold)]))
+    )
     for label, cmd in stages:
         print(f"== {label} ==")
         rc = subprocess.call(cmd, cwd=str(root), env=env)
@@ -385,14 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="audit /dev/shm for stale segments, smoke-"
                         "test procpool spawn/step/teardown and report "
                         "the compiled units; exits nonzero on leaks")
-    sp = sub.add_parser("verify",
-                        help="run the tier-1 tests, the equivalence "
-                             "gate and the kernel regression guard as "
-                             "one gate")
-    sp.add_argument("--skip-bench", action="store_true",
-                    help="run only the test suite")
-    sp.add_argument("--threshold", type=float, default=0.25,
-                    help="allowed fractional throughput drop (default 0.25)")
+    sub.add_parser("verify",
+                   help="run the tier-1 tests, then the equivalence "
+                        "gate, as one gate")
     return p
 
 

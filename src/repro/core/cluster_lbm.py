@@ -139,10 +139,9 @@ class ClusterConfig:
         Hot-path selection for the CPU ranks, resolved by one rule
         before any node is built or worker spawned: under ``"auto"``
         (default) or ``"aa"`` the cluster runs the swap-free AA-pattern
-        kernel (:class:`~repro.lbm.aa.AAStepKernel`) on every rank
-        unless there is a body force (no gate covers the AA halo
-        protocol with one), the run is timing-only or the compiled
-        sweep does not load (no working C compiler, named in
+        kernel (:class:`~repro.lbm.aa.AAStepKernel`) on every rank,
+        body force or not, unless the run is timing-only or the
+        compiled sweep does not load (no working C compiler, named in
         ``kernel_reason``); otherwise every rank runs ``"split"``.
         Each rank is built with its ``halo_faces`` accordingly and
         resolves the same kernel again by the solver's own rule.  Under
@@ -740,19 +739,17 @@ class CPUClusterLBM(_ClusterLBMBase):
     node_kind = "cpu"
 
     def _resolve_kernel(self) -> tuple[str, str]:
-        """AA on every rank unless a body force or timing-only mode
-        rules it out; nothing is measured."""
+        """AA on every rank unless timing-only mode rules it out;
+        nothing is measured."""
         cfg = self.config
         if cfg.kernel == "split":
             return "split", "configured kernel='split'"
-        if cfg.force is not None:
-            return "split", "rule: body force (no AA halo protocol gate)"
         if cfg.timing_only:
             return "split", "rule: timing-only (no numeric ranks)"
         missing = unavailable(D3Q19, np.dtype(np.float32))
         if missing:
             return "split", f"rule: {missing}"
-        return "aa", f"rule: kernel={cfg.kernel!r}, CPU ranks, no body force"
+        return "aa", f"rule: kernel={cfg.kernel!r}, numeric CPU ranks"
 
     def _stacks(self) -> bool:
         """Serial AA ranks stack (timing-only ranks never resolve AA)."""

@@ -3,8 +3,8 @@
 ``ClusterConfig.backend = "processes"`` replaces the coordinator's
 in-process node loop with one persistent OS process per cluster rank —
 the shape of the paper's real cluster, where every node steps its
-sub-domain concurrently.  NumPy's big collide/stream sweeps hold the
-GIL, so threads cannot deliver that concurrency; processes can.
+sub-domain concurrently.  The compiled sweep drops the GIL, and threads scaled
+like processes on separate boxes (ROADMAP probe A); item 3(0) decides.
 
 Protocol (see DESIGN.md §5c):
 

@@ -141,10 +141,10 @@ class SPMDClusterLBM:
         The node is built by the process worker's builder
         (:func:`~repro.core.procpool.build_node`) from the spec a worker
         gets under the default configuration (its ``halo_faces``, its
-        share of the inlet/outflow, kernel ``"auto"``): an SPMD rank has
-        no body force and is never timing-only, so the cluster rule says
-        ``aa`` unless the compiled sweep does not load (then ``split``,
-        as on a cluster).  The node and its solver are freed by refcount
+        share of the inlet/outflow, kernel ``"auto"``): an SPMD rank is
+        never timing-only, so the cluster rule says ``aa`` unless the
+        compiled sweep does not load (then ``split``, as on a
+        cluster).  The node and its solver are freed by refcount
         when the rank returns.
         """
         decomp = self.decomp

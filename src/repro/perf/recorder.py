@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from time import perf_counter
+from timeit import repeat
 from typing import NamedTuple
 
 #: Rank id of coordinator-level regions (driver phases, worker batches).
@@ -469,8 +470,11 @@ def validate_chrome(obj: dict) -> int:
 
 
 def disabled_overhead_ns(calls: int = 20000) -> dict[str, float]:
-    """Per-call cost (ns) of each entry point of a *disabled* recorder."""
+    """Per-call cost (ns) of each entry point of a *disabled* recorder:
+    the least per-call mean of five equal batches of ``calls``, so a
+    burst of host load in one batch does not read as overhead."""
     rec = Recorder(enabled=False)
+    batch = max(1, calls // 5)
 
     def phase():
         with rec.phase("noop"):
@@ -481,10 +485,7 @@ def disabled_overhead_ns(calls: int = 20000) -> dict[str, float]:
                           ("add_span", lambda: rec.add_span("noop", 0.0, 1.0)),
                           ("metric", lambda: rec.metric("noop", 1.0)),
                           ("alloc", lambda: rec.alloc("noop"))):
-        t0 = perf_counter()
-        for _ in range(calls):
-            record()
-        out[label] = (perf_counter() - t0) / calls * 1e9
+        out[label] = min(repeat(record, number=batch, repeat=5)) / batch * 1e9
     if rec.events or any(rec._tables.values()):
         raise AssertionError("disabled recorder recorded something")
     return out

@@ -60,11 +60,16 @@ class TestCLI:
         assert "| 32 |" in text
 
     def test_verify_parser_wiring(self):
-        args = build_parser().parse_args(["verify", "--skip-bench",
-                                          "--threshold", "0.5"])
+        args = build_parser().parse_args(["verify"])
         assert args.command == "verify"
-        assert args.skip_bench is True
-        assert args.threshold == 0.5
+        assert set(vars(args)) == {"command"}
+
+    @pytest.mark.parametrize("retired", [["--skip-bench"],
+                                         ["--threshold", "0.5"]],
+                             ids=["skip-bench", "threshold"])
+    def test_retired_verify_options_rejected(self, retired):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["verify", *retired])
 
     def test_check_parser_takes_slices(self):
         args = build_parser().parse_args(["check", "serial", "gpu"])
@@ -89,10 +94,9 @@ class TestCLI:
         monkeypatch.setattr(subprocess, "call",
                             lambda cmd, **kw: calls.append(cmd) or 0)
         assert main(["verify"]) == 0
-        assert len(calls) == 3
-        assert calls[0][-2:] == ["-x", "-q"]
-        assert calls[1][-2:] == ["repro", "check"]
-        assert any("check_regression" in part for part in calls[2])
+        assert len(calls) == 2              # tier-1, then check: no more
+        assert calls[0][-4:] == ["-m", "pytest", "-x", "-q"]
+        assert calls[1][-3:] == ["-m", "repro", "check"]
         assert "verify OK" in capsys.readouterr().out
 
     def test_verify_stops_on_failure(self, monkeypatch, capsys):
@@ -101,8 +105,20 @@ class TestCLI:
         monkeypatch.setattr(subprocess, "call",
                             lambda cmd, **kw: calls.append(cmd) or 1)
         assert main(["verify"]) == 1
-        assert len(calls) == 1  # bench guard never runs after test failure
-        assert "FAILED" in capsys.readouterr().out
+        assert len(calls) == 1  # check never runs after a test failure
+        out = capsys.readouterr().out
+        assert "FAILED at tier-1 tests" in out and "verify OK" not in out
+
+    def test_verify_fails_when_check_fails(self, monkeypatch, capsys):
+        import subprocess
+        calls = []
+        monkeypatch.setattr(subprocess, "call",
+                            lambda cmd, **kw: calls.append(cmd) or
+                            (3 if len(calls) == 2 else 0))
+        assert main(["verify"]) == 3
+        assert len(calls) == 2
+        out = capsys.readouterr().out
+        assert "FAILED at equivalence gate" in out and "verify OK" not in out
 
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):

@@ -1,8 +1,8 @@
 """Cluster-wide kernel resolution by rule.
 
 The coordinator resolves ``aa`` for every CPU rank iff the configured
-kernel is ``"auto"`` or ``"aa"``, there is no body force and the run is
-numeric; otherwise every rank runs ``split``.  Each rank is built with
+kernel is ``"auto"`` or ``"aa"`` and the run is numeric, body force or
+not; otherwise every rank runs ``split``.  Each rank is built with
 its ``halo_faces`` (or None) accordingly and resolves the same kernel
 again by the solver's rule.  Nothing is measured, so no assertion here
 depends on timing.
@@ -76,11 +76,14 @@ class TestAutoResolvedBitIdentity:
     @pytest.mark.parametrize("kind", ["bounded", "periodic"])
     @pytest.mark.parametrize("winner", ["aa", "split"])
     def test_every_step_count(self, backend, kind, winner):
-        """The default resolves ``aa``; a body force resolves ``split``."""
+        """The default resolves ``aa``; ``kernel="split"`` (here with a
+        body force) runs ``split``."""
         ref, kwargs = _problem(kind,
                                force=None if winner == "aa" else FORCE)
         cfg = ClusterConfig(sub_shape=(8, 6, 6), arrangement=(2, 2, 1),
-                            tau=0.7, backend=backend, **kwargs)
+                            tau=0.7, backend=backend,
+                            kernel="auto" if winner == "aa" else "split",
+                            **kwargs)
         with CPUClusterLBM(cfg) as cluster:
             assert cluster.resolved_kernel == winner
             assert cluster.aa_protocol == (winner == "aa")
@@ -92,7 +95,9 @@ class TestAutoResolvedBitIdentity:
                                       ref.f), (backend, kind, step)
             rows = cluster.kernel_report()
         assert {r["kernel"] for r in rows} == {winner}
-        assert all(r["reason"].startswith("rule:") for r in rows)
+        assert all(r["reason"].startswith(
+            "rule:" if winner == "aa" else "forced kernel='split'")
+            for r in rows)
 
     @pytest.mark.parametrize("backend", ["serial", "processes"])
     def test_weighted_cuts(self, backend):
@@ -246,9 +251,9 @@ class TestSerialRanksCollideWhole:
 class TestResolutionScope:
     @pytest.mark.parametrize("kwargs, kernel", [
         ({"kernel": "split"}, "split"), ({"kernel": "aa"}, "aa"),
-        ({"force": FORCE}, "split"), ({"kernel": "aa", "force": FORCE},
-                                      "split"),
-        ({"timing_only": True}, "split")],
+        ({"force": FORCE}, "aa"), ({"kernel": "aa", "force": FORCE},
+                                   "aa"),
+        ({"kernel": "aa", "timing_only": True}, "split")],
         ids=[f"kwargs{i}" for i in range(5)])
     def test_nothing_to_resolve(self, kwargs, kernel):
         """Nothing is measured: every configuration resolves by the
@@ -274,9 +279,10 @@ class TestResolutionScope:
             assert cluster.resolved_kernel == "auto"
             assert not cluster.aa_protocol
 
-    def test_body_force_vetoes_aa(self):
-        """A body force resolves ``split`` on every rank, whatever the
-        ranks' occupancy, and stays bit-identical to the reference."""
+    def test_body_force_under_configured_split(self):
+        """``kernel="split"`` with a body force runs ``split`` on every
+        rank, whatever the ranks' occupancy, and stays bit-identical to
+        the reference."""
         shape = (12, 6, 4)
         solid = np.zeros(shape, bool)
         solid[:6] = True
@@ -284,11 +290,12 @@ class TestResolutionScope:
                         force=FORCE)
         ref.initialize(1.0)
         cfg = ClusterConfig(sub_shape=(6, 6, 4), arrangement=(2, 1, 1),
-                            tau=0.7, force=FORCE, solid=solid)
+                            tau=0.7, force=FORCE, solid=solid,
+                            kernel="split")
         with CPUClusterLBM(cfg) as cluster:
             assert cluster.resolved_kernel == "split"
             assert not cluster.aa_protocol
-            assert "body force" in cluster.kernel_reason
+            assert cluster.kernel_reason == "configured kernel='split'"
             cluster.load_global_distributions(ref.f)
             ref.step(3)
             cluster.step(3)
