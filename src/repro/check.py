@@ -20,7 +20,10 @@ reason, ``stacked``, one distribution array (or an untouched spare
 shared buffer), the SPMD per-channel message count against the route
 table, one trace track per rank and a valid Chrome export,
 ``steps.total``, heartbeats and valid Prometheus/JSONL exports, and no
-leaked segment or orphaned worker once a processes row is closed.
+leaked segment or orphaned worker once a processes row is closed.  A
+simulated-GPU row also steps a serial twin whose ranks run the
+per-pass engine (the path without a compiler) and must match it after
+every step in every texel, ghost rims included, and every charge.
 
 ``python -m repro check [SLICE ...]`` runs the rows in any named slice
 (a driver, node, faces, cuts, observer or workload name; see
@@ -29,6 +32,8 @@ leaked segment or orphaned worker once a processes row is closed.
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import json
 import os
 import signal
@@ -316,6 +321,34 @@ def _stalled_step(cluster) -> None:
     assert not thread.is_alive(), "stalled step never completed"
 
 
+def _per_pass_twin(cfg):
+    """A serial GPU cluster of ``cfg`` whose ranks render every pass
+    through the per-pass engine (``run_pass`` and the numpy bodies,
+    charged pass by pass: the path without a compiler), so a GPU row
+    also pins the compiled step's rims and charges."""
+    from repro.core.cluster_lbm import GPUClusterLBM
+    twin = GPUClusterLBM(dataclasses.replace(cfg, backend="serial"))
+    for node in twin.nodes:
+        node.solver._lib = None
+    return twin
+
+
+def _same_ranks(nodes, twins, t) -> None:
+    """Every texel (rims included) and device charge of each rank."""
+    for node, other in zip(nodes, twins):
+        a, b = node.solver, other.solver
+        for (name, x), y in zip(a.bindings().items(), b.bindings().values()):
+            assert np.array_equal(x.data.view(np.uint32), y.data.view(np.uint32)), (
+                f"rank {node.rank} texture {name} differs from the per-pass "
+                f"engine's at step {t}")
+        assert (node.device.clock_s, node.device.pass_seconds,
+                node.device.pass_counts) == (other.device.clock_s,
+                                             other.device.pass_seconds,
+                                             other.device.pass_counts), (
+            f"rank {node.rank} charges differ from the per-pass engine's "
+            f"at step {t}")
+
+
 def _cluster(row: Row) -> str:
     from repro.core.cluster_lbm import (ClusterConfig, CPUClusterLBM,
                                         GPUClusterLBM)
@@ -331,7 +364,8 @@ def _cluster(row: Row) -> str:
         kernel="split" if row.node == "split" else "auto", **prob.pair)
     procs = row.driver == "processes"
     aa = row.node == "cpu"
-    with cls(cfg) as cluster:
+    twin = _per_pass_twin(cfg) if row.node == "gpu" else None
+    with cls(cfg) as cluster, twin or contextlib.nullcontext():
         reason = cluster.kernel_reason
         assert cluster.resolved_kernel == ("aa" if aa else cfg.kernel), reason
         assert reason.startswith("rule:" if aa else "configured"), reason
@@ -342,11 +376,16 @@ def _cluster(row: Row) -> str:
         segments = cluster._proc_backend.segments if procs and aa else ()
         spare = []
         cluster.load_global_distributions(f0)
+        if twin is not None:
+            twin.load_global_distributions(f0)
         for t, f in enumerate(want, 1):
             if row.observer == "watchdog" and t == 2:
                 _stalled_step(cluster)
             else:
-                cluster.step(1)
+                timing = cluster.step(1)
+            if twin is not None:
+                assert twin.step(1) == timing, f"step timing at step {t}"
+                _same_ranks(() if procs else cluster.nodes, twin.nodes, t)
             assert all(np.array_equal(seg.fg_bufs[1], s)
                        for seg, s in zip(segments, spare)), (
                 f"second shared buffer written during step {t}")

@@ -236,7 +236,7 @@ def _cmd_check(args) -> int:
 def _cmd_doctor(args) -> int:
     """Environment health audit: leaked shared-memory segments from any
     previous run, a procpool spawn/step/teardown smoke check, and the
-    compiled AA sweep and GPU fragment programs (cache, key, flags,
+    compiled AA sweep and GPU step passes (cache, key, flags,
     loaded or why not).  Exits nonzero on leaks or a failed smoke
     check."""
     import os

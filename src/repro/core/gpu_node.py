@@ -6,12 +6,16 @@ side of the cluster protocol:
 
 * one macro + collide render over the whole interior, charged to the
   device per Sec-4.3 rectangle (shell pieces, then the inner core,
-  whose device time is the ~120 ms overlap window of Sec 4.4);
+  whose device time is the ~120 ms overlap window of Sec 4.4) from a
+  plan of charges built once per node;
 * gather of all outgoing border distributions followed by a *single*
   readback over AGP ("we minimize the overhead of initializing the
   read operations", Sec 4.3);
 * ghost uploads of data received from neighbours;
 * stream + bounce-back passes.
+
+Compiled, each is one call into :data:`repro.gpu.lbm_gpu.UNIT` (a face
+copy, one per face); without a compiler, the per-pass engine runs them.
 
 In ``timing_only`` mode no numerics run: the node reports the same
 timing decomposition from the closed-form model, allowing paper-scale
@@ -24,7 +28,7 @@ import numpy as np
 
 from repro.gpu.device import SimulatedGPU
 from repro.gpu.fragment import FragmentProgram
-from repro.gpu.lbm_gpu import GPULBMSolver
+from repro.gpu.lbm_gpu import COLLIDE, LINKS, GPULBMSolver
 from repro.gpu.packing import stack_links
 from repro.gpu.specs import AGP_8X, GEFORCE_FX_5800_ULTRA, BusSpec, GPUSpec
 from repro.perf import calibration as cal
@@ -84,6 +88,11 @@ class GPUNode:
             self.solver = GPULBMSolver(self.sub_shape, tau, device=self.device,
                                        mode="padded", solid=solid, inlet=inlet,
                                        outflow=outflow, force=force)
+            # The collide's charges per Sec-4.3 rectangle, as data: the
+            # shell pieces', then the inner ones' (the window).
+            self._plan = [[entry for rect, zr in pieces
+                           for entry in self.solver.pass_plan(COLLIDE, rect, zr)]
+                          for pieces in self.solver.split_pieces()]
         # The modeled border and AGP terms are constant per node.
         self._border_s = self._border_compute_s()
         self._agp_s = self._model_agp_s()
@@ -167,21 +176,26 @@ class GPUNode:
         rectangles would have charged, in their order: each shell piece
         of :meth:`~repro.gpu.GPULBMSolver.split_pieces` (the border
         layers the exchange reads), then the inner pieces, whose charge
-        is the window.
+        is the window: the node's plan, or on the per-pass engine one
+        :meth:`~repro.gpu.GPULBMSolver.charge_collide_passes` per piece.
         """
         if self.timing_only:
             self.overlap_window_s = self._model_window_s()
             return
         with self.recorder.phase("cluster.collide"):
             solver, device = self.solver, self.device
-            solver.run_macro_pass(charge=False)
-            solver.run_collide_passes(charge=False)
-            shell, inner = solver.split_pieces()
-            for rect, zr in shell:
-                solver.charge_collide_passes(rect, zr)
-            before = device.clock_s
-            for rect, zr in inner:
-                solver.charge_collide_passes(rect, zr)
+            solver.collide(charge=False)
+            if solver._lib is None:
+                shell, inner = solver.split_pieces()
+                for rect, zr in shell:
+                    solver.charge_collide_passes(rect, zr)
+                before = device.clock_s
+                for rect, zr in inner:
+                    solver.charge_collide_passes(rect, zr)
+            else:
+                device.apply(self._plan[0])
+                before = device.clock_s
+                device.apply(self._plan[1])
             self.overlap_window_s = device.clock_s - before
 
     # -- the halo engine's port, over textures (see core.exchange) --------
@@ -195,6 +209,8 @@ class GPUNode:
         if manifest.mode != "pull":
             raise ValueError("GPU ranks only run the pull exchange; "
                              f"got manifest mode {manifest.mode!r}")
+        if self._wire(manifest, out, 1):
+            return out
         buf = out.reshape(-1)
         for seg in manifest.segments:
             side = "low" if seg.side == -1 else "high"
@@ -209,6 +225,8 @@ class GPUNode:
         if manifest.mode != "pull":
             raise ValueError("GPU ranks only run the pull exchange; "
                              f"got manifest mode {manifest.mode!r}")
+        if self._wire(manifest, buf, 2):
+            return
         flat = buf.reshape(-1)
         for seg in manifest.segments:
             side = "low" if -seg.side == -1 else "high"
@@ -217,17 +235,32 @@ class GPUNode:
             self.solver.set_ghost_layer(view, manifest.axis, side,
                                         links=seg.links)
 
+    def _wire(self, manifest, buf: np.ndarray, how: int) -> bool:
+        """Gather (``how`` 1) the border planes into, or scatter (2) the
+        ghost planes from, a float32 message ``buf``: one face call per
+        segment.  False, touching nothing, without a compiler."""
+        if (self.solver._lib is None or buf.dtype != np.float32
+                or not buf.flags.c_contiguous):
+            return False
+        axis, base, n = manifest.axis, buf.ctypes.data, self.sub_shape[manifest.axis]
+        for seg in manifest.segments:
+            at = (1 if seg.side == -1 else n) if how == 1 else (0 if seg.side == 1 else n + 1)
+            self.solver._face(how, axis, at, seg.links, base + 4 * seg.offset)
+        return True
+
     def fill_ghost_zero_gradient(self, axis: int, direction: int) -> None:
         """Global non-periodic boundary: copy own border outward — the
-        full padded border plane onto the ghost plane, one slice
-        assignment per distribution stack over its link channels."""
+        full padded border plane onto the ghost plane, every link: one
+        face call, or one slice assignment per distribution stack over
+        its link channels."""
         n = self.sub_shape[axis]
         ghost, border = (0, 1) if direction == -1 else (n + 1, n)
+        if self.solver._lib is not None:
+            self.solver._face(0, axis, ghost, LINKS, src=border)
+            return
         for s, stack in enumerate(self.solver.f_stacks):
-            dst = [slice(None)] * 3 + [slice(0, len(stack_links(s)))]
-            src = list(dst)
-            dst[2 - axis], src[2 - axis] = ghost, border    # data[z, y, x]
-            stack.data[tuple(dst)] = stack.data[tuple(src)]
+            planes = stack.data[..., :len(stack_links(s))].swapaxes(0, 2 - axis)
+            planes[ghost] = planes[border]                  # data[z, y, x]
 
     def charge_transfers(self) -> None:
         """Charge the step's AGP cost (gather passes + single readback +
@@ -240,13 +273,7 @@ class GPUNode:
             self.compute_s = self._model_compute_s()
             return
         with self.recorder.phase("cluster.finish"):
-            self.solver.run_stream_passes()
-            if self.solver.has_solid:
-                self.solver.run_bounce_passes()
-            if self.solver.inlet is not None:
-                self.solver._apply_inlet()
-            if self.solver.outflow is not None:
-                self.solver._apply_outflow()
+            self.solver.finish()
         # Everything charged on the device this step is compute; the AGP
         # bucket is modeled separately by charge_transfers().
         self.compute_s = self.device.clock_s + self._border_s

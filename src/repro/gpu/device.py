@@ -4,7 +4,10 @@ Combines texture memory, the fragment-pass engine and the host bus into
 one object with a *simulated clock*: every render pass and every
 GPU<->host transfer advances ``clock_s`` according to the timing model
 calibrated in :mod:`repro.perf.calibration`.  The numerics are executed
-for real; only time is modeled.
+for real; only time is modeled.  A pass the host executes its own way
+(a compiled call instead of a render) books its charges as data,
+``(name, seconds, counted)`` entries applied in order (:meth:`apply`),
+to the same clock, seconds and counts.
 """
 
 from __future__ import annotations
@@ -80,6 +83,17 @@ class SimulatedGPU:
         charge its modeled time and count it in :attr:`pass_counts`."""
         self.charge(program.name, self.pass_time_s(program, fragments))
         self.pass_counts[program.name] += 1
+
+    def apply(self, plan) -> None:
+        """Book a pass plan: each ``(name, seconds, counted)`` in order,
+        as :meth:`charge` (and, when counted, :meth:`account`) would."""
+        clock, seconds_of, counts = self.clock_s, self.pass_seconds, self.pass_counts
+        for name, seconds, counted in plan:
+            clock += seconds
+            seconds_of[name] += seconds
+            if counted:
+                counts[name] += 1
+        self.clock_s = clock
 
     # -- render ---------------------------------------------------------
     @staticmethod
@@ -228,10 +242,6 @@ class SimulatedGPU:
         return t
 
     # -- reporting --------------------------------------------------------
-    def timing_report(self) -> dict[str, float]:
-        """Seconds attributed to each pass/transfer label so far."""
-        return dict(self.pass_seconds)
-
     def reset_clock(self) -> None:
         """Zero the clock and per-label accounting (keeps memory state)."""
         self.clock_s = 0.0

@@ -27,11 +27,20 @@ Two layouts are supported:
 * ``mode="padded"`` — one ghost texel of padding per axis: the cluster
   layout of Sec 4.3, where ghost layers are written from data received
   over the network and border layers are gathered for readback.
+
+The device is charged what each pass costs; the host makes the same
+texels however is fastest (DESIGN §5k).  With a C compiler a step is a
+few calls into :data:`UNIT`: ``macro`` fused with ``collide0..4`` in
+place, one pull-stream per stack committed by swap, one bounce swap and
+one strided-plane call per face copy, charged from data
+(:meth:`GPULBMSolver.pass_plan`).  Without one, every pass renders its
+numpy body through the per-pass engine and is charged pass by pass.
 """
 
 from __future__ import annotations
 
 import ctypes
+import operator
 
 import numpy as np
 
@@ -44,99 +53,149 @@ from repro.lbm.lattice import D3Q19
 from repro.lbm.equilibrium import equilibrium_site
 
 F32 = np.float32
+#: The passes one collide renders, in order.
+COLLIDE = ["macro"] + [f"collide{s}" for s in range(N_DISTRIBUTION_STACKS)]
+#: Every link, in order.
+LINKS = tuple(range(19))
+#: ``gpu_face``'s plane (``4 * stack + channel``) of each link, then of
+#: the unused channel.
+PLANES = tuple(4 * s + ch for s, ch in map(link_location, LINKS)) + (19,)
 
 
 def _source(lat, dtype) -> str:
-    """The ``macro`` and ``collide{s}`` fragment programs as C, in the
-    op order of their numpy bodies (DESIGN §5k).
+    """The step's compiled passes as C, generated from the lattice tables
+    and the texture packing (DESIGN §5k).  ``tex`` holds the texel
+    addresses of ``f0..f4``, ``pbuffer`` and ``macro``; link ``q`` is
+    plane ``q`` of ``f0..f4``, planes ``ps`` floats apart; ``g`` is the
+    entry's geometry, a ``long`` table.
 
-    A render is ``n0`` x ``n1`` rows of ``len`` texels, rows ``s1`` and
-    planes ``s0`` apart, channels ``ps`` apart (in floats); the output
-    and every fetched texture share that layout (:func:`_box`).
-    ``gpu_collide{s}`` takes ``flags`` and the per-channel force
-    increments ``add`` as NULL when the solver has none, and has one
-    loop per (flags?, force?) variant, so each vectorises.
+    * ``gpu_collide``: ``macro`` fused with ``collide0..4``, in place,
+      over ``n0`` x ``n1`` rows of ``len`` texels (``s0`` and ``s1``
+      apart) from texel ``at``: each reads its 19 populations, writes
+      its ``macro`` texel and relaxes only itself, in the numpy bodies'
+      op order.  ``flags`` / the force increments ``add`` are NULL when
+      absent; one loop per (flags?, force?) variant, so each vectorises.
+    * ``gpu_stream``: stack ``s`` (``d`` x ``h`` x ``w``, a ghost shell
+      of ``p`` = 0 or 1 texels) pulled into ``pbuffer`` over its
+      interior, sources wrapped toroidally (a no-op inside the shell),
+      the unused channel zeroed and the shell copied.
+    * ``gpu_bounce``: every link at the ``n`` texels ``idx`` takes its
+      opposite's value.
+    * ``gpu_face``: ``np`` planes (``4 * stack + channel``, after the
+      geometry) of ``n1`` x ``n2`` texels at ``to``, strides ``t1``,
+      ``t2``; the other side at ``bo``, strides ``b1``, ``b2``, is the
+      same plane (``how`` 0: copied onto the first), or ``buf + k * bk``
+      for the ``k``-th (1: gathered into, 2: scattered from), or
+      ``buf[k]`` (3: filled with it).
     """
-    box = "long n0, long s0, long n1, long s1, long len, long ps"
-    rows = ("for (long z = 0; z < n0; z++)\nfor (long y = 0; y < n1; y++) {\n"
-            "const long b = z * s0 + y * s1;\n")
+    Q = lat.Q
+    loc = [link_location(q) for q in range(Q)]
     loop = "#pragma GCC ivdep\nfor (long i = 0; i < len; i++) {{\n{}\n}}\n"
-    outs = "".join(f"T *O{k} = out + b + {k} * ps;\n" for k in range(4))
-    macro = (f"void gpu_macro(const T *f0, const T *f1, const T *f2, "
-             f"const T *f3, const T *f4, T *out, {box}) {{\n" + rows + outs
-             + "".join(f"const T *L{q} = f{s} + b + {ch} * ps;\n"
-                       for q, (s, ch) in enumerate(map(link_location, range(lat.Q))))
-             + loop.format("\n".join(
-                 [f"T v{q} = L{q}[i];" for q in range(lat.Q)]
-                 + native.moment_lines(lat)
-                 + ["T safe = rho > 0 ? rho : ((T)1);", "O0[i] = rho;"]
-                 + [f"O{1 + a}[i] = j{a} / safe;" for a in range(3)]))
-             + "}\n}\n")
 
-    def collide(s):
-        links = stack_links(s)
-        groups = native.collide_groups(lat, links)
-        ks = range(len(links))
+    def unpack(names):
+        return "".join(f"const long {n} = g[{k}];\n" for k, n in enumerate(names.split()))
 
-        def body(flags, force):
-            fluid = "(G[i] == 0)" if flags else "1"
-            return loop.format("\n".join(
-                [f"T v{k} = F{k}[i];" for k in ks]
-                + ["T rho = M0[i];"] + [f"T u{a} = M{1 + a}[i];" for a in range(3)]
-                + [f"T rate = {fluid} ? omega : ((T)0);"]
-                + native.relax_lines(lat, dtype, groups, "rate")
-                + [f"h{k} = (k{k} & {fluid}) ? h{k} + a{k} : h{k};"
-                   for k in ks if force]
-                + [f"O{k}[i] = h{k};" for k in ks]
-                + [f"O{k}[i] = F{k}[i];" for k in range(len(links), 4)]))
+    def body(flags, force):
+        fluid = "(G[i] == 0)" if flags else "1"
+        return loop.format("\n".join(
+            [f"T v{q} = F{q}[i];" for q in range(Q)] + native.moment_lines(lat)
+            + ["T safe = rho > 0 ? rho : ((T)1);", "O0[i] = rho;"]
+            + [f"T u{a} = j{a} / safe; O{1 + a}[i] = u{a};" for a in range(3)]
+            + [f"T rate = {fluid} ? omega : ((T)0);"]
+            + native.relax_lines(lat, dtype, native.collide_groups(lat, range(Q)),
+                                 "rate")
+            + [f"h{q} = (k{q} & {fluid}) ? h{q} + a{q} : h{q};"
+               for q in range(Q) if force]
+            + [f"F{q}[i] = h{q};" for q in range(Q)]))
 
-        return (f"void gpu_collide{s}(const T *f, const T *mac, const T *flags, "
-                f"T *out, {box}, T omega, const T *add) {{\n"
-                + "".join(f"const T a{k} = add ? add[{k}] : 0; "
-                          f"const int k{k} = a{k} != 0;\n" for k in ks)
-                + rows + outs
-                + "".join(f"const T *F{k} = f + b + {k} * ps; "
-                          f"const T *M{k} = mac + b + {k} * ps;\n" for k in range(4))
-                + "const T *G = flags ? flags + b : 0;\n"
-                + "if (G && add) {\n" + body(True, True)
-                + "} else if (G) {\n" + body(True, False)
-                + "} else if (add) {\n" + body(False, True)
-                + "} else {\n" + body(False, False) + "}\n}\n}\n")
+    collide = (
+        "void gpu_collide(T *const *tex, const long *g, const T *flags, T omega, "
+        "const T *add) {\n" + unpack("n0 s0 n1 s1 len ps at")
+        + "".join(f"const T a{q} = add ? add[{q}] : 0; const int k{q} = a{q} != 0;\n"
+                  for q in range(Q))
+        + "for (long z = 0; z < n0; z++)\nfor (long y = 0; y < n1; y++) {\n"
+        "const long b = at + z * s0 + y * s1;\n"
+        + "".join(f"T *O{k} = tex[{N_DISTRIBUTION_STACKS + 1}] + b + {k} * ps;\n"
+                  for k in range(4))
+        + "".join(f"T *F{q} = tex[{s}] + b + {ch} * ps;\n" for q, (s, ch) in enumerate(loc))
+        + "const T *G = flags ? flags + b : 0;\n"
+        + "if (G && add) {\n" + body(True, True) + "} else if (G) {\n"
+        + body(True, False) + "} else if (add) {\n" + body(False, True)
+        + "} else {\n" + body(False, False) + "}\n}\n}\n")
 
-    return "typedef float T;\n" + macro + "".join(
-        collide(s) for s in range(N_DISTRIBUTION_STACKS))
+    pull = [[[-int(v) for v in lat.c[q]] for q in stack_links(s)]
+            for s in range(N_DISTRIBUTION_STACKS)]
+    table = ", ".join("{" + ", ".join("{%d, %d, %d}" % tuple(o) for o in offs) + "}"
+                      for offs in pull)
+    stream = (
+        "void gpu_stream(T *const *tex, long s, const long *g) {\n"
+        + unpack("d h w ps p") + "const long hw = h * w, x1 = w - p;\n"
+        + f"static const long off[{N_DISTRIBUTION_STACKS}][4][3] = {{{table}}};\n"
+        f"static const long used[] = {{{', '.join(str(len(o)) for o in pull)}}};\n"
+        f"const T *f = tex[s]; T *out = tex[{N_DISTRIBUTION_STACKS}];\n"
+        "for (long c = 0; c < 4; c++) {\n"
+        "const long dx = off[s][c][0], dy = off[s][c][1], dz = off[s][c][2];\n"
+        "const int pulled = c < used[s];\n"
+        "for (long z = 0; z < d; z++) {\n"
+        "const T *F = f + c * ps + z * hw; T *O = out + c * ps + z * hw;\n"
+        "const int rim = z < p || z >= d - p;\n"
+        "const long lo = rim ? hw : p * w, hi = rim ? hw : hw - p * w;\n"
+        "for (long i = 0; i < lo; i++) O[i] = F[i];\n"
+        "for (long i = hi; i < hw; i++) O[i] = F[i];\n"
+        "if (rim) continue;\n"
+        "const T *S = f + c * ps + ((z + dz + d) % d) * hw;\n"
+        # Runs of rows whose source rows follow on: one span each, the
+        # texels pulled across a row end then restored or wrapped.
+        "for (long ya = p, yb; ya < h - p; ya = yb) {\n"
+        "const long ys = (ya + dy + h) % h;\n"
+        "yb = ya + h - ys < h - p ? ya + h - ys : h - p;\n"
+        "T *o = O + ya * w; const T *r = S + ys * w;\n"
+        "const long n = (yb - ya) * w, i0 = dx < 0, i1 = n - (dx > 0);\n"
+        "if (!pulled) for (long i = 0; i < n; i++) o[i] = 0;\n"
+        "else {\n#pragma GCC ivdep\nfor (long i = i0; i < i1; i++) o[i] = r[i + dx];\n}\n"
+        "for (long y = 0; y < yb - ya; y++) {\n"
+        "T *oy = o + y * w; const T *fy = F + (ya + y) * w, *sy = r + y * w;\n"
+        "if (p) { oy[0] = fy[0]; oy[w - 1] = fy[w - 1]; }\n"
+        "if (pulled && p + dx < 0) oy[p] = sy[p + dx + w];\n"
+        "if (pulled && x1 - 1 + dx >= w) oy[x1 - 1] = sy[x1 - 1 + dx - w];\n"
+        "}\n}\n}\n}\n}\n")
+
+    bounce = (
+        "void gpu_bounce(T *const *tex, const long *idx, long n, long ps) {\n"
+        + "".join(f"T *L{q} = tex[{s}] + {ch} * ps;\n" for q, (s, ch) in enumerate(loc))
+        + "for (long k = 0; k < n; k++) {\nconst long t = idx[k];\n"
+        + "".join(f"const T v{q} = L{q}[t];\n" for q in range(Q))
+        + "".join(f"L{q}[t] = v{int(lat.opp[q])};\n" for q in range(Q)) + "}\n}\n")
+
+    face = (
+        "void gpu_face(T *const *tex, T *buf, const long *g) {\n"
+        + unpack("np ps n1 n2 to t1 t2 bo bk b1 b2 how")
+        + "for (long k = 0; k < np; k++) {\n"
+        "T *const p = tex[g[12 + k] / 4] + g[12 + k] % 4 * ps;\n"
+        "T *const o = (how == 0 ? p : buf + k * bk) + bo;\n"
+        "for (long a = 0; a < n1; a++) {\n"
+        "T *const t = p + to + a * t1; T *const r = o + a * b1;\n"
+        "if (how == 1) for (long i = 0; i < n2; i++) r[i * b2] = t[i * t2];\n"
+        "else if (how == 3) for (long i = 0; i < n2; i++) t[i * t2] = buf[k];\n"
+        "else for (long i = 0; i < n2; i++) t[i * t2] = r[i * b2];\n"
+        "}\n}\n}\n")
+    return "typedef float T;\n" + collide + stream + bounce + face
 
 
 def _entries(t) -> dict:
     P, L = ctypes.c_void_p, ctypes.c_long
-    box = [L] * 6
-    return {"gpu_macro": [P] * 6 + box,
-            **{f"gpu_collide{s}": [P] * 4 + box + [t, P]
-               for s in range(N_DISTRIBUTION_STACKS)}}
+    return {"gpu_collide": [P, P, P, t, P], "gpu_stream": [P, L, P],
+            "gpu_bounce": [P, P, L, L], "gpu_face": [P, P, P]}
 
 
-#: The compiled fragment programs, built and cached like the AA sweep.
+#: The compiled passes, built and cached like the AA sweep.
 UNIT = native.Unit("gpu", _source, _entries)
 
 
-def _box(out: np.ndarray, fetched) -> tuple | None:
-    """``(n0, s0, n1, s1, len, ps)`` of a render (:func:`_source`): the
-    texels of ``out`` as at most two levels of rows of unit-stride runs,
-    when every ``fetched`` texture shares its layout; None otherwise."""
-    lead = out.ndim - 1
-    if any(a.dtype != F32 or a.shape != out.shape[:a.ndim]
-           or a.strides[:lead] != out.strides[:lead]
-           or (a.ndim > lead and a.strides[-1] != out.strides[-1])
-           for a in fetched):
-        return None
-    n = list(out.shape[:-1])
-    *s, ps = (v // out.itemsize for v in out.strides)
-    while len(n) > 1 and s[-2] == n[-1] * s[-1]:        # merge runs
-        n[-2:], s[-2:] = [n[-2] * n[-1]], [s[-1]]
-    if s[-1] != 1 or len(n) > 3:
-        return None
-    n, s = [1] * (3 - len(n)) + n, [0] * (3 - len(s)) + s
-    return n[0], s[0], n[1], s[1], n[2], ps
+def _longs(*values) -> tuple:
+    """A C ``long`` table of ``values`` and its address."""
+    table = np.array(values, dtype=np.int64)
+    return table, table.ctypes.data
 
 
 class GPULBMSolver:
@@ -180,6 +239,10 @@ class GPULBMSolver:
         self.device = device if device is not None else SimulatedGPU()
         self.packing = D3Q19Packing()
         self.force = None if force is None else np.asarray(force, dtype=np.float64)
+        c, w = self.lattice.c.astype(F32), self.lattice.w.astype(F32)
+        #: Per-link body-force increments (None without a force).
+        self._force_term = (None if force is None else
+                            ((c @ self.force.astype(F32)) * (F32(3.0) * w)).astype(F32))
         self.inlet = inlet
         self.outflow = outflow
 
@@ -215,17 +278,39 @@ class GPULBMSolver:
         self._z_range = range(td) if mode == "wrap" else range(1, td - 1)
         self._wrap = mode == "wrap"
         self._split_pieces: tuple[list, list] | None = None
-        #: The compiled ``macro``/``collide`` programs, or None and why.
+        #: The compiled step passes (:data:`UNIT`), or None and why; None
+        #: runs every pass through the per-pass engine, as its numpy body.
         self._lib, self.kernel_reason = native.load(self.lattice, F32, UNIT)
         self._programs = self._build_programs()
+        # The compiled passes' tables (:func:`_source`): ``tex``, the
+        # interior box as rows of runs from its first texel, the
+        # stream's box, and each face call's geometry.
+        self._swapped = self.f_stacks + [self.pbuffer, self.macro_stack]
+        self._held: list = [None] * len(self._swapped)
+        self._tex = _longs(*[0] * len(self._swapped))
+        ps = td * th * tw
+        self._collide_g = _longs(td - 2 * p, th * tw, th - 2 * p, tw, tw - 2 * p,
+                                 ps, (p * th + p) * tw + p)
+        self._stream_g = _longs(td, th, tw, ps, p)
+        self._faces: dict[tuple, tuple] = {}
+        self._flags = (None if self.flags_stack is None
+                       else self.flags_stack.data.ctypes.data)
+        self._add = (None if self._force_term is None
+                     else self._force_term.ctypes.data)
+        #: Each pass group's charges over the interior, as data.
+        self._plan = {kind: self.pass_plan([f"{kind}{s}" for s in range(
+            N_DISTRIBUTION_STACKS)]) for kind in ("stream", "bounce")}
+        self._plan["collide"] = self.pass_plan(COLLIDE)
         if self.has_solid:
             # Flat texel indices of the solid sites (the flags texels
             # rendered passes read, fixed after construction).
             self._solid_texels = np.flatnonzero(np.pad(self.solid.transpose(2, 1, 0), p))
+            self._solid_at = self._solid_texels.ctypes.data
         # Per-step constants of the boundary-layer passes.
         if inlet is not None:
             self._inlet_feq = equilibrium_site(self.lattice, inlet[3],
                                                inlet[2]).astype(F32)
+            self._inlet_at = self._inlet_feq.ctypes.data
             self._inlet_s = self._layer_pass_s("inlet", inlet[0], tex_fetches=0)
         if outflow is not None:
             self._outflow_s = self._layer_pass_s("outflow", outflow[0],
@@ -286,22 +371,15 @@ class GPULBMSolver:
         each renders into a copy of its own); :meth:`run_bounce_passes`
         executes it as an index-list swap and charges these programs.
         Every program reads only its fetches and keeps only its own
-        uniforms.  ``macro`` and ``collide`` run as one call into
-        :data:`UNIT` when it loaded and the render's texels are rows of
-        unit-stride runs (:func:`_box`, every render the solver makes);
-        their numpy bodies, the same ops in the same order, are the
-        fallback without a C compiler.
+        uniforms.  These numpy bodies run without a C compiler; the
+        compiled passes (:data:`UNIT`) spell the same ops in the same
+        order and are charged as these programs.
         """
         lat = self.lattice
-        c = lat.c.astype(F32)
         w = lat.w.astype(F32)
         omega = self.omega
         n_stacks = N_DISTRIBUTION_STACKS
-        force_term = None
-        if self.force is not None:
-            force_term = ((c @ self.force.astype(F32)) * (F32(3.0) * w)).astype(F32)
         pixel_buffer = self._pixel_buffer
-        lib = self._lib
         locations = [link_location(i) for i in range(19)]
         #: Per axis, ``(link, sign)`` of its momentum links, slot order.
         jterms = [[(int(q), int(lat.c[q, a])) for q in np.flatnonzero(lat.c[:, a])]
@@ -310,10 +388,6 @@ class GPULBMSolver:
         def macro_kernel(ctx):
             out = pixel_buffer(ctx)
             texs = [ctx.fetch(f"f{s}") for s in range(n_stacks)]
-            box = lib and _box(out, texs)
-            if box:
-                lib.gpu_macro(*(t.ctypes.data for t in texs), out.ctypes.data, *box)
-                return out
             # Slot-order accumulation: c * v is v or -v (exact), and
             # m + (-v) is m - v.
             col = [texs[s][..., ch] for s, ch in locations]
@@ -337,22 +411,13 @@ class GPULBMSolver:
         def make_collide(s):
             links = stack_links(s)
             groups = native.collide_groups(lat, links)
-            add = None if force_term is None else force_term[links]
-            program = getattr(lib, f"gpu_collide{s}", None)
+            add = None if self._force_term is None else self._force_term[links]
 
             def collide_kernel(ctx):
                 f = ctx.fetch(f"f{s}")
                 mac = ctx.fetch("macro")
                 flags = ctx.fetch("flags", channels=0) if has_solid else None
                 out = pixel_buffer(ctx)
-                box = program and _box(out, [f, mac] if flags is None
-                                       else [f, mac, flags])
-                if box:
-                    program(f.ctypes.data, mac.ctypes.data,
-                            None if flags is None else flags.ctypes.data,
-                            out.ctypes.data, *box, omega,
-                            None if add is None else add.ctypes.data)
-                    return out
                 rho = mac[..., 0]
                 u = [mac[..., 1 + a] for a in range(3)]
                 usq = (u[0] * u[0] + u[1] * u[1] + u[2] * u[2]) * F32(1.5)
@@ -422,6 +487,41 @@ class GPULBMSolver:
             programs[f"bounce{s}"] = make_bounce(s)
         return programs
 
+    # -- compiled passes --------------------------------------------------
+    def _texels(self) -> int:
+        """The address of ``tex`` (:func:`_source`), refreshed when a swap
+        commit has moved the arrays (the compiled stream moves it too)."""
+        arrays = [t.data for t in self._swapped]
+        if not all(map(operator.is_, arrays, self._held)):
+            self._held = arrays
+            self._tex[0][:] = [a.ctypes.data for a in arrays]
+        return self._tex[1]
+
+    def _face(self, how: int, axis: int, at: int, slots: tuple, buf=None,
+              src: int | None = None, inner: bool = False) -> None:
+        """One ``gpu_face`` call over the ``axis`` plane ``at`` (its
+        padded cross-section, or with ``inner`` the interior's) of each
+        of ``slots`` (links; 19 is the unused channel): ``how`` 0 copies
+        plane ``src`` onto it; 1 gathers it into, 2 scatters it from the
+        address ``buf``, a :meth:`get_border_layer` block per slot; 3
+        fills slot ``k`` with the float at ``buf + 4 k``."""
+        key = (how, axis, at, src, inner, slots)
+        args = self._faces.get(key)
+        if args is None:
+            d, h, w = self.macro_stack.data.shape[:3]
+            ext, step = (w, h, d), (1, w, h * w)
+            i, j = (a for a in range(3) if a != axis)
+            lo = self.pad if inner else 0
+            ni, nj = ext[i] - 2 * lo, ext[j] - 2 * lo
+            corner = lo * (step[i] + step[j])
+            # Rows along j, runs along i; a block is (i, j) row-major.
+            tex = (nj, ni, at * step[axis] + corner, step[j], step[i])
+            other = ((0 if src is None else src * step[axis] + corner, 0,
+                      step[j], step[i]) if how == 0 else (0, ni * nj, 1, nj))
+            args = self._faces[key] = _longs(len(slots), d * h * w, *tex, *other,
+                                             how, *(PLANES[q] for q in slots))
+        self._lib.gpu_face(self._texels(), buf, args[1])
+
     # -- ghost-layer management (padded mode) -----------------------------
     def _check_padded(self) -> None:
         if self.mode != "padded":
@@ -447,16 +547,11 @@ class GPULBMSolver:
         if f_ghost.shape != (len(link_ids),) + full:
             raise ValueError(f"ghost face shape {f_ghost.shape} != "
                              f"{(len(link_ids),) + full}")
-        idx_along = 0 if side == "low" else (self.shape[axis] + 1)
+        plane = [slice(None)] * 3
+        plane[2 - axis] = 0 if side == "low" else (self.shape[axis] + 1)
         for row, i in enumerate(link_ids):
             s, ch = link_location(int(i))
-            data = self.f_stacks[s].data
-            if axis == 0:
-                data[:, :, idx_along, ch] = f_ghost[row].transpose(1, 0)
-            elif axis == 1:
-                data[:, idx_along, :, ch] = f_ghost[row].transpose(1, 0)
-            else:
-                data[idx_along, :, :, ch] = f_ghost[row].transpose(1, 0)
+            self.f_stacks[s].data[(*plane, ch)] = f_ghost[row].T
 
     def get_border_layer(self, axis: int, side: str,
                          out: np.ndarray | None = None,
@@ -480,16 +575,11 @@ class GPULBMSolver:
         elif out.shape != (len(link_ids),) + full:
             raise ValueError(f"border face shape {out.shape} != "
                              f"{(len(link_ids),) + full}")
-        idx_along = 1 if side == "low" else self.shape[axis]
+        plane = [slice(None)] * 3
+        plane[2 - axis] = 1 if side == "low" else self.shape[axis]
         for row, i in enumerate(link_ids):
             s, ch = link_location(int(i))
-            data = self.f_stacks[s].data
-            if axis == 0:
-                out[row] = data[:, :, idx_along, ch].transpose(1, 0)
-            elif axis == 1:
-                out[row] = data[:, idx_along, :, ch].transpose(1, 0)
-            else:
-                out[row] = data[idx_along, :, :, ch].transpose(1, 0)
+            out[row] = self.f_stacks[s].data[(*plane, ch)].T
         return out
 
     # -- boundary-layer passes --------------------------------------------
@@ -501,34 +591,32 @@ class GPULBMSolver:
         prog = FragmentProgram(name, None, alu_ops=2, tex_fetches=tex_fetches)
         return 5 * self.device.pass_time_s(prog, face)
 
+    def _interior(self, stack, axis: int) -> np.ndarray:
+        """``stack``'s interior texels, ``axis`` leading."""
+        (x, y, z), p = self.shape, self.pad
+        return stack.data[p:z + p, p:y + p, p:x + p].swapaxes(0, 2 - axis)
+
     def _apply_inlet(self) -> None:
         axis, side, _, _ = self.inlet
-        p = self.pad
-        nx, ny, nz = self.shape
-        idx_along = p if side == "low" else (self.shape[axis] - 1 + p)
-        for i in range(19):
-            s, ch = link_location(i)
-            data = self.f_stacks[s].data
-            sl = [slice(p, nz + p), slice(p, ny + p), slice(p, nx + p), ch]
-            sl[2 - axis] = idx_along
-            data[tuple(sl)] = self._inlet_feq[i]
+        at = 0 if side == "low" else self.shape[axis] - 1
+        if self._lib is not None:
+            self._face(3, axis, at + self.pad, LINKS, self._inlet_at, inner=True)
+        else:
+            for i, (s, ch) in enumerate(map(link_location, LINKS)):
+                self._interior(self.f_stacks[s], axis)[at, ..., ch] = self._inlet_feq[i]
         self.device.charge("inlet", self._inlet_s)
 
     def _apply_outflow(self) -> None:
         axis, side = self.outflow
-        p = self.pad
-        nx, ny, nz = self.shape
-        if side == "low":
-            dst, src = p, p + 1
+        n = self.shape[axis]
+        dst, src = (0, 1) if side == "low" else (n - 1, n - 2)
+        if self._lib is not None:       # every channel, the unused one too
+            self._face(0, axis, dst + self.pad, LINKS + (19,), src=src + self.pad,
+                       inner=True)
         else:
-            dst, src = self.shape[axis] - 1 + p, self.shape[axis] - 2 + p
-        for s in range(N_DISTRIBUTION_STACKS):
-            data = self.f_stacks[s].data
-            sl_d = [slice(p, nz + p), slice(p, ny + p), slice(p, nx + p), slice(None)]
-            sl_s = list(sl_d)
-            sl_d[2 - axis] = dst
-            sl_s[2 - axis] = src
-            data[tuple(sl_d)] = data[tuple(sl_s)]
+            for stack in self.f_stacks:
+                face = self._interior(stack, axis)
+                face[dst] = face[src]
         self.device.charge("outflow", self._outflow_s)
 
     # -- the step -----------------------------------------------------------
@@ -538,6 +626,39 @@ class GPULBMSolver:
         if self.flags_stack is not None:
             b["flags"] = self.flags_stack
         return b
+
+    def pass_plan(self, names, rect=None, z_range=None) -> list:
+        """``(name, seconds, counted)`` of passes ``names`` over ``rect``
+        x ``z_range`` (the interior by default): what rendering them
+        there charges and counts, as data (:meth:`SimulatedGPU.apply`)."""
+        rect = rect or self._rect
+        n = len(self._z_range if z_range is None else z_range) * rect.fragments
+        return [(name, self.device.pass_time_s(self._programs[name], n), True)
+                for name in names]
+
+    def collide(self, charge: bool = True) -> None:
+        """``macro`` + ``collide0..4`` over the interior: one in-place
+        ``gpu_collide`` call, or the six passes through the per-pass
+        engine.  With ``charge=False`` nothing is charged or counted."""
+        lib = self._lib
+        if lib is None:
+            self.run_macro_pass(charge=charge)
+            self.run_collide_passes(charge=charge)
+            return
+        lib.gpu_collide(self._texels(), self._collide_g[1], self._flags,
+                        self.omega, self._add)
+        if charge:
+            self.device.apply(self._plan["collide"])
+
+    def finish(self) -> None:
+        """Stream, bounce-back, inlet and outflow, each charged."""
+        self.run_stream_passes()
+        if self.has_solid:
+            self.run_bounce_passes()
+        if self.inlet is not None:
+            self._apply_inlet()
+        if self.outflow is not None:
+            self._apply_outflow()
 
     def run_macro_pass(self, rect=None, z_range=None, charge: bool = True) -> None:
         self.device.run_pass(self._programs["macro"], self.macro_stack,
@@ -562,17 +683,11 @@ class GPULBMSolver:
             from repro.lbm.streaming import shell_partition
             slabs, core = shell_partition(self.shape, depth=1)
             p = self.pad
-
-            def piece(region):
-                sx, sy, sz = region
-                if sx.stop <= sx.start or sy.stop <= sy.start or sz.stop <= sz.start:
-                    return None
-                return (Rect(sy.start + p, sy.stop + p, sx.start + p, sx.stop + p),
-                        range(sz.start + p, sz.stop + p))
-
-            shell = [pc for pc in map(piece, slabs) if pc is not None]
-            inner = [pc for pc in (piece(core),) if pc is not None]
-            self._split_pieces = (shell, inner)
+            self._split_pieces = tuple(
+                [(Rect(sy.start + p, sy.stop + p, sx.start + p, sx.stop + p),
+                  range(sz.start + p, sz.stop + p)) for sx, sy, sz in regions
+                 if all(r.stop > r.start for r in (sx, sy, sz))]
+                for regions in (slabs, [core]))
         return self._split_pieces
 
     def run_collide_passes(self, z_range=None, rect=None, charge: bool = True) -> None:
@@ -585,38 +700,49 @@ class GPULBMSolver:
                                  wrap=self._wrap, charge=charge, pbuffer=self.pbuffer)
 
     def charge_collide_passes(self, rect, z_range) -> None:
-        """Charge the device for macro + collide0..4 over ``rect`` x
-        ``z_range`` without rendering: exactly what rendering those
-        passes there charges and counts.  The passes are elementwise,
-        so one uncharged render over the interior followed by one
-        charge per piece leaves the texels and the clock of rendering
-        piece by piece."""
+        """Charge and count macro + collide0..4 over ``rect`` x
+        ``z_range`` without rendering, as rendering them there would:
+        the passes are elementwise, so one uncharged render and a
+        charge per piece leave what rendering piece by piece does."""
         n = len(z_range) * rect.fragments
         self.device.account(self._programs["macro"], n)
         for s in range(N_DISTRIBUTION_STACKS):
             self.device.account(self._programs[f"collide{s}"], n)
 
     def run_stream_passes(self) -> None:
-        for s in range(N_DISTRIBUTION_STACKS):
-            self.device.run_pass(self._programs[f"stream{s}"], self.f_stacks[s],
-                                 self.bindings(), self._rect, self._z_range,
-                                 wrap=self._wrap, pbuffer=self.pbuffer)
+        """The five ``stream`` passes.  Compiled, each stack is one
+        ``gpu_stream`` into :attr:`pbuffer`, committed by swapping arrays."""
+        lib, pb = self._lib, self.pbuffer
+        if lib is None:
+            for s in range(N_DISTRIBUTION_STACKS):
+                self.device.run_pass(self._programs[f"stream{s}"], self.f_stacks[s],
+                                     self.bindings(), self._rect, self._z_range,
+                                     wrap=self._wrap, pbuffer=pb)
+            return
+        at, tex, held = self._texels(), self._tex[0], self._held
+        for s, stack in enumerate(self.f_stacks):
+            lib.gpu_stream(at, s, self._stream_g[1])
+            stack.data, pb.data = pb.data, stack.data
+            tex[s], tex[5], held[s], held[5] = tex[5], tex[s], held[5], held[s]
+        self.device.apply(self._plan["stream"])
 
     def run_bounce_passes(self) -> None:
         """The ``bounce`` pass group: every link at a solid texel takes
         its opposite's pre-group value.  A fluid texel's output is its
-        input, so only the solid texels are touched — a snapshot of the
-        19 links there, then one scatter per link — and the five
-        programs are charged over the whole render."""
-        planes = [flat_planes(stack.data) for stack in self.f_stacks]
-        idx = self._solid_texels
-        locations = [link_location(i) for i in range(19)]
-        held = [planes[s][ch][idx] for s, ch in locations]
-        for (s, ch), opp in zip(locations, self.lattice.opp):
-            planes[s][ch][idx] = held[opp]
-        n = len(self._z_range) * self._rect.fragments
-        for s in range(N_DISTRIBUTION_STACKS):
-            self.device.account(self._programs[f"bounce{s}"], n)
+        input, so compiled only the solid texels are touched, by one
+        ``gpu_bounce`` swap; without a compiler the five programs render
+        as a pass group.  Either way they are charged over the whole
+        render."""
+        if self._lib is None:
+            b = self.bindings()
+            self.device.run_pass_group(
+                [(self._programs[f"bounce{s}"], self.f_stacks[s], b)
+                 for s in range(N_DISTRIBUTION_STACKS)],
+                self._rect, self._z_range, wrap=self._wrap)
+            return
+        self._lib.gpu_bounce(self._texels(), self._solid_at, len(self._solid_texels),
+                             self.pbuffer.data.strides[-1] // 4)
+        self.device.apply(self._plan["bounce"])
 
     def fill_ghosts_periodic(self) -> None:
         """Padded-mode periodic wrap (used when no cluster is attached)."""
@@ -625,28 +751,15 @@ class GPULBMSolver:
         if self.flags_stack is not None:
             stacks_to_wrap.append(self.flags_stack)
         for stacks in stacks_to_wrap:
-            d = stacks.data
             for ax in range(3):
-                n = d.shape[ax]
-                lo = [slice(None)] * 4
-                hi = [slice(None)] * 4
-                lo[ax], hi[ax] = 0, n - 2
-                d[tuple(lo)] = d[tuple(hi)]
-                lo[ax], hi[ax] = n - 1, 1
-                d[tuple(lo)] = d[tuple(hi)]
+                d = stacks.data.swapaxes(0, ax)
+                d[0], d[-1] = d[-2], d[1]
 
     def step(self, n: int = 1) -> None:
         """Advance ``n`` time steps through the full pass suite."""
         for _ in range(n):
-            self.run_macro_pass()
-            self.run_collide_passes()
+            self.collide()
             if self.mode == "padded":
                 self.fill_ghosts_periodic()
-            self.run_stream_passes()
-            if self.has_solid:
-                self.run_bounce_passes()
-            if self.inlet is not None:
-                self._apply_inlet()
-            if self.outflow is not None:
-                self._apply_outflow()
+            self.finish()
             self.time_step += 1

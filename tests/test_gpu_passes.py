@@ -18,14 +18,20 @@ over the strided rectangle, committed by copy at ``rect`` x
 (:func:`_rect_engine`).  Twins driven by it pin the span render, the
 swap commit and the index-list bounce.
 
-``macro`` and ``collide`` run as compiled C when a compiler is present
-(:data:`repro.gpu.lbm_gpu.UNIT`) and as their numpy bodies when not:
-the program-vs-oracle and step-by-step classes run a second time with
-the compiler hidden (the ``...WithoutACompiler`` classes).
+With a compiler present a step is a few compiled calls
+(:data:`repro.gpu.lbm_gpu.UNIT`: ``macro`` fused with ``collide0..4``
+in place, the stream, bounce-back and face copies) charged from the
+node's plan; without one, every pass renders its numpy body through
+the per-pass engine, charged pass by pass.  The twins run the latter,
+so the step-by-step classes pin the compiled step against it, and run
+a second time with the compiler hidden (the ``...WithoutACompiler``
+classes).
 """
 
 from __future__ import annotations
 
+import platform
+import shutil
 import subprocess
 import tracemalloc
 
@@ -148,11 +154,14 @@ def _oracle_programs(solver) -> dict:
 
 
 def _rect_engine(solver):
-    """Drive ``solver`` through the rectangle engine: every
-    ``run_pass`` renders over the strided rectangle (slice by slice
-    where the program or the z iteration asks) and copies its output
-    into the target at ``rect`` x ``z_range``; bounce-back renders the
-    ``bounce`` programs as a pass group."""
+    """Drive ``solver`` through the rectangle engine: the per-pass
+    engine (no compiled pass: ``_lib`` None, so collide, stream, the
+    face copies and their charges take the no-compiler path), whose
+    every ``run_pass`` renders over the strided rectangle (slice by
+    slice where the program or the z iteration asks) and copies its
+    output into the target at ``rect`` x ``z_range``; bounce-back
+    renders the ``bounce`` programs as a pass group."""
+    solver._lib = None
     device = solver.device
 
     def run_pass(program, target, bindings, rect, z_range=None, wrap=False,
@@ -290,6 +299,20 @@ def _programs_match_the_oracle(shape, mode, solid, force, zero_site, seed):
             f = (_f_at(solver, int(name[-1]), rect, zr)
                  if name.startswith("collide") else None)
             _assert_texels(name, new, old, f, flags)
+    # The whole collide (fused and in place when compiled) against the
+    # oracle's six passes through the rectangle engine.
+    twin = _rect_engine(GPULBMSolver(shape, 0.7, mode=mode, force=force,
+                                     solid=mask if solid else None))
+    twin._programs = oracle
+    for ta, tb in zip(solver.bindings().values(), twin.bindings().values()):
+        tb.data[...] = ta.data
+    f = [t.data.copy() for t in solver.f_stacks]
+    solver.collide(charge=False)
+    twin.collide(charge=False)
+    flags = None if solver.flags_stack is None else solver.flags_stack.data[..., 0]
+    _assert_texels("macro", solver.macro_stack.data, twin.macro_stack.data)
+    for s, (ta, tb) in enumerate(zip(solver.f_stacks, twin.f_stacks)):
+        _assert_texels(f"collide{s}", ta.data, tb.data, f[s], flags)
 
 
 class TestProgramsBitwise:
@@ -681,6 +704,18 @@ class TestStepsWithoutACompiler(TestSteps):
     pass
 
 
+def _count_unit_calls(monkeypatch) -> dict:
+    """Count every call into the compiled unit from now on, by entry."""
+    lib = native.load(D3Q19, F32, lbm_gpu.UNIT)[0]
+    calls = {}
+    for name in lbm_gpu._entries(None):
+        def counted(*args, _fn=getattr(lib, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+        monkeypatch.setattr(lib, name, counted)
+    return calls
+
+
 class TestCompiled:
     def test_loaded_and_reported(self):
         solver = GPULBMSolver((4, 3, 3), 0.7, mode="padded")
@@ -694,20 +729,89 @@ class TestCompiled:
     @pytest.mark.parametrize("mode", ["wrap", "padded"])
     def test_every_render_of_a_step_calls_the_compiled_body(
             self, rng, monkeypatch, mode):
-        """Wrap mode too: its whole-stack fetches are slice views."""
-        lib = native.load(D3Q19, F32, lbm_gpu.UNIT)[0]
-        calls = {}
-        for name in ["gpu_macro"] + [f"gpu_collide{s}"
-                                     for s in range(N_DISTRIBUTION_STACKS)]:
-            def counted(*args, _fn=getattr(lib, name), _name=name):
-                calls[_name] = calls.get(_name, 0) + 1
-                return _fn(*args)
-            monkeypatch.setattr(lib, name, counted)
+        """Wrap mode too (one generated stream serves both layouts):
+        one fused collide, one stream per stack, one bounce swap and a
+        face call each for the inlet and the outflow per step, and no
+        render through the per-pass engine."""
+        calls = _count_unit_calls(monkeypatch)
+        monkeypatch.setattr(GPULBMSolver, "_pixel_buffer", None)  # no render
         shape = (6, 5, 4)
         solver = GPULBMSolver(shape, 0.7, mode=mode, force=(1e-5, 0.0, 0.0),
-                              solid=rng.random(shape) < 0.2)
+                              solid=rng.random(shape) < 0.2,
+                              inlet=(0, "low", (0.03, 0.0, 0.0), 1.0),
+                              outflow=(0, "high"))
         solver.step(3)
-        assert calls == {name: 3 for name in calls} and len(calls) == 6
+        assert calls == {"gpu_collide": 3, "gpu_stream": 15, "gpu_bounce": 3,
+                         "gpu_face": 6}
+
+    def test_steady_state_node_step(self, rng, monkeypatch):
+        """A padded node with solids, an inlet, an outflow and a body
+        force, past its first step: a fixed handful of compiled calls
+        (collide, five streams, the bounce swap, and one face call per
+        exchanged or closed face, inlet and outflow) and no bounce
+        snapshot — under 32 KiB, where the 19-link snapshot alone is
+        ~40 KiB here."""
+        shape = (40, 32, 30)
+        solid = rng.random(shape) < 0.1
+        cfg = ClusterConfig(sub_shape=(20, 32, 30), arrangement=(2, 1, 1),
+                            tau=0.7, periodic=(False, True, False),
+                            solid=solid, force=(1e-5, 0.0, 0.0),
+                            inlet=(0, "low", (0.03, 0.0, 0.0), 1.0),
+                            outflow=(0, "high"))
+        with GPUClusterLBM(cfg) as cluster:
+            node = cluster.nodes[0]
+            assert node.solver.has_solid and len(node.solver._solid_texels) > 512
+            cluster.step(2)
+            calls = _count_unit_calls(monkeypatch)
+            tracemalloc.start()
+            cluster.step(1)
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+        # Per node: collide 1, stream 5, bounce 1; faces: the x message's
+        # gather and scatter, the y self-wrap's (both sides, one message:
+        # two of each), z zero fills 2, x zero fill 1, and the inlet or
+        # the outflow.
+        assert calls == {"gpu_collide": 2, "gpu_stream": 10, "gpu_bounce": 2,
+                         "gpu_face": 2 * 10}, calls
+        assert peak < 32 * 1024
+
+    def test_fused_collide_and_stream_loops_vectorize(self, tmp_path):
+        """GCC reports the fused collide's four variant loops and the
+        stream's row loops (the rim copies and the pulled span)
+        vectorised, for the host's ``-march=native`` build and, on
+        x86-64, ``-march=x86-64-v2`` (as
+        ``test_native.py::test_every_sweep_loop_vectorizes`` does for
+        the AA sweep).  Built into ``tmp_path``, not the cache."""
+        cc = shutil.which(native.COMPILER)
+        if cc is None or "Free Software Foundation" not in subprocess.run(
+                [cc, "--version"], capture_output=True, text=True).stdout:
+            pytest.skip("the vectoriser report read here is GCC's")
+        src = lbm_gpu._source(D3Q19, np.dtype(F32))
+        c_file = tmp_path / "gpu.c"
+        c_file.write_text(src)
+        lines = src.splitlines()
+        begin, end = (next(n for n, line in enumerate(lines) if line.startswith(head))
+                      for head in ("void gpu_stream", "void gpu_bounce"))
+        collide = {n + 1 for n, line in enumerate(lines)
+                   if line.startswith("for (long i = 0; i < len; ")}
+        rows = {n + 1 for n in range(begin, end) if lines[n].startswith("for (long i ")}
+        assert len(collide) == 4 and len(rows) == 3
+        builds = [native.FLAGS]
+        if platform.machine() == "x86_64":
+            builds.append([f for f in native.FLAGS if not f.startswith("-march=")]
+                          + ["-march=x86-64-v2"])
+        for flags in builds:
+            done = subprocess.run([native.COMPILER, *flags,
+                                   "-fopt-info-vec-optimized", str(c_file),
+                                   "-o", str(tmp_path / "gpu.so")],
+                                  capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            vectorized = {int(line.split(":")[1])
+                          for line in done.stderr.splitlines()
+                          if line.startswith(str(c_file))
+                          and "loop vectorized" in line}
+            assert collide | rows <= vectorized, (
+                flags, sorted((collide | rows) - vectorized))
 
     def test_warm_load_runs_no_subprocess(self, tmp_path, monkeypatch):
         monkeypatch.setattr(native, "CACHE_DIR", tmp_path)
