@@ -19,7 +19,7 @@ its properties off the driver: the resolved kernel and its ``rule:``
 reason, ``stacked``, one distribution array (or an untouched spare
 shared buffer), the SPMD per-channel message count against the route
 table, one trace track per rank and a valid Chrome export,
-``steps.total``, heartbeats and valid Prometheus/JSONL exports, and no
+``steps.total``, heartbeats and valid JSONL snapshots, and no
 leaked segment or orphaned worker once a processes row is closed.  A
 simulated-GPU row also steps a serial twin whose ranks run the
 per-pass engine (the path without a compiler) and must match it after
@@ -265,7 +265,7 @@ def _trace(cluster):
 
 
 def _telemetry(cluster):
-    from repro.perf.telemetry import validate_prometheus, validate_snapshot
+    from repro.perf.telemetry import validate_snapshot
     tmp = tempfile.TemporaryDirectory()
     path = os.path.join(tmp.name, "telemetry.jsonl")
     session = cluster.enable_telemetry(jsonl_path=path)
@@ -278,15 +278,13 @@ def _telemetry(cluster):
                 if r.status != "unknown"}
         assert seen == set(range(cluster.decomp.n_nodes)), (
             f"heartbeats from ranks {sorted(seen)}")
-        series = validate_prometheus(session.to_prometheus())
         session.close()
         with open(path) as fh:
             lines = [json.loads(line) for line in fh if line.strip()]
         tmp.cleanup()
         assert lines, "no JSONL snapshots"
-        for line in lines:
-            validate_snapshot(line)
-        return f"{series} series, {len(lines)} snapshots"
+        instruments = [validate_snapshot(line) for line in lines]
+        return f"{instruments[-1]} instruments, {len(lines)} snapshots"
     return check
 
 

@@ -84,14 +84,9 @@ def _cmd_strong(args) -> None:
 
 
 def _cmd_whatif(args) -> None:
-    from repro.perf.whatif import enhancement_speedups, multi_gpu_per_node
+    from repro.perf.whatif import enhancement_speedups
     for label, v in enhancement_speedups().items():
         print(f"  {label:<40s} {v:5.2f}x")
-    print("\nmultiple GPUs per node (PCI-Express):")
-    for r in multi_gpu_per_node():
-        print(f"  {r['gpus_per_node']} GPU(s)/node, {r['hosts']:>2} hosts: "
-              f"net {r['net_total_ms']:6.1f} ms, total {r['total_ms']:6.1f} ms, "
-              f"speedup {r['speedup_vs_cpu']:.2f}x")
 
 
 def _cmd_cost(args) -> None:
@@ -164,8 +159,10 @@ def _cmd_trace(args) -> None:
     tracing on, then replays the same
     decomposition as an SPMD SimMPI program so the network track also
     carries executed per-message events (src/dst/tag/bytes on the
-    simulated clock).  Writes Chrome-trace JSON + JSONL and prints the
-    derived analytics.
+    simulated clock).  The replay records on its own recorder and only
+    its network events join the trace, so the step, rank and overlap
+    analytics describe the cluster run alone.  Writes Chrome-trace
+    JSON + JSONL and prints the derived analytics.
     """
     import os
 
@@ -173,6 +170,7 @@ def _cmd_trace(args) -> None:
     from repro.core.decomposition import BlockDecomposition
     from repro.core.spmd import SPMDClusterLBM
     from repro.net.simmpi import SimCluster
+    from repro.perf.recorder import NETWORK_RANK, Tracer
     from repro.perf.report import format_trace_analytics
     from repro.urban.city import times_square_like
     from repro.urban.voxelize import voxelize_city
@@ -202,8 +200,10 @@ def _cmd_trace(args) -> None:
     # schedule; this records the Fig-7 message pattern for real).
     decomp = BlockDecomposition(shape, arrangement,
                                 periodic=(True, True, True))
-    sim = SimCluster(decomp.n_nodes, recorder=tracer)
+    replay = Tracer()
+    sim = SimCluster(decomp.n_nodes, recorder=replay)
     SPMDClusterLBM(decomp, tau=0.6, solid=solid).run(1, cluster=sim)
+    tracer.extend(e for e in replay.events if e.rank == NETWORK_RANK)
 
     os.makedirs(args.out, exist_ok=True)
     chrome_path = os.path.join(args.out, "repro-trace.json")

@@ -15,9 +15,6 @@
   by its face row) over a three-call transport that the in-process,
   shared-memory and SimMPI paths each bind; every message is raw
   packed float32.
-* :mod:`repro.core.compression` — Sec 4.3's open idea, lossless halo
-  compression, studied in the step model with a measured codec ratio
-  (never executed on the wire).
 * :mod:`repro.core.gpu_node` / :mod:`repro.core.cpu_node` — one
   sub-domain on a simulated GPU (texture passes, gather-into-one-
   texture readback over AGP) or on a host CPU (reference numpy solver,
@@ -38,7 +35,6 @@ from repro.core.decomposition import BlockDecomposition, arrange_nodes_2d, arran
 from repro.core.halo import HaloPlan
 from repro.core.schedule import CommSchedule, naive_schedule
 from repro.core.cluster_lbm import ClusterConfig, CPUClusterLBM, GPUClusterLBM, StepTiming
-from repro.core.compression import HaloCompressor
 from repro.core.procpool import ProcessBackend
 from repro.core.shm import leaked_segments
 from repro.core.spmd import SPMDClusterLBM
@@ -48,6 +44,6 @@ __all__ = [
     "BlockDecomposition", "arrange_nodes_2d", "arrange_nodes_3d",
     "HaloPlan", "CommSchedule", "naive_schedule",
     "ClusterConfig", "GPUClusterLBM", "CPUClusterLBM", "StepTiming",
-    "HaloCompressor", "SPMDClusterLBM", "DistributedThermalLBM",
+    "SPMDClusterLBM", "DistributedThermalLBM",
     "ProcessBackend", "leaked_segments",
 ]

@@ -45,7 +45,7 @@ from repro.core.schedule import CommSchedule
 from repro.core.stack import RankStack
 from repro.lbm.aa import unavailable
 from repro.lbm.lattice import D3Q19
-from repro.gpu.specs import AGP_8X, GEFORCE_FX_5800_ULTRA, XEON_2_4, BusSpec, CPUSpec, GPUSpec
+from repro.gpu.specs import AGP_8X, BusSpec
 from repro.net.switch import GigabitSwitch
 from repro.perf.recorder import Recorder
 from repro.perf.telemetry import TelemetrySession
@@ -108,6 +108,13 @@ class ClusterConfig:
     inlet / outflow / force:
         Global boundary conditions, applied on the nodes that own the
         corresponding global boundary.
+    bus / switch:
+        The E12 what-if knobs (:mod:`repro.perf.whatif`): the
+        GPU<->host bus each GPU node's readbacks and uploads are
+        charged on (default AGP 8x), and the simulated switch the halo
+        schedule is timed on (None, the default, builds a fresh
+        :class:`~repro.net.switch.GigabitSwitch`).  The node models are
+        fixed to the paper's GeForce FX 5800 Ultra and 2.4 GHz Xeon.
     backend:
         Execution backend for the per-node phases:
 
@@ -172,12 +179,9 @@ class ClusterConfig:
     inlet: tuple | None = None
     outflow: tuple | None = None
     force: tuple | None = None
-    gpu_spec: GPUSpec = GEFORCE_FX_5800_ULTRA
     bus: BusSpec = AGP_8X
-    cpu_spec: CPUSpec = XEON_2_4
     switch: GigabitSwitch | None = None
     backend: str = "serial"
-    backend_timeout_s: float = 60.0
     kernel: str = "auto"
     cuts: tuple | None = None
 
@@ -215,9 +219,6 @@ class ClusterConfig:
             raise ValueError(
                 "backend='processes' runs real numerics; use the default "
                 "serial backend for timing_only sweeps")
-        if self.backend_timeout_s <= 0:
-            raise ValueError(
-                f"backend_timeout_s must be > 0, got {self.backend_timeout_s}")
         if len(self.sub_shape) != 3 or any(s < 2 for s in self.sub_shape):
             raise ValueError(f"sub_shape must be 3D with extents >= 2, "
                              f"got {self.sub_shape}")
@@ -280,8 +281,7 @@ class _ClusterLBMBase:
             self._proc_backend = ProcessBackend(
                 [self._worker_spec_args(rank, solids[rank])
                  for rank in range(self.decomp.n_nodes)],
-                node_kind=self.node_kind,
-                timeout_s=config.backend_timeout_s)
+                node_kind=self.node_kind)
             self.nodes = self._proc_backend.proxies
         else:
             if self._stacks():
@@ -369,8 +369,6 @@ class _ClusterLBMBase:
             "solid": solid,
             **self.decomp.owned_boundaries(rank, cfg.inlet, cfg.outflow),
             "force": cfg.force,
-            "cpu_spec": cfg.cpu_spec,
-            "gpu_spec": cfg.gpu_spec,
             "bus": cfg.bus,
         }
 
@@ -698,7 +696,7 @@ class GPUClusterLBM(_ClusterLBMBase):
                        face_dirs=list(self.decomp.face_neighbors(rank)),
                        edge_dirs=list(self.decomp.edge_neighbors(rank)),
                        timing_only=self.config.timing_only,
-                       gpu_spec=self.config.gpu_spec, bus=self.config.bus,
+                       bus=self.config.bus,
                        force=self.config.force,
                        **self.decomp.owned_boundaries(
                            rank, self.config.inlet, self.config.outflow))
@@ -761,7 +759,6 @@ class CPUClusterLBM(_ClusterLBMBase):
                        face_dirs=list(self.decomp.face_neighbors(rank)),
                        edge_dirs=list(self.decomp.edge_neighbors(rank)),
                        timing_only=self.config.timing_only,
-                       cpu_spec=self.config.cpu_spec,
                        force=self.config.force,
                        **self.decomp.owned_boundaries(
                            rank, self.config.inlet, self.config.outflow),

@@ -52,14 +52,18 @@ import numpy as np
 
 from repro.core.exchange import HaloExchange, attach_recorder, step_rank
 from repro.core.shm import RankSegments, segment_name, unique_token, unlink_segment_names
-from repro.gpu.specs import (AGP_8X, GEFORCE_FX_5800_ULTRA, XEON_2_4, BusSpec,
-                             CPUSpec, GPUSpec)
+from repro.gpu.specs import AGP_8X, BusSpec
 from repro.perf.recorder import Recorder, estimate_clock_offset
 from repro.perf.telemetry import rss_bytes
 
 #: Fallback start method order: fork is cheap and keeps tests fast on
 #: Linux; spawn is the portable fallback.
 _START_METHODS = ("fork", "spawn")
+
+#: Seconds a worker waits on the halo barrier, and the coordinator on a
+#: reply, before calling a rank hung.  A dead worker is caught sooner,
+#: by process liveness (:meth:`ProcessBackend._await_all`).
+TIMEOUT_S = 60.0
 
 
 def _mp_context():
@@ -91,13 +95,10 @@ class WorkerSpec:
     inlet: tuple | None
     outflow: tuple | None
     force: tuple | None = None
-    cpu_spec: CPUSpec = XEON_2_4
-    gpu_spec: GPUSpec = GEFORCE_FX_5800_ULTRA
     bus: BusSpec = AGP_8X
     seg_names: dict | None = None       # own segment names by kind
     mail_names: tuple = ()              # every rank's mailbox segment name
     peer_sub_shapes: tuple = ()         # every rank's block shape (may differ)
-    barrier_timeout_s: float = 60.0
     q: int = 19
     kernel: str = "auto"                # per-rank hot-path selection
     halo_faces: tuple | None = None     # AA face rows (None: split ranks)
@@ -131,14 +132,13 @@ def build_node(spec: WorkerSpec):
         return GPUNode(spec.rank, spec.sub_shape, spec.tau, solid=spec.solid,
                        face_dirs=list(spec.face_dirs),
                        edge_dirs=list(spec.edge_dirs), timing_only=False,
-                       gpu_spec=spec.gpu_spec, bus=spec.bus,
+                       bus=spec.bus,
                        inlet=spec.inlet, outflow=spec.outflow,
                        force=spec.force)
     from repro.core.cpu_node import CPUNode
     return CPUNode(spec.rank, spec.sub_shape, spec.tau, solid=spec.solid,
                    face_dirs=list(spec.face_dirs),
                    edge_dirs=list(spec.edge_dirs), timing_only=False,
-                   cpu_spec=spec.cpu_spec,
                    inlet=spec.inlet, outflow=spec.outflow, force=spec.force,
                    kernel=spec.kernel, halo_faces=spec.halo_faces)
 
@@ -230,10 +230,10 @@ class _Worker:
         if self.spec.n_ranks < 2:
             return
         try:
-            self.barrier.wait(timeout=self.spec.barrier_timeout_s)
+            self.barrier.wait(timeout=TIMEOUT_S)
         except BrokenBarrierError:
             self.broken = ("halo barrier broken (a peer died or timed out "
-                           f"after {self.spec.barrier_timeout_s:g}s)")
+                           f"after {TIMEOUT_S:g}s)")
             raise
 
     def _heartbeat(self, busy: bool, stepped: bool = False) -> None:
@@ -404,9 +404,8 @@ class ProcessBackend:
     """
 
     def __init__(self, specs_args: list[dict], node_kind: str,
-                 timeout_s: float = 60.0, q: int = 19) -> None:
+                 q: int = 19) -> None:
         self.node_kind = node_kind
-        self.timeout_s = float(timeout_s)
         self.n_ranks = len(specs_args)
         self.broken: str | None = None
         self._closed = False
@@ -440,7 +439,7 @@ class ProcessBackend:
                     seg_names=self.segments[rank].names,
                     mail_names=mail_names,
                     peer_sub_shapes=sub_shapes,
-                    barrier_timeout_s=self.timeout_s, q=q, **args)
+                    q=q, **args)
                 parent_conn, child_conn = ctx.Pipe()
                 proc = ctx.Process(target=_worker_main,
                                    args=(spec, child_conn, self.barrier),
@@ -487,7 +486,7 @@ class ProcessBackend:
         pending = set(range(self.n_ranks))
         failures: list[_Failure] = []
         aborted = False
-        deadline = time.monotonic() + self.timeout_s
+        deadline = time.monotonic() + TIMEOUT_S
         while pending:
             progressed = False
             for rank in sorted(pending):
@@ -530,7 +529,7 @@ class ProcessBackend:
             if pending and not progressed and time.monotonic() > deadline:
                 for rank in sorted(pending):
                     failures.append(_Failure(
-                        rank, f"no reply within {self.timeout_s:g}s (hung)"))
+                        rank, f"no reply within {TIMEOUT_S:g}s (hung)"))
                 pending.clear()
         if failures:
             self._fail_fast(failures)

@@ -12,10 +12,7 @@ phase); this module *executes* it:
   carries no framing — the Sec 4.4 "gather everything for one neighbor
   into one message" optimisation.
 
-Every path ships those buffers as raw float32.  Sec 4.3's open idea,
-lossless halo compression, is studied with the measured codec ratio in
-the full step model (:mod:`repro.core.compression`), not executed on
-the wire.
+Every path ships those buffers as raw float32, uncompressed.
 """
 
 from __future__ import annotations

@@ -30,7 +30,6 @@ from repro.lbm.boundaries import (
 from repro.lbm.solver import LBMSolver
 from repro.lbm.thermal import HybridThermalLBM
 from repro.lbm.tracers import TracerCloud
-from repro.lbm.les import SmagorinskyBGK
 from repro.lbm.zou_he import ZouHePressure2D, ZouHeVelocity2D
 
 __all__ = [
@@ -60,5 +59,4 @@ __all__ = [
     "TracerCloud",
     "ZouHeVelocity2D",
     "ZouHePressure2D",
-    "SmagorinskyBGK",
 ]

@@ -65,7 +65,7 @@ class LBMSolver:
         sweep over a single distribution array.  ``"auto"`` (default)
         is a rule; the first line that applies wins:
 
-        1. a non-BGK operator (MRT, Smagorinsky) or a handler with a
+        1. a non-BGK operator (MRT, any BGK subclass) or a handler with a
            ``pre_stream`` snapshot (Bouzidi): ``split``;
         2. no handlers, or only face-resident ones (inlet, outflow,
            Zou–He, a custom handler keeping the contract stated on

@@ -24,8 +24,8 @@ of *time decompositions* measured on 2004 hardware.  This package holds
 * :mod:`repro.perf.report` — the reproduction report and the trace
   analytics (phase breakdown, load imbalance, overlap efficiency);
 * :mod:`repro.perf.telemetry` — the live views of a recorder (step
-  histogram, Prometheus / JSONL snapshots, the ``--live`` line), the
-  and the heartbeat watchdog.
+  histogram, JSONL snapshots, the ``--live`` line) and the heartbeat
+  watchdog.
 """
 
 from repro.perf import calibration

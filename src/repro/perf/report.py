@@ -22,8 +22,7 @@ from repro.perf.cost import paper_cluster_cost
 from repro.perf.model import (PAPER_TABLE1, PAPER_TABLE2, strong_scaling_rows,
                               table1_rows, table2_rows)
 from repro.perf.recorder import NETWORK_RANK
-from repro.perf.whatif import (barrier_crossover, enhancement_speedups,
-                               multi_gpu_per_node)
+from repro.perf.whatif import barrier_crossover, enhancement_speedups
 
 
 def generate_report() -> str:
@@ -69,11 +68,6 @@ def generate_report() -> str:
     w("\n## What-if enhancements at 32 nodes (Sec 4.4)\n\n")
     for label, v in enhancement_speedups().items():
         w(f"* {label}: {v:.2f}x\n")
-    w("\n## Multiple GPUs per node (Sec 3 prediction)\n\n")
-    for r in multi_gpu_per_node():
-        w(f"* {r['gpus_per_node']} GPU(s)/node ({r['hosts']} hosts): "
-          f"net {r['net_total_ms']:.0f} ms, total {r['total_ms']:.0f} ms, "
-          f"{r['speedup_vs_cpu']:.2f}x\n")
     w(f"\n## Barrier trade-off (Sec 4.3)\n\ncrossover at "
       f"{barrier_crossover()} nodes (paper: 16).\n")
 

@@ -11,8 +11,7 @@ the same tables.  :class:`HealthMonitor` flags ranks *stalled*
 (commanded but not started), *blocked* (mid-step, stale heartbeat) or
 *slow* from the heartbeats workers write into a shared-memory strip,
 re-based by the same clock offset as their events.  Snapshots go out as
-JSONL lines or Prometheus text, both schema-checked
-(:func:`validate_snapshot`, :func:`validate_prometheus`);
+schema-checked JSONL lines (:func:`validate_snapshot`);
 :class:`StatusLine` drives ``repro dispersion --live``.
 """
 
@@ -21,7 +20,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import re
 import sys
 import time
 from bisect import bisect_left
@@ -51,116 +49,8 @@ def bucket(bounds: tuple[float, ...], value: float) -> int:
     return bisect_left(bounds, value)
 
 
-def prometheus_text(metrics: dict) -> str:
-    """Prometheus text exposition of a snapshot's ``metrics`` object.
-
-    Names are sanitized (dots become underscores, ``repro_`` prefix);
-    ranks become a ``rank`` label; histogram buckets are cumulative
-    with the mandatory ``+Inf`` bound.
-    """
-    lines: list[str] = []
-    for kind in ("counters", "gauges"):
-        for name, per_rank in sorted(metrics[kind].items()):
-            pname = _prom_name(name)
-            lines.append(f"# TYPE {pname} {kind[:-1]}")
-            for rank, v in sorted(per_rank.items()):
-                lines.append(f'{pname}{{rank="{rank}"}} {_prom_num(v)}')
-    for name, per_rank in sorted(metrics["histograms"].items()):
-        pname = _prom_name(name)
-        lines.append(f"# TYPE {pname} histogram")
-        for rank, h in sorted(per_rank.items()):
-            cum = 0
-            for bound, c in zip(h["bounds"], h["counts"]):
-                cum += c
-                lines.append(f'{pname}_bucket{{rank="{rank}",'
-                             f'le="{_prom_num(bound)}"}} {cum}')
-            lines.append(f'{pname}_bucket{{rank="{rank}",le="+Inf"}} '
-                         f'{h["count"]}')
-            lines.append(f'{pname}_sum{{rank="{rank}"}} {_prom_num(h["sum"])}')
-            lines.append(f'{pname}_count{{rank="{rank}"}} {h["count"]}')
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _prom_name(name: str) -> str:
-    return "repro_" + "".join(ch if (ch.isalnum() or ch == "_") else "_"
-                              for ch in name)
-
-
-def _prom_num(v: float) -> str:
-    f = float(v)
-    if f == int(f) and abs(f) < 1e15:
-        return str(int(f))
-    return repr(f)
-
-
 # ---------------------------------------------------------------------------
-# exposition schema checks
-
-
-def validate_prometheus(text: str) -> int:
-    """Schema-check a Prometheus text exposition; returns the series count.
-
-    Asserts every sample line parses as ``name{labels} value``, every
-    series name was declared by a preceding ``# TYPE`` line (histogram
-    suffixes resolve to their base declaration), histogram buckets are
-    cumulative and end at ``le="+Inf"`` matching ``_count``.  Raises
-    ``ValueError`` on any violation.
-    """
-    declared: dict[str, str] = {}
-    series = 0
-    hist_state: dict[str, int] = {}     # series key -> previous bucket
-    inf_buckets: dict[str, int] = {}
-    counts: dict[str, int] = {}
-    for i, line in enumerate(text.splitlines()):
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            parts = line.split()
-            if len(parts) >= 4 and parts[1] == "TYPE":
-                if parts[3] not in ("counter", "gauge", "histogram"):
-                    raise ValueError(f"line {i}: unknown type {parts[3]!r}")
-                declared[parts[2]] = parts[3]
-            continue
-        brace = line.find("{")
-        if brace < 0 or "}" not in line:
-            raise ValueError(f"line {i}: sample without labels: {line!r}")
-        name = line[:brace]
-        labels, _, value = line[brace:].partition("} ")
-        try:
-            val = float(value)
-        except ValueError:
-            raise ValueError(f"line {i}: non-numeric value {value!r}")
-        base = name
-        for suffix in ("_bucket", "_sum", "_count"):
-            if name.endswith(suffix) and name[:-len(suffix)] in declared:
-                base = name[:-len(suffix)]
-                break
-        if base not in declared:
-            raise ValueError(f"line {i}: series {name!r} has no TYPE")
-        if declared[base] == "histogram":
-            # One histogram series: its labels without the bucket bound.
-            key = base + re.sub(r',?le="[^"]*"', "", labels)
-            if name.endswith("_count"):
-                counts[key] = int(val)
-            elif 'le="+Inf"' in labels:
-                inf_buckets[key] = int(val)
-            elif name.endswith("_bucket"):
-                if int(val) < hist_state.get(key, -1):
-                    raise ValueError(
-                        f"line {i}: non-cumulative histogram bucket")
-                hist_state[key] = int(val)
-        series += 1
-    for key in hist_state.keys() | inf_buckets.keys() | counts.keys():
-        if key not in inf_buckets or key not in counts:
-            raise ValueError(f"histogram {key}: no +Inf bucket or no _count")
-        if inf_buckets[key] < hist_state.get(key, 0):
-            raise ValueError(f"histogram {key}: +Inf bucket below a bound")
-        if inf_buckets[key] != counts[key]:
-            raise ValueError(f"histogram {key}: +Inf bucket "
-                             f"{inf_buckets[key]} != _count {counts[key]}")
-    if series == 0:
-        raise ValueError("no series in exposition")
-    return series
+# snapshot schema check
 
 
 def validate_snapshot(obj: dict) -> int:
@@ -549,9 +439,6 @@ class TelemetrySession:
         self._jsonl_fh.write(json.dumps(self.snapshot()) + "\n")
         self._jsonl_fh.flush()
         self._last_export_step = self.cluster.time_step
-
-    def to_prometheus(self) -> str:
-        return prometheus_text(self.metrics())
 
     def status_text(self) -> str:
         """The live TTY status line: rate, MLUPS, imbalance, comm share."""

@@ -16,15 +16,9 @@ overwhelms the performance gained", Sec 4.3).
 
 from __future__ import annotations
 
-import math
-from dataclasses import replace
-
-import numpy as np
-
 from repro.core.cluster_lbm import ClusterConfig, CPUClusterLBM, GPUClusterLBM
 from repro.core.decomposition import arrange_nodes_2d, surface_to_volume
-from repro.gpu.packing import PACKED_BYTES_PER_CELL
-from repro.gpu.specs import GEFORCE_FX_5800_ULTRA, PCIE_X16, BusSpec, GPUSpec
+from repro.gpu.specs import GEFORCE_FX_5800_ULTRA, PCIE_X16
 from repro.net.switch import GigabitSwitch
 from repro.perf import calibration as cal
 
@@ -115,72 +109,6 @@ def subdomain_shape_study(cells: int = 80 ** 3, nodes: int = 8) -> list[dict]:
             "surface_to_volume": surface_to_volume(shape),
             "net_total_ms": t.net_total_s * 1e3,
             "total_ms": t.total_s * 1e3,
-        })
-    return rows
-
-
-def multi_gpu_per_node(total_gpus: int = 32, sub_shape=(80, 80, 80),
-                       gpus_per_node=(1, 2, 4)) -> list[dict]:
-    """Sec 3's PCI-Express prediction, quantified.
-
-    "the PCI-Express will allow multiple GPUs to be plugged into one
-    PC.  The interconnection of these GPUs will greatly reduce the
-    network load."
-
-    With ``k`` GPUs per host, sub-domains that share a host exchange
-    their faces over the PCI-Express bus instead of the Ethernet
-    switch; only host-boundary faces touch the network.  The model
-    keeps the total GPU count (and lattice) fixed and varies k: the
-    network phase shrinks (fewer hosts, fewer and larger-grained
-    exchanges), while the intra-host transfers ride the symmetric
-    4 GB/s bus.
-    """
-    from repro.core.decomposition import BlockDecomposition
-    from repro.core.halo import HaloPlan
-    from repro.core.schedule import CommSchedule
-    from repro.net.switch import GigabitSwitch
-    from repro.perf.model import cluster_timings
-
-    rows = []
-    plan = HaloPlan(sub_shape)
-    sw = GigabitSwitch()
-    face_bytes = plan.face_bytes(0)
-    for k in gpus_per_node:
-        if total_gpus % k:
-            raise ValueError(f"{total_gpus} GPUs not divisible into {k}/node")
-        hosts = total_gpus // k
-        # GPUs tile x within a host; hosts form the paper's 2D grid.
-        host_arr = arrange_nodes_2d(hosts)
-        # Network schedule over the *host* grid: each host face carries
-        # one sub-domain face per perpendicular GPU (k along x for the
-        # y-direction boundaries, 1 for x boundaries).
-        host_shape = (sub_shape[0] * k * host_arr[0],
-                      sub_shape[1] * host_arr[1], sub_shape[2])
-        host_sub = (sub_shape[0] * k, sub_shape[1], sub_shape[2])
-        decomp = BlockDecomposition(host_shape, host_arr,
-                                    periodic=(False, False, False))
-        schedule = CommSchedule(decomp, HaloPlan(host_sub))
-        net = sw.phase_time(schedule.round_bytes(), hosts) if hosts > 1 else 0.0
-        # Intra-host exchanges over PCI-Express (k-1 internal faces,
-        # both directions, symmetric bus).
-        intra = 0.0
-        if k > 1:
-            per_face = (cal.UPLOAD_OVERHEAD_S
-                        + face_bytes / cal.effective_downstream_bytes_per_s(PCIE_X16)
-                        + face_bytes / cal.effective_upstream_bytes_per_s(PCIE_X16)
-                        + cal.READBACK_FLUSH_S / 4.0)
-            intra = 2.0 * per_face     # worst GPU: two internal faces
-        gpu, cpu = cluster_timings(total_gpus, sub_shape, bus=PCIE_X16)
-        window = gpu.overlap_window_s
-        nonoverlap = max(0.0, net - window)
-        total = gpu.compute_s + gpu.agp_s + intra + nonoverlap
-        rows.append({
-            "gpus_per_node": k,
-            "hosts": hosts,
-            "net_total_ms": net * 1e3,
-            "intra_node_ms": intra * 1e3,
-            "total_ms": total * 1e3,
-            "speedup_vs_cpu": cpu.total_s / total,
         })
     return rows
 

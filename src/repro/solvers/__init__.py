@@ -27,11 +27,10 @@ from repro.solvers.heat import DistributedHeat2D
 from repro.solvers.sparse import DistributedCSR, partition_rows
 from repro.solvers.krylov import conjugate_gradient, jacobi, red_black_gauss_seidel
 from repro.solvers.unstructured import IndirectionTextureGrid, build_disk_mesh
-from repro.solvers.wave import DistributedWave2D
 
 __all__ = [
     "DistributedCA", "life_rule", "majority_rule", "greenberg_hastings_rule",
-    "DistributedHeat2D", "DistributedWave2D",
+    "DistributedHeat2D",
     "DistributedCSR", "partition_rows",
     "conjugate_gradient", "jacobi", "red_black_gauss_seidel",
     "IndirectionTextureGrid", "build_disk_mesh",

@@ -32,7 +32,8 @@ class TestCLI:
         assert main(["whatif"]) == 0
         out = capsys.readouterr().out
         assert "Myrinet" in out
-        assert "GPU(s)/node" in out
+        assert "PCI-Express x16 bus" in out
+        assert "all three" in out
 
     def test_cost(self, capsys):
         assert main(["cost"]) == 0
@@ -51,6 +52,23 @@ class TestCLI:
         assert "Table 1" in out
         assert "Strong scaling" in out
         assert "Cost accounting" in out
+
+    def test_trace_analytics_describe_the_cluster_run_alone(self, tmp_path,
+                                                            capsys):
+        """The SimMPI replay that fills the network track stays out of
+        the step, rank and overlap rows: on the serial backend each of
+        the 2x2x1 ranks collides once per step, and nothing overlaps."""
+        assert main(["trace", "--steps", "3", "--out", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        collide = next(ln.split() for ln in lines
+                       if ln.split()[:1] == ["cluster.collide"])
+        assert float(collide[1]) == 4.0
+        steps = [ln for ln in lines if ln.strip().startswith("step ")]
+        assert len(steps) == 3
+        for ln in steps:
+            assert float(ln.split("hidden")[1].split()[0]) == 0.0, ln
+        assert any(ln.startswith("simulated network: 8 messages")
+                   for ln in lines)
 
     def test_report_to_file(self, tmp_path, capsys):
         path = tmp_path / "report.md"

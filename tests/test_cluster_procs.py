@@ -153,7 +153,7 @@ class TestKilledWorker:
     def test_killed_worker_raises_not_hangs(self, rng):
         f0 = _initial_state(rng)
         cfg = ClusterConfig(sub_shape=SUB, arrangement=ARR, tau=0.7,
-                            backend="processes", backend_timeout_s=30.0)
+                            backend="processes")
         cluster = CPUClusterLBM(cfg)
         try:
             cluster.load_global_distributions(f0)
@@ -185,11 +185,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="timing_only"):
             ClusterConfig(sub_shape=(8, 8, 8), arrangement=(2, 1, 1),
                           timing_only=True, backend="processes")
-
-    def test_timeout_validated(self):
-        with pytest.raises(ValueError, match="backend_timeout_s"):
-            ClusterConfig(sub_shape=(8, 8, 8), arrangement=(2, 1, 1),
-                          backend="processes", backend_timeout_s=0.0)
 
 
 class TestMailboxLayout:

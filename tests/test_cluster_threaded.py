@@ -84,17 +84,20 @@ class TestExchangeBuffers:
 class TestConfigValidation:
     def test_removed_options_rejected(self):
         """``max_workers``, ``wire``, ``layout``, ``sparse_threshold``,
-        ``autotune``, ``decomposition``, ``overlap``,
+        ``autotune``, ``decomposition``, ``overlap``, ``compression``,
+        ``use_sse``, ``gpu_spec``, ``cpu_spec``, ``backend_timeout_s``,
         ``backend="threads"`` and ``kernel="fused"`` / ``"sparse"``
-        selected code that no longer exists; passing them must fail
-        loudly."""
+        selected code or settings that no longer exist; passing them
+        must fail loudly."""
         base = dict(sub_shape=(8, 8, 8), arrangement=(1, 1, 1))
         for removed in ({"max_workers": 2}, {"wire": "merged"},
                         {"wire": "perface"}, {"layout": "soa"},
                         {"sparse_threshold": 0.5},
                         {"autotune": "measured"},
                         {"decomposition": "weighted"}, {"overlap": True},
-                        {"compression": "off"}, {"use_sse": True}):
+                        {"compression": "off"}, {"use_sse": True},
+                        {"gpu_spec": None}, {"cpu_spec": None},
+                        {"backend_timeout_s": 30.0}):
             with pytest.raises(TypeError, match=next(iter(removed))):
                 ClusterConfig(**base, **removed)
         with pytest.raises(ValueError, match="backend"):
@@ -104,9 +107,8 @@ class TestConfigValidation:
                 ClusterConfig(**base, kernel=kernel)
         assert [f.name for f in dataclasses.fields(ClusterConfig)] == [
             "sub_shape", "arrangement", "tau", "periodic", "timing_only",
-            "solid", "inlet", "outflow", "force", "gpu_spec", "bus",
-            "cpu_spec", "switch", "backend", "backend_timeout_s", "kernel",
-            "cuts"]
+            "solid", "inlet", "outflow", "force", "bus", "switch",
+            "backend", "kernel", "cuts"]
 
     def test_backend_must_be_known(self):
         with pytest.raises(ValueError, match="backend"):

@@ -21,7 +21,6 @@ from repro.lbm.boundaries import (Boundary, BouzidiCurvedBoundary,
                                   EquilibriumVelocityInlet, OutflowBoundary)
 from repro.lbm.collision import BGKCollision
 from repro.lbm.lattice import D2Q9, D3Q19
-from repro.lbm.les import SmagorinskyBGK
 from repro.lbm.zou_he import ZouHePressure2D, ZouHeVelocity2D
 
 SHAPE = (12, 10, 6)
@@ -211,7 +210,7 @@ class TestDefaultResolvesAA:
             "AAStepKernel", "BounceBackNodes", "BouzidiCurvedBoundary",
             "EquilibriumVelocityInlet", "OutflowBoundary", "box_walls",
             "LBMSolver", "HybridThermalLBM", "TracerCloud",
-            "ZouHeVelocity2D", "ZouHePressure2D", "SmagorinskyBGK"])
+            "ZouHeVelocity2D", "ZouHePressure2D"])
 
     @pytest.mark.parametrize("kwargs", [{"layout": "soa"},
                                         {"autotune": "heuristic"},
@@ -246,9 +245,6 @@ class TestFallbacks:
 
     def test_mrt_runs_split(self):
         assert self._used(collision="mrt") == "split"
-
-    def test_smagorinsky_runs_split(self):
-        assert self._used(collision=SmagorinskyBGK(D3Q19, 0.7)) == "split"
 
     def test_bgk_subclass_is_not_aa(self):
         class Tweaked(BGKCollision):

@@ -1,8 +1,8 @@
 """End-to-end integration: the full Sec-5 pipeline at test scale.
 
 city -> voxelize -> GPU-cluster flow (numeric) -> tracer release ->
-streamlines + distributed volume rendering, with cross-checks between
-the independent paths at every stage.
+streamlines, with cross-checks between the independent paths at every
+stage.
 """
 
 import numpy as np
@@ -13,7 +13,6 @@ from repro.core.spmd import SPMDClusterLBM
 from repro.lbm.solver import LBMSolver
 from repro.urban import DispersionScenario
 from repro.viz import seed_streamlines
-from repro.viz.compositing import distributed_volume_render, render_slab
 
 
 @pytest.fixture(scope="module")
@@ -87,17 +86,6 @@ class TestDownstreamArtifacts:
         for pts, vert in lines:
             assert np.isfinite(pts).all()
             assert ((vert >= 0) & (vert <= 1)).all()
-
-    def test_distributed_render_of_tracer_density(self, scenario, flows):
-        single, _ = flows
-        cloud = scenario.release_tracers(400)
-        for _ in range(10):
-            single.step(1)
-            cloud.step(single.f)
-        conc = cloud.concentration()
-        full = render_slab(conc, axis=0)
-        dist = distributed_volume_render(conc, 2, axis=0)
-        assert np.allclose(dist[0], full[0], atol=1e-12)
 
     def test_timing_decomposition_available(self, flows):
         _, cluster = flows

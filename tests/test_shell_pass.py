@@ -15,8 +15,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import ClusterConfig, CPUClusterLBM
-from repro.lbm.lattice import D3Q19
-from repro.lbm.les import SmagorinskyBGK
 from repro.lbm.solver import LBMSolver
 from tests.test_split_collide import _collide_by_pieces
 
@@ -25,7 +23,6 @@ shapes = st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 7))
 OPERATORS = {
     "bgk": lambda: {},
     "bgk_force": lambda: {"force": (1e-4, -2e-5, 3e-5)},
-    "les": lambda: {"collision": SmagorinskyBGK(D3Q19, 0.8, c_smago=0.16)},
     "mrt": lambda: {"collision": "mrt"},
 }
 

@@ -2,10 +2,10 @@
 
 Covers the recorder's per-rank tables and shared flags that every view
 reads, the step histogram's bucket scheme, the metrics a session
-derives from the recorder, the Prometheus/JSONL exposition and their
-validators, the health monitor state machine with synthetic
-heartbeats, the disabled-recorder overhead, and a small serial
-end-to-end run through ``enable_telemetry``.
+derives from the recorder, the JSONL snapshot and its validator, the
+health monitor state machine with synthetic heartbeats, the
+disabled-recorder overhead, and a small serial end-to-end run through
+``enable_telemetry``.
 """
 
 from __future__ import annotations
@@ -25,9 +25,7 @@ from repro.perf.telemetry import (
     TelemetrySession,
     bucket,
     log_bounds,
-    prometheus_text,
     rss_bytes,
-    validate_prometheus,
     validate_snapshot,
 )
 
@@ -192,39 +190,6 @@ class TestHistogramBuckets:
 
 
 class TestExposition:
-    def test_prometheus_text_schema(self):
-        text = prometheus_text(_metrics())
-        assert validate_prometheus(text) >= 3
-        assert "# TYPE repro_steps_total counter" in text
-        assert 'repro_steps_total{rank="-1"} 3' in text
-        assert 'repro_rank_rss_bytes{rank="0"} 1024' in text
-        # Histogram: cumulative buckets, +Inf, _sum/_count series.
-        assert 'le="+Inf"' in text
-        assert "repro_step_seconds_count" in text
-        assert "repro_step_seconds_sum" in text
-
-    def test_prometheus_histogram_buckets_cumulative(self):
-        text = prometheus_text(_metrics(counts=(1, 1, 1)))
-        rows = [ln for ln in text.splitlines() if "_bucket" in ln]
-        counts = [float(ln.rsplit(" ", 1)[1]) for ln in rows]
-        assert counts == [1.0, 2.0, 3.0]  # monotone cumulative
-
-    def test_validate_prometheus_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            validate_prometheus("repro_x{rank=} nope")
-        with pytest.raises(ValueError):
-            validate_prometheus("no_prefix_metric 1")
-
-    def test_validate_prometheus_pins_inf_bucket_to_count(self):
-        """A histogram's ``+Inf`` bucket must equal its ``_count``."""
-        text = prometheus_text(_metrics(counts=(1, 1, 1)))
-        count = next(ln for ln in text.splitlines()
-                     if ln.startswith("repro_step_seconds_count"))
-        bad = text.replace(count, count.rsplit(" ", 1)[0] + " 4")
-        assert validate_prometheus(text) > 0
-        with pytest.raises(ValueError, match="_count"):
-            validate_prometheus(bad)
-
     def test_validate_snapshot_roundtrips_jsonl(self):
         obj = {"t": 1.0, "step": 3, "metrics": _metrics()}
         back = json.loads(json.dumps(obj))  # rank keys become strings
@@ -389,7 +354,6 @@ class TestSerialIntegration:
             assert set(metrics["gauges"]["rank.rss_bytes"]) == {0, 1}
             assert metrics["histograms"]["step.seconds"][-1]["count"] == 3
             assert validate_snapshot(snap) > 0
-            assert validate_prometheus(session.to_prometheus()) > 0
             txt = session.status_text()
             assert "steps/s" in txt and "MLUPS" in txt
             assert "cluster.step" in snap["phases"]

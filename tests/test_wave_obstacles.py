@@ -1,4 +1,4 @@
-"""Tests for the distributed wave equation and obstacle helpers."""
+"""Tests for the obstacle geometry helpers (:mod:`repro.lbm.obstacles`)."""
 
 import numpy as np
 import pytest
@@ -6,62 +6,6 @@ import pytest
 from repro.lbm.obstacles import (backward_facing_step, cut_links_for_sphere,
                                  cylinder, sphere)
 from repro.lbm.solver import LBMSolver
-from repro.solvers.wave import (DistributedWave2D, step_reference,
-                                wave_energy)
-
-
-def _gaussian(n):
-    x = np.arange(n)
-    g = np.exp(-((x - n / 2) ** 2) / 8.0)
-    return np.outer(g, g)
-
-
-class TestWaveReference:
-    def test_energy_conserved(self):
-        u0 = _gaussian(24)
-        up, u = step_reference(u0, u0, 0.25, steps=1)
-        e0 = wave_energy(up, u, 0.25)
-        for _ in range(5):
-            up, u = step_reference(up, u, 0.25, steps=20)
-            assert wave_energy(up, u, 0.25) == pytest.approx(e0, rel=1e-6)
-
-    def test_pulse_propagates_outward(self):
-        u0 = _gaussian(32)
-        _, u = step_reference(u0, u0, 0.25, steps=20)
-        # Centre amplitude drops as the ring expands.
-        assert abs(u[16, 16]) < u0[16, 16]
-        assert np.abs(u).max() > 0.01
-
-    def test_standing_mode_frequency(self):
-        """The (1,1) eigenmode of the fixed square oscillates at
-        omega = C * pi * sqrt(2)/n: check the half-period sign flip."""
-        n = 16
-        courant = 0.5
-        x = (np.arange(n) + 1) / (n + 1)
-        mode = np.sin(np.pi * x)[:, None] * np.sin(np.pi * x)[None, :]
-        # period T = 2 pi / (omega), omega = C*pi*sqrt(2)/(n+1) per step
-        omega = courant * np.pi * np.sqrt(2.0) / (n + 1)
-        half_period = int(round(np.pi / omega))
-        up, u = step_reference(mode, mode, courant ** 2, steps=half_period)
-        corr = float((u * mode).sum() / (mode * mode).sum())
-        assert corr == pytest.approx(-1.0, abs=0.08)
-
-
-class TestDistributedWave:
-    @pytest.mark.parametrize("ranks", [(1, 1), (2, 2), (4, 1), (2, 3)])
-    def test_matches_reference(self, ranks):
-        u0 = _gaussian(24)
-        ref_up, ref_u = step_reference(u0, u0, 0.25, steps=12)
-        out = DistributedWave2D(u0, ranks, courant=0.5).run(12)
-        assert np.allclose(out, ref_u, atol=1e-12)
-
-    def test_unstable_courant_rejected(self):
-        with pytest.raises(ValueError):
-            DistributedWave2D(np.zeros((8, 8)), (2, 2), courant=0.9)
-
-    def test_indivisible_rejected(self):
-        with pytest.raises(ValueError):
-            DistributedWave2D(np.zeros((9, 8)), (2, 2))
 
 
 class TestObstacles:
