@@ -33,7 +33,6 @@ every step in every texel, ghost rims included, and every charge.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import json
 import os
 import signal
@@ -152,8 +151,6 @@ ROWS = (
     Row("city_single", "single", CITY),
     Row("city_procs", "processes", CITY, arrangement=(2, 1, 1)),
     Row("gpu_city", "serial", CITY, "gpu", (2, 2, 1)),
-    Row("gpu_city", "processes", CITY, "gpu", (2, 2, 1),
-        observer="telemetry"),
     Row("city", "serial", CITY, "split", (2, 2, 1), observer="telemetry"),
     Row("city", "serial", CITY, arrangement=(2, 2, 1), cuts=UNEVEN,
         observer="trace"),
@@ -167,7 +164,8 @@ ROWS = (
         observer="trace"),
     Row("mixed", "spmd", MIXED_CITY, arrangement=(2, 2, 1)),
     Row("forced", "serial", FORCED_CITY, arrangement=(2, 2, 1)),
-    Row("forced", "processes", FORCED_CITY, arrangement=(2, 1, 1)),
+    Row("forced", "processes", FORCED_CITY, arrangement=(2, 1, 1),
+        observer="telemetry"),
     Row("watchdog", "processes", TORUS, arrangement=(2, 1, 1),
         observer="watchdog"),
     Row("budget", "budget"),
@@ -320,12 +318,12 @@ def _stalled_step(cluster) -> None:
 
 
 def _per_pass_twin(cfg):
-    """A serial GPU cluster of ``cfg`` whose ranks render every pass
+    """A GPU cluster of ``cfg`` whose ranks render every pass
     through the per-pass engine (``run_pass`` and the numpy bodies,
     charged pass by pass: the path without a compiler), so a GPU row
     also pins the compiled step's rims and charges."""
     from repro.core.cluster_lbm import GPUClusterLBM
-    twin = GPUClusterLBM(dataclasses.replace(cfg, backend="serial"))
+    twin = GPUClusterLBM(cfg)
     for node in twin.nodes:
         node.solver._lib = None
     return twin
@@ -383,7 +381,7 @@ def _cluster(row: Row) -> str:
                 timing = cluster.step(1)
             if twin is not None:
                 assert twin.step(1) == timing, f"step timing at step {t}"
-                _same_ranks(() if procs else cluster.nodes, twin.nodes, t)
+                _same_ranks(cluster.nodes, twin.nodes, t)
             assert all(np.array_equal(seg.fg_bufs[1], s)
                        for seg, s in zip(segments, spare)), (
                 f"second shared buffer written during step {t}")

@@ -28,7 +28,13 @@
   ``backend="processes"`` execution backend: persistent per-rank
   worker processes whose distribution arrays and halo mailboxes live
   in shared memory (zero-copy exchange, barrier-synchronised steps);
-  the only alternative to the default ``"serial"`` coordinator loop.
+  the only alternative to the default ``"serial"`` coordinator loop,
+  for CPU ranks only (a simulated GPU's time is modelled, so GPU ranks
+  run serially).
+
+Every driver — serial ranks, worker processes, SPMD ranks — builds a
+rank's node from one description,
+:meth:`~repro.core.decomposition.BlockDecomposition.rank_args`.
 """
 
 from repro.core.decomposition import BlockDecomposition, arrange_nodes_2d, arrange_nodes_3d

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.cpu_node import CPUNode
+from repro.core.cpu_node import CPUNode, cluster_kernel
 from repro.core.decomposition import (BlockDecomposition, arrange_nodes_2d,
                                       weighted_cuts)
 from repro.core.exchange import (attach_recorder, exchange_all, halo_faces,
@@ -43,8 +43,6 @@ from repro.core.halo import HaloPlan
 from repro.core.procpool import ProcessBackend
 from repro.core.schedule import CommSchedule
 from repro.core.stack import RankStack
-from repro.lbm.aa import unavailable
-from repro.lbm.lattice import D3Q19
 from repro.gpu.specs import AGP_8X, BusSpec
 from repro.net.switch import GigabitSwitch
 from repro.perf.recorder import Recorder
@@ -130,12 +128,15 @@ class ClusterConfig:
         * ``"processes"``: one persistent worker process per rank with
           shared-memory sub-domains and zero-copy halo mailboxes
           (:mod:`repro.core.procpool`) — ranks genuinely run in
-          parallel on multi-core hosts.  Numeric mode only.  A
-          worker steps its rank as an SPMD rank does
+          parallel on multi-core hosts.  Numeric :class:`CPUClusterLBM`
+          only: :class:`GPUClusterLBM` refuses it, since a simulated
+          GPU's time is modelled and worker processes would add no
+          paper number.  A worker steps its rank as an SPMD rank does
           (:func:`repro.core.exchange.step_rank`).
 
-        Both backends run the same halo engine
-        (:mod:`repro.core.exchange`) and produce bit-identical
+        Both backends build every rank's node from one description
+        (:meth:`BlockDecomposition.rank_args`), run the same halo
+        engine (:mod:`repro.core.exchange`) and produce bit-identical
         distributions and the same :class:`StepTiming`.  Every rank
         collides whole, then exchanges, then streams; the Sec-4.4
         overlap is modeled, never executed: a CPU rank's window is its
@@ -252,9 +253,6 @@ class ClusterConfig:
 class _ClusterLBMBase:
     """Shared coordinator: decomposition, schedule, exchange, timing."""
 
-    #: Which node class the processes backend's workers should build.
-    node_kind = "cpu"
-
     def __init__(self, config: ClusterConfig) -> None:
         self.config = config
         self.decomp = BlockDecomposition(config.global_shape, config.arrangement,
@@ -279,9 +277,8 @@ class _ClusterLBMBase:
         self._stack: RankStack | None = None
         if config.backend == "processes":
             self._proc_backend = ProcessBackend(
-                [self._worker_spec_args(rank, solids[rank])
-                 for rank in range(self.decomp.n_nodes)],
-                node_kind=self.node_kind)
+                self.decomp, [self._node_args(rank, solids[rank])
+                              for rank in range(self.decomp.n_nodes)])
             self.nodes = self._proc_backend.proxies
         else:
             if self._stacks():
@@ -339,38 +336,15 @@ class _ClusterLBMBase:
         phases, reverse scatter exchange after odd ones)."""
         return self.resolved_kernel == "aa"
 
-    def _rank_kernel_args(self, rank: int) -> dict:
-        """Per-rank kernel kwargs of :class:`CPUNode`: the configured
-        kernel, which each rank resolves by the solver's rule once told
-        whether the driver ships its AA halo messages, and which faces
-        those are (``halo_faces``).  A forced ``"aa"`` the cluster
-        cannot run falls back to ``"split"``, as it does on a single
-        solver."""
-        kernel = self.config.kernel
-        if kernel == "aa" and not self.aa_protocol:
-            kernel = "split"
-        faces = (halo_faces(self.decomp.neighbors(rank), self.decomp.periodic)
-                 if self.aa_protocol else None)
-        return {"kernel": kernel, "halo_faces": faces}
-
-    def _worker_spec_args(self, rank: int, solid) -> dict:
-        """The per-rank construction kwargs shipped to a worker process
-        (everything :meth:`_make_node` would have used, minus the
-        segment bookkeeping the backend adds itself)."""
+    def _node_args(self, rank: int, solid) -> dict:
+        """The keyword arguments rank ``rank``'s node is built from,
+        in this process or in a worker: the decomposition's rank
+        description (:meth:`BlockDecomposition.rank_args`) plus what
+        every rank shares."""
         cfg = self.config
-        return {
-            **self._rank_kernel_args(rank),
-            "sub_shape": self.decomp.block_shape(rank),
-            "tau": cfg.tau,
-            "periodic": cfg.periodic,
-            "neighbors": self.decomp.neighbors(rank),
-            "face_dirs": tuple(self.decomp.face_neighbors(rank)),
-            "edge_dirs": tuple(self.decomp.edge_neighbors(rank)),
-            "solid": solid,
-            **self.decomp.owned_boundaries(rank, cfg.inlet, cfg.outflow),
-            "force": cfg.force,
-            "bus": cfg.bus,
-        }
+        return {**self.decomp.rank_args(rank, cfg.inlet, cfg.outflow),
+                "tau": cfg.tau, "solid": solid, "force": cfg.force,
+                "timing_only": cfg.timing_only}
 
     def kernel_report(self, cluster: bool = False) -> list[dict]:
         """Per-rank hot-path choice and local solid occupancy.
@@ -551,6 +525,21 @@ class _ClusterLBMBase:
     def _make_node(self, rank: int, solid):  # pragma: no cover - abstract
         raise NotImplementedError
 
+    def load_global_distributions(self, f: np.ndarray) -> None:
+        """Scatter a global distribution field to the nodes.
+
+        Valid at any step count, AA clusters included: a canonical
+        load re-bases every rank's AA phase, so the next step runs the
+        even phase (see :meth:`repro.lbm.LBMSolver.load_distributions`).
+        """
+        parts = self.decomp.scatter_field(f)
+        nodes = self._numeric_nodes()
+        if self._proc_backend is not None:
+            self._proc_backend.load_parts(parts)
+            return
+        for node, part in zip(nodes, parts):
+            node.solver.load_distributions(part)
+
     # -- the per-step protocol ----------------------------------------------
     def _exchange(self) -> None:
         """Run the halo exchange — per axis every rank posts, then every
@@ -679,49 +668,29 @@ class _ClusterLBMBase:
 
 
 class GPUClusterLBM(_ClusterLBMBase):
-    """The paper's system: one simulated GPU per node (Sec 4.3)."""
+    """The paper's system: one simulated GPU per node (Sec 4.3).
 
-    node_kind = "gpu"
+    Its ranks run on the serial backend only: a simulated GPU's time
+    is modelled, so worker processes would add no paper number.
+    """
 
     def __init__(self, config: ClusterConfig) -> None:
         if config.kernel == "aa":
             raise ValueError(
                 "kernel='aa' is CPU-only: the simulated GPU pipeline "
                 "has no AA halo protocol (use CPUClusterLBM)")
+        if config.backend == "processes":
+            raise ValueError(
+                "backend='processes' steps CPU ranks only: run simulated "
+                "GPU ranks on the serial backend (backend='serial')")
         super().__init__(config)
 
     def _make_node(self, rank: int, solid):
-        return GPUNode(rank, self.decomp.block_shape(rank), self.config.tau,
-                       solid=solid,
-                       face_dirs=list(self.decomp.face_neighbors(rank)),
-                       edge_dirs=list(self.decomp.edge_neighbors(rank)),
-                       timing_only=self.config.timing_only,
-                       bus=self.config.bus,
-                       force=self.config.force,
-                       **self.decomp.owned_boundaries(
-                           rank, self.config.inlet, self.config.outflow))
+        return GPUNode(rank, bus=self.config.bus,
+                       **self._node_args(rank, solid))
 
     def _node_distributions(self, node) -> np.ndarray:
         return node.solver.distributions()
-
-    def initialize(self, rho: float = 1.0, u=None) -> None:
-        """Reset every node to equilibrium at (rho, u)."""
-        if self._proc_backend is not None:
-            self._numeric_nodes()
-            self._proc_backend.initialize(rho, u)
-            return
-        for node in self._numeric_nodes():
-            node.solver.initialize(rho=rho, u=u)
-
-    def load_global_distributions(self, f: np.ndarray) -> None:
-        """Scatter a global distribution field to the nodes."""
-        parts = self.decomp.scatter_field(f)
-        if self._proc_backend is not None:
-            self._numeric_nodes()
-            self._proc_backend.load_parts(parts)
-            return
-        for node, part in zip(self._numeric_nodes(), parts):
-            node.solver.load_distributions(part)
 
 
 class CPUClusterLBM(_ClusterLBMBase):
@@ -734,50 +703,31 @@ class CPUClusterLBM(_ClusterLBMBase):
     :class:`StepTiming`, no per-rank dispatch.
     """
 
-    node_kind = "cpu"
-
     def _resolve_kernel(self) -> tuple[str, str]:
-        """AA on every rank unless timing-only mode rules it out;
-        nothing is measured."""
-        cfg = self.config
-        if cfg.kernel == "split":
-            return "split", "configured kernel='split'"
-        if cfg.timing_only:
-            return "split", "rule: timing-only (no numeric ranks)"
-        missing = unavailable(D3Q19, np.dtype(np.float32))
-        if missing:
-            return "split", f"rule: {missing}"
-        return "aa", f"rule: kernel={cfg.kernel!r}, numeric CPU ranks"
+        """The CPU cluster rule,
+        :func:`~repro.core.cpu_node.cluster_kernel`."""
+        return cluster_kernel(self.config.kernel, self.config.timing_only)
 
     def _stacks(self) -> bool:
         """Serial AA ranks stack (timing-only ranks never resolve AA)."""
         return self.config.backend == "serial" and self.aa_protocol
 
+    def _node_args(self, rank: int, solid) -> dict:
+        """Adds the rank's kernel: the configured one, which each rank
+        resolves by the solver's rule once told whether the driver ships
+        its AA halo messages, and which faces those are
+        (``halo_faces``).  A forced ``"aa"`` the cluster cannot run
+        falls back to ``"split"``, as it does on a single solver."""
+        kernel = self.config.kernel
+        if kernel == "aa" and not self.aa_protocol:
+            kernel = "split"
+        faces = (halo_faces(self.decomp.neighbors(rank), self.decomp.periodic)
+                 if self.aa_protocol else None)
+        return {**super()._node_args(rank, solid), "kernel": kernel,
+                "halo_faces": faces}
+
     def _make_node(self, rank: int, solid):
-        return CPUNode(rank, self.decomp.block_shape(rank), self.config.tau,
-                       solid=solid,
-                       face_dirs=list(self.decomp.face_neighbors(rank)),
-                       edge_dirs=list(self.decomp.edge_neighbors(rank)),
-                       timing_only=self.config.timing_only,
-                       force=self.config.force,
-                       **self.decomp.owned_boundaries(
-                           rank, self.config.inlet, self.config.outflow),
-                       **self._rank_kernel_args(rank))
+        return CPUNode(rank, **self._node_args(rank, solid))
 
     def _node_distributions(self, node) -> np.ndarray:
         return node.solver.f.copy()
-
-    def load_global_distributions(self, f: np.ndarray) -> None:
-        """Scatter a global distribution field to the nodes.
-
-        Valid at any step count, AA clusters included: a canonical
-        load re-bases every rank's AA phase, so the next step runs the
-        even phase (see :meth:`repro.lbm.LBMSolver.load_distributions`).
-        """
-        parts = self.decomp.scatter_field(f)
-        if self._proc_backend is not None:
-            self._numeric_nodes()
-            self._proc_backend.load_parts(parts)
-            return
-        for node, part in zip(self._numeric_nodes(), parts):
-            node.solver.load_distributions(part)

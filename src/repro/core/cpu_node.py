@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.core.exchange import SolverPort
 from repro.lbm.aa import AAStepKernel, unavailable
+from repro.lbm.lattice import D3Q19
 from repro.lbm.solver import LBMSolver
 from repro.gpu.specs import XEON_2_4, CPUSpec
 from repro.perf import calibration as cal
@@ -44,13 +45,29 @@ def rank_boundaries(inlet, outflow) -> list:
     ``(axis, side)`` (None where the rank does not touch that face).
     """
     from repro.lbm.boundaries import EquilibriumVelocityInlet, OutflowBoundary
-    from repro.lbm.lattice import D3Q19
     bcs = []
     if inlet is not None:
         bcs.append(EquilibriumVelocityInlet(D3Q19, *inlet))
     if outflow is not None:
         bcs.append(OutflowBoundary(D3Q19, *outflow))
     return bcs
+
+
+def cluster_kernel(kernel: str = "auto",
+                   timing_only: bool = False) -> tuple[str, str]:
+    """The kernel every CPU cluster rank runs, and the rule line that
+    chose it: AA under ``"auto"`` or ``"aa"`` unless the run is
+    timing-only or the compiled sweep does not load, else ``split``.
+    Nothing is measured; the cluster drivers and the SPMD ranks share
+    this one rule."""
+    if kernel == "split":
+        return "split", "configured kernel='split'"
+    if timing_only:
+        return "split", "rule: timing-only (no numeric ranks)"
+    missing = unavailable(D3Q19, np.dtype(np.float32))
+    if missing:
+        return "split", f"rule: {missing}"
+    return "aa", f"rule: kernel={kernel!r}, numeric CPU ranks"
 
 
 class CPUNode(SolverPort):

@@ -317,10 +317,13 @@ class BlockDecomposition:
         return {(axis, direction): self.neighbor(rank, axis, direction)
                 for axis in range(3) for direction in (-1, 1)}
 
-    def owned_boundaries(self, rank: int, inlet=None, outflow=None) -> dict:
-        """Which of the global ``inlet`` ``(axis, side, velocity, rho)``
-        and ``outflow`` ``(axis, side)`` land on this rank's block:
-        ``{"inlet", "outflow"}``, each the global spec or None."""
+    def rank_args(self, rank: int, inlet=None, outflow=None) -> dict:
+        """The rank's node description, the one every driver builds its
+        node from: ``sub_shape`` (its block), ``face_dirs`` and
+        ``edge_dirs`` (its face and diagonal neighbour slots) and which
+        of the global ``inlet`` ``(axis, side, velocity, rho)`` and
+        ``outflow`` ``(axis, side)`` land on its block (each the global
+        spec or None)."""
         coords = self.coords_of(rank)
 
         def owned(spec):
@@ -329,7 +332,10 @@ class BlockDecomposition:
             axis, side = spec[0], spec[1]
             edge = 0 if side == "low" else self.arrangement[axis] - 1
             return spec if coords[axis] == edge else None
-        return {"inlet": owned(inlet), "outflow": owned(outflow)}
+        return {"sub_shape": self.block_shape(rank),
+                "face_dirs": tuple(self.face_neighbors(rank)),
+                "edge_dirs": tuple(self.edge_neighbors(rank)),
+                "inlet": owned(inlet), "outflow": owned(outflow)}
 
     def face_neighbors(self, rank: int) -> dict[tuple[int, int], int]:
         """All face neighbours: (axis, direction) -> rank."""

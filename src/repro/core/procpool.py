@@ -5,15 +5,20 @@ in-process node loop with one persistent OS process per cluster rank —
 the shape of the paper's real cluster, where every node steps its
 sub-domain concurrently.  The compiled sweep drops the GIL, and threads scaled
 like processes on separate boxes (ROADMAP probe A); item 3(0) decides.
+Its ranks are CPU ranks only: a simulated GPU's time is modelled, so a
+:class:`~repro.core.cluster_lbm.GPUClusterLBM` runs on the serial
+backend.
 
 Protocol (see DESIGN.md §5c):
 
 * **Spawn once.**  The driver creates the shared segments
   (:mod:`repro.core.shm`), builds one picklable :class:`WorkerSpec`
   per rank, and forks/spawns the workers at construction.  Workers
-  build their own :class:`~repro.core.cpu_node.CPUNode` /
-  :class:`~repro.core.gpu_node.GPUNode` from the spec — the
-  coordinator holds only lightweight :class:`RankProxy` stand-ins.
+  build their own :class:`~repro.core.cpu_node.CPUNode` from the
+  spec's node arguments, the rank description every driver builds its
+  node from, and rebind its distributions onto their shared ``fg``
+  segment — the coordinator holds only lightweight
+  :class:`RankProxy` stand-ins.
 * **Zero-copy stepping.**  A step command is a tiny tuple on a pipe.
   Inside the step, each worker runs the rank step it shares with the
   SPMD ranks (:func:`repro.core.exchange.step_rank`) over the shared
@@ -50,9 +55,10 @@ from threading import BrokenBarrierError
 
 import numpy as np
 
+from repro.core.cpu_node import CPUNode
 from repro.core.exchange import HaloExchange, attach_recorder, step_rank
 from repro.core.shm import RankSegments, segment_name, unique_token, unlink_segment_names
-from repro.gpu.specs import AGP_8X, BusSpec
+from repro.lbm.lattice import D3Q19
 from repro.perf.recorder import Recorder, estimate_clock_offset
 from repro.perf.telemetry import rss_bytes
 
@@ -78,30 +84,15 @@ class WorkerSpec:
     """Everything one rank needs to rebuild its node and halo engine.
 
     Pickled exactly once, at spawn; per-step traffic is scalars only.
-    An SPMD rank builds its node from one too (:func:`build_node`), so
-    the segment fields default to "none".
     """
 
     rank: int
-    n_ranks: int
-    node_kind: str                      # "cpu" | "gpu"
-    sub_shape: tuple[int, int, int]
-    tau: float
-    periodic: tuple[bool, bool, bool]
+    node_args: dict                     # CPUNode keyword arguments
     neighbors: dict                     # (axis, direction) -> rank | None
-    face_dirs: tuple
-    edge_dirs: tuple
-    solid: np.ndarray | None
-    inlet: tuple | None
-    outflow: tuple | None
-    force: tuple | None = None
-    bus: BusSpec = AGP_8X
-    seg_names: dict | None = None       # own segment names by kind
-    mail_names: tuple = ()              # every rank's mailbox segment name
-    peer_sub_shapes: tuple = ()         # every rank's block shape (may differ)
-    q: int = 19
-    kernel: str = "auto"                # per-rank hot-path selection
-    halo_faces: tuple | None = None     # AA face rows (None: split ranks)
+    periodic: tuple[bool, bool, bool]
+    seg_names: dict                     # own segment names by kind
+    mail_names: tuple                   # every rank's mailbox segment name
+    peer_sub_shapes: tuple              # every rank's block shape (may differ)
 
 
 class RankProxy:
@@ -122,25 +113,6 @@ class RankProxy:
         self.kernel_used = "unstepped"
         self.solid_fraction = 0.0
         self.kernel_reason: str | None = None
-
-
-def build_node(spec: WorkerSpec):
-    """The rank's numeric node, as a worker process or an SPMD rank
-    builds it."""
-    if spec.node_kind == "gpu":
-        from repro.core.gpu_node import GPUNode
-        return GPUNode(spec.rank, spec.sub_shape, spec.tau, solid=spec.solid,
-                       face_dirs=list(spec.face_dirs),
-                       edge_dirs=list(spec.edge_dirs), timing_only=False,
-                       bus=spec.bus,
-                       inlet=spec.inlet, outflow=spec.outflow,
-                       force=spec.force)
-    from repro.core.cpu_node import CPUNode
-    return CPUNode(spec.rank, spec.sub_shape, spec.tau, solid=spec.solid,
-                   face_dirs=list(spec.face_dirs),
-                   edge_dirs=list(spec.edge_dirs), timing_only=False,
-                   inlet=spec.inlet, outflow=spec.outflow, force=spec.force,
-                   kernel=spec.kernel, halo_faces=spec.halo_faces)
 
 
 class _MailboxTransport:
@@ -177,30 +149,27 @@ class _Worker:
         self.recorder = Recorder(rank=spec.rank)
         self.broken: str | None = None
         self.step_count = 0
-        self.node = build_node(spec)
+        self.node = CPUNode(spec.rank, **spec.node_args)
         attach_recorder(self.node, self.recorder)
         # Attach own segments, then every peer's mailbox for unpacking.
         # Peer mailbox layouts follow the *peer's* block shape — equal
         # to ours only under uniform cuts.
-        self.segs = RankSegments.attach(spec.seg_names, spec.sub_shape,
-                                        spec.q)
+        self.segs = RankSegments.attach(spec.seg_names,
+                                        spec.peer_sub_shapes[spec.rank],
+                                        D3Q19.Q)
         self.peer_mail: dict[int, RankSegments] = {}
         for peer in sorted({p for p in spec.neighbors.values()
                             if p is not None}):
             self.peer_mail[peer] = RankSegments.attach(
-                {"fg": None, "mail": spec.mail_names[peer], "stage": None,
-                 "health": None},
-                spec.peer_sub_shapes[peer], spec.q)
+                {"mail": spec.mail_names[peer]},
+                spec.peer_sub_shapes[peer], D3Q19.Q)
         self.transport = _MailboxTransport(self.segs, self.peer_mail)
-        self.aa = spec.halo_faces is not None     # the AA halo protocol
+        # The AA halo protocol.
+        self.aa = spec.node_args["halo_faces"] is not None
         self.exchange = HaloExchange(
             spec.rank, self.node, spec.neighbors, spec.periodic,
             self.transport, aa=self.aa, recorder=self.recorder)
-        # A CPU rank's distributions live on the shared segment; a
-        # simulated-GPU rank's texture stacks stage through it.
-        self._fg_adopted = spec.node_kind == "cpu"
-        if self._fg_adopted:
-            self._adopt_shared_fg()
+        self._adopt_shared_fg()
 
     def _adopt_shared_fg(self) -> None:
         """Rebind the solver's distributions onto the shared segment.
@@ -227,7 +196,7 @@ class _Worker:
             solver._fg_next = fg1
 
     def _barrier_wait(self) -> None:
-        if self.spec.n_ranks < 2:
+        if len(self.spec.mail_names) < 2:
             return
         try:
             self.barrier.wait(timeout=TIMEOUT_S)
@@ -273,7 +242,7 @@ class _Worker:
         return reply
 
     def _live_buf(self) -> int:
-        """Index of the shared fg buffer a CPU rank's array lives on.
+        """Index of the shared fg buffer the rank's array lives on.
         The double-buffered kernels swap every step; the single AA
         array never leaves buffer 0."""
         if self.aa:
@@ -285,31 +254,21 @@ class _Worker:
         replies which one (``cur``) and which one a load must fill."""
         live = cur = self._live_buf()
         solver = self.node.solver
-        if not self._fg_adopted:
-            self.segs.stage[...] = solver.distributions()
-        elif solver.aa_odd and self.aa:
+        if solver.aa_odd and self.aa:
             # Mid-pair AA: the single shared array holds the rotated
             # layout.  Stage the canonical read-only reconstruction
             # into the (otherwise unused) spare buffer so the
             # coordinator reads ordinary distributions.
             cur = 1
             self.segs.interior(cur)[...] = solver.f
-        # else: CPU distributions already live in the shared buffer.
+        # else: the distributions already live in the shared buffer.
         return {"cur": cur, "live": live}
 
     def _load(self) -> dict:
-        """Take over the interior the coordinator just wrote."""
-        solver = self.node.solver
-        if not self._fg_adopted:
-            solver.load_distributions(np.array(self.segs.stage))
-        else:
-            # Written in place through shared memory: only the AA
-            # phase origin needs re-basing onto the canonical state.
-            solver.mark_canonical()
-        return {}
-
-    def _initialize(self, rho, u) -> dict:
-        self.node.solver.initialize(rho=rho, u=u)
+        """Take over the interior the coordinator just wrote in place
+        through shared memory: only the AA phase origin needs re-basing
+        onto the canonical state."""
+        self.node.solver.mark_canonical()
         return {}
 
     def _trace(self, enabled: bool) -> dict:
@@ -359,8 +318,6 @@ class _Worker:
                         payload = self._gather()
                     elif cmd == "load":
                         payload = self._load()
-                    elif cmd == "initialize":
-                        payload = self._initialize(msg[1], msg[2])
                     elif cmd == "trace":
                         payload = self._trace(msg[1])
                     else:
@@ -403,10 +360,11 @@ class ProcessBackend:
     by both sides.
     """
 
-    def __init__(self, specs_args: list[dict], node_kind: str,
-                 q: int = 19) -> None:
-        self.node_kind = node_kind
-        self.n_ranks = len(specs_args)
+    def __init__(self, decomp, node_args: list[dict]) -> None:
+        """Spawn one worker per rank of ``decomp``; rank ``r``'s worker
+        builds its :class:`~repro.core.cpu_node.CPUNode` from
+        ``node_args[r]``."""
+        self.n_ranks = decomp.n_nodes
         self.broken: str | None = None
         self._closed = False
         self.token = unique_token()
@@ -421,25 +379,24 @@ class ProcessBackend:
         self.tracing = False
         # Per-rank block shapes: equal boxes by default, but non-uniform
         # cuts size each rank's segments independently.
-        sub_shapes = tuple(tuple(int(s) for s in a["sub_shape"])
-                           for a in specs_args)
+        sub_shapes = tuple(a["sub_shape"] for a in node_args)
         mail_names = tuple(segment_name(self.token, "mail", r)
                            for r in range(self.n_ranks))
         try:
             for rank in range(self.n_ranks):
                 self.segments.append(RankSegments.create(
-                    rank, sub_shapes[rank], q, self.token, node_kind))
-            all_names = [seg.names[k] for seg in self.segments
-                         for k in ("fg", "mail", "stage", "health")]
+                    rank, sub_shapes[rank], D3Q19.Q, self.token))
+            all_names = [name for seg in self.segments
+                         for name in seg.names.values()]
             self._finalizer = weakref.finalize(
                 self, _crash_cleanup, list(self.procs), all_names)
-            for rank, args in enumerate(specs_args):
+            for rank, args in enumerate(node_args):
                 spec = WorkerSpec(
-                    rank=rank, n_ranks=self.n_ranks, node_kind=node_kind,
+                    rank=rank, node_args=args,
+                    neighbors=decomp.neighbors(rank),
+                    periodic=decomp.periodic,
                     seg_names=self.segments[rank].names,
-                    mail_names=mail_names,
-                    peer_sub_shapes=sub_shapes,
-                    q=q, **args)
+                    mail_names=mail_names, peer_sub_shapes=sub_shapes)
                 parent_conn, child_conn = ctx.Pipe()
                 proc = ctx.Process(target=_worker_main,
                                    args=(spec, child_conn, self.barrier),
@@ -559,39 +516,24 @@ class ProcessBackend:
         return payloads
 
     def gather_parts(self) -> list[np.ndarray]:
-        """Per-rank interior distribution blocks.
-
-        CPU ranks are read straight out of the shared ``fg`` buffers
-        (zero-copy views — consume before ``shutdown``); GPU ranks are
-        staged by the workers first.
-        """
+        """Per-rank interior distribution blocks, read straight out of
+        the shared ``fg`` buffers (zero-copy views — consume before
+        ``shutdown``)."""
         payloads = self._command(("gather",))
-        parts = []
-        for rank, seg in enumerate(self.segments):
-            if self.node_kind == "cpu":
-                parts.append(seg.interior(payloads[rank]["cur"]))
-            else:
-                parts.append(seg.stage)
-        return parts
+        return [seg.interior(p["cur"])
+                for seg, p in zip(self.segments, payloads)]
 
     def load_parts(self, parts: list[np.ndarray]) -> None:
-        """Scatter per-rank interior blocks into the workers' solvers."""
-        self._require_usable()
-        if self.node_kind == "cpu":
-            # Workers are idle between commands, so writing the shared
-            # interior directly is race-free and copy-free.
-            payloads = self._command(("gather",))
-            for rank, seg in enumerate(self.segments):
-                seg.interior(payloads[rank]["live"])[...] = parts[rank]
-        else:
-            for seg, part in zip(self.segments, parts):
-                seg.stage[...] = part
-        # Every rank takes the new state over: GPU ranks upload the
-        # stage, AA ranks re-base their phase.
-        self._command(("load",))
+        """Scatter per-rank interior blocks into the workers' solvers.
 
-    def initialize(self, rho, u) -> None:
-        self._command(("initialize", rho, u))
+        Workers are idle between commands, so writing the shared
+        interior directly is race-free and copy-free; every rank then
+        takes the new state over (AA ranks re-base their phase).
+        """
+        payloads = self._command(("gather",))
+        for seg, part, p in zip(self.segments, parts, payloads):
+            seg.interior(p["live"])[...] = part
+        self._command(("load",))
 
     def set_tracing(self, enabled: bool) -> None:
         """Set every worker recorder's tracing flag and sync the clocks.

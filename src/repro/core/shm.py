@@ -8,14 +8,13 @@ both sides work on zero-copy :class:`numpy.ndarray` views of the same
 pages.  Pipes carry only small control tuples (step commands, timing
 scalars, counter summaries).
 
-Per-rank segments follow the node kind, so every page a rank owns is
-one its worker writes: a CPU rank gets ``fg``, ``mail`` and
-``health``; a simulated-GPU rank gets ``stage``, ``mail`` and
-``health`` (:meth:`RankSegments.create`).
+Every rank is a CPU rank and gets three segments, ``fg``, ``mail``
+and ``health`` (:meth:`RankSegments.create`); every page a rank owns
+is one its worker writes.
 
-``fg`` (CPU ranks; float32)
+``fg`` (float32)
     Two ghost-padded distribution buffers, shape
-    ``(2, Q, nx+2, ny+2, nz+2)`` — the CPU worker rebinds its solver's
+    ``(2, Q, nx+2, ny+2, nz+2)`` — the worker rebinds its solver's
     distributions onto views of this segment, so the coordinator can
     gather the interior without any worker round-trip.  Buffer 0 holds
     the live array; buffer 1 is the ``split`` kernel's streaming
@@ -35,11 +34,6 @@ one its worker writes: a CPU rank gets ``fg``, ``mail`` and
     ``t % 2`` while a slower neighbour is still unpacking slot
     ``(t - 1) % 2``, which is what lets the exchange run with a single
     barrier per axis (between pack and unpack) and none between steps.
-
-``stage`` (GPU ranks; float32)
-    One unpadded block ``(Q, nx, ny, nz)`` used as a gather/load
-    staging area by GPU workers (whose distributions live in simulated
-    texture memory and need one explicit copy to become shareable).
 
 ``health``
     A tiny float64 heartbeat strip of :data:`HEALTH_SLOTS` scalars
@@ -176,19 +170,17 @@ class RankSegments:
 
     Create on the coordinator with :meth:`create` (which owns unlink),
     attach inside the worker with :meth:`attach` using the published
-    ``names``.  Views:
+    ``names`` (a peer attaches only the ``mail`` one).  Views:
 
     ``fg_bufs``
-        ``(buf0, buf1)`` padded distribution buffers (CPU ranks only).
+        ``(buf0, buf1)`` padded distribution buffers.
     ``mail``
         ``[axis] -> array(2 slots, 2 dirs, MAIL_LINKS, *face)``.
-    ``stage``
-        ``(Q, nx, ny, nz)`` staging block (GPU ranks only).
     ``health``
         ``(HEALTH_SLOTS,)`` float64 heartbeat strip.
     """
 
-    def __init__(self, sub_shape, q: int, names: dict[str, str | None],
+    def __init__(self, sub_shape, q: int, names: dict[str, str],
                  owner: bool) -> None:
         self.sub_shape = tuple(int(s) for s in sub_shape)
         self.q = int(q)
@@ -198,8 +190,6 @@ class RankSegments:
         self._closed = False
         try:
             for kind, name in self.names.items():
-                if name is None:
-                    continue
                 if owner:
                     # Zero-filled by the OS (module docstring): no
                     # write here, so no page is faulted in.
@@ -212,7 +202,6 @@ class RankSegments:
             raise
         self.fg_bufs = self._fg_views()
         self.mail = self._mail_views()
-        self.stage = self._stage_view()
         self.health = self._health_view()
 
     # -- sizes and views -------------------------------------------------
@@ -223,8 +212,6 @@ class RankSegments:
         if kind == "mail":
             return sum(int(np.prod(mail_shape(self.sub_shape, axis)))
                        for axis in range(3)) * SHM_DTYPE.itemsize
-        if kind == "stage":
-            return self.q * int(np.prod(self.sub_shape)) * SHM_DTYPE.itemsize
         if kind == "health":
             return HEALTH_SLOTS * HEALTH_DTYPE.itemsize
         raise ValueError(f"unknown segment kind {kind!r}")
@@ -256,13 +243,6 @@ class RankSegments:
             box = box[(sides[0] + 1) // 2]
         return box.reshape(-1)
 
-    def _stage_view(self) -> np.ndarray | None:
-        seg = self._segs.get("stage")
-        if seg is None:
-            return None
-        return np.ndarray((self.q,) + self.sub_shape, dtype=SHM_DTYPE,
-                          buffer=seg.buf)
-
     def _health_view(self) -> np.ndarray | None:
         seg = self._segs.get("health")
         if seg is None:
@@ -285,7 +265,6 @@ class RankSegments:
         # succeed without BufferError.
         self.fg_bufs = None
         self.mail = []
-        self.stage = None
         self.health = None
         do_unlink = self.owner if unlink is None else unlink
         for seg in self._segs.values():
@@ -303,19 +282,15 @@ class RankSegments:
         self._segs = {}
 
     @classmethod
-    def create(cls, rank: int, sub_shape, q: int, token: str,
-               node_kind: str) -> "RankSegments":
-        """A rank's segments for its node kind (``"cpu"`` | ``"gpu"``):
-        a CPU rank's distributions live on ``fg``, a GPU rank stages
-        through ``stage``; neither gets the other's."""
-        names: dict[str, str | None] = {"fg": None, "stage": None}
-        for kind in ("fg" if node_kind == "cpu" else "stage", "mail",
-                     "health"):
-            names[kind] = segment_name(token, kind, rank)
+    def create(cls, rank: int, sub_shape, q: int,
+               token: str) -> "RankSegments":
+        """A rank's ``fg``, ``mail`` and ``health`` segments."""
+        names = {kind: segment_name(token, kind, rank)
+                 for kind in ("fg", "mail", "health")}
         return cls(sub_shape, q, names, owner=True)
 
     @classmethod
-    def attach(cls, names: dict[str, str | None], sub_shape,
+    def attach(cls, names: dict[str, str], sub_shape,
                q: int) -> "RankSegments":
         return cls(sub_shape, q, names, owner=False)
 
@@ -328,8 +303,6 @@ def unlink_segment_names(names) -> None:
     interpreter exit.
     """
     for name in names:
-        if name is None:
-            continue
         try:
             seg = shared_memory.SharedMemory(name=name)
         except FileNotFoundError:

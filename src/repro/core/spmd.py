@@ -8,9 +8,11 @@ point-to-point messages in the Fig-7 step order.  This module
 implements that faithfully on :class:`~repro.net.SimCluster` threads:
 
 * each rank owns one sub-domain (a :class:`~repro.core.cpu_node.CPUNode`
-  whose solver runs the in-place AA kernel, like every executed CPU
-  rank) and one :class:`~repro.core.exchange.HaloExchange` bound to
-  SimMPI (:class:`SimMPITransport`) that runs the AA halo protocol:
+  built from the decomposition's rank description, as the cluster
+  drivers build theirs, whose solver runs the in-place AA kernel, like
+  every executed CPU rank) and one
+  :class:`~repro.core.exchange.HaloExchange` bound to SimMPI
+  (:class:`SimMPITransport`) that runs the AA halo protocol:
   the forward exchange after even phases, the reverse one after odd
   phases;
 * per time step it runs the rank step the process workers run
@@ -40,12 +42,10 @@ import threading
 
 import numpy as np
 
+from repro.core.cpu_node import CPUNode, cluster_kernel
 from repro.core.decomposition import BlockDecomposition
 from repro.core.exchange import (HaloExchange, Transport, attach_recorder,
                                  halo_faces, mirrored, step_rank)
-from repro.core.procpool import WorkerSpec, build_node
-from repro.lbm.aa import unavailable
-from repro.lbm.lattice import D3Q19
 from repro.net.simmpi import SimCluster
 from repro.perf.recorder import NULL_RECORDER, Recorder
 
@@ -138,29 +138,25 @@ class SPMDClusterLBM:
         Q and dtype (``np.empty``; each page faults in when its owner
         writes it).  No rank copies its block anywhere else.
 
-        The node is built by the process worker's builder
-        (:func:`~repro.core.procpool.build_node`) from the spec a worker
-        gets under the default configuration (its ``halo_faces``, its
-        share of the inlet/outflow, kernel ``"auto"``): an SPMD rank is
-        never timing-only, so the cluster rule says ``aa`` unless the
+        The node is a :class:`~repro.core.cpu_node.CPUNode` built, as
+        every cluster driver builds its ranks, from the decomposition's
+        rank description (:meth:`BlockDecomposition.rank_args`: its
+        block, neighbour slots and share of the inlet/outflow), with
+        kernel ``"auto"`` and its ``halo_faces`` under the CPU cluster
+        rule (:func:`~repro.core.cpu_node.cluster_kernel`): an SPMD
+        rank is never timing-only, so the rule says ``aa`` unless the
         compiled sweep does not load (then ``split``, as on a
         cluster).  The node and its solver are freed by refcount
         when the rank returns.
         """
         decomp = self.decomp
         rank = comm.rank
-        aa = unavailable(D3Q19, np.dtype(np.float32)) is None
+        aa = cluster_kernel()[0] == "aa"
         neighbors = decomp.neighbors(rank)
-        node = build_node(WorkerSpec(
-            rank=rank, n_ranks=decomp.n_nodes, node_kind="cpu",
-            sub_shape=decomp.sub_shape, tau=self.tau,
-            periodic=decomp.periodic, neighbors=neighbors,
-            face_dirs=tuple(decomp.face_neighbors(rank)),
-            edge_dirs=tuple(decomp.edge_neighbors(rank)),
-            solid=self.solids[rank],
-            halo_faces=(halo_faces(neighbors, decomp.periodic)
-                        if aa else None),
-            **decomp.owned_boundaries(rank, self.inlet, self.outflow)))
+        node = CPUNode(rank, tau=self.tau, solid=self.solids[rank],
+                       halo_faces=(halo_faces(neighbors, decomp.periodic)
+                                   if aa else None),
+                       **decomp.rank_args(rank, self.inlet, self.outflow))
         if self.f0_parts is not None:
             node.solver.f[...] = self.f0_parts[rank]
         view = recorder.for_rank(rank)

@@ -203,7 +203,9 @@ class Recorder:
 
     def slices(self, name: str, t0: float, t1: float, edges, **meta) -> None:
         """One region run for all ranks at once, recorded as rank
-        ``r``'s slice from fraction ``edges[r]`` to ``edges[r + 1]``."""
+        ``r``'s slice from fraction ``edges[r]`` to ``edges[r + 1]``.
+        The slices are apportioned, not measured, and their events say
+        so (``apportioned=True``)."""
         root = self._root
         if not root.enabled:
             return
@@ -211,6 +213,7 @@ class Recorder:
         if root.tracing:
             at = [t0 + dt * e for e in edges]
             step = root.step
+            meta = {**meta, "apportioned": True}
             root.events.extend([_event(SpanEvent, (name, r, step, at[r],
                                                    at[r + 1], meta))
                                 for r in ranks])

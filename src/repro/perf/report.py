@@ -161,7 +161,10 @@ def trace_imbalance_rows(trace) -> tuple[list[dict], dict]:
     events (nested solver events are excluded so nothing counts
     twice).  The imbalance factor is the headline: 1.0 is perfect
     balance, the max/mean ratio grows as one slow rank leaves the
-    others waiting.
+    others waiting.  The summary's ``apportioned`` says whether any
+    of that busy time is a share of one sweep over stacked ranks
+    (:meth:`~repro.perf.recorder.Recorder.slices`), which reads equal
+    on equal blocks by construction and so measures no imbalance.
 
     Kernel attribution is per step, not last-write-wins: a rank that
     switched kernels mid-trace (e.g. across a rebalance) reports
@@ -171,11 +174,13 @@ def trace_imbalance_rows(trace) -> tuple[list[dict], dict]:
     """
     per_rank: dict[int, list[tuple[float, float]]] = {}
     kernels: dict[int, dict[int, str]] = {}
+    apportioned = False
     for e in _events_of(trace):
         if e.rank < 0:
             continue
         if e.name in _COMPUTE_PHASES:
             per_rank.setdefault(e.rank, []).append((e.t0, e.t1))
+            apportioned = apportioned or bool(e.meta.get("apportioned"))
         kern = e.meta.get("kernel")
         if kern:
             kernels.setdefault(e.rank, {})[e.step] = kern
@@ -195,11 +200,13 @@ def trace_imbalance_rows(trace) -> tuple[list[dict], dict]:
                      "kernel": label, "kernel_first": first,
                      "kernel_last": last, "kernel_changed": changed})
     if not rows:
-        return rows, {"max_over_mean": 0.0, "max_ms": 0.0, "mean_ms": 0.0}
+        return rows, {"max_over_mean": 0.0, "max_ms": 0.0, "mean_ms": 0.0,
+                      "apportioned": False}
     times = [r["busy_ms"] for r in rows]
     mean = sum(times) / len(times)
     summary = {"max_ms": max(times), "mean_ms": mean,
-               "max_over_mean": (max(times) / mean) if mean > 0 else 0.0}
+               "max_over_mean": (max(times) / mean) if mean > 0 else 0.0,
+               "apportioned": apportioned}
     return rows, summary
 
 
@@ -256,7 +263,10 @@ def format_trace_analytics(trace) -> str:
     for r in ranks:
         w(f"  rank {r['rank']:>3}: {r['busy_ms']:>9.3f} ms busy"
           f"   kernel {r['kernel']}\n")
-    if ranks:
+    if summary["apportioned"]:
+        w("  imbalance: apportioned by cell share (stacked ranks), "
+          "not measured\n")
+    elif ranks:
         w(f"  imbalance max/mean: {summary['max_over_mean']:.2f} "
           f"(max {summary['max_ms']:.3f} ms, "
           f"mean {summary['mean_ms']:.3f} ms)\n")

@@ -155,7 +155,7 @@ class TestUnequalCutsBitIdentity:
         cfg = ClusterConfig(sub_shape=(8, 6, 4), arrangement=self.ARRANGEMENT,
                             tau=0.7, solid=solid, cuts=self.CUTS,
                             backend=backend)
-        cluster = GPUClusterLBM(cfg)
+        cluster = CPUClusterLBM(cfg)
         try:
             assert cluster.decomp.cuts == self.CUTS
             assert not cluster.decomp.uniform

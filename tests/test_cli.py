@@ -70,6 +70,21 @@ class TestCLI:
         assert any(ln.startswith("simulated network: 8 messages")
                    for ln in lines)
 
+    def test_trace_says_stacked_imbalance_is_apportioned(self, tmp_path,
+                                                         capsys):
+        """Stacked serial ranks record cell-share slices of one sweep,
+        equal on equal blocks by construction: the report says so
+        instead of printing a max/mean.  Worker processes time their
+        own ranks, so the processes backend still prints one."""
+        note = "imbalance: apportioned by cell share (stacked ranks)"
+        for backend, apportioned in (("serial", True), ("processes", False)):
+            assert main(["trace", "--steps", "3", "--backend", backend,
+                         "--out", str(tmp_path)]) == 0
+            lines = [ln.strip() for ln in capsys.readouterr().out.splitlines()]
+            assert any(ln.startswith(note) for ln in lines) == apportioned
+            assert any(ln.startswith("imbalance max/mean:")
+                       for ln in lines) != apportioned
+
     def test_report_to_file(self, tmp_path, capsys):
         path = tmp_path / "report.md"
         assert main(["report", "--out", str(path)]) == 0

@@ -6,13 +6,16 @@ result must match the serial backend bit for bit, counters must
 aggregate across ranks, and — mirroring ``test_simmpi_robustness`` —
 a killed worker must surface as one clear error from ``step()``
 (never a hang), with the driver still cleanly closable and no shared
-segments or worker processes left behind.
+segments or worker processes left behind.  The backend steps CPU ranks
+only; a simulated-GPU cluster refuses it before any worker exists.
 """
 
+import multiprocessing
 import os
 import re
 import signal
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -63,20 +66,20 @@ def _assert_all_dead(pids):
             pytest.fail(f"worker pid {pid} survived shutdown")
 
 
-@pytest.mark.parametrize("cls", [CPUClusterLBM, GPUClusterLBM])
 class TestProcessesEqualsSerial:
-    def test_gather_bit_identical_with_solid(self, rng, cls):
+    def test_gather_bit_identical_with_solid(self, rng):
         solid = np.zeros(SHAPE, bool)
         solid[3:6, 4:7, 1:3] = True
         f0 = _initial_state(rng, solid=solid)
-        f_serial, _ = _run(cls, f0, solid=solid, backend="serial")
-        f_procs, _ = _run(cls, f0, solid=solid, backend="processes")
+        f_serial, _ = _run(CPUClusterLBM, f0, solid=solid, backend="serial")
+        f_procs, _ = _run(CPUClusterLBM, f0, solid=solid,
+                          backend="processes")
         assert np.array_equal(f_serial, f_procs)
 
-    def test_step_timing_decomposition_identical(self, rng, cls):
+    def test_step_timing_decomposition_identical(self, rng):
         f0 = _initial_state(rng)
-        _, t_serial = _run(cls, f0, backend="serial")
-        _, t_procs = _run(cls, f0, backend="processes")
+        _, t_serial = _run(CPUClusterLBM, f0, backend="serial")
+        _, t_procs = _run(CPUClusterLBM, f0, backend="processes")
         assert t_serial.nodes == t_procs.nodes
         assert t_serial.compute_s == t_procs.compute_s
         assert t_serial.agp_s == t_procs.agp_s
@@ -141,7 +144,7 @@ class TestLifecycle:
         f0 = _initial_state(rng)
         cfg = ClusterConfig(sub_shape=SUB, arrangement=ARR, tau=0.7,
                             backend="processes")
-        with GPUClusterLBM(cfg) as cluster:
+        with CPUClusterLBM(cfg) as cluster:
             cluster.load_global_distributions(f0)
             cluster.step(1)
             pids = cluster._proc_backend.worker_pids()
@@ -186,6 +189,16 @@ class TestConfigValidation:
             ClusterConfig(sub_shape=(8, 8, 8), arrangement=(2, 1, 1),
                           timing_only=True, backend="processes")
 
+    def test_gpu_cluster_refuses_processes(self):
+        """Simulated-GPU ranks run on the serial backend only: the
+        refusal names it and comes before any segment or worker."""
+        cfg = ClusterConfig(sub_shape=SUB, arrangement=ARR, tau=0.7,
+                            backend="processes")
+        with pytest.raises(ValueError, match="backend='serial'"):
+            GPUClusterLBM(cfg)
+        assert leaked_segments() == []
+        assert multiprocessing.active_children() == []
+
 
 class TestMailboxLayout:
     def test_both_sides_message_is_one_contiguous_block(self):
@@ -194,7 +207,7 @@ class TestMailboxLayout:
         single-side message its half, and the two slots never alias."""
         from repro.core.shm import MAIL_LINKS, RankSegments, unique_token
         sub = (4, 3, 2)
-        seg = RankSegments.create(0, sub, 19, unique_token(), "gpu")
+        seg = RankSegments.create(0, sub, 19, unique_token())
         try:
             for axis in range(3):
                 face = int(np.prod([s + 2 for a, s in enumerate(sub)
@@ -227,8 +240,7 @@ class TestMailboxLayout:
         from repro.core.shm import RankSegments
         assert "wire" not in {f.name for f in dataclasses.fields(WorkerSpec)}
         with pytest.raises(TypeError, match="wire"):
-            RankSegments.create(0, (4, 4, 4), 19, "tok", "gpu",
-                                wire="merged")
+            RankSegments.create(0, (4, 4, 4), 19, "tok", wire="merged")
         with pytest.raises(TypeError, match="wire"):
             RankSegments.attach({}, (4, 4, 4), 19, wire="merged")
 
@@ -247,17 +259,15 @@ def _bounded_city_config(sc, **kw):
         inlet=sc.inlet, outflow=sc.outflow, backend="processes", **kw)
 
 
-class TestSegmentsFollowNodeKind:
-    @pytest.mark.parametrize("node_kind", ["cpu", "gpu"])
-    def test_fresh_segments_read_zero_without_a_fill(self, node_kind):
+class TestFreshSegments:
+    def test_read_zero_without_a_fill(self):
         """Ghosts and mailboxes rely on a new segment's zero pages;
         nothing on the coordinator writes them."""
         from repro.core.shm import RankSegments, unique_token
-        seg = RankSegments.create(0, (5, 4, 3), 19, unique_token(),
-                                  node_kind)
+        seg = RankSegments.create(0, (5, 4, 3), 19, unique_token())
         try:
-            views = list(seg.mail) + [seg.health]
-            views += list(seg.fg_bufs) if node_kind == "cpu" else [seg.stage]
+            assert set(seg.names) == {"fg", "mail", "health"}
+            views = list(seg.fg_bufs) + list(seg.mail) + [seg.health]
             for view in views:
                 assert view.size and not view.any()
             del views, view
@@ -265,22 +275,57 @@ class TestSegmentsFollowNodeKind:
             seg.close()
         assert leaked_segments() == []
 
-    def test_cpu_rank_has_no_stage_and_gpu_rank_no_fg(self):
-        from repro.core.shm import RankSegments, unique_token
-        token = unique_token()
-        cpu = RankSegments.create(0, (4, 4, 4), 19, token, "cpu")
-        gpu = RankSegments.create(1, (4, 4, 4), 19, token, "gpu")
-        try:
-            assert cpu.names["stage"] is None and cpu.stage is None
-            assert cpu.names["fg"] is not None and cpu.fg_bufs is not None
-            assert gpu.names["fg"] is None and gpu.fg_bufs is None
-            assert gpu.names["stage"] is not None and gpu.stage is not None
-            for seg in (cpu, gpu):
-                assert seg.names["mail"] and seg.names["health"]
-        finally:
-            cpu.close()
-            gpu.close()
-        assert leaked_segments() == []
+
+class TestOneRankDescription:
+    def test_every_driver_builds_the_same_ranks(self, monkeypatch,
+                                                tmp_path):
+        """Serial ranks, worker processes and SPMD ranks are built from
+        one rank description: each rank's node receives the same block,
+        neighbour slots, boundary handlers and halo face row.  A forked
+        worker records its node in a file, since its memory is its
+        own."""
+        import pickle
+
+        from repro.core import cpu_node
+        from repro.core.procpool import _mp_context
+        from repro.core.spmd import SPMDClusterLBM
+        if _mp_context().get_start_method() != "fork":
+            pytest.skip("a spawned worker does not inherit the spy")
+        sc = _bounded_city((16, 12, 8))
+        cfg = ClusterConfig(
+            sub_shape=(8, 6, 8), arrangement=(2, 2, 1), tau=sc.tau,
+            periodic=(False, False, False), solid=sc.solid,
+            inlet=sc.inlet, outflow=sc.outflow)
+        driver = ["serial"]
+        build = cpu_node.CPUNode.__init__
+
+        def spy(node, *args, **kwargs):
+            build(node, *args, **kwargs)
+            solver = node.solver
+            row = (node.sub_shape, node.face_dirs, node.edge_dirs,
+                   [(type(b).__name__, b.axis, b.side)
+                    for b in solver.boundaries], solver.halo_faces)
+            path = tmp_path / f"{driver[0]}-{node.rank}.pkl"
+            path.write_bytes(pickle.dumps(row))
+        monkeypatch.setattr(cpu_node.CPUNode, "__init__", spy)
+        serial = CPUClusterLBM(cfg)
+        driver[0] = "processes"
+        CPUClusterLBM(replace(cfg, backend="processes")).shutdown()
+        driver[0] = "spmd"
+        decomp = serial.decomp
+        SPMDClusterLBM(decomp, sc.tau, solid=sc.solid, inlet=sc.inlet,
+                       outflow=sc.outflow).run(1)
+
+        def rows(name):
+            return [pickle.loads((tmp_path / f"{name}-{r}.pkl").read_bytes())
+                    for r in range(decomp.n_nodes)]
+        serial = rows("serial")
+        assert rows("processes") == serial
+        assert rows("spmd") == serial
+        handlers = {h for row in serial for h in row[3]}
+        assert {h[0] for h in handlers} == {"EquilibriumVelocityInlet",
+                                            "OutflowBoundary"}
+        assert all(row[4] is not None for row in serial)
 
 
 def _proc_status_kb(pid) -> dict:

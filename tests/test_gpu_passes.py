@@ -619,21 +619,6 @@ class TestSpanAndSwap:
             _assert_same_textures(a, b, step)
             _assert_same_device(a.device, b.device, step)
 
-    def test_processes_backend_workers(self, rng):
-        shape = (12, 10, 5)
-        kw = dict(sub_shape=(6, 5, 5), arrangement=(2, 2, 1),
-                  periodic=(False, True, True), solid=rng.random(shape) < 0.2,
-                  inlet=(0, "low", (0.02, 0.0, 0.0), 1.0), outflow=(0, "high"))
-        b = self._rect_cluster(**kw)
-        procs = GPUClusterLBM(ClusterConfig(tau=0.7, backend="processes", **kw))
-        with procs, b:
-            b.load_global_distributions(_perturbed(b.gather_distributions(), rng))
-            procs.load_global_distributions(b.gather_distributions())
-            for step in range(1, self.STEPS + 1):
-                assert procs.step(1) == b.step(1), step
-                assert np.array_equal(_bits(procs.gather_distributions()),
-                                      _bits(b.gather_distributions())), step
-
 
 class TestGhostFill:
     @pytest.mark.parametrize("axis", [0, 1, 2])

@@ -7,9 +7,10 @@ border rectangles, then the inner rectangle, whose charge is the
 Sec-4.4 window.  These tests pin the contract: results stay
 bit-identical to the single-domain reference, every texel and
 simulated value equals what the per-rectangle render loop it replaced
-produced (kept below as the oracle), and the serial and processes
-backends report the same :class:`StepTiming` every step.  A CPU rank's
-window is its whole compute time.
+produced (kept below as the oracle), and a CPU cluster's serial and
+processes backends report the same :class:`StepTiming` every step (a
+GPU cluster runs on the serial backend only).  A CPU rank's window is
+its whole compute time.
 """
 
 import dataclasses
@@ -67,7 +68,9 @@ class TestOverlappedEqualsSequential:
         f_ovl, _ = _run(cls, f0, steps=5)
         assert np.array_equal(f_ovl, ref.f)
 
-    def test_modeled_timing_unchanged_by_overlap(self, rng, cls):
+
+class TestModeledWindow:
+    def test_modeled_timing_unchanged_by_overlap(self, rng):
         """The overlap is a charge, not a schedule: with solids, an inlet
         and an outflow, a worker process charges what a serial rank
         charges, and computes the same distributions, every step."""
@@ -77,7 +80,7 @@ class TestOverlappedEqualsSequential:
                   inlet=(0, "low", (0.03, 0.0, 0.0), 1.0),
                   outflow=(0, "high"))
         f0 = _initial_state(rng, solid=solid).f.copy()
-        with cls(ClusterConfig(**kw)) as ser, cls(
+        with CPUClusterLBM(ClusterConfig(**kw)) as ser, CPUClusterLBM(
                 ClusterConfig(backend="processes", **kw)) as prc:
             for cluster in (ser, prc):
                 cluster.load_global_distributions(f0)
@@ -93,8 +96,6 @@ class TestOverlappedEqualsSequential:
         assert set(t.ms()) == {"compute", "agp", "net_total",
                                "net_nonoverlap", "total"}
 
-
-class TestModeledWindow:
     def test_timing_only_mode_models_the_window(self):
         cfg = ClusterConfig(sub_shape=(80, 80, 80), arrangement=(2, 2, 1),
                             timing_only=True)
