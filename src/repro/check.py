@@ -157,6 +157,7 @@ ROWS = (
     Row("city", "spmd", CITY, arrangement=(2, 1, 1)),
     Row("strong_serial", "serial", TORUS, arrangement=(4, 4, 2)),
     Row("torus", "single", TORUS),
+    Row("torus", "serial", TORUS, "gpu", (2, 2, 1)),
     Row("spmd_pair", "spmd", PAIR, arrangement=(2, 1, 1)),
     Row("mixed", "serial", MIXED_CITY, arrangement=(2, 2, 1)),
     Row("mixed", "serial", MIXED_CITY, "gpu", (2, 2, 1)),
@@ -164,6 +165,7 @@ ROWS = (
         observer="trace"),
     Row("mixed", "spmd", MIXED_CITY, arrangement=(2, 2, 1)),
     Row("forced", "serial", FORCED_CITY, arrangement=(2, 2, 1)),
+    Row("forced", "serial", FORCED_CITY, "gpu", (2, 2, 1)),
     Row("forced", "processes", FORCED_CITY, arrangement=(2, 1, 1),
         observer="telemetry"),
     Row("watchdog", "processes", TORUS, arrangement=(2, 1, 1),

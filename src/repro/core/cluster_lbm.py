@@ -49,6 +49,12 @@ from repro.perf.recorder import Recorder
 from repro.perf.telemetry import TelemetrySession
 
 
+def _measured(rows, summary) -> float | None:
+    """The traced max/mean imbalance, or None when no rank was traced
+    or the busy time is apportioned by cell share (stacked ranks)."""
+    return None if not rows or summary["apportioned"] else summary["max_over_mean"]
+
+
 @dataclass(frozen=True)
 class StepTiming:
     """Per-step time decomposition, Table-1 shaped (seconds).
@@ -380,8 +386,10 @@ class _ClusterLBMBase:
 
         Returns ``{"cuts", "uniform", "rows", "measured_imbalance"}``:
         per-rank block/cells/kernel and — when tracing is on and steps
-        have run — the measured busy time and its imbalance from
-        :func:`repro.perf.report.trace_imbalance_rows`.
+        have run — the busy time and its imbalance from
+        :func:`repro.perf.report.trace_imbalance_rows`.  Stacked ranks'
+        busy time is apportioned by cell share, not measured, so their
+        imbalance is None.
         """
         from repro.perf.report import trace_imbalance_rows
 
@@ -394,8 +402,7 @@ class _ClusterLBMBase:
             "cuts": self.decomp.cuts,
             "uniform": self.decomp.uniform,
             "rows": rows,
-            "measured_imbalance": (summary["max_over_mean"]
-                                   if measured_rows else None),
+            "measured_imbalance": _measured(measured_rows, summary),
         }
 
     def rebalance_cuts(self, busy_s=None) -> tuple:
@@ -404,14 +411,20 @@ class _ClusterLBMBase:
         ``busy_s`` maps rank -> busy seconds; when omitted it is taken
         from this driver's own trace
         (:func:`~repro.perf.report.trace_imbalance_rows`), which
-        requires :meth:`enable_tracing` before stepping.
+        requires :meth:`enable_tracing` before stepping and a trace
+        that measured each rank (not stacked ranks' cell-share
+        apportionment); otherwise ``ValueError``.
         """
         from repro.core.balance import measured_cost_field
         from repro.perf.report import trace_imbalance_rows
 
         if busy_s is None:
-            rows, _ = trace_imbalance_rows(self.recorder)
+            rows, summary = trace_imbalance_rows(self.recorder)
             busy_s = {r["rank"]: r["busy_ms"] / 1e3 for r in rows}
+            if summary["apportioned"]:
+                raise ValueError(
+                    "the trace apportions stacked ranks' busy time by cell "
+                    "share and measures no imbalance: pass busy_s")
             if len(busy_s) < self.decomp.n_nodes:
                 raise ValueError(
                     "no measured busy time for every rank: call "
@@ -441,12 +454,12 @@ class _ClusterLBMBase:
         if self.config.timing_only:
             raise RuntimeError("rebalance needs numeric state; "
                                "timing_only drivers have none")
-        _, summary = trace_imbalance_rows(self.recorder)
+        rows, summary = trace_imbalance_rows(self.recorder)
         new_cuts = self.rebalance_cuts(busy_s=busy_s)
         info = {
             "old_cuts": self.decomp.cuts,
             "new_cuts": new_cuts,
-            "measured_imbalance": summary["max_over_mean"],
+            "measured_imbalance": _measured(rows, summary),
             "changed": new_cuts != self.decomp.cuts,
         }
         if not info["changed"]:

@@ -4,18 +4,17 @@ A :class:`GPUNode` wraps a padded-mode :class:`~repro.gpu.GPULBMSolver`
 on its own :class:`~repro.gpu.SimulatedGPU` and implements the node's
 side of the cluster protocol:
 
-* one macro + collide render over the whole interior, charged to the
-  device per Sec-4.3 rectangle (shell pieces, then the inner core,
-  whose device time is the ~120 ms overlap window of Sec 4.4) from a
-  plan of charges built once per node;
+* one macro + collide over the whole interior, charged to the device
+  per Sec-4.3 rectangle (shell pieces, then the inner core, whose
+  device time is the ~120 ms overlap window of Sec 4.4) from a plan
+  of charges built once per node;
 * gather of all outgoing border distributions followed by a *single*
   readback over AGP ("we minimize the overhead of initializing the
-  read operations", Sec 4.3);
-* ghost uploads of data received from neighbours;
-* stream + bounce-back passes.
+  read operations", Sec 4.3), and ghost uploads of received data;
+* stream, bounce-back, inlet and outflow.
 
-Compiled, each is one call into :data:`repro.gpu.lbm_gpu.UNIT` (a face
-copy, one per face); without a compiler, the per-pass engine runs them.
+Compiled, each is one call into :data:`repro.gpu.lbm_gpu.UNIT` (one per
+face copy); without a compiler, the per-pass engine runs them.
 
 In ``timing_only`` mode no numerics run: the node reports the same
 timing decomposition from the closed-form model, allowing paper-scale
@@ -28,8 +27,8 @@ import numpy as np
 
 from repro.gpu.device import SimulatedGPU
 from repro.gpu.fragment import FragmentProgram
-from repro.gpu.lbm_gpu import COLLIDE, LINKS, GPULBMSolver
-from repro.gpu.packing import stack_links
+from repro.gpu.lbm_gpu import COLLIDE, CROSSING, GPULBMSolver
+from repro.gpu.packing import link_location
 from repro.gpu.specs import AGP_8X, GEFORCE_FX_5800_ULTRA, BusSpec, GPUSpec
 from repro.perf import calibration as cal
 from repro.perf.recorder import NULL_RECORDER
@@ -59,12 +58,8 @@ class GPUNode:
     timing_only:
         Skip numerics, model timing only.
 
-    A numeric rank renders its collide once and charges its device per
-    Sec-4.3 rectangle, the shell pieces and then the inner core, whose
-    charge is the Sec-4.4 window (:meth:`collide_phase`) — on either
-    cluster backend.  ``recorder`` is the rank's handle: a numeric rank's
-    collide and finish are its ``cluster.collide`` / ``cluster.finish``
-    regions.
+    ``recorder`` is the rank's handle: a numeric rank's collide and
+    finish are its ``cluster.collide`` / ``cluster.finish`` regions.
     """
 
     recorder = NULL_RECORDER
@@ -100,11 +95,8 @@ class GPUNode:
         self.compute_s = 0.0
         self.agp_s = 0.0
         self.overlap_window_s = 0.0
-        # Kernel-report attributes: the GPU path has a single hot path
-        # (the fragment-program passes), reported alongside the CPU
-        # ranks' kernel selection; the reason says why ``macro`` and
-        # ``collide`` run their numpy bodies (None: compiled, or no
-        # numerics at all).
+        # Kernel-report attributes; the reason says why the passes run
+        # their numpy bodies (None: compiled, or no numerics at all).
         self.kernel_used = "gpu"
         self.kernel_reason = None if timing_only else self.solver.kernel_reason
         self.solid_fraction = (float(np.asarray(solid, dtype=bool).mean())
@@ -169,14 +161,11 @@ class GPUNode:
             self.device.reset_clock()
 
     def collide_phase(self) -> None:
-        """Macro + collision passes; records the overlap window.
-
-        The passes render once over the whole interior, uncharged, and
-        the device is then charged what rendering the Sec-4.3
-        rectangles would have charged, in their order: each shell piece
-        of :meth:`~repro.gpu.GPULBMSolver.split_pieces` (the border
-        layers the exchange reads), then the inner pieces, whose charge
-        is the window: the node's plan, or on the per-pass engine one
+        """Macro + collision over the whole interior, uncharged; the
+        device is then charged what rendering the Sec-4.3 rectangles of
+        :meth:`~repro.gpu.GPULBMSolver.split_pieces` would charge, the
+        shell's then the inner core's (the overlap window): the node's
+        plan, or on the per-pass engine one
         :meth:`~repro.gpu.GPULBMSolver.charge_collide_passes` per piece.
         """
         if self.timing_only:
@@ -200,75 +189,64 @@ class GPUNode:
 
     # -- the halo engine's port, over textures (see core.exchange) --------
     def read_packed(self, manifest, out: np.ndarray) -> np.ndarray:
-        """Gather the merged per-neighbor payload from the textures.
-
-        Only the pull protocol exists on the GPU path (AA is a CPU
-        kernel), so the source is always the border layer; each segment
-        gathers its five streaming links straight into the wire buffer.
-        """
-        if manifest.mode != "pull":
-            raise ValueError("GPU ranks only run the pull exchange; "
-                             f"got manifest mode {manifest.mode!r}")
-        if self._wire(manifest, out, 1):
-            return out
-        buf = out.reshape(-1)
-        for seg in manifest.segments:
-            side = "low" if seg.side == -1 else "high"
-            view = buf[seg.offset:seg.offset + seg.floats].reshape(
-                (len(seg.links),) + manifest.plane_shape)
-            self.solver.get_border_layer(manifest.axis, side, out=view,
-                                         links=seg.links)
+        """Gather the merged per-neighbor payload from the border layer."""
+        self._wire(manifest, out, 1)
         return out
 
     def write_packed(self, manifest, buf: np.ndarray) -> None:
         """Scatter a received merged payload into the ghost texels."""
+        self._wire(manifest, buf, 2)
+
+    def _wire(self, manifest, buf: np.ndarray, how: int) -> None:
+        """Gather (``how`` 1) the border planes into, or scatter (2) the
+        ghost planes from, a message ``buf`` (GPU ranks run the pull
+        exchange only), segment by segment: one face call each for a
+        float32 buffer when compiled, else
+        :meth:`~repro.gpu.GPULBMSolver.get_border_layer` /
+        :meth:`~repro.gpu.GPULBMSolver.set_ghost_layer`."""
         if manifest.mode != "pull":
             raise ValueError("GPU ranks only run the pull exchange; "
                              f"got manifest mode {manifest.mode!r}")
-        if self._wire(manifest, buf, 2):
-            return
+        solver, axis, n = self.solver, manifest.axis, self.sub_shape[manifest.axis]
+        base = (buf.ctypes.data if solver._lib is not None and buf.dtype == np.float32
+                and buf.flags.c_contiguous else None)
         flat = buf.reshape(-1)
         for seg in manifest.segments:
-            side = "low" if -seg.side == -1 else "high"
+            side = seg.side if how == 1 else -seg.side          # of our texels
+            if base is not None:
+                at = (1 if side == -1 else n) if how == 1 else (0 if side == -1 else n + 1)
+                solver._face(how, axis, at, seg.links, base + 4 * seg.offset)
+                continue
             view = flat[seg.offset:seg.offset + seg.floats].reshape(
                 (len(seg.links),) + manifest.plane_shape)
-            self.solver.set_ghost_layer(view, manifest.axis, side,
-                                        links=seg.links)
-
-    def _wire(self, manifest, buf: np.ndarray, how: int) -> bool:
-        """Gather (``how`` 1) the border planes into, or scatter (2) the
-        ghost planes from, a float32 message ``buf``: one face call per
-        segment.  False, touching nothing, without a compiler."""
-        if (self.solver._lib is None or buf.dtype != np.float32
-                or not buf.flags.c_contiguous):
-            return False
-        axis, base, n = manifest.axis, buf.ctypes.data, self.sub_shape[manifest.axis]
-        for seg in manifest.segments:
-            at = (1 if seg.side == -1 else n) if how == 1 else (0 if seg.side == 1 else n + 1)
-            self.solver._face(how, axis, at, seg.links, base + 4 * seg.offset)
-        return True
+            name = "low" if side == -1 else "high"
+            if how == 1:
+                solver.get_border_layer(axis, name, out=view, links=seg.links)
+            else:
+                solver.set_ghost_layer(view, axis, name, links=seg.links)
 
     def fill_ghost_zero_gradient(self, axis: int, direction: int) -> None:
-        """Global non-periodic boundary: copy own border outward — the
-        full padded border plane onto the ghost plane, every link: one
-        face call, or one slice assignment per distribution stack over
-        its link channels."""
+        """Global non-periodic boundary: copy own border outward, the
+        full padded plane, for the ten links with ``c[axis] != 0`` (the
+        only ones a stream reads there, as the CPU port): one face call,
+        or one slice assignment per link."""
         n = self.sub_shape[axis]
         ghost, border = (0, 1) if direction == -1 else (n + 1, n)
+        links = CROSSING[axis]
         if self.solver._lib is not None:
-            self.solver._face(0, axis, ghost, LINKS, src=border)
+            self.solver._face(0, axis, ghost, links, src=border)
             return
-        for s, stack in enumerate(self.solver.f_stacks):
-            planes = stack.data[..., :len(stack_links(s))].swapaxes(0, 2 - axis)
+        for s, ch in map(link_location, links):
+            planes = self.solver.f_stacks[s].data[..., ch].swapaxes(0, 2 - axis)
             planes[ghost] = planes[border]                  # data[z, y, x]
 
     def charge_transfers(self) -> None:
-        """Charge the step's AGP cost (gather passes + single readback +
-        per-direction uploads), identically in both modes."""
+        """Charge the step's modeled AGP cost, identically in both modes."""
         self.agp_s = self._agp_s
 
     def finish_step(self) -> None:
-        """Stream + boundary passes; close out compute accounting."""
+        """Stream, bounce-back, inlet and outflow; close out compute
+        accounting."""
         if self.timing_only:
             self.compute_s = self._model_compute_s()
             return

@@ -5,8 +5,9 @@ implements a functional + timing simulation of the hardware the paper
 used:
 
 * :mod:`repro.gpu.specs` — datasheet constants for the GeForce FX
-  5800/5900 Ultra, GeForce 6800 Ultra, the host CPUs, and the AGP 8x /
-  PCI-Express buses, with the paper's published numbers as provenance.
+  5800/5900 Ultra, GeForce 6800 Ultra, the host CPUs, and the AGP 8x
+  (2.1 GB/s down, 133 MB/s up) / PCI-Express x16 buses, with the
+  paper's published numbers as provenance.
 * :mod:`repro.gpu.texture` — texture memory accounting, 2D textures
   and stacks of 2D textures (the paper's volume layout, Fig 5).
 * :mod:`repro.gpu.fragment` — fragment programs and the render-pass
@@ -15,16 +16,13 @@ used:
   into a pixel buffer and copied back to textures.
 * :mod:`repro.gpu.device` — :class:`SimulatedGPU` tying the above
   together with a simulated clock charged per pass and per transfer.
-* :mod:`repro.gpu.bus` — asymmetric AGP 8x model (2.1 GB/s down,
-  133 MB/s up) and the PCI-Express x16 what-if (4 GB/s both ways).
 * :mod:`repro.gpu.packing` — the D3Q19 packing of 19 distribution
   volumes into 5 RGBA texture stacks (Sec 4.2).
 * :mod:`repro.gpu.boundary_rects` — per-Z-slice rectangle coverage of
   boundary regions (the paper's memory optimisation for boundary-link
   data).
-* :mod:`repro.gpu.lbm_gpu` — the full texture-based LBM step
-  (stream / collide / boundary as fragment programs), validated against
-  the plain-numpy reference solver.
+* :mod:`repro.gpu.lbm_gpu` — the texture-based LBM step as fragment
+  programs, validated against the plain-numpy reference solver.
 
 The *data path* here is executed for real; only the *clock* is modeled.
 """

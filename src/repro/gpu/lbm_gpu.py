@@ -29,10 +29,11 @@ Two layouts are supported:
   over the network and border layers are gathered for readback.
 
 The device is charged what each pass costs; the host makes the same
-texels however is fastest (DESIGN §5k).  With a C compiler a step is a
-few calls into :data:`UNIT`: ``macro`` fused with ``collide0..4`` in
-place, one pull-stream per stack committed by swap, one bounce swap and
-one strided-plane call per face copy, charged from data
+texels however is fastest (DESIGN §5k).  With a C compiler a step is
+two calls into :data:`UNIT`, ``macro`` fused with ``collide0..4`` and
+one sweep that streams in place plane by plane and, while each plane is
+in cache, bounces it back and applies the inlet and the outflow, plus
+one strided-plane call per face copy; charged from data
 (:meth:`GPULBMSolver.pass_plan`).  Without one, every pass renders its
 numpy body through the per-pass engine and is charged pass by pass.
 """
@@ -60,27 +61,30 @@ LINKS = tuple(range(19))
 #: ``gpu_face``'s plane (``4 * stack + channel``) of each link, then of
 #: the unused channel.
 PLANES = tuple(4 * s + ch for s, ch in map(link_location, LINKS)) + (19,)
+#: Per axis, the links that cross its faces (``c[axis] != 0``).
+CROSSING = tuple(tuple(int(q) for q in np.flatnonzero(D3Q19.c[:, a])) for a in range(3))
 
 
 def _source(lat, dtype) -> str:
     """The step's compiled passes as C, generated from the lattice tables
     and the texture packing (DESIGN §5k).  ``tex`` holds the texel
-    addresses of ``f0..f4``, ``pbuffer`` and ``macro``; link ``q`` is
-    plane ``q`` of ``f0..f4``, planes ``ps`` floats apart; ``g`` is the
-    entry's geometry, a ``long`` table.
+    addresses of ``f0..f4`` and ``macro``; link ``q`` is plane ``q`` of
+    ``f0..f4``, planes ``ps`` floats apart; ``g`` is a ``long`` table.
 
     * ``gpu_collide``: ``macro`` fused with ``collide0..4``, in place,
-      over ``n0`` x ``n1`` rows of ``len`` texels (``s0`` and ``s1``
-      apart) from texel ``at``: each reads its 19 populations, writes
-      its ``macro`` texel and relaxes only itself, in the numpy bodies'
-      op order.  ``flags`` / the force increments ``add`` are NULL when
-      absent; one loop per (flags?, force?) variant, so each vectorises.
-    * ``gpu_stream``: stack ``s`` (``d`` x ``h`` x ``w``, a ghost shell
-      of ``p`` = 0 or 1 texels) pulled into ``pbuffer`` over its
-      interior, sources wrapped toroidally (a no-op inside the shell),
-      the unused channel zeroed and the shell copied.
-    * ``gpu_bounce``: every link at the ``n`` texels ``idx`` takes its
-      opposite's value.
+      over ``n0`` x ``n1`` rows of ``len`` texels (``s0``, ``s1`` apart)
+      from texel ``at``, in the numpy bodies' op order; ``flags`` /
+      ``add`` (the force) NULL when absent, one loop per variant.
+    * ``gpu_sweep``: plane ``z`` by plane of the ``d`` x ``h`` x ``w``
+      stacks (shell ``p`` = 0 or 1), each channel pulled in place over
+      the interior (wrapped toroidally) from the stack's plane ``z + 1``,
+      plane ``z`` (padded: in place, reading each texel before writing
+      it) and the copies ``ring`` slot ``z % 2`` keeps (slot 2: plane 0,
+      for wrap mode's last plane); the shell is never written, the
+      unused channel is zeroed.  Then plane ``z``'s solid texels (of the
+      ``n`` sorted ``runs``) bounce back, and the inlet ``in`` (with
+      ``feq``) and outflow ``out`` run: ``gpu_face`` tables after the
+      plane they run on (-1: each plane, its row of the face), or NULL.
     * ``gpu_face``: ``np`` planes (``4 * stack + channel``, after the
       geometry) of ``n1`` x ``n2`` texels at ``to``, strides ``t1``,
       ``t2``; the other side at ``bo``, strides ``b1``, ``b2``, is the
@@ -91,22 +95,29 @@ def _source(lat, dtype) -> str:
     Q = lat.Q
     loc = [link_location(q) for q in range(Q)]
     loop = "#pragma GCC ivdep\nfor (long i = 0; i < len; i++) {{\n{}\n}}\n"
+    links = "".join(f"T *L{q} = tex[{s}] + {ch} * ps;\n" for q, (s, ch) in enumerate(loc))
 
     def unpack(names):
         return "".join(f"const long {n} = g[{k}];\n" for k, n in enumerate(names.split()))
 
     def body(flags, force):
         fluid = "(G[i] == 0)" if flags else "1"
+        # Each population is stored as soon as it is relaxed (and
+        # forced), so few stay live at once.
+        relax = []
+        for line in native.relax_lines(lat, dtype, native.collide_groups(lat, range(Q)),
+                                       "rate"):
+            relax.append(line)
+            if line.startswith("T h"):
+                q = line.split()[1][1:]
+                if force:
+                    relax.append(f"h{q} = (k{q} & {fluid}) ? h{q} + a{q} : h{q};")
+                relax.append(f"F{q}[i] = h{q};")
         return loop.format("\n".join(
             [f"T v{q} = F{q}[i];" for q in range(Q)] + native.moment_lines(lat)
             + ["T safe = rho > 0 ? rho : ((T)1);", "O0[i] = rho;"]
             + [f"T u{a} = j{a} / safe; O{1 + a}[i] = u{a};" for a in range(3)]
-            + [f"T rate = {fluid} ? omega : ((T)0);"]
-            + native.relax_lines(lat, dtype, native.collide_groups(lat, range(Q)),
-                                 "rate")
-            + [f"h{q} = (k{q} & {fluid}) ? h{q} + a{q} : h{q};"
-               for q in range(Q) if force]
-            + [f"F{q}[i] = h{q};" for q in range(Q)]))
+            + [f"T rate = {fluid} ? omega : ((T)0);"] + relax))
 
     collide = (
         "void gpu_collide(T *const *tex, const long *g, const T *flags, T omega, "
@@ -115,7 +126,7 @@ def _source(lat, dtype) -> str:
                   for q in range(Q))
         + "for (long z = 0; z < n0; z++)\nfor (long y = 0; y < n1; y++) {\n"
         "const long b = at + z * s0 + y * s1;\n"
-        + "".join(f"T *O{k} = tex[{N_DISTRIBUTION_STACKS + 1}] + b + {k} * ps;\n"
+        + "".join(f"T *O{k} = tex[{N_DISTRIBUTION_STACKS}] + b + {k} * ps;\n"
                   for k in range(4))
         + "".join(f"T *F{q} = tex[{s}] + b + {ch} * ps;\n" for q, (s, ch) in enumerate(loc))
         + "const T *G = flags ? flags + b : 0;\n"
@@ -123,27 +134,61 @@ def _source(lat, dtype) -> str:
         + body(True, False) + "} else if (add) {\n" + body(False, True)
         + "} else {\n" + body(False, False) + "}\n}\n}\n")
 
+    # Bounce-back over the run of ``len`` solid texels from ``t``: each
+    # opposite pair swapped.
+    swap = "#pragma GCC ivdep\nfor (long i = t; i < t + len; i++) {\n" + "".join(
+        f"const T v{q} = L{q}[i]; L{q}[i] = L{o}[i]; L{o}[i] = v{q};\n"
+        for q, o in enumerate(map(int, lat.opp)) if q < o) + "}\n"
+    face = (
+        "static void face(T *const *tex, T *buf, const long *g, long row) {\n"
+        + unpack("np ps n1 n2 to t1 t2 bo bk b1 b2 how")
+        + "for (long k = 0; k < np; k++) {\n"
+        "T *const p = tex[g[12 + k] / 4] + g[12 + k] % 4 * ps;\n"
+        "T *const o = (how == 0 ? p : buf + k * bk) + bo;\n"
+        "for (long a = row < 0 ? 0 : row; a < (row < 0 ? n1 : row + 1); a++) {\n"
+        "T *const t = p + to + a * t1; T *const r = o + a * b1;\n"
+        "if (how == 1) for (long i = 0; i < n2; i++) r[i * b2] = t[i * t2];\n"
+        "else if (how == 3) for (long i = 0; i < n2; i++) t[i * t2] = buf[k];\n"
+        "else for (long i = 0; i < n2; i++) t[i * t2] = r[i * b2];\n"
+        "}\n}\n}\n"
+        "void gpu_face(T *const *tex, T *buf, const long *g) { face(tex, buf, g, -1); }\n")
+
     pull = [[[-int(v) for v in lat.c[q]] for q in stack_links(s)]
             for s in range(N_DISTRIBUTION_STACKS)]
     table = ", ".join("{" + ", ".join("{%d, %d, %d}" % tuple(o) for o in offs) + "}"
                       for offs in pull)
-    stream = (
-        "void gpu_stream(T *const *tex, long s, const long *g) {\n"
-        + unpack("d h w ps p") + "const long hw = h * w, x1 = w - p;\n"
-        + f"static const long off[{N_DISTRIBUTION_STACKS}][4][3] = {{{table}}};\n"
+    sweep = (
+        "void gpu_sweep(T *const *tex, const long *g, T *ring, const long *runs, "
+        "const T *feq, const long *in, const long *out) {\n"
+        + unpack("d h w ps p n") + "const long hw = h * w, x1 = w - p, rs = "
+        f"{4 * N_DISTRIBUTION_STACKS} * hw;\n"
+        f"static const long off[{N_DISTRIBUTION_STACKS}][4][3] = {{{table}}};\n"
         f"static const long used[] = {{{', '.join(str(len(o)) for o in pull)}}};\n"
-        f"const T *f = tex[s]; T *out = tex[{N_DISTRIBUTION_STACKS}];\n"
+        + links + "long k = 0;\n"
+        "for (long z = p; z < d - p; z++) {\n"
+        "T *const cur = ring + (z ? z % 2 : 2) * rs;\n"
+        "const T *const prev = ring + (z - 1 ? (z - 1) % 2 : 2) * rs;\n"
+        f"for (long s = 0; s < {N_DISTRIBUTION_STACKS}; s++)\n"
         "for (long c = 0; c < 4; c++) {\n"
         "const long dx = off[s][c][0], dy = off[s][c][1], dz = off[s][c][2];\n"
         "const int pulled = c < used[s];\n"
-        "for (long z = 0; z < d; z++) {\n"
-        "const T *F = f + c * ps + z * hw; T *O = out + c * ps + z * hw;\n"
-        "const int rim = z < p || z >= d - p;\n"
-        "const long lo = rim ? hw : p * w, hi = rim ? hw : hw - p * w;\n"
-        "for (long i = 0; i < lo; i++) O[i] = F[i];\n"
-        "for (long i = hi; i < hw; i++) O[i] = F[i];\n"
-        "if (rim) continue;\n"
-        "const T *S = f + c * ps + ((z + dz + d) % d) * hw;\n"
+        "if (pulled && !(dx | dy | dz)) continue;\n"
+        "T *const O = tex[s] + c * ps + z * hw, *const F = cur + (4 * s + c) * hw;\n"
+        # Padded, a link within the plane streams in place, ordered so
+        # that it reads each texel before writing it.  What is read
+        # again is saved: the whole plane (for plane z + 1, wrap mode's
+        # in-plane wrap and its last plane), else only the rim.
+        "const int own = p && dz == 0;\n"
+        "if (pulled && !own && (dz <= 0 || z == 0))\n"
+        "for (long i = 0; i < hw; i++) F[i] = O[i];\n"
+        "else if (p) for (long y = p; y < h - p; y++) { F[y * w] = O[y * w]; "
+        "F[y * w + w - 1] = O[y * w + w - 1]; }\n"
+        # Plane z - 1: saved, or (first plane) the ghost plane or wrap
+        # mode's last plane, itself when that is plane z.
+        "const long zb = (z - 1 + d) % d;\n"
+        "const T *S = dz == 0 ? (own ? O : F) : dz < 0 ? (z > p ? prev + (4 * s + c) * hw\n"
+        ": zb == z ? F : O + (zb - z) * hw) : (p == 0 && z == d - 1 ? ring + 2 * rs\n"
+        "+ (4 * s + c) * hw : O + hw);\n"
         # Runs of rows whose source rows follow on: one span each, the
         # texels pulled across a row end then restored or wrapped.
         "for (long ya = p, yb; ya < h - p; ya = yb) {\n"
@@ -152,40 +197,29 @@ def _source(lat, dtype) -> str:
         "T *o = O + ya * w; const T *r = S + ys * w;\n"
         "const long n = (yb - ya) * w, i0 = dx < 0, i1 = n - (dx > 0);\n"
         "if (!pulled) for (long i = 0; i < n; i++) o[i] = 0;\n"
+        "else if (own && dy * w + dx < 0) {\n#pragma GCC ivdep\n"
+        "for (long i = i1 - 1; i >= i0; i--) o[i] = r[i + dx];\n}\n"
         "else {\n#pragma GCC ivdep\nfor (long i = i0; i < i1; i++) o[i] = r[i + dx];\n}\n"
         "for (long y = 0; y < yb - ya; y++) {\n"
         "T *oy = o + y * w; const T *fy = F + (ya + y) * w, *sy = r + y * w;\n"
         "if (p) { oy[0] = fy[0]; oy[w - 1] = fy[w - 1]; }\n"
         "if (pulled && p + dx < 0) oy[p] = sy[p + dx + w];\n"
         "if (pulled && x1 - 1 + dx >= w) oy[x1 - 1] = sy[x1 - 1 + dx - w];\n"
-        "}\n}\n}\n}\n}\n")
+        "}\n}\n}\n"
+        "for (; runs && k < n && runs[2 * k] < (z + 1) * hw; k++) {\n"
+        "const long t = runs[2 * k], len = runs[2 * k + 1];\n" + swap + "}\n"
+        "if (in && (in[0] < 0 || in[0] == z)) "
+        "face(tex, (T *)feq, in + 1, in[0] < 0 ? z - p : -1);\n"
+        "if (out && (out[0] < 0 || out[0] == z)) "
+        "face(tex, 0, out + 1, out[0] < 0 ? z - p : -1);\n"
+        "}\n}\n")
 
-    bounce = (
-        "void gpu_bounce(T *const *tex, const long *idx, long n, long ps) {\n"
-        + "".join(f"T *L{q} = tex[{s}] + {ch} * ps;\n" for q, (s, ch) in enumerate(loc))
-        + "for (long k = 0; k < n; k++) {\nconst long t = idx[k];\n"
-        + "".join(f"const T v{q} = L{q}[t];\n" for q in range(Q))
-        + "".join(f"L{q}[t] = v{int(lat.opp[q])};\n" for q in range(Q)) + "}\n}\n")
-
-    face = (
-        "void gpu_face(T *const *tex, T *buf, const long *g) {\n"
-        + unpack("np ps n1 n2 to t1 t2 bo bk b1 b2 how")
-        + "for (long k = 0; k < np; k++) {\n"
-        "T *const p = tex[g[12 + k] / 4] + g[12 + k] % 4 * ps;\n"
-        "T *const o = (how == 0 ? p : buf + k * bk) + bo;\n"
-        "for (long a = 0; a < n1; a++) {\n"
-        "T *const t = p + to + a * t1; T *const r = o + a * b1;\n"
-        "if (how == 1) for (long i = 0; i < n2; i++) r[i * b2] = t[i * t2];\n"
-        "else if (how == 3) for (long i = 0; i < n2; i++) t[i * t2] = buf[k];\n"
-        "else for (long i = 0; i < n2; i++) t[i * t2] = r[i * b2];\n"
-        "}\n}\n}\n")
-    return "typedef float T;\n" + collide + stream + bounce + face
+    return "typedef float T;\n" + collide + face + sweep
 
 
 def _entries(t) -> dict:
-    P, L = ctypes.c_void_p, ctypes.c_long
-    return {"gpu_collide": [P, P, P, t, P], "gpu_stream": [P, L, P],
-            "gpu_bounce": [P, P, L, L], "gpu_face": [P, P, P]}
+    P = ctypes.c_void_p
+    return {"gpu_collide": [P, P, P, t, P], "gpu_sweep": [P] * 7, "gpu_face": [P] * 3}
 
 
 #: The compiled passes, built and cached like the AA sweep.
@@ -283,38 +317,62 @@ class GPULBMSolver:
         self._lib, self.kernel_reason = native.load(self.lattice, F32, UNIT)
         self._programs = self._build_programs()
         # The compiled passes' tables (:func:`_source`): ``tex``, the
-        # interior box as rows of runs from its first texel, the
-        # stream's box, and each face call's geometry.
-        self._swapped = self.f_stacks + [self.pbuffer, self.macro_stack]
-        self._held: list = [None] * len(self._swapped)
-        self._tex = _longs(*[0] * len(self._swapped))
-        ps = td * th * tw
+        # interior box, each face call's geometry, the sweep's ring.
+        self._bound = self.f_stacks + [self.macro_stack]
+        self._held: list = [None] * len(self._bound)
+        self._tex = _longs(*[0] * len(self._bound))
+        self._ps = td * th * tw
         self._collide_g = _longs(td - 2 * p, th * tw, th - 2 * p, tw, tw - 2 * p,
-                                 ps, (p * th + p) * tw + p)
-        self._stream_g = _longs(td, th, tw, ps, p)
+                                 self._ps, (p * th + p) * tw + p)
+        self._ring = np.zeros((2 + self._wrap, 4 * N_DISTRIBUTION_STACKS, th * tw), F32)
         self._faces: dict[tuple, tuple] = {}
         self._flags = (None if self.flags_stack is None
                        else self.flags_stack.data.ctypes.data)
         self._add = (None if self._force_term is None
                      else self._force_term.ctypes.data)
-        #: Each pass group's charges over the interior, as data.
-        self._plan = {kind: self.pass_plan([f"{kind}{s}" for s in range(
-            N_DISTRIBUTION_STACKS)]) for kind in ("stream", "bounce")}
-        self._plan["collide"] = self.pass_plan(COLLIDE)
+        #: The collide's and :meth:`finish`'s charges, as data.
+        stacks = range(N_DISTRIBUTION_STACKS)
+        self._plan = {"collide": self.pass_plan(COLLIDE), "finish": self.pass_plan(
+            [f"stream{s}" for s in stacks] + [f"bounce{s}" for s in stacks if self.has_solid])}
         if self.has_solid:
-            # Flat texel indices of the solid sites (the flags texels
-            # rendered passes read, fixed after construction).
-            self._solid_texels = np.flatnonzero(np.pad(self.solid.transpose(2, 1, 0), p))
-            self._solid_at = self._solid_texels.ctypes.data
+            # The solid texels (fixed after construction) as runs within
+            # a plane: (first texel, length) pairs.
+            texels = np.flatnonzero(np.pad(self.solid.transpose(2, 1, 0), p))
+            cut = np.flatnonzero((np.diff(texels) != 1)
+                                 | (np.diff(texels // (th * tw)) != 0)) + 1
+            self._solid_runs = np.column_stack(
+                [texels[np.r_[0, cut]], np.diff(np.r_[0, cut, len(texels)])])
+            self._solid_at = self._solid_runs.ctypes.data
         # Per-step constants of the boundary-layer passes.
         if inlet is not None:
             self._inlet_feq = equilibrium_site(self.lattice, inlet[3],
                                                inlet[2]).astype(F32)
             self._inlet_at = self._inlet_feq.ctypes.data
             self._inlet_s = self._layer_pass_s("inlet", inlet[0], tex_fetches=0)
+            self._plan["finish"].append(("inlet", self._inlet_s, False))
         if outflow is not None:
             self._outflow_s = self._layer_pass_s("outflow", outflow[0],
                                                  tex_fetches=1)
+            self._plan["finish"].append(("outflow", self._outflow_s, False))
+        # :meth:`finish`'s sweep: the solid runs, the inlet fill of every
+        # link, the outflow copy of every channel.
+        self._sweep_g = _longs(td, th, tw, self._ps, p,
+                               len(self._solid_runs) if self.has_solid else 0)
+
+        def face_op(how, axis, slots, at, src=None):
+            # The plane it runs on (along z the later one; -1: on each
+            # plane, its row of the face), then an inner face table.
+            table = self._face_g(how, axis, at + p, slots,
+                                 None if src is None else src + p, inner=True)[0]
+            return _longs(max(at, src or 0) + p if axis == 2 else -1, *table)
+
+        self._ops = [inlet and face_op(3, inlet[0], LINKS, self._layer(*inlet[:2])),
+                     outflow and face_op(0, outflow[0], LINKS + (19,),
+                                         self._layer(*outflow), self._layer(*outflow, 1))]
+        self._finish_args = (self._sweep_g[1], self._ring.ctypes.data,
+                             self._solid_at if self.has_solid else None,
+                             self._inlet_at if inlet else None,
+                             *(op and op[1] for op in self._ops))
         self.time_step = 0
         self.initialize()
 
@@ -349,10 +407,7 @@ class GPULBMSolver:
     def _pixel_buffer(self, ctx) -> np.ndarray:
         """The ``pbuffer`` texels of this render: ``(n, 4)`` for a span,
         ``(d, h, w, 4)`` for a batched z range, ``(h, w, 4)`` for one
-        slice.  Distinct slices of a slice-by-slice pass land in
-        distinct texels, so outputs still pending commit never alias
-        one another.  Between renders the ``pbuffer`` holds the texels
-        of the last target a render was swapped into, not that render
+        slice, so pending slices never alias one another
         (:meth:`SimulatedGPU.run_pass`)."""
         z, r = ctx.z, ctx.rect
         if ctx.span:
@@ -366,14 +421,11 @@ class GPULBMSolver:
 
         ``macro``, ``collide`` and ``stream`` render into
         :attr:`pbuffer`, which :meth:`SimulatedGPU.run_pass` then swaps
-        with the target texture (or copies, slice by slice).  ``bounce``
-        is the shader of a pass group (all five read one snapshot, so
-        each renders into a copy of its own); :meth:`run_bounce_passes`
-        executes it as an index-list swap and charges these programs.
-        Every program reads only its fetches and keeps only its own
-        uniforms.  These numpy bodies run without a C compiler; the
-        compiled passes (:data:`UNIT`) spell the same ops in the same
-        order and are charged as these programs.
+        with the target texture (or copies, slice by slice); ``bounce``
+        is the shader of a pass group (each renders into a copy of its
+        own).  These numpy bodies run without a C compiler; the compiled
+        passes (:data:`UNIT`) spell the same ops in the same order and
+        are charged as these programs.
         """
         lat = self.lattice
         w = lat.w.astype(F32)
@@ -489,17 +541,17 @@ class GPULBMSolver:
 
     # -- compiled passes --------------------------------------------------
     def _texels(self) -> int:
-        """The address of ``tex`` (:func:`_source`), refreshed when a swap
-        commit has moved the arrays (the compiled stream moves it too)."""
-        arrays = [t.data for t in self._swapped]
+        """The address of ``tex`` (:func:`_source`), refreshed when a
+        per-pass render's swap commit has moved the arrays."""
+        arrays = [t.data for t in self._bound]
         if not all(map(operator.is_, arrays, self._held)):
             self._held = arrays
             self._tex[0][:] = [a.ctypes.data for a in arrays]
         return self._tex[1]
 
-    def _face(self, how: int, axis: int, at: int, slots: tuple, buf=None,
-              src: int | None = None, inner: bool = False) -> None:
-        """One ``gpu_face`` call over the ``axis`` plane ``at`` (its
+    def _face_g(self, how: int, axis: int, at: int, slots: tuple,
+                src: int | None = None, inner: bool = False) -> tuple:
+        """The ``gpu_face`` table over the ``axis`` plane ``at`` (its
         padded cross-section, or with ``inner`` the interior's) of each
         of ``slots`` (links; 19 is the unused channel): ``how`` 0 copies
         plane ``src`` onto it; 1 gathers it into, 2 scatters it from the
@@ -520,7 +572,12 @@ class GPULBMSolver:
                       step[j], step[i]) if how == 0 else (0, ni * nj, 1, nj))
             args = self._faces[key] = _longs(len(slots), d * h * w, *tex, *other,
                                              how, *(PLANES[q] for q in slots))
-        self._lib.gpu_face(self._texels(), buf, args[1])
+        return args
+
+    def _face(self, how: int, axis: int, at: int, slots: tuple, buf=None,
+              src: int | None = None) -> None:
+        """One ``gpu_face`` call (:meth:`_face_g`)."""
+        self._lib.gpu_face(self._texels(), buf, self._face_g(how, axis, at, slots, src)[1])
 
     # -- ghost-layer management (padded mode) -----------------------------
     def _check_padded(self) -> None:
@@ -529,16 +586,10 @@ class GPULBMSolver:
 
     def set_ghost_layer(self, f_ghost: np.ndarray, axis: int, side: str,
                         links=None) -> None:
-        """Write a ghost face received from a neighbour.
-
-        ``f_ghost`` has the shape of the corresponding face of the
-        *padded* array excluding the two ghost rims of the other axes
-        being set separately — i.e. exactly ``(L,) + face_shape`` with
-        face_shape the full padded cross-section, allowing edge/corner
-        ghost texels to be included by the caller.  ``links`` selects
-        which distribution slots the rows of ``f_ghost`` carry (default:
-        all 19 in order) — the merged wire protocol ships only the five
-        streaming links per face.
+        """Write a ghost face received from a neighbour: ``f_ghost`` is
+        ``(L,)`` + the full padded cross-section (edge and corner ghost
+        texels included), its rows the slots ``links`` (default: all
+        19; the wire ships the five streaming links per face).
         """
         self._check_padded()
         nx, ny, nz = self.shape
@@ -556,14 +607,10 @@ class GPULBMSolver:
     def get_border_layer(self, axis: int, side: str,
                          out: np.ndarray | None = None,
                          links=None) -> np.ndarray:
-        """Read the interior border face (L, full padded cross-section).
-
-        Returns the post-collision distributions of the outermost
-        interior layer, padded cross-section orientation matching
-        :meth:`set_ghost_layer` so a neighbour can consume it directly.
-        With ``out`` the face is gathered into the provided buffer
-        (allocation-free exchange path); ``links`` restricts the gather
-        to a subset of distribution slots (merged wire protocol).
+        """The outermost interior layer's post-collision distributions,
+        ``(L,)`` + the full padded cross-section as
+        :meth:`set_ghost_layer` takes it, into ``out`` if given, for the
+        slots ``links`` (default: all 19).
         """
         self._check_padded()
         nx, ny, nz = self.shape
@@ -584,8 +631,7 @@ class GPULBMSolver:
 
     # -- boundary-layer passes --------------------------------------------
     def _layer_pass_s(self, name: str, axis: int, tex_fetches: int) -> float:
-        """Modeled cost of a boundary-layer pass on an ``axis`` face:
-        one small pass per stack."""
+        """Modeled cost of a boundary-layer pass: one per stack."""
         nx, ny, nz = self.shape
         face = {0: ny * nz, 1: nx * nz, 2: nx * ny}[axis]
         prog = FragmentProgram(name, None, alu_ops=2, tex_fetches=tex_fetches)
@@ -596,27 +642,23 @@ class GPULBMSolver:
         (x, y, z), p = self.shape, self.pad
         return stack.data[p:z + p, p:y + p, p:x + p].swapaxes(0, 2 - axis)
 
+    def _layer(self, axis: int, side: str, depth: int = 0) -> int:
+        """The interior plane ``depth`` in from the ``side`` face."""
+        return depth if side == "low" else self.shape[axis] - 1 - depth
+
     def _apply_inlet(self) -> None:
         axis, side, _, _ = self.inlet
-        at = 0 if side == "low" else self.shape[axis] - 1
-        if self._lib is not None:
-            self._face(3, axis, at + self.pad, LINKS, self._inlet_at, inner=True)
-        else:
-            for i, (s, ch) in enumerate(map(link_location, LINKS)):
-                self._interior(self.f_stacks[s], axis)[at, ..., ch] = self._inlet_feq[i]
+        at = self._layer(axis, side)
+        for i, (s, ch) in enumerate(map(link_location, LINKS)):
+            self._interior(self.f_stacks[s], axis)[at, ..., ch] = self._inlet_feq[i]
         self.device.charge("inlet", self._inlet_s)
 
     def _apply_outflow(self) -> None:
         axis, side = self.outflow
-        n = self.shape[axis]
-        dst, src = (0, 1) if side == "low" else (n - 1, n - 2)
-        if self._lib is not None:       # every channel, the unused one too
-            self._face(0, axis, dst + self.pad, LINKS + (19,), src=src + self.pad,
-                       inner=True)
-        else:
-            for stack in self.f_stacks:
-                face = self._interior(stack, axis)
-                face[dst] = face[src]
+        dst, src = self._layer(axis, side), self._layer(axis, side, 1)
+        for stack in self.f_stacks:
+            face = self._interior(stack, axis)
+            face[dst] = face[src]
         self.device.charge("outflow", self._outflow_s)
 
     # -- the step -----------------------------------------------------------
@@ -651,7 +693,12 @@ class GPULBMSolver:
             self.device.apply(self._plan["collide"])
 
     def finish(self) -> None:
-        """Stream, bounce-back, inlet and outflow, each charged."""
+        """Stream, bounce-back, inlet and outflow, each charged.
+        Compiled, one ``gpu_sweep`` does all four plane by plane."""
+        if self._lib is not None:
+            self._lib.gpu_sweep(self._texels(), *self._finish_args)
+            self.device.apply(self._plan["finish"])
+            return
         self.run_stream_passes()
         if self.has_solid:
             self.run_bounce_passes()
@@ -668,15 +715,11 @@ class GPULBMSolver:
 
     # -- boundary/inner split (padded mode) -------------------------------
     def split_pieces(self) -> tuple[list, list]:
-        """Texture-space pieces of the depth-1 shell and inner core.
-
-        Returns ``(shell, inner)``, each a list of ``(rect, z_range)``
-        covering the sub-domain interior; together they tile it exactly.
-        They are the Sec-4.3 render rectangles the device is charged
-        for — the shell's "multiple small rectangles" first, then the
-        inner core, whose device time is the overlap window (see
-        :meth:`charge_collide_passes`).  Empty pieces (thin domains) are
-        dropped, so either list may be empty.
+        """``(shell, inner)``: the depth-1 shell's and the inner core's
+        ``(rect, z_range)`` pieces, together tiling the interior; the
+        Sec-4.3 render rectangles the device is charged for, the
+        shell's "multiple small rectangles" first, then the core, whose
+        device time is the overlap window.  Empty pieces are dropped.
         """
         self._check_padded()
         if self._split_pieces is None:
@@ -701,58 +744,36 @@ class GPULBMSolver:
 
     def charge_collide_passes(self, rect, z_range) -> None:
         """Charge and count macro + collide0..4 over ``rect`` x
-        ``z_range`` without rendering, as rendering them there would:
-        the passes are elementwise, so one uncharged render and a
-        charge per piece leave what rendering piece by piece does."""
+        ``z_range`` as rendering them there would, rendering nothing."""
         n = len(z_range) * rect.fragments
         self.device.account(self._programs["macro"], n)
         for s in range(N_DISTRIBUTION_STACKS):
             self.device.account(self._programs[f"collide{s}"], n)
 
     def run_stream_passes(self) -> None:
-        """The five ``stream`` passes.  Compiled, each stack is one
-        ``gpu_stream`` into :attr:`pbuffer`, committed by swapping arrays."""
-        lib, pb = self._lib, self.pbuffer
-        if lib is None:
-            for s in range(N_DISTRIBUTION_STACKS):
-                self.device.run_pass(self._programs[f"stream{s}"], self.f_stacks[s],
-                                     self.bindings(), self._rect, self._z_range,
-                                     wrap=self._wrap, pbuffer=pb)
-            return
-        at, tex, held = self._texels(), self._tex[0], self._held
-        for s, stack in enumerate(self.f_stacks):
-            lib.gpu_stream(at, s, self._stream_g[1])
-            stack.data, pb.data = pb.data, stack.data
-            tex[s], tex[5], held[s], held[5] = tex[5], tex[s], held[5], held[s]
-        self.device.apply(self._plan["stream"])
+        """The five ``stream`` passes (compiled, :meth:`finish` streams
+        in its sweep)."""
+        for s in range(N_DISTRIBUTION_STACKS):
+            self.device.run_pass(self._programs[f"stream{s}"], self.f_stacks[s],
+                                 self.bindings(), self._rect, self._z_range,
+                                 wrap=self._wrap, pbuffer=self.pbuffer)
 
     def run_bounce_passes(self) -> None:
         """The ``bounce`` pass group: every link at a solid texel takes
-        its opposite's pre-group value.  A fluid texel's output is its
-        input, so compiled only the solid texels are touched, by one
-        ``gpu_bounce`` swap; without a compiler the five programs render
-        as a pass group.  Either way they are charged over the whole
-        render."""
-        if self._lib is None:
-            b = self.bindings()
-            self.device.run_pass_group(
-                [(self._programs[f"bounce{s}"], self.f_stacks[s], b)
-                 for s in range(N_DISTRIBUTION_STACKS)],
-                self._rect, self._z_range, wrap=self._wrap)
-            return
-        self._lib.gpu_bounce(self._texels(), self._solid_at, len(self._solid_texels),
-                             self.pbuffer.data.strides[-1] // 4)
-        self.device.apply(self._plan["bounce"])
+        its opposite's pre-group value (compiled, :meth:`finish` swaps
+        them in its sweep)."""
+        b = self.bindings()
+        self.device.run_pass_group(
+            [(self._programs[f"bounce{s}"], self.f_stacks[s], b)
+             for s in range(N_DISTRIBUTION_STACKS)],
+            self._rect, self._z_range, wrap=self._wrap)
 
     def fill_ghosts_periodic(self) -> None:
         """Padded-mode periodic wrap (used when no cluster is attached)."""
         self._check_padded()
-        stacks_to_wrap = [self.f_stacks[s] for s in range(N_DISTRIBUTION_STACKS)]
-        if self.flags_stack is not None:
-            stacks_to_wrap.append(self.flags_stack)
-        for stacks in stacks_to_wrap:
+        for stack in self.f_stacks + [self.flags_stack] * self.has_solid:
             for ax in range(3):
-                d = stacks.data.swapaxes(0, ax)
+                d = stack.data.swapaxes(0, ax)
                 d[0], d[-1] = d[-2], d[1]
 
     def step(self, n: int = 1) -> None:

@@ -247,10 +247,11 @@ class TestRebalanceLoop:
 
     def test_rebalance_cuts_reads_the_trace(self, rng):
         """With no ``busy_s`` the re-cut is fed the traced per-rank busy
-        time (the loop test below injects costs instead)."""
+        time (the loop test below injects costs instead), measured per
+        rank: ``split`` ranks are not stacked."""
         from repro.perf.report import trace_imbalance_rows
         cfg = ClusterConfig(sub_shape=(8, 6, 4), arrangement=(2, 2, 1),
-                            tau=0.7)
+                            tau=0.7, kernel="split")
         with CPUClusterLBM(cfg) as cluster:
             cluster.enable_tracing()
             cluster.step(2)
@@ -269,7 +270,8 @@ class TestRebalanceLoop:
 
     def test_balance_report_surfaces_cuts_and_busy_time(self):
         cfg = ClusterConfig(sub_shape=(8, 6, 4), arrangement=(2, 2, 1),
-                            tau=0.7, cuts=TestUnequalCutsBitIdentity.CUTS)
+                            tau=0.7, cuts=TestUnequalCutsBitIdentity.CUTS,
+                            kernel="split")
         with CPUClusterLBM(cfg) as cluster:
             rep = cluster.balance_report()
             assert rep["uniform"] is False
@@ -281,6 +283,28 @@ class TestRebalanceLoop:
             rep = cluster.balance_report()
         assert rep["measured_imbalance"] >= 1.0
         assert all(r["busy_ms"] > 0 for r in rep["rows"])
+
+    def test_apportioned_trace_measures_no_imbalance(self):
+        """Stacked serial ranks' traced busy time is one arena sweep
+        apportioned by cell share: the report has no imbalance, and a
+        re-cut from it asks for ``busy_s`` (which still works)."""
+        cfg = ClusterConfig(sub_shape=(8, 6, 4), arrangement=(2, 2, 1),
+                            tau=0.7)
+        with CPUClusterLBM(cfg) as cluster:
+            assert cluster.stacked
+            cluster.enable_tracing()
+            cluster.step(2)
+            rep = cluster.balance_report()
+            assert rep["measured_imbalance"] is None
+            assert all(r["busy_ms"] > 0 for r in rep["rows"])
+            with pytest.raises(ValueError, match="pass busy_s"):
+                cluster.rebalance_cuts()
+            with pytest.raises(ValueError, match="pass busy_s"):
+                cluster.rebalance()
+            busy = {r: 1.0 for r in range(4)}
+            assert cluster.rebalance_cuts(busy_s=busy) == cluster.decomp.cuts
+            successor, info = cluster.rebalance(busy_s=busy)
+            assert successor is cluster and info["measured_imbalance"] is None
 
     @pytest.mark.parametrize("backend", ["serial", "processes"])
     def test_injected_costs_converge_bit_identically(self, rng, backend):

@@ -22,6 +22,7 @@ from repro.core.decomposition import BlockDecomposition, weighted_cuts
 from repro.lbm import AAStepKernel, LBMSolver
 from repro.lbm.boundaries import EquilibriumVelocityInlet, OutflowBoundary
 from repro.lbm.lattice import D3Q19
+from repro.perf.report import trace_imbalance_rows
 from repro.urban.city import times_square_like
 from repro.urban.voxelize import voxelize_city
 
@@ -207,8 +208,8 @@ class TestSerialRanksCollideWhole:
         """The toy shape matches the reference at every step, across an
         odd-parity load and a mid-pair rebalance.  The rebalance is
         driven by injected busy times (the cuts must move) or by the
-        traced ones (the cuts may or may not move; the steps after it
-        match either way)."""
+        traced ones, passed explicitly (the cuts may or may not move;
+        the steps after it match either way)."""
         sub, arr = (4, 4, 4), (4, 4, 2)
         shape = tuple(s * a for s, a in zip(sub, arr))
         rng = np.random.default_rng(3)
@@ -236,7 +237,14 @@ class TestSerialRanksCollideWhole:
                 cluster, info = cluster.rebalance(busy_s=heavy)
                 assert info["changed"]
             else:
-                cluster, info = cluster.rebalance()
+                # Stacked ranks' traced busy time is apportioned by cell
+                # share, so the cluster will not re-cut from it alone;
+                # passed on explicitly, it may or may not move the cuts.
+                with pytest.raises(ValueError, match="pass busy_s"):
+                    cluster.rebalance()
+                rows, _ = trace_imbalance_rows(cluster.recorder)
+                cluster, info = cluster.rebalance(
+                    busy_s={r["rank"]: r["busy_ms"] / 1e3 for r in rows})
                 assert info["old_cuts"] == BlockDecomposition(
                     shape, arr).cuts
             for step in range(7, 10):

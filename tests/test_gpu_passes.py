@@ -327,7 +327,10 @@ class TestProgramsBitwise:
            seed=st.integers(0, 2 ** 16))
     @settings(max_examples=25, deadline=None)
     def test_bounce_index_swap_matches_the_pass_group(self, shape, mode, seed):
-        """Every texel, signed zeros and rims included, and the charges."""
+        """Bounce-back over runs of solid texels, each plane's swapped
+        right after the sweep streams it (:meth:`GPULBMSolver.finish`),
+        against the stream passes and then the ``bounce`` pass group:
+        every texel, signed zeros and rims included, and the charges."""
         rng = np.random.default_rng(seed)
         mask = rng.random(shape) < 0.3
         mask[0, 0, 0] = True
@@ -338,8 +341,8 @@ class TestProgramsBitwise:
         _reflag(a)
         for ta, tb in zip(a.bindings().values(), b.bindings().values()):
             tb.data[...] = ta.data
-        a.run_bounce_passes()
-        b.run_bounce_passes()
+        a.finish()
+        b.finish()
         for ta, tb in zip(a.bindings().values(), b.bindings().values()):
             assert np.array_equal(_bits(ta.data), _bits(tb.data))
         assert a.device.pass_seconds == b.device.pass_seconds
@@ -620,13 +623,93 @@ class TestSpanAndSwap:
             _assert_same_device(a.device, b.device, step)
 
 
+class TestSweep:
+    """The compiled step (one collide, then one sweep that streams the
+    stacks in place plane by plane through a ring of saved planes and,
+    on each plane, bounces, fills the inlet and copies the outflow)
+    against the per-pass engine, the path without a compiler: every
+    texel of ``f0..f4``, ``macro`` and ``flags`` (rims included) and
+    every charge after each step, with every floating-point exception
+    raised."""
+
+    STEPS = 3
+
+    @staticmethod
+    def _twins(rng, **kw):
+        a, b = GPULBMSolver(**kw), GPULBMSolver(**kw)
+        assert a._lib is not None
+        b._lib = None
+        f = _perturbed(a.distributions(), rng)
+        for solver in (a, b):
+            solver.load_distributions(f)
+        return a, b
+
+    def _step(self, a, b):
+        for step in range(1, self.STEPS + 1):
+            with np.errstate(all="raise"):
+                a.step(1)
+                b.step(1)
+            _assert_same_textures(a, b, step)
+            _assert_same_device(a.device, b.device, step)
+
+    @pytest.mark.parametrize("mode", ["padded", "wrap"])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_z_depths(self, rng, mode, depth):
+        """The sweep's first and last planes coincide (depth 1) or
+        touch; wrap mode keeps its plane 0 for the last plane's wrap."""
+        shape = (5, 4, depth)
+        self._step(*self._twins(rng, shape=shape, tau=0.7, mode=mode,
+                                solid=rng.random(shape) < 0.2,
+                                force=(1e-5, -1e-5, 2e-5)))
+
+    @pytest.mark.parametrize("mode", ["padded", "wrap"])
+    @pytest.mark.parametrize("sides", [("low", "high"), ("high", "low")], ids=str)
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_solids_force_inlet_and_outflow(self, rng, mode, sides, axis):
+        """An inlet on each axis with the outflow on the opposite face
+        (along z the outflow copies a plane the sweep finished one
+        plane earlier), solids and a body force."""
+        shape = (6, 5, 4)
+        u = tuple(0.03 * (a == axis) for a in range(3))
+        self._step(*self._twins(rng, shape=shape, tau=0.7, mode=mode,
+                                solid=rng.random(shape) < 0.2,
+                                force=(1e-5, 0.0, -1e-5),
+                                inlet=(axis, sides[0], u, 1.0),
+                                outflow=(axis, sides[1])))
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_cluster_ranks(self, rng, depth):
+        """Cluster ranks of z depth 2 and 3 whose z faces are one
+        periodic self-wrap (every ghost written by a message) and
+        bounded x and y faces (zero-gradient fills, an outflow)."""
+        shape = (10, 8, depth)
+        cfg = ClusterConfig(sub_shape=(5, 4, depth), arrangement=(2, 2, 1),
+                            tau=0.7, periodic=(False, False, True),
+                            solid=rng.random(shape) < 0.15, force=(0.0, 1e-5, 0.0),
+                            outflow=(1, "high"))
+        with GPUClusterLBM(cfg) as a, GPUClusterLBM(cfg) as b:
+            for node in b.nodes:
+                node.solver._lib = None
+            f = _perturbed(a.gather_distributions(), rng)
+            for cluster in (a, b):
+                cluster.load_global_distributions(f)
+            for step in range(1, self.STEPS + 1):
+                with np.errstate(all="raise"):
+                    assert a.step(1) == b.step(1), step
+                for na, nb in zip(a.nodes, b.nodes):
+                    _assert_same_textures(na.solver, nb.solver, (step, na.rank))
+                    _assert_same_device(na.device, nb.device, (step, na.rank))
+
+
 class TestGhostFill:
     @pytest.mark.parametrize("axis", [0, 1, 2])
     @pytest.mark.parametrize("direction", [-1, 1])
     def test_in_place_copy_matches_the_face_round_trip(self, rng, axis,
                                                        direction):
         """``GPUNode.fill_ghost_zero_gradient`` against the gather +
-        scatter spelling it replaced, every texel of every stack."""
+        scatter spelling it replaced, over the ten links that cross the
+        face (the only ones a stream reads on a ghost plane), every
+        texel of every stack: the other links' texels keep theirs."""
         cfg = ClusterConfig(sub_shape=(5, 4, 3), arrangement=(1, 1, 1),
                             tau=0.7, periodic=(False, False, False))
         with GPUClusterLBM(cfg) as a, GPUClusterLBM(cfg) as b:
@@ -637,10 +720,14 @@ class TestGhostFill:
                 tb.data[...] = ta.data
             new.fill_ghost_zero_gradient(axis, direction)
             side = "low" if direction == -1 else "high"
-            old.set_ghost_layer(old.get_border_layer(axis, side), axis, side)
-            for ta, tb, t0 in zip(new.solver.f_stacks, old.f_stacks, before):
+            links = [q for q in range(19) if D3Q19.c[q, axis]]
+            old.set_ghost_layer(old.get_border_layer(axis, side, links=links),
+                                axis, side, links=links)
+            written = {link_location(q)[0] for q in links}
+            for s, (ta, tb, t0) in enumerate(zip(new.solver.f_stacks, old.f_stacks,
+                                                 before)):
                 assert np.array_equal(_bits(ta.data), _bits(tb.data))
-                assert not np.array_equal(_bits(ta.data), _bits(t0))
+                assert np.array_equal(_bits(ta.data), _bits(t0)) == (s not in written)
 
 
 @pytest.fixture(scope="class")
@@ -714,10 +801,9 @@ class TestCompiled:
     @pytest.mark.parametrize("mode", ["wrap", "padded"])
     def test_every_render_of_a_step_calls_the_compiled_body(
             self, rng, monkeypatch, mode):
-        """Wrap mode too (one generated stream serves both layouts):
-        one fused collide, one stream per stack, one bounce swap and a
-        face call each for the inlet and the outflow per step, and no
-        render through the per-pass engine."""
+        """Wrap mode too (one generated sweep serves both layouts):
+        one fused collide and one sweep (stream, bounce-back, inlet and
+        outflow) per step, and no render through the per-pass engine."""
         calls = _count_unit_calls(monkeypatch)
         monkeypatch.setattr(GPULBMSolver, "_pixel_buffer", None)  # no render
         shape = (6, 5, 4)
@@ -726,16 +812,14 @@ class TestCompiled:
                               inlet=(0, "low", (0.03, 0.0, 0.0), 1.0),
                               outflow=(0, "high"))
         solver.step(3)
-        assert calls == {"gpu_collide": 3, "gpu_stream": 15, "gpu_bounce": 3,
-                         "gpu_face": 6}
+        assert calls == {"gpu_collide": 3, "gpu_sweep": 3}
 
     def test_steady_state_node_step(self, rng, monkeypatch):
         """A padded node with solids, an inlet, an outflow and a body
         force, past its first step: a fixed handful of compiled calls
-        (collide, five streams, the bounce swap, and one face call per
-        exchanged or closed face, inlet and outflow) and no bounce
-        snapshot — under 32 KiB, where the 19-link snapshot alone is
-        ~40 KiB here."""
+        (collide, the sweep, and one face call per exchanged or closed
+        face) and no bounce snapshot — under 32 KiB, where the 19-link
+        snapshot alone is ~40 KiB here."""
         shape = (40, 32, 30)
         solid = rng.random(shape) < 0.1
         cfg = ClusterConfig(sub_shape=(20, 32, 30), arrangement=(2, 1, 1),
@@ -745,26 +829,27 @@ class TestCompiled:
                             outflow=(0, "high"))
         with GPUClusterLBM(cfg) as cluster:
             node = cluster.nodes[0]
-            assert node.solver.has_solid and len(node.solver._solid_texels) > 512
+            assert node.solver.has_solid and node.solver.solid.sum() > 512
             cluster.step(2)
             calls = _count_unit_calls(monkeypatch)
             tracemalloc.start()
             cluster.step(1)
             _, peak = tracemalloc.get_traced_memory()
             tracemalloc.stop()
-        # Per node: collide 1, stream 5, bounce 1; faces: the x message's
-        # gather and scatter, the y self-wrap's (both sides, one message:
-        # two of each), z zero fills 2, x zero fill 1, and the inlet or
-        # the outflow.
-        assert calls == {"gpu_collide": 2, "gpu_stream": 10, "gpu_bounce": 2,
-                         "gpu_face": 2 * 10}, calls
+        # Per node: collide 1, sweep 1 (stream, bounce, the inlet or the
+        # outflow); faces: the x message's gather and scatter, the y
+        # self-wrap's (both sides, one message: two of each), z zero
+        # fills 2, x zero fill 1.
+        assert calls == {"gpu_collide": 2, "gpu_sweep": 2,
+                         "gpu_face": 2 * 9}, calls
         assert peak < 32 * 1024
 
     def test_fused_collide_and_stream_loops_vectorize(self, tmp_path):
         """GCC reports the fused collide's four variant loops and the
-        stream's row loops (the rim copies and the pulled span)
-        vectorised, for the host's ``-march=native`` build and, on
-        x86-64, ``-march=x86-64-v2`` (as
+        sweep's row loops (the plane save, the pulled span in either
+        order and the bounce-back swap over a run) vectorised, for the
+        host's ``-march=native`` build and, on x86-64,
+        ``-march=x86-64-v2`` (as
         ``test_native.py::test_every_sweep_loop_vectorizes`` does for
         the AA sweep).  Built into ``tmp_path``, not the cache."""
         cc = shutil.which(native.COMPILER)
@@ -775,12 +860,12 @@ class TestCompiled:
         c_file = tmp_path / "gpu.c"
         c_file.write_text(src)
         lines = src.splitlines()
-        begin, end = (next(n for n, line in enumerate(lines) if line.startswith(head))
-                      for head in ("void gpu_stream", "void gpu_bounce"))
+        begin = next(n for n, line in enumerate(lines) if line.startswith("void gpu_sweep"))
+        end = len(lines)
         collide = {n + 1 for n, line in enumerate(lines)
                    if line.startswith("for (long i = 0; i < len; ")}
         rows = {n + 1 for n in range(begin, end) if lines[n].startswith("for (long i ")}
-        assert len(collide) == 4 and len(rows) == 3
+        assert len(collide) == 4 and len(rows) == 4
         builds = [native.FLAGS]
         if platform.machine() == "x86_64":
             builds.append([f for f in native.FLAGS if not f.startswith("-march=")]
@@ -833,5 +918,5 @@ class TestCompiled:
             solver.step(2)
             _, peak = tracemalloc.get_traced_memory()
             tracemalloc.stop()
-            snapshot = 19 * 4 * len(solver._solid_texels) if has_solid else 0
+            snapshot = 19 * 4 * int(solver.solid.sum()) if has_solid else 0
             assert peak < snapshot + allowance, has_solid
