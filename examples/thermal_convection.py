@@ -27,37 +27,11 @@ def main() -> None:
     ap.add_argument("--steps", type=int, default=400)
     ap.add_argument("--g-beta", type=float, default=3e-4)
     ap.add_argument("--kappa", type=float, default=0.05)
-    ap.add_argument("--cluster", type=int, default=0, metavar="N",
-                    help="run distributed over N nodes (0 = single domain)")
     args = ap.parse_args()
     shape = tuple(int(s) for s in args.shape.split(","))
     nx, ny, nz = shape
 
     walls = box_walls(shape, axes=[2])          # floor and ceiling
-    if args.cluster:
-        from repro.core import BlockDecomposition, DistributedThermalLBM
-        from repro.core.decomposition import arrange_nodes_2d
-        arrangement = arrange_nodes_2d(args.cluster)
-        decomp = BlockDecomposition(shape, arrangement)
-        dist = DistributedThermalLBM(decomp, tau=0.7, kappa=args.kappa,
-                                     g_beta=args.g_beta,
-                                     energy_coupling=1e-3, solid=walls)
-        T = np.zeros(shape)
-        T[:, :, 1] = 1.0
-        T[nx // 3:nx // 2, :, 1:nz // 3] = 1.0
-        dist.set_temperature(T)
-        print(f"distributed HTLBM on {args.cluster} nodes "
-              f"(arrangement {arrangement}) ...")
-        dist.step(args.steps)
-        from repro.lbm.macroscopic import macroscopic
-        from repro.lbm.lattice import D3Q19
-        _, u = macroscopic(D3Q19, dist.gather_flow())
-        Tg = dist.gather_temperature()
-        flux = float((u[2] * Tg)[~walls].mean())
-        print(f"convective heat flux <u_z T> = {flux:.3e}")
-        assert np.isfinite(flux)
-        return
-
     model = HybridThermalLBM(shape, tau=0.7, kappa=args.kappa,
                              g_beta=args.g_beta, energy_coupling=1e-3,
                              solid=walls)

@@ -44,12 +44,11 @@ from repro.core.cluster_lbm import ClusterConfig, CPUClusterLBM, GPUClusterLBM, 
 from repro.core.procpool import ProcessBackend
 from repro.core.shm import leaked_segments
 from repro.core.spmd import SPMDClusterLBM
-from repro.core.thermal_cluster import DistributedThermalLBM
 
 __all__ = [
     "BlockDecomposition", "arrange_nodes_2d", "arrange_nodes_3d",
     "HaloPlan", "CommSchedule", "naive_schedule",
     "ClusterConfig", "GPUClusterLBM", "CPUClusterLBM", "StepTiming",
-    "SPMDClusterLBM", "DistributedThermalLBM",
+    "SPMDClusterLBM",
     "ProcessBackend", "leaked_segments",
 ]

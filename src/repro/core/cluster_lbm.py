@@ -34,8 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.cpu_node import CPUNode, cluster_kernel
-from repro.core.decomposition import (BlockDecomposition, arrange_nodes_2d,
-                                      weighted_cuts)
+from repro.core.decomposition import BlockDecomposition, arrange_nodes_2d
 from repro.core.exchange import (attach_recorder, exchange_all, halo_faces,
                                  local_engines)
 from repro.core.gpu_node import GPUNode
@@ -47,12 +46,6 @@ from repro.gpu.specs import AGP_8X, BusSpec
 from repro.net.switch import GigabitSwitch
 from repro.perf.recorder import Recorder
 from repro.perf.telemetry import TelemetrySession
-
-
-def _measured(rows, summary) -> float | None:
-    """The traced max/mean imbalance, or None when no rank was traced
-    or the busy time is apportioned by cell share (stacked ranks)."""
-    return None if not rows or summary["apportioned"] else summary["max_over_mean"]
 
 
 @dataclass(frozen=True)
@@ -164,14 +157,13 @@ class ClusterConfig:
         its true domain edges and periodic self-wraps itself
         (:mod:`repro.lbm.native`); per-rank inlet/outflow handlers run through the rotated
         closure, :mod:`repro.lbm.esoteric`.  Both kernels are
-        bit-identical at every step count, loads and rebalances
-        included; :meth:`kernel_report` and the recorder's ``kernel.*``
-        markers record what each rank ran and why.
+        bit-identical at every step count, loads included;
+        :meth:`kernel_report` and the recorder's ``kernel.*`` markers
+        record what each rank ran and why.
     cuts:
         Explicit per-axis block extents (three sequences matching the
         arrangement and summing to the global extents); None (default)
-        keeps the paper's equal boxes.  This is how :meth:`rebalance`
-        re-cuts from measured busy time.  Any set of cuts is
+        keeps the paper's equal boxes.  Any set of cuts is
         bit-identical to the single-domain reference (the cut
         positions are shared per axis, so neighbouring face shapes
         always match and the halo protocol is unchanged).
@@ -362,7 +354,7 @@ class _ClusterLBMBase:
         numeric step), the rank-local solid fraction and *why* the
         kernel was selected (forced or the solver's rule).  ``block``
         and ``cells`` are the rank's block shape and cell count
-        (unequal under non-uniform cuts — the load balancer's output).
+        (unequal under explicit non-uniform ``cuts``).
 
         With ``cluster=True`` one cluster-level row follows the rank
         rows: ``{"rank": "cluster", "kernel", "reason", "cells"}`` —
@@ -380,101 +372,6 @@ class _ClusterLBMBase:
                          "reason": self.kernel_reason,
                          "cells": self.cells_total()})
         return rows
-
-    def balance_report(self) -> dict:
-        """Chosen cuts plus measured per-rank cost.
-
-        Returns ``{"cuts", "uniform", "rows", "measured_imbalance"}``:
-        per-rank block/cells/kernel and — when tracing is on and steps
-        have run — the busy time and its imbalance from
-        :func:`repro.perf.report.trace_imbalance_rows`.  Stacked ranks'
-        busy time is apportioned by cell share, not measured, so their
-        imbalance is None.
-        """
-        from repro.perf.report import trace_imbalance_rows
-
-        rows = self.kernel_report()
-        measured_rows, summary = trace_imbalance_rows(self.recorder)
-        busy = {r["rank"]: r["busy_ms"] for r in measured_rows}
-        for row in rows:
-            row["busy_ms"] = busy.get(row["rank"])
-        return {
-            "cuts": self.decomp.cuts,
-            "uniform": self.decomp.uniform,
-            "rows": rows,
-            "measured_imbalance": _measured(measured_rows, summary),
-        }
-
-    def rebalance_cuts(self, busy_s=None) -> tuple:
-        """The re-cut the measured busy time asks for (no rebuild).
-
-        ``busy_s`` maps rank -> busy seconds; when omitted it is taken
-        from this driver's own trace
-        (:func:`~repro.perf.report.trace_imbalance_rows`), which
-        requires :meth:`enable_tracing` before stepping and a trace
-        that measured each rank (not stacked ranks' cell-share
-        apportionment); otherwise ``ValueError``.
-        """
-        from repro.core.balance import measured_cost_field
-        from repro.perf.report import trace_imbalance_rows
-
-        if busy_s is None:
-            rows, summary = trace_imbalance_rows(self.recorder)
-            busy_s = {r["rank"]: r["busy_ms"] / 1e3 for r in rows}
-            if summary["apportioned"]:
-                raise ValueError(
-                    "the trace apportions stacked ranks' busy time by cell "
-                    "share and measures no imbalance: pass busy_s")
-            if len(busy_s) < self.decomp.n_nodes:
-                raise ValueError(
-                    "no measured busy time for every rank: call "
-                    "enable_tracing() and step() first, or pass busy_s")
-        cost = measured_cost_field(self.decomp, busy_s)
-        return weighted_cuts(cost, self.decomp.arrangement, min_extent=2)
-
-    def rebalance(self, busy_s=None):
-        """Re-cut the decomposition from measured cost and carry on.
-
-        The feedback half of the load-balance loop: take the measured
-        per-rank busy time (from the recorder's timeline by default), build
-        the cost-density field, compute new per-axis cuts, and — when
-        they differ from the current ones — gather the distributions,
-        build a fresh driver with ``cuts`` pinned, reload the state and
-        shut this driver down.  Returns ``(driver, info)`` where
-        ``driver`` is ``self`` when the cuts are already optimal.
-        ``info`` records old/new cuts and the measured imbalance that
-        drove the decision.  Works at any step count: the gather
-        reconstructs a mid-pair AA state and the reload re-bases the
-        successor's AA phase.
-        """
-        from dataclasses import replace
-
-        from repro.perf.report import trace_imbalance_rows
-
-        if self.config.timing_only:
-            raise RuntimeError("rebalance needs numeric state; "
-                               "timing_only drivers have none")
-        rows, summary = trace_imbalance_rows(self.recorder)
-        new_cuts = self.rebalance_cuts(busy_s=busy_s)
-        info = {
-            "old_cuts": self.decomp.cuts,
-            "new_cuts": new_cuts,
-            "measured_imbalance": _measured(rows, summary),
-            "changed": new_cuts != self.decomp.cuts,
-        }
-        if not info["changed"]:
-            return self, info
-        f = self.gather_distributions()
-        time_step = self.time_step
-        traced = self.recorder.tracing
-        successor = type(self)(replace(self.config, cuts=new_cuts))
-        self.shutdown()
-        successor.load_global_distributions(f)
-        successor.time_step = time_step
-        if traced:
-            # A fresh timeline: post-rebalance measurements start clean.
-            successor.enable_tracing()
-        return successor, info
 
     # -- observability -----------------------------------------------------
     def enable_tracing(self, tracer: Recorder | None = None) -> Recorder:

@@ -180,8 +180,6 @@ class CPUNode(SolverPort):
         if not self.timing_only:
             with self.recorder.phase("cluster.collide"):
                 self.solver.collide()
-                for b in self.solver.boundaries:
-                    b.pre_stream(self.solver.fg)
 
     def charge_transfers(self) -> None:
         """No GPU bus on the CPU path; MPI buffers are packed on the

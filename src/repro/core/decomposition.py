@@ -10,17 +10,11 @@ paper also observes that cube-shaped sub-domains minimise the
 boundary-surface-to-volume ratio — :func:`surface_to_volume` supports
 the sub-domain-shape ablation bench.
 
-Beyond the paper's equal 80^3 boxes, the decomposition is
-*rectilinear*: each axis may be cut into unequal extents (``cuts``),
-so per-rank block sizes can follow a cost model instead of the
-uniform grid (Feichtinger et al., arXiv:1007.1388 — patch-based load
-balancing).  Because the cut positions are shared per axis across the
-whole grid (a tensor-product partition), any two face neighbours still
-have identical face cross-sections, which is what keeps the halo
-exchange, mailbox layout and two-hop diagonal routing untouched.
-:func:`partition_axis` computes a deterministic minimise-max
-contiguous partition of a per-slab cost profile; the cost profiles
-themselves come from :mod:`repro.core.balance`.
+Besides the paper's equal 80^3 boxes, a caller may pass explicit
+per-axis ``cuts`` of unequal extents.  The cut positions are shared per
+axis across the whole grid (a tensor-product partition), so any two
+face neighbours still have identical face cross-sections and the halo
+exchange, mailbox layout and two-hop diagonal routing are unchanged.
 """
 
 from __future__ import annotations
@@ -88,94 +82,6 @@ def uniform_cuts(extent: int, parts: int) -> tuple[int, ...]:
     return tuple(q + 1 if i < r else q for i in range(parts))
 
 
-def partition_axis(costs, parts: int, min_extent: int = 2) -> tuple[int, ...]:
-    """Minimise-max contiguous partition of a 1D cost profile.
-
-    Cuts ``costs`` (one entry per lattice plane along the axis) into
-    ``parts`` contiguous chunks of at least ``min_extent`` planes so
-    that the most expensive chunk is as cheap as possible.  Found by
-    binary search on the max-chunk cost with a greedy feasibility
-    check, so the result is deterministic for a fixed cost profile.
-
-    A small uniform epsilon is added to every plane so zero-cost
-    regions (e.g. all-solid slabs with zero modeled weight) are split
-    near-equally instead of degenerating into minimum-width chunks.
-    """
-    costs = np.asarray(costs, dtype=np.float64).ravel()
-    n = costs.size
-    parts = int(parts)
-    min_extent = int(min_extent)
-    if parts < 1:
-        raise ValueError(f"parts must be >= 1, got {parts}")
-    if min_extent < 1:
-        raise ValueError(f"min_extent must be >= 1, got {min_extent}")
-    if n < parts * min_extent:
-        raise ValueError(
-            f"cannot cut {n} planes into {parts} chunks of >= "
-            f"{min_extent}: axis too short for the arrangement")
-    if np.any(costs < 0):
-        raise ValueError("plane costs must be non-negative")
-    if parts == 1:
-        return (n,)
-    total = float(costs.sum())
-    costs = costs + (total / n) * 1e-6 + 1e-12
-    total = float(costs.sum())
-    prefix = np.concatenate(([0.0], np.cumsum(costs)))
-
-    def greedy(limit: float) -> tuple[int, ...] | None:
-        """Largest-feasible chunks under ``limit``; None if infeasible."""
-        cuts: list[int] = []
-        start = 0
-        for k in range(parts - 1):
-            remaining = parts - 1 - k
-            lo = start + min_extent
-            hi = n - remaining * min_extent
-            # Largest end with chunk cost <= limit, clamped to [lo, hi].
-            end = int(np.searchsorted(prefix, prefix[start] + limit,
-                                      side="right")) - 1
-            end = min(end, hi)
-            if end < lo:
-                return None
-            cuts.append(end - start)
-            start = end
-        if prefix[n] - prefix[start] > limit:
-            return None
-        cuts.append(n - start)
-        return tuple(cuts)
-
-    lo, hi = total / parts, total
-    best = greedy(hi)
-    assert best is not None  # the whole-cost limit is always feasible
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        cand = greedy(mid)
-        if cand is None:
-            lo = mid
-        else:
-            best, hi = cand, mid
-    return best
-
-
-def weighted_cuts(cost_field: np.ndarray, arrangement,
-                  min_extent: int = 2) -> tuple[tuple[int, ...], ...]:
-    """Per-axis cuts from a per-cell cost field (marginal sums).
-
-    Each axis is partitioned independently on the field's marginal
-    cost profile along that axis — the tensor-product restriction that
-    keeps neighbour face shapes matched (see the module docstring).
-    """
-    cost = np.asarray(cost_field, dtype=np.float64)
-    if cost.ndim != 3:
-        raise ValueError(f"cost field must be 3D, got shape {cost.shape}")
-    arrangement = tuple(int(a) for a in arrangement)
-    cuts = []
-    for axis in range(3):
-        other = tuple(a for a in range(3) if a != axis)
-        cuts.append(partition_axis(cost.sum(axis=other), arrangement[axis],
-                                   min_extent=min_extent))
-    return tuple(cuts)
-
-
 @dataclass(frozen=True)
 class NodeBlock:
     """One node's sub-domain: grid coordinates and lattice slab."""
@@ -209,8 +115,8 @@ class BlockDecomposition:
         Per-axis global periodicity (affects neighbour wrap).
     cuts:
         Optional per-axis chunk extents, three sequences whose lengths
-        match the arrangement and whose sums match the global extents
-        (e.g. from :func:`weighted_cuts`).  Default: :func:`uniform_cuts`
+        match the arrangement and whose sums match the global extents.
+        Default: :func:`uniform_cuts`
         per axis, which reproduces the historic equal boxes whenever
         the extents divide.
     """

@@ -20,8 +20,8 @@ and MPI paths are bindings of one pack -> transport -> unpack concept:
   and send one axis) and :meth:`~HaloExchange.complete` (receive and
   unpack; a pull-mode rank's self-wraps and domain edges are closed
   there too, an AA rank's in its sweep).  What a caller does
-  *between* the two is all that differs between drivers: coordinator
-  and thermal let every rank post before any completes
+  *between* the two is all that differs between drivers: the
+  coordinator lets every rank post before any completes
   (:func:`exchange_all`); a rank that owns its process or thread runs
   :meth:`~HaloExchange.run` — a worker process waits on its barrier
   there, an SPMD rank on its receives;
@@ -35,8 +35,7 @@ and MPI paths are bindings of one pack -> transport -> unpack concept:
   the shm mailboxes and SimMPI bind the same calls in
   :mod:`repro.core.procpool` / ``spmd``;
 * :class:`SolverPort` — the array operations the engine needs
-  from a rank: inherited by :class:`~repro.core.cpu_node.CPUNode`,
-  bound to a bare solver by the thermal models, and
+  from a rank: inherited by :class:`~repro.core.cpu_node.CPUNode` and
   implemented over textures by :class:`~repro.core.gpu_node.GPUNode`;
 * :class:`RankAxisExchange` — the same route table and manifests
   executed for ranks whose arrays are slots of stacked arenas
@@ -175,7 +174,7 @@ class Transport:
 class LocalTransport(Transport):
     """In-process binding: ranks of one process hand each other their
     buffers through a shared dict (serial coordinator, simulated-GPU
-    nodes, thermal).  A receive is valid once the sender has posted,
+    nodes).  A receive is valid once the sender has posted,
     which :func:`exchange_all` guarantees."""
 
     def __init__(self, rank: int, mail: dict,

@@ -26,7 +26,7 @@ kernel, :class:`RankStack` replaces the per-rank loop:
 
 Each rank keeps its own kernel, which is never swept but reconstructs
 the rank's canonical distributions over its slot at odd parity, so
-gather, load and rebalance work unchanged.  Observability is per rank
+gather and load work unchanged.  Observability is per rank
 by apportioning: the batch collide and the batch finish are each
 recorded as one ``cluster.collide`` / ``cluster.finish`` region per
 rank, consecutive slices of the batch's interval in proportion to the

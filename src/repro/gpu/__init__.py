@@ -18,9 +18,6 @@ used:
   together with a simulated clock charged per pass and per transfer.
 * :mod:`repro.gpu.packing` — the D3Q19 packing of 19 distribution
   volumes into 5 RGBA texture stacks (Sec 4.2).
-* :mod:`repro.gpu.boundary_rects` — per-Z-slice rectangle coverage of
-  boundary regions (the paper's memory optimisation for boundary-link
-  data).
 * :mod:`repro.gpu.lbm_gpu` — the texture-based LBM step as fragment
   programs, validated against the plain-numpy reference solver.
 
@@ -44,7 +41,6 @@ from repro.gpu.texture import Texture2D, TextureMemory, TextureStack
 from repro.gpu.fragment import FragmentProgram, RenderContext
 from repro.gpu.device import SimulatedGPU
 from repro.gpu.packing import D3Q19Packing
-from repro.gpu.boundary_rects import BoundaryRectangles, cover_slice_with_rectangles
 from repro.gpu.lbm_gpu import GPULBMSolver
 
 __all__ = [
@@ -54,6 +50,5 @@ __all__ = [
     "TextureMemory", "Texture2D", "TextureStack",
     "FragmentProgram", "RenderContext",
     "SimulatedGPU", "D3Q19Packing",
-    "BoundaryRectangles", "cover_slice_with_rectangles",
     "GPULBMSolver",
 ]

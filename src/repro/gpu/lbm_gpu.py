@@ -296,10 +296,9 @@ class GPULBMSolver:
         if self.solid.shape != self.shape:
             raise ValueError("solid mask shape mismatch")
         self.has_solid = bool(self.solid.any())
-        # Boundary flags only exist when there are obstacles.  (The
-        # paper stores boundary-link data in small per-slice rectangles
-        # — see repro.gpu.boundary_rects — so obstacle-free lattices pay
-        # no flag memory; this is what makes the 92^3 maximum of Sec 2.)
+        # Boundary flags only exist when there are obstacles, so
+        # obstacle-free lattices pay no flag memory (the 92^3 maximum of
+        # Sec 2).
         if self.has_solid:
             self.flags_stack = dev.new_stack(tw, th, td, name="flags")
             self.flags_stack.data[p:td - p, p:th - p, p:tw - p, 0] = (

@@ -3,9 +3,9 @@
 This package implements the flow model used by the paper (Sec 4.1):
 the D3Q19 BGK lattice Boltzmann method, the Multiple-Relaxation-Time
 (MRT) variant, and the hybrid thermal LBM, together with streaming,
-boundary conditions (including interpolated curved boundaries), tracer
-particle dispersion, and a single-domain reference solver that the
-distributed GPU-cluster implementation is validated against.
+boundary conditions, tracer particle dispersion, and a single-domain
+reference solver that the distributed GPU-cluster implementation is
+validated against.
 
 All kernels are vectorized numpy operating on arrays of shape
 ``(Q, nx, ny, nz)`` (distributions) and ``(D, nx, ny, nz)`` (vector
@@ -22,7 +22,6 @@ from repro.lbm.mrt import MRTCollision, mrt_matrix
 from repro.lbm.streaming import pull_slice_table, stream_periodic, stream_pull
 from repro.lbm.boundaries import (
     BounceBackNodes,
-    BouzidiCurvedBoundary,
     EquilibriumVelocityInlet,
     OutflowBoundary,
     box_walls,
@@ -50,7 +49,6 @@ __all__ = [
     "pull_slice_table",
     "AAStepKernel",
     "BounceBackNodes",
-    "BouzidiCurvedBoundary",
     "EquilibriumVelocityInlet",
     "OutflowBoundary",
     "box_walls",

@@ -3,20 +3,17 @@
 The paper emphasises (Sec 4.1) that LBM "affords great flexibility in
 specifying boundary shapes": plane walls via bounce-back, complex
 curved boundaries via the location of the intersection of the boundary
-surface with lattice links (Mei et al. [24]).  We implement:
+surface with lattice links (Mei et al. [24]).  The city run uses voxel
+bounce-back only (Sec 4.3), so we implement:
 
 * :class:`BounceBackNodes` — full-way bounce-back on solid nodes, the
   workhorse for voxelized buildings.
-* :class:`BouzidiCurvedBoundary` — linearly interpolated bounce-back
-  parameterised by the link intersection fraction ``q`` (the
-  boundary-link information the paper stores in textures).
 * :class:`EquilibriumVelocityInlet` — imposed-velocity boundary used
   for the wind inflow in the city simulation (Sec 5).
 * :class:`OutflowBoundary` — zero-gradient outlet.
 
 All boundary objects operate on ghost-padded distribution arrays and
-are applied after streaming; curved boundaries additionally snapshot
-post-collision values before streaming (two-phase protocol).
+are applied after streaming.
 """
 
 from __future__ import annotations
@@ -45,37 +42,32 @@ class Boundary:
     """Interface for post-stream boundary handlers.
 
     Face-resident contract: a handler that exposes ``axis`` and
-    ``side`` (``"low"``/``"high"``) and leaves :meth:`pre_stream`
-    alone promises that :meth:`apply` finds its face layer from the
-    shape of whatever ghost-padded array it is handed (index 1 or
-    ``n - 2`` along ``axis``, ``slice(1, -1)`` across), writes only
-    that layer and reads only it and the layer one step inside the
-    domain.  That is all the in-place kernel needs to run the handler
+    ``side`` (``"low"``/``"high"``) promises that :meth:`apply` finds
+    its face layer from the shape of whatever ghost-padded array it is
+    handed (index 1 or ``n - 2`` along ``axis``, ``slice(1, -1)``
+    across), writes only that layer and reads only it and the layer
+    one step inside the domain.  That is all the in-place kernel needs to run the handler
     on its rotated mid-pair storage
     (:class:`repro.lbm.esoteric.RotatedBoundaryApplicator`); any other
     handler resolves the phase-split kernel.
     """
 
     def pre_stream(self, fg: np.ndarray) -> None:
-        """Snapshot anything needed from post-collision distributions."""
+        """A no-op that no solver calls.  It stays only because the
+        bench's traced pass (``bench/spans.py``) wraps ``pre_stream`` on
+        every handler by name and would raise without it; it can go
+        once the bench reads the program's own recorder."""
 
     def apply(self, fg: np.ndarray) -> None:
         """Fix up post-stream distributions (ghost-padded array)."""
         raise NotImplementedError
 
 
-def snapshots_pre_stream(handler) -> bool:
-    """Whether ``handler`` overrides :meth:`Boundary.pre_stream` — it
-    then needs the post-collision field a merged sweep never holds."""
-    return type(handler).pre_stream is not Boundary.pre_stream
-
-
 def face_resident(handler) -> bool:
     """Whether ``handler`` declares the face-resident contract stated
     on :class:`Boundary`."""
     return (getattr(handler, "axis", None) is not None
-            and getattr(handler, "side", None) in ("low", "high")
-            and not snapshots_pre_stream(handler))
+            and getattr(handler, "side", None) in ("low", "high"))
 
 
 class BounceBackNodes(Boundary):
@@ -181,79 +173,3 @@ class OutflowBoundary(Boundary):
         else:
             dst[ax], src[ax] = -2, -3
         fg[tuple(dst)] = fg[tuple(src)]
-
-
-class BouzidiCurvedBoundary(Boundary):
-    """Linearly interpolated bounce-back for curved walls.
-
-    For each cut link ``i`` from fluid node ``x_f`` toward the wall with
-    intersection fraction ``q = |x_f - x_wall| / |c_i|``::
-
-        q < 1/2:  f_opp(x_f) = 2q fc_i(x_f) + (1-2q) fc_i(x_f - c_i)
-        q >= 1/2: f_opp(x_f) = fc_i(x_f)/(2q) + (2q-1)/(2q) fc_opp(x_f)
-
-    where ``fc`` are post-collision values (snapshotted in
-    :meth:`pre_stream`).  This is the Bouzidi-Firdaouss-Lallemand
-    scheme, equivalent in accuracy to the Mei-Luo-Shyy treatment the
-    paper cites, and reduces to plain half-way bounce-back at q = 1/2.
-
-    Parameters
-    ----------
-    lattice:
-        Velocity set.
-    links:
-        Sequence of ``(cell, link_index, q)`` where ``cell`` is a
-        length-D integer tuple of the *fluid* node (unpadded coords) and
-        ``0 < q <= 1``.
-    shape:
-        Unpadded grid shape (for index validation).
-    """
-
-    def __init__(self, lattice: Lattice, links, shape: tuple[int, ...]) -> None:
-        self.lattice = lattice
-        self.shape = tuple(shape)
-        cells, link_idx, qs = [], [], []
-        for cell, i, q in links:
-            cell = tuple(int(x) for x in cell)
-            if not (0 < q <= 1.0):
-                raise ValueError(f"q must be in (0,1], got {q}")
-            if any(not (0 <= c < s) for c, s in zip(cell, self.shape)):
-                raise ValueError(f"cell {cell} outside grid {self.shape}")
-            cells.append(cell)
-            link_idx.append(int(i))
-            qs.append(float(q))
-        self.cells = np.asarray(cells, dtype=np.int64).reshape(len(cells), lattice.D)
-        self.link_idx = np.asarray(link_idx, dtype=np.int64)
-        self.q = np.asarray(qs, dtype=np.float64)
-        # Upstream node x_f - c_i for the q < 1/2 branch (clipped to grid;
-        # clipping only matters if a cut link sits on the domain edge).
-        c = lattice.c[self.link_idx]
-        self.upstream = np.clip(self.cells - c, 0, np.asarray(self.shape) - 1)
-        self._snap_here: np.ndarray | None = None
-        self._snap_up: np.ndarray | None = None
-        self._snap_opp: np.ndarray | None = None
-
-    def _gather(self, fg: np.ndarray, links: np.ndarray, cells: np.ndarray) -> np.ndarray:
-        # +1 converts unpadded coords to ghost-padded coords.
-        idx = (links,) + tuple(cells[:, a] + 1 for a in range(self.lattice.D))
-        return fg[idx]
-
-    def pre_stream(self, fg: np.ndarray) -> None:
-        opp = self.lattice.opp[self.link_idx]
-        self._snap_here = self._gather(fg, self.link_idx, self.cells)
-        self._snap_up = self._gather(fg, self.link_idx, self.upstream)
-        self._snap_opp = self._gather(fg, opp, self.cells)
-
-    def apply(self, fg: np.ndarray) -> None:
-        if self._snap_here is None:
-            raise RuntimeError("pre_stream must run before apply")
-        q = self.q.astype(fg.dtype)
-        lo = q < 0.5
-        val = np.empty_like(self._snap_here)
-        val[lo] = 2.0 * q[lo] * self._snap_here[lo] + (1.0 - 2.0 * q[lo]) * self._snap_up[lo]
-        hi = ~lo
-        val[hi] = (self._snap_here[hi] / (2.0 * q[hi])
-                   + (2.0 * q[hi] - 1.0) / (2.0 * q[hi]) * self._snap_opp[hi])
-        opp = self.lattice.opp[self.link_idx]
-        idx = (opp,) + tuple(self.cells[:, a] + 1 for a in range(self.lattice.D))
-        fg[idx] = val

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.lbm.boundaries import snapshots_pre_stream
 from repro.lbm.equilibrium import equilibrium
 from repro.lbm.lattice import Lattice
 from repro.lbm.macroscopic import macroscopic
@@ -126,8 +125,5 @@ class BGKCollision:
 
 def plain_bgk_step(solver) -> bool:
     """Whether the merged ``aa`` kernel can replay ``solver``'s step: a
-    plain :class:`BGKCollision`, whose op order it spells out itself,
-    and no handler with a ``pre_stream`` snapshot, which reads a
-    post-collision field it never holds."""
-    return (type(solver.collision) is BGKCollision
-            and not any(snapshots_pre_stream(b) for b in solver.boundaries))
+    plain :class:`BGKCollision`, whose op order it spells out itself."""
+    return type(solver.collision) is BGKCollision

@@ -1,15 +1,12 @@
 """Obstacle-mask helpers for flow setups.
 
-The paper's geometry enters the solver exclusively as voxel masks and
-cut-link fractions; these constructors build the common shapes used by
-tests, examples, and the curved-boundary machinery.
+The paper's geometry enters the solver as voxel masks; these
+constructors build the common shapes used by tests.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.lbm.lattice import D3Q19, Lattice
 
 
 def sphere(shape, center, radius: float) -> np.ndarray:
@@ -36,42 +33,3 @@ def backward_facing_step(shape, step_height: int, step_length: int) -> np.ndarra
     solid = np.zeros(shape, dtype=bool)
     solid[:step_length, :, :step_height] = True
     return solid
-
-
-def cut_links_for_sphere(shape, center, radius: float,
-                         lattice: Lattice = D3Q19) -> list[tuple]:
-    """Bouzidi ``(cell, link, q)`` triples for a spherical boundary.
-
-    For every fluid cell with a link entering the sphere, the
-    intersection fraction q is computed analytically from the
-    ray-sphere equation — the 'location of the intersection of the
-    boundary surfaces with the lattice links' the paper stores in
-    textures (Sec 4.1/4.2).
-    """
-    center = np.asarray(center, dtype=np.float64)
-    solid = sphere(shape, center, radius)
-    links = []
-    fluid_cells = np.argwhere(~solid)
-    c = lattice.c
-    for cell in fluid_cells:
-        for i in range(1, lattice.Q):
-            nb = cell + c[i]
-            if ((nb < 0) | (nb >= np.array(shape))).any():
-                continue
-            if not solid[tuple(nb)]:
-                continue
-            # Solve |cell + t*c - center|^2 = radius^2 for t in (0, 1].
-            d = c[i].astype(np.float64)
-            f = cell.astype(np.float64) - center
-            a = float(d @ d)
-            b = 2.0 * float(f @ d)
-            cc = float(f @ f) - radius * radius
-            disc = b * b - 4 * a * cc
-            if disc < 0:
-                continue
-            t = (-b - np.sqrt(disc)) / (2 * a)
-            if not 0.0 < t <= 1.0:
-                t = (-b + np.sqrt(disc)) / (2 * a)
-            q = float(np.clip(t, 0.05, 1.0))
-            links.append((tuple(int(x) for x in cell), i, q))
-    return links

@@ -65,8 +65,7 @@ class LBMSolver:
         sweep over a single distribution array.  ``"auto"`` (default)
         is a rule; the first line that applies wins:
 
-        1. a non-BGK operator (MRT, any BGK subclass) or a handler with a
-           ``pre_stream`` snapshot (Bouzidi): ``split``;
+        1. a non-BGK operator (MRT, any BGK subclass): ``split``;
         2. no handlers, or only face-resident ones (inlet, outflow,
            Zou–He, a custom handler keeping the contract stated on
            :class:`~repro.lbm.boundaries.Boundary`), and either
@@ -283,7 +282,7 @@ class LBMSolver:
             return self._note_selection("aa", "forced kernel='aa'")
         if not plain_bgk_step(self):
             return self._note_selection(
-                "split", "rule: non-BGK collision or a pre_stream handler")
+                "split", "rule: non-BGK collision")
         if not AAStepKernel.eligible(self):
             return self._note_selection(
                 "split", "rule: a handler that is not face-resident")
@@ -434,8 +433,6 @@ class LBMSolver:
             else:
                 self._leave_aa()
                 self.collide()
-                for b in self.boundaries:
-                    b.pre_stream(self.fg)
                 self.fill_ghosts()
                 self.stream()
                 self.post_stream()

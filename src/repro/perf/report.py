@@ -167,7 +167,7 @@ def trace_imbalance_rows(trace) -> tuple[list[dict], dict]:
     on equal blocks by construction and so measures no imbalance.
 
     Kernel attribution is per step, not last-write-wins: a rank that
-    switched kernels mid-trace (e.g. across a rebalance) reports
+    switched kernels mid-trace reports
     ``kernel_first``/``kernel_last`` with ``kernel_changed`` set and a
     ``"first->last"`` display label, instead of silently attributing
     the whole busy time to the final choice.

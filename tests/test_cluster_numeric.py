@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from repro.core import ClusterConfig, CPUClusterLBM, GPUClusterLBM
-from repro.core.decomposition import weighted_cuts
 from repro.lbm.boundaries import EquilibriumVelocityInlet, OutflowBoundary
 from repro.lbm.lattice import D3Q19
 from repro.lbm.solver import LBMSolver
@@ -121,8 +120,7 @@ _BOUNDED_OUTFLOW = (0, "high")
 def _bounded_city(rng, shape=(16, 12, 6), half=False):
     """Voxelized-city solid + bounded inlet/outflow reference pair.
 
-    With ``half`` the city covers only the downstream (high-x) half —
-    the occupancy-skewed domain that makes weighted cuts non-uniform.
+    With ``half`` the city covers only the downstream (high-x) half.
     """
     from repro.urban.city import times_square_like
     from repro.urban.voxelize import voxelize_city
@@ -186,23 +184,20 @@ class TestBoundedDomain:
                 rows = cluster.kernel_report()
             assert {r["kernel"] for r in rows} == {"aa"}
 
-    def test_bounded_aa_weighted_cuts_match_reference(self, rng):
-        """Bounded AA under weighted (unequal) cuts: the reverse folds
-        and exchanges follow the shifted cut positions."""
-        # Dense city downstream, open terrain upstream: a cost field
-        # that prices solids low pushes the x cut off centre, so ranks
-        # get unequal blocks.
+    def test_bounded_aa_unequal_cuts_match_reference(self, rng):
+        """Bounded AA under unequal cuts: the reverse folds and
+        exchanges follow the shifted cut positions."""
+        # Dense city downstream, open terrain upstream; the x cut sits
+        # one plane upstream of the city's edge.
         shape = (16, 12, 6)
         solid, ref, f0 = _bounded_city(rng, shape=shape, half=True)
-        cuts = weighted_cuts(np.where(solid, 0.1, 1.0), (2, 2, 1),
-                             min_extent=2)
+        cuts = ((7, 9), (6, 6), (6,))
         cfg = ClusterConfig(sub_shape=(8, 6, 6), arrangement=(2, 2, 1),
                             tau=0.7, solid=solid, kernel="aa", cuts=cuts,
                             periodic=(False, False, False),
                             inlet=_BOUNDED_INLET, outflow=_BOUNDED_OUTFLOW)
         with CPUClusterLBM(cfg) as cluster:
-            assert not cluster.decomp.uniform, \
-                "weighted cuts degenerated to uniform on the city mask"
+            assert not cluster.decomp.uniform
             cluster.load_global_distributions(f0)
             ref.step(4)
             cluster.step(4)

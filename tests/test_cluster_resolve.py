@@ -17,18 +17,30 @@ import numpy as np
 import pytest
 
 from repro.core import ClusterConfig, CPUClusterLBM, GPUClusterLBM
-from repro.core.balance import measured_cost_field
-from repro.core.decomposition import BlockDecomposition, weighted_cuts
 from repro.lbm import AAStepKernel, LBMSolver
 from repro.lbm.boundaries import EquilibriumVelocityInlet, OutflowBoundary
 from repro.lbm.lattice import D3Q19
-from repro.perf.report import trace_imbalance_rows
 from repro.urban.city import times_square_like
 from repro.urban.voxelize import voxelize_city
 
 INLET = (0, "low", (0.04, 0.0, 0.0), 1.0)
 OUTFLOW = (0, "high")
 FORCE = (1e-5, 0.0, 0.0)
+
+
+def _successor(cluster, cuts):
+    """Carry ``cluster``'s state into a fresh driver cut by ``cuts``:
+    gather, build, load, then set the step count (the load re-bases an
+    AA successor's phase at any parity)."""
+    f, time_step = cluster.gather_distributions(), cluster.time_step
+    traced = cluster.recorder.tracing
+    cluster.shutdown()
+    successor = CPUClusterLBM(dataclasses.replace(cluster.config, cuts=cuts))
+    successor.load_global_distributions(f)
+    successor.time_step = time_step
+    if traced:
+        successor.enable_tracing()
+    return successor
 
 
 def _spy_collides(monkeypatch) -> list:
@@ -101,12 +113,9 @@ class TestAutoResolvedBitIdentity:
             for r in rows)
 
     @pytest.mark.parametrize("backend", ["serial", "processes"])
-    def test_weighted_cuts(self, backend):
+    def test_unequal_cuts(self, backend):
         ref, kwargs = _problem("bounded", shape=(24, 12, 6))
-        uniform = BlockDecomposition((24, 12, 6), (3, 1, 1))
-        cuts = weighted_cuts(measured_cost_field(uniform, [3.0, 1.0, 1.0]),
-                             (3, 1, 1), min_extent=2)
-        assert cuts != uniform.cuts
+        cuts = ((4, 6, 14), (12,), (6,))
         cfg = ClusterConfig(sub_shape=(8, 12, 6), arrangement=(3, 1, 1),
                             tau=0.7, backend=backend, cuts=cuts, **kwargs)
         with CPUClusterLBM(cfg) as cluster:
@@ -135,19 +144,19 @@ class TestAutoResolvedBitIdentity:
                 assert np.array_equal(cluster.gather_distributions(),
                                       ref.f), (backend, n)
 
-    def test_rebalance_at_odd_step_count(self):
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
+    def test_recut_successor_at_odd_step_count(self, backend):
         ref, kwargs = _problem("bounded", shape=(24, 12, 6))
         cfg = ClusterConfig(sub_shape=(8, 12, 6), arrangement=(3, 1, 1),
-                            tau=0.7, **kwargs)
+                            tau=0.7, backend=backend, **kwargs)
         cluster = CPUClusterLBM(cfg)
         try:
             assert cluster.aa_protocol
             cluster.load_global_distributions(ref.f)
             cluster.step(3)
             ref.step(3)
-            cluster, info = cluster.rebalance(
-                busy_s={0: 3.0, 1: 1.0, 2: 1.0})
-            assert info["changed"] and cluster.time_step == 3
+            cluster = _successor(cluster, ((4, 6, 14), (12,), (6,)))
+            assert cluster.time_step == 3 and cluster.aa_protocol
             cluster.step(2)
             ref.step(2)
             assert np.array_equal(cluster.gather_distributions(), ref.f)
@@ -206,10 +215,10 @@ class TestSerialRanksCollideWhole:
     @pytest.mark.parametrize("busy", ["injected", "real"])
     def test_strong_serial_shape_matches_reference(self, busy):
         """The toy shape matches the reference at every step, across an
-        odd-parity load and a mid-pair rebalance.  The rebalance is
-        driven by injected busy times (the cuts must move) or by the
-        traced ones, passed explicitly (the cuts may or may not move;
-        the steps after it match either way)."""
+        odd-parity load and a mid-pair successor driver.  The successor
+        takes unequal cuts (those an x-low column twice as slow as the
+        rest would ask for) or, on a traced run, the equal ones (stacked
+        ranks' traced busy time is apportioned by cell share)."""
         sub, arr = (4, 4, 4), (4, 4, 2)
         shape = tuple(s * a for s, a in zip(sub, arr))
         rng = np.random.default_rng(3)
@@ -231,22 +240,10 @@ class TestSerialRanksCollideWhole:
             cluster.load_global_distributions(ref.f.copy())   # odd parity
             ref.step(1)
             cluster.step(1)                                   # mid-pair
-            if busy == "injected":
-                heavy = {r: 2.0 if cluster.decomp.coords_of(r)[0] == 0
-                         else 1.0 for r in range(cluster.decomp.n_nodes)}
-                cluster, info = cluster.rebalance(busy_s=heavy)
-                assert info["changed"]
-            else:
-                # Stacked ranks' traced busy time is apportioned by cell
-                # share, so the cluster will not re-cut from it alone;
-                # passed on explicitly, it may or may not move the cuts.
-                with pytest.raises(ValueError, match="pass busy_s"):
-                    cluster.rebalance()
-                rows, _ = trace_imbalance_rows(cluster.recorder)
-                cluster, info = cluster.rebalance(
-                    busy_s={r["rank"]: r["busy_ms"] / 1e3 for r in rows})
-                assert info["old_cuts"] == BlockDecomposition(
-                    shape, arr).cuts
+            cuts = (((3, 4, 5, 4), (4, 4, 4, 4), (4, 4))
+                    if busy == "injected" else cluster.decomp.cuts)
+            cluster = _successor(cluster, cuts)
+            assert cluster.stacked and cluster.decomp.cuts == cuts
             for step in range(7, 10):
                 ref.step(1)
                 cluster.step(1)

@@ -17,8 +17,8 @@ import pytest
 
 import repro.lbm
 from repro.lbm import LBMSolver
-from repro.lbm.boundaries import (Boundary, BouzidiCurvedBoundary,
-                                  EquilibriumVelocityInlet, OutflowBoundary)
+from repro.lbm.boundaries import (Boundary, EquilibriumVelocityInlet,
+                                  OutflowBoundary)
 from repro.lbm.collision import BGKCollision
 from repro.lbm.lattice import D2Q9, D3Q19
 from repro.lbm.zou_he import ZouHePressure2D, ZouHeVelocity2D
@@ -207,8 +207,7 @@ class TestDefaultResolvesAA:
             "density", "momentum", "BGKCollision", "MRTCollision",
             "mrt_matrix", "viscosity_to_tau", "tau_to_viscosity",
             "stream_periodic", "stream_pull", "pull_slice_table",
-            "AAStepKernel", "BounceBackNodes", "BouzidiCurvedBoundary",
-            "EquilibriumVelocityInlet", "OutflowBoundary", "box_walls",
+            "AAStepKernel", "BounceBackNodes", "EquilibriumVelocityInlet", "OutflowBoundary", "box_walls",
             "LBMSolver", "HybridThermalLBM", "TracerCloud",
             "ZouHeVelocity2D", "ZouHePressure2D"])
 
@@ -245,16 +244,15 @@ class TestFallbacks:
 
     def test_mrt_runs_split(self):
         assert self._used(collision="mrt") == "split"
+        s = LBMSolver((8, 8, 8), tau=0.7, collision="mrt")
+        s.step(1)
+        assert s.kernel_reason == "rule: non-BGK collision"
 
     def test_bgk_subclass_is_not_aa(self):
         class Tweaked(BGKCollision):
             pass
 
         assert self._used(collision=Tweaked(D3Q19, 0.7)) != "aa"
-
-    def test_bouzidi_runs_split(self):
-        bb = BouzidiCurvedBoundary(D3Q19, [((2, 2, 2), 1, 0.5)], (8, 8, 8))
-        assert self._used(boundaries=[bb]) == "split"
 
     def test_handler_without_a_face_runs_split(self, post_stream_only):
         s = LBMSolver((8, 8, 8), tau=0.7, boundaries=[post_stream_only()])
@@ -279,28 +277,27 @@ class TestFallbacks:
         assert s._select_kernel() == "split"
         assert s.kernel_reason.endswith("driven phase by phase")
 
-    def test_forced_paths_untouched(self):
+    def test_forced_paths_untouched(self, post_stream_only):
         """A named kernel is forced while the kernel's own ``eligible``
-        holds; a snapshot handler sends a forced ``aa`` to ``split``."""
+        holds; a handler with no face sends a forced ``aa`` to
+        ``split``."""
         assert self._used(kernel="split") == "split"
         s = LBMSolver((8, 8, 8), tau=0.7, kernel="aa")
         s.phase_driven = True
         assert s._select_kernel() == "aa"
         assert s.kernel_reason == "forced kernel='aa'"
-        s.boundaries.append(BouzidiCurvedBoundary(
-            D3Q19, [((2, 2, 2), 1, 0.5)], (8, 8, 8)))
+        s.boundaries.append(post_stream_only())
         assert s._select_kernel() == "split"
         assert "ineligible" in s.kernel_reason
 
-    def test_halo_managed_phase_driven_runs_aa(self):
+    def test_halo_managed_phase_driven_runs_aa(self, post_stream_only):
         """The rule's AA line for a rank whose driver closes the halo."""
         s = LBMSolver((8, 8, 8), tau=0.7, periodic=False)
         s.phase_driven = True
         s.halo_faces = ("zero",) * 6
         assert s._select_kernel() == "aa"
         assert s.kernel_reason == "rule: AA halo closed by the cluster driver"
-        s.boundaries.append(BouzidiCurvedBoundary(
-            D3Q19, [((2, 2, 2), 1, 0.5)], (8, 8, 8)))
+        s.boundaries.append(post_stream_only())
         assert s._select_kernel() == "split"
 
     def test_auto_cluster_bit_identical_to_split(self):
@@ -348,18 +345,11 @@ class TestHandDrivenPhases:
             assert hand._aa_kernel is None
             assert np.array_equal(hand.f, split.f), f"step {t}"
 
-    def test_spmd_and_thermal_solvers_are_marked_phase_driven(self,
-                                                              monkeypatch):
+    def test_spmd_solvers_are_marked_phase_driven(self, monkeypatch):
         from repro.core import cpu_node
         from repro.core.decomposition import BlockDecomposition
         from repro.core.spmd import SPMDClusterLBM
-        from repro.core.thermal_cluster import DistributedThermalLBM
         decomp = BlockDecomposition((8, 4, 4), (2, 1, 1))
-        thermal = DistributedThermalLBM(decomp, tau=0.7)
-        thermal.step(2)
-        for m in thermal.models:
-            assert m.flow.phase_driven
-            assert m.flow.kernel_used == "split"
         nodes = []
         build = cpu_node.CPUNode.__init__
 
@@ -450,7 +440,7 @@ class TestEnterAndLeaveMidRun:
             _assert_same_state(default, split, f"at step {t + 1}")
         assert used == ["aa", "split", "aa"] * 3
 
-    def test_forced_aa_fallback_mid_pair_is_canonical(self):
+    def test_forced_aa_fallback_mid_pair_is_canonical(self, post_stream_only):
         """The case that bit before the rule existed: forced
         ``kernel="aa"`` losing eligibility at odd parity."""
         aa = LBMSolver(SHAPE, tau=0.7, kernel="aa")
@@ -459,8 +449,7 @@ class TestEnterAndLeaveMidRun:
         aa.step(1)
         split.step(1)
         for s in (aa, split):
-            s.boundaries.append(BouzidiCurvedBoundary(
-                D3Q19, [((2, 2, 2), 1, 0.5)], SHAPE))
+            s.boundaries.append(post_stream_only())
         for t in range(3):
             aa.step(1)
             split.step(1)

@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core import ClusterConfig, CPUClusterLBM
-from repro.core.decomposition import (BlockDecomposition, uniform_cuts,
-                                      weighted_cuts)
+from repro.core.decomposition import BlockDecomposition, uniform_cuts
 from repro.core.halo import HaloPlan, PACK_MODES
 from repro.core.schedule import CommSchedule
 from repro.check import route_messages
@@ -152,16 +151,15 @@ class TestPackUnpack:
 
 class TestMergedBitIdentity:
     """The exchange must reproduce the single-domain bits on every
-    backend — including non-uniform (weighted) cuts and the AA
+    backend — including unequal cuts and the AA
     forward/reverse protocol."""
 
     @pytest.mark.parametrize("backend", ["serial", "processes"])
-    def test_weighted_cuts(self, rng, backend):
+    def test_unequal_cuts(self, rng, backend):
         solid = np.zeros(SHAPE, bool)
         solid[:SHAPE[0] // 3] = True      # x-low third all obstacle
         ref_f, f0 = _reference(SHAPE, 0.8, rng, solid=solid)
-        cuts = weighted_cuts(np.where(solid, 0.1, 1.0), ARRANGEMENT,
-                             min_extent=2)
+        cuts = ((8, 4), (6, 6), (4,))
         cfg = ClusterConfig(sub_shape=SUB, arrangement=ARRANGEMENT, tau=0.8,
                             solid=solid, cuts=cuts, backend=backend)
         with CPUClusterLBM(cfg) as cluster:

@@ -364,8 +364,6 @@ def _mixed_reference(shape, seed=5):
 
 def _mixed_step(ref):
     ref.collide()
-    for b in ref.boundaries:
-        b.pre_stream(ref.fg)
     _fill_ghosts(ref.fg, MIXED)
     ref.stream()
     ref.post_stream()

@@ -15,8 +15,7 @@ import numpy as np
 import pytest
 
 from repro.lbm import AAStepKernel, LBMSolver
-from repro.lbm.boundaries import (BouzidiCurvedBoundary,
-                                  EquilibriumVelocityInlet, OutflowBoundary,
+from repro.lbm.boundaries import (EquilibriumVelocityInlet, OutflowBoundary,
                                   box_walls)
 from repro.lbm.lattice import D2Q9, D3Q19
 
@@ -99,20 +98,12 @@ class TestFusedMachinery:
         s.step(2)
         assert s.kernel_used == "split"
 
-    def test_pre_stream_boundary_falls_back(self):
-        """Bouzidi snapshots post-collision state, which a merged sweep
-        never materialises -- the solver must detect this and fall back."""
-        bb = BouzidiCurvedBoundary(D3Q19, [((2, 2, 2), 1, 0.5)], (8, 8, 8))
-        s = LBMSolver((8, 8, 8), tau=0.7, boundaries=[bb])
-        s.step(2)
-        assert s.kernel_used == "split"
-
-    def test_boundary_added_after_construction_falls_back(self):
+    def test_boundary_added_after_construction_falls_back(self,
+                                                         post_stream_only):
         s = LBMSolver((8, 8, 8), tau=0.7)
         s.step(1)
         assert s.kernel_used == "aa"
-        s.boundaries.append(
-            BouzidiCurvedBoundary(D3Q19, [((2, 2, 2), 1, 0.5)], (8, 8, 8)))
+        s.boundaries.append(post_stream_only())
         s.step(1)
         assert s.kernel_used == "split"
 

@@ -9,7 +9,7 @@
   counters, no arena-sized temporary;
 * stacked clusters against the single-domain reference at every step:
   solids plus inlet/outflow, an odd-parity load, unequal cuts, a
-  ``rebalance()`` successor, a codec on;
+  successor driver cut differently mid-pair;
 * the arena itself (adoption, the batch solid mask) and what
   observability sees of a batch (per-rank spans, ``rank.busy_seconds``).
 """
@@ -139,7 +139,7 @@ class TestStackedCluster:
         assert {r["kernel"] for r in rows} == {"aa"}
         assert all(r["reason"].startswith("rule:") for r in rows)
 
-    def test_odd_parity_load_and_rebalance(self, rng):
+    def test_odd_parity_load_and_recut_successor(self, rng):
         ref, kw = _bounded(self.SHAPE, rng)
         f0 = ref.f.copy()
         cfg = ClusterConfig(sub_shape=(8, 6, 6), arrangement=(2, 2, 1), **kw)
@@ -155,10 +155,16 @@ class TestStackedCluster:
                                       ref.f), step
             # Three steps after the load: a mid-pair (rotated) gather.
             assert cluster.nodes[0].solver.aa_odd
-            cluster, info = cluster.rebalance(
-                busy_s={0: 3.0, 1: 3.0, 2: 1.0, 3: 1.0})
-            assert info["changed"] and cluster.stacked
-            assert cluster.time_step == 6
+            # A successor cut differently: gather, build, load, then set
+            # the step count.
+            f, time_step = cluster.gather_distributions(), cluster.time_step
+            cluster.shutdown()
+            cluster = CPUClusterLBM(ClusterConfig(
+                sub_shape=(8, 6, 6), arrangement=(2, 2, 1),
+                cuts=((8, 8), (4, 8), (6,)), **kw))
+            cluster.load_global_distributions(f)
+            cluster.time_step = time_step
+            assert cluster.stacked and cluster.time_step == 6
             for step in range(4, 7):
                 ref.step(1)
                 cluster.step(1)

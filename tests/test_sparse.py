@@ -11,8 +11,6 @@ import numpy as np
 import pytest
 
 from repro.lbm import LBMSolver
-from repro.lbm.boundaries import BouzidiCurvedBoundary
-from repro.lbm.lattice import D3Q19
 
 CITY_SHAPE = (24, 20, 4)
 
@@ -34,14 +32,6 @@ class TestKernelSelection:
         assert s.kernel_used == "split"
         assert s._aa_kernel is None
         assert "fell back to split" in s.kernel_reason
-
-    def test_pre_stream_boundary_falls_back(self):
-        bb = BouzidiCurvedBoundary(D3Q19, [((2, 2, 2), 1, 0.5)], CITY_SHAPE)
-        s = LBMSolver(CITY_SHAPE, tau=0.7, solid=_city_solid(),
-                      boundaries=[bb], kernel="aa")
-        s.step(2)
-        assert s.kernel_used == "split"
-        assert s._aa_kernel is None
 
     def test_invalid_kernel_name_rejected(self):
         for kernel in ("dense", "sparse"):

@@ -3,9 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.lbm.obstacles import (backward_facing_step, cut_links_for_sphere,
-                                 cylinder, sphere)
-from repro.lbm.solver import LBMSolver
+from repro.lbm.obstacles import backward_facing_step, cylinder, sphere
 
 
 class TestObstacles:
@@ -25,37 +23,3 @@ class TestObstacles:
         assert s[:8, :, :4].all()
         assert not s[8:, :, :].any()
         assert not s[:, :, 4:].any()
-
-    def test_cut_links_fractions_valid(self):
-        links = cut_links_for_sphere((12, 12, 12), (6, 6, 6), 3.5)
-        assert len(links) > 0
-        for cell, i, q in links:
-            assert 0.05 <= q <= 1.0
-            assert 1 <= i <= 18
-
-    def test_cut_links_only_at_surface(self):
-        shape = (12, 12, 12)
-        solid = sphere(shape, (6, 6, 6), 3.5)
-        links = cut_links_for_sphere(shape, (6, 6, 6), 3.5)
-        for cell, i, q in links:
-            assert not solid[cell]          # fluid side
-        # every listed link's neighbour is solid
-        from repro.lbm.lattice import D3Q19
-        for cell, i, q in links[:50]:
-            nb = tuple(np.array(cell) + D3Q19.c[i])
-            assert solid[nb]
-
-    def test_sphere_flow_with_curved_boundary_stable(self):
-        from repro.lbm.boundaries import BouzidiCurvedBoundary
-        shape = (16, 12, 12)
-        solid = sphere(shape, (8, 6, 6), 3.0)
-        links = cut_links_for_sphere(shape, (8, 6, 6), 3.0)
-        bc = BouzidiCurvedBoundary(
-            __import__("repro.lbm.lattice", fromlist=["D3Q19"]).D3Q19,
-            links, shape)
-        s = LBMSolver(shape, tau=0.8, solid=solid, force=(2e-5, 0, 0),
-                      boundaries=[bc], dtype=np.float64)
-        s.step(80)
-        assert np.isfinite(s.f).all()
-        _, u = s.macroscopic()
-        assert u[0][~solid].mean() > 0   # flow past the sphere develops
