@@ -143,15 +143,16 @@ class ClusterConfig:
         device charge of its inner render rectangle, charged after the
         border rectangles (:meth:`GPUNode.collide_phase`).
     kernel:
-        Hot-path selection for the CPU ranks, resolved by one rule
-        before any node is built or worker spawned: under ``"auto"``
-        (default) or ``"aa"`` the cluster runs the swap-free AA-pattern
-        kernel (:class:`~repro.lbm.aa.AAStepKernel`) on every rank,
-        body force or not, unless the run is timing-only or the
-        compiled sweep does not load (no working C compiler, named in
-        ``kernel_reason``); otherwise every rank runs ``"split"``.
-        Each rank is built with its ``halo_faces`` accordingly and
-        resolves the same kernel again by the solver's own rule.  Under
+        ``"auto"`` (default) or ``"split"``, for the CPU ranks,
+        resolved by one rule before any node is built or worker
+        spawned: under ``"auto"`` the cluster runs the swap-free
+        AA-pattern kernel (:class:`~repro.lbm.aa.AAStepKernel`) on
+        every rank, body force or not, unless the run is timing-only
+        or the compiled sweep does not load (no working C compiler,
+        named in ``kernel_reason``); otherwise every rank runs
+        ``"split"``.  Each rank is built with its ``halo_faces``
+        accordingly, its solver resolves its kernel by its own rule,
+        and the node refuses a rank where the two disagree.  Under
         AA the driver ships only the neighbour messages (forward after
         even phases, reverse after odd ones); each rank's sweep closes
         its true domain edges and periodic self-wraps itself
@@ -206,10 +207,9 @@ class ClusterConfig:
                         f"expected global extent {s}")
                 norm.append(c)
             self.cuts = tuple(norm)
-        if self.kernel not in ("auto", "split", "aa"):
+        if self.kernel not in ("auto", "split"):
             raise ValueError(
-                f"kernel must be 'auto', 'split' or 'aa', "
-                f"got {self.kernel!r}")
+                f"kernel must be 'auto' or 'split', got {self.kernel!r}")
         if self.backend not in ("serial", "processes"):
             raise ValueError(
                 f"backend must be 'serial' or 'processes', "
@@ -349,9 +349,9 @@ class _ClusterLBMBase:
 
         One row per rank — ``{"rank", "kernel", "solid_fraction",
         "reason", "block", "cells"}`` — for the timing summary: which
-        kernel the rank's last step ran (``"aa"``, ``"split"``,
-        ``"gpu"``, or ``"unstepped"``/``"model"`` before the first
-        numeric step), the rank-local solid fraction and *why* the
+        kernel the rank runs (``"aa"``, ``"split"``, ``"gpu"``,
+        ``"model"`` on a timing-only rank, or ``"unstepped"`` before a
+        worker process's first step reply), the rank-local solid fraction and *why* the
         kernel was selected (forced or the solver's rule).  ``block``
         and ``cells`` are the rank's block shape and cell count
         (unequal under explicit non-uniform ``cuts``).
@@ -585,10 +585,6 @@ class GPUClusterLBM(_ClusterLBMBase):
     """
 
     def __init__(self, config: ClusterConfig) -> None:
-        if config.kernel == "aa":
-            raise ValueError(
-                "kernel='aa' is CPU-only: the simulated GPU pipeline "
-                "has no AA halo protocol (use CPUClusterLBM)")
         if config.backend == "processes":
             raise ValueError(
                 "backend='processes' steps CPU ranks only: run simulated "
@@ -623,18 +619,14 @@ class CPUClusterLBM(_ClusterLBMBase):
         return self.config.backend == "serial" and self.aa_protocol
 
     def _node_args(self, rank: int, solid) -> dict:
-        """Adds the rank's kernel: the configured one, which each rank
-        resolves by the solver's rule once told whether the driver ships
-        its AA halo messages, and which faces those are
-        (``halo_faces``).  A forced ``"aa"`` the cluster cannot run
-        falls back to ``"split"``, as it does on a single solver."""
-        kernel = self.config.kernel
-        if kernel == "aa" and not self.aa_protocol:
-            kernel = "split"
+        """Adds the rank's kernel, the configured one, which the rank's
+        solver resolves by its own rule, and under :attr:`aa_protocol`
+        the faces the driver ships AA halo messages over
+        (``halo_faces``); the node checks that the two agree."""
         faces = (halo_faces(self.decomp.neighbors(rank), self.decomp.periodic)
                  if self.aa_protocol else None)
-        return {**super()._node_args(rank, solid), "kernel": kernel,
-                "halo_faces": faces}
+        return {**super()._node_args(rank, solid),
+                "kernel": self.config.kernel, "halo_faces": faces}
 
     def _make_node(self, rank: int, solid):
         return CPUNode(rank, **self._node_args(rank, solid))

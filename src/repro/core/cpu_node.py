@@ -14,11 +14,12 @@ against each other and against the single-domain solver.
 
 :meth:`CPUNode.collide_phase` / :meth:`CPUNode.finish_step` step one
 rank: a process worker's, an SPMD rank's, a serial ``split`` rank's,
-a timing-only rank's.  Where the cluster rule says ``aa`` (always, for
-an SPMD rank) the numeric rank is built with its ``halo_faces`` and
-runs the in-place AA kernel; its solver owns that kernel, which refers
-back to it only weakly, so a dropped node frees its distributions by
-refcount.
+a timing-only rank's.  Where the cluster rule says ``aa`` the numeric
+rank is built with its ``halo_faces``, and its solver, by its own
+rule, runs the in-place AA kernel; the node refuses a rank whose
+kernel and face row disagree.  The solver owns that kernel, which
+refers back to it only weakly, so a dropped node frees its
+distributions by refcount.
 A serial cluster's AA ranks are stepped together instead — their
 ``solver.fg`` are slots of a stacked arena (:mod:`repro.core.stack`) —
 and the node then only carries the rank's solver, its cached
@@ -30,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.exchange import SolverPort
-from repro.lbm.aa import AAStepKernel, unavailable
+from repro.lbm.aa import unavailable
 from repro.lbm.lattice import D3Q19
 from repro.lbm.solver import LBMSolver
 from repro.gpu.specs import XEON_2_4, CPUSpec
@@ -56,10 +57,9 @@ def rank_boundaries(inlet, outflow) -> list:
 def cluster_kernel(kernel: str = "auto",
                    timing_only: bool = False) -> tuple[str, str]:
     """The kernel every CPU cluster rank runs, and the rule line that
-    chose it: AA under ``"auto"`` or ``"aa"`` unless the run is
-    timing-only or the compiled sweep does not load, else ``split``.
-    Nothing is measured; the cluster drivers and the SPMD ranks share
-    this one rule."""
+    chose it: AA under ``"auto"`` unless the run is timing-only or the
+    compiled sweep does not load, else ``split``.  Nothing is measured;
+    the cluster drivers and the SPMD ranks share this one rule."""
     if kernel == "split":
         return "split", "configured kernel='split'"
     if timing_only:
@@ -78,12 +78,12 @@ class CPUNode(SolverPort):
     the inherited :class:`~repro.core.exchange.SolverPort` methods.
     ``halo_faces`` (:func:`~repro.core.exchange.halo_faces`) says the
     driver ships the rank's AA halo messages (forward exchange after
-    even phases, reverse after odd ones) and which faces they are,
-    which lets a rank stepped phase by phase run the in-place AA
-    kernel.  ``recorder`` is the rank's handle
-    (:func:`~repro.core.exchange.attach_recorder`): a numeric rank's
-    collide and finish are its ``cluster.collide`` / ``cluster.finish``
-    regions.
+    even phases, reverse after odd ones) and which faces they are: it
+    is given exactly when the rank's solver runs the in-place AA
+    kernel, and a mismatch raises before any step.  ``recorder`` is
+    the rank's handle (:func:`~repro.core.exchange.attach_recorder`): a
+    numeric rank's collide and finish are its ``cluster.collide`` /
+    ``cluster.finish`` regions.
     """
 
     recorder = NULL_RECORDER
@@ -104,21 +104,14 @@ class CPUNode(SolverPort):
             solver = LBMSolver(sub_shape, tau, solid=solid,
                                boundaries=rank_boundaries(inlet, outflow),
                                force=force, periodic=False, kernel=kernel)
-            # The cluster driver steps this solver phase by phase
-            # (collide / exchange / stream).
-            solver.phase_driven = True
+            # The driver's exchange is only correct for the kernel the
+            # rank really runs: AA with a face row, split without one.
+            if (solver.kernel_used == "aa") != (halo_faces is not None):
+                raise ValueError(
+                    f"rank {rank} runs {solver.kernel_used!r} "
+                    f"({solver.kernel_reason}) with halo_faces="
+                    f"{halo_faces!r}")
             solver.halo_faces = halo_faces
-            if halo_faces is not None:
-                # The driver's exchange is only correct if this rank
-                # really runs the AA phases: refuse a silent fallback.
-                if not AAStepKernel.eligible(solver):
-                    raise ValueError(
-                        "kernel='aa' on a cluster rank requires a plain "
-                        "BGK sub-domain with only face-resident boundary "
-                        "handlers")
-                missing = unavailable(solver.lattice, solver.dtype)
-                if missing:
-                    raise ValueError(f"kernel='aa' on a cluster rank: {missing}")
         super().__init__(solver, sub_shape)
         #: The modeled per-step compute: a function of the block shape,
         #: its face/edge neighbours and ``cpu_spec`` only (the SSE build
@@ -136,10 +129,8 @@ class CPUNode(SolverPort):
 
     @property
     def kernel_used(self) -> str:
-        """Which hot path this rank's last step ran."""
-        if self.solver is None:
-            return "model"
-        return self.solver.kernel_used or "unstepped"
+        """Which hot path this rank runs."""
+        return "model" if self.solver is None else self.solver.kernel_used
 
     @property
     def kernel_reason(self) -> str | None:

@@ -164,8 +164,8 @@ class _Worker:
                 {"mail": spec.mail_names[peer]},
                 spec.peer_sub_shapes[peer], D3Q19.Q)
         self.transport = _MailboxTransport(self.segs, self.peer_mail)
-        # The AA halo protocol.
-        self.aa = spec.node_args["halo_faces"] is not None
+        # The AA halo protocol, if the rank's solver runs AA.
+        self.aa = self.node.kernel_used == "aa"
         self.exchange = HaloExchange(
             spec.rank, self.node, spec.neighbors, spec.periodic,
             self.transport, aa=self.aa, recorder=self.recorder)

@@ -20,18 +20,20 @@ kernel, :class:`RankStack` replaces the per-rank loop:
 * **exchange** — :class:`~repro.core.exchange.RankAxisExchange`: the
   engine's routes and manifests run as one fancy-index copy per route
   kind.
-* **finish** — O(1) Python per rank: ``time_step``, the parity flags
-  and ``post_stream`` only on ranks with solids or handlers, and the
-  node's cached modelled compute.
+* **finish** — O(1) Python per rank: ``post_stream`` only on ranks
+  with solids or handlers, ``time_step``, and the node's cached
+  modelled compute.
 
-Each rank keeps its own kernel, which is never swept but reconstructs
-the rank's canonical distributions over its slot at odd parity, so
-gather and load work unchanged.  Observability is per rank
-by apportioning: the batch collide and the batch finish are each
-recorded as one ``cluster.collide`` / ``cluster.finish`` region per
-rank, consecutive slices of the batch's interval in proportion to the
-rank's cells (:meth:`~repro.perf.recorder.Recorder.slices`), so
-telemetry's per-rank busy time is the batch time split by cell share.
+Each rank's solver keeps the kernel it built (every rank here resolved
+``aa``, which :class:`~repro.core.cpu_node.CPUNode` checks against its
+face row); that kernel is never swept but reconstructs the rank's
+canonical distributions over its slot at odd parity, so gather and
+load work unchanged.  Observability is per rank by apportioning: the
+batch collide and the batch finish are each recorded as one
+``cluster.collide`` / ``cluster.finish`` region per rank, consecutive
+slices of the batch's interval in proportion to the rank's cells
+(:meth:`~repro.perf.recorder.Recorder.slices`), so telemetry's
+per-rank busy time is the batch time split by cell share.
 """
 
 from __future__ import annotations
@@ -91,12 +93,6 @@ class RankStack:
         """Build the batch kernels and the rank-axis exchange."""
         self.nodes = list(nodes)
         self.solvers = [node.solver for node in self.nodes]
-        for solver in self.solvers:
-            if solver._select_kernel() != "aa":
-                raise ValueError(
-                    f"stacked rank resolved {solver.kernel_reason!r}; "
-                    "only AA ranks stack")
-            solver._enter_aa()
         members: dict[int, tuple[np.ndarray, list]] = {}
         for rank, solver in enumerate(self.solvers):
             arena, _ = self.slots[rank]
@@ -134,12 +130,9 @@ class RankStack:
     def finish(self) -> None:
         """Close the step on every rank; charge the nodes."""
         t0 = perf_counter()
-        rotated = not self._odd
         for solver in self._post:
-            solver._aa_rotated = rotated
             solver.post_stream()
         for solver in self.solvers:
-            solver.kernel_used = "aa"
             solver.time_step += 1
         for node in self.nodes:
             node.compute_s = node.overlap_window_s = node.model_compute_s

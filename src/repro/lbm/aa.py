@@ -67,11 +67,17 @@ downstream); a non-finite population or moment at a solid site turns
 its populations NaN, where the mask would have kept them.  The odd
 phase copies solid-owned locations bit for bit.
 
-Eligibility: plain BGK collision and only face-resident boundary
-handlers (:func:`repro.lbm.boundaries.face_resident` — inlet, outflow,
-Zou–He, any custom handler keeping that contract; anything else would
-read or write the rotated mid-pair layout incorrectly).  Every phase
-call closes each box's ghost shell one plane behind the sweep
+A solver runs this kernel when its one rule says so, once, at
+construction (:class:`~repro.lbm.solver.LBMSolver`): plain BGK
+collision, only face-resident boundary handlers
+(:func:`repro.lbm.boundaries.face_resident` — inlet, outflow, Zou–He,
+any custom handler keeping that contract; anything else would read or
+write the rotated mid-pair layout incorrectly), and a compiled sweep
+that loads (:func:`repro.lbm.native.load`, :func:`unavailable`; where
+no compiler works, the solver and cluster rules resolve ``split`` and
+say why).  Whoever drives it — ``step()``, a hand-driven phase
+sequence, a cluster rank — runs the same phases.  Every phase call
+closes each box's ghost shell one plane behind the sweep
 (:mod:`repro.lbm.native`) by its face row (:func:`face_kinds`): a
 zero-gradient edge is filled after even and folded after odd, a
 periodic extent-1 axis wraps, a message face is left to the cluster
@@ -79,10 +85,7 @@ driver's exchange (forward after even, reverse after odd).  A box
 with no message face swaps its solid sites behind the odd sweep too; a
 rank with one swaps in ``post_stream``, once the reverse exchange has
 written its border.  Handlers are imposed through the rotated write
-rule (:class:`repro.lbm.esoteric.RotatedBoundaryApplicator`).  The
-compiled sweep must also load (:func:`repro.lbm.native.load`,
-:func:`unavailable`): where no compiler works, the solver and cluster
-rules resolve ``split`` and say why.
+rule (:class:`repro.lbm.esoteric.RotatedBoundaryApplicator`).
 """
 
 from __future__ import annotations
@@ -325,7 +328,6 @@ class AAStepKernel:
         even = not s.aa_odd
         with s.recorder.phase("aa.even" if even else "aa.odd"):
             (self.even_phase if even else self.odd_phase)()
-        s._aa_rotated = even
         s.post_stream()
 
     # -- observables mid-pair ---------------------------------------------

@@ -58,39 +58,28 @@ class LBMSolver:
         ``numpy.float32`` by default, matching the GPU's single
         precision.
     kernel:
-        Hot-path selection, one of two kernels with one job each:
-        ``"split"``, the readable collide / ghosts / stream /
-        post-stream reference every gate compares against, and
-        ``"aa"`` (:class:`~repro.lbm.aa.AAStepKernel`), the in-place
-        sweep over a single distribution array.  ``"auto"`` (default)
-        is a rule; the first line that applies wins:
+        ``"auto"`` (default) or ``"split"``.  The kernel is resolved
+        once, here, and kept for the solver's whole life
+        (``kernel_used``; ``kernel_reason`` names the rule line).  It
+        is ``split``, the readable collide / ghosts / stream /
+        post-stream reference every gate compares against, if it is
+        named, if the collision is not plain BGK (MRT, any BGK
+        subclass), if a handler is not face-resident (the contract
+        stated on :class:`~repro.lbm.boundaries.Boundary`), or if the
+        compiled sweep (:mod:`repro.lbm.native`) does not load.
+        Otherwise it is ``aa`` (:class:`~repro.lbm.aa.AAStepKernel`),
+        the in-place sweep over a single distribution array.  Both are
+        bit-identical (AA after every pair of steps on the raw array,
+        every step on macroscopic fields and ``f``).
 
-        1. a non-BGK operator (MRT, any BGK subclass): ``split``;
-        2. no handlers, or only face-resident ones (inlet, outflow,
-           Zou–He, a custom handler keeping the contract stated on
-           :class:`~repro.lbm.boundaries.Boundary`), and either
-           ``step()`` on a solver that is not ``phase_driven`` or a
-           cluster driver that ships the AA halo messages
-           (``halo_faces``): ``aa``;
-        3. anything else: ``split``.
-
-        The in-place kernel is compiled (:mod:`repro.lbm.native`): where
-        no compiler works every rule line that says ``aa`` says
-        ``split``, and ``kernel_reason`` names why.
-
-        A solver driven through its phase entry points (``collide``,
-        ``fill_ghosts``, ``stream``, ``post_stream`` — cluster and SPMD
-        ranks, ``phase_driven``) therefore runs ``split`` unless its driver
-        closes the halo: the in-place kernel needs someone to, and
-        only ``step()`` or an AA-aware cluster driver does.  Naming a
-        kernel forces it (an ineligible configuration still falls back
-        to ``"split"``).  Both kernels are bit-identical (AA after
-        every pair of steps on the raw array, every step on
-        macroscopic fields and ``f``).  Eligibility is re-checked
-        every step; when it drifts mid-run (a handler appended, a
-        phase called by hand) the array is handed over canonical — see
-        ``f``.  ``kernel_used`` / ``kernel_reason`` report what ran and
-        why.
+    ``step()`` and the phase entry points (``collide``,
+    ``fill_ghosts``, ``stream``, ``post_stream``) run that kernel,
+    whoever calls them.  Whoever drives the phases advances
+    ``time_step`` after ``post_stream``, as ``step()`` and every
+    cluster driver do: the AA phases and the rotated closure read
+    their parity from it.  ``boundaries`` is a tuple fixed at
+    construction, so nothing can change the kernel's eligibility
+    mid-run.
     """
 
     def __init__(self, shape, tau: float, lattice: Lattice = D3Q19,
@@ -119,7 +108,7 @@ class LBMSolver:
         if self.solid.shape != self.shape:
             raise ValueError("solid mask shape mismatch")
         self.fluid = ~self.solid
-        self.boundaries = list(boundaries)
+        self.boundaries = tuple(boundaries)
         self._bounce = BounceBackNodes(lattice, self.solid)
 
         padded = (lattice.Q,) + tuple(s + 2 for s in self.shape)
@@ -131,44 +120,33 @@ class LBMSolver:
         #: single-array distribution working set.
         self._fg_next_buf: np.ndarray | None = None
         self._pull_slices = pull_slice_table(lattice, padded[1:])
-        if kernel not in ("auto", "split", "aa"):
-            raise ValueError(f"kernel must be 'auto', 'split' or 'aa', "
+        if kernel not in ("auto", "split"):
+            raise ValueError(f"kernel must be 'auto' or 'split', "
                              f"got {kernel!r}")
         self.kernel = kernel
         self.solid_fraction = float(self.solid.mean()) if self.solid.size else 0.0
-        #: Which hot path actually ran ("aa" | "split"); None until the
-        #: first step.
-        self.kernel_used: str | None = None
-        self._aa_kernel = None
-        #: Why the current kernel was selected: "forced ..." or
-        #: "rule: ...".
-        self.kernel_reason: str | None = None
-        self._reason_kind: str | None = None
-        #: Set True by the cluster drivers: the solver is stepped
-        #: through its split phase entry points, which rules out the
-        #: AA phases unless the driver closes their halo (next flag).
-        self.phase_driven = False
         #: Set by a cluster driver that ships this rank's AA halo
-        #: messages: per face ``(0, -1), (0, +1), ...`` ``"message"``,
-        #: ``"wrap"`` or ``"zero"``, the row the AA phases close the
-        #: ghost shell by (:func:`repro.lbm.aa.face_kinds`).
+        #: messages, before the first step: per face ``(0, -1), (0, +1),
+        #: ...`` ``"message"``, ``"wrap"`` or ``"zero"``, the row the AA
+        #: phases close the ghost shell by
+        #: (:func:`repro.lbm.aa.face_kinds`).
         self.halo_faces: tuple[str, ...] | None = None
         #: Parity of the ``time_step`` at which the array last held a
         #: canonical state written from outside (initialize / load):
         #: the AA phase cadence counts from there, so a load at an odd
         #: step count is followed by an *even* phase.
         self._aa_origin = 0
-        #: True while the single AA array sits in the rotated mid-pair
-        #: layout (after an even phase): ``post_stream`` then imposes
-        #: boundary handlers through the rotated write rule
-        #: (:mod:`repro.lbm.esoteric`) instead of applying them
-        #: canonically.
-        self._aa_rotated = False
         #: The solver's one instrumentation handle
         #: (:mod:`repro.perf.recorder`): its own recorder until a
         #: cluster driver attaches the rank's view.
         self.recorder = Recorder()
         self.time_step = 0
+        #: The hot path this solver runs ("aa" | "split") and the rule
+        #: line that chose it (class docstring).
+        self.kernel_used, self.kernel_reason = self._resolve_kernel()
+        #: The bound in-place kernel, or None under ``split``.
+        self._aa_kernel = (AAStepKernel(self) if self.kernel_used == "aa"
+                           else None)
         self.initialize()
 
     # ------------------------------------------------------------------
@@ -195,9 +173,11 @@ class LBMSolver:
     def aa_odd(self) -> bool:
         """True while the AA cadence is mid-pair (next phase is odd).
 
-        Under the AA kernel that is exactly when the single array
-        holds the rotated layout; cluster drivers read it to pick the
-        forward or the reverse halo exchange.
+        Under the AA kernel that is when the single array holds the
+        rotated layout; cluster drivers read it to pick the forward or
+        the reverse halo exchange.  ``post_stream`` runs before the
+        driver advances ``time_step``, so there ``not aa_odd`` means
+        the phase just run was even and the layout is rotated.
         """
         return bool((self.time_step - self._aa_origin) & 1)
 
@@ -218,7 +198,6 @@ class LBMSolver:
         :meth:`load_distributions`; for callers that wrote the
         interior in place, e.g. through shared memory)."""
         self._aa_origin = self.time_step & 1
-        self._aa_rotated = False
 
     @property
     def _fg_next(self) -> np.ndarray:
@@ -251,118 +230,37 @@ class LBMSolver:
             self.f[...] = equilibrium(lat, rho_arr, u_arr)
 
     # -- kernel selection ----------------------------------------------
-    def _note_selection(self, kind: str, reason: str) -> str:
-        """Record ``kernel_reason`` once per selection change."""
-        if kind != self._reason_kind:
-            self._reason_kind = kind
-            self.kernel_reason = reason
-        return kind
-
-    def _select_kernel(self, whole_step: bool = False) -> str:
-        """Resolve which hot path this step should run.
-
-        Re-checked every step (boundary handlers may be appended after
-        construction).  A named kernel is forced as long as the
-        kernel's own ``eligible`` still holds; otherwise the rule of
-        the class docstring applies.  Only :meth:`step` passes
-        ``whole_step``: nobody but a cluster driver that sets
-        ``halo_faces`` exchanges the AA halo for a solver driven phase
-        by phase, so there the rule's answer is ``split``.
-        """
+    def _resolve_kernel(self) -> tuple[str, str]:
+        """The class docstring's rule: the kernel and its reason."""
         if self.kernel == "split":
-            return self._note_selection("split", "forced kernel='split'")
-        if self.kernel == "aa":
-            if not AAStepKernel.eligible(self):
-                return self._note_selection(
-                    "split", "forced kernel='aa' ineligible; fell back to split")
-            missing = unavailable(self.lattice, self.dtype)
-            if missing:
-                return self._note_selection(
-                    "split", f"forced kernel='aa': {missing}; fell back to split")
-            return self._note_selection("aa", "forced kernel='aa'")
+            return "split", "forced kernel='split'"
         if not plain_bgk_step(self):
-            return self._note_selection(
-                "split", "rule: non-BGK collision")
+            return "split", "rule: non-BGK collision"
         if not AAStepKernel.eligible(self):
-            return self._note_selection(
-                "split", "rule: a handler that is not face-resident")
-        if self.halo_faces is not None:
-            reason = "rule: AA halo closed by the cluster driver"
-        elif whole_step and not self.phase_driven:
-            reason = "rule: whole-step schedule"
-        else:
-            return self._note_selection("split", "rule: driven phase by phase")
+            return "split", "rule: a handler that is not face-resident"
         # Only an answer of ``aa`` needs the compiled sweep (and builds it).
         missing = unavailable(self.lattice, self.dtype)
         if missing:
-            return self._note_selection("split", f"rule: {missing}")
-        return self._note_selection("aa", reason)
-
-    def _aa_kernel_for_phase(self):
-        """The AA kernel when selected, else None (classic phases run).
-
-        This lets the cluster drivers keep their collide/exchange/finish
-        phase protocol: under AA the collide phases run the
-        parity-appropriate in-place AA phase and the stream phase is a
-        no-op (streaming happened in place).
-        """
-        if self._select_kernel() != "aa":
-            self._leave_aa()
-            return None
-        return self._enter_aa()
-
-    def _enter_aa(self):
-        """The bound AA kernel, built on entry.
-
-        ``_aa_kernel`` is set exactly while the in-place sweeps own the
-        array, so a kernel that has to be built means AA starts here,
-        at whatever step count the run has reached, from a canonical
-        array: the phase cadence counts from now.
-        """
-        akern = self._aa_kernel
-        if akern is None:
-            self.mark_canonical()
-            akern = self._aa_kernel = AAStepKernel(self)
-        return akern
-
-    def _leave_aa(self) -> None:
-        """Hand the array to a two-array path, canonical.
-
-        Called before any non-AA path runs (eligibility can drift
-        mid-run: a handler appended, a phase called by hand).  Mid-pair
-        the single array is in the rotated layout, which every other
-        path would read as garbage: the pending gather and bounce are
-        written out first.
-        """
-        akern = self._aa_kernel
-        if akern is None:
-            return
-        canonical = akern.reconstruct() if self.aa_odd else None
-        self._aa_kernel = None
-        self.mark_canonical()
-        if canonical is not None:
-            self.f[...] = canonical
+            return "split", f"rule: {missing}"
+        return "aa", "rule: plain BGK, face-resident handlers"
 
     # -- step phases (reused by the distributed driver) ----------------
     def collide(self) -> None:
-        """Collision on interior fluid cells (in place)."""
-        akern = self._aa_kernel_for_phase()
-        if akern is not None:
-            self.kernel_used = "aa"
-            with self.recorder.phase("solver.collide", kernel="aa"):
+        """Collision on interior fluid cells (in place); under AA the
+        parity's in-place phase, which streams as well."""
+        akern = self._aa_kernel
+        with self.recorder.phase("solver.collide", kernel=self.kernel_used):
+            if akern is None:
+                self.collision(self.f, mask=self.fluid)
+            else:
                 (akern.odd_phase if self.aa_odd else akern.even_phase)()
-            return
-        with self.recorder.phase("solver.collide", kernel="split"):
-            self.kernel_used = "split"
-            self.collision(self.f, mask=self.fluid)
 
     def fill_ghosts(self) -> None:
         """Populate the ghost shell (periodic wrap or zero-gradient); a
-        no-op while the AA kernel owns the array (its phases close the
-        shell, or the cluster driver's exchange does)."""
+        no-op under AA (its phases close the shell, or the cluster
+        driver's exchange does)."""
         with self.recorder.phase("solver.ghosts"):
-            if (self._aa_kernel is not None
-                    and self._aa_kernel_for_phase() is not None):
+            if self._aa_kernel is not None:
                 return
             if self.periodic:
                 fill_ghosts_periodic(self.fg)
@@ -373,24 +271,16 @@ class LBMSolver:
 
     def stream(self) -> None:
         """Pull-stream into the double buffer and swap; marks which
-        kernel ran (``kernel.<name>``, one per step)."""
-        rec = self.recorder
-        akern = self._aa_kernel_for_phase()
-        if akern is not None:
-            # Streaming already happened in place (reversed writes on
-            # even phases, forward scatter on odd ones); the stream
-            # phase only records the layout the phase left.
-            with rec.phase("solver.stream", kernel="aa"):
-                self.kernel_used = "aa"
-                self._aa_rotated = not self.aa_odd
-            rec.metric("kernel.aa", 0)
-            return
-        with rec.phase("solver.stream", kernel="split"):
-            self.kernel_used = "split"
-            stream_pull(self.lattice, self.fg, out=self._fg_next,
-                        slices=self._pull_slices)
-            self.fg, self._fg_next = self._fg_next, self.fg
-        rec.metric("kernel.split", 0)
+        kernel ran (``kernel.<name>``, one per step).  Under AA
+        streaming already happened in place (reversed writes on even
+        phases, forward scatter on odd ones)."""
+        rec, kind = self.recorder, self.kernel_used
+        with rec.phase("solver.stream", kernel=kind):
+            if self._aa_kernel is None:
+                stream_pull(self.lattice, self.fg, out=self._fg_next,
+                            slices=self._pull_slices)
+                self.fg, self._fg_next = self._fg_next, self.fg
+        rec.metric("kernel." + kind, 0)
 
     def post_stream(self) -> None:
         """Bounce-back on solids, then user boundary handlers.
@@ -399,24 +289,24 @@ class LBMSolver:
         the odd sweep swaps behind itself, except on a rank with a
         message face, which swaps here once the reverse exchange has
         written its border (:meth:`repro.lbm.aa.AAStepKernel._swap_table`).
-        While the array sits in its rotated mid-pair layout (after an
-        even phase) the handlers are imposed through the rotated write
-        rule instead — canonical application would corrupt the layout.
-        Both paths are bit-identical on the canonical state.
+        After an even phase (``aa_odd`` still False: the driver
+        advances ``time_step`` afterwards) the array sits in its
+        rotated mid-pair layout, and the handlers are imposed through
+        the rotated write rule instead — canonical application would
+        corrupt the layout.  Both paths are bit-identical on the
+        canonical state.
         """
         with self.recorder.phase("solver.post_stream"):
             akern = self._aa_kernel
             if akern is None:
                 if self.solid.any():
                     self._bounce.apply(self.fg)
-            elif (not self._aa_rotated and "message" in face_kinds(self)
-                  and self.solid.any()):
-                akern.bounce(self.fg)
-            if self._aa_rotated:
+            elif not self.aa_odd:
                 if self.boundaries:
                     akern.apply_boundaries_rotated()
-                self._aa_rotated = False
                 return
+            elif "message" in face_kinds(self) and self.solid.any():
+                akern.bounce(self.fg)
             for b in self.boundaries:
                 b.apply(self.fg)
 
@@ -424,14 +314,12 @@ class LBMSolver:
     def step(self, n: int = 1) -> None:
         """Advance ``n`` LBM time steps, each through the AA kernel's
         step or the classic collide/ghosts/stream phases."""
+        akern = self._aa_kernel
         for _ in range(n):
             self.recorder.begin_step(self.time_step)
-            if self._select_kernel(whole_step=True) == "aa":
-                akern = self._enter_aa()
-                self.kernel_used = "aa"
+            if akern is not None:
                 akern.step_once()
             else:
-                self._leave_aa()
                 self.collide()
                 self.fill_ghosts()
                 self.stream()

@@ -42,13 +42,14 @@ def _city(shape=SHAPE):
 
 
 def _pair(shape=SHAPE, solid=None, seed=0, **kwargs):
-    """(reference split solver, AA solver) on identical initial state."""
+    """(reference split solver, default solver) on identical initial
+    state; the default resolves ``aa``."""
     rng = np.random.default_rng(seed)
     u0 = (0.02 * rng.standard_normal((3,) + shape)).astype(np.float32)
     if solid is not None:
         u0[:, solid] = 0
     solvers = []
-    for kernel in ("split", "aa"):
+    for kernel in ("split", "auto"):
         s = LBMSolver(shape, tau=0.7, solid=solid, kernel=kernel, **kwargs)
         s.initialize(rho=np.ones(shape, np.float32), u=u0)
         solvers.append(s)
@@ -92,7 +93,7 @@ class TestSingleDomain:
         aa.step(1)          # back to even parity: writable live view
         assert aa.f.flags.writeable
 
-    def test_phase_driven_split_pipeline_matches(self):
+    def test_hand_driven_pipeline_matches(self):
         """Driving the AA solver phase by phase (the cluster protocol
         shape) is bit-identical to whole steps."""
         solid = _city()
@@ -100,25 +101,11 @@ class TestSingleDomain:
         for _ in range(4):
             ref.step(1)
             aa.collide()
-            aa.fill_ghosts()   # forward fill (even) / ghost fold (odd)
+            aa.fill_ghosts()   # a no-op: the phases close the shell
             aa.stream()
             aa.post_stream()
             aa.time_step += 1
             assert np.array_equal(aa.f, ref.f)
-
-    def test_forced_aa_ineligible_falls_back_to_split(self):
-        # An unsupported handler type (one the rotated closure cannot
-        # fold) still forces the split fallback.
-        class CustomBoundary(Boundary):
-            def apply(self, fg):
-                pass
-
-        s = LBMSolver(SHAPE, tau=0.7, periodic=False, kernel="aa",
-                      boundaries=[CustomBoundary()])
-        s.initialize(rho=np.ones(SHAPE, np.float32), u=None)
-        s.step(1)
-        assert s.kernel_used == "split"
-        assert "ineligible" in s.kernel_reason
 
     def test_eligibility_rules(self):
         s = LBMSolver(SHAPE, tau=0.7)
@@ -164,9 +151,9 @@ class TestCluster:
         ref = self._reference(shape, solid)
         f0 = ref.f.copy()
         cfg = ClusterConfig(sub_shape=(8, 6, 6), arrangement=(2, 2, 1),
-                            tau=0.7, solid=solid, backend=backend,
-                            kernel="aa")
+                            tau=0.7, solid=solid, backend=backend)
         with CPUClusterLBM(cfg) as cluster:
+            assert cluster.resolved_kernel == "aa"
             cluster.load_global_distributions(f0)
             for step in range(1, 6):     # both parities, every step count
                 ref.step(1)
@@ -183,8 +170,9 @@ class TestCluster:
         f0 = ref.f.copy()
         ref.step(3)
         cfg = ClusterConfig(sub_shape=(8, 6, 6), arrangement=(2, 2, 1),
-                            tau=0.7, solid=solid, kernel="aa")
+                            tau=0.7, solid=solid)
         with CPUClusterLBM(cfg) as cluster:
+            assert cluster.resolved_kernel == "aa"
             cluster.load_global_distributions(f0)
             cluster.step(3)
             assert np.array_equal(cluster.gather_distributions(), ref.f)
@@ -197,10 +185,11 @@ class TestCluster:
         f0 = ref.f.copy()
         for backend in ("serial", "processes"):
             cfg = ClusterConfig(sub_shape=(6, 6, 4), arrangement=(2, 1, 1),
-                                tau=0.7, kernel="aa", backend=backend)
+                                tau=0.7, backend=backend)
             again = LBMSolver(shape, tau=0.7, kernel="split")
             again.load_distributions(f0)
             with CPUClusterLBM(cfg) as cluster:
+                assert cluster.resolved_kernel == "aa"
                 cluster.load_global_distributions(f0)
                 cluster.step(1)
                 cluster.load_global_distributions(f0)   # odd step count
@@ -211,18 +200,23 @@ class TestCluster:
                                           again.f), (backend, n)
 
     def test_gpu_cluster_rejects_aa(self):
+        """``kernel="aa"`` is no value of the configuration, so no
+        cluster, GPU or CPU, can be built with it."""
+        with pytest.raises(ValueError, match="'auto' or 'split'"):
+            ClusterConfig(sub_shape=(6, 6, 4), arrangement=(2, 1, 1),
+                          tau=0.7, kernel="aa")
         cfg = ClusterConfig(sub_shape=(6, 6, 4), arrangement=(2, 1, 1),
-                            tau=0.7, kernel="aa")
-        with pytest.raises(ValueError, match="CPU-only"):
-            GPUClusterLBM(cfg)
+                            tau=0.7)
+        with GPUClusterLBM(cfg) as cluster:
+            assert {r["kernel"] for r in cluster.kernel_report()} == {"gpu"}
 
     def test_aa_accepts_bounded_domains(self):
         # Non-periodic axes are handled by the boundary-aware reverse
         # protocol (local zero-gradient folds at true domain edges).
         cfg = ClusterConfig(sub_shape=(6, 6, 4), arrangement=(2, 1, 1),
-                            tau=0.7, kernel="aa",
-                            periodic=(True, True, False))
-        assert cfg.kernel == "aa"
+                            tau=0.7, periodic=(True, True, False))
+        with CPUClusterLBM(cfg) as cluster:
+            assert cluster.resolved_kernel == "aa"
 
 
 def _stepped_bounded_solver():

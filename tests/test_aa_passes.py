@@ -59,13 +59,12 @@ class TestPairSharedRelax:
         ``g_i`` must carry the bits ``BGKCollision`` computes (densities
         here reach zero and below, so the guarded divide is covered)."""
         f = f.astype(dtype)
-        solver = LBMSolver(GRID, tau=0.7, dtype=dtype, force=force,
-                           kernel="aa")
+        solver = LBMSolver(GRID, tau=0.7, dtype=dtype, force=force)
         expect = f.copy()
         BGKCollision(D3Q19, 0.7, force=force)(expect)
         solver.load_distributions(f)
         with np.errstate(all="ignore"):
-            solver._enter_aa().even_phase()
+            solver._aa_kernel.even_phase()
         got = solver.fg[(D3Q19.opp,) + interior(3)]
         assert np.array_equal(_bits(got), _bits(expect))
 
@@ -81,7 +80,7 @@ class TestEdgeValues:
         solid = np.zeros(shape, bool)
         solid[4, 2:4, 1:3] = True
         twins = []
-        for kernel in ("split", "aa"):
+        for kernel in ("split", "auto"):
             s = LBMSolver(shape, tau=0.7, solid=solid, dtype=dtype,
                           kernel=kernel)
             f = s.f.copy()
@@ -131,7 +130,7 @@ class TestRegionCalls:
         f0 = ref.f.copy()
         cfg = ClusterConfig(sub_shape=(8, 6, 6), arrangement=(2, 2, 1),
                             tau=0.7, solid=ref.solid, backend=backend,
-                            periodic=(False, False, False), kernel="aa")
+                            periodic=(False, False, False))
         with CPUClusterLBM(cfg) as cluster:
             cluster.load_global_distributions(f0)
             for step in range(1, 5):
@@ -146,7 +145,7 @@ class TestFiveSlotGhostFill:
 
     def test_bounded_box_matches_split_every_step(self):
         ref = _bounded_box(self.SHAPE, "split")
-        aa = _bounded_box(self.SHAPE, "aa")
+        aa = _bounded_box(self.SHAPE, "auto")
         for step in range(1, 9):
             ref.step(1)
             aa.step(1)
@@ -154,7 +153,7 @@ class TestFiveSlotGhostFill:
             assert np.array_equal(aa.f, ref.f), step
 
     def test_each_face_fills_five_slots(self):
-        k = _bounded_box(self.SHAPE, "aa")._enter_aa()
+        k = _bounded_box(self.SHAPE, "auto")._aa_kernel
         assert all(len(s) == 5 for s in k._face_slots.values())
 
     # Faces with a handler are overwritten whole after the stream, so
@@ -163,8 +162,8 @@ class TestFiveSlotGhostFill:
     def test_dropping_any_slot_diverges(self, face):
         for drop in range(5):
             ref = _bounded_box(self.SHAPE, "split")
-            aa = _bounded_box(self.SHAPE, "aa")
-            k = aa._enter_aa()
+            aa = _bounded_box(self.SHAPE, "auto")
+            k = aa._aa_kernel
             k._face_slots[face] = np.delete(k._face_slots[face], drop)
             ref.step(6)
             aa.step(6)
@@ -272,7 +271,7 @@ def _stacked(solvers):
     """Independent AA solvers stacked in one arena, the first one's
     phase sweeping the whole batch (as :mod:`repro.core.stack` does for
     a cluster's ranks); each solver still closes its own ghosts."""
-    kernels = [s._enter_aa() for s in solvers]
+    kernels = [s._aa_kernel for s in solvers]
     arena = np.empty((solvers[0].lattice.Q, len(solvers))
                      + solvers[0].fg.shape[1:], solvers[0].dtype)
     for r, s in enumerate(solvers):
@@ -298,8 +297,8 @@ class TestGhostSitesInTheSpan:
     @pytest.mark.parametrize("periodic", [True, False])
     def test_single_solver(self, dtype, periodic):
         ref = _flow(self.SHAPE, "split", 1, periodic, dtype)
-        aa = _flow(self.SHAPE, "aa", 1, periodic, dtype)
-        _poisoning_odd_phase(aa._enter_aa(), np.random.default_rng(2))
+        aa = _flow(self.SHAPE, "auto", 1, periodic, dtype)
+        _poisoning_odd_phase(aa._aa_kernel, np.random.default_rng(2))
         for step in range(1, 7):
             ref.step(1)
             aa.step(1)
@@ -310,7 +309,7 @@ class TestGhostSitesInTheSpan:
     def test_stacked_arena(self, dtype):
         refs = [_flow(self.SHAPE, "split", seed, dtype=dtype)
                 for seed in range(3)]
-        members = [_flow(self.SHAPE, "aa", seed, dtype=dtype)
+        members = [_flow(self.SHAPE, "auto", seed, dtype=dtype)
                    for seed in range(3)]
         _poisoning_odd_phase(_stacked(members), np.random.default_rng(3))
         for step in range(1, 7):
@@ -341,7 +340,7 @@ class TestAllMessageRanks:
     def test_phases_write_only_what_the_sweep_owns(self):
         ref = _flow((8, 8, 8), "split", 7)
         cfg = ClusterConfig(sub_shape=(4, 4, 4), arrangement=(2, 2, 2),
-                            tau=0.7, solid=ref.solid, kernel="aa")
+                            tau=0.7, solid=ref.solid)
         rng = np.random.default_rng(8)
         with CPUClusterLBM(cfg) as cluster:
             (kernel,) = cluster._stack.kernels
@@ -399,7 +398,7 @@ class TestSpanTails:
     @pytest.mark.parametrize("shape", SHAPES)
     def test_single_domain(self, shape, periodic):
         ref = _flow(shape, "split", 4, periodic)
-        aa = _flow(shape, "aa", 4, periodic)
+        aa = _flow(shape, "auto", 4, periodic)
         for step in range(1, 5):
             ref.step(1)
             aa.step(1)
@@ -410,7 +409,7 @@ class TestSpanTails:
     @pytest.mark.parametrize("shape", SHAPES)
     def test_stacked_arena(self, shape, periodic):
         refs = [_flow(shape, "split", seed, periodic) for seed in (4, 5)]
-        members = [_flow(shape, "aa", seed, periodic) for seed in (4, 5)]
+        members = [_flow(shape, "auto", seed, periodic) for seed in (4, 5)]
         _stacked(members)
         for step in range(1, 5):
             for ref, aa in zip(refs, members):
@@ -425,13 +424,13 @@ class TestSpanTails:
         ref = _flow((8, 6, nz), "split", 5, periodic)
         cfg = ClusterConfig(sub_shape=(4, 3, nz), arrangement=(2, 2, 1),
                             tau=0.7, solid=ref.solid,
-                            periodic=(periodic,) * 3, kernel="aa")
+                            periodic=(periodic,) * 3)
         self._against(cfg, ref)
 
     def test_uneven_cuts_sweep_two_arenas(self):
         ref = _flow((8, 6, 19), "split", 6)
         cfg = ClusterConfig(sub_shape=(4, 6, 19), arrangement=(2, 1, 1),
-                            tau=0.7, solid=ref.solid, kernel="aa",
+                            tau=0.7, solid=ref.solid,
                             cuts=((3, 5), (6,), (19,)))
         assert len(self._against(cfg, ref)) == 2
 
@@ -458,7 +457,7 @@ class TestSolidSitesInTheEvenPhase:
         solid = np.zeros(shape, bool)
         solid[2, 2, 1] = solid[4, 1, 2] = True
         pair = []
-        for kernel in ("split", "aa"):
+        for kernel in ("split", "auto"):
             s = LBMSolver(shape, tau=0.7, solid=solid, kernel=kernel)
             f = s.f.copy()
             f[3, 2, 2, 1] = -0.0
@@ -469,19 +468,19 @@ class TestSolidSitesInTheEvenPhase:
             ref.step(1)
             aa.step(1)
             assert np.array_equal(aa.f, ref.f), step
-        aa = LBMSolver(shape, tau=0.7, solid=solid, kernel="aa")
+        aa = LBMSolver(shape, tau=0.7, solid=solid)
         f = aa.f.copy()
         f[5, 4, 1, 2] = np.inf
         aa.load_distributions(f)
         with np.errstate(invalid="ignore"):
-            aa._enter_aa().even_phase()
+            aa._aa_kernel.even_phase()
         assert np.isnan(aa.fg[:, 5, 2, 3]).all()         # padded coords
         assert np.isfinite(aa.f[:, ~solid]).all()
 
 
 class TestWorkspace:
     def test_steady_state_step_allocates_nothing(self):
-        s = _bounded_box((24, 40, 16), "aa", handlers=False)
+        s = _bounded_box((24, 40, 16), "auto", handlers=False)
         s.step(4)                   # kernel, index lists, bounce scratch
         tracemalloc.start()
         s.step(2)
@@ -494,7 +493,7 @@ class TestWorkspace:
         cluster's batch phase — allocates no array: what tracemalloc
         sees is the call's few argument objects, far below the
         smallest population plane here (78 KB)."""
-        s = _bounded_box((24, 40, 16), "aa", handlers=False)
+        s = _bounded_box((24, 40, 16), "auto", handlers=False)
         s.step(4)
         k = s._aa_kernel
         cfg = ClusterConfig(sub_shape=(6, 6, 4), arrangement=(2, 2, 1),
@@ -575,7 +574,7 @@ class TestSweepClosure:
     def test_first_axis_extents(self, lattice, dtype, periodic, nx):
         shape = (nx,) + _rest(lattice)
         _assert_on_split(
-            _closure_case(shape, "aa", lattice, dtype, periodic),
+            _closure_case(shape, "auto", lattice, dtype, periodic),
             _closure_case(shape, "split", lattice, dtype, periodic), 8)
 
     @pytest.mark.parametrize("nx", [2, 3, 4, 9])
@@ -584,7 +583,7 @@ class TestSweepClosure:
     def test_inlet_outflow_handlers(self, lattice, dtype, nx):
         shape = (nx,) + _rest(lattice)
         _assert_on_split(
-            _closure_case(shape, "aa", lattice, dtype, handlers=True),
+            _closure_case(shape, "auto", lattice, dtype, handlers=True),
             _closure_case(shape, "split", lattice, dtype, handlers=True), 8)
 
     @pytest.mark.parametrize("periodic", [True, False],
@@ -592,12 +591,12 @@ class TestSweepClosure:
     @pytest.mark.parametrize("lattice", [D3Q19, D2Q9], ids=["D3Q19", "D2Q9"])
     def test_hand_driven_phases(self, lattice, periodic):
         """``collide -> fill_ghosts -> stream -> post_stream`` on a
-        forced-AA solver: ``fill_ghosts`` is a no-op, ``post_stream``
+        default (AA) solver: ``fill_ghosts`` is a no-op, ``post_stream``
         skips the swap the odd sweep did, the bits are ``split``'s."""
         shape = (6,) + _rest(lattice)
         kw = dict(lattice=lattice, periodic=periodic,
                   handlers=not periodic)
-        _assert_on_split(_closure_case(shape, "aa", **kw),
+        _assert_on_split(_closure_case(shape, "auto", **kw),
                          _closure_case(shape, "split", **kw), 8,
                          advance=_hand_step)
 
@@ -606,10 +605,10 @@ class TestSweepClosure:
         """``post_stream`` swaps no solid site of a single-domain AA
         solver's array (the odd sweep did; a reconstruction swaps its
         own copy), but does on a managed rank."""
-        s = _closure_case((6, 5, 4), "aa", handlers=True)
+        s = _closure_case((6, 5, 4), "auto", handlers=True)
         ref = _closure_case((6, 5, 4), "split", handlers=True)
         calls = []
-        k = s._enter_aa()
+        k = s._aa_kernel
         for owner, name in ((k, "bounce"), (s._bounce, "apply")):
             method = getattr(owner, name)
             setattr(owner, name, lambda fg, m=method: (
@@ -619,7 +618,7 @@ class TestSweepClosure:
         assert calls and not any(calls)
         calls.clear()
         cfg = ClusterConfig(sub_shape=(3, 5, 4), arrangement=(2, 1, 1),
-                            tau=0.7, solid=ref.solid, kernel="aa")
+                            tau=0.7, solid=ref.solid)
         with CPUClusterLBM(cfg) as cluster:
             cluster.step(1)
             for rank in cluster._stack.solvers:
@@ -633,9 +632,9 @@ class TestSweepClosure:
     def test_each_fused_call_allocates_under_4kb(self, periodic):
         """A closing phase call, single and stacked rank by rank,
         allocates no array: tracemalloc sees only argument objects."""
-        s = _closure_case((12, 10, 8), "aa", periodic=periodic)
+        s = _closure_case((12, 10, 8), "auto", periodic=periodic)
         s.step(2)
-        members = [_closure_case((6, 5, 4), "aa", seed=seed)
+        members = [_closure_case((6, 5, 4), "auto", seed=seed)
                    for seed in (1, 2)]
         batch = _stacked(members)
         for call in (s._aa_kernel.even_phase, s._aa_kernel.odd_phase,

@@ -161,14 +161,13 @@ class TestBoundedDomain:
         assert np.allclose(cluster.gather_distributions(), ref.f, atol=2e-7)
 
     def test_bounded_aa_matches_reference_all_backends(self, rng):
-        """Forced-AA bounded domain (inlet + outflow): the boundary-
+        """Default (AA) bounded domain (inlet + outflow): the boundary-
         aware reverse protocol must reproduce the reference bits on
         every execution backend, at every step parity."""
         for backend in ("serial", "processes"):
             solid, ref, f0 = _bounded_city(rng)
             cfg = ClusterConfig(sub_shape=(8, 6, 6), arrangement=(2, 2, 1),
                                 tau=0.7, solid=solid, backend=backend,
-                                kernel="aa",
                                 periodic=(False, False, False),
                                 inlet=_BOUNDED_INLET,
                                 outflow=_BOUNDED_OUTFLOW)
@@ -193,7 +192,7 @@ class TestBoundedDomain:
         solid, ref, f0 = _bounded_city(rng, shape=shape, half=True)
         cuts = ((7, 9), (6, 6), (6,))
         cfg = ClusterConfig(sub_shape=(8, 6, 6), arrangement=(2, 2, 1),
-                            tau=0.7, solid=solid, kernel="aa", cuts=cuts,
+                            tau=0.7, solid=solid, cuts=cuts,
                             periodic=(False, False, False),
                             inlet=_BOUNDED_INLET, outflow=_BOUNDED_OUTFLOW)
         with CPUClusterLBM(cfg) as cluster:

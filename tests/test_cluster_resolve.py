@@ -1,10 +1,11 @@
 """Cluster-wide kernel resolution by rule.
 
 The coordinator resolves ``aa`` for every CPU rank iff the configured
-kernel is ``"auto"`` or ``"aa"`` and the run is numeric, body force or
-not; otherwise every rank runs ``split``.  Each rank is built with
-its ``halo_faces`` (or None) accordingly and resolves the same kernel
-again by the solver's rule.  Nothing is measured, so no assertion here
+kernel is ``"auto"`` and the run is numeric, body force or not;
+otherwise every rank runs ``split``.  Each rank is built with its
+``halo_faces`` (or None) accordingly, and its solver, resolving its
+kernel by its own rule, agrees (the node refuses a rank that does
+not).  Nothing is measured, so no assertion here
 depends on timing.
 """
 
@@ -255,15 +256,15 @@ class TestSerialRanksCollideWhole:
 
 class TestResolutionScope:
     @pytest.mark.parametrize("kwargs, kernel", [
-        ({"kernel": "split"}, "split"), ({"kernel": "aa"}, "aa"),
-        ({"force": FORCE}, "aa"), ({"kernel": "aa", "force": FORCE},
+        ({"kernel": "split"}, "split"), ({}, "aa"),
+        ({"force": FORCE}, "aa"), ({"kernel": "auto", "force": FORCE},
                                    "aa"),
-        ({"kernel": "aa", "timing_only": True}, "split")],
+        ({"kernel": "auto", "timing_only": True}, "split")],
         ids=[f"kwargs{i}" for i in range(5)])
     def test_nothing_to_resolve(self, kwargs, kernel):
         """Nothing is measured: every configuration resolves by the
-        rule alone, and ranks follow the cluster's answer (a forced
-        ``"aa"`` the cluster cannot run falls back to ``"split"``)."""
+        rule alone, and ranks follow the cluster's answer (a
+        timing-only run resolves ``"split"``)."""
         cfg = ClusterConfig(sub_shape=(6, 6, 4), arrangement=(2, 1, 1),
                             tau=0.7, **kwargs)
         with CPUClusterLBM(cfg) as cluster:

@@ -1,13 +1,11 @@
 """The default single-domain solver runs the in-place kernel.
 
-``LBMSolver(...)`` with no kernel named resolves ``aa`` by rule when it
-is stepped through ``step()`` and nothing rules the kernel out; every
-other configuration, and every solver driven through its phase entry
-points, resolves as before.  These tests pin the rule, its fallbacks,
-and what happens when eligibility changes in the middle of a run: the
-array is handed between the in-place and the two-array paths in
-canonical form, at either parity.  The oracle throughout is a
-``kernel="split"`` twin, compared bit for bit after *every* step.
+``LBMSolver(...)`` with no kernel named resolves ``aa`` by rule, once,
+at construction, unless something rules the kernel out, and runs it
+whoever drives it: ``step()``, a hand-driven phase sequence or a
+cluster rank.  These tests pin the rule, its fallbacks, and the
+hand-driven contract.  The oracle throughout is a ``kernel="split"``
+twin, compared bit for bit after *every* step.
 """
 
 from __future__ import annotations
@@ -226,9 +224,17 @@ class TestDefaultResolvesAA:
             scenario.make_single_solver(**kwargs)
 
     def test_removed_kernel_value_rejected(self):
-        for kernel in ("fused", "sparse"):
-            with pytest.raises(ValueError, match="'auto', 'split' or 'aa'"):
+        for kernel in ("fused", "sparse", "aa"):
+            with pytest.raises(ValueError, match="'auto' or 'split'"):
                 LBMSolver(SHAPE, tau=0.7, kernel=kernel)
+
+    def test_boundaries_are_a_tuple(self):
+        """No handler can be added after construction, so the kernel
+        resolved there stays eligible for the solver's whole life."""
+        s = LBMSolver(SHAPE, tau=0.7, periodic=False,
+                      boundaries=_inlet_outflow())
+        assert isinstance(s.boundaries, tuple) and len(s.boundaries) == 2
+        assert s.kernel_used == "aa"
 
 
 class TestFallbacks:
@@ -270,35 +276,28 @@ class TestFallbacks:
             s.step(2)
             assert s.kernel_used == "aa"
 
-    def test_phase_driven_never_aa(self):
-        s = LBMSolver((8, 8, 8), tau=0.7)
-        s.phase_driven = True
-        assert s._select_kernel(whole_step=True) == "split"
-        assert s._select_kernel() == "split"
-        assert s.kernel_reason.endswith("driven phase by phase")
-
-    def test_forced_paths_untouched(self, post_stream_only):
-        """A named kernel is forced while the kernel's own ``eligible``
-        holds; a handler with no face sends a forced ``aa`` to
-        ``split``."""
+    def test_forced_paths_untouched(self):
+        """A named ``split`` is forced on a configuration the rule
+        would send to ``aa``, from construction."""
+        s = LBMSolver((8, 8, 8), tau=0.7, kernel="split")
+        assert s.kernel_used == "split" and s._aa_kernel is None
+        assert s.kernel_reason == "forced kernel='split'"
         assert self._used(kernel="split") == "split"
-        s = LBMSolver((8, 8, 8), tau=0.7, kernel="aa")
-        s.phase_driven = True
-        assert s._select_kernel() == "aa"
-        assert s.kernel_reason == "forced kernel='aa'"
-        s.boundaries.append(post_stream_only())
-        assert s._select_kernel() == "split"
-        assert "ineligible" in s.kernel_reason
 
-    def test_halo_managed_phase_driven_runs_aa(self, post_stream_only):
-        """The rule's AA line for a rank whose driver closes the halo."""
-        s = LBMSolver((8, 8, 8), tau=0.7, periodic=False)
-        s.phase_driven = True
-        s.halo_faces = ("zero",) * 6
-        assert s._select_kernel() == "aa"
-        assert s.kernel_reason == "rule: AA halo closed by the cluster driver"
-        s.boundaries.append(post_stream_only())
-        assert s._select_kernel() == "split"
+    def test_cpu_node_refuses_a_kernel_face_row_mismatch(self):
+        """A rank's kernel and its ``halo_faces`` must agree (AA with a
+        face row, ``split`` without one); the node raises before any
+        step."""
+        from repro.core.cpu_node import CPUNode
+        faces = ("zero",) * 6
+        with pytest.raises(ValueError, match="halo_faces"):
+            CPUNode(0, (4, 4, 4), tau=0.7, kernel="split", halo_faces=faces)
+        with pytest.raises(ValueError, match="halo_faces"):
+            CPUNode(0, (4, 4, 4), tau=0.7)
+        assert CPUNode(0, (4, 4, 4), tau=0.7,
+                       halo_faces=faces).kernel_used == "aa"
+        assert CPUNode(0, (4, 4, 4), tau=0.7,
+                       kernel="split").kernel_used == "split"
 
     def test_auto_cluster_bit_identical_to_split(self):
         """A default city cluster resolves ``aa`` by rule and matches a
@@ -325,27 +324,28 @@ class TestFallbacks:
 
 
 class TestHandDrivenPhases:
-    """The rule is reachable from ``step()`` only: a bare solver driven
-    phase by phase runs split unless its driver closes the AA halo
-    (the SPMD rank program does)."""
+    """The kernel is decided at construction, so a bare solver driven
+    phase by phase runs the same in-place kernel ``step()`` does, as
+    long as its driver advances ``time_step`` after ``post_stream``."""
 
-    @pytest.mark.parametrize("advance", [True, False],
-                             ids=["time_step_advanced", "time_step_frozen"])
-    def test_fresh_default_solver_runs_split_and_matches(self, advance):
-        hand, split = _twins(solid=lambda: _city_like(SHAPE))
-        for t in range(1, 5):
+    @pytest.mark.parametrize("config", ["periodic", "bounded_city"])
+    def test_fresh_default_solver_runs_aa(self, config):
+        kw = ({} if config == "periodic" else
+              {"periodic": False, "boundaries": _inlet_outflow})
+        hand, split = _twins(solid=lambda: _city_like(SHAPE), **kw)
+        assert hand.kernel_used == "aa" and hand._aa_kernel is not None
+        for t in range(1, 10):
             hand.collide()
             hand.fill_ghosts()
             hand.stream()
             hand.post_stream()
-            if advance:
-                hand.time_step += 1
+            hand.time_step += 1
             split.step(1)
-            assert hand.kernel_used == "split"
-            assert hand._aa_kernel is None
-            assert np.array_equal(hand.f, split.f), f"step {t}"
+            assert hand.kernel_used == "aa"
+            _assert_same_state(hand, split, f"at step {t} ({config})")
+        assert hand._fg_next_buf is None
 
-    def test_spmd_solvers_are_marked_phase_driven(self, monkeypatch):
+    def test_spmd_ranks_carry_halo_faces_and_run_aa(self, monkeypatch):
         from repro.core import cpu_node
         from repro.core.decomposition import BlockDecomposition
         from repro.core.spmd import SPMDClusterLBM
@@ -360,99 +360,6 @@ class TestHandDrivenPhases:
         SPMDClusterLBM(decomp, tau=0.7).run(2)
         assert len(nodes) == decomp.n_nodes
         for node in nodes:
-            assert node.solver.phase_driven
             assert node.solver.halo_faces is not None
             assert node.kernel_used == "aa"
-            assert node.kernel_reason == (
-                "rule: AA halo closed by the cluster driver")
-
-
-class TestEnterAndLeaveMidRun:
-    """Eligibility drifting mid-run hands the array over canonical, in
-    both directions and at both parities."""
-
-    @pytest.mark.parametrize("aa_steps", [1, 2, 3],
-                             ids=["odd", "even", "odd_again"])
-    @pytest.mark.parametrize("how", ["handler", "load", "hand_phase"])
-    def test_leaving_aa(self, aa_steps, how, post_stream_only):
-        default, split = _twins(solid=lambda: _city_like(SHAPE))
-        for _ in range(aa_steps):
-            default.step(1)
-            split.step(1)
-        assert default.kernel_used == "aa"
-        if how == "handler":
-            default.boundaries.append(post_stream_only())
-        elif how == "load":
-            # A canonical load is legal at either parity; the handler
-            # appended with it then runs on a canonical array.
-            default.load_distributions(split.f)
-            default.boundaries.append(post_stream_only())
-        for t in range(4):
-            if how == "hand_phase":
-                default.collide()
-                default.fill_ghosts()
-                default.stream()
-                default.post_stream()
-                default.time_step += 1
-            else:
-                default.step(1)
-            split.step(1)
-            assert default.kernel_used == "split"
-            assert default._aa_kernel is None
-            _assert_same_state(default, split,
-                               f"{t + 1} steps after leaving AA at "
-                               f"step {aa_steps} ({how})")
-        # The live view is writable again at any parity.
-        default.f[...] = split.f
-
-    @pytest.mark.parametrize("other_steps", [1, 2, 3],
-                             ids=["odd", "even", "odd_again"])
-    def test_entering_aa(self, other_steps, post_stream_only):
-        blocker = post_stream_only()
-        default, split = _twins(solid=lambda: _city_like(SHAPE),
-                                boundaries=[blocker])
-        for _ in range(other_steps):
-            default.step(1)
-            split.step(1)
-        assert default.kernel_used == "split"
-        default.boundaries.remove(blocker)
-        for t in range(4):
-            default.step(1)
-            split.step(1)
-            assert default.kernel_used == "aa"
-            _assert_same_state(default, split,
-                               f"{t + 1} steps after entering AA at "
-                               f"step {other_steps}")
-
-    def test_there_and_back_again(self, post_stream_only):
-        default, split = _twins(solid=lambda: _city_like(SHAPE),
-                                periodic=False, boundaries=_inlet_outflow)
-        used = []
-        blocker = post_stream_only()
-        for t in range(9):
-            if t % 3 == 1:                  # out at t = 1, 4, 7
-                default.boundaries.append(blocker)
-            elif blocker in default.boundaries:
-                default.boundaries.remove(blocker)
-            default.step(1)
-            split.step(1)
-            used.append(default.kernel_used)
-            _assert_same_state(default, split, f"at step {t + 1}")
-        assert used == ["aa", "split", "aa"] * 3
-
-    def test_forced_aa_fallback_mid_pair_is_canonical(self, post_stream_only):
-        """The case that bit before the rule existed: forced
-        ``kernel="aa"`` losing eligibility at odd parity."""
-        aa = LBMSolver(SHAPE, tau=0.7, kernel="aa")
-        split = LBMSolver(SHAPE, tau=0.7, kernel="split")
-        _seed([aa, split])
-        aa.step(1)
-        split.step(1)
-        for s in (aa, split):
-            s.boundaries.append(post_stream_only())
-        for t in range(3):
-            aa.step(1)
-            split.step(1)
-            assert aa.kernel_used == "split"
-            assert "ineligible" in aa.kernel_reason
-            _assert_same_state(aa, split, f"{t + 1} steps after fallback")
+            assert node.kernel_reason.startswith("rule:")

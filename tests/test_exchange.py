@@ -173,8 +173,9 @@ class TestMergedBitIdentity:
     def test_aa_forward_reverse(self, rng, backend):
         ref_f, f0 = _reference(SHAPE, 0.7, rng)
         cfg = ClusterConfig(sub_shape=SUB, arrangement=ARRANGEMENT, tau=0.7,
-                            kernel="aa", backend=backend)
+                            backend=backend)
         with CPUClusterLBM(cfg) as cluster:
+            assert cluster.resolved_kernel == "aa"
             cluster.load_global_distributions(f0)
             cluster.step(4)
             assert np.array_equal(cluster.gather_distributions(), ref_f)

@@ -310,7 +310,7 @@ def test_matrix_reference_is_the_single_domain_solver(periodic):
 @given(arrangement=st.tuples(*[st.integers(1, 3)] * 3),
        periodic=st.tuples(*[st.booleans()] * 3),
        cut_picks=st.tuples(*[st.integers(0, 4)] * 3),
-       kernel=st.sampled_from(["split", "aa"]),
+       kernel=st.sampled_from(["split", "auto"]),
        backend=st.sampled_from(["serial", "processes"]),
        steps=st.integers(1, 5), seed=st.integers(0, 10 ** 6))
 @settings(max_examples=40, deadline=None)

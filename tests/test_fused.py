@@ -98,15 +98,6 @@ class TestFusedMachinery:
         s.step(2)
         assert s.kernel_used == "split"
 
-    def test_boundary_added_after_construction_falls_back(self,
-                                                         post_stream_only):
-        s = LBMSolver((8, 8, 8), tau=0.7)
-        s.step(1)
-        assert s.kernel_used == "aa"
-        s.boundaries.append(post_stream_only())
-        s.step(1)
-        assert s.kernel_used == "split"
-
     def test_workspace_reused_across_steps(self):
         s = LBMSolver(SHAPE, tau=0.7)
         s.step(1)

@@ -101,10 +101,7 @@ def test_no_compiler_resolves_split_and_says_why(cache, monkeypatch):
     monkeypatch.setenv("PATH", "")
     s = stepped("auto")
     assert s.kernel_used == "split" and "no C compiler" in s.kernel_reason
-    forced = stepped("aa")
-    assert forced.kernel_used == "split"
-    assert "no C compiler" in forced.kernel_reason
-    assert _digest(s) == _digest(forced)
+    assert _digest(s) == _digest(stepped("split"))
 
     shape = (8, 6, 4)
     ref = LBMSolver(shape, tau=0.7, kernel="split")

@@ -2,9 +2,9 @@
 
 The fluid-compacted ``sparse`` kernel is gone and occupancy plays no
 part in the rule, so a solid-heavy domain resolves exactly as an empty
-one.  These tests pin the fallbacks on that mask (a forced ``"aa"`` the
-solver cannot run steps ``split``) and the rejection of kernel names
-that select no code.
+one.  These tests pin the fallbacks on that mask (a default solver the
+in-place kernel cannot serve steps ``split``) and the rejection of
+kernel names that select no code.
 """
 
 import numpy as np
@@ -26,14 +26,14 @@ def _city_solid(shape=CITY_SHAPE):
 class TestKernelSelection:
     def test_mrt_falls_back_to_split(self):
         s = LBMSolver(CITY_SHAPE, tau=0.7, solid=_city_solid(),
-                      collision="mrt", kernel="aa")
+                      collision="mrt")
         assert s.solid_fraction > 0.5
         s.step(2)
         assert s.kernel_used == "split"
         assert s._aa_kernel is None
-        assert "fell back to split" in s.kernel_reason
+        assert s.kernel_reason == "rule: non-BGK collision"
 
     def test_invalid_kernel_name_rejected(self):
-        for kernel in ("dense", "sparse"):
+        for kernel in ("dense", "sparse", "aa"):
             with pytest.raises(ValueError, match="kernel"):
                 LBMSolver((8, 8, 8), tau=0.7, kernel=kernel)
