@@ -284,7 +284,7 @@ def _cmd_doctor(args) -> int:
             (native.AA, "AA sweep", "the kernel rules resolve split"),
             (UNIT, "GPU fragment programs", "macro/collide run numpy")):
         lib, missing = native.load(D3Q19, np.float32, unit)
-        info = native.describe(D3Q19, np.float32, unit)
+        info = lib.info if lib is not None else native.describe(D3Q19, np.float32, unit)
         print(f"compiled {what} (D3Q19 float32): cache {info['cache']}")
         print(f"  compiler {info['compiler']}  flags {info['flags']}")
         print(f"  key {info['key']}  object {info['path']}")

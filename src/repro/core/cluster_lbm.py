@@ -35,9 +35,8 @@ import numpy as np
 
 from repro.core.cpu_node import CPUNode, cluster_kernel
 from repro.core.decomposition import BlockDecomposition, arrange_nodes_2d
-from repro.core.exchange import (attach_recorder, exchange_all, halo_faces,
-                                 local_engines)
-from repro.core.gpu_node import GPUNode
+from repro.core.exchange import RankLoop, attach_recorder, halo_faces, local_engines
+from repro.core.gpu_node import GPUNode, GPURankGroup
 from repro.core.halo import HaloPlan
 from repro.core.procpool import ProcessBackend
 from repro.core.schedule import CommSchedule
@@ -122,8 +121,11 @@ class ClusterConfig:
           arena per block shape, each step sweeps each arena with one
           AA phase and exchanges halos along the rank axis
           (:mod:`repro.core.stack`, :attr:`CPUClusterLBM.stacked`).
-          Simulated-GPU ranks, ``split`` ranks and timing-only ranks
-          are advanced one after another.
+          Numeric simulated-GPU ranks step as one group, each phase
+          one compiled call over all of them split across the host's
+          CPUs (:class:`GPURankGroup`); ``split`` ranks, timing-only
+          ranks and GPU ranks on the per-pass engine are advanced one
+          after another.
         * ``"processes"``: one persistent worker process per rank with
           shared-memory sub-domains and zero-copy halo mailboxes
           (:mod:`repro.core.procpool`) — ranks genuinely run in
@@ -296,15 +298,13 @@ class _ClusterLBMBase:
         self._halo_meta = {
             "bytes": sum(sum(rnd) for rnd in self.schedule.round_bytes()),
             "msgs": sum(sum(rnd) for rnd in self.schedule.round_messages())}
-        #: One halo engine per in-process rank (the processes backend's
-        #: workers each own theirs; timing-only nodes exchange nothing;
-        #: stacked ranks exchange along the rank axis).
-        self._halo = None
-        if (self._proc_backend is None and not config.timing_only
-                and self._stack is None):
-            self._halo = local_engines(self.decomp, self.nodes,
-                                       aa=self.aa_protocol,
-                                       recorder=self.recorder)
+        #: How the serial backend steps its ranks: the stacked arena, or
+        #: one halo engine per in-process rank (timing-only nodes
+        #: exchange nothing) under :meth:`_rank_program`.
+        self._ranks = self._stack
+        if self._proc_backend is None and self._stack is None:
+            self._ranks = self._rank_program(None if config.timing_only else local_engines(
+                self.decomp, self.nodes, aa=self.aa_protocol, recorder=self.recorder))
 
     @property
     def counters(self) -> Recorder:
@@ -314,6 +314,10 @@ class _ClusterLBMBase:
     def _resolve_kernel(self) -> tuple[str, str]:
         """The cluster's kernel and its reason (GPU nodes: as configured)."""
         return self.config.kernel, f"configured kernel={self.config.kernel!r}"
+
+    def _rank_program(self, halo):
+        """The serial ranks' step when they are not stacked."""
+        return RankLoop(self.nodes, halo, self.recorder)
 
     def _stacks(self) -> bool:
         """Whether the serial ranks are swept as one stacked lattice
@@ -349,10 +353,10 @@ class _ClusterLBMBase:
 
         One row per rank — ``{"rank", "kernel", "solid_fraction",
         "reason", "block", "cells"}`` — for the timing summary: which
-        kernel the rank runs (``"aa"``, ``"split"``, ``"gpu"``,
-        ``"model"`` on a timing-only rank, or ``"unstepped"`` before a
-        worker process's first step reply), the rank-local solid fraction and *why* the
-        kernel was selected (forced or the solver's rule).  ``block``
+        kernel the rank runs (``"aa"``, ``"split"``, ``"gpu"``, or
+        ``"model"`` on a timing-only rank; a worker process reports its
+        rank's when it is ready), the rank-local solid fraction and
+        *why* the kernel was selected (forced or the solver's rule).  ``block``
         and ``cells`` are the rank's block shape and cell count
         (unequal under explicit non-uniform ``cuts``).
 
@@ -455,46 +459,32 @@ class _ClusterLBMBase:
         """Run the halo exchange — per axis every rank posts, then every
         rank completes — as the ``cluster.exchange`` region."""
         with self.recorder.phase("cluster.exchange", **self._halo_meta):
-            if self._stack is not None:
-                self._stack.exchange()
-            else:
-                exchange_all(self._halo, self.recorder)
+            self._ranks.exchange()
 
     def step(self, n: int = 1) -> StepTiming:
         """Advance ``n`` time steps; returns the last step's timing.
 
         Every step collides, exchanges (numeric runs), then streams, on
-        the calling thread: node by node, or — :attr:`stacked` — one
-        AA phase per arena and the rank-axis exchange.  A GPU node
-        models the Sec-4.4 window in its collide's device charges
+        the calling thread: node by node (:class:`RankLoop`), or
+        together — :attr:`stacked` CPU ranks one AA phase per arena and
+        the rank-axis exchange, compiled GPU ranks one call per phase
+        (:class:`GPURankGroup`).  A GPU node models the Sec-4.4 window
+        in its collide's device charges
         (:meth:`GPUNode.collide_phase`).  Each step is one
         ``cluster.step`` region.
         """
         if self._proc_backend is not None:
             return self._step_processes(n)
         timing = self.last_timing
-        rec, stack = self.recorder, self._stack
+        rec, ranks = self.recorder, self._ranks
         for _ in range(n):
             rec.begin_step(self.time_step)
             with rec.phase("cluster.step"):
-                if stack is None:
-                    for node in self.nodes:
-                        node.begin_step()
-                    for node in self.nodes:
-                        node.collide_phase()
-                else:
-                    stack.collide()
+                ranks.collide()
                 if not self.config.timing_only:
                     self._exchange()
-                if stack is None:
-                    for node in self.nodes:
-                        node.charge_transfers()
                 net_total = self._net_total()
-                if stack is None:
-                    for node in self.nodes:
-                        node.finish_step()
-                else:
-                    stack.finish()
+                ranks.finish()
                 timing = self._timing(net_total)
             self.time_step += 1
             if self.telemetry is not None:
@@ -594,6 +584,12 @@ class GPUClusterLBM(_ClusterLBMBase):
     def _make_node(self, rank: int, solid):
         return GPUNode(rank, bus=self.config.bus,
                        **self._node_args(rank, solid))
+
+    def _rank_program(self, halo):
+        """Numeric ranks step as a group (:class:`GPURankGroup`)."""
+        if halo is None:
+            return super()._rank_program(halo)
+        return GPURankGroup(self.nodes, halo, self.recorder)
 
     def _node_distributions(self, node) -> np.ndarray:
         return node.solver.distributions()

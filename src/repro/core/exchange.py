@@ -27,7 +27,8 @@ and MPI paths are bindings of one pack -> transport -> unpack concept:
   there, an SPMD rank on its receives;
 * :func:`step_rank` — such a rank's whole time step around the
   exchange (begin, collide, exchange, charge, finish), shared by the
-  worker processes and the SPMD ranks;
+  worker processes and the SPMD ranks; :class:`RankLoop` is the serial
+  driver's, over every in-process rank at once;
 * a **transport** of three calls — ``outbox(peer, axis, sides, floats)
   -> buffer to pack into``, ``send(peer, axis, sides, buf)``,
   ``recv(peer, axis, sender_sides) -> buffer``; every message is the
@@ -325,6 +326,34 @@ def exchange_all(engines: list[HaloExchange],
         for ex in engines:
             ex.complete(axis, mode)
     recorder.metric("comm.msgs", msgs)
+
+
+class RankLoop:
+    """The serial driver's step of in-process ranks, node by node:
+    :meth:`collide` (begin and collide each), :meth:`exchange`
+    (:func:`exchange_all`), :meth:`finish` (charge the transfers and
+    finish each).  The ranks that are stepped together instead —
+    :class:`~repro.core.stack.RankStack`,
+    :class:`~repro.core.gpu_node.GPURankGroup` — offer the same three
+    calls."""
+
+    def __init__(self, nodes, halo, recorder: Recorder = NULL_RECORDER) -> None:
+        self.nodes, self.halo, self.recorder = list(nodes), halo, recorder
+
+    def collide(self) -> None:
+        for node in self.nodes:
+            node.begin_step()
+        for node in self.nodes:
+            node.collide_phase()
+
+    def exchange(self) -> None:
+        exchange_all(self.halo, self.recorder)
+
+    def finish(self) -> None:
+        for node in self.nodes:
+            node.charge_transfers()
+        for node in self.nodes:
+            node.finish_step()
 
 
 def _layer_index(axis: int, links, ranks, layer: int) -> tuple:

@@ -14,7 +14,8 @@ side of the cluster protocol:
 * stream, bounce-back, inlet and outflow.
 
 Compiled, each is one call into :data:`repro.gpu.lbm_gpu.UNIT` (one per
-face copy); without a compiler, the per-pass engine runs them.
+face copy; :class:`GPURankGroup` makes one per phase for all ranks);
+without a compiler, the per-pass engine runs them.
 
 In ``timing_only`` mode no numerics run: the node reports the same
 timing decomposition from the closed-form model, allowing paper-scale
@@ -23,11 +24,14 @@ timing decomposition from the closed-form model, allowing paper-scale
 
 from __future__ import annotations
 
+from time import perf_counter
+
 import numpy as np
 
+from repro.core.exchange import RankLoop
 from repro.gpu.device import SimulatedGPU
 from repro.gpu.fragment import FragmentProgram
-from repro.gpu.lbm_gpu import COLLIDE, CROSSING, GPULBMSolver
+from repro.gpu.lbm_gpu import COLLIDE, CROSSING, GPULBMSolver, threads
 from repro.gpu.packing import link_location
 from repro.gpu.specs import AGP_8X, GEFORCE_FX_5800_ULTRA, BusSpec, GPUSpec
 from repro.perf import calibration as cal
@@ -91,6 +95,11 @@ class GPUNode:
         # The modeled border and AGP terms are constant per node.
         self._border_s = self._border_compute_s()
         self._agp_s = self._model_agp_s()
+        #: ``(id(manifest), how)`` -> the manifest, the buffer and its
+        #: face calls (:meth:`_wire`).
+        self._wires: dict[tuple, tuple] = {}
+        #: ``(axis, direction)`` -> its zero-gradient fill's face table.
+        self._fills: dict[tuple, int] = {}
         # Per-step timing buckets (seconds).
         self.compute_s = 0.0
         self.agp_s = 0.0
@@ -181,11 +190,18 @@ class GPUNode:
                 before = device.clock_s
                 for rect, zr in inner:
                     solver.charge_collide_passes(rect, zr)
+                self.overlap_window_s = device.clock_s - before
             else:
-                device.apply(self._plan[0])
-                before = device.clock_s
-                device.apply(self._plan[1])
-            self.overlap_window_s = device.clock_s - before
+                self.charge_collide()
+
+    def charge_collide(self) -> None:
+        """Charge the compiled collide's plan: the shell rectangles',
+        then the inner ones' (the window)."""
+        device = self.device
+        device.apply(self._plan[0])
+        before = device.clock_s
+        device.apply(self._plan[1])
+        self.overlap_window_s = device.clock_s - before
 
     # -- the halo engine's port, over textures (see core.exchange) --------
     def read_packed(self, manifest, out: np.ndarray) -> np.ndarray:
@@ -200,30 +216,51 @@ class GPUNode:
     def _wire(self, manifest, buf: np.ndarray, how: int) -> None:
         """Gather (``how`` 1) the border planes into, or scatter (2) the
         ghost planes from, a message ``buf`` (GPU ranks run the pull
-        exchange only), segment by segment: one face call each for a
-        float32 buffer when compiled, else
-        :meth:`~repro.gpu.GPULBMSolver.get_border_layer` /
+        exchange only), segment by segment: compiled, one face call
+        each for a float32 buffer, from its face tables resolved at the
+        first call with this manifest and buffer (:meth:`_face_calls`);
+        else :meth:`~repro.gpu.GPULBMSolver.get_border_layer` /
         :meth:`~repro.gpu.GPULBMSolver.set_ghost_layer`."""
+        solver = self.solver
+        if solver._lib is not None:
+            key = (id(manifest), how)
+            hit = self._wires.get(key)
+            if hit is None or hit[0] is not manifest or hit[1] is not buf:
+                hit = self._wires[key] = (manifest, buf,
+                                          self._face_calls(manifest, buf, how))
+            if hit[2] is not None:
+                tex, face = solver._texels(), solver._lib.gpu_face
+                for at, g in hit[2]:
+                    face(tex, at, g)
+                return
         if manifest.mode != "pull":
             raise ValueError("GPU ranks only run the pull exchange; "
                              f"got manifest mode {manifest.mode!r}")
-        solver, axis, n = self.solver, manifest.axis, self.sub_shape[manifest.axis]
-        base = (buf.ctypes.data if solver._lib is not None and buf.dtype == np.float32
-                and buf.flags.c_contiguous else None)
-        flat = buf.reshape(-1)
+        axis, flat = manifest.axis, buf.reshape(-1)
         for seg in manifest.segments:
-            side = seg.side if how == 1 else -seg.side          # of our texels
-            if base is not None:
-                at = (1 if side == -1 else n) if how == 1 else (0 if side == -1 else n + 1)
-                solver._face(how, axis, at, seg.links, base + 4 * seg.offset)
-                continue
             view = flat[seg.offset:seg.offset + seg.floats].reshape(
                 (len(seg.links),) + manifest.plane_shape)
-            name = "low" if side == -1 else "high"
+            name = "low" if (seg.side if how == 1 else -seg.side) == -1 else "high"
             if how == 1:
                 solver.get_border_layer(axis, name, out=view, links=seg.links)
             else:
                 solver.set_ghost_layer(view, axis, name, links=seg.links)
+
+    def _face_calls(self, manifest, buf: np.ndarray, how: int) -> list | None:
+        """``(address, face table)`` of each segment's face call, or
+        None where ``buf`` is not a contiguous float32 array, or the
+        manifest is not a pull one (:meth:`_wire` refuses it)."""
+        if (manifest.mode != "pull" or buf.dtype != np.float32
+                or not buf.flags.c_contiguous):
+            return None
+        axis, n = manifest.axis, self.sub_shape[manifest.axis]
+        calls = []
+        for seg in manifest.segments:
+            side = seg.side if how == 1 else -seg.side          # of our texels
+            at = (1 if side == -1 else n) if how == 1 else (0 if side == -1 else n + 1)
+            calls.append((buf.ctypes.data + 4 * seg.offset,
+                          self.solver._face_g(how, axis, at, seg.links)[1]))
+        return calls
 
     def fill_ghost_zero_gradient(self, axis: int, direction: int) -> None:
         """Global non-periodic boundary: copy own border outward, the
@@ -232,12 +269,16 @@ class GPUNode:
         or one slice assignment per link."""
         n = self.sub_shape[axis]
         ghost, border = (0, 1) if direction == -1 else (n + 1, n)
-        links = CROSSING[axis]
-        if self.solver._lib is not None:
-            self.solver._face(0, axis, ghost, links, src=border)
+        solver = self.solver
+        if solver._lib is not None:
+            g = self._fills.get((axis, direction))
+            if g is None:
+                g = self._fills[axis, direction] = solver._face_g(
+                    0, axis, ghost, CROSSING[axis], border)[1]
+            solver._lib.gpu_face(solver._texels(), None, g)
             return
-        for s, ch in map(link_location, links):
-            planes = self.solver.f_stacks[s].data[..., ch].swapaxes(0, 2 - axis)
+        for s, ch in map(link_location, CROSSING[axis]):
+            planes = solver.f_stacks[s].data[..., ch].swapaxes(0, 2 - axis)
             planes[ghost] = planes[border]                  # data[z, y, x]
 
     def charge_transfers(self) -> None:
@@ -255,3 +296,57 @@ class GPUNode:
         # Everything charged on the device this step is compute; the AGP
         # bucket is modeled separately by charge_transfers().
         self.compute_s = self.device.clock_s + self._border_s
+
+
+class GPURankGroup(RankLoop):
+    """A serial cluster's numeric GPU ranks, stepped together while
+    every rank's unit is compiled (else node by node): one
+    ``gpu_collide`` over the ranks' rows, each rank's collide charges,
+    :class:`RankLoop`'s exchange, one ``gpu_sweep``, each rank's finish
+    charges.  The unit splits the rows across
+    :func:`~repro.gpu.lbm_gpu.threads` of the host's cores; a rank
+    touches only its own textures.  Each call is recorded as per-rank
+    cell-share slices (:meth:`~repro.perf.recorder.Recorder.slices`)."""
+
+    def __init__(self, nodes, halo, recorder) -> None:
+        super().__init__(nodes, halo, recorder)
+        self.solvers = [node.solver for node in self.nodes]
+        #: ``gpu_collide``'s and ``gpu_sweep``'s rank tables.
+        self._rows = {}
+        for name in ("collide", "sweep"):
+            table = np.concatenate([getattr(s, f"_{name}_row")[0] for s in self.solvers])
+            self._rows[name] = (table, table.ctypes.data)
+        self.threads = threads(len(self.nodes))
+        cells = np.array([node.cells for node in self.nodes], float)
+        self._edges = np.concatenate(([0.0], np.cumsum(cells / cells.sum()))).tolist()
+        self._lib = None            # this step's unit; None: node by node
+
+    def _call(self, name: str) -> None:
+        for solver in self.solvers:
+            solver._texels()
+        getattr(self._lib, f"gpu_{name}")(self._rows[name][1], len(self.solvers),
+                                          self.threads)
+
+    def collide(self) -> None:
+        lib = self.solvers[0]._lib
+        self._lib = lib if all(s._lib is lib for s in self.solvers) else None
+        if self._lib is None:
+            return super().collide()
+        for node in self.nodes:
+            node.begin_step()
+        t0 = perf_counter()
+        self._call("collide")
+        for node in self.nodes:
+            node.charge_collide()
+        self.recorder.slices("cluster.collide", t0, perf_counter(), self._edges)
+
+    def finish(self) -> None:
+        if self._lib is None:
+            return super().finish()
+        t0 = perf_counter()
+        self._call("sweep")
+        for node in self.nodes:
+            node.charge_transfers()
+            node.device.apply(node.solver._plan["finish"])
+            node.compute_s = node.device.clock_s + node._border_s
+        self.recorder.slices("cluster.finish", t0, perf_counter(), self._edges)

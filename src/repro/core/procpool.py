@@ -110,7 +110,8 @@ class RankProxy:
         self.compute_s = 0.0
         self.agp_s = 0.0
         self.overlap_window_s = 0.0
-        self.kernel_used = "unstepped"
+        # The worker's kernel report comes with its "ready" message.
+        self.kernel_used = "n/a"
         self.solid_fraction = 0.0
         self.kernel_reason: str | None = None
 
@@ -234,9 +235,6 @@ class _Worker:
             "compute_s": node.compute_s,
             "agp_s": node.agp_s,
             "overlap_window_s": node.overlap_window_s,
-            "kernel_used": getattr(node, "kernel_used", "n/a"),
-            "solid_fraction": float(getattr(node, "solid_fraction", 0.0)),
-            "kernel_reason": getattr(node, "kernel_reason", None),
             "recorder": rec.drain(),
         }
         return reply
@@ -291,7 +289,10 @@ class _Worker:
     def run(self) -> None:
         parent = os.getppid()
         try:
-            self.conn.send(("ready", self.spec.rank))
+            node = self.node
+            self.conn.send(("ready", self.spec.rank, {
+                "kernel_used": node.kernel_used, "kernel_reason": node.kernel_reason,
+                "solid_fraction": float(node.solid_fraction)}))
             while True:
                 # Poll so an orphaned worker notices its coordinator
                 # vanished instead of blocking on the pipe forever.
@@ -409,7 +410,10 @@ class ProcessBackend:
             self._finalizer.detach()
             self._finalizer = weakref.finalize(
                 self, _crash_cleanup, list(self.procs), all_names)
-            self._await_all()
+            # Each rank's kernel is fixed at construction: reported once.
+            for proxy, ready in zip(self.proxies, self._await_all()):
+                for name, value in ready.items():
+                    setattr(proxy, name, value)
         except Exception:
             self.shutdown()
             raise
@@ -510,9 +514,6 @@ class ProcessBackend:
             proxy.compute_s = payload["compute_s"]
             proxy.agp_s = payload["agp_s"]
             proxy.overlap_window_s = payload["overlap_window_s"]
-            proxy.kernel_used = payload.get("kernel_used", "n/a")
-            proxy.solid_fraction = payload.get("solid_fraction", 0.0)
-            proxy.kernel_reason = payload.get("kernel_reason")
         return payloads
 
     def gather_parts(self) -> list[np.ndarray]:

@@ -52,6 +52,8 @@ class SimulatedGPU:
         self.pass_counts: dict[str, int] = defaultdict(int)
         self.bytes_up = 0
         self.bytes_down = 0
+        #: Renders committed by swap so far: each moves two stacks' arrays.
+        self.swaps = 0
 
     # -- resources ------------------------------------------------------
     def new_stack(self, width: int, height: int, depth: int,
@@ -184,6 +186,7 @@ class SimulatedGPU:
         if (pbuffer is not None and self._batch_range(program, z_range) is not None
                 and np.may_share_memory(outs[0][1], pbuffer.data)):
             self._swap_in(target, pbuffer, outs[0][0])
+            self.swaps += 1
         else:
             for index, texels in outs:
                 self._copy_in(target, index, texels)

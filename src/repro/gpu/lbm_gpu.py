@@ -41,7 +41,7 @@ numpy body through the per-pass engine and is charged pass by pass.
 from __future__ import annotations
 
 import ctypes
-import operator
+import os
 
 import numpy as np
 
@@ -63,6 +63,11 @@ LINKS = tuple(range(19))
 PLANES = tuple(4 * s + ch for s, ch in map(link_location, LINKS)) + (19,)
 #: Per axis, the links that cross its faces (``c[axis] != 0``).
 CROSSING = tuple(tuple(int(q) for q in np.flatnonzero(D3Q19.c[:, a])) for a in range(3))
+#: The C types of a rank row of ``gpu_collide`` and of ``gpu_sweep``
+#: (:func:`_source`): addresses, NULL where absent.
+COLLIDE_ROW = ("T *const *", "const long *", "const T *", "const T *", "const T *")
+SWEEP_ROW = ("T *const *", "const long *", "T *", "const long *", "const T *",
+             "const long *", "const long *")
 
 
 def _source(lat, dtype) -> str:
@@ -71,10 +76,15 @@ def _source(lat, dtype) -> str:
     addresses of ``f0..f4`` and ``macro``; link ``q`` is plane ``q`` of
     ``f0..f4``, planes ``ps`` floats apart; ``g`` is a ``long`` table.
 
+    ``gpu_collide`` and ``gpu_sweep`` each run ``n`` ranks' phase, a
+    row of ``rows`` each (:data:`COLLIDE_ROW`, :data:`SWEEP_ROW`), split
+    across ``nt`` threads by OpenMP (built without it, in rank order).
+
     * ``gpu_collide``: ``macro`` fused with ``collide0..4``, in place,
       over ``n0`` x ``n1`` rows of ``len`` texels (``s0``, ``s1`` apart)
-      from texel ``at``, in the numpy bodies' op order; ``flags`` /
-      ``add`` (the force) NULL when absent, one loop per variant.
+      from texel ``at``, in the numpy bodies' op order at rate ``*om``;
+      ``flags`` / ``add`` (the force) NULL when absent, one loop per
+      variant.
     * ``gpu_sweep``: plane ``z`` by plane of the ``d`` x ``h`` x ``w``
       stacks (shell ``p`` = 0 or 1), each channel pulled in place over
       the interior (wrapped toroidally) from the stack's plane ``z + 1``,
@@ -120,8 +130,9 @@ def _source(lat, dtype) -> str:
             + [f"T rate = {fluid} ? omega : ((T)0);"] + relax))
 
     collide = (
-        "void gpu_collide(T *const *tex, const long *g, const T *flags, T omega, "
-        "const T *add) {\n" + unpack("n0 s0 n1 s1 len ps at")
+        "static void collide(T *const *tex, const long *g, const T *flags, "
+        "const T *om, const T *add) {\n" + unpack("n0 s0 n1 s1 len ps at")
+        + "const T omega = *om;\n"
         + "".join(f"const T a{q} = add ? add[{q}] : 0; const int k{q} = a{q} != 0;\n"
                   for q in range(Q))
         + "for (long z = 0; z < n0; z++)\nfor (long y = 0; y < n1; y++) {\n"
@@ -158,7 +169,7 @@ def _source(lat, dtype) -> str:
     table = ", ".join("{" + ", ".join("{%d, %d, %d}" % tuple(o) for o in offs) + "}"
                       for offs in pull)
     sweep = (
-        "void gpu_sweep(T *const *tex, const long *g, T *ring, const long *runs, "
+        "static void sweep(T *const *tex, const long *g, T *ring, const long *runs, "
         "const T *feq, const long *in, const long *out) {\n"
         + unpack("d h w ps p n") + "const long hw = h * w, x1 = w - p, rs = "
         f"{4 * N_DISTRIBUTION_STACKS} * hw;\n"
@@ -214,16 +225,33 @@ def _source(lat, dtype) -> str:
         "face(tex, 0, out + 1, out[0] < 0 ? z - p : -1);\n"
         "}\n}\n")
 
-    return "typedef float T;\n" + collide + face + sweep
+    # One call per phase over a table of rank rows, the ranks split
+    # across ``nt`` threads (ignored without OpenMP: they run in order).
+    group = "".join(
+        f"void gpu_{name}(const long *rows, long n, long nt) {{\n"
+        "#pragma omp parallel for schedule(static) num_threads(nt)\n"
+        f"for (long r = 0; r < n; r++) {{\nconst long *a = rows + {len(args)} * r;\n"
+        f"{name}(" + ", ".join(f"({t})a[{k}]" for k, t in enumerate(args))
+        + ");\n}\n}\n"
+        for name, args in (("collide", COLLIDE_ROW), ("sweep", SWEEP_ROW)))
+    return "typedef float T;\n" + collide + face + sweep + group
 
 
 def _entries(t) -> dict:
-    P = ctypes.c_void_p
-    return {"gpu_collide": [P, P, P, t, P], "gpu_sweep": [P] * 7, "gpu_face": [P] * 3}
+    P, L = ctypes.c_void_p, ctypes.c_long
+    return {"gpu_collide": [P, L, L], "gpu_sweep": [P, L, L], "gpu_face": [P] * 3}
 
 
-#: The compiled passes, built and cached like the AA sweep.
-UNIT = native.Unit("gpu", _source, _entries)
+#: The compiled passes, built and cached like the AA sweep; with OpenMP
+#: where the compiler has it.
+UNIT = native.Unit("gpu", _source, _entries, ("-fopenmp",))
+
+
+def threads(n_ranks: int) -> int:
+    """The threads one call over ``n_ranks`` ranks runs on: one per
+    rank, at most one per CPU this process may run on."""
+    getaffinity = getattr(os, "sched_getaffinity", None)    # Linux only
+    return min(n_ranks, len(getaffinity(0)) if getaffinity else os.cpu_count() or 1)
 
 
 def _longs(*values) -> tuple:
@@ -318,17 +346,15 @@ class GPULBMSolver:
         # The compiled passes' tables (:func:`_source`): ``tex``, the
         # interior box, each face call's geometry, the sweep's ring.
         self._bound = self.f_stacks + [self.macro_stack]
-        self._held: list = [None] * len(self._bound)
+        self._swaps = -1                    # the device's swaps ``tex`` has seen
         self._tex = _longs(*[0] * len(self._bound))
         self._ps = td * th * tw
         self._collide_g = _longs(td - 2 * p, th * tw, th - 2 * p, tw, tw - 2 * p,
                                  self._ps, (p * th + p) * tw + p)
         self._ring = np.zeros((2 + self._wrap, 4 * N_DISTRIBUTION_STACKS, th * tw), F32)
         self._faces: dict[tuple, tuple] = {}
-        self._flags = (None if self.flags_stack is None
-                       else self.flags_stack.data.ctypes.data)
-        self._add = (None if self._force_term is None
-                     else self._force_term.ctypes.data)
+        self._omega = np.array([self.omega], F32)
+        self._solid_runs = self._inlet_feq = None
         #: The collide's and :meth:`finish`'s charges, as data.
         stacks = range(N_DISTRIBUTION_STACKS)
         self._plan = {"collide": self.pass_plan(COLLIDE), "finish": self.pass_plan(
@@ -341,12 +367,10 @@ class GPULBMSolver:
                                  | (np.diff(texels // (th * tw)) != 0)) + 1
             self._solid_runs = np.column_stack(
                 [texels[np.r_[0, cut]], np.diff(np.r_[0, cut, len(texels)])])
-            self._solid_at = self._solid_runs.ctypes.data
         # Per-step constants of the boundary-layer passes.
         if inlet is not None:
             self._inlet_feq = equilibrium_site(self.lattice, inlet[3],
                                                inlet[2]).astype(F32)
-            self._inlet_at = self._inlet_feq.ctypes.data
             self._inlet_s = self._layer_pass_s("inlet", inlet[0], tex_fetches=0)
             self._plan["finish"].append(("inlet", self._inlet_s, False))
         if outflow is not None:
@@ -368,10 +392,18 @@ class GPULBMSolver:
         self._ops = [inlet and face_op(3, inlet[0], LINKS, self._layer(*inlet[:2])),
                      outflow and face_op(0, outflow[0], LINKS + (19,),
                                          self._layer(*outflow), self._layer(*outflow, 1))]
-        self._finish_args = (self._sweep_g[1], self._ring.ctypes.data,
-                             self._solid_at if self.has_solid else None,
-                             self._inlet_at if inlet else None,
-                             *(op and op[1] for op in self._ops))
+
+        def at(array):
+            return 0 if array is None else array.ctypes.data
+
+        #: This rank's rows of the compiled phases (:func:`_source`).
+        self._collide_row = _longs(
+            self._tex[1], self._collide_g[1],
+            at(self.flags_stack and self.flags_stack.data), at(self._omega),
+            at(self._force_term))
+        self._sweep_row = _longs(
+            self._tex[1], self._sweep_g[1], at(self._ring), at(self._solid_runs),
+            at(self._inlet_feq), *(op[1] if op else 0 for op in self._ops))
         self.time_step = 0
         self.initialize()
 
@@ -541,11 +573,11 @@ class GPULBMSolver:
     # -- compiled passes --------------------------------------------------
     def _texels(self) -> int:
         """The address of ``tex`` (:func:`_source`), refreshed when a
-        per-pass render's swap commit has moved the arrays."""
-        arrays = [t.data for t in self._bound]
-        if not all(map(operator.is_, arrays, self._held)):
-            self._held = arrays
-            self._tex[0][:] = [a.ctypes.data for a in arrays]
+        per-pass render's swap commit has moved the arrays
+        (:attr:`SimulatedGPU.swaps`)."""
+        if self._swaps != self.device.swaps:
+            self._swaps = self.device.swaps
+            self._tex[0][:] = [t.data.ctypes.data for t in self._bound]
         return self._tex[1]
 
     def _face_g(self, how: int, axis: int, at: int, slots: tuple,
@@ -572,11 +604,6 @@ class GPULBMSolver:
             args = self._faces[key] = _longs(len(slots), d * h * w, *tex, *other,
                                              how, *(PLANES[q] for q in slots))
         return args
-
-    def _face(self, how: int, axis: int, at: int, slots: tuple, buf=None,
-              src: int | None = None) -> None:
-        """One ``gpu_face`` call (:meth:`_face_g`)."""
-        self._lib.gpu_face(self._texels(), buf, self._face_g(how, axis, at, slots, src)[1])
 
     # -- ghost-layer management (padded mode) -----------------------------
     def _check_padded(self) -> None:
@@ -686,8 +713,8 @@ class GPULBMSolver:
             self.run_macro_pass(charge=charge)
             self.run_collide_passes(charge=charge)
             return
-        lib.gpu_collide(self._texels(), self._collide_g[1], self._flags,
-                        self.omega, self._add)
+        self._texels()
+        lib.gpu_collide(self._collide_row[1], 1, 1)
         if charge:
             self.device.apply(self._plan["collide"])
 
@@ -695,7 +722,8 @@ class GPULBMSolver:
         """Stream, bounce-back, inlet and outflow, each charged.
         Compiled, one ``gpu_sweep`` does all four plane by plane."""
         if self._lib is not None:
-            self._lib.gpu_sweep(self._texels(), *self._finish_args)
+            self._texels()
+            self._lib.gpu_sweep(self._sweep_row[1], 1, 1)
             self.device.apply(self._plan["finish"])
             return
         self.run_stream_passes()

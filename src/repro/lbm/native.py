@@ -362,14 +362,17 @@ def _cache_dir() -> Path:
 
 class Unit(NamedTuple):
     """A generated translation unit: its object-name prefix, its
-    ``source(lat, dtype)`` and its entry points ``entries(T)`` ->
+    ``source(lat, dtype)``, its entry points ``entries(T)`` ->
     ``{name: argtypes}`` (``T`` the ctypes scalar; every entry returns
-    void).  :data:`AA` is the in-place sweep; the simulated GPU's
-    fragment programs are another (:mod:`repro.gpu.lbm_gpu`)."""
+    void) and its own compile flags, after :data:`FLAGS` and part of
+    its key; a compiler that refuses them builds the unit without them.
+    :data:`AA` is the in-place sweep; the simulated GPU's fragment
+    programs are another (:mod:`repro.gpu.lbm_gpu`)."""
 
     name: str
     source: Callable
     entries: Callable
+    flags: tuple = ()
 
 
 def _aa_entries(t) -> dict:
@@ -381,14 +384,16 @@ def _aa_entries(t) -> dict:
 AA = Unit("aa", source, _aa_entries)
 
 
-def describe(lat: Lattice, dtype, unit: Unit = AA) -> dict:
-    """Where ``unit``'s object for ``(lat, dtype)`` lives and what keys
-    it: ``{"cache", "compiler", "flags", "key", "path"}`` (``key``/``path``
+def describe(lat: Lattice, dtype, unit: Unit = AA, flags=None) -> dict:
+    """Where ``unit``'s object for ``(lat, dtype)`` built with ``flags``
+    (default: :data:`FLAGS` and the unit's own) lives and what keys it:
+    ``{"cache", "compiler", "flags", "key", "path"}`` (``key``/``path``
     None without a compiler).  Runs no subprocess."""
     dtype = np.dtype(dtype)
     cc = shutil.which(COMPILER)
+    flags = (*FLAGS, *unit.flags) if flags is None else flags
     info = {"cache": str(_cache_dir()), "compiler": cc,
-            "flags": " ".join(FLAGS), "key": None, "path": None}
+            "flags": " ".join(flags), "key": None, "path": None}
     if cc is None or dtype not in _CTYPES:
         return info
     digest = hashlib.sha256("\0".join([
@@ -428,7 +433,7 @@ def _build(lat: Lattice, dtype, unit: Unit, info: dict) -> ctypes.CDLL:
             c_file = Path(tmp) / f"{unit.name}.c"
             c_file.write_text(unit.source(lat, dtype))
             so = Path(tmp) / f"{unit.name}.so"
-            done = subprocess.run([info["compiler"], *FLAGS, str(c_file),
+            done = subprocess.run([info["compiler"], *info["flags"].split(), str(c_file),
                                    "-o", str(so)], capture_output=True,
                                   text=True, timeout=300)
             if done.returncode != 0:
@@ -448,23 +453,26 @@ def load(lat: Lattice, dtype, unit: Unit = AA
     """``(library, None)``, or ``(None, reason)`` when ``unit`` cannot
     serve ``(lat, dtype)``.  Cached per process; a warm object on disk
     loads without a subprocess, a missing or unloadable one is
-    (re)built."""
+    (re)built: with the unit's own flags, else without them.  The
+    library's ``info`` is :func:`describe`'s row of the object loaded."""
     dtype = np.dtype(dtype)
-    memo = (unit.name, lat.c.tobytes(), lat.w.tobytes(), lat.cs2, dtype.str)
+    memo = (unit.name, unit.flags, lat.c.tobytes(), lat.w.tobytes(), lat.cs2,
+            dtype.str)
     with _LOCK:
         if memo in _LOADED:
             return _LOADED[memo]
         lib, missing = None, f"no compiled {unit.name} unit for dtype {dtype.name}"
-        if dtype in _CTYPES:
-            try:
-                info = describe(lat, dtype, unit)
-                if info["compiler"] is None:
-                    missing = f"no C compiler ({COMPILER!r} not on PATH)"
-                else:
+        if dtype in _CTYPES and shutil.which(COMPILER) is None:
+            missing = f"no C compiler ({COMPILER!r} not on PATH)"
+        elif dtype in _CTYPES:
+            for flags in [(*FLAGS, *unit.flags)] + [FLAGS] * bool(unit.flags):
+                try:
+                    info = describe(lat, dtype, unit, flags)
                     lib = (_open(Path(info["path"]), unit, dtype)
                            or _build(lat, dtype, unit, info))
-                    missing = None
-            except (OSError, RuntimeError, subprocess.SubprocessError) as exc:
-                missing = f"compiled {unit.name} unit unavailable: {exc}"
+                    lib.info, missing = info, None
+                    break
+                except (OSError, RuntimeError, subprocess.SubprocessError) as exc:
+                    missing = f"compiled {unit.name} unit unavailable: {exc}"
         _LOADED[memo] = lib, missing
         return lib, missing

@@ -162,7 +162,8 @@ def trace_imbalance_rows(trace) -> tuple[list[dict], dict]:
     twice).  The imbalance factor is the headline: 1.0 is perfect
     balance, the max/mean ratio grows as one slow rank leaves the
     others waiting.  The summary's ``apportioned`` says whether any
-    of that busy time is a share of one sweep over stacked ranks
+    of that busy time is a share of one sweep over stacked ranks or of
+    one call over a GPU rank group
     (:meth:`~repro.perf.recorder.Recorder.slices`), which reads equal
     on equal blocks by construction and so measures no imbalance.
 

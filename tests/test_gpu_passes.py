@@ -815,11 +815,11 @@ class TestCompiled:
         assert calls == {"gpu_collide": 3, "gpu_sweep": 3}
 
     def test_steady_state_node_step(self, rng, monkeypatch):
-        """A padded node with solids, an inlet, an outflow and a body
-        force, past its first step: a fixed handful of compiled calls
-        (collide, the sweep, and one face call per exchanged or closed
-        face) and no bounce snapshot — under 32 KiB, where the 19-link
-        snapshot alone is ~40 KiB here."""
+        """Padded nodes with solids, an inlet, an outflow and a body
+        force, past their first step: a fixed handful of compiled calls
+        (one collide and one sweep for the group, one face call per
+        exchanged or closed face) and no bounce snapshot — under 32 KiB,
+        where the 19-link snapshot alone is ~40 KiB here."""
         shape = (40, 32, 30)
         solid = rng.random(shape) < 0.1
         cfg = ClusterConfig(sub_shape=(20, 32, 30), arrangement=(2, 1, 1),
@@ -836,11 +836,11 @@ class TestCompiled:
             cluster.step(1)
             _, peak = tracemalloc.get_traced_memory()
             tracemalloc.stop()
-        # Per node: collide 1, sweep 1 (stream, bounce, the inlet or the
-        # outflow); faces: the x message's gather and scatter, the y
-        # self-wrap's (both sides, one message: two of each), z zero
-        # fills 2, x zero fill 1.
-        assert calls == {"gpu_collide": 2, "gpu_sweep": 2,
+        # Both nodes: collide 1, sweep 1 (stream, bounce, the inlet or
+        # the outflow).  Per node, faces: the x message's gather and
+        # scatter, the y self-wrap's (both sides, one message: two of
+        # each), z zero fills 2, x zero fill 1.
+        assert calls == {"gpu_collide": 1, "gpu_sweep": 1,
                          "gpu_face": 2 * 9}, calls
         assert peak < 32 * 1024
 
@@ -860,15 +860,15 @@ class TestCompiled:
         c_file = tmp_path / "gpu.c"
         c_file.write_text(src)
         lines = src.splitlines()
-        begin = next(n for n, line in enumerate(lines) if line.startswith("void gpu_sweep"))
-        end = len(lines)
+        begin = next(n for n, line in enumerate(lines) if line.startswith("static void sweep"))
+        end = next(n for n, line in enumerate(lines) if line.startswith("void gpu_collide"))
         collide = {n + 1 for n, line in enumerate(lines)
                    if line.startswith("for (long i = 0; i < len; ")}
         rows = {n + 1 for n in range(begin, end) if lines[n].startswith("for (long i ")}
         assert len(collide) == 4 and len(rows) == 4
-        builds = [native.FLAGS]
+        builds = [(*native.FLAGS, *lbm_gpu.UNIT.flags)]
         if platform.machine() == "x86_64":
-            builds.append([f for f in native.FLAGS if not f.startswith("-march=")]
+            builds.append([f for f in builds[0] if not f.startswith("-march=")]
                           + ["-march=x86-64-v2"])
         for flags in builds:
             done = subprocess.run([native.COMPILER, *flags,
